@@ -6,16 +6,14 @@
 //! measured for real on this machine (full client-TLS → enclave-TLS →
 //! Protected-FS path for SeGShare; memcpy path plus the calibrated
 //! Apache/nginx cost profiles for the baselines), then composed with
-//! the two-region WAN model. Two SeGShare columns are printed:
-//! `measured` uses this machine's pure-Rust crypto, `normalized` scales
-//! crypto-dominated processing to the paper's AES-NI-class hardware.
+//! the two-region WAN model. Every column is this machine's raw
+//! seconds; nothing is scaled to other hardware.
 //!
 //! Usage: `fig3_updown [--quick] [--sizes 1,10,50,100,200]`
 
 use seg_baseline::{PlainFileServer, ServerProfile};
 use seg_bench::harness::{
-    arg_flag, arg_value, fmt_s, local_gcm_mbps, measure, normalize_processing,
-    print_metrics_sidecar_since, wan, Rig,
+    arg_flag, arg_value, fmt_s, measure, print_metrics_sidecar_since, wan, Rig,
 };
 use segshare::EnclaveConfig;
 
@@ -30,13 +28,12 @@ fn main() {
         vec![1, 10, 50, 100, 200]
     };
     let wan = wan();
-    let local_mbps = local_gcm_mbps();
     println!("== Fig. 3: upload/download latency vs file size ==");
-    println!("local software GCM throughput: {local_mbps:.0} MB/s (paper hardware ~2000 MB/s)");
+    println!("AES-GCM backend: {}", seg_crypto::gcm::Gcm::backend());
     println!();
     println!(
-        "{:>6} {:>5} | {:>10} {:>10} | {:>10} {:>10} | {:>10} | paper(200MB: seg 2.39/2.17, apache 4.74/2.62, nginx 1.84/0.93)",
-        "size", "dir", "seg-meas", "seg-norm", "apache", "nginx", "raw-proc"
+        "{:>6} {:>5} | {:>10} | {:>10} {:>10} | {:>10} | paper(200MB: seg 2.39/2.17, apache 4.74/2.62, nginx 1.84/0.93)",
+        "size", "dir", "segshare", "apache", "nginx", "raw-proc"
     );
 
     for &mb in &sizes_mb {
@@ -79,8 +76,7 @@ fn main() {
         // Compose. SeGShare and nginx stream (processing overlaps the
         // wire); Apache's DAV path effectively stores-and-forwards,
         // which is what reproduces its measured 200 MB numbers.
-        let seg_up_measured = wan.request_s(bytes, 64, up.mean_s);
-        let seg_up_norm = wan.request_s(bytes, 64, normalize_processing(up.mean_s, local_mbps));
+        let seg_up = wan.request_s(bytes, 64, up.mean_s);
         let apache_up = wan.request_store_forward_s(
             bytes,
             64,
@@ -88,8 +84,7 @@ fn main() {
         );
         let nginx_up = wan.request_s(bytes, 64, plain_up.mean_s + nginx.request_cost_s(bytes, 0));
 
-        let seg_down_measured = wan.request_s(64, bytes, down.mean_s);
-        let seg_down_norm = wan.request_s(64, bytes, normalize_processing(down.mean_s, local_mbps));
+        let seg_down = wan.request_s(64, bytes, down.mean_s);
         let apache_down = wan.request_store_forward_s(
             64,
             bytes,
@@ -102,21 +97,19 @@ fn main() {
         );
 
         println!(
-            "{:>4}MB {:>5} | {:>10} {:>10} | {:>10} {:>10} | {:>10}",
+            "{:>4}MB {:>5} | {:>10} | {:>10} {:>10} | {:>10}",
             mb,
             "up",
-            fmt_s(seg_up_measured),
-            fmt_s(seg_up_norm),
+            fmt_s(seg_up),
             fmt_s(apache_up),
             fmt_s(nginx_up),
             fmt_s(up.mean_s),
         );
         println!(
-            "{:>4}MB {:>5} | {:>10} {:>10} | {:>10} {:>10} | {:>10}",
+            "{:>4}MB {:>5} | {:>10} | {:>10} {:>10} | {:>10}",
             mb,
             "down",
-            fmt_s(seg_down_measured),
-            fmt_s(seg_down_norm),
+            fmt_s(seg_down),
             fmt_s(apache_down),
             fmt_s(nginx_down),
             fmt_s(down.mean_s),
@@ -124,22 +117,21 @@ fn main() {
 
         print_metrics_sidecar_since(&rig.server, Some(&base));
 
-        // The paper's ordering claims, checked on the normalized
-        // column. At small sizes everyone is wire-bound and the curves
+        // The paper's ordering claims. At small sizes everyone is wire-bound and the curves
         // coincide (as in the figure's left edge), so allow a small
         // tolerance there and require strict ordering at 50 MB+.
         let tol = if mb >= 50 { 0.0 } else { 0.002 };
         assert!(
-            nginx_up <= seg_up_norm + tol && seg_up_norm < apache_up + tol,
+            nginx_up <= seg_up + tol && seg_up < apache_up + tol,
             "upload ordering (nginx <= SeGShare < Apache) violated at {mb} MB"
         );
         assert!(
-            nginx_down <= seg_down_norm + tol,
+            nginx_down <= seg_down + tol,
             "download ordering (nginx <= SeGShare) violated at {mb} MB"
         );
     }
     println!();
     println!(
-        "shape check: nginx < SeGShare(normalized) < Apache for uploads; nginx < SeGShare for downloads — as in the paper."
+        "shape check: nginx < SeGShare < Apache for uploads; nginx < SeGShare for downloads — as in the paper."
     );
 }

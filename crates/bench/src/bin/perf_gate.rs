@@ -3,15 +3,16 @@
 //! Runs a fixed operation mix (uploads/downloads across sizes, a group
 //! membership update, a revocation) through the full enclave stack,
 //! emits `BENCH_perf.json` (per-workload stats, per-op latency
-//! quantiles, and the phase profiler's per-phase self-times — all
-//! GCM-throughput-normalized like the figure regenerators), and
-//! compares the normalized per-workload means against the committed
-//! `results/bench_baseline.json`.
+//! quantiles, and the phase profiler's per-phase self-times, all in
+//! raw seconds on this machine), and compares the per-workload means
+//! against the committed `results/bench_baseline.json`.
 //!
-//! The gate is noise-aware: a workload fails only if its normalized
-//! regression exceeds `max(15 %, 3 × CI95)` of the baseline mean, so
-//! run-to-run jitter (already damped by the GCM normalization) cannot
-//! fail CI while a real slowdown still trips it.
+//! The gate is noise-aware: a workload fails only if its regression
+//! exceeds `max(15 %, 3 × CI95)` of the baseline mean, so run-to-run
+//! jitter cannot fail CI while a real slowdown still trips it. The
+//! baseline is this build machine's; refresh it with
+//! `--update-baseline` when the machine or the code's speed changes on
+//! purpose.
 //!
 //! Usage: `perf_gate [--quick] [--update-baseline]`
 //!   --quick            fewer runs per workload (CI setting)
@@ -22,9 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use seg_bench::harness::{
-    arg_flag, fmt_s, local_gcm_mbps, measure, normalize_processing, Measured, Rig, HW_GCM_MBPS,
-};
+use seg_bench::harness::{arg_flag, fmt_s, measure, Measured, Rig};
 use seg_bench::json::{self, Json};
 use seg_fs::Perm;
 use segshare::EnclaveConfig;
@@ -34,18 +33,16 @@ const MIN_THRESHOLD: f64 = 0.15;
 /// Noise guard: regressions under `CI_MULTIPLIER × CI95 / baseline`
 /// don't fail either.
 const CI_MULTIPLIER: f64 = 3.0;
-/// Absolute slack in normalized seconds. Sub-millisecond admin ops
+/// Absolute slack in seconds. Sub-millisecond admin ops
 /// (membership update, revocation) drift 20 %+ between processes from
 /// scheduler/frequency noise that within-run CI95 cannot see; 50 µs of
-/// normalized slack absorbs that without weakening the gate where it
+/// slack absorbs that without weakening the gate where it
 /// matters (50 µs is ~3 % of a 1 MB upload).
 const ABS_SLACK_S: f64 = 50e-6;
 
 struct WorkloadResult {
     name: &'static str,
     measured: Measured,
-    norm_mean_s: f64,
-    norm_ci95_s: f64,
 }
 
 /// Declassified evidence from one metadata-hot run: how much work the
@@ -1253,11 +1250,8 @@ fn main() {
     let update_baseline = arg_flag("--update-baseline");
     let runs = if quick { 3 } else { 10 };
 
-    let local_mbps = local_gcm_mbps();
     println!("== perf gate ==");
-    println!(
-        "local software GCM: {local_mbps:.0} MB/s (normalizing to {HW_GCM_MBPS:.0} MB/s hardware)"
-    );
+    println!("AES-GCM backend: {}", seg_crypto::gcm::Gcm::backend());
 
     let rig = Rig::new(EnclaveConfig::paper_prototype());
     rig.setup
@@ -1276,21 +1270,13 @@ fn main() {
 
     let mut results: Vec<WorkloadResult> = Vec::new();
     let mut push = |name: &'static str, measured: Measured| {
-        let norm_mean_s = normalize_processing(measured.mean_s, local_mbps);
-        let norm_ci95_s = normalize_processing(measured.ci95_s(), local_mbps);
         println!(
-            "  {name:<18} mean={:<10} ci95={:<10} warmup={:<10} norm={}",
+            "  {name:<18} mean={:<10} ci95={:<10} warmup={}",
             fmt_s(measured.mean_s),
             fmt_s(measured.ci95_s()),
             fmt_s(measured.warmup_s),
-            fmt_s(norm_mean_s),
         );
-        results.push(WorkloadResult {
-            name,
-            measured,
-            norm_mean_s,
-            norm_ci95_s,
-        });
+        results.push(WorkloadResult { name, measured });
     };
 
     let mut i = 0u32;
@@ -1457,7 +1443,6 @@ fn main() {
     let root = repo_root();
     let report = build_report(
         &results,
-        local_mbps,
         &snapshot,
         &profile,
         &cache_evidence,
@@ -1507,8 +1492,7 @@ fn main() {
 
     let baseline_path = root.join("results/bench_baseline.json");
     if update_baseline {
-        std::fs::write(&baseline_path, build_baseline(&results, local_mbps))
-            .expect("write baseline");
+        std::fs::write(&baseline_path, build_baseline(&results)).expect("write baseline");
         println!("wrote {} (baseline refreshed)", baseline_path.display());
     } else if let Ok(baseline_text) = std::fs::read_to_string(&baseline_path) {
         let baseline = json::parse(&baseline_text).expect("baseline parses");
@@ -1575,7 +1559,7 @@ fn print_cache_evidence(evidence: &[CacheEvidence]) {
     );
 }
 
-/// Compares each workload's normalized mean against the baseline.
+/// Compares each workload's mean against the baseline.
 /// Returns human-readable failure lines (empty = pass).
 fn check_gate(results: &[WorkloadResult], baseline: &Json) -> Vec<String> {
     let mut failures = Vec::new();
@@ -1590,19 +1574,17 @@ fn check_gate(results: &[WorkloadResult], baseline: &Json) -> Vec<String> {
             );
             continue;
         };
-        let base_mean = base
-            .get("norm_mean_s")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
+        let base_mean = base.get("mean_s").and_then(Json::as_f64).unwrap_or(0.0);
         let base_ci = base.get("ci95_s").and_then(Json::as_f64).unwrap_or(0.0);
         if base_mean <= 0.0 {
             continue;
         }
-        let regression = (r.norm_mean_s - base_mean) / base_mean;
+        let mean_s = r.measured.mean_s;
+        let regression = (mean_s - base_mean) / base_mean;
         // Noise-aware threshold: whichever is largest of the fixed 15 %
         // floor, 3× the wider of the two runs' confidence intervals,
         // and the absolute slack — all relative to the baseline mean.
-        let ci = r.norm_ci95_s.max(base_ci);
+        let ci = r.measured.ci95_s().max(base_ci);
         let threshold = MIN_THRESHOLD
             .max(CI_MULTIPLIER * ci / base_mean)
             .max(ABS_SLACK_S / base_mean);
@@ -1611,16 +1593,16 @@ fn check_gate(results: &[WorkloadResult], baseline: &Json) -> Vec<String> {
             "  {:<18} base={:<10} now={:<10} change={:+6.1}% threshold={:5.1}% {}",
             r.name,
             fmt_s(base_mean),
-            fmt_s(r.norm_mean_s),
+            fmt_s(mean_s),
             regression * 100.0,
             threshold * 100.0,
             if failed { "FAIL" } else { "ok" },
         );
         if failed {
             failures.push(format!(
-                "{}: normalized mean {} vs baseline {} ({:+.1}% > {:.1}% threshold)",
+                "{}: mean {} vs baseline {} ({:+.1}% > {:.1}% threshold)",
                 r.name,
-                fmt_s(r.norm_mean_s),
+                fmt_s(mean_s),
                 fmt_s(base_mean),
                 regression * 100.0,
                 threshold * 100.0,
@@ -1630,32 +1612,31 @@ fn check_gate(results: &[WorkloadResult], baseline: &Json) -> Vec<String> {
     failures
 }
 
-/// The committed baseline: per-workload normalized mean + CI95. The
-/// local GCM throughput is recorded for context only — normalization
-/// is what makes the means comparable across machines.
-fn build_baseline(results: &[WorkloadResult], local_mbps: f64) -> String {
+/// The committed baseline: per-workload mean + CI95 in raw seconds on
+/// the machine that wrote it.
+fn build_baseline(results: &[WorkloadResult]) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"gcm_mbps\": {local_mbps:.1},");
     out.push_str("  \"ops\": {\n");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    \"{}\": {{\"norm_mean_s\": {:.9}, \"ci95_s\": {:.9}}}{comma}",
-            r.name, r.norm_mean_s, r.norm_ci95_s,
+            "    \"{}\": {{\"mean_s\": {:.9}, \"ci95_s\": {:.9}}}{comma}",
+            r.name,
+            r.measured.mean_s,
+            r.measured.ci95_s(),
         );
     }
     out.push_str("  }\n}\n");
     out
 }
 
-/// The full machine-readable report: per-workload wall-clock and
-/// normalized stats, protocol-op latency quantiles from the metrics
+/// The full machine-readable report: per-workload wall-clock stats,
+/// protocol-op latency quantiles from the metrics
 /// snapshot, and per-phase self-times from the profiler.
 #[allow(clippy::too_many_arguments)]
 fn build_report(
     results: &[WorkloadResult],
-    local_mbps: f64,
     snapshot: &seg_obs::Snapshot,
     profile: &seg_obs::ProfSnapshot,
     cache_evidence: &[CacheEvidence],
@@ -1669,7 +1650,11 @@ fn build_report(
     meter_attr: &MeterAttributionEvidence,
 ) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"gcm_mbps\": {local_mbps:.1},");
+    let _ = writeln!(
+        out,
+        "  \"gcm_backend\": \"{}\",",
+        seg_crypto::gcm::Gcm::backend()
+    );
 
     out.push_str("  \"workloads\": {\n");
     for (i, r) in results.iter().enumerate() {
@@ -1677,14 +1662,13 @@ fn build_report(
         let _ = writeln!(
             out,
             "    \"{}\": {{\"mean_s\": {:.9}, \"sd_s\": {:.9}, \"ci95_s\": {:.9}, \
-             \"warmup_s\": {:.9}, \"runs\": {}, \"norm_mean_s\": {:.9}}}{comma}",
+             \"warmup_s\": {:.9}, \"runs\": {}}}{comma}",
             r.name,
             r.measured.mean_s,
             r.measured.sd_s,
             r.measured.ci95_s(),
             r.measured.warmup_s,
             r.measured.runs,
-            r.norm_mean_s,
         );
     }
     out.push_str("  },\n");
@@ -1708,7 +1692,7 @@ fn build_report(
     out.push_str("  },\n");
 
     // Per-phase self time across all operations, grouped by leaf phase
-    // (simulated time folded in), with a normalized-seconds column.
+    // (simulated time folded in).
     let all_ops: Vec<&str> = profile
         .entries
         .iter()
@@ -1720,17 +1704,12 @@ fn build_report(
     out.push_str("  \"phases\": {\n");
     for (i, (leaf, ns)) in breakdown.iter().enumerate() {
         let comma = if i + 1 < breakdown.len() { "," } else { "" };
-        let norm_s = normalize_processing(*ns as f64 * 1e-9, local_mbps);
-        let _ = writeln!(
-            out,
-            "    \"{leaf}\": {{\"self_ns\": {ns}, \"norm_self_s\": {norm_s:.9}}}{comma}"
-        );
+        let _ = writeln!(out, "    \"{leaf}\": {{\"self_ns\": {ns}}}{comma}");
     }
     out.push_str("  },\n");
 
     // Object-cache ablation evidence from the metadata-hot runs: the
-    // work the cache removes, in units the gate's normalization can't
-    // blur (GCM invocations and untrusted-store reads are counts).
+    // work the cache removes, in units machine speed can't blur (GCM invocations and untrusted-store reads are counts).
     out.push_str("  \"cache\": {\n");
     for (i, e) in cache_evidence.iter().enumerate() {
         let comma = if i + 1 < cache_evidence.len() {

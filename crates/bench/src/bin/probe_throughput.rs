@@ -1,5 +1,4 @@
-//! Raw crypto throughput probe (calibrates the normalized figures),
-//! plus an end-to-end server probe with its telemetry sidecar.
+//! Raw crypto throughput probe, plus an end-to-end server probe with its telemetry sidecar.
 
 use seg_bench::harness::{print_metrics_sidecar_since, Rig};
 use seg_crypto::gcm::Gcm;

@@ -7,13 +7,6 @@ use seg_net::simwan::WanProfile;
 use seg_store::{MemStore, ObjectStore, StoreError};
 use segshare::{Client, EnclaveConfig, EnrolledUser, FsoSetup, SegShareServer};
 
-/// The AES-GCM throughput the paper's server hardware sustains
-/// (AES-NI + PCLMUL on a Xeon E-2176G, conservatively 2 GB/s). Used to
-/// produce the hardware-normalized latency column: this reproduction's
-/// pure-Rust GCM runs ~10–20× slower than AES-NI, and at 100 MB+ sizes
-/// crypto is the dominant processing term.
-pub const HW_GCM_MBPS: f64 = 2000.0;
-
 /// Mean and spread of repeated measurements.
 #[derive(Debug, Clone, Copy)]
 pub struct Measured {
@@ -67,28 +60,6 @@ pub fn measure<F: FnMut()>(runs: usize, mut f: F) -> Measured {
         runs,
         warmup_s,
     }
-}
-
-/// Measures the local software GCM throughput (MB/s) to calibrate the
-/// hardware-normalized column.
-#[must_use]
-pub fn local_gcm_mbps() -> f64 {
-    let gcm = seg_crypto::gcm::Gcm::new(&[7u8; 16]).expect("valid key");
-    let data = vec![0u8; 32 * 1024 * 1024];
-    let iv = [1u8; 12];
-    let start = Instant::now();
-    let sealed = gcm.seal(&iv, b"", &data);
-    let elapsed = start.elapsed().as_secs_f64();
-    std::hint::black_box(&sealed);
-    32.0 / elapsed
-}
-
-/// Scales a measured processing time to what AES-NI-class hardware
-/// would take, assuming the processing is crypto-dominated (true for
-/// multi-megabyte transfers).
-#[must_use]
-pub fn normalize_processing(measured_s: f64, local_mbps: f64) -> f64 {
-    measured_s * (local_mbps / HW_GCM_MBPS)
 }
 
 /// An [`ObjectStore`] wrapper that sleeps before every backend

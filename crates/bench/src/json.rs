@@ -268,14 +268,14 @@ mod tests {
         let doc = r#"{
   "gcm_mbps": 123.4,
   "ops": {
-    "upload_1m": {"norm_mean_s": 0.0123, "ci95_s": 0.0004},
-    "download_1m": {"norm_mean_s": 0.01, "ci95_s": 0.0}
+    "upload_1m": {"mean_s": 0.0123, "ci95_s": 0.0004},
+    "download_1m": {"mean_s": 0.01, "ci95_s": 0.0}
   }
 }"#;
         let v = parse(doc).unwrap();
         assert_eq!(v.get("gcm_mbps").unwrap().as_f64(), Some(123.4));
         let up = v.get("ops").unwrap().get("upload_1m").unwrap();
-        assert_eq!(up.get("norm_mean_s").unwrap().as_f64(), Some(0.0123));
+        assert_eq!(up.get("mean_s").unwrap().as_f64(), Some(0.0123));
         assert_eq!(v.get("ops").unwrap().as_obj().unwrap().len(), 2);
     }
 

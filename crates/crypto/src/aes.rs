@@ -179,6 +179,19 @@ impl Aes {
         })
     }
 
+    /// The round keys as 16-byte blocks in cipher byte order, round 0
+    /// first — the form `AESENC` consumes.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn round_key_blocks(&self) -> impl Iterator<Item = [u8; BLOCK_LEN]> + '_ {
+        self.round_keys.chunks_exact(4).map(|words| {
+            let mut block = [0u8; BLOCK_LEN];
+            for (bytes, word) in block.chunks_exact_mut(4).zip(words) {
+                bytes.copy_from_slice(&word.to_be_bytes());
+            }
+            block
+        })
+    }
+
     /// Encrypts one 16-byte block.
     #[must_use]
     pub fn encrypt_block(&self, block: [u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {

@@ -45,7 +45,9 @@ pub fn pae_enc<R: SecureRandom>(key: &PaeKey, v: &[u8], aad: &[u8], rng: &mut R)
     let iv: [u8; IV_LEN] = rng.array();
     let mut out = Vec::with_capacity(v.len() + PAE_OVERHEAD);
     out.extend_from_slice(&iv);
-    out.extend_from_slice(&key.0.seal(&iv, aad, v));
+    out.extend_from_slice(v);
+    let tag = key.0.seal_in_place(&iv, aad, &mut out[IV_LEN..]);
+    out.extend_from_slice(&tag);
     out
 }
 

@@ -18,8 +18,9 @@
 //! * **per-connection state machine**: `Accepting → Handshaking →
 //!   Streaming → Draining → Closed`, with byte-bounded outbound queues,
 //!   lazy (pull-based) download production, inbound backpressure that
-//!   closes the TCP window instead of buffering, an idle-reap timer
-//!   wheel, and accept shedding above a connection cap.
+//!   closes the TCP window instead of buffering, a timer wheel for
+//!   idle reaping and for the deadline of a drain-close whose peer has
+//!   stopped reading, and accept shedding above a connection cap.
 //!
 //! The reactor knows nothing about TLS or the enclave: it moves opaque
 //! frames between transports and a [`FrameHandler`] supplied by the
@@ -41,6 +42,11 @@ use crate::virtq::{TryPop, TryPush, VirtQueue};
 use crate::{ChannelTransport, NetError, NetMeter, DEFAULT_SEND_STALL, MAX_FRAME};
 
 pub use sys::EPOLL_AVAILABLE;
+
+/// How long a drain-close may wait on its peer before it turns into an
+/// abort (to the timer wheel's precision of one slot): a peer that never
+/// reads cannot hold a connection slot for ever.
+const DRAIN_DEADLINE_MS: u64 = 5_000;
 
 /// Identifies one connection for the lifetime of a reactor. Never
 /// reused within a run.
@@ -351,9 +357,18 @@ enum Sink {
 struct OutQ {
     frames: VecDeque<Vec<u8>>,
     bytes: usize,
+    /// The event loop holds a frame it popped and has not finished
+    /// writing: still undelivered output, though no longer in `frames`.
+    in_flight: bool,
     /// The sink reported "full"/`WouldBlock`; cleared when it drains.
     blocked: bool,
     blocked_since: Option<Instant>,
+}
+
+impl OutQ {
+    fn undelivered(&self) -> bool {
+        self.in_flight || !self.frames.is_empty()
+    }
 }
 
 /// Shared per-connection state (event loop + workers).
@@ -367,6 +382,8 @@ struct Conn {
     close_done: AtomicBool,
     reading_paused: AtomicBool,
     last_activity_ms: AtomicU64,
+    /// When a blocked drain-close gives up (reactor ms; 0 = not armed).
+    drain_deadline_ms: AtomicU64,
     inbound: Inbound,
     sink: Sink,
     out: Mutex<OutQ>,
@@ -402,6 +419,8 @@ enum Note {
     ReadResume(ConnId),
     /// Tear down the socket + epoll registration of a closed conn.
     Destroy(ConnId),
+    /// A drain-close is waiting on its peer; put its deadline on the wheel.
+    DrainDeadline(ConnId),
 }
 
 /// Everything shared between the event loop, workers, and handles.
@@ -480,13 +499,29 @@ impl Inner {
         self.waker.wake();
     }
 
-    /// Whether `conn` still has pending work a worker should pick up.
+    /// Whether a worker turn for `conn` could get anything done now.
+    ///
+    /// Output the sink refused is not such work: the sink says when it
+    /// has room again (the virtq drain hook, or `EPOLLOUT` and then
+    /// `write_ready`) and that reschedules the connection. A worker that
+    /// re-armed itself instead would spin on the same full sink.
     fn has_work(&self, conn: &Conn) -> bool {
         if conn.close_done.load(Ordering::Acquire) {
             return false;
         }
+        let (queued, queued_bytes) = {
+            let out = conn.out.lock().unwrap();
+            (out.undelivered(), out.bytes)
+        };
         if conn.closing.load(Ordering::Acquire) {
-            return true;
+            // An abort finalizes at once, a drain once the queue is empty.
+            return !queued
+                || *conn.close_mode.lock().unwrap() == CloseMode::Abort
+                || self.sink_has_room(conn);
+        }
+        if queued_bytes >= self.cfg.outbound_bytes {
+            // `service` consumes nothing at the cap.
+            return self.sink_has_room(conn);
         }
         let inbound_ready = match &conn.inbound {
             Inbound::Fd { inbox } => !inbox.lock().unwrap().is_empty(),
@@ -495,8 +530,20 @@ impl Inner {
         if inbound_ready {
             return true;
         }
-        conn.wants_drain.load(Ordering::Acquire)
-            && conn.out.lock().unwrap().bytes < self.cfg.outbound_bytes / 2
+        conn.wants_drain.load(Ordering::Acquire) && queued_bytes < self.cfg.outbound_bytes / 2
+    }
+
+    /// Whether a worker's `flush` could move a queued frame right now.
+    /// Checked after `scheduled` is cleared, so a drain hook that fired
+    /// while the worker still held the connection is not lost.
+    fn sink_has_room(&self, conn: &Conn) -> bool {
+        match &conn.sink {
+            // Only the loop writes sockets; it reschedules when the
+            // queue empties.
+            Sink::Fd => false,
+            // A closed peer counts: the push fails and aborts the close.
+            Sink::Virtual { peer } => !peer.is_full(),
+        }
     }
 
     /// Requests a close; the worker path finalizes it (so `on_close`
@@ -753,10 +800,18 @@ fn try_finalize(inner: &Arc<Inner>, conn: &Arc<Conn>) {
     let mode = *conn.close_mode.lock().unwrap();
     if mode == CloseMode::Drain {
         flush(inner, conn);
-        let out = conn.out.lock().unwrap();
-        if !out.frames.is_empty() {
+        if conn.out.lock().unwrap().undelivered() {
             // Still draining; the flush path (loop write or the peer's
-            // drain hook) reschedules us when it empties.
+            // drain hook) reschedules us when it empties, and the
+            // deadline does if it never will.
+            let deadline = inner.now_ms() + DRAIN_DEADLINE_MS;
+            if conn
+                .drain_deadline_ms
+                .compare_exchange(0, deadline, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+            {
+                inner.inject(Note::DrainDeadline(conn.id));
+            }
             return;
         }
     }
@@ -772,17 +827,19 @@ fn try_finalize(inner: &Arc<Inner>, conn: &Arc<Conn>) {
             inner.charge_dropped(frame.len());
         }
     }
+    conn.set_state(&inner.stats, ConnState::Closed);
+    inner.stats.closed.fetch_add(1, Ordering::Relaxed);
+    inner.conns.lock().unwrap().remove(&conn.id);
+    inner.conn_count.fetch_sub(1, Ordering::Relaxed);
+    inner.handler.on_close(conn.id);
+    // Last, what an in-process peer can see: once its transport reports
+    // the close, the gauges and the handler already agree.
     if let Inbound::Virtual { q } = &conn.inbound {
         q.close();
     }
     if let Sink::Virtual { peer } = &conn.sink {
         peer.close();
     }
-    conn.set_state(&inner.stats, ConnState::Closed);
-    inner.stats.closed.fetch_add(1, Ordering::Relaxed);
-    inner.conns.lock().unwrap().remove(&conn.id);
-    inner.conn_count.fetch_sub(1, Ordering::Relaxed);
-    inner.handler.on_close(conn.id);
     if matches!(conn.sink, Sink::Fd) {
         inner.inject(Note::Destroy(conn.id));
     }
@@ -848,23 +905,19 @@ impl EventLoop {
     fn run(&mut self) {
         let mut expired: Vec<u64> = Vec::new();
         loop {
-            let timeout = if self.idle_ms > 0 {
-                Some(Duration::from_millis(self.wheel.granularity_ms()))
-            } else {
-                None
-            };
-            self.wait(timeout);
+            // Tick only while the wheel can hold something: idle reaping
+            // is on, or a draining connection may have a deadline armed.
+            let ticking = self.idle_ms > 0 || self.inner.stats.conns_in(ConnState::Draining) > 0;
+            self.wait(ticking.then(|| Duration::from_millis(self.wheel.granularity_ms())));
             if self.inner.shutdown.load(Ordering::Acquire) {
                 break;
             }
             self.drain_intake();
             self.drain_notes();
-            if self.idle_ms > 0 {
-                expired.clear();
-                self.wheel.advance(self.inner.now_ms(), &mut expired);
-                for id in std::mem::take(&mut expired) {
-                    self.check_idle(id);
-                }
+            expired.clear();
+            self.wheel.advance(self.inner.now_ms(), &mut expired);
+            for id in std::mem::take(&mut expired) {
+                self.check_timers(id);
             }
         }
         self.teardown();
@@ -968,15 +1021,24 @@ impl EventLoop {
                 Some(Note::Destroy(id)) => {
                     if let Some(fc) = self.fdconns.remove(&id) {
                         self.deregister(&fc);
+                        if fc.wpend.is_some() {
+                            // An abort cut this frame off mid-write.
+                            self.inner.charge_dropped(fc.wpend_payload);
+                        }
                         // Socket closes on drop.
                     }
+                }
+                Some(Note::DrainDeadline(id)) => {
+                    self.wheel.insert(id, DRAIN_DEADLINE_MS);
                 }
                 None => break,
             }
         }
     }
 
-    fn check_idle(&mut self, id: u64) {
+    /// A wheel entry for `id` surfaced: enforce its drain deadline if one
+    /// is armed, its idle timeout otherwise.
+    fn check_timers(&mut self, id: u64) {
         let conn = {
             let conns = self.inner.conns.lock().unwrap();
             match conns.get(&id) {
@@ -984,8 +1046,20 @@ impl EventLoop {
                 None => return, // already gone; lazy wheel entry
             }
         };
-        let last = conn.last_activity_ms.load(Ordering::Relaxed);
         let now = self.inner.now_ms();
+        let deadline = conn.drain_deadline_ms.load(Ordering::Relaxed);
+        if deadline != 0 {
+            if now >= deadline {
+                self.inner.request_close(&conn, CloseMode::Abort);
+            } else {
+                self.wheel.insert(id, deadline - now);
+            }
+            return;
+        }
+        if self.idle_ms == 0 {
+            return;
+        }
+        let last = conn.last_activity_ms.load(Ordering::Relaxed);
         if now.saturating_sub(last) >= self.idle_ms {
             self.inner.stats.reaped_idle.fetch_add(1, Ordering::Relaxed);
             self.inner.request_close(&conn, CloseMode::Abort);
@@ -1060,6 +1134,7 @@ impl EventLoop {
             close_done: AtomicBool::new(false),
             reading_paused: AtomicBool::new(false),
             last_activity_ms: AtomicU64::new(inner.now_ms()),
+            drain_deadline_ms: AtomicU64::new(0),
             inbound: Inbound::Fd {
                 inbox: Mutex::new(VecDeque::new()),
             },
@@ -1274,6 +1349,7 @@ impl EventLoop {
                         let mut out = fc.shared.out.lock().unwrap();
                         let stall = out.blocked_since.take();
                         out.blocked = false;
+                        out.in_flight = false;
                         drop(out);
                         self.inner.note_stall(stall);
                     }
@@ -1301,6 +1377,7 @@ impl EventLoop {
                 match out.frames.pop_front() {
                     Some(frame) => {
                         out.bytes -= frame.len();
+                        out.in_flight = true;
                         drop(out);
                         let mut wire = Vec::with_capacity(4 + frame.len());
                         wire.extend_from_slice(&(frame.len() as u32).to_le_bytes());
@@ -1445,7 +1522,12 @@ impl ReactorHandle {
             .spawn(move || {
                 let idle = idle_ms;
                 let mut ev = EventLoop {
-                    wheel: timer::TimerWheel::new(idle.max(1), loop_inner.now_ms()),
+                    // The wheel spans the idle timeout; with reaping off it
+                    // still carries drain deadlines.
+                    wheel: timer::TimerWheel::new(
+                        if idle > 0 { idle } else { DRAIN_DEADLINE_MS },
+                        loop_inner.now_ms(),
+                    ),
                     inner: loop_inner,
                     driver,
                     listeners: HashMap::new(),
@@ -1555,6 +1637,7 @@ impl ReactorHandle {
             close_done: AtomicBool::new(false),
             reading_paused: AtomicBool::new(false),
             last_activity_ms: AtomicU64::new(inner.now_ms()),
+            drain_deadline_ms: AtomicU64::new(0),
             inbound: Inbound::Virtual {
                 q: Arc::clone(&inbound_q),
             },

@@ -1,4 +1,5 @@
-//! A hashed timing wheel for idle-connection reaping.
+//! A hashed timing wheel for idle-connection reaping and drain-close
+//! deadlines.
 //!
 //! Deadlines land in one of a fixed ring of coarse slots; the event
 //! loop advances the cursor as wall time passes and collects whatever

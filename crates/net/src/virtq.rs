@@ -196,6 +196,14 @@ impl VirtQueue {
         self.state.lock().unwrap().closed
     }
 
+    /// Whether a `try_push` would be refused for lack of space right now
+    /// (never true once closed: a closed queue refuses differently).
+    #[must_use]
+    pub fn is_full(&self) -> bool {
+        let st = self.state.lock().unwrap();
+        !st.closed && st.frames.len() >= self.cap
+    }
+
     /// Frames currently buffered.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -62,29 +62,31 @@ fn node_aad(level: u8, index: u64) -> [u8; 9] {
     aad
 }
 
-/// Encrypts `plaintext` into a padded 4 KiB node.
+/// Appends `plaintext` to `out` as one padded 4 KiB node, sealed where
+/// it lands, and returns the node's tag.
 fn seal_node(
     gcm: &Gcm,
     nonce: &[u8; IV_LEN],
     level: u8,
     index: u64,
     plaintext: &[u8],
-) -> ([u8; TAG_LEN], Vec<u8>) {
+    out: &mut Vec<u8>,
+) -> [u8; TAG_LEN] {
     debug_assert!(plaintext.len() <= DATA_PER_NODE);
     let iv = node_iv(nonce, level, index);
-    let sealed = gcm.seal(&iv, &node_aad(level, index), plaintext);
-    let (ct, tag) = sealed.split_at(plaintext.len());
-    let mut node = Vec::with_capacity(NODE_LEN);
-    node.extend_from_slice(&iv);
-    node.extend_from_slice(ct);
-    node.extend_from_slice(tag);
-    node.resize(NODE_LEN, 0);
-    let mut tag_arr = [0u8; TAG_LEN];
-    tag_arr.copy_from_slice(tag);
-    (tag_arr, node)
+    let node_end = out.len() + NODE_LEN;
+    out.extend_from_slice(&iv);
+    let body = out.len();
+    out.extend_from_slice(plaintext);
+    let tag = gcm.seal_in_place(&iv, &node_aad(level, index), &mut out[body..]);
+    out.extend_from_slice(&tag);
+    out.resize(node_end, 0);
+    tag
 }
 
-/// Decrypts a node, checking its tag against `expected_tag`.
+/// Checks a node's tag against `expected_tag`, then appends its
+/// plaintext to `out`, decrypted where it lands. On any error `out` is
+/// as it was.
 fn open_node(
     gcm: &Gcm,
     node: &[u8],
@@ -92,7 +94,8 @@ fn open_node(
     index: u64,
     plaintext_len: usize,
     expected_tag: &[u8; TAG_LEN],
-) -> Result<Vec<u8>, SgxError> {
+    out: &mut Vec<u8>,
+) -> Result<(), SgxError> {
     if node.len() != NODE_LEN || plaintext_len > DATA_PER_NODE {
         return Err(SgxError::ProtectedFileCorrupted(format!(
             "bad node length at level {level} index {index}"
@@ -116,15 +119,17 @@ fn open_node(
             "tag mismatch at level {level} index {index} (rollback or tamper)"
         )));
     }
-    let mut sealed = Vec::with_capacity(plaintext_len + TAG_LEN);
-    sealed.extend_from_slice(ct);
-    sealed.extend_from_slice(stored_tag);
-    gcm.open(&iv, &node_aad(level, index), &sealed)
-        .map_err(|_| {
-            SgxError::ProtectedFileCorrupted(format!(
-                "authentication failed at level {level} index {index}"
-            ))
-        })
+    let body = out.len();
+    out.extend_from_slice(ct);
+    let opened = gcm.open_in_place(&iv, &node_aad(level, index), &mut out[body..], stored_tag);
+    if opened.is_err() {
+        // Still ciphertext (the tag is checked first); hand none of it on.
+        out.truncate(body);
+        return Err(SgxError::ProtectedFileCorrupted(format!(
+            "authentication failed at level {level} index {index}"
+        )));
+    }
+    Ok(())
 }
 
 /// Number of data nodes for a given plaintext length.
@@ -203,20 +208,35 @@ impl PfsWriter {
         let _prof = seg_obs::prof::phase("pfs");
         self.data_len += data.len() as u64;
         while !data.is_empty() {
+            if self.buffer.is_empty() && data.len() >= DATA_PER_NODE {
+                // A whole node straight from the caller's bytes.
+                let (node, rest) = data.split_at(DATA_PER_NODE);
+                let index = self.tags.len() as u64;
+                let tag = seal_node(&self.gcm, &self.nonce, 0, index, node, &mut self.out);
+                self.tags.push(tag);
+                data = rest;
+                continue;
+            }
             let take = (DATA_PER_NODE - self.buffer.len()).min(data.len());
             self.buffer.extend_from_slice(&data[..take]);
             data = &data[take..];
             if self.buffer.len() == DATA_PER_NODE {
-                self.flush_node();
+                self.flush_buffer();
             }
         }
     }
 
-    fn flush_node(&mut self) {
+    fn flush_buffer(&mut self) {
         let index = self.tags.len() as u64;
-        let (tag, node) = seal_node(&self.gcm, &self.nonce, 0, index, &self.buffer);
+        let tag = seal_node(
+            &self.gcm,
+            &self.nonce,
+            0,
+            index,
+            &self.buffer,
+            &mut self.out,
+        );
         self.tags.push(tag);
-        self.out.extend_from_slice(&node);
         self.buffer.clear();
     }
 
@@ -225,7 +245,7 @@ impl PfsWriter {
     pub fn finish(mut self) -> Vec<u8> {
         let _prof = seg_obs::prof::phase("pfs");
         if !self.buffer.is_empty() {
-            self.flush_node();
+            self.flush_buffer();
         }
         // Build meta levels bottom-up until a single node remains.
         let mut level_tags = std::mem::take(&mut self.tags);
@@ -238,9 +258,14 @@ impl PfsWriter {
                 for tag in group {
                     pt.extend_from_slice(tag);
                 }
-                let (tag, node) = seal_node(&self.gcm, &self.nonce, level, idx as u64, &pt);
-                next_tags.push(tag);
-                self.out.extend_from_slice(&node);
+                next_tags.push(seal_node(
+                    &self.gcm,
+                    &self.nonce,
+                    level,
+                    idx as u64,
+                    &pt,
+                    &mut self.out,
+                ));
             }
             level_tags = next_tags;
             level += 1;
@@ -260,7 +285,15 @@ impl PfsWriter {
         // The header uses a fixed distinct level (0xff) at index 0; its IV
         // is still nonce-derived, which is safe because no other node uses
         // level 0xff.
-        let (_, header_node) = seal_node(&self.gcm, &self.nonce, 0xff, 0, &header_pt);
+        let mut header_node = Vec::with_capacity(NODE_LEN);
+        seal_node(
+            &self.gcm,
+            &self.nonce,
+            0xff,
+            0,
+            &header_pt,
+            &mut header_node,
+        );
         self.out[..NODE_LEN].copy_from_slice(&header_node);
         self.out
     }
@@ -313,11 +346,13 @@ impl<'a> PfsReader<'a> {
                 "nonzero header padding".to_string(),
             ));
         }
-        let mut sealed = Vec::with_capacity(HEADER_PT_LEN + TAG_LEN);
-        sealed.extend_from_slice(&header_node[IV_LEN..IV_LEN + HEADER_PT_LEN + TAG_LEN]);
-        let header_pt = gcm.open(&iv, &node_aad(0xff, 0), &sealed).map_err(|_| {
-            SgxError::ProtectedFileCorrupted("header authentication failed".to_string())
-        })?;
+        let (sealed, tag) =
+            header_node[IV_LEN..IV_LEN + HEADER_PT_LEN + TAG_LEN].split_at(HEADER_PT_LEN);
+        let mut header_pt: [u8; HEADER_PT_LEN] = sealed.try_into().expect("header length");
+        gcm.open_in_place(&iv, &node_aad(0xff, 0), &mut header_pt, tag)
+            .map_err(|_| {
+                SgxError::ProtectedFileCorrupted("header authentication failed".to_string())
+            })?;
         if &header_pt[..8] != MAGIC {
             return Err(SgxError::ProtectedFileCorrupted("bad magic".to_string()));
         }
@@ -363,18 +398,21 @@ impl<'a> PfsReader<'a> {
             debug_assert_eq!(expected.len() as u64, count);
             let child_count = counts[level - 1];
             let mut child_tags = Vec::with_capacity(child_count as usize);
+            let mut pt = Vec::with_capacity(DATA_PER_NODE);
             for idx in 0..count {
                 let node_start = ((level_offsets[level] + idx) as usize) * NODE_LEN;
                 let node = &blob[node_start..node_start + NODE_LEN];
                 let children_here =
                     (child_count - idx * TAGS_PER_NODE as u64).min(TAGS_PER_NODE as u64) as usize;
-                let pt = open_node(
+                pt.clear();
+                open_node(
                     &gcm,
                     node,
                     level as u8,
                     idx,
                     children_here * TAG_LEN,
                     &expected[idx as usize],
+                    &mut pt,
                 )?;
                 for chunk in pt.chunks_exact(TAG_LEN) {
                     child_tags.push(chunk.try_into().expect("16 bytes"));
@@ -397,6 +435,15 @@ impl<'a> PfsReader<'a> {
         })
     }
 
+    fn nodes(&self) -> DataNodes<'_> {
+        DataNodes {
+            gcm: &self.gcm,
+            blob: self.blob,
+            data_len: self.data_len,
+            tags: &self.data_tags,
+        }
+    }
+
     /// Plaintext length of the protected file.
     #[must_use]
     pub fn data_len(&self) -> u64 {
@@ -417,7 +464,7 @@ impl<'a> PfsReader<'a> {
     /// out-of-range index.
     pub fn read_node(&self, index: u64) -> Result<Vec<u8>, SgxError> {
         let _prof = seg_obs::prof::phase("pfs");
-        read_data_node(&self.gcm, self.blob, self.data_len, &self.data_tags, index)
+        self.nodes().read_node(index)
     }
 
     /// Decrypts the whole file.
@@ -428,35 +475,60 @@ impl<'a> PfsReader<'a> {
     /// failure.
     pub fn read_all(&self) -> Result<Vec<u8>, SgxError> {
         let _prof = seg_obs::prof::phase("pfs");
-        let mut out = Vec::with_capacity(self.data_len as usize);
-        for i in 0..self.node_count() {
-            out.extend_from_slice(&self.read_node(i)?);
-        }
-        Ok(out)
+        self.nodes().read_all()
     }
 }
 
-fn read_data_node(
-    gcm: &Gcm,
-    blob: &[u8],
+/// The verified data nodes of an opened file, borrowed from whichever
+/// reader owns them.
+struct DataNodes<'a> {
+    gcm: &'a Gcm,
+    blob: &'a [u8],
     data_len: u64,
-    data_tags: &[[u8; TAG_LEN]],
-    index: u64,
-) -> Result<Vec<u8>, SgxError> {
-    let n = data_node_count(data_len);
-    if index >= n {
-        return Err(SgxError::ProtectedFileCorrupted(format!(
-            "node index {index} out of range ({n} nodes)"
-        )));
+    tags: &'a [[u8; TAG_LEN]],
+}
+
+impl DataNodes<'_> {
+    /// Appends the verified plaintext of data node `index` to `out`.
+    fn read_into(&self, index: u64, out: &mut Vec<u8>) -> Result<(), SgxError> {
+        let n = data_node_count(self.data_len);
+        if index >= n {
+            return Err(SgxError::ProtectedFileCorrupted(format!(
+                "node index {index} out of range ({n} nodes)"
+            )));
+        }
+        let len = if index == n - 1 {
+            (self.data_len - index * DATA_PER_NODE as u64) as usize
+        } else {
+            DATA_PER_NODE
+        };
+        let start = ((1 + index) as usize) * NODE_LEN;
+        let node = &self.blob[start..start + NODE_LEN];
+        open_node(
+            self.gcm,
+            node,
+            0,
+            index,
+            len,
+            &self.tags[index as usize],
+            out,
+        )
     }
-    let len = if index == n - 1 {
-        (data_len - index * DATA_PER_NODE as u64) as usize
-    } else {
-        DATA_PER_NODE
-    };
-    let start = ((1 + index) as usize) * NODE_LEN;
-    let node = &blob[start..start + NODE_LEN];
-    open_node(gcm, node, 0, index, len, &data_tags[index as usize])
+
+    fn read_node(&self, index: u64) -> Result<Vec<u8>, SgxError> {
+        let mut node = Vec::new();
+        self.read_into(index, &mut node)?;
+        Ok(node)
+    }
+
+    /// Decrypts every node into one buffer, each where it belongs.
+    fn read_all(&self) -> Result<Vec<u8>, SgxError> {
+        let mut out = Vec::with_capacity(self.data_len as usize);
+        for index in 0..data_node_count(self.data_len) {
+            self.read_into(index, &mut out)?;
+        }
+        Ok(out)
+    }
 }
 
 /// An owning variant of [`PfsReader`], for callers that stream a file's
@@ -499,6 +571,15 @@ impl PfsFile {
         })
     }
 
+    fn nodes(&self) -> DataNodes<'_> {
+        DataNodes {
+            gcm: &self.gcm,
+            blob: &self.blob,
+            data_len: self.data_len,
+            tags: &self.data_tags,
+        }
+    }
+
     /// Plaintext length.
     #[must_use]
     pub fn data_len(&self) -> u64 {
@@ -519,7 +600,7 @@ impl PfsFile {
     /// out-of-range index.
     pub fn read_node(&self, index: u64) -> Result<Vec<u8>, SgxError> {
         let _prof = seg_obs::prof::phase("pfs");
-        read_data_node(&self.gcm, &self.blob, self.data_len, &self.data_tags, index)
+        self.nodes().read_node(index)
     }
 
     /// Decrypts the whole file.
@@ -530,11 +611,7 @@ impl PfsFile {
     /// failure.
     pub fn read_all(&self) -> Result<Vec<u8>, SgxError> {
         let _prof = seg_obs::prof::phase("pfs");
-        let mut out = Vec::with_capacity(self.data_len as usize);
-        for i in 0..self.node_count() {
-            out.extend_from_slice(&self.read_node(i)?);
-        }
-        Ok(out)
+        self.nodes().read_all()
     }
 }
 
@@ -550,6 +627,9 @@ pub fn pfs_encrypt<R: SecureRandom>(
 ) -> Result<Vec<u8>, SgxError> {
     let _prof = seg_obs::prof::phase("pfs");
     let mut w = PfsWriter::new(key, rng)?;
+    // The header node is already there; the rest is known up front.
+    w.out
+        .reserve_exact(encrypted_size(plaintext.len() as u64) as usize - NODE_LEN);
     w.write(plaintext);
     Ok(w.finish())
 }
@@ -591,6 +671,46 @@ mod tests {
             let blob = pfs_encrypt(&KEY, &pt, &mut rng()).unwrap();
             assert_eq!(blob.len() as u64, encrypted_size(len as u64), "len {len}");
             assert_eq!(pfs_decrypt(&KEY, &blob).unwrap(), pt, "len {len}");
+        }
+    }
+
+    // Digests of the blobs the buffer-per-node writer and the portable
+    // GCM produced before either changed: stored files and peers must
+    // not be able to tell.
+    #[test]
+    fn blob_bytes_are_pinned() {
+        use seg_crypto::sha256::Sha256;
+        for (len, digest) in [
+            (
+                0usize,
+                "e6f3b01885d3b9273de771a9ebedc9df6788c602dad38f726c746abccb224a56",
+            ),
+            (
+                100,
+                "76b4009adcecf91f9b625844f0e4ef0463998fdc20f3eeb76166ddc5532171c0",
+            ),
+            (
+                3 * DATA_PER_NODE + 17,
+                "20fdeaeca89eec68e75234d9b0aa80a983762959372dab4f46b892155919ef96",
+            ),
+            (
+                255 * DATA_PER_NODE, // two meta levels
+                "76eb680a74e21ad397681e7701996e53e5bad50132964d104eafce6445c1b7b1",
+            ),
+        ] {
+            let pt: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let blob = pfs_encrypt(&KEY, &pt, &mut rng()).unwrap();
+            let hex: String = Sha256::digest(&blob)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(hex, digest, "len {len}");
+            // Chunked writes take the buffered path; same bytes.
+            let mut w = PfsWriter::new(&KEY, &mut rng()).unwrap();
+            for chunk in pt.chunks(1000) {
+                w.write(chunk);
+            }
+            assert_eq!(w.finish(), blob, "len {len} streamed");
         }
     }
 

@@ -4,7 +4,8 @@
 //! pin down exactly the behaviors that differ structurally between the
 //! two front ends: partial frames dribbling in (slowloris), peers
 //! vanishing mid-handshake, idle connections being reaped by the timer
-//! wheel, bounded outbound queues under streaming downloads, accept
+//! wheel, bounded outbound queues under streaming downloads, a
+//! drain-close against a peer that has stopped reading, accept
 //! shedding at the connection cap — and, above all, that a client
 //! cannot tell the front ends apart (the equivalence test runs one
 //! workload against both and compares every observable outcome).
@@ -15,11 +16,15 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use seg_fs::Perm;
-use seg_net::reactor::ReactorConfig;
+use seg_net::reactor::{
+    ConnId, ConnState, FrameHandler, FrameOutcome, ReactorConfig, ReactorHandle,
+};
+use seg_net::FrameTransport;
 use seg_store::{MemStore, ObjectStore};
 use segshare::{Client, EnclaveConfig, EnrolledUser, FrontEnd, FsoSetup, SegShareServer};
 
@@ -217,6 +222,151 @@ fn download_backpressure_keeps_outbound_bounded() {
         high <= (cap + 700 * 1024) as u64,
         "outbound high-water {high} B must stay near the {cap} B cap"
     );
+}
+
+/// Streams lazily until told to close; remembers which thread ran it.
+struct StreamThenClose {
+    chunk_len: usize,
+    worker_tid: AtomicU64,
+    closes: AtomicU64,
+}
+
+impl FrameHandler for StreamThenClose {
+    fn on_frame(&self, _conn: ConnId, frame: Vec<u8>) -> FrameOutcome {
+        // `/proc/thread-self/stat` starts with the thread id; elsewhere
+        // the CPU half of the probe is skipped.
+        let tid = std::fs::read_to_string("/proc/thread-self/stat")
+            .ok()
+            .and_then(|stat| stat.split(' ').next()?.parse().ok())
+            .unwrap_or(0);
+        self.worker_tid.store(tid, Ordering::Relaxed);
+        FrameOutcome {
+            frames: vec![b"ack".to_vec()],
+            established: true,
+            more: frame == b"stream",
+            close: frame == b"close",
+        }
+    }
+
+    fn on_drain(&self, _conn: ConnId) -> FrameOutcome {
+        FrameOutcome {
+            frames: vec![vec![0x5a; self.chunk_len]],
+            more: true,
+            ..FrameOutcome::default()
+        }
+    }
+
+    fn on_close(&self, _conn: ConnId) {
+        self.closes.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// CPU ticks (10 ms each) thread `tid` of this process has used.
+fn thread_cpu_ticks(tid: u64) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).unwrap();
+    // Fields after the parenthesised name; utime and stime are the
+    // 14th and 15th of the line.
+    let rest: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+    rest[11].parse::<u64>().unwrap() + rest[12].parse::<u64>().unwrap()
+}
+
+/// A handler asks for a drain-close while its peer is not reading, so
+/// the queued output cannot move. The one worker must go to sleep (the
+/// sink wakes the connection, not the worker itself), and the drain
+/// deadline must turn the close into an abort so the slot comes back.
+/// `send` writes one frame to the peer end of either kind of sink.
+fn blocked_drain_close_parks_then_aborts(
+    reactor: &ReactorHandle,
+    handler: &StreamThenClose,
+    send: &mut dyn FnMut(&[u8]),
+) {
+    let stats = Arc::clone(reactor.stats());
+    let low_water = handler.chunk_len as u64 * 64;
+    send(b"stream");
+    // Nobody reads: the sink fills, lazy production stops at the
+    // low-water mark, and from then on nothing is delivered.
+    let backed_up = Instant::now() + Duration::from_secs(10);
+    loop {
+        let delivered = stats.frames_out_total();
+        std::thread::sleep(Duration::from_millis(200));
+        if stats.frames_out_total() == delivered && stats.outq_bytes() >= low_water * 3 / 4 {
+            break;
+        }
+        assert!(Instant::now() < backed_up, "output never backed up");
+    }
+    send(b"close");
+    eventually("drain-close requested", || {
+        stats.conns_in(ConnState::Draining) == 1
+    });
+
+    let tid = handler.worker_tid.load(Ordering::Relaxed);
+    if tid != 0 {
+        let before = thread_cpu_ticks(tid);
+        std::thread::sleep(Duration::from_millis(500));
+        let burned = thread_cpu_ticks(tid) - before;
+        assert!(
+            burned < 10,
+            "worker burned {burned} of 50 CPU ticks waiting on a blocked drain-close"
+        );
+    }
+    assert_eq!(stats.closed_total(), 0, "still inside the drain deadline");
+
+    // 5 s deadline plus a wheel slot.
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while stats.closed_total() == 0 {
+        assert!(Instant::now() < give_up, "drain deadline never fired");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(handler.closes.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.live_conns(), 0);
+    assert_eq!(stats.outq_bytes(), 0, "undelivered output is written off");
+}
+
+/// A one-worker reactor whose handler streams `outbound_bytes / 128`
+/// byte frames, so a stuck connection ends up with about half of
+/// `outbound_bytes` (the low-water mark) queued in user space.
+fn drain_probe_reactor(outbound_bytes: usize) -> (ReactorHandle, Arc<StreamThenClose>) {
+    let handler = Arc::new(StreamThenClose {
+        chunk_len: outbound_bytes / 128,
+        worker_tid: AtomicU64::new(0),
+        closes: AtomicU64::new(0),
+    });
+    let cfg = ReactorConfig {
+        workers: 1,
+        outbound_bytes,
+        idle_timeout: Duration::ZERO, // the drain deadline must not need it
+        ..ReactorConfig::default()
+    };
+    let reactor = ReactorHandle::start(cfg, Arc::clone(&handler) as Arc<dyn FrameHandler>);
+    (reactor, handler)
+}
+
+#[test]
+fn blocked_drain_close_on_a_virtual_sink_parks_then_aborts() {
+    let (reactor, handler) = drain_probe_reactor(256 * 1024);
+    let mut peer = reactor.connect_virtual().unwrap();
+    blocked_drain_close_parks_then_aborts(&reactor, &handler, &mut |frame| {
+        peer.send_frame(frame).unwrap();
+    });
+}
+
+#[test]
+fn blocked_drain_close_on_a_socket_parks_then_aborts() {
+    if !seg_net::reactor::EPOLL_AVAILABLE {
+        return;
+    }
+    // The kernel's socket buffers grow as they like (a few MiB each way
+    // by default), so "the peer stopped reading" only holds once far
+    // more than that is queued behind them: 32 MiB here.
+    let (reactor, handler) = drain_probe_reactor(64 << 20);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    reactor.serve_listener(listener).unwrap();
+    let mut peer = TcpStream::connect(addr).unwrap();
+    blocked_drain_close_parks_then_aborts(&reactor, &handler, &mut |frame| {
+        peer.write_all(&(frame.len() as u32).to_le_bytes()).unwrap();
+        peer.write_all(frame).unwrap();
+    });
 }
 
 /// At the connection cap the reactor sheds new connections instead of
