@@ -39,7 +39,10 @@
 //!
 //! Because invalidation precedes the store write, any read that could
 //! still observe the old stored object also observes the bumped
-//! generation and fails to publish it. The generation table grows with
+//! generation and fails to publish it. A writer that knows the new
+//! value (it computed it inside the enclave) follows its store write
+//! with [`ObjectCache::put`] instead of a second invalidation: the same
+//! generation bump, plus the new value as the entry. The generation table grows with
 //! the set of *mutated* keys only (one `u64` per object ever
 //! invalidated — the same order as the rollback tree's hash records).
 
@@ -49,7 +52,7 @@ use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use seg_sgx::{EpcAllocation, EpcTracker};
 
 /// Sentinel for "no slot" in the intrusive lists.
@@ -86,13 +89,14 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to the backing store.
     pub misses: u64,
-    /// Successful fills published via `insert_if_current`.
+    /// Values cached: miss-fills published via `insert_if_current`
+    /// plus write-through `put`s.
     pub fills: u64,
     /// Fills discarded because the key's generation moved mid-read.
     pub stale_fills: u64,
     /// Entries dropped to make room.
     pub evictions: u64,
-    /// `invalidate` calls (generation bumps).
+    /// Generation bumps: `invalidate` and `put` calls.
     pub invalidations: u64,
     /// Live entries.
     pub entries: u64,
@@ -379,12 +383,43 @@ impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
         if charged > self.shard_capacity {
             return false;
         }
-        let mut shard = self.shard(&key).lock();
+        let shard = self.shard(&key).lock();
         if shard.gens.get(&key).copied().unwrap_or(0) != gen {
             drop(shard);
             self.stale_fills.fetch_add(1, Ordering::Relaxed);
             return false;
         }
+        self.insert_locked(shard, key, value, charged);
+        true
+    }
+
+    /// Write-through: bumps `key`'s generation (so a miss-fill that
+    /// snapshotted the old one is discarded) and caches `value` as the
+    /// key's new state in one step. The writer calls this **after** its
+    /// store write landed, and only with a value it computed itself. A
+    /// value over the shard budget just invalidates.
+    pub fn put(&self, key: K, value: V, bytes: u64) {
+        let charged = bytes.saturating_add(self.entry_overhead);
+        let mut shard = self.shard(&key).lock();
+        *shard.gens.entry(key.clone()).or_insert(0) += 1;
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        if charged > self.shard_capacity {
+            if let Some(&idx) = shard.map.get(&key) {
+                shard.remove_slot(idx);
+            }
+            return;
+        }
+        self.insert_locked(shard, key, value, charged);
+    }
+
+    /// Replaces `key`'s entry with `value` and evicts down to budget.
+    fn insert_locked(
+        &self,
+        mut shard: MutexGuard<'_, Shard<K, V>>,
+        key: K,
+        value: V,
+        charged: u64,
+    ) {
         // A racing fill of the same generation may have won; replace it
         // (both fills decrypted the same stored object).
         if let Some(&idx) = shard.map.get(&key) {
@@ -409,7 +444,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-        true
     }
 
     /// Copies out up to `max` resident keys, spread across shards
@@ -537,6 +571,28 @@ mod tests {
         // A fill started after the mutation sees the new generation.
         let gen2 = c.generation(&"a".to_string());
         assert!(c.insert_if_current("a".to_string(), gen2, val(10), 10));
+    }
+
+    #[test]
+    fn put_replaces_the_entry_and_discards_older_fills() {
+        let c = cache(100);
+        let key = "a".to_string();
+        let gen = c.generation(&key);
+        c.put(key.clone(), val(10), 10);
+        assert_eq!(c.get(&key).unwrap().len(), 10);
+        // A miss-fill that started before the write-through is stale.
+        assert!(!c.insert_if_current(key.clone(), gen, val(20), 20));
+        c.put(key.clone(), val(30), 30);
+        assert_eq!(c.get(&key).unwrap().len(), 30);
+        let s = c.stats();
+        assert_eq!(
+            (s.entries, s.bytes, s.fills, s.invalidations),
+            (1, 30, 2, 2)
+        );
+        // Over the budget: the old entry goes, nothing is cached.
+        c.put(key.clone(), val(101), 101);
+        assert!(c.get(&key).is_none());
+        assert_eq!(c.generation(&key), gen + 3);
     }
 
     #[test]

@@ -18,13 +18,33 @@ use super::names::{ObjectId, StoreKind};
 /// Hex encoding (lowercase) of arbitrary bytes.
 #[must_use]
 pub fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for b in bytes {
+        out.push(DIGITS[(b >> 4) as usize] as char);
+        out.push(DIGITS[(b & 0x0f) as usize] as char);
+    }
+    out
 }
 
 /// The derived-key hierarchy rooted at `SK_r`.
 #[derive(Clone)]
 pub struct KeyHierarchy {
     root: [u8; 32],
+    /// Per-store keys, derived once: every tree-hash update and every
+    /// hidden storage key needs one, several times per request.
+    mset: [MsetKey; 3],
+    hide: [[u8; 32]; 3],
+}
+
+const STORES: [StoreKind; 3] = [StoreKind::Content, StoreKind::Group, StoreKind::Dedup];
+
+fn store_index(store: StoreKind) -> usize {
+    match store {
+        StoreKind::Content => 0,
+        StoreKind::Group => 1,
+        StoreKind::Dedup => 2,
+    }
 }
 
 impl std::fmt::Debug for KeyHierarchy {
@@ -37,7 +57,14 @@ impl KeyHierarchy {
     /// Builds the hierarchy from the unsealed root key.
     #[must_use]
     pub fn new(root: [u8; 32]) -> KeyHierarchy {
-        KeyHierarchy { root }
+        let derive = |label: &str, store: StoreKind| {
+            hkdf::derive_key_256(&root, label, store.label().as_bytes())
+        };
+        KeyHierarchy {
+            root,
+            mset: STORES.map(|s| MsetKey::from_bytes(derive("mset", s))),
+            hide: STORES.map(|s| derive("hide", s)),
+        }
     }
 
     /// The raw root key (for sealing and replication transfer).
@@ -65,19 +92,15 @@ impl KeyHierarchy {
 
     /// The multiset-hash key for a store's rollback tree (§V-D).
     #[must_use]
-    pub fn mset_key(&self, store: StoreKind) -> MsetKey {
-        MsetKey::from_bytes(hkdf::derive_key_256(
-            &self.root,
-            "mset",
-            store.label().as_bytes(),
-        ))
+    pub fn mset_key(&self, store: StoreKind) -> &MsetKey {
+        &self.mset[store_index(store)]
     }
 
     /// The filename-hiding HMAC key for a store (§V-C: "it calculates
     /// the path's HMAC using SK_r").
     #[must_use]
-    pub fn hide_key(&self, store: StoreKind) -> [u8; 32] {
-        hkdf::derive_key_256(&self.root, "hide", store.label().as_bytes())
+    pub fn hide_key(&self, store: StoreKind) -> &[u8; 32] {
+        &self.hide[store_index(store)]
     }
 
     /// The untrusted-store key for an object. With hiding enabled, "all
@@ -88,7 +111,7 @@ impl KeyHierarchy {
         let canonical = id.canonical();
         if hide {
             hex(&hmac_sha256(
-                &self.hide_key(id.store()),
+                self.hide_key(id.store()),
                 canonical.as_bytes(),
             ))
         } else {
@@ -102,7 +125,7 @@ impl KeyHierarchy {
         let canonical = format!("h!{}", id.canonical());
         if hide {
             hex(&hmac_sha256(
-                &self.hide_key(id.store()),
+                self.hide_key(id.store()),
                 canonical.as_bytes(),
             ))
         } else {
@@ -198,6 +221,33 @@ mod tests {
             hidden,
             k.hash_record_storage_key(&id("/secret-project/plan"), true)
         );
+    }
+
+    #[test]
+    fn per_store_keys_are_the_hkdf_derivations() {
+        // Derived once at construction, same bytes as deriving per call:
+        // stored keys and tree hashes of existing deployments must not
+        // move.
+        let k = kh();
+        for store in STORES {
+            let label = store.label().as_bytes();
+            assert_eq!(
+                k.hide_key(store),
+                &hkdf::derive_key_256(k.root(), "hide", label)
+            );
+            let direct = MsetKey::from_bytes(hkdf::derive_key_256(k.root(), "mset", label));
+            assert_eq!(
+                seg_crypto::mset::MsetHash::of(k.mset_key(store), b"e"),
+                seg_crypto::mset::MsetHash::of(&direct, b"e")
+            );
+        }
+        assert_ne!(k.hide_key(StoreKind::Content), k.hide_key(StoreKind::Group));
+    }
+
+    #[test]
+    fn hex_is_lowercase_and_zero_padded() {
+        assert_eq!(hex(&[]), "");
+        assert_eq!(hex(&[0x00, 0x0f, 0xa0, 0xff]), "000fa0ff");
     }
 
     #[test]

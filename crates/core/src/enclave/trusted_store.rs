@@ -29,6 +29,33 @@
 //! `rollback_whole_fs` (§V-E) it also carries the value of a TEE
 //! monotonic counter, incremented on every update, so rolling back the
 //! entire store (root included) is detected on the next read.
+//!
+//! # Trusted records (cache on)
+//!
+//! With `EnclaveConfig::cache` a hash record in the cache is *trusted*:
+//! it equals the latest record this enclave wrote for the node. A record
+//! read from the store is authentic (PAE under a per-node key) but may
+//! be stale, so it never enters the cache on the read alone. It enters
+//!
+//! * **written through** by the mutator that computed it, after the
+//!   store put succeeded, when everything it was computed from was
+//!   trusted: a leaf record is a function of the blob header just
+//!   written; an inner or ancestor record is trusted iff the record it
+//!   was updated from was a cache hit, or the node is new;
+//! * **after a walk** that read it, passed every check on it, and ended
+//!   at an anchor: a trusted ancestor, or the tree root (whose counter,
+//!   with §V-E, must match the hardware).
+//!
+//! Verification stops at the first trusted record on the way up: the
+//! chain below it was checked against the latest bucket hash the enclave
+//! computed, which is all the levels above it would re-establish. A
+//! trusted entry also keeps `H(path) + H(head)`, the part of `main` that
+//! binds the node's PFS header and that child updates leave alone, so
+//! checking a header against it costs 2 HMACs instead of re-deriving
+//! `main` from every bucket. With the cache off nothing is trusted and
+//! every walk ends at the root, as in the paper. The integrity scrubber
+//! always takes that full walk over store records
+//! (`TrustedStore::scrub_read`).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -145,6 +172,12 @@ impl HashRecord {
         e.finish()
     }
 
+    /// Bytes a cached copy is charged for (the hashes it holds, the
+    /// header binding included).
+    fn cached_bytes(&self) -> u64 {
+        (MSET_HASH_LEN * (2 + self.buckets.len()) + 8) as u64
+    }
+
     fn decode(data: &[u8]) -> Result<HashRecord, SegShareError> {
         let mut d = Decoder::new(data);
         d.tag(b"HRC1")?;
@@ -187,7 +220,7 @@ pub(crate) enum CacheKey {
     Body(ObjectId),
     /// Decoded in-enclave object ([`TrustedStore::read_decoded`]).
     Decoded(ObjectId),
-    /// Rollback-tree hash record.
+    /// Trusted rollback-tree hash record.
     Record(ObjectId),
 }
 
@@ -195,7 +228,33 @@ pub(crate) enum CacheKey {
 pub(crate) enum CachedValue {
     Body(Arc<[u8]>),
     Decoded(Arc<dyn std::any::Any + Send + Sync>),
-    Record(Arc<HashRecord>),
+    Record(Arc<TrustedRecord>),
+}
+
+/// A hash record known to be the latest this enclave wrote for its node
+/// (see the module docs for how a record earns that).
+pub(crate) struct TrustedRecord {
+    rec: HashRecord,
+    /// `H(path) + H(head)` of the node's current blob: what `rec.main`
+    /// holds besides the buckets.
+    binding: MsetHash,
+}
+
+/// A hash record as [`TrustedStore::read_hash_record`] found it.
+struct Fetched {
+    rec: HashRecord,
+    /// The header binding, iff the record came from the cache.
+    trusted: Option<MsetHash>,
+    /// Cache generation of the record's key before the store read.
+    gen: u64,
+}
+
+/// Whether a verification walk may start from, stop at and fill trusted
+/// records, or must take every record from the store.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    Trusting,
+    StoreOnly,
 }
 
 type MetaCache = seg_cache::ObjectCache<CacheKey, CachedValue>;
@@ -472,13 +531,16 @@ impl TrustedStore {
     // -------------------------------------------------------- scrubbing
 
     /// A fully verified read that **bypasses the cache** on both lookup
-    /// and fill — the integrity scrubber's read path. A cached body
-    /// would mask store-side tampering exactly where the scrubber must
-    /// detect it, so this always walks raw-get → rollback-tree verify →
-    /// PFS decrypt.
+    /// and fill — the integrity scrubber's read path. A cached body or
+    /// trusted hash record would mask store-side tampering exactly
+    /// where the scrubber must detect it (written-through records of
+    /// hot ancestors are otherwise never read back), so this always
+    /// walks raw-get → rollback-tree verify up to the root over store
+    /// records → PFS decrypt, and reports a store record that differs
+    /// from its trusted copy.
     pub(crate) fn scrub_read(&self, id: &ObjectId) -> Result<Option<Vec<u8>>, SegShareError> {
         let _tree = self.tree_shared(id);
-        self.read_verified(id)
+        self.read_verified(id, Walk::StoreOnly)
     }
 
     /// Appends the untrusted-store keys `id` legitimately occupies (the
@@ -545,16 +607,9 @@ impl TrustedStore {
 
     // ------------------------------------------------------ hash records
 
-    fn read_hash_record(&self, id: &ObjectId) -> Result<Option<HashRecord>, SegShareError> {
-        let cache_key = CacheKey::Record(id.clone());
-        if let Some(CachedValue::Record(rec)) = self.cache_lookup(&cache_key) {
-            // Cached records are the latest authentic values this
-            // enclave wrote; an externally rolled-back store blob then
-            // *mismatches* them, so caching records can only improve
-            // detection, never mask a rollback.
-            return Ok(Some((*rec).clone()));
-        }
-        let gen = self.cache_gen(&cache_key);
+    /// Fetches and authenticates `id`'s hash record from the store. The
+    /// result may be stale: only a walk can tell.
+    fn store_hash_record(&self, id: &ObjectId) -> Result<Option<HashRecord>, SegShareError> {
         let key = self
             .keys
             .hash_record_storage_key(id, self.config.hide_names);
@@ -565,17 +620,65 @@ impl TrustedStore {
         let pae_key = self.keys.hash_record_key(id);
         let body = pae_dec(&pae_key, &blob, id.canonical().as_bytes())
             .map_err(|_| integrity(id, "hash record authentication failed"))?;
-        let rec = HashRecord::decode(&body)?;
-        self.cache_fill(
-            cache_key,
-            gen,
-            CachedValue::Record(Arc::new(rec.clone())),
-            body.len(),
-        );
-        Ok(Some(rec))
+        Ok(Some(HashRecord::decode(&body)?))
     }
 
-    fn write_hash_record(&self, id: &ObjectId, rec: &HashRecord) -> Result<(), SegShareError> {
+    /// `id`'s trusted hash record if the cache holds one, else the
+    /// store's. A store read does not fill the cache.
+    fn read_hash_record(&self, id: &ObjectId) -> Result<Option<Fetched>, SegShareError> {
+        let cache_key = CacheKey::Record(id.clone());
+        if let Some(CachedValue::Record(t)) = self.cache_lookup(&cache_key) {
+            return Ok(Some(Fetched {
+                rec: t.rec.clone(),
+                trusted: Some(t.binding),
+                gen: 0,
+            }));
+        }
+        let gen = self.cache_gen(&cache_key);
+        Ok(self.store_hash_record(id)?.map(|rec| Fetched {
+            rec,
+            trusted: None,
+            gen,
+        }))
+    }
+
+    /// The record a walk checks `id` against. A [`Walk::StoreOnly`] walk
+    /// reads the store whatever the cache holds, and fails if the two
+    /// disagree: the store copy of a trusted record was replaced.
+    fn walk_record(&self, id: &ObjectId, walk: Walk) -> Result<Option<Fetched>, SegShareError> {
+        if walk == Walk::Trusting {
+            return self.read_hash_record(id);
+        }
+        let rec = self.store_hash_record(id)?;
+        let cached = self
+            .cache
+            .as_ref()
+            .and_then(|c| c.get(&CacheKey::Record(id.clone())));
+        if let Some(CachedValue::Record(t)) = cached {
+            if rec.as_ref() != Some(&t.rec) {
+                return Err(integrity(
+                    id,
+                    "stored hash record differs from the trusted copy (rollback or tamper)",
+                ));
+            }
+        }
+        Ok(rec.map(|rec| Fetched {
+            rec,
+            trusted: None,
+            gen: 0,
+        }))
+    }
+
+    /// Seals and stores `rec`. `trusted` carries the header binding when
+    /// `rec` was computed from trusted inputs only: the record is then
+    /// written through to the cache once the put succeeded. Otherwise
+    /// (and on a failed put) the key is left invalidated.
+    fn write_hash_record(
+        &self,
+        id: &ObjectId,
+        rec: &HashRecord,
+        trusted: Option<MsetHash>,
+    ) -> Result<(), SegShareError> {
         self.cache_invalidate_record(id);
         let key = self
             .keys
@@ -589,9 +692,32 @@ impl TrustedStore {
         );
         let store = self.store_for(id.store());
         self.sgx.boundary().ocall(|| store.put(&key, &blob))?;
-        // Second bump — same fill-vs-landing race as `commit_blob`.
-        self.cache_invalidate_record(id);
+        match (&self.cache, trusted) {
+            (Some(cache), Some(binding)) => cache.put(
+                CacheKey::Record(id.clone()),
+                CachedValue::Record(Arc::new(TrustedRecord {
+                    rec: rec.clone(),
+                    binding,
+                })),
+                rec.cached_bytes(),
+            ),
+            // Second bump — same fill-vs-landing race as `commit_blob`.
+            _ => self.cache_invalidate_record(id),
+        }
         Ok(())
+    }
+
+    /// Caches the store-read records of a walk that reached an anchor.
+    fn trust_walked(&self, walked: Vec<(ObjectId, u64, TrustedRecord)>) {
+        for (id, gen, trusted) in walked {
+            let bytes = trusted.rec.cached_bytes();
+            self.cache_fill(
+                CacheKey::Record(id),
+                gen,
+                CachedValue::Record(Arc::new(trusted)),
+                bytes as usize,
+            );
+        }
     }
 
     fn delete_hash_record(&self, id: &ObjectId) -> Result<(), SegShareError> {
@@ -651,14 +777,22 @@ impl TrustedStore {
         e
     }
 
-    /// Computes a node's main hash from its PFS header and buckets.
-    fn node_main(&self, id: &ObjectId, header: &[u8], buckets: &[MsetHash]) -> MsetHash {
+    /// `H(path) + H(head)`: the part of a node's main hash that binds
+    /// its PFS header. Child updates never change it.
+    fn node_binding(&self, id: &ObjectId, header: &[u8]) -> MsetHash {
         let key = self.keys.mset_key(id.store());
-        let mut main = MsetHash::empty();
-        main.add(&key, &Self::elem_path(id));
-        main.add(&key, &Self::elem_head(header));
+        let mut binding = MsetHash::empty();
+        binding.add(key, &Self::elem_path(id));
+        binding.add(key, &Self::elem_head(header));
+        binding
+    }
+
+    /// A node's main hash: its header binding plus every bucket.
+    fn node_main(&self, id: &ObjectId, binding: MsetHash, buckets: &[MsetHash]) -> MsetHash {
+        let key = self.keys.mset_key(id.store());
+        let mut main = binding;
         for (i, b) in buckets.iter().enumerate() {
-            main.add(&key, &Self::elem_bucket(i, b));
+            main.add(key, &Self::elem_bucket(i, b));
         }
         main
     }
@@ -681,7 +815,11 @@ impl TrustedStore {
         let mut cur = id.clone();
         let mut cur_change = change;
         while let Some(parent) = cur.tree_parent() {
-            let mut rec = self
+            // The header binding is untouched by a child update, so a
+            // trusted record stays trusted with the binding it had.
+            let Fetched {
+                mut rec, trusted, ..
+            } = self
                 .read_hash_record(&parent)?
                 .ok_or_else(|| integrity(&parent, "missing ancestor hash record"))?;
             let key = self.keys.mset_key(parent.store());
@@ -692,23 +830,23 @@ impl TrustedStore {
             let old_bucket = rec.buckets[b];
             match &cur_change {
                 TreeChange::Insert { new } => {
-                    rec.buckets[b].add(&key, &Self::elem_child(&cur, new));
+                    rec.buckets[b].add(key, &Self::elem_child(&cur, new));
                 }
                 TreeChange::Replace { old, new } => {
-                    rec.buckets[b].remove(&key, &Self::elem_child(&cur, old));
-                    rec.buckets[b].add(&key, &Self::elem_child(&cur, new));
+                    rec.buckets[b].remove(key, &Self::elem_child(&cur, old));
+                    rec.buckets[b].add(key, &Self::elem_child(&cur, new));
                 }
                 TreeChange::Remove { old } => {
-                    rec.buckets[b].remove(&key, &Self::elem_child(&cur, old));
+                    rec.buckets[b].remove(key, &Self::elem_child(&cur, old));
                 }
             }
             let old_main = rec.main;
             rec.main.replace(
-                &key,
+                key,
                 &Self::elem_bucket(b, &old_bucket),
                 &Self::elem_bucket(b, &rec.buckets[b]),
             );
-            self.write_hash_record(&parent, &rec)?;
+            self.write_hash_record(&parent, &rec, trusted)?;
             cur_change = TreeChange::Replace {
                 old: old_main,
                 new: rec.main,
@@ -717,7 +855,7 @@ impl TrustedStore {
         }
         // `cur` is now the store's tree root.
         if self.config.rollback_whole_fs {
-            self.bump_root_counter(&cur)?;
+            self.bump_root_counter(&cur, false)?;
         }
         Ok(())
     }
@@ -730,10 +868,32 @@ impl TrustedStore {
     /// [`TrustedStore::commit_pending_counters`], run once the batch is
     /// durable — so the counter can never run ahead of what the store
     /// actually holds across a crash.
-    fn bump_root_counter(&self, root: &ObjectId) -> Result<(), SegShareError> {
-        let ctr = self.sgx.counter(counter_id(root.store()));
+    ///
+    /// An update (`reanchor` false) re-issues the root record under the
+    /// new value only if the record is the current one: trusted, or
+    /// naming the hardware value. A record from a rolled-back store
+    /// would otherwise leave this call blessed by a fresh counter — the
+    /// root has no parent whose bucket could give it away.
+    /// [`TrustedStore::rebuild_tree`] re-anchors whatever it rebuilt.
+    fn bump_root_counter(&self, root: &ObjectId, reanchor: bool) -> Result<(), SegShareError> {
+        let cid = counter_id(root.store());
+        let ctr = self.sgx.counter(cid);
+        let Fetched {
+            mut rec, trusted, ..
+        } = self
+            .read_hash_record(root)?
+            .ok_or_else(|| integrity(root, "missing root hash record"))?;
+        if !reanchor
+            && trusted.is_none()
+            && rec.counter != ctr.read()
+            && !self.counter_pending(cid, rec.counter)
+        {
+            return Err(integrity(
+                root,
+                "monotonic counter mismatch (whole file system rollback)",
+            ));
+        }
         let value = if self.config.batch {
-            let cid = counter_id(root.store());
             let mut pending = self.pending_counters.lock();
             let target = pending.get(&cid).copied().unwrap_or_else(|| ctr.read() + 1);
             pending.insert(cid, target);
@@ -744,11 +904,8 @@ impl TrustedStore {
             self.sgx.boundary().charge(ctr.increment_latency_ns());
             value
         };
-        let mut rec = self
-            .read_hash_record(root)?
-            .ok_or_else(|| integrity(root, "missing root hash record"))?;
         rec.counter = value;
-        self.write_hash_record(root, &rec)
+        self.write_hash_record(root, &rec, trusted)
     }
 
     /// Performs the deferred monotonic-counter increments registered by
@@ -798,7 +955,7 @@ impl TrustedStore {
             ObjectId::DirData(seg_fs::SegPath::root()),
             ObjectId::GroupRoot,
         ] {
-            let Some(rec) = self.read_hash_record(&root)? else {
+            let Some(rec) = self.store_hash_record(&root)? else {
                 continue;
             };
             let ctr = self.sgx.counter(counter_id(root.store()));
@@ -845,29 +1002,59 @@ impl TrustedStore {
         }
     }
 
-    /// Full §V-D validation of `id` (whose PFS header is `header`):
-    /// check its own hash record, then one bucket per ancestor level,
-    /// then the root counter.
-    fn verify_tree(&self, id: &ObjectId, header: &[u8]) -> Result<(), SegShareError> {
+    /// §V-D validation of `id` (whose PFS header is `header`): check its
+    /// own hash record, then one bucket per ancestor level up to the
+    /// first trusted record or the root, then the root counter.
+    fn verify_tree(&self, id: &ObjectId, header: &[u8], walk: Walk) -> Result<(), SegShareError> {
         let _prof = seg_obs::prof::phase("rollback_tree");
         let start = std::time::Instant::now();
-        let result = self.verify_tree_inner(id, header);
+        let result = self.verify_tree_inner(id, header, walk);
         self.tree_verify_ns.record_duration(start.elapsed());
         result
     }
 
-    fn verify_tree_inner(&self, id: &ObjectId, header: &[u8]) -> Result<(), SegShareError> {
-        let rec = self
-            .read_hash_record(id)?
-            .ok_or_else(|| integrity(id, "missing hash record (rollback or tamper)"))?;
-        let expected = self.node_main(id, header, &rec.buckets);
-        if expected != rec.main {
-            return Err(integrity(id, "node hash mismatch (rollback or tamper)"));
+    /// Checks `header` against `id`'s record: 2 HMACs against a trusted
+    /// record's binding, the full re-derivation of `main` otherwise.
+    /// Returns the binding for a store record (to trust it later).
+    fn check_header(
+        &self,
+        id: &ObjectId,
+        header: &[u8],
+        fetched: &Fetched,
+        mismatch: &str,
+    ) -> Result<Option<MsetHash>, SegShareError> {
+        let binding = self.node_binding(id, header);
+        let ok = match fetched.trusted {
+            Some(trusted) => trusted == binding,
+            None => self.node_main(id, binding, &fetched.rec.buckets) == fetched.rec.main,
+        };
+        if !ok {
+            return Err(integrity(id, mismatch));
         }
+        Ok(fetched.trusted.is_none().then_some(binding))
+    }
 
+    fn verify_tree_inner(
+        &self,
+        id: &ObjectId,
+        header: &[u8],
+        walk: Walk,
+    ) -> Result<(), SegShareError> {
+        let node = self
+            .walk_record(id, walk)?
+            .ok_or_else(|| integrity(id, "missing hash record (rollback or tamper)"))?;
+        let Some(mut top_binding) =
+            self.check_header(id, header, &node, "node hash mismatch (rollback or tamper)")?
+        else {
+            // `header` is what the enclave last wrote for `id`.
+            return Ok(());
+        };
+        // Store records on the chain that passed every check so far;
+        // trusted once the walk reaches an anchor, dropped if it fails.
+        let mut walked = Vec::new();
+        // `top` is `cur`'s store record and `top_binding` its binding.
         let mut cur = id.clone();
-        let mut cur_main = rec.main;
-        let mut root = cur.clone();
+        let mut top = node;
         while let Some(parent) = cur.tree_parent() {
             let parent_blob = self
                 .raw_get(&parent)?
@@ -876,12 +1063,16 @@ impl TrustedStore {
                 return Err(integrity(&parent, "truncated ancestor blob"));
             }
             let parent_rec = self
-                .read_hash_record(&parent)?
+                .walk_record(&parent, walk)?
                 .ok_or_else(|| integrity(&parent, "missing ancestor hash record"))?;
-            let parent_expect =
-                self.node_main(&parent, &parent_blob[..NODE_LEN], &parent_rec.buckets);
-            if parent_expect != parent_rec.main {
-                return Err(integrity(&parent, "ancestor hash mismatch"));
+            let parent_binding = self.check_header(
+                &parent,
+                &parent_blob[..NODE_LEN],
+                &parent_rec,
+                "ancestor hash mismatch",
+            )?;
+            if parent_rec.rec.buckets.len() != self.bucket_count() {
+                return Err(integrity(&parent, "bucket count mismatch"));
             }
             // Recompute the single bucket containing `cur` from the
             // same-bucket siblings' hash records.
@@ -897,41 +1088,80 @@ impl TrustedStore {
                 }
                 let child_main = if child == cur {
                     cur_listed = true;
-                    cur_main
+                    top.rec.main
                 } else {
-                    self.read_hash_record(&child)?
+                    self.walk_record(&child, walk)?
                         .ok_or_else(|| integrity(&child, "missing sibling hash record"))?
+                        .rec
                         .main
                 };
-                recomputed.add(&key, &Self::elem_child(&child, &child_main));
+                recomputed.add(key, &Self::elem_child(&child, &child_main));
             }
             if !cur_listed {
                 return Err(integrity(&cur, "not listed in parent (rollback or tamper)"));
             }
-            if recomputed != parent_rec.buckets[b] {
+            if recomputed != parent_rec.rec.buckets[b] {
                 return Err(integrity(
                     &parent,
                     "bucket hash mismatch (rollback or tamper)",
                 ));
             }
-            cur_main = parent_rec.main;
+            walked.push((
+                cur,
+                top.gen,
+                TrustedRecord {
+                    rec: top.rec,
+                    binding: top_binding,
+                },
+            ));
             cur = parent;
-            root = cur.clone();
+            top = parent_rec;
+            match parent_binding {
+                Some(binding) => top_binding = binding,
+                // A trusted ancestor: its bucket is the latest the
+                // enclave computed, so the chain below it is current.
+                None => {
+                    self.trust_walked(walked);
+                    return Ok(());
+                }
+            }
         }
+        // `cur` is the tree root and `top` its record, from the store.
         if self.config.rollback_whole_fs {
-            let rec = self
-                .read_hash_record(&root)?
-                .ok_or_else(|| integrity(&root, "missing root hash record"))?;
-            let cid = counter_id(root.store());
+            // Without a cache the root is fetched a second time, as it
+            // always was (store-op counts with `cache: false` are
+            // pinned). The counter must be read off the very record the
+            // chain was checked against, so a second copy that differs
+            // is a rollback, not a choice.
+            if self.cache.is_none() {
+                let again = self
+                    .store_hash_record(&cur)?
+                    .ok_or_else(|| integrity(&cur, "missing root hash record"))?;
+                if again != top.rec {
+                    return Err(integrity(&cur, "root hash record changed during the walk"));
+                }
+            }
+            let cid = counter_id(cur.store());
             let hw = self.sgx.counter(cid).read();
             // A record exactly one ahead is legitimate while its batch's
             // deferred increment is pending (batch mode only).
-            if rec.counter != hw && !self.counter_pending(cid, rec.counter) {
+            if top.rec.counter != hw && !self.counter_pending(cid, top.rec.counter) {
                 return Err(integrity(
-                    &root,
+                    &cur,
                     "monotonic counter mismatch (whole file system rollback)",
                 ));
             }
+        }
+        if walk == Walk::Trusting {
+            walked.push((
+                cur,
+                top.gen,
+                TrustedRecord {
+                    rec: top.rec,
+                    binding: top_binding,
+                },
+            ));
+            self.trust_walked(walked);
         }
         Ok(())
     }
@@ -973,24 +1203,32 @@ impl TrustedStore {
         if !self.tree_enabled_for(id) {
             return self.raw_put(id, blob);
         }
-        let old = self.read_hash_record(id)?;
-        let buckets = match (&old, id.is_tree_inner()) {
-            (Some(rec), true) => rec.buckets.clone(),
-            (None, true) => vec![MsetHash::empty(); self.bucket_count()],
-            (_, false) => Vec::new(),
+        let old = self
+            .read_hash_record(id)?
+            .map(|f| (f.rec, f.trusted.is_some()));
+        // The new record is trusted when nothing stale can be in it: a
+        // leaf's is a function of the header alone; an inner node's
+        // carries its old buckets over, so those must have been trusted
+        // (or the node is new and has none).
+        let (buckets, trusted) = match (&old, id.is_tree_inner()) {
+            (Some((rec, trusted)), true) => (rec.buckets.clone(), *trusted),
+            (None, true) => (vec![MsetHash::empty(); self.bucket_count()], true),
+            (_, false) => (Vec::new(), true),
         };
-        let new_main = self.node_main(id, &blob[..NODE_LEN], &buckets);
+        let binding = self.node_binding(id, &blob[..NODE_LEN]);
+        let new_main = self.node_main(id, binding, &buckets);
         self.raw_put(id, blob)?;
         self.write_hash_record(
             id,
             &HashRecord {
                 main: new_main,
                 buckets,
-                counter: old.as_ref().map(|r| r.counter).unwrap_or(0),
+                counter: old.as_ref().map_or(0, |(rec, _)| rec.counter),
             },
+            trusted.then_some(binding),
         )?;
         match old {
-            Some(rec) => self.apply_tree_change(
+            Some((rec, _)) => self.apply_tree_change(
                 id,
                 TreeChange::Replace {
                     old: rec.main,
@@ -1018,7 +1256,7 @@ impl TrustedStore {
         let start = std::time::Instant::now();
         let result = {
             let _tree = self.tree_shared(id);
-            self.read_verified(id)
+            self.read_verified(id, Walk::Trusting)
         };
         self.trace_store("store_read", id, result.is_ok(), start);
         let body = result?;
@@ -1061,7 +1299,7 @@ impl TrustedStore {
         let start = std::time::Instant::now();
         let result = {
             let _tree = self.tree_shared(id);
-            self.read_verified(id)
+            self.read_verified(id, Walk::Trusting)
         };
         self.trace_store("store_read", id, result.is_ok(), start);
         let Some(body) = result? else {
@@ -1077,7 +1315,7 @@ impl TrustedStore {
         Ok(Some(value))
     }
 
-    fn read_verified(&self, id: &ObjectId) -> Result<Option<Vec<u8>>, SegShareError> {
+    fn read_verified(&self, id: &ObjectId, walk: Walk) -> Result<Option<Vec<u8>>, SegShareError> {
         let Some(blob) = self.raw_get(id)? else {
             return Ok(None);
         };
@@ -1085,7 +1323,7 @@ impl TrustedStore {
             return Err(integrity(id, "truncated blob"));
         }
         if self.tree_enabled_for(id) {
-            self.verify_tree(id, &blob[..NODE_LEN])?;
+            self.verify_tree(id, &blob[..NODE_LEN], walk)?;
         }
         let start = std::time::Instant::now();
         let body = pfs_decrypt(&self.data_key(id), &blob)?;
@@ -1116,7 +1354,7 @@ impl TrustedStore {
             return Err(integrity(id, "truncated blob"));
         }
         if self.tree_enabled_for(id) {
-            self.verify_tree(id, &blob[..NODE_LEN])?;
+            self.verify_tree(id, &blob[..NODE_LEN], Walk::Trusting)?;
         }
         let file = PfsFile::open(&self.data_key(id), blob)?;
         // Hot-object fill: remember small verified bodies so the next
@@ -1157,9 +1395,9 @@ impl TrustedStore {
         self.cache_invalidate_object(id);
         let existed = self.raw_delete(id)?;
         if self.tree_enabled_for(id) {
-            if let Some(rec) = self.read_hash_record(id)? {
+            if let Some(old) = self.read_hash_record(id)? {
                 self.delete_hash_record(id)?;
-                self.apply_tree_change(id, TreeChange::Remove { old: rec.main })?;
+                self.apply_tree_change(id, TreeChange::Remove { old: old.rec.main })?;
             }
         }
         Ok(existed)
@@ -1189,8 +1427,8 @@ impl TrustedStore {
         self.rebuild_node(&ObjectId::DirData(seg_fs::SegPath::root()))?;
         self.rebuild_node(&ObjectId::GroupRoot)?;
         if self.config.rollback_whole_fs {
-            self.bump_root_counter(&ObjectId::DirData(seg_fs::SegPath::root()))?;
-            self.bump_root_counter(&ObjectId::GroupRoot)?;
+            self.bump_root_counter(&ObjectId::DirData(seg_fs::SegPath::root()), true)?;
+            self.bump_root_counter(&ObjectId::GroupRoot, true)?;
         }
         // Restoration runs outside any request batch; perform the
         // deferred increments right away.
@@ -1215,10 +1453,12 @@ impl TrustedStore {
             for child in self.tree_children(id, &body)? {
                 let child_main = self.rebuild_node(&child)?;
                 let b = self.bucket_index(&child);
-                buckets[b].add(&key, &Self::elem_child(&child, &child_main));
+                buckets[b].add(key, &Self::elem_child(&child, &child_main));
             }
         }
-        let main = self.node_main(id, &blob[..NODE_LEN], &buckets);
+        let main = self.node_main(id, self.node_binding(id, &blob[..NODE_LEN]), &buckets);
+        // Computed from restored store contents: the walks that follow
+        // re-anchor these records, the rebuild does not vouch for them.
         self.write_hash_record(
             id,
             &HashRecord {
@@ -1226,6 +1466,7 @@ impl TrustedStore {
                 buckets,
                 counter: 0,
             },
+            None,
         )?;
         Ok(main)
     }
@@ -1336,21 +1577,25 @@ mod tests {
     }
 
     fn fixture(config: EnclaveConfig) -> Fixture {
+        let content = Arc::new(MemStore::new());
+        let store = store_on(config, Arc::clone(&content) as Arc<dyn ObjectStore>);
+        Fixture { store, content }
+    }
+
+    /// A trusted store whose content store is `content` (a fault or
+    /// counting wrapper, say).
+    fn store_on(config: EnclaveConfig, content: Arc<dyn ObjectStore>) -> TrustedStore {
         let platform = Platform::new_with_seed(1);
         let sgx = Arc::new(platform.launch(&EnclaveImage::from_code(b"test-enclave")));
-        let content = Arc::new(MemStore::new());
-        let group = Arc::new(MemStore::new());
-        let dedup = Arc::new(MemStore::new());
-        let store = TrustedStore::new(
+        TrustedStore::new(
             KeyHierarchy::new([7u8; 32]),
             config,
             sgx,
-            Arc::clone(&content) as Arc<dyn ObjectStore>,
-            group,
-            dedup,
+            content,
+            Arc::new(MemStore::new()),
+            Arc::new(MemStore::new()),
             Arc::new(seg_obs::Registry::new()),
-        );
-        Fixture { store, content }
+        )
     }
 
     fn root_id() -> ObjectId {
@@ -1364,16 +1609,20 @@ mod tests {
     /// Initializes both store roots so leaves can hang off them (and
     /// `rebuild_tree`, which walks both, has roots to start from).
     fn init_root(f: &Fixture) {
-        f.store
+        init_roots(&f.store);
+    }
+
+    fn init_roots(store: &TrustedStore) {
+        store
             .write(&root_id(), &DirFile::new(SegPath::root()).encode())
             .unwrap();
-        f.store
+        store
             .write(&ObjectId::GroupRoot, &GroupRootFile::new().encode())
             .unwrap();
-        f.store
+        store
             .write(&ObjectId::GroupList, &seg_fs::GroupListFile::new().encode())
             .unwrap();
-        f.store
+        store
             .write(
                 &ObjectId::Acl(SegPath::root()),
                 &seg_fs::AclFile::new().encode(),
@@ -1385,14 +1634,98 @@ mod tests {
     /// verifier reads the children list during bucket recompute) and
     /// gives it the ACL object every file-system entry carries.
     fn register_child(f: &Fixture, name: &str, kind: seg_fs::ChildKind) {
-        let body = f.store.read(&root_id()).unwrap().unwrap();
-        let mut dir = DirFile::decode(&body).unwrap();
+        register_in(&f.store, &SegPath::root(), name, kind);
+    }
+
+    /// [`register_child`] under any existing directory; a directory
+    /// child also gets its (empty) directory file.
+    fn register_in(store: &TrustedStore, parent: &SegPath, name: &str, kind: seg_fs::ChildKind) {
+        try_register_in(store, parent, name, kind).unwrap();
+    }
+
+    fn try_register_in(
+        store: &TrustedStore,
+        parent: &SegPath,
+        name: &str,
+        kind: seg_fs::ChildKind,
+    ) -> Result<(), SegShareError> {
+        let parent_id = ObjectId::DirData(parent.clone());
+        let body = store
+            .read(&parent_id)?
+            .ok_or_else(|| integrity(&parent_id, "missing directory"))?;
+        let mut dir = DirFile::decode(&body)?;
         dir.add_child(name, kind);
-        f.store.write(&root_id(), &dir.encode()).unwrap();
-        let child_path = dir.child_path(name, kind).unwrap();
-        f.store
-            .write(&ObjectId::Acl(child_path), &seg_fs::AclFile::new().encode())
-            .unwrap();
+        store.write(&parent_id, &dir.encode())?;
+        let child_path = dir.child_path(name, kind)?;
+        store.write(
+            &ObjectId::Acl(child_path.clone()),
+            &seg_fs::AclFile::new().encode(),
+        )?;
+        if kind == seg_fs::ChildKind::Directory {
+            store.write(
+                &ObjectId::DirData(child_path.clone()),
+                &DirFile::new(child_path).encode(),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Initializes the roots and creates `/a/b/c/d/` with files `f` and
+    /// `g` in it: depth-5 leaves, so a full walk crosses five records.
+    fn deep_tree(store: &TrustedStore) {
+        init_roots(store);
+        let mut dir = SegPath::root();
+        for name in ["a", "b", "c", "d"] {
+            register_in(store, &dir, name, seg_fs::ChildKind::Directory);
+            dir = dir.join_dir(name).unwrap();
+        }
+        for name in ["f", "g"] {
+            register_in(store, &dir, name, seg_fs::ChildKind::File);
+            store
+                .write(&file_id(&format!("/a/b/c/d/{name}")), b"version 1")
+                .unwrap();
+        }
+    }
+
+    fn dir_id(path: &str) -> ObjectId {
+        ObjectId::DirData(SegPath::parse(path).unwrap())
+    }
+
+    /// Every node on the chain from `/a/b/c/d/f` to the root.
+    fn deep_chain() -> Vec<ObjectId> {
+        let mut chain = vec![file_id("/a/b/c/d/f")];
+        while let Some(parent) = chain.last().unwrap().tree_parent() {
+            chain.push(parent);
+        }
+        chain
+    }
+
+    impl TrustedStore {
+        /// Drops `id`'s cached body and trusted record, as eviction would.
+        fn evict(&self, id: &ObjectId) {
+            self.cache_invalidate_object(id);
+            self.cache_invalidate_record(id);
+        }
+
+        fn trusted_record(&self, id: &ObjectId) -> Option<HashRecord> {
+            match self.cache.as_ref()?.get(&CacheKey::Record(id.clone()))? {
+                CachedValue::Record(t) => Some(t.rec.clone()),
+                _ => None,
+            }
+        }
+
+        /// The store keys of `id`'s blob and hash record.
+        fn store_keys(&self, id: &ObjectId) -> [String; 2] {
+            [
+                self.keys.storage_key(id, self.config.hide_names),
+                self.keys
+                    .hash_record_storage_key(id, self.config.hide_names),
+            ]
+        }
+    }
+
+    fn is_integrity<T: std::fmt::Debug>(result: Result<T, SegShareError>) -> bool {
+        matches!(result, Err(SegShareError::Integrity(_)))
     }
 
     #[test]
@@ -1660,5 +1993,589 @@ mod tests {
             f.store.read(&file_id("/a")),
             Err(SegShareError::Integrity(msg)) if msg.contains("counter")
         ));
+    }
+
+    // ---------------------------------------------------- trusted records
+
+    #[test]
+    fn stale_ancestor_record_never_becomes_an_anchor() {
+        // Roll an evicted directory record and one child's blob + record
+        // back to an older consistent pair, then write a *sibling*: the
+        // directory record the write produces is computed from the stale
+        // one and must not be trusted, or the child's stale pair would
+        // verify against it.
+        let f = fixture(cached_config());
+        deep_tree(&f.store);
+        let (child, sibling, dir) = (
+            file_id("/a/b/c/d/f"),
+            file_id("/a/b/c/d/g"),
+            dir_id("/a/b/c/d/"),
+        );
+        let [child_blob, child_rec] = f.store.store_keys(&child);
+        let [_, dir_rec] = f.store.store_keys(&dir);
+        let old: Vec<(String, Vec<u8>)> = [child_blob, child_rec, dir_rec]
+            .into_iter()
+            .map(|k| {
+                let v = f.content.get(&k).unwrap().unwrap();
+                (k, v)
+            })
+            .collect();
+        f.store.write(&child, b"version 2").unwrap();
+
+        f.store.evict(&child);
+        f.store.evict(&dir);
+        for (k, v) in &old {
+            f.content.put(k, v).unwrap();
+        }
+        f.store.write(&sibling, b"sibling 2").unwrap();
+
+        assert!(
+            f.store.trusted_record(&dir).is_none(),
+            "a record updated from a store read is not trusted"
+        );
+        // Twice: the first, failing walk must not have cached anything
+        // the second could stop at.
+        for _ in 0..2 {
+            assert!(is_integrity(f.store.read(&child)));
+        }
+        assert!(f.store.trusted_record(&child).is_none());
+        assert!(f.store.trusted_record(&dir).is_none());
+        // The sibling itself was written by the enclave just now.
+        assert_eq!(f.store.read(&sibling).unwrap().unwrap(), b"sibling 2");
+    }
+
+    #[test]
+    fn a_failed_walk_caches_nothing() {
+        let f = fixture(cached_config());
+        deep_tree(&f.store);
+        let child = file_id("/a/b/c/d/f");
+        let keys = f.store.store_keys(&child);
+        let old: Vec<Vec<u8>> = keys
+            .iter()
+            .map(|k| f.content.get(k).unwrap().unwrap())
+            .collect();
+        f.store.write(&child, b"version 2").unwrap();
+        let evict_three = || {
+            f.store.evict(&child);
+            f.store.evict(&dir_id("/a/b/c/d/"));
+            f.store.evict(&dir_id("/a/b/c/"));
+        };
+
+        // Over an honest store the walk reads three records (leaf, `d/`,
+        // `c/`), ends at the trusted `b/` and trusts what it read.
+        evict_three();
+        let before = f.store.cache_stats().unwrap();
+        assert_eq!(f.store.read(&child).unwrap().unwrap(), b"version 2");
+        // Three records plus the body.
+        assert_eq!(f.store.cache_stats().unwrap().fills, before.fills + 4);
+        assert!(f.store.trusted_record(&dir_id("/a/b/c/")).is_some());
+
+        // With the leaf's pair rolled back the first records it reads are
+        // each fine on their own; `d/`'s bucket gives the stale leaf away.
+        evict_three();
+        for (k, v) in keys.iter().zip(&old) {
+            f.content.put(k, v).unwrap();
+        }
+        let before = f.store.cache_stats().unwrap();
+        assert!(is_integrity(f.store.read(&child)));
+        let after = f.store.cache_stats().unwrap();
+        assert_eq!(
+            after.fills, before.fills,
+            "nothing read during it is cached"
+        );
+        assert_eq!(after.entries, before.entries);
+    }
+
+    #[test]
+    fn a_failed_put_leaves_no_trusted_record_ahead_of_the_store() {
+        use seg_store::{CountingStore, FaultAction, FaultStore};
+        // Learn how many writes the set-up and the probed write take.
+        let counting = Arc::new(CountingStore::new(MemStore::new()));
+        let dry = store_on(
+            cached_config(),
+            Arc::clone(&counting) as Arc<dyn ObjectStore>,
+        );
+        deep_tree(&dry);
+        let setup_puts = counting.stats().puts;
+        dry.write(&file_id("/a/b/c/d/f"), b"version 2").unwrap();
+        let write_puts = counting.stats().puts - setup_puts;
+        assert_eq!(write_puts, 7, "blob, leaf record, five ancestor records");
+
+        for failing in 1..=write_puts {
+            let faulty = Arc::new(FaultStore::new(
+                MemStore::new(),
+                FaultAction::FailWrite,
+                setup_puts + failing,
+            ));
+            let store = store_on(cached_config(), Arc::clone(&faulty) as Arc<dyn ObjectStore>);
+            deep_tree(&store);
+            assert!(store.write(&file_id("/a/b/c/d/f"), b"version 2").is_err());
+            for id in deep_chain() {
+                if let Some(trusted) = store.trusted_record(&id) {
+                    assert_eq!(
+                        store.store_hash_record(&id).unwrap(),
+                        Some(trusted),
+                        "put {failing} failed: {} is cached ahead of the store",
+                        id.canonical()
+                    );
+                }
+            }
+            // The body the store holds (the old one only if the blob
+            // put is what failed), or an integrity error.
+            let stored: &[u8] = if failing == 1 {
+                b"version 1"
+            } else {
+                b"version 2"
+            };
+            match store.read(&file_id("/a/b/c/d/f")) {
+                Ok(body) => assert_eq!(body.unwrap(), stored, "put {failing}"),
+                Err(e) => assert!(is_integrity::<()>(Err(e)), "put {failing}"),
+            }
+        }
+    }
+
+    #[test]
+    fn scrub_read_walks_the_store_under_a_warm_cache() {
+        let f = fixture(cached_config());
+        deep_tree(&f.store);
+        let child = file_id("/a/b/c/d/f");
+        let [_, dir_rec] = f.store.store_keys(&dir_id("/a/b/"));
+        let stale = f.content.get(&dir_rec).unwrap().unwrap();
+        f.store.write(&child, b"version 2").unwrap();
+        assert!(f.store.scrub_read(&child).unwrap().is_some());
+
+        // An authentic but stale ancestor record: requests never read
+        // it (the trusted copy answers), the scrubber must.
+        f.content.put(&dir_rec, &stale).unwrap();
+        assert_eq!(f.store.read(&child).unwrap().unwrap(), b"version 2");
+        f.store.evict(&child);
+        assert_eq!(f.store.read(&child).unwrap().unwrap(), b"version 2");
+        let before = f.store.cache_stats().unwrap().fills;
+        assert!(matches!(
+            f.store.scrub_read(&child),
+            Err(SegShareError::Integrity(msg)) if msg.contains("trusted copy")
+        ));
+        assert_eq!(f.store.cache_stats().unwrap().fills, before);
+    }
+
+    #[test]
+    fn short_bucket_vector_is_an_integrity_error_not_a_panic() {
+        // A store written with another `rollback_buckets` (or any record
+        // whose bucket vector is shorter than the index asked of it).
+        let content = Arc::new(MemStore::new());
+        let small = store_on(
+            EnclaveConfig {
+                rollback_buckets: 1,
+                ..EnclaveConfig::default()
+            },
+            Arc::clone(&content) as Arc<dyn ObjectStore>,
+        );
+        init_roots(&small);
+        register_in(&small, &SegPath::root(), "a", seg_fs::ChildKind::File);
+        small.write(&file_id("/a"), b"body").unwrap();
+        let wide = store_on(EnclaveConfig::default(), content);
+        assert!(matches!(
+            wide.read(&file_id("/a")),
+            Err(SegShareError::Integrity(msg)) if msg.contains("bucket count")
+        ));
+    }
+
+    // --------------------------------------------------------- cost gate
+
+    /// Store gets of: a read right after a write, the same read with the
+    /// leaf's cache entries gone, and a put of the existing file — on
+    /// the depth-5 tree, counted through a `CountingStore`.
+    fn walk_costs(config: EnclaveConfig) -> [u64; 3] {
+        let counting = Arc::new(seg_store::CountingStore::new(MemStore::new()));
+        let store = store_on(config, Arc::clone(&counting) as Arc<dyn ObjectStore>);
+        deep_tree(&store);
+        let child = file_id("/a/b/c/d/f");
+        let gets = |op: &dyn Fn()| {
+            let before = counting.stats().gets;
+            op();
+            counting.stats().gets - before
+        };
+        store.write(&child, b"version 2").unwrap();
+        let read_after_write = gets(&|| {
+            store.read(&child).unwrap().unwrap();
+        });
+        store.evict(&child);
+        let read_leaf_evicted = gets(&|| {
+            store.read(&child).unwrap().unwrap();
+        });
+        let put_existing = gets(&|| store.write(&child, b"version 3").unwrap());
+        [read_after_write, read_leaf_evicted, put_existing]
+    }
+
+    #[test]
+    fn trusted_records_bound_the_store_reads_of_a_walk() {
+        // Read after write: the blob, and nothing else — the leaf's
+        // trusted record ends the walk, so no record is fetched (or
+        // decrypted: every record decrypt follows a record get). Leaf
+        // evicted: blob, leaf record, parent blob; the same-bucket
+        // siblings' records are trusted. A put re-reads nothing.
+        assert_eq!(walk_costs(cached_config()), [1, 3, 0]);
+    }
+
+    const PINNED_CACHE_OFF: [u64; 3] = [13, 13, 6];
+    const PINNED_CACHE_OFF_WHOLE_FS: [u64; 3] = [14, 14, 7];
+
+    #[test]
+    fn walk_store_reads_without_the_cache_are_pinned() {
+        // Counted at the parent commit (PR 12) with this same scenario:
+        // `cache: false` must stay count-identical.
+        assert_eq!(walk_costs(EnclaveConfig::default()), PINNED_CACHE_OFF);
+        assert_eq!(
+            walk_costs(EnclaveConfig {
+                rollback_whole_fs: true,
+                ..EnclaveConfig::default()
+            }),
+            PINNED_CACHE_OFF_WHOLE_FS
+        );
+    }
+
+    // ------------------------------------------- trust rule, as a property
+
+    /// Random mutations, reads, evictions and store rollbacks against a
+    /// model of what was acknowledged.
+    mod trust_rule {
+        use super::*;
+        use proptest::prelude::*;
+        use seg_fs::ChildKind;
+        use std::collections::{HashMap, HashSet};
+
+        /// `/` exists from the start; `MkDir(1)` and `MkDir(2)` make the
+        /// other two.
+        const DIRS: [&str; 3] = ["/", "/p/", "/p/q/"];
+        const FILES_PER_DIR: usize = 2;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            MkDir(usize),
+            Put(usize, usize, u8),
+            PutAcl(usize, usize, u8),
+            Get(usize, usize, bool),
+            /// Read every file and ACL.
+            GetAll,
+            Delete(usize, usize),
+            Evict(usize),
+            /// Remember an object's stored blob and record, and the
+            /// records of that many ancestors: one consistent old chain.
+            Capture(usize, usize),
+            /// Put a remembered chain back — the single-object rollback —
+            /// alone, or just as its nodes fell out of the cache.
+            Replay(usize, bool),
+            CaptureAll,
+            ReplayAll,
+        }
+
+        impl Op {
+            fn is_attack(&self) -> bool {
+                matches!(
+                    self,
+                    Op::Capture(..) | Op::Replay(..) | Op::CaptureAll | Op::ReplayAll
+                )
+            }
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            let (d, f) = (0..DIRS.len(), 0..FILES_PER_DIR);
+            prop_oneof![
+                (1..DIRS.len()).prop_map(Op::MkDir),
+                (d.clone(), f.clone(), any::<u8>()).prop_map(|(d, f, t)| Op::Put(d, f, t)),
+                (d.clone(), f.clone(), any::<u8>()).prop_map(|(d, f, t)| Op::Put(d, f, t)),
+                (d.clone(), f.clone(), any::<u8>()).prop_map(|(d, f, t)| Op::PutAcl(d, f, t)),
+                (d.clone(), f.clone(), any::<bool>()).prop_map(|(d, f, a)| Op::Get(d, f, a)),
+                Just(Op::GetAll),
+                (d.clone(), f.clone()).prop_map(|(d, f)| Op::Delete(d, f)),
+                (0usize..64).prop_map(Op::Evict),
+                (0usize..64).prop_map(Op::Evict),
+                (0usize..64, 0usize..3).prop_map(|(o, up)| Op::Capture(o, up)),
+                (0usize..64, any::<bool>()).prop_map(|(c, evict)| Op::Replay(c, evict)),
+                Just(Op::CaptureAll),
+                Just(Op::ReplayAll),
+            ]
+        }
+
+        fn dir_path(d: usize) -> SegPath {
+            SegPath::parse(DIRS[d]).unwrap()
+        }
+
+        fn file_path(d: usize, f: usize) -> SegPath {
+            dir_path(d).join_file(&format!("f{f}")).unwrap()
+        }
+
+        /// Every object an op can name: files, their ACLs, directories.
+        fn universe() -> Vec<ObjectId> {
+            let mut ids: Vec<ObjectId> = (0..DIRS.len())
+                .map(|d| ObjectId::DirData(dir_path(d)))
+                .collect();
+            for d in 0..DIRS.len() {
+                for f in 0..FILES_PER_DIR {
+                    ids.push(ObjectId::FileData(file_path(d, f)));
+                    ids.push(ObjectId::Acl(file_path(d, f)));
+                }
+            }
+            ids
+        }
+
+        fn body(tag: u8) -> Vec<u8> {
+            vec![tag; 1 + tag as usize]
+        }
+
+        /// What the enclave acknowledged, and what it may have written
+        /// without acknowledging (a mutation that failed part-way).
+        #[derive(Default)]
+        struct Model {
+            dirs: HashSet<usize>,
+            listed: HashSet<(usize, usize)>,
+            acked: HashMap<ObjectId, Vec<u8>>,
+            unacked: HashMap<ObjectId, Vec<Vec<u8>>>,
+            tampered: bool,
+        }
+
+        impl Model {
+            fn wrote(&mut self, id: ObjectId, body: Vec<u8>, result: &Result<(), SegShareError>) {
+                match result {
+                    Ok(()) => {
+                        self.unacked.remove(&id);
+                        self.acked.insert(id, body);
+                    }
+                    Err(_) => self.unacked.entry(id).or_default().push(body),
+                }
+            }
+        }
+
+        struct Run {
+            f: Fixture,
+            model: Model,
+            captures: Vec<Capture>,
+            snapshot: Option<HashMap<String, Arc<[u8]>>>,
+        }
+
+        /// The nodes of a captured chain and their store entries then.
+        type Capture = (Vec<ObjectId>, Vec<(String, Option<Vec<u8>>)>);
+
+        /// What an op's reads returned, comparable across runs.
+        type Seen = Vec<Result<Option<Vec<u8>>, String>>;
+
+        impl Run {
+            fn new(cache: bool) -> Run {
+                let f = fixture(EnclaveConfig {
+                    cache,
+                    rollback_whole_fs: true,
+                    ..EnclaveConfig::default()
+                });
+                init_root(&f);
+                let mut model = Model::default();
+                model.dirs.insert(0);
+                Run {
+                    f,
+                    model,
+                    captures: Vec::new(),
+                    snapshot: None,
+                }
+            }
+
+            fn unlist(&self, d: usize, f: usize) -> Result<(), SegShareError> {
+                let store = &self.f.store;
+                let path = file_path(d, f);
+                store.delete(&ObjectId::FileData(path.clone()))?;
+                store.delete(&ObjectId::Acl(path.clone()))?;
+                let dir_id = ObjectId::DirData(dir_path(d));
+                let dir_body = store
+                    .read(&dir_id)?
+                    .ok_or_else(|| integrity(&dir_id, "missing directory"))?;
+                let mut dir = DirFile::decode(&dir_body)?;
+                dir.remove_child(path.name());
+                store.write(&dir_id, &dir.encode())
+            }
+
+            /// Reads `id` and checks the result against the model.
+            fn get(&self, id: &ObjectId) -> Result<Seen, TestCaseError> {
+                let seen = self.f.store.read(id);
+                let acked = self.model.acked.get(id);
+                if !self.model.tampered {
+                    prop_assert_eq!(seen.as_ref().ok(), Some(&acked.cloned()));
+                }
+                // Absence is not a body: deleting a blob hides the
+                // object with the cache off too.
+                if let Ok(Some(body)) = &seen {
+                    let unacked = self.model.unacked.get(id);
+                    prop_assert!(
+                        acked == Some(body) || unacked.is_some_and(|u| u.contains(body)),
+                        "{} read a body that is not the last one written",
+                        id.canonical()
+                    );
+                }
+                Ok(vec![seen.map_err(|e| e.to_string())])
+            }
+
+            /// Applies `op`, returning what its reads saw.
+            fn apply(&mut self, op: &Op) -> Result<Seen, TestCaseError> {
+                let store = &self.f.store;
+                match *op {
+                    Op::MkDir(d) => {
+                        if self.model.dirs.contains(&d) || !self.model.dirs.contains(&(d - 1)) {
+                            return Ok(Vec::new());
+                        }
+                        let name = dir_path(d).name().to_string();
+                        let made =
+                            try_register_in(store, &dir_path(d - 1), &name, ChildKind::Directory);
+                        prop_assert!(made.is_ok() || self.model.tampered, "mkdir: {made:?}");
+                        if made.is_ok() {
+                            self.model.dirs.insert(d);
+                        }
+                    }
+                    Op::Put(d, f, tag) | Op::PutAcl(d, f, tag) => {
+                        if !self.model.dirs.contains(&d) {
+                            return Ok(Vec::new());
+                        }
+                        let path = file_path(d, f);
+                        if !self.model.listed.contains(&(d, f)) {
+                            if matches!(op, Op::PutAcl(..)) {
+                                return Ok(Vec::new());
+                            }
+                            let listed =
+                                try_register_in(store, &dir_path(d), path.name(), ChildKind::File);
+                            prop_assert!(listed.is_ok() || self.model.tampered, "{listed:?}");
+                            self.model.wrote(
+                                ObjectId::Acl(path.clone()),
+                                seg_fs::AclFile::new().encode(),
+                                &listed,
+                            );
+                            if listed.is_err() {
+                                return Ok(Vec::new());
+                            }
+                            self.model.listed.insert((d, f));
+                        }
+                        let id = match op {
+                            Op::Put(..) => ObjectId::FileData(path),
+                            _ => ObjectId::Acl(path),
+                        };
+                        let written = store.write(&id, &body(tag));
+                        prop_assert!(written.is_ok() || self.model.tampered, "{written:?}");
+                        self.model.wrote(id, body(tag), &written);
+                    }
+                    Op::Delete(d, f) => {
+                        if !self.model.listed.contains(&(d, f)) {
+                            return Ok(Vec::new());
+                        }
+                        let gone = self.unlist(d, f);
+                        prop_assert!(gone.is_ok() || self.model.tampered, "{gone:?}");
+                        if gone.is_ok() {
+                            self.model.listed.remove(&(d, f));
+                            for id in [
+                                ObjectId::FileData(file_path(d, f)),
+                                ObjectId::Acl(file_path(d, f)),
+                            ] {
+                                self.model.acked.remove(&id);
+                                self.model.unacked.remove(&id);
+                            }
+                        }
+                    }
+                    Op::Get(d, f, acl) => {
+                        let id = match acl {
+                            true => ObjectId::Acl(file_path(d, f)),
+                            false => ObjectId::FileData(file_path(d, f)),
+                        };
+                        return self.get(&id);
+                    }
+                    Op::GetAll => {
+                        let mut seen = Vec::new();
+                        for id in &universe()[DIRS.len()..] {
+                            seen.extend(self.get(id)?);
+                        }
+                        return Ok(seen);
+                    }
+                    Op::Evict(pick) => {
+                        let ids = universe();
+                        store.evict(&ids[pick % ids.len()]);
+                    }
+                    Op::Capture(pick, up) => {
+                        let ids = universe();
+                        let mut chain = vec![ids[pick % ids.len()].clone()];
+                        let [blob, record] = store.store_keys(&chain[0]);
+                        let mut keys = vec![blob, record];
+                        for _ in 0..up {
+                            let Some(parent) = chain.last().unwrap().tree_parent() else {
+                                break;
+                            };
+                            let [_, record] = store.store_keys(&parent);
+                            keys.push(record);
+                            chain.push(parent);
+                        }
+                        let entries = keys
+                            .into_iter()
+                            .map(|k| {
+                                let v = self.f.content.get(&k).unwrap();
+                                (k, v)
+                            })
+                            .collect();
+                        self.captures.push((chain, entries));
+                    }
+                    Op::Replay(pick, evict) => {
+                        if self.captures.is_empty() {
+                            return Ok(Vec::new());
+                        }
+                        self.model.tampered = true;
+                        // One of the three latest: old enough to be stale,
+                        // recent enough that its directory still lists it.
+                        let recent = self.captures.len().min(3);
+                        let (chain, entries) =
+                            &self.captures[self.captures.len() - 1 - pick % recent];
+                        for (k, v) in entries {
+                            match v {
+                                Some(v) => self.f.content.put(k, v).unwrap(),
+                                None => drop(self.f.content.delete(k).unwrap()),
+                            }
+                        }
+                        if evict {
+                            chain.iter().for_each(|id| store.evict(id));
+                        }
+                    }
+                    Op::CaptureAll => self.snapshot = Some(self.f.content.snapshot()),
+                    Op::ReplayAll => {
+                        if let Some(snapshot) = &self.snapshot {
+                            self.model.tampered = true;
+                            self.f.content.restore(snapshot.clone());
+                        }
+                    }
+                }
+                Ok(Vec::new())
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig {
+                cases: 192,
+                max_shrink_iters: 0,
+                ..ProptestConfig::default()
+            })]
+
+            #[test]
+            fn reads_return_the_last_written_body_or_fail(
+                ops in proptest::collection::vec(op(), 1..80)
+            ) {
+                // Under attack, with the cache on: never a stale body —
+                // at the end not from a second read either, whatever the
+                // first left behind.
+                let mut attacked = Run::new(true);
+                for (i, op) in ops.iter().chain([&Op::GetAll, &Op::GetAll]).enumerate() {
+                    // The stand-in proptest reports the seed only; name
+                    // the ops that led here.
+                    if let Err(TestCaseError::Fail(why)) = attacked.apply(op) {
+                        let ran = &ops[..i.min(ops.len())];
+                        return Err(TestCaseError::fail(format!("{why}\nafter {ran:?}")));
+                    }
+                }
+                // Without the attack ops the store is honest: every read
+                // is exact, and the cache changes no result.
+                let (mut on, mut off) = (Run::new(true), Run::new(false));
+                for op in ops.iter().filter(|op| !op.is_attack()) {
+                    prop_assert_eq!(on.apply(op)?, off.apply(op)?);
+                }
+            }
+        }
     }
 }

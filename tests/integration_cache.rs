@@ -5,11 +5,13 @@
 //! store serves fresh data or an integrity error — never stale state
 //! the rollback tree would have caught.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use seg_fs::Perm;
 use seg_proto::ErrorCode;
-use seg_store::{AdversaryStore, MemStore, ObjectStore};
+use seg_store::{AdversaryStore, CountingStore, FaultAction, FaultStore, MemStore, ObjectStore};
 use segshare::{EnclaveConfig, FsoSetup, SegShareError, SegShareServer};
 
 struct Rig {
@@ -238,4 +240,226 @@ fn cache_metrics_report_hits_and_invalidations() {
     assert!(hits > 0, "warm reads must hit the cache");
     assert!(fills > 0);
     assert!(invalidations > 0, "the overwrite must invalidate");
+}
+
+// ------------------------------------------------------ trusted records
+//
+// A hash record is cached only when the enclave wrote it from trusted
+// inputs or a walk over it reached an anchor (`trusted_store.rs`); the
+// white-box tests there evict single entries. These drive the same rule
+// through the request path.
+
+fn is_integrity(e: &SegShareError) -> bool {
+    matches!(
+        e,
+        SegShareError::Request {
+            code: ErrorCode::IntegrityViolation,
+            ..
+        }
+    )
+}
+
+#[test]
+fn a_rolled_back_pair_is_refused_and_the_failed_walk_caches_nothing() {
+    let config = EnclaveConfig {
+        hide_names: false,
+        ..cached_config()
+    };
+    let r = rig(config, 306);
+    let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    // The file's blob and record, consistently stale.
+    let pair = ["F:/d/doc", "h!F:/d/doc"];
+    {
+        let mut a = r.server.connect_local(&alice).unwrap();
+        a.mkdir("/d").unwrap();
+        a.put("/d/doc", b"version 1").unwrap();
+        for key in pair {
+            r.content.snapshot_object(key).unwrap();
+        }
+        a.put("/d/doc", b"version 2").unwrap();
+    }
+    // A relaunched enclave trusts nothing yet: the walk takes every
+    // record from the store, the stale pair's among them.
+    let server = r.setup.server().unwrap();
+    for key in pair {
+        r.content.rollback_object(key).unwrap();
+    }
+    let mut a = server.connect_local(&alice).unwrap();
+    let refused = a.get("/d/doc").unwrap_err();
+    assert!(is_integrity(&refused), "{refused:?}");
+
+    // The pair passed its own checks before the directory's bucket gave
+    // it away; had the walk kept its record, this read would stop there.
+    let fills = || server.enclave().store().cache_stats().unwrap().fills;
+    let before = fills();
+    let refused = a.get("/d/doc").unwrap_err();
+    assert!(is_integrity(&refused), "{refused:?}");
+    assert_eq!(fills(), before, "a failed walk trusts nothing it read");
+}
+
+#[test]
+fn a_failed_store_put_never_surfaces_a_body_that_was_not_written() {
+    // A server over `content` holding `/d/e/doc` at version 1.
+    let launch = |content: Arc<dyn ObjectStore>| {
+        let setup = FsoSetup::with_stores(
+            "ca",
+            cached_config(),
+            seg_sgx::Platform::new_with_seed(307),
+            content,
+            Arc::new(MemStore::new()),
+            Arc::new(MemStore::new()),
+        );
+        let server = setup.server().unwrap();
+        let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
+        let mut a = server.connect_local(&alice).unwrap();
+        a.mkdir("/d").unwrap();
+        a.mkdir("/d/e").unwrap();
+        a.put("/d/e/doc", b"version 1").unwrap();
+        (server, alice, a)
+    };
+
+    // Dry run: how many content-store writes the set-up and the put take.
+    let counting = Arc::new(CountingStore::new(MemStore::new()));
+    let writes = || {
+        let s = counting.stats();
+        s.puts + s.deletes + s.renames + s.batches
+    };
+    let (_server, _, mut a) = launch(Arc::clone(&counting) as Arc<dyn ObjectStore>);
+    let before_put = writes();
+    a.put("/d/e/doc", b"version 2").unwrap();
+    let put_writes = writes() - before_put;
+    assert!(put_writes >= 6, "blob, record, ancestors: {put_writes}");
+
+    for failing in 1..=put_writes {
+        let faulty = Arc::new(FaultStore::new(
+            MemStore::new(),
+            FaultAction::FailWrite,
+            before_put + failing,
+        ));
+        let (server, alice, mut a) = launch(faulty);
+        let acked = a.put("/d/e/doc", b"version 2").is_ok();
+        if !acked {
+            // The refused put may have left its upload open on the session.
+            a = server.connect_local(&alice).unwrap();
+        }
+        for _ in 0..2 {
+            match a.get("/d/e/doc") {
+                Ok(body) if acked => assert_eq!(body, b"version 2", "write {failing}"),
+                Ok(body) => assert!(
+                    body == b"version 1" || body == b"version 2",
+                    "write {failing}: {body:?}"
+                ),
+                Err(e) => assert!(!acked && is_integrity(&e), "write {failing}: {e:?}"),
+            }
+        }
+    }
+}
+
+/// Operations of the cache-on ≡ cache-off property.
+#[derive(Debug, Clone)]
+enum Op {
+    MkDir(u8),
+    Put(u8, u8, Vec<u8>),
+    Get(u8, u8),
+    /// Bob's read: exercises the ACL and member-list path.
+    GetAsBob(u8, u8),
+    Remove(u8, u8),
+    Allow(u8, u8, bool),
+    /// Remember both stores as they are now (at most once per case).
+    Snapshot,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    let body = || proptest::collection::vec(any::<u8>(), 0..600);
+    prop_oneof![
+        (0u8..3).prop_map(Op::MkDir),
+        (0u8..3, 0u8..3, body()).prop_map(|(d, f, b)| Op::Put(d, f, b)),
+        (0u8..3, 0u8..3, body()).prop_map(|(d, f, b)| Op::Put(d, f, b)),
+        (0u8..3, 0u8..3).prop_map(|(d, f)| Op::Get(d, f)),
+        (0u8..3, 0u8..3).prop_map(|(d, f)| Op::GetAsBob(d, f)),
+        (0u8..3, 0u8..3).prop_map(|(d, f)| Op::Remove(d, f)),
+        (0u8..3, 0u8..3, any::<bool>()).prop_map(|(d, f, allow)| Op::Allow(d, f, allow)),
+        Just(Op::Snapshot),
+    ]
+}
+
+fn path(d: u8, f: u8) -> String {
+    format!("/d{d}/f{f}")
+}
+
+/// A response, comparable across configurations.
+fn outcome<T>(result: Result<T, SegShareError>) -> Result<T, String> {
+    result.map_err(|e| match e {
+        SegShareError::Request { code, .. } => format!("{code:?}"),
+        other => format!("{other:?}"),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        max_shrink_iters: 0,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn cache_changes_no_result_and_never_serves_a_rolled_back_body(
+        ops in proptest::collection::vec(op(), 1..40)
+    ) {
+        let rigs = [rig(cached_config(), 308), rig(EnclaveConfig::default(), 308)];
+        let mut clients = Vec::new();
+        for r in &rigs {
+            let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+            let bob = r.setup.enroll_user("bob", "b@x", "Bob").unwrap();
+            clients.push((
+                r.server.connect_local(&alice).unwrap(),
+                r.server.connect_local(&bob).unwrap(),
+            ));
+        }
+        // Untampered: both configurations answer every request alike.
+        let mut latest: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let mut snapshotted = false;
+        for op in &ops {
+            let mut seen = Vec::new();
+            for (a, b) in &mut clients {
+                seen.push(match op {
+                    Op::MkDir(d) => outcome(a.mkdir(&format!("/d{d}")).map(|()| Vec::new())),
+                    Op::Put(d, f, body) => outcome(a.put(&path(*d, *f), body).map(|()| Vec::new())),
+                    Op::Get(d, f) => outcome(a.get(&path(*d, *f))),
+                    Op::GetAsBob(d, f) => outcome(b.get(&path(*d, *f))),
+                    Op::Remove(d, f) => outcome(a.remove(&path(*d, *f)).map(|()| Vec::new())),
+                    Op::Allow(d, f, allow) => {
+                        let perm = if *allow { Perm::Read } else { Perm::Deny };
+                        outcome(a.set_perm(&path(*d, *f), "~bob", perm).map(|()| Vec::new()))
+                    }
+                    Op::Snapshot => Ok(Vec::new()),
+                });
+            }
+            prop_assert_eq!(&seen[0], &seen[1], "{:?}", op);
+            match (op, &seen[0]) {
+                (Op::Put(d, f, body), Ok(_)) => drop(latest.insert(path(*d, *f), body.clone())),
+                (Op::Remove(d, f), Ok(_)) => drop(latest.remove(&path(*d, *f))),
+                (Op::Snapshot, _) if !snapshotted => {
+                    snapshotted = true;
+                    rigs[0].content.snapshot_everything().unwrap();
+                    rigs[0].group.snapshot_everything().unwrap();
+                }
+                _ => {}
+            }
+        }
+        // Then both stores go back to the snapshot under the warm cache:
+        // the latest body, or an error — never an older one.
+        if snapshotted {
+            rigs[0].content.rollback_everything().unwrap();
+            rigs[0].group.rollback_everything().unwrap();
+            let (a, _) = &mut clients[0];
+            for d in 0..3 {
+                for f in 0..3 {
+                    if let Ok(body) = a.get(&path(d, f)) {
+                        prop_assert_eq!(Some(&body), latest.get(&path(d, f)));
+                    }
+                }
+            }
+        }
+    }
 }

@@ -328,3 +328,37 @@ fn disabled_health_plane_is_inert() {
     r.server.set_health(true);
     assert!(health.enabled());
 }
+
+#[test]
+fn stale_ancestor_record_under_a_warm_cache_is_a_tree_finding() {
+    // With trusted records written through the cache, requests never
+    // read a hot directory's stored hash record again — the scrubber's
+    // walk is the only reader left, so it must take it from the store.
+    let config = EnclaveConfig {
+        cache: true,
+        hide_names: false,
+        ..EnclaveConfig::default()
+    };
+    let r = rig(config, 707);
+    let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = r.server.connect_local(&alice).unwrap();
+    a.mkdir("/payroll").unwrap();
+    a.put("/payroll/salaries", b"2024").unwrap();
+    assert_eq!(run_scrub_pass(&r.server), 0);
+
+    // An authentic but older record of the directory.
+    let record = "h!D:/payroll/";
+    r.content.snapshot_object(record).unwrap();
+    a.put("/payroll/bonuses", b"2025").unwrap();
+    r.content.rollback_object(record).unwrap();
+
+    // Requests are answered from the trusted copies and notice nothing.
+    assert_eq!(a.get("/payroll/salaries").unwrap(), b"2024");
+    assert_eq!(a.get("/payroll/bonuses").unwrap(), b"2025");
+
+    let findings = run_scrub_pass(&r.server);
+    assert!(findings > 0, "the next pass reports the stale record");
+    let health = r.server.enclave().health();
+    assert!(health.findings(ScrubCheck::Tree) > 0);
+    assert_eq!(health.state_code(), 2);
+}
