@@ -30,6 +30,7 @@ fn main() {
     let wan = wan();
     println!("== Fig. 3: upload/download latency vs file size ==");
     println!("AES-GCM backend: {}", seg_crypto::gcm::Gcm::backend());
+    println!("SHA-256 backend: {}", seg_crypto::sha256::Sha256::backend());
     println!();
     println!(
         "{:>6} {:>5} | {:>10} | {:>10} {:>10} | {:>10} | paper(200MB: seg 2.39/2.17, apache 4.74/2.62, nginx 1.84/0.93)",

@@ -24,6 +24,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use seg_bench::harness::{arg_flag, fmt_s, measure, Measured, Rig};
+use seg_bench::history;
 use seg_bench::json::{self, Json};
 use seg_fs::Perm;
 use segshare::EnclaveConfig;
@@ -1252,6 +1253,7 @@ fn main() {
 
     println!("== perf gate ==");
     println!("AES-GCM backend: {}", seg_crypto::gcm::Gcm::backend());
+    println!("SHA-256 backend: {}", seg_crypto::sha256::Sha256::backend());
 
     let rig = Rig::new(EnclaveConfig::paper_prototype());
     rig.setup
@@ -1459,6 +1461,24 @@ fn main() {
     std::fs::write(&report_path, &report).expect("write BENCH_perf.json");
     println!("wrote {}", report_path.display());
 
+    println!("-- trajectory (BENCH_history.jsonl, vs the previous row) --");
+    let (gcm_mb_per_s, hmac_us) = history::crypto_probes();
+    let row = history::Row {
+        commit: history::commit(&root),
+        runs,
+        means_s: results
+            .iter()
+            .map(|r| (r.name.to_string(), r.measured.mean_s))
+            .collect(),
+        phases_ns: phase_self_times(&profile)
+            .into_iter()
+            .map(|(leaf, ns)| (leaf.to_string(), ns))
+            .collect(),
+        gcm_mb_per_s,
+        hmac_us,
+    };
+    history::record(&root.join("BENCH_history.jsonl"), &row).expect("append BENCH_history.jsonl");
+
     std::fs::create_dir_all(root.join("results")).expect("results dir");
     let collapsed_path = root.join("results/flame_perf.txt");
     std::fs::write(&collapsed_path, profile.to_collapsed()).expect("write collapsed flamegraph");
@@ -1631,6 +1651,18 @@ fn build_baseline(results: &[WorkloadResult]) -> String {
     out
 }
 
+/// Self time per leaf phase across every profiled operation.
+fn phase_self_times(profile: &seg_obs::ProfSnapshot) -> Vec<(&'static str, u64)> {
+    let all_ops: Vec<&str> = profile
+        .entries
+        .iter()
+        .map(seg_obs::ProfEntry::op)
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    profile.phase_breakdown(&all_ops)
+}
+
 /// The full machine-readable report: per-workload wall-clock stats,
 /// protocol-op latency quantiles from the metrics
 /// snapshot, and per-phase self-times from the profiler.
@@ -1654,6 +1686,11 @@ fn build_report(
         out,
         "  \"gcm_backend\": \"{}\",",
         seg_crypto::gcm::Gcm::backend()
+    );
+    let _ = writeln!(
+        out,
+        "  \"sha256_backend\": \"{}\",",
+        seg_crypto::sha256::Sha256::backend()
     );
 
     out.push_str("  \"workloads\": {\n");
@@ -1693,14 +1730,7 @@ fn build_report(
 
     // Per-phase self time across all operations, grouped by leaf phase
     // (simulated time folded in).
-    let all_ops: Vec<&str> = profile
-        .entries
-        .iter()
-        .map(seg_obs::ProfEntry::op)
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let breakdown = profile.phase_breakdown(&all_ops);
+    let breakdown = phase_self_times(profile);
     out.push_str("  \"phases\": {\n");
     for (i, (leaf, ns)) in breakdown.iter().enumerate() {
         let comma = if i + 1 < breakdown.len() { "," } else { "" };

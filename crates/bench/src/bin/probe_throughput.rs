@@ -2,10 +2,16 @@
 
 use seg_bench::harness::{print_metrics_sidecar_since, Rig};
 use seg_crypto::gcm::Gcm;
+use seg_crypto::sha256::Sha256;
 use segshare::EnclaveConfig;
 use std::time::Instant;
 
 fn main() {
+    println!(
+        "backends: {} AES-GCM, {} SHA-256",
+        Gcm::backend(),
+        Sha256::backend()
+    );
     let gcm = Gcm::new(&[7u8; 16]).unwrap();
     let data = vec![0u8; 64 * 1024 * 1024];
     let iv = [1u8; 12];
@@ -27,7 +33,7 @@ fn main() {
     );
     // SHA-256
     let start = Instant::now();
-    let _ = seg_crypto::sha256::Sha256::digest(&data);
+    let _ = Sha256::digest(&data);
     let elapsed = start.elapsed();
     println!(
         "SHA256 64MB: {:?} -> {:.1} MB/s",

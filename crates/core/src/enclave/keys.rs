@@ -8,10 +8,11 @@
 //! with domain separation, so replicas sharing `SK_r` (§V-F) derive
 //! identical keys.
 
-use seg_crypto::hkdf;
-use seg_crypto::hmac::hmac_sha256;
+use seg_crypto::hkdf::RootPrk;
+use seg_crypto::hmac::Hmac;
 use seg_crypto::mset::MsetKey;
 use seg_crypto::pae::PaeKey;
+use seg_crypto::sha256::Sha256;
 
 use super::names::{ObjectId, StoreKind};
 
@@ -28,16 +29,26 @@ pub fn hex(bytes: &[u8]) -> String {
 }
 
 /// The derived-key hierarchy rooted at `SK_r`.
+///
+/// Everything a request needs several times is derived once and kept as
+/// a keyed HMAC state — the extracted root, and the per-store and
+/// per-domain MAC keys — so each derived key, storage name and
+/// fingerprint costs one short HMAC. Those states are as secret as the
+/// keys they stand for.
 #[derive(Clone)]
 pub struct KeyHierarchy {
     root: [u8; 32],
-    /// Per-store keys, derived once: every tree-hash update and every
-    /// hidden storage key needs one, several times per request.
+    prk: RootPrk,
     mset: [MsetKey; 3],
-    hide: [[u8; 32]; 3],
+    hide: [Hmac<Sha256>; 3],
+    fingerprint: [Hmac<Sha256>; 3],
 }
 
 const STORES: [StoreKind; 3] = [StoreKind::Content, StoreKind::Group, StoreKind::Dedup];
+
+/// The fingerprint domains with a kept MAC state; any other domain
+/// derives its key per call.
+const FINGERPRINT_DOMAINS: [&str; 3] = ["user", "object", "orphan"];
 
 fn store_index(store: StoreKind) -> usize {
     match store {
@@ -57,13 +68,15 @@ impl KeyHierarchy {
     /// Builds the hierarchy from the unsealed root key.
     #[must_use]
     pub fn new(root: [u8; 32]) -> KeyHierarchy {
-        let derive = |label: &str, store: StoreKind| {
-            hkdf::derive_key_256(&root, label, store.label().as_bytes())
-        };
+        let prk = RootPrk::new(&root);
+        let per_store = |label: &str, s: StoreKind| prk.derive_key_256(label, s.label().as_bytes());
         KeyHierarchy {
             root,
-            mset: STORES.map(|s| MsetKey::from_bytes(derive("mset", s))),
-            hide: STORES.map(|s| derive("hide", s)),
+            mset: STORES.map(|s| MsetKey::from_bytes(per_store("mset", s))),
+            hide: STORES.map(|s| Hmac::new(&per_store("hide", s))),
+            fingerprint: FINGERPRINT_DOMAINS
+                .map(|d| Hmac::new(&prk.derive_key_256("fingerprint", d.as_bytes()))),
+            prk,
         }
     }
 
@@ -77,17 +90,17 @@ impl KeyHierarchy {
     /// key SK_f per file ... derived from a root key SK_r").
     #[must_use]
     pub fn file_key(&self, id: &ObjectId) -> [u8; 16] {
-        hkdf::derive_key_128(&self.root, "file", id.canonical().as_bytes())
+        self.prk.derive_key_128("file", id.canonical().as_bytes())
     }
 
     /// The PAE key protecting an object's rollback-tree hash record.
     #[must_use]
     pub fn hash_record_key(&self, id: &ObjectId) -> PaeKey {
-        PaeKey::from_bytes(&hkdf::derive_key_128(
-            &self.root,
-            "hash-record",
-            id.canonical().as_bytes(),
-        ))
+        PaeKey::from_bytes(
+            &self
+                .prk
+                .derive_key_128("hash-record", id.canonical().as_bytes()),
+        )
     }
 
     /// The multiset-hash key for a store's rollback tree (§V-D).
@@ -96,11 +109,11 @@ impl KeyHierarchy {
         &self.mset[store_index(store)]
     }
 
-    /// The filename-hiding HMAC key for a store (§V-C: "it calculates
-    /// the path's HMAC using SK_r").
-    #[must_use]
-    pub fn hide_key(&self, store: StoreKind) -> &[u8; 32] {
-        &self.hide[store_index(store)]
+    /// The hidden name of `parts` concatenated (§V-C: "it calculates
+    /// the path's HMAC using SK_r"), under the store's filename-hiding
+    /// key.
+    fn hidden_name(&self, store: StoreKind, parts: &[&[u8]]) -> String {
+        hex(&self.hide[store_index(store)].mac_parts(parts))
     }
 
     /// The untrusted-store key for an object. With hiding enabled, "all
@@ -110,10 +123,7 @@ impl KeyHierarchy {
     pub fn storage_key(&self, id: &ObjectId, hide: bool) -> String {
         let canonical = id.canonical();
         if hide {
-            hex(&hmac_sha256(
-                self.hide_key(id.store()),
-                canonical.as_bytes(),
-            ))
+            self.hidden_name(id.store(), &[canonical.as_bytes()])
         } else {
             canonical
         }
@@ -122,14 +132,11 @@ impl KeyHierarchy {
     /// The untrusted-store key for an object's hash record.
     #[must_use]
     pub fn hash_record_storage_key(&self, id: &ObjectId, hide: bool) -> String {
-        let canonical = format!("h!{}", id.canonical());
+        let canonical = id.canonical();
         if hide {
-            hex(&hmac_sha256(
-                self.hide_key(id.store()),
-                canonical.as_bytes(),
-            ))
+            self.hidden_name(id.store(), &[b"h!", canonical.as_bytes()])
         } else {
-            canonical
+            format!("h!{canonical}")
         }
     }
 
@@ -139,7 +146,7 @@ impl KeyHierarchy {
     /// never exposes history.
     #[must_use]
     pub fn audit_key(&self) -> PaeKey {
-        PaeKey::from_bytes(&hkdf::derive_key_128(&self.root, "audit", b""))
+        PaeKey::from_bytes(&self.prk.derive_key_128("audit", b""))
     }
 
     /// A stable, keyed, non-invertible 64-bit fingerprint of an
@@ -150,8 +157,11 @@ impl KeyHierarchy {
     /// cannot reverse them without the enclave-resident key.
     #[must_use]
     pub fn fingerprint(&self, domain: &str, data: &[u8]) -> u64 {
-        let key = hkdf::derive_key_256(&self.root, "fingerprint", domain.as_bytes());
-        let mac = hmac_sha256(&key, data);
+        let mac = match FINGERPRINT_DOMAINS.iter().position(|d| *d == domain) {
+            Some(i) => self.fingerprint[i].mac_parts(&[data]),
+            None => Hmac::new(&self.prk.derive_key_256("fingerprint", domain.as_bytes()))
+                .mac_parts(&[data]),
+        };
         u64::from_le_bytes(mac[..8].try_into().expect("8 bytes"))
     }
 
@@ -159,7 +169,7 @@ impl KeyHierarchy {
     /// over the file's content using the root key SK_r").
     #[must_use]
     pub fn dedup_name_key(&self) -> [u8; 32] {
-        hkdf::derive_key_256(&self.root, "dedup-name", b"")
+        self.prk.derive_key_256("dedup-name", b"")
     }
 
     /// The file key of a deduplicated blob, derived from its content
@@ -168,7 +178,7 @@ impl KeyHierarchy {
     /// secret).
     #[must_use]
     pub fn dedup_blob_key(&self, hname: &str) -> [u8; 16] {
-        hkdf::derive_key_128(&self.root, "dedup-blob", hname.as_bytes())
+        self.prk.derive_key_128("dedup-blob", hname.as_bytes())
     }
 }
 
@@ -225,23 +235,107 @@ mod tests {
 
     #[test]
     fn per_store_keys_are_the_hkdf_derivations() {
-        // Derived once at construction, same bytes as deriving per call:
-        // stored keys and tree hashes of existing deployments must not
-        // move.
+        // Everything is derived once at construction and kept as keyed
+        // MAC states; the bytes must be those of deriving per call with
+        // `hkdf::derive_key_*` and `hmac_sha256`, as before the states
+        // were kept: keys, names and tree hashes of existing deployments
+        // must not move.
+        use seg_crypto::hkdf::{derive_key_128, derive_key_256};
+        use seg_crypto::hmac::hmac_sha256;
+        use seg_crypto::mset::MsetHash;
+        use seg_crypto::rng::DeterministicRng;
+
         let k = kh();
-        for store in STORES {
-            let label = store.label().as_bytes();
+        let root = *k.root();
+        let ids = [
+            id("/a"),
+            id("/secret-project/plan"),
+            ObjectId::DirData(SegPath::root()),
+            ObjectId::Acl(SegPath::parse("/a").unwrap()),
+            ObjectId::GroupRoot,
+            ObjectId::GroupList,
+            ObjectId::MemberList(seg_fs::UserId::new("alice").unwrap()),
+            ObjectId::DedupBlob("00ff".to_string()),
+            ObjectId::DedupIndex,
+        ];
+        // PAE keys are opaque: equal iff one opens what the other sealed.
+        let same_pae_key = |a: &PaeKey, b: [u8; 16]| {
+            let sealed =
+                seg_crypto::pae::pae_enc(a, b"m", b"aad", &mut DeterministicRng::seeded(1));
+            seg_crypto::pae::pae_dec(&PaeKey::from_bytes(&b), &sealed, b"aad").is_ok()
+        };
+        for id in &ids {
+            let canonical = id.canonical();
+            let label = id.store().label().as_bytes();
             assert_eq!(
-                k.hide_key(store),
-                &hkdf::derive_key_256(k.root(), "hide", label)
+                k.file_key(id),
+                derive_key_128(&root, "file", canonical.as_bytes())
             );
-            let direct = MsetKey::from_bytes(hkdf::derive_key_256(k.root(), "mset", label));
+            assert!(same_pae_key(
+                &k.hash_record_key(id),
+                derive_key_128(&root, "hash-record", canonical.as_bytes())
+            ));
+            let hide = derive_key_256(&root, "hide", label);
             assert_eq!(
-                seg_crypto::mset::MsetHash::of(k.mset_key(store), b"e"),
-                seg_crypto::mset::MsetHash::of(&direct, b"e")
+                k.storage_key(id, true),
+                hex(&hmac_sha256(&hide, canonical.as_bytes()))
             );
+            assert_eq!(
+                k.hash_record_storage_key(id, true),
+                hex(&hmac_sha256(&hide, format!("h!{canonical}").as_bytes()))
+            );
+            assert_eq!(k.storage_key(id, false), canonical);
+            assert_eq!(
+                k.hash_record_storage_key(id, false),
+                format!("h!{canonical}")
+            );
+            let direct = MsetKey::from_bytes(derive_key_256(&root, "mset", label));
+            assert_eq!(
+                MsetHash::of(k.mset_key(id.store()), canonical.as_bytes()),
+                MsetHash::of(&direct, canonical.as_bytes())
+            );
+            for domain in ["user", "object", "orphan", "unlisted"] {
+                let key = derive_key_256(&root, "fingerprint", domain.as_bytes());
+                let mac = hmac_sha256(&key, canonical.as_bytes());
+                assert_eq!(
+                    k.fingerprint(domain, canonical.as_bytes()),
+                    u64::from_le_bytes(mac[..8].try_into().unwrap()),
+                    "{domain}"
+                );
+            }
         }
-        assert_ne!(k.hide_key(StoreKind::Content), k.hide_key(StoreKind::Group));
+        assert_eq!(
+            k.dedup_blob_key("00ff"),
+            derive_key_128(&root, "dedup-blob", b"00ff")
+        );
+        assert_eq!(k.dedup_name_key(), derive_key_256(&root, "dedup-name", b""));
+        assert!(same_pae_key(
+            &k.audit_key(),
+            derive_key_128(&root, "audit", b"")
+        ));
+        assert_ne!(
+            k.storage_key(&ObjectId::GroupRoot, true),
+            k.storage_key(&ObjectId::DedupIndex, true)
+        );
+    }
+
+    #[test]
+    fn derived_bytes_are_pinned() {
+        // Taken from the commit before the MAC states were kept.
+        let k = kh();
+        assert_eq!(
+            hex(&k.file_key(&id("/a"))),
+            "5dd5d89128bb3201b60f51747bb65ec5"
+        );
+        assert_eq!(
+            k.storage_key(&id("/a"), true),
+            "2cab01247d0c91b0dc0ac4df7f839ee5befa182191663a78eb3712f4eaa8d210"
+        );
+        assert_eq!(
+            k.hash_record_storage_key(&id("/a"), true),
+            "90eba2b77c36590238caf87ac7c90d10fe7e8a2934ea1ad9ebba0e5830f3109b"
+        );
+        assert_eq!(k.fingerprint("user", b"alice"), 0xa5d1_6bab_61f3_64d3);
     }
 
     #[test]

@@ -750,31 +750,19 @@ impl TrustedStore {
         v % self.bucket_count()
     }
 
-    fn elem_path(id: &ObjectId) -> Vec<u8> {
-        let mut e = b"path:".to_vec();
-        e.extend_from_slice(id.canonical().as_bytes());
+    /// The multiset element of bucket `index` of a node.
+    fn elem_bucket(index: usize, bucket: &MsetHash) -> [u8; 7 + 4 + MSET_HASH_LEN] {
+        let mut e = [0u8; 7 + 4 + MSET_HASH_LEN];
+        e[..7].copy_from_slice(b"bucket:");
+        e[7..11].copy_from_slice(&(index as u32).to_le_bytes());
+        e[11..].copy_from_slice(&bucket.to_bytes());
         e
     }
 
-    fn elem_head(header: &[u8]) -> Vec<u8> {
-        let mut e = b"head:".to_vec();
-        e.extend_from_slice(header);
-        e
-    }
-
-    fn elem_bucket(index: usize, bucket: &MsetHash) -> Vec<u8> {
-        let mut e = b"bucket:".to_vec();
-        e.extend_from_slice(&(index as u32).to_le_bytes());
-        e.extend_from_slice(&bucket.to_bytes());
-        e
-    }
-
-    fn elem_child(id: &ObjectId, main: &MsetHash) -> Vec<u8> {
-        let mut e = b"child:".to_vec();
-        e.extend_from_slice(id.canonical().as_bytes());
-        e.push(0);
-        e.extend_from_slice(&main.to_bytes());
-        e
+    /// The multiset element of a child with main hash `main`, as the
+    /// parts the keyed hash state absorbs in turn.
+    fn elem_child<'a>(canonical: &'a str, main: &'a [u8; MSET_HASH_LEN]) -> [&'a [u8]; 4] {
+        [b"child:", canonical.as_bytes(), &[0], main]
     }
 
     /// `H(path) + H(head)`: the part of a node's main hash that binds
@@ -782,8 +770,8 @@ impl TrustedStore {
     fn node_binding(&self, id: &ObjectId, header: &[u8]) -> MsetHash {
         let key = self.keys.mset_key(id.store());
         let mut binding = MsetHash::empty();
-        binding.add(key, &Self::elem_path(id));
-        binding.add(key, &Self::elem_head(header));
+        binding.add_parts(key, &[b"path:", id.canonical().as_bytes()]);
+        binding.add_parts(key, &[b"head:", header]);
         binding
     }
 
@@ -828,17 +816,17 @@ impl TrustedStore {
                 return Err(integrity(&parent, "bucket count mismatch"));
             }
             let old_bucket = rec.buckets[b];
-            match &cur_change {
-                TreeChange::Insert { new } => {
-                    rec.buckets[b].add(key, &Self::elem_child(&cur, new));
-                }
-                TreeChange::Replace { old, new } => {
-                    rec.buckets[b].remove(key, &Self::elem_child(&cur, old));
-                    rec.buckets[b].add(key, &Self::elem_child(&cur, new));
-                }
-                TreeChange::Remove { old } => {
-                    rec.buckets[b].remove(key, &Self::elem_child(&cur, old));
-                }
+            let name = cur.canonical();
+            let (old, new) = match &cur_change {
+                TreeChange::Insert { new } => (None, Some(new)),
+                TreeChange::Replace { old, new } => (Some(old), Some(new)),
+                TreeChange::Remove { old } => (Some(old), None),
+            };
+            if let Some(old) = old {
+                rec.buckets[b].remove_parts(key, &Self::elem_child(&name, &old.to_bytes()));
+            }
+            if let Some(new) = new {
+                rec.buckets[b].add_parts(key, &Self::elem_child(&name, &new.to_bytes()));
             }
             let old_main = rec.main;
             rec.main.replace(
@@ -1095,7 +1083,10 @@ impl TrustedStore {
                         .rec
                         .main
                 };
-                recomputed.add(key, &Self::elem_child(&child, &child_main));
+                recomputed.add_parts(
+                    key,
+                    &Self::elem_child(&child.canonical(), &child_main.to_bytes()),
+                );
             }
             if !cur_listed {
                 return Err(integrity(&cur, "not listed in parent (rollback or tamper)"));
@@ -1453,7 +1444,10 @@ impl TrustedStore {
             for child in self.tree_children(id, &body)? {
                 let child_main = self.rebuild_node(&child)?;
                 let b = self.bucket_index(&child);
-                buckets[b].add(key, &Self::elem_child(&child, &child_main));
+                buckets[b].add_parts(
+                    key,
+                    &Self::elem_child(&child.canonical(), &child_main.to_bytes()),
+                );
             }
         }
         let main = self.node_main(id, self.node_binding(id, &blob[..NODE_LEN]), &buckets);
@@ -2577,5 +2571,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    // Same shape as `pfs::tests::blob_bytes_are_pinned`: the hex was
+    // taken from the commit before element hashing streamed parts into a
+    // kept HMAC state. Stored hash records hold these bytes.
+    #[test]
+    fn root_main_of_a_fixed_tree_is_pinned() {
+        let f = fixture(EnclaveConfig::default());
+        let s = &f.store;
+        let header =
+            |seed: u8| -> Vec<u8> { (0..NODE_LEN).map(|i| seed.wrapping_add(i as u8)).collect() };
+        let key = s.keys.mset_key(StoreKind::Content);
+        let mut buckets = vec![MsetHash::empty(); s.bucket_count()];
+        let leaves = [
+            file_id("/a"),
+            ObjectId::Acl(SegPath::parse("/a").unwrap()),
+            file_id("/b"),
+        ];
+        for (i, leaf) in leaves.iter().enumerate() {
+            let main = s.node_main(leaf, s.node_binding(leaf, &header(i as u8 + 1)), &[]);
+            buckets[s.bucket_index(leaf)].add_parts(
+                key,
+                &TrustedStore::elem_child(&leaf.canonical(), &main.to_bytes()),
+            );
+        }
+        let main = s.node_main(&root_id(), s.node_binding(&root_id(), &header(0)), &buckets);
+        assert_eq!(
+            crate::enclave::keys::hex(&main.to_bytes()),
+            "1e5245726f011e736baa71594baf2a18d37ef61f9a620e87f0ce86709d875a2b4200000000000000"
+        );
     }
 }

@@ -5,7 +5,8 @@
 //! from the ECDHE shared secret. Both use HKDF-SHA-256.
 
 use crate::digest::Digest;
-use crate::hmac::Hmac;
+use crate::hmac::{hmac_sha256, Hmac};
+use crate::sha256::Sha256;
 
 /// HKDF-Extract: concentrates input keying material into a pseudorandom key.
 #[must_use]
@@ -25,11 +26,12 @@ pub fn expand<D: Digest>(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
         len <= 255 * D::OUTPUT_LEN,
         "hkdf output length exceeds RFC 5869 limit"
     );
+    let keyed = Hmac::<D>::new(prk);
     let mut okm = Vec::with_capacity(len);
     let mut previous: Vec<u8> = Vec::new();
     let mut counter = 1u8;
     while okm.len() < len {
-        let mut h = Hmac::<D>::new(prk);
+        let mut h = keyed.clone();
         h.update(&previous);
         h.update(info);
         h.update(&[counter]);
@@ -50,37 +52,57 @@ pub fn hkdf<D: Digest>(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<
     expand::<D>(&prk, info, len)
 }
 
+/// A 32-byte root key HKDF-extracted once under the `segshare-v1` salt,
+/// kept as the keyed HMAC state that HKDF-Expand runs under: each key
+/// derived from it costs one short HMAC. As secret as the root key.
+///
+/// The enclave's key hierarchy keeps one for `SK_r`; [`derive_key_128`]
+/// and [`derive_key_256`] are the same derivation for a root used once.
+#[derive(Clone, Debug)]
+pub struct RootPrk(Hmac<Sha256>);
+
+impl RootPrk {
+    /// Extracts `root`.
+    #[must_use]
+    pub fn new(root: &[u8; 32]) -> RootPrk {
+        RootPrk(Hmac::new(&hmac_sha256(b"segshare-v1", root)))
+    }
+
+    /// Derives a 16-byte AES-128 key bound to a context label — the
+    /// per-file key derivation used by the trusted file manager.
+    #[must_use]
+    pub fn derive_key_128(&self, label: &str, context: &[u8]) -> [u8; 16] {
+        let okm = self.derive_key_256(label, context);
+        okm[..16].try_into().expect("16 of 32 bytes")
+    }
+
+    /// Derives a 32-byte key, same construction as
+    /// [`RootPrk::derive_key_128`].
+    #[must_use]
+    pub fn derive_key_256(&self, label: &str, context: &[u8]) -> [u8; 32] {
+        // HKDF-Expand's first (here: only) block, T(1) = HMAC(PRK, info | 0x01)
+        // with info = label | 0x00 | context; a shorter output is a prefix.
+        self.0.mac_parts(&[label.as_bytes(), &[0], context, &[1]])
+    }
+}
+
 /// Derives a 16-byte AES-128 key from a 32-byte root key and a context
-/// label — the per-file key derivation used by the trusted file manager.
+/// label.
 #[must_use]
 pub fn derive_key_128(root: &[u8; 32], label: &str, context: &[u8]) -> [u8; 16] {
-    let mut info = Vec::with_capacity(label.len() + 1 + context.len());
-    info.extend_from_slice(label.as_bytes());
-    info.push(0);
-    info.extend_from_slice(context);
-    let okm = hkdf::<crate::sha256::Sha256>(b"segshare-v1", root, &info, 16);
-    let mut out = [0u8; 16];
-    out.copy_from_slice(&okm);
-    out
+    RootPrk::new(root).derive_key_128(label, context)
 }
 
 /// Derives a 32-byte key, same construction as [`derive_key_128`].
 #[must_use]
 pub fn derive_key_256(root: &[u8; 32], label: &str, context: &[u8]) -> [u8; 32] {
-    let mut info = Vec::with_capacity(label.len() + 1 + context.len());
-    info.extend_from_slice(label.as_bytes());
-    info.push(0);
-    info.extend_from_slice(context);
-    let okm = hkdf::<crate::sha256::Sha256>(b"segshare-v1", root, &info, 32);
-    let mut out = [0u8; 32];
-    out.copy_from_slice(&okm);
-    out
+    RootPrk::new(root).derive_key_256(label, context)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::Sha256;
+    use crate::sha256::{blocks_compressed, PortableSha256};
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -109,6 +131,9 @@ mod tests {
             hex(&okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
         );
+        // The same on the portable kernel.
+        assert_eq!(extract::<PortableSha256>(&salt, &ikm), prk);
+        assert_eq!(expand::<PortableSha256>(&prk, &info, 42), okm);
     }
 
     // RFC 5869 test case 3 (zero-length salt and info).
@@ -120,6 +145,52 @@ mod tests {
             hex(&okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
         );
+        assert_eq!(hkdf::<PortableSha256>(&[], &ikm, &[], 42), okm);
+    }
+
+    /// `derive_key_*` as written before `RootPrk`: the generic
+    /// extract-then-expand over a concatenated `info`.
+    fn derive_generic(root: &[u8; 32], label: &str, context: &[u8], len: usize) -> Vec<u8> {
+        let info = [label.as_bytes(), &[0], context].concat();
+        hkdf::<Sha256>(b"segshare-v1", root, &info, len)
+    }
+
+    #[test]
+    fn root_prk_is_hkdf_under_the_segshare_salt() {
+        let root = [0x5au8; 32];
+        let prk = RootPrk::new(&root);
+        for (label, context) in [("file", &b"F:/a/b"[..]), ("audit", b""), ("x", &[9u8; 300])] {
+            let k16 = derive_generic(&root, label, context, 16);
+            let k32 = derive_generic(&root, label, context, 32);
+            assert_eq!(prk.derive_key_128(label, context)[..], k16[..]);
+            assert_eq!(prk.derive_key_256(label, context)[..], k32[..]);
+            assert_eq!(derive_key_128(&root, label, context)[..], k16[..]);
+            assert_eq!(derive_key_256(&root, label, context)[..], k32[..]);
+        }
+        // Bytes taken from the commit before `RootPrk`: sealed stores
+        // hold keys derived this way.
+        assert_eq!(
+            hex(&derive_key_128(&[7u8; 32], "file", b"/a")),
+            "7c1c5b876048cc7c939fa0b325c6f6a9"
+        );
+        assert_eq!(
+            hex(&derive_key_256(&[7u8; 32], "mset", b"content")),
+            "10bb6ec8675696e8c42e38d651edd88b4a032cf111e5d8df99abba9082aa40b7"
+        );
+    }
+
+    // A key under a kept `RootPrk` is one short HMAC; extracting and
+    // keying per call, as `derive_key_128` must, is six more.
+    #[test]
+    fn compressions_per_derived_key_are_exact() {
+        let root = [1u8; 32];
+        let prk = RootPrk::new(&root);
+        let before = blocks_compressed();
+        let _ = prk.derive_key_128("hash-record", &[b'p'; 40]);
+        assert_eq!(blocks_compressed() - before, 2);
+        let before = blocks_compressed();
+        let _ = derive_key_128(&root, "hash-record", &[b'p'; 40]);
+        assert_eq!(blocks_compressed() - before, 8);
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! # Modules
 //!
 //! * [`sha256`] / [`sha512`] — FIPS 180-4 hash functions. Round constants
-//!   are *derived* (integer cube/square roots of the first primes) rather
-//!   than transcribed, and pinned by known-answer tests.
-//! * [`hmac`] — FIPS 198-1 HMAC over any [`digest::Digest`].
+//!   are *derived* at compile time (integer cube/square roots of the first
+//!   primes) rather than transcribed, and pinned by known-answer tests.
+//!   SHA-256 runs on the x86-64 SHA extensions where the CPU has them.
+//! * [`hmac`] — FIPS 198-1 HMAC over any [`digest::Digest`]; a keyed
+//!   state can be kept and cloned per message.
 //! * [`hkdf`] — RFC 5869 extract-and-expand KDF, used for the TLS key
-//!   schedule and per-file key derivation.
+//!   schedule and per-file key derivation ([`hkdf::RootPrk`] keeps the
+//!   extracted root).
 //! * [`aes`] — FIPS 197 AES-128/192/256 block cipher.
 //! * [`gcm`] — NIST SP 800-38D Galois/Counter mode.
 //! * [`pae`] — the paper's PAE abstraction (random-IV AES-128-GCM).

@@ -13,15 +13,17 @@
 //! MSet-XOR-Hash security proof: an attacker who cannot evaluate
 //! `HMAC(K, ·)` cannot craft a colliding multiset.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::Hmac;
+use crate::sha256::Sha256;
 
 /// Serialized size of a [`MsetHash`] in bytes (32-byte accumulator plus
 /// 8-byte count).
 pub const MSET_HASH_LEN: usize = 40;
 
-/// The key for a multiset hash domain.
+/// The key for a multiset hash domain, held as the keyed HMAC state so an
+/// element hash does not pay for keying again.
 #[derive(Clone)]
-pub struct MsetKey([u8; 32]);
+pub struct MsetKey(Hmac<Sha256>);
 
 impl std::fmt::Debug for MsetKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -33,12 +35,7 @@ impl MsetKey {
     /// Wraps raw 32-byte key material.
     #[must_use]
     pub fn from_bytes(key: [u8; 32]) -> Self {
-        MsetKey(key)
-    }
-
-    /// Hashes one element into its accumulator contribution.
-    fn element_hash(&self, element: &[u8]) -> [u8; 32] {
-        hmac_sha256(&self.0, element)
+        MsetKey(Hmac::new(&key))
     }
 }
 
@@ -106,12 +103,24 @@ impl MsetHash {
         h
     }
 
-    /// Adds one element occurrence.
-    pub fn add(&mut self, key: &MsetKey, element: &[u8]) {
-        let eh = key.element_hash(element);
+    /// XORs in the hash of the element that is the concatenation of
+    /// `parts`.
+    fn toggle(&mut self, key: &MsetKey, parts: &[&[u8]]) {
+        let eh = key.0.mac_parts(parts);
         for (a, e) in self.acc.iter_mut().zip(eh.iter()) {
             *a ^= e;
         }
+    }
+
+    /// Adds one element occurrence.
+    pub fn add(&mut self, key: &MsetKey, element: &[u8]) {
+        self.add_parts(key, &[element]);
+    }
+
+    /// Adds one occurrence of the element that is the concatenation of
+    /// `parts`, without the caller building it.
+    pub fn add_parts(&mut self, key: &MsetKey, parts: &[&[u8]]) {
+        self.toggle(key, parts);
         self.count = self.count.wrapping_add(1);
     }
 
@@ -122,10 +131,13 @@ impl MsetHash {
     /// invariant — in SeGShare the trusted file manager only removes a
     /// child hash it previously stored.
     pub fn remove(&mut self, key: &MsetKey, element: &[u8]) {
-        let eh = key.element_hash(element);
-        for (a, e) in self.acc.iter_mut().zip(eh.iter()) {
-            *a ^= e;
-        }
+        self.remove_parts(key, &[element]);
+    }
+
+    /// [`MsetHash::remove`] of the element that is the concatenation of
+    /// `parts`.
+    pub fn remove_parts(&mut self, key: &MsetKey, parts: &[&[u8]]) {
+        self.toggle(key, parts);
         self.count = self.count.wrapping_sub(1);
     }
 
@@ -254,6 +266,33 @@ mod tests {
         let k1 = MsetKey::from_bytes([1u8; 32]);
         let k2 = MsetKey::from_bytes([2u8; 32]);
         assert_ne!(MsetHash::of(&k1, b"e"), MsetHash::of(&k2, b"e"));
+    }
+
+    #[test]
+    fn kept_state_adds_the_hmac_of_the_element() {
+        // The keyed state is an optimisation only: an element still
+        // contributes HMAC-SHA-256(key, element), whole or in parts.
+        let k = key();
+        let element = [0x77u8; 72];
+        let mut expected = [0u8; MSET_HASH_LEN];
+        expected[..32].copy_from_slice(&crate::hmac::hmac_sha256(&[9u8; 32], &element));
+        expected[32] = 1;
+        assert_eq!(MsetHash::of(&k, &element).to_bytes(), expected);
+
+        let mut parts = MsetHash::empty();
+        parts.add_parts(&k, &[&element[..5], &element[5..]]);
+        assert_eq!(parts.to_bytes(), expected);
+        parts.remove_parts(&k, &[&element[..70], &element[70..]]);
+        assert_eq!(parts, MsetHash::empty());
+
+        // Bytes taken from the commit before the state was kept.
+        let mut h = MsetHash::of(&k, b"alpha");
+        h.add(&k, &element);
+        let hex: String = h.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "4fcb5c8bf28fadd6c701e74c5aba6bc9418c1cb57e5db8dd07063d57bf7287a70200000000000000"
+        );
     }
 
     #[test]

@@ -6,13 +6,24 @@
 //! with exact integer arithmetic and pin the result with known-answer tests
 //! in [`crate::sha256`] / [`crate::sha512`].
 
-/// Returns the first `n` prime numbers.
-pub(crate) fn first_primes(n: usize) -> Vec<u64> {
-    let mut primes = Vec::with_capacity(n);
+/// Returns the first `N` prime numbers.
+pub(crate) const fn first_primes<const N: usize>() -> [u64; N] {
+    let mut primes = [0u64; N];
+    let mut found = 0;
     let mut candidate = 2u64;
-    while primes.len() < n {
-        if primes.iter().all(|p| !candidate.is_multiple_of(*p)) {
-            primes.push(candidate);
+    while found < N {
+        let mut is_prime = true;
+        let mut i = 0;
+        while i < found {
+            if candidate.is_multiple_of(primes[i]) {
+                is_prime = false;
+                break;
+            }
+            i += 1;
+        }
+        if is_prime {
+            primes[found] = candidate;
+            found += 1;
         }
         candidate += 1;
     }
@@ -20,7 +31,7 @@ pub(crate) fn first_primes(n: usize) -> Vec<u64> {
 }
 
 /// A minimal unsigned 256-bit integer, just enough for exact root extraction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct U256 {
     hi: u128,
     lo: u128,
@@ -30,10 +41,15 @@ impl U256 {
     pub(crate) const fn new(hi: u128, lo: u128) -> Self {
         U256 { hi, lo }
     }
+
+    /// `self <= other` (the derived comparison is not `const`).
+    const fn le(self, other: U256) -> bool {
+        self.hi < other.hi || (self.hi == other.hi && self.lo <= other.lo)
+    }
 }
 
 /// Full 256-bit product of two 128-bit integers.
-fn mul_wide(a: u128, b: u128) -> U256 {
+const fn mul_wide(a: u128, b: u128) -> U256 {
     const MASK: u128 = (1u128 << 64) - 1;
     let (a0, a1) = (a & MASK, a >> 64);
     let (b0, b1) = (b & MASK, b >> 64);
@@ -48,12 +64,12 @@ fn mul_wide(a: u128, b: u128) -> U256 {
 }
 
 /// `x * x` as a 256-bit value (`x` unrestricted).
-fn square(x: u128) -> U256 {
+const fn square(x: u128) -> U256 {
     mul_wide(x, x)
 }
 
 /// `x^3` as a 256-bit value. Requires `x < 2^85` so the result fits.
-fn cube(x: u128) -> U256 {
+const fn cube(x: u128) -> U256 {
     debug_assert!(x < 1u128 << 85);
     let x2 = mul_wide(x, x);
     let lo_part = mul_wide(x2.lo, x);
@@ -66,12 +82,12 @@ fn cube(x: u128) -> U256 {
 }
 
 /// Largest `x` with `x^2 <= target`.
-fn isqrt_u256(target: U256) -> u128 {
+const fn isqrt_u256(target: U256) -> u128 {
     let mut lo = 0u128;
     let mut hi = 1u128 << 85;
     while lo < hi {
         let mid = lo + (hi - lo).div_ceil(2);
-        if square(mid) <= target {
+        if square(mid).le(target) {
             lo = mid;
         } else {
             hi = mid - 1;
@@ -81,12 +97,12 @@ fn isqrt_u256(target: U256) -> u128 {
 }
 
 /// Largest `x` with `x^3 <= target`.
-fn icbrt_u256(target: U256) -> u128 {
+const fn icbrt_u256(target: U256) -> u128 {
     let mut lo = 0u128;
     let mut hi = 1u128 << 85;
     while lo < hi {
         let mid = lo + (hi - lo).div_ceil(2);
-        if cube(mid) <= target {
+        if cube(mid).le(target) {
             lo = mid;
         } else {
             hi = mid - 1;
@@ -96,25 +112,25 @@ fn icbrt_u256(target: U256) -> u128 {
 }
 
 /// First 32 fractional bits of `sqrt(p)`.
-pub(crate) fn sqrt_frac32(p: u64) -> u32 {
+pub(crate) const fn sqrt_frac32(p: u64) -> u32 {
     // sqrt(p) * 2^32 = sqrt(p * 2^64)
     (isqrt_u256(U256::new(0, (p as u128) << 64)) & 0xffff_ffff) as u32
 }
 
 /// First 32 fractional bits of `cbrt(p)`.
-pub(crate) fn cbrt_frac32(p: u64) -> u32 {
+pub(crate) const fn cbrt_frac32(p: u64) -> u32 {
     // cbrt(p) * 2^32 = cbrt(p * 2^96)
     (icbrt_u256(U256::new(0, (p as u128) << 96)) & 0xffff_ffff) as u32
 }
 
 /// First 64 fractional bits of `sqrt(p)`.
-pub(crate) fn sqrt_frac64(p: u64) -> u64 {
+pub(crate) const fn sqrt_frac64(p: u64) -> u64 {
     // sqrt(p) * 2^64 = sqrt(p * 2^128)
     (isqrt_u256(U256::new(p as u128, 0)) & 0xffff_ffff_ffff_ffff) as u64
 }
 
 /// First 64 fractional bits of `cbrt(p)`.
-pub(crate) fn cbrt_frac64(p: u64) -> u64 {
+pub(crate) const fn cbrt_frac64(p: u64) -> u64 {
     // cbrt(p) * 2^64 = cbrt(p * 2^192); p * 2^192 has hi limb p << 64.
     (icbrt_u256(U256::new((p as u128) << 64, 0)) & 0xffff_ffff_ffff_ffff) as u64
 }
@@ -125,8 +141,8 @@ mod tests {
 
     #[test]
     fn primes_are_correct() {
-        assert_eq!(first_primes(10), vec![2, 3, 5, 7, 11, 13, 17, 19, 23, 29]);
-        let p80 = first_primes(80);
+        assert_eq!(first_primes::<10>(), [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]);
+        let p80 = first_primes::<80>();
         assert_eq!(p80.len(), 80);
         assert_eq!(p80[63], 311);
         assert_eq!(p80[79], 409);
@@ -169,13 +185,13 @@ mod tests {
 
     #[test]
     fn roots_are_exact_floors() {
-        for p in first_primes(20) {
+        for p in first_primes::<20>() {
             let s = isqrt_u256(U256::new(0, (p as u128) << 64));
-            assert!(square(s) <= U256::new(0, (p as u128) << 64));
-            assert!(square(s + 1) > U256::new(0, (p as u128) << 64));
+            assert!(square(s).le(U256::new(0, (p as u128) << 64)));
+            assert!(!square(s + 1).le(U256::new(0, (p as u128) << 64)));
             let c = icbrt_u256(U256::new(0, (p as u128) << 96));
-            assert!(cube(c) <= U256::new(0, (p as u128) << 96));
-            assert!(cube(c + 1) > U256::new(0, (p as u128) << 96));
+            assert!(cube(c).le(U256::new(0, (p as u128) << 96)));
+            assert!(!cube(c + 1).le(U256::new(0, (p as u128) << 96)));
         }
     }
 }

@@ -1,7 +1,5 @@
 //! SHA-512 (FIPS 180-4), required by Ed25519 (RFC 8032).
 
-use std::sync::OnceLock;
-
 use crate::digest::Digest;
 use crate::sha2gen;
 
@@ -10,29 +8,31 @@ pub const DIGEST_LEN: usize = 64;
 /// Internal block length in bytes.
 pub const BLOCK_LEN: usize = 128;
 
-fn round_constants() -> &'static [u64; 80] {
-    static K: OnceLock<[u64; 80]> = OnceLock::new();
-    K.get_or_init(|| {
-        let primes = sha2gen::first_primes(80);
-        let mut k = [0u64; 80];
-        for (slot, p) in k.iter_mut().zip(primes) {
-            *slot = sha2gen::cbrt_frac64(p);
-        }
-        k
-    })
-}
+/// Round constants: the first 64 fractional bits of the cube roots of the
+/// first 80 primes.
+const K: [u64; 80] = {
+    let primes = sha2gen::first_primes::<80>();
+    let mut k = [0u64; 80];
+    let mut i = 0;
+    while i < 80 {
+        k[i] = sha2gen::cbrt_frac64(primes[i]);
+        i += 1;
+    }
+    k
+};
 
-fn initial_state() -> [u64; 8] {
-    static H: OnceLock<[u64; 8]> = OnceLock::new();
-    *H.get_or_init(|| {
-        let primes = sha2gen::first_primes(8);
-        let mut h = [0u64; 8];
-        for (slot, p) in h.iter_mut().zip(primes) {
-            *slot = sha2gen::sqrt_frac64(p);
-        }
-        h
-    })
-}
+/// Initial state: the first 64 fractional bits of the square roots of the
+/// first 8 primes.
+const H0: [u64; 8] = {
+    let primes = sha2gen::first_primes::<8>();
+    let mut h = [0u64; 8];
+    let mut i = 0;
+    while i < 8 {
+        h[i] = sha2gen::sqrt_frac64(primes[i]);
+        i += 1;
+    }
+    h
+};
 
 /// Streaming SHA-512 state.
 ///
@@ -44,7 +44,7 @@ fn initial_state() -> [u64; 8] {
 /// let digest = Sha512::digest(b"abc");
 /// assert_eq!(digest.len(), 64);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Sha512 {
     state: [u64; 8],
     buffer: [u8; BLOCK_LEN],
@@ -52,12 +52,22 @@ pub struct Sha512 {
     total_len: u128,
 }
 
+impl std::fmt::Debug for Sha512 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never the state or the buffer (see `Sha256`'s `Debug`).
+        f.debug_struct("Sha512")
+            .field("buffered", &self.buffered)
+            .field("total_len", &self.total_len)
+            .finish()
+    }
+}
+
 impl Sha512 {
     /// Creates a fresh hash state.
     #[must_use]
     pub fn new() -> Self {
         Sha512 {
-            state: initial_state(),
+            state: H0,
             buffer: [0u8; BLOCK_LEN],
             buffered: 0,
             total_len: 0,
@@ -129,7 +139,6 @@ impl Sha512 {
     }
 
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let k = round_constants();
         let mut w = [0u64; 80];
         for (i, chunk) in block.chunks_exact(8).enumerate() {
             w[i] = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
@@ -149,7 +158,7 @@ impl Sha512 {
             let t1 = h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(k[i])
+                .wrapping_add(K[i])
                 .wrapping_add(w[i]);
             let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
             let maj = (a & b) ^ (a & c) ^ (b & c);

@@ -1,5 +1,5 @@
 //! Concurrency stress: many threads hammer one `Registry` and one
-//! `TraceRing` under the vendored crossbeam scope.
+//! `TraceRing` from scoped threads.
 //!
 //! Invariants checked:
 //! - counters and histograms lose no increments (exact totals);
@@ -21,7 +21,7 @@ fn registry_and_trace_ring_survive_contention() {
     ring.set_slow_threshold_us(u64::MAX); // exercise the threshold check, capture nothing
 
     let ops: [&'static str; 4] = ["get", "put_file", "add_user", "remove_user"];
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let registry = Arc::clone(&registry);
             s.spawn(move || {
@@ -43,8 +43,7 @@ fn registry_and_trace_ring_survive_contention() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // No lost counts in the registry.
     let snap = registry.snapshot();
@@ -100,7 +99,7 @@ fn lapped_slots_recover_after_contention() {
     let ring = Arc::new(TraceRing::new(2, 1));
     const WRITERS: u64 = 4;
     const PER_WRITER: u64 = 25_000;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..WRITERS {
             let ring = Arc::clone(&ring);
             s.spawn(move || {
@@ -110,8 +109,7 @@ fn lapped_slots_recover_after_contention() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(ring.emitted(), WRITERS * PER_WRITER);
 
     // Whatever was dropped under contention, the ring must not wedge.
@@ -133,7 +131,7 @@ fn concurrent_readers_never_observe_torn_events() {
     let ring = Arc::new(TraceRing::new(64, 8));
     // Writers encode a checkable relation (object = request_id * 3)
     // so a torn read would be visible as a broken pair.
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4u64 {
             let ring = Arc::clone(&ring);
             s.spawn(move || {
@@ -154,7 +152,6 @@ fn concurrent_readers_never_observe_torn_events() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(ring.emitted(), 4 * 50_000);
 }

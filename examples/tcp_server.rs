@@ -89,9 +89,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     println!(
-        "segshare server listening on {addr} ({} front end, {} AES-GCM)",
+        "segshare server listening on {addr} ({} front end, {} AES-GCM, {} SHA-256)",
         if threaded { "threaded" } else { "reactor" },
         seg_crypto::gcm::Gcm::backend(),
+        seg_crypto::sha256::Sha256::backend(),
     );
     if threaded {
         server.set_front_end(segshare::FrontEnd::Threaded);
