@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use seg_bench::harness::{arg_flag, fmt_s, measure, Measured, Rig};
+use seg_bench::harness::{arg_flag, fmt_s, measure, measure_with, Measured, Rig};
 use seg_bench::history;
 use seg_bench::json::{self, Json};
 use seg_fs::Perm;
@@ -76,14 +76,13 @@ impl CacheEvidence {
 /// the store. 800 µs is far below the paper's WAN latencies but enough
 /// that store wait dominates the locked section.
 const CONC_STORE_DELAY: Duration = Duration::from_micros(800);
-/// Minimum aggregate-throughput ratio (per-object locks vs the coarse
-/// global lock) at 8 threads on the disjoint-directory mix.
-const CONC_MIN_SPEEDUP: f64 = 3.0;
+/// Minimum aggregate-throughput ratio (8 threads vs 1 thread, both
+/// under per-object locks) on the disjoint-directory mix.
+const CONC_MIN_SCALING: f64 = 3.0;
 
 /// One measured point of the thread-scaling curve.
 struct ConcurrencyPoint {
     mix: &'static str,
-    mode: &'static str,
     threads: usize,
     ops_per_s: f64,
 }
@@ -139,25 +138,29 @@ const C10K_IDLE_CONNS: usize = 10_000;
 /// a thread stack (8 MiB default): the gate fails if idle connections
 /// cost even 1 % of what threads would.
 const C10K_MAX_IDLE_KIB_PER_CONN: f64 = 64.0;
-/// Hard floor on reactor/threaded aggregate throughput at the
-/// saturating session count. Both front ends drive the same enclave on
-/// the same cores, so the ratio prices only the dispatch layer;
-/// parity (~1.0x) is the measured norm and 0.90 is the scheduler-noise
-/// guard band (same convention as the other throughput gates), still
-/// low enough to fail any real dispatch-layer regression.
-const C10K_MIN_SATURATION_RATIO: f64 = 0.90;
-/// Session counts for the front-end scaling curve.
-const C10K_CURVE: [usize; 4] = [1, 2, 4, 8];
+/// Session counts for the front-end scaling curve, each with the
+/// gated row it records: the wall seconds for every session to finish
+/// [`C10K_OPS`] operations.
+const C10K_CURVE: [(usize, &str); 4] = [(1, "c10k_1"), (2, "c10k_2"), (4, "c10k_4"), (8, "c10k_8")];
+/// Operations per session in one curve round (the same under `--quick`,
+/// so a quick run is comparable with the recorded baseline).
+const C10K_OPS: usize = 32;
 
 /// One measured point of the front-end scaling curve.
 struct C10kPoint {
-    mode: &'static str,
+    name: &'static str,
     sessions: usize,
-    ops_per_s: f64,
+    measured: Measured,
+}
+
+impl C10kPoint {
+    fn ops_per_s(&self) -> f64 {
+        (self.sessions * C10K_OPS) as f64 / self.measured.mean_s
+    }
 }
 
 /// Evidence from the c10k workload: idle-connection memory footprint,
-/// service quality at scale, and the saturation throughput comparison.
+/// service quality at scale, and the saturation curve.
 struct C10kEvidence {
     idle_conns: usize,
     /// Resident-set growth per held idle connection, in KiB
@@ -170,8 +173,6 @@ struct C10kEvidence {
     /// idle mass was held.
     responsive_at_scale: bool,
     curve: Vec<C10kPoint>,
-    /// reactor / threaded aggregate ops/s at the saturating count.
-    saturation_ratio: f64,
 }
 
 /// Resident set size in KiB from `/proc/self/status` (Linux), or
@@ -303,51 +304,6 @@ fn check_durability(points: &[DurabilityPoint]) -> Vec<String> {
     failures
 }
 
-/// Runs `sessions` full client sessions against `rig` under whichever
-/// front end is currently selected, each performing `ops` operations
-/// (3:1 upload:download of 4 KiB files in a private directory), and
-/// returns aggregate operations per second. Handshakes and directory
-/// setup are outside the timed window; `round` keeps names unique.
-fn run_c10k_point(rig: &Rig, sessions: usize, ops: usize, round: u32) -> f64 {
-    let payload: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-    let mut clients = Vec::with_capacity(sessions);
-    for t in 0..sessions {
-        let mut client = rig.client();
-        let dir = format!("/fe{round}x{t}");
-        client.mkdir(&dir).expect("mkdir");
-        clients.push((client, dir));
-    }
-    let barrier = Barrier::new(sessions + 1);
-    let elapsed = std::thread::scope(|scope| {
-        let handles: Vec<_> = clients
-            .into_iter()
-            .map(|(mut client, dir)| {
-                let barrier = &barrier;
-                let payload = &payload;
-                scope.spawn(move || {
-                    barrier.wait();
-                    for j in 0..ops {
-                        if j % 4 == 3 {
-                            let back = format!("{dir}/f{}", j - 1);
-                            let got = client.get(&back).expect("download");
-                            assert_eq!(got.len(), payload.len());
-                        } else {
-                            client.put(&format!("{dir}/f{j}"), payload).expect("upload");
-                        }
-                    }
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        for h in handles {
-            h.join().expect("worker thread");
-        }
-        start.elapsed().as_secs_f64()
-    });
-    (sessions * ops) as f64 / elapsed
-}
-
 /// The c10k workload, in two acts.
 ///
 /// **Idle hold**: open [`C10K_IDLE_CONNS`] reactor connections (each a
@@ -358,13 +314,10 @@ fn run_c10k_point(rig: &Rig, sessions: usize, ops: usize, round: u32) -> f64 {
 /// handshake and serve requests — C10K means *service* at scale, not
 /// just accepted sockets.
 ///
-/// **Saturation**: the same 4 KiB put/get mix through full TLS
-/// sessions under the reactor and under the thread-per-connection
-/// front end, across [`C10K_CURVE`] session counts (best-of-`reps`
-/// per point). The reactor replaces two threads per connection with a
-/// fixed pool, and the gate demands it gives up none of the
-/// throughput that simplicity bought.
-fn run_c10k(quick: bool) -> C10kEvidence {
+/// **Saturation**: the 4 KiB put/get mix of [`run_session_mix`]
+/// through full TLS sessions across [`C10K_CURVE`] session counts.
+/// Each point is a gated row of `results/bench_baseline.json`.
+fn run_c10k(quick: bool, runs: usize) -> C10kEvidence {
     let idle_conns = if quick {
         C10K_IDLE_CONNS / 5
     } else {
@@ -409,53 +362,31 @@ fn run_c10k(quick: bool) -> C10kEvidence {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    // -- act 2: saturation curve, reactor vs thread-per-conn ------
-    let reps = if quick { 2 } else { 3 };
-    let ops = if quick { 16 } else { 32 };
-    let mut curve = Vec::new();
-    let mut round = 0u32;
-    for (mode, front) in [
-        ("reactor", segshare::FrontEnd::Reactor),
-        ("threaded", segshare::FrontEnd::Threaded),
-    ] {
-        let rig = Rig::new(EnclaveConfig {
-            cache: true,
-            ..EnclaveConfig::paper_prototype()
+    // -- act 2: saturation curve ---------------------------------
+    let rig = Rig::new(EnclaveConfig {
+        cache: true,
+        ..EnclaveConfig::paper_prototype()
+    });
+    // Match the worker pool to the curve's session fan-out: a
+    // core-count-sized pool (the 1-core CI box defaults to 2) would
+    // measure pool starvation, not front-end overhead.
+    rig.server
+        .set_reactor_config(seg_net::reactor::ReactorConfig {
+            workers: C10K_CURVE[C10K_CURVE.len() - 1].0,
+            ..seg_net::reactor::ReactorConfig::default()
         });
-        rig.server.set_front_end(front);
-        // Match the worker pool to the curve's session fan-out: the
-        // threaded front end gets one thread per session for free, so
-        // a core-count-sized pool would measure pool starvation, not
-        // front-end overhead (the 1-core CI box defaults to 2).
-        rig.server
-            .set_reactor_config(seg_net::reactor::ReactorConfig {
-                workers: *C10K_CURVE.last().expect("curve is non-empty"),
-                ..seg_net::reactor::ReactorConfig::default()
-            });
-        for &sessions in &C10K_CURVE {
-            // Best-of-reps: scheduler noise is one-sided (see
-            // `run_concurrency`).
-            let mut top = 0f64;
-            for _ in 0..reps {
+    let mut round = 0u32;
+    let curve = C10K_CURVE
+        .iter()
+        .map(|&(sessions, name)| C10kPoint {
+            name,
+            sessions,
+            measured: measure_with(runs, || {
                 round += 1;
-                top = top.max(run_c10k_point(&rig, sessions, ops, round));
-            }
-            curve.push(C10kPoint {
-                mode,
-                sessions,
-                ops_per_s: top,
-            });
-        }
-    }
-    let at = |mode: &str, sessions: usize| {
-        curve
-            .iter()
-            .find(|p| p.mode == mode && p.sessions == sessions)
-            .map_or(0.0, |p| p.ops_per_s)
-    };
-    let saturate = *C10K_CURVE.last().expect("curve is non-empty");
-    let saturation_ratio =
-        at("reactor", saturate) / at("threaded", saturate).max(f64::MIN_POSITIVE);
+                run_session_mix(&rig, sessions, C10K_OPS, false, round)
+            }),
+        })
+        .collect();
 
     C10kEvidence {
         idle_conns,
@@ -463,13 +394,12 @@ fn run_c10k(quick: bool) -> C10kEvidence {
         idle_all_live,
         responsive_at_scale,
         curve,
-        saturation_ratio,
     }
 }
 
 /// The c10k acceptance checks: every idle connection live at once
-/// within the per-connection memory budget, service during the hold,
-/// and no throughput given up versus thread-per-connection.
+/// within the per-connection memory budget, and service during the
+/// hold. The curve rows are gated against the baseline with the rest.
 fn check_c10k(e: &C10kEvidence) -> Vec<String> {
     println!("== c10k (reactor front end) ==");
     if e.idle_kib_per_conn >= 0.0 {
@@ -483,24 +413,9 @@ fn check_c10k(e: &C10kEvidence) -> Vec<String> {
             e.idle_conns, e.idle_all_live, e.responsive_at_scale,
         );
     }
-    for &sessions in &C10K_CURVE {
-        let find = |mode: &str| {
-            e.curve
-                .iter()
-                .find(|p| p.mode == mode && p.sessions == sessions)
-                .map_or(0.0, |p| p.ops_per_s)
-        };
-        println!(
-            "  sessions={sessions} reactor={:7.1} ops/s  threaded={:7.1} ops/s  ({:.2}x)",
-            find("reactor"),
-            find("threaded"),
-            find("reactor") / find("threaded").max(f64::MIN_POSITIVE),
-        );
+    for p in &e.curve {
+        println!("  sessions={} {:7.1} ops/s", p.sessions, p.ops_per_s());
     }
-    println!(
-        "  -> reactor vs thread-per-conn at saturation: {:.2}x (gate: >= {C10K_MIN_SATURATION_RATIO:.2}x)",
-        e.saturation_ratio,
-    );
     let mut failures = Vec::new();
     if !e.idle_all_live {
         failures.push(format!(
@@ -522,17 +437,10 @@ fn check_c10k(e: &C10kEvidence) -> Vec<String> {
             e.idle_conns
         ));
     }
-    if e.saturation_ratio < C10K_MIN_SATURATION_RATIO {
-        failures.push(format!(
-            "c10k: reactor throughput at saturation is {:.2}x the \
-             thread-per-connection baseline, below the {C10K_MIN_SATURATION_RATIO:.2}x floor",
-            e.saturation_ratio
-        ));
-    }
     failures
 }
 
-/// Windowed lock-wait attribution from one 8-thread fine-mode run:
+/// Windowed lock-wait attribution from one 8-thread run:
 /// the seg-watch evidence that overlapping scopes (and only they) pay
 /// for the parent directory's write lock. This is the instrumented
 /// answer to why the overlapping mix scales ~1.0× in the matrix above.
@@ -628,21 +536,13 @@ fn concurrency_config() -> EnclaveConfig {
 
 /// Runs `threads` client sessions against `rig`, each performing
 /// `ops` operations (3:1 upload:download of 4 KiB files), and returns
-/// aggregate operations per second. `shared_dir` selects the
+/// the wall seconds until the last one finished. `shared_dir` selects the
 /// overlapping mix (every session writes into one directory, so all
 /// scopes collide on the parent's write lock) versus the disjoint mix
 /// (a private directory per session). Sessions, handshakes, and
 /// directory creation happen outside the timed window; `round` keeps
 /// object names unique across repetitions.
-fn run_concurrency_point(
-    rig: &Rig,
-    coarse: bool,
-    threads: usize,
-    ops: usize,
-    shared_dir: bool,
-    round: u32,
-) -> f64 {
-    rig.server.enclave().locks().set_coarse(coarse);
+fn run_session_mix(rig: &Rig, threads: usize, ops: usize, shared_dir: bool, round: u32) -> f64 {
     let payload: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
 
     let mut clients = Vec::with_capacity(threads);
@@ -660,7 +560,7 @@ fn run_concurrency_point(
     }
 
     let barrier = Barrier::new(threads + 1);
-    let elapsed = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = clients
             .into_iter()
             .enumerate()
@@ -689,40 +589,27 @@ fn run_concurrency_point(
             h.join().expect("worker thread");
         }
         start.elapsed().as_secs_f64()
-    });
-    (threads * ops) as f64 / elapsed
+    })
 }
 
 /// Measures the full scaling matrix: disjoint-directory mix at 1/2/4/8
-/// threads under both lock modes, the overlapping mix at 8 threads, and
-/// (on a separate rig) the rollback-tree-enabled mix at 8 threads so
-/// the tree's commit serialization is quantified rather than hidden.
+/// threads, the overlapping mix at 8 threads, and (on a separate rig)
+/// the rollback-tree-enabled mix at 8 threads so the tree's commit
+/// serialization is quantified rather than hidden.
 fn run_concurrency(reps: usize, ops: usize) -> Vec<ConcurrencyPoint> {
     let mut points = Vec::new();
     let mut round = 0u32;
-    let mut best = |rig: &Rig,
-                    mix: &'static str,
-                    mode: &'static str,
-                    coarse: bool,
-                    threads: usize,
-                    round: &mut u32| {
+    let mut best = |rig: &Rig, mix: &'static str, threads: usize| {
         // Best-of-reps: throughput noise is one-sided (scheduler stalls
         // only ever slow a run down), so the max is the stable estimate.
         let mut top = 0f64;
         for _ in 0..reps {
-            *round += 1;
-            top = top.max(run_concurrency_point(
-                rig,
-                coarse,
-                threads,
-                ops,
-                mix == "overlapping",
-                *round,
-            ));
+            round += 1;
+            let elapsed = run_session_mix(rig, threads, ops, mix == "overlapping", round);
+            top = top.max((threads * ops) as f64 / elapsed);
         }
         points.push(ConcurrencyPoint {
             mix,
-            mode,
             threads,
             ops_per_s: top,
         });
@@ -730,11 +617,9 @@ fn run_concurrency(reps: usize, ops: usize) -> Vec<ConcurrencyPoint> {
 
     let rig = Rig::with_store_latency(concurrency_config(), CONC_STORE_DELAY);
     for threads in [1usize, 2, 4, 8] {
-        best(&rig, "disjoint", "coarse", true, threads, &mut round);
-        best(&rig, "disjoint", "fine", false, threads, &mut round);
+        best(&rig, "disjoint", threads);
     }
-    best(&rig, "overlapping", "coarse", true, 8, &mut round);
-    best(&rig, "overlapping", "fine", false, 8, &mut round);
+    best(&rig, "overlapping", 8);
 
     // Same mix with the per-file rollback tree on: commits serialize on
     // the content store's tree lock (ancestor hash-record RMW), so this
@@ -746,81 +631,63 @@ fn run_concurrency(reps: usize, ops: usize) -> Vec<ConcurrencyPoint> {
         },
         CONC_STORE_DELAY,
     );
-    best(&tree_rig, "disjoint_tree", "coarse", true, 8, &mut round);
-    best(&tree_rig, "disjoint_tree", "fine", false, 8, &mut round);
+    best(&tree_rig, "disjoint_tree", 8);
 
     points
 }
 
-/// Finds one measured point (panics if the matrix is missing it).
-fn conc_point<'a>(
-    points: &'a [ConcurrencyPoint],
-    mix: &str,
-    mode: &str,
-    threads: usize,
-) -> &'a ConcurrencyPoint {
+/// The disjoint mix's aggregate throughput at `threads` (panics if the
+/// matrix is missing the point).
+fn disjoint_ops_per_s(points: &[ConcurrencyPoint], threads: usize) -> f64 {
     points
         .iter()
-        .find(|p| p.mix == mix && p.mode == mode && p.threads == threads)
+        .find(|p| p.mix == "disjoint" && p.threads == threads)
         .expect("concurrency matrix covers this point")
+        .ops_per_s
 }
 
-fn print_concurrency(points: &[ConcurrencyPoint]) {
+/// 8-thread over 1-thread aggregate throughput on the disjoint mix.
+fn disjoint_scaling(points: &[ConcurrencyPoint]) -> f64 {
+    disjoint_ops_per_s(points, 8) / disjoint_ops_per_s(points, 1)
+}
+
+/// Prints the matrix and applies the concurrency acceptance check:
+/// per-object locking must deliver at least [`CONC_MIN_SCALING`]× the
+/// 1-thread aggregate throughput at 8 threads on the disjoint mix.
+/// Store-latency-bound by construction, so the bar holds on any host
+/// core count. The other mixes are reported, not gated.
+fn check_concurrency(points: &[ConcurrencyPoint]) -> Vec<String> {
     println!(
         "== concurrency (store round-trip {} µs, 3:1 put:get of 4 KiB) ==",
         CONC_STORE_DELAY.as_micros()
     );
-    for threads in [1usize, 2, 4, 8] {
-        let coarse = conc_point(points, "disjoint", "coarse", threads);
-        let fine = conc_point(points, "disjoint", "fine", threads);
+    for p in points {
         println!(
-            "  disjoint      threads={threads} coarse={:7.1} ops/s  fine={:7.1} ops/s  ({:.2}x)",
-            coarse.ops_per_s,
-            fine.ops_per_s,
-            fine.ops_per_s / coarse.ops_per_s,
+            "  {:<13} threads={} {:7.1} ops/s",
+            p.mix, p.threads, p.ops_per_s
         );
     }
-    for mix in ["overlapping", "disjoint_tree"] {
-        let coarse = conc_point(points, mix, "coarse", 8);
-        let fine = conc_point(points, mix, "fine", 8);
-        println!(
-            "  {mix:<13} threads=8 coarse={:7.1} ops/s  fine={:7.1} ops/s  ({:.2}x)",
-            coarse.ops_per_s,
-            fine.ops_per_s,
-            fine.ops_per_s / coarse.ops_per_s,
-        );
-    }
-}
-
-/// The concurrency acceptance check: per-object locking must deliver at
-/// least [`CONC_MIN_SPEEDUP`]× the coarse global lock's aggregate
-/// throughput at 8 threads on the disjoint mix. Store-latency-bound by
-/// construction, so the bar holds on any host core count.
-fn check_concurrency(points: &[ConcurrencyPoint]) -> Vec<String> {
-    let coarse = conc_point(points, "disjoint", "coarse", 8);
-    let fine = conc_point(points, "disjoint", "fine", 8);
-    let speedup = fine.ops_per_s / coarse.ops_per_s;
+    let scaling = disjoint_scaling(points);
     println!(
-        "  -> per-object locks vs global lock at 8 threads (disjoint): {speedup:.2}x (gate: >= {CONC_MIN_SPEEDUP:.1}x)"
+        "  -> 8 threads vs 1 thread (disjoint): {scaling:.2}x (gate: >= {CONC_MIN_SCALING:.1}x)"
     );
-    if speedup >= CONC_MIN_SPEEDUP {
+    if scaling >= CONC_MIN_SCALING {
         Vec::new()
     } else {
         vec![format!(
-            "concurrency: fine/coarse speedup at 8 threads is {speedup:.2}x, below the {CONC_MIN_SPEEDUP:.1}x floor"
+            "concurrency: 8-thread/1-thread scaling on the disjoint mix is {scaling:.2}x, below the {CONC_MIN_SCALING:.1}x floor"
         )]
     }
 }
 
-/// Runs the overlapping and disjoint mixes once each (8 threads, fine
-/// locks) with a metrics-snapshot delta around every run, and extracts
+/// Runs the overlapping and disjoint mixes once each (8 threads) with a metrics-snapshot delta around every run, and extracts
 /// the `seg_lock_wait_ns` series from each window.
 fn run_contention_evidence(rig: &Rig, ops: usize, round: &mut u32) -> Vec<ContentionEvidence> {
     let mut evidence = Vec::new();
     for (mix, shared_dir) in [("overlapping", true), ("disjoint", false)] {
         let base = rig.server.metrics_snapshot();
         *round += 1;
-        run_concurrency_point(rig, false, 8, ops, shared_dir, *round);
+        run_session_mix(rig, 8, ops, shared_dir, *round);
         let delta = rig.server.metrics_snapshot().delta(&base);
         let mut waits: Vec<(String, String, u64, u64)> = delta
             .histograms
@@ -848,7 +715,7 @@ fn run_contention_evidence(rig: &Rig, ops: usize, round: &mut u32) -> Vec<Conten
 }
 
 fn print_contention(evidence: &[ContentionEvidence]) {
-    println!("== contention attribution (8 threads, fine locks) ==");
+    println!("== contention attribution (8 threads) ==");
     for e in evidence {
         println!("  {} mix:", e.mix);
         for (class, intent, sum, count) in &e.waits {
@@ -1419,15 +1286,17 @@ fn main() {
     failures.extend(check_durability(&dur_points));
 
     // The c10k workload: 10k held idle reactor connections with
-    // bounded memory and live service, then the reactor-vs-threaded
-    // saturation curve (see `run_c10k`).
-    let c10k = run_c10k(quick);
+    // bounded memory and live service, then the saturation curve,
+    // whose points join the gated rows (see `run_c10k`).
+    let c10k = run_c10k(quick, runs);
     failures.extend(check_c10k(&c10k));
+    for p in &c10k.curve {
+        push(p.name, p.measured);
+    }
 
-    // Thread-scaling matrix: per-object locks vs the coarse global
-    // lock, on a store-latency-bound rig (see `run_concurrency`).
+    // Thread-scaling matrix of the per-object locks on a
+    // store-latency-bound rig (see `run_concurrency`).
     let conc_points = run_concurrency(if quick { 2 } else { 3 }, if quick { 8 } else { 12 });
-    print_concurrency(&conc_points);
     failures.extend(check_concurrency(&conc_points));
 
     // Lock-wait attribution on a fresh store-latency-bound rig: the
@@ -1763,9 +1632,9 @@ fn build_report(
     }
     out.push_str("  },\n");
 
-    // The thread-scaling matrix: aggregate throughput per (mix, lock
-    // mode, thread count) on the store-latency-bound rig, plus the
-    // derived 8-thread speedup the gate enforces.
+    // The thread-scaling matrix: aggregate throughput per (mix, thread
+    // count) on the store-latency-bound rig, plus the derived 8-thread
+    // scaling the gate enforces.
     out.push_str("  \"concurrency\": {\n");
     let _ = writeln!(
         out,
@@ -1777,14 +1646,16 @@ fn build_report(
         let comma = if i + 1 < conc_points.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "      {{\"mix\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \"ops_per_s\": {:.3}}}{comma}",
-            p.mix, p.mode, p.threads, p.ops_per_s,
+            "      {{\"mix\": \"{}\", \"threads\": {}, \"ops_per_s\": {:.3}}}{comma}",
+            p.mix, p.threads, p.ops_per_s,
         );
     }
     out.push_str("    ],\n");
-    let speedup = conc_point(conc_points, "disjoint", "fine", 8).ops_per_s
-        / conc_point(conc_points, "disjoint", "coarse", 8).ops_per_s;
-    let _ = writeln!(out, "    \"speedup_8t_disjoint\": {speedup:.3}");
+    let _ = writeln!(
+        out,
+        "    \"scaling_8t_disjoint\": {:.3}",
+        disjoint_scaling(conc_points)
+    );
     out.push_str("  },\n");
 
     // Lock-wait attribution from the seg-watch plane: windowed
@@ -1847,9 +1718,8 @@ fn build_report(
     );
     out.push_str("  },\n");
 
-    // The c10k section: idle-hold footprint and service evidence, the
-    // reactor-vs-threaded scaling curve, and the saturation ratio the
-    // gate enforces.
+    // The c10k section: idle-hold footprint and service evidence, and
+    // the scaling curve (its rows are gated under "workloads").
     out.push_str("  \"c10k\": {\n");
     let _ = writeln!(out, "    \"idle_conns\": {},", c10k.idle_conns);
     let _ = writeln!(
@@ -1872,20 +1742,12 @@ fn build_report(
         let comma = if i + 1 < c10k.curve.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "      {{\"mode\": \"{}\", \"sessions\": {}, \"ops_per_s\": {:.3}}}{comma}",
-            p.mode, p.sessions, p.ops_per_s,
+            "      {{\"sessions\": {}, \"ops_per_s\": {:.3}}}{comma}",
+            p.sessions,
+            p.ops_per_s(),
         );
     }
-    out.push_str("    ],\n");
-    let _ = writeln!(
-        out,
-        "    \"saturation_ratio\": {:.3},",
-        c10k.saturation_ratio
-    );
-    let _ = writeln!(
-        out,
-        "    \"saturation_ratio_floor\": {C10K_MIN_SATURATION_RATIO}"
-    );
+    out.push_str("    ]\n");
     out.push_str("  },\n");
 
     // The watch plane's measured cost on the standard small-op mix.

@@ -39,15 +39,19 @@ impl Measured {
 /// caches, lazy initialization, and first-touch page faults land there
 /// instead of skewing the mean.
 pub fn measure<F: FnMut()>(runs: usize, mut f: F) -> Measured {
-    let warmup_start = Instant::now();
-    f(); // warm-up: timed, excluded from the samples
-    let warmup_s = warmup_start.elapsed().as_secs_f64();
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
+    measure_with(runs, || {
         let start = Instant::now();
         f();
-        samples.push(start.elapsed().as_secs_f64());
-    }
+        start.elapsed().as_secs_f64()
+    })
+}
+
+/// Like [`measure`], for workloads that time themselves: `f` returns
+/// the seconds of its own measured window (setup such as handshakes
+/// stays outside it).
+pub fn measure_with<F: FnMut() -> f64>(runs: usize, mut f: F) -> Measured {
+    let warmup_s = f(); // warm-up: timed, excluded from the samples
+    let samples: Vec<f64> = (0..runs).map(|_| f()).collect();
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
     let var = if samples.len() > 1 {
         samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64

@@ -3,7 +3,7 @@
 //! The original prototype serialized every mutating request behind one
 //! global `RwLock<()>`. This module replaces it with a [`LockManager`]:
 //! a striped table of per-object reader/writer locks keyed by canonical
-//! object identity, plus a retained coarse "global mode" for operations
+//! object identity, plus a "global mode" for operations
 //! whose object set is unbounded (recursive moves, group deletion that
 //! sweeps every member list, rollback-tree rebuilds after restore).
 //!
@@ -55,7 +55,7 @@
 //! are compiled-in names (`path`, `group_root`, `group_list`, `member`);
 //! no key *content* ever reaches a metric.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -294,17 +294,9 @@ impl Drop for LockScope<'_> {
 /// The enclave's lock table: one global reader/writer lock ordering
 /// per-object scopes against global-mode operations, plus [`STRIPES`]
 /// per-object stripes.
-///
-/// The `coarse` switch reproduces the pre-striping behavior (every
-/// scope collapses onto the global lock — writes exclusive, reads
-/// shared) and exists so benchmarks can measure fine-grained locking
-/// against the old global-lock baseline in the same binary. It is not
-/// part of [`EnclaveConfig`](crate::EnclaveConfig) and therefore not
-/// part of the attested enclave measurement.
 pub struct LockManager {
     global: RwLock<()>,
     stripes: Vec<RwLock<()>>,
-    coarse: AtomicBool,
     stats: LockStats,
 }
 
@@ -318,13 +310,12 @@ impl std::fmt::Debug for LockManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockManager")
             .field("stripes", &self.stripes.len())
-            .field("coarse", &self.coarse.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl LockManager {
-    /// Creates a lock manager in fine-grained mode whose contention
+    /// Creates a lock manager whose contention
     /// histograms are interned in a private registry (they still record,
     /// but export nowhere). Production code uses
     /// [`LockManager::with_registry`] so the metrics reach the enclave's
@@ -344,33 +335,14 @@ impl LockManager {
         LockManager {
             global: RwLock::new(()),
             stripes: (0..STRIPES).map(|_| RwLock::new(())).collect(),
-            coarse: AtomicBool::new(false),
             stats: LockStats::new(obs),
         }
-    }
-
-    /// Switches between fine-grained (false) and coarse global-lock
-    /// (true) mode. Exposed for benchmarks; flipping it while requests
-    /// are in flight is safe (both modes take the global lock first, so
-    /// they serialize correctly against each other) but blurs what a
-    /// measurement measures.
-    pub fn set_coarse(&self, coarse: bool) {
-        self.coarse.store(coarse, Ordering::SeqCst);
-    }
-
-    /// Whether coarse global-lock mode is active.
-    #[must_use]
-    pub fn coarse(&self) -> bool {
-        self.coarse.load(Ordering::SeqCst)
     }
 
     /// Acquires a per-object scope: the global lock shared, then the
     /// requested stripes in ascending index order with per-stripe
     /// deduplication (write intent wins over read when both map to the
     /// same stripe).
-    ///
-    /// In coarse mode the stripe set collapses onto the global lock:
-    /// exclusive if any request has write intent, shared otherwise.
     #[must_use]
     pub fn acquire(&self, requests: &[LockRequest]) -> LockScope<'_> {
         let mut held = [0u8; CLASSES];
@@ -378,27 +350,6 @@ impl LockManager {
             let rank = 1 + intent_index(*intent) as u8;
             let class = key.class();
             held[class] = held[class].max(rank);
-        }
-        if self.coarse() {
-            let any_write = requests.iter().any(|(_, i)| *i == LockIntent::Write);
-            let waited = Instant::now();
-            let global = if any_write {
-                GlobalGuard::Write(self.global.write())
-            } else {
-                GlobalGuard::Read(self.global.read())
-            };
-            self.stats.note_global_wait(any_write, waited.elapsed());
-            if any_write {
-                self.stats.note_global_held();
-            }
-            return LockScope {
-                _global: global,
-                _stripes: Vec::new(),
-                stats: &self.stats,
-                acquired: Instant::now(),
-                held,
-                global_exclusive: any_write,
-            };
         }
         let waited = Instant::now();
         let global = GlobalGuard::Read(self.global.read());
@@ -594,31 +545,6 @@ mod tests {
         drop(global);
         t.join().unwrap();
         assert_eq!(reached.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn coarse_mode_serializes_writers_on_disjoint_keys() {
-        let mgr = Arc::new(LockManager::new());
-        mgr.set_coarse(true);
-        assert!(mgr.coarse());
-        let held = mgr.acquire(&[(key_path("/a"), LockIntent::Write)]);
-        let reached = Arc::new(AtomicUsize::new(0));
-        let t = {
-            let mgr = Arc::clone(&mgr);
-            let reached = Arc::clone(&reached);
-            std::thread::spawn(move || {
-                let _s = mgr.acquire(&[(key_path("/b"), LockIntent::Write)]);
-                reached.store(1, Ordering::SeqCst);
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(
-            reached.load(Ordering::SeqCst),
-            0,
-            "coarse mode serializes disjoint writers"
-        );
-        drop(held);
-        t.join().unwrap();
     }
 
     #[test]

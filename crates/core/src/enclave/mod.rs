@@ -428,9 +428,9 @@ impl SegShareEnclave {
         &self.files
     }
 
-    /// The per-object lock manager. Public so benchmarks can flip its
-    /// coarse global-lock mode and measure the scaling difference; the
-    /// request path acquires scopes through it in `session.rs`.
+    /// The per-object lock manager. Public so benchmarks and the
+    /// dashboard can read its contention telemetry; the request path
+    /// acquires scopes through it in `session.rs`.
     #[must_use]
     pub fn locks(&self) -> &LockManager {
         &self.locks
@@ -585,11 +585,10 @@ impl SegShareEnclave {
         self.flight.force_tick(&self.obs);
         let mut out = String::from("{\n\"saturation\":{");
         out.push_str(&format!(
-            "\"live_sessions\":{},\"in_flight\":{},\"accept_backlog\":{},\
+            "\"live_sessions\":{},\"in_flight\":{},\
              \"queued_bytes\":{},\"send_stalls\":{},\"send_stall_ns\":{}}},\n",
             self.watch.live_sessions(),
             self.watch.in_flight(),
-            self.watch.accept_backlog(),
             self.watch.net_meter().queued_bytes(),
             self.watch.net_meter().send_stalls(),
             self.watch.net_meter().send_stall_ns(),
@@ -981,9 +980,6 @@ impl SegShareEnclave {
         self.obs
             .gauge("seg_net_inflight_requests")
             .set(self.watch.in_flight());
-        self.obs
-            .gauge("seg_net_accept_backlog")
-            .set(self.watch.accept_backlog());
         let net = self.watch.net_meter();
         self.obs
             .gauge("seg_net_queued_bytes")
@@ -992,10 +988,9 @@ impl SegShareEnclave {
         sync("seg_net_send_stall_ns_total", vec![], net.send_stall_ns());
         sync("seg_net_sheds_total", vec![], self.watch.sheds());
         // Reactor front end: per-state connection gauges plus lifecycle
-        // counters. Exported whenever a reactor has ever started (the
-        // stable-family rule: 0 beats a disappearing series) — under
-        // the threaded front end the family is absent entirely, which
-        // is itself the "which front end?" signal.
+        // counters. Exported once the reactor has started (the
+        // stable-family rule: 0 beats a disappearing series); it starts
+        // with the first connection or listener.
         if let Some(reactor) = self.watch.reactor_stats() {
             for state in seg_net::reactor::ConnState::ALL {
                 if state == seg_net::reactor::ConnState::Closed {

@@ -3,8 +3,8 @@
 //! The watch plane is the always-on contention/saturation layer: lock
 //! telemetry lives in [`locks`](super::locks), windowed history in the
 //! flight recorder ([`seg_obs::FlightRecorder`]), and this module holds
-//! the glue state — live-session / in-flight / accept-backlog gauges
-//! fed by the untrusted host, the shared [`seg_net::NetMeter`], stall
+//! the glue state — live-session / in-flight gauges fed by the
+//! untrusted host, the shared [`seg_net::NetMeter`], stall
 //! counters, and the rate-limited automatic dump slot the watchdog
 //! writes its correlated bundle into.
 //!
@@ -25,14 +25,13 @@ use seg_net::NetMeter;
 const DUMP_MIN_INTERVAL_US: u64 = 1_000_000;
 
 /// Shared mutable state of the watch plane. One instance per enclave,
-/// shared with the untrusted connection loop (which feeds the
+/// shared with the untrusted reactor dispatcher (which feeds the
 /// saturation gauges — they are load numbers, not secrets).
 #[derive(Debug)]
 pub struct WatchStats {
     enabled: AtomicBool,
     live_sessions: AtomicU64,
     in_flight: AtomicU64,
-    accept_backlog: AtomicU64,
     sheds: AtomicU64,
     stalls_request: AtomicU64,
     stalls_global: AtomicU64,
@@ -62,7 +61,6 @@ impl WatchStats {
             enabled: AtomicBool::new(true),
             live_sessions: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
-            accept_backlog: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
             stalls_request: AtomicU64::new(0),
             stalls_global: AtomicU64::new(0),
@@ -94,17 +92,17 @@ impl WatchStats {
         &self.net
     }
 
-    /// A connection's session thread started serving.
+    /// A connection's enclave session opened.
     pub fn session_started(&self) {
         self.live_sessions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A connection's session thread exited.
+    /// A connection's enclave session closed.
     pub fn session_ended(&self) {
         self.live_sessions.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Currently live session threads.
+    /// Currently live enclave sessions.
     #[must_use]
     pub fn live_sessions(&self) -> u64 {
         self.live_sessions.load(Ordering::Relaxed)
@@ -124,26 +122,6 @@ impl WatchStats {
     #[must_use]
     pub fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// A connection was accepted but no session thread serves it yet.
-    pub fn accept_queued(&self) {
-        self.accept_backlog.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An accepted connection was picked up by a session thread.
-    pub fn accept_dequeued(&self) {
-        // Saturating: the serve loop also calls this for connections
-        // whose accept path never queued (e.g. in-process transports).
-        let _ = self
-            .accept_backlog
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-    }
-
-    /// Accepted-but-unserved connections.
-    #[must_use]
-    pub fn accept_backlog(&self) -> u64 {
-        self.accept_backlog.load(Ordering::Relaxed)
     }
 
     /// A connection was refused at the front end's connection cap
@@ -247,11 +225,6 @@ mod tests {
         w.request_ended();
         w.session_ended();
         assert_eq!((w.live_sessions(), w.in_flight()), (1, 0));
-        w.accept_queued();
-        assert_eq!(w.accept_backlog(), 1);
-        w.accept_dequeued();
-        w.accept_dequeued(); // extra dequeue saturates at zero
-        assert_eq!(w.accept_backlog(), 0);
     }
 
     #[test]

@@ -89,4 +89,4 @@ pub use config::EnclaveConfig;
 pub use enclave::audit::{AuditLog, AuditRecord};
 pub use enclave::health::{HealthState, ScrubCheck, ScrubReport};
 pub use error::SegShareError;
-pub use server::{wal_views, EnrolledUser, FrontEnd, FsoSetup, HealthOptions, SegShareServer};
+pub use server::{wal_views, EnrolledUser, FsoSetup, HealthOptions, SegShareServer};

@@ -11,7 +11,7 @@ use seg_crypto::rng::{DeterministicRng, SystemRng};
 use seg_crypto::sha256::Sha256;
 use seg_fs::UserId;
 use seg_net::reactor::{ReactorConfig, ReactorHandle};
-use seg_net::{duplex, ChannelTransport, FrameTransport};
+use seg_net::ChannelTransport;
 use seg_pki::{Certificate, CertificateAuthority, Identity};
 use seg_sgx::Platform;
 use seg_store::{MemStore, ObjectStore, PrefixStore, WalConfig, WalStore};
@@ -20,8 +20,7 @@ use crate::client::Client;
 use crate::config::EnclaveConfig;
 use crate::enclave::SegShareEnclave;
 use crate::error::SegShareError;
-use crate::untrusted::reactor::ReactorDispatcher;
-use crate::untrusted::serve_connection;
+use crate::untrusted::ReactorDispatcher;
 
 /// Certificate validity horizon used by [`FsoSetup`] (logical seconds).
 const VALIDITY_END: u64 = 1 << 40;
@@ -362,20 +361,8 @@ struct HealthRunner {
     handle: std::thread::JoinHandle<()>,
 }
 
-/// Which connection front end serves local (and TCP) clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// The event-driven reactor: one epoll loop plus a bounded enclave
-    /// worker pool (the default; connection count is O(fds)).
-    Reactor,
-    /// The seed-era thread-per-connection loop (kept for comparison
-    /// benchmarks and as the CI equivalence baseline).
-    Threaded,
-}
-
-/// Lazily started reactor front end plus its mode/config overrides.
+/// Lazily started reactor front end plus its config override.
 struct FrontEndState {
-    mode: Option<FrontEnd>,
     cfg: Option<ReactorConfig>,
     reactor: Option<Arc<ReactorHandle>>,
 }
@@ -401,7 +388,6 @@ impl SegShareServer {
             enclave,
             health_runner: Mutex::new(None),
             front_end: Mutex::new(FrontEndState {
-                mode: None,
                 cfg: None,
                 reactor: None,
             }),
@@ -484,8 +470,7 @@ impl SegShareServer {
     }
 
     /// The watch plane's shared saturation state (live sessions,
-    /// in-flight requests, accept backlog, the net meter). The TCP
-    /// example feeds `accept_queued` from its accept loop through this.
+    /// in-flight requests, the net meter).
     #[must_use]
     pub fn watch_stats(&self) -> &std::sync::Arc<crate::enclave::watch::WatchStats> {
         self.enclave.watch()
@@ -495,9 +480,11 @@ impl SegShareServer {
     /// the flight recorder and SLO rollups even while the server is
     /// idle, drives the integrity scrubber on
     /// [`EnclaveConfig::scrub_interval_us`], and (when
-    /// [`HealthOptions::canary`] is set) issues synthetic loopback
-    /// probes through the full request path. Idempotent — a second
-    /// call while a runner lives is a no-op.
+    /// [`HealthOptions::canary`] is set) issues synthetic probes over a
+    /// virtual reactor connection — the path clients use (so a canary
+    /// starts the reactor; call [`SegShareServer::set_reactor_config`]
+    /// first). Idempotent — a second call while a runner lives is a
+    /// no-op.
     pub fn start_health(&self, opts: HealthOptions) {
         let mut slot = self.health_runner.lock();
         if slot.is_some() {
@@ -506,7 +493,9 @@ impl SegShareServer {
         let stop = Arc::new(AtomicBool::new(false));
         let enclave = Arc::clone(&self.enclave);
         let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || run_health_loop(&enclave, &opts, &flag));
+        let canary = opts.canary.clone().map(|user| (self.reactor(), user));
+        let handle =
+            std::thread::spawn(move || run_health_loop(&enclave, canary.as_ref(), &opts, &flag));
         *slot = Some(HealthRunner { stop, handle });
     }
 
@@ -587,39 +576,6 @@ impl SegShareServer {
         self.enclave.blob_gc()
     }
 
-    /// Serves one connection to completion (run this per accepted
-    /// transport, typically on its own thread).
-    ///
-    /// # Errors
-    ///
-    /// Returns session-fatal errors; clean disconnects are `Ok`.
-    pub fn handle_connection<T: FrameTransport>(&self, transport: T) -> Result<(), SegShareError> {
-        serve_connection(&self.enclave, transport)
-    }
-
-    /// The front end [`SegShareServer::connect_local`] and
-    /// [`SegShareServer::serve_listener`] use: an explicit
-    /// [`SegShareServer::set_front_end`] override wins, then the
-    /// `SEGSHARE_FRONTEND` environment variable (`reactor` or
-    /// `threaded` — how CI runs the same suites against both), then
-    /// the default, [`FrontEnd::Reactor`].
-    #[must_use]
-    pub fn front_end(&self) -> FrontEnd {
-        if let Some(mode) = self.front_end.lock().mode {
-            return mode;
-        }
-        match std::env::var("SEGSHARE_FRONTEND").as_deref() {
-            Ok("threaded") => FrontEnd::Threaded,
-            _ => FrontEnd::Reactor,
-        }
-    }
-
-    /// Overrides the front end used by subsequent connections
-    /// (benchmarks compare modes; tests pin one).
-    pub fn set_front_end(&self, mode: FrontEnd) {
-        self.front_end.lock().mode = Some(mode);
-    }
-
     /// Overrides the reactor's tuning. Takes effect when the reactor
     /// starts, i.e. before the first reactor-served connection.
     pub fn set_reactor_config(&self, cfg: ReactorConfig) {
@@ -652,19 +608,17 @@ impl SegShareServer {
     ///
     /// # Errors
     ///
-    /// Fails on platforms without the epoll driver (TCP then requires
-    /// the threaded front end via [`SegShareServer::handle_connection`]).
+    /// Fails on platforms without the epoll driver: TCP serving is
+    /// Linux x86-64/aarch64 only.
     pub fn serve_listener(&self, listener: std::net::TcpListener) -> Result<(), SegShareError> {
         self.reactor()
             .serve_listener(listener)
             .map_err(SegShareError::from)
     }
 
-    /// Connects an in-process client and completes the handshake. With
-    /// the reactor front end (default) the server side is a virtual
-    /// reactor connection; with [`FrontEnd::Threaded`] it is the
-    /// seed-era duplex pair served by a dedicated thread. Either way
-    /// the client sees the same blocking [`ChannelTransport`].
+    /// Connects an in-process client and completes the handshake. The
+    /// server side is a virtual reactor connection; the client sees a
+    /// blocking [`ChannelTransport`].
     ///
     /// # Errors
     ///
@@ -674,21 +628,7 @@ impl SegShareServer {
         &self,
         user: &EnrolledUser,
     ) -> Result<Client<ChannelTransport>, SegShareError> {
-        match self.front_end() {
-            FrontEnd::Reactor => {
-                let transport = self.reactor().connect_virtual()?;
-                Client::connect(transport, user)
-            }
-            FrontEnd::Threaded => {
-                let (client_t, server_t) = duplex();
-                let enclave = Arc::clone(&self.enclave);
-                std::thread::spawn(move || {
-                    // Session errors surface as closed transports.
-                    let _ = serve_connection(&enclave, server_t);
-                });
-                Client::connect(client_t, user)
-            }
-        }
+        Client::connect(self.reactor().connect_virtual()?, user)
     }
 
     /// Verifies a CA-signed reset message and rebuilds integrity state
@@ -736,13 +676,18 @@ pub fn wal_views(
 }
 
 /// The health runner's thread body: tick, scrub, probe, sleep.
-fn run_health_loop(enclave: &Arc<SegShareEnclave>, opts: &HealthOptions, stop: &AtomicBool) {
-    let mut canary: Option<Client<ChannelTransport>> = None;
+fn run_health_loop(
+    enclave: &Arc<SegShareEnclave>,
+    canary: Option<&(Arc<ReactorHandle>, EnrolledUser)>,
+    opts: &HealthOptions,
+    stop: &AtomicBool,
+) {
+    let mut client: Option<Client<ChannelTransport>> = None;
     let mut last_probe = 0u64;
     let mut seq = 0u64;
     while !stop.load(Ordering::Relaxed) {
         let _ = enclave.health_tick();
-        if let Some(user) = &opts.canary {
+        if let Some((reactor, user)) = canary {
             let now = enclave.health().monitor().now_us();
             if enclave.health().enabled()
                 && (last_probe == 0 || now.saturating_sub(last_probe) >= opts.canary_interval_us)
@@ -750,51 +695,42 @@ fn run_health_loop(enclave: &Arc<SegShareEnclave>, opts: &HealthOptions, stop: &
                 last_probe = now;
                 seq += 1;
                 let started = std::time::Instant::now();
-                let ok = canary_probe(&mut canary, enclave, user, seq);
+                let ok = canary_probe(&mut client, reactor, user, seq);
                 let latency_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
                 enclave.health().canary_result(ok, latency_us);
-                if !ok {
-                    // Reconnect from scratch on the next probe: a dead
-                    // transport never heals.
-                    canary = None;
-                }
             }
         }
         std::thread::sleep(std::time::Duration::from_micros(opts.tick_us.max(1)));
     }
 }
 
-/// One canary probe: (re)connect if needed, then a put+get round-trip
-/// against the canary's reserved namespace, verifying the read-back.
+/// One canary probe: a put+get round-trip against the canary's reserved
+/// namespace, verifying the read-back. A probe that fails on the kept
+/// connection is retried once on a fresh one: the reactor reaps
+/// connections idle past its timeout, and a dead transport never heals.
 fn canary_probe(
     slot: &mut Option<Client<ChannelTransport>>,
-    enclave: &Arc<SegShareEnclave>,
+    reactor: &ReactorHandle,
     user: &EnrolledUser,
     seq: u64,
 ) -> bool {
-    if slot.is_none() {
-        let (client_t, server_t) = duplex();
-        let serve = Arc::clone(enclave);
-        std::thread::spawn(move || {
-            // Session errors surface to the client as closed transports.
-            let _ = serve_connection(&serve, server_t);
-        });
-        match Client::connect(client_t, user) {
-            Ok(mut client) => {
-                // The reserved canary directory; `AlreadyExists` after
-                // the first connect is the expected steady state.
-                let _ = client.mkdir("/canary");
-                *slot = Some(client);
-            }
-            Err(_) => return false,
-        }
+    let body = seq.to_le_bytes();
+    let round_trip = |client: &mut Client<ChannelTransport>| {
+        client.put("/canary/probe", &body).is_ok()
+            && matches!(client.get("/canary/probe"), Ok(got) if got == body)
+    };
+    if slot.as_mut().is_some_and(round_trip) {
+        return true;
     }
+    *slot = reactor
+        .connect_virtual()
+        .ok()
+        .and_then(|transport| Client::connect(transport, user).ok());
     let Some(client) = slot.as_mut() else {
         return false;
     };
-    let body = seq.to_le_bytes();
-    if client.put("/canary/probe", &body).is_err() {
-        return false;
-    }
-    matches!(client.get("/canary/probe"), Ok(got) if got == body)
+    // The reserved canary directory; `AlreadyExists` after the first
+    // connect is the expected steady state.
+    let _ = client.mkdir("/canary");
+    round_trip(client)
 }

@@ -1,14 +1,16 @@
-//! The reactor-side untrusted dispatcher: enclave sessions behind the
-//! event-driven front end.
+//! The untrusted server host (paper Fig. 1, left half of the provider):
+//! enclave sessions behind the event-driven front end.
+//!
+//! Everything here runs *outside* the trusted boundary: it shuttles
+//! opaque TLS frames into and out of the enclave (as ecalls, so the
+//! boundary cost model sees them) and never sees a plaintext byte.
 //!
 //! [`ReactorDispatcher`] implements [`seg_net::reactor::FrameHandler`]
-//! by owning one [`EnclaveSession`] per reactor connection and running
-//! exactly the sequence the threaded [`serve_connection`] loop runs —
+//! by owning one [`EnclaveSession`] per reactor connection: one
 //! `handle_frame` ecall per inbound frame, then draining
-//! `next_outgoing` — so the enclave cannot tell which front end is
-//! feeding it. The watch-plane instrumentation is identical too:
-//! live-session and in-flight gauges, the shared net meter, and the
-//! `seg_connection_*` counters all tick from here.
+//! `next_outgoing`. It also feeds the watch plane: live-session and
+//! in-flight gauges and the `seg_connection_*` counters tick from
+//! here (the shared net meter is charged by the reactor itself).
 //!
 //! Two invariants carry the whole design:
 //!
@@ -27,8 +29,6 @@
 //! dispatcher drains at most [`DRAIN_BUDGET_BYTES`] per turn, and the
 //! reactor re-invokes [`FrameHandler::on_drain`] only when the bounded
 //! outbound queue falls below its low-water mark.
-//!
-//! [`serve_connection`]: super::serve_connection
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -85,8 +85,8 @@ impl ReactorDispatcher {
     }
 
     /// Drains `next_outgoing` into `frames` until the byte budget is
-    /// spent or the session has nothing more, mirroring the threaded
-    /// loop's inner drain. Returns `false` on a session-fatal error.
+    /// spent or the session has nothing more. Returns `false` on a
+    /// session-fatal error.
     fn drain_outgoing(&self, slot: &mut Slot, frames: &mut Vec<Vec<u8>>) -> bool {
         let mut spent = 0usize;
         while spent < DRAIN_BUDGET_BYTES {
@@ -127,9 +127,7 @@ impl FrameHandler for ReactorDispatcher {
         let Ok(session) = self.enclave.new_session() else {
             return false;
         };
-        let watch = self.enclave.watch();
-        watch.accept_dequeued();
-        watch.session_started();
+        self.enclave.watch().session_started();
         self.enclave.obs().counter("seg_connections_total").inc();
         self.slots.lock().unwrap().insert(
             conn,
@@ -170,8 +168,7 @@ impl FrameHandler for ReactorDispatcher {
             .ecall(|| slot.session.handle_frame(&self.enclave, &frame));
         watch.request_ended();
         if handled.is_err() {
-            // Session-fatal, exactly like the threaded loop returning
-            // Err: nothing more is sent, the connection closes.
+            // Session-fatal: nothing more is sent, the connection closes.
             slot.dead = true;
             return FrameOutcome {
                 close: true,

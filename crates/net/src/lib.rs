@@ -13,7 +13,7 @@
 //!   harness composes with *measured* processing time to reproduce the
 //!   paper's end-to-end latency shape.
 //! * [`reactor`] — the event-driven C10K front end: an epoll event loop
-//!   plus a bounded worker pool replacing thread-per-connection serving.
+//!   plus a bounded worker pool.
 
 #![warn(missing_docs)]
 
@@ -28,7 +28,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use virtq::VirtQueue;
 
@@ -150,8 +150,8 @@ impl Drop for ChannelTransport {
 /// draining its receive window.
 pub const DEFAULT_SEND_STALL: Duration = Duration::from_millis(20);
 
-/// Aggregate saturation accounting shared by every [`MeteredTransport`]
-/// wrapping connections of one server.
+/// Aggregate saturation accounting shared by every connection of one
+/// reactor (handed in as [`reactor::ReactorConfig::net_meter`]).
 ///
 /// All fields are plain monotonic or high-water atomics; the values are
 /// byte *counts* and *durations* only — never frame contents — so the
@@ -221,8 +221,7 @@ impl NetMeter {
         }
     }
 
-    /// Bytes entered an outbound queue (reactor write path; the
-    /// threaded path charges via [`MeteredTransport`] instead).
+    /// Bytes entered an outbound queue.
     pub(crate) fn charge_queued(&self, len: u64) {
         self.queued_bytes.fetch_add(len, Ordering::Relaxed);
     }
@@ -249,68 +248,11 @@ impl NetMeter {
     }
 }
 
-/// A [`FrameTransport`] decorator that charges every send to a shared
-/// [`NetMeter`]: in-flight bytes while the send blocks, plus stall
-/// detection when a send exceeds the threshold (backpressure from a
-/// slow client — a full channel or TCP window).
-#[derive(Debug)]
-pub struct MeteredTransport<T> {
-    inner: T,
-    meter: Arc<NetMeter>,
-    stall_threshold: Duration,
-}
-
-impl<T: FrameTransport> MeteredTransport<T> {
-    /// Wraps `inner`, attributing its sends to `meter` with the
-    /// [`DEFAULT_SEND_STALL`] threshold.
-    pub fn new(inner: T, meter: Arc<NetMeter>) -> MeteredTransport<T> {
-        MeteredTransport::with_stall_threshold(inner, meter, DEFAULT_SEND_STALL)
-    }
-
-    /// Wraps `inner` with an explicit stall threshold.
-    pub fn with_stall_threshold(
-        inner: T,
-        meter: Arc<NetMeter>,
-        stall_threshold: Duration,
-    ) -> MeteredTransport<T> {
-        MeteredTransport {
-            inner,
-            meter,
-            stall_threshold,
-        }
-    }
-}
-
-impl<T: FrameTransport> FrameTransport for MeteredTransport<T> {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        let len = frame.len() as u64;
-        self.meter.queued_bytes.fetch_add(len, Ordering::Relaxed);
-        let start = Instant::now();
-        let result = self.inner.send_frame(frame);
-        let blocked = start.elapsed();
-        self.meter.queued_bytes.fetch_sub(len, Ordering::Relaxed);
-        if result.is_ok() {
-            self.meter.sent_bytes.fetch_add(len, Ordering::Relaxed);
-            self.meter.last_send_us.store(wall_us(), Ordering::Relaxed);
-        }
-        if blocked >= self.stall_threshold {
-            self.meter.send_stalls.fetch_add(1, Ordering::Relaxed);
-            self.meter.send_stall_ns.fetch_add(
-                blocked.as_nanos().min(u64::MAX as u128) as u64,
-                Ordering::Relaxed,
-            );
-        }
-        result
-    }
-
-    fn recv_frame(&mut self) -> Result<Vec<u8>, NetError> {
-        self.inner.recv_frame()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::{ConnId, FrameHandler, FrameOutcome, ReactorConfig, ReactorHandle};
+    use std::time::Instant;
 
     #[test]
     fn duplex_roundtrip() {
@@ -340,56 +282,88 @@ mod tests {
         assert_eq!(a.recv_frame().unwrap_err(), NetError::Closed);
     }
 
-    #[test]
-    fn metered_transport_counts_sent_bytes_and_passes_frames() {
-        let (a, mut b) = duplex();
+    /// Echoes every frame; `burst` answers with `virtual_depth + 1`
+    /// frames so the last one finds the peer's queue full.
+    struct Echo;
+
+    const BURST_DEPTH: usize = 4;
+
+    impl FrameHandler for Echo {
+        fn on_frame(&self, _conn: ConnId, frame: Vec<u8>) -> FrameOutcome {
+            let frames = if frame == b"burst" {
+                vec![b"fill".to_vec(); BURST_DEPTH + 1]
+            } else {
+                vec![frame]
+            };
+            FrameOutcome {
+                frames,
+                ..FrameOutcome::default()
+            }
+        }
+    }
+
+    fn metered_reactor() -> (ReactorHandle, Arc<NetMeter>) {
         let meter = Arc::new(NetMeter::new());
-        let mut m = MeteredTransport::new(a, Arc::clone(&meter));
-        m.send_frame(b"hello").unwrap();
-        assert_eq!(b.recv_frame().unwrap(), b"hello");
-        b.send_frame(b"back").unwrap();
-        assert_eq!(m.recv_frame().unwrap(), b"back");
-        assert_eq!(meter.sent_bytes(), 5);
-        assert_eq!(meter.queued_bytes(), 0, "nothing in flight after send");
+        let cfg = ReactorConfig {
+            workers: 2,
+            idle_timeout: Duration::ZERO,
+            virtual_depth: BURST_DEPTH,
+            net_meter: Some(Arc::clone(&meter)),
+            ..ReactorConfig::default()
+        };
+        (ReactorHandle::start(cfg, Arc::new(Echo)), meter)
+    }
+
+    /// The meter is charged just after the peer's queue push; wait out
+    /// that last sliver.
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn net_meter_counts_sent_bytes_and_passes_frames() {
+        let (reactor, meter) = metered_reactor();
+        let mut t = reactor.connect_virtual().unwrap();
+        t.send_frame(b"hello").unwrap();
+        assert_eq!(t.recv_frame().unwrap(), b"hello");
+        wait_for("the echo to be charged", || meter.sent_bytes() == 5);
+        assert_eq!(meter.queued_bytes(), 0, "nothing queued after delivery");
         assert_eq!(meter.send_stalls(), 0);
     }
 
     #[test]
     fn blocked_send_is_detected_as_a_client_stall() {
-        let (a, mut b) = duplex();
-        let meter = Arc::new(NetMeter::new());
-        let mut m =
-            MeteredTransport::with_stall_threshold(a, Arc::clone(&meter), Duration::from_millis(5));
-        // Fill the peer's bounded channel so the next send blocks until
-        // the (slow) receiver drains a frame.
-        for _ in 0..DUPLEX_DEPTH {
-            m.send_frame(b"fill").unwrap();
-        }
-        let reader = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            let mut got = Vec::new();
-            while let Ok(f) = b.recv_frame() {
-                got.push(f);
-            }
-            got
+        let (reactor, meter) = metered_reactor();
+        let mut t = reactor.connect_virtual().unwrap();
+        // The reply overflows the peer's bounded queue by one frame, which
+        // stays queued in the reactor until the (slow) reader drains.
+        t.send_frame(b"burst").unwrap();
+        wait_for("the queue to fill", || {
+            meter.sent_bytes() == (BURST_DEPTH * 4) as u64
         });
-        m.send_frame(b"overflow").unwrap(); // blocks ~30ms on the full channel
-        drop(m);
-        let got = reader.join().unwrap();
-        assert_eq!(got.len(), DUPLEX_DEPTH + 1);
-        assert_eq!(meter.send_stalls(), 1, "the blocked send was a stall");
-        assert!(meter.send_stall_ns() >= 5_000_000);
-        assert_eq!(meter.sent_bytes(), (DUPLEX_DEPTH * 4 + 8) as u64);
+        assert_eq!(meter.queued_bytes(), 4, "the overflow frame is waiting");
+        std::thread::sleep(DEFAULT_SEND_STALL + Duration::from_millis(10));
+        for _ in 0..=BURST_DEPTH {
+            assert_eq!(t.recv_frame().unwrap(), b"fill");
+        }
+        wait_for("the stall to be charged", || meter.send_stalls() == 1);
+        assert!(u128::from(meter.send_stall_ns()) >= DEFAULT_SEND_STALL.as_nanos());
+        assert_eq!(meter.sent_bytes(), ((BURST_DEPTH + 1) * 4) as u64);
+        assert_eq!(meter.queued_bytes(), 0);
     }
 
     #[test]
     fn idle_tracking_follows_sends() {
-        let (a, mut b) = duplex();
-        let meter = Arc::new(NetMeter::new());
-        let mut m = MeteredTransport::new(a, Arc::clone(&meter));
+        let (reactor, meter) = metered_reactor();
+        let mut t = reactor.connect_virtual().unwrap();
         assert_eq!(meter.idle_us(), 0, "never-used meter reads 0, not huge");
-        m.send_frame(b"tick").unwrap();
-        assert_eq!(b.recv_frame().unwrap(), b"tick");
+        t.send_frame(b"tick").unwrap();
+        assert_eq!(t.recv_frame().unwrap(), b"tick");
+        wait_for("the echo to be charged", || meter.sent_bytes() == 4);
         assert!(meter.idle_us() < 1_000_000, "just sent: near-zero idle");
         std::thread::sleep(Duration::from_millis(10));
         assert!(meter.idle_us() >= 10_000, "idle grows while nothing sends");

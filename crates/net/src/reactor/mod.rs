@@ -125,8 +125,7 @@ pub struct ReactorConfig {
     /// Frames buffered toward an in-process virtual peer before its
     /// reader backpressures the reactor.
     pub virtual_depth: usize,
-    /// Saturation meter charged for every outbound byte (the same
-    /// meter `MeteredTransport` charges on the threaded path).
+    /// Saturation meter charged for every outbound byte.
     pub net_meter: Option<Arc<NetMeter>>,
 }
 

@@ -217,10 +217,9 @@ fn print_window(server: &segshare::SegShareServer, win: &Snapshot, tick: Duratio
     let stats = server.watch_stats();
     let net = stats.net_meter();
     println!(
-        "  sessions {}  in-flight {}  backlog {}  queued {} B  global held {} µs",
+        "  sessions {}  in-flight {}  queued {} B  global held {} µs",
         stats.live_sessions(),
         stats.in_flight(),
-        stats.accept_backlog(),
         net.queued_bytes(),
         server.enclave().locks().global_held_us(),
     );

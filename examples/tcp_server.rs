@@ -20,14 +20,14 @@
 //! cost attribution report (top-K talkers + fairness summary), and
 //! `--store wal:<dir>` to back the server with the crash-consistent
 //! write-ahead-logged store (group commit on) instead of in-memory
-//! stores — data in `<dir>` survives server restarts, and
-//! `--threaded` to serve connections on the legacy thread-per-connection
-//! front end instead of the event-driven reactor (`--reactor`, the
-//! default: one epoll loop plus a bounded enclave worker pool; see
-//! OPERATIONS.md for tuning and the `seg_net_conns` state gauges).
+//! stores — data in `<dir>` survives server restarts.
+//!
+//! Connections are served by the event-driven reactor (one epoll loop
+//! plus a bounded enclave worker pool; see OPERATIONS.md for tuning and
+//! the `seg_net_conns` state gauges), so this example needs Linux on
+//! x86-64 or aarch64.
 
 use std::net::TcpListener;
-use std::sync::Arc;
 
 use seg_net::TcpTransport;
 use segshare::{Client, EnclaveConfig, FsoSetup, HealthOptions};
@@ -39,13 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let watch = std::env::args().any(|a| a == "--watch");
     let health = std::env::args().any(|a| a == "--health");
     let meter = std::env::args().any(|a| a == "--meter");
-    // Front end: the reactor is the default; `--threaded` (or
-    // SEGSHARE_FRONTEND=threaded, which CI's matrix uses) selects the
-    // seed-era thread-per-connection loop. `--reactor` forces the
-    // default explicitly.
-    let threaded = !std::env::args().any(|a| a == "--reactor")
-        && (std::env::args().any(|a| a == "--threaded")
-            || std::env::var("SEGSHARE_FRONTEND").as_deref() == Ok("threaded"));
     let store = std::env::args()
         .skip_while(|a| a != "--store")
         .nth(1)
@@ -71,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         FsoSetup::new_in_memory("ca", config)
     };
-    let server = Arc::new(setup.server()?);
+    let server = setup.server()?;
     let alice = setup.enroll_user("alice", "a@x", "Alice")?;
     if health {
         let canary = setup.enroll_user("canary", "canary@x", "Canary")?;
@@ -82,37 +75,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    // The untrusted host terminates TCP. Default: the reactor front
-    // end — one epoll event loop owns every socket and a bounded
-    // worker pool pumps opaque TLS frames into the enclave. Legacy:
-    // one session thread per accepted connection.
+    // The untrusted host terminates TCP: one epoll event loop owns
+    // every socket and a bounded worker pool pumps opaque TLS frames
+    // into the enclave.
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     println!(
-        "segshare server listening on {addr} ({} front end, {} AES-GCM, {} SHA-256)",
-        if threaded { "threaded" } else { "reactor" },
+        "segshare server listening on {addr} (reactor front end, {} AES-GCM, {} SHA-256)",
         seg_crypto::gcm::Gcm::backend(),
         seg_crypto::sha256::Sha256::backend(),
     );
-    if threaded {
-        server.set_front_end(segshare::FrontEnd::Threaded);
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { continue };
-                // The accept loop feeds the watch plane's backlog
-                // gauge; the session's serve loop dequeues it.
-                server.watch_stats().accept_queued();
-                let server = Arc::clone(&server);
-                std::thread::spawn(move || {
-                    let _ = server.handle_connection(TcpTransport::new(stream));
-                });
-            }
-        });
-    } else {
-        server.set_front_end(segshare::FrontEnd::Reactor);
-        server.serve_listener(listener)?;
-    }
+    server.serve_listener(listener)?;
 
     // A client across the (local) network.
     let transport = TcpTransport::connect(&addr.to_string())?;
@@ -201,10 +174,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stats = server.watch_stats();
         println!("\n--- watch plane (saturation) ---");
         println!(
-            "  live sessions {}  in-flight {}  accept backlog {}",
+            "  live sessions {}  in-flight {}",
             stats.live_sessions(),
-            stats.in_flight(),
-            stats.accept_backlog()
+            stats.in_flight()
         );
         let net = stats.net_meter();
         println!(

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use seg_net::reactor::ReactorConfig;
 use seg_store::{AdversaryStore, MemStore, ObjectStore};
 use segshare::{EnclaveConfig, FsoSetup, HealthOptions, ScrubCheck, SegShareServer};
 
@@ -289,6 +290,11 @@ fn health_runner_scrubs_probes_and_samples_an_idle_server() {
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
+    // The canary is an ordinary reactor connection — the path clients
+    // use — kept across probes, so it counts exactly once.
+    assert_eq!(r.server.watch_stats().live_sessions(), 1);
+    assert_eq!(r.server.reactor().stats().live_conns(), 1);
+    assert_eq!(r.server.reactor().stats().accepted_total(), 1);
     r.server.stop_health();
 
     let health = r.server.enclave().health();
@@ -312,6 +318,44 @@ fn health_runner_scrubs_probes_and_samples_an_idle_server() {
     let report = r.server.health_report();
     assert!(report.contains("\"state\":\"healthy\""));
     assert!(report.contains("\"canary\""));
+}
+
+/// The reactor reaps connections idle past its timeout; a canary that
+/// probes less often than that finds its connection gone every time and
+/// must reconnect within the probe instead of reporting a failure.
+#[test]
+fn idle_reaped_canary_reconnects_without_a_failed_probe() {
+    let r = rig(EnclaveConfig::default(), 708);
+    r.server.set_reactor_config(ReactorConfig {
+        idle_timeout: std::time::Duration::from_millis(20),
+        ..ReactorConfig::default()
+    });
+    let canary = r.setup.enroll_user("canary", "c@x", "Canary").unwrap();
+    r.server.start_health(HealthOptions {
+        canary: Some(canary),
+        tick_us: 2_000,
+        canary_interval_us: 100_000,
+    });
+    let health = r.server.enclave().health();
+    let stats = Arc::clone(r.server.reactor().stats());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while health.canary_probes() < 3 || stats.reaped_idle_total() < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "runner made no progress: probes={} reaped={}",
+            health.canary_probes(),
+            stats.reaped_idle_total()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    r.server.stop_health();
+    assert_eq!(
+        health.canary_failures(),
+        0,
+        "a reaped canary is not an outage"
+    );
+    assert!(stats.accepted_total() >= 3, "each reap cost one reconnect");
+    assert_eq!(health.state_label(), "healthy");
 }
 
 #[test]

@@ -323,16 +323,10 @@ fn s3_end_to_end_protection_over_the_wire() {
     let (setup, server) = basic_setup();
     let alice = setup.enroll_user("alice", "a@x", "A").unwrap();
     let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let (client_t, server_t) = seg_net::duplex();
     let recording = Recording {
-        inner: client_t,
+        inner: server.reactor().connect_virtual().unwrap(),
         log: Arc::clone(&log),
     };
-    let server2 = server;
-    let enclave = Arc::clone(server2.enclave());
-    std::thread::spawn(move || {
-        let _ = segshare::untrusted::serve_connection(&enclave, server_t);
-    });
     let mut c = segshare::Client::connect(recording, &alice).unwrap();
     c.put("/wire", b"EXTREMELY SECRET PAYLOAD ON THE WIRE")
         .unwrap();

@@ -212,7 +212,6 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_lock_global_held_us",
         "seg_net_live_sessions",
         "seg_net_inflight_requests",
-        "seg_net_accept_backlog",
         "seg_net_queued_bytes",
         "seg_net_send_stalls_total",
         "seg_net_send_stall_ns_total",

@@ -1,18 +1,14 @@
 //! Connection-lifecycle edges of the event-driven reactor front end.
 //!
-//! The reactor replaces the thread-per-connection loop, so these tests
-//! pin down exactly the behaviors that differ structurally between the
-//! two front ends: partial frames dribbling in (slowloris), peers
-//! vanishing mid-handshake, idle connections being reaped by the timer
-//! wheel, bounded outbound queues under streaming downloads, a
-//! drain-close against a peer that has stopped reading, accept
-//! shedding at the connection cap — and, above all, that a client
-//! cannot tell the front ends apart (the equivalence test runs one
-//! workload against both and compares every observable outcome).
+//! These tests pin down the behaviors only an event-driven front end
+//! has: partial frames dribbling in (slowloris), peers vanishing
+//! mid-handshake, idle connections being reaped by the timer wheel,
+//! bounded outbound queues under streaming downloads, a drain-close
+//! against a peer that has stopped reading, and accept shedding at the
+//! connection cap.
 //!
 //! The rest of the integration suite runs against the reactor too: it
-//! is the default front end, and CI's matrix re-runs the same suites
-//! with `SEGSHARE_FRONTEND=threaded` to hold the seed-era path green.
+//! is the only front end.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -20,13 +16,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use seg_fs::Perm;
 use seg_net::reactor::{
     ConnId, ConnState, FrameHandler, FrameOutcome, ReactorConfig, ReactorHandle,
 };
 use seg_net::FrameTransport;
 use seg_store::{MemStore, ObjectStore};
-use segshare::{Client, EnclaveConfig, EnrolledUser, FrontEnd, FsoSetup, SegShareServer};
+use segshare::{Client, EnclaveConfig, EnrolledUser, FsoSetup, SegShareServer};
 
 fn rig(seed: u64) -> (FsoSetup, SegShareServer, EnrolledUser) {
     let setup = FsoSetup::with_stores(
@@ -41,7 +36,6 @@ fn rig(seed: u64) -> (FsoSetup, SegShareServer, EnrolledUser) {
         Arc::new(MemStore::new()) as Arc<dyn ObjectStore>,
     );
     let server = setup.server().unwrap();
-    server.set_front_end(FrontEnd::Reactor);
     let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
     (setup, server, alice)
 }
@@ -420,54 +414,4 @@ fn many_concurrent_sessions_share_the_worker_pool() {
     eventually("all sessions released", || {
         server.watch_stats().live_sessions() == 0 && server.reactor().stats().live_conns() == 0
     });
-}
-
-// ----------------------------------------------------------- equivalence
-
-/// Runs one observable workload and returns every outcome a client can
-/// see: directory listings, file bytes, and whether the revoked user's
-/// access actually failed.
-fn observable_workload(setup: &FsoSetup, server: &SegShareServer) -> (Vec<String>, Vec<u8>, bool) {
-    let alice = setup.enroll_user("wl-alice", "wa@x", "Alice").unwrap();
-    let bob = setup.enroll_user("wl-bob", "wb@x", "Bob").unwrap();
-    let mut a = server.connect_local(&alice).unwrap();
-    a.mkdir("/w").unwrap();
-    a.put("/w/one", b"first body").unwrap();
-    a.put("/w/two", &vec![7u8; 300_000]).unwrap();
-    a.add_user("wl-alice", "readers").unwrap(); // creates group, alice owner
-    a.add_user("wl-bob", "readers").unwrap();
-    a.set_perm("/w/one", "readers", Perm::Read).unwrap();
-
-    let mut b = server.connect_local(&bob).unwrap();
-    let readable = b.get("/w/one").is_ok();
-    assert!(readable, "shared read works on both front ends");
-    a.remove_user("wl-bob", "readers").unwrap();
-    let revoked = b.get("/w/one").is_err();
-
-    let listing: Vec<String> = a
-        .list("/w")
-        .unwrap()
-        .into_iter()
-        .map(|e| format!("{}{}", if e.is_dir { "d:" } else { "f:" }, e.name))
-        .collect();
-    let bytes = a.get("/w/two").unwrap();
-    (listing, bytes, revoked)
-}
-
-/// The same workload through both front ends produces byte-identical
-/// observable results — the enclave cannot tell who is feeding it.
-#[test]
-fn reactor_and_threaded_front_ends_are_equivalent() {
-    let (setup_r, server_r, _alice) = rig(8);
-    server_r.set_front_end(FrontEnd::Reactor);
-    let reactor_out = observable_workload(&setup_r, &server_r);
-
-    let (setup_t, server_t, _alice) = rig(8);
-    server_t.set_front_end(FrontEnd::Threaded);
-    let threaded_out = observable_workload(&setup_t, &server_t);
-
-    assert_eq!(reactor_out.0, threaded_out.0, "identical listings");
-    assert_eq!(reactor_out.1, threaded_out.1, "identical file bytes");
-    assert_eq!(reactor_out.2, threaded_out.2, "identical revocation");
-    assert!(reactor_out.2, "revocation enforced on both");
 }

@@ -387,13 +387,8 @@ fn hostile_protocol_sequences_are_survived() {
     let mallory = r.setup.enroll_user("mallory", "m@x", "Mallory").unwrap();
 
     // Raw secure stream (below the Client convenience layer).
-    let (client_t, server_t) = seg_net::duplex();
-    let enclave = std::sync::Arc::clone(r.server.enclave());
-    std::thread::spawn(move || {
-        let _ = segshare::untrusted::serve_connection(&enclave, server_t);
-    });
     let mut stream = SecureStream::connect(
-        client_t,
+        r.server.reactor().connect_virtual().unwrap(),
         mallory.certificate.clone(),
         mallory.secret_key.clone(),
         mallory.ca_key,
