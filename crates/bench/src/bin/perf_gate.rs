@@ -636,19 +636,17 @@ fn run_concurrency(reps: usize, ops: usize) -> Vec<ConcurrencyPoint> {
     points
 }
 
-/// The disjoint mix's aggregate throughput at `threads` (panics if the
-/// matrix is missing the point).
-fn disjoint_ops_per_s(points: &[ConcurrencyPoint], threads: usize) -> f64 {
-    points
-        .iter()
-        .find(|p| p.mix == "disjoint" && p.threads == threads)
-        .expect("concurrency matrix covers this point")
-        .ops_per_s
-}
-
-/// 8-thread over 1-thread aggregate throughput on the disjoint mix.
+/// 8-thread over 1-thread aggregate throughput on the disjoint mix
+/// (panics if the matrix is missing either point).
 fn disjoint_scaling(points: &[ConcurrencyPoint]) -> f64 {
-    disjoint_ops_per_s(points, 8) / disjoint_ops_per_s(points, 1)
+    let at = |threads: usize| {
+        points
+            .iter()
+            .find(|p| p.mix == "disjoint" && p.threads == threads)
+            .expect("concurrency matrix covers this point")
+            .ops_per_s
+    };
+    at(8) / at(1)
 }
 
 /// Prints the matrix and applies the concurrency acceptance check:
@@ -680,8 +678,9 @@ fn check_concurrency(points: &[ConcurrencyPoint]) -> Vec<String> {
     }
 }
 
-/// Runs the overlapping and disjoint mixes once each (8 threads) with a metrics-snapshot delta around every run, and extracts
-/// the `seg_lock_wait_ns` series from each window.
+/// Runs the overlapping and disjoint mixes once each (8 threads) with
+/// a metrics-snapshot delta around every run, and extracts the
+/// `seg_lock_wait_ns` series from each window.
 fn run_contention_evidence(rig: &Rig, ops: usize, round: &mut u32) -> Vec<ContentionEvidence> {
     let mut evidence = Vec::new();
     for (mix, shared_dir) in [("overlapping", true), ("disjoint", false)] {

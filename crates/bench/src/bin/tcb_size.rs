@@ -83,7 +83,7 @@ fn main() {
     let (fs_model, _) = total(&[&at("crates/fs/src")]);
     // Untrusted: host, stores, transports, client.
     let (untrusted, _) = total(&[
-        &at("crates/core/src/untrusted"),
+        &at("crates/core/src/untrusted.rs"),
         &at("crates/core/src/client.rs"),
         &at("crates/store/src"),
         &at("crates/net/src"),

@@ -485,7 +485,7 @@ impl SegShareServer {
     /// starts the reactor; call [`SegShareServer::set_reactor_config`]
     /// first). Idempotent — a second call while a runner lives is a
     /// no-op.
-    pub fn start_health(&self, opts: HealthOptions) {
+    pub fn start_health(&self, mut opts: HealthOptions) {
         let mut slot = self.health_runner.lock();
         if slot.is_some() {
             return;
@@ -493,7 +493,7 @@ impl SegShareServer {
         let stop = Arc::new(AtomicBool::new(false));
         let enclave = Arc::clone(&self.enclave);
         let flag = Arc::clone(&stop);
-        let canary = opts.canary.clone().map(|user| (self.reactor(), user));
+        let canary = opts.canary.take().map(|user| (self.reactor(), user));
         let handle =
             std::thread::spawn(move || run_health_loop(&enclave, canary.as_ref(), &opts, &flag));
         *slot = Some(HealthRunner { stop, handle });
