@@ -326,15 +326,17 @@ fn health_runner_scrubs_probes_and_samples_an_idle_server() {
 #[test]
 fn idle_reaped_canary_reconnects_without_a_failed_probe() {
     let r = rig(EnclaveConfig::default(), 708);
+    // Long enough that no handshake or request of a debug build is
+    // itself reaped as idle, short against the probe interval.
     r.server.set_reactor_config(ReactorConfig {
-        idle_timeout: std::time::Duration::from_millis(20),
+        idle_timeout: std::time::Duration::from_millis(200),
         ..ReactorConfig::default()
     });
     let canary = r.setup.enroll_user("canary", "c@x", "Canary").unwrap();
     r.server.start_health(HealthOptions {
         canary: Some(canary),
         tick_us: 2_000,
-        canary_interval_us: 100_000,
+        canary_interval_us: 500_000,
     });
     let health = r.server.enclave().health();
     let stats = Arc::clone(r.server.reactor().stats());
