@@ -93,16 +93,10 @@ const CONTENTION_MIN_WAIT_NS: u64 = 10_000_000;
 /// The overlapping mix must wait at least this many times longer on the
 /// path key class than the disjoint mix (same op count, same rig).
 const CONTENTION_MIN_RATIO: f64 = 5.0;
-/// Maximum fractional slowdown the always-on watch plane may cost on
-/// the standard small-op mix.
-const WATCH_MAX_OVERHEAD: f64 = 0.02;
-/// Maximum fractional slowdown the health plane (SLO rollup samples,
-/// the background integrity scrubber, and the loopback canary) may
-/// cost on the same mix.
-const HEALTH_MAX_OVERHEAD: f64 = 0.02;
-/// Maximum fractional slowdown the metering plane (per-request cost
-/// attribution) may cost on the same mix.
-const METER_MAX_OVERHEAD: f64 = 0.02;
+/// Maximum fractional slowdown telemetry (every record consumer; on the
+/// runner rig also the history tick, the integrity scrubber and the
+/// loopback canary) may cost on the standard small-op mix.
+const TELEMETRY_MAX_OVERHEAD: f64 = 0.02;
 /// Minimum true-top-8 principals the meter sketch must recall on the
 /// Zipf-skewed multi-principal workload (more principals than slots).
 const METER_MIN_RECALL: usize = 7;
@@ -461,44 +455,20 @@ impl ContentionEvidence {
     }
 }
 
-/// Median wall-clock of the standard small-op probe with the watch
-/// plane on versus off (adjacent order-alternated pairs, so clock and
-/// scheduler drift charge both variants equally).
-struct WatchOverheadEvidence {
+/// Median wall-clock of the standard small-op probe with telemetry on
+/// versus off (adjacent order-alternated pairs, so clock and scheduler
+/// drift charge both variants equally).
+struct OverheadEvidence {
+    /// The `BENCH_perf.json` key and the gate's name.
+    name: &'static str,
     on_s: f64,
     off_s: f64,
+    /// Background work that ran during the measurement, as extra JSON
+    /// members (empty on a rig without a runner).
+    work: String,
 }
 
-impl WatchOverheadEvidence {
-    fn overhead(&self) -> f64 {
-        self.on_s / self.off_s - 1.0
-    }
-}
-
-/// Same adjacent-pair-median comparison for the health plane, plus the
-/// background work that demonstrably ran while the "on" probes were
-/// being timed and the final declassified report (the CI artifact).
-struct HealthOverheadEvidence {
-    on_s: f64,
-    off_s: f64,
-    scrub_passes: u64,
-    canary_probes: u64,
-    report: String,
-}
-
-impl HealthOverheadEvidence {
-    fn overhead(&self) -> f64 {
-        self.on_s / self.off_s - 1.0
-    }
-}
-
-/// Same adjacent-pair-median comparison for the metering plane.
-struct MeterOverheadEvidence {
-    on_s: f64,
-    off_s: f64,
-}
-
-impl MeterOverheadEvidence {
+impl OverheadEvidence {
     fn overhead(&self) -> f64 {
         self.on_s / self.off_s - 1.0
     }
@@ -506,15 +476,13 @@ impl MeterOverheadEvidence {
 
 /// Attribution evidence from the Zipf-skewed multi-principal run: how
 /// well the bounded sketch recovered the true heaviest talkers while
-/// tracking fewer slots than principals, plus the declassified report
-/// (the CI artifact).
+/// tracking fewer slots than principals.
 struct MeterAttributionEvidence {
     principals: usize,
     ops: u64,
     recalled_top8: usize,
     tracked: u64,
     evictions: u64,
-    report: String,
 }
 
 /// The enclave configuration for the scaling workloads: audit off
@@ -770,27 +738,33 @@ fn check_contention(evidence: &[ContentionEvidence]) -> Vec<String> {
     failures
 }
 
-/// Measures the watch plane's cost on the standard small-op mix.
+/// Measures what telemetry costs on the standard small-op mix of
+/// `rig`: `set_telemetry(false)` reduces a request to one relaxed
+/// atomic load and makes a health runner's ticks, scrubber and canary
+/// no-ops (without stopping the thread), while "on" pays for the whole
+/// record — operand HMACs, counter sweep, phase vector — and every
+/// consumer of it.
 ///
 /// The effect is far smaller than coarse-batch jitter, so the
 /// measurement is paired at the *operation* level: each probe runs the
 /// same stationary op (overwrite-put + get of fixed 4 KiB files —
 /// creating files would grow the directory and skew later probes) once
-/// with the plane on and once off, adjacent in time and with the order
-/// alternating, so frequency and scheduler drift charge both variants
-/// equally. Medians over all pairs make single stalled ops irrelevant.
-fn run_watch_overhead(
+/// on and once off, adjacent in time and with the order alternating, so
+/// frequency and scheduler drift charge both variants equally. Medians
+/// over all pairs make single stalled ops irrelevant.
+fn paired_overhead(
+    name: &'static str,
     rig: &Rig,
     client: &mut segshare::Client<seg_net::ChannelTransport>,
     pairs: usize,
-) -> WatchOverheadEvidence {
+) -> OverheadEvidence {
     let p4k: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-    client.put("/watch-probe", &p4k).expect("prefill");
-    client.put("/watch-probe-w", &p4k).expect("prefill");
+    client.put("/overhead-probe", &p4k).expect("prefill");
+    client.put("/overhead-probe-w", &p4k).expect("prefill");
     let probe = |client: &mut segshare::Client<seg_net::ChannelTransport>| {
         let start = Instant::now();
-        client.put("/watch-probe-w", &p4k).expect("upload");
-        let got = client.get("/watch-probe").expect("download");
+        client.put("/overhead-probe-w", &p4k).expect("upload");
+        let got = client.get("/overhead-probe").expect("download");
         assert_eq!(got.len(), p4k.len());
         start.elapsed().as_secs_f64()
     };
@@ -802,7 +776,7 @@ fn run_watch_overhead(
     for i in 0..pairs {
         for flip in [false, true] {
             let on = (i % 2 == 0) ^ flip;
-            rig.server.set_watch(on);
+            rig.server.set_telemetry(on);
             let elapsed = probe(client);
             if on {
                 on_times.push(elapsed);
@@ -811,31 +785,31 @@ fn run_watch_overhead(
             }
         }
     }
-    rig.server.set_watch(true);
+    rig.server.set_telemetry(true);
     let median = |times: &mut Vec<f64>| {
         times.sort_by(f64::total_cmp);
         times[times.len() / 2]
     };
-    WatchOverheadEvidence {
+    OverheadEvidence {
+        name,
         on_s: median(&mut on_times),
         off_s: median(&mut off_times),
+        work: String::new(),
     }
 }
 
-/// Measures the health plane's cost on the standard small-op mix.
-///
-/// A dedicated rig: the workload rig's paper-prototype config disables
-/// the scrubber (`scrub_interval_us: 0`), and the point here is to
-/// price the *whole* plane — so the background runner ticks every 5 ms
-/// against a 50 ms scrub cadence with the loopback canary firing every
-/// 100 ms, all live while the "on" probes are timed. That is still
-/// 20× the default 1 s scrub cadence, so the measurement bounds any
-/// production setting without letting the background duty cycle drown
-/// the paired probes on a single-core runner. The off/on pairing is
-/// the same operation-level, order-alternated median scheme as
-/// [`run_watch_overhead`]: `set_health(false)` makes the runner's
-/// ticks, samples, and canary no-ops without stopping the thread.
-fn run_health_overhead(pairs: usize) -> HealthOverheadEvidence {
+/// [`paired_overhead`] on a dedicated rig with the health runner live:
+/// the workload rig's paper-prototype config never starts one, and the
+/// point here is to price *everything* the switch pauses — so the
+/// runner ticks every 5 ms against a 50 ms scrub cadence with the
+/// loopback canary firing every 100 ms, all while the "on" probes are
+/// timed. That is 20× the default 1 s scrub cadence, so the measurement
+/// bounds any production setting without letting the background duty
+/// cycle drown the paired probes on a single-core runner. Returns the
+/// evidence — with the scrub passes and canary probes that demonstrably
+/// ran, so "cheap because idle" is ruled out — and the rig's final
+/// report (the CI artifact).
+fn run_runner_overhead(pairs: usize) -> (OverheadEvidence, String) {
     let rig = Rig::new(EnclaveConfig {
         scrub_interval_us: 50_000,
         ..EnclaveConfig::paper_prototype()
@@ -849,107 +823,26 @@ fn run_health_overhead(pairs: usize) -> HealthOverheadEvidence {
         tick_us: 5_000,
         canary_interval_us: 100_000,
     });
-    let mut client = rig.client();
-    let p4k: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-    client.put("/health-probe", &p4k).expect("prefill");
-    client.put("/health-probe-w", &p4k).expect("prefill");
-    let probe = |client: &mut segshare::Client<seg_net::ChannelTransport>| {
-        let start = Instant::now();
-        client.put("/health-probe-w", &p4k).expect("upload");
-        let got = client.get("/health-probe").expect("download");
-        assert_eq!(got.len(), p4k.len());
-        start.elapsed().as_secs_f64()
-    };
-    for _ in 0..16 {
-        probe(&mut client); // warmup, untimed
-    }
-    let mut on_times = Vec::with_capacity(pairs);
-    let mut off_times = Vec::with_capacity(pairs);
-    for i in 0..pairs {
-        for flip in [false, true] {
-            let on = (i % 2 == 0) ^ flip;
-            rig.server.set_health(on);
-            let elapsed = probe(&mut client);
-            if on {
-                on_times.push(elapsed);
-            } else {
-                off_times.push(elapsed);
-            }
-        }
-    }
-    rig.server.set_health(true);
+    let mut evidence = paired_overhead("telemetry_runner", &rig, &mut rig.client(), pairs);
     // The report artifact should carry at least one completed pass over
     // the probe namespace; the aggressive cadence makes this quick.
+    let health = rig.server.enclave().health();
     let deadline = Instant::now() + Duration::from_secs(30);
-    while rig.server.enclave().health().scrub_passes() == 0 && Instant::now() < deadline {
+    while health.scrub_passes() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     rig.server.stop_health();
-    let health = rig.server.enclave().health();
     assert_eq!(
         health.findings_total(),
         0,
         "the gate's untampered rig must scrub clean"
     );
-    let median = |times: &mut Vec<f64>| {
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
-    HealthOverheadEvidence {
-        on_s: median(&mut on_times),
-        off_s: median(&mut off_times),
-        scrub_passes: health.scrub_passes(),
-        canary_probes: health.canary_probes(),
-        report: rig.server.health_report(),
-    }
-}
-
-/// Measures the metering plane's cost on the standard small-op mix —
-/// the same operation-level, order-alternated median scheme as
-/// [`run_watch_overhead`]: `set_meter(false)` reduces the per-request
-/// cost to one relaxed atomic load, while "on" pays the full counter
-/// sweep, operand HMACs, and sketch update.
-fn run_meter_overhead(
-    rig: &Rig,
-    client: &mut segshare::Client<seg_net::ChannelTransport>,
-    pairs: usize,
-) -> MeterOverheadEvidence {
-    let p4k: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-    client.put("/meter-probe", &p4k).expect("prefill");
-    client.put("/meter-probe-w", &p4k).expect("prefill");
-    let probe = |client: &mut segshare::Client<seg_net::ChannelTransport>| {
-        let start = Instant::now();
-        client.put("/meter-probe-w", &p4k).expect("upload");
-        let got = client.get("/meter-probe").expect("download");
-        assert_eq!(got.len(), p4k.len());
-        start.elapsed().as_secs_f64()
-    };
-    for _ in 0..16 {
-        probe(client); // warmup, untimed
-    }
-    let mut on_times = Vec::with_capacity(pairs);
-    let mut off_times = Vec::with_capacity(pairs);
-    for i in 0..pairs {
-        for flip in [false, true] {
-            let on = (i % 2 == 0) ^ flip;
-            rig.server.set_meter(on);
-            let elapsed = probe(client);
-            if on {
-                on_times.push(elapsed);
-            } else {
-                off_times.push(elapsed);
-            }
-        }
-    }
-    rig.server.set_meter(true);
-    let median = |times: &mut Vec<f64>| {
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
-    MeterOverheadEvidence {
-        on_s: median(&mut on_times),
-        off_s: median(&mut off_times),
-    }
+    evidence.work = format!(
+        ", \"scrub_passes\": {}, \"canary_probes\": {}",
+        health.scrub_passes(),
+        health.canary_probes()
+    );
+    (evidence, rig.server.report())
 }
 
 /// Runs a Zipf(1.0)-skewed multi-principal workload — more enrolled
@@ -992,38 +885,40 @@ fn run_meter_attribution(quick: bool) -> MeterAttributionEvidence {
         }
     }
     let meter = rig.server.enclave().meter();
-    let reported: Vec<u64> = meter.top_principals(8).iter().map(|s| s.fp).collect();
+    let reported: Vec<u64> = meter.top("principal", 8).iter().map(|s| s.fp).collect();
     let recalled = expected_top8
         .iter()
         .filter(|fp| reported.contains(fp))
         .count();
-    let stats = meter.stats();
+    let by_principal = meter.stats()[0];
     MeterAttributionEvidence {
         principals,
         ops: total,
         recalled_top8: recalled,
-        tracked: stats.principals.tracked,
-        evictions: stats.principals.evictions,
-        report: rig.server.meter_report(),
+        tracked: by_principal.tracked,
+        evictions: by_principal.evictions,
     }
 }
 
-fn check_meter_overhead(meter: &MeterOverheadEvidence) -> Vec<String> {
-    let overhead = meter.overhead();
+fn check_overhead(e: &OverheadEvidence) -> Vec<String> {
+    let overhead = e.overhead();
     println!(
-        "== meter plane overhead == on={} off={} ({:+.2}%; gate: <= {:.0}%)",
-        fmt_s(meter.on_s),
-        fmt_s(meter.off_s),
+        "== {} overhead == on={} off={} ({:+.2}%; gate: <= {:.0}%){}",
+        e.name,
+        fmt_s(e.on_s),
+        fmt_s(e.off_s),
         overhead * 100.0,
-        METER_MAX_OVERHEAD * 100.0,
+        TELEMETRY_MAX_OVERHEAD * 100.0,
+        e.work,
     );
-    if overhead <= METER_MAX_OVERHEAD {
+    if overhead <= TELEMETRY_MAX_OVERHEAD {
         Vec::new()
     } else {
         vec![format!(
-            "meter: plane overhead {:.2}% exceeds the {:.0}% budget",
+            "{}: overhead {:.2}% exceeds the {:.0}% budget",
+            e.name,
             overhead * 100.0,
-            METER_MAX_OVERHEAD * 100.0,
+            TELEMETRY_MAX_OVERHEAD * 100.0,
         )]
     }
 }
@@ -1063,49 +958,6 @@ fn check_meter_attribution(attr: &MeterAttributionEvidence) -> Vec<String> {
         ));
     }
     failures
-}
-
-fn check_health_overhead(health: &HealthOverheadEvidence) -> Vec<String> {
-    let overhead = health.overhead();
-    println!(
-        "== health plane overhead == on={} off={} ({:+.2}%; gate: <= {:.0}%) \
-         [{} scrub passes, {} canary probes during run]",
-        fmt_s(health.on_s),
-        fmt_s(health.off_s),
-        overhead * 100.0,
-        HEALTH_MAX_OVERHEAD * 100.0,
-        health.scrub_passes,
-        health.canary_probes,
-    );
-    if overhead <= HEALTH_MAX_OVERHEAD {
-        Vec::new()
-    } else {
-        vec![format!(
-            "health: plane overhead {:.2}% exceeds the {:.0}% budget",
-            overhead * 100.0,
-            HEALTH_MAX_OVERHEAD * 100.0,
-        )]
-    }
-}
-
-fn check_watch_overhead(watch: &WatchOverheadEvidence) -> Vec<String> {
-    let overhead = watch.overhead();
-    println!(
-        "== watch plane overhead == on={} off={} ({:+.2}%; gate: <= {:.0}%)",
-        fmt_s(watch.on_s),
-        fmt_s(watch.off_s),
-        overhead * 100.0,
-        WATCH_MAX_OVERHEAD * 100.0,
-    );
-    if overhead <= WATCH_MAX_OVERHEAD {
-        Vec::new()
-    } else {
-        vec![format!(
-            "watch: plane overhead {:.2}% exceeds the {:.0}% budget",
-            overhead * 100.0,
-            WATCH_MAX_OVERHEAD * 100.0,
-        )]
-    }
 }
 
 fn repo_root() -> PathBuf {
@@ -1259,22 +1111,18 @@ fn main() {
     }
     print_cache_evidence(&cache_evidence);
 
-    // Watch-plane overhead: the always-on contention/saturation plane
-    // must stay within its budget on the standard small-op mix.
-    let watch_overhead = run_watch_overhead(&rig, &mut client, if quick { 300 } else { 800 });
-    let mut failures = check_watch_overhead(&watch_overhead);
+    // Telemetry overhead, on/off through the one switch: on this
+    // serial-mix rig (every record consumer), then on a dedicated rig
+    // with the health runner, scrubber and canary live (see
+    // `run_runner_overhead`). Each must stay within the budget.
+    let pairs = if quick { 300 } else { 800 };
+    let telemetry = paired_overhead("telemetry", &rig, &mut client, pairs);
+    let mut failures = check_overhead(&telemetry);
+    let (telemetry_runner, runner_report) = run_runner_overhead(pairs);
+    failures.extend(check_overhead(&telemetry_runner));
 
-    // Health-plane overhead: same pairing scheme, on a dedicated rig
-    // with the scrubber, rollups, and canary all running (see
-    // `run_health_overhead`).
-    let health_overhead = run_health_overhead(if quick { 300 } else { 800 });
-    failures.extend(check_health_overhead(&health_overhead));
-
-    // Meter-plane overhead on the same mix, then the Zipf-skewed
-    // multi-principal attribution run on a dedicated rig (see
-    // `run_meter_attribution`).
-    let meter_overhead = run_meter_overhead(&rig, &mut client, if quick { 300 } else { 800 });
-    failures.extend(check_meter_overhead(&meter_overhead));
+    // The Zipf-skewed multi-principal attribution run on a dedicated
+    // rig (see `run_meter_attribution`).
     let meter_attr = run_meter_attribution(quick);
     failures.extend(check_meter_attribution(&meter_attr));
 
@@ -1308,7 +1156,7 @@ fn main() {
 
     // Declassified aggregates for the report (explicit enclave exits).
     let snapshot = rig.server.metrics_snapshot();
-    let profile = rig.server.profile_snapshot();
+    let profile = rig.server.enclave().profile_snapshot();
 
     let root = repo_root();
     let report = build_report(
@@ -1320,9 +1168,7 @@ fn main() {
         &contention,
         &dur_points,
         &c10k,
-        &watch_overhead,
-        &health_overhead,
-        &meter_overhead,
+        &[&telemetry, &telemetry_runner],
         &meter_attr,
     );
     let report_path = root.join("BENCH_perf.json");
@@ -1331,6 +1177,7 @@ fn main() {
 
     println!("-- trajectory (BENCH_history.jsonl, vs the previous row) --");
     let (gcm_mb_per_s, hmac_us) = history::crypto_probes();
+    let (tcb_loc, telemetry_loc) = seg_bench::tcb::totals(&root);
     let row = history::Row {
         commit: history::commit(&root),
         runs,
@@ -1344,6 +1191,8 @@ fn main() {
             .collect(),
         gcm_mb_per_s,
         hmac_us,
+        tcb_loc,
+        telemetry_loc,
     };
     history::record(&root.join("BENCH_history.jsonl"), &row).expect("append BENCH_history.jsonl");
 
@@ -1355,28 +1204,12 @@ fn main() {
         collapsed_path.display()
     );
 
-    // The contention rig's correlated watch bundle: flight frames over
-    // the contended runs, lock top-K, trace tail, profile — the
-    // artifact CI uploads next to BENCH_perf.json.
-    let flight_path = root.join("results/watch_flight.json");
-    std::fs::write(&flight_path, conc_rig.server.watch_report()).expect("write watch_flight.json");
-    println!(
-        "wrote {} (watch-plane correlated bundle)",
-        flight_path.display()
-    );
-
-    // The health rig's declassified report: verdict, scrub tallies,
-    // canary stats, SLO status, retention rings — uploaded by CI.
-    let health_path = root.join("results/health_report.json");
-    std::fs::write(&health_path, &health_overhead.report).expect("write health_report.json");
-    println!("wrote {} (health-plane report)", health_path.display());
-
-    // The attribution rig's declassified meter report: top-K talkers,
-    // heaviest groups, hottest prefixes, fairness split — uploaded by
-    // CI next to the other plane artifacts.
-    let meter_path = root.join("results/meter_report.json");
-    std::fs::write(&meter_path, &meter_attr.report).expect("write meter_report.json");
-    println!("wrote {} (meter-plane report)", meter_path.display());
+    // The runner rig's report — every consumer's view at one instant,
+    // scrubber and canary included — the artifact CI uploads next to
+    // BENCH_perf.json.
+    let report_path = root.join("results/report.json");
+    std::fs::write(&report_path, runner_report).expect("write report.json");
+    println!("wrote {} (the one report)", report_path.display());
 
     let baseline_path = root.join("results/bench_baseline.json");
     if update_baseline {
@@ -1544,9 +1377,7 @@ fn build_report(
     contention: &[ContentionEvidence],
     dur_points: &[DurabilityPoint],
     c10k: &C10kEvidence,
-    watch: &WatchOverheadEvidence,
-    health: &HealthOverheadEvidence,
-    meter: &MeterOverheadEvidence,
+    overheads: &[&OverheadEvidence],
     meter_attr: &MeterAttributionEvidence,
 ) -> String {
     let mut out = String::from("{\n");
@@ -1749,39 +1580,26 @@ fn build_report(
     out.push_str("    ]\n");
     out.push_str("  },\n");
 
-    // The watch plane's measured cost on the standard small-op mix.
-    let _ = writeln!(
-        out,
-        "  \"watch\": {{\"on_s\": {:.9}, \"off_s\": {:.9}, \"overhead\": {:.6}, \
-         \"budget\": {WATCH_MAX_OVERHEAD}}},",
-        watch.on_s,
-        watch.off_s,
-        watch.overhead(),
-    );
+    // Telemetry's measured cost on the standard small-op mix, per rig.
+    for e in overheads {
+        let _ = writeln!(
+            out,
+            "  \"{}\": {{\"on_s\": {:.9}, \"off_s\": {:.9}, \"overhead\": {:.6}, \
+             \"budget\": {TELEMETRY_MAX_OVERHEAD}{}}},",
+            e.name,
+            e.on_s,
+            e.off_s,
+            e.overhead(),
+            e.work,
+        );
+    }
 
-    // The health plane's measured cost, with the background work that
-    // ran during the measurement so "cheap because idle" is ruled out.
+    // The Zipf attribution evidence (recall of true top talkers under
+    // bounded cardinality).
     let _ = writeln!(
         out,
-        "  \"health\": {{\"on_s\": {:.9}, \"off_s\": {:.9}, \"overhead\": {:.6}, \
-         \"budget\": {HEALTH_MAX_OVERHEAD}, \"scrub_passes\": {}, \"canary_probes\": {}}},",
-        health.on_s,
-        health.off_s,
-        health.overhead(),
-        health.scrub_passes,
-        health.canary_probes,
-    );
-
-    // The metering plane's measured cost plus the Zipf attribution
-    // evidence (recall of true top talkers under bounded cardinality).
-    let _ = writeln!(
-        out,
-        "  \"meter\": {{\"on_s\": {:.9}, \"off_s\": {:.9}, \"overhead\": {:.6}, \
-         \"budget\": {METER_MAX_OVERHEAD}, \"principals\": {}, \"ops\": {}, \
+        "  \"meter\": {{\"principals\": {}, \"ops\": {}, \
          \"recalled_top8\": {}, \"tracked\": {}, \"evictions\": {}}},",
-        meter.on_s,
-        meter.off_s,
-        meter.overhead(),
         meter_attr.principals,
         meter_attr.ops,
         meter_attr.recalled_top8,

@@ -74,7 +74,7 @@ fn main() {
         .put("/probe-100k", &payload)
         .expect("upload succeeds");
     let wall = start.elapsed();
-    let prof = rig.server.profile_snapshot();
+    let prof = rig.server.enclave().profile_snapshot();
     let upload_ops = ["put_file", "data"];
     let enclave_ns: u64 = upload_ops.iter().map(|op| prof.op_total_ns(op)).sum();
     println!(

@@ -2,8 +2,9 @@
 //! is overwritten by every run, so a change could only ever be compared
 //! with the run before it by hand; each run now also appends one compact
 //! row here — commit, crypto backends, raw workload means, profiler
-//! phase self-times, and two crypto probes — and prints the delta
-//! against the row before it.
+//! phase self-times, two crypto probes, and the trusted and telemetry
+//! line counts of [`crate::tcb`] — and prints the delta against the row
+//! before it.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -33,6 +34,11 @@ pub struct Row {
     /// One multiset-hash update of a 72-byte element (an HMAC-SHA-256
     /// under a kept key).
     pub hmac_us: f64,
+    /// [`crate::tcb::totals`]: lines linked into the enclave, and the
+    /// telemetry share of them.
+    pub tcb_loc: usize,
+    /// See `tcb_loc`.
+    pub telemetry_loc: usize,
 }
 
 /// The checked-out commit, or `unknown` outside a git checkout.
@@ -92,13 +98,16 @@ impl Row {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"commit\": \"{}\", \"gcm_backend\": \"{}\", \"sha256_backend\": \"{}\", \
-             \"runs\": {}, \"gcm_mb_per_s\": {:.1}, \"hmac_us\": {:.4}, \"means_s\": {{",
+             \"runs\": {}, \"gcm_mb_per_s\": {:.1}, \"hmac_us\": {:.4}, \"tcb_loc\": {}, \
+             \"telemetry_loc\": {}, \"means_s\": {{",
             self.commit,
             Gcm::backend(),
             Sha256::backend(),
             self.runs,
             self.gcm_mb_per_s,
             self.hmac_us,
+            self.tcb_loc,
+            self.telemetry_loc,
         );
         for (i, (name, mean)) in self.means_s.iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
@@ -117,7 +126,7 @@ impl Row {
 /// Every number in a row, flattened to `section.name`.
 fn numbers(row: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
-    for key in ["gcm_mb_per_s", "hmac_us"] {
+    for key in ["gcm_mb_per_s", "hmac_us", "tcb_loc", "telemetry_loc"] {
         if let Some(v) = row.get(key).and_then(Json::as_f64) {
             out.push((key.to_string(), v));
         }
@@ -217,6 +226,8 @@ mod tests {
             phases_ns: vec![("rollback_tree".to_string(), 12_345)],
             gcm_mb_per_s: 4000.0,
             hmac_us: 0.25,
+            tcb_loc: 12_000,
+            telemetry_loc: 3_000,
         };
         let parsed = json::parse(&row.to_json()).expect("row is JSON");
         assert_eq!(
@@ -228,6 +239,8 @@ mod tests {
             vec![
                 ("gcm_mb_per_s".to_string(), 4000.0),
                 ("hmac_us".to_string(), 0.25),
+                ("tcb_loc".to_string(), 12_000.0),
+                ("telemetry_loc".to_string(), 3_000.0),
                 ("means_s.upload_1m".to_string(), 0.002_5),
                 ("phases_ns.rollback_tree".to_string(), 12_345.0),
             ]

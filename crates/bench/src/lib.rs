@@ -3,3 +3,4 @@
 pub mod harness;
 pub mod history;
 pub mod json;
+pub mod tcb;

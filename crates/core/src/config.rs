@@ -30,18 +30,14 @@ pub struct EnclaveConfig {
     /// Tamper-evident audit trail: every dispatched request is appended
     /// as a sealed, hash-chained record through the untrusted store.
     pub audit: bool,
-    /// The watch plane's stall deadline (µs): requests at least this
-    /// slow are copied into the trace ring's slow-request log **and**
-    /// trip the stall watchdog, which captures a correlated flight-
-    /// recorder dump. One knob, one source of truth — the slow log and
-    /// the watchdog can never disagree about what "slow" means. 0
-    /// disables both.
+    /// The stall deadline (µs): a request at least this slow is kept
+    /// whole in the slow-request log, counts as slow in the meter and
+    /// against the latency objective, **and** trips the stall watchdog,
+    /// which stores the correlated report. One knob, one source of
+    /// truth — no two consumers can disagree about what "slow" means.
+    /// 0 disables all of it, the watchdog's global-lock budget
+    /// (`enclave::watch::GLOBAL_LOCK_BUDGET_US`) included.
     pub watch_deadline_us: u64,
-    /// Budget (µs) the exclusive global lock may be held before the
-    /// stall watchdog reports a global-lock stall (the signature of a
-    /// `Move`/`DeleteGroup`/restore-rebuild starving every other
-    /// session). 0 disables the budget check.
-    pub watch_global_budget_us: u64,
     /// In-enclave object cache (`seg-cache`): decoded metadata (ACLs,
     /// member/group lists, dirfiles, rollback-tree records) and small
     /// hot content bodies are kept in enclave memory with write-through
@@ -57,11 +53,6 @@ pub struct EnclaveConfig {
     /// (`SegShareServer::start_health`); 0 disables the scrubber while
     /// leaving rollups and the canary active.
     pub scrub_interval_us: u64,
-    /// The metering plane (`seg-meter`): per-request cost vectors
-    /// attributed to the requesting principal and touched group/path
-    /// prefix in cardinality-bounded top-K sketches. Operational
-    /// accounting, runtime-togglable via `SegShareServer::set_meter`.
-    pub meter: bool,
     /// Group-commit write batching (the durability plane): each
     /// request's store writes accumulate into one `WriteBatch` sealed
     /// at the dispatch commit point, so a durable backend fsyncs a
@@ -83,10 +74,8 @@ impl Default for EnclaveConfig {
             max_inherit_depth: 64,
             audit: true,
             watch_deadline_us: 100_000,
-            watch_global_budget_us: 500_000,
             cache: false,
             scrub_interval_us: 1_000_000,
-            meter: true,
             batch: false,
         }
     }
@@ -111,10 +100,8 @@ impl EnclaveConfig {
             max_inherit_depth: 64,
             audit: false,
             watch_deadline_us: 0,
-            watch_global_budget_us: 0,
             cache: false,
             scrub_interval_us: 0,
-            meter: false,
             batch: false,
         }
     }
@@ -133,10 +120,8 @@ impl EnclaveConfig {
             max_inherit_depth: 64,
             audit: true,
             watch_deadline_us: 100_000,
-            watch_global_budget_us: 500_000,
             cache: false,
             scrub_interval_us: 1_000_000,
-            meter: true,
             batch: false,
         }
     }
@@ -202,14 +187,12 @@ mod tests {
             ..EnclaveConfig::default()
         };
         assert_ne!(a, no_audit.image_bytes());
-        // The watch plane's deadline and global-lock budget are
-        // operational tuning, not security toggles: they must NOT
-        // change the measurement.
+        // The stall deadline and the scrub cadence are operational
+        // tuning, not security toggles: they must NOT change the
+        // measurement.
         let tuned = EnclaveConfig {
             watch_deadline_us: 5,
-            watch_global_budget_us: 7,
             scrub_interval_us: 42,
-            meter: false,
             ..EnclaveConfig::default()
         };
         assert_eq!(a, tuned.image_bytes());

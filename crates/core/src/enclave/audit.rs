@@ -59,7 +59,7 @@ use seg_crypto::pae::{pae_dec, pae_enc, PaeKey};
 use seg_crypto::rng::SystemRng;
 use seg_crypto::sha256::Sha256;
 use seg_fs::codec::{Decoder, Encoder};
-use seg_obs::TraceDecision;
+use seg_obs::{RequestRecord, TraceDecision};
 use seg_sgx::Enclave;
 use seg_store::ObjectStore;
 
@@ -124,40 +124,24 @@ pub struct AuditRecord {
     pub code: String,
 }
 
-/// Borrowed event handed to `AuditLog::append` by the dispatcher.
-#[derive(Debug, Clone, Copy)]
-pub struct AuditEvent {
-    /// Enclave logical clock.
-    pub time: u64,
-    /// Request correlation id.
-    pub request_id: u64,
-    /// Operation label.
-    pub op: &'static str,
-    /// Keyed principal fingerprint.
-    pub principal: u64,
-    /// Keyed object name-hash.
-    pub object: u64,
-    /// Outcome class.
-    pub decision: TraceDecision,
-    /// Error-code label (`ok` on success).
-    pub code: &'static str,
-}
-
-fn encode_record(ev: &AuditEvent) -> Vec<u8> {
+/// The audit payload of one request: the logical `time` plus the id,
+/// operation, principal/object fingerprints and outcome its
+/// [`RequestRecord`] holds when the append runs.
+fn encode_record(time: u64, rec: &RequestRecord) -> Vec<u8> {
     let mut e = Encoder::new();
     e.tag(b"AUD1");
-    e.u64(ev.time);
-    e.u64(ev.request_id);
-    e.str(ev.op);
-    e.u64(ev.principal);
-    e.u64(ev.object);
-    e.u32(match ev.decision {
+    e.u64(time);
+    e.u64(rec.request_id);
+    e.str(rec.op);
+    e.u64(rec.principal);
+    e.u64(rec.object);
+    e.u32(match rec.decision {
         TraceDecision::Allow => 0,
         TraceDecision::Deny => 1,
         TraceDecision::Error => 2,
         TraceDecision::Event => 3,
     });
-    e.str(ev.code);
+    e.str(rec.code);
     e.finish()
 }
 
@@ -399,8 +383,8 @@ impl AuditLog {
         })
     }
 
-    /// Cumulative sealed bytes appended (record + head blobs). Read by
-    /// the metering plane to attribute audit I/O per principal.
+    /// Cumulative sealed bytes appended (record + head blobs). Read
+    /// into each request record's cost vector.
     #[must_use]
     pub(crate) fn bytes_appended(&self) -> u64 {
         self.bytes_total.get()
@@ -428,8 +412,8 @@ impl AuditLog {
     /// chain state is left unchanged, so a retry re-seals the same
     /// position.
     #[cfg(test)]
-    pub(crate) fn append(&self, ev: &AuditEvent) -> Result<(), SegShareError> {
-        self.append_sealing(ev, || {})
+    pub(crate) fn append(&self, time: u64, rec: &RequestRecord) -> Result<(), SegShareError> {
+        self.append_sealing(time, rec, || {})
     }
 
     /// [`AuditLog::append`] with a batch-boundary hook: `seal_batch`
@@ -440,12 +424,13 @@ impl AuditLog {
     /// is still sealed and made durable).
     pub(crate) fn append_sealing(
         &self,
-        ev: &AuditEvent,
+        time: u64,
+        rec: &RequestRecord,
         seal_batch: impl FnOnce(),
     ) -> Result<(), SegShareError> {
         let start = Instant::now();
         let mut st = self.state.lock();
-        let result = self.append_locked(&mut st, ev);
+        let result = self.append_locked(&mut st, &encode_record(time, rec));
         seal_batch();
         drop(st);
         let bytes = result?;
@@ -455,11 +440,11 @@ impl AuditLog {
         Ok(())
     }
 
-    fn append_locked(&self, st: &mut ChainState, ev: &AuditEvent) -> Result<u64, SegShareError> {
+    fn append_locked(&self, st: &mut ChainState, payload: &[u8]) -> Result<u64, SegShareError> {
         let seq = st.count;
         let blob = pae_enc(
             &self.key,
-            &encode_record(ev),
+            payload,
             &record_aad(seq, &st.head),
             &mut SystemRng::new(),
         );
@@ -783,16 +768,16 @@ mod tests {
         load_log(&Platform::new_with_seed(7), &store, use_counter).expect("load")
     }
 
-    fn event(i: u64) -> AuditEvent {
-        AuditEvent {
-            time: 1_000 + i,
-            request_id: i,
-            op: "put_file",
-            principal: 0xaa00 + i,
-            object: 0xbb00 + i,
-            decision: TraceDecision::Allow,
-            code: "ok",
-        }
+    fn append(log: &AuditLog, i: u64) -> Result<(), SegShareError> {
+        let (time, rec) = event(i);
+        log.append(time, &rec)
+    }
+
+    fn event(i: u64) -> (u64, RequestRecord) {
+        (
+            1_000 + i,
+            RequestRecord::open(i, "put_file", 0xaa00 + i, 0xbb00 + i),
+        )
     }
 
     #[test]
@@ -801,7 +786,7 @@ mod tests {
         let log = audit_log(Arc::clone(&store), false);
         assert_eq!(log.verify().unwrap(), 0);
         for i in 0..5 {
-            log.append(&event(i)).unwrap();
+            append(&log, i).unwrap();
         }
         assert_eq!(log.verify().unwrap(), 5);
         let records = log.export().unwrap();
@@ -819,7 +804,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let log = audit_log(Arc::clone(&store), false);
         for i in 0..7 {
-            log.append(&event(i)).unwrap();
+            append(&log, i).unwrap();
         }
         let mut cursor = None;
         let step = log.verify_window(&mut cursor, 3).unwrap();
@@ -827,7 +812,7 @@ mod tests {
         assert_eq!(cursor.unwrap().position(), 3);
         // Appends between windows extend the chain without
         // invalidating the cursor.
-        log.append(&event(7)).unwrap();
+        append(&log, 7).unwrap();
         let step = log.verify_window(&mut cursor, 3).unwrap();
         assert_eq!((step.checked, step.complete), (3, false));
         let step = log.verify_window(&mut cursor, 100).unwrap();
@@ -845,7 +830,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let log = audit_log(Arc::clone(&store), false);
         for i in 0..6 {
-            log.append(&event(i)).unwrap();
+            append(&log, i).unwrap();
         }
         // Flip a bit in record 4.
         let name = record_name(4);
@@ -861,7 +846,7 @@ mod tests {
         // Truncation of the head is caught at pass completion.
         let store2 = Arc::new(MemStore::new());
         let log2 = audit_log(Arc::clone(&store2), false);
-        log2.append(&event(0)).unwrap();
+        append(&log2, 0).unwrap();
         store2.delete(&record_name(0)).unwrap();
         let err = log2.verify_window(&mut None, 10).unwrap_err();
         assert!(err.to_string().contains("missing (truncation)"), "{err}");
@@ -871,12 +856,12 @@ mod tests {
     fn restart_resumes_the_same_chain() {
         let store = Arc::new(MemStore::new());
         let log = audit_log(Arc::clone(&store), false);
-        log.append(&event(0)).unwrap();
-        log.append(&event(1)).unwrap();
+        append(&log, 0).unwrap();
+        append(&log, 1).unwrap();
         drop(log);
         let log = audit_log(Arc::clone(&store), false);
         assert_eq!(log.len(), 2);
-        log.append(&event(2)).unwrap();
+        append(&log, 2).unwrap();
         assert_eq!(log.verify().unwrap(), 3);
     }
 
@@ -890,10 +875,10 @@ mod tests {
             let platform = Platform::new_with_seed(40 + use_counter as u64);
             let store = Arc::new(MemStore::new());
             let log = load_log(&platform, &store, use_counter).expect("fresh load");
-            log.append(&event(0)).unwrap();
-            log.append(&event(1)).unwrap();
+            append(&log, 0).unwrap();
+            append(&log, 1).unwrap();
             let stale_head = store.get(HEAD_NAME).unwrap().unwrap();
-            log.append(&event(2)).unwrap();
+            append(&log, 2).unwrap();
             drop(log);
             // Crash state: record 2 persisted (and, with the counter on,
             // the counter incremented) but the head write "was lost".
@@ -903,7 +888,7 @@ mod tests {
             assert_eq!(log.verify().unwrap(), 3);
             assert_eq!(log.export().unwrap().len(), 3);
             // The chain keeps extending normally after adoption.
-            log.append(&event(3)).unwrap();
+            append(&log, 3).unwrap();
             assert_eq!(log.verify().unwrap(), 4);
         }
     }
@@ -917,9 +902,9 @@ mod tests {
         let platform = Platform::new_with_seed(42);
         let store = Arc::new(MemStore::new());
         let log = load_log(&platform, &store, false).expect("fresh load");
-        log.append(&event(0)).unwrap();
+        append(&log, 0).unwrap();
         let stale_head = store.get(HEAD_NAME).unwrap().unwrap();
-        log.append(&event(1)).unwrap();
+        append(&log, 1).unwrap();
         drop(log);
         store.put(HEAD_NAME, &stale_head).unwrap();
         // Counter is still 0 (= the stale head's anchor): hw == anchor.
@@ -954,22 +939,22 @@ mod tests {
         let platform = Platform::new_with_seed(46);
         let store = Arc::new(MemStore::new());
         let log = load_batch_log(&platform, &store).expect("fresh load");
-        log.append(&event(0)).unwrap();
+        append(&log, 0).unwrap();
         // Pending window: head anchors hw + 1, verify accepts.
         assert_eq!(log.verify().unwrap(), 1);
         log.commit_pending_anchor().unwrap();
         assert_eq!(log.verify().unwrap(), 1);
         // Crash with the increment outstanding.
-        log.append(&event(1)).unwrap();
+        append(&log, 1).unwrap();
         drop(log);
         let log = load_batch_log(&platform, &store).expect("adoption");
         assert_eq!(log.len(), 2);
         assert_eq!(log.verify().unwrap(), 2);
         // A rollback of head + records past the adopted state fails.
         let old = store.snapshot();
-        log.append(&event(2)).unwrap();
+        append(&log, 2).unwrap();
         log.commit_pending_anchor().unwrap();
-        log.append(&event(3)).unwrap();
+        append(&log, 3).unwrap();
         log.commit_pending_anchor().unwrap();
         drop(log);
         store.restore(old);
@@ -988,10 +973,10 @@ mod tests {
         let platform = Platform::new_with_seed(43);
         let store = Arc::new(MemStore::new());
         let log = load_log(&platform, &store, true).expect("fresh load");
-        log.append(&event(0)).unwrap();
+        append(&log, 0).unwrap();
         let old_head = store.get(HEAD_NAME).unwrap().unwrap();
-        log.append(&event(1)).unwrap();
-        log.append(&event(2)).unwrap();
+        append(&log, 1).unwrap();
+        append(&log, 2).unwrap();
         drop(log);
         // Variant A: roll back to a head-plus-one-record state that
         // mimics an interrupted append — record 1 still present and
@@ -1020,8 +1005,8 @@ mod tests {
         let platform = Platform::new_with_seed(44);
         let store = Arc::new(MemStore::new());
         let log = load_log(&platform, &store, true).expect("fresh load");
-        log.append(&event(0)).unwrap();
-        log.append(&event(1)).unwrap();
+        append(&log, 0).unwrap();
+        append(&log, 1).unwrap();
         drop(log);
         for key in store.list().unwrap() {
             store.delete(&key).unwrap();
@@ -1041,8 +1026,8 @@ mod tests {
         let platform = Platform::new_with_seed(45);
         let store = Arc::new(MemStore::new());
         let log = load_log(&platform, &store, false).expect("fresh load");
-        log.append(&event(0)).unwrap();
-        log.append(&event(1)).unwrap();
+        append(&log, 0).unwrap();
+        append(&log, 1).unwrap();
         drop(log);
         let donor = store.get(&record_name(0)).unwrap().unwrap();
         store.put(&record_name(2), &donor).unwrap();
@@ -1055,8 +1040,8 @@ mod tests {
 
     #[test]
     fn record_codec_rejects_truncation() {
-        let ev = event(1);
-        let encoded = encode_record(&ev);
+        let (time, rec) = event(1);
+        let encoded = encode_record(time, &rec);
         let decoded = decode_record(1, &encoded).unwrap();
         assert_eq!(decoded.op, "put_file");
         assert_eq!(decoded.code, "ok");

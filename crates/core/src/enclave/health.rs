@@ -2,21 +2,19 @@
 //! scrubber, the synthetic canary's bookkeeping, and the
 //! `healthy/degraded/failing` state machine.
 //!
-//! The enclave's other telemetry planes (`seg-obs` metrics, traces,
-//! the watch plane) *observe* the request path; the health plane
-//! *judges* it. A [`seg_obs::HealthMonitor`] rolls request telemetry
-//! into multi-resolution retention and evaluates burn-rate SLO rules;
-//! the scrubber re-verifies persisted state (audit chain, rollback
-//! tree, cache coherence, store orphans) on a cadence so silent
-//! corruption is found within one pass instead of on the next
-//! unlucky request; and a canary probe exercises the full request
-//! path even when no client is connected. All three fold into one
-//! state machine exported through
-//! [`SegShareEnclave::health_report`] — a declassification point like
-//! `metrics_snapshot`: compiled-in names, aggregate numbers, and
-//! keyed fingerprints only.
+//! The other record consumers *observe* the request path; the health
+//! plane *judges* it. A [`seg_obs::HealthMonitor`] — the history clock
+//! — keeps flight frames and multi-resolution headline retention and
+//! evaluates burn-rate SLO rules; the scrubber re-verifies persisted
+//! state (audit chain, rollback tree, cache coherence, store orphans)
+//! on a cadence so silent corruption is found within one pass instead
+//! of on the next unlucky request; and a canary probe exercises the
+//! full request path even when no client is connected. All three fold
+//! into one state machine, exported as the `health` section of
+//! [`SegShareEnclave::report`]: compiled-in names, aggregate numbers,
+//! and keyed fingerprints only.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -128,7 +126,6 @@ pub struct ScrubReport {
 /// scrub position sits behind its own mutex, touched only by whoever
 /// drives [`SegShareEnclave::scrub_step`].
 pub struct HealthState {
-    enabled: AtomicBool,
     monitor: HealthMonitor,
     scrub_passes: AtomicU64,
     scrub_last_pass_us: AtomicU64,
@@ -153,8 +150,8 @@ impl std::fmt::Debug for HealthState {
 
 impl HealthState {
     /// Builds the health state for one enclave. The latency objective
-    /// reuses the watch plane's deadline — one source of truth for what
-    /// "too slow" means — while availability targets 99.9 %.
+    /// reuses the stall deadline — one source of truth for what "too
+    /// slow" means — while availability targets 99.9 %.
     #[must_use]
     pub fn new(config: &EnclaveConfig) -> HealthState {
         let latency_ns = if config.watch_deadline_us > 0 {
@@ -166,13 +163,11 @@ impl HealthState {
             objectives: vec![
                 SloObjective {
                     name: "availability",
-                    op: None,
                     target_ppm: 999_000,
                     latency_threshold_ns: None,
                 },
                 SloObjective {
                     name: "latency_p95",
-                    op: None,
                     target_ppm: 950_000,
                     latency_threshold_ns: Some(latency_ns),
                 },
@@ -180,7 +175,6 @@ impl HealthState {
             ..HealthConfig::default()
         });
         HealthState {
-            enabled: AtomicBool::new(true),
             monitor,
             scrub_passes: AtomicU64::new(0),
             scrub_last_pass_us: AtomicU64::new(0),
@@ -195,19 +189,8 @@ impl HealthState {
         }
     }
 
-    /// Whether the health plane is active.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the health plane (rollup sampling and the
-    /// tick-driven scrubber; an already-running scrub step finishes).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// The SLO monitor (rollups, burn-rate evaluation, alert ring).
+    /// The history clock (flight frames, headline levels, burn-rate
+    /// evaluation, alert ring).
     #[must_use]
     pub fn monitor(&self) -> &HealthMonitor {
         &self.monitor
@@ -359,22 +342,26 @@ impl SegShareEnclave {
         &self.health
     }
 
-    /// One background health tick, driven by the server's health
-    /// runner (and harmless to call from anywhere else): advances the
-    /// flight recorder's window even on an idle server, samples the
-    /// SLO rollups, and — when the scrub cadence elapsed — runs one
-    /// budgeted scrub step. A no-op while the health plane is disabled.
+    /// One background tick, driven by the server's health runner (and
+    /// harmless to call from anywhere else): advances the history clock
+    /// even on an idle server — no request completion would — lets the
+    /// stall watchdog look at a live exclusive hold of the global lock,
+    /// which blocks every request but not this, and — when the scrub
+    /// cadence elapsed — runs one budgeted scrub step. A no-op while
+    /// telemetry is off.
     pub fn health_tick(&self) -> Option<ScrubReport> {
-        if !self.health.enabled() {
+        if !self.watch.enabled() {
             return None;
         }
-        // An idle server gets no request-completion ticks, so the
-        // flight recorder's windows would silently stop advancing
-        // without this.
-        self.flight.tick_if_due(&self.obs);
-        self.health.monitor().sample_if_due(&self.obs);
+        self.health.monitor().tick_if_due(&self.obs);
+        let hold = self.locks.global_hold();
+        if hold.is_some_and(|hold| self.watch.note_global_hold(hold)) {
+            self.watch.store_dump(self.report());
+        }
+        // The scrubber takes read scopes: under a live exclusive hold it
+        // would only block on it, and the watchdog's next look with it.
         let now = self.health.monitor().now_us();
-        if self.health.scrub_due(now, self.config.scrub_interval_us) {
+        if hold.is_none() && self.health.scrub_due(now, self.config.scrub_interval_us) {
             return Some(self.scrub_step());
         }
         None
@@ -388,7 +375,7 @@ impl SegShareEnclave {
     /// latched into the `failing` state and raised as fingerprint-only
     /// alerts. Scrub time is charged to the `scrub` profiler phase.
     pub fn scrub_step(&self) -> ScrubReport {
-        let _prof = self.profile_root("scrub");
+        let _prof = self.obs.profile_root("scrub");
         let mut progress = self.health.progress.lock();
         let mut report = ScrubReport::default();
 
@@ -638,22 +625,17 @@ impl SegShareEnclave {
         report.pass_completed = true;
     }
 
-    /// Assembles the health plane's full report as one JSON document:
-    /// the state machine's verdict, scrubber and canary counters, the
-    /// alert-ring tail, per-objective burn rates, and the multi-
-    /// resolution rollup history. Every section is aggregate numbers
-    /// under compiled-in names (fingerprints only) — the health
-    /// plane's declassification point.
-    #[must_use]
-    pub fn health_report(&self) -> String {
+    /// The `health` section of [`SegShareEnclave::report`]: the state
+    /// machine's verdict, scrubber and canary counters, the alert-ring
+    /// tail, per-objective burn rates, and the multi-resolution
+    /// headline history.
+    pub(super) fn health_json(&self) -> String {
         let h = &self.health;
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "\"state\":\"{}\",\"state_code\":{},\"enabled\":{},\n",
+        let mut out = format!(
+            "{{\n\"state\":\"{}\",\"state_code\":{},\n",
             h.state_label(),
             h.state_code(),
-            h.enabled(),
-        ));
+        );
         out.push_str(&format!(
             "\"scrub\":{{\"passes\":{},\"last_pass_us\":{},\"interval_us\":{}",
             h.scrub_passes(),
@@ -678,12 +660,6 @@ impl SegShareEnclave {
             h.canary_last_latency_us(),
         ));
         out.push_str(&format!(
-            "\"net\":{{\"idle_us\":{},\"live_sessions\":{},\"queued_bytes\":{}}},\n",
-            self.watch.net_meter().idle_us(),
-            self.watch.live_sessions(),
-            self.watch.net_meter().queued_bytes(),
-        ));
-        out.push_str(&format!(
             "\"alerts\":{{\"total\":{},\"suppressed\":{},\"active\":{},\"recent\":{}}},\n",
             h.monitor().alerts().total(),
             h.monitor().alerts().suppressed(),
@@ -694,7 +670,7 @@ impl SegShareEnclave {
         out.push_str(&h.monitor().slo_json());
         out.push_str(",\n\"history\":");
         out.push_str(&h.monitor().history_json());
-        out.push_str("\n}\n");
+        out.push_str("\n}");
         out
     }
 }

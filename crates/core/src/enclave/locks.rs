@@ -287,6 +287,12 @@ impl Drop for LockScope<'_> {
         if self.global_exclusive {
             self.stats.global_hold.record_duration(held_for);
             self.stats.global_since_us.store(0, Ordering::Release);
+            // The holder's own record carries the hold, so the stall
+            // watchdog can weigh it when that record closes.
+            prof::charge(
+                "global_hold",
+                held_for.as_nanos().min(u64::MAX as u128) as u64,
+            );
         }
     }
 }
@@ -414,18 +420,22 @@ impl LockManager {
         }
     }
 
+    /// The live exclusive hold of the global lock as `(start stamp,
+    /// microseconds held so far)`, `None` when not exclusively held.
+    /// Polled by the stall watchdog from the history tick; the stamp
+    /// tells one hold from the next.
+    #[must_use]
+    pub fn global_hold(&self) -> Option<(u64, u64)> {
+        let since = self.stats.global_since_us.load(Ordering::Acquire);
+        (since != 0).then(|| (since, self.stats.now_us().saturating_sub(since).max(1)))
+    }
+
     /// Microseconds the global lock has been held *exclusively* by the
-    /// current holder (0 when not exclusively held). Polled by the
-    /// stall watchdog against its global-lock budget, and exported as
-    /// the `seg_lock_global_held_us` gauge.
+    /// current holder (0 when not exclusively held): the
+    /// `seg_lock_global_held_us` gauge.
     #[must_use]
     pub fn global_held_us(&self) -> u64 {
-        let since = self.stats.global_since_us.load(Ordering::Acquire);
-        if since == 0 {
-            0
-        } else {
-            self.stats.now_us().saturating_sub(since).max(1)
-        }
+        self.global_hold().map_or(0, |(_, held_us)| held_us)
     }
 
     /// The `k` stripes with the most cumulative wait time, descending.

@@ -26,7 +26,10 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::{SecureRandom, SystemRng};
 use seg_crypto::sha256::Sha256;
-use seg_obs::{events_json, CostVector, FlightRecorder, Meter, Registry, TraceEvent, TraceRing};
+use seg_obs::{
+    events_json, records_json, CostVector, Meter, Registry, RequestRecord, TraceEvent, TraceRing,
+    METER_AXES,
+};
 use seg_pki::{Certificate, Csr, Identity};
 use seg_sgx::{Enclave, EnclaveImage, Platform, Quote};
 use seg_store::{CommitTicket, CountingStore, ObjectStore};
@@ -42,7 +45,7 @@ use keys::KeyHierarchy;
 use locks::LockManager;
 use session::EnclaveSession;
 use trusted_store::TrustedStore;
-use watch::{StallKind, WatchStats};
+use watch::WatchStats;
 
 /// Untrusted-store keys for the enclave's sealed state (sealed blobs are
 /// self-protecting, so these names are not hidden). They carry the
@@ -77,18 +80,15 @@ pub struct SegShareEnclave {
     clock: AtomicU64,
     obs: Arc<Registry>,
     audit: Option<Arc<AuditLog>>,
-    /// Flight recorder: bounded windowed-snapshot history plus SLO
-    /// rollups, ticked opportunistically from request completions.
-    flight: Arc<FlightRecorder>,
-    /// Watch-plane state: saturation gauges, stall counters, and the
-    /// automatic-dump slot (shared with the untrusted serve loop).
+    /// Saturation gauges (shared with the untrusted serve loop), the
+    /// stall watchdog with its stored dump, and the telemetry switch.
     watch: Arc<WatchStats>,
-    /// Health-plane state: SLO monitor, integrity-scrubber progress,
-    /// canary counters, and the healthy/degraded/failing verdict.
+    /// The history clock (flight frames, headline levels, SLO burn),
+    /// integrity-scrubber progress, canary counters, and the
+    /// healthy/degraded/failing verdict.
     health: Arc<HealthState>,
-    /// Metering plane (`seg-meter`): per-request cost vectors
-    /// attributed to principal/group/prefix fingerprints in
-    /// cardinality-bounded top-K sketches.
+    /// Per-fingerprint cost attribution in cardinality-bounded top-K
+    /// sketches.
     meter: Arc<Meter>,
     /// Next request correlation id (shared by every session thread).
     request_ids: AtomicU64,
@@ -109,17 +109,6 @@ pub struct SegShareEnclave {
 
 /// A counting wrapper around one of the untrusted object stores.
 type CountedStore = Arc<CountingStore<Arc<dyn ObjectStore>>>;
-
-/// Dispatch-entry baseline of the global counters the metering plane
-/// differences to assemble one request's cost vector.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MeterProbe {
-    cache_hits: u64,
-    cache_misses: u64,
-    store_reads: u64,
-    store_writes: u64,
-    audit_bytes: u64,
-}
 
 impl std::fmt::Debug for SegShareEnclave {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -204,12 +193,12 @@ impl SegShareEnclave {
         let sgx = Arc::new(platform.launch(&Self::image(&config, &ca_key)));
         let obs = Arc::new(Registry::new());
 
-        // Trace ring: fixed-capacity, lock-free, enclave-resident. It
-        // is attached to the registry so every span finished against
-        // the registry also lands one structured event here.
+        // Trace ring: fixed-capacity, lock-free, enclave-resident;
+        // attached to the registry so the nested layers (access
+        // control, store I/O) can reach it.
         let ring = Arc::new(TraceRing::default());
-        // One source of truth: the watch deadline is also the slow-log
-        // threshold, so the slow ring and the stall watchdog agree.
+        // One source of truth: the stall deadline is also the slow-log
+        // threshold, so the slow log and the stall watchdog agree.
         ring.set_slow_threshold_us(config.watch_deadline_us);
         obs.attach_trace(ring);
 
@@ -308,10 +297,9 @@ impl SegShareEnclave {
             clock: AtomicU64::new(1_000),
             obs,
             audit,
-            flight: Arc::new(FlightRecorder::default()),
-            watch: Arc::new(WatchStats::new()),
+            watch: Arc::new(WatchStats::new(config.watch_deadline_us)),
             health: Arc::new(HealthState::new(&config)),
-            meter: Arc::new(Meter::new(config.meter)),
+            meter: Arc::new(Meter::new(config.watch_deadline_us)),
             request_ids: AtomicU64::new(0),
             counted_stores: vec![
                 ("content", content_counted),
@@ -451,16 +439,6 @@ impl SegShareEnclave {
         &self.obs
     }
 
-    /// Opens a profiler root for `op` on the current thread (inert when
-    /// a root is already active, or no profiler attached). Session code
-    /// opens this *before* TLS record decryption so the whole request —
-    /// including `tls_record` — is attributed.
-    pub(crate) fn profile_root(&self, op: &'static str) -> Option<seg_obs::prof::OpGuard> {
-        self.obs
-            .profiler()
-            .map(|p| seg_obs::prof::OpGuard::begin(p, op))
-    }
-
     /// Captures the per-(op, phase-path) profile — like
     /// [`metrics_snapshot`](Self::metrics_snapshot), an explicit
     /// declassification point: phase paths are compiled-in names, values
@@ -504,95 +482,118 @@ impl SegShareEnclave {
         self.obs.trace().map_or_else(Vec::new, |r| r.tail(n))
     }
 
-    /// Copies out up to `n` of the newest slow-request events (latency
-    /// at or above `EnclaveConfig::watch_deadline_us`), oldest first.
+    /// Copies out up to `n` of the newest slow requests (latency at or
+    /// above `EnclaveConfig::watch_deadline_us`), oldest first — whole
+    /// records, so one slow request is explainable from one entry.
     #[must_use]
-    pub fn slow_requests(&self, n: usize) -> Vec<TraceEvent> {
+    pub fn slow_requests(&self, n: usize) -> Vec<RequestRecord> {
         self.obs.trace().map_or_else(Vec::new, |r| r.slow_tail(n))
     }
 
-    // ------------------------------------------------------- watch plane
+    // --------------------------------------------------------- telemetry
 
-    /// The watch plane's shared state: saturation gauges and the stall
-    /// watchdog's counters/dump slot. The untrusted serve loop feeds the
-    /// session/in-flight/backlog gauges through this handle — they are
-    /// load numbers, not request content.
+    /// Saturation gauges and the stall watchdog's counters/dump slot.
+    /// The untrusted serve loop feeds the session/in-flight/backlog
+    /// gauges through this handle — they are load numbers, not request
+    /// content.
     #[must_use]
     pub fn watch(&self) -> &Arc<WatchStats> {
         &self.watch
     }
 
-    /// The flight recorder (windowed snapshot frames + SLO rollups).
+    /// The meter (per-principal/object/group/prefix cost attribution).
     #[must_use]
-    pub fn flight(&self) -> &Arc<FlightRecorder> {
-        &self.flight
+    pub fn meter(&self) -> &Arc<Meter> {
+        &self.meter
     }
 
-    /// Per-request watchdog hook, called by the session layer after a
-    /// request finishes. Feeds the SLO rollups, opportunistically ticks
-    /// the flight recorder, and fires the stall watchdog when the
-    /// request blew the deadline or the exclusive global lock is held
-    /// past its budget. A no-op when the watch plane is disabled.
-    pub(crate) fn watch_request_done(
-        &self,
-        principal: u64,
-        object: u64,
-        ok: bool,
-        elapsed: std::time::Duration,
-    ) {
-        if !self.watch.enabled() {
-            return;
-        }
-        let elapsed_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        let deadline = self.config.watch_deadline_us;
-        self.flight
-            .note_request(principal, object, ok, elapsed_us, deadline);
-        self.flight.tick_if_due(&self.obs);
-        // Opportunistic SLO rollup sample: a registry read, no ocalls,
-        // rate-limited inside the monitor to once per interval.
-        if self.health.enabled() {
-            self.health.monitor().sample_if_due(&self.obs);
-        }
-        let stall = if deadline > 0 && elapsed_us >= deadline {
-            Some(StallKind::Request)
-        } else if self.config.watch_global_budget_us > 0
-            && self.locks.global_held_us() >= self.config.watch_global_budget_us
-        {
-            Some(StallKind::GlobalLock)
-        } else {
-            None
-        };
-        if let Some(kind) = stall {
-            if self.watch.note_stall(kind) {
-                let bundle = self.watch_report();
-                self.watch.store_dump(bundle);
-            }
-        }
+    /// Whether telemetry runs (see [`SegShareEnclave::set_telemetry`]).
+    #[must_use]
+    pub fn telemetry_enabled(&self) -> bool {
+        self.watch.enabled()
     }
 
-    /// Assembles the watch plane's correlated diagnosis bundle as one
-    /// JSON document: saturation gauges, stall counters, the lock
-    /// table's contended-stripe top-K and global-hold clock, the flight
-    /// recorder's frames and SLO rollups, the trace-ring tail, the slow
-    /// log, and the phase profile.
+    /// The one runtime telemetry switch, on by default. Off, no record
+    /// is built or consumed (a request pays one relaxed atomic load)
+    /// and the health runner's tick, scrubber and canary are inert;
+    /// everything accumulated so far is kept and every family still
+    /// exports. The audit trail is not telemetry and is unaffected.
+    pub fn set_telemetry(&self, on: bool) {
+        self.watch.set_enabled(on);
+    }
+
+    /// The global counters a request's cost vector is differenced from:
+    /// cache hits/misses, store read/write op counts, and sealed audit
+    /// bytes. One cheap atomic-load sweep, no ocalls.
     ///
-    /// Every section is an existing declassification surface (snapshot
-    /// encodings, trace exports, profile exports); this merely staples
-    /// them together at one instant so a stall can be diagnosed from
-    /// correlated evidence instead of four unsynchronized dumps.
+    /// The differences are per-thread reads of global counters, so
+    /// concurrent requests can shift a few units of cache/store/audit
+    /// activity between each other; totals stay conserved, and the
+    /// meter's sketches only need ranks, not exact per-key I/O.
+    pub(crate) fn cost_counters(&self) -> CostVector {
+        let cache = self.store.cache_stats();
+        let mut cost = CostVector {
+            cache_hits: cache.as_ref().map_or(0, |c| c.hits),
+            cache_misses: cache.as_ref().map_or(0, |c| c.misses),
+            audit_bytes: self.audit.as_ref().map_or(0, |log| log.bytes_appended()),
+            ..CostVector::default()
+        };
+        for (_, counted) in &self.counted_stores {
+            let s = counted.stats();
+            cost.store_reads += s.gets + s.exists + s.lists;
+            cost.store_writes += s.puts + s.deletes + s.renames;
+        }
+        cost
+    }
+
+    /// The only telemetry emission on the request path: hands one
+    /// closed request to every consumer — the request families, the
+    /// trace ring and slow log, the meter, the SLO windows and headline
+    /// history (whose clock it also ticks), and the stall watchdog.
+    pub(crate) fn request_done(&self, rec: &RequestRecord) {
+        self.obs.consume(rec);
+        if let Some(ring) = self.obs.trace() {
+            ring.consume(rec);
+        }
+        self.meter.consume(rec);
+        let monitor = self.health.monitor();
+        monitor.consume(rec);
+        monitor.tick_if_due(&self.obs);
+        if self.watch.consume(rec) {
+            self.watch.store_dump(self.report());
+        }
+    }
+
+    /// Every consumer's view at one instant, as one JSON document:
+    /// `saturation`, `stalls`, `locks` (global-hold clock and the
+    /// contended-stripe top-K), `flight` frames, `trace_tail`,
+    /// `slow_requests` (whole records), the phase `profile`, `health`
+    /// (verdict, scrubber, canary, alerts, SLO burn, headline history)
+    /// and `meter` — so an incident is diagnosed from correlated
+    /// evidence instead of unsynchronized dumps. The stall watchdog
+    /// stores the same bundle.
+    ///
+    /// A declassification point like
+    /// [`metrics_snapshot`](Self::metrics_snapshot), and the widest:
+    /// every section is compiled-in names, aggregate numbers and keyed
+    /// fingerprints (see [`seg_obs::record`]).
     #[must_use]
-    pub fn watch_report(&self) -> String {
-        self.flight.force_tick(&self.obs);
-        let mut out = String::from("{\n\"saturation\":{");
-        out.push_str(&format!(
-            "\"live_sessions\":{},\"in_flight\":{},\
-             \"queued_bytes\":{},\"send_stalls\":{},\"send_stall_ns\":{}}},\n",
+    pub fn report(&self) -> String {
+        let monitor = self.health.monitor();
+        // The bundle always holds the most recent window.
+        monitor.tick_at(&self.obs, monitor.now_us());
+        let net = self.watch.net_meter();
+        let mut out = format!(
+            "{{\n\"enabled\":{},\n\"saturation\":{{\"live_sessions\":{},\"in_flight\":{},\
+             \"queued_bytes\":{},\"send_stalls\":{},\"send_stall_ns\":{},\"idle_us\":{}}},\n",
+            self.telemetry_enabled(),
             self.watch.live_sessions(),
             self.watch.in_flight(),
-            self.watch.net_meter().queued_bytes(),
-            self.watch.net_meter().send_stalls(),
-            self.watch.net_meter().send_stall_ns(),
-        ));
+            net.queued_bytes(),
+            net.send_stalls(),
+            net.send_stall_ns(),
+            net.idle_us(),
+        );
         out.push_str(&format!(
             "\"stalls\":{{\"request\":{},\"global_lock\":{},\"dumps\":{}}},\n",
             self.watch.stalls_request(),
@@ -600,7 +601,7 @@ impl SegShareEnclave {
             self.watch.dumps(),
         ));
         out.push_str(&format!(
-            "\"global_held_us\":{},\n\"lock_top\":[",
+            "\"locks\":{{\"global_held_us\":{},\"lock_top\":[",
             self.locks.global_held_us()
         ));
         for (i, row) in self.locks.contended_stripes(8).iter().enumerate() {
@@ -612,102 +613,20 @@ impl SegShareEnclave {
                 row.stripe, row.wait_ns, row.waits
             ));
         }
-        out.push_str("],\n\"flight\":");
-        out.push_str(self.flight.dump_json().trim_end());
+        out.push_str("]},\n\"flight\":");
+        out.push_str(&monitor.flight_json());
         out.push_str(",\n\"trace_tail\":");
         out.push_str(events_json(&self.trace_tail(64)).trim_end());
         out.push_str(",\n\"slow_requests\":");
-        out.push_str(events_json(&self.slow_requests(32)).trim_end());
+        out.push_str(records_json(&self.slow_requests(32)).trim_end());
         out.push_str(",\n\"profile\":");
         out.push_str(self.profile_snapshot().to_json().trim_end());
+        out.push_str(",\n\"health\":");
+        out.push_str(&self.health_json());
+        out.push_str(",\n\"meter\":");
+        out.push_str(self.meter.report_json().trim_end());
         out.push_str("\n}\n");
         out
-    }
-
-    // ------------------------------------------------------- meter plane
-
-    /// The metering plane (per-principal/group/prefix cost attribution).
-    #[must_use]
-    pub fn meter(&self) -> &Arc<Meter> {
-        &self.meter
-    }
-
-    /// Reads the global counters the meter differences per request:
-    /// cache hits/misses, store read/write op counts, and sealed audit
-    /// bytes. One cheap atomic-load sweep, no ocalls.
-    fn meter_counters(&self) -> MeterProbe {
-        let cache = self.store.cache_stats();
-        let (mut reads, mut writes) = (0u64, 0u64);
-        for (_, counted) in &self.counted_stores {
-            let s = counted.stats();
-            reads = reads.saturating_add(s.gets + s.exists + s.lists);
-            writes = writes.saturating_add(s.puts + s.deletes + s.renames);
-        }
-        MeterProbe {
-            cache_hits: cache.as_ref().map_or(0, |c| c.hits),
-            cache_misses: cache.as_ref().map_or(0, |c| c.misses),
-            store_reads: reads,
-            store_writes: writes,
-            audit_bytes: self.audit.as_ref().map_or(0, |log| log.bytes_appended()),
-        }
-    }
-
-    /// Captures the dispatch-entry baseline for one request's cost
-    /// vector. `None` when metering is disabled — the request then pays
-    /// exactly one relaxed atomic load.
-    pub(crate) fn meter_begin(&self) -> Option<MeterProbe> {
-        if !self.meter.enabled() {
-            return None;
-        }
-        Some(self.meter_counters())
-    }
-
-    /// Closes one request's cost vector and attributes it: global
-    /// counters are differenced against the dispatch-entry baseline,
-    /// crypto and lock-wait time read back from the profiler's
-    /// per-request accumulator (no second instrumentation pass), and
-    /// the result is recorded against the principal, touched group, and
-    /// touched path-prefix fingerprints.
-    ///
-    /// Counter deltas are per-thread reads of global counters, so
-    /// concurrent requests can shift a few units of cache/store/audit
-    /// activity between each other; totals stay conserved, and the
-    /// sketches only need ranks, not exact per-key I/O.
-    pub(crate) fn meter_finish(
-        &self,
-        probe: MeterProbe,
-        principal: u64,
-        group: u64,
-        prefix: u64,
-        req_bytes: u64,
-        resp_bytes: u64,
-    ) {
-        let now = self.meter_counters();
-        let (crypto_ns, _) = seg_obs::prof::request_phase_totals("crypto_gcm");
-        let (_, lock_wait_ns) = seg_obs::prof::request_phase_totals("lock_wait");
-        let cost = CostVector {
-            ops: 1,
-            req_bytes,
-            resp_bytes,
-            crypto_ns,
-            lock_wait_ns,
-            cache_hits: now.cache_hits.saturating_sub(probe.cache_hits),
-            cache_misses: now.cache_misses.saturating_sub(probe.cache_misses),
-            store_reads: now.store_reads.saturating_sub(probe.store_reads),
-            store_writes: now.store_writes.saturating_sub(probe.store_writes),
-            audit_bytes: now.audit_bytes.saturating_sub(probe.audit_bytes),
-        };
-        self.meter.record(principal, group, prefix, &cost);
-    }
-
-    /// The metering plane's JSON report: top-K talkers, heaviest
-    /// groups, and hottest path prefixes per cost dimension, plus the
-    /// fairness summary. A declassification point of the same kind as
-    /// [`SegShareEnclave::watch_report`] — keys are keyed fingerprints,
-    /// values are aggregates.
-    #[must_use]
-    pub fn meter_report(&self) -> String {
-        self.meter.report_json()
     }
 
     /// The audit log, when `EnclaveConfig::audit` is enabled.
@@ -756,7 +675,10 @@ impl SegShareEnclave {
         if !self.config.batch || !(mutates || self.config.rollback_whole_fs) {
             return None;
         }
-        let guard = self.batch_commit.lock();
+        let guard = {
+            let _wait = seg_obs::prof::phase("commit_wait");
+            self.batch_commit.lock()
+        };
         for (_, counted) in &self.counted_stores {
             counted.tx_begin();
         }
@@ -780,22 +702,19 @@ impl SegShareEnclave {
         Ok(tickets)
     }
 
-    /// [`SegShareEnclave::audit_request`] with the batch seal run
-    /// inside the audit chain's state lock, right after the head write
-    /// — so the frame boundary falls between appends and audit chain
-    /// order equals log order. Returns the append result and the seal
-    /// result separately; the seal runs even when the append fails
-    /// (fail-closed: whatever the batch holds is still made durable).
-    /// With auditing disabled the seal simply runs directly.
+    /// Appends the request's audit record — id, operation, fingerprints
+    /// and outcome as `rec` holds them at this point — with the batch
+    /// seal run inside the audit chain's state lock, right after the
+    /// head write, so the frame boundary falls between appends and
+    /// audit chain order equals log order. Returns the append result
+    /// and the seal result separately; the seal runs even when the
+    /// append fails (fail-closed: whatever the batch holds is still
+    /// made durable). With auditing disabled the seal simply runs
+    /// directly.
     #[allow(clippy::type_complexity)]
     pub(crate) fn audit_request_sealed(
         &self,
-        request_id: u64,
-        op: &'static str,
-        principal: u64,
-        object: u64,
-        decision: seg_obs::TraceDecision,
-        code: &'static str,
+        rec: &RequestRecord,
     ) -> (
         Result<(), SegShareError>,
         Result<Vec<CommitTicket>, SegShareError>,
@@ -804,18 +723,7 @@ impl SegShareEnclave {
             return (Ok(()), self.batch_seal());
         };
         let mut sealed: Result<Vec<CommitTicket>, SegShareError> = Ok(Vec::new());
-        let appended = log.append_sealing(
-            &audit::AuditEvent {
-                time: self.now(),
-                request_id,
-                op,
-                principal,
-                object,
-                decision,
-                code,
-            },
-            || sealed = self.batch_seal(),
-        );
+        let appended = log.append_sealing(self.now(), rec, || sealed = self.batch_seal());
         (appended, sealed)
     }
 
@@ -825,8 +733,11 @@ impl SegShareEnclave {
     /// mode the caller still holds the commit guard here, so no later
     /// batch can write records more than one ahead of the hardware.
     pub(crate) fn batch_wait(&self, tickets: Vec<CommitTicket>) -> Result<(), SegShareError> {
-        for ticket in tickets {
-            self.sgx.boundary().ocall(|| ticket.wait())?;
+        {
+            let _wait = seg_obs::prof::phase("commit_wait");
+            for ticket in tickets {
+                self.sgx.boundary().ocall(|| ticket.wait())?;
+            }
         }
         self.store.commit_pending_counters()?;
         if let Some(log) = self.audit.as_ref() {
@@ -970,7 +881,7 @@ impl SegShareEnclave {
             .gauge("seg_cache_bytes")
             .set(cache.as_ref().map_or(0, |c| c.bytes));
 
-        // Watch plane: lock, net, and session saturation families.
+        // Lock, net, and session saturation families.
         self.obs
             .gauge("seg_lock_global_held_us")
             .set(self.locks.global_held_us());
@@ -1037,14 +948,14 @@ impl SegShareEnclave {
         sync(
             "seg_flight_frames_total",
             vec![],
-            self.flight.frames_total(),
+            self.health.monitor().frames_total(),
         );
         self.obs
-            .gauge("seg_watch_enabled")
-            .set(u64::from(self.watch.enabled()));
+            .gauge("seg_telemetry_enabled")
+            .set(u64::from(self.telemetry_enabled()));
 
-        // Health plane: SLO sampling, scrubber, and canary families —
-        // always exported, an idle health plane reads 0.
+        // History clock, scrubber, and canary families — always
+        // exported, an idle health plane reads 0.
         let health = &self.health;
         sync(
             "seg_health_samples_total",
@@ -1086,9 +997,6 @@ impl SegShareEnclave {
         }
         self.obs.gauge("seg_health_state").set(health.state_code());
         self.obs
-            .gauge("seg_health_enabled")
-            .set(u64::from(health.enabled()));
-        self.obs
             .gauge("seg_slo_alerts_active")
             .set(health.monitor().active_alerts());
         self.obs
@@ -1098,18 +1006,10 @@ impl SegShareEnclave {
             .gauge("seg_health_canary_latency_us")
             .set(health.canary_last_latency_us());
 
-        // Meter plane: sketch occupancy and overflow families — always
-        // exported, a disabled meter reads 0 (stable dashboards).
-        self.obs
-            .gauge("seg_meter_enabled")
-            .set(u64::from(self.meter.enabled()));
+        // Meter: sketch occupancy and overflow families — always
+        // exported, an unfed meter reads 0 (stable dashboards).
         sync("seg_meter_samples_total", vec![], self.meter.samples());
-        let meter_stats = self.meter.stats();
-        for (axis, s) in [
-            ("principal", meter_stats.principals),
-            ("group", meter_stats.groups),
-            ("prefix", meter_stats.prefixes),
-        ] {
+        for (axis, s) in METER_AXES.into_iter().zip(self.meter.stats()) {
             self.obs
                 .gauge_with("seg_meter_tracked", vec![("axis", axis)])
                 .set(s.tracked);

@@ -15,7 +15,7 @@ use parking_lot::MutexGuard;
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::SystemRng;
 use seg_fs::{Access, ChildKind, GroupId, Perm, SegPath, UserId};
-use seg_obs::TraceDecision;
+use seg_obs::{CostVector, RequestRecord, TraceDecision};
 use seg_pki::Certificate;
 use seg_proto::{ErrorCode, Request, Response, CHUNK_LEN};
 use seg_store::CommitTicket;
@@ -48,6 +48,10 @@ pub struct EnclaveSession {
     /// response was already queued; the client learns of it after
     /// streaming).
     discard: u64,
+    /// The last top-level path component a request of this session
+    /// touched, with its fingerprint: sessions dwell in one subtree, and
+    /// the HMAC is a third of what telemetry costs a request.
+    prefix: Option<(String, u64)>,
     download: Option<DownloadContext>,
     out: VecDeque<Vec<u8>>,
     rng: SystemRng,
@@ -104,6 +108,7 @@ impl EnclaveSession {
             state: SessionState::Handshaking(Box::new(hs)),
             upload: None,
             discard: 0,
+            prefix: None,
             download: None,
             out: VecDeque::new(),
             rng,
@@ -144,7 +149,7 @@ impl EnclaveSession {
             SessionState::Handshaking(mut hs) => {
                 // Profiler root: handshake frames never reach the
                 // request dispatcher, so they get their own root op.
-                let _prof = enclave.profile_root("handshake");
+                let _prof = enclave.obs().profile_root("handshake");
                 let step = {
                     let _authn = seg_obs::prof::phase("authn");
                     hs.process(frame, &mut self.rng)?
@@ -174,11 +179,13 @@ impl EnclaveSession {
                 user,
                 certificate,
             } => {
-                // Profiler root opens before the record is even
-                // decrypted (so tls_record time is attributed) under a
-                // placeholder op; once the request is decoded the root
-                // is renamed to the real operation.
-                let _prof = enclave.profile_root("request");
+                // The request's clock and its profiler root start
+                // before the record is even decrypted (so tls_record
+                // time is attributed) under a placeholder op; once the
+                // request is decoded the root is renamed to the real
+                // operation.
+                let started = std::time::Instant::now();
+                let _prof = enclave.obs().profile_root("request");
                 let plaintext = channel.open(frame)?;
                 let request = {
                     let _ser = seg_obs::prof::phase("serialize");
@@ -186,7 +193,7 @@ impl EnclaveSession {
                 };
                 seg_obs::prof::set_root_op(request.op_name());
                 let wire_len = plaintext.len() as u64;
-                let responses = self.handle_request(enclave, &user, request, wire_len)?;
+                let responses = self.handle_request(enclave, &user, request, wire_len, started)?;
                 for response in responses {
                     let encoded = {
                         let _ser = seg_obs::prof::phase("serialize");
@@ -224,7 +231,7 @@ impl EnclaveSession {
         if let Some(download) = self.download.as_mut() {
             // Streamed download chunks are produced outside any request
             // frame, so they carry their own profiler root.
-            let _prof = enclave.profile_root("get_stream");
+            let _prof = enclave.obs().profile_root("get_stream");
             // Register the chunk as enclave memory while it exists.
             let chunk = download.next_chunk()?;
             match chunk {
@@ -267,137 +274,114 @@ impl EnclaveSession {
         user: &UserId,
         request: Request,
         wire_len: u64,
+        started: std::time::Instant,
     ) -> Result<Vec<Response>, SegShareError> {
-        // The span label is the compiled-in operation name — never the
-        // request's operands (seg-obs trust-boundary rule); operands are
-        // carried only as keyed fingerprints.
-        let started = std::time::Instant::now();
-        let request_id = enclave.next_request_id();
-        let principal = enclave.fingerprint_user(user);
-        let object = request_object(&request).map_or(0, |name| enclave.fingerprint_name(name));
-        // Meter operands resolve before the request is consumed: the
-        // touched group and the top-level path component, each reduced
-        // to the same keyed fingerprints the span carries (0 = the
-        // request touches no operand of that kind). Skipped entirely —
-        // including the HMACs — while metering is off.
-        let probe = enclave.meter_begin();
-        let (group, prefix) = if probe.is_some() {
-            (
-                request_group(&request).map_or(0, |g| enclave.fingerprint_name(g)),
-                self.request_prefix(&request)
-                    .map_or(0, |p| enclave.fingerprint_name(&p)),
-            )
-        } else {
-            (0, 0)
-        };
-        let result =
-            self.handle_request_inner(enclave, user, request, request_id, principal, object);
-        // The watch plane sees every request outcome: SLO rollups keyed
-        // by the same fingerprints the span carries, plus the stall
-        // watchdog's deadline check over the full dispatch time.
-        let ok = matches!(
-            &result,
-            Ok(responses) if !responses.iter().any(|r| matches!(r, Response::Error { .. }))
+        // The request's one record. Its label is the compiled-in
+        // operation name and its operands appear only as keyed
+        // fingerprints — never raw (seg-obs trust-boundary rule). It
+        // opens here because the audit append, inside the batch window,
+        // takes its ids and outcome from it.
+        let mut record = RequestRecord::open(
+            enclave.next_request_id(),
+            request.op_name(),
+            enclave.fingerprint_user(user),
+            request_object(&request).map_or(0, |name| enclave.fingerprint_name(name)),
         );
-        enclave.watch_request_done(principal, object, ok, started.elapsed());
-        if let Some(probe) = probe {
-            let resp_bytes = result.as_deref().map_or(0, response_bytes);
-            enclave.meter_finish(probe, principal, group, prefix, wire_len, resp_bytes);
+        // Nested layers (access control, store I/O) correlate their
+        // trace events through the thread's current request id.
+        seg_obs::set_current_request(record.request_id);
+        // The rest of the record is telemetry only: the group and
+        // prefix fingerprints and the counter baseline are skipped —
+        // HMACs included — while telemetry is off.
+        let baseline = enclave.telemetry_enabled().then(|| {
+            record.group = request_group(&request).map_or(0, |g| enclave.fingerprint_name(g));
+            record.prefix = self.prefix_fingerprint(enclave, &request);
+            enclave.cost_counters()
+        });
+        let result = match request {
+            // Data chunks are the streaming fast path.
+            Request::Data { bytes } => self.handle_data(enclave, &mut record, bytes),
+            request => self.handle_control(enclave, user, &request, &mut record),
+        };
+        // An audit-append or durability failure outranks the outcome
+        // the audit record itself was written with.
+        note_outcome(&mut record, &result);
+        seg_obs::set_current_request(0);
+        if let Some(before) = baseline {
+            let now = enclave.cost_counters();
+            record.cost = CostVector {
+                req_bytes: wire_len,
+                resp_bytes: result.as_deref().map_or(0, response_bytes),
+                cache_hits: now.cache_hits.saturating_sub(before.cache_hits),
+                cache_misses: now.cache_misses.saturating_sub(before.cache_misses),
+                store_reads: now.store_reads.saturating_sub(before.store_reads),
+                store_writes: now.store_writes.saturating_sub(before.store_writes),
+                audit_bytes: now.audit_bytes.saturating_sub(before.audit_bytes),
+            };
+            record.phases = seg_obs::prof::request_phases();
+            record.duration_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            enclave.request_done(&record);
         }
-        result
+        match result {
+            Err(err) if !is_fatal(&err) => Ok(vec![error_response(err)]),
+            result => result,
+        }
     }
 
-    /// The top-level path component a request touches (the metering
-    /// plane's prefix axis), e.g. `"/docs"` for `/docs/a/b.txt`. `Data`
-    /// chunks attribute to the active upload's target.
-    fn request_prefix(&self, request: &Request) -> Option<String> {
-        match request {
-            Request::Data { .. } => self.upload.as_ref().map(|u| path_prefix(u.path().as_str())),
-            _ => request_path(request).map(path_prefix),
+    /// The fingerprint of the top-level path component a request
+    /// touches (the meter's prefix axis), e.g. of `"/docs"` for
+    /// `/docs/a/b.txt`; 0 for none. `Data` chunks attribute to the
+    /// active upload's target.
+    fn prefix_fingerprint(&mut self, enclave: &SegShareEnclave, request: &Request) -> u64 {
+        let path = match request {
+            Request::Data { .. } => self.upload.as_ref().map(|u| u.path().as_str()),
+            _ => request_path(request),
+        };
+        let Some(prefix) = path.map(path_prefix) else {
+            return 0;
+        };
+        match &self.prefix {
+            Some((last, fp)) if last == prefix => *fp,
+            _ => {
+                let fp = enclave.fingerprint_name(prefix);
+                self.prefix = Some((prefix.to_string(), fp));
+                fp
+            }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_request_inner(
+    /// Every request but a data chunk: dispatch inside the batch commit
+    /// window, with the decision audited before the response leaves the
+    /// enclave.
+    fn handle_control(
         &mut self,
         enclave: &SegShareEnclave,
         user: &UserId,
-        request: Request,
-        request_id: u64,
-        principal: u64,
-        object: u64,
+        request: &Request,
+        record: &mut RequestRecord,
     ) -> Result<Vec<Response>, SegShareError> {
-        let span = enclave
-            .obs()
-            .start_op(request.op_name())
-            .with_ids(request_id, principal, object);
-        // Data chunks are the streaming fast path.
-        if let Request::Data { bytes } = request {
-            let result = self.handle_data(enclave, request_id, principal, bytes);
-            match &result {
-                Ok(_) => span.finish_ok(),
-                Err(err) => span.finish_err(error_code(err).name()),
-            }
-            return result;
-        }
         if self.upload.is_some() {
             // A non-Data request aborts an in-flight upload.
             self.upload = None;
-            span.finish_err(ErrorCode::BadRequest.name());
-            return Ok(vec![error_response(bad_request(
-                "upload interrupted by another request",
-            ))]);
+            return Err(bad_request("upload interrupted by another request"));
         }
         // The batch commit window (batch mode only) opens before any
         // dispatch lock scope — the commit mutex is the outermost lock.
-        let guard = enclave.batch_begin(request_mutates(&request));
-        let result = self.dispatch(enclave, user, &request);
-        // Record the decision before the response leaves the enclave; an
-        // audit-append failure outranks the operation's own outcome so
-        // the trail never silently misses a decision (fail closed). In
-        // batch mode the request's writes are sealed into their commit
-        // frame inside the audit append, so audit chain order equals
-        // log order.
-        let (decision, code) = audit_outcome(&result);
-        let (appended, sealed) = enclave.audit_request_sealed(
-            request_id,
-            request.op_name(),
-            principal,
-            object,
-            decision,
-            code,
-        );
-        let result = match appended {
-            Ok(()) => result,
-            Err(audit_err) => Err(audit_err),
-        };
-        let result = finish_batch(enclave, guard, sealed, result);
-        match result {
-            Ok(responses) => {
-                span.finish_ok();
-                Ok(responses)
-            }
-            Err(err) => {
-                span.finish_err(error_code(&err).name());
-                if is_fatal(&err) {
-                    Err(err)
-                } else {
-                    // If a PutFile was refused, swallow its announced
-                    // bytes so the client sees exactly one response.
-                    if let Request::PutFile { size, .. } = request {
-                        self.discard = size;
-                    }
-                    Ok(vec![error_response(err)])
-                }
-            }
+        let guard = enclave.batch_begin(request_mutates(request));
+        let result = self.dispatch(enclave, user, request);
+        let result = audit_and_commit(enclave, guard, record, record.op, result);
+        if let (Err(_), Request::PutFile { size, .. }) = (&result, request) {
+            // A PutFile was refused: swallow its announced bytes so the
+            // client sees exactly one response.
+            self.discard = *size;
         }
+        result
     }
 
     fn handle_data(
         &mut self,
         enclave: &SegShareEnclave,
-        request_id: u64,
-        principal: u64,
+        record: &mut RequestRecord,
         bytes: Vec<u8>,
     ) -> Result<Vec<Response>, SegShareError> {
         if self.discard > 0 {
@@ -405,58 +389,36 @@ impl EnclaveSession {
             return Ok(Vec::new());
         }
         let Some(upload) = self.upload.as_mut() else {
-            return Ok(vec![error_response(bad_request(
-                "data chunk without an active upload",
-            ))]);
+            return Err(bad_request("data chunk without an active upload"));
         };
         let _epc = enclave.sgx().epc().alloc(bytes.len() as u64);
         if let Err(err) = enclave.files().upload_chunk(upload, &bytes) {
             self.upload = None;
-            return Ok(vec![error_response(err)]);
+            return Err(err);
         }
-        if enclave.files().upload_complete(upload) {
-            let upload = self.upload.take().expect("upload checked above");
-            // The PutFile header was audited when it was authorized; the
-            // commit is the actual mutation, so it gets its own record
-            // bound to the same upload target.
-            let object = enclave.fingerprint_name(upload.path().as_str());
-            // The staged chunks never touched the store, so the commit
-            // is the upload's only mutation — it gets its own batch
-            // window, opened before the lock scope.
-            let guard = enclave.batch_begin(true);
-            // The commit links the file into its parent directory, so
-            // the scope covers both the file's objects and the parent
-            // dirfile (same scope shape as the PutFile header).
-            let _scope =
-                enclave
-                    .locks()
-                    .acquire(&object_locks(upload.path(), LockIntent::Write, true));
-            let result = match enclave.files().commit_upload(upload) {
-                Ok(()) => Ok(vec![Response::Ok]),
-                Err(err) => Err(err),
-            };
-            let (decision, code) = audit_outcome(&result);
-            let (appended, sealed) = enclave.audit_request_sealed(
-                request_id,
-                "put_commit",
-                principal,
-                object,
-                decision,
-                code,
-            );
-            let result = match appended {
-                Ok(()) => result,
-                Err(audit_err) => Err(audit_err),
-            };
-            let result = finish_batch(enclave, guard, sealed, result);
-            match result {
-                Ok(responses) => Ok(responses),
-                Err(err) if !is_fatal(&err) => Ok(vec![error_response(err)]),
-                Err(err) => Err(err),
-            }
-        } else {
-            Ok(Vec::new())
+        if !enclave.files().upload_complete(upload) {
+            return Ok(Vec::new());
         }
+        let upload = self.upload.take().expect("upload checked above");
+        // The PutFile header was audited when it was authorized; the
+        // commit is the actual mutation, so it gets its own audit
+        // record (`put_commit`) bound to the same upload target.
+        record.object = enclave.fingerprint_name(upload.path().as_str());
+        // The staged chunks never touched the store, so the commit is
+        // the upload's only mutation — it gets its own batch window,
+        // opened before the lock scope.
+        let guard = enclave.batch_begin(true);
+        // The commit links the file into its parent directory, so the
+        // scope covers both the file's objects and the parent dirfile
+        // (same scope shape as the PutFile header).
+        let _scope = enclave
+            .locks()
+            .acquire(&object_locks(upload.path(), LockIntent::Write, true));
+        let result = enclave
+            .files()
+            .commit_upload(upload)
+            .map(|()| vec![Response::Ok]);
+        audit_and_commit(enclave, guard, record, "put_commit", result)
     }
 
     fn dispatch(
@@ -931,6 +893,25 @@ fn request_mutates(request: &Request) -> bool {
     !matches!(request, Request::Get { .. })
 }
 
+/// Records the decision and makes it durable. The audit record is
+/// appended (as operation `op`, with the outcome of `result`) before
+/// the response leaves the enclave; an audit-append failure outranks
+/// the operation's own outcome so the trail never silently misses a
+/// decision (fail closed). In batch mode the request's writes are
+/// sealed into their commit frame inside the audit append, so audit
+/// chain order equals log order.
+fn audit_and_commit(
+    enclave: &SegShareEnclave,
+    guard: Option<MutexGuard<'_, ()>>,
+    record: &mut RequestRecord,
+    op: &'static str,
+    result: Result<Vec<Response>, SegShareError>,
+) -> Result<Vec<Response>, SegShareError> {
+    note_outcome(record, &result);
+    let (appended, sealed) = enclave.audit_request_sealed(&RequestRecord { op, ..*record });
+    finish_batch(enclave, guard, sealed, appended.and(result))
+}
+
 /// Completes a request's batch commit window: waits for the group
 /// commit to make the sealed frame durable, then releases the commit
 /// mutex. In whole-FS rollback mode the wait (and the deferred §V-E
@@ -1032,30 +1013,15 @@ fn check_sibling_collision(enclave: &SegShareEnclave, path: &SegPath) -> Result<
     Ok(())
 }
 
-/// The request operand that identifies what the request acts on — the
-/// value fingerprinted into trace and audit events (never carried raw).
+/// The request operand that identifies what the request acts on — its
+/// path, else its group — the value fingerprinted into the record and
+/// with it into trace and audit events (never carried raw).
 fn request_object(request: &Request) -> Option<&str> {
-    match request {
-        Request::MkDir { path }
-        | Request::PutFile { path, .. }
-        | Request::Get { path }
-        | Request::Remove { path }
-        | Request::SetPerm { path, .. }
-        | Request::SetInherit { path, .. }
-        | Request::AddOwner { path, .. }
-        | Request::RemoveOwner { path, .. } => Some(path),
-        Request::Move { from, .. } => Some(from),
-        Request::AddUser { group, .. }
-        | Request::RemoveUser { group, .. }
-        | Request::AddGroupOwner { group, .. }
-        | Request::DeleteGroup { group }
-        | Request::RemoveGroupOwner { group, .. } => Some(group),
-        _ => None,
-    }
+    request_path(request).or_else(|| request_group(request))
 }
 
 /// The path operand a request carries, if any (`Move` attributes to its
-/// source, like [`request_object`]).
+/// source).
 fn request_path(request: &Request) -> Option<&str> {
     match request {
         Request::MkDir { path }
@@ -1071,8 +1037,8 @@ fn request_path(request: &Request) -> Option<&str> {
     }
 }
 
-/// The group operand a request touches, if any — the metering plane's
-/// per-group attribution axis. Group-membership operations name the
+/// The group operand a request touches, if any — the record's `group`
+/// fingerprint, the meter's per-group axis. Group-membership operations name the
 /// target group; ACL operations name the group being granted/revoked.
 fn request_group(request: &Request) -> Option<&str> {
     match request {
@@ -1091,9 +1057,9 @@ fn request_group(request: &Request) -> Option<&str> {
 /// Reduces a path to its top-level component (`/docs/a/b.txt` →
 /// `/docs`); the root itself stays `/`. Only the fingerprint of the
 /// result ever leaves the enclave.
-fn path_prefix(path: &str) -> String {
-    let first = path.trim_start_matches('/').split('/').next().unwrap_or("");
-    format!("/{first}")
+fn path_prefix(path: &str) -> &str {
+    let end = path.bytes().skip(1).position(|b| b == b'/');
+    &path[..end.map_or(path.len(), |i| i + 1)]
 }
 
 /// Payload bytes a response hands back to the client: announced
@@ -1113,20 +1079,14 @@ fn response_bytes(responses: &[Response]) -> u64 {
         .sum()
 }
 
-/// Maps a dispatch outcome onto the audit decision taxonomy: granted,
-/// explicitly denied, or failed for another reason.
-fn audit_outcome(result: &Result<Vec<Response>, SegShareError>) -> (TraceDecision, &'static str) {
-    match result {
+/// The one derivation of a request's outcome: granted, explicitly
+/// denied, or failed for another reason, with the error-code label.
+fn note_outcome(record: &mut RequestRecord, result: &Result<Vec<Response>, SegShareError>) {
+    (record.decision, record.code) = match result.as_ref().map_err(error_code) {
         Ok(_) => (TraceDecision::Allow, "ok"),
-        Err(err) => {
-            let code = error_code(err);
-            if matches!(code, ErrorCode::Denied) {
-                (TraceDecision::Deny, code.name())
-            } else {
-                (TraceDecision::Error, code.name())
-            }
-        }
-    }
+        Err(ErrorCode::Denied) => (TraceDecision::Deny, ErrorCode::Denied.name()),
+        Err(code) => (TraceDecision::Error, code.name()),
+    };
 }
 
 /// The wire error code an error maps to (also its telemetry label).

@@ -1,35 +1,46 @@
-//! seg-watch: saturation accounting and the stall watchdog.
+//! seg-watch: saturation accounting, the stall watchdog, and the
+//! telemetry toggle.
 //!
-//! The watch plane is the always-on contention/saturation layer: lock
-//! telemetry lives in [`locks`](super::locks), windowed history in the
-//! flight recorder ([`seg_obs::FlightRecorder`]), and this module holds
-//! the glue state — live-session / in-flight gauges fed by the
-//! untrusted host, the shared [`seg_net::NetMeter`], stall
-//! counters, and the rate-limited automatic dump slot the watchdog
-//! writes its correlated bundle into.
+//! Lock telemetry lives in [`locks`](super::locks) and windowed history
+//! in [`seg_obs::HealthMonitor`]; this module holds the glue state —
+//! live-session / in-flight gauges fed by the untrusted host, the
+//! shared [`seg_net::NetMeter`], the stall watchdog (a consumer of
+//! [`RequestRecord`] like every other plane) with the rate-limited slot
+//! it stores the correlated report in, and the one runtime switch every
+//! consumer obeys.
 //!
 //! Everything here is aggregate numbers or already-declassified JSON
-//! (the dump is assembled from snapshot/trace/profile exports, each of
-//! which is itself a sanctioned declassification point); no request
-//! content enters this module.
+//! (the dump is [`SegShareEnclave::report`](super::SegShareEnclave::report));
+//! no request content enters this module.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use seg_net::NetMeter;
+use seg_obs::RequestRecord;
 
 /// Minimum microseconds between two automatic watchdog dumps. A
 /// pathological workload where every request stalls must not turn the
 /// request path into a dump generator.
 const DUMP_MIN_INTERVAL_US: u64 = 1_000_000;
 
-/// Shared mutable state of the watch plane. One instance per enclave,
+/// How long (µs) the exclusive global lock may be held before the
+/// watchdog reports a global-lock stall — the signature of a
+/// `Move`/`DeleteGroup`/restore-rebuild starving every other session.
+/// In force whenever `EnclaveConfig::watch_deadline_us` is non-zero.
+pub const GLOBAL_LOCK_BUDGET_US: u64 = 500_000;
+
+/// Saturation gauges, watchdog and switch state. One instance per enclave,
 /// shared with the untrusted reactor dispatcher (which feeds the
 /// saturation gauges — they are load numbers, not secrets).
 #[derive(Debug)]
 pub struct WatchStats {
     enabled: AtomicBool,
+    deadline_us: u64,
+    /// Start stamp of the live exclusive hold a tick already reported,
+    /// so the holder's own record does not report it again; 0 = none.
+    live_hold: AtomicU64,
     live_sessions: AtomicU64,
     in_flight: AtomicU64,
     sheds: AtomicU64,
@@ -45,20 +56,15 @@ pub struct WatchStats {
     epoch: Instant,
 }
 
-impl Default for WatchStats {
-    fn default() -> WatchStats {
-        WatchStats::new()
-    }
-}
-
 impl WatchStats {
-    /// Creates watch state with the plane enabled (it is always-on by
-    /// default; [`WatchStats::set_enabled`] exists so benchmarks can
-    /// measure its cost).
+    /// Creates watch state with telemetry on and the watchdog armed at
+    /// `deadline_us` (`EnclaveConfig::watch_deadline_us`; 0 = never).
     #[must_use]
-    pub fn new() -> WatchStats {
+    pub fn new(deadline_us: u64) -> WatchStats {
         WatchStats {
             enabled: AtomicBool::new(true),
+            deadline_us,
+            live_hold: AtomicU64::new(0),
             live_sessions: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
@@ -73,15 +79,17 @@ impl WatchStats {
         }
     }
 
-    /// Whether the watch plane (flight ticks + watchdog checks) runs.
+    /// Whether telemetry runs: records are consumed and the history
+    /// clock, scrubber and canary tick. On by default.
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables the watch plane. Lock and net accounting
-    /// stay on either way — they are passive counters; this only gates
-    /// the per-request watchdog/flight work.
+    /// The one telemetry switch (see
+    /// [`SegShareEnclave::set_telemetry`](super::SegShareEnclave::set_telemetry)).
+    /// Lock, net and store accounting stay on either way — they are
+    /// passive counters.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -146,6 +154,37 @@ impl WatchStats {
     #[must_use]
     pub fn reactor_stats(&self) -> Option<Arc<seg_net::reactor::ReactorStats>> {
         self.reactor.lock().unwrap().clone()
+    }
+
+    /// The watchdog as a record consumer: a request at or over the
+    /// deadline is a request stall, and one whose own exclusive hold of
+    /// the global lock ran over [`GLOBAL_LOCK_BUDGET_US`] a global-lock
+    /// stall (unless a tick already reported that hold while it was
+    /// live). Returns whether the caller should store a dump.
+    pub fn consume(&self, rec: &RequestRecord) -> bool {
+        let mut dump = false;
+        if rec.slow(self.deadline_us) {
+            dump |= self.note_stall(StallKind::Request);
+        }
+        let held_us = rec.phase("global_hold").sim_ns / 1_000;
+        if self.deadline_us > 0
+            && held_us >= GLOBAL_LOCK_BUDGET_US
+            && self.live_hold.swap(0, Ordering::Relaxed) == 0
+        {
+            dump |= self.note_stall(StallKind::GlobalLock);
+        }
+        dump
+    }
+
+    /// The watchdog's view from the history tick, which no lock blocks:
+    /// a live exclusive hold of the global lock, begun at stamp `since`
+    /// and `held_us` old. Reports each hold over the budget once.
+    /// Returns whether the caller should store a dump.
+    pub fn note_global_hold(&self, (since, held_us): (u64, u64)) -> bool {
+        self.deadline_us > 0
+            && held_us >= GLOBAL_LOCK_BUDGET_US
+            && self.live_hold.swap(since, Ordering::Relaxed) != since
+            && self.note_stall(StallKind::GlobalLock)
     }
 
     /// Records a watchdog stall of the given kind and reports whether
@@ -217,7 +256,7 @@ mod tests {
 
     #[test]
     fn gauges_track_begin_end_pairs() {
-        let w = WatchStats::new();
+        let w = WatchStats::new(0);
         w.session_started();
         w.session_started();
         w.request_started();
@@ -229,7 +268,7 @@ mod tests {
 
     #[test]
     fn stall_dumps_are_rate_limited() {
-        let w = WatchStats::new();
+        let w = WatchStats::new(0);
         assert!(w.note_stall(StallKind::Request), "first stall dumps");
         assert!(
             !w.note_stall(StallKind::Request),
@@ -243,9 +282,36 @@ mod tests {
 
     #[test]
     fn watch_plane_toggles() {
-        let w = WatchStats::new();
+        let w = WatchStats::new(0);
         assert!(w.enabled(), "always-on by default");
         w.set_enabled(false);
         assert!(!w.enabled());
+    }
+
+    #[test]
+    fn a_global_hold_over_budget_is_reported_once() {
+        let w = WatchStats::new(1_000);
+        let over = GLOBAL_LOCK_BUDGET_US + 1;
+        // Seen live by two ticks, then closed by its holder: one stall.
+        assert!(!w.note_global_hold((7, over - 2)), "inside the budget");
+        assert!(w.note_global_hold((7, over)));
+        assert!(!w.note_global_hold((7, over + 20_000)));
+        let mut rec = RequestRecord::open(1, "move", 1, 2);
+        let hold = seg_obs::PHASES
+            .iter()
+            .position(|p| *p == "global_hold")
+            .unwrap();
+        rec.phases[hold].sim_ns = over * 1_000;
+        w.consume(&rec);
+        assert_eq!(w.stalls_global(), 1);
+        // No tick saw the next one: the holder's record reports it.
+        w.consume(&rec);
+        assert_eq!(w.stalls_global(), 2);
+        assert_eq!(w.stalls_request(), 0, "the record itself was not slow");
+        // A disarmed watchdog reports neither kind.
+        let off = WatchStats::new(0);
+        rec.duration_ns = u64::MAX;
+        assert!(!off.consume(&rec) && !off.note_global_hold((9, over)));
+        assert_eq!((off.stalls_request(), off.stalls_global()), (0, 0));
     }
 }

@@ -409,76 +409,34 @@ impl SegShareServer {
         self.enclave.metrics_snapshot()
     }
 
-    /// The per-(operation, phase-path) wall-clock profile — which layer
-    /// (TLS, authorization, GCM, Protected FS, rollback tree, store
-    /// I/O) each request spent its time in. A declassification point
-    /// like [`metrics_snapshot`](Self::metrics_snapshot): phase paths
-    /// are compiled-in names, values are aggregate times (see
-    /// [`SegShareEnclave::profile_snapshot`]).
+    /// Every telemetry consumer's view at one instant, as one JSON
+    /// document with the sections `saturation`, `stalls`, `locks`,
+    /// `flight`, `trace_tail`, `slow_requests`, `profile`, `health` and
+    /// `meter` — the same bundle the stall watchdog stores when a
+    /// request exceeds [`EnclaveConfig::watch_deadline_us`] (read that
+    /// one back with `enclave().watch().last_dump()`). Aggregate
+    /// numbers and keyed fingerprints only (see
+    /// [`SegShareEnclave::report`]); everything narrower —
+    /// `trace_tail`, `slow_requests`, `profile_snapshot`, the meter,
+    /// the health state — is reached through
+    /// [`enclave`](Self::enclave).
     #[must_use]
-    pub fn profile_snapshot(&self) -> seg_obs::ProfSnapshot {
-        self.enclave.profile_snapshot()
+    pub fn report(&self) -> String {
+        self.enclave.report()
     }
 
-    /// Copies out up to `n` of the newest structured trace events,
-    /// oldest first — the trace ring's declassification point. Events
-    /// carry compiled-in operation/code labels and keyed fingerprints;
-    /// paths and user ids never appear (see
-    /// [`SegShareEnclave::trace_tail`]).
-    #[must_use]
-    pub fn trace_tail(&self, n: usize) -> Vec<seg_obs::TraceEvent> {
-        self.enclave.trace_tail(n)
-    }
-
-    /// Copies out up to `n` of the newest slow-request events (latency
-    /// at or above [`EnclaveConfig::watch_deadline_us`]), oldest first.
-    #[must_use]
-    pub fn slow_requests(&self, n: usize) -> Vec<seg_obs::TraceEvent> {
-        self.enclave.slow_requests(n)
-    }
-
-    /// The watch plane's correlated report: saturation gauges, stall
-    /// counters, global-lock hold time, the top contended lock stripes,
-    /// the flight recorder's frame ring with SLO rollups, the trace
-    /// ring's tail and slow log, and the current profile — everything
-    /// needed to attribute a contention or saturation incident, as one
-    /// JSON document. The same bundle the stall watchdog captures
-    /// automatically (see [`SegShareServer::watch_dump`]).
-    ///
-    /// Assembled exclusively from sanctioned declassification points;
-    /// carries aggregate numbers and keyed fingerprints only.
-    #[must_use]
-    pub fn watch_report(&self) -> String {
-        self.enclave.watch_report()
-    }
-
-    /// The most recent automatic dump captured by the stall watchdog
-    /// (`None` until a request exceeds [`EnclaveConfig::watch_deadline_us`]
-    /// or the global lock is held past
-    /// [`EnclaveConfig::watch_global_budget_us`]).
-    #[must_use]
-    pub fn watch_dump(&self) -> Option<String> {
-        self.enclave.watch().last_dump()
-    }
-
-    /// Enables or disables the watch plane's per-request work (flight
-    /// ticks, SLO rollups, watchdog checks). Lock and net accounting
-    /// stay on either way. On by default; benchmarks toggle this to
-    /// measure the plane's overhead.
-    pub fn set_watch(&self, on: bool) {
-        self.enclave.watch().set_enabled(on);
-    }
-
-    /// The watch plane's shared saturation state (live sessions,
-    /// in-flight requests, the net meter).
-    #[must_use]
-    pub fn watch_stats(&self) -> &std::sync::Arc<crate::enclave::watch::WatchStats> {
-        self.enclave.watch()
+    /// The one runtime telemetry switch (see
+    /// [`SegShareEnclave::set_telemetry`]): off, no request record is
+    /// consumed and the health runner's tick, scrubber and canary are
+    /// inert. On by default; benchmarks toggle it to price telemetry.
+    pub fn set_telemetry(&self, on: bool) {
+        self.enclave.set_telemetry(on);
     }
 
     /// Starts the background health runner: a thread that advances
-    /// the flight recorder and SLO rollups even while the server is
-    /// idle, drives the integrity scrubber on
+    /// the history clock even while the server is idle, lets the stall
+    /// watchdog see a live global-lock hold, drives the integrity
+    /// scrubber on
     /// [`EnclaveConfig::scrub_interval_us`], and (when
     /// [`HealthOptions::canary`] is set) issues synthetic probes over a
     /// virtual reactor connection — the path clients use (so a canary
@@ -507,39 +465,6 @@ impl SegShareServer {
             runner.stop.store(true, Ordering::Relaxed);
             let _ = runner.handle.join();
         }
-    }
-
-    /// Enables or disables the health plane (rollup sampling, the
-    /// tick-driven scrubber, and canary probes). On by default;
-    /// benchmarks toggle this to measure the plane's overhead.
-    pub fn set_health(&self, on: bool) {
-        self.enclave.health().set_enabled(on);
-    }
-
-    /// The health plane's full report — verdict, scrubber and canary
-    /// counters, alerts, burn rates, and the multi-resolution rollup
-    /// history — as one JSON document (see
-    /// [`SegShareEnclave::health_report`]).
-    #[must_use]
-    pub fn health_report(&self) -> String {
-        self.enclave.health_report()
-    }
-
-    /// Enables or disables the metering plane (per-request cost
-    /// attribution to principal/group/prefix fingerprints). Defaults
-    /// to [`EnclaveConfig::meter`]; the accumulated sketches survive a
-    /// disable. Benchmarks toggle this to measure the plane's overhead.
-    pub fn set_meter(&self, on: bool) {
-        self.enclave.meter().set_enabled(on);
-    }
-
-    /// The metering plane's report — top-K talkers, heaviest groups,
-    /// hottest path prefixes per cost dimension, and the fairness
-    /// summary — as one JSON document (see
-    /// [`SegShareEnclave::meter_report`]).
-    #[must_use]
-    pub fn meter_report(&self) -> String {
-        self.enclave.meter_report()
     }
 
     /// Verifies the tamper-evident audit chain end to end, returning
@@ -689,7 +614,7 @@ fn run_health_loop(
         let _ = enclave.health_tick();
         if let Some((reactor, user)) = canary {
             let now = enclave.health().monitor().now_us();
-            if enclave.health().enabled()
+            if enclave.telemetry_enabled()
                 && (last_probe == 0 || now.saturating_sub(last_probe) >= opts.canary_interval_us)
             {
                 last_probe = now;

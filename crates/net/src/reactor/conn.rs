@@ -11,7 +11,7 @@ use crate::virtq::VirtQueue;
 
 /// Connection lifecycle states (the `seg_net_conns{state=...}` gauge
 /// family and the `Accepting → Handshaking → Streaming → Draining →
-/// Closed` machine in `DESIGN.md` §14).
+/// Closed` machine in `DESIGN.md` §11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ConnState {

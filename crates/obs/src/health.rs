@@ -1,38 +1,43 @@
-//! seg-health: multi-resolution metric retention, SLO burn-rate
-//! evaluation, and the rate-limited alert ring.
+//! The history module: one clock over flight frames, multi-resolution
+//! headline retention, SLO burn-rate evaluation, and the rate-limited
+//! alert ring.
 //!
-//! The flight recorder ([`crate::FlightRecorder`]) keeps ~16 seconds of
-//! history; this module keeps *hours*, in bounded memory, by rolling
-//! windowed [`Snapshot::delta`] samples into a ring-of-rings: one ring
-//! of 1 s slots (10 minutes), one of 1 min slots (2 hours), one of
-//! 1 h slots (2 days). Each closed slot stores fixed-size summaries —
-//! counter deltas, last gauge values, histogram digests — never raw
-//! samples, so retention cost is a compile-time constant regardless of
-//! traffic.
+//! [`HealthMonitor`] is the telemetry planes' only notion of time. Its
+//! tick — claimed by whichever request completion or background runner
+//! gets there first ([`HealthMonitor::tick_if_due`]) — takes the one
+//! [`Registry::snapshot`] of the interval and records a flight frame
+//! from it ([`crate::flight`], ~16 s of windowed history). On each
+//! second boundary the same tick rolls the **headline** (requests,
+//! errors, latency digest) into a ring-of-rings — 1 s slots for 10
+//! minutes, 1 min slots for 2 hours, 1 h slots for 2 days, fixed-size
+//! summaries only — and evaluates the **SLO engine**: declarative
+//! objectives (availability, or latency-under-threshold) under the
+//! standard multi-window multi-burn-rate rule, where an alert fires
+//! only when both a fast window (default 5 min) and a slow window
+//! (default 1 h) burn error budget faster than the configured
+//! multiple. Alerts land in a bounded, per-source rate-limited
+//! [`AlertRing`] that the integrity scrubber and canary prober (in
+//! `segshare`) also raise into.
 //!
-//! On top of the 1 s feed sits an **SLO engine**: declarative
-//! objectives (availability, or latency-under-threshold) per operation
-//! class, evaluated with the standard multi-window multi-burn-rate
-//! rule — an alert fires only when both a fast window (default 5 min)
-//! and a slow window (default 1 h) burn error budget faster than the
-//! configured multiple. Alerts land in a bounded, per-source
-//! rate-limited [`AlertRing`] that the integrity scrubber and canary
-//! prober (in `segshare`) also raise into.
+//! Headline and objectives are counted from [`RequestRecord`]s
+//! ([`HealthMonitor::consume`], a handful of relaxed atomic adds), not
+//! re-derived from metric names in a snapshot.
 //!
 //! # Trust boundary
 //!
-//! Everything retained here is derived from [`Registry`] snapshots
-//! (compiled-in names, charset-checked label values) plus caller-
-//! provided keyed fingerprints — the same declassification rules as
-//! every other seg-obs surface. No request content can enter.
+//! Everything retained here comes from [`Registry`] snapshots
+//! (compiled-in names, charset-checked label values), from records
+//! (see [`crate::record`]) and from caller-provided keyed fingerprints
+//! in alerts. No request content can enter.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::hist::{self, BUCKETS};
-use crate::{HistogramSummary, MetricId, Registry, Snapshot};
+use crate::flight::{FlightRecorder, FLIGHT_CAPACITY, FLIGHT_INTERVAL_US};
+use crate::hist;
+use crate::{Histogram, HistogramSummary, Registry, RequestRecord};
 
 /// Per-level retention: (slot length in µs, slots kept).
 const LEVELS: [(u64, usize); 3] = [
@@ -41,22 +46,18 @@ const LEVELS: [(u64, usize); 3] = [
     (3_600_000_000, 48), // 1 h × 48 → 2 days
 ];
 
-/// Cardinality caps for tracked series (bounded memory; overflow is
-/// counted, never retained).
-const MAX_COUNTERS: usize = 64;
-const MAX_GAUGES: usize = 16;
-const MAX_HISTS: usize = 32;
+/// Microseconds between two headline rolls (each with an SLO
+/// evaluation); the burn windows are sized in these samples.
+const SAMPLE_INTERVAL_US: u64 = 1_000_000;
 
 /// Alerts retained in the ring.
 const ALERT_CAP: usize = 64;
 
-/// A declarative service-level objective over one operation class.
+/// A declarative service-level objective over all operations.
 #[derive(Debug, Clone, Copy)]
 pub struct SloObjective {
     /// Compiled-in objective name (appears in alerts and exports).
     pub name: &'static str,
-    /// Restrict to one `op` label value, or `None` for all operations.
-    pub op: Option<&'static str>,
     /// Target good-fraction in parts per million (e.g. `999_000` for
     /// 99.9 %). The error budget is `1 - target`.
     pub target_ppm: u64,
@@ -95,8 +96,6 @@ impl Default for BurnRule {
 /// Configuration for a [`HealthMonitor`].
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
-    /// Minimum microseconds between two rollup samples (default 1 s).
-    pub sample_interval_us: u64,
     /// The SLO objectives to evaluate each sample.
     pub objectives: Vec<SloObjective>,
     /// The burn-rate rule applied to every objective.
@@ -109,17 +108,14 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> HealthConfig {
         HealthConfig {
-            sample_interval_us: 1_000_000,
             objectives: vec![
                 SloObjective {
                     name: "availability",
-                    op: None,
                     target_ppm: 999_000,
                     latency_threshold_ns: None,
                 },
                 SloObjective {
                     name: "latency_p95",
-                    op: None,
                     target_ppm: 950_000,
                     latency_threshold_ns: Some(100_000_000),
                 },
@@ -262,72 +258,14 @@ impl AlertRing {
     }
 }
 
-/// The series tracked by the rollup store (discovered from the first
-/// samples that carry them, capped for bounded memory).
-#[derive(Debug, Default)]
-struct SeriesSet {
-    counters: Vec<MetricId>,
-    gauges: Vec<MetricId>,
-    hists: Vec<MetricId>,
-    overflow: u64,
-}
-
-impl SeriesSet {
-    fn index_or_insert(ids: &mut Vec<MetricId>, id: &MetricId, cap: usize) -> Option<usize> {
-        if let Some(i) = ids.iter().position(|x| x == id) {
-            return Some(i);
-        }
-        if ids.len() >= cap {
-            return None;
-        }
-        ids.push(id.clone());
-        Some(ids.len() - 1)
-    }
-}
-
-/// Fixed-size digest of one closed rollup slot.
+/// Fixed-size digest of one closed headline slot.
 #[derive(Debug, Clone)]
 struct Slot {
     seq: u64,
     at_us: u64,
-    /// Headline: total requests / errors across all ops in the slot,
-    /// and the merged latency digest.
     requests: u64,
     errors: u64,
     latency: HistogramSummary,
-    counters: Vec<u64>,
-    gauges: Vec<u64>,
-    hists: Vec<HistogramSummary>,
-}
-
-/// The open (accumulating) slot of one level.
-#[derive(Debug)]
-struct Accum {
-    opened_at_us: u64,
-    requests: u64,
-    errors: u64,
-    lat_counts: Vec<u64>,
-    lat_sum: u64,
-    counters: Vec<u64>,
-    gauges: Vec<u64>,
-    hist_counts: Vec<Vec<u64>>,
-    hist_sums: Vec<u64>,
-}
-
-impl Accum {
-    fn new(at_us: u64) -> Accum {
-        Accum {
-            opened_at_us: at_us,
-            requests: 0,
-            errors: 0,
-            lat_counts: vec![0; BUCKETS],
-            lat_sum: 0,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            hist_counts: Vec::new(),
-            hist_sums: Vec::new(),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -335,14 +273,15 @@ struct Level {
     slot_us: u64,
     capacity: usize,
     next_seq: u64,
-    accum: Accum,
+    /// The counts when the open slot began.
+    opened: Counts,
     slots: VecDeque<Slot>,
 }
 
 /// Per-objective burn-rate evaluation state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SloState {
-    /// One (total, bad) pair per 1 s sample; capped at the slow window.
+    /// One (total, bad) pair per sample; capped at the slow window.
     window: VecDeque<(u64, u64)>,
     firing: bool,
     /// Latest burn rates ×1000 (fast, slow), for export.
@@ -350,26 +289,61 @@ struct SloState {
     burn_slow_milli: u64,
 }
 
+/// What [`HealthMonitor::consume`] has counted since the monitor was
+/// created. Cumulative and lock-free; the tick differences it against
+/// the copy it kept from the previous roll.
+#[derive(Debug, Default)]
+struct Counted {
+    requests: AtomicU64,
+    errors: AtomicU64,
+    latency: Histogram,
+    /// Bad events per objective (every request counts toward its total).
+    bad: Vec<AtomicU64>,
+}
+
+/// [`Counted`] read at one instant. A missing vector entry reads 0,
+/// so the default is the monitor's creation.
+#[derive(Debug, Clone, Default)]
+struct Counts {
+    at_us: u64,
+    requests: u64,
+    errors: u64,
+    lat_counts: Vec<u64>,
+    lat_sum: u64,
+    bad: Vec<u64>,
+}
+
+/// `now − earlier`, element-wise.
+fn since<'a>(now: &'a [u64], earlier: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+    now.iter()
+        .zip(earlier.iter().chain(std::iter::repeat(&0)))
+        .map(|(n, e)| n - e)
+}
+
 #[derive(Debug)]
 struct MonitorInner {
-    window: crate::DeltaWindow,
-    series: SeriesSet,
+    flight: FlightRecorder,
+    /// The counts at the last roll.
+    rolled: Counts,
     levels: Vec<Level>,
     slo: Vec<SloState>,
 }
 
-/// The health plane's in-enclave retention and evaluation engine:
-/// rollup levels, SLO burn-rate states, and the alert ring.
+/// The history clock and everything that advances on it: flight
+/// frames, headline levels, SLO burn-rate states, and the alert ring.
 ///
-/// One instance per enclave; [`HealthMonitor::sample_if_due`] is safe
-/// to call opportunistically from request paths (a relaxed-load time
-/// check when not due) and from a background runner.
+/// One instance per enclave. [`HealthMonitor::consume`] and
+/// [`HealthMonitor::tick_if_due`] are safe to call from every request
+/// completion (relaxed atomics; a time check when no tick is due) and
+/// from a background runner.
 #[derive(Debug)]
 pub struct HealthMonitor {
     config: HealthConfig,
+    counted: Counted,
     inner: Mutex<MonitorInner>,
     alerts: AlertRing,
-    last_sample_us: AtomicU64,
+    last_tick_us: AtomicU64,
+    frames: AtomicU64,
     samples: AtomicU64,
     active_alerts: AtomicU64,
     epoch: Instant,
@@ -385,43 +359,34 @@ impl HealthMonitor {
                 slot_us,
                 capacity,
                 next_seq: 0,
-                accum: Accum::new(0),
+                opened: Counts::default(),
                 slots: VecDeque::new(),
             })
             .collect();
-        let slo = config
-            .objectives
-            .iter()
-            .map(|_| SloState {
-                window: VecDeque::new(),
-                firing: false,
-                burn_fast_milli: 0,
-                burn_slow_milli: 0,
-            })
-            .collect();
+        let objectives = config.objectives.len();
         HealthMonitor {
             alerts: AlertRing::new(config.alert_min_interval_us),
-            config,
+            counted: Counted {
+                bad: (0..objectives).map(|_| AtomicU64::new(0)).collect(),
+                ..Counted::default()
+            },
             inner: Mutex::new(MonitorInner {
-                window: crate::DeltaWindow::new(),
-                series: SeriesSet::default(),
+                flight: FlightRecorder::new(FLIGHT_CAPACITY),
+                rolled: Counts::default(),
                 levels,
-                slo,
+                slo: (0..objectives).map(|_| SloState::default()).collect(),
             }),
-            last_sample_us: AtomicU64::new(0),
+            config,
+            last_tick_us: AtomicU64::new(0),
+            frames: AtomicU64::new(0),
             samples: AtomicU64::new(0),
             active_alerts: AtomicU64::new(0),
             epoch: Instant::now(),
         }
     }
 
-    /// A monitor with the default configuration.
-    #[must_use]
-    pub fn new_default() -> HealthMonitor {
-        HealthMonitor::new(HealthConfig::default())
-    }
-
-    /// Microseconds since this monitor's epoch (≥ 1).
+    /// Microseconds since this monitor's epoch (≥ 1): the history
+    /// clock.
     #[must_use]
     pub fn now_us(&self) -> u64 {
         self.epoch
@@ -438,7 +403,13 @@ impl HealthMonitor {
         &self.alerts
     }
 
-    /// Rollup samples taken so far.
+    /// Flight frames recorded so far (including evicted ones).
+    #[must_use]
+    pub fn frames_total(&self) -> u64 {
+        self.frames.load(Ordering::Relaxed)
+    }
+
+    /// Headline rolls (each with an SLO evaluation) so far.
     #[must_use]
     pub fn samples(&self) -> u64 {
         self.samples.load(Ordering::Relaxed)
@@ -450,6 +421,15 @@ impl HealthMonitor {
         self.active_alerts.load(Ordering::Relaxed)
     }
 
+    /// `(requests, errors)` counted from records so far.
+    #[must_use]
+    pub fn headline(&self) -> (u64, u64) {
+        (
+            self.counted.requests.load(Ordering::Relaxed),
+            self.counted.errors.load(Ordering::Relaxed),
+        )
+    }
+
     /// Closed slots currently retained across all levels.
     #[must_use]
     pub fn rollup_slots(&self) -> u64 {
@@ -457,180 +437,115 @@ impl HealthMonitor {
         inner.levels.iter().map(|l| l.slots.len() as u64).sum()
     }
 
-    /// Takes a rollup sample if the sampling interval elapsed. Exactly
-    /// one caller wins per interval (compare-and-swap claim, the same
-    /// idiom as [`crate::FlightRecorder::tick_if_due`]); losers return
-    /// immediately. Returns whether this call sampled.
-    pub fn sample_if_due(&self, registry: &Registry) -> bool {
+    /// Counts one closed request toward the headline and toward every
+    /// objective: a failed request is bad for an availability
+    /// objective, one over the threshold for a latency objective.
+    pub fn consume(&self, rec: &RequestRecord) {
+        let c = &self.counted;
+        c.requests.fetch_add(1, Ordering::Relaxed);
+        if !rec.ok() {
+            c.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        c.latency.record(rec.duration_ns);
+        for (obj, bad) in self.config.objectives.iter().zip(&c.bad) {
+            let is_bad = match obj.latency_threshold_ns {
+                None => !rec.ok(),
+                Some(threshold) => rec.duration_ns > threshold,
+            };
+            if is_bad {
+                bad.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Ticks if a frame interval elapsed since the last tick. Exactly
+    /// one caller wins per interval (compare-and-swap claim); losers
+    /// return after one atomic load. Returns whether this call ticked.
+    pub fn tick_if_due(&self, registry: &Registry) -> bool {
         let now = self.now_us();
-        let last = self.last_sample_us.load(Ordering::Relaxed);
-        // `last == 0` means never sampled: the first call always wins
-        // so the delta baseline is established promptly.
-        if last != 0 && now.saturating_sub(last) < self.config.sample_interval_us {
+        let last = self.last_tick_us.load(Ordering::Relaxed);
+        // `last == 0` means never ticked: the first call always wins,
+        // so the first (cumulative) frame is taken promptly.
+        if last != 0 && now.saturating_sub(last) < FLIGHT_INTERVAL_US {
             return false;
         }
         if self
-            .last_sample_us
+            .last_tick_us
             .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
             .is_err()
         {
             return false;
         }
-        self.sample_now(registry, now);
+        self.tick(registry, now);
         true
     }
 
-    /// Takes a sample unconditionally (report assembly, runners that
-    /// keep their own cadence).
-    pub fn force_sample(&self, registry: &Registry) {
-        self.force_sample_at(registry, self.now_us());
+    /// Ticks unconditionally at an explicit time on the history clock:
+    /// report assembly (so a bundle always holds the latest window),
+    /// and tests driving virtual time through slot boundaries.
+    pub fn tick_at(&self, registry: &Registry, now_us: u64) {
+        self.last_tick_us.store(now_us.max(1), Ordering::Relaxed);
+        self.tick(registry, now_us.max(1));
     }
 
-    /// Takes a sample unconditionally at an explicit timestamp
-    /// (microseconds since the monitor's epoch). Lets tests and
-    /// deterministic replays drive virtual time through slot
-    /// boundaries without sleeping.
-    pub fn force_sample_at(&self, registry: &Registry, now_us: u64) {
-        self.last_sample_us.store(now_us.max(1), Ordering::Relaxed);
-        self.sample_now(registry, now_us.max(1));
-    }
-
-    fn sample_now(&self, registry: &Registry, now_us: u64) {
+    /// One tick: the interval's one registry snapshot becomes a flight
+    /// frame; on a sample boundary the headline rolls and the SLO rules
+    /// are evaluated.
+    fn tick(&self, registry: &Registry, now_us: u64) {
         let snap = registry.snapshot();
-        let mut inner = self.inner.lock().unwrap();
-        // Shared delta source (`DeltaWindow`): the first sample is
-        // baseline-only — retention windows start here rather than
-        // attributing all of boot-to-now to one slot.
-        let (delta, first) = inner.window.advance(snap);
-        if first {
-            for level in &mut inner.levels {
-                level.accum.opened_at_us = now_us;
-            }
-            self.samples.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        inner.flight.record(now_us, snap);
+        self.frames.fetch_add(1, Ordering::Relaxed);
+        if now_us.saturating_sub(inner.rolled.at_us) < SAMPLE_INTERVAL_US {
             return;
         }
-        self.feed_levels(&mut inner, &delta, now_us);
-        self.evaluate_slo(&mut inner, &delta, now_us);
+        let c = &self.counted;
+        let now = Counts {
+            at_us: now_us,
+            requests: c.requests.load(Ordering::Relaxed),
+            errors: c.errors.load(Ordering::Relaxed),
+            lat_counts: c.latency.bucket_counts(),
+            lat_sum: c.latency.sum(),
+            bad: c.bad.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+        };
+        for level in &mut inner.levels {
+            if now_us.saturating_sub(level.opened.at_us) < level.slot_us {
+                continue;
+            }
+            let opened = std::mem::replace(&mut level.opened, now.clone());
+            let window: Vec<u64> = since(&now.lat_counts, &opened.lat_counts).collect();
+            level.next_seq += 1;
+            if level.slots.len() == level.capacity {
+                level.slots.pop_front();
+            }
+            level.slots.push_back(Slot {
+                seq: level.next_seq,
+                at_us: now_us,
+                requests: now.requests - opened.requests,
+                errors: now.errors - opened.errors,
+                latency: hist::summarize_window(&window, now.lat_sum - opened.lat_sum),
+            });
+        }
+        let before = std::mem::replace(&mut inner.rolled, now);
+        let now = &inner.rolled;
+        let bad = since(&now.bad, &before.bad);
+        self.evaluate_slo(&mut inner.slo, now.requests - before.requests, bad, now_us);
         self.samples.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn feed_levels(&self, inner: &mut MonitorInner, delta: &Snapshot, now_us: u64) {
-        // Headline extraction from the windowed delta.
-        let mut requests = 0u64;
-        let mut errors = 0u64;
-        for (id, v) in &delta.counters {
-            match id.name() {
-                "seg_requests_total" => requests += v,
-                "seg_request_errors_total" => errors += v,
-                _ => {}
-            }
-        }
-        let mut lat_counts = vec![0u64; BUCKETS];
-        let mut lat_sum = 0u64;
-        for (id, counts) in &delta.buckets {
-            if id.name() != "seg_request_latency_ns" {
-                continue;
-            }
-            for (acc, c) in lat_counts.iter_mut().zip(counts) {
-                *acc += c;
-            }
-            lat_sum += delta.histogram(&id.render()).map_or(0, |s| s.sum);
-        }
-
-        // Series-indexed accumulation (shared discovery across levels).
-        let series = &mut inner.series;
-        let mut counter_upd: Vec<(usize, u64)> = Vec::new();
-        for (id, v) in &delta.counters {
-            match SeriesSet::index_or_insert(&mut series.counters, id, MAX_COUNTERS) {
-                Some(i) => counter_upd.push((i, *v)),
-                None => series.overflow += 1,
-            }
-        }
-        let mut gauge_upd: Vec<(usize, u64)> = Vec::new();
-        for (id, v) in &delta.gauges {
-            match SeriesSet::index_or_insert(&mut series.gauges, id, MAX_GAUGES) {
-                Some(i) => gauge_upd.push((i, *v)),
-                None => series.overflow += 1,
-            }
-        }
-        let mut hist_upd: Vec<(usize, &Vec<u64>, u64)> = Vec::new();
-        for (id, counts) in &delta.buckets {
-            match SeriesSet::index_or_insert(&mut series.hists, id, MAX_HISTS) {
-                Some(i) => {
-                    let sum = delta.histogram(&id.render()).map_or(0, |s| s.sum);
-                    hist_upd.push((i, counts, sum));
-                }
-                None => series.overflow += 1,
-            }
-        }
-        let n_counters = series.counters.len();
-        let n_gauges = series.gauges.len();
-        let n_hists = series.hists.len();
-
-        for level in &mut inner.levels {
-            let accum = &mut level.accum;
-            accum.counters.resize(n_counters, 0);
-            accum.gauges.resize(n_gauges, 0);
-            accum.hist_counts.resize_with(n_hists, || vec![0; BUCKETS]);
-            accum.hist_sums.resize(n_hists, 0);
-            accum.requests += requests;
-            accum.errors += errors;
-            for (acc, c) in accum.lat_counts.iter_mut().zip(&lat_counts) {
-                *acc += c;
-            }
-            accum.lat_sum += lat_sum;
-            for &(i, v) in &counter_upd {
-                accum.counters[i] += v;
-            }
-            for &(i, v) in &gauge_upd {
-                accum.gauges[i] = v;
-            }
-            for (i, counts, sum) in &hist_upd {
-                for (acc, c) in accum.hist_counts[*i].iter_mut().zip(counts.iter()) {
-                    *acc += c;
-                }
-                accum.hist_sums[*i] += sum;
-            }
-            if now_us.saturating_sub(accum.opened_at_us) >= level.slot_us {
-                let closed = std::mem::replace(accum, Accum::new(now_us));
-                level.next_seq += 1;
-                let slot = Slot {
-                    seq: level.next_seq,
-                    at_us: now_us,
-                    requests: closed.requests,
-                    errors: closed.errors,
-                    latency: summarize(&closed.lat_counts, closed.lat_sum),
-                    counters: closed.counters,
-                    gauges: closed.gauges,
-                    hists: closed
-                        .hist_counts
-                        .iter()
-                        .zip(&closed.hist_sums)
-                        .map(|(c, &s)| summarize(c, s))
-                        .collect(),
-                };
-                level.slots.push_back(slot);
-                while level.slots.len() > level.capacity {
-                    level.slots.pop_front();
-                }
-            }
-        }
-    }
-
-    fn evaluate_slo(&self, inner: &mut MonitorInner, delta: &Snapshot, now_us: u64) {
-        // Window sizing assumes the configured cadence; an interval of
-        // 0 (sample on every call) is treated as the default 1 s so
-        // window lengths stay meaningful.
-        let interval_us = match self.config.sample_interval_us {
-            0 => 1_000_000,
-            us => us,
-        };
-        let interval_s = interval_us as f64 / 1e6;
-        let fast_n = ((self.config.burn.fast_secs as f64 / interval_s).round() as usize).max(1);
-        let slow_n = ((self.config.burn.slow_secs as f64 / interval_s).round() as usize).max(1);
+    fn evaluate_slo(
+        &self,
+        slo: &mut [SloState],
+        total: u64,
+        bad: impl Iterator<Item = u64>,
+        now_us: u64,
+    ) {
+        // One sample per second, so a window of N seconds is N samples.
+        let fast_n = (self.config.burn.fast_secs as usize).max(1);
+        let slow_n = (self.config.burn.slow_secs as usize).max(1);
         let mut firing_now = 0u64;
-        for (obj, state) in self.config.objectives.iter().zip(&mut inner.slo) {
-            let (total, bad) = objective_window(obj, delta);
+        for ((obj, state), bad) in self.config.objectives.iter().zip(slo).zip(bad) {
             state.window.push_back((total, bad));
             while state.window.len() > slow_n {
                 state.window.pop_front();
@@ -678,13 +593,22 @@ impl HealthMonitor {
         self.active_alerts.store(firing_now, Ordering::Relaxed);
     }
 
-    /// The retained history as JSON: per level, every closed slot's
-    /// headline (requests, errors, latency digest). Bounded by the
-    /// level capacities — ~770 rows at full retention.
+    /// The retained flight frames as JSON (see
+    /// [`FlightRecorder::dump_json`]).
+    #[must_use]
+    pub fn flight_json(&self) -> String {
+        self.inner.lock().unwrap().flight.dump_json()
+    }
+
+    /// The retained history as JSON: what records counted in total,
+    /// then per level every closed slot's headline (requests, errors,
+    /// latency digest). Bounded by the level capacities — ~770 rows at
+    /// full retention.
     #[must_use]
     pub fn history_json(&self) -> String {
         let inner = self.inner.lock().unwrap();
-        let mut out = String::from("{\"levels\":[");
+        let (requests, errors) = self.headline();
+        let mut out = format!("{{\"requests\":{requests},\"errors\":{errors},\"levels\":[");
         for (li, level) in inner.levels.iter().enumerate() {
             if li > 0 {
                 out.push(',');
@@ -712,47 +636,7 @@ impl HealthMonitor {
             }
             out.push_str("]}");
         }
-        out.push_str(&format!(
-            "],\"tracked_series\":{},\"series_overflow\":{}}}",
-            inner.series.counters.len() + inner.series.gauges.len() + inner.series.hists.len(),
-            inner.series.overflow
-        ));
-        out
-    }
-
-    /// The newest closed slot of the finest level, as a full tracked-
-    /// series map (counter deltas, gauge values, histogram p95s) —
-    /// the "what changed in the last second" export.
-    #[must_use]
-    pub fn latest_slot_json(&self) -> String {
-        let inner = self.inner.lock().unwrap();
-        let Some(slot) = inner.levels.first().and_then(|l| l.slots.back()) else {
-            return "null".to_string();
-        };
-        let esc = |id: &MetricId| id.render().replace('"', "\\\"");
-        let mut out = String::from("{");
-        out.push_str(&format!("\"at_us\":{},\"counters\":{{", slot.at_us));
-        for (i, (id, v)) in inner.series.counters.iter().zip(&slot.counters).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", esc(id), v));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (id, v)) in inner.series.gauges.iter().zip(&slot.gauges).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", esc(id), v));
-        }
-        out.push_str("},\"histograms_p95_ns\":{");
-        for (i, (id, s)) in inner.series.hists.iter().zip(&slot.hists).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", esc(id), s.p95));
-        }
-        out.push_str("}}");
+        out.push_str("]}");
         out
     }
 
@@ -767,11 +651,10 @@ impl HealthMonitor {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"op\":\"{}\",\"target_ppm\":{},\
+                "{{\"name\":\"{}\",\"target_ppm\":{},\
                  \"latency_threshold_ns\":{},\"burn_fast_milli\":{},\
                  \"burn_slow_milli\":{},\"firing\":{}}}",
                 obj.name,
-                obj.op.unwrap_or("all"),
                 obj.target_ppm,
                 obj.latency_threshold_ns.unwrap_or(0),
                 state.burn_fast_milli,
@@ -784,65 +667,11 @@ impl HealthMonitor {
     }
 }
 
-/// Extracts one (total, bad) sample for an objective from a windowed
-/// delta snapshot.
-fn objective_window(obj: &SloObjective, delta: &Snapshot) -> (u64, u64) {
-    let op_matches = |id: &MetricId| -> bool {
-        match obj.op {
-            None => true,
-            Some(op) => id.labels().iter().any(|&(k, v)| k == "op" && v == op),
-        }
-    };
-    match obj.latency_threshold_ns {
-        None => {
-            let mut total = 0;
-            let mut bad = 0;
-            for (id, v) in &delta.counters {
-                if id.name() == "seg_requests_total" && op_matches(id) {
-                    total += v;
-                } else if id.name() == "seg_request_errors_total" && op_matches(id) {
-                    bad += v;
-                }
-            }
-            (total, bad)
-        }
-        Some(threshold) => {
-            let mut total = 0;
-            let mut bad = 0;
-            for (id, counts) in &delta.buckets {
-                if id.name() != "seg_request_latency_ns" || !op_matches(id) {
-                    continue;
-                }
-                for (idx, &c) in counts.iter().enumerate() {
-                    total += c;
-                    if hist::bucket_mid(idx) > threshold {
-                        bad += c;
-                    }
-                }
-            }
-            (total, bad)
-        }
-    }
-}
-
-/// Summarizes accumulated bucket counts (min/max approximated by the
-/// first/last non-empty bucket midpoint, as in [`Snapshot::delta`]).
-fn summarize(counts: &[u64], sum: u64) -> HistogramSummary {
-    let first = counts.iter().position(|&c| c > 0);
-    let last = counts.iter().rposition(|&c| c > 0);
-    hist::summarize_counts(
-        counts,
-        sum,
-        first.map_or(0, hist::bucket_mid),
-        last.map_or(0, hist::bucket_mid),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Advances virtual time by 1 s per call (for `force_sample_at`).
+    /// Advances virtual time by 1 s per call (for `tick_at`).
     struct Clock(u64);
 
     impl Clock {
@@ -854,17 +683,14 @@ mod tests {
 
     fn quick_config() -> HealthConfig {
         HealthConfig {
-            sample_interval_us: 1_000_000,
             objectives: vec![
                 SloObjective {
                     name: "availability",
-                    op: None,
                     target_ppm: 999_000,
                     latency_threshold_ns: None,
                 },
                 SloObjective {
                     name: "latency",
-                    op: Some("get"),
                     target_ppm: 950_000,
                     latency_threshold_ns: Some(1_000_000),
                 },
@@ -879,20 +705,33 @@ mod tests {
         }
     }
 
+    /// Feeds `n` closed requests of one outcome and latency.
+    fn feed(m: &HealthMonitor, n: usize, ok: bool, duration_ns: u64) {
+        let mut rec = RequestRecord::open(1, "get", 7, 9);
+        rec.duration_ns = duration_ns;
+        if !ok {
+            rec.decision = crate::TraceDecision::Error;
+            rec.code = "integrity";
+        }
+        for _ in 0..n {
+            m.consume(&rec);
+        }
+    }
+
     #[test]
     fn rollups_fill_and_stay_bounded() {
         let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
         let mut clock = Clock(0);
-        let c = r.counter_with("seg_requests_total", vec![("op", "get")]);
         // 700 one-second samples: the 1 s level must cap at 600.
         for _ in 0..700 {
-            c.inc();
-            m.force_sample_at(&r, clock.tick());
+            feed(&m, 1, true, 5_000);
+            m.tick_at(&r, clock.tick());
         }
-        assert!(m.samples() >= 700);
+        assert_eq!(m.samples(), 700);
+        assert_eq!(m.frames_total(), 700, "every tick is a flight frame");
         let slots = m.rollup_slots();
-        assert!(slots > 0, "slots closed");
+        assert!(slots >= 600, "the finest level filled, got {slots}");
         assert!(slots <= 600 + 120 + 48, "retention bounded, got {slots}");
         let json = m.history_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -905,20 +744,16 @@ mod tests {
         let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
         let mut clock = Clock(0);
-        m.force_sample_at(&r, clock.tick()); // baseline
-        r.counter_with("seg_requests_total", vec![("op", "get")])
-            .add(10);
-        r.counter_with(
-            "seg_request_errors_total",
-            vec![("op", "get"), ("code", "denied")],
-        )
-        .add(3);
-        r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
-            .record(5_000);
-        m.force_sample_at(&r, clock.tick());
+        m.tick_at(&r, clock.tick());
+        feed(&m, 7, true, 5_000);
+        feed(&m, 3, false, 5_000);
+        m.tick_at(&r, clock.tick());
+        assert_eq!(m.headline(), (10, 3));
         let json = m.history_json();
-        assert!(json.contains("\"requests\":10"), "{json}");
-        assert!(json.contains("\"errors\":3"), "{json}");
+        assert!(
+            json.contains("\"requests\":10,\"errors\":3,\"p50_ns\""),
+            "the closed slot holds the window: {json}"
+        );
     }
 
     #[test]
@@ -926,17 +761,12 @@ mod tests {
         let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
         let mut clock = Clock(0);
-        m.force_sample_at(&r, clock.tick());
+        m.tick_at(&r, clock.tick());
         // 50% errors against a 0.1% budget: burn 500× in both windows.
-        let req = r.counter_with("seg_requests_total", vec![("op", "put_file")]);
-        let err = r.counter_with(
-            "seg_request_errors_total",
-            vec![("op", "put_file"), ("code", "integrity")],
-        );
         for _ in 0..3 {
-            req.add(10);
-            err.add(5);
-            m.force_sample_at(&r, clock.tick());
+            feed(&m, 5, true, 5_000);
+            feed(&m, 5, false, 5_000);
+            m.tick_at(&r, clock.tick());
         }
         assert!(m.active_alerts() >= 1, "burn alert fires");
         assert!(m.alerts().total() >= 1);
@@ -945,8 +775,8 @@ mod tests {
         assert_eq!(alert.source, "availability");
         // Healthy traffic flushes the (2-sample) slow window: clears.
         for _ in 0..4 {
-            req.add(10);
-            m.force_sample_at(&r, clock.tick());
+            feed(&m, 10, true, 5_000);
+            m.tick_at(&r, clock.tick());
         }
         assert_eq!(m.active_alerts(), 0, "burn clears after recovery");
     }
@@ -956,15 +786,12 @@ mod tests {
         let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
         let mut clock = Clock(0);
-        m.force_sample_at(&r, clock.tick());
-        let h = r.histogram_with("seg_request_latency_ns", vec![("op", "get")]);
+        m.tick_at(&r, clock.tick());
         // Sustained slow traffic: both windows must see threshold
         // exceeds (an idle fast window correctly clears the alert).
         for _ in 0..2 {
-            for _ in 0..10 {
-                h.record(50_000_000); // 50 ms >> 1 ms threshold
-            }
-            m.force_sample_at(&r, clock.tick());
+            feed(&m, 10, true, 50_000_000); // 50 ms >> 1 ms threshold
+            m.tick_at(&r, clock.tick());
         }
         assert!(
             m.active_alerts() >= 1,
@@ -974,6 +801,10 @@ mod tests {
         let json = m.slo_json();
         assert!(json.contains("\"name\":\"latency\""), "{json}");
         assert!(json.contains("\"firing\":true"), "{json}");
+        assert!(
+            json.contains("\"name\":\"availability\",\"target_ppm\":999000,\"latency_threshold_ns\":0,\"burn_fast_milli\":0"),
+            "slow is not failed: {json}"
+        );
     }
 
     #[test]
@@ -982,7 +813,7 @@ mod tests {
         let m = HealthMonitor::new(quick_config());
         let mut clock = Clock(0);
         for _ in 0..20 {
-            m.force_sample_at(&r, clock.tick());
+            m.tick_at(&r, clock.tick());
         }
         assert_eq!(m.active_alerts(), 0);
         assert_eq!(m.alerts().total(), 0);
@@ -1026,32 +857,14 @@ mod tests {
 
     #[test]
     fn sample_if_due_claims_once_per_interval() {
-        let r = Registry::new();
-        let m = HealthMonitor::new(HealthConfig {
-            sample_interval_us: 60_000_000,
-            ..HealthConfig::default()
-        });
-        assert!(m.sample_if_due(&r), "first call wins");
-        assert!(!m.sample_if_due(&r), "second call inside interval loses");
-        assert_eq!(m.samples(), 1);
-    }
-
-    #[test]
-    fn latest_slot_exports_tracked_series() {
+        // Four frames a second, one headline sample: the roll waits for
+        // the second boundary of the one clock.
         let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
-        let mut clock = Clock(0);
-        m.force_sample_at(&r, clock.tick());
-        r.counter_with("seg_requests_total", vec![("op", "get")])
-            .add(4);
-        r.gauge("seg_epc_bytes").set(4096);
-        m.force_sample_at(&r, clock.tick());
-        let json = m.latest_slot_json();
-        assert!(
-            json.contains("\"seg_requests_total{op=\\\"get\\\"}\":4"),
-            "{json}"
-        );
-        assert!(json.contains("\"seg_epc_bytes\":4096"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        for quarter in 1..=8u64 {
+            m.tick_at(&r, quarter * FLIGHT_INTERVAL_US);
+        }
+        assert_eq!(m.frames_total(), 8);
+        assert_eq!(m.samples(), 2);
     }
 }

@@ -60,6 +60,11 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// Sum of the recorded observations.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
     /// Summarizes the current contents.
     pub fn summarize(&self) -> HistogramSummary {
         let count = self.count.load(Ordering::Relaxed);
@@ -125,6 +130,21 @@ impl HistogramSummary {
 /// [`Histogram::bucket_counts`], or an element-wise difference of two
 /// such vectors) together with its known `sum`/`min`/`max`. Shared by
 /// [`Histogram::summarize`] and [`crate::Snapshot::delta`].
+/// [`summarize_counts`] for a window of bucket counts (a difference of
+/// two cumulative count vectors): the exact extremes of only-the-window
+/// are not recoverable, so `min`/`max` are the first/last non-empty
+/// bucket's midpoint.
+pub(crate) fn summarize_window(counts: &[u64], sum: u64) -> HistogramSummary {
+    let first = counts.iter().position(|&c| c > 0);
+    let last = counts.iter().rposition(|&c| c > 0);
+    summarize_counts(
+        counts,
+        sum,
+        first.map_or(0, bucket_mid),
+        last.map_or(0, bucket_mid),
+    )
+}
+
 pub(crate) fn summarize_counts(counts: &[u64], sum: u64, min: u64, max: u64) -> HistogramSummary {
     let count: u64 = counts.iter().sum();
     if count == 0 {

@@ -1,9 +1,13 @@
 //! `seg-obs`: zero-dependency telemetry for the SeGShare reproduction.
 //!
 //! A process-wide [`Registry`] of atomic counters, gauges, and
-//! log-bucketed latency [`Histogram`]s, plus a request-scoped span API
-//! ([`ObsContext`]) and two hand-rolled text encoders (JSON and
-//! Prometheus exposition) over a deterministic [`Snapshot`].
+//! log-bucketed latency [`Histogram`]s with two hand-rolled text
+//! encoders (JSON and Prometheus exposition) over a deterministic
+//! [`Snapshot`], plus the per-request [`RequestRecord`] and its
+//! consumers: the request metric families ([`Registry::consume`]), the
+//! trace ring and slow log ([`trace`]), the phase profiler that fills
+//! the record's phase vector ([`prof`]), the meter ([`meter`]) and the
+//! history clock ([`health`], [`flight`]).
 //!
 //! # Trust-boundary rule
 //!
@@ -36,21 +40,22 @@ pub mod health;
 mod hist;
 pub mod meter;
 pub mod prof;
+pub mod record;
 pub mod trace;
 
-pub use flight::{FlightFrame, FlightRecorder, SloRollup};
+pub use flight::FlightRecorder;
 pub use health::{Alert, AlertRing, BurnRule, HealthConfig, HealthMonitor, SloObjective};
 pub use hist::{Histogram, HistogramSummary};
-pub use meter::{CostVector, Meter, MeterAxis, MeterSlot, MeterStats, METER_SLOTS};
+pub use meter::{Meter, MeterAxis, MeterSlot, Rollup, METER_AXES, METER_SLOTS};
 pub use prof::{ProfEntry, ProfSnapshot, Profiler};
+pub use record::{records_json, CostVector, PhaseTime, RequestRecord, PHASES};
 pub use trace::{
     current_request_id, events_json, set_current_request, TraceDecision, TraceEvent, TraceRing,
 };
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// A metric's identity: compiled-in name plus compiled-in label pairs.
 ///
@@ -174,6 +179,9 @@ pub struct Registry {
     inner: Mutex<Inner>,
     trace: OnceLock<Arc<TraceRing>>,
     prof: OnceLock<Arc<Profiler>>,
+    /// Per-op handles of the request families, resolved on an
+    /// operation's first record (see [`Registry::consume`]).
+    requests: RwLock<Vec<(&'static str, Counter, Arc<Histogram>)>>,
 }
 
 impl Registry {
@@ -230,9 +238,9 @@ impl Registry {
         Arc::clone(inner.histograms.entry(id).or_default())
     }
 
-    /// Attaches a trace ring; spans finished against this registry
-    /// will additionally emit [`TraceEvent`]s into it. A ring can be
-    /// attached at most once (later calls return the first ring).
+    /// Attaches the trace ring that nested layers (access control,
+    /// store I/O) emit their events into. A ring can be attached at most
+    /// once (later calls return the first ring).
     pub fn attach_trace(&self, ring: Arc<TraceRing>) -> &Arc<TraceRing> {
         self.trace.get_or_init(|| ring)
     }
@@ -242,10 +250,9 @@ impl Registry {
         self.trace.get()
     }
 
-    /// Attaches a phase profiler; spans started against this registry
-    /// will open a profiler root for their operation, so [`prof::phase`]
-    /// calls anywhere below attribute into it. Attachable at most once
-    /// (later calls return the first profiler).
+    /// Attaches a phase profiler, so [`Registry::profile_root`] opens
+    /// request roots against it. Attachable at most once (later calls
+    /// return the first profiler).
     pub fn attach_profiler(&self, profiler: Arc<Profiler>) -> &Arc<Profiler> {
         self.prof.get_or_init(|| profiler)
     }
@@ -255,22 +262,46 @@ impl Registry {
         self.prof.get()
     }
 
-    /// Starts a request-scoped span for operation `op`; finishing it
-    /// records latency and outcome under `seg_requests_total`,
-    /// `seg_request_errors_total`, and `seg_request_latency_ns`, and
-    /// emits one event into the attached trace ring (if any).
-    pub fn start_op(&self, op: &'static str) -> ObsContext<'_> {
-        ObsContext {
-            // The guard is inert when the thread already has an active
-            // profiler root (e.g. the session opened one before the
-            // request was decoded), so span and root never fight.
-            prof: self.profiler().map(|p| prof::OpGuard::begin(p, op)),
-            registry: self,
-            op,
-            start: Instant::now(),
-            request_id: 0,
-            principal: 0,
-            object: 0,
+    /// Opens a profiler root for `op` on the current thread, so
+    /// [`prof::phase`] calls anywhere below attribute into it. `None`
+    /// without an attached profiler; an inert guard when the thread
+    /// already has an active root.
+    pub fn profile_root(&self, op: &'static str) -> Option<prof::OpGuard> {
+        self.profiler().map(|p| prof::OpGuard::begin(p, op))
+    }
+
+    /// Folds one closed request into the request families:
+    /// `seg_requests_total{op}` and `seg_request_latency_ns{op}`
+    /// through handles resolved once per operation, and — for a request
+    /// that was denied or failed — `seg_request_errors_total{op,code}`.
+    pub fn consume(&self, rec: &RequestRecord) {
+        let count = |total: &Counter, latency: &Histogram| {
+            total.inc();
+            latency.record(rec.duration_ns);
+        };
+        let known = {
+            let ops = self.requests.read().unwrap_or_else(|e| e.into_inner());
+            ops.iter()
+                .find(|(op, ..)| *op == rec.op)
+                .map(|(_, total, latency)| count(total, latency))
+        };
+        if known.is_none() {
+            let total = self.counter_with("seg_requests_total", vec![("op", rec.op)]);
+            let latency = self.histogram_with("seg_request_latency_ns", vec![("op", rec.op)]);
+            count(&total, &latency);
+            // Two first requests of one op may both land here; interned
+            // handles make the second entry a harmless duplicate.
+            self.requests
+                .write()
+                .unwrap_or_else(|e| e.into_inner())
+                .push((rec.op, total, latency));
+        }
+        if !rec.ok() {
+            self.counter_with(
+                "seg_request_errors_total",
+                vec![("op", rec.op), ("code", rec.code)],
+            )
+            .inc();
         }
     }
 
@@ -317,91 +348,6 @@ impl Registry {
         }
         for h in inner.histograms.values() {
             h.reset();
-        }
-    }
-}
-
-/// A live span: operation label + start instant, resolved against the
-/// registry when finished. Carries no request content, by design.
-#[derive(Debug)]
-#[must_use = "finish the span with finish_ok/finish_err or it records nothing"]
-pub struct ObsContext<'r> {
-    registry: &'r Registry,
-    op: &'static str,
-    start: Instant,
-    request_id: u64,
-    principal: u64,
-    object: u64,
-    /// Profiler root for this span (when a profiler is attached and the
-    /// thread had no active root). Held only for its drop: flushing on
-    /// drop means even a span leaked without `finish_*` leaves no stale
-    /// phase stack behind.
-    #[allow(dead_code)]
-    prof: Option<prof::OpGuard>,
-}
-
-impl ObsContext<'_> {
-    /// The operation label this span carries.
-    pub fn op(&self) -> &'static str {
-        self.op
-    }
-
-    /// Attaches trace correlation ids to the span: a request id plus
-    /// keyed principal/object fingerprints (0 for "none"). Also marks
-    /// the request id as current on this thread (see
-    /// [`set_current_request`]) so nested-layer events correlate.
-    pub fn with_ids(mut self, request_id: u64, principal: u64, object: u64) -> Self {
-        self.request_id = request_id;
-        self.principal = principal;
-        self.object = object;
-        if request_id != 0 {
-            set_current_request(request_id);
-        }
-        self
-    }
-
-    /// Records a successful completion.
-    pub fn finish_ok(self) {
-        self.finish(None);
-    }
-
-    /// Records a failed completion under error-code label `code`.
-    pub fn finish_err(self, code: &'static str) {
-        self.finish(Some(code));
-    }
-
-    fn finish(self, code: Option<&'static str>) {
-        let elapsed = self.start.elapsed();
-        let r = self.registry;
-        r.counter_with("seg_requests_total", vec![("op", self.op)])
-            .inc();
-        r.histogram_with("seg_request_latency_ns", vec![("op", self.op)])
-            .record_duration(elapsed);
-        if let Some(code) = code {
-            r.counter_with(
-                "seg_request_errors_total",
-                vec![("op", self.op), ("code", code)],
-            )
-            .inc();
-        }
-        if let Some(ring) = r.trace() {
-            let decision = match code {
-                None => TraceDecision::Allow,
-                Some("denied") => TraceDecision::Deny,
-                Some(_) => TraceDecision::Error,
-            };
-            ring.emit(
-                self.request_id,
-                self.op,
-                self.principal,
-                self.object,
-                decision,
-                code.unwrap_or("ok"),
-                elapsed.as_micros().min(u64::MAX as u128) as u64,
-            );
-        }
-        if self.request_id != 0 {
-            set_current_request(0);
         }
     }
 }
@@ -482,14 +428,7 @@ impl Snapshot {
             };
             let sum_now = self.histogram(&id.render()).map_or(0, |s| s.sum);
             let sum_before = earlier.histogram(&id.render()).map_or(0, |s| s.sum);
-            let first = diff.iter().position(|&c| c > 0);
-            let last = diff.iter().rposition(|&c| c > 0);
-            let summary = hist::summarize_counts(
-                &diff,
-                sum_now.saturating_sub(sum_before),
-                first.map_or(0, hist::bucket_mid),
-                last.map_or(0, hist::bucket_mid),
-            );
+            let summary = hist::summarize_window(&diff, sum_now.saturating_sub(sum_before));
             histograms.push((id.clone(), summary));
             buckets.push((id.clone(), diff));
         }
@@ -586,49 +525,6 @@ impl Snapshot {
     }
 }
 
-/// Shared delta-window bookkeeping over cumulative [`Snapshot`]s.
-///
-/// Both the flight recorder and the health monitor difference
-/// consecutive snapshots to turn cumulative counters into per-window
-/// rates. They used to each keep their own `Option<Snapshot>` and
-/// first-sample special case; this type is the single source of that
-/// logic so the two planes cannot drift.
-#[derive(Debug, Default)]
-pub struct DeltaWindow {
-    prev: Option<Snapshot>,
-}
-
-impl DeltaWindow {
-    /// An empty window (the next [`DeltaWindow::advance`] is a first
-    /// sample).
-    #[must_use]
-    pub fn new() -> DeltaWindow {
-        DeltaWindow::default()
-    }
-
-    /// Advances the window to `snap` and returns `(window, is_first)`.
-    ///
-    /// On the first call there is no earlier snapshot to difference
-    /// against, so the returned window is the cumulative snapshot
-    /// itself and `is_first` is `true`; callers decide whether to use
-    /// it (flight's first frame is since-boot by design) or to treat
-    /// it as baseline-only (health's first sample feeds no windows).
-    pub fn advance(&mut self, snap: Snapshot) -> (Snapshot, bool) {
-        let (window, first) = match &self.prev {
-            Some(prev) => (snap.delta(prev), false),
-            None => (snap.clone(), true),
-        };
-        self.prev = Some(snap);
-        (window, first)
-    }
-
-    /// Whether a baseline snapshot has been stored yet.
-    #[must_use]
-    pub fn primed(&self) -> bool {
-        self.prev.is_some()
-    }
-}
-
 fn push_scalar_map(out: &mut String, entries: &[(MetricId, u64)]) {
     for (i, (id, v)) in entries.iter().enumerate() {
         if i > 0 {
@@ -716,10 +612,16 @@ mod tests {
 
     #[test]
     fn span_records_latency_and_outcome() {
+        // A closed request — what used to be a finished span — lands in
+        // the three request families.
         let r = Registry::new();
-        r.start_op("put_file").finish_ok();
-        r.start_op("put_file").finish_err("denied");
-        r.start_op("get").finish_ok();
+        let mut rec = RequestRecord::open(1, "put_file", 7, 9);
+        rec.duration_ns = 1_000;
+        r.consume(&rec);
+        rec.decision = TraceDecision::Deny;
+        rec.code = "denied";
+        r.consume(&rec);
+        r.consume(&RequestRecord::open(2, "get", 7, 9));
         let snap = r.snapshot();
         assert_eq!(snap.counter("seg_requests_total{op=\"put_file\"}"), Some(2));
         assert_eq!(snap.counter("seg_requests_total{op=\"get\"}"), Some(1));
@@ -727,10 +629,11 @@ mod tests {
             snap.counter("seg_request_errors_total{code=\"denied\",op=\"put_file\"}"),
             Some(1)
         );
+        assert_eq!(snap.counters.len(), 3, "no error series for a clean op");
         let h = snap
             .histogram("seg_request_latency_ns{op=\"put_file\"}")
             .expect("latency histogram");
-        assert_eq!(h.count, 2);
+        assert_eq!((h.count, h.sum), (2, 2_000));
     }
 
     #[test]
@@ -998,13 +901,11 @@ mod tests {
     #[test]
     fn span_opens_profiler_root_when_attached() {
         let r = Registry::new();
+        assert!(r.profile_root("put_file").is_none(), "nothing attached");
         r.attach_profiler(Arc::new(Profiler::new()));
         {
-            let ctx = r.start_op("put_file");
-            {
-                let _g = prof::phase("pfs");
-            }
-            ctx.finish_ok();
+            let _root = r.profile_root("put_file");
+            let _g = prof::phase("pfs");
         }
         let snap = r.profiler().unwrap().snapshot();
         assert!(snap.entry("put_file;pfs").is_some());

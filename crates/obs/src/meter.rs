@@ -1,52 +1,54 @@
-//! `seg-meter`: cardinality-bounded per-principal resource accounting.
+//! `seg-meter`: cardinality-bounded per-fingerprint resource
+//! accounting.
 //!
-//! Every observability plane so far answers *what* the system is doing
-//! (metrics), *what one request did* (trace), *where the time went*
-//! (prof), and *whether the system is keeping up* (watch/health). This
-//! module answers **who is costing what**: each completed request's
-//! cost vector — ops, bytes moved, crypto and lock-wait nanoseconds,
-//! cache and store activity, audit bytes — is attributed to the
-//! requesting principal and the touched group / path prefix.
+//! The other consumers answer *what* the system is doing (metrics),
+//! *what one request did* (trace), *where the time went* (prof), and
+//! *whether the system is keeping up* (history). This one answers **who
+//! is costing what**: every [`RequestRecord`] is rolled up — ops,
+//! errors, slow requests, latency, bytes moved, crypto and lock-wait
+//! nanoseconds, cache and store activity, audit bytes — against the
+//! requesting principal and the touched object, group and path prefix.
 //!
 //! # Bounded memory under adversarial cardinality
 //!
-//! Principals, groups, and prefixes are client-controlled in number, so
-//! exact per-key tables would let an adversary grow enclave memory
-//! without bound. Each attribution axis therefore keeps a
+//! Principals, objects, groups, and prefixes are client-controlled in
+//! number, so exact per-key tables would let an adversary grow enclave
+//! memory without bound. Each attribution axis therefore keeps a
 //! **SpaceSaving-style top-K sketch** ([`MeterAxis`]) of at most
-//! [`METER_SLOTS`] tracked keys (the same 64-series idiom as the flight
-//! recorder's SLO rollups):
+//! [`METER_SLOTS`] tracked keys:
 //!
 //! - a tracked key's op **estimate** only over-counts, never under:
 //!   `true ≤ est ≤ true + err`, with the per-slot error bound `err`
 //!   inherited from the evicted minimum at takeover;
 //! - `err` never exceeds the smallest tracked estimate, so heavy
 //!   hitters are provably separated from the noise floor;
-//! - the full cost vector is an **exact rollup while tracked**; evicted
-//!   rollups fold into the axis's overflow bucket, so cost totals are
-//!   conserved: `Σ tracked + overflow = everything attributed`.
+//! - the full rollup is **exact while tracked**; evicted rollups fold
+//!   into the axis's overflow bucket, so totals are conserved:
+//!   `Σ tracked + overflow = everything attributed`.
 //!
 //! # Trust boundary
 //!
-//! Keys are keyed fingerprints (the same HMAC outputs trace, audit,
-//! and flight carry), rendered as 16 hex digits; cost values are
-//! aggregate counts and durations. [`Meter::report_json`] is a
-//! declassification point of the same kind as the flight recorder's
-//! dump: deliberate, explicit, and content-free by construction.
+//! Keys are the record's keyed fingerprints, rendered as 16 hex digits;
+//! values are aggregate counts and durations (see [`crate::record`]).
+//! [`Meter::report_json`] is a deliberate, explicit declassification
+//! point, content-free by construction.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Hard cap on tracked keys per attribution axis, matching the flight
-/// recorder's [`crate::flight::MAX_SLO_SERIES`] idiom. Memory per axis
-/// is `METER_SLOTS × sizeof(slot)` regardless of how many distinct
-/// principals, groups, or prefixes ever appear.
+use crate::RequestRecord;
+
+/// Hard cap on tracked keys per attribution axis. Memory per axis is
+/// `METER_SLOTS × sizeof(slot)` regardless of how many distinct keys
+/// ever appear.
 pub const METER_SLOTS: usize = 64;
 
-/// Dimension names of a [`CostVector`], in field order. Compiled-in
-/// strings, valid as metric label values (`[a-z0-9_.]`).
-pub const COST_DIMS: [&str; 10] = [
+/// Dimension names of a [`Rollup`], in slot order. Compiled-in strings,
+/// valid as metric label values (`[a-z0-9_.]`).
+pub const METER_DIMS: [&str; 13] = [
     "ops",
+    "errors",
+    "slow",
+    "latency_ns",
     "req_bytes",
     "resp_bytes",
     "crypto_ns",
@@ -58,103 +60,109 @@ pub const COST_DIMS: [&str; 10] = [
     "audit_bytes",
 ];
 
-/// The per-request cost vector: what one request (or an aggregate of
-/// requests) cost the system, in every dimension the existing planes
-/// already measure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CostVector {
-    /// Completed requests.
-    pub ops: u64,
-    /// Decrypted request bytes entering dispatch.
-    pub req_bytes: u64,
-    /// Payload bytes handed back (announced download sizes included).
-    pub resp_bytes: u64,
-    /// Wall-clock nanoseconds inside AES-GCM phases.
-    pub crypto_ns: u64,
-    /// Nanoseconds spent waiting for object locks.
-    pub lock_wait_ns: u64,
-    /// Object-cache hits consumed.
-    pub cache_hits: u64,
-    /// Object-cache misses caused.
-    pub cache_misses: u64,
-    /// Untrusted-store read-side operations (get/exists/list).
-    pub store_reads: u64,
-    /// Untrusted-store write-side operations (put/delete/rename).
-    pub store_writes: u64,
-    /// Sealed audit-trail bytes appended on this principal's behalf.
-    pub audit_bytes: u64,
-}
+/// The attribution axes, in the order of a record's four fingerprints
+/// (`axis` label values of the `seg_meter_*` families).
+pub const METER_AXES: [&str; 4] = ["principal", "object", "group", "prefix"];
 
-impl CostVector {
-    /// Adds `other` into `self`, saturating per dimension.
-    pub fn add(&mut self, other: &CostVector) {
-        self.ops = self.ops.saturating_add(other.ops);
-        self.req_bytes = self.req_bytes.saturating_add(other.req_bytes);
-        self.resp_bytes = self.resp_bytes.saturating_add(other.resp_bytes);
-        self.crypto_ns = self.crypto_ns.saturating_add(other.crypto_ns);
-        self.lock_wait_ns = self.lock_wait_ns.saturating_add(other.lock_wait_ns);
-        self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
-        self.cache_misses = self.cache_misses.saturating_add(other.cache_misses);
-        self.store_reads = self.store_reads.saturating_add(other.store_reads);
-        self.store_writes = self.store_writes.saturating_add(other.store_writes);
-        self.audit_bytes = self.audit_bytes.saturating_add(other.audit_bytes);
+/// The axes' section keys in [`Meter::report_json`].
+const SECTIONS: [&str; 4] = ["principals", "objects", "groups", "prefixes"];
+
+/// What a set of requests cost, one value per [`METER_DIMS`] name.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Rollup(pub [u64; METER_DIMS.len()]);
+
+impl Rollup {
+    /// The rollup of one record; `slow_us` is the slow threshold.
+    #[must_use]
+    pub fn of(rec: &RequestRecord, slow_us: u64) -> Rollup {
+        let c = &rec.cost;
+        Rollup([
+            1,
+            u64::from(!rec.ok()),
+            u64::from(rec.slow(slow_us)),
+            rec.duration_ns,
+            c.req_bytes,
+            c.resp_bytes,
+            rec.phase("crypto_gcm").self_ns,
+            rec.phase("lock_wait").sim_ns,
+            c.cache_hits,
+            c.cache_misses,
+            c.store_reads,
+            c.store_writes,
+            c.audit_bytes,
+        ])
     }
 
-    /// The value of dimension `i` (index into [`COST_DIMS`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= COST_DIMS.len()`.
+    /// Adds `other` into `self`, saturating per dimension.
+    pub fn add(&mut self, other: &Rollup) {
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a = a.saturating_add(*b);
+        }
+    }
+
+    /// The value of dimension `name` (0 for a name not in
+    /// [`METER_DIMS`]).
     #[must_use]
-    pub fn dim(&self, i: usize) -> u64 {
-        [
-            self.ops,
-            self.req_bytes,
-            self.resp_bytes,
-            self.crypto_ns,
-            self.lock_wait_ns,
-            self.cache_hits,
-            self.cache_misses,
-            self.store_reads,
-            self.store_writes,
-            self.audit_bytes,
-        ][i]
+    pub fn get(&self, name: &str) -> u64 {
+        METER_DIMS
+            .iter()
+            .position(|d| *d == name)
+            .map_or(0, |i| self.0[i])
+    }
+
+    /// Completed requests (dimension 0).
+    #[must_use]
+    pub fn ops(&self) -> u64 {
+        self.0[0]
     }
 
     fn push_json(&self, out: &mut String) {
         out.push('{');
-        for (i, name) in COST_DIMS.iter().enumerate() {
+        for (i, name) in METER_DIMS.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{name}\":{}", self.dim(i)));
+            out.push_str(&format!("\"{name}\":{}", self.0[i]));
         }
         out.push('}');
     }
 }
 
 /// One tracked key of a [`MeterAxis`]: the SpaceSaving counter pair
-/// plus the exact cost rollup accumulated while the key was tracked.
+/// plus the exact rollup accumulated while the key was tracked.
 #[derive(Debug, Clone, Copy)]
 pub struct MeterSlot {
-    /// Keyed fingerprint of the principal / group / prefix.
+    /// Keyed fingerprint of the principal / object / group / prefix.
     pub fp: u64,
     /// SpaceSaving op-count estimate: `true ≤ est ≤ true + err`.
     pub est: u64,
     /// Over-count bound inherited from the evicted minimum.
     pub err: u64,
-    /// Exact cost rollup since this key was (last) admitted.
-    pub costs: CostVector,
+    /// Exact rollup since this key was (last) admitted.
+    pub costs: Rollup,
+}
+
+/// The SpaceSaving counters of one tracked key.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    fp: u64,
+    est: u64,
+    err: u64,
 }
 
 /// One attribution axis: a SpaceSaving top-K sketch over keyed
-/// fingerprints with exact cost rollups for tracked slots and an
-/// overflow rollup conserving everything evicted.
+/// fingerprints with exact rollups for tracked slots and an overflow
+/// rollup conserving everything evicted.
 #[derive(Debug)]
 pub struct MeterAxis {
-    slots: Vec<MeterSlot>,
+    /// The tracked keys, apart from their rollups (`costs`, same
+    /// order): every update scans the keys, and a scan that drags 64
+    /// whole rollups through the cache costs the request path more
+    /// than everything else telemetry does.
+    keys: Vec<Key>,
+    costs: Vec<Rollup>,
     capacity: usize,
-    overflow: CostVector,
+    overflow: Rollup,
     evictions: u64,
     updates: u64,
 }
@@ -170,9 +178,10 @@ impl MeterAxis {
     #[must_use]
     pub fn new(capacity: usize) -> MeterAxis {
         MeterAxis {
-            slots: Vec::new(),
+            keys: Vec::new(),
+            costs: Vec::new(),
             capacity: capacity.max(1),
-            overflow: CostVector::default(),
+            overflow: Rollup::default(),
             evictions: 0,
             updates: 0,
         }
@@ -183,46 +192,42 @@ impl MeterAxis {
     /// in place; new keys fill free slots; once full, the minimum
     /// estimate is evicted (its exact rollup folds into the overflow
     /// bucket) and the newcomer inherits `est = min + 1, err = min`.
-    pub fn record(&mut self, fp: u64, cost: &CostVector) {
+    pub fn record(&mut self, fp: u64, cost: &Rollup) {
         if fp == 0 {
             return;
         }
         self.updates += 1;
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.fp == fp) {
-            slot.est += 1;
-            slot.costs.add(cost);
+        if let Some(i) = self.keys.iter().position(|k| k.fp == fp) {
+            self.keys[i].est += 1;
+            self.costs[i].add(cost);
             return;
         }
-        if self.slots.len() < self.capacity {
-            self.slots.push(MeterSlot {
-                fp,
-                est: 1,
-                err: 0,
-                costs: *cost,
-            });
+        if self.keys.len() < self.capacity {
+            self.keys.push(Key { fp, est: 1, err: 0 });
+            self.costs.push(*cost);
             return;
         }
         let (min_idx, min_est) = self
-            .slots
+            .keys
             .iter()
             .enumerate()
-            .min_by_key(|(_, s)| s.est)
-            .map(|(i, s)| (i, s.est))
+            .min_by_key(|(_, k)| k.est)
+            .map(|(i, k)| (i, k.est))
             .expect("a full axis has slots");
-        self.overflow.add(&self.slots[min_idx].costs);
+        self.overflow.add(&self.costs[min_idx]);
         self.evictions += 1;
-        self.slots[min_idx] = MeterSlot {
+        self.keys[min_idx] = Key {
             fp,
             est: min_est + 1,
             err: min_est,
-            costs: *cost,
         };
+        self.costs[min_idx] = *cost;
     }
 
     /// Number of currently tracked keys (≤ capacity).
     #[must_use]
     pub fn tracked(&self) -> usize {
-        self.slots.len()
+        self.keys.len()
     }
 
     /// Keys evicted from the sketch so far.
@@ -241,43 +246,60 @@ impl MeterAxis {
     /// error bound stays at or below. 0 while the axis has free slots.
     #[must_use]
     pub fn min_est(&self) -> u64 {
-        if self.slots.len() < self.capacity {
+        if self.keys.len() < self.capacity {
             return 0;
         }
-        self.slots.iter().map(|s| s.est).min().unwrap_or(0)
+        self.keys.iter().map(|k| k.est).min().unwrap_or(0)
     }
 
     /// The overflow rollup: exact costs of every evicted key.
     #[must_use]
-    pub fn overflow(&self) -> &CostVector {
+    pub fn overflow(&self) -> &Rollup {
         &self.overflow
+    }
+
+    /// The tracked slots, in no particular order.
+    fn slots(&self) -> impl Iterator<Item = MeterSlot> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.costs)
+            .map(|(k, costs)| MeterSlot {
+                fp: k.fp,
+                est: k.est,
+                err: k.err,
+                costs: *costs,
+            })
     }
 
     /// A slot by fingerprint, if tracked.
     #[must_use]
-    pub fn slot(&self, fp: u64) -> Option<&MeterSlot> {
-        self.slots.iter().find(|s| s.fp == fp)
+    pub fn slot(&self, fp: u64) -> Option<MeterSlot> {
+        self.slots().find(|s| s.fp == fp)
     }
 
     /// The top `k` tracked slots by dimension `dim` (index into
-    /// [`COST_DIMS`]; 0 ranks by the op estimate, other dimensions by
+    /// [`METER_DIMS`]; 0 ranks by the op estimate, other dimensions by
     /// their exact rollup value), descending, ties broken by
     /// fingerprint for determinism.
     #[must_use]
     pub fn top(&self, dim: usize, k: usize) -> Vec<MeterSlot> {
-        let mut sorted: Vec<MeterSlot> = self.slots.clone();
+        let mut sorted: Vec<MeterSlot> = self.slots().collect();
         sorted.sort_by_key(|s| {
-            let v = if dim == 0 { s.est } else { s.costs.dim(dim) };
+            let v = if dim == 0 { s.est } else { s.costs.0[dim] };
             (std::cmp::Reverse(v), s.fp)
         });
         sorted.truncate(k);
         sorted
     }
 
-    /// Sum of the exact op rollups across tracked slots.
+    /// The exact rollup summed across tracked slots.
     #[must_use]
-    pub fn tracked_ops(&self) -> u64 {
-        self.slots.iter().map(|s| s.costs.ops).sum()
+    pub fn tracked_costs(&self) -> Rollup {
+        let mut sum = Rollup::default();
+        for costs in &self.costs {
+            sum.add(costs);
+        }
+        sum
     }
 }
 
@@ -294,160 +316,98 @@ pub struct AxisStats {
     pub min_est: u64,
 }
 
-/// Snapshot of every axis's summary.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MeterStats {
-    /// The per-principal ("talkers") axis.
-    pub principals: AxisStats,
-    /// The per-group axis.
-    pub groups: AxisStats,
-    /// The per-path-prefix axis.
-    pub prefixes: AxisStats,
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct MeterInner {
-    totals: CostVector,
-    principals: MeterAxis,
-    groups: MeterAxis,
-    prefixes: MeterAxis,
+    totals: Rollup,
+    axes: [MeterAxis; METER_AXES.len()],
 }
 
-/// The metering plane: three bounded attribution axes behind one lock,
-/// fed once per completed request. All methods take `&self`; safe to
-/// share via `Arc` across session threads. Disabled, [`Meter::record`]
-/// is a single relaxed atomic load.
+/// The metering consumer: four bounded attribution axes behind one
+/// lock, fed once per closed request. All methods take `&self`; safe to
+/// share via `Arc` across session threads.
 #[derive(Debug)]
 pub struct Meter {
-    enabled: AtomicBool,
-    samples: AtomicU64,
+    slow_us: u64,
     inner: Mutex<MeterInner>,
 }
 
-impl Default for Meter {
-    fn default() -> Meter {
-        Meter::new(true)
-    }
-}
-
 impl Meter {
-    /// Creates a meter with [`METER_SLOTS`] slots per axis.
+    /// Creates a meter with [`METER_SLOTS`] slots per axis that counts
+    /// a request as slow at `slow_us` microseconds (0 = never).
     #[must_use]
-    pub fn new(enabled: bool) -> Meter {
+    pub fn new(slow_us: u64) -> Meter {
         Meter {
-            enabled: AtomicBool::new(enabled),
-            samples: AtomicU64::new(0),
-            inner: Mutex::new(MeterInner {
-                totals: CostVector::default(),
-                principals: MeterAxis::default(),
-                groups: MeterAxis::default(),
-                prefixes: MeterAxis::default(),
-            }),
+            slow_us,
+            inner: Mutex::new(MeterInner::default()),
         }
-    }
-
-    /// Whether attribution is currently recording.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables attribution at runtime. Disabling keeps the
-    /// accumulated state (and the exported families) intact.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Requests attributed so far.
     #[must_use]
     pub fn samples(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
+        self.totals().ops()
     }
 
-    /// Attributes one request's cost vector to its principal, touched
-    /// group, and touched path prefix (each a keyed fingerprint, 0 =
-    /// none). A no-op while disabled.
-    pub fn record(&self, principal: u64, group: u64, prefix: u64, cost: &CostVector) {
-        if !self.enabled() {
-            return;
-        }
-        self.samples.fetch_add(1, Ordering::Relaxed);
+    /// Attributes one closed request to its principal, object, group
+    /// and path-prefix fingerprints (0 = none: the request still counts
+    /// toward the totals).
+    pub fn consume(&self, rec: &RequestRecord) {
+        let cost = Rollup::of(rec, self.slow_us);
         let mut inner = self.inner.lock().unwrap();
-        inner.totals.add(cost);
-        inner.principals.record(principal, cost);
-        inner.groups.record(group, cost);
-        inner.prefixes.record(prefix, cost);
+        inner.totals.add(&cost);
+        let fps = [rec.principal, rec.object, rec.group, rec.prefix];
+        for (axis, fp) in inner.axes.iter_mut().zip(fps) {
+            axis.record(fp, &cost);
+        }
     }
 
-    /// Grand totals across every attributed request (including ones
-    /// whose operands carried no group or prefix).
+    /// Grand totals across every attributed request.
     #[must_use]
-    pub fn totals(&self) -> CostVector {
+    pub fn totals(&self) -> Rollup {
         self.inner.lock().unwrap().totals
     }
 
-    /// Per-axis summaries for the `seg_meter_*` metric families.
+    /// Per-axis summaries, in [`METER_AXES`] order.
     #[must_use]
-    pub fn stats(&self) -> MeterStats {
+    pub fn stats(&self) -> [AxisStats; METER_AXES.len()] {
         let inner = self.inner.lock().unwrap();
-        let axis = |a: &MeterAxis| AxisStats {
-            tracked: a.tracked() as u64,
-            evictions: a.evictions(),
-            overflow_ops: a.overflow().ops,
-            min_est: a.min_est(),
-        };
-        MeterStats {
-            principals: axis(&inner.principals),
-            groups: axis(&inner.groups),
-            prefixes: axis(&inner.prefixes),
-        }
+        std::array::from_fn(|i| {
+            let a = &inner.axes[i];
+            AxisStats {
+                tracked: a.tracked() as u64,
+                evictions: a.evictions(),
+                overflow_ops: a.overflow().ops(),
+                min_est: a.min_est(),
+            }
+        })
     }
 
-    /// The top `k` principals by op estimate (the "talkers" list).
+    /// The top `k` keys of `axis` (a [`METER_AXES`] name) by op
+    /// estimate; empty for an unknown axis.
     #[must_use]
-    pub fn top_principals(&self, k: usize) -> Vec<MeterSlot> {
-        self.inner.lock().unwrap().principals.top(0, k)
-    }
-
-    /// The top `k` groups by op estimate.
-    #[must_use]
-    pub fn top_groups(&self, k: usize) -> Vec<MeterSlot> {
-        self.inner.lock().unwrap().groups.top(0, k)
-    }
-
-    /// The top `k` path prefixes by op estimate.
-    #[must_use]
-    pub fn top_prefixes(&self, k: usize) -> Vec<MeterSlot> {
-        self.inner.lock().unwrap().prefixes.top(0, k)
+    pub fn top(&self, axis: &str, k: usize) -> Vec<MeterSlot> {
+        let inner = self.inner.lock().unwrap();
+        METER_AXES
+            .iter()
+            .position(|a| *a == axis)
+            .map_or_else(Vec::new, |i| inner.axes[i].top(0, k))
     }
 
     /// Hand-rolled JSON report: per-axis top-K with estimates, error
-    /// bounds, and exact cost rollups; per-dimension leader boards; and
-    /// a fairness summary (tracked vs overflow share per axis).
-    ///
-    /// Declassification point: fingerprints render as 16 hex digits
-    /// (the trace/flight idiom), dimension names are compiled in,
-    /// values are aggregates.
+    /// bounds, and exact rollups; per-dimension leader boards; and a
+    /// fairness summary (tracked vs overflow share per axis).
     #[must_use]
     pub fn report_json(&self) -> String {
         let inner = self.inner.lock().unwrap();
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "\"enabled\":{},\n\"samples\":{},\n\"slots\":{},\n\"totals\":",
-            self.enabled(),
-            self.samples(),
-            METER_SLOTS,
-        ));
+        let mut out = format!(
+            "{{\n\"samples\":{},\n\"slots\":{METER_SLOTS},\n\"totals\":",
+            inner.totals.ops(),
+        );
         inner.totals.push_json(&mut out);
         out.push_str(",\n");
-        for (name, axis) in [
-            ("principals", &inner.principals),
-            ("groups", &inner.groups),
-            ("prefixes", &inner.prefixes),
-        ] {
-            out.push_str(&format!("\"{name}\":{{"));
+        for (name, axis) in SECTIONS.iter().zip(&inner.axes) {
             out.push_str(&format!(
-                "\"tracked\":{},\"evictions\":{},\"min_tracked_ops\":{},\"overflow\":",
+                "\"{name}\":{{\"tracked\":{},\"evictions\":{},\"min_tracked_ops\":{},\"overflow\":",
                 axis.tracked(),
                 axis.evictions(),
                 axis.min_est(),
@@ -466,13 +426,13 @@ impl Meter {
                 out.push('}');
             }
             out.push_str("\n],\n\"top_by\":{");
-            for (d, dim) in COST_DIMS.iter().enumerate().skip(1) {
+            for (d, dim) in METER_DIMS.iter().enumerate().skip(1) {
                 if d > 1 {
                     out.push(',');
                 }
                 out.push_str(&format!("\n\"{dim}\":["));
                 for (i, s) in axis.top(d, 5).iter().enumerate() {
-                    if s.costs.dim(d) == 0 {
+                    if s.costs.0[d] == 0 {
                         break;
                     }
                     if i > 0 {
@@ -480,8 +440,7 @@ impl Meter {
                     }
                     out.push_str(&format!(
                         "{{\"fp\":\"{:016x}\",\"value\":{}}}",
-                        s.fp,
-                        s.costs.dim(d)
+                        s.fp, s.costs.0[d]
                     ));
                 }
                 out.push(']');
@@ -489,21 +448,14 @@ impl Meter {
             out.push_str("\n}},\n");
         }
         out.push_str("\"fairness\":{");
-        for (i, (name, axis)) in [
-            ("principals", &inner.principals),
-            ("groups", &inner.groups),
-            ("prefixes", &inner.prefixes),
-        ]
-        .iter()
-        .enumerate()
-        {
+        for (i, (name, axis)) in SECTIONS.iter().zip(&inner.axes).enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let tracked = axis.tracked_ops();
-            let overflow = axis.overflow().ops;
+            let tracked = axis.tracked_costs().ops();
+            let overflow = axis.overflow().ops();
             let total = (tracked + overflow).max(1);
-            let top8: u64 = axis.top(0, 8).iter().map(|s| s.costs.ops).sum();
+            let top8: u64 = axis.top(0, 8).iter().map(|s| s.costs.ops()).sum();
             out.push_str(&format!(
                 "\n\"{name}\":{{\"attributed_ops\":{},\"tracked_share_milli\":{},\
                  \"overflow_share_milli\":{},\"top8_share_milli\":{}}}",
@@ -522,12 +474,16 @@ impl Meter {
 mod tests {
     use super::*;
 
-    fn unit_cost() -> CostVector {
-        CostVector {
-            ops: 1,
-            req_bytes: 10,
-            ..CostVector::default()
-        }
+    fn unit_cost() -> Rollup {
+        let mut r = Rollup::default();
+        r.0[0] = 1; // ops
+        r.0[4] = 10; // req_bytes
+        r
+    }
+
+    /// A closed request by `principal` (no other operand).
+    fn request(principal: u64) -> RequestRecord {
+        RequestRecord::open(1, "get", principal, 0)
     }
 
     #[test]
@@ -538,9 +494,9 @@ mod tests {
         }
         let s = axis.slot(7).unwrap();
         assert_eq!((s.est, s.err), (5, 0));
-        assert_eq!(s.costs.ops, 5);
-        assert_eq!(s.costs.req_bytes, 50);
-        assert_eq!(axis.overflow().ops, 0);
+        assert_eq!(s.costs.ops(), 5);
+        assert_eq!(s.costs.get("req_bytes"), 50);
+        assert_eq!(axis.overflow().ops(), 0);
     }
 
     #[test]
@@ -555,11 +511,18 @@ mod tests {
         assert!(axis.slot(2).is_none());
         let s = axis.slot(3).unwrap();
         assert_eq!((s.est, s.err), (2, 1));
-        assert_eq!(s.costs.ops, 1, "rollup is exact since admission");
-        assert_eq!(axis.overflow().ops, 1, "evicted rollup folds into overflow");
+        assert_eq!(s.costs.ops(), 1, "rollup is exact since admission");
+        assert_eq!(
+            axis.overflow().ops(),
+            1,
+            "evicted rollup folds into overflow"
+        );
         assert_eq!(axis.evictions(), 1);
         // Conservation: tracked + overflow == updates.
-        assert_eq!(axis.tracked_ops() + axis.overflow().ops, axis.updates());
+        assert_eq!(
+            axis.tracked_costs().ops() + axis.overflow().ops(),
+            axis.updates()
+        );
     }
 
     #[test]
@@ -589,7 +552,10 @@ mod tests {
             }
         }
         assert_eq!(axis.tracked(), 4, "memory stays at capacity");
-        assert_eq!(axis.tracked_ops() + axis.overflow().ops, axis.updates());
+        assert_eq!(
+            axis.tracked_costs().ops() + axis.overflow().ops(),
+            axis.updates()
+        );
     }
 
     #[test]
@@ -598,24 +564,65 @@ mod tests {
         axis.record(0, &unit_cost());
         assert_eq!(axis.tracked(), 0);
         assert_eq!(axis.updates(), 0);
-        let meter = Meter::new(true);
-        meter.record(0, 0, 0, &unit_cost());
+        let meter = Meter::new(0);
+        meter.consume(&request(0));
         // The request still counts toward samples and grand totals.
         assert_eq!(meter.samples(), 1);
-        assert_eq!(meter.totals().ops, 1);
-        assert_eq!(meter.stats().principals.tracked, 0);
+        assert_eq!(meter.totals().ops(), 1);
+        assert!(meter.stats().iter().all(|s| s.tracked == 0));
     }
 
     #[test]
-    fn disabled_meter_records_nothing() {
-        let meter = Meter::new(false);
-        meter.record(1, 2, 3, &unit_cost());
-        assert_eq!(meter.samples(), 0);
-        assert_eq!(meter.totals(), CostVector::default());
-        meter.set_enabled(true);
-        meter.record(1, 2, 3, &unit_cost());
-        assert_eq!(meter.samples(), 1);
-        assert_eq!(meter.stats().groups.tracked, 1);
+    fn every_axis_conserves_every_dimension() {
+        // 3 × METER_SLOTS distinct keys on all four axes, a 100 µs slow
+        // threshold, every third request failed, every second one slow:
+        // only METER_SLOTS keys materialize per axis, the rest folds
+        // into the overflow bucket, and nothing is lost in any
+        // dimension — errors, slow and latency included.
+        let meter = Meter::new(100);
+        let n = (METER_SLOTS * 3) as u64;
+        for i in 1..=n {
+            let mut rec = RequestRecord::open(i, "put_file", i, i + n);
+            rec.group = i + 2 * n;
+            rec.prefix = i + 3 * n;
+            rec.duration_ns = if i % 2 == 0 { 200_000 } else { 50_000 };
+            rec.cost.req_bytes = i;
+            rec.cost.store_writes = 2;
+            if i % 3 == 0 {
+                rec.decision = crate::TraceDecision::Deny;
+                rec.code = "denied";
+            }
+            meter.consume(&rec);
+        }
+        let totals = meter.totals();
+        assert_eq!(
+            (totals.ops(), totals.get("errors"), totals.get("slow")),
+            (n, n / 3, n / 2)
+        );
+        assert_eq!(totals.get("latency_ns"), n / 2 * 250_000);
+        let inner = meter.inner.lock().unwrap();
+        for axis in &inner.axes {
+            assert_eq!(axis.tracked(), METER_SLOTS);
+            let mut sum = axis.tracked_costs();
+            sum.add(axis.overflow());
+            assert_eq!(sum, totals, "tracked + overflow = totals");
+        }
+        // One principal's view: two requests, one failed and slow.
+        drop(inner);
+        let meter = Meter::new(100);
+        let mut rec = request(7);
+        rec.object = 9;
+        rec.duration_ns = 50_000;
+        meter.consume(&rec);
+        rec.duration_ns = 200_000;
+        rec.decision = crate::TraceDecision::Error;
+        meter.consume(&rec);
+        let p = meter.top("principal", 1)[0].costs;
+        assert_eq!(
+            (p.ops(), p.get("errors"), p.get("slow"), p.get("latency_ns")),
+            (2, 1, 1, 250_000)
+        );
+        assert_eq!(meter.top("object", 1)[0].costs.ops(), 2);
     }
 
     #[test]
@@ -640,53 +647,41 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let meter = Meter::new(true);
+        let meter = Meter::new(0);
         let mut truth = vec![0u64; n + 1];
         for _ in 0..60_000 {
             let u = next();
             let rank = cdf.partition_point(|&c| c < u) + 1;
             let fp = rank as u64; // rank doubles as fingerprint
             truth[rank.min(n)] += 1;
-            meter.record(fp, 0, 0, &unit_cost());
+            meter.consume(&request(fp));
         }
         let mut by_truth: Vec<usize> = (1..=n).collect();
         by_truth.sort_by_key(|&r| std::cmp::Reverse(truth[r]));
         let true_top: Vec<u64> = by_truth[..10].iter().map(|&r| r as u64).collect();
-        let reported: Vec<u64> = meter.top_principals(10).iter().map(|s| s.fp).collect();
+        let reported: Vec<u64> = meter.top("principal", 10).iter().map(|s| s.fp).collect();
         let recalled = true_top.iter().filter(|fp| reported.contains(fp)).count();
         assert!(
             recalled >= 9,
             "recovered {recalled}/10 true heavy hitters: {reported:?} vs {true_top:?}"
         );
         // The heavy hitters' estimates are near-exact under this skew.
+        let inner = meter.inner.lock().unwrap();
         for &fp in &true_top[..3] {
-            let s = meter
-                .inner
-                .lock()
-                .unwrap()
-                .principals
-                .slot(fp)
-                .copied()
-                .unwrap();
+            let s = inner.axes[0].slot(fp).unwrap();
             assert!(s.est - s.err <= truth[fp as usize] && truth[fp as usize] <= s.est);
         }
     }
 
     #[test]
     fn report_json_is_balanced_and_fingerprints_are_hex() {
-        let meter = Meter::new(true);
+        let meter = Meter::new(0);
         for i in 1..=100u64 {
-            meter.record(
-                i,
-                i % 7,
-                i % 3,
-                &CostVector {
-                    ops: 1,
-                    req_bytes: i,
-                    crypto_ns: 10 * i,
-                    ..CostVector::default()
-                },
-            );
+            let mut rec = RequestRecord::open(i, "get", i, i % 11);
+            rec.group = i % 7;
+            rec.prefix = i % 3;
+            rec.cost.req_bytes = i;
+            meter.consume(&rec);
         }
         let json = meter.report_json();
         assert_eq!(
@@ -698,6 +693,7 @@ mod tests {
             "\"samples\":100",
             "\"totals\"",
             "\"principals\"",
+            "\"objects\"",
             "\"groups\"",
             "\"prefixes\"",
             "\"top_by\"",
@@ -714,22 +710,22 @@ mod tests {
 
     #[test]
     fn empty_report_encodes_cleanly() {
-        let json = Meter::new(true).report_json();
+        let json = Meter::new(0).report_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"samples\":0"), "{json}");
     }
 
     #[test]
     fn fairness_shares_sum_to_whole() {
-        let meter = Meter::new(true);
+        let meter = Meter::new(0);
         for i in 1..=300u64 {
-            meter.record(i, 0, 0, &unit_cost());
+            meter.consume(&request(i));
         }
         let json = meter.report_json();
         // 300 distinct principals over 64 slots: both buckets nonzero.
-        let stats = meter.stats();
-        assert_eq!(stats.principals.tracked, METER_SLOTS as u64);
-        assert!(stats.principals.evictions > 0);
+        let stats = meter.stats()[0];
+        assert_eq!(stats.tracked, METER_SLOTS as u64);
+        assert!(stats.evictions > 0);
         assert!(json.contains("\"tracked_share_milli\""), "{json}");
         assert!(json.contains("\"overflow_share_milli\""), "{json}");
     }

@@ -39,6 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::hist::{Histogram, HistogramSummary};
+use crate::record::{PhaseVector, PHASES};
 
 /// Phase stacks deeper than this stop growing (further [`phase`] calls
 /// collapse into the open frame). Sixteen is several times the static
@@ -408,28 +409,32 @@ pub fn charge(name: &'static str, ns: u64) {
     });
 }
 
-/// Sums `(self_ns, sim_ns)` over the current request's already-closed
-/// phases whose path contains `name`. While a root [`OpGuard`] is open,
-/// the thread-local accumulator holds exactly this request's phases, so
-/// this reads back what the request has spent so far in e.g.
-/// `"crypto_gcm"` (wall-clock self time) or `"lock_wait"` (simulated
-/// time fed via [`charge`]) — the metering plane's cost probes, reusing
-/// the profiler's instrumentation instead of adding a second pass.
-/// Self times of distinct paths never overlap, so the sum is exact.
-/// Returns `(0, 0)` without an active root.
+/// The current request's phase vector so far, in one pass over the
+/// thread's accumulator: every closed frame's self and charged time
+/// lands in the slot of its leaf name (see [`PHASES`]), and slot 0
+/// takes the root's own time up to now, so the self times sum to the
+/// wall-clock since the root opened. All zero without an active root.
 #[must_use]
-pub fn request_phase_totals(name: &'static str) -> (u64, u64) {
+pub fn request_phases() -> PhaseVector {
     TLS.with(|t| {
         let t = t.borrow();
+        let mut out = PhaseVector::default();
         if t.profiler.is_none() {
-            return (0, 0);
+            return out;
         }
-        t.acc
-            .iter()
-            .filter(|e| e.path.contains(&name))
-            .fold((0u64, 0u64), |(s, sim), e| {
-                (s.saturating_add(e.self_ns), sim.saturating_add(e.sim_ns))
-            })
+        for e in &t.acc {
+            let leaf = e.path.last().copied().unwrap_or("");
+            // A name missing from the table is a bug there; its time
+            // still counts, as the operation's own.
+            let slot = PHASES.iter().position(|p| *p == leaf).unwrap_or(0);
+            out[slot].self_ns += e.self_ns;
+            out[slot].sim_ns += e.sim_ns;
+        }
+        if let Some(root) = t.frames.first() {
+            let open_ns = root.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            out[0].self_ns += open_ns.saturating_sub(root.child_ns);
+        }
+        out
     })
 }
 
@@ -750,31 +755,39 @@ mod tests {
     }
 
     #[test]
-    fn request_phase_totals_reads_closed_phases_mid_request() {
+    fn request_phases_reads_closed_phases_mid_request() {
+        let slot = |v: &PhaseVector, name: &str| v[PHASES.iter().position(|p| *p == name).unwrap()];
         assert_eq!(
-            request_phase_totals("crypto_gcm"),
-            (0, 0),
+            request_phases(),
+            PhaseVector::default(),
             "no active root: nothing to read"
         );
         let p = Arc::new(Profiler::new());
         {
+            let opened = Instant::now();
             let _root = OpGuard::begin(&p, "get");
             {
-                let _g = phase("crypto_gcm");
-                std::thread::sleep(std::time::Duration::from_millis(2));
+                let _a = phase("pfs");
+                let _b = phase("crypto_gcm");
+                spin_for(300_000);
             }
             charge("lock_wait", 1234);
-            let (crypto_self, _) = request_phase_totals("crypto_gcm");
-            assert!(
-                crypto_self > 0,
-                "closed phase self time visible mid-request"
+            spin_for(100_000);
+            let v = request_phases();
+            assert!(slot(&v, "crypto_gcm").self_ns >= 300_000);
+            assert_eq!(
+                (slot(&v, "lock_wait").self_ns, slot(&v, "lock_wait").sim_ns),
+                (0, 1234)
             );
-            let (lock_self, lock_sim) = request_phase_totals("lock_wait");
-            assert_eq!((lock_self, lock_sim), (0, 1234));
+            assert!(v[0].self_ns >= 100_000, "the root's own time so far");
+            // Self times account for the wall-clock since the root opened.
+            let total: u64 = v.iter().map(|t| t.self_ns).sum();
+            let wall = opened.elapsed().as_nanos() as u64;
+            assert!(total <= wall && total >= wall * 9 / 10, "{total} vs {wall}");
         }
         assert_eq!(
-            request_phase_totals("crypto_gcm"),
-            (0, 0),
+            request_phases(),
+            PhaseVector::default(),
             "root closed: accumulator flushed"
         );
     }

@@ -15,7 +15,7 @@
 //! # Trust-boundary rule
 //!
 //! Trace events cross the enclave boundary when declassified via
-//! `SegShareServer::trace_tail`, so they obey the same rule as metrics:
+//! `SegShareEnclave::trace_tail`, so they obey the same rule as metrics:
 //! operation and error-code labels are interned `&'static str`s
 //! (compiled into the binary), and principals/objects appear only as
 //! stable keyed fingerprints (`u64`), never as raw user ids or paths.
@@ -25,14 +25,19 @@
 //!
 //! # Slow-request log
 //!
-//! Events whose duration meets a configurable threshold
-//! ([`TraceRing::set_slow_threshold_us`]) are additionally copied into
-//! a smaller sibling ring, so rare outliers survive long after the main
-//! ring has wrapped past them.
+//! [`TraceRing::consume`] writes a closed request's header event into
+//! the ring and, when its duration meets the threshold
+//! ([`TraceRing::set_slow_threshold_us`]), keeps the *whole*
+//! [`RequestRecord`] — phase and cost vectors included — in a smaller
+//! sibling log, so a rare outlier stays explainable from one entry long
+//! after the main ring has wrapped past it.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
+
+use crate::record::RequestRecord;
 
 /// Default capacity of the main event ring (slots, not bytes).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -235,13 +240,15 @@ fn label_at(table: &[&'static str], idx: u64) -> &'static str {
 }
 
 /// Bounded lock-free buffer of the most recent [`TraceEvent`]s, plus a
-/// sibling slow-request ring. Memory use is fixed at construction.
+/// sibling slow-request log. Memory use is fixed at construction.
 #[derive(Debug)]
 pub struct TraceRing {
     start: Instant,
     labels: RwLock<Vec<&'static str>>,
     events: RingBuf,
-    slow: RingBuf,
+    /// Slow requests are rare by definition, so a mutex does here.
+    slow: Mutex<VecDeque<RequestRecord>>,
+    slow_capacity: usize,
     slow_threshold_us: AtomicU64,
     emitted: AtomicU64,
 }
@@ -262,7 +269,8 @@ impl TraceRing {
             // decodes to "?" rather than a stale label.
             labels: RwLock::new(vec!["?"]),
             events: RingBuf::new(capacity),
-            slow: RingBuf::new(slow_capacity),
+            slow: Mutex::new(VecDeque::new()),
+            slow_capacity: slow_capacity.max(1),
             slow_threshold_us: AtomicU64::new(0),
             emitted: AtomicU64::new(0),
         }
@@ -271,11 +279,6 @@ impl TraceRing {
     /// Main ring capacity in slots.
     pub fn capacity(&self) -> usize {
         self.events.slots.len()
-    }
-
-    /// Slow-ring capacity in slots.
-    pub fn slow_capacity(&self) -> usize {
-        self.slow.slots.len()
     }
 
     /// Sets the slow-request threshold in microseconds; 0 disables the
@@ -325,9 +328,27 @@ impl TraceRing {
             duration_us,
         };
         self.events.push(p);
-        let threshold = self.slow_threshold_us.load(Ordering::Relaxed);
-        if threshold > 0 && duration_us >= threshold {
-            self.slow.push(p);
+    }
+
+    /// Consumes one closed request: its header event goes into the
+    /// ring, and the whole record into the slow log if it took at least
+    /// the threshold.
+    pub fn consume(&self, rec: &RequestRecord) {
+        self.emit(
+            rec.request_id,
+            rec.op,
+            rec.principal,
+            rec.object,
+            rec.decision,
+            rec.code,
+            rec.duration_us(),
+        );
+        if rec.slow(self.slow_threshold_us()) {
+            let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
+            if slow.len() == self.slow_capacity {
+                slow.pop_front();
+            }
+            slow.push_back(*rec);
         }
     }
 
@@ -337,10 +358,14 @@ impl TraceRing {
         self.events.tail(n, &self.labels)
     }
 
-    /// Copies out up to `n` of the newest slow-request events, oldest
+    /// Copies out up to `n` of the newest slow-request records, oldest
     /// first.
-    pub fn slow_tail(&self, n: usize) -> Vec<TraceEvent> {
-        self.slow.tail(n, &self.labels)
+    pub fn slow_tail(&self, n: usize) -> Vec<RequestRecord> {
+        let slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
+        slow.iter()
+            .skip(slow.len().saturating_sub(n))
+            .copied()
+            .collect()
     }
 
     fn intern(&self, label: &'static str) -> u64 {
@@ -456,16 +481,33 @@ mod tests {
 
     #[test]
     fn slow_ring_captures_only_over_threshold() {
-        let ring = TraceRing::new(64, 8);
+        let ring = TraceRing::new(64, 2);
         ring.set_slow_threshold_us(50);
-        for d in [10u64, 49, 50, 900] {
-            ring.emit(1, "put_file", 0, 0, TraceDecision::Allow, "ok", d);
+        let request = |id: u64, us: u64| {
+            let mut rec = RequestRecord::open(id, "put_file", 7, 9);
+            rec.duration_ns = us * 1_000;
+            rec.cost.store_writes = id;
+            ring.consume(&rec);
+        };
+        for (id, us) in [(1, 10), (2, 49), (3, 50), (4, 900)] {
+            request(id, us);
         }
-        let slow: Vec<u64> = ring.slow_tail(10).iter().map(|e| e.duration_us).collect();
-        assert_eq!(slow, vec![50, 900]);
+        // Every request has its header in the ring; only the slow ones
+        // are kept whole.
+        assert_eq!(ring.tail(10).len(), 4);
+        let slow = ring.slow_tail(10);
+        let kept: Vec<(u64, u64)> = slow
+            .iter()
+            .map(|r| (r.duration_us(), r.cost.store_writes))
+            .collect();
+        assert_eq!(kept, vec![(50, 3), (900, 4)]);
+        // The log is bounded: the oldest entry makes room.
+        request(5, 70);
+        let ids: Vec<u64> = ring.slow_tail(10).iter().map(|r| r.request_id).collect();
+        assert_eq!(ids, vec![4, 5]);
         // Threshold 0 disables the slow log.
         ring.set_slow_threshold_us(0);
-        ring.emit(1, "put_file", 0, 0, TraceDecision::Allow, "ok", 5000);
+        request(6, 5_000);
         assert_eq!(ring.slow_tail(10).len(), 2);
     }
 

@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Where each operation's time went, as a static phase tree. Paths
     // are compiled-in names only; values are aggregated durations —
     // the same trust-boundary rule as the metrics above.
-    let prof = server.profile_snapshot();
+    let prof = server.enclave().profile_snapshot();
     println!("--- phase profile (self time by phase, all ops) ---");
     let ops: Vec<&str> = prof
         .entries
@@ -124,9 +124,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // events (bob's denied read carries the same ids as his earlier
     // allowed one) but not invertible outside the enclave.
     println!("--- request trace (newest 32, JSON) ---");
-    print!("{}", seg_obs::events_json(&server.trace_tail(32)));
-    println!("--- slow requests ---");
-    print!("{}", seg_obs::events_json(&server.slow_requests(16)));
+    print!("{}", seg_obs::events_json(&server.enclave().trace_tail(32)));
+    println!("--- slow requests (whole records) ---");
+    print!(
+        "{}",
+        seg_obs::records_json(&server.enclave().slow_requests(16))
+    );
 
     let verified = server.audit_verify()?;
     println!("--- audit trail ({verified} records, chain verified) ---");

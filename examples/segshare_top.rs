@@ -1,11 +1,11 @@
-//! `segshare_top`: a live text dashboard over the seg-watch plane.
+//! `segshare_top`: a live text dashboard over the server's telemetry.
 //!
 //! Drives a mixed workload (hot-path contention, membership churn,
 //! disjoint traffic) against an in-memory server and, a few times per
 //! second, prints windowed rates from `Snapshot::delta` — requests/s
 //! and p95 per operation, lock wait attributed by key class, the
-//! saturation gauges, and the most contended lock stripes. Ends with
-//! the watch plane's correlated report summary.
+//! saturation gauges, and the most contended lock stripes. Ends with a
+//! summary of the one report.
 //!
 //! Run with: `cargo run --release --example segshare_top`
 //!
@@ -123,53 +123,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(health.findings_total(), 0, "clean workload scrubs clean");
 
-    // Final correlated bundle: the same report the stall watchdog dumps.
-    let report = server.watch_report();
-    let stats = server.watch_stats();
-    println!("--- watch report ---");
+    // The one report: the same bundle the stall watchdog stores. Every
+    // request was metered, and nothing in it names a path, group, or
+    // user operand of the workload above.
+    let report = server.report();
+    let stats = server.enclave().watch();
+    let metered = server.enclave().meter().samples();
+    println!("--- report ---");
     println!(
-        "  {} bytes; stalls: request {} / global {}; automatic dumps {}",
+        "  {} bytes; stalls: request {} / global {}; automatic dumps {}; {metered} requests metered",
         report.len(),
         stats.stalls_request(),
         stats.stalls_global(),
-        stats.dumps()
+        stats.dumps(),
     );
     for section in [
         "\"flight\"",
         "\"lock_top\"",
         "\"trace_tail\"",
         "\"profile\"",
+        "\"health\"",
+        "\"meter\"",
     ] {
         assert!(report.contains(section), "report missing {section}");
     }
-    assert!(
-        !report.contains("hot") && !report.contains("alice"),
-        "watch report must never carry request operands"
-    );
-    println!("  (checked: report complete, no request content)");
-
-    // The meter's view of the same run: every request attributed, and
-    // the report carries fingerprints only — no path, group, or user
-    // operand from the workload above.
-    let meter_report = server.meter_report();
-    println!("--- meter report ---");
-    println!(
-        "  {} bytes; {} requests attributed",
-        meter_report.len(),
-        server.enclave().meter().samples(),
-    );
-    assert!(
-        server.enclave().meter().samples() > 0,
-        "workload was metered"
-    );
-    assert!(
-        !meter_report.contains("hot")
-            && !meter_report.contains("cold")
-            && !meter_report.contains("alice")
-            && !meter_report.contains("team"),
-        "meter report must never carry request operands"
-    );
-    println!("  (checked: requests attributed, no request content)");
+    assert!(metered > 0, "workload was metered");
+    for operand in ["hot", "cold", "alice", "team"] {
+        assert!(
+            !report.contains(operand),
+            "the report must never carry request operands"
+        );
+    }
+    println!("  (checked: report complete, requests attributed, no request content)");
     Ok(())
 }
 
@@ -214,7 +199,7 @@ fn print_window(server: &segshare::SegShareServer, win: &Snapshot, tick: Duratio
     }
 
     // Saturation gauges are levels, not rates: read them live.
-    let stats = server.watch_stats();
+    let stats = server.enclave().watch();
     let net = stats.net_meter();
     println!(
         "  sessions {}  in-flight {}  queued {} B  global held {} µs",
@@ -260,7 +245,7 @@ fn print_window(server: &segshare::SegShareServer, win: &Snapshot, tick: Duratio
         health.monitor().active_alerts(),
     );
 
-    // Tenants: the meter plane's heaviest principals, groups, and path
+    // Tenants: the meter's heaviest principals, groups, and path
     // prefixes (cumulative op estimates; keys are keyed fingerprints,
     // `~err` marks a slot's SpaceSaving over-count bound).
     let meter = server.enclave().meter();
@@ -278,11 +263,8 @@ fn print_window(server: &segshare::SegShareServer, win: &Snapshot, tick: Duratio
             .join("  ")
     };
     println!("  tenants ({} requests metered):", meter.samples());
-    for (axis, top) in [
-        ("talkers", meter.top_principals(3)),
-        ("groups", meter.top_groups(3)),
-        ("prefixes", meter.top_prefixes(3)),
-    ] {
+    for axis in ["principal", "group", "prefix"] {
+        let top = meter.top(axis, 3);
         if !top.is_empty() {
             println!("    {axis:<9} {}", fmt_top(top));
         }

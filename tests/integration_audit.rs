@@ -351,8 +351,8 @@ fn exports_carry_no_principals_paths_or_keys() {
         .map(|b| format!("{b:02x}"))
         .collect();
 
-    let trace = seg_obs::events_json(&rig.server.trace_tail(usize::MAX));
-    let slow = seg_obs::events_json(&rig.server.slow_requests(usize::MAX));
+    let trace = seg_obs::events_json(&rig.server.enclave().trace_tail(usize::MAX));
+    let slow = seg_obs::records_json(&rig.server.enclave().slow_requests(usize::MAX));
     let audit = segshare::enclave::audit::records_json(&rig.server.audit_export().unwrap());
 
     for (name, text) in [("trace", &trace), ("slow", &slow), ("audit", &audit)] {
@@ -373,7 +373,7 @@ fn exports_carry_no_principals_paths_or_keys() {
     // The trace did fire: fingerprints are present and stable across
     // layers (the denied get carries the same object fingerprint in
     // the access-control event and the dispatch event).
-    let events = rig.server.trace_tail(usize::MAX);
+    let events = rig.server.enclave().trace_tail(usize::MAX);
     assert!(!events.is_empty());
     let denied: Vec<_> = events
         .iter()

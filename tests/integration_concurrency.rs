@@ -457,7 +457,6 @@ fn lock_wait_is_attributed_to_the_contended_key_class() {
     // the attribution the seg-watch plane exists for.
     let config = EnclaveConfig {
         watch_deadline_us: 0,
-        watch_global_budget_us: 0,
         ..EnclaveConfig::paper_prototype()
     };
     let delay = Duration::from_millis(2);
@@ -477,6 +476,11 @@ fn lock_wait_is_attributed_to_the_contended_key_class() {
         }
     });
     let overlapping = path_write_wait_ns(&server);
+    // Every one of those requests took milliseconds, but a zero
+    // deadline disarms the watchdog: no stall of either kind.
+    let watch = server.enclave().watch();
+    assert_eq!((watch.stalls_request(), watch.stalls_global()), (0, 0));
+    assert!(server.enclave().slow_requests(1).is_empty());
 
     let (setup, server) = slow_rig(config, 408, delay);
     let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
@@ -509,6 +513,19 @@ fn lock_wait_is_attributed_to_the_contended_key_class() {
     );
 }
 
+/// Asserts `dump` has every section of `report()`: the stall watchdog
+/// stores the same bundle.
+fn assert_whole_report(dump: &str) {
+    for section in
+        "saturation stalls locks flight trace_tail slow_requests profile health meter".split(' ')
+    {
+        assert!(
+            dump.contains(&format!("\"{section}\":")),
+            "dump missing section {section}"
+        );
+    }
+}
+
 #[test]
 fn watchdog_stall_dumps_a_correlated_bundle_without_leaking_content() {
     // A 1ms deadline over a 3ms-per-store-access rig: every request
@@ -528,22 +545,12 @@ fn watchdog_stall_dumps_a_correlated_bundle_without_leaking_content() {
     a.put("/plans-secret", b"q3-report body").unwrap();
     assert_eq!(a.get("/plans-secret").unwrap(), b"q3-report body");
 
-    let watch = server.watch_stats();
+    let watch = server.enclave().watch();
     assert!(watch.stalls_request() > 0, "the deadline must have tripped");
+    assert_eq!(watch.stalls_global(), 0, "nothing took the global lock");
     assert!(watch.dumps() > 0, "the first stall captures a dump");
-    let dump = server.watch_dump().expect("dump stored");
-    for section in [
-        "\"saturation\"",
-        "\"stalls\"",
-        "\"global_held_us\"",
-        "\"lock_top\"",
-        "\"flight\"",
-        "\"trace_tail\"",
-        "\"slow_requests\"",
-        "\"profile\"",
-    ] {
-        assert!(dump.contains(section), "dump missing section {section}");
-    }
+    let dump = watch.last_dump().expect("dump stored");
+    assert_whole_report(&dump);
     for secret in ["alice", "plans-secret", "q3-report", "acme.example"] {
         assert!(
             !dump.contains(secret),
@@ -551,10 +558,168 @@ fn watchdog_stall_dumps_a_correlated_bundle_without_leaking_content() {
         );
     }
     assert!(!dump.contains('@'), "watch dump leaked an email");
+}
 
-    // The on-demand report is the same bundle and honors the same
-    // boundary.
-    let report = server.watch_report();
-    assert!(report.contains("\"flight\""));
-    assert!(!report.contains("plans-secret") && !report.contains('@'));
+#[test]
+fn one_slow_request_is_explained_by_its_one_record() {
+    // Same rig. The get is slow because the store is: its slow-log
+    // entry must say so by itself — where the time went, what it
+    // touched — and be the same request its trace header and its audit
+    // record describe.
+    let config = EnclaveConfig {
+        watch_deadline_us: 1_000,
+        ..EnclaveConfig::paper_prototype()
+    };
+    let (setup, server) = slow_rig(config, 410, Duration::from_millis(3));
+    let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = server.connect_local(&alice).unwrap();
+    a.put("/doc", b"body").unwrap();
+    assert_eq!(a.get("/doc").unwrap(), b"body");
+    let enclave = server.enclave();
+
+    let slow = enclave.slow_requests(1)[0];
+    assert_eq!(slow.op, "get");
+    assert!(slow.ok() && slow.duration_us() >= 1_000, "{slow:?}");
+    let store_io = slow.phase("store_io").self_ns;
+    assert!(
+        store_io >= 2_000_000,
+        "store_io names the culprit: {slow:?}"
+    );
+    let named: u64 = slow.phases.iter().map(|p| p.self_ns).sum();
+    assert!(
+        named >= slow.duration_ns * 9 / 10 && named <= slow.duration_ns,
+        "phase self-times account for the duration: {slow:?}"
+    );
+    assert!(slow.cost.store_reads > 0 && slow.cost.req_bytes > 0);
+    assert_eq!(slow.principal, enclave.fingerprint_user(&alice.user_id));
+    assert_eq!(slow.object, enclave.fingerprint_name("/doc"));
+    assert_eq!(slow.prefix, enclave.fingerprint_name("/doc"));
+
+    let header = enclave
+        .trace_tail(usize::MAX)
+        .into_iter()
+        .rfind(|e| e.op == "get")
+        .expect("the get's header is in the ring");
+    let audited = server.audit_export().unwrap();
+    let audited = audited.last().expect("the get was audited last");
+    for (request_id, principal, object, code) in [
+        (
+            header.request_id,
+            header.principal,
+            header.object,
+            header.code,
+        ),
+        (
+            audited.request_id,
+            audited.principal,
+            audited.object,
+            audited.code.as_str(),
+        ),
+    ] {
+        assert_eq!(
+            (request_id, principal, object, code),
+            (slow.request_id, slow.principal, slow.object, slow.code)
+        );
+    }
+
+    // The stored stall dump shows the same vector (the first stall of
+    // this rig was the put; the on-demand report holds the get too).
+    let entry = format!("\"request_id\": {}, \"op\": \"get\"", slow.request_id);
+    let vector = format!("\"store_io\": {{\"self_ns\": {store_io},");
+    let report = server.report();
+    let at = report.find(&entry).expect("the get is in slow_requests");
+    assert!(report[at..].contains(&vector), "{}", &report[at..]);
+    let dump = enclave.watch().last_dump().expect("dump stored");
+    assert!(
+        dump.contains("\"slow_requests\":[\n  {\"request_id\""),
+        "{dump}"
+    );
+}
+
+#[test]
+fn a_long_global_hold_is_a_stall_seen_live_and_counted_once() {
+    // A recursive Move re-encrypts its subtree under the exclusive
+    // global lock. On a 20ms-per-store-access rig that hold runs well past
+    // the budget. Every other locked request would be blocked on the
+    // shared side for as long, so the stall has to be noticed by
+    // something that is not: the health runner's tick while the hold is
+    // live, and the holder's own record when it closes.
+    let config = EnclaveConfig {
+        // Only the Move is slow enough to stall.
+        watch_deadline_us: 400_000,
+        // Moving a directory whose children share a rollback-tree
+        // bucket fails verification mid-move (a defect older than this
+        // test, see ROADMAP); the lock is what is under test here.
+        rollback_individual: false,
+        // Two fewer slow store writes per request of the fill.
+        audit: false,
+        // A scrub step that is walking this slow store when the Move
+        // begins blocks on the Move, and the runner's tick with it.
+        scrub_interval_us: 0,
+        ..EnclaveConfig::paper_prototype()
+    };
+    let (setup, server) = slow_rig(config, 411, Duration::from_millis(20));
+    let alice = setup
+        .enroll_user("alice", "alice@acme.example", "Alice")
+        .unwrap();
+    let mut a = server.connect_local(&alice).unwrap();
+    let fill = |a: &mut Client<seg_net::ChannelTransport>, dir: &str| {
+        a.mkdir(dir).unwrap();
+        for i in 0..8 {
+            a.put(&format!("{dir}/q3-report-{i}"), b"body").unwrap();
+        }
+    };
+    let global_stalls = || {
+        server
+            .metrics_snapshot()
+            .counter("seg_watch_stalls_total{kind=\"global_lock\"}")
+    };
+    let watch = server.enclave().watch();
+
+    // No runner: the holder's record is the only witness.
+    fill(&mut a, "/plans-secret");
+    assert_eq!(global_stalls(), Some(0));
+    a.rename("/plans-secret", "/plans-moved").unwrap();
+    let held = server
+        .metrics_snapshot()
+        .histogram("seg_lock_global_hold_ns")
+        .unwrap()
+        .max;
+    assert!(
+        held >= 500_000_000,
+        "the rig must overrun the budget: {held}"
+    );
+    assert_eq!(global_stalls(), Some(1));
+    assert_eq!(watch.dumps(), 1, "one stall, one stored dump");
+    let dump = watch.last_dump().expect("dump stored");
+    assert_whole_report(&dump);
+    assert!(dump.contains("\"global_lock\":1"), "{dump}");
+    assert!(dump.contains("\"global_hold\": {\"self_ns\": 0, \"sim_ns\": "));
+    for secret in ["alice", "plans", "q3-report", "acme.example", "@"] {
+        assert!(!dump.contains(secret), "dump leaked {secret:?}");
+    }
+
+    // With a runner ticking, the stall is counted and the bundle
+    // stored while the Move still holds the lock — the stored dump
+    // shows the hold live — and the Move's record does not count it
+    // again. (Refilling takes longer than the dump rate limit.)
+    fill(&mut a, "/second");
+    server.start_health(segshare::HealthOptions {
+        tick_us: 2_000,
+        ..segshare::HealthOptions::default()
+    });
+    a.rename("/second", "/second-moved").unwrap();
+    server.stop_health();
+    assert_eq!(global_stalls(), Some(2));
+    assert_eq!(watch.dumps(), 2);
+    let dump = watch.last_dump().expect("dump stored");
+    let held_us: u64 = dump
+        .split_once("\"global_held_us\":")
+        .and_then(|(_, rest)| rest.split_once(','))
+        .and_then(|(n, _)| n.parse().ok())
+        .expect("the dump has the global-hold clock");
+    assert!(
+        held_us >= 500_000,
+        "stored while the hold was live: {held_us}"
+    );
 }

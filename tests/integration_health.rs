@@ -85,7 +85,7 @@ fn clean_stationary_workload_stays_healthy_with_zero_alerts() {
         health.items(ScrubCheck::Audit) > 0,
         "the audit chain was re-verified"
     );
-    let report = r.server.health_report();
+    let report = r.server.report();
     assert!(report.contains("\"state\":\"healthy\""));
     assert!(report.contains("\"history\""));
 }
@@ -119,7 +119,7 @@ fn content_bitflip_latches_failing_with_fingerprint_only_alert() {
 
     // The alert and report are correlated but leak nothing: compiled-in
     // names and keyed fingerprints only — never paths or user ids.
-    let report = r.server.health_report();
+    let report = r.server.report();
     assert!(report.contains("scrub_integrity"));
     assert!(!report.contains("payroll"), "no plaintext paths");
     assert!(!report.contains("salaries"), "no plaintext names");
@@ -292,7 +292,7 @@ fn health_runner_scrubs_probes_and_samples_an_idle_server() {
     }
     // The canary is an ordinary reactor connection — the path clients
     // use — kept across probes, so it counts exactly once.
-    assert_eq!(r.server.watch_stats().live_sessions(), 1);
+    assert_eq!(r.server.enclave().watch().live_sessions(), 1);
     assert_eq!(r.server.reactor().stats().live_conns(), 1);
     assert_eq!(r.server.reactor().stats().accepted_total(), 1);
     r.server.stop_health();
@@ -315,7 +315,7 @@ fn health_runner_scrubs_probes_and_samples_an_idle_server() {
             .unwrap_or(0)
             >= 3
     );
-    let report = r.server.health_report();
+    let report = r.server.report();
     assert!(report.contains("\"state\":\"healthy\""));
     assert!(report.contains("\"canary\""));
 }
@@ -362,17 +362,52 @@ fn idle_reaped_canary_reconnects_without_a_failed_probe() {
 
 #[test]
 fn disabled_health_plane_is_inert() {
+    // The one telemetry switch, flipped mid-run: off, the runner's tick
+    // does nothing and no record reaches any consumer; what was
+    // gathered before is kept, and counting resumes when it is back on.
     let r = rig(EnclaveConfig::default(), 707);
-    r.server.set_health(false);
-    assert!(r.server.enclave().health_tick().is_none());
-    let health = r.server.enclave().health();
-    assert!(!health.enabled());
-    assert_eq!(health.scrub_passes(), 0);
+    let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = r.server.connect_local(&alice).unwrap();
+    a.put("/before", b"counted").unwrap();
+    let enclave = r.server.enclave();
+    let consumed = || {
+        let snap = r.server.metrics_snapshot();
+        (
+            snap.counter("seg_requests_total{op=\"put_file\"}"),
+            snap.counter("seg_meter_samples_total").unwrap(),
+            enclave.health().monitor().headline().0,
+            enclave.trace_tail(usize::MAX).len(),
+        )
+    };
+    let before = consumed();
+    assert_eq!(before.0, Some(1));
+    let top = enclave.meter().top("principal", 1)[0];
+    let frames = enclave.health().monitor().frames_total();
+
+    r.server.set_telemetry(false);
+    assert!(enclave.health_tick().is_none());
+    a.put("/during", b"not counted").unwrap();
+    assert_eq!(a.get("/during").unwrap(), b"not counted");
+    let during = consumed();
+    assert_eq!(
+        (during.0, during.1, during.2),
+        (before.0, before.1, before.2)
+    );
+    // Nested layers still trace their own events; no request header does.
+    assert!(enclave.trace_tail(usize::MAX).iter().all(|e| e.op != "get"));
+    assert_eq!(enclave.health().scrub_passes(), 0);
+    assert_eq!(enclave.health().monitor().frames_total(), frames, "no tick");
+    let kept = enclave.meter().top("principal", 1)[0];
+    assert_eq!((kept.fp, kept.est), (top.fp, top.est), "sketches kept");
     // The report still renders (state machine reads, no scrub work).
-    let report = r.server.health_report();
-    assert!(report.contains("\"enabled\":false"));
-    r.server.set_health(true);
-    assert!(health.enabled());
+    assert!(r.server.report().contains("\"enabled\":false"));
+
+    r.server.set_telemetry(true);
+    a.put("/after", b"counted again").unwrap();
+    let after = consumed();
+    assert_eq!(after.0, Some(2));
+    assert!(after.1 > before.1 && after.2 > before.2 && after.3 > during.3);
+    assert_eq!(enclave.meter().top("principal", 1)[0].fp, top.fp);
 }
 
 #[test]

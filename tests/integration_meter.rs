@@ -1,33 +1,40 @@
-//! Metering integration: the seg-meter plane's attribution accuracy,
+//! Metering integration: the meter's attribution accuracy,
 //! cardinality bound, and trust-boundary behaviour over a real server.
 //!
 //! Three contract points:
 //!
 //! 1. heavy-hitter recall — a Zipf(1.0) workload over 1,000 principals
 //!    squeezed into 64 slots still surfaces ≥ 9 of the true top-10 in
-//!    `meter_report()`;
+//!    the meter's report;
 //! 2. fixed memory — tracked keys never exceed [`METER_SLOTS`] per
 //!    axis no matter how many principals appear, and the report stays
 //!    bounded in size;
-//! 3. no operand leak — neither `meter_report()` nor the Prometheus
-//!    export carries a raw principal, group, or path operand (paper
-//!    §III: everything leaving the enclave is adversary-visible).
+//! 3. no operand leak — neither the report's `meter` section nor the
+//!    Prometheus export carries a raw principal, group, or path operand
+//!    (paper §III: everything leaving the enclave is adversary-visible).
 //!
 //! Plus property tests over the SpaceSaving sketch invariants.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use seg_obs::{CostVector, Meter, MeterAxis, METER_SLOTS};
+use seg_obs::{Meter, MeterAxis, RequestRecord, Rollup, METER_SLOTS};
 use segshare::{EnclaveConfig, FsoSetup};
 
-/// One-op cost vector used by the sketch-level tests.
-fn unit_cost(bytes: u64) -> CostVector {
-    CostVector {
-        ops: 1,
-        req_bytes: bytes,
-        ..CostVector::default()
-    }
+/// One closed request with the given operand fingerprints.
+fn request(principal: u64, group: u64, prefix: u64) -> RequestRecord {
+    let mut rec = RequestRecord::open(1, "get", principal, 0);
+    rec.group = group;
+    rec.prefix = prefix;
+    rec.cost.req_bytes = 16;
+    rec
+}
+
+/// One-op rollup used by the sketch-level tests.
+fn unit_cost(bytes: u64) -> Rollup {
+    let mut rec = request(1, 0, 0);
+    rec.cost.req_bytes = bytes;
+    Rollup::of(&rec, 0)
 }
 
 /// Extracts every `"fp":"<16 hex>"` fingerprint from the `section`
@@ -39,11 +46,16 @@ fn report_fps(report: &str, section: &str) -> Vec<u64> {
     // The per-axis sections are emitted in order; cut at the next
     // top-level axis (or fairness) key to scope the scan.
     let rest = &report[start + section.len() + 4..];
-    let end = ["\"groups\":{", "\"prefixes\":{", "\"fairness\":{"]
-        .iter()
-        .filter_map(|k| rest.find(k))
-        .min()
-        .unwrap_or(rest.len());
+    let end = [
+        "\"objects\":{",
+        "\"groups\":{",
+        "\"prefixes\":{",
+        "\"fairness\":{",
+    ]
+    .iter()
+    .filter_map(|k| rest.find(k))
+    .min()
+    .unwrap_or(rest.len());
     let scoped = &rest[..end];
     let mut fps = Vec::new();
     let mut at = 0;
@@ -63,8 +75,8 @@ fn report_fps(report: &str, section: &str) -> Vec<u64> {
 fn zipf_thousand_principals_recovered_from_report() {
     // The tentpole acceptance bar, end to end through the report:
     // Zipf(1.0), 1,000 principals, 64 slots — `report_json()` (the
-    // exact producer behind `SegShareServer::meter_report`) must name
-    // at least 9 of the true top-10 principals by op count.
+    // exact producer of the report's `meter` section) must name at
+    // least 9 of the true top-10 principals by op count.
     let n = 1_000usize;
     let weights: Vec<f64> = (1..=n).map(|r| 1.0 / r as f64).collect();
     let total: f64 = weights.iter().sum();
@@ -83,14 +95,14 @@ fn zipf_thousand_principals_recovered_from_report() {
         state ^= state << 17;
         (state >> 11) as f64 / (1u64 << 53) as f64
     };
-    let meter = Meter::new(true);
+    let meter = Meter::new(0);
     let mut truth = vec![0u64; n + 1];
     for _ in 0..60_000 {
         let u = next();
         let rank = cdf.partition_point(|&c| c < u).min(n - 1);
         let fp = (rank as u64 + 1).wrapping_mul(0x0101_0101_0101_0101);
         truth[rank + 1] += 1;
-        meter.record(fp, 0, 0, &unit_cost(32));
+        meter.consume(&request(fp, 0, 0));
     }
 
     let mut ranked: Vec<(u64, u64)> = (1..=n as u64).map(|r| (truth[r as usize], r)).collect();
@@ -106,29 +118,24 @@ fn zipf_thousand_principals_recovered_from_report() {
     );
 
     // Memory stays fixed: 1,000 distinct principals, ≤ 64 tracked.
-    let stats = meter.stats();
-    assert!(stats.principals.tracked <= METER_SLOTS as u64);
-    assert!(stats.principals.evictions > 0, "sketch was under pressure");
+    let by_principal = meter.stats()[0];
+    assert!(by_principal.tracked <= METER_SLOTS as u64);
+    assert!(by_principal.evictions > 0, "sketch was under pressure");
 }
 
 #[test]
 fn metering_memory_is_fixed_as_principals_grow() {
     // Grow the principal population 50x past capacity: tracked slots
     // and the report's size must not grow with it.
-    let meter = Meter::new(true);
+    let meter = Meter::new(0);
     for i in 1..=200u64 {
-        meter.record(i, i, i, &unit_cost(16));
+        meter.consume(&request(i, i, i));
     }
     let small_report_len = meter.report_json().len();
     for i in 1..=10_000u64 {
-        meter.record(i, i % 97 + 1, i % 31 + 1, &unit_cost(16));
+        meter.consume(&request(i, i % 97 + 1, i % 31 + 1));
     }
-    let stats = meter.stats();
-    for (axis, s) in [
-        ("principal", &stats.principals),
-        ("group", &stats.groups),
-        ("prefix", &stats.prefixes),
-    ] {
+    for (axis, s) in seg_obs::METER_AXES.iter().zip(meter.stats()) {
         assert!(
             s.tracked <= METER_SLOTS as u64,
             "{axis} axis tracks {} > {METER_SLOTS} keys",
@@ -144,7 +151,7 @@ fn metering_memory_is_fixed_as_principals_grow() {
         "report grew with population: {small_report_len} -> {big_report_len}"
     );
     // Nothing was lost to the bound: overflow conserves evicted ops.
-    assert_eq!(meter.totals().ops, 10_200);
+    assert_eq!(meter.totals().ops(), 10_200);
 }
 
 #[test]
@@ -190,9 +197,9 @@ fn meter_exports_carry_no_request_operands() {
     drop(b);
     std::thread::sleep(std::time::Duration::from_millis(100));
 
-    let report = server.meter_report();
+    let report = server.enclave().meter().report_json();
     let prometheus = server.metrics_snapshot().to_prometheus();
-    for (name, text) in [("meter_report", &report), ("prometheus", &prometheus)] {
+    for (name, text) in [("meter section", &report), ("prometheus", &prometheus)] {
         for secret in SECRETS {
             assert!(!text.contains(secret), "{name} leaks {secret:?}");
         }
@@ -214,6 +221,15 @@ fn meter_exports_carry_no_request_operands() {
     assert!(
         !report_fps(&report, "prefixes").is_empty(),
         "prefix attributed"
+    );
+    let objects = report_fps(&report, "objects");
+    assert!(
+        objects.contains(
+            &server
+                .enclave()
+                .fingerprint_name("/tenant-prefix/billing-doc")
+        ),
+        "the touched object attributed: {report}"
     );
 }
 
@@ -247,12 +263,12 @@ proptest! {
         }
         prop_assert!(axis.tracked() <= 8);
         prop_assert_eq!(axis.updates(), keys.len() as u64);
-        prop_assert_eq!(axis.tracked_ops() + axis.overflow().ops, axis.updates());
+        prop_assert_eq!(axis.tracked_costs().ops() + axis.overflow().ops(), axis.updates());
         // Cost conservation beyond ops: per-request req_bytes survive
         // eviction via the overflow rollup.
         let fed: u64 = keys.iter().sum();
-        let tracked: u64 = axis.top(0, usize::MAX).iter().map(|s| s.costs.req_bytes).sum();
-        prop_assert_eq!(tracked + axis.overflow().req_bytes, fed);
+        let tracked = axis.tracked_costs().get("req_bytes");
+        prop_assert_eq!(tracked + axis.overflow().get("req_bytes"), fed);
     }
 
     /// A key hot enough to exceed the sketch's noise floor is always

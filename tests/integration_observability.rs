@@ -26,8 +26,8 @@ const SECRETS: &[&str] = &[
 ];
 
 /// Drives the canonical flow and returns the server for inspection.
-fn run_flow() -> SegShareServer {
-    let setup = FsoSetup::new_in_memory("obs-ca", EnclaveConfig::default());
+fn run_flow(config: EnclaveConfig) -> SegShareServer {
+    let setup = FsoSetup::new_in_memory("obs-ca", config);
     let server = setup.server().expect("setup");
     let alice = setup
         .enroll_user("alice", "alice@acme.example", "Alice")
@@ -64,7 +64,7 @@ fn run_flow() -> SegShareServer {
 
 #[test]
 fn flow_produces_nonzero_per_op_metrics() {
-    let server = run_flow();
+    let server = run_flow(EnclaveConfig::default());
     let snap = server.metrics_snapshot();
 
     // Exact request counts: the client drove a known script. Bob's
@@ -142,7 +142,7 @@ fn flow_produces_nonzero_per_op_metrics() {
 
 #[test]
 fn snapshot_boundary_counts_match_sgx_accounting() {
-    let server = run_flow();
+    let server = run_flow(EnclaveConfig::default());
     let snap = server.metrics_snapshot();
     // Read the authoritative counters *after* the snapshot: they are
     // monotonic, so equality proves the snapshot is exact and current.
@@ -171,27 +171,54 @@ fn snapshot_boundary_counts_match_sgx_accounting() {
 
 #[test]
 fn encoded_snapshots_carry_no_request_content() {
-    let server = run_flow();
+    // One flow, then every export a caller can reach, against one list
+    // of what the flow's requests contained. Each export is a
+    // declassification point; the rule is the same for all of them.
+    let config = EnclaveConfig {
+        // Every request of the flow stalls, so the watchdog's stored
+        // dump exists and the slow log is full of whole records.
+        watch_deadline_us: 1,
+        ..EnclaveConfig::default()
+    };
+    let server = run_flow(config);
+    let enclave = server.enclave();
+    while !enclave.scrub_step().pass_completed {}
     let snap = server.metrics_snapshot();
-    for (encoding, text) in [
-        ("json", snap.to_json()),
-        ("prometheus", snap.to_prometheus()),
+    let report = server.report();
+    let sections = "saturation stalls global_held_us lock_top flight trace_tail slow_requests \
+                    profile state scrub canary alerts slo history totals principals objects \
+                    groups prefixes fairness";
+    for section in sections.split_whitespace() {
+        assert!(
+            report.contains(&format!("\"{section}\":")),
+            "report missing {section}"
+        );
+    }
+    assert!(report.contains("\"op\": \"put_file\", \"decision\": \"allow\""));
+    for (export, text) in [
+        ("snapshot json", snap.to_json()),
+        ("snapshot prometheus", snap.to_prometheus()),
+        ("report", report),
+        (
+            "stall dump",
+            enclave.watch().last_dump().expect("every request stalled"),
+        ),
+        (
+            "profile collapsed",
+            enclave.profile_snapshot().to_collapsed(),
+        ),
+        (
+            "audit export",
+            segshare::enclave::audit::records_json(&server.audit_export().expect("chain verifies")),
+        ),
     ] {
         for secret in SECRETS {
-            assert!(
-                !text.contains(secret),
-                "{encoding} encoding leaks {secret:?}"
-            );
+            assert!(!text.contains(secret), "{export} leaks {secret:?}");
         }
-        // No path separators at all: every metric id is compiled in.
-        assert!(
-            !text.contains('/'),
-            "{encoding} encoding contains a path separator"
-        );
-        assert!(
-            !text.contains('@'),
-            "{encoding} encoding contains an email-like token"
-        );
+        // Every name in an export is compiled in: no path separator,
+        // no email-like token, at all.
+        assert!(!text.contains('/'), "{export} contains a path separator");
+        assert!(!text.contains('@'), "{export} contains an email-like token");
     }
 }
 
@@ -201,7 +228,7 @@ fn watch_plane_families_always_export_with_clean_labels() {
     // idle or disabled subsystems, never absent — so dashboards see a
     // stable series set across configurations. And every series the
     // snapshot emits must satisfy the compiled-in-label hygiene rule.
-    let server = run_flow();
+    let server = run_flow(EnclaveConfig::default());
     let text = server.metrics_snapshot().to_prometheus();
 
     for family in [
@@ -217,7 +244,7 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_net_send_stall_ns_total",
         "seg_watch_stalls_total",
         "seg_watch_dumps_total",
-        "seg_watch_enabled",
+        "seg_telemetry_enabled",
         "seg_flight_frames_total",
         // Cache gauges export as zero even with the cache disabled.
         "seg_cache_entries",
@@ -228,7 +255,6 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_health_canary_probes_total",
         "seg_health_canary_failures_total",
         "seg_health_state",
-        "seg_health_enabled",
         "seg_health_rollup_slots",
         "seg_health_canary_latency_us",
         "seg_slo_alerts_total",
@@ -244,9 +270,8 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_store_batch_ops_total",
         "seg_store_fsyncs_total",
         "seg_store_fsync_bytes_total",
-        // Meter-plane families export in every configuration so the
-        // series set stays stable whether metering is on or off.
-        "seg_meter_enabled",
+        // Meter families export in every configuration so the series
+        // set stays stable whether telemetry is on or off.
         "seg_meter_samples_total",
         "seg_meter_tracked",
         "seg_meter_min_tracked_ops",
@@ -260,17 +285,15 @@ fn watch_plane_families_always_export_with_clean_labels() {
     }
 
     let snap = server.metrics_snapshot();
-    assert_eq!(snap.gauge("seg_watch_enabled"), Some(1), "always-on");
+    assert_eq!(snap.gauge("seg_telemetry_enabled"), Some(1), "always-on");
     assert_eq!(snap.gauge("seg_cache_entries"), Some(0), "cache disabled");
-    assert_eq!(snap.gauge("seg_meter_enabled"), Some(1), "default config");
-    for axis in ["principal", "group", "prefix"] {
+    for axis in ["principal", "object", "group", "prefix"] {
         assert!(
             snap.gauge(&format!("seg_meter_tracked{{axis=\"{axis}\"}}"))
                 .is_some(),
             "per-axis meter gauge pre-interned for {axis}"
         );
     }
-    assert_eq!(snap.gauge("seg_health_enabled"), Some(1), "always-on");
     assert_eq!(snap.gauge("seg_health_state"), Some(0), "healthy at rest");
     // The scrub families pre-intern one series per check class, all
     // zero until a runner drives the scrubber.
@@ -327,58 +350,9 @@ fn watch_plane_families_always_export_with_clean_labels() {
 }
 
 #[test]
-fn watch_report_carries_no_request_content() {
-    // The correlated watch bundle is the widest single export the
-    // server offers (metrics + flight ring + traces + profile); it must
-    // honor the same trust boundary as each constituent export.
-    let server = run_flow();
-    let report = server.watch_report();
-    for section in [
-        "\"saturation\"",
-        "\"flight\"",
-        "\"lock_top\"",
-        "\"profile\"",
-    ] {
-        assert!(report.contains(section), "report missing {section}");
-    }
-    for secret in SECRETS {
-        assert!(!report.contains(secret), "watch report leaks {secret:?}");
-    }
-    assert!(
-        !report.contains('@'),
-        "watch report contains an email-like token"
-    );
-}
-
-#[test]
-fn health_report_carries_no_request_content() {
-    // The health bundle (verdict, scrub counters, alerts, SLO burn
-    // rates, rollup history) honors the same trust boundary.
-    let server = run_flow();
-    server.enclave().scrub_step();
-    let report = server.health_report();
-    for section in [
-        "\"state\"",
-        "\"scrub\"",
-        "\"canary\"",
-        "\"slo\"",
-        "\"history\"",
-    ] {
-        assert!(report.contains(section), "report missing {section}");
-    }
-    for secret in SECRETS {
-        assert!(!report.contains(secret), "health report leaks {secret:?}");
-    }
-    assert!(
-        !report.contains('/') && !report.contains('@'),
-        "health report contains a path- or email-like token"
-    );
-}
-
-#[test]
 fn trace_ring_correlates_requests_across_layers() {
-    let server = run_flow();
-    let events = server.trace_tail(usize::MAX);
+    let server = run_flow(EnclaveConfig::default());
+    let events = server.enclave().trace_tail(usize::MAX);
     assert!(!events.is_empty(), "the flow left trace events");
 
     // Sequence numbers are strictly increasing (no torn or duplicated
@@ -437,7 +411,7 @@ fn trace_ring_correlates_requests_across_layers() {
 
 #[test]
 fn epc_gauges_report_peak_usage() {
-    let server = run_flow();
+    let server = run_flow(EnclaveConfig::default());
     let snap = server.metrics_snapshot();
     let peak = snap.gauge("seg_epc_peak_bytes").expect("peak gauge");
     assert!(peak > 0, "the flow registered enclave memory");
@@ -465,7 +439,7 @@ fn profile_attributes_upload_wall_clock_to_phases() {
     a.put("/big", &payload).expect("upload");
     drop(a);
 
-    let prof = server.profile_snapshot();
+    let prof = server.enclave().profile_snapshot();
     assert!(!prof.entries.is_empty(), "profiler captured the flow");
     assert_eq!(prof.unbalanced, 0, "no unbalanced phase stacks");
 
@@ -488,35 +462,41 @@ fn profile_attributes_upload_wall_clock_to_phases() {
 }
 
 #[test]
-fn profile_exports_carry_no_request_content() {
-    // Same trust-boundary rule as the metrics encodings: phase paths
-    // are compiled-in names; operands never reach the export.
-    let server = run_flow();
-    let prof = server.profile_snapshot();
-    assert!(!prof.entries.is_empty());
-    for encoded in [prof.to_json(), prof.to_collapsed()] {
-        for secret in SECRETS {
-            assert!(
-                !encoded.contains(secret),
-                "{secret:?} leaked into a profile export"
-            );
-        }
-    }
+fn history_headline_equals_the_request_families() {
+    // Two consumers of one record stream cannot disagree: what the
+    // history clock counted from records is what the registry's own
+    // request families sum to.
+    let server = run_flow(EnclaveConfig::default());
+    let snap = server.metrics_snapshot();
+    let family = |name: &str| -> u64 {
+        snap.counters
+            .iter()
+            .filter(|(id, _)| id.name() == name)
+            .map(|&(_, v)| v)
+            .sum()
+    };
+    let (requests, errors) = server.enclave().health().monitor().headline();
+    assert_eq!(requests, family("seg_requests_total"));
+    assert_eq!(errors, family("seg_request_errors_total"));
+    assert!(
+        requests >= 9 && errors == 1,
+        "{requests} requests, {errors} errors"
+    );
+    assert_eq!(snap.counter("seg_meter_samples_total"), Some(requests));
+    assert!(server.report().contains(&format!(
+        "\"history\":{{\"requests\":{requests},\"errors\":1,"
+    )));
 }
 
 #[test]
 fn meter_families_export_zeroed_when_disabled() {
-    // A config with metering off must still export every seg_meter_*
-    // family — all zero — so dashboards keep a stable series set and
-    // an operator can see at a glance that the plane is off.
-    let setup = FsoSetup::new_in_memory(
-        "obs-meter-off",
-        EnclaveConfig {
-            meter: false,
-            ..EnclaveConfig::default()
-        },
-    );
+    // With telemetry off from the first request, every family of every
+    // consumer must still export — all zero — so dashboards keep a
+    // stable series set and an operator can see at a glance that
+    // telemetry is off.
+    let setup = FsoSetup::new_in_memory("obs-telemetry-off", EnclaveConfig::default());
     let server = setup.server().expect("setup");
+    server.set_telemetry(false);
     let alice = setup
         .enroll_user("alice", "alice@acme.example", "Alice")
         .expect("enroll");
@@ -527,13 +507,26 @@ fn meter_families_export_zeroed_when_disabled() {
     std::thread::sleep(std::time::Duration::from_millis(100));
 
     let snap = server.metrics_snapshot();
-    assert_eq!(snap.gauge("seg_meter_enabled"), Some(0), "metering off");
     assert_eq!(
-        snap.counter("seg_meter_samples_total"),
+        snap.gauge("seg_telemetry_enabled"),
         Some(0),
-        "no request is attributed while disabled"
+        "telemetry off"
     );
-    for axis in ["principal", "group", "prefix"] {
+    for family in [
+        "seg_meter_samples_total",
+        "seg_flight_frames_total",
+        "seg_health_samples_total",
+        "seg_watch_dumps_total",
+    ] {
+        assert_eq!(snap.counter(family), Some(0), "no record reached {family}");
+    }
+    assert!(
+        snap.counters
+            .iter()
+            .all(|(id, _)| id.name() != "seg_requests_total"),
+        "no request was counted while off"
+    );
+    for axis in ["principal", "object", "group", "prefix"] {
         for (family, value) in [
             (format!("seg_meter_tracked{{axis=\"{axis}\"}}"), 0),
             (format!("seg_meter_min_tracked_ops{{axis=\"{axis}\"}}"), 0),
@@ -547,9 +540,11 @@ fn meter_families_export_zeroed_when_disabled() {
             assert_eq!(snap.counter(&family), Some(0), "zeroed {family}");
         }
     }
-    // The report also exports in the disabled state — explicitly
-    // marked disabled, with empty axes rather than absent sections.
-    let report = server.meter_report();
+    // The report also renders in the off state — explicitly marked,
+    // with empty sections rather than absent ones. The audit trail is
+    // not telemetry: both requests (and the data chunk's commit) are on it.
+    let report = server.report();
     assert!(report.contains("\"enabled\":false"), "report marks off");
     assert!(report.contains("\"samples\":0"), "report shows no samples");
+    assert_eq!(server.audit_verify().expect("chain verifies"), 3);
 }

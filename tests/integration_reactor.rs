@@ -88,10 +88,10 @@ fn slowloris_partial_frames_do_not_starve_other_clients() {
 
     // The slow peer gives up; its connection (which never completed a
     // single frame) is torn down and the session slot released.
-    let live_before = server.watch_stats().live_sessions();
+    let live_before = server.enclave().watch().live_sessions();
     drop(slow);
     eventually("slowloris torn down", || {
-        server.watch_stats().live_sessions() < live_before
+        server.enclave().watch().live_sessions() < live_before
     });
 }
 
@@ -109,7 +109,7 @@ fn mid_handshake_disconnect_releases_everything() {
     // One full client before, to prove the server state is live.
     let mut c = server.connect_local(&alice).unwrap();
     c.mkdir("/pre").unwrap();
-    let baseline = server.watch_stats().live_sessions();
+    let baseline = server.enclave().watch().live_sessions();
 
     for round in 0u32..3 {
         let mut doomed = TcpStream::connect(addr).unwrap();
@@ -122,7 +122,7 @@ fn mid_handshake_disconnect_releases_everything() {
         });
         drop(doomed);
         eventually("doomed conn cleaned", || {
-            server.watch_stats().live_sessions() == baseline
+            server.enclave().watch().live_sessions() == baseline
         });
     }
     // The surviving session still works — no collateral damage.
@@ -151,7 +151,7 @@ fn garbage_handshake_frame_closes_the_connection() {
         server.reactor().stats().closed_total() >= 1
     });
     eventually("session slot released", || {
-        server.watch_stats().live_sessions() == 0
+        server.enclave().watch().live_sessions() == 0
     });
     // The enclave is unharmed.
     let mut c = server.connect_local(&alice).unwrap();
@@ -376,7 +376,7 @@ fn accept_shedding_at_the_connection_cap() {
     let _b = server.connect_local(&alice).unwrap();
     let shed = server.connect_local(&alice);
     assert!(shed.is_err(), "third connection is shed at the cap");
-    assert_eq!(server.watch_stats().sheds(), 1);
+    assert_eq!(server.enclave().watch().sheds(), 1);
     assert_eq!(server.reactor().stats().shed_total(), 1);
 
     // Dropping one admits the next.
@@ -398,7 +398,7 @@ fn many_concurrent_sessions_share_the_worker_pool() {
         .map(|_| server.connect_local(&alice).unwrap())
         .collect();
     assert_eq!(server.reactor().stats().live_conns(), 24);
-    assert_eq!(server.watch_stats().live_sessions(), 24);
+    assert_eq!(server.enclave().watch().live_sessions(), 24);
     clients[0].mkdir("/shared").unwrap();
     for (i, c) in clients.iter_mut().enumerate() {
         c.put(&format!("/shared/f{i}"), format!("body {i}").as_bytes())
@@ -412,6 +412,6 @@ fn many_concurrent_sessions_share_the_worker_pool() {
     }
     drop(clients);
     eventually("all sessions released", || {
-        server.watch_stats().live_sessions() == 0 && server.reactor().stats().live_conns() == 0
+        server.enclave().watch().live_sessions() == 0 && server.reactor().stats().live_conns() == 0
     });
 }
