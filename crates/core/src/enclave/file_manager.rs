@@ -17,11 +17,19 @@ use super::keys::hex;
 use super::names::ObjectId;
 use super::trusted_store::TrustedStore;
 
-/// Content-file body marker: inline content follows.
+/// Content-file body trailer: the bytes before it are the content. The
+/// marker is the *last* body byte, so stored byte *i* is client byte *i*
+/// and a download hands nodes on as they decrypt.
 const MARKER_INLINE: u8 = 0;
-/// Content-file body marker: a dedup-store name follows (§V-A,
-/// "comparable to symbolic links in file systems").
+/// Content-file body trailer: the bytes before it name a dedup-store
+/// blob (§V-A, "comparable to symbolic links in file systems").
 const MARKER_DEDUP: u8 = 1;
+
+/// Splits a content-file body into what precedes the trailer and the
+/// trailer marker; `None` for an empty body, which no writer produces.
+fn split_marker(body: &[u8]) -> Option<(&[u8], u8)> {
+    body.split_last().map(|(marker, rest)| (rest, *marker))
+}
 
 /// File and directory operations bound to the trusted store.
 #[derive(Clone)]
@@ -165,10 +173,7 @@ impl FileManager {
                 None,
             )
         };
-        let mut writer = PfsWriter::new(&key, &mut SystemRng::new())?;
-        if !dedup {
-            writer.write(&[MARKER_INLINE]);
-        }
+        let writer = PfsWriter::new(&key, &mut SystemRng::new())?;
         Ok(UploadContext {
             path: path.clone(),
             writer: Some(writer),
@@ -224,14 +229,16 @@ impl FileManager {
             new_owner,
         } = upload;
         debug_assert_eq!(remaining, 0, "commit of incomplete upload");
-        let blob = writer.expect("writer present until commit").finish();
+        let mut writer = writer.expect("writer present until commit");
         let file_id = ObjectId::FileData(path.clone());
 
         match hmac {
             None => {
-                self.store.commit_blob(&file_id, &blob)?;
+                writer.write(&[MARKER_INLINE]);
+                self.store.commit_blob(&file_id, &writer.finish())?;
             }
             Some(hmac) => {
+                let blob = writer.finish();
                 // §V-A deduplication: name the blob by its content HMAC.
                 let hname = hex(&hmac.finalize());
                 // An overwrite drops the old content's reference; read
@@ -252,9 +259,9 @@ impl FileManager {
                     self.store.commit_blob(&blob_id, &final_writer.finish())?;
                 }
                 // The content file holds only the indirection.
-                let mut body = Vec::with_capacity(1 + hname.len());
-                body.push(MARKER_DEDUP);
+                let mut body = Vec::with_capacity(hname.len() + 1);
                 body.extend_from_slice(hname.as_bytes());
+                body.push(MARKER_DEDUP);
                 self.store.write(&file_id, &body)?;
                 self.store
                     .dedup_ref_update(Some(&hname), old_hname.as_deref())?;
@@ -279,8 +286,9 @@ impl FileManager {
     /// `open_stream` fill makes the *next* download of a small file hit
     /// here.
     pub fn cached_small_file(&self, path: &SegPath) -> Option<Vec<u8>> {
-        match self.store.cached_body(&ObjectId::FileData(path.clone())) {
-            Some(body) if body.first() == Some(&MARKER_INLINE) => Some(body[1..].to_vec()),
+        let body = self.store.cached_body(&ObjectId::FileData(path.clone()))?;
+        match split_marker(&body)? {
+            (content, MARKER_INLINE) => Some(content.to_vec()),
             _ => None,
         }
     }
@@ -291,24 +299,18 @@ impl FileManager {
             .store
             .open_stream(&ObjectId::FileData(path.clone()))?
             .ok_or_else(|| bad(ErrorCode::NotFound, format!("no file at {path}")))?;
-        if file.data_len() == 0 {
+        // The last body byte is the inline/dedup marker; its slice is
+        // the header's tail unless that was too long to sit there.
+        let Some(last) = file.node_count().checked_sub(1) else {
             return Err(SegShareError::Integrity(format!(
                 "{path}: empty content record"
             )));
-        }
-        // The first body byte is the inline/dedup marker.
-        let first = file.read_node(0)?;
-        match first[0] {
-            MARKER_INLINE => Ok(DownloadContext {
-                file,
-                skip: 1,
-                emitted: 0,
-            }),
-            MARKER_DEDUP => {
+        };
+        match file.read_node(last)?.last() {
+            Some(&MARKER_INLINE) => Ok(DownloadContext::over(file, 1)),
+            Some(&MARKER_DEDUP) => {
                 let body = file.read_all()?;
-                let hname = String::from_utf8(body[1..].to_vec()).map_err(|_| {
-                    SegShareError::Integrity(format!("{path}: malformed dedup indirection"))
-                })?;
+                let hname = Self::indirection_name(path, &body[..body.len() - 1])?;
                 let blob = self
                     .store
                     .open_stream(&ObjectId::DedupBlob(hname.clone()))?
@@ -317,16 +319,17 @@ impl FileManager {
                             "{path}: dangling dedup indirection {hname}"
                         ))
                     })?;
-                Ok(DownloadContext {
-                    file: blob,
-                    skip: 0,
-                    emitted: 0,
-                })
+                Ok(DownloadContext::over(blob, 0))
             }
             other => Err(SegShareError::Integrity(format!(
-                "{path}: unknown content marker {other}"
+                "{path}: unknown content marker {other:?}"
             ))),
         }
+    }
+
+    fn indirection_name(path: &SegPath, name: &[u8]) -> Result<String, SegShareError> {
+        String::from_utf8(name.to_vec())
+            .map_err(|_| SegShareError::Integrity(format!("{path}: malformed dedup indirection")))
     }
 
     /// Reads the whole content of a file (small-file convenience; the
@@ -347,12 +350,10 @@ impl FileManager {
         let Some(body) = self.store.read(&ObjectId::FileData(path.clone()))? else {
             return Ok(None);
         };
-        if body.first() != Some(&MARKER_DEDUP) {
-            return Ok(None);
+        match split_marker(&body) {
+            Some((name, MARKER_DEDUP)) => Self::indirection_name(path, name).map(Some),
+            _ => Ok(None),
         }
-        String::from_utf8(body[1..].to_vec())
-            .map(Some)
-            .map_err(|_| SegShareError::Integrity(format!("{path}: malformed dedup indirection")))
     }
 
     /// §V-A extension: reclaims dedup blobs whose reference count has
@@ -455,40 +456,23 @@ impl FileManager {
         let acl = self
             .acl_bytes(from)?
             .ok_or_else(|| bad(ErrorCode::NotFound, format!("no acl for {from}")))?;
-        // Create the destination, then move children depth-first.
-        let mut new_dir = DirFile::new(to.clone());
-        for (name, kind) in dir.children() {
-            new_dir.add_child(name, kind);
-        }
+        // Create the destination empty, then move the children one by
+        // one, depth-first, each leaving the source's directory file as
+        // it enters the destination's: at every step both directory
+        // files list exactly the children whose tree records exist, so
+        // every verified read on the way (same-bucket siblings included)
+        // finds what it expects.
+        let new_dir = DirFile::new(to.clone());
         self.store.write(&ObjectId::Acl(to.clone()), &acl)?;
         self.store
             .write(&ObjectId::DirData(to.clone()), &new_dir.encode())?;
         self.add_child_to_parent(to, ChildKind::Directory)?;
-        let children: Vec<(String, ChildKind)> =
-            dir.children().map(|(n, k)| (n.to_string(), k)).collect();
-        for (name, kind) in children {
-            let from_child = dir.child_path(&name, kind)?;
-            let to_child = new_dir.child_path(&name, kind)?;
+        for (name, kind) in dir.children() {
+            let from_child = dir.child_path(name, kind)?;
+            let to_child = new_dir.child_path(name, kind)?;
             match kind {
                 ChildKind::Directory => self.rename_dir(&from_child, &to_child)?,
-                ChildKind::File => {
-                    // Direct body move without touching parents (they are
-                    // handled by the dir-file copies above).
-                    let body = self
-                        .store
-                        .read(&ObjectId::FileData(from_child.clone()))?
-                        .ok_or_else(|| {
-                            bad(ErrorCode::NotFound, format!("no file at {from_child}"))
-                        })?;
-                    let acl = self.acl_bytes(&from_child)?.ok_or_else(|| {
-                        bad(ErrorCode::NotFound, format!("no acl for {from_child}"))
-                    })?;
-                    self.store
-                        .write(&ObjectId::FileData(to_child.clone()), &body)?;
-                    self.store.write(&ObjectId::Acl(to_child.clone()), &acl)?;
-                    self.store.delete(&ObjectId::FileData(from_child.clone()))?;
-                    self.store.delete(&ObjectId::Acl(from_child.clone()))?;
-                }
+                ChildKind::File => self.rename_file(&from_child, &to_child)?,
             }
         }
         self.remove_child_from_parent(from)?;
@@ -532,46 +516,61 @@ impl UploadContext {
 /// State of one in-flight streaming download.
 pub struct DownloadContext {
     file: PfsFile,
-    /// Bytes to skip at the start (the inline marker byte).
-    skip: u64,
-    /// Plaintext bytes already emitted (after `skip`).
+    /// Plaintext bytes to emit: the file's, less a trailer marker.
+    total: u64,
+    /// Plaintext bytes already emitted.
     emitted: u64,
+    /// The next slice of `file` to decrypt.
+    next_node: u64,
+    /// What the last chunk left of the slice that straddled its end.
+    carry: Vec<u8>,
 }
 
 impl std::fmt::Debug for DownloadContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DownloadContext")
-            .field("total", &self.total_len())
+            .field("total", &self.total)
             .field("emitted", &self.emitted)
             .finish()
     }
 }
 
 impl DownloadContext {
+    /// A download of all of `file` but its last `trailer` bytes.
+    fn over(file: PfsFile, trailer: u64) -> DownloadContext {
+        DownloadContext {
+            total: file.data_len() - trailer,
+            file,
+            emitted: 0,
+            next_node: 0,
+            carry: Vec::new(),
+        }
+    }
+
     /// Total plaintext length of the download.
     #[must_use]
     pub fn total_len(&self) -> u64 {
-        self.file.data_len() - self.skip
+        self.total
     }
 
     /// Produces the next chunk (up to [`CHUNK_LEN`] bytes), or `None`
-    /// when the download is complete.
+    /// when the download is complete. Whole slices decrypt straight
+    /// into the chunk; only the one that straddles the chunk's end is
+    /// split, its remainder carried to the next call.
     pub fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, SegShareError> {
-        let total = self.total_len();
-        if self.emitted >= total {
+        if self.emitted >= self.total {
             return Ok(None);
         }
-        let want = ((total - self.emitted).min(CHUNK_LEN as u64)) as usize;
-        let mut out = Vec::with_capacity(want);
+        let want = ((self.total - self.emitted).min(CHUNK_LEN as u64)) as usize;
+        let mut out = Vec::with_capacity(want + DATA_PER_NODE);
+        out.append(&mut self.carry);
         while out.len() < want {
-            let absolute = self.skip + self.emitted + out.len() as u64;
-            let node_index = absolute / DATA_PER_NODE as u64;
-            let offset = (absolute % DATA_PER_NODE as u64) as usize;
-            let node = self.file.read_node(node_index)?;
-            let take = (want - out.len()).min(node.len() - offset);
-            out.extend_from_slice(&node[offset..offset + take]);
+            self.file.read_into(self.next_node, &mut out)?;
+            self.next_node += 1;
         }
-        self.emitted += out.len() as u64;
+        // Past `want`: the next chunk's first bytes, or the trailer.
+        self.carry = out.split_off(want);
+        self.emitted += want as u64;
         Ok(Some(out))
     }
 }
@@ -639,8 +638,24 @@ mod tests {
     #[test]
     fn streaming_upload_download_chunk_boundaries() {
         let f = components(EnclaveConfig::default());
-        // Sizes straddling PFS node and protocol chunk boundaries.
-        for (i, size) in [0usize, 1, 4067, 4068, 4069, 300_000].iter().enumerate() {
+        // Sizes straddling the header's inline capacity (the body is one
+        // trailer byte longer), PFS node and protocol chunk boundaries.
+        let sizes = [
+            0usize,
+            1,
+            seg_sgx::pfs::HEADER_SPARE - 2,
+            seg_sgx::pfs::HEADER_SPARE - 1,
+            seg_sgx::pfs::HEADER_SPARE,
+            4067,
+            4068,
+            4069,
+            CHUNK_LEN - 1,
+            CHUNK_LEN,
+            CHUNK_LEN + 1,
+            300_000,
+            2 * CHUNK_LEN + 5,
+        ];
+        for (i, size) in sizes.iter().enumerate() {
             let path = format!("/f{i}");
             let content: Vec<u8> = (0..*size).map(|b| (b % 251) as u8).collect();
             upload(&f, &path, &content);
@@ -649,11 +664,16 @@ mod tests {
                 content,
                 "size {size}"
             );
-            // Download context reports the exact size.
-            if *size > 0 {
-                let dl = f.files.open_download(&p(&path)).unwrap();
-                assert_eq!(dl.total_len(), *size as u64);
+            // Download context reports the exact size, and every chunk
+            // but the last is full.
+            let mut dl = f.files.open_download(&p(&path)).unwrap();
+            assert_eq!(dl.total_len(), *size as u64);
+            let mut left = *size;
+            while let Some(chunk) = dl.next_chunk().unwrap() {
+                assert_eq!(chunk.len(), left.min(CHUNK_LEN), "size {size}");
+                left -= chunk.len();
             }
+            assert_eq!(left, 0, "size {size}");
         }
     }
 
@@ -687,6 +707,56 @@ mod tests {
             .is_err());
         // Kind mismatch is refused.
         assert!(f.files.rename(&p("/dst/moved/a"), &p("/x/")).is_err());
+    }
+
+    #[test]
+    fn moving_a_directory_whose_children_share_buckets_keeps_every_read_verified() {
+        // 40 files are 80 tree children (each a body and an ACL) over 64
+        // buckets: some share a bucket whatever the bucket function, so
+        // moving one means verified reads that look for its siblings'
+        // records. Plus a nested directory, which recurses.
+        let body = |i: usize| -> Vec<u8> { (0..i * 331 % 9000).map(|b| (b + i) as u8).collect() };
+        for cache in [false, true] {
+            let f = components(EnclaveConfig {
+                cache,
+                ..EnclaveConfig::default()
+            });
+            f.files.create_dir(&p("/d/"), owner()).unwrap();
+            f.files.create_dir(&p("/d/sub/"), owner()).unwrap();
+            for i in 0..40 {
+                upload(&f, &format!("/d/f-{i}"), &body(i));
+            }
+            upload(&f, "/d/sub/inner", b"nested");
+            f.files.create_dir(&p("/dst/"), owner()).unwrap();
+
+            f.files.rename(&p("/d/"), &p("/dst/moved/")).unwrap();
+
+            let mut moved = vec![p("/dst/moved/"), p("/dst/moved/sub/")];
+            for i in 0..40 {
+                let to = p(&format!("/dst/moved/f-{i}"));
+                assert_eq!(f.files.read_file(&to).unwrap(), body(i), "cache {cache}");
+                moved.push(to);
+            }
+            let inner = p("/dst/moved/sub/inner");
+            assert_eq!(f.files.read_file(&inner).unwrap(), b"nested");
+            moved.push(inner);
+            assert_eq!(f.files.list_dir(&p("/dst/moved/")).unwrap().len(), 41);
+            // The full walk over store records, whatever the cache holds.
+            for path in &moved {
+                let data = match path.is_dir() {
+                    true => ObjectId::DirData(path.clone()),
+                    false => ObjectId::FileData(path.clone()),
+                };
+                for id in [data, ObjectId::Acl(path.clone())] {
+                    let scrubbed = f.files.store.scrub_read(&id).unwrap();
+                    assert!(scrubbed.is_some(), "{} (cache {cache})", id.canonical());
+                }
+            }
+            // Nothing stays behind, and the source's old parent verifies.
+            assert!(!f.files.dir_exists(&p("/d/")).unwrap());
+            assert!(!f.files.file_exists(&p("/d/f-0")).unwrap());
+            assert_eq!(f.files.list_dir(&p("/")).unwrap().len(), 1);
+        }
     }
 
     #[test]

@@ -232,28 +232,33 @@ impl EnclaveSession {
             // Streamed download chunks are produced outside any request
             // frame, so they carry their own profiler root.
             let _prof = enclave.obs().profile_root("get_stream");
-            // Register the chunk as enclave memory while it exists.
-            let chunk = download.next_chunk()?;
-            match chunk {
-                Some(bytes) => {
-                    let _epc = enclave.sgx().epc().alloc(bytes.len() as u64);
-                    let response = Response::Data { bytes };
-                    let record = match &mut self.state {
-                        SessionState::Established { channel, .. } => {
-                            channel.seal(&response.encode())
-                        }
-                        _ => {
-                            return Err(SegShareError::Protocol(
-                                "download outside established session".to_string(),
-                            ))
-                        }
-                    };
-                    Ok(Some(record))
-                }
-                None => {
+            let response = match download.next_chunk() {
+                Ok(Some(bytes)) => Response::Data { bytes },
+                Ok(None) => {
                     self.download = None;
-                    Ok(None)
+                    return Ok(None);
                 }
+                // A stored node failed verification after `FileStart`
+                // went out: the stream ends with the error (the client's
+                // data loop takes one) and the session lives on, rather
+                // than the connection dropping without a reason.
+                Err(err) => {
+                    self.download = None;
+                    error_response(err)
+                }
+            };
+            // Register the chunk as enclave memory while it exists.
+            let _epc = match &response {
+                Response::Data { bytes } => Some(enclave.sgx().epc().alloc(bytes.len() as u64)),
+                _ => None,
+            };
+            match &mut self.state {
+                SessionState::Established { channel, .. } => {
+                    Ok(Some(channel.seal(&response.encode())))
+                }
+                _ => Err(SegShareError::Protocol(
+                    "download outside established session".to_string(),
+                )),
             }
         } else {
             Ok(None)

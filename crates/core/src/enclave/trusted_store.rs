@@ -2,8 +2,9 @@
 //!
 //! Every logical object (content file, directory file, ACL, group list,
 //! member list, dedup blob) is stored in the untrusted object store as a
-//! Protected-FS blob (4 KiB nodes, per-node AES-GCM, per-file tag tree —
-//! [`seg_sgx::pfs`]) under a per-object key derived from `SK_r`. All
+//! Protected-FS blob (4 KiB nodes, per-node AES-GCM, per-file tag tree,
+//! small objects whole in the header node — [`seg_sgx::pfs`]) under a
+//! per-object key derived from `SK_r`. All
 //! actual store accesses go through the enclave boundary as ocalls, so
 //! the switchless-call cost model sees them (§II-A/§VI).
 //!
@@ -11,17 +12,24 @@
 //!
 //! With `rollback_individual` enabled, each object additionally has an
 //! encrypted *hash record* holding its tree node hash: an incremental
-//! multiset hash over its path and the object's PFS header (the header
-//! authenticates the whole blob through the tag tree, so binding it
-//! pins the exact stored version without rehashing file contents).
-//! Directory nodes also hold *bucket hashes*: children are assigned to
-//! buckets by path hash, each bucket accumulating its children's node
-//! hashes, and the node hash folds the buckets in. The two §V-D
-//! optimizations fall out:
+//! multiset hash over its path and the object's PFS header id (the
+//! header's IV and GCM tag: the tag authenticates the header, the header
+//! the whole blob through the tag tree, so binding 28 bytes pins the
+//! exact stored version without rehashing anything). Directory nodes
+//! also hold *bucket hashes*: children are assigned to buckets by path
+//! hash, each bucket accumulating its children's node hashes, and the
+//! node hash folds the buckets in. A record stores that *fold* beside
+//! the buckets, so `main = binding + fold` checks in two short HMACs
+//! whatever the bucket count. A record is sealed under an enclave-only
+//! key with the object id as associated data, so an authentic record is
+//! one the enclave wrote, with the fold it computed; a *stale* authentic
+//! record has another `main` and is caught by its parent's bucket. The
+//! two §V-D optimizations fall out:
 //!
-//! * **updates** touch one hash record per ancestor — the multiset
-//!   `replace` subtracts the stale child hash and adds the new one
-//!   *without reading any sibling*;
+//! * **updates** touch one hash record per ancestor — the stale child
+//!   hash is subtracted from its bucket and the new one added *without
+//!   reading any sibling*, and the bucket's old and new elements are
+//!   applied to `main` and `fold` alike;
 //! * **leaf validation** recomputes one bucket per level, reading only
 //!   the hash records of the (few) same-bucket siblings.
 //!
@@ -49,13 +57,11 @@
 //! Verification stops at the first trusted record on the way up: the
 //! chain below it was checked against the latest bucket hash the enclave
 //! computed, which is all the levels above it would re-establish. A
-//! trusted entry also keeps `H(path) + H(head)`, the part of `main` that
-//! binds the node's PFS header and that child updates leave alone, so
-//! checking a header against it costs 2 HMACs instead of re-deriving
-//! `main` from every bucket. With the cache off nothing is trusted and
-//! every walk ends at the root, as in the paper. The integrity scrubber
-//! always takes that full walk over store records
-//! (`TrustedStore::scrub_read`).
+//! trusted entry is the record and nothing else: a header is held
+//! against a trusted record and against a store record by the same rule.
+//! With the cache off nothing is trusted and every walk ends at the
+//! root, as in the paper. The integrity scrubber always takes that full
+//! walk over store records (`TrustedStore::scrub_read`).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -68,7 +74,7 @@ use seg_crypto::rng::SystemRng;
 use seg_crypto::sha256::Sha256;
 use seg_fs::codec::{Decoder, Encoder};
 use seg_fs::{DirFile, UserId};
-use seg_sgx::pfs::{pfs_decrypt, pfs_encrypt, PfsFile, NODE_LEN};
+use seg_sgx::pfs::{header_id, pfs_decrypt, pfs_encrypt, PfsFile, HEADER_ID_LEN};
 use seg_sgx::Enclave;
 use seg_store::ObjectStore;
 
@@ -151,48 +157,82 @@ impl GroupRootFile {
 /// One object's rollback-tree hash record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashRecord {
-    /// The node's main hash.
+    /// The node's main hash: its header binding plus `fold`.
     pub main: MsetHash,
+    /// The sum of the bucket elements (the empty hash for a leaf).
+    pub fold: MsetHash,
     /// Bucket hashes (inner nodes only).
     pub buckets: Vec<MsetHash>,
     /// Monotonic-counter value (tree roots with whole-FS protection).
     pub counter: u64,
 }
 
+/// Record tag of storage format version 2; the last byte is the version.
+const RECORD_TAG: &[u8; 4] = b"HRC2";
+
 impl HashRecord {
+    /// `tag | main | counter | bucket count`, then — inner nodes only —
+    /// `fold` and the buckets. A leaf has no buckets, so no fold either.
     fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.tag(b"HRC1");
+        e.tag(RECORD_TAG);
         e.raw(&self.main.to_bytes());
         e.u64(self.counter);
         e.u32(self.buckets.len() as u32);
+        if !self.buckets.is_empty() {
+            e.raw(&self.fold.to_bytes());
+        }
         for b in &self.buckets {
             e.raw(&b.to_bytes());
         }
         e.finish()
     }
 
-    /// Bytes a cached copy is charged for (the hashes it holds, the
-    /// header binding included).
+    /// Bytes a cached copy is charged for (the hashes it holds).
     fn cached_bytes(&self) -> u64 {
         (MSET_HASH_LEN * (2 + self.buckets.len()) + 8) as u64
     }
 
     fn decode(data: &[u8]) -> Result<HashRecord, SegShareError> {
+        if let [b'H', b'R', b'C', version] = data[..data.len().min(4)] {
+            if version != RECORD_TAG[3] && version.is_ascii_digit() {
+                return Err(SegShareError::Integrity(format!(
+                    "hash record written by storage format version {}; \
+                     this build reads version 2 only",
+                    char::from(version)
+                )));
+            }
+        }
+        fn hash(d: &mut Decoder<'_>) -> Result<MsetHash, SegShareError> {
+            let bytes: [u8; MSET_HASH_LEN] =
+                d.raw(MSET_HASH_LEN)?.try_into().expect("fixed length");
+            Ok(MsetHash::from_bytes(&bytes))
+        }
         let mut d = Decoder::new(data);
-        d.tag(b"HRC1")?;
-        let main_bytes: [u8; MSET_HASH_LEN] =
-            d.raw(MSET_HASH_LEN)?.try_into().expect("fixed length");
+        d.tag(RECORD_TAG)?;
+        let main = hash(&mut d)?;
         let counter = d.u64()?;
-        let count = d.u32()?;
-        let mut buckets = Vec::with_capacity(count as usize);
+        let count = d.u32()? as usize;
+        // The count is the input's word: hold it against the bytes that
+        // are there before sizing anything by it.
+        if count > d.remaining() / MSET_HASH_LEN {
+            return Err(SegShareError::Integrity(format!(
+                "hash record names {count} buckets in {} bytes",
+                d.remaining()
+            )));
+        }
+        let fold = match count {
+            0 => MsetHash::empty(),
+            _ => hash(&mut d)?,
+        };
+        let mut buckets = Vec::with_capacity(count);
         for _ in 0..count {
-            let b: [u8; MSET_HASH_LEN] = d.raw(MSET_HASH_LEN)?.try_into().expect("fixed length");
-            buckets.push(MsetHash::from_bytes(&b));
+            buckets.push(hash(&mut d)?);
         }
         d.finish()?;
         Ok(HashRecord {
-            main: MsetHash::from_bytes(&main_bytes),
+            main,
+            fold,
             buckets,
             counter,
         })
@@ -228,23 +268,16 @@ pub(crate) enum CacheKey {
 pub(crate) enum CachedValue {
     Body(Arc<[u8]>),
     Decoded(Arc<dyn std::any::Any + Send + Sync>),
-    Record(Arc<TrustedRecord>),
-}
-
-/// A hash record known to be the latest this enclave wrote for its node
-/// (see the module docs for how a record earns that).
-pub(crate) struct TrustedRecord {
-    rec: HashRecord,
-    /// `H(path) + H(head)` of the node's current blob: what `rec.main`
-    /// holds besides the buckets.
-    binding: MsetHash,
+    /// A trusted record: the latest this enclave wrote for its node
+    /// (see the module docs for how a record earns that).
+    Record(Arc<HashRecord>),
 }
 
 /// A hash record as [`TrustedStore::read_hash_record`] found it.
 struct Fetched {
     rec: HashRecord,
-    /// The header binding, iff the record came from the cache.
-    trusted: Option<MsetHash>,
+    /// Whether the record came from the cache.
+    trusted: bool,
     /// Cache generation of the record's key before the store read.
     gen: u64,
 }
@@ -627,17 +660,17 @@ impl TrustedStore {
     /// store's. A store read does not fill the cache.
     fn read_hash_record(&self, id: &ObjectId) -> Result<Option<Fetched>, SegShareError> {
         let cache_key = CacheKey::Record(id.clone());
-        if let Some(CachedValue::Record(t)) = self.cache_lookup(&cache_key) {
+        if let Some(CachedValue::Record(rec)) = self.cache_lookup(&cache_key) {
             return Ok(Some(Fetched {
-                rec: t.rec.clone(),
-                trusted: Some(t.binding),
+                rec: HashRecord::clone(&rec),
+                trusted: true,
                 gen: 0,
             }));
         }
         let gen = self.cache_gen(&cache_key);
         Ok(self.store_hash_record(id)?.map(|rec| Fetched {
             rec,
-            trusted: None,
+            trusted: false,
             gen,
         }))
     }
@@ -654,8 +687,8 @@ impl TrustedStore {
             .cache
             .as_ref()
             .and_then(|c| c.get(&CacheKey::Record(id.clone())));
-        if let Some(CachedValue::Record(t)) = cached {
-            if rec.as_ref() != Some(&t.rec) {
+        if let Some(CachedValue::Record(trusted)) = cached {
+            if rec.as_ref() != Some(&*trusted) {
                 return Err(integrity(
                     id,
                     "stored hash record differs from the trusted copy (rollback or tamper)",
@@ -664,20 +697,20 @@ impl TrustedStore {
         }
         Ok(rec.map(|rec| Fetched {
             rec,
-            trusted: None,
+            trusted: false,
             gen: 0,
         }))
     }
 
-    /// Seals and stores `rec`. `trusted` carries the header binding when
-    /// `rec` was computed from trusted inputs only: the record is then
-    /// written through to the cache once the put succeeded. Otherwise
-    /// (and on a failed put) the key is left invalidated.
+    /// Seals and stores `rec`. `trusted` says `rec` was computed from
+    /// trusted inputs only: the record is then written through to the
+    /// cache once the put succeeded. Otherwise (and on a failed put) the
+    /// key is left invalidated.
     fn write_hash_record(
         &self,
         id: &ObjectId,
         rec: &HashRecord,
-        trusted: Option<MsetHash>,
+        trusted: bool,
     ) -> Result<(), SegShareError> {
         self.cache_invalidate_record(id);
         let key = self
@@ -692,13 +725,10 @@ impl TrustedStore {
         );
         let store = self.store_for(id.store());
         self.sgx.boundary().ocall(|| store.put(&key, &blob))?;
-        match (&self.cache, trusted) {
-            (Some(cache), Some(binding)) => cache.put(
+        match &self.cache {
+            Some(cache) if trusted => cache.put(
                 CacheKey::Record(id.clone()),
-                CachedValue::Record(Arc::new(TrustedRecord {
-                    rec: rec.clone(),
-                    binding,
-                })),
+                CachedValue::Record(Arc::new(rec.clone())),
                 rec.cached_bytes(),
             ),
             // Second bump — same fill-vs-landing race as `commit_blob`.
@@ -708,13 +738,13 @@ impl TrustedStore {
     }
 
     /// Caches the store-read records of a walk that reached an anchor.
-    fn trust_walked(&self, walked: Vec<(ObjectId, u64, TrustedRecord)>) {
-        for (id, gen, trusted) in walked {
-            let bytes = trusted.rec.cached_bytes();
+    fn trust_walked(&self, walked: Vec<(ObjectId, u64, HashRecord)>) {
+        for (id, gen, rec) in walked {
+            let bytes = rec.cached_bytes();
             self.cache_fill(
                 CacheKey::Record(id),
                 gen,
-                CachedValue::Record(Arc::new(trusted)),
+                CachedValue::Record(Arc::new(rec)),
                 bytes as usize,
             );
         }
@@ -765,24 +795,49 @@ impl TrustedStore {
         [b"child:", canonical.as_bytes(), &[0], main]
     }
 
+    /// All the tree sees of `id`'s stored blob: the id of its header.
+    fn head_of(id: &ObjectId, blob: &[u8]) -> Result<[u8; HEADER_ID_LEN], SegShareError> {
+        header_id(blob).map_err(|_| integrity(id, "truncated blob"))
+    }
+
     /// `H(path) + H(head)`: the part of a node's main hash that binds
-    /// its PFS header. Child updates never change it.
-    fn node_binding(&self, id: &ObjectId, header: &[u8]) -> MsetHash {
+    /// the stored version of its blob. Child updates never change it.
+    fn node_binding(&self, id: &ObjectId, head: &[u8; HEADER_ID_LEN]) -> MsetHash {
         let key = self.keys.mset_key(id.store());
         let mut binding = MsetHash::empty();
         binding.add_parts(key, &[b"path:", id.canonical().as_bytes()]);
-        binding.add_parts(key, &[b"head:", header]);
+        binding.add_parts(key, &[b"head:", head]);
         binding
     }
 
-    /// A node's main hash: its header binding plus every bucket.
-    fn node_main(&self, id: &ObjectId, binding: MsetHash, buckets: &[MsetHash]) -> MsetHash {
-        let key = self.keys.mset_key(id.store());
-        let mut main = binding;
+    /// A node's bucket fold from scratch, one element per bucket: only
+    /// where no record carries it yet (a new directory, a rebuild).
+    fn bucket_fold(&self, store: StoreKind, buckets: &[MsetHash]) -> MsetHash {
+        let key = self.keys.mset_key(store);
+        let mut fold = MsetHash::empty();
         for (i, b) in buckets.iter().enumerate() {
-            main.add(key, &Self::elem_bucket(i, b));
+            fold.add(key, &Self::elem_bucket(i, b));
         }
-        main
+        fold
+    }
+
+    /// A node's hash record: `main = binding + fold`, by construction.
+    fn record_of(
+        &self,
+        id: &ObjectId,
+        head: &[u8; HEADER_ID_LEN],
+        fold: MsetHash,
+        buckets: Vec<MsetHash>,
+        counter: u64,
+    ) -> HashRecord {
+        let mut main = self.node_binding(id, head);
+        main.combine(&fold);
+        HashRecord {
+            main,
+            fold,
+            buckets,
+            counter,
+        }
     }
 
     /// Walks ancestors applying an incremental child-hash change —
@@ -803,8 +858,7 @@ impl TrustedStore {
         let mut cur = id.clone();
         let mut cur_change = change;
         while let Some(parent) = cur.tree_parent() {
-            // The header binding is untouched by a child update, so a
-            // trusted record stays trusted with the binding it had.
+            // A trusted record updated by the enclave stays trusted.
             let Fetched {
                 mut rec, trusted, ..
             } = self
@@ -815,7 +869,7 @@ impl TrustedStore {
             if rec.buckets.len() != self.bucket_count() {
                 return Err(integrity(&parent, "bucket count mismatch"));
             }
-            let old_bucket = rec.buckets[b];
+            let old_elem = Self::elem_bucket(b, &rec.buckets[b]);
             let name = cur.canonical();
             let (old, new) = match &cur_change {
                 TreeChange::Insert { new } => (None, Some(new)),
@@ -828,12 +882,13 @@ impl TrustedStore {
             if let Some(new) = new {
                 rec.buckets[b].add_parts(key, &Self::elem_child(&name, &new.to_bytes()));
             }
+            // The bucket's element changed: hash old and new once, and
+            // move `main` and `fold` by the same difference.
+            let mut delta = MsetHash::of(key, &Self::elem_bucket(b, &rec.buckets[b]));
+            delta.subtract(&MsetHash::of(key, &old_elem));
             let old_main = rec.main;
-            rec.main.replace(
-                key,
-                &Self::elem_bucket(b, &old_bucket),
-                &Self::elem_bucket(b, &rec.buckets[b]),
-            );
+            rec.main.combine(&delta);
+            rec.fold.combine(&delta);
             self.write_hash_record(&parent, &rec, trusted)?;
             cur_change = TreeChange::Replace {
                 old: old_main,
@@ -872,7 +927,7 @@ impl TrustedStore {
             .read_hash_record(root)?
             .ok_or_else(|| integrity(root, "missing root hash record"))?;
         if !reanchor
-            && trusted.is_none()
+            && !trusted
             && rec.counter != ctr.read()
             && !self.counter_pending(cid, rec.counter)
         {
@@ -990,73 +1045,76 @@ impl TrustedStore {
         }
     }
 
-    /// §V-D validation of `id` (whose PFS header is `header`): check its
-    /// own hash record, then one bucket per ancestor level up to the
-    /// first trusted record or the root, then the root counter.
-    fn verify_tree(&self, id: &ObjectId, header: &[u8], walk: Walk) -> Result<(), SegShareError> {
+    /// §V-D validation of `id` (whose stored blob has header id `head`):
+    /// check its own hash record, then one bucket per ancestor level up
+    /// to the first trusted record or the root, then the root counter.
+    fn verify_tree(
+        &self,
+        id: &ObjectId,
+        head: &[u8; HEADER_ID_LEN],
+        walk: Walk,
+    ) -> Result<(), SegShareError> {
         let _prof = seg_obs::prof::phase("rollback_tree");
         let start = std::time::Instant::now();
-        let result = self.verify_tree_inner(id, header, walk);
+        let result = self.verify_tree_inner(id, head, walk);
         self.tree_verify_ns.record_duration(start.elapsed());
         result
     }
 
-    /// Checks `header` against `id`'s record: 2 HMACs against a trusted
-    /// record's binding, the full re-derivation of `main` otherwise.
-    /// Returns the binding for a store record (to trust it later).
+    /// Checks the stored version `head` of `id` against its record,
+    /// trusted or from the store: `H(path) + H(head) + fold == main`,
+    /// two short HMACs.
     fn check_header(
         &self,
         id: &ObjectId,
-        header: &[u8],
-        fetched: &Fetched,
+        head: &[u8; HEADER_ID_LEN],
+        rec: &HashRecord,
         mismatch: &str,
-    ) -> Result<Option<MsetHash>, SegShareError> {
-        let binding = self.node_binding(id, header);
-        let ok = match fetched.trusted {
-            Some(trusted) => trusted == binding,
-            None => self.node_main(id, binding, &fetched.rec.buckets) == fetched.rec.main,
-        };
-        if !ok {
+    ) -> Result<(), SegShareError> {
+        let mut expected = self.node_binding(id, head);
+        expected.combine(&rec.fold);
+        if expected != rec.main {
             return Err(integrity(id, mismatch));
         }
-        Ok(fetched.trusted.is_none().then_some(binding))
+        Ok(())
     }
 
     fn verify_tree_inner(
         &self,
         id: &ObjectId,
-        header: &[u8],
+        head: &[u8; HEADER_ID_LEN],
         walk: Walk,
     ) -> Result<(), SegShareError> {
         let node = self
             .walk_record(id, walk)?
             .ok_or_else(|| integrity(id, "missing hash record (rollback or tamper)"))?;
-        let Some(mut top_binding) =
-            self.check_header(id, header, &node, "node hash mismatch (rollback or tamper)")?
-        else {
-            // `header` is what the enclave last wrote for `id`.
+        self.check_header(
+            id,
+            head,
+            &node.rec,
+            "node hash mismatch (rollback or tamper)",
+        )?;
+        if node.trusted {
+            // `head` is what the enclave last wrote for `id`.
             return Ok(());
-        };
+        }
         // Store records on the chain that passed every check so far;
         // trusted once the walk reaches an anchor, dropped if it fails.
         let mut walked = Vec::new();
-        // `top` is `cur`'s store record and `top_binding` its binding.
+        // `top` is `cur`'s store record.
         let mut cur = id.clone();
         let mut top = node;
         while let Some(parent) = cur.tree_parent() {
             let parent_blob = self
                 .raw_get(&parent)?
                 .ok_or_else(|| integrity(&parent, "missing ancestor"))?;
-            if parent_blob.len() < NODE_LEN {
-                return Err(integrity(&parent, "truncated ancestor blob"));
-            }
             let parent_rec = self
                 .walk_record(&parent, walk)?
                 .ok_or_else(|| integrity(&parent, "missing ancestor hash record"))?;
-            let parent_binding = self.check_header(
+            self.check_header(
                 &parent,
-                &parent_blob[..NODE_LEN],
-                &parent_rec,
+                &Self::head_of(&parent, &parent_blob)?,
+                &parent_rec.rec,
                 "ancestor hash mismatch",
             )?;
             if parent_rec.rec.buckets.len() != self.bucket_count() {
@@ -1097,24 +1155,14 @@ impl TrustedStore {
                     "bucket hash mismatch (rollback or tamper)",
                 ));
             }
-            walked.push((
-                cur,
-                top.gen,
-                TrustedRecord {
-                    rec: top.rec,
-                    binding: top_binding,
-                },
-            ));
+            walked.push((cur, top.gen, top.rec));
             cur = parent;
             top = parent_rec;
-            match parent_binding {
-                Some(binding) => top_binding = binding,
+            if top.trusted {
                 // A trusted ancestor: its bucket is the latest the
                 // enclave computed, so the chain below it is current.
-                None => {
-                    self.trust_walked(walked);
-                    return Ok(());
-                }
+                self.trust_walked(walked);
+                return Ok(());
             }
         }
         // `cur` is the tree root and `top` its record, from the store.
@@ -1144,14 +1192,7 @@ impl TrustedStore {
             }
         }
         if walk == Walk::Trusting {
-            walked.push((
-                cur,
-                top.gen,
-                TrustedRecord {
-                    rec: top.rec,
-                    binding: top_binding,
-                },
-            ));
+            walked.push((cur, top.gen, top.rec));
             self.trust_walked(walked);
         }
         Ok(())
@@ -1194,40 +1235,35 @@ impl TrustedStore {
         if !self.tree_enabled_for(id) {
             return self.raw_put(id, blob);
         }
-        let old = self
-            .read_hash_record(id)?
-            .map(|f| (f.rec, f.trusted.is_some()));
+        let head = Self::head_of(id, blob)?;
+        let old = self.read_hash_record(id)?;
         // The new record is trusted when nothing stale can be in it: a
         // leaf's is a function of the header alone; an inner node's
-        // carries its old buckets over, so those must have been trusted
-        // (or the node is new and has none).
-        let (buckets, trusted) = match (&old, id.is_tree_inner()) {
-            (Some((rec, trusted)), true) => (rec.buckets.clone(), *trusted),
-            (None, true) => (vec![MsetHash::empty(); self.bucket_count()], true),
-            (_, false) => (Vec::new(), true),
+        // carries its old buckets and their fold over, so those must
+        // have been trusted (or the node is new and has none).
+        let (fold, buckets, trusted) = match (&old, id.is_tree_inner()) {
+            (Some(old), true) => (old.rec.fold, old.rec.buckets.clone(), old.trusted),
+            (None, true) => {
+                let buckets = vec![MsetHash::empty(); self.bucket_count()];
+                (self.bucket_fold(id.store(), &buckets), buckets, true)
+            }
+            (_, false) => (MsetHash::empty(), Vec::new(), true),
         };
-        let binding = self.node_binding(id, &blob[..NODE_LEN]);
-        let new_main = self.node_main(id, binding, &buckets);
+        let counter = old.as_ref().map_or(0, |old| old.rec.counter);
+        let rec = self.record_of(id, &head, fold, buckets, counter);
         self.raw_put(id, blob)?;
-        self.write_hash_record(
+        self.write_hash_record(id, &rec, trusted)?;
+        let new = rec.main;
+        self.apply_tree_change(
             id,
-            &HashRecord {
-                main: new_main,
-                buckets,
-                counter: old.as_ref().map_or(0, |(rec, _)| rec.counter),
-            },
-            trusted.then_some(binding),
-        )?;
-        match old {
-            Some((rec, _)) => self.apply_tree_change(
-                id,
-                TreeChange::Replace {
-                    old: rec.main,
-                    new: new_main,
+            match old {
+                Some(old) => TreeChange::Replace {
+                    old: old.rec.main,
+                    new,
                 },
-            ),
-            None => self.apply_tree_change(id, TreeChange::Insert { new: new_main }),
-        }
+                None => TreeChange::Insert { new },
+            },
+        )
     }
 
     /// Reads and fully verifies an object body.
@@ -1310,11 +1346,8 @@ impl TrustedStore {
         let Some(blob) = self.raw_get(id)? else {
             return Ok(None);
         };
-        if blob.len() < NODE_LEN {
-            return Err(integrity(id, "truncated blob"));
-        }
         if self.tree_enabled_for(id) {
-            self.verify_tree(id, &blob[..NODE_LEN], walk)?;
+            self.verify_tree(id, &Self::head_of(id, &blob)?, walk)?;
         }
         let start = std::time::Instant::now();
         let body = pfs_decrypt(&self.data_key(id), &blob)?;
@@ -1341,11 +1374,8 @@ impl TrustedStore {
         let Some(blob) = self.raw_get(id)? else {
             return Ok(None);
         };
-        if blob.len() < NODE_LEN {
-            return Err(integrity(id, "truncated blob"));
-        }
         if self.tree_enabled_for(id) {
-            self.verify_tree(id, &blob[..NODE_LEN], Walk::Trusting)?;
+            self.verify_tree(id, &Self::head_of(id, &blob)?, Walk::Trusting)?;
         }
         let file = PfsFile::open(&self.data_key(id), blob)?;
         // Hot-object fill: remember small verified bodies so the next
@@ -1433,9 +1463,7 @@ impl TrustedStore {
         let blob = self
             .raw_get(id)?
             .ok_or_else(|| integrity(id, "missing object during rebuild"))?;
-        if blob.len() < NODE_LEN {
-            return Err(integrity(id, "truncated blob during rebuild"));
-        }
+        let head = Self::head_of(id, &blob)?;
         let mut buckets = Vec::new();
         if id.is_tree_inner() {
             buckets = vec![MsetHash::empty(); self.bucket_count()];
@@ -1450,19 +1478,12 @@ impl TrustedStore {
                 );
             }
         }
-        let main = self.node_main(id, self.node_binding(id, &blob[..NODE_LEN]), &buckets);
+        let fold = self.bucket_fold(id.store(), &buckets);
+        let rec = self.record_of(id, &head, fold, buckets, 0);
         // Computed from restored store contents: the walks that follow
         // re-anchor these records, the rebuild does not vouch for them.
-        self.write_hash_record(
-            id,
-            &HashRecord {
-                main,
-                buckets,
-                counter: 0,
-            },
-            None,
-        )?;
-        Ok(main)
+        self.write_hash_record(id, &rec, false)?;
+        Ok(rec.main)
     }
 
     // ---------------------------------------------- dedup refcount index
@@ -1703,7 +1724,7 @@ mod tests {
 
         fn trusted_record(&self, id: &ObjectId) -> Option<HashRecord> {
             match self.cache.as_ref()?.get(&CacheKey::Record(id.clone()))? {
-                CachedValue::Record(t) => Some(t.rec.clone()),
+                CachedValue::Record(rec) => Some(HashRecord::clone(&rec)),
                 _ => None,
             }
         }
@@ -1849,23 +1870,124 @@ mod tests {
         assert!(GroupRootFile::decode(b"junk").is_err());
     }
 
-    #[test]
-    fn hash_record_codec_roundtrip() {
+    /// An inner record over two buckets and a leaf record.
+    fn sample_records() -> [HashRecord; 2] {
         let key = seg_crypto::mset::MsetKey::from_bytes([1u8; 32]);
-        let mut main = MsetHash::empty();
-        main.add(&key, b"x");
-        let rec = HashRecord {
-            main,
+        let inner = HashRecord {
+            main: MsetHash::of(&key, b"x"),
+            fold: MsetHash::of(&key, b"f"),
             buckets: vec![MsetHash::empty(), MsetHash::of(&key, b"c")],
             counter: 42,
         };
-        let decoded = HashRecord::decode(&rec.encode()).unwrap();
-        assert_eq!(decoded, rec);
-        for cut in 0..rec.encode().len() {
-            assert!(
-                HashRecord::decode(&rec.encode()[..cut]).is_err(),
-                "cut {cut}"
-            );
+        let leaf = HashRecord {
+            main: MsetHash::of(&key, b"y"),
+            fold: MsetHash::empty(),
+            buckets: Vec::new(),
+            counter: 0,
+        };
+        [inner, leaf]
+    }
+
+    #[test]
+    fn hash_record_codec_roundtrip() {
+        for rec in sample_records() {
+            let bytes = rec.encode();
+            assert_eq!(HashRecord::decode(&bytes).unwrap(), rec);
+            for cut in 0..bytes.len() {
+                assert!(HashRecord::decode(&bytes[..cut]).is_err(), "cut {cut}");
+            }
+        }
+        // A leaf stores no fold: tag, main, counter, a zero count.
+        let [inner, leaf] = sample_records();
+        assert_eq!(leaf.encode().len(), 4 + MSET_HASH_LEN + 8 + 4);
+        assert_eq!(
+            inner.encode().len(),
+            leaf.encode().len() + (1 + inner.buckets.len()) * MSET_HASH_LEN
+        );
+    }
+
+    #[test]
+    fn a_version_1_hash_record_is_refused_by_name() {
+        // What format version 1 stored for a leaf: no fold anywhere, so
+        // the bytes after the tag even parse.
+        let [_, leaf] = sample_records();
+        let mut v1 = leaf.encode();
+        v1[..4].copy_from_slice(b"HRC1");
+        assert!(matches!(
+            HashRecord::decode(&v1),
+            Err(SegShareError::Integrity(msg)) if msg.contains("storage format version 1")
+        ));
+        // Any other tag is a malformed record, not a version.
+        v1[..4].copy_from_slice(b"HRCx");
+        assert!(matches!(HashRecord::decode(&v1), Err(SegShareError::Fs(_))));
+    }
+
+    mod hostile_records {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Offsets of the fields that size what follows them: the tag
+        /// (which selects the format) and the bucket count.
+        const COUNT_AT: usize = 4 + MSET_HASH_LEN + 8;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn decode_survives_arbitrary_bytes(
+                bytes in proptest::collection::vec(any::<u8>(), 0..400),
+                tagged in any::<bool>(),
+            ) {
+                // Noise, and noise behind the right tag so the count
+                // field is reached: an error or a record no bigger than
+                // the input, never a panic or an allocation sized by
+                // the input's claims.
+                let mut bytes = bytes;
+                if tagged && bytes.len() >= 4 {
+                    bytes[..4].copy_from_slice(RECORD_TAG);
+                }
+                if let Ok(rec) = HashRecord::decode(&bytes) {
+                    prop_assert!(rec.buckets.len() * MSET_HASH_LEN <= bytes.len());
+                    prop_assert_eq!(rec.encode(), bytes);
+                }
+            }
+
+            #[test]
+            fn decode_survives_every_count_a_record_can_claim(
+                count in any::<u32>(),
+                leaf in any::<bool>(),
+                grow in 0usize..3 * MSET_HASH_LEN,
+            ) {
+                let [inner, leaf_rec] = sample_records();
+                let rec = if leaf { leaf_rec } else { inner };
+                let mut bytes = rec.encode();
+                bytes.resize(bytes.len() + grow, 0xa5);
+                bytes[COUNT_AT..COUNT_AT + 4].copy_from_slice(&count.to_le_bytes());
+                match HashRecord::decode(&bytes) {
+                    // Only a count the bytes bear out decodes.
+                    Ok(got) => {
+                        prop_assert_eq!(got.buckets.len(), count as usize);
+                        prop_assert_eq!(got.encode(), bytes);
+                    }
+                    Err(e) => prop_assert!(
+                        matches!(e, SegShareError::Integrity(_) | SegShareError::Fs(_)),
+                        "{e:?}"
+                    ),
+                }
+            }
+        }
+
+        #[test]
+        fn a_count_of_four_billion_allocates_nothing() {
+            // `u32::MAX` buckets would be 160 GiB of hashes: the decoder
+            // must refuse on the 80 bytes that are there.
+            let [inner, _] = sample_records();
+            let mut bytes = inner.encode();
+            bytes[COUNT_AT..COUNT_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(matches!(
+                HashRecord::decode(&bytes),
+                Err(SegShareError::Integrity(msg)) if msg.contains("buckets")
+            ));
         }
     }
 
@@ -2172,6 +2294,167 @@ mod tests {
             wide.read(&file_id("/a")),
             Err(SegShareError::Integrity(msg)) if msg.contains("bucket count")
         ));
+    }
+
+    // -------------------------------------------------------------- fold
+
+    /// `id`'s stored record carries the fold of its own buckets and
+    /// binds its stored blob: `main = binding + fold`.
+    fn assert_record_consistent(store: &TrustedStore, id: &ObjectId) {
+        let rec = store.store_hash_record(id).unwrap().unwrap();
+        assert_eq!(
+            rec.fold,
+            store.bucket_fold(id.store(), &rec.buckets),
+            "{}",
+            id.canonical()
+        );
+        let blob = store.raw_get(id).unwrap().unwrap();
+        let head = header_id(&blob).unwrap();
+        let derived = store.record_of(id, &head, rec.fold, rec.buckets.clone(), rec.counter);
+        assert_eq!(rec, derived, "{}", id.canonical());
+    }
+
+    /// Every node of the tree under `id`, depth-first.
+    fn tree_nodes(store: &TrustedStore, id: &ObjectId, out: &mut Vec<ObjectId>) {
+        out.push(id.clone());
+        if id.is_tree_inner() {
+            let body = store.read(id).unwrap().unwrap();
+            for child in store.tree_children(id, &body).unwrap() {
+                tree_nodes(store, &child, out);
+            }
+        }
+    }
+
+    #[test]
+    fn fold_equals_the_from_scratch_sum_after_random_updates() {
+        use seg_crypto::rng::{DeterministicRng, SecureRandom};
+        let f = fixture(EnclaveConfig::default());
+        let s = &f.store;
+        deep_tree(s);
+        let dir = SegPath::parse("/a/b/c/d/").unwrap();
+        let mut rng = DeterministicRng::seeded(7);
+        let mut live = BTreeSet::new();
+        let (mut inserts, mut replaces, mut removes) = (0, 0, 0);
+        for _ in 0..150 {
+            let [pick, what]: [u8; 2] = rng.array();
+            // More names than buckets would be slow; twelve names and
+            // their ACLs already share buckets with `f`, `g` and each other.
+            let name = format!("r{}", pick % 12);
+            let path = dir.join_file(&name).unwrap();
+            let id = ObjectId::FileData(path.clone());
+            if live.insert(name.clone()) {
+                register_in(s, &dir, &name, seg_fs::ChildKind::File);
+                s.write(&id, &[what; 9]).unwrap();
+                inserts += 1;
+            } else if what % 3 == 0 {
+                s.delete(&id).unwrap();
+                s.delete(&ObjectId::Acl(path)).unwrap();
+                let dir_id = ObjectId::DirData(dir.clone());
+                let mut listing = DirFile::decode(&s.read(&dir_id).unwrap().unwrap()).unwrap();
+                listing.remove_child(&name);
+                s.write(&dir_id, &listing.encode()).unwrap();
+                live.remove(&name);
+                removes += 1;
+            } else {
+                s.write(&id, &[what; 5]).unwrap();
+                replaces += 1;
+            }
+            for node in deep_chain().iter().skip(1) {
+                assert_record_consistent(s, node);
+            }
+        }
+        assert!(inserts > 10 && replaces > 10 && removes > 10);
+        // And the leaves: no buckets, the identity fold.
+        let mut nodes = Vec::new();
+        tree_nodes(s, &root_id(), &mut nodes);
+        for node in &nodes {
+            assert_record_consistent(s, node);
+            assert!(s.read(node).unwrap().is_some());
+        }
+    }
+
+    #[test]
+    fn a_record_with_a_wrong_fold_fails_the_next_walk() {
+        // Authentic (sealed with the enclave's own key, as a writer bug
+        // would) but not `binding + fold == main`: with only the fold
+        // off, the node's own check gives it away; with `main` moved
+        // along, the parent's bucket does. Cache off and on.
+        for config in [EnclaveConfig::default(), cached_config()] {
+            for move_main in [false, true] {
+                let f = fixture(config);
+                deep_tree(&f.store);
+                let (dir, child) = (dir_id("/a/b/c/d/"), file_id("/a/b/c/d/f"));
+                let mut rec = f.store.store_hash_record(&dir).unwrap().unwrap();
+                let key = f.store.keys.mset_key(StoreKind::Content);
+                rec.fold.add(key, b"stray");
+                if move_main {
+                    rec.main.add(key, b"stray");
+                }
+                f.store.write_hash_record(&dir, &rec, false).unwrap();
+                f.store.evict(&child);
+                let expected = if move_main {
+                    "bucket hash"
+                } else {
+                    "ancestor hash"
+                };
+                for _ in 0..2 {
+                    assert!(matches!(
+                        f.store.read(&child),
+                        Err(SegShareError::Integrity(msg)) if msg.contains(expected)
+                    ));
+                }
+                assert!(f.store.trusted_record(&dir).is_none());
+                assert!(f.store.trusted_record(&child).is_none());
+                assert!(is_integrity(f.store.scrub_read(&child)));
+            }
+        }
+    }
+
+    #[test]
+    fn rebuild_on_an_untouched_store_rewrites_equal_records() {
+        // Incremental updates (inserts, overwrites, a delete) and a
+        // from-scratch rebuild must agree on every record — root `main`
+        // included — or a restore would not verify against what the
+        // running enclave maintains. Sealing differs by nonce only.
+        let f = fixture(EnclaveConfig::default());
+        let s = &f.store;
+        deep_tree(s);
+        s.write(&file_id("/a/b/c/d/f"), b"version 2").unwrap();
+        register_in(
+            s,
+            &SegPath::parse("/a/").unwrap(),
+            "x",
+            seg_fs::ChildKind::File,
+        );
+        s.write(&file_id("/a/x"), &[7u8; 5000]).unwrap();
+        s.delete(&file_id("/a/b/c/d/g")).unwrap();
+        s.delete(&ObjectId::Acl(SegPath::parse("/a/b/c/d/g").unwrap()))
+            .unwrap();
+        let d = dir_id("/a/b/c/d/");
+        let mut listing = DirFile::decode(&s.read(&d).unwrap().unwrap()).unwrap();
+        listing.remove_child("g");
+        s.write(&d, &listing.encode()).unwrap();
+
+        let mut nodes = Vec::new();
+        tree_nodes(s, &root_id(), &mut nodes);
+        tree_nodes(s, &ObjectId::GroupRoot, &mut nodes);
+        assert!(nodes.len() >= 14, "{}", nodes.len());
+        let records = || -> Vec<HashRecord> {
+            nodes
+                .iter()
+                .map(|id| s.store_hash_record(id).unwrap().unwrap())
+                .collect()
+        };
+        let incremental = records();
+        let sealed_before = f.content.snapshot();
+        s.rebuild_tree().unwrap();
+        assert_eq!(records(), incremental);
+        // It did rewrite them: fresh nonces, other bytes.
+        let [_, root_rec_key] = s.store_keys(&root_id());
+        assert_ne!(
+            f.content.get(&root_rec_key).unwrap().unwrap()[..],
+            sealed_before[&root_rec_key][..]
+        );
     }
 
     // --------------------------------------------------------- cost gate
@@ -2574,14 +2857,16 @@ mod tests {
     }
 
     // Same shape as `pfs::tests::blob_bytes_are_pinned`: the hex was
-    // taken from the commit before element hashing streamed parts into a
-    // kept HMAC state. Stored hash records hold these bytes.
+    // taken from this writer when storage format version 2 (`head:` over
+    // the 28-byte header id) was introduced. Stored hash records hold
+    // these bytes.
     #[test]
     fn root_main_of_a_fixed_tree_is_pinned() {
         let f = fixture(EnclaveConfig::default());
         let s = &f.store;
-        let header =
-            |seed: u8| -> Vec<u8> { (0..NODE_LEN).map(|i| seed.wrapping_add(i as u8)).collect() };
+        let head = |seed: u8| -> [u8; HEADER_ID_LEN] {
+            std::array::from_fn(|i| seed.wrapping_add(i as u8))
+        };
         let key = s.keys.mset_key(StoreKind::Content);
         let mut buckets = vec![MsetHash::empty(); s.bucket_count()];
         let leaves = [
@@ -2590,16 +2875,17 @@ mod tests {
             file_id("/b"),
         ];
         for (i, leaf) in leaves.iter().enumerate() {
-            let main = s.node_main(leaf, s.node_binding(leaf, &header(i as u8 + 1)), &[]);
+            let leaf_rec = s.record_of(leaf, &head(i as u8 + 1), MsetHash::empty(), Vec::new(), 0);
             buckets[s.bucket_index(leaf)].add_parts(
                 key,
-                &TrustedStore::elem_child(&leaf.canonical(), &main.to_bytes()),
+                &TrustedStore::elem_child(&leaf.canonical(), &leaf_rec.main.to_bytes()),
             );
         }
-        let main = s.node_main(&root_id(), s.node_binding(&root_id(), &header(0)), &buckets);
+        let fold = s.bucket_fold(StoreKind::Content, &buckets);
+        let root = s.record_of(&root_id(), &head(0), fold, buckets, 0);
         assert_eq!(
-            crate::enclave::keys::hex(&main.to_bytes()),
-            "1e5245726f011e736baa71594baf2a18d37ef61f9a620e87f0ce86709d875a2b4200000000000000"
+            crate::enclave::keys::hex(&root.main.to_bytes()),
+            "73894e63fc4126a25ece8f95bce357c4a358a6c65d6f4ca07a2b49a0010321374200000000000000"
         );
     }
 }

@@ -155,6 +155,17 @@ impl MsetHash {
         self.count = self.count.wrapping_add(other.count);
     }
 
+    /// Multiset difference: takes `other` out of `self`, the inverse of
+    /// [`MsetHash::combine`]. As with [`MsetHash::remove`], `other` must
+    /// have been folded in (or be folded in later, as in a delta that is
+    /// combined into a hash already holding it).
+    pub fn subtract(&mut self, other: &MsetHash) {
+        for (a, o) in self.acc.iter_mut().zip(other.acc.iter()) {
+            *a ^= o;
+        }
+        self.count = self.count.wrapping_sub(other.count);
+    }
+
     /// Number of element occurrences folded into this hash.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -259,6 +270,25 @@ mod tests {
         }
         assert_eq!(left, all);
         assert_eq!(left.count(), 3);
+    }
+
+    #[test]
+    fn subtract_undoes_combine_and_carries_a_replacement() {
+        let k = key();
+        let mut h = MsetHash::of(&k, b"kept");
+        let other = MsetHash::of(&k, b"gone");
+        h.combine(&other);
+        h.subtract(&other);
+        assert_eq!(h, MsetHash::of(&k, b"kept"));
+        // new - old, combined into a hash holding old, replaces it.
+        let mut delta = MsetHash::of(&k, b"new");
+        delta.subtract(&MsetHash::of(&k, b"old"));
+        let mut replaced = MsetHash::of(&k, b"kept");
+        replaced.add(&k, b"old");
+        replaced.combine(&delta);
+        let mut expected = MsetHash::of(&k, b"kept");
+        expected.add(&k, b"new");
+        assert_eq!(replaced, expected);
     }
 
     #[test]

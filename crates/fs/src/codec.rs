@@ -90,6 +90,13 @@ impl<'a> Decoder<'a> {
         Ok(slice)
     }
 
+    /// Bytes not yet consumed: the bound on any count field still to
+    /// be read, for decoders that size an allocation from one.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
     /// Reads and checks a fixed 4-byte tag.
     ///
     /// # Errors
@@ -206,7 +213,9 @@ mod tests {
         assert_eq!(d.u64().unwrap(), 0x0123_4567_89ab_cdef);
         assert_eq!(d.str().unwrap(), "héllo");
         assert_eq!(d.bytes().unwrap(), vec![1, 2, 3]);
+        assert_eq!(d.remaining(), 2);
         assert_eq!(d.raw(2).unwrap(), &[9, 9]);
+        assert_eq!(d.remaining(), 0);
         d.finish().unwrap();
     }
 

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use seg_crypto::rng::DeterministicRng;
-use seg_sgx::pfs::{self, PfsFile, PfsWriter, DATA_PER_NODE};
+use seg_sgx::pfs::{self, PfsFile, PfsReader, PfsWriter, DATA_PER_NODE, NODE_LEN};
 use seg_sgx::{EnclaveImage, Platform};
 
 proptest! {
@@ -42,7 +42,9 @@ proptest! {
 
     #[test]
     fn pfs_detects_any_tamper(
-        len in 1usize..2 * DATA_PER_NODE,
+        // From the empty file (one node, all of it sealed header) through
+        // inline data and tails to a tail that is a padded data node.
+        len in 0usize..4 * DATA_PER_NODE,
         flip_at in any::<u32>(),
         bit in 0u8..8,
         seed in any::<u64>(),
@@ -54,6 +56,63 @@ proptest! {
         let idx = (flip_at as usize) % blob.len();
         blob[idx] ^= 1 << bit;
         prop_assert!(pfs::pfs_decrypt(&key, &blob).is_err());
+    }
+
+    #[test]
+    fn pfs_detects_resizing_and_node_swaps(
+        len in 0usize..4 * DATA_PER_NODE,
+        cut in any::<u32>(),
+        extra in 1usize..2 * NODE_LEN,
+        swap in (any::<u32>(), any::<u32>()),
+        seed in any::<u64>(),
+    ) {
+        let key = [3u8; 16];
+        let data: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
+        let mut rng = DeterministicRng::seeded(seed);
+        let blob = pfs::pfs_encrypt(&key, &data, &mut rng).expect("encrypt");
+        // Truncated anywhere, node boundaries included.
+        let keep = cut as usize % blob.len();
+        prop_assert!(pfs::pfs_decrypt(&key, &blob[..keep]).is_err());
+        prop_assert!(pfs::pfs_decrypt(&key, &blob[..keep / NODE_LEN * NODE_LEN]).is_err());
+        // Extended, by zeros and by a copy of its own bytes.
+        for fill in [vec![0u8; extra], blob[..extra.min(blob.len())].to_vec()] {
+            let mut longer = blob.clone();
+            longer.extend_from_slice(&fill);
+            prop_assert!(pfs::pfs_decrypt(&key, &longer).is_err());
+            longer.resize(blob.len() + NODE_LEN, 0);
+            prop_assert!(pfs::pfs_decrypt(&key, &longer).is_err());
+        }
+        // Two different nodes exchanged, the header included.
+        let nodes = blob.len() / NODE_LEN;
+        let (a, b) = (swap.0 as usize % nodes, swap.1 as usize % nodes);
+        if a != b {
+            let mut swapped = blob.clone();
+            swapped[a * NODE_LEN..][..NODE_LEN].copy_from_slice(&blob[b * NODE_LEN..][..NODE_LEN]);
+            swapped[b * NODE_LEN..][..NODE_LEN].copy_from_slice(&blob[a * NODE_LEN..][..NODE_LEN]);
+            prop_assert!(pfs::pfs_decrypt(&key, &swapped).is_err());
+        }
+    }
+
+    #[test]
+    fn pfs_readers_survive_arbitrary_bytes(
+        nodes in 0usize..4,
+        ragged in 0usize..NODE_LEN,
+        seed in any::<u64>(),
+    ) {
+        // Whole nodes of noise, and the same with a ragged end: an error
+        // from every entry point, never a panic. (What a reader may
+        // allocate for fields only the right key can seal is covered in
+        // the unit tests, which can seal them.)
+        use seg_crypto::rng::SecureRandom;
+        let key = [6u8; 16];
+        let mut noise = vec![0u8; nodes * NODE_LEN + ragged];
+        DeterministicRng::seeded(seed).fill(&mut noise);
+        for blob in [&noise[..nodes * NODE_LEN], &noise[..]] {
+            prop_assert!(PfsReader::open(&key, blob).is_err());
+            prop_assert!(PfsFile::open(&key, blob.to_vec()).is_err());
+            prop_assert!(pfs::pfs_decrypt(&key, blob).is_err());
+            prop_assert_eq!(pfs::header_id(blob).is_ok(), blob.len() >= NODE_LEN);
+        }
     }
 
     #[test]

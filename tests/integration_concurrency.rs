@@ -647,9 +647,8 @@ fn a_long_global_hold_is_a_stall_seen_live_and_counted_once() {
     let config = EnclaveConfig {
         // Only the Move is slow enough to stall.
         watch_deadline_us: 400_000,
-        // Moving a directory whose children share a rollback-tree
-        // bucket fails verification mid-move (a defect older than this
-        // test, see ROADMAP); the lock is what is under test here.
+        // The tree's walks would only stretch the hold on this rig; the
+        // lock is what is under test here.
         rollback_individual: false,
         // Two fewer slow store writes per request of the fill.
         audit: false,
@@ -664,8 +663,12 @@ fn a_long_global_hold_is_a_stall_seen_live_and_counted_once() {
         .unwrap();
     let mut a = server.connect_local(&alice).unwrap();
     let fill = |a: &mut Client<seg_net::ChannelTransport>, dir: &str| {
+        // Five children: each moves in ~10 store accesses (it leaves one
+        // directory file as it enters the other), so the hold runs about
+        // a second — over the budget, and closed before the dump rate
+        // limit would let the Move's own record store a second bundle.
         a.mkdir(dir).unwrap();
-        for i in 0..8 {
+        for i in 0..5 {
             a.put(&format!("{dir}/q3-report-{i}"), b"body").unwrap();
         }
     };

@@ -321,6 +321,65 @@ fn deduplication_saves_storage_and_preserves_isolation() {
     assert_eq!(b.get("/bob-copy").unwrap(), payload);
 }
 
+/// Stored bytes over user bytes after putting `dirs` × 32 files of
+/// `body_len` bytes under `parent`: the sum of `total_bytes()` over the
+/// three stores, which is the count the end-to-end benchmark takes for
+/// `stored_bytes_per_user_byte` — audit trail, sealed keys, directory
+/// files, ACLs, hash records and the group store all included.
+fn stored_bytes_per_user_byte(parent: &str, dirs: usize, body_len: usize) -> f64 {
+    let stores: [Arc<MemStore>; 3] = std::array::from_fn(|_| Arc::new(MemStore::new()));
+    let [content, group, dedup] = stores.clone().map(|s| s as Arc<dyn ObjectStore>);
+    // The configuration `examples/tcp_server` (and the benchmark) runs.
+    let config = EnclaveConfig {
+        cache: true,
+        ..EnclaveConfig::default()
+    };
+    let platform = seg_sgx::Platform::new_with_seed(6);
+    let setup = FsoSetup::with_stores("ca", config, platform, content, group, dedup);
+    let server = setup.server().unwrap();
+    let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = server.connect_local(&alice).unwrap();
+
+    let mut made = String::new();
+    for part in parent.split('/').filter(|p| !p.is_empty()) {
+        made = format!("{made}/{part}");
+        a.mkdir(&made).unwrap();
+    }
+    let mut user_bytes = 0usize;
+    for d in 0..dirs {
+        a.mkdir(&format!("{parent}/d{d:02}")).unwrap();
+        for f in 0..32 {
+            let path = format!("{parent}/d{d:02}/f{f:02}");
+            let body: Vec<u8> = (0..body_len).map(|i| (i + d + f) as u8).collect();
+            a.put(&path, &body).unwrap();
+            user_bytes += body.len();
+        }
+    }
+    a.add_user("alice", "team").unwrap();
+    a.add_user("bob", "team").unwrap();
+    assert_eq!(
+        a.get(&format!("{parent}/d00/f31")).unwrap().len(),
+        body_len,
+        "the store is a working one"
+    );
+
+    let stored: u64 = stores.iter().map(|s| s.total_bytes().unwrap()).sum();
+    stored as f64 / user_bytes as f64
+}
+
+#[test]
+fn small_files_cost_what_the_storage_format_says() {
+    // Exact counts, so they cannot drift between benchmark runs. A 4 KiB
+    // body is two nodes (the header carries the tag and the 29-byte tail)
+    // and its ACL one: 3.0 before any directory, record or audit byte;
+    // format version 1 stored 6.3 here. A 16 KiB body is five nodes and
+    // an ACL: 1.5, against 2.3.
+    let small = stored_bytes_per_user_byte("/hot0", 8, 4 << 10);
+    assert!((3.0..=3.25).contains(&small), "4 KiB files: {small:.4}");
+    let mid = stored_bytes_per_user_byte("/org/team/proj", 4, 16 << 10);
+    assert!((1.5..=1.6).contains(&mid), "16 KiB files: {mid:.4}");
+}
+
 #[test]
 fn replication_shares_the_root_key() {
     let content: Arc<dyn ObjectStore> = Arc::new(MemStore::new());

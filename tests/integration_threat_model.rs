@@ -116,6 +116,32 @@ fn tampering_with_any_stored_object_is_detected() {
 }
 
 #[test]
+fn a_node_tampered_deep_in_a_large_file_ends_the_download_with_the_reason() {
+    // Validation is on read, node by node: a flip in a late node of a
+    // file that streams in several chunks is met after `FileStart` and
+    // some data went out. The client must get an integrity error — not
+    // a short body, not a dropped connection — and the session goes on.
+    let r = rig(EnclaveConfig::default(), 112);
+    let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = r.server.connect_local(&alice).unwrap();
+    let before = r.content.inner().list().unwrap();
+    let body: Vec<u8> = (0..700_000).map(|i| (i % 241) as u8).collect();
+    a.put("/big", &body).unwrap();
+    a.put("/small", b"untouched").unwrap();
+    let blob_key = keys_touched_by(&r.content, &before)
+        .into_iter()
+        .find(|k| r.content.inner().get(k).unwrap().unwrap().len() > body.len())
+        .expect("the big file's blob");
+    // Node 150 of ~173: in the third 256 KiB chunk.
+    r.content.snapshot_object(&blob_key).unwrap();
+    r.content.tamper(&blob_key, 150 * 4096 + 77, 5).unwrap();
+    assert!(is_integrity_error(a.get("/big")));
+    assert_eq!(a.get("/small").unwrap(), b"untouched");
+    r.content.rollback_object(&blob_key).unwrap();
+    assert_eq!(a.get("/big").unwrap(), body);
+}
+
+#[test]
 fn individual_file_rollback_is_detected() {
     let r = rig(EnclaveConfig::default(), 101);
     let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
