@@ -826,7 +826,7 @@ fn run_runner_overhead(pairs: usize) -> (OverheadEvidence, String) {
     let mut evidence = paired_overhead("telemetry_runner", &rig, &mut rig.client(), pairs);
     // The report artifact should carry at least one completed pass over
     // the probe namespace; the aggressive cadence makes this quick.
-    let health = rig.server.enclave().health();
+    let health = rig.server.telemetry().health();
     let deadline = Instant::now() + Duration::from_secs(30);
     while health.scrub_passes() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -884,7 +884,7 @@ fn run_meter_attribution(quick: bool) -> MeterAttributionEvidence {
             expected_top8.push(rig.server.enclave().fingerprint_user(&uid));
         }
     }
-    let meter = rig.server.enclave().meter();
+    let meter = rig.server.telemetry().meter();
     let reported: Vec<u64> = meter.top("principal", 8).iter().map(|s| s.fp).collect();
     let recalled = expected_top8
         .iter()

@@ -4,8 +4,9 @@
 //! list).
 //!
 //! Prints [`seg_bench::tcb`]'s count of this reproduction's *trusted*
-//! code — every crate linked into `SegShareEnclave`, tests excluded,
-//! telemetry as its own line — and of the untrusted host for contrast.
+//! code — everything linked into `SegShareEnclave`, tests excluded,
+//! telemetry as its own line — and of the untrusted host (its telemetry
+//! included) for contrast.
 //! `perf_gate` records the same two totals in `BENCH_history.jsonl`.
 //!
 //! Usage: `tcb_size [--quick]` (the count is instantaneous, so
@@ -37,9 +38,11 @@ fn main() {
     println!("  {:<58} {telemetry:>6}", "  of which telemetry");
     println!(
         "  {:<58} {untrusted:>6}",
-        "untrusted host/client/stores/transports (contrast)"
+        "untrusted host/client/stores/net/telemetry (contrast)"
     );
     println!();
     println!("(the crypto line would be SDK-provided on real SGX, as in the paper; the");
-    println!(" telemetry line is what a later change can move outside the boundary)");
+    println!(" telemetry line is what has to run inside — the registry the request path");
+    println!(" writes, the record, the trace ring, the profiler, the scrubber — every");
+    println!(" consumer of what they hand out is counted on the untrusted line)");
 }

@@ -283,7 +283,7 @@ pub fn print_metrics_sidecar_since(server: &SegShareServer, since: Option<&seg_o
     let audit_bytes = snap.counter("seg_audit_bytes_total").unwrap_or(0);
     println!(
         "  trace: {emitted} events ({dropped} dropped), {} slow; audit: {audited} records, {audit_bytes} B",
-        server.enclave().slow_requests(usize::MAX).len(),
+        server.telemetry().watch().slow_requests(usize::MAX).len(),
     );
 }
 

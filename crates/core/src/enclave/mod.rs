@@ -16,23 +16,19 @@ pub mod locks;
 pub mod names;
 pub mod session;
 pub mod trusted_store;
-pub mod watch;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::{SecureRandom, SystemRng};
 use seg_crypto::sha256::Sha256;
-use seg_obs::{
-    events_json, records_json, CostVector, Meter, Registry, RequestRecord, TraceEvent, TraceRing,
-    METER_AXES,
-};
+use seg_obs::{CostVector, RecordSink, Registry, RequestRecord, TraceEvent, TraceRing};
 use seg_pki::{Certificate, Csr, Identity};
 use seg_sgx::{Enclave, EnclaveImage, Platform, Quote};
-use seg_store::{CommitTicket, CountingStore, ObjectStore};
+use seg_store::{CommitTicket, CountingStore, IoStats, ObjectStore, StoreStats};
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
@@ -40,12 +36,11 @@ use crate::error::SegShareError;
 use access_control::AccessControl;
 use audit::{AuditLog, AuditRecord};
 use file_manager::FileManager;
-use health::HealthState;
+use health::ScrubProgress;
 use keys::KeyHierarchy;
 use locks::LockManager;
 use session::EnclaveSession;
 use trusted_store::TrustedStore;
-use watch::WatchStats;
 
 /// Untrusted-store keys for the enclave's sealed state (sealed blobs are
 /// self-protecting, so these names are not hidden). They carry the
@@ -80,20 +75,18 @@ pub struct SegShareEnclave {
     clock: AtomicU64,
     obs: Arc<Registry>,
     audit: Option<Arc<AuditLog>>,
-    /// Saturation gauges (shared with the untrusted serve loop), the
-    /// stall watchdog with its stored dump, and the telemetry switch.
-    watch: Arc<WatchStats>,
-    /// The history clock (flight frames, headline levels, SLO burn),
-    /// integrity-scrubber progress, canary counters, and the
-    /// healthy/degraded/failing verdict.
-    health: Arc<HealthState>,
-    /// Per-fingerprint cost attribution in cardinality-bounded top-K
-    /// sketches.
-    meter: Arc<Meter>,
+    /// The one telemetry switch, and all the host ever sets.
+    telemetry: AtomicBool,
+    /// Where closed request records leave the enclave; attached once by
+    /// the host. Without one, records stop at the registry and the ring.
+    sink: OnceLock<Arc<dyn RecordSink>>,
+    /// The integrity scrubber's resumable position.
+    scrub: Mutex<ScrubProgress>,
     /// Next request correlation id (shared by every session thread).
     request_ids: AtomicU64,
     /// The counting wrappers around the untrusted stores, kept for
-    /// per-store attribution in [`SegShareEnclave::metrics_snapshot`].
+    /// per-store attribution ([`SegShareEnclave::store_io`]) and the
+    /// request cost vector.
     counted_stores: Vec<(&'static str, CountedStore)>,
     /// Serializes batch commit windows (batch mode, the durability
     /// plane). Held from [`SegShareEnclave::batch_begin`] through the
@@ -137,50 +130,15 @@ impl SegShareEnclave {
     ///
     /// On first start the enclave generates and seals the root key
     /// `SK_r` and a server key pair; on restarts it unseals them
-    /// (§IV-B "File Managers", §IV-A).
+    /// (§IV-B "File Managers", §IV-A). With `root_key_override` it is a
+    /// *replica* around a root key obtained from a root enclave via
+    /// [`SegShareEnclave::export_root_key`] (§V-F).
     ///
     /// # Errors
     ///
     /// Fails if sealed state exists but cannot be unsealed (wrong
-    /// platform/enclave) or storage fails.
+    /// platform/enclave) or sealing or storage fails.
     pub fn launch(
-        platform: &Platform,
-        config: EnclaveConfig,
-        ca_key: PublicKey,
-        content: Arc<dyn ObjectStore>,
-        group: Arc<dyn ObjectStore>,
-        dedup: Arc<dyn ObjectStore>,
-    ) -> Result<Arc<SegShareEnclave>, SegShareError> {
-        Self::launch_inner(platform, config, ca_key, content, group, dedup, None)
-    }
-
-    /// Launches a *replica* enclave around a root key obtained from a
-    /// root enclave via [`SegShareEnclave::export_root_key`] (§V-F).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sealing and storage failures.
-    pub fn launch_with_root_key(
-        platform: &Platform,
-        config: EnclaveConfig,
-        ca_key: PublicKey,
-        content: Arc<dyn ObjectStore>,
-        group: Arc<dyn ObjectStore>,
-        dedup: Arc<dyn ObjectStore>,
-        root_key: [u8; 32],
-    ) -> Result<Arc<SegShareEnclave>, SegShareError> {
-        Self::launch_inner(
-            platform,
-            config,
-            ca_key,
-            content,
-            group,
-            dedup,
-            Some(root_key),
-        )
-    }
-
-    fn launch_inner(
         platform: &Platform,
         config: EnclaveConfig,
         ca_key: PublicKey,
@@ -196,20 +154,16 @@ impl SegShareEnclave {
         // Trace ring: fixed-capacity, lock-free, enclave-resident;
         // attached to the registry so the nested layers (access
         // control, store I/O) can reach it.
-        let ring = Arc::new(TraceRing::default());
-        // One source of truth: the stall deadline is also the slow-log
-        // threshold, so the slow log and the stall watchdog agree.
-        ring.set_slow_threshold_us(config.watch_deadline_us);
-        obs.attach_trace(ring);
+        obs.attach_trace(Arc::new(TraceRing::default()));
 
         // Phase profiler: always attached — inactive threads (no root)
         // make every phase call a no-op, so the cost off the request
         // path is a thread-local check.
         obs.attach_profiler(Arc::new(seg_obs::Profiler::new()));
 
-        // Every untrusted store is wrapped in a counting layer so the
-        // telemetry snapshot can attribute I/O per store (including the
-        // sealed-key traffic below).
+        // Every untrusted store is wrapped in a counting layer so I/O
+        // can be attributed per store (including the sealed-key traffic
+        // below).
         let content_counted = Arc::new(CountingStore::new(content));
         let group_counted = Arc::new(CountingStore::new(group));
         let dedup_counted = Arc::new(CountingStore::new(dedup));
@@ -297,9 +251,9 @@ impl SegShareEnclave {
             clock: AtomicU64::new(1_000),
             obs,
             audit,
-            watch: Arc::new(WatchStats::new(config.watch_deadline_us)),
-            health: Arc::new(HealthState::new(&config)),
-            meter: Arc::new(Meter::new(config.watch_deadline_us)),
+            telemetry: AtomicBool::new(true),
+            sink: OnceLock::new(),
+            scrub: Mutex::new(ScrubProgress::default()),
             request_ids: AtomicU64::new(0),
             counted_stores: vec![
                 ("content", content_counted),
@@ -375,11 +329,6 @@ impl SegShareEnclave {
         self.clock.load(Ordering::Relaxed)
     }
 
-    /// Advances the logical clock.
-    pub fn set_now(&self, now: u64) {
-        self.clock.store(now, Ordering::Relaxed);
-    }
-
     // ------------------------------------------------------- connections
 
     /// Starts a new connection session (trusted TLS interface).
@@ -434,9 +383,63 @@ impl SegShareEnclave {
     /// and error codes only; request content (paths, user ids, key
     /// material) is unrepresentable by construction (`seg-obs` charset
     /// checks).
-    #[must_use]
-    pub fn obs(&self) -> &Arc<Registry> {
+    pub(crate) fn obs(&self) -> &Arc<Registry> {
         &self.obs
+    }
+
+    /// Captures the registry after folding in the totals kept beside it
+    /// that only the enclave can observe: the object cache, EPC usage,
+    /// the trace ring, the global-lock clock and the telemetry switch.
+    /// With the families written in place (requests, locks, pfs,
+    /// rollback tree, audit) that is the enclave's whole export; the
+    /// host merges in what it sees for itself
+    /// ([`crate::SegShareServer::metrics_snapshot`]).
+    ///
+    /// A **declassification point** (paper §III): everything in the
+    /// snapshot is an aggregate keyed by compiled-in names — nothing
+    /// request-derived crosses here.
+    #[must_use]
+    pub fn metrics_snapshot(&self) -> seg_obs::Snapshot {
+        let obs = &self.obs;
+        let epc = self.sgx.epc();
+        let cache = self.store.cache_stats();
+        let (emitted, dropped) = obs
+            .trace()
+            .map_or((0, 0), |ring| (ring.emitted(), ring.dropped()));
+        let mut counters = vec![
+            ("seg_trace_events_total", emitted),
+            ("seg_trace_dropped_total", dropped),
+        ];
+        // Object-cache *counters* exist only when the cache is enabled,
+        // keeping cache-off snapshots identical to pre-cache builds.
+        if let Some(c) = &cache {
+            counters.extend([
+                ("seg_cache_hits_total", c.hits),
+                ("seg_cache_misses_total", c.misses),
+                ("seg_cache_fills_total", c.fills),
+                ("seg_cache_stale_fills_total", c.stale_fills),
+                ("seg_cache_evictions_total", c.evictions),
+                ("seg_cache_invalidations_total", c.invalidations),
+            ]);
+        }
+        for (name, total) in counters {
+            obs.counter(name).advance_to(total);
+        }
+        // Gauge families, by contrast, always export: a disabled or
+        // idle subsystem reads 0 rather than its series disappearing
+        // between snapshots (dashboards need stable families).
+        for (name, value) in [
+            ("seg_epc_bytes", epc.current_bytes()),
+            ("seg_epc_peak_bytes", epc.peak_bytes()),
+            ("seg_epc_paged_pages", epc.paged_pages()),
+            ("seg_cache_entries", cache.as_ref().map_or(0, |c| c.entries)),
+            ("seg_cache_bytes", cache.as_ref().map_or(0, |c| c.bytes)),
+            ("seg_lock_global_held_us", self.locks.global_held_us()),
+            ("seg_telemetry_enabled", u64::from(self.telemetry_enabled())),
+        ] {
+            obs.gauge(name).set(value);
+        }
+        obs.snapshot()
     }
 
     /// Captures the per-(op, phase-path) profile — like
@@ -482,44 +485,39 @@ impl SegShareEnclave {
         self.obs.trace().map_or_else(Vec::new, |r| r.tail(n))
     }
 
-    /// Copies out up to `n` of the newest slow requests (latency at or
-    /// above `EnclaveConfig::watch_deadline_us`), oldest first — whole
-    /// records, so one slow request is explainable from one entry.
+    /// Operation, byte and fsync totals of each untrusted store as the
+    /// enclave drove it — numbers the host sees go by anyway.
     #[must_use]
-    pub fn slow_requests(&self, n: usize) -> Vec<RequestRecord> {
-        self.obs.trace().map_or_else(Vec::new, |r| r.slow_tail(n))
+    pub fn store_io(&self) -> Vec<(&'static str, StoreStats, IoStats)> {
+        self.counted_stores
+            .iter()
+            .map(|(store, counted)| (*store, counted.stats(), counted.io_stats()))
+            .collect()
     }
 
     // --------------------------------------------------------- telemetry
 
-    /// Saturation gauges and the stall watchdog's counters/dump slot.
-    /// The untrusted serve loop feeds the session/in-flight/backlog
-    /// gauges through this handle — they are load numbers, not request
-    /// content.
-    #[must_use]
-    pub fn watch(&self) -> &Arc<WatchStats> {
-        &self.watch
-    }
-
-    /// The meter (per-principal/object/group/prefix cost attribution).
-    #[must_use]
-    pub fn meter(&self) -> &Arc<Meter> {
-        &self.meter
+    /// Attaches the sink closed request records leave through. The
+    /// first call wins; an enclave launched without a server (the
+    /// white-box tests) simply has none.
+    pub fn attach_sink(&self, sink: Arc<dyn RecordSink>) {
+        let _ = self.sink.set(sink);
     }
 
     /// Whether telemetry runs (see [`SegShareEnclave::set_telemetry`]).
     #[must_use]
     pub fn telemetry_enabled(&self) -> bool {
-        self.watch.enabled()
+        self.telemetry.load(Ordering::Relaxed)
     }
 
-    /// The one runtime telemetry switch, on by default. Off, no record
-    /// is built or consumed (a request pays one relaxed atomic load)
-    /// and the health runner's tick, scrubber and canary are inert;
-    /// everything accumulated so far is kept and every family still
-    /// exports. The audit trail is not telemetry and is unaffected.
+    /// The one runtime telemetry switch, on by default, and the only
+    /// telemetry state the host sets. Off, no record is built or handed
+    /// out (a request pays one relaxed atomic load) and the host's
+    /// health tick, scrubber and canary are inert; everything
+    /// accumulated so far is kept and every family still exports. The
+    /// audit trail is not telemetry and is unaffected.
     pub fn set_telemetry(&self, on: bool) {
-        self.watch.set_enabled(on);
+        self.telemetry.store(on, Ordering::Relaxed);
     }
 
     /// The global counters a request's cost vector is differenced from:
@@ -546,87 +544,19 @@ impl SegShareEnclave {
         cost
     }
 
-    /// The only telemetry emission on the request path: hands one
-    /// closed request to every consumer — the request families, the
-    /// trace ring and slow log, the meter, the SLO windows and headline
-    /// history (whose clock it also ticks), and the stall watchdog.
+    /// The only telemetry emission on the request path: one closed
+    /// request feeds the request families and the trace ring's header
+    /// event, then leaves through the sink — the one place a record is
+    /// handed out of the enclave, counted as the ocall it is. The audit
+    /// trail took its ids and outcome from the record before this.
     pub(crate) fn request_done(&self, rec: &RequestRecord) {
         self.obs.consume(rec);
         if let Some(ring) = self.obs.trace() {
             ring.consume(rec);
         }
-        self.meter.consume(rec);
-        let monitor = self.health.monitor();
-        monitor.consume(rec);
-        monitor.tick_if_due(&self.obs);
-        if self.watch.consume(rec) {
-            self.watch.store_dump(self.report());
+        if let Some(sink) = self.sink.get() {
+            self.sgx.boundary().ocall(|| sink.consume(rec));
         }
-    }
-
-    /// Every consumer's view at one instant, as one JSON document:
-    /// `saturation`, `stalls`, `locks` (global-hold clock and the
-    /// contended-stripe top-K), `flight` frames, `trace_tail`,
-    /// `slow_requests` (whole records), the phase `profile`, `health`
-    /// (verdict, scrubber, canary, alerts, SLO burn, headline history)
-    /// and `meter` — so an incident is diagnosed from correlated
-    /// evidence instead of unsynchronized dumps. The stall watchdog
-    /// stores the same bundle.
-    ///
-    /// A declassification point like
-    /// [`metrics_snapshot`](Self::metrics_snapshot), and the widest:
-    /// every section is compiled-in names, aggregate numbers and keyed
-    /// fingerprints (see [`seg_obs::record`]).
-    #[must_use]
-    pub fn report(&self) -> String {
-        let monitor = self.health.monitor();
-        // The bundle always holds the most recent window.
-        monitor.tick_at(&self.obs, monitor.now_us());
-        let net = self.watch.net_meter();
-        let mut out = format!(
-            "{{\n\"enabled\":{},\n\"saturation\":{{\"live_sessions\":{},\"in_flight\":{},\
-             \"queued_bytes\":{},\"send_stalls\":{},\"send_stall_ns\":{},\"idle_us\":{}}},\n",
-            self.telemetry_enabled(),
-            self.watch.live_sessions(),
-            self.watch.in_flight(),
-            net.queued_bytes(),
-            net.send_stalls(),
-            net.send_stall_ns(),
-            net.idle_us(),
-        );
-        out.push_str(&format!(
-            "\"stalls\":{{\"request\":{},\"global_lock\":{},\"dumps\":{}}},\n",
-            self.watch.stalls_request(),
-            self.watch.stalls_global(),
-            self.watch.dumps(),
-        ));
-        out.push_str(&format!(
-            "\"locks\":{{\"global_held_us\":{},\"lock_top\":[",
-            self.locks.global_held_us()
-        ));
-        for (i, row) in self.locks.contended_stripes(8).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"stripe\":{},\"wait_ns\":{},\"waits\":{}}}",
-                row.stripe, row.wait_ns, row.waits
-            ));
-        }
-        out.push_str("]},\n\"flight\":");
-        out.push_str(&monitor.flight_json());
-        out.push_str(",\n\"trace_tail\":");
-        out.push_str(events_json(&self.trace_tail(64)).trim_end());
-        out.push_str(",\n\"slow_requests\":");
-        out.push_str(records_json(&self.slow_requests(32)).trim_end());
-        out.push_str(",\n\"profile\":");
-        out.push_str(self.profile_snapshot().to_json().trim_end());
-        out.push_str(",\n\"health\":");
-        out.push_str(&self.health_json());
-        out.push_str(",\n\"meter\":");
-        out.push_str(self.meter.report_json().trim_end());
-        out.push_str("\n}\n");
-        out
     }
 
     /// The audit log, when `EnclaveConfig::audit` is enabled.
@@ -746,19 +676,24 @@ impl SegShareEnclave {
         Ok(())
     }
 
-    /// Reclaims dedup blobs whose reference count dropped to zero,
-    /// returning how many were deleted. GC mutates an unbounded object
-    /// set (the refcount index plus any number of blobs), so it runs
-    /// under the exclusive global scope, inside its own batch commit
-    /// window — a crash mid-GC either keeps or drops the whole pass.
-    pub fn blob_gc(&self) -> Result<u64, SegShareError> {
-        let guard = self.batch_begin(true);
-        let reclaimed = {
-            let _scope = self.locks.acquire_global();
-            self.files.blob_gc()
-        };
-        let sealed = self.batch_seal();
+    /// Completes a batch commit window: waits for the group commit to
+    /// make the sealed frame durable, then releases the commit mutex.
+    /// In whole-FS rollback mode the wait (and the deferred §V-E
+    /// counter increments inside it) happens *under* the guard, so the
+    /// counters can never run more than one batch ahead of the durable
+    /// records; otherwise the guard drops first so concurrent sessions'
+    /// seals coalesce into shared group-commit fsyncs. A durability
+    /// error outranks a successful `result` but never masks an earlier
+    /// error.
+    pub(crate) fn batch_finish<T>(
+        &self,
+        guard: Option<MutexGuard<'_, ()>>,
+        sealed: Result<Vec<CommitTicket>, SegShareError>,
+        result: Result<T, SegShareError>,
+    ) -> Result<T, SegShareError> {
         let durable = match (guard, sealed) {
+            // No window was opened: nothing was sealed, nothing to wait
+            // for (but a seal error still fails the request).
             (None, sealed) => sealed.map(|_| ()),
             (Some(guard), Err(seal_err)) => {
                 drop(guard);
@@ -776,259 +711,23 @@ impl SegShareEnclave {
             }
         };
         match durable {
-            Ok(()) => reclaimed,
-            Err(err) => reclaimed.and(Err(err)),
+            Ok(()) => result,
+            Err(err) => result.and(Err(err)),
         }
     }
 
-    /// Captures a telemetry snapshot after folding in the externally
-    /// sourced totals: boundary crossings, EPC usage, and the per-store
-    /// I/O counters.
-    ///
-    /// This is the system's **declassification point** (paper §III):
-    /// the only way aggregate telemetry leaves the trusted boundary.
-    /// Everything in the snapshot is an aggregate keyed by compiled-in
-    /// names — nothing request-derived crosses here.
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> seg_obs::Snapshot {
-        let sync = |name: &'static str, labels: Vec<(&'static str, &'static str)>, total: u64| {
-            // External counters are monotonic; advance ours to match so
-            // repeated snapshots never double-count.
-            let c = self.obs.counter_with(name, labels);
-            c.add(total.saturating_sub(c.get()));
+    /// Reclaims dedup blobs whose reference count dropped to zero,
+    /// returning how many were deleted. GC mutates an unbounded object
+    /// set (the refcount index plus any number of blobs), so it runs
+    /// under the exclusive global scope, inside its own batch commit
+    /// window — a crash mid-GC either keeps or drops the whole pass.
+    pub fn blob_gc(&self) -> Result<u64, SegShareError> {
+        let guard = self.batch_begin(true);
+        let reclaimed = {
+            let _scope = self.locks.acquire_global();
+            self.files.blob_gc()
         };
-
-        let b = self.sgx.boundary().stats();
-        sync("seg_boundary_ecalls_total", vec![], b.ecalls);
-        sync("seg_boundary_ocalls_total", vec![], b.ocalls);
-        self.obs
-            .gauge("seg_boundary_simulated_ns")
-            .set(b.simulated_ns);
-
-        if let Some(ring) = self.obs.trace() {
-            sync("seg_trace_events_total", vec![], ring.emitted());
-            sync("seg_trace_dropped_total", vec![], ring.dropped());
-        }
-
-        let epc = self.sgx.epc();
-        self.obs.gauge("seg_epc_bytes").set(epc.current_bytes());
-        self.obs.gauge("seg_epc_peak_bytes").set(epc.peak_bytes());
-        self.obs.gauge("seg_epc_paged_pages").set(epc.paged_pages());
-
-        for (store, counted) in &self.counted_stores {
-            let s = counted.stats();
-            for (op, total) in [
-                ("get", s.gets),
-                ("put", s.puts),
-                ("delete", s.deletes),
-                ("exists", s.exists),
-                ("rename", s.renames),
-                ("list", s.lists),
-            ] {
-                sync(
-                    "seg_store_ops_total",
-                    vec![("store", store), ("op", op)],
-                    total,
-                );
-            }
-            sync(
-                "seg_store_bytes_read_total",
-                vec![("store", store)],
-                s.bytes_read,
-            );
-            sync(
-                "seg_store_bytes_written_total",
-                vec![("store", store)],
-                s.bytes_written,
-            );
-            // Durability plane. Always exported (zero on in-memory
-            // backends) so the family is stable across store choices.
-            // Views sharing one WAL backend each report the shared
-            // log's totals.
-            sync("seg_store_batches_total", vec![("store", store)], s.batches);
-            sync(
-                "seg_store_batch_ops_total",
-                vec![("store", store)],
-                s.batch_ops,
-            );
-            let io = counted.io_stats();
-            sync("seg_store_fsyncs_total", vec![("store", store)], io.fsyncs);
-            sync(
-                "seg_store_fsync_bytes_total",
-                vec![("store", store)],
-                io.fsync_bytes,
-            );
-        }
-
-        // Object-cache *counters* exist only when the cache is enabled,
-        // keeping cache-off snapshots identical to pre-cache builds.
-        let cache = self.store.cache_stats();
-        if let Some(c) = &cache {
-            sync("seg_cache_hits_total", vec![], c.hits);
-            sync("seg_cache_misses_total", vec![], c.misses);
-            sync("seg_cache_fills_total", vec![], c.fills);
-            sync("seg_cache_stale_fills_total", vec![], c.stale_fills);
-            sync("seg_cache_evictions_total", vec![], c.evictions);
-            sync("seg_cache_invalidations_total", vec![], c.invalidations);
-        }
-        // Gauge families, by contrast, always export: a disabled or
-        // idle subsystem reads 0 rather than its series disappearing
-        // between snapshots (dashboards need stable families).
-        self.obs
-            .gauge("seg_cache_entries")
-            .set(cache.as_ref().map_or(0, |c| c.entries));
-        self.obs
-            .gauge("seg_cache_bytes")
-            .set(cache.as_ref().map_or(0, |c| c.bytes));
-
-        // Lock, net, and session saturation families.
-        self.obs
-            .gauge("seg_lock_global_held_us")
-            .set(self.locks.global_held_us());
-        self.obs
-            .gauge("seg_net_live_sessions")
-            .set(self.watch.live_sessions());
-        self.obs
-            .gauge("seg_net_inflight_requests")
-            .set(self.watch.in_flight());
-        let net = self.watch.net_meter();
-        self.obs
-            .gauge("seg_net_queued_bytes")
-            .set(net.queued_bytes());
-        sync("seg_net_send_stalls_total", vec![], net.send_stalls());
-        sync("seg_net_send_stall_ns_total", vec![], net.send_stall_ns());
-        sync("seg_net_sheds_total", vec![], self.watch.sheds());
-        // Reactor front end: per-state connection gauges plus lifecycle
-        // counters. Exported once the reactor has started (the
-        // stable-family rule: 0 beats a disappearing series); it starts
-        // with the first connection or listener.
-        if let Some(reactor) = self.watch.reactor_stats() {
-            for state in seg_net::reactor::ConnState::ALL {
-                if state == seg_net::reactor::ConnState::Closed {
-                    continue; // terminal: the gauge is definitionally 0
-                }
-                self.obs
-                    .gauge_with("seg_net_conns", vec![("state", state.label())])
-                    .set(reactor.conns_in(state));
-            }
-            self.obs
-                .gauge("seg_net_dispatch_depth")
-                .set(reactor.dispatch_depth());
-            self.obs
-                .gauge("seg_net_outq_bytes")
-                .set(reactor.outq_bytes());
-            sync(
-                "seg_net_conns_accepted_total",
-                vec![],
-                reactor.accepted_total(),
-            );
-            sync(
-                "seg_net_conns_reaped_idle_total",
-                vec![],
-                reactor.reaped_idle_total(),
-            );
-            sync("seg_net_conns_closed_total", vec![], reactor.closed_total());
-            sync(
-                "seg_net_protocol_errors_total",
-                vec![],
-                reactor.protocol_errors_total(),
-            );
-        }
-        sync(
-            "seg_watch_stalls_total",
-            vec![("kind", "request")],
-            self.watch.stalls_request(),
-        );
-        sync(
-            "seg_watch_stalls_total",
-            vec![("kind", "global_lock")],
-            self.watch.stalls_global(),
-        );
-        sync("seg_watch_dumps_total", vec![], self.watch.dumps());
-        sync(
-            "seg_flight_frames_total",
-            vec![],
-            self.health.monitor().frames_total(),
-        );
-        self.obs
-            .gauge("seg_telemetry_enabled")
-            .set(u64::from(self.telemetry_enabled()));
-
-        // History clock, scrubber, and canary families — always
-        // exported, an idle health plane reads 0.
-        let health = &self.health;
-        sync(
-            "seg_health_samples_total",
-            vec![],
-            health.monitor().samples(),
-        );
-        sync(
-            "seg_health_canary_probes_total",
-            vec![],
-            health.canary_probes(),
-        );
-        sync(
-            "seg_health_canary_failures_total",
-            vec![],
-            health.canary_failures(),
-        );
-        sync(
-            "seg_slo_alerts_total",
-            vec![],
-            health.monitor().alerts().total(),
-        );
-        sync(
-            "seg_slo_alerts_suppressed_total",
-            vec![],
-            health.monitor().alerts().suppressed(),
-        );
-        sync("seg_scrub_passes_total", vec![], health.scrub_passes());
-        for check in health::ScrubCheck::ALL {
-            sync(
-                "seg_scrub_items_total",
-                vec![("check", check.label())],
-                health.items(check),
-            );
-            sync(
-                "seg_scrub_findings_total",
-                vec![("check", check.label())],
-                health.findings(check),
-            );
-        }
-        self.obs.gauge("seg_health_state").set(health.state_code());
-        self.obs
-            .gauge("seg_slo_alerts_active")
-            .set(health.monitor().active_alerts());
-        self.obs
-            .gauge("seg_health_rollup_slots")
-            .set(health.monitor().rollup_slots());
-        self.obs
-            .gauge("seg_health_canary_latency_us")
-            .set(health.canary_last_latency_us());
-
-        // Meter: sketch occupancy and overflow families — always
-        // exported, an unfed meter reads 0 (stable dashboards).
-        sync("seg_meter_samples_total", vec![], self.meter.samples());
-        for (axis, s) in METER_AXES.into_iter().zip(self.meter.stats()) {
-            self.obs
-                .gauge_with("seg_meter_tracked", vec![("axis", axis)])
-                .set(s.tracked);
-            self.obs
-                .gauge_with("seg_meter_min_tracked_ops", vec![("axis", axis)])
-                .set(s.min_est);
-            sync(
-                "seg_meter_evictions_total",
-                vec![("axis", axis)],
-                s.evictions,
-            );
-            sync(
-                "seg_meter_overflow_ops_total",
-                vec![("axis", axis)],
-                s.overflow_ops,
-            );
-        }
-
-        self.obs.snapshot()
+        self.batch_finish(guard, self.batch_seal(), reclaimed)
     }
 
     /// The enclave configuration.

@@ -14,11 +14,10 @@ use std::sync::Arc;
 use parking_lot::MutexGuard;
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::SystemRng;
-use seg_fs::{Access, ChildKind, GroupId, Perm, SegPath, UserId};
+use seg_fs::{Access, AclFile, ChildKind, GroupId, Perm, SegPath, UserId};
 use seg_obs::{CostVector, RequestRecord, TraceDecision};
 use seg_pki::Certificate;
 use seg_proto::{ErrorCode, Request, Response, CHUNK_LEN};
-use seg_store::CommitTicket;
 use seg_tls::{ServerHandshake, TlsChannel};
 
 use crate::error::SegShareError;
@@ -478,22 +477,54 @@ impl EnclaveSession {
                 perm,
                 remove,
             } => {
-                let _scope = enclave
-                    .locks()
-                    .acquire(&named_locks(path, LockIntent::Write, false));
-                self.do_set_perm(enclave, user, path, group, *perm, *remove)
+                // Algorithm 1 `set_p`.
+                let group = || parse_perm_group(group);
+                edit_acl(
+                    enclave,
+                    user,
+                    path,
+                    "change permissions on",
+                    group,
+                    |acl, group| {
+                        if *remove {
+                            acl.remove_perm(&group);
+                        } else {
+                            let perm =
+                                Perm::decode(*perm).map_err(|e| bad_request(e.to_string()))?;
+                            acl.set_perm(group, perm);
+                        }
+                        Ok(())
+                    },
+                )
             }
             Request::SetInherit { path, inherit } => {
-                let _scope = enclave
-                    .locks()
-                    .acquire(&named_locks(path, LockIntent::Write, false));
-                self.do_set_inherit(enclave, user, path, *inherit)
+                // §V-B: add/remove the inherit flag.
+                edit_acl(
+                    enclave,
+                    user,
+                    path,
+                    "change inheritance on",
+                    || Ok(()),
+                    |acl, ()| {
+                        acl.set_inherit(*inherit);
+                        Ok(())
+                    },
+                )
             }
             Request::AddOwner { path, group } => {
-                let _scope = enclave
-                    .locks()
-                    .acquire(&named_locks(path, LockIntent::Write, false));
-                self.do_add_owner(enclave, user, path, group)
+                // `r_FO` extension (F7).
+                let group = || parse_perm_group(group);
+                edit_acl(
+                    enclave,
+                    user,
+                    path,
+                    "extend ownership of",
+                    group,
+                    |acl, group| {
+                        acl.add_owner(group);
+                        Ok(())
+                    },
+                )
             }
             Request::AddUser {
                 user: member,
@@ -552,10 +583,24 @@ impl EnclaveSession {
                 Ok(vec![Response::Ok])
             }
             Request::RemoveOwner { path, group } => {
-                let _scope = enclave
-                    .locks()
-                    .acquire(&named_locks(path, LockIntent::Write, false));
-                self.do_remove_owner(enclave, user, path, group)
+                // `r_FO` shrink; the last owner is protected.
+                let group = || parse_perm_group(group);
+                edit_acl(
+                    enclave,
+                    user,
+                    path,
+                    "shrink ownership of",
+                    group,
+                    |acl, group| {
+                        if acl.remove_owner(&group) {
+                            Ok(())
+                        } else {
+                            Err(bad_request(format!(
+                                "cannot remove {group}: files keep at least one owner"
+                            )))
+                        }
+                    },
+                )
             }
             Request::RemoveGroupOwner { owner_group, group } => {
                 let owner_group = parse_perm_group(owner_group)?;
@@ -779,113 +824,35 @@ impl EnclaveSession {
         enclave.files().rename(&from, &to)?;
         Ok(vec![Response::Ok])
     }
+}
 
-    /// Algorithm 1 `set_p` — file owners only (Table IV `auth_f` with
-    /// the empty permission).
-    fn do_set_perm(
-        &mut self,
-        enclave: &SegShareEnclave,
-        user: &UserId,
-        path: &str,
-        group: &str,
-        perm: u8,
-        remove: bool,
-    ) -> Result<Vec<Response>, SegShareError> {
-        let path = resolve_path(enclave, path)?;
-        let group = parse_perm_group(group)?;
-        if !enclave.access().is_file_owner(user, &path)? {
-            return Err(deny(format!(
-                "only file owners may change permissions on {path}"
-            )));
-        }
-        let mut acl = enclave
-            .access()
-            .acl(&path)?
-            .ok_or_else(|| not_found(format!("nothing at {path}")))?;
-        if remove {
-            acl.remove_perm(&group);
-        } else {
-            let perm = Perm::decode(perm).map_err(|e| bad_request(e.to_string()))?;
-            acl.set_perm(group, perm);
-        }
-        enclave.access().save_acl(&path, &acl)?;
-        Ok(vec![Response::Ok])
+/// The one ACL edit — permissions, the inherit flag, owner growth and
+/// shrink: under the path's write scope, resolve the path, parse the
+/// `operand`, admit file owners only (Table IV `auth_f` with the empty
+/// permission), then load the ACL, apply `edit` and save it.
+fn edit_acl<G>(
+    enclave: &SegShareEnclave,
+    user: &UserId,
+    path: &str,
+    what: &str,
+    operand: impl FnOnce() -> Result<G, SegShareError>,
+    edit: impl FnOnce(&mut AclFile, G) -> Result<(), SegShareError>,
+) -> Result<Vec<Response>, SegShareError> {
+    let _scope = enclave
+        .locks()
+        .acquire(&named_locks(path, LockIntent::Write, false));
+    let path = resolve_path(enclave, path)?;
+    let operand = operand()?;
+    if !enclave.access().is_file_owner(user, &path)? {
+        return Err(deny(format!("only file owners may {what} {path}")));
     }
-
-    /// §V-B: add/remove the inherit flag (file owners only).
-    fn do_set_inherit(
-        &mut self,
-        enclave: &SegShareEnclave,
-        user: &UserId,
-        path: &str,
-        inherit: bool,
-    ) -> Result<Vec<Response>, SegShareError> {
-        let path = resolve_path(enclave, path)?;
-        if !enclave.access().is_file_owner(user, &path)? {
-            return Err(deny(format!(
-                "only file owners may change inheritance on {path}"
-            )));
-        }
-        let mut acl = enclave
-            .access()
-            .acl(&path)?
-            .ok_or_else(|| not_found(format!("nothing at {path}")))?;
-        acl.set_inherit(inherit);
-        enclave.access().save_acl(&path, &acl)?;
-        Ok(vec![Response::Ok])
-    }
-
-    /// `r_FO` shrink — file owners only; the last owner is protected.
-    fn do_remove_owner(
-        &mut self,
-        enclave: &SegShareEnclave,
-        user: &UserId,
-        path: &str,
-        group: &str,
-    ) -> Result<Vec<Response>, SegShareError> {
-        let path = resolve_path(enclave, path)?;
-        let group = parse_perm_group(group)?;
-        if !enclave.access().is_file_owner(user, &path)? {
-            return Err(deny(format!(
-                "only file owners may shrink ownership of {path}"
-            )));
-        }
-        let mut acl = enclave
-            .access()
-            .acl(&path)?
-            .ok_or_else(|| not_found(format!("nothing at {path}")))?;
-        if !acl.remove_owner(&group) {
-            return Err(bad_request(format!(
-                "cannot remove {group}: files keep at least one owner"
-            )));
-        }
-        enclave.access().save_acl(&path, &acl)?;
-        Ok(vec![Response::Ok])
-    }
-
-    /// `r_FO` extension (F7) — file owners only.
-    fn do_add_owner(
-        &mut self,
-        enclave: &SegShareEnclave,
-        user: &UserId,
-        path: &str,
-        group: &str,
-    ) -> Result<Vec<Response>, SegShareError> {
-        let path = resolve_path(enclave, path)?;
-        let group = parse_perm_group(group)?;
-        if !enclave.access().is_file_owner(user, &path)? {
-            return Err(deny(format!(
-                "only file owners may extend ownership of {path}"
-            )));
-        }
-        let mut acl = enclave
-            .access()
-            .acl(&path)?
-            .ok_or_else(|| not_found(format!("nothing at {path}")))?;
-        acl.add_owner(group);
-        enclave.access().save_acl(&path, &acl)?;
-        Ok(vec![Response::Ok])
-    }
+    let mut acl = enclave
+        .access()
+        .acl(&path)?
+        .ok_or_else(|| not_found(format!("nothing at {path}")))?;
+    edit(&mut acl, operand)?;
+    enclave.access().save_acl(&path, &acl)?;
+    Ok(vec![Response::Ok])
 }
 
 fn parse_path(s: &str) -> Result<SegPath, SegShareError> {
@@ -914,46 +881,7 @@ fn audit_and_commit(
 ) -> Result<Vec<Response>, SegShareError> {
     note_outcome(record, &result);
     let (appended, sealed) = enclave.audit_request_sealed(&RequestRecord { op, ..*record });
-    finish_batch(enclave, guard, sealed, appended.and(result))
-}
-
-/// Completes a request's batch commit window: waits for the group
-/// commit to make the sealed frame durable, then releases the commit
-/// mutex. In whole-FS rollback mode the wait (and the deferred §V-E
-/// counter increments inside it) happens *under* the guard, so the
-/// counters can never run more than one batch ahead of the durable
-/// records; otherwise the guard drops first so concurrent sessions'
-/// seals coalesce into shared group-commit fsyncs. A durability error
-/// outranks a successful dispatch but never masks an earlier error.
-fn finish_batch(
-    enclave: &SegShareEnclave,
-    guard: Option<MutexGuard<'_, ()>>,
-    sealed: Result<Vec<CommitTicket>, SegShareError>,
-    result: Result<Vec<Response>, SegShareError>,
-) -> Result<Vec<Response>, SegShareError> {
-    let durable = match (guard, sealed) {
-        // No window was opened: nothing was sealed, nothing to wait for
-        // (but a seal error still fails the request).
-        (None, sealed) => sealed.map(|_| ()),
-        (Some(guard), Err(seal_err)) => {
-            drop(guard);
-            Err(seal_err)
-        }
-        (Some(guard), Ok(tickets)) => {
-            if enclave.config().rollback_whole_fs {
-                let wait = enclave.batch_wait(tickets);
-                drop(guard);
-                wait
-            } else {
-                drop(guard);
-                enclave.batch_wait(tickets)
-            }
-        }
-    };
-    match durable {
-        Ok(()) => result,
-        Err(err) => result.and(Err(err)),
-    }
+    enclave.batch_finish(guard, sealed, appended.and(result))
 }
 
 /// Lock requests for everything stored at `path` (dirfile or content
@@ -1158,6 +1086,7 @@ mod tests {
             std::sync::Arc::new(seg_store::MemStore::new()),
             std::sync::Arc::new(seg_store::MemStore::new()),
             std::sync::Arc::new(seg_store::MemStore::new()),
+            None,
         )
         .unwrap();
         assert!(enclave.new_session().is_err(), "no server certificate yet");

@@ -1167,19 +1167,8 @@ impl TrustedStore {
         }
         // `cur` is the tree root and `top` its record, from the store.
         if self.config.rollback_whole_fs {
-            // Without a cache the root is fetched a second time, as it
-            // always was (store-op counts with `cache: false` are
-            // pinned). The counter must be read off the very record the
-            // chain was checked against, so a second copy that differs
-            // is a rollback, not a choice.
-            if self.cache.is_none() {
-                let again = self
-                    .store_hash_record(&cur)?
-                    .ok_or_else(|| integrity(&cur, "missing root hash record"))?;
-                if again != top.rec {
-                    return Err(integrity(&cur, "root hash record changed during the walk"));
-                }
-            }
+            // The counter is read off the very record the chain was
+            // just checked against.
             let cid = counter_id(cur.store());
             let hw = self.sgx.counter(cid).read();
             // A record exactly one ahead is legitimate while its batch's
@@ -2495,12 +2484,21 @@ mod tests {
     }
 
     const PINNED_CACHE_OFF: [u64; 3] = [13, 13, 6];
-    const PINNED_CACHE_OFF_WHOLE_FS: [u64; 3] = [14, 14, 7];
+    /// Was `[14, 14, 7]` until PR 19: with `cache` off a whole-FS walk
+    /// fetched the root record a second time before reading its
+    /// counter. The re-read detected nothing — the counter comes off the
+    /// record the chain was checked against, and a store that answers
+    /// the second get differently gains nothing the first answer did not
+    /// already decide — so cache-off and cache-on walks are now one code
+    /// path and a read costs what it costs without §V-E. The put keeps
+    /// its seventh get: that one is `bump_root_counter` fetching the
+    /// root record it re-issues under the new counter value, not a walk.
+    const PINNED_CACHE_OFF_WHOLE_FS: [u64; 3] = [13, 13, 7];
 
     #[test]
     fn walk_store_reads_without_the_cache_are_pinned() {
-        // Counted at the parent commit (PR 12) with this same scenario:
-        // `cache: false` must stay count-identical.
+        // Counted at PR 12 with this same scenario: `cache: false` must
+        // stay count-identical.
         assert_eq!(walk_costs(EnclaveConfig::default()), PINNED_CACHE_OFF);
         assert_eq!(
             walk_costs(EnclaveConfig {

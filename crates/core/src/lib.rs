@@ -82,11 +82,14 @@ pub mod config;
 pub mod enclave;
 pub mod error;
 pub mod server;
+pub mod telemetry;
 pub mod untrusted;
 
 pub use client::Client;
 pub use config::EnclaveConfig;
 pub use enclave::audit::{AuditLog, AuditRecord};
-pub use enclave::health::{HealthState, ScrubCheck, ScrubReport};
+pub use enclave::health::{ScrubCheck, ScrubReport};
 pub use error::SegShareError;
 pub use server::{wal_views, EnrolledUser, FsoSetup, HealthOptions, SegShareServer};
+pub use telemetry::health::HealthState;
+pub use telemetry::Telemetry;

@@ -20,6 +20,7 @@ use crate::client::Client;
 use crate::config::EnclaveConfig;
 use crate::enclave::SegShareEnclave;
 use crate::error::SegShareError;
+use crate::telemetry::Telemetry;
 use crate::untrusted::ReactorDispatcher;
 
 /// Certificate validity horizon used by [`FsoSetup`] (logical seconds).
@@ -203,29 +204,43 @@ impl FsoSetup {
     /// Launches the enclave and performs the §IV-A setup phase: remote
     /// attestation (quote verification against the *expected*
     /// measurement for this CA and configuration), CSR exchange, and
-    /// server-certificate installation.
+    /// server-certificate installation. The result has no host around
+    /// it — no front end and no record sink; [`FsoSetup::server`] adds
+    /// both.
+    ///
+    /// # Errors
+    ///
+    /// Fails if attestation or certification fails.
+    pub fn enclave(&self) -> Result<Arc<SegShareEnclave>, SegShareError> {
+        self.launch_certified(&self.platform, None)
+    }
+
+    /// A running server: [`FsoSetup::enclave`] plus its untrusted host,
+    /// whose telemetry is attached as the enclave's record sink.
     ///
     /// # Errors
     ///
     /// Fails if attestation or certification fails.
     pub fn server(&self) -> Result<SegShareServer, SegShareError> {
+        Ok(SegShareServer::new(self.enclave()?))
+    }
+
+    /// Launches on `platform` — as a replica when handed a root key —
+    /// then attests and certifies what it launched.
+    fn launch_certified(
+        &self,
+        platform: &Platform,
+        root_key: Option<[u8; 32]>,
+    ) -> Result<Arc<SegShareEnclave>, SegShareError> {
         let enclave = SegShareEnclave::launch(
-            &self.platform,
+            platform,
             self.config,
             self.ca.public_key(),
             Arc::clone(&self.content),
             Arc::clone(&self.group),
             Arc::clone(&self.dedup),
+            root_key,
         )?;
-        self.certify(&enclave, &self.platform)?;
-        Ok(SegShareServer::new(enclave))
-    }
-
-    fn certify(
-        &self,
-        enclave: &Arc<SegShareEnclave>,
-        platform: &Platform,
-    ) -> Result<(), SegShareError> {
         let (csr, quote) = enclave.certification_request("segshare");
         // "if the CA receives the expected measurement, it is assured to
         // communicate with an enclave that was built specifically for
@@ -245,7 +260,8 @@ impl FsoSetup {
             ));
         }
         let cert = self.ca.issue_server_from_csr(&csr, 0, VALIDITY_END)?;
-        enclave.install_certificate(cert)
+        enclave.install_certificate(cert)?;
+        Ok(enclave)
     }
 
     /// Launches a *replica* server on `replica_platform` against the
@@ -270,16 +286,7 @@ impl FsoSetup {
         let root_key = source
             .enclave
             .export_root_key(&quote, &replica_platform.attestation_public_key())?;
-        let enclave = SegShareEnclave::launch_with_root_key(
-            replica_platform,
-            self.config,
-            self.ca.public_key(),
-            Arc::clone(&self.content),
-            Arc::clone(&self.group),
-            Arc::clone(&self.dedup),
-            root_key,
-        )?;
-        self.certify(&enclave, replica_platform)?;
+        let enclave = self.launch_certified(replica_platform, Some(root_key))?;
         Ok(SegShareServer::new(enclave))
     }
 
@@ -322,7 +329,7 @@ impl FsoSetup {
 
 /// Options for the background health runner
 /// ([`SegShareServer::start_health`]).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct HealthOptions {
     /// An enrolled user reserved for the synthetic canary. When set,
     /// the runner probes the full loopback request path (TLS
@@ -345,16 +352,6 @@ impl Default for HealthOptions {
     }
 }
 
-impl std::fmt::Debug for HealthOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HealthOptions")
-            .field("canary", &self.canary.is_some())
-            .field("tick_us", &self.tick_us)
-            .field("canary_interval_us", &self.canary_interval_us)
-            .finish()
-    }
-}
-
 /// The background health thread: stop flag plus join handle.
 struct HealthRunner {
     stop: Arc<AtomicBool>,
@@ -370,6 +367,9 @@ struct FrontEndState {
 /// A running SeGShare server: the enclave plus its untrusted host.
 pub struct SegShareServer {
     enclave: Arc<SegShareEnclave>,
+    /// Every telemetry consumer, attached to the enclave as its record
+    /// sink.
+    telemetry: Arc<Telemetry>,
     health_runner: Mutex<Option<HealthRunner>>,
     front_end: Mutex<FrontEndState>,
 }
@@ -385,6 +385,7 @@ impl std::fmt::Debug for SegShareServer {
 impl SegShareServer {
     fn new(enclave: Arc<SegShareEnclave>) -> SegShareServer {
         SegShareServer {
+            telemetry: Telemetry::attach(&enclave),
             enclave,
             health_runner: Mutex::new(None),
             front_end: Mutex::new(FrontEndState {
@@ -400,13 +401,24 @@ impl SegShareServer {
         &self.enclave
     }
 
+    /// The host-side telemetry owner: the meter, the health state, the
+    /// stall watchdog with its stored dump
+    /// (`telemetry().watch().last_dump()`) and the slow log. What only
+    /// the enclave can answer — `trace_tail`, `profile_snapshot` — is
+    /// pulled through [`enclave`](Self::enclave).
+    #[must_use]
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
     /// A unified telemetry snapshot: per-operation request counts and
-    /// latency quantiles, boundary crossings, EPC usage, and per-store
-    /// I/O — the enclave's declassification point for aggregates (see
-    /// [`SegShareEnclave::metrics_snapshot`]).
+    /// latency quantiles from the enclave's registry, merged with the
+    /// families the host owns — boundary crossings, EPC usage,
+    /// per-store I/O, the front end, health and meter (see
+    /// [`Telemetry::metrics_snapshot`]).
     #[must_use]
     pub fn metrics_snapshot(&self) -> seg_obs::Snapshot {
-        self.enclave.metrics_snapshot()
+        self.telemetry.metrics_snapshot()
     }
 
     /// Every telemetry consumer's view at one instant, as one JSON
@@ -414,21 +426,18 @@ impl SegShareServer {
     /// `flight`, `trace_tail`, `slow_requests`, `profile`, `health` and
     /// `meter` — the same bundle the stall watchdog stores when a
     /// request exceeds [`EnclaveConfig::watch_deadline_us`] (read that
-    /// one back with `enclave().watch().last_dump()`). Aggregate
-    /// numbers and keyed fingerprints only (see
-    /// [`SegShareEnclave::report`]); everything narrower —
-    /// `trace_tail`, `slow_requests`, `profile_snapshot`, the meter,
-    /// the health state — is reached through
-    /// [`enclave`](Self::enclave).
+    /// one back with `telemetry().watch().last_dump()`). Aggregate
+    /// numbers and keyed fingerprints only (see [`Telemetry::report`]).
     #[must_use]
     pub fn report(&self) -> String {
-        self.enclave.report()
+        self.telemetry.report()
     }
 
     /// The one runtime telemetry switch (see
-    /// [`SegShareEnclave::set_telemetry`]): off, no request record is
-    /// consumed and the health runner's tick, scrubber and canary are
-    /// inert. On by default; benchmarks toggle it to price telemetry.
+    /// [`SegShareEnclave::set_telemetry`]): off, no request record
+    /// leaves the enclave and the health runner's tick, scrubber and
+    /// canary are inert. On by default; benchmarks toggle it to price
+    /// telemetry.
     pub fn set_telemetry(&self, on: bool) {
         self.enclave.set_telemetry(on);
     }
@@ -450,10 +459,12 @@ impl SegShareServer {
         }
         let stop = Arc::new(AtomicBool::new(false));
         let enclave = Arc::clone(&self.enclave);
+        let telemetry = Arc::clone(&self.telemetry);
         let flag = Arc::clone(&stop);
         let canary = opts.canary.take().map(|user| (self.reactor(), user));
-        let handle =
-            std::thread::spawn(move || run_health_loop(&enclave, canary.as_ref(), &opts, &flag));
+        let handle = std::thread::spawn(move || {
+            run_health_loop(&enclave, &telemetry, canary.as_ref(), &opts, &flag);
+        });
         *slot = Some(HealthRunner { stop, handle });
     }
 
@@ -508,21 +519,20 @@ impl SegShareServer {
     }
 
     /// The running reactor front end, started on first use: the
-    /// dispatcher is wired to this enclave, the net meter is shared
-    /// with the watch plane, and the reactor's gauges are published to
-    /// the metrics exporter.
+    /// dispatcher is wired to this enclave, and the reactor's gauges
+    /// and the dispatcher's in-flight count are lent to the metrics
+    /// exporter.
     pub fn reactor(&self) -> Arc<ReactorHandle> {
         let mut fe = self.front_end.lock();
         if let Some(handle) = &fe.reactor {
             return Arc::clone(handle);
         }
-        let mut cfg = fe.cfg.clone().unwrap_or_default();
-        cfg.net_meter = Some(Arc::clone(self.enclave.watch().net_meter()));
+        let cfg = fe.cfg.clone().unwrap_or_default();
         let dispatcher = Arc::new(ReactorDispatcher::new(Arc::clone(&self.enclave)));
+        let in_flight = Arc::clone(&dispatcher.in_flight);
         let handle = Arc::new(ReactorHandle::start(cfg, dispatcher));
-        self.enclave
-            .watch()
-            .set_reactor_stats(Arc::clone(handle.stats()));
+        self.telemetry
+            .front_end_started(Arc::clone(handle.stats()), in_flight);
         fe.reactor = Some(Arc::clone(&handle));
         handle
     }
@@ -602,7 +612,8 @@ pub fn wal_views(
 
 /// The health runner's thread body: tick, scrub, probe, sleep.
 fn run_health_loop(
-    enclave: &Arc<SegShareEnclave>,
+    enclave: &SegShareEnclave,
+    telemetry: &Telemetry,
     canary: Option<&(Arc<ReactorHandle>, EnrolledUser)>,
     opts: &HealthOptions,
     stop: &AtomicBool,
@@ -611,9 +622,9 @@ fn run_health_loop(
     let mut last_probe = 0u64;
     let mut seq = 0u64;
     while !stop.load(Ordering::Relaxed) {
-        let _ = enclave.health_tick();
+        let _ = telemetry.health_tick();
         if let Some((reactor, user)) = canary {
-            let now = enclave.health().monitor().now_us();
+            let now = telemetry.health().monitor().now_us();
             if enclave.telemetry_enabled()
                 && (last_probe == 0 || now.saturating_sub(last_probe) >= opts.canary_interval_us)
             {
@@ -622,7 +633,7 @@ fn run_health_loop(
                 let started = std::time::Instant::now();
                 let ok = canary_probe(&mut client, reactor, user, seq);
                 let latency_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                enclave.health().canary_result(ok, latency_us);
+                telemetry.health().canary_result(ok, latency_us);
             }
         }
         std::thread::sleep(std::time::Duration::from_micros(opts.tick_us.max(1)));

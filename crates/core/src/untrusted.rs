@@ -8,9 +8,9 @@
 //! [`ReactorDispatcher`] implements [`seg_net::reactor::FrameHandler`]
 //! by owning one [`EnclaveSession`] per reactor connection: one
 //! `handle_frame` ecall per inbound frame, then draining
-//! `next_outgoing`. It also feeds the watch plane: live-session and
-//! in-flight gauges and the `seg_connection_*` counters tick from
-//! here (the shared net meter is charged by the reactor itself).
+//! `next_outgoing`. The only number it keeps is how many frames are
+//! inside the enclave right now; connections, frames and bytes are the
+//! reactor's to count ([`seg_net::reactor::ReactorStats`]).
 //!
 //! Two invariants carry the whole design:
 //!
@@ -31,6 +31,7 @@
 //! outbound queue falls below its low-water mark.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use seg_net::reactor::{ConnId, FrameHandler, FrameOutcome};
@@ -60,6 +61,9 @@ struct Slot {
 pub struct ReactorDispatcher {
     enclave: Arc<SegShareEnclave>,
     slots: Mutex<HashMap<ConnId, Arc<Mutex<Slot>>>>,
+    /// Frames currently inside the enclave across all sessions
+    /// (`handle_frame` ecalls in progress): the in-flight gauge.
+    pub(crate) in_flight: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for ReactorDispatcher {
@@ -77,6 +81,7 @@ impl ReactorDispatcher {
         ReactorDispatcher {
             enclave,
             slots: Mutex::new(HashMap::new()),
+            in_flight: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -109,17 +114,6 @@ impl ReactorDispatcher {
         }
         true
     }
-
-    fn charge_out(&self, frames: &[Vec<u8>]) {
-        if frames.is_empty() {
-            return;
-        }
-        let obs = self.enclave.obs();
-        obs.counter_with("seg_connection_frames_total", vec![("dir", "out")])
-            .add(frames.len() as u64);
-        obs.counter_with("seg_connection_bytes_total", vec![("dir", "out")])
-            .add(frames.iter().map(|f| f.len() as u64).sum());
-    }
 }
 
 impl FrameHandler for ReactorDispatcher {
@@ -127,8 +121,6 @@ impl FrameHandler for ReactorDispatcher {
         let Ok(session) = self.enclave.new_session() else {
             return false;
         };
-        self.enclave.watch().session_started();
-        self.enclave.obs().counter("seg_connections_total").inc();
         self.slots.lock().unwrap().insert(
             conn,
             Arc::new(Mutex::new(Slot {
@@ -153,20 +145,13 @@ impl FrameHandler for ReactorDispatcher {
                 ..FrameOutcome::default()
             };
         }
-        let watch = self.enclave.watch();
-        let obs = self.enclave.obs();
-        obs.counter_with("seg_connection_frames_total", vec![("dir", "in")])
-            .inc();
-        obs.counter_with("seg_connection_bytes_total", vec![("dir", "in")])
-            .add(frame.len() as u64);
-
-        watch.request_started();
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
         let handled = self
             .enclave
             .sgx()
             .boundary()
             .ecall(|| slot.session.handle_frame(&self.enclave, &frame));
-        watch.request_ended();
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
         if handled.is_err() {
             // Session-fatal: nothing more is sent, the connection closes.
             slot.dead = true;
@@ -178,7 +163,6 @@ impl FrameHandler for ReactorDispatcher {
 
         let mut frames = Vec::new();
         let ok = self.drain_outgoing(&mut slot, &mut frames);
-        self.charge_out(&frames);
         FrameOutcome {
             frames,
             established: slot.session.user().is_some(),
@@ -197,7 +181,6 @@ impl FrameHandler for ReactorDispatcher {
         }
         let mut frames = Vec::new();
         let ok = self.drain_outgoing(&mut slot, &mut frames);
-        self.charge_out(&frames);
         FrameOutcome {
             frames,
             more: ok && slot.session.download_active(),
@@ -207,12 +190,6 @@ impl FrameHandler for ReactorDispatcher {
     }
 
     fn on_close(&self, conn: ConnId) {
-        if self.slots.lock().unwrap().remove(&conn).is_some() {
-            self.enclave.watch().session_ended();
-        }
-    }
-
-    fn on_shed(&self) {
-        self.enclave.watch().connection_shed();
+        self.slots.lock().unwrap().remove(&conn);
     }
 }

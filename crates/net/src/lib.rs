@@ -26,7 +26,6 @@ pub use tcp::TcpTransport;
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -150,104 +149,6 @@ impl Drop for ChannelTransport {
 /// draining its receive window.
 pub const DEFAULT_SEND_STALL: Duration = Duration::from_millis(20);
 
-/// Aggregate saturation accounting shared by every connection of one
-/// reactor (handed in as [`reactor::ReactorConfig::net_meter`]).
-///
-/// All fields are plain monotonic or high-water atomics; the values are
-/// byte *counts* and *durations* only — never frame contents — so the
-/// meter can safely be read from the untrusted side.
-#[derive(Debug, Default)]
-pub struct NetMeter {
-    queued_bytes: AtomicU64,
-    sent_bytes: AtomicU64,
-    send_stalls: AtomicU64,
-    send_stall_ns: AtomicU64,
-    /// Wall-clock µs of the last completed send (0 = never). Lets an
-    /// observer distinguish "no traffic because idle" from "no traffic
-    /// because wedged" without watching the counters over time.
-    last_send_us: AtomicU64,
-}
-
-/// Wall-clock microseconds (the meter's idle-tracking time base; the
-/// meter outlives any single connection, so a steady external clock
-/// beats a per-instance epoch).
-fn wall_us() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_micros().min(u64::MAX as u128) as u64)
-}
-
-impl NetMeter {
-    /// Creates an idle meter.
-    #[must_use]
-    pub fn new() -> NetMeter {
-        NetMeter::default()
-    }
-
-    /// Bytes handed to `send_frame` calls that have not yet completed,
-    /// summed across all connections sharing the meter. A persistently
-    /// nonzero value means some client is not draining.
-    #[must_use]
-    pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total frame bytes successfully sent.
-    #[must_use]
-    pub fn sent_bytes(&self) -> u64 {
-        self.sent_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Number of sends that blocked at least the stall threshold.
-    #[must_use]
-    pub fn send_stalls(&self) -> u64 {
-        self.send_stalls.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds spent inside stalled sends.
-    #[must_use]
-    pub fn send_stall_ns(&self) -> u64 {
-        self.send_stall_ns.load(Ordering::Relaxed)
-    }
-
-    /// Microseconds since the last completed send, or 0 if the meter
-    /// has never seen one. A large value alongside live sessions and
-    /// queued bytes reads "wedged", not "idle".
-    #[must_use]
-    pub fn idle_us(&self) -> u64 {
-        match self.last_send_us.load(Ordering::Relaxed) {
-            0 => 0,
-            last => wall_us().saturating_sub(last),
-        }
-    }
-
-    /// Bytes entered an outbound queue.
-    pub(crate) fn charge_queued(&self, len: u64) {
-        self.queued_bytes.fetch_add(len, Ordering::Relaxed);
-    }
-
-    /// Bytes finished their journey to a peer.
-    pub(crate) fn charge_sent(&self, len: u64) {
-        self.queued_bytes.fetch_sub(len, Ordering::Relaxed);
-        self.sent_bytes.fetch_add(len, Ordering::Relaxed);
-        self.last_send_us.store(wall_us(), Ordering::Relaxed);
-    }
-
-    /// Queued bytes were dropped unsent (connection closed).
-    pub(crate) fn charge_queued_gone(&self, len: u64) {
-        self.queued_bytes.fetch_sub(len, Ordering::Relaxed);
-    }
-
-    /// A write sat blocked on peer backpressure for `blocked`.
-    pub(crate) fn charge_stall(&self, blocked: Duration) {
-        self.send_stalls.fetch_add(1, Ordering::Relaxed);
-        self.send_stall_ns.fetch_add(
-            blocked.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,19 +203,17 @@ mod tests {
         }
     }
 
-    fn metered_reactor() -> (ReactorHandle, Arc<NetMeter>) {
-        let meter = Arc::new(NetMeter::new());
+    fn burst_reactor() -> ReactorHandle {
         let cfg = ReactorConfig {
             workers: 2,
             idle_timeout: Duration::ZERO,
             virtual_depth: BURST_DEPTH,
-            net_meter: Some(Arc::clone(&meter)),
             ..ReactorConfig::default()
         };
-        (ReactorHandle::start(cfg, Arc::new(Echo)), meter)
+        ReactorHandle::start(cfg, Arc::new(Echo))
     }
 
-    /// The meter is charged just after the peer's queue push; wait out
+    /// The stats are charged just after the peer's queue push; wait out
     /// that last sliver.
     fn wait_for(what: &str, cond: impl Fn() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -325,48 +224,51 @@ mod tests {
     }
 
     #[test]
-    fn net_meter_counts_sent_bytes_and_passes_frames() {
-        let (reactor, meter) = metered_reactor();
+    fn reactor_stats_count_sent_bytes_and_pass_frames() {
+        let reactor = burst_reactor();
+        let stats = reactor.stats();
         let mut t = reactor.connect_virtual().unwrap();
         t.send_frame(b"hello").unwrap();
         assert_eq!(t.recv_frame().unwrap(), b"hello");
-        wait_for("the echo to be charged", || meter.sent_bytes() == 5);
-        assert_eq!(meter.queued_bytes(), 0, "nothing queued after delivery");
-        assert_eq!(meter.send_stalls(), 0);
+        wait_for("the echo to be charged", || stats.bytes_out_total() == 5);
+        assert_eq!(stats.outq_bytes(), 0, "nothing queued after delivery");
+        assert_eq!(stats.send_stalls_total(), 0);
     }
 
     #[test]
     fn blocked_send_is_detected_as_a_client_stall() {
-        let (reactor, meter) = metered_reactor();
+        let reactor = burst_reactor();
+        let stats = reactor.stats();
         let mut t = reactor.connect_virtual().unwrap();
         // The reply overflows the peer's bounded queue by one frame, which
         // stays queued in the reactor until the (slow) reader drains.
         t.send_frame(b"burst").unwrap();
         wait_for("the queue to fill", || {
-            meter.sent_bytes() == (BURST_DEPTH * 4) as u64
+            stats.bytes_out_total() == (BURST_DEPTH * 4) as u64
         });
-        assert_eq!(meter.queued_bytes(), 4, "the overflow frame is waiting");
+        assert_eq!(stats.outq_bytes(), 4, "the overflow frame is waiting");
         std::thread::sleep(DEFAULT_SEND_STALL + Duration::from_millis(10));
         for _ in 0..=BURST_DEPTH {
             assert_eq!(t.recv_frame().unwrap(), b"fill");
         }
-        wait_for("the stall to be charged", || meter.send_stalls() == 1);
-        assert!(u128::from(meter.send_stall_ns()) >= DEFAULT_SEND_STALL.as_nanos());
-        assert_eq!(meter.sent_bytes(), ((BURST_DEPTH + 1) * 4) as u64);
-        assert_eq!(meter.queued_bytes(), 0);
+        wait_for("the stall to be charged", || stats.send_stalls_total() == 1);
+        assert!(u128::from(stats.send_stall_ns_total()) >= DEFAULT_SEND_STALL.as_nanos());
+        assert_eq!(stats.bytes_out_total(), ((BURST_DEPTH + 1) * 4) as u64);
+        assert_eq!(stats.outq_bytes(), 0);
     }
 
     #[test]
     fn idle_tracking_follows_sends() {
-        let (reactor, meter) = metered_reactor();
+        let reactor = burst_reactor();
+        let stats = reactor.stats();
         let mut t = reactor.connect_virtual().unwrap();
-        assert_eq!(meter.idle_us(), 0, "never-used meter reads 0, not huge");
+        assert_eq!(stats.idle_us(), 0, "before any send it reads 0, not huge");
         t.send_frame(b"tick").unwrap();
         assert_eq!(t.recv_frame().unwrap(), b"tick");
-        wait_for("the echo to be charged", || meter.sent_bytes() == 4);
-        assert!(meter.idle_us() < 1_000_000, "just sent: near-zero idle");
+        wait_for("the echo to be charged", || stats.bytes_out_total() == 4);
+        assert!(stats.idle_us() < 1_000_000, "just sent: near-zero idle");
         std::thread::sleep(Duration::from_millis(10));
-        assert!(meter.idle_us() >= 10_000, "idle grows while nothing sends");
+        assert!(stats.idle_us() >= 10_000, "idle grows while nothing sends");
     }
 
     #[test]

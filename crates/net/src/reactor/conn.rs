@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use super::ConnId;
@@ -56,8 +56,10 @@ impl ConnState {
 }
 
 /// Aggregate reactor statistics: per-state connection gauges plus
-/// monotonic lifecycle and traffic counters. All plain atomics — safe
-/// to read from any thread, and exported as the `seg_net_*` families.
+/// monotonic lifecycle and traffic counters — the one accounting of
+/// every connection and outbound byte. All plain atomics — safe to read
+/// from any thread, and exported as the `seg_net_*` families; byte
+/// *counts* and *durations* only, never frame contents.
 #[derive(Debug, Default)]
 pub struct ReactorStats {
     state_gauges: [AtomicU64; 5],
@@ -73,6 +75,12 @@ pub struct ReactorStats {
     outq_highwater: AtomicU64,
     pub(super) dispatch_depth: AtomicU64,
     pub(super) protocol_errors: AtomicU64,
+    pub(super) send_stalls: AtomicU64,
+    pub(super) send_stall_ns: AtomicU64,
+    /// µs since `epoch` (the first send) of the last completed send,
+    /// stored +1 so that 0 means never.
+    last_send_us: AtomicU64,
+    epoch: OnceLock<Instant>,
 }
 
 impl ReactorStats {
@@ -164,6 +172,39 @@ impl ReactorStats {
     #[must_use]
     pub fn protocol_errors_total(&self) -> u64 {
         self.protocol_errors.load(Ordering::Relaxed)
+    }
+
+    /// Sends that sat blocked on a peer for at least
+    /// [`DEFAULT_SEND_STALL`](crate::DEFAULT_SEND_STALL).
+    #[must_use]
+    pub fn send_stalls_total(&self) -> u64 {
+        self.send_stalls.load(Ordering::Relaxed)
+    }
+
+    /// Total nanoseconds spent inside stalled sends.
+    #[must_use]
+    pub fn send_stall_ns_total(&self) -> u64 {
+        self.send_stall_ns.load(Ordering::Relaxed)
+    }
+
+    /// Microseconds since the last completed send, or 0 before the
+    /// first. A large value alongside live connections and queued bytes
+    /// reads "wedged", not "idle".
+    #[must_use]
+    pub fn idle_us(&self) -> u64 {
+        match self.last_send_us.load(Ordering::Relaxed) {
+            0 => 0,
+            last => self.now_us().saturating_sub(last),
+        }
+    }
+
+    fn now_us(&self) -> u64 {
+        let since = self.epoch.get_or_init(Instant::now).elapsed();
+        since.as_micros().min(u64::MAX as u128) as u64 + 1
+    }
+
+    pub(super) fn stamp_send(&self) {
+        self.last_send_us.store(self.now_us(), Ordering::Relaxed);
     }
 
     pub(super) fn enter(&self, state: ConnState) {

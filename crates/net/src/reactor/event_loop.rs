@@ -332,7 +332,6 @@ impl EventLoop {
         let inner = &self.inner;
         if inner.conn_count.load(Ordering::Relaxed) >= inner.cfg.max_conns {
             inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-            inner.handler.on_shed();
             return; // dropped: shed at the cap
         }
         if stream.set_nonblocking(true).is_err() {

@@ -45,7 +45,7 @@ use conn::{CloseMode, Conn, Inbound, Sink};
 use event_loop::{build_driver, EventLoop, Intake, Note, Waker, WAKE_TOKEN};
 use worker::worker_loop;
 
-use crate::{NetError, NetMeter, DEFAULT_SEND_STALL};
+use crate::{NetError, DEFAULT_SEND_STALL};
 
 pub use conn::{ConnState, ReactorStats, CONN_STATE_LABELS};
 pub use sys::EPOLL_AVAILABLE;
@@ -105,16 +105,12 @@ pub trait FrameHandler: Send + Sync + 'static {
     fn on_close(&self, conn: ConnId) {
         let _ = conn;
     }
-
-    /// A connection was refused before `on_open` because the reactor is
-    /// at its connection cap.
-    fn on_shed(&self) {}
 }
 
 /// Reactor tuning. The defaults suit the TCP example and tests; the
 /// perf gate and `OPERATIONS.md` discuss how each knob trades memory
 /// for throughput.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Worker threads running enclave work (the saturation knob).
     pub workers: usize,
@@ -132,8 +128,6 @@ pub struct ReactorConfig {
     /// Frames buffered toward an in-process virtual peer before its
     /// reader backpressures the reactor.
     pub virtual_depth: usize,
-    /// Saturation meter charged for every outbound byte.
-    pub net_meter: Option<Arc<NetMeter>>,
 }
 
 impl Default for ReactorConfig {
@@ -147,18 +141,7 @@ impl Default for ReactorConfig {
             outbound_bytes: 1 << 20,
             idle_timeout: Duration::from_secs(300),
             virtual_depth: 64,
-            net_meter: None,
         }
-    }
-}
-
-impl std::fmt::Debug for ReactorConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReactorConfig")
-            .field("workers", &self.workers)
-            .field("max_conns", &self.max_conns)
-            .field("idle_timeout", &self.idle_timeout)
-            .finish()
     }
 }
 
@@ -261,16 +244,6 @@ impl Inner {
         self.schedule(conn);
     }
 
-    /// Charges an outbound enqueue to the stats + meter.
-    fn charge_queued(&self, len: usize) {
-        self.stats
-            .outq_bytes
-            .fetch_add(len as u64, Ordering::Relaxed);
-        if let Some(m) = &self.cfg.net_meter {
-            m.charge_queued(len as u64);
-        }
-    }
-
     /// A frame finished its journey to the peer.
     fn charge_sent(&self, len: usize) {
         self.stats
@@ -280,9 +253,7 @@ impl Inner {
         self.stats
             .bytes_out
             .fetch_add(len as u64, Ordering::Relaxed);
-        if let Some(m) = &self.cfg.net_meter {
-            m.charge_sent(len as u64);
-        }
+        self.stats.stamp_send();
     }
 
     /// Queued bytes evaporated (close with a non-empty queue).
@@ -290,18 +261,20 @@ impl Inner {
         self.stats
             .outq_bytes
             .fetch_sub(len as u64, Ordering::Relaxed);
-        if let Some(m) = &self.cfg.net_meter {
-            m.charge_queued_gone(len as u64);
-        }
     }
 
+    /// A write that sat blocked on peer backpressure since `since` just
+    /// went through (or was given up): a send stall if it took at least
+    /// [`DEFAULT_SEND_STALL`].
     fn note_stall(&self, since: Option<Instant>) {
         let Some(since) = since else { return };
         let blocked = since.elapsed();
         if blocked >= DEFAULT_SEND_STALL {
-            if let Some(m) = &self.cfg.net_meter {
-                m.charge_stall(blocked);
-            }
+            self.stats.send_stalls.fetch_add(1, Ordering::Relaxed);
+            self.stats.send_stall_ns.fetch_add(
+                blocked.as_nanos().min(u64::MAX as u128) as u64,
+                Ordering::Relaxed,
+            );
         }
     }
 }

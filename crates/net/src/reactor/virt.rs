@@ -26,7 +26,6 @@ impl ReactorHandle {
         }
         if inner.conn_count.load(Ordering::Relaxed) >= inner.cfg.max_conns {
             inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-            inner.handler.on_shed();
             return Err(NetError::Io("reactor at connection cap".to_string()));
         }
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);

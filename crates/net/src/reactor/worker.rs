@@ -128,7 +128,8 @@ fn apply(inner: &Arc<Inner>, conn: &Arc<Conn>, outcome: FrameOutcome) {
     if !outcome.frames.is_empty() {
         let mut out = conn.out.lock().unwrap();
         for frame in outcome.frames {
-            inner.charge_queued(frame.len());
+            let len = frame.len() as u64;
+            inner.stats.outq_bytes.fetch_add(len, Ordering::Relaxed);
             out.bytes += frame.len();
             out.frames.push_back(frame);
         }

@@ -37,17 +37,6 @@ impl WanProfile {
         }
     }
 
-    /// A LAN-ish profile (for ablations showing where crossovers move).
-    #[must_use]
-    pub fn lan() -> WanProfile {
-        WanProfile {
-            rtt_s: 0.0005,
-            upload_bps: 10.0e9,
-            download_bps: 10.0e9,
-            per_request_s: 0.001,
-        }
-    }
-
     /// A zero-cost network (isolates processing in ablations).
     #[must_use]
     pub fn free() -> WanProfile {

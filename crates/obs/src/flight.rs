@@ -1,4 +1,4 @@
-//! Flight frames: a bounded in-enclave history of *system state over
+//! Flight frames: a bounded host-side history of *system state over
 //! time*, for post-hoc saturation diagnosis.
 //!
 //! The trace ring ([`crate::TraceRing`]) answers "what did request X
@@ -8,14 +8,15 @@
 //! quantiles and rates rather than cumulative blur.
 //!
 //! The recorder has no clock and takes no snapshot of its own: the
-//! history clock ([`crate::HealthMonitor`]) takes the one
-//! [`crate::Registry::snapshot`] of each tick and hands it in.
+//! history clock ([`crate::HealthMonitor`]) is handed the one merged
+//! snapshot of each tick — the enclave's registry plus the families the
+//! host owns — and passes it on.
 //!
 //! # Trust boundary
 //!
-//! A frame is a difference of two registry snapshots — compiled-in
-//! metric ids, aggregate values — so [`FlightRecorder::dump_json`] is a
-//! declassification point of the same kind as the snapshot itself.
+//! Runs on the untrusted host. A frame is a difference of two
+//! snapshots that already crossed — compiled-in metric ids, aggregate
+//! values.
 
 use std::collections::VecDeque;
 
@@ -111,7 +112,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HealthMonitor, Registry};
+    use crate::{HealthConfig, HealthMonitor, Registry};
 
     /// The `"seq":N` values of a dump, in order.
     fn seqs(json: &str) -> Vec<u64> {
@@ -154,12 +155,16 @@ mod tests {
         // The history clock records one frame per interval, however
         // many request completions ask in between.
         let r = Registry::new();
-        let m = HealthMonitor::new(crate::HealthConfig::default());
-        assert!(m.tick_if_due(&r), "the first tick is always due");
-        assert!(!m.tick_if_due(&r), "inside the interval: no frame");
+        let m = HealthMonitor::new(HealthConfig::default());
+        let snap = || r.snapshot();
+        assert!(m.tick_if_due(snap), "the first tick is always due");
+        assert!(!m.tick_if_due(snap), "inside the interval: no frame");
         assert_eq!(m.frames_total(), 1);
-        m.tick_at(&r, m.now_us() + FLIGHT_INTERVAL_US);
-        assert!(!m.tick_if_due(&r), "an explicit tick restarts the interval");
+        m.tick_at(snap(), m.now_us() + FLIGHT_INTERVAL_US);
+        assert!(
+            !m.tick_if_due(snap),
+            "an explicit tick restarts the interval"
+        );
         assert_eq!(m.frames_total(), 2);
     }
 

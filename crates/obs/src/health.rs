@@ -2,11 +2,12 @@
 //! headline retention, SLO burn-rate evaluation, and the rate-limited
 //! alert ring.
 //!
-//! [`HealthMonitor`] is the telemetry planes' only notion of time. Its
-//! tick — claimed by whichever request completion or background runner
-//! gets there first ([`HealthMonitor::tick_if_due`]) — takes the one
-//! [`Registry::snapshot`] of the interval and records a flight frame
-//! from it ([`crate::flight`], ~16 s of windowed history). On each
+//! [`HealthMonitor`] is the telemetry consumers' only notion of time.
+//! Its tick — claimed by whichever request completion or background
+//! runner gets there first ([`HealthMonitor::tick_if_due`]) — takes the
+//! one metrics [`Snapshot`] of the interval from its caller and records
+//! a flight frame from it ([`crate::flight`], ~16 s of windowed
+//! history). On each
 //! second boundary the same tick rolls the **headline** (requests,
 //! errors, latency digest) into a ring-of-rings — 1 s slots for 10
 //! minutes, 1 min slots for 2 hours, 1 h slots for 2 days, fixed-size
@@ -16,8 +17,8 @@
 //! only when both a fast window (default 5 min) and a slow window
 //! (default 1 h) burn error budget faster than the configured
 //! multiple. Alerts land in a bounded, per-source rate-limited
-//! [`AlertRing`] that the integrity scrubber and canary prober (in
-//! `segshare`) also raise into.
+//! [`AlertRing`] that `segshare`'s host also raises scrub findings and
+//! canary failure runs into.
 //!
 //! Headline and objectives are counted from [`RequestRecord`]s
 //! ([`HealthMonitor::consume`], a handful of relaxed atomic adds), not
@@ -25,10 +26,10 @@
 //!
 //! # Trust boundary
 //!
-//! Everything retained here comes from [`Registry`] snapshots
-//! (compiled-in names, charset-checked label values), from records
-//! (see [`crate::record`]) and from caller-provided keyed fingerprints
-//! in alerts. No request content can enter.
+//! Runs on the untrusted host. Everything retained here comes from
+//! snapshots (compiled-in names, charset-checked label values), from
+//! records (see [`crate::record`]) and from fingerprints the enclave
+//! already handed out. No request content can enter.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +38,7 @@ use std::time::Instant;
 
 use crate::flight::{FlightRecorder, FLIGHT_CAPACITY, FLIGHT_INTERVAL_US};
 use crate::hist;
-use crate::{Histogram, HistogramSummary, Registry, RequestRecord};
+use crate::{Histogram, HistogramSummary, RequestRecord, Snapshot};
 
 /// Per-level retention: (slot length in µs, slots kept).
 const LEVELS: [(u64, usize); 3] = [
@@ -105,8 +106,12 @@ pub struct HealthConfig {
     pub alert_min_interval_us: u64,
 }
 
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
+impl HealthConfig {
+    /// The standard objectives — 99.9 % availability, and 95 % of
+    /// requests within `latency_threshold_ns` — under the default burn
+    /// rule.
+    #[must_use]
+    pub fn with_latency_threshold(latency_threshold_ns: u64) -> HealthConfig {
         HealthConfig {
             objectives: vec![
                 SloObjective {
@@ -117,12 +122,19 @@ impl Default for HealthConfig {
                 SloObjective {
                     name: "latency_p95",
                     target_ppm: 950_000,
-                    latency_threshold_ns: Some(100_000_000),
+                    latency_threshold_ns: Some(latency_threshold_ns),
                 },
             ],
             burn: BurnRule::default(),
             alert_min_interval_us: 60_000_000,
         }
+    }
+}
+
+impl Default for HealthConfig {
+    /// [`HealthConfig::with_latency_threshold`] at 100 ms.
+    fn default() -> HealthConfig {
+        HealthConfig::with_latency_threshold(100_000_000)
     }
 }
 
@@ -332,7 +344,7 @@ struct MonitorInner {
 /// The history clock and everything that advances on it: flight
 /// frames, headline levels, SLO burn-rate states, and the alert ring.
 ///
-/// One instance per enclave. [`HealthMonitor::consume`] and
+/// One instance per server. [`HealthMonitor::consume`] and
 /// [`HealthMonitor::tick_if_due`] are safe to call from every request
 /// completion (relaxed atomics; a time check when no tick is due) and
 /// from a background runner.
@@ -343,7 +355,6 @@ pub struct HealthMonitor {
     inner: Mutex<MonitorInner>,
     alerts: AlertRing,
     last_tick_us: AtomicU64,
-    frames: AtomicU64,
     samples: AtomicU64,
     active_alerts: AtomicU64,
     epoch: Instant,
@@ -378,7 +389,6 @@ impl HealthMonitor {
             }),
             config,
             last_tick_us: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
             samples: AtomicU64::new(0),
             active_alerts: AtomicU64::new(0),
             epoch: Instant::now(),
@@ -406,7 +416,7 @@ impl HealthMonitor {
     /// Flight frames recorded so far (including evicted ones).
     #[must_use]
     pub fn frames_total(&self) -> u64 {
-        self.frames.load(Ordering::Relaxed)
+        self.inner.lock().unwrap().flight.frames_total()
     }
 
     /// Headline rolls (each with an SLO evaluation) so far.
@@ -458,10 +468,11 @@ impl HealthMonitor {
         }
     }
 
-    /// Ticks if a frame interval elapsed since the last tick. Exactly
-    /// one caller wins per interval (compare-and-swap claim); losers
-    /// return after one atomic load. Returns whether this call ticked.
-    pub fn tick_if_due(&self, registry: &Registry) -> bool {
+    /// Ticks if a frame interval elapsed since the last tick, taking
+    /// the interval's snapshot from `snapshot` only then. Exactly one
+    /// caller wins per interval (compare-and-swap claim); losers return
+    /// after one atomic load. Returns whether this call ticked.
+    pub fn tick_if_due(&self, snapshot: impl FnOnce() -> Snapshot) -> bool {
         let now = self.now_us();
         let last = self.last_tick_us.load(Ordering::Relaxed);
         // `last == 0` means never ticked: the first call always wins,
@@ -476,27 +487,25 @@ impl HealthMonitor {
         {
             return false;
         }
-        self.tick(registry, now);
+        self.tick(snapshot(), now);
         true
     }
 
     /// Ticks unconditionally at an explicit time on the history clock:
     /// report assembly (so a bundle always holds the latest window),
     /// and tests driving virtual time through slot boundaries.
-    pub fn tick_at(&self, registry: &Registry, now_us: u64) {
+    pub fn tick_at(&self, snap: Snapshot, now_us: u64) {
         self.last_tick_us.store(now_us.max(1), Ordering::Relaxed);
-        self.tick(registry, now_us.max(1));
+        self.tick(snap, now_us.max(1));
     }
 
-    /// One tick: the interval's one registry snapshot becomes a flight
-    /// frame; on a sample boundary the headline rolls and the SLO rules
-    /// are evaluated.
-    fn tick(&self, registry: &Registry, now_us: u64) {
-        let snap = registry.snapshot();
+    /// One tick: the interval's one snapshot becomes a flight frame; on
+    /// a sample boundary the headline rolls and the SLO rules are
+    /// evaluated.
+    fn tick(&self, snap: Snapshot, now_us: u64) {
         let mut guard = self.inner.lock().unwrap();
         let inner = &mut *guard;
         inner.flight.record(now_us, snap);
-        self.frames.fetch_add(1, Ordering::Relaxed);
         if now_us.saturating_sub(inner.rolled.at_us) < SAMPLE_INTERVAL_US {
             return;
         }
@@ -720,13 +729,12 @@ mod tests {
 
     #[test]
     fn rollups_fill_and_stay_bounded() {
-        let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
         let mut clock = Clock(0);
         // 700 one-second samples: the 1 s level must cap at 600.
         for _ in 0..700 {
             feed(&m, 1, true, 5_000);
-            m.tick_at(&r, clock.tick());
+            m.tick_at(Snapshot::default(), clock.tick());
         }
         assert_eq!(m.samples(), 700);
         assert_eq!(m.frames_total(), 700, "every tick is a flight frame");
@@ -741,13 +749,12 @@ mod tests {
 
     #[test]
     fn headline_counts_requests_and_errors() {
-        let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
         let mut clock = Clock(0);
-        m.tick_at(&r, clock.tick());
+        m.tick_at(Snapshot::default(), clock.tick());
         feed(&m, 7, true, 5_000);
         feed(&m, 3, false, 5_000);
-        m.tick_at(&r, clock.tick());
+        m.tick_at(Snapshot::default(), clock.tick());
         assert_eq!(m.headline(), (10, 3));
         let json = m.history_json();
         assert!(
@@ -758,15 +765,14 @@ mod tests {
 
     #[test]
     fn availability_burn_fires_and_clears() {
-        let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
         let mut clock = Clock(0);
-        m.tick_at(&r, clock.tick());
+        m.tick_at(Snapshot::default(), clock.tick());
         // 50% errors against a 0.1% budget: burn 500× in both windows.
         for _ in 0..3 {
             feed(&m, 5, true, 5_000);
             feed(&m, 5, false, 5_000);
-            m.tick_at(&r, clock.tick());
+            m.tick_at(Snapshot::default(), clock.tick());
         }
         assert!(m.active_alerts() >= 1, "burn alert fires");
         assert!(m.alerts().total() >= 1);
@@ -776,22 +782,21 @@ mod tests {
         // Healthy traffic flushes the (2-sample) slow window: clears.
         for _ in 0..4 {
             feed(&m, 10, true, 5_000);
-            m.tick_at(&r, clock.tick());
+            m.tick_at(Snapshot::default(), clock.tick());
         }
         assert_eq!(m.active_alerts(), 0, "burn clears after recovery");
     }
 
     #[test]
     fn latency_objective_counts_threshold_exceeds() {
-        let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
         let mut clock = Clock(0);
-        m.tick_at(&r, clock.tick());
+        m.tick_at(Snapshot::default(), clock.tick());
         // Sustained slow traffic: both windows must see threshold
         // exceeds (an idle fast window correctly clears the alert).
         for _ in 0..2 {
             feed(&m, 10, true, 50_000_000); // 50 ms >> 1 ms threshold
-            m.tick_at(&r, clock.tick());
+            m.tick_at(Snapshot::default(), clock.tick());
         }
         assert!(
             m.active_alerts() >= 1,
@@ -809,11 +814,10 @@ mod tests {
 
     #[test]
     fn quiet_registry_raises_nothing() {
-        let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
         let mut clock = Clock(0);
         for _ in 0..20 {
-            m.tick_at(&r, clock.tick());
+            m.tick_at(Snapshot::default(), clock.tick());
         }
         assert_eq!(m.active_alerts(), 0);
         assert_eq!(m.alerts().total(), 0);
@@ -859,10 +863,9 @@ mod tests {
     fn sample_if_due_claims_once_per_interval() {
         // Four frames a second, one headline sample: the roll waits for
         // the second boundary of the one clock.
-        let r = Registry::new();
         let m = HealthMonitor::new(quick_config());
         for quarter in 1..=8u64 {
-            m.tick_at(&r, quarter * FLIGHT_INTERVAL_US);
+            m.tick_at(Snapshot::default(), quarter * FLIGHT_INTERVAL_US);
         }
         assert_eq!(m.frames_total(), 8);
         assert_eq!(m.samples(), 2);

@@ -1,30 +1,40 @@
 //! `seg-obs`: zero-dependency telemetry for the SeGShare reproduction.
 //!
-//! A process-wide [`Registry`] of atomic counters, gauges, and
-//! log-bucketed latency [`Histogram`]s with two hand-rolled text
-//! encoders (JSON and Prometheus exposition) over a deterministic
-//! [`Snapshot`], plus the per-request [`RequestRecord`] and its
-//! consumers: the request metric families ([`Registry::consume`]), the
-//! trace ring and slow log ([`trace`]), the phase profiler that fills
-//! the record's phase vector ([`prof`]), the meter ([`meter`]) and the
-//! history clock ([`health`], [`flight`]).
+//! The crate has two halves, told apart by file (`seg_bench::tcb`
+//! counts them on different sides of the enclave boundary).
+//!
+//! **Linked into the enclave:** the [`Registry`] of atomic counters,
+//! gauges and log-bucketed latency [`Histogram`]s, the per-request
+//! [`RequestRecord`] with the [`RecordSink`] it is handed out through
+//! ([`record`]), the trace ring of nested events ([`trace`]) and the
+//! phase profiler that fills the record's phase vector ([`prof`]).
+//!
+//! **Run by the untrusted host:** the pure consumers of records and
+//! snapshots — the meter ([`meter`]) and the history clock with its
+//! flight frames, headline levels, SLO burn rates and alert ring
+//! ([`health`], [`flight`]). Their inputs already crossed the boundary,
+//! so they need no trust: a host that lies in its own meter or alert
+//! ring misleads only itself.
 //!
 //! # Trust-boundary rule
 //!
 //! Telemetry crosses the enclave boundary, so it must carry **no
 //! confidential request content** (paper §III threat model: the cloud
-//! provider observes everything outside the enclave). Concretely:
+//! provider observes everything outside the enclave). Data flows one
+//! way, enclave → host, as four kinds of value:
 //!
-//! - Metric names and label *keys* are `&'static str` — compiled into
-//!   the binary, never derived from requests.
-//! - Label *values* are also `&'static str` and restricted to the
-//!   charset `[a-z0-9_.]` (checked at registration). File paths
-//!   (contain `/`), user ids (arbitrary), and key material (binary)
-//!   are unrepresentable by construction.
-//! - Aggregates (counts, latencies) leave the enclave **only** through
-//!   an explicit snapshot call — a deliberate, documented
-//!   declassification point — never as a side effect of request
-//!   handling.
+//! - [`RequestRecord`] — pushed, one per closed request, through the
+//!   one [`RecordSink`] (see [`record`] for why a record is safe);
+//! - snapshots — pulled; a metric [`Snapshot`]'s names and label *keys*
+//!   are `&'static str`, label *values* too and restricted to the
+//!   charset `[a-z0-9_.]` (checked at registration), so file paths
+//!   (contain `/`), user ids (arbitrary) and key material (binary) are
+//!   unrepresentable by construction; a [`ProfSnapshot`] is compiled-in
+//!   phase paths and aggregate times;
+//! - [`TraceEvent`]s — pulled; interned compiled-in labels and keyed
+//!   fingerprints;
+//! - `segshare`'s `ScrubReport` — pulled; per-check counts and finding
+//!   fingerprints.
 //!
 //! # Naming scheme
 //!
@@ -48,7 +58,7 @@ pub use health::{Alert, AlertRing, BurnRule, HealthConfig, HealthMonitor, SloObj
 pub use hist::{Histogram, HistogramSummary};
 pub use meter::{Meter, MeterAxis, MeterSlot, Rollup, METER_AXES, METER_SLOTS};
 pub use prof::{ProfEntry, ProfSnapshot, Profiler};
-pub use record::{records_json, CostVector, PhaseTime, RequestRecord, PHASES};
+pub use record::{records_json, CostVector, PhaseTime, RecordSink, RequestRecord, PHASES};
 pub use trace::{
     current_request_id, events_json, set_current_request, TraceDecision, TraceEvent, TraceRing,
 };
@@ -136,6 +146,13 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raises the counter to `total` if it is below it: how a mirror
+    /// of a monotonic total kept elsewhere follows it, without
+    /// double-counting when two mirrors race.
+    pub fn advance_to(&self, total: u64) {
+        self.0.fetch_max(total, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -438,6 +455,22 @@ impl Snapshot {
             histograms,
             buckets,
         }
+    }
+
+    /// The union of two snapshots over disjoint metric sets, in id
+    /// order: how the host appends the families it owns to the ones
+    /// pulled from the enclave's registry.
+    #[must_use]
+    pub fn merge(mut self, other: Snapshot) -> Snapshot {
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.histograms.extend(other.histograms);
+        self.buckets.extend(other.buckets);
+        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
+        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
+        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
+        self.buckets.sort_by(|a, b| a.0.cmp(&b.0));
+        self
     }
 
     /// Hand-rolled JSON encoding (no external serializer).

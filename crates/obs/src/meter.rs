@@ -12,7 +12,7 @@
 //! # Bounded memory under adversarial cardinality
 //!
 //! Principals, objects, groups, and prefixes are client-controlled in
-//! number, so exact per-key tables would let an adversary grow enclave
+//! number, so exact per-key tables would let a client grow the host's
 //! memory without bound. Each attribution axis therefore keeps a
 //! **SpaceSaving-style top-K sketch** ([`MeterAxis`]) of at most
 //! [`METER_SLOTS`] tracked keys:
@@ -28,10 +28,10 @@
 //!
 //! # Trust boundary
 //!
-//! Keys are the record's keyed fingerprints, rendered as 16 hex digits;
-//! values are aggregate counts and durations (see [`crate::record`]).
-//! [`Meter::report_json`] is a deliberate, explicit declassification
-//! point, content-free by construction.
+//! Runs on the untrusted host. Keys are the record's keyed
+//! fingerprints, rendered as 16 hex digits; values are aggregate counts
+//! and durations (see [`crate::record`]) — content-free by construction
+//! of the record that crossed.
 
 use std::sync::Mutex;
 

@@ -1,12 +1,14 @@
 //! The per-request record: everything telemetry knows about one
 //! request, assembled once when dispatch ends.
 //!
-//! Every plane of this crate is a *consumer* of [`RequestRecord`] and
-//! of nothing else from the request path: the request metric families
-//! ([`crate::Registry::consume`]), the trace ring and slow log
-//! ([`crate::TraceRing::consume`]), the meter
-//! ([`crate::Meter::consume`]) and the SLO / headline history
-//! ([`crate::HealthMonitor::consume`]).
+//! Inside the enclave a closed record feeds the request metric families
+//! ([`crate::Registry::consume`]) and the trace ring's header event
+//! ([`crate::TraceRing::consume`]); then it leaves through the one
+//! [`RecordSink`] the host attached, and every other plane — the meter
+//! ([`crate::Meter::consume`]), the SLO / headline history
+//! ([`crate::HealthMonitor::consume`]), `segshare`'s slow log and stall
+//! watchdog — is a consumer of that `&RequestRecord` on the untrusted
+//! side and of nothing else from the request path.
 //!
 //! # Trust boundary
 //!
@@ -148,6 +150,14 @@ impl RequestRecord {
             .position(|p| *p == name)
             .map_or_else(PhaseTime::default, |i| self.phases[i])
     }
+}
+
+/// Where closed records leave the enclave: the host implements this and
+/// attaches one instance; the enclave calls it once per request, as an
+/// ocall, and hands nothing else out unasked.
+pub trait RecordSink: Send + Sync {
+    /// Takes one closed request. Runs on the request's worker thread.
+    fn consume(&self, rec: &RequestRecord);
 }
 
 /// JSON array of whole records. Fingerprints are 16 hex digits, labels

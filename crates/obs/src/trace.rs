@@ -23,27 +23,19 @@
 //! reverse a fingerprint, yet an operator can correlate events about
 //! the same (unknown) principal across a trace.
 //!
-//! # Slow-request log
-//!
 //! [`TraceRing::consume`] writes a closed request's header event into
-//! the ring and, when its duration meets the threshold
-//! ([`TraceRing::set_slow_threshold_us`]), keeps the *whole*
-//! [`RequestRecord`] — phase and cost vectors included — in a smaller
-//! sibling log, so a rare outlier stays explainable from one entry long
-//! after the main ring has wrapped past it.
+//! the same ring as the nested events under it; the *whole* record goes
+//! out through the [`crate::RecordSink`], where the host keeps its slow
+//! log.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 use std::time::Instant;
 
 use crate::record::RequestRecord;
 
 /// Default capacity of the main event ring (slots, not bytes).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
-/// Default capacity of the slow-request ring.
-pub const DEFAULT_SLOW_CAPACITY: usize = 256;
 
 /// Hard cap on distinct interned labels; overflow maps to `"?"`.
 const MAX_LABELS: usize = 512;
@@ -239,39 +231,31 @@ fn label_at(table: &[&'static str], idx: u64) -> &'static str {
     table.get(idx as usize).copied().unwrap_or("?")
 }
 
-/// Bounded lock-free buffer of the most recent [`TraceEvent`]s, plus a
-/// sibling slow-request log. Memory use is fixed at construction.
+/// Bounded lock-free buffer of the most recent [`TraceEvent`]s. Memory
+/// use is fixed at construction.
 #[derive(Debug)]
 pub struct TraceRing {
     start: Instant,
     labels: RwLock<Vec<&'static str>>,
     events: RingBuf,
-    /// Slow requests are rare by definition, so a mutex does here.
-    slow: Mutex<VecDeque<RequestRecord>>,
-    slow_capacity: usize,
-    slow_threshold_us: AtomicU64,
     emitted: AtomicU64,
 }
 
 impl Default for TraceRing {
     fn default() -> TraceRing {
-        TraceRing::new(DEFAULT_TRACE_CAPACITY, DEFAULT_SLOW_CAPACITY)
+        TraceRing::new(DEFAULT_TRACE_CAPACITY)
     }
 }
 
 impl TraceRing {
-    /// Creates a ring with the given main and slow-log capacities
-    /// (each clamped to at least 1 slot).
-    pub fn new(capacity: usize, slow_capacity: usize) -> TraceRing {
+    /// Creates a ring of `capacity` slots (at least 1).
+    pub fn new(capacity: usize) -> TraceRing {
         TraceRing {
             start: Instant::now(),
             // Index 0 is the "no label" sentinel so a zeroed slot
             // decodes to "?" rather than a stale label.
             labels: RwLock::new(vec!["?"]),
             events: RingBuf::new(capacity),
-            slow: Mutex::new(VecDeque::new()),
-            slow_capacity: slow_capacity.max(1),
-            slow_threshold_us: AtomicU64::new(0),
             emitted: AtomicU64::new(0),
         }
     }
@@ -279,17 +263,6 @@ impl TraceRing {
     /// Main ring capacity in slots.
     pub fn capacity(&self) -> usize {
         self.events.slots.len()
-    }
-
-    /// Sets the slow-request threshold in microseconds; 0 disables the
-    /// slow log entirely.
-    pub fn set_slow_threshold_us(&self, us: u64) {
-        self.slow_threshold_us.store(us, Ordering::Relaxed);
-    }
-
-    /// Current slow-request threshold in microseconds.
-    pub fn slow_threshold_us(&self) -> u64 {
-        self.slow_threshold_us.load(Ordering::Relaxed)
     }
 
     /// Total events offered to the ring (including later-dropped ones).
@@ -331,8 +304,7 @@ impl TraceRing {
     }
 
     /// Consumes one closed request: its header event goes into the
-    /// ring, and the whole record into the slow log if it took at least
-    /// the threshold.
+    /// ring.
     pub fn consume(&self, rec: &RequestRecord) {
         self.emit(
             rec.request_id,
@@ -343,29 +315,12 @@ impl TraceRing {
             rec.code,
             rec.duration_us(),
         );
-        if rec.slow(self.slow_threshold_us()) {
-            let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
-            if slow.len() == self.slow_capacity {
-                slow.pop_front();
-            }
-            slow.push_back(*rec);
-        }
     }
 
     /// Copies out up to `n` of the newest events, oldest first. This is
     /// a read-only declassification helper: it never blocks writers.
     pub fn tail(&self, n: usize) -> Vec<TraceEvent> {
         self.events.tail(n, &self.labels)
-    }
-
-    /// Copies out up to `n` of the newest slow-request records, oldest
-    /// first.
-    pub fn slow_tail(&self, n: usize) -> Vec<RequestRecord> {
-        let slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
-        slow.iter()
-            .skip(slow.len().saturating_sub(n))
-            .copied()
-            .collect()
     }
 
     fn intern(&self, label: &'static str) -> u64 {
@@ -452,7 +407,7 @@ mod tests {
 
     #[test]
     fn tail_returns_newest_events_in_order() {
-        let ring = TraceRing::new(8, 4);
+        let ring = TraceRing::new(8);
         for i in 0..5 {
             ev(&ring, i);
         }
@@ -466,7 +421,7 @@ mod tests {
 
     #[test]
     fn ring_wraps_and_stays_bounded() {
-        let ring = TraceRing::new(8, 4);
+        let ring = TraceRing::new(8);
         for i in 0..100 {
             ev(&ring, i);
         }
@@ -480,40 +435,8 @@ mod tests {
     }
 
     #[test]
-    fn slow_ring_captures_only_over_threshold() {
-        let ring = TraceRing::new(64, 2);
-        ring.set_slow_threshold_us(50);
-        let request = |id: u64, us: u64| {
-            let mut rec = RequestRecord::open(id, "put_file", 7, 9);
-            rec.duration_ns = us * 1_000;
-            rec.cost.store_writes = id;
-            ring.consume(&rec);
-        };
-        for (id, us) in [(1, 10), (2, 49), (3, 50), (4, 900)] {
-            request(id, us);
-        }
-        // Every request has its header in the ring; only the slow ones
-        // are kept whole.
-        assert_eq!(ring.tail(10).len(), 4);
-        let slow = ring.slow_tail(10);
-        let kept: Vec<(u64, u64)> = slow
-            .iter()
-            .map(|r| (r.duration_us(), r.cost.store_writes))
-            .collect();
-        assert_eq!(kept, vec![(50, 3), (900, 4)]);
-        // The log is bounded: the oldest entry makes room.
-        request(5, 70);
-        let ids: Vec<u64> = ring.slow_tail(10).iter().map(|r| r.request_id).collect();
-        assert_eq!(ids, vec![4, 5]);
-        // Threshold 0 disables the slow log.
-        ring.set_slow_threshold_us(0);
-        request(6, 5_000);
-        assert_eq!(ring.slow_tail(10).len(), 2);
-    }
-
-    #[test]
     fn distinct_labels_intern_distinctly() {
-        let ring = TraceRing::new(8, 4);
+        let ring = TraceRing::new(8);
         ring.emit(1, "get", 0, 0, TraceDecision::Deny, "denied", 1);
         ring.emit(2, "mk_dir", 0, 0, TraceDecision::Error, "internal", 2);
         let tail = ring.tail(2);
@@ -525,7 +448,7 @@ mod tests {
 
     #[test]
     fn json_export_shape() {
-        let ring = TraceRing::new(8, 4);
+        let ring = TraceRing::new(8);
         ring.emit(3, "get", 0xabcd, 0x1234, TraceDecision::Deny, "denied", 17);
         let json = events_json(&ring.tail(10));
         assert!(json.contains("\"op\": \"get\""), "{json}");

@@ -12,7 +12,7 @@
 //! * [`FaultStore`] — an [`ObjectStore`] wrapper (companion to
 //!   [`AdversaryStore`](crate::AdversaryStore)) that fails, crashes,
 //!   tears, or silently drops the Nth write, for backends like
-//!   [`DirStore`](crate::DirStore) that have no event stream of their
+//!   [`MemStore`](crate::MemStore) that have no event stream of their
 //!   own.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};

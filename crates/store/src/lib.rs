@@ -8,7 +8,6 @@
 //! * [`ObjectStore`] — the interface the untrusted file manager programs
 //!   against.
 //! * [`MemStore`] — an in-memory store (the common test/bench substrate).
-//! * [`DirStore`] — an on-disk store for persistence across runs.
 //! * [`CountingStore`] — instrumentation wrapper (op and byte counters)
 //!   used by the benchmark harness to report storage overheads.
 //! * [`AdversaryStore`] — a malicious-cloud wrapper that can tamper with,
@@ -40,7 +39,6 @@
 
 mod adversary;
 mod counting;
-mod dir;
 mod fault;
 mod mem;
 mod prefix;
@@ -48,7 +46,6 @@ mod wal;
 
 pub use adversary::AdversaryStore;
 pub use counting::{CountingStore, StoreStats};
-pub use dir::DirStore;
 pub use fault::{FaultAction, FaultPlan, FaultStore};
 pub use mem::MemStore;
 pub use prefix::PrefixStore;

@@ -1,10 +1,12 @@
-//! Model-based property tests: `MemStore` and `DirStore` must agree
-//! with a plain `HashMap` model under arbitrary operation sequences.
+//! Model-based property test: `MemStore` — the reference the WAL
+//! equivalence test (`tests/integration_wal.rs`) compares against —
+//! must itself agree with a plain `HashMap` under arbitrary operation
+//! sequences.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use seg_store::{DirStore, MemStore, ObjectStore};
+use seg_store::{MemStore, ObjectStore};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -15,9 +17,9 @@ enum Op {
     List,
 }
 
+/// A few colliding interesting shapes, including path-like and unicode
+/// keys.
 fn key(k: u8) -> String {
-    // A few colliding interesting shapes, including path-like and
-    // unicode keys.
     match k % 6 {
         0 => format!("plain-{k}"),
         1 => format!("dir/like/{k}"),
@@ -39,78 +41,43 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn check_store<S: ObjectStore>(store: &S, ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut model: HashMap<String, Vec<u8>> = HashMap::new();
-    for op in ops {
-        match op {
-            Op::Put(k, v) => {
-                store.put(&key(*k), v).expect("put");
-                model.insert(key(*k), v.clone());
-            }
-            Op::Get(k) => {
-                prop_assert_eq!(
-                    store.get(&key(*k)).expect("get"),
-                    model.get(&key(*k)).cloned()
-                );
-            }
-            Op::Delete(k) => {
-                let existed = store.delete(&key(*k)).expect("delete");
-                prop_assert_eq!(existed, model.remove(&key(*k)).is_some());
-            }
-            Op::Rename(a, b) => {
-                let result = store.rename(&key(*a), &key(*b));
-                match model.remove(&key(*a)) {
-                    Some(v) => {
-                        prop_assert!(result.is_ok());
-                        model.insert(key(*b), v);
-                    }
-                    None => prop_assert!(result.is_err()),
-                }
-            }
-            Op::List => {
-                let mut got = store.list().expect("list");
-                got.sort();
-                let mut expected: Vec<String> = model.keys().cloned().collect();
-                expected.sort();
-                prop_assert_eq!(got, expected);
-                prop_assert_eq!(
-                    store.total_bytes().expect("bytes"),
-                    model.values().map(|v| v.len() as u64).sum::<u64>()
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn memstore_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        check_store(&MemStore::new(), &ops)?;
+        let store = MemStore::new();
+        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+        for op in ops {
+            match op {
+                Op::Put(k, v) => {
+                    store.put(&key(k), &v).expect("put");
+                    model.insert(key(k), v);
+                }
+                Op::Get(k) => {
+                    prop_assert_eq!(store.get(&key(k)).expect("get"), model.get(&key(k)).cloned());
+                }
+                Op::Delete(k) => {
+                    let existed = store.delete(&key(k)).expect("delete");
+                    prop_assert_eq!(existed, model.remove(&key(k)).is_some());
+                }
+                Op::Rename(a, b) => match (store.rename(&key(a), &key(b)), model.remove(&key(a))) {
+                    (result, Some(v)) => {
+                        prop_assert!(result.is_ok());
+                        model.insert(key(b), v);
+                    }
+                    (result, None) => prop_assert!(result.is_err()),
+                },
+                Op::List => {
+                    let mut got = store.list().expect("list");
+                    got.sort();
+                    let mut expected: Vec<String> = model.keys().cloned().collect();
+                    expected.sort();
+                    prop_assert_eq!(got, expected);
+                    let bytes = model.values().map(|v| v.len() as u64).sum::<u64>();
+                    prop_assert_eq!(store.total_bytes().expect("bytes"), bytes);
+                }
+            }
+        }
     }
-
-    #[test]
-    fn dirstore_matches_model(ops in proptest::collection::vec(op_strategy(), 0..30)) {
-        let dir = std::env::temp_dir().join(format!(
-            "seg-store-prop-{}-{:x}",
-            std::process::id(),
-            rand_suffix()
-        ));
-        let store = DirStore::open(&dir).expect("open");
-        let result = check_store(&store, &ops);
-        let _ = std::fs::remove_dir_all(&dir);
-        result?;
-    }
-}
-
-fn rand_suffix() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-        ^ std::time::UNIX_EPOCH
-            .elapsed()
-            .map(|d| d.subsec_nanos() as u64)
-            .unwrap_or(0)
 }

@@ -128,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- slow requests (whole records) ---");
     print!(
         "{}",
-        seg_obs::records_json(&server.enclave().slow_requests(16))
+        seg_obs::records_json(&server.telemetry().watch().slow_requests(16))
     );
 
     let verified = server.audit_verify()?;

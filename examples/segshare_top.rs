@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Final health verdict over the whole run: a clean mixed workload
     // must scrub clean and stay in the healthy state.
-    let health = server.enclave().health();
+    let health = server.telemetry().health();
     println!("--- health ---");
     println!(
         "  state {}  scrub passes {}  findings {}  canary {}/{} ok  slo alerts {}",
@@ -127,8 +127,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // request was metered, and nothing in it names a path, group, or
     // user operand of the workload above.
     let report = server.report();
-    let stats = server.enclave().watch();
-    let metered = server.enclave().meter().samples();
+    let stats = server.telemetry().watch();
+    let metered = server.telemetry().meter().samples();
     println!("--- report ---");
     println!(
         "  {} bytes; stalls: request {} / global {}; automatic dumps {}; {metered} requests metered",
@@ -198,43 +198,41 @@ fn print_window(server: &segshare::SegShareServer, win: &Snapshot, tick: Duratio
         }
     }
 
-    // Saturation gauges are levels, not rates: read them live.
-    let stats = server.enclave().watch();
-    let net = stats.net_meter();
+    // Saturation gauges are levels, not rates: the window keeps their
+    // latest values.
+    let r = server.reactor();
+    let r = r.stats();
     println!(
-        "  sessions {}  in-flight {}  queued {} B  global held {} µs",
-        stats.live_sessions(),
-        stats.in_flight(),
-        net.queued_bytes(),
+        "  in-flight {}  queued {} B  global held {} µs",
+        win.gauge("seg_net_inflight_requests").unwrap_or(0),
+        r.outq_bytes(),
         server.enclave().locks().global_held_us(),
     );
 
     // Front end: the reactor's per-state connection gauges (the
     // seg_net_conns{state=...} family), dispatch queue depth, and the
     // lifecycle counters operators alert on (sheds, idle reaps).
-    if let Some(r) = stats.reactor_stats() {
-        use seg_net::reactor::ConnState;
-        println!(
-            "  front end: {} conns (hs {}  streaming {}  draining {})  dispatch q {}",
-            r.live_conns(),
-            r.conns_in(ConnState::Handshaking),
-            r.conns_in(ConnState::Streaming),
-            r.conns_in(ConnState::Draining),
-            r.dispatch_depth(),
-        );
-        println!(
-            "  front end: accepted {}  closed {}  shed {}  idle-reaped {}  outq {} B",
-            r.accepted_total(),
-            r.closed_total(),
-            stats.sheds(),
-            r.reaped_idle_total(),
-            r.outq_bytes(),
-        );
-    }
+    use seg_net::reactor::ConnState;
+    println!(
+        "  front end: {} conns (hs {}  streaming {}  draining {})  dispatch q {}",
+        r.live_conns(),
+        r.conns_in(ConnState::Handshaking),
+        r.conns_in(ConnState::Streaming),
+        r.conns_in(ConnState::Draining),
+        r.dispatch_depth(),
+    );
+    println!(
+        "  front end: accepted {}  closed {}  shed {}  idle-reaped {}  send stalls {}",
+        r.accepted_total(),
+        r.closed_total(),
+        r.shed_total(),
+        r.reaped_idle_total(),
+        r.send_stalls_total(),
+    );
 
     // Health plane: state machine verdict, scrub progress, canary
     // round-trips, and any firing SLO burn-rate alerts.
-    let health = server.enclave().health();
+    let health = server.telemetry().health();
     println!(
         "  health {}  scrub passes {}  findings {}  canary {}/{}  slo active {}",
         health.state_label(),
@@ -248,7 +246,7 @@ fn print_window(server: &segshare::SegShareServer, win: &Snapshot, tick: Duratio
     // Tenants: the meter's heaviest principals, groups, and path
     // prefixes (cumulative op estimates; keys are keyed fingerprints,
     // `~err` marks a slot's SpaceSaving over-count bound).
-    let meter = server.enclave().meter();
+    let meter = server.telemetry().meter();
     let fmt_top = |slots: Vec<seg_obs::MeterSlot>| -> String {
         slots
             .iter()

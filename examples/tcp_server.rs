@@ -112,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Let the background runner finish at least one full scrub
         // pass and a few canary probes over the idle server.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        let h = server.enclave().health();
+        let h = server.telemetry().health();
         while h.scrub_passes() < 1 || h.canary_probes() < 2 {
             assert!(
                 std::time::Instant::now() < deadline,
@@ -144,7 +144,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         // The demo traffic ran as one principal, the canary as another;
         // the meter must have attributed exactly those talkers.
-        assert_eq!(server.enclave().meter().stats()[0].tracked, 2);
+        assert_eq!(server.telemetry().meter().stats()[0].tracked, 2);
         match server.audit_verify() {
             Ok(n) => println!("audit chain verified: {n} records"),
             Err(e) => println!("audit chain FAILED verification: {e}"),

@@ -183,3 +183,66 @@ fn handbook_is_cross_linked() {
         );
     }
 }
+
+/// The `seg_*` family names in the first column of the tables between
+/// OPERATIONS.md's "Metrics reference" heading and the next `## `.
+fn documented_families(handbook: &str) -> BTreeSet<String> {
+    let (_, reference) = handbook
+        .split_once("\n## Metrics reference")
+        .expect("the handbook has a metrics reference");
+    let reference = reference.split("\n## ").next().unwrap_or("");
+    let rows = reference.lines().filter(|l| l.starts_with("| `seg_"));
+    // Backticked pieces are the odd ones of a split on '`'.
+    rows.flat_map(|row| {
+        row.split('|')
+            .nth(1)
+            .unwrap_or("")
+            .split('`')
+            .skip(1)
+            .step_by(2)
+    })
+    .map(str::to_string)
+    .collect()
+}
+
+#[test]
+fn metrics_reference_equals_the_export() {
+    // Both directions: a family the server exports and the handbook
+    // does not explain is as wrong as a documented one nothing emits.
+    let handbook = std::fs::read_to_string(repo_root().join("OPERATIONS.md")).expect("reads");
+    let documented = documented_families(&handbook);
+
+    let config = segshare::EnclaveConfig {
+        cache: true,
+        ..segshare::EnclaveConfig::default()
+    };
+    let setup = segshare::FsoSetup::new_in_memory("doc-ca", config);
+    let server = setup.server().expect("setup");
+    let alice = setup
+        .enroll_user("alice", "alice@acme.example", "Alice")
+        .expect("enroll");
+    // One connection: a write, a cached read, and a request that fails
+    // (the error family has no series before the first error).
+    let mut a = server.connect_local(&alice).expect("connect");
+    a.put("/doc", b"body").expect("put");
+    assert_eq!(a.get("/doc").expect("get"), b"body");
+    assert_eq!(a.get("/doc").expect("cached get"), b"body");
+    assert!(a.get("/missing").is_err());
+
+    let snap = server.metrics_snapshot();
+    let ids = snap.counters.iter().map(|(id, _)| id.name());
+    let ids = ids.chain(snap.gauges.iter().map(|(id, _)| id.name()));
+    let exported: BTreeSet<String> = ids
+        .chain(snap.histograms.iter().map(|(id, _)| id.name()))
+        .map(str::to_string)
+        .collect();
+
+    let undocumented: Vec<_> = exported.difference(&documented).collect();
+    let ghosts: Vec<_> = documented.difference(&exported).collect();
+    assert!(
+        undocumented.is_empty() && ghosts.is_empty(),
+        "OPERATIONS.md \"Metrics reference\" and metrics_snapshot() disagree:\n\
+         exported but undocumented: {undocumented:?}\n\
+         documented but never exported: {ghosts:?}"
+    );
+}

@@ -352,7 +352,7 @@ fn exports_carry_no_principals_paths_or_keys() {
         .collect();
 
     let trace = seg_obs::events_json(&rig.server.enclave().trace_tail(usize::MAX));
-    let slow = seg_obs::records_json(&rig.server.enclave().slow_requests(usize::MAX));
+    let slow = seg_obs::records_json(&rig.server.telemetry().watch().slow_requests(usize::MAX));
     let audit = segshare::enclave::audit::records_json(&rig.server.audit_export().unwrap());
 
     for (name, text) in [("trace", &trace), ("slow", &slow), ("audit", &audit)] {

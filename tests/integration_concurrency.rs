@@ -478,9 +478,9 @@ fn lock_wait_is_attributed_to_the_contended_key_class() {
     let overlapping = path_write_wait_ns(&server);
     // Every one of those requests took milliseconds, but a zero
     // deadline disarms the watchdog: no stall of either kind.
-    let watch = server.enclave().watch();
+    let watch = server.telemetry().watch();
     assert_eq!((watch.stalls_request(), watch.stalls_global()), (0, 0));
-    assert!(server.enclave().slow_requests(1).is_empty());
+    assert!(server.telemetry().watch().slow_requests(1).is_empty());
 
     let (setup, server) = slow_rig(config, 408, delay);
     let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
@@ -545,7 +545,7 @@ fn watchdog_stall_dumps_a_correlated_bundle_without_leaking_content() {
     a.put("/plans-secret", b"q3-report body").unwrap();
     assert_eq!(a.get("/plans-secret").unwrap(), b"q3-report body");
 
-    let watch = server.enclave().watch();
+    let watch = server.telemetry().watch();
     assert!(watch.stalls_request() > 0, "the deadline must have tripped");
     assert_eq!(watch.stalls_global(), 0, "nothing took the global lock");
     assert!(watch.dumps() > 0, "the first stall captures a dump");
@@ -577,7 +577,7 @@ fn one_slow_request_is_explained_by_its_one_record() {
     assert_eq!(a.get("/doc").unwrap(), b"body");
     let enclave = server.enclave();
 
-    let slow = enclave.slow_requests(1)[0];
+    let slow = server.telemetry().watch().slow_requests(1)[0];
     assert_eq!(slow.op, "get");
     assert!(slow.ok() && slow.duration_us() >= 1_000, "{slow:?}");
     let store_io = slow.phase("store_io").self_ns;
@@ -629,7 +629,7 @@ fn one_slow_request_is_explained_by_its_one_record() {
     let report = server.report();
     let at = report.find(&entry).expect("the get is in slow_requests");
     assert!(report[at..].contains(&vector), "{}", &report[at..]);
-    let dump = enclave.watch().last_dump().expect("dump stored");
+    let dump = server.telemetry().watch().last_dump().expect("dump stored");
     assert!(
         dump.contains("\"slow_requests\":[\n  {\"request_id\""),
         "{dump}"
@@ -677,7 +677,7 @@ fn a_long_global_hold_is_a_stall_seen_live_and_counted_once() {
             .metrics_snapshot()
             .counter("seg_watch_stalls_total{kind=\"global_lock\"}")
     };
-    let watch = server.enclave().watch();
+    let watch = server.telemetry().watch();
 
     // No runner: the holder's record is the only witness.
     fill(&mut a, "/plans-secret");

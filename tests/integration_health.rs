@@ -42,8 +42,8 @@ fn rig(config: EnclaveConfig, seed: u64) -> Rig {
 fn run_scrub_pass(server: &SegShareServer) -> u64 {
     let mut findings = 0;
     for _ in 0..10_000 {
-        let report = server.enclave().scrub_step();
-        findings += report.findings;
+        let report = server.telemetry().scrub_step();
+        findings += report.findings.len() as u64;
         if report.pass_completed {
             return findings;
         }
@@ -71,7 +71,7 @@ fn clean_stationary_workload_stays_healthy_with_zero_alerts() {
     for _ in 0..2 {
         assert_eq!(run_scrub_pass(&r.server), 0, "clean data must not alert");
     }
-    let health = r.server.enclave().health();
+    let health = r.server.telemetry().health();
     assert_eq!(health.state_code(), 0);
     assert_eq!(health.state_label(), "healthy");
     assert_eq!(health.findings_total(), 0);
@@ -112,7 +112,7 @@ fn content_bitflip_latches_failing_with_fingerprint_only_alert() {
 
     let findings = run_scrub_pass(&r.server);
     assert!(findings > 0, "one pass must catch the bit-flip");
-    let health = r.server.enclave().health();
+    let health = r.server.telemetry().health();
     assert_eq!(health.state_code(), 2);
     assert_eq!(health.state_label(), "failing");
     assert!(health.monitor().alerts().total() > 0);
@@ -149,7 +149,7 @@ fn audit_trail_truncation_is_an_audit_finding() {
 
     let findings = run_scrub_pass(&r.server);
     assert!(findings > 0);
-    let health = r.server.enclave().health();
+    let health = r.server.telemetry().health();
     assert!(
         health.findings(ScrubCheck::Audit) > 0,
         "the finding is attributed to the audit check"
@@ -186,7 +186,7 @@ fn stale_tree_state_rollback_is_detected_by_the_walk() {
 
     let findings = run_scrub_pass(&r.server);
     assert!(findings > 0, "stale tree state must be caught in one pass");
-    let health = r.server.enclave().health();
+    let health = r.server.telemetry().health();
     assert!(health.findings(ScrubCheck::Tree) > 0);
     assert_eq!(health.state_code(), 2);
 }
@@ -208,7 +208,7 @@ fn orphaned_store_key_is_an_orphan_finding() {
 
     let findings = run_scrub_pass(&r.server);
     assert!(findings > 0);
-    let health = r.server.enclave().health();
+    let health = r.server.telemetry().health();
     assert!(health.findings(ScrubCheck::Orphan) > 0);
     assert_eq!(
         health.findings(ScrubCheck::Tree),
@@ -251,7 +251,7 @@ fn cache_coherence_probe_catches_tampering_under_a_live_entry() {
 
     let findings = run_scrub_pass(&r.server);
     assert!(findings > 0);
-    let health = r.server.enclave().health();
+    let health = r.server.telemetry().health();
     assert!(
         health.findings(ScrubCheck::Cache) + health.findings(ScrubCheck::Tree) > 0,
         "divergence caught by the cache probe and/or the walk"
@@ -278,7 +278,7 @@ fn health_runner_scrubs_probes_and_samples_an_idle_server() {
     // the background runner alone.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     loop {
-        let health = r.server.enclave().health();
+        let health = r.server.telemetry().health();
         if health.scrub_passes() >= 2 && health.canary_probes() >= 3 {
             break;
         }
@@ -292,12 +292,11 @@ fn health_runner_scrubs_probes_and_samples_an_idle_server() {
     }
     // The canary is an ordinary reactor connection — the path clients
     // use — kept across probes, so it counts exactly once.
-    assert_eq!(r.server.enclave().watch().live_sessions(), 1);
     assert_eq!(r.server.reactor().stats().live_conns(), 1);
     assert_eq!(r.server.reactor().stats().accepted_total(), 1);
     r.server.stop_health();
 
-    let health = r.server.enclave().health();
+    let health = r.server.telemetry().health();
     assert_eq!(health.canary_failures(), 0, "loopback probes succeed");
     assert!(health.canary_last_latency_us() > 0);
     assert_eq!(
@@ -338,7 +337,7 @@ fn idle_reaped_canary_reconnects_without_a_failed_probe() {
         tick_us: 2_000,
         canary_interval_us: 500_000,
     });
-    let health = r.server.enclave().health();
+    let health = r.server.telemetry().health();
     let stats = Arc::clone(r.server.reactor().stats());
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     while health.canary_probes() < 3 || stats.reaped_idle_total() < 2 {
@@ -370,22 +369,23 @@ fn disabled_health_plane_is_inert() {
     let mut a = r.server.connect_local(&alice).unwrap();
     a.put("/before", b"counted").unwrap();
     let enclave = r.server.enclave();
+    let telemetry = r.server.telemetry();
     let consumed = || {
         let snap = r.server.metrics_snapshot();
         (
             snap.counter("seg_requests_total{op=\"put_file\"}"),
-            snap.counter("seg_meter_samples_total").unwrap(),
-            enclave.health().monitor().headline().0,
+            telemetry.meter().samples(),
+            telemetry.health().monitor().headline().0,
             enclave.trace_tail(usize::MAX).len(),
         )
     };
     let before = consumed();
     assert_eq!(before.0, Some(1));
-    let top = enclave.meter().top("principal", 1)[0];
-    let frames = enclave.health().monitor().frames_total();
+    let top = telemetry.meter().top("principal", 1)[0];
+    let frames = telemetry.health().monitor().frames_total();
 
     r.server.set_telemetry(false);
-    assert!(enclave.health_tick().is_none());
+    assert!(telemetry.health_tick().is_none());
     a.put("/during", b"not counted").unwrap();
     assert_eq!(a.get("/during").unwrap(), b"not counted");
     let during = consumed();
@@ -395,9 +395,13 @@ fn disabled_health_plane_is_inert() {
     );
     // Nested layers still trace their own events; no request header does.
     assert!(enclave.trace_tail(usize::MAX).iter().all(|e| e.op != "get"));
-    assert_eq!(enclave.health().scrub_passes(), 0);
-    assert_eq!(enclave.health().monitor().frames_total(), frames, "no tick");
-    let kept = enclave.meter().top("principal", 1)[0];
+    assert_eq!(telemetry.health().scrub_passes(), 0);
+    assert_eq!(
+        telemetry.health().monitor().frames_total(),
+        frames,
+        "no tick"
+    );
+    let kept = telemetry.meter().top("principal", 1)[0];
     assert_eq!((kept.fp, kept.est), (top.fp, top.est), "sketches kept");
     // The report still renders (state machine reads, no scrub work).
     assert!(r.server.report().contains("\"enabled\":false"));
@@ -407,7 +411,7 @@ fn disabled_health_plane_is_inert() {
     let after = consumed();
     assert_eq!(after.0, Some(2));
     assert!(after.1 > before.1 && after.2 > before.2 && after.3 > during.3);
-    assert_eq!(enclave.meter().top("principal", 1)[0].fp, top.fp);
+    assert_eq!(telemetry.meter().top("principal", 1)[0].fp, top.fp);
 }
 
 #[test]
@@ -439,7 +443,7 @@ fn stale_ancestor_record_under_a_warm_cache_is_a_tree_finding() {
 
     let findings = run_scrub_pass(&r.server);
     assert!(findings > 0, "the next pass reports the stale record");
-    let health = r.server.enclave().health();
+    let health = r.server.telemetry().health();
     assert!(health.findings(ScrubCheck::Tree) > 0);
     assert_eq!(health.state_code(), 2);
 }

@@ -197,7 +197,7 @@ fn meter_exports_carry_no_request_operands() {
     drop(b);
     std::thread::sleep(std::time::Duration::from_millis(100));
 
-    let report = server.enclave().meter().report_json();
+    let report = server.telemetry().meter().report_json();
     let prometheus = server.metrics_snapshot().to_prometheus();
     for (name, text) in [("meter section", &report), ("prometheus", &prometheus)] {
         for secret in SECRETS {
@@ -211,7 +211,10 @@ fn meter_exports_carry_no_request_operands() {
     // — as fingerprints.
     // mkdir + upload + 2 membership updates + grant + download: at
     // least six dispatched requests were attributed.
-    assert!(server.enclave().meter().samples() >= 6, "flow was metered");
+    assert!(
+        server.telemetry().meter().samples() >= 6,
+        "flow was metered"
+    );
     let principals = report_fps(&report, "principals");
     assert_eq!(principals.len(), 2, "two tracked talkers: {report}");
     assert!(

@@ -11,11 +11,17 @@
 //!    appears in either snapshot encoding — the trust-boundary rule
 //!    (paper §III: everything leaving the enclave is adversary-visible).
 
-use seg_fs::Perm;
-use segshare::{EnclaveConfig, FsoSetup, SegShareServer};
+use std::sync::{Arc, Mutex};
 
-/// Distinctive strings used as operands below; none may leak into the
-/// encoded snapshots.
+use seg_fs::Perm;
+use seg_net::{FrameTransport, NetError};
+use seg_obs::{RecordSink, RequestRecord};
+use segshare::enclave::session::EnclaveSession;
+use segshare::enclave::SegShareEnclave;
+use segshare::{Client, EnclaveConfig, EnrolledUser, FsoSetup, SegShareServer};
+
+/// Distinctive strings used as operands below; none may leak into
+/// anything that crosses the boundary.
 const SECRETS: &[&str] = &[
     "alice",
     "bob",
@@ -25,10 +31,9 @@ const SECRETS: &[&str] = &[
     "acme.example",
 ];
 
-/// Drives the canonical flow and returns the server for inspection.
-fn run_flow(config: EnclaveConfig) -> SegShareServer {
-    let setup = FsoSetup::new_in_memory("obs-ca", config);
-    let server = setup.server().expect("setup");
+/// Drives the canonical upload → share → download → revoke flow over
+/// connections made by `connect`.
+fn drive_flow<T: FrameTransport>(setup: &FsoSetup, connect: impl Fn(&EnrolledUser) -> Client<T>) {
     let alice = setup
         .enroll_user("alice", "alice@acme.example", "Alice")
         .expect("enroll alice");
@@ -36,7 +41,7 @@ fn run_flow(config: EnclaveConfig) -> SegShareServer {
         .enroll_user("bob", "bob@acme.example", "Bob")
         .expect("enroll bob");
 
-    let mut a = server.connect_local(&alice).expect("alice connects");
+    let mut a = connect(&alice);
     a.mkdir("/plans-secret/").expect("mkdir");
     let payload: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
     a.put("/plans-secret/q3-report", &payload).expect("upload");
@@ -45,7 +50,7 @@ fn run_flow(config: EnclaveConfig) -> SegShareServer {
     a.set_perm("/plans-secret/q3-report", "strategyteam", Perm::Read)
         .expect("grant");
 
-    let mut b = server.connect_local(&bob).expect("bob connects");
+    let mut b = connect(&bob);
     assert_eq!(b.get("/plans-secret/q3-report").expect("download"), payload);
 
     a.remove_user("bob", "strategyteam").expect("revoke");
@@ -53,13 +58,71 @@ fn run_flow(config: EnclaveConfig) -> SegShareServer {
         b.get("/plans-secret/q3-report").is_err(),
         "revocation is immediate"
     );
+}
 
+/// Drives the canonical flow and returns the server for inspection.
+fn run_flow(config: EnclaveConfig) -> SegShareServer {
+    let setup = FsoSetup::new_in_memory("obs-ca", config);
+    let server = setup.server().expect("setup");
+    drive_flow(&setup, |user| server.connect_local(user).expect("connects"));
     // Let the connection threads settle (they drain their outgoing
     // queues with ecalls after the last response is delivered).
-    drop(a);
-    drop(b);
     std::thread::sleep(std::time::Duration::from_millis(100));
     server
+}
+
+/// A transport with no host in it: `send_frame` is the `handle_frame`
+/// ecall and `recv_frame` is `next_outgoing`, on the caller's thread.
+struct Inline {
+    enclave: Arc<SegShareEnclave>,
+    session: EnclaveSession,
+}
+
+impl Inline {
+    fn client(enclave: &Arc<SegShareEnclave>, user: &EnrolledUser) -> Client<Inline> {
+        let transport = Inline {
+            enclave: Arc::clone(enclave),
+            session: enclave.new_session().expect("certified"),
+        };
+        Client::connect(transport, user).expect("handshake")
+    }
+}
+
+impl FrameTransport for Inline {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        self.session
+            .handle_frame(&self.enclave, frame)
+            .map_err(|e| NetError::Io(e.to_string()))
+    }
+
+    fn recv_frame(&mut self) -> Result<Vec<u8>, NetError> {
+        match self.session.next_outgoing(&self.enclave) {
+            Ok(Some(frame)) => Ok(frame),
+            Ok(None) => Err(NetError::Closed),
+            Err(e) => Err(NetError::Io(e.to_string())),
+        }
+    }
+}
+
+/// Keeps every record the enclave hands out.
+#[derive(Default)]
+struct Capture(Mutex<Vec<RequestRecord>>);
+
+impl RecordSink for Capture {
+    fn consume(&self, rec: &RequestRecord) {
+        self.0.lock().unwrap().push(*rec);
+    }
+}
+
+/// Fails if `text` — a compiled-in label, or the debug rendering of a
+/// crossed value — holds request content: one of [`SECRETS`], a path
+/// separator or an email-like token.
+fn assert_content_free(what: &str, text: &str) {
+    for secret in SECRETS {
+        assert!(!text.contains(secret), "{what} leaks {secret:?}: {text}");
+    }
+    assert!(!text.contains('/'), "{what} contains a path separator");
+    assert!(!text.contains('@'), "{what} contains an email-like token");
 }
 
 #[test]
@@ -130,12 +193,10 @@ fn flow_produces_nonzero_per_op_metrics() {
         "rollback-tree updates were timed"
     );
 
-    // Connection-level accounting from the untrusted host.
-    assert_eq!(snap.counter("seg_connections_total"), Some(2));
+    // Connection-level accounting is the reactor's, exported once.
+    assert_eq!(snap.counter("seg_net_conns_accepted_total"), Some(2));
     assert!(
-        snap.counter("seg_connection_bytes_total{dir=\"in\"}")
-            .unwrap_or(0)
-            > 64 * 1024,
+        server.reactor().stats().bytes_in_total() > 64 * 1024,
         "inbound frames carried the upload"
     );
 }
@@ -169,21 +230,66 @@ fn snapshot_boundary_counts_match_sgx_accounting() {
     );
 }
 
+/// [`assert_content_free`] over every metric id of a snapshot.
+fn assert_ids_content_free(snap: &seg_obs::Snapshot) {
+    let ids = snap.counters.iter().map(|(id, _)| id);
+    let ids = ids.chain(snap.gauges.iter().map(|(id, _)| id));
+    for id in ids.chain(snap.histograms.iter().map(|(id, _)| id)) {
+        assert_content_free("metric id", &id.render().replace(['"', '{', '}'], " "));
+    }
+}
+
 #[test]
 fn encoded_snapshots_carry_no_request_content() {
-    // One flow, then every export a caller can reach, against one list
-    // of what the flow's requests contained. Each export is a
-    // declassification point; the rule is the same for all of them.
+    // Four kinds of value cross the boundary: the records pushed
+    // through the sink, and the snapshots, trace events and scrub
+    // reports the host pulls. Everything an operator can export is
+    // rendered from those on the untrusted side, so the rule is checked
+    // on the values themselves, with a sink of our own on an enclave
+    // that has no host.
     let config = EnclaveConfig {
         // Every request of the flow stalls, so the watchdog's stored
         // dump exists and the slow log is full of whole records.
         watch_deadline_us: 1,
         ..EnclaveConfig::default()
     };
+    let setup = FsoSetup::new_in_memory("obs-ca", config);
+    let enclave = setup.enclave().expect("launch");
+    let capture = Arc::new(Capture::default());
+    enclave.attach_sink(Arc::clone(&capture) as Arc<dyn RecordSink>);
+    drive_flow(&setup, |user| Inline::client(&enclave, user));
+
+    let records = capture.0.lock().unwrap().clone();
+    assert!(records.len() >= 9, "every request crossed: {records:?}");
+    assert!(records.iter().any(|r| r.op == "put_file" && r.ok()));
+    assert!(records.iter().any(|r| r.op == "get" && r.code == "denied"));
+    for rec in &records {
+        // Labels compiled in, operands as keyed fingerprints only: the
+        // type has no field that could hold anything else.
+        assert!(rec.principal != 0, "{rec:?}");
+        assert_content_free("record", &format!("{rec:?}"));
+    }
+    assert_ids_content_free(&enclave.metrics_snapshot());
+    assert_content_free("profile", &enclave.profile_snapshot().to_collapsed());
+    let events = enclave.trace_tail(usize::MAX);
+    assert!(events.iter().any(|e| e.op == "auth_file"), "nested events");
+    for event in &events {
+        assert_content_free("trace event", &format!("{event:?}"));
+    }
+    loop {
+        let report = enclave.scrub_step();
+        assert_content_free("scrub report", &format!("{report:?}"));
+        if report.pass_completed {
+            break;
+        }
+    }
+
+    // Behind a server: the merged snapshot is the same type, and the
+    // host's widest rendering — the report, as returned and as the
+    // watchdog stored it — holds every section and nothing else.
     let server = run_flow(config);
-    let enclave = server.enclave();
-    while !enclave.scrub_step().pass_completed {}
-    let snap = server.metrics_snapshot();
+    while !server.telemetry().scrub_step().pass_completed {}
+    assert_ids_content_free(&server.metrics_snapshot());
     let report = server.report();
     let sections = "saturation stalls global_held_us lock_top flight trace_tail slow_requests \
                     profile state scrub canary alerts slo history totals principals objects \
@@ -195,31 +301,91 @@ fn encoded_snapshots_carry_no_request_content() {
         );
     }
     assert!(report.contains("\"op\": \"put_file\", \"decision\": \"allow\""));
-    for (export, text) in [
-        ("snapshot json", snap.to_json()),
-        ("snapshot prometheus", snap.to_prometheus()),
-        ("report", report),
-        (
-            "stall dump",
-            enclave.watch().last_dump().expect("every request stalled"),
-        ),
-        (
-            "profile collapsed",
-            enclave.profile_snapshot().to_collapsed(),
-        ),
-        (
-            "audit export",
-            segshare::enclave::audit::records_json(&server.audit_export().expect("chain verifies")),
-        ),
-    ] {
-        for secret in SECRETS {
-            assert!(!text.contains(secret), "{export} leaks {secret:?}");
-        }
-        // Every name in an export is compiled in: no path separator,
-        // no email-like token, at all.
-        assert!(!text.contains('/'), "{export} contains a path separator");
-        assert!(!text.contains('@'), "{export} contains an email-like token");
+    assert_content_free("report", &report);
+    let dump = server.telemetry().watch().last_dump();
+    assert_content_free("stall dump", &dump.expect("every request stalled"));
+}
+
+#[test]
+fn flight_frames_cover_the_whole_system_unscraped() {
+    // Frames are windows of the *merged* snapshot the history clock's
+    // own tick takes, so store and cache activity is in them although
+    // nobody ever called `metrics_snapshot()` on this server.
+    let config = EnclaveConfig {
+        cache: true,
+        ..EnclaveConfig::default()
+    };
+    let setup = FsoSetup::new_in_memory("obs-flight", config);
+    let server = setup.server().expect("setup");
+    let alice = setup
+        .enroll_user("alice", "alice@acme.example", "Alice")
+        .expect("enroll");
+    let mut a = server.connect_local(&alice).expect("connect");
+    let monitor = server.telemetry().health().monitor();
+    // Request completions tick the clock: keep puts and gets flowing
+    // until a windowed frame (the second) has been recorded.
+    let started = std::time::Instant::now();
+    while monitor.frames_total() < 2 {
+        a.put("/doc", b"body").expect("put");
+        assert_eq!(a.get("/doc").expect("get"), b"body");
+        assert!(started.elapsed().as_secs() < 30, "the clock never ticked");
     }
+    let flight = monitor.flight_json();
+    let last = &flight[flight.rfind("\"seq\":").expect("frames")..];
+    for series in [
+        "seg_store_ops_total{op=\\\"put\\\",store=\\\"content\\\"}",
+        "seg_cache_hits_total",
+        "seg_boundary_ecalls_total",
+    ] {
+        let (_, value) = last
+            .split_once(&format!("\"{series}\": "))
+            .unwrap_or_else(|| panic!("{series} missing from the frame: {last}"));
+        let value = value.split([',', '\n']).next().unwrap_or("");
+        assert_ne!(value, "0", "{series} in a window with traffic");
+    }
+}
+
+#[test]
+fn an_enclave_without_a_sink_serves_and_switches() {
+    // White-box tests and embedders may run an enclave with no host
+    // telemetry at all: records then stop at the registry and the ring.
+    let setup = FsoSetup::new_in_memory("obs-bare", EnclaveConfig::default());
+    let enclave = setup.enclave().expect("launch");
+    let alice = setup
+        .enroll_user("alice", "alice@acme.example", "Alice")
+        .expect("enroll");
+    let mut a = Inline::client(&enclave, &alice);
+    let puts = || {
+        let snap = enclave.metrics_snapshot();
+        snap.counter("seg_requests_total{op=\"put_file\"}")
+    };
+    // The switch both ways; a put returns the ocalls it cost.
+    let mut put = |on: bool| {
+        enclave.set_telemetry(on);
+        assert_eq!(enclave.telemetry_enabled(), on);
+        let before = enclave.sgx().boundary().stats().ocalls;
+        a.put("/doc", b"body").expect("put");
+        assert_eq!(a.get("/doc").expect("get"), b"body");
+        enclave.sgx().boundary().stats().ocalls - before
+    };
+    put(true);
+    assert_eq!(puts(), Some(1));
+    let off = put(false);
+    assert_eq!(puts(), Some(1), "no record is built while off");
+    assert_eq!(put(true), off, "and none leaves while there is no sink");
+    assert_eq!(puts(), Some(2));
+
+    // With a sink attached, each closed request is handed out through
+    // exactly one more ocall than the same request with telemetry off.
+    let capture = Arc::new(Capture::default());
+    enclave.attach_sink(Arc::clone(&capture) as Arc<dyn RecordSink>);
+    let on = put(true);
+    let crossed = capture.0.lock().unwrap().len() as u64;
+    assert_eq!(
+        crossed, 3,
+        "the put's header, its committing chunk, the get"
+    );
+    assert_eq!(on, off + crossed, "the sink call is counted as an ocall");
 }
 
 #[test]
@@ -237,15 +403,12 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_lock_global_wait_ns",
         "seg_lock_global_hold_ns",
         "seg_lock_global_held_us",
-        "seg_net_live_sessions",
         "seg_net_inflight_requests",
-        "seg_net_queued_bytes",
         "seg_net_send_stalls_total",
         "seg_net_send_stall_ns_total",
         "seg_watch_stalls_total",
         "seg_watch_dumps_total",
         "seg_telemetry_enabled",
-        "seg_flight_frames_total",
         // Cache gauges export as zero even with the cache disabled.
         "seg_cache_entries",
         "seg_cache_bytes",
@@ -272,7 +435,6 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_store_fsync_bytes_total",
         // Meter families export in every configuration so the series
         // set stays stable whether telemetry is on or off.
-        "seg_meter_samples_total",
         "seg_meter_tracked",
         "seg_meter_min_tracked_ops",
         "seg_meter_evictions_total",
@@ -475,14 +637,14 @@ fn history_headline_equals_the_request_families() {
             .map(|&(_, v)| v)
             .sum()
     };
-    let (requests, errors) = server.enclave().health().monitor().headline();
+    let (requests, errors) = server.telemetry().health().monitor().headline();
     assert_eq!(requests, family("seg_requests_total"));
     assert_eq!(errors, family("seg_request_errors_total"));
     assert!(
         requests >= 9 && errors == 1,
         "{requests} requests, {errors} errors"
     );
-    assert_eq!(snap.counter("seg_meter_samples_total"), Some(requests));
+    assert_eq!(server.telemetry().meter().samples(), requests);
     assert!(server.report().contains(&format!(
         "\"history\":{{\"requests\":{requests},\"errors\":1,"
     )));
@@ -512,14 +674,10 @@ fn meter_families_export_zeroed_when_disabled() {
         Some(0),
         "telemetry off"
     );
-    for family in [
-        "seg_meter_samples_total",
-        "seg_flight_frames_total",
-        "seg_health_samples_total",
-        "seg_watch_dumps_total",
-    ] {
+    for family in ["seg_health_samples_total", "seg_watch_dumps_total"] {
         assert_eq!(snap.counter(family), Some(0), "no record reached {family}");
     }
+    assert_eq!(server.telemetry().meter().samples(), 0, "nor the meter");
     assert!(
         snap.counters
             .iter()

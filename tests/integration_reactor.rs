@@ -88,11 +88,9 @@ fn slowloris_partial_frames_do_not_starve_other_clients() {
 
     // The slow peer gives up; its connection (which never completed a
     // single frame) is torn down and the session slot released.
-    let live_before = server.enclave().watch().live_sessions();
+    let live_before = stats.live_conns();
     drop(slow);
-    eventually("slowloris torn down", || {
-        server.enclave().watch().live_sessions() < live_before
-    });
+    eventually("slowloris torn down", || stats.live_conns() < live_before);
 }
 
 /// A peer that vanishes mid-handshake (partial frame on the wire, then
@@ -109,7 +107,7 @@ fn mid_handshake_disconnect_releases_everything() {
     // One full client before, to prove the server state is live.
     let mut c = server.connect_local(&alice).unwrap();
     c.mkdir("/pre").unwrap();
-    let baseline = server.enclave().watch().live_sessions();
+    let baseline = stats.live_conns();
 
     for round in 0u32..3 {
         let mut doomed = TcpStream::connect(addr).unwrap();
@@ -121,9 +119,7 @@ fn mid_handshake_disconnect_releases_everything() {
             stats.accepted_total() >= 2 + u64::from(round)
         });
         drop(doomed);
-        eventually("doomed conn cleaned", || {
-            server.enclave().watch().live_sessions() == baseline
-        });
+        eventually("doomed conn cleaned", || stats.live_conns() == baseline);
     }
     // The surviving session still works — no collateral damage.
     c.put("/pre/doc", b"still here").unwrap();
@@ -151,7 +147,7 @@ fn garbage_handshake_frame_closes_the_connection() {
         server.reactor().stats().closed_total() >= 1
     });
     eventually("session slot released", || {
-        server.enclave().watch().live_sessions() == 0
+        server.reactor().stats().live_conns() == 0
     });
     // The enclave is unharmed.
     let mut c = server.connect_local(&alice).unwrap();
@@ -364,7 +360,7 @@ fn blocked_drain_close_on_a_socket_parks_then_aborts() {
 }
 
 /// At the connection cap the reactor sheds new connections instead of
-/// queueing them, and the shed is visible on the watch plane.
+/// queueing them, and the shed is counted.
 #[test]
 fn accept_shedding_at_the_connection_cap() {
     let (_setup, server, alice) = rig(6);
@@ -376,7 +372,6 @@ fn accept_shedding_at_the_connection_cap() {
     let _b = server.connect_local(&alice).unwrap();
     let shed = server.connect_local(&alice);
     assert!(shed.is_err(), "third connection is shed at the cap");
-    assert_eq!(server.enclave().watch().sheds(), 1);
     assert_eq!(server.reactor().stats().shed_total(), 1);
 
     // Dropping one admits the next.
@@ -398,7 +393,6 @@ fn many_concurrent_sessions_share_the_worker_pool() {
         .map(|_| server.connect_local(&alice).unwrap())
         .collect();
     assert_eq!(server.reactor().stats().live_conns(), 24);
-    assert_eq!(server.enclave().watch().live_sessions(), 24);
     clients[0].mkdir("/shared").unwrap();
     for (i, c) in clients.iter_mut().enumerate() {
         c.put(&format!("/shared/f{i}"), format!("body {i}").as_bytes())
@@ -412,6 +406,6 @@ fn many_concurrent_sessions_share_the_worker_pool() {
     }
     drop(clients);
     eventually("all sessions released", || {
-        server.enclave().watch().live_sessions() == 0 && server.reactor().stats().live_conns() == 0
+        server.reactor().stats().live_conns() == 0
     });
 }
