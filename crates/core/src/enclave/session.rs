@@ -703,9 +703,9 @@ impl EnclaveSession {
         user: &UserId,
         path: &str,
     ) -> Result<Vec<Response>, SegShareError> {
-        let path = resolve_path(enclave, path)?;
+        let (path, exists) = resolve_path(enclave, path)?;
         if path.is_dir() {
-            if !enclave.files().dir_exists(&path)? {
+            if !exists {
                 return Err(not_found(format!("no directory at {path}")));
             }
             // The root is listable by any authenticated user, matching
@@ -717,7 +717,7 @@ impl EnclaveSession {
             let entries = enclave.files().list_dir(&path)?;
             Ok(vec![Response::Listing { entries }])
         } else {
-            if !enclave.files().file_exists(&path)? {
+            if !exists {
                 return Err(not_found(format!("no file at {path}")));
             }
             if !enclave.access().auth_file(user, Access::Read, &path)? {
@@ -750,12 +750,7 @@ impl EnclaveSession {
         user: &UserId,
         path: &str,
     ) -> Result<Vec<Response>, SegShareError> {
-        let path = resolve_path(enclave, path)?;
-        let exists = if path.is_dir() {
-            enclave.files().dir_exists(&path)?
-        } else {
-            enclave.files().file_exists(&path)?
-        };
+        let (path, exists) = resolve_path(enclave, path)?;
         if !exists {
             return Err(not_found(format!("nothing at {path}")));
         }
@@ -775,16 +770,11 @@ impl EnclaveSession {
         from: &str,
         to: &str,
     ) -> Result<Vec<Response>, SegShareError> {
-        let from = resolve_path(enclave, from)?;
+        let (from, exists) = resolve_path(enclave, from)?;
         let mut to = parse_path(to)?;
         if from.is_dir() && !to.is_dir() {
             to = parse_path(&format!("{}/", to.as_str()))?;
         }
-        let exists = if from.is_dir() {
-            enclave.files().dir_exists(&from)?
-        } else {
-            enclave.files().file_exists(&from)?
-        };
         if !exists {
             return Err(not_found(format!("nothing at {from}")));
         }
@@ -841,7 +831,7 @@ fn edit_acl<G>(
     let _scope = enclave
         .locks()
         .acquire(&named_locks(path, LockIntent::Write, false));
-    let path = resolve_path(enclave, path)?;
+    let (path, _) = resolve_path(enclave, path)?;
     let operand = operand()?;
     if !enclave.access().is_file_owner(user, &path)? {
         return Err(deny(format!("only file owners may {what} {path}")));
@@ -911,16 +901,23 @@ fn named_locks(path: &str, intent: LockIntent, with_parent: bool) -> Vec<LockReq
 /// Resolves a client-supplied path against the file system: a path
 /// without a trailing slash that names no content file but does name a
 /// directory resolves to that directory (WebDAV-style convenience).
-fn resolve_path(enclave: &SegShareEnclave, s: &str) -> Result<SegPath, SegShareError> {
+/// Returns the path together with what the probes learned — whether
+/// anything is stored there — so that the caller, under the same lock
+/// scope, does not derive the storage name and ask the store again.
+fn resolve_path(enclave: &SegShareEnclave, s: &str) -> Result<(SegPath, bool), SegShareError> {
     let path = parse_path(s)?;
-    if path.is_dir() || enclave.files().file_exists(&path)? {
-        return Ok(path);
+    if path.is_dir() {
+        let exists = enclave.files().dir_exists(&path)?;
+        return Ok((path, exists));
+    }
+    if enclave.files().file_exists(&path)? {
+        return Ok((path, true));
     }
     let as_dir = parse_path(&format!("{s}/"))?;
     if enclave.files().dir_exists(&as_dir)? {
-        Ok(as_dir)
+        Ok((as_dir, true))
     } else {
-        Ok(path)
+        Ok((path, false))
     }
 }
 

@@ -6,8 +6,10 @@
 //! * [`FrameTransport`] — the byte-frame interface both the TLS substrate
 //!   and the plaintext baselines speak.
 //! * [`duplex`] — an in-memory transport pair (tests, benches).
-//! * [`TcpTransport`] — real TCP with length framing (examples can run a
-//!   server and client in separate processes).
+//! * [`TcpTransport`] — real TCP with length framing, one socket write
+//!   per frame (examples can run a server and client in separate
+//!   processes). The framing itself lives once, in the private `framing`
+//!   module, behind this transport and the reactor alike.
 //! * [`simwan::WanProfile`] — a deterministic model of the testbed's
 //!   network (RTT, bandwidth, per-request overhead) that the bench
 //!   harness composes with *measured* processing time to reproduce the
@@ -17,12 +19,13 @@
 
 #![warn(missing_docs)]
 
+mod framing;
 pub mod reactor;
 pub mod simwan;
 mod tcp;
 mod virtq;
 
-pub use tcp::TcpTransport;
+pub use tcp::{SocketCalls, TcpTransport};
 
 use std::error::Error;
 use std::fmt;

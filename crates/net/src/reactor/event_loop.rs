@@ -1,21 +1,33 @@
-//! The event loop: the epoll (or parked) driver, socket reads and
-//! writes, the timer wheel, and the notes workers leave for it.
+//! The event loop: the epoll (or parked) driver, socket reads, the
+//! writes a blocked socket hands over, the timer wheel, and the notes
+//! workers leave for it.
+//!
+//! The loop is every socket's reader: one `read` per wake into its one
+//! reusable buffer (a read shorter than the buffer ends the wake —
+//! level-triggered epoll re-reports whatever arrives later), frames
+//! parsed by the shared [`FrameBuf`]. It is a socket's *writer* only
+//! while that socket is blocked: a worker whose write hit `WouldBlock`
+//! posts [`Note::Flush`], the loop arms `EPOLLOUT` and continues the
+//! queue with the same [`OutQ::write_to`](super::conn::OutQ::write_to)
+//! the worker used, until it drains. A response to a peer that keeps
+//! reading never passes through here.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use super::conn::{CloseMode, Conn, ConnState, Inbound, OutQ, Sink};
+use super::conn::{CloseMode, Conn, ConnState, Inbound, OutQ, Sink, Written};
 use super::{sys, timer, ConnId, Inner, DRAIN_DEADLINE_MS};
-use crate::MAX_FRAME;
+use crate::framing::FrameBuf;
 
-/// Notes workers inject for the event loop (socket work only the loop
-/// may do).
+/// Notes workers inject for the event loop (what needs the epoll set or
+/// the timer wheel, which only the loop touches).
 pub(super) enum Note {
-    /// Try to write `conn`'s outbound queue to its socket.
+    /// A worker's write to `conn`'s socket would block: take over its
+    /// outbound queue until `EPOLLOUT` has drained it.
     Flush(ConnId),
     /// The inbox drained; resume reading a paused socket.
     ReadResume(ConnId),
@@ -65,17 +77,20 @@ impl Waker {
 
 /// Socket-side per-connection state, owned exclusively by the loop.
 pub(super) struct FdConn {
-    stream: TcpStream,
+    /// Holds the socket (`Sink::Fd`) and the outbound queue.
     shared: Arc<Conn>,
-    /// Partial inbound frame assembly (length prefix + body).
-    rbuf: Vec<u8>,
-    /// Partially written outbound wire bytes (prefix + frame).
-    wpend: Option<(Vec<u8>, usize)>,
-    /// Frame payload length `wpend` carries (for accounting).
-    wpend_payload: usize,
+    /// Received bytes that do not yet make a frame (or whose frames the
+    /// full inbox has not taken yet).
+    rbuf: FrameBuf,
     /// Registered interest (EPOLLIN always unless paused; EPOLLOUT
     /// while write-blocked).
     want_write: bool,
+}
+
+impl FdConn {
+    fn stream(&self) -> &TcpStream {
+        self.shared.stream().expect("fd conn has a socket sink")
+    }
 }
 
 pub(super) enum Driver {
@@ -89,6 +104,8 @@ pub(super) enum Driver {
     Epoll {
         epfd: i32,
         wake_rx: std::os::unix::net::UnixStream,
+        /// Where `epoll_pwait` reports readiness, reused every wake.
+        events: Vec<sys::EpollEvent>,
     },
 }
 
@@ -113,6 +130,10 @@ pub(super) struct EventLoop {
     pub(super) driver: Driver,
     pub(super) listeners: HashMap<u64, TcpListener>,
     pub(super) fdconns: HashMap<u64, FdConn>,
+    /// Where every socket read lands ([`READ_CHUNK`] bytes, reused).
+    ///
+    /// [`READ_CHUNK`]: crate::framing::READ_CHUNK
+    pub(super) rdbuf: Vec<u8>,
     pub(super) wheel: timer::TimerWheel,
     pub(super) idle_ms: u64,
 }
@@ -163,33 +184,42 @@ impl EventLoop {
                 target_os = "linux",
                 any(target_arch = "x86_64", target_arch = "aarch64")
             ))]
-            Driver::Epoll { epfd, wake_rx } => {
-                let mut events = [sys::EpollEvent::zeroed(); 256];
+            Driver::Epoll { epfd, events, .. } => {
                 let timeout_ms = timeout.map_or(-1i32, |t| {
                     i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX)
                 });
-                let n = sys::epoll_pwait(*epfd, &mut events, timeout_ms).unwrap_or_default();
-                let epfd = *epfd;
-                let mut fired: Vec<(u64, u32)> = Vec::with_capacity(n);
-                for ev in &events[..n] {
+                let n = sys::epoll_pwait(*epfd, events, timeout_ms).unwrap_or_default();
+                // Dispatching needs `&mut self`: borrow the buffer out
+                // for the pass and put it back, rather than copy it.
+                let fired = std::mem::take(events);
+                for ev in &fired[..n] {
                     let (token, bits) = ({ ev.data }, { ev.events });
                     if token == WAKE_TOKEN {
-                        // Drain the self-pipe and clear the pending flag
-                        // so the next wake writes a fresh byte.
-                        let mut sink = [0u8; 64];
-                        while matches!(wake_rx.read(&mut sink), Ok(n) if n > 0) {}
-                        if let WakerKind::Pipe { pending, .. } = &*self.inner.waker.kind {
-                            pending.store(false, Ordering::Release);
-                        }
-                        continue;
+                        self.drain_wake_pipe();
+                    } else {
+                        self.dispatch_event(token, bits);
                     }
-                    fired.push((token, bits));
                 }
-                let _ = epfd;
-                for (token, bits) in fired {
-                    self.dispatch_event(token, bits);
+                if let Driver::Epoll { events, .. } = &mut self.driver {
+                    *events = fired;
                 }
             }
+        }
+    }
+
+    /// Empties the self-pipe and clears the pending flag so the next
+    /// wake writes a fresh byte. `pending` admits one byte at a time,
+    /// so one read empties it.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    fn drain_wake_pipe(&mut self) {
+        if let Driver::Epoll { wake_rx, .. } = &mut self.driver {
+            let _ = wake_rx.read(&mut [0u8; 8]);
+        }
+        if let WakerKind::Pipe { pending, .. } = &*self.inner.waker.kind {
+            pending.store(false, Ordering::Release);
         }
     }
 
@@ -237,11 +267,9 @@ impl EventLoop {
                 Some(Note::Destroy(id)) => {
                     if let Some(fc) = self.fdconns.remove(&id) {
                         self.deregister(&fc);
-                        if fc.wpend.is_some() {
-                            // An abort cut this frame off mid-write.
-                            self.inner.charge_dropped(fc.wpend_payload);
-                        }
-                        // Socket closes on drop.
+                        // The fd closes with the last `Arc<Conn>`, which
+                        // a worker may still hold; the peer is told now.
+                        let _ = fc.stream().shutdown(Shutdown::Both);
                     }
                 }
                 Some(Note::DrainDeadline(id)) => {
@@ -353,9 +381,10 @@ impl EventLoop {
             inbound: Inbound::Fd {
                 inbox: Mutex::new(VecDeque::new()),
             },
-            sink: Sink::Fd,
+            sink: Sink::Fd { stream },
             out: Mutex::new(OutQ::default()),
         });
+        let stream = conn.stream().expect("just built with a socket sink");
         if !inner.handler.on_open(id) {
             inner.stats.shed.fetch_add(1, Ordering::Relaxed);
             inner.handler.on_close(id);
@@ -400,11 +429,8 @@ impl EventLoop {
         self.fdconns.insert(
             id,
             FdConn {
-                stream,
                 shared: conn,
-                rbuf: Vec::new(),
-                wpend: None,
-                wpend_payload: 0,
+                rbuf: FrameBuf::default(),
                 want_write: false,
             },
         );
@@ -426,7 +452,7 @@ impl EventLoop {
         ))]
         if let Driver::Epoll { epfd, .. } = &self.driver {
             use std::os::unix::io::AsRawFd;
-            let _ = sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fc.stream.as_raw_fd(), 0, 0);
+            let _ = sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fc.stream().as_raw_fd(), 0, 0);
         }
         #[cfg(not(all(
             target_os = "linux",
@@ -459,168 +485,113 @@ impl EventLoop {
         let Some(fc) = self.fdconns.get_mut(&id) else {
             return;
         };
-        if fc.shared.closing.load(Ordering::Acquire) {
+        let shared = Arc::clone(&fc.shared);
+        if shared.closing.load(Ordering::Acquire) {
             return;
         }
-        let mut peer_gone = false;
-        let mut protocol_error = false;
+        let (Inbound::Fd { inbox }, Some(mut stream)) = (&shared.inbound, shared.stream()) else {
+            unreachable!("fd conn has fd inbound and a socket sink");
+        };
+        let inner = &self.inner;
         let mut got_frames = false;
-        let mut buf = [0u8; 64 * 1024];
-        'read: loop {
+        let mut socket_empty = false;
+        // How the connection ends, if this wake ends it.
+        let mut close = None;
+        loop {
             // Parse complete frames out of rbuf first so the inbox cap
             // is honored before more bytes are pulled off the socket.
-            loop {
-                if fc.rbuf.len() < 4 {
-                    break;
-                }
-                let len =
-                    u32::from_le_bytes([fc.rbuf[0], fc.rbuf[1], fc.rbuf[2], fc.rbuf[3]]) as usize;
-                if len > MAX_FRAME {
-                    protocol_error = true;
-                    break 'read;
-                }
-                if fc.rbuf.len() < 4 + len {
-                    break;
-                }
-                let Inbound::Fd { inbox } = &fc.shared.inbound else {
-                    unreachable!("fd conn has fd inbound");
-                };
+            let inbox_full = {
                 let mut inbox = inbox.lock().unwrap();
-                if inbox.len() >= self.inner.cfg.inbox_frames {
-                    // Inbox full: pause socket reads; the worker resumes
-                    // us once it drains.
-                    drop(inbox);
-                    fc.shared.reading_paused.store(true, Ordering::Release);
-                    let shared = Arc::clone(&fc.shared);
-                    reregister_fc(&self.driver, fc, id);
-                    if got_frames {
-                        self.inner.schedule(&shared);
+                loop {
+                    if inbox.len() >= inner.cfg.inbox_frames {
+                        // Only look: the frame stays buffered.
+                        break fc.rbuf.frame_ready();
                     }
-                    return;
+                    match fc.rbuf.pop() {
+                        Ok(Some(frame)) => {
+                            inbox.push_back(frame);
+                            got_frames = true;
+                        }
+                        Ok(None) => break Ok(false),
+                        Err(e) => break Err(e),
+                    }
                 }
-                let frame = fc.rbuf[4..4 + len].to_vec();
-                inbox.push_back(frame);
-                drop(inbox);
-                fc.rbuf.drain(..4 + len);
-                got_frames = true;
+            };
+            match inbox_full {
+                Ok(true) => {
+                    // Pause socket reads; the worker resumes us once it
+                    // drains.
+                    shared.reading_paused.store(true, Ordering::Release);
+                    reregister_fc(&self.driver, fc, id);
+                    break;
+                }
+                Ok(false) => {}
+                Err(_) => {
+                    inner.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    close = Some(CloseMode::Abort);
+                    break;
+                }
             }
-            match fc.stream.read(&mut buf) {
+            if socket_empty {
+                break;
+            }
+            inner.stats.socket_reads.fetch_add(1, Ordering::Relaxed);
+            match stream.read(&mut self.rdbuf) {
                 Ok(0) => {
-                    peer_gone = true;
+                    close = Some(CloseMode::Drain);
                     break;
                 }
                 Ok(n) => {
-                    fc.rbuf.extend_from_slice(&buf[..n]);
-                    fc.shared
+                    fc.rbuf.push(&self.rdbuf[..n]);
+                    socket_empty = n < self.rdbuf.len();
+                    shared
                         .last_activity_ms
-                        .store(self.inner.now_ms(), Ordering::Relaxed);
+                        .store(inner.now_ms(), Ordering::Relaxed);
                 }
                 Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    peer_gone = true;
+                    close = Some(CloseMode::Drain);
                     break;
                 }
             }
         }
-        if fc.rbuf.is_empty() && fc.rbuf.capacity() > 64 * 1024 {
-            // Keep idle connections cheap: a burst that grew the buffer
-            // must not pin its high-water memory forever.
-            fc.rbuf = Vec::new();
-        }
-        let shared = Arc::clone(&fc.shared);
         if got_frames {
-            self.inner.schedule(&shared);
+            inner.schedule(&shared);
         }
-        if protocol_error {
-            self.inner
-                .stats
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            self.inner.request_close(&shared, CloseMode::Abort);
-        } else if peer_gone {
-            self.inner.request_close(&shared, CloseMode::Drain);
+        if let Some(mode) = close {
+            inner.request_close(&shared, mode);
         }
     }
 
+    /// The loop's turn as `id`'s socket writer: a worker handed the
+    /// queue over ([`Note::Flush`]) or the socket reported room
+    /// (`EPOLLOUT`). `EPOLLOUT` stays armed exactly while the queue is
+    /// blocked.
     fn write_ready(&mut self, id: u64) {
         let Some(fc) = self.fdconns.get_mut(&id) else {
             return;
         };
-        let mut sink_broken = false;
-        let mut drained = false;
-        loop {
-            if let Some((wire, off)) = &mut fc.wpend {
-                match fc.stream.write(&wire[*off..]) {
-                    Ok(n) => {
-                        *off += n;
-                        if *off < wire.len() {
-                            continue;
-                        }
-                        let payload = fc.wpend_payload;
-                        fc.wpend = None;
-                        fc.wpend_payload = 0;
-                        self.inner.charge_sent(payload);
-                        let mut out = fc.shared.out.lock().unwrap();
-                        let stall = out.blocked_since.take();
-                        out.blocked = false;
-                        out.in_flight = false;
-                        drop(out);
-                        self.inner.note_stall(stall);
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if !fc.want_write {
-                            fc.want_write = true;
-                            let mut out = fc.shared.out.lock().unwrap();
-                            out.blocked = true;
-                            if out.blocked_since.is_none() {
-                                out.blocked_since = Some(Instant::now());
-                            }
-                            drop(out);
-                            reregister_fc(&self.driver, fc, id);
-                        }
-                        return;
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        sink_broken = true;
-                        break;
-                    }
-                }
-            } else {
-                let mut out = fc.shared.out.lock().unwrap();
-                match out.frames.pop_front() {
-                    Some(frame) => {
-                        out.bytes -= frame.len();
-                        out.in_flight = true;
-                        drop(out);
-                        let mut wire = Vec::with_capacity(4 + frame.len());
-                        wire.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-                        wire.extend_from_slice(&frame);
-                        fc.wpend_payload = frame.len();
-                        fc.wpend = Some((wire, 0));
-                    }
-                    None => {
-                        drained = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if fc.want_write && (drained || sink_broken) {
-            fc.want_write = false;
+        let shared = Arc::clone(&fc.shared);
+        let written = {
+            let mut out = shared.out.lock().unwrap();
+            out.blocked = false;
+            out.write_to(fc.stream(), &self.inner)
+        };
+        let blocked = written == Written::Blocked;
+        if fc.want_write != blocked {
+            fc.want_write = blocked;
             reregister_fc(&self.driver, fc, id);
         }
-        let shared = Arc::clone(&fc.shared);
-        if sink_broken {
-            self.inner.request_close(&shared, CloseMode::Abort);
-            return;
-        }
-        if drained {
+        match written {
+            Written::Blocked => {}
+            Written::Broken => self.inner.request_close(&shared, CloseMode::Abort),
             // Below the low-water mark by definition: resume lazy
             // producers and any conn stalled on a full outbound queue.
-            if self.inner.has_work(&shared) {
-                self.inner.schedule(&shared);
+            Written::Drained => {
+                if self.inner.has_work(&shared) {
+                    self.inner.schedule(&shared);
+                }
             }
         }
     }
@@ -633,18 +604,15 @@ impl EventLoop {
             if conn.close_done.swap(true, Ordering::AcqRel) {
                 continue;
             }
-            {
-                let mut out = conn.out.lock().unwrap();
-                while let Some(frame) = out.frames.pop_front() {
-                    out.bytes -= frame.len();
-                    self.inner.charge_dropped(frame.len());
-                }
-            }
+            conn.out.lock().unwrap().discard(&self.inner);
             if let Inbound::Virtual { q } = &conn.inbound {
                 q.close();
             }
-            if let Sink::Virtual { peer } = &conn.sink {
-                peer.close();
+            match &conn.sink {
+                Sink::Virtual { peer } => peer.close(),
+                Sink::Fd { stream } => {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
             }
             conn.set_state(&self.inner.stats, ConnState::Closed);
             self.inner.stats.closed.fetch_add(1, Ordering::Relaxed);
@@ -673,7 +641,7 @@ fn reregister_fc(driver: &Driver, fc: &FdConn, id: u64) {
         if fc.want_write {
             mask |= sys::EPOLLOUT;
         }
-        let _ = sys::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fc.stream.as_raw_fd(), mask, id);
+        let _ = sys::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fc.stream().as_raw_fd(), mask, id);
     }
     #[cfg(not(all(
         target_os = "linux",
@@ -702,7 +670,11 @@ pub(super) fn build_driver() -> (Driver, Waker) {
             .is_ok()
             {
                 return (
-                    Driver::Epoll { epfd, wake_rx: rx },
+                    Driver::Epoll {
+                        epfd,
+                        wake_rx: rx,
+                        events: vec![sys::EpollEvent::zeroed(); 256],
+                    },
                     Waker {
                         kind: Arc::new(WakerKind::Pipe {
                             tx: Mutex::new(tx),

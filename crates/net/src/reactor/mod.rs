@@ -9,12 +9,22 @@
 //! * **one event loop** multiplexes every socket through `epoll`
 //!   (raw-syscall shim in the private `sys` module; no `libc`
 //!   dependency) plus the
-//!   in-process virtual connections used by tests and benchmarks;
+//!   in-process virtual connections used by tests and benchmarks, and
+//!   reads each request with one `read`;
 //! * **a bounded worker pool** runs the enclave work. Each connection
 //!   is scheduled on at most one worker at a time, so frames of one
 //!   TLS channel are processed strictly in order while different
 //!   connections proceed in parallel — the pool size, not the
 //!   connection count, is the concurrency knob;
+//! * **a frame crosses the host in one syscall per direction.** The
+//!   worker that produced a response writes it to the socket itself,
+//!   all its frames in one `write_vectored`: whoever holds the
+//!   connection's `out` lock is the socket's one writer, and the
+//!   position of a partial write lives under that lock, so the event
+//!   loop — which takes over on `EPOLLOUT` when a peer made a worker's
+//!   write block, and only then — continues at the exact byte. `out` is
+//!   a leaf lock (never held across scheduling, a note to the loop, a
+//!   close request or a handler call);
 //! * **per-connection state machine**: `Accepting → Handshaking →
 //!   Streaming → Draining → Closed`, with byte-bounded outbound queues,
 //!   lazy (pull-based) download production, inbound backpressure that
@@ -180,6 +190,7 @@ impl Inner {
 
     fn inject(&self, note: Note) {
         self.notes.lock().unwrap().push_back(note);
+        self.stats.loop_wakes.fetch_add(1, Ordering::Relaxed);
         self.waker.wake();
     }
 
@@ -193,19 +204,29 @@ impl Inner {
         if conn.close_done.load(Ordering::Acquire) {
             return false;
         }
-        let (queued, queued_bytes) = {
+        let (queued, queued_bytes, blocked) = {
             let out = conn.out.lock().unwrap();
-            (out.undelivered(), out.bytes)
+            (out.undelivered(), out.bytes, out.blocked)
+        };
+        // Whether a worker's `flush` could move a queued frame right
+        // now. Checked after `scheduled` is cleared, so a drain hook (or
+        // an `EPOLLOUT`) that fired while the worker still held the
+        // connection is not lost.
+        let sink_has_room = || match &conn.sink {
+            // A blocked socket is the loop's until `EPOLLOUT`.
+            Sink::Fd { .. } => !blocked,
+            // A closed peer counts: the push fails and aborts the close.
+            Sink::Virtual { peer } => !peer.is_full(),
         };
         if conn.closing.load(Ordering::Acquire) {
             // An abort finalizes at once, a drain once the queue is empty.
             return !queued
                 || *conn.close_mode.lock().unwrap() == CloseMode::Abort
-                || self.sink_has_room(conn);
+                || sink_has_room();
         }
         if queued_bytes >= self.cfg.outbound_bytes {
             // `service` consumes nothing at the cap.
-            return self.sink_has_room(conn);
+            return sink_has_room();
         }
         let inbound_ready = match &conn.inbound {
             Inbound::Fd { inbox } => !inbox.lock().unwrap().is_empty(),
@@ -215,19 +236,6 @@ impl Inner {
             return true;
         }
         conn.wants_drain.load(Ordering::Acquire) && queued_bytes < self.cfg.outbound_bytes / 2
-    }
-
-    /// Whether a worker's `flush` could move a queued frame right now.
-    /// Checked after `scheduled` is cleared, so a drain hook that fired
-    /// while the worker still held the connection is not lost.
-    fn sink_has_room(&self, conn: &Conn) -> bool {
-        match &conn.sink {
-            // Only the loop writes sockets; it reschedules when the
-            // queue empties.
-            Sink::Fd => false,
-            // A closed peer counts: the push fails and aborts the close.
-            Sink::Virtual { peer } => !peer.is_full(),
-        }
     }
 
     /// Requests a close; the worker path finalizes it (so `on_close`
@@ -342,6 +350,7 @@ impl ReactorHandle {
                     driver,
                     listeners: HashMap::new(),
                     fdconns: HashMap::new(),
+                    rdbuf: vec![0u8; crate::framing::READ_CHUNK],
                     idle_ms: idle,
                 };
                 ev.run();
@@ -639,6 +648,133 @@ mod tests {
         }
         assert_eq!(reactor.stats().accepted_total(), 8);
         assert_eq!(reactor.stats().frames_in_total(), 160);
+    }
+
+    /// Streams frames lazily, one per `on_drain`, from the first request
+    /// until told to stop; frame `i` is `Stream::frame(i)`.
+    struct Stream {
+        /// Frames produced so far, and whether to produce more.
+        produced: Mutex<(usize, bool)>,
+    }
+
+    impl Stream {
+        const LARGEST: usize = 48 * 1024;
+
+        /// 1 B to 48 KiB, so that frame ends do not fall on the kernel's.
+        fn frame(i: usize) -> Vec<u8> {
+            vec![i as u8; 1 + (i * 7919) % Stream::LARGEST]
+        }
+    }
+
+    impl FrameHandler for Stream {
+        fn on_frame(&self, _conn: ConnId, _frame: Vec<u8>) -> FrameOutcome {
+            FrameOutcome {
+                established: true,
+                more: true,
+                ..FrameOutcome::default()
+            }
+        }
+
+        fn on_drain(&self, _conn: ConnId) -> FrameOutcome {
+            let mut produced = self.produced.lock().unwrap();
+            if !produced.1 {
+                return FrameOutcome::default();
+            }
+            produced.0 += 1;
+            FrameOutcome {
+                frames: vec![Stream::frame(produced.0 - 1)],
+                more: true,
+                ..FrameOutcome::default()
+            }
+        }
+    }
+
+    /// A peer stops reading while the handler streams: once the kernel's
+    /// buffers are full a worker's write blocks in the middle of a frame,
+    /// later turns queue more frames behind it, and the loop finishes
+    /// what the worker began. Whatever the split between the two
+    /// writers, the peer reads exactly prefix‖payload of every frame, in
+    /// order; the stall is one stall; and the queue stays bounded
+    /// throughout.
+    #[test]
+    fn a_slow_reader_gets_every_frame_in_order_across_the_hand_over() {
+        use std::io::{Read, Write};
+        if !EPOLL_AVAILABLE {
+            return;
+        }
+        let cap = 128 * 1024;
+        let cfg = ReactorConfig {
+            outbound_bytes: cap,
+            ..small_cfg()
+        };
+        let handler = Arc::new(Stream {
+            produced: Mutex::new((0, true)),
+        });
+        let reactor = ReactorHandle::start(cfg, Arc::clone(&handler) as Arc<dyn FrameHandler>);
+        let stats = Arc::clone(reactor.stats());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        reactor.serve_listener(listener).unwrap();
+
+        let mut peer = std::net::TcpStream::connect(addr).unwrap();
+        peer.write_all(&[2, 0, 0, 0, b'g', b'o']).unwrap();
+
+        // Read nothing until the server is stuck on us for three stall
+        // thresholds: the kernel's buffers full (however large this box
+        // makes them), output queued behind them, none of it moving.
+        let stuck_by = Instant::now() + Duration::from_secs(20);
+        loop {
+            let delivered = stats.frames_out_total();
+            std::thread::sleep(3 * DEFAULT_SEND_STALL);
+            if stats.outq_bytes() > 0 && stats.frames_out_total() == delivered {
+                break;
+            }
+            assert!(Instant::now() < stuck_by, "the sender never blocked");
+        }
+        assert!(
+            stats.loop_wakes_total() >= 1,
+            "the worker handed the socket over"
+        );
+        assert_eq!(
+            stats.send_stalls_total(),
+            0,
+            "a stall is counted when it ends"
+        );
+        let frames = {
+            let mut produced = handler.produced.lock().unwrap();
+            produced.1 = false;
+            produced.0
+        };
+        let wire = crate::framing::wire(&(0..frames).map(Stream::frame).collect::<Vec<_>>());
+
+        let draining = Instant::now();
+        let mut got = vec![0u8; wire.len()];
+        peer.read_exact(&mut got).unwrap();
+        let drained_in = draining.elapsed();
+        assert!(
+            got == wire,
+            "the byte stream is every frame, whole and in order"
+        );
+
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while stats.frames_out_total() < frames as u64 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(stats.frames_out_total(), frames as u64);
+        assert_eq!(stats.outq_bytes(), 0);
+        // The stall we forced, once — plus at most one for every further
+        // threshold's worth of time the drain itself took on a busy box.
+        let stalls = stats.send_stalls_total();
+        let slack = (drained_in.as_nanos() / DEFAULT_SEND_STALL.as_nanos()) as u64;
+        assert!(
+            (1..=1 + slack).contains(&stalls),
+            "{stalls} stalls for one blocked stretch (drain took {drained_in:?})"
+        );
+        assert!(
+            stats.outq_highwater_bytes() <= (cap + Stream::LARGEST) as u64,
+            "queue high-water {} B above the cap plus one frame",
+            stats.outq_highwater_bytes()
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! On other platforms [`EPOLL_AVAILABLE`] is `false` and the epoll
 //! driver is compiled out; the reactor still runs virtual connections
-//! through its condvar driver, and TCP serving falls back to the
-//! threaded front end.
+//! through its condvar driver, and `serve_listener` reports TCP serving
+//! as unavailable.
 
 /// Whether the epoll driver can be built on this target.
 #[cfg(all(

@@ -1,11 +1,17 @@
 //! The worker pool: one scheduled turn per connection at a time, running
-//! the handler and moving its output toward the sink.
+//! the handler and delivering its output to the sink.
+//!
+//! Delivering means writing: the worker that ran the handler writes the
+//! response to the socket itself, in one `write_vectored` under the
+//! connection's `out` lock, so a response never waits for another thread
+//! to be scheduled. Only when the socket would block does the worker
+//! hand the rest of the queue to the event loop (`Note::Flush`) and
+//! stay away from the socket until the loop has drained it.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
-use super::conn::{CloseMode, Conn, ConnState, Inbound, Sink};
+use super::conn::{CloseMode, Conn, ConnState, Inbound, Sink, Written};
 use super::event_loop::Note;
 use super::{FrameOutcome, Inner, DRAIN_DEADLINE_MS};
 use crate::virtq::{TryPop, TryPush};
@@ -151,18 +157,24 @@ fn apply(inner: &Arc<Inner>, conn: &Arc<Conn>, outcome: FrameOutcome) {
     }
 }
 
-/// Pushes the outbound queue toward the sink. For sockets this posts a
-/// flush note (only the loop touches fds); for virtual peers it
-/// delivers directly.
+/// Delivers the outbound queue to the sink: written to the socket, or
+/// pushed into the virtual peer's queue. A socket that would block goes
+/// to the loop with a flush note, and stays the loop's to write until
+/// `EPOLLOUT` has cleared `blocked`.
 fn flush(inner: &Arc<Inner>, conn: &Arc<Conn>) {
     match &conn.sink {
-        Sink::Fd => {
-            let pending = {
-                let out = conn.out.lock().unwrap();
-                !out.frames.is_empty()
+        Sink::Fd { stream } => {
+            let written = {
+                let mut out = conn.out.lock().unwrap();
+                if out.blocked {
+                    return;
+                }
+                out.write_to(stream, inner)
             };
-            if pending {
-                inner.inject(Note::Flush(conn.id));
+            match written {
+                Written::Drained => {}
+                Written::Blocked => inner.inject(Note::Flush(conn.id)),
+                Written::Broken => inner.request_close(conn, CloseMode::Abort),
             }
         }
         Sink::Virtual { peer } => {
@@ -178,10 +190,7 @@ fn flush(inner: &Arc<Inner>, conn: &Arc<Conn>) {
                     }
                     TryPush::Full(frame) => {
                         out.frames.push_front(frame);
-                        out.blocked = true;
-                        if out.blocked_since.is_none() {
-                            out.blocked_since = Some(Instant::now());
-                        }
+                        out.note_blocked();
                         return;
                     }
                     TryPush::Closed => {
@@ -226,10 +235,7 @@ fn try_finalize(inner: &Arc<Inner>, conn: &Arc<Conn>) {
     {
         let mut out = conn.out.lock().unwrap();
         inner.note_stall(out.blocked_since.take());
-        while let Some(frame) = out.frames.pop_front() {
-            out.bytes -= frame.len();
-            inner.charge_dropped(frame.len());
-        }
+        out.discard(inner);
     }
     conn.set_state(&inner.stats, ConnState::Closed);
     inner.stats.closed.fetch_add(1, Ordering::Relaxed);
@@ -244,7 +250,7 @@ fn try_finalize(inner: &Arc<Inner>, conn: &Arc<Conn>) {
     if let Sink::Virtual { peer } = &conn.sink {
         peer.close();
     }
-    if matches!(conn.sink, Sink::Fd) {
+    if matches!(conn.sink, Sink::Fd { .. }) {
         inner.inject(Note::Destroy(conn.id));
     }
 }

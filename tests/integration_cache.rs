@@ -242,6 +242,31 @@ fn cache_metrics_report_hits_and_invalidations() {
     assert!(invalidations > 0, "the overwrite must invalidate");
 }
 
+/// A get served from the warm cache probes the untrusted store for the
+/// file's existence once: `resolve_path`'s probe, which `do_get` reuses
+/// (it used to derive the storage name and ask a second time).
+#[test]
+fn a_hot_get_costs_one_exists() {
+    let r = rig(cached_config(), 306);
+    let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = r.server.connect_local(&alice).unwrap();
+    a.mkdir("/d").unwrap();
+    let body = vec![0x42u8; 4096];
+    a.put("/d/hot", &body).unwrap();
+    warm(&mut a, "/d/hot", &body);
+
+    let exists = || -> u64 {
+        let io = r.server.enclave().store_io();
+        io.iter().map(|(_, stats, _)| stats.exists).sum()
+    };
+    let before = exists();
+    const GETS: u64 = 50;
+    for _ in 0..GETS {
+        assert_eq!(a.get("/d/hot").unwrap(), body);
+    }
+    assert_eq!(exists() - before, GETS, "one existence probe per hot get");
+}
+
 // ------------------------------------------------------ trusted records
 //
 // A hash record is cached only when the enclave wrote it from trusted

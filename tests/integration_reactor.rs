@@ -214,6 +214,59 @@ fn download_backpressure_keeps_outbound_bounded() {
     );
 }
 
+/// The frame path by exact count: a hot 4 KiB get over loopback TCP is
+/// one socket write and one socket read on each side — the request in one
+/// `write_vectored`, read by the loop in one `read`; the response's two
+/// records (`FileStart`, `Data`) written by the worker that produced them
+/// in one `write_vectored`, without waking the loop, and read by the
+/// client in one `read` (two if the segment was split).
+#[test]
+fn a_hot_get_is_one_socket_write_and_one_read_each_way() {
+    if !seg_net::reactor::EPOLL_AVAILABLE {
+        return;
+    }
+    let (_setup, server, alice) = rig(8);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    server.serve_listener(listener).unwrap();
+    let transport = seg_net::TcpTransport::connect(&addr.to_string()).unwrap();
+    let client_calls = transport.socket_calls();
+    let mut c = Client::connect(transport, &alice).unwrap();
+    let body = vec![0x5au8; 4096];
+    c.put("/hot", &body).unwrap();
+    for _ in 0..4 {
+        assert_eq!(c.get("/hot").unwrap(), body, "warm-up");
+    }
+
+    let stats = Arc::clone(server.reactor().stats());
+    let counts = || {
+        [
+            stats.socket_writes_total(),
+            stats.socket_reads_total(),
+            stats.loop_wakes_total(),
+            client_calls.writes(),
+            client_calls.reads(),
+        ]
+    };
+    let before = counts();
+    const GETS: u64 = 200;
+    for _ in 0..GETS {
+        assert_eq!(c.get("/hot").unwrap(), body);
+    }
+    let [server_writes, server_reads, loop_wakes, client_writes, client_reads] = {
+        let after = counts();
+        std::array::from_fn(|i| after[i] - before[i])
+    };
+    assert_eq!(server_writes, GETS, "one write_vectored per response");
+    assert_eq!(server_reads, GETS, "one read per request");
+    assert_eq!(loop_wakes, 0, "the worker writes; the loop is not woken");
+    assert_eq!(client_writes, GETS, "prefix and payload leave together");
+    assert!(
+        (GETS..=2 * GETS).contains(&client_reads),
+        "{client_reads} client reads for {GETS} gets of two records each"
+    );
+}
+
 /// Streams lazily until told to close; remembers which thread ran it.
 struct StreamThenClose {
     chunk_len: usize,
