@@ -63,18 +63,19 @@
 //! root, as in the paper. The integrity scrubber always takes that full
 //! walk over store records (`TrustedStore::scrub_read`).
 
-use std::collections::{BTreeSet, HashMap};
+mod dedup;
+mod io;
+mod record;
+mod tree;
+
+pub use record::{GroupRootFile, HashRecord};
+
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use seg_crypto::mset::{MsetHash, MSET_HASH_LEN};
-use seg_crypto::pae::{pae_dec, pae_enc};
-use seg_crypto::rng::SystemRng;
-use seg_crypto::sha256::Sha256;
-use seg_fs::codec::{Decoder, Encoder};
-use seg_fs::{DirFile, UserId};
-use seg_sgx::pfs::{header_id, pfs_decrypt, pfs_encrypt, PfsFile, HEADER_ID_LEN};
+use seg_crypto::mset::MsetHash;
 use seg_sgx::Enclave;
 use seg_store::ObjectStore;
 
@@ -83,161 +84,6 @@ use crate::error::SegShareError;
 
 use super::keys::KeyHierarchy;
 use super::names::{ObjectId, StoreKind};
-
-/// Monotonic-counter ids per store (whole-FS rollback protection).
-fn counter_id(store: StoreKind) -> u64 {
-    match store {
-        StoreKind::Content => 1,
-        StoreKind::Group => 2,
-        StoreKind::Dedup => 3,
-    }
-}
-
-/// The group store's root file: the list of users with member-list
-/// files ("a root directory file stores a list of all contained files",
-/// §IV-B).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct GroupRootFile {
-    users: BTreeSet<UserId>,
-}
-
-impl GroupRootFile {
-    /// An empty root file.
-    #[must_use]
-    pub fn new() -> GroupRootFile {
-        GroupRootFile::default()
-    }
-
-    /// Registers a user's member-list file; returns whether it was new.
-    pub fn add_user(&mut self, user: UserId) -> bool {
-        self.users.insert(user)
-    }
-
-    /// Whether `user` has a member-list file.
-    #[must_use]
-    pub fn contains(&self, user: &UserId) -> bool {
-        self.users.contains(user)
-    }
-
-    /// Iterates over registered users.
-    pub fn users(&self) -> impl Iterator<Item = &UserId> {
-        self.users.iter()
-    }
-
-    /// Serializes the root file.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.tag(b"GRT1");
-        e.u32(self.users.len() as u32);
-        for u in &self.users {
-            e.str(u.as_str());
-        }
-        e.finish()
-    }
-
-    /// Parses a [`GroupRootFile::encode`] payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`seg_fs::FsError`] on malformed input.
-    pub fn decode(data: &[u8]) -> Result<GroupRootFile, seg_fs::FsError> {
-        let mut d = Decoder::new(data);
-        d.tag(b"GRT1")?;
-        let count = d.u32()?;
-        let mut users = BTreeSet::new();
-        for _ in 0..count {
-            users.insert(UserId::new(d.str()?)?);
-        }
-        d.finish()?;
-        Ok(GroupRootFile { users })
-    }
-}
-
-/// One object's rollback-tree hash record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HashRecord {
-    /// The node's main hash: its header binding plus `fold`.
-    pub main: MsetHash,
-    /// The sum of the bucket elements (the empty hash for a leaf).
-    pub fold: MsetHash,
-    /// Bucket hashes (inner nodes only).
-    pub buckets: Vec<MsetHash>,
-    /// Monotonic-counter value (tree roots with whole-FS protection).
-    pub counter: u64,
-}
-
-/// Record tag of storage format version 2; the last byte is the version.
-const RECORD_TAG: &[u8; 4] = b"HRC2";
-
-impl HashRecord {
-    /// `tag | main | counter | bucket count`, then — inner nodes only —
-    /// `fold` and the buckets. A leaf has no buckets, so no fold either.
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.tag(RECORD_TAG);
-        e.raw(&self.main.to_bytes());
-        e.u64(self.counter);
-        e.u32(self.buckets.len() as u32);
-        if !self.buckets.is_empty() {
-            e.raw(&self.fold.to_bytes());
-        }
-        for b in &self.buckets {
-            e.raw(&b.to_bytes());
-        }
-        e.finish()
-    }
-
-    /// Bytes a cached copy is charged for (the hashes it holds).
-    fn cached_bytes(&self) -> u64 {
-        (MSET_HASH_LEN * (2 + self.buckets.len()) + 8) as u64
-    }
-
-    fn decode(data: &[u8]) -> Result<HashRecord, SegShareError> {
-        if let [b'H', b'R', b'C', version] = data[..data.len().min(4)] {
-            if version != RECORD_TAG[3] && version.is_ascii_digit() {
-                return Err(SegShareError::Integrity(format!(
-                    "hash record written by storage format version {}; \
-                     this build reads version 2 only",
-                    char::from(version)
-                )));
-            }
-        }
-        fn hash(d: &mut Decoder<'_>) -> Result<MsetHash, SegShareError> {
-            let bytes: [u8; MSET_HASH_LEN] =
-                d.raw(MSET_HASH_LEN)?.try_into().expect("fixed length");
-            Ok(MsetHash::from_bytes(&bytes))
-        }
-        let mut d = Decoder::new(data);
-        d.tag(RECORD_TAG)?;
-        let main = hash(&mut d)?;
-        let counter = d.u64()?;
-        let count = d.u32()? as usize;
-        // The count is the input's word: hold it against the bytes that
-        // are there before sizing anything by it.
-        if count > d.remaining() / MSET_HASH_LEN {
-            return Err(SegShareError::Integrity(format!(
-                "hash record names {count} buckets in {} bytes",
-                d.remaining()
-            )));
-        }
-        let fold = match count {
-            0 => MsetHash::empty(),
-            _ => hash(&mut d)?,
-        };
-        let mut buckets = Vec::with_capacity(count);
-        for _ in 0..count {
-            buckets.push(hash(&mut d)?);
-        }
-        d.finish()?;
-        Ok(HashRecord {
-            main,
-            fold,
-            buckets,
-            counter,
-        })
-    }
-}
 
 /// How an update changes a node's hash in its parent's bucket.
 enum TreeChange {
@@ -560,1007 +406,6 @@ impl TrustedStore {
         let store = self.store_for(id.store());
         Ok(self.sgx.boundary().ocall(|| store.exists(&key))?)
     }
-
-    // -------------------------------------------------------- scrubbing
-
-    /// A fully verified read that **bypasses the cache** on both lookup
-    /// and fill — the integrity scrubber's read path. A cached body or
-    /// trusted hash record would mask store-side tampering exactly
-    /// where the scrubber must detect it (written-through records of
-    /// hot ancestors are otherwise never read back), so this always
-    /// walks raw-get → rollback-tree verify up to the root over store
-    /// records → PFS decrypt, and reports a store record that differs
-    /// from its trusted copy.
-    pub(crate) fn scrub_read(&self, id: &ObjectId) -> Result<Option<Vec<u8>>, SegShareError> {
-        let _tree = self.tree_shared(id);
-        self.read_verified(id, Walk::StoreOnly)
-    }
-
-    /// Appends the untrusted-store keys `id` legitimately occupies (the
-    /// body key, plus the hash-record key when the rollback tree covers
-    /// it) — the expected-key side of the scrubber's orphan scan.
-    pub(crate) fn expected_keys(&self, id: &ObjectId, out: &mut Vec<(StoreKind, String)>) {
-        out.push((
-            id.store(),
-            self.keys.storage_key(id, self.config.hide_names),
-        ));
-        if self.tree_enabled_for(id) {
-            out.push((
-                id.store(),
-                self.keys
-                    .hash_record_storage_key(id, self.config.hide_names),
-            ));
-        }
-    }
-
-    /// Lists every key currently in one backing store (one ocall) —
-    /// the observed-key side of the orphan scan.
-    pub(crate) fn list_store(&self, kind: StoreKind) -> Result<Vec<String>, SegShareError> {
-        let store = self.store_for(kind);
-        Ok(self.sgx.boundary().ocall(|| store.list())?)
-    }
-
-    /// Samples up to `max` cache-resident content bodies and re-derives
-    /// each from the backing store through the full verified path: the
-    /// cache-generation coherence probe. A divergence with an unchanged
-    /// generation means either the store was tampered under a live
-    /// cache entry or the write-through invalidation protocol was
-    /// violated — both scrub findings. Probes that race a legitimate
-    /// writer (generation moved) are discarded, not reported.
-    ///
-    /// Returns `(bodies probed, ids that failed coherence)`; empty when
-    /// the cache is disabled.
-    pub(crate) fn scrub_cache_probe(&self, max: usize) -> (u64, Vec<ObjectId>) {
-        let Some(cache) = &self.cache else {
-            return (0, Vec::new());
-        };
-        let mut probed = 0u64;
-        let mut mismatched = Vec::new();
-        for key in cache.sample_keys(max) {
-            let CacheKey::Body(id) = key else {
-                continue;
-            };
-            let cache_key = CacheKey::Body(id.clone());
-            let gen_before = cache.generation(&cache_key);
-            let Some(CachedValue::Body(cached)) = cache.get(&cache_key) else {
-                continue;
-            };
-            probed += 1;
-            let fresh = self.scrub_read(&id);
-            if cache.generation(&cache_key) != gen_before {
-                continue;
-            }
-            match fresh {
-                Ok(Some(body)) if body.as_slice() == &cached[..] => {}
-                _ => mismatched.push(id),
-            }
-        }
-        (probed, mismatched)
-    }
-
-    // ------------------------------------------------------ hash records
-
-    /// Fetches and authenticates `id`'s hash record from the store. The
-    /// result may be stale: only a walk can tell.
-    fn store_hash_record(&self, id: &ObjectId) -> Result<Option<HashRecord>, SegShareError> {
-        let key = self
-            .keys
-            .hash_record_storage_key(id, self.config.hide_names);
-        let store = self.store_for(id.store());
-        let Some(blob) = self.sgx.boundary().ocall(|| store.get(&key))? else {
-            return Ok(None);
-        };
-        let pae_key = self.keys.hash_record_key(id);
-        let body = pae_dec(&pae_key, &blob, id.canonical().as_bytes())
-            .map_err(|_| integrity(id, "hash record authentication failed"))?;
-        Ok(Some(HashRecord::decode(&body)?))
-    }
-
-    /// `id`'s trusted hash record if the cache holds one, else the
-    /// store's. A store read does not fill the cache.
-    fn read_hash_record(&self, id: &ObjectId) -> Result<Option<Fetched>, SegShareError> {
-        let cache_key = CacheKey::Record(id.clone());
-        if let Some(CachedValue::Record(rec)) = self.cache_lookup(&cache_key) {
-            return Ok(Some(Fetched {
-                rec: HashRecord::clone(&rec),
-                trusted: true,
-                gen: 0,
-            }));
-        }
-        let gen = self.cache_gen(&cache_key);
-        Ok(self.store_hash_record(id)?.map(|rec| Fetched {
-            rec,
-            trusted: false,
-            gen,
-        }))
-    }
-
-    /// The record a walk checks `id` against. A [`Walk::StoreOnly`] walk
-    /// reads the store whatever the cache holds, and fails if the two
-    /// disagree: the store copy of a trusted record was replaced.
-    fn walk_record(&self, id: &ObjectId, walk: Walk) -> Result<Option<Fetched>, SegShareError> {
-        if walk == Walk::Trusting {
-            return self.read_hash_record(id);
-        }
-        let rec = self.store_hash_record(id)?;
-        let cached = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.get(&CacheKey::Record(id.clone())));
-        if let Some(CachedValue::Record(trusted)) = cached {
-            if rec.as_ref() != Some(&*trusted) {
-                return Err(integrity(
-                    id,
-                    "stored hash record differs from the trusted copy (rollback or tamper)",
-                ));
-            }
-        }
-        Ok(rec.map(|rec| Fetched {
-            rec,
-            trusted: false,
-            gen: 0,
-        }))
-    }
-
-    /// Seals and stores `rec`. `trusted` says `rec` was computed from
-    /// trusted inputs only: the record is then written through to the
-    /// cache once the put succeeded. Otherwise (and on a failed put) the
-    /// key is left invalidated.
-    fn write_hash_record(
-        &self,
-        id: &ObjectId,
-        rec: &HashRecord,
-        trusted: bool,
-    ) -> Result<(), SegShareError> {
-        self.cache_invalidate_record(id);
-        let key = self
-            .keys
-            .hash_record_storage_key(id, self.config.hide_names);
-        let pae_key = self.keys.hash_record_key(id);
-        let blob = pae_enc(
-            &pae_key,
-            &rec.encode(),
-            id.canonical().as_bytes(),
-            &mut SystemRng::new(),
-        );
-        let store = self.store_for(id.store());
-        self.sgx.boundary().ocall(|| store.put(&key, &blob))?;
-        match &self.cache {
-            Some(cache) if trusted => cache.put(
-                CacheKey::Record(id.clone()),
-                CachedValue::Record(Arc::new(rec.clone())),
-                rec.cached_bytes(),
-            ),
-            // Second bump — same fill-vs-landing race as `commit_blob`.
-            _ => self.cache_invalidate_record(id),
-        }
-        Ok(())
-    }
-
-    /// Caches the store-read records of a walk that reached an anchor.
-    fn trust_walked(&self, walked: Vec<(ObjectId, u64, HashRecord)>) {
-        for (id, gen, rec) in walked {
-            let bytes = rec.cached_bytes();
-            self.cache_fill(
-                CacheKey::Record(id),
-                gen,
-                CachedValue::Record(Arc::new(rec)),
-                bytes as usize,
-            );
-        }
-    }
-
-    fn delete_hash_record(&self, id: &ObjectId) -> Result<(), SegShareError> {
-        self.cache_invalidate_record(id);
-        let key = self
-            .keys
-            .hash_record_storage_key(id, self.config.hide_names);
-        let store = self.store_for(id.store());
-        self.sgx.boundary().ocall(|| store.delete(&key))?;
-        self.cache_invalidate_record(id);
-        Ok(())
-    }
-
-    // ---------------------------------------------------- tree hashing
-
-    fn tree_enabled_for(&self, id: &ObjectId) -> bool {
-        // Dedup blobs are content-addressed (name = HMAC(SK_r, content),
-        // key derived from the name), so a "rolled back" blob that still
-        // decrypts necessarily has the same content — they need no tree.
-        self.config.rollback_individual && id.store() != StoreKind::Dedup
-    }
-
-    fn bucket_count(&self) -> usize {
-        self.config.rollback_buckets as usize
-    }
-
-    fn bucket_index(&self, id: &ObjectId) -> usize {
-        let digest = Sha256::digest(id.canonical().as_bytes());
-        let v = u16::from_le_bytes([digest[0], digest[1]]) as usize;
-        v % self.bucket_count()
-    }
-
-    /// The multiset element of bucket `index` of a node.
-    fn elem_bucket(index: usize, bucket: &MsetHash) -> [u8; 7 + 4 + MSET_HASH_LEN] {
-        let mut e = [0u8; 7 + 4 + MSET_HASH_LEN];
-        e[..7].copy_from_slice(b"bucket:");
-        e[7..11].copy_from_slice(&(index as u32).to_le_bytes());
-        e[11..].copy_from_slice(&bucket.to_bytes());
-        e
-    }
-
-    /// The multiset element of a child with main hash `main`, as the
-    /// parts the keyed hash state absorbs in turn.
-    fn elem_child<'a>(canonical: &'a str, main: &'a [u8; MSET_HASH_LEN]) -> [&'a [u8]; 4] {
-        [b"child:", canonical.as_bytes(), &[0], main]
-    }
-
-    /// All the tree sees of `id`'s stored blob: the id of its header.
-    fn head_of(id: &ObjectId, blob: &[u8]) -> Result<[u8; HEADER_ID_LEN], SegShareError> {
-        header_id(blob).map_err(|_| integrity(id, "truncated blob"))
-    }
-
-    /// `H(path) + H(head)`: the part of a node's main hash that binds
-    /// the stored version of its blob. Child updates never change it.
-    fn node_binding(&self, id: &ObjectId, head: &[u8; HEADER_ID_LEN]) -> MsetHash {
-        let key = self.keys.mset_key(id.store());
-        let mut binding = MsetHash::empty();
-        binding.add_parts(key, &[b"path:", id.canonical().as_bytes()]);
-        binding.add_parts(key, &[b"head:", head]);
-        binding
-    }
-
-    /// A node's bucket fold from scratch, one element per bucket: only
-    /// where no record carries it yet (a new directory, a rebuild).
-    fn bucket_fold(&self, store: StoreKind, buckets: &[MsetHash]) -> MsetHash {
-        let key = self.keys.mset_key(store);
-        let mut fold = MsetHash::empty();
-        for (i, b) in buckets.iter().enumerate() {
-            fold.add(key, &Self::elem_bucket(i, b));
-        }
-        fold
-    }
-
-    /// A node's hash record: `main = binding + fold`, by construction.
-    fn record_of(
-        &self,
-        id: &ObjectId,
-        head: &[u8; HEADER_ID_LEN],
-        fold: MsetHash,
-        buckets: Vec<MsetHash>,
-        counter: u64,
-    ) -> HashRecord {
-        let mut main = self.node_binding(id, head);
-        main.combine(&fold);
-        HashRecord {
-            main,
-            fold,
-            buckets,
-            counter,
-        }
-    }
-
-    /// Walks ancestors applying an incremental child-hash change —
-    /// O(depth) hash-record updates, no sibling reads (§V-D).
-    fn apply_tree_change(&self, id: &ObjectId, change: TreeChange) -> Result<(), SegShareError> {
-        let _prof = seg_obs::prof::phase("rollback_tree");
-        let start = std::time::Instant::now();
-        let result = self.apply_tree_change_inner(id, change);
-        self.tree_update_ns.record_duration(start.elapsed());
-        result
-    }
-
-    fn apply_tree_change_inner(
-        &self,
-        id: &ObjectId,
-        change: TreeChange,
-    ) -> Result<(), SegShareError> {
-        let mut cur = id.clone();
-        let mut cur_change = change;
-        while let Some(parent) = cur.tree_parent() {
-            // A trusted record updated by the enclave stays trusted.
-            let Fetched {
-                mut rec, trusted, ..
-            } = self
-                .read_hash_record(&parent)?
-                .ok_or_else(|| integrity(&parent, "missing ancestor hash record"))?;
-            let key = self.keys.mset_key(parent.store());
-            let b = self.bucket_index(&cur);
-            if rec.buckets.len() != self.bucket_count() {
-                return Err(integrity(&parent, "bucket count mismatch"));
-            }
-            let old_elem = Self::elem_bucket(b, &rec.buckets[b]);
-            let name = cur.canonical();
-            let (old, new) = match &cur_change {
-                TreeChange::Insert { new } => (None, Some(new)),
-                TreeChange::Replace { old, new } => (Some(old), Some(new)),
-                TreeChange::Remove { old } => (Some(old), None),
-            };
-            if let Some(old) = old {
-                rec.buckets[b].remove_parts(key, &Self::elem_child(&name, &old.to_bytes()));
-            }
-            if let Some(new) = new {
-                rec.buckets[b].add_parts(key, &Self::elem_child(&name, &new.to_bytes()));
-            }
-            // The bucket's element changed: hash old and new once, and
-            // move `main` and `fold` by the same difference.
-            let mut delta = MsetHash::of(key, &Self::elem_bucket(b, &rec.buckets[b]));
-            delta.subtract(&MsetHash::of(key, &old_elem));
-            let old_main = rec.main;
-            rec.main.combine(&delta);
-            rec.fold.combine(&delta);
-            self.write_hash_record(&parent, &rec, trusted)?;
-            cur_change = TreeChange::Replace {
-                old: old_main,
-                new: rec.main,
-            };
-            cur = parent;
-        }
-        // `cur` is now the store's tree root.
-        if self.config.rollback_whole_fs {
-            self.bump_root_counter(&cur, false)?;
-        }
-        Ok(())
-    }
-
-    /// Increments the store's monotonic counter and records the value in
-    /// the root hash record (§V-E).
-    ///
-    /// In batch mode the record names the post-commit value (`hw + 1`)
-    /// but the hardware increment is *deferred* to
-    /// [`TrustedStore::commit_pending_counters`], run once the batch is
-    /// durable — so the counter can never run ahead of what the store
-    /// actually holds across a crash.
-    ///
-    /// An update (`reanchor` false) re-issues the root record under the
-    /// new value only if the record is the current one: trusted, or
-    /// naming the hardware value. A record from a rolled-back store
-    /// would otherwise leave this call blessed by a fresh counter — the
-    /// root has no parent whose bucket could give it away.
-    /// [`TrustedStore::rebuild_tree`] re-anchors whatever it rebuilt.
-    fn bump_root_counter(&self, root: &ObjectId, reanchor: bool) -> Result<(), SegShareError> {
-        let cid = counter_id(root.store());
-        let ctr = self.sgx.counter(cid);
-        let Fetched {
-            mut rec, trusted, ..
-        } = self
-            .read_hash_record(root)?
-            .ok_or_else(|| integrity(root, "missing root hash record"))?;
-        if !reanchor
-            && !trusted
-            && rec.counter != ctr.read()
-            && !self.counter_pending(cid, rec.counter)
-        {
-            return Err(integrity(
-                root,
-                "monotonic counter mismatch (whole file system rollback)",
-            ));
-        }
-        let value = if self.config.batch {
-            let mut pending = self.pending_counters.lock();
-            let target = pending.get(&cid).copied().unwrap_or_else(|| ctr.read() + 1);
-            pending.insert(cid, target);
-            target
-        } else {
-            let value = ctr.increment()?;
-            // Real counter increments cost tens of milliseconds; charge it.
-            self.sgx.boundary().charge(ctr.increment_latency_ns());
-            value
-        };
-        rec.counter = value;
-        self.write_hash_record(root, &rec, trusted)
-    }
-
-    /// Performs the deferred monotonic-counter increments registered by
-    /// batch-mode [`bump_root_counter`](Self::bump_root_counter) calls.
-    /// Runs at the durability point, *after* the group commit's fsync
-    /// acknowledged the batch. Each counter is incremented to its
-    /// target before its map entry is removed, so a concurrent verifier
-    /// always sees either the pending target or matching hardware.
-    pub(crate) fn commit_pending_counters(&self) -> Result<(), SegShareError> {
-        loop {
-            let entry = self
-                .pending_counters
-                .lock()
-                .iter()
-                .next()
-                .map(|(k, v)| (*k, *v));
-            let Some((cid, target)) = entry else {
-                return Ok(());
-            };
-            let ctr = self.sgx.counter(cid);
-            while ctr.read() < target {
-                ctr.increment()?;
-                self.sgx.boundary().charge(ctr.increment_latency_ns());
-            }
-            self.pending_counters.lock().remove(&cid);
-        }
-    }
-
-    /// Whether `value` is a registered pending target for `cid` — the
-    /// one-ahead window a batch-mode root record legitimately occupies
-    /// between its write and the post-durability increment.
-    fn counter_pending(&self, cid: u64, value: u64) -> bool {
-        self.config.batch && self.pending_counters.lock().get(&cid) == Some(&value)
-    }
-
-    /// Launch-time adoption of a root record whose deferred increment
-    /// was lost to a crash: the record naming exactly `hw + 1` is the
-    /// batch the previous process made durable but never acknowledged
-    /// with an increment, so the counter catches up by one. Any larger
-    /// gap stays — and reads then fail §V-E verification, exactly as a
-    /// rollback must. Mirrors the audit trail's orphan adoption.
-    pub(crate) fn adopt_root_counters(&self) -> Result<(), SegShareError> {
-        if !(self.config.batch && self.config.rollback_whole_fs) {
-            return Ok(());
-        }
-        for root in [
-            ObjectId::DirData(seg_fs::SegPath::root()),
-            ObjectId::GroupRoot,
-        ] {
-            let Some(rec) = self.store_hash_record(&root)? else {
-                continue;
-            };
-            let ctr = self.sgx.counter(counter_id(root.store()));
-            if rec.counter == ctr.read() + 1 {
-                ctr.increment()?;
-                self.sgx.boundary().charge(ctr.increment_latency_ns());
-            }
-        }
-        Ok(())
-    }
-
-    /// Enumerates a directory node's tree children from its decoded body.
-    fn tree_children(
-        &self,
-        parent: &ObjectId,
-        parent_body: &[u8],
-    ) -> Result<Vec<ObjectId>, SegShareError> {
-        match parent {
-            ObjectId::DirData(dir) => {
-                let df = DirFile::decode(parent_body)?;
-                let mut children = Vec::with_capacity(2 * df.len() + 1);
-                for (name, kind) in df.children() {
-                    let child_path = df.child_path(name, kind)?;
-                    children.push(match kind {
-                        seg_fs::ChildKind::Directory => ObjectId::DirData(child_path.clone()),
-                        seg_fs::ChildKind::File => ObjectId::FileData(child_path.clone()),
-                    });
-                    children.push(ObjectId::Acl(child_path));
-                }
-                if dir.is_root() {
-                    children.push(ObjectId::Acl(seg_fs::SegPath::root()));
-                }
-                Ok(children)
-            }
-            ObjectId::GroupRoot => {
-                let root = GroupRootFile::decode(parent_body)?;
-                let mut children = vec![ObjectId::GroupList];
-                for user in root.users() {
-                    children.push(ObjectId::MemberList(user.clone()));
-                }
-                Ok(children)
-            }
-            other => Err(integrity(other, "node cannot have children")),
-        }
-    }
-
-    /// §V-D validation of `id` (whose stored blob has header id `head`):
-    /// check its own hash record, then one bucket per ancestor level up
-    /// to the first trusted record or the root, then the root counter.
-    fn verify_tree(
-        &self,
-        id: &ObjectId,
-        head: &[u8; HEADER_ID_LEN],
-        walk: Walk,
-    ) -> Result<(), SegShareError> {
-        let _prof = seg_obs::prof::phase("rollback_tree");
-        let start = std::time::Instant::now();
-        let result = self.verify_tree_inner(id, head, walk);
-        self.tree_verify_ns.record_duration(start.elapsed());
-        result
-    }
-
-    /// Checks the stored version `head` of `id` against its record,
-    /// trusted or from the store: `H(path) + H(head) + fold == main`,
-    /// two short HMACs.
-    fn check_header(
-        &self,
-        id: &ObjectId,
-        head: &[u8; HEADER_ID_LEN],
-        rec: &HashRecord,
-        mismatch: &str,
-    ) -> Result<(), SegShareError> {
-        let mut expected = self.node_binding(id, head);
-        expected.combine(&rec.fold);
-        if expected != rec.main {
-            return Err(integrity(id, mismatch));
-        }
-        Ok(())
-    }
-
-    fn verify_tree_inner(
-        &self,
-        id: &ObjectId,
-        head: &[u8; HEADER_ID_LEN],
-        walk: Walk,
-    ) -> Result<(), SegShareError> {
-        let node = self
-            .walk_record(id, walk)?
-            .ok_or_else(|| integrity(id, "missing hash record (rollback or tamper)"))?;
-        self.check_header(
-            id,
-            head,
-            &node.rec,
-            "node hash mismatch (rollback or tamper)",
-        )?;
-        if node.trusted {
-            // `head` is what the enclave last wrote for `id`.
-            return Ok(());
-        }
-        // Store records on the chain that passed every check so far;
-        // trusted once the walk reaches an anchor, dropped if it fails.
-        let mut walked = Vec::new();
-        // `top` is `cur`'s store record.
-        let mut cur = id.clone();
-        let mut top = node;
-        while let Some(parent) = cur.tree_parent() {
-            let parent_blob = self
-                .raw_get(&parent)?
-                .ok_or_else(|| integrity(&parent, "missing ancestor"))?;
-            let parent_rec = self
-                .walk_record(&parent, walk)?
-                .ok_or_else(|| integrity(&parent, "missing ancestor hash record"))?;
-            self.check_header(
-                &parent,
-                &Self::head_of(&parent, &parent_blob)?,
-                &parent_rec.rec,
-                "ancestor hash mismatch",
-            )?;
-            if parent_rec.rec.buckets.len() != self.bucket_count() {
-                return Err(integrity(&parent, "bucket count mismatch"));
-            }
-            // Recompute the single bucket containing `cur` from the
-            // same-bucket siblings' hash records.
-            let parent_body = pfs_decrypt(&self.data_key(&parent), &parent_blob)?;
-            let children = self.tree_children(&parent, &parent_body)?;
-            let b = self.bucket_index(&cur);
-            let key = self.keys.mset_key(parent.store());
-            let mut recomputed = MsetHash::empty();
-            let mut cur_listed = false;
-            for child in children {
-                if self.bucket_index(&child) != b {
-                    continue;
-                }
-                let child_main = if child == cur {
-                    cur_listed = true;
-                    top.rec.main
-                } else {
-                    self.walk_record(&child, walk)?
-                        .ok_or_else(|| integrity(&child, "missing sibling hash record"))?
-                        .rec
-                        .main
-                };
-                recomputed.add_parts(
-                    key,
-                    &Self::elem_child(&child.canonical(), &child_main.to_bytes()),
-                );
-            }
-            if !cur_listed {
-                return Err(integrity(&cur, "not listed in parent (rollback or tamper)"));
-            }
-            if recomputed != parent_rec.rec.buckets[b] {
-                return Err(integrity(
-                    &parent,
-                    "bucket hash mismatch (rollback or tamper)",
-                ));
-            }
-            walked.push((cur, top.gen, top.rec));
-            cur = parent;
-            top = parent_rec;
-            if top.trusted {
-                // A trusted ancestor: its bucket is the latest the
-                // enclave computed, so the chain below it is current.
-                self.trust_walked(walked);
-                return Ok(());
-            }
-        }
-        // `cur` is the tree root and `top` its record, from the store.
-        if self.config.rollback_whole_fs {
-            // The counter is read off the very record the chain was
-            // just checked against.
-            let cid = counter_id(cur.store());
-            let hw = self.sgx.counter(cid).read();
-            // A record exactly one ahead is legitimate while its batch's
-            // deferred increment is pending (batch mode only).
-            if top.rec.counter != hw && !self.counter_pending(cid, top.rec.counter) {
-                return Err(integrity(
-                    &cur,
-                    "monotonic counter mismatch (whole file system rollback)",
-                ));
-            }
-        }
-        if walk == Walk::Trusting {
-            walked.push((cur, top.gen, top.rec));
-            self.trust_walked(walked);
-        }
-        Ok(())
-    }
-
-    // --------------------------------------------------------- object io
-
-    /// Writes an object body (non-streaming path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage, crypto, and tree failures.
-    pub fn write(&self, id: &ObjectId, body: &[u8]) -> Result<(), SegShareError> {
-        let start = std::time::Instant::now();
-        let blob = pfs_encrypt(&self.data_key(id), body, &mut SystemRng::new())?;
-        self.pfs_encrypt_ns.record_duration(start.elapsed());
-        self.commit_blob(id, &blob)
-    }
-
-    /// Commits an already-encrypted PFS blob (the streaming upload path
-    /// finishes here).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage, crypto, and tree failures.
-    pub fn commit_blob(&self, id: &ObjectId, blob: &[u8]) -> Result<(), SegShareError> {
-        let start = std::time::Instant::now();
-        let _tree = self.tree_exclusive(id);
-        let result = self.commit_blob_inner(id, blob);
-        // Second bump: a miss-fill that snapshotted its generation after
-        // the pre-write bump but read the store before the put landed
-        // would otherwise survive with the old body.
-        self.cache_invalidate_object(id);
-        self.trace_store("store_write", id, result.is_ok(), start);
-        result
-    }
-
-    fn commit_blob_inner(&self, id: &ObjectId, blob: &[u8]) -> Result<(), SegShareError> {
-        self.cache_invalidate_object(id);
-        if !self.tree_enabled_for(id) {
-            return self.raw_put(id, blob);
-        }
-        let head = Self::head_of(id, blob)?;
-        let old = self.read_hash_record(id)?;
-        // The new record is trusted when nothing stale can be in it: a
-        // leaf's is a function of the header alone; an inner node's
-        // carries its old buckets and their fold over, so those must
-        // have been trusted (or the node is new and has none).
-        let (fold, buckets, trusted) = match (&old, id.is_tree_inner()) {
-            (Some(old), true) => (old.rec.fold, old.rec.buckets.clone(), old.trusted),
-            (None, true) => {
-                let buckets = vec![MsetHash::empty(); self.bucket_count()];
-                (self.bucket_fold(id.store(), &buckets), buckets, true)
-            }
-            (_, false) => (MsetHash::empty(), Vec::new(), true),
-        };
-        let counter = old.as_ref().map_or(0, |old| old.rec.counter);
-        let rec = self.record_of(id, &head, fold, buckets, counter);
-        self.raw_put(id, blob)?;
-        self.write_hash_record(id, &rec, trusted)?;
-        let new = rec.main;
-        self.apply_tree_change(
-            id,
-            match old {
-                Some(old) => TreeChange::Replace {
-                    old: old.rec.main,
-                    new,
-                },
-                None => TreeChange::Insert { new },
-            },
-        )
-    }
-
-    /// Reads and fully verifies an object body.
-    ///
-    /// A cache hit serves the verified plaintext of the latest body
-    /// this enclave wrote without touching the store (and without a
-    /// `store_read` trace event — no store access happened).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SegShareError::Integrity`] on any tamper or rollback.
-    pub fn read(&self, id: &ObjectId) -> Result<Option<Vec<u8>>, SegShareError> {
-        if let Some(body) = self.cached_body(id) {
-            return Ok(Some(body.to_vec()));
-        }
-        let gen = self.cache_gen(&CacheKey::Body(id.clone()));
-        let start = std::time::Instant::now();
-        let result = {
-            let _tree = self.tree_shared(id);
-            self.read_verified(id, Walk::Trusting)
-        };
-        self.trace_store("store_read", id, result.is_ok(), start);
-        let body = result?;
-        if let Some(body) = &body {
-            if self.body_cacheable(id, body.len()) {
-                self.cache_fill(
-                    CacheKey::Body(id.clone()),
-                    gen,
-                    CachedValue::Body(Arc::from(body.as_slice())),
-                    body.len(),
-                );
-            }
-        }
-        Ok(body)
-    }
-
-    /// Reads, verifies, and decodes an object, caching the *decoded*
-    /// form so repeat readers skip both the GCM decrypt and the decode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SegShareError::Integrity`] on any tamper or rollback,
-    /// and propagates `decode` failures.
-    pub(crate) fn read_decoded<T, F>(
-        &self,
-        id: &ObjectId,
-        decode: F,
-    ) -> Result<Option<Arc<T>>, SegShareError>
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce(&[u8]) -> Result<T, SegShareError>,
-    {
-        let cache_key = CacheKey::Decoded(id.clone());
-        if let Some(CachedValue::Decoded(any)) = self.cache_lookup(&cache_key) {
-            if let Ok(value) = any.downcast::<T>() {
-                return Ok(Some(value));
-            }
-        }
-        let gen = self.cache_gen(&cache_key);
-        let start = std::time::Instant::now();
-        let result = {
-            let _tree = self.tree_shared(id);
-            self.read_verified(id, Walk::Trusting)
-        };
-        self.trace_store("store_read", id, result.is_ok(), start);
-        let Some(body) = result? else {
-            return Ok(None);
-        };
-        let value = Arc::new(decode(&body)?);
-        self.cache_fill(
-            cache_key,
-            gen,
-            CachedValue::Decoded(value.clone()),
-            body.len(),
-        );
-        Ok(Some(value))
-    }
-
-    fn read_verified(&self, id: &ObjectId, walk: Walk) -> Result<Option<Vec<u8>>, SegShareError> {
-        let Some(blob) = self.raw_get(id)? else {
-            return Ok(None);
-        };
-        if self.tree_enabled_for(id) {
-            self.verify_tree(id, &Self::head_of(id, &blob)?, walk)?;
-        }
-        let start = std::time::Instant::now();
-        let body = pfs_decrypt(&self.data_key(id), &blob)?;
-        self.pfs_decrypt_ns.record_duration(start.elapsed());
-        Ok(Some(body))
-    }
-
-    /// Opens an object for streamed (chunk-at-a-time) reading, verifying
-    /// the rollback tree up front.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SegShareError::Integrity`] on any tamper or rollback.
-    pub fn open_stream(&self, id: &ObjectId) -> Result<Option<PfsFile>, SegShareError> {
-        let start = std::time::Instant::now();
-        let _tree = self.tree_shared(id);
-        let result = self.open_stream_inner(id);
-        self.trace_store("store_read", id, result.is_ok(), start);
-        result
-    }
-
-    fn open_stream_inner(&self, id: &ObjectId) -> Result<Option<PfsFile>, SegShareError> {
-        let gen = self.cache_gen(&CacheKey::Body(id.clone()));
-        let Some(blob) = self.raw_get(id)? else {
-            return Ok(None);
-        };
-        if self.tree_enabled_for(id) {
-            self.verify_tree(id, &Self::head_of(id, &blob)?, Walk::Trusting)?;
-        }
-        let file = PfsFile::open(&self.data_key(id), blob)?;
-        // Hot-object fill: remember small verified bodies so the next
-        // download is served from [`TrustedStore::cached_body`] with no
-        // store access at all. Large files only ever stream.
-        if self.cache.is_some()
-            && file.data_len() <= HOT_BODY_MAX as u64
-            && self.body_cacheable(id, file.data_len() as usize)
-        {
-            if let Ok(body) = file.read_all() {
-                let len = body.len();
-                self.cache_fill(
-                    CacheKey::Body(id.clone()),
-                    gen,
-                    CachedValue::Body(Arc::from(body)),
-                    len,
-                );
-            }
-        }
-        Ok(Some(file))
-    }
-
-    /// Deletes an object (and its tree node).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage and tree failures.
-    pub fn delete(&self, id: &ObjectId) -> Result<bool, SegShareError> {
-        let start = std::time::Instant::now();
-        let _tree = self.tree_exclusive(id);
-        let result = self.delete_inner(id);
-        self.cache_invalidate_object(id);
-        self.trace_store("store_delete", id, result.is_ok(), start);
-        result
-    }
-
-    fn delete_inner(&self, id: &ObjectId) -> Result<bool, SegShareError> {
-        self.cache_invalidate_object(id);
-        let existed = self.raw_delete(id)?;
-        if self.tree_enabled_for(id) {
-            if let Some(old) = self.read_hash_record(id)? {
-                self.delete_hash_record(id)?;
-                self.apply_tree_change(id, TreeChange::Remove { old: old.rec.main })?;
-            }
-        }
-        Ok(existed)
-    }
-
-    /// Rebuilds every hash record bottom-up from the stored objects and
-    /// re-anchors the root counter — backup restoration (§V-G).
-    ///
-    /// # Errors
-    ///
-    /// Fails if any stored object is unreadable.
-    pub fn rebuild_tree(&self) -> Result<(), SegShareError> {
-        // Both trees rebuild under exclusive holds (content before
-        // group — the one sanctioned two-lock ordering). The dispatch
-        // layer additionally runs this in global lock mode, but direct
-        // callers (benchmarks, white-box tests) get the same exclusion.
-        let _content = self.content_tree.write();
-        let _group = self.group_tree.write();
-        // Restoration replaces store contents without going through the
-        // write-through mutators, so nothing cached is trustworthy.
-        if let Some(cache) = &self.cache {
-            cache.clear();
-        }
-        if !self.config.rollback_individual {
-            return Ok(());
-        }
-        self.rebuild_node(&ObjectId::DirData(seg_fs::SegPath::root()))?;
-        self.rebuild_node(&ObjectId::GroupRoot)?;
-        if self.config.rollback_whole_fs {
-            self.bump_root_counter(&ObjectId::DirData(seg_fs::SegPath::root()), true)?;
-            self.bump_root_counter(&ObjectId::GroupRoot, true)?;
-        }
-        // Restoration runs outside any request batch; perform the
-        // deferred increments right away.
-        if self.config.batch {
-            self.commit_pending_counters()?;
-        }
-        Ok(())
-    }
-
-    fn rebuild_node(&self, id: &ObjectId) -> Result<MsetHash, SegShareError> {
-        let blob = self
-            .raw_get(id)?
-            .ok_or_else(|| integrity(id, "missing object during rebuild"))?;
-        let head = Self::head_of(id, &blob)?;
-        let mut buckets = Vec::new();
-        if id.is_tree_inner() {
-            buckets = vec![MsetHash::empty(); self.bucket_count()];
-            let body = pfs_decrypt(&self.data_key(id), &blob)?;
-            let key = self.keys.mset_key(id.store());
-            for child in self.tree_children(id, &body)? {
-                let child_main = self.rebuild_node(&child)?;
-                let b = self.bucket_index(&child);
-                buckets[b].add_parts(
-                    key,
-                    &Self::elem_child(&child.canonical(), &child_main.to_bytes()),
-                );
-            }
-        }
-        let fold = self.bucket_fold(id.store(), &buckets);
-        let rec = self.record_of(id, &head, fold, buckets, 0);
-        // Computed from restored store contents: the walks that follow
-        // re-anchor these records, the rebuild does not vouch for them.
-        self.write_hash_record(id, &rec, false)?;
-        Ok(rec.main)
-    }
-
-    // ---------------------------------------------- dedup refcount index
-
-    /// Loads the dedup refcount index (blob HMAC-name → number of
-    /// content files whose indirection references it). Absent means
-    /// empty — stores predating the index simply never collect their
-    /// orphan blobs.
-    fn dedup_index_load(&self) -> Result<HashMap<String, u64>, SegShareError> {
-        let Some(body) = self.read(&ObjectId::DedupIndex)? else {
-            return Ok(HashMap::new());
-        };
-        let mut d = Decoder::new(&body);
-        d.tag(b"DIX1")?;
-        let count = d.u32()?;
-        let mut index = HashMap::with_capacity(count as usize);
-        for _ in 0..count {
-            let name = d.str()?.to_string();
-            let refs = d.u64()?;
-            index.insert(name, refs);
-        }
-        d.finish()?;
-        Ok(index)
-    }
-
-    fn dedup_index_save(&self, index: &HashMap<String, u64>) -> Result<(), SegShareError> {
-        let mut e = Encoder::new();
-        e.tag(b"DIX1");
-        e.u32(index.len() as u32);
-        let mut names: Vec<&String> = index.keys().collect();
-        names.sort();
-        for name in names {
-            e.str(name);
-            e.u64(index[name]);
-        }
-        self.write(&ObjectId::DedupIndex, &e.finish())
-    }
-
-    /// Adjusts dedup blob reference counts in one atomic index update:
-    /// `inc` gains a reference, `dec` loses one. Counts saturate at
-    /// zero — a decrement for a name the index never tracked (uploads
-    /// predating the index) is a no-op, never a collection trigger.
-    pub(crate) fn dedup_ref_update(
-        &self,
-        inc: Option<&str>,
-        dec: Option<&str>,
-    ) -> Result<(), SegShareError> {
-        if inc.is_none() && dec.is_none() {
-            return Ok(());
-        }
-        let _lock = self.dedup_index.lock();
-        let mut index = self.dedup_index_load()?;
-        if let Some(name) = inc {
-            *index.entry(name.to_string()).or_insert(0) += 1;
-        }
-        if let Some(name) = dec {
-            if let Some(refs) = index.get_mut(name) {
-                *refs = refs.saturating_sub(1);
-            }
-        }
-        self.dedup_index_save(&index)
-    }
-
-    /// Collects dedup blobs whose reference count reached zero,
-    /// deleting both the blob and its index entry. The caller holds the
-    /// global dispatch lock, so no upload can re-reference a blob
-    /// mid-collection; the index mutex additionally serializes against
-    /// direct white-box callers. Returns the number of blobs reclaimed.
-    pub(crate) fn blob_gc(&self) -> Result<u64, SegShareError> {
-        let _lock = self.dedup_index.lock();
-        let mut index = self.dedup_index_load()?;
-        let dead: Vec<String> = index
-            .iter()
-            .filter(|&(_, &refs)| refs == 0)
-            .map(|(name, _)| name.clone())
-            .collect();
-        if dead.is_empty() {
-            return Ok(0);
-        }
-        let mut reclaimed = 0u64;
-        for name in dead {
-            self.delete(&ObjectId::DedupBlob(name.clone()))?;
-            index.remove(&name);
-            reclaimed += 1;
-        }
-        self.dedup_index_save(&index)?;
-        Ok(reclaimed)
-    }
 }
 
 fn integrity(id: &ObjectId, what: &str) -> SegShareError {
@@ -1569,11 +414,15 @@ fn integrity(id: &ObjectId, what: &str) -> SegShareError {
 
 #[cfg(test)]
 mod tests {
+    use super::record::RECORD_TAG;
     use super::*;
     use crate::enclave::keys::KeyHierarchy;
-    use seg_fs::SegPath;
+    use seg_crypto::mset::MSET_HASH_LEN;
+    use seg_fs::{DirFile, SegPath, UserId};
+    use seg_sgx::pfs::{header_id, HEADER_ID_LEN};
     use seg_sgx::{EnclaveImage, Platform};
     use seg_store::MemStore;
+    use std::collections::BTreeSet;
 
     struct Fixture {
         store: TrustedStore,
