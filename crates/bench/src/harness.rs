@@ -1,6 +1,6 @@
-//! Shared plumbing for the table/figure regenerators.
+//! Shared plumbing of the sections: timing, the one rig, the session mix.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use seg_net::simwan::WanProfile;
@@ -72,7 +72,7 @@ pub fn measure_with<F: FnMut() -> f64>(runs: usize, mut f: F) -> Measured {
 /// regions). In-memory stores answer in nanoseconds, which hides the
 /// one effect fine-grained locking exists to exploit: store latency
 /// under one object's lock can overlap store latency under another's.
-/// The concurrency workloads in `perf_gate` use this wrapper so the
+/// The concurrency section uses this wrapper so the
 /// scaling curve measures lock overlap, not host core count — threads
 /// blocked in simulated store I/O release the CPU, so the curve is
 /// meaningful even on a single-core CI runner.
@@ -124,21 +124,6 @@ impl ObjectStore for LatencyStore {
     }
 }
 
-/// Reactor sizing for latency-bound rigs: the [`LatencyStore`] /
-/// simulated-fsync workloads spend their time waiting on the store,
-/// not on enclave CPU, so the worker pool must cover the benchmark's
-/// session fan-out (up to 8 concurrent sessions) or the pool itself
-/// becomes the bottleneck under measurement. The threaded front end
-/// gets this for free (one thread per session); this keeps the two
-/// front ends comparable. Operational deployments with slow backends
-/// should size `workers` the same way (see OPERATIONS.md).
-fn latency_bound_reactor() -> seg_net::reactor::ReactorConfig {
-    seg_net::reactor::ReactorConfig {
-        workers: 16,
-        ..seg_net::reactor::ReactorConfig::default()
-    }
-}
-
 /// A ready-to-use deployment: server plus an enrolled user.
 pub struct Rig {
     /// The setup context (CA, stores, platform).
@@ -150,141 +135,156 @@ pub struct Rig {
 }
 
 impl Rig {
-    /// Builds an in-memory deployment with `config`.
+    /// A deployment over whatever stores `setup` was handed: in-memory
+    /// ones, a write-ahead log ([`FsoSetup::new_wal_with`]), handles the
+    /// section keeps to count stored bytes, or [`slow_stores`].
+    #[must_use]
+    pub fn over(setup: FsoSetup) -> Rig {
+        let server = setup.server().expect("setup succeeds");
+        let alice = setup
+            .enroll_user("alice", "alice@bench", "Alice")
+            .expect("enroll succeeds");
+        Rig {
+            setup,
+            server,
+            alice,
+        }
+    }
+
+    /// [`Rig::over`] fresh in-memory stores.
     #[must_use]
     pub fn new(config: EnclaveConfig) -> Rig {
-        let setup = FsoSetup::new_in_memory("bench-ca", config);
-        let server = setup.server().expect("setup succeeds");
-        let alice = setup
-            .enroll_user("alice", "alice@bench", "Alice")
-            .expect("enroll succeeds");
-        Rig {
-            setup,
-            server,
-            alice,
-        }
+        Rig::over(FsoSetup::new_in_memory("bench-ca", config))
     }
 
-    /// Builds a deployment over a fresh write-ahead-logged store in
-    /// `dir` with `wal` tuning — the rig for the durability workloads
-    /// (group commit vs per-operation fsync).
+    /// Reactor sizing for latency-bound rigs: the [`LatencyStore`] /
+    /// simulated-fsync workloads spend their time waiting on the store,
+    /// not on enclave CPU, so the worker pool must cover the benchmark's
+    /// session fan-out (up to 8 concurrent sessions) or the pool itself
+    /// becomes the bottleneck under measurement. Operational deployments
+    /// with slow backends should size `workers` the same way (see
+    /// OPERATIONS.md).
     #[must_use]
-    pub fn with_wal(
-        config: EnclaveConfig,
-        dir: impl AsRef<std::path::Path>,
-        wal: seg_store::WalConfig,
-    ) -> Rig {
-        let setup = FsoSetup::new_wal_with("bench-ca", config, seg_sgx::Platform::new(), dir, wal)
-            .expect("wal store opens");
-        let server = setup.server().expect("setup succeeds");
-        server.set_reactor_config(latency_bound_reactor());
-        let alice = setup
-            .enroll_user("alice", "alice@bench", "Alice")
-            .expect("enroll succeeds");
-        Rig {
-            setup,
-            server,
-            alice,
-        }
-    }
-
-    /// Builds a deployment whose three stores each add `delay` per
-    /// round-trip (see [`LatencyStore`]) — the rig for the concurrency
-    /// scaling workloads.
-    #[must_use]
-    pub fn with_store_latency(config: EnclaveConfig, delay: Duration) -> Rig {
-        let setup = FsoSetup::with_stores(
-            "bench-ca",
-            config,
-            seg_sgx::Platform::new(),
-            Arc::new(LatencyStore::new(delay)),
-            Arc::new(LatencyStore::new(delay)),
-            Arc::new(LatencyStore::new(delay)),
-        );
-        let server = setup.server().expect("setup succeeds");
-        server.set_reactor_config(latency_bound_reactor());
-        let alice = setup
-            .enroll_user("alice", "alice@bench", "Alice")
-            .expect("enroll succeeds");
-        Rig {
-            setup,
-            server,
-            alice,
-        }
+    pub fn latency_bound(self) -> Rig {
+        self.server
+            .set_reactor_config(seg_net::reactor::ReactorConfig {
+                workers: 16,
+                ..seg_net::reactor::ReactorConfig::default()
+            });
+        self
     }
 
     /// Connects a fresh client session for `alice`.
     #[must_use]
-    pub fn client(&self) -> Client<seg_net::ChannelTransport> {
+    pub fn client(&self) -> Session {
         self.server
             .connect_local(&self.alice)
             .expect("local connect succeeds")
     }
 }
 
-/// Prints the telemetry sidecar for a server run: per-operation latency
-/// quantiles, enclave-boundary crossings, and per-store byte totals
-/// from the server's [`SegShareServer::metrics_snapshot`].
-///
-/// Cumulative since boot — prefer [`print_metrics_sidecar_since`] with
-/// a baseline snapshot taken after warmup/prefill, so the sidecar
-/// describes only the measured window.
-pub fn print_metrics_sidecar(server: &SegShareServer) {
-    print_metrics_sidecar_since(server, None);
+/// A setup whose three stores each add `delay` per round-trip (see
+/// [`LatencyStore`]) — for the concurrency scaling workloads.
+#[must_use]
+pub fn slow_stores(config: EnclaveConfig, delay: Duration) -> FsoSetup {
+    let store = || Arc::new(LatencyStore::new(delay));
+    FsoSetup::with_stores(
+        "bench-ca",
+        config,
+        seg_sgx::Platform::new(),
+        store(),
+        store(),
+        store(),
+    )
 }
 
-/// Like [`print_metrics_sidecar`], but windowed: when `since` is given,
-/// every counter and histogram is differenced against it
-/// ([`seg_obs::Snapshot::delta`]), so warmup and prefill traffic done
-/// before the baseline snapshot does not pollute the reported
-/// quantiles or byte totals.
-pub fn print_metrics_sidecar_since(server: &SegShareServer, since: Option<&seg_obs::Snapshot>) {
-    let now = server.metrics_snapshot();
-    let (snap, label) = match since {
-        Some(base) => (now.delta(base), "windowed"),
-        None => (now, "cumulative"),
+/// `bytes` of the position-dependent pattern every workload uploads.
+#[must_use]
+pub fn payload(bytes: usize) -> Vec<u8> {
+    (0..bytes).map(|i| (i % 251) as u8).collect()
+}
+
+/// A client session of [`Rig::alice`].
+pub type Session = Client<seg_net::ChannelTransport>;
+
+/// One fresh session per entry of `dirs`, each directory created by the
+/// first session that names it (sessions may share one).
+#[must_use]
+pub fn sessions(rig: &Rig, dirs: Vec<String>) -> Vec<(Session, String)> {
+    let mut made: Vec<(Session, String)> = Vec::with_capacity(dirs.len());
+    for dir in dirs {
+        let mut client = rig.client();
+        if !made.iter().any(|(_, d)| *d == dir) {
+            client.mkdir(&dir).expect("mkdir");
+        }
+        made.push((client, dir));
+    }
+    made
+}
+
+/// Runs every session on a thread of its own, each calling
+/// `op(client, dir, session, j)` for `j` in `0..ops` from a common
+/// start, and returns the wall seconds until the last one finished —
+/// handshakes and directory creation ([`sessions`]) stay outside the
+/// timed window.
+pub fn run_sessions(
+    sessions: Vec<(Session, String)>,
+    ops: usize,
+    op: impl Fn(&mut Session, &str, usize, usize) + Sync,
+) -> f64 {
+    let barrier = Barrier::new(sessions.len() + 1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = sessions
+            .into_iter()
+            .enumerate()
+            .map(|(t, (mut client, dir))| {
+                let (barrier, op) = (&barrier, &op);
+                scope.spawn(move || {
+                    barrier.wait();
+                    (0..ops).for_each(|j| op(&mut client, &dir, t, j));
+                })
+            })
+            .collect();
+        barrier.wait();
+        let start = Instant::now();
+        for h in handles {
+            h.join().expect("session thread");
+        }
+        start.elapsed().as_secs_f64()
+    })
+}
+
+/// [`run_sessions`] with the standard mix: 3:1 upload:download of 4 KiB
+/// files. `shared_dir` selects the overlapping mix (every session
+/// writes into one directory, so all scopes collide on the parent's
+/// write lock) versus the disjoint mix (a private directory per
+/// session); `round` keeps object names unique across repetitions.
+pub fn run_session_mix(rig: &Rig, threads: usize, ops: usize, shared_dir: bool, round: u32) -> f64 {
+    let payload = payload(4096);
+    let dir = |t: usize| match shared_dir {
+        true => format!("/shared{round}"),
+        false => format!("/c{round}x{t}"),
     };
-    println!("  -- metrics sidecar ({label}) --");
-    for (id, h) in &snap.histograms {
-        if id.name() != "seg_request_latency_ns" || h.count == 0 {
-            continue;
+    let sessions = sessions(rig, (0..threads).map(dir).collect());
+    run_sessions(sessions, ops, |client, dir, t, j| {
+        if j % 4 == 3 {
+            // Re-read a file this session already wrote.
+            let back = format!("{dir}/t{t}f{}", j - 1);
+            let got = client.get(&back).expect("download");
+            assert_eq!(got.len(), payload.len());
+        } else {
+            let path = format!("{dir}/t{t}f{j}");
+            client.put(&path, &payload).expect("upload");
         }
-        let op = id.labels().first().map(|&(_, v)| v).unwrap_or("?");
-        println!(
-            "  {:<14} n={:<7} p50={:<12} p95={:<12} p99={}",
-            op,
-            h.count,
-            fmt_s(h.p50 as f64 * 1e-9),
-            fmt_s(h.p95 as f64 * 1e-9),
-            fmt_s(h.p99 as f64 * 1e-9),
-        );
-    }
-    println!(
-        "  boundary: {} ecalls, {} ocalls",
-        snap.counter("seg_boundary_ecalls_total").unwrap_or(0),
-        snap.counter("seg_boundary_ocalls_total").unwrap_or(0),
-    );
-    for store in ["content", "group", "dedup"] {
-        let read = snap
-            .counter(&format!("seg_store_bytes_read_total{{store=\"{store}\"}}"))
-            .unwrap_or(0);
-        let written = snap
-            .counter(&format!(
-                "seg_store_bytes_written_total{{store=\"{store}\"}}"
-            ))
-            .unwrap_or(0);
-        if read > 0 || written > 0 {
-            println!("  store {store}: {read} B read, {written} B written");
-        }
-    }
-    let emitted = snap.counter("seg_trace_events_total").unwrap_or(0);
-    let dropped = snap.counter("seg_trace_dropped_total").unwrap_or(0);
-    let audited = snap.counter("seg_audit_records_total").unwrap_or(0);
-    let audit_bytes = snap.counter("seg_audit_bytes_total").unwrap_or(0);
-    println!(
-        "  trace: {emitted} events ({dropped} dropped), {} slow; audit: {audited} records, {audit_bytes} B",
-        server.telemetry().watch().slow_requests(usize::MAX).len(),
-    );
+    })
+}
+
+/// The workspace root: where `results/`, `BENCH_perf.json` and
+/// `BENCH_history.jsonl` live.
+#[must_use]
+pub fn repo_root() -> std::path::PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    root.canonicalize().expect("the workspace root exists")
 }
 
 /// The WAN used by every figure (the paper's two-region testbed).
@@ -301,19 +301,4 @@ pub fn fmt_s(s: f64) -> String {
     } else {
         format!("{:.2} ms", s * 1000.0)
     }
-}
-
-/// Simple `--flag value` argument lookup.
-#[must_use]
-pub fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Whether a bare `--flag` is present.
-#[must_use]
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
 }

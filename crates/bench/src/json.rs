@@ -1,13 +1,14 @@
-//! Minimal recursive-descent JSON parser — just enough to read the
-//! committed perf baseline back in (`results/bench_baseline.json`),
+//! A minimal JSON value with a recursive-descent parser and one writer:
+//! every section builds its fragment of `BENCH_perf.json` as a [`Json`],
+//! a `BENCH_history.jsonl` row is one, and the committed baseline
+//! (`results/bench_baseline.json`) is read back through the same type —
 //! keeping the harness zero-dependency like `seg-obs`'s encoders.
 //!
-//! Supports the full JSON value grammar except `\u` escapes beyond
-//! what the baseline writer emits (the writer only produces
-//! `[a-z0-9_./ ]` keys and plain numbers, so this is ample headroom).
+//! The parser supports the full JSON value grammar except `\u` escapes;
+//! the writer escapes what the parser unescapes, so `parse(write(v)) == v`
+//! for every value without a non-finite number (those are refused).
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +27,119 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// `impl From<$from> for Json`, through `$to`.
+macro_rules! json_from {
+    ($($from:ty => $to:expr),* $(,)?) => {$(
+        impl From<$from> for Json {
+            fn from(v: $from) -> Json {
+                $to(v)
+            }
+        }
+    )*};
+}
+
+json_from!(
+    f64 => Json::Num,
+    bool => Json::Bool,
+    &str => |s: &str| Json::Str(s.to_string()),
+    u64 => |n| Json::Num(n as f64),
+    usize => |n| Json::Num(n as f64),
+);
+
 impl Json {
+    /// An object from `(key, value)` pairs.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array of whatever converts into values.
+    pub fn arr<V: Into<Json>>(items: impl IntoIterator<Item = V>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
+    /// `v` rounded to `digits` decimals: seconds keep nine, rates three,
+    /// so a report reads like the hand-formatted one it replaces.
+    #[must_use]
+    pub fn num(v: f64, digits: i32) -> Json {
+        let scale = 10f64.powi(digits);
+        Json::Num((v * scale).round() / scale)
+    }
+
+    /// The value as one line of JSON.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a non-finite number (JSON has no spelling for one).
+    pub fn to_line(&self) -> Result<String, JsonError> {
+        let mut out = String::new();
+        self.write(&mut out, None)?;
+        Ok(out)
+    }
+
+    /// The value indented two spaces per level, a container of scalars
+    /// on one line, newline-terminated.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a non-finite number.
+    pub fn to_pretty(&self) -> Result<String, JsonError> {
+        let mut out = String::new();
+        self.write(&mut out, Some(0))?;
+        out.push('\n');
+        Ok(out)
+    }
+
+    fn is_container(&self) -> bool {
+        matches!(self, Json::Arr(_) | Json::Obj(_))
+    }
+
+    /// `depth` is the indentation of the enclosing line; `None` writes
+    /// everything on one line.
+    fn write(&self, out: &mut String, depth: Option<usize>) -> Result<(), JsonError> {
+        let (open, close, members): (char, char, Vec<(Option<&String>, &Json)>) = match self {
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(map) => ('{', '}', map.iter().map(|(k, v)| (Some(k), v)).collect()),
+            Json::Num(n) if !n.is_finite() => {
+                return Err(JsonError {
+                    at: out.len(),
+                    msg: format!("{n} has no JSON spelling"),
+                })
+            }
+            scalar => {
+                match scalar {
+                    Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                    Json::Num(n) => out.push_str(&n.to_string()),
+                    Json::Str(s) => write_str(out, s),
+                    _ => out.push_str("null"),
+                }
+                return Ok(());
+            }
+        };
+        // One member per line only where a member is itself a container.
+        let inner = depth.filter(|_| members.iter().any(|(_, v)| v.is_container()));
+        out.push(open);
+        for (i, (key, value)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push_str(if inner.is_some() { "," } else { ", " });
+            }
+            if let Some(depth) = inner {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth + 1));
+            }
+            if let Some(key) = key {
+                write_str(out, key);
+                out.push_str(": ");
+            }
+            value.write(out, inner.map(|d| d + 1))?;
+        }
+        if let Some(depth) = inner {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+        out.push(close);
+        Ok(())
+    }
+
     /// Member lookup on objects.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -64,7 +177,23 @@ impl Json {
     }
 }
 
-/// Parse failure: byte offset plus message.
+/// Writes `s` quoted, escaping exactly what [`parse`] unescapes.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            other => out.push(other),
+        }
+    }
+    out.push('"');
+}
+
+/// Parse or write failure: byte offset plus message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure.
@@ -72,14 +201,6 @@ pub struct JsonError {
     /// What went wrong.
     pub msg: String,
 }
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for JsonError {}
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 ///
@@ -152,55 +273,48 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// The comma-separated `item`s between the bracket at the cursor
+    /// and `close`.
+    fn members<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<Vec<T>, JsonError> {
+        self.pos += 1;
+        let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(items);
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
+            items.push(item(self)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(items);
                 }
-                _ => return Err(self.err("expected ',' or '}'")),
+                _ => return Err(self.err(&format!("expected ',' or {:?}", close as char))),
             }
         }
     }
 
+    fn object(&mut self) -> Result<Json, JsonError> {
+        let members = self.members(b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            Ok((key, p.value()?))
+        })?;
+        Ok(Json::Obj(members.into_iter().collect()))
+    }
+
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
+        Ok(Json::Arr(self.members(b']', Self::value)?))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -297,6 +411,47 @@ mod tests {
             ])
         );
         assert_eq!(parse("{}").unwrap(), Json::Obj(BTreeMap::new()));
+    }
+
+    #[test]
+    fn what_is_written_parses_back_equal() {
+        let report = Json::obj([
+            ("gcm_backend", Json::from("aesni-pclmul")),
+            (
+                "note",
+                Json::from("a \"quoted\" path\\with\ttab,\nnewline, \r and µ"),
+            ),
+            ("unbalanced_phases", Json::from(0u64)),
+            ("empty", Json::obj::<&str>([])),
+            (
+                "workloads",
+                Json::obj([(
+                    "upload_1m",
+                    Json::obj([
+                        ("mean_s", Json::num(0.001_969_997_4, 9)),
+                        ("runs", 10usize.into()),
+                    ]),
+                )]),
+            ),
+            (
+                "points",
+                Json::arr([
+                    Json::obj([("mix", "disjoint".into()), ("ok", true.into())]),
+                    Json::arr([-1.5e-7, 3.0]),
+                    Json::Null,
+                ]),
+            ),
+        ]);
+        for text in [report.to_line().unwrap(), report.to_pretty().unwrap()] {
+            assert_eq!(parse(&text).unwrap(), report, "{text}");
+        }
+        // A leaf object stays on one line; an integer has no fraction.
+        let pretty = report.to_pretty().unwrap();
+        assert!(pretty.contains("    \"upload_1m\": {\"mean_s\": 0.001969997, \"runs\": 10}\n"));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(Json::arr([bad]).to_line().is_err(), "{bad}");
+            assert!(Json::obj([("v", Json::Num(bad))]).to_pretty().is_err());
+        }
     }
 
     #[test]

@@ -122,11 +122,10 @@ pub fn trusted_rows(root: &Path) -> Vec<(&'static str, usize)> {
         .collect()
 }
 
-/// `(tcb_loc, telemetry_loc)` for the workspace at `root`: everything
-/// in [`TRUSTED`], and its telemetry row alone.
+/// `(tcb_loc, telemetry_loc)` of [`trusted_rows`]: everything in
+/// [`TRUSTED`], and its telemetry row alone.
 #[must_use]
-pub fn totals(root: &Path) -> (usize, usize) {
-    let rows = trusted_rows(root);
+pub fn totals(rows: &[(&'static str, usize)]) -> (usize, usize) {
     let telemetry = rows.iter().find(|(label, _)| *label == TELEMETRY);
     (
         rows.iter().map(|(_, loc)| loc).sum(),
@@ -155,7 +154,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
         // Every listed path exists, so a moved file cannot silently
         // drop out of the count.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root = crate::harness::repo_root();
         for path in TRUSTED
             .iter()
             .flat_map(|(_, p, minus)| p.iter().chain(minus.iter()))

@@ -270,8 +270,8 @@ fn a_hot_get_costs_one_exists() {
 // ------------------------------------------------------ trusted records
 //
 // A hash record is cached only when the enclave wrote it from trusted
-// inputs or a walk over it reached an anchor (`trusted_store.rs`); the
-// white-box tests there evict single entries. These drive the same rule
+// inputs or a walk over it reached an anchor (`trusted_store/tree.rs`); the
+// white-box tests in `trusted_store::tests` evict single entries. These drive the same rule
 // through the request path.
 
 fn is_integrity(e: &SegShareError) -> bool {

@@ -1,5 +1,8 @@
 //! Table II objectives as executable checks — the evidence behind the
-//! Table III feature row the `table3_features` bench harness prints.
+//! Table III feature row. `results/table3_features.txt` (section
+//! `table3_features` of the bench harness) names these tests by their
+//! exact names, and a `seg-bench` unit test fails if one of them is
+//! renamed without the table: rename both.
 //!
 //! Functional (F1–F10), performance-structural (P1–P5), and security
 //! (S1–S5) objectives each get a test named after the objective. The
@@ -232,7 +235,7 @@ fn p4_constant_ciphertexts_per_file() {
     // number of groups granted access. Auditing is off here: the audit
     // trail appends one sealed record per authorization decision by
     // design, which is linear in *requests*, not in permissions per
-    // file — its overhead is measured separately (ablations bench).
+    // file — its overhead is measured separately (ablation 5).
     let config = EnclaveConfig {
         audit: false,
         ..EnclaveConfig::default()
