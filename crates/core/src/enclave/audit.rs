@@ -63,7 +63,10 @@ use seg_obs::{RequestRecord, TraceDecision};
 use seg_sgx::Enclave;
 use seg_store::ObjectStore;
 
+use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
+
+use super::commit::Anchor;
 
 /// Monotonic-counter id anchoring the audit head (content/group/dedup
 /// stores use 1–3).
@@ -234,16 +237,10 @@ pub struct AuditLog {
     key: PaeKey,
     store: Arc<dyn ObjectStore>,
     sgx: Arc<Enclave>,
-    use_counter: bool,
-    /// Batch (group-commit) mode: the head anchors `hw + 1` and the
-    /// hardware increment is deferred to the durability point
-    /// ([`AuditLog::commit_pending_anchor`]), mirroring the rollback
-    /// tree's deferred root counters.
-    batch: bool,
+    /// The head's §V-E counter anchor, with whole-FS rollback
+    /// protection; settled by the commit window.
+    counter: Option<Anchor>,
     state: Mutex<ChainState>,
-    /// The anchor value the latest batch-mode head names while its
-    /// deferred increment is outstanding.
-    pending_anchor: Mutex<Option<u64>>,
     records_total: seg_obs::Counter,
     bytes_total: seg_obs::Counter,
     append_ns: Arc<seg_obs::Histogram>,
@@ -254,7 +251,7 @@ impl std::fmt::Debug for AuditLog {
         let st = self.state.lock();
         f.debug_struct("AuditLog")
             .field("count", &st.count)
-            .field("use_counter", &self.use_counter)
+            .field("use_counter", &self.counter.is_some())
             .finish()
     }
 }
@@ -289,8 +286,7 @@ impl AuditLog {
         key: PaeKey,
         store: Arc<dyn ObjectStore>,
         sgx: Arc<Enclave>,
-        use_counter: bool,
-        batch: bool,
+        config: &EnclaveConfig,
         obs: &seg_obs::Registry,
     ) -> Result<AuditLog, SegShareError> {
         let (mut state, anchor, had_head) = match sgx.boundary().ocall(|| store.get(HEAD_NAME))? {
@@ -309,19 +305,15 @@ impl AuditLog {
                 (ChainState { count, head }, anchor, true)
             }
         };
-        let ctr = sgx.counter(AUDIT_COUNTER_ID);
-        let mut hw = if use_counter { ctr.read() } else { 0 };
-        if batch && use_counter && anchor == hw + 1 {
-            // Batch-mode crash window: the head (and its record) became
-            // durable but the deferred increment was lost. The head
-            // anchors exactly one ahead — a position only the genuinely
-            // newest head can occupy, since every older head's anchor is
-            // already covered by the counter. Catch up by one; any
-            // larger gap still reads as rollback below.
-            ctr.increment()?;
-            sgx.boundary().charge(ctr.increment_latency_ns());
-            hw = anchor;
+        let counter = config
+            .rollback_whole_fs
+            .then(|| Anchor::new(Arc::clone(&sgx), AUDIT_COUNTER_ID, config));
+        if let Some(counter) = &counter {
+            // Only the genuinely newest head can sit exactly one ahead:
+            // every older head's anchor is already covered.
+            counter.adopt(anchor)?;
         }
+        let hw = counter.as_ref().map_or(0, Anchor::read);
         let orphan_name = record_name(state.count);
         match sgx.boundary().ocall(|| store.get(&orphan_name))? {
             Some(blob) => {
@@ -331,21 +323,18 @@ impl AuditLog {
                 // A genuine record the enclave sealed at this exact
                 // position: a crash interrupted the append between the
                 // record write and the head write. Complete it.
-                let new_anchor = if !use_counter {
-                    0
-                } else if hw == anchor {
+                let new_anchor = match &counter {
+                    None => 0,
                     // The crash hit before the counter increment.
-                    let value = ctr.increment()?;
-                    sgx.boundary().charge(ctr.increment_latency_ns());
-                    value
-                } else if hw == anchor + 1 {
+                    Some(counter) if hw == anchor => counter.issue()?,
                     // The crash hit between the increment and the head
                     // write; the counter already covers this record.
-                    hw
-                } else {
-                    return Err(tamper(
-                        "audit counter anchor mismatch at launch (whole-trail rollback)",
-                    ));
+                    Some(_) if hw == anchor + 1 => hw,
+                    Some(_) => {
+                        return Err(tamper(
+                            "audit counter anchor mismatch at launch (whole-trail rollback)",
+                        ))
+                    }
                 };
                 let new_head = chain_hash(&state.head, state.count, &blob);
                 let head_blob = pae_enc(
@@ -360,7 +349,7 @@ impl AuditLog {
                     head: new_head,
                 };
             }
-            None if use_counter && hw != anchor => {
+            None if counter.is_some() && hw != anchor => {
                 return Err(tamper(if had_head {
                     "audit counter anchor mismatch at launch (whole-trail rollback)"
                 } else {
@@ -373,14 +362,17 @@ impl AuditLog {
             key,
             store,
             sgx,
-            use_counter,
-            batch,
+            counter,
             state: Mutex::new(state),
-            pending_anchor: Mutex::new(None),
             records_total: obs.counter("seg_audit_records_total"),
             bytes_total: obs.counter("seg_audit_bytes_total"),
             append_ns: obs.histogram("seg_audit_append_ns"),
         })
+    }
+
+    /// The head's counter anchor (whole-FS rollback protection only).
+    pub(crate) fn anchor(&self) -> Option<&Anchor> {
+        self.counter.as_ref()
     }
 
     /// Cumulative sealed bytes appended (record + head blobs). Read
@@ -451,24 +443,9 @@ impl AuditLog {
         let name = record_name(seq);
         self.sgx.boundary().ocall(|| self.store.put(&name, &blob))?;
         let new_head = chain_hash(&st.head, seq, &blob);
-        let anchor = if !self.use_counter {
-            0
-        } else if self.batch {
-            // Deferred anchor: the head names the post-commit value; the
-            // hardware increment happens once the batch is durable
-            // (`commit_pending_anchor`), so a crash beforehand leaves
-            // the counter matching the last durable head.
-            let mut pending = self.pending_anchor.lock();
-            let target = pending.unwrap_or_else(|| self.sgx.counter(AUDIT_COUNTER_ID).read() + 1);
-            *pending = Some(target);
-            target
-        } else {
-            let ctr = self.sgx.counter(AUDIT_COUNTER_ID);
-            let value = ctr.increment()?;
-            // Real counter increments cost tens of milliseconds; charge
-            // them like the rollback root counter does.
-            self.sgx.boundary().charge(ctr.increment_latency_ns());
-            value
+        let anchor = match &self.counter {
+            Some(counter) => counter.issue()?,
+            None => 0,
         };
         let head_blob = pae_enc(
             &self.key,
@@ -484,32 +461,6 @@ impl AuditLog {
         Ok((blob.len() + head_blob.len()) as u64)
     }
 
-    /// Performs the deferred counter increment for the latest batch-mode
-    /// head. Runs at the durability point, after the group commit's
-    /// fsync acknowledged the batch; the increment lands before the
-    /// pending marker clears, so a concurrent verifier always sees
-    /// either the pending target or matching hardware.
-    pub(crate) fn commit_pending_anchor(&self) -> Result<(), SegShareError> {
-        let target = *self.pending_anchor.lock();
-        let Some(target) = target else {
-            return Ok(());
-        };
-        let ctr = self.sgx.counter(AUDIT_COUNTER_ID);
-        while ctr.read() < target {
-            ctr.increment()?;
-            self.sgx.boundary().charge(ctr.increment_latency_ns());
-        }
-        *self.pending_anchor.lock() = None;
-        Ok(())
-    }
-
-    /// Whether `anchor` is the registered pending target — the
-    /// one-ahead window a batch-mode head legitimately occupies between
-    /// its write and the post-durability increment.
-    fn anchor_pending(&self, anchor: u64) -> bool {
-        self.batch && *self.pending_anchor.lock() == Some(anchor)
-    }
-
     /// Walks the persisted chain and proves it intact, returning the
     /// record count. Detects truncation, reordering, substitution,
     /// bit-flips, head rewrites, divergence from the live in-memory
@@ -519,7 +470,8 @@ impl AuditLog {
     ///
     /// Returns [`SegShareError::Integrity`] naming the tamper class.
     pub fn verify(&self) -> Result<u64, SegShareError> {
-        self.walk(false).map(|(count, _)| count)
+        self.walk(&mut None, u64::MAX, None)
+            .map(|step| step.chain_len)
     }
 
     /// Decrypts the full verified chain for declassification. Records
@@ -529,7 +481,9 @@ impl AuditLog {
     ///
     /// Fails exactly when [`AuditLog::verify`] fails.
     pub fn export(&self) -> Result<Vec<AuditRecord>, SegShareError> {
-        self.walk(true).map(|(_, records)| records)
+        let mut records = Vec::new();
+        self.walk(&mut None, u64::MAX, Some(&mut records))?;
+        Ok(records)
     }
 
     /// Advances an incremental chain verification by at most `budget`
@@ -540,13 +494,10 @@ impl AuditLog {
     /// `seq` records depends only on records `0..seq`, so a cursor
     /// stays valid across windows even while appends extend the chain.
     /// When the cursor catches up with the live chain the pass
-    /// completes: the persisted head must authenticate and match the
-    /// re-derived hash *and* the live in-memory state, no record may
-    /// sit beyond the head, and (with whole-FS rollback protection)
-    /// the counter anchor must match the hardware counter — the same
-    /// end-of-chain checks as [`AuditLog::verify`], paid once per pass
-    /// instead of once per call. On completion the cursor resets to
-    /// `None` so the next call starts the next pass.
+    /// completes with the end-of-chain checks, paid once per pass
+    /// instead of once per call. [`AuditLog::verify`] is this walk with
+    /// an unbounded budget. On completion the cursor resets to `None`
+    /// so the next call starts the next pass.
     ///
     /// # Errors
     ///
@@ -558,8 +509,19 @@ impl AuditLog {
         cursor: &mut Option<AuditScrubCursor>,
         budget: u64,
     ) -> Result<AuditScrubStep, SegShareError> {
-        // The state lock keeps appends out of this window; the window
-        // is budgeted, so the hold time is bounded by the caller.
+        self.walk(cursor, budget, None)
+    }
+
+    /// The one chain walk: authenticate and chain up to `budget` records
+    /// from `cursor` (decoding them into `records` when exporting), then,
+    /// once caught up with the live chain, the end-of-chain checks.
+    fn walk(
+        &self,
+        cursor: &mut Option<AuditScrubCursor>,
+        budget: u64,
+        mut records: Option<&mut Vec<AuditRecord>>,
+    ) -> Result<AuditScrubStep, SegShareError> {
+        // The state lock keeps appends out of the window.
         let st = self.state.lock();
         let mut cur = match cursor.take() {
             // A restore/reset can shrink the chain under a live cursor;
@@ -571,86 +533,43 @@ impl AuditLog {
             },
         };
         let mut checked = 0u64;
-        let result = (|| -> Result<bool, SegShareError> {
-            while checked < budget && cur.seq < st.count {
-                let name = record_name(cur.seq);
-                let blob = self
-                    .sgx
-                    .boundary()
-                    .ocall(|| self.store.get(&name))?
-                    .ok_or_else(|| {
-                        tamper(&format!("audit record {} missing (truncation)", cur.seq))
-                    })?;
-                pae_dec(&self.key, &blob, &record_aad(cur.seq, &cur.prev)).map_err(|_| {
-                    tamper(&format!(
-                        "audit record {} failed authentication (bit-flip, reorder, or \
-                         substitution)",
-                        cur.seq
-                    ))
-                })?;
-                cur.prev = chain_hash(&cur.prev, cur.seq, &blob);
-                cur.seq += 1;
-                checked += 1;
+        while checked < budget && cur.seq < st.count {
+            let seq = cur.seq;
+            let name = record_name(seq);
+            let blob = self
+                .sgx
+                .boundary()
+                .ocall(|| self.store.get(&name))?
+                .ok_or_else(|| tamper(&format!("audit record {seq} missing (truncation)")))?;
+            let body = pae_dec(&self.key, &blob, &record_aad(seq, &cur.prev)).map_err(|_| {
+                tamper(&format!(
+                    "audit record {seq} failed authentication (bit-flip, reorder, or substitution)"
+                ))
+            })?;
+            if let Some(records) = records.as_deref_mut() {
+                records.push(decode_record(seq, &body)?);
             }
-            if cur.seq < st.count {
-                return Ok(false);
-            }
-            // Caught up: close the pass with the full head checks.
-            let (count, head, anchor) =
-                match self.sgx.boundary().ocall(|| self.store.get(HEAD_NAME))? {
-                    Some(blob) => {
-                        let body = pae_dec(&self.key, &blob, HEAD_AAD)
-                            .map_err(|_| tamper("audit head failed authentication"))?;
-                        decode_head(&body)?
-                    }
-                    None if st.count == 0 => (0, genesis(), 0),
-                    None => return Err(tamper("audit head missing (truncation)")),
-                };
-            if count != st.count || head != st.head {
-                return Err(tamper(
-                    "persisted audit head diverges from live chain (rollback or stale head)",
-                ));
-            }
-            if cur.prev != head {
-                return Err(tamper("audit chain head mismatch"));
-            }
-            let next = record_name(count);
-            if self.sgx.boundary().ocall(|| self.store.exists(&next))? {
-                return Err(tamper(
-                    "audit record beyond sealed head (forged append or rolled-back head)",
-                ));
-            }
-            if self.use_counter {
-                let hw = self.sgx.counter(AUDIT_COUNTER_ID).read();
-                if hw != anchor && !self.anchor_pending(anchor) {
-                    return Err(tamper(
-                        "audit counter anchor mismatch (whole-trail rollback)",
-                    ));
-                }
-            }
-            Ok(true)
-        })();
-        let chain_len = st.count;
-        drop(st);
-        match result {
-            Ok(complete) => {
-                if !complete {
-                    *cursor = Some(cur);
-                }
-                Ok(AuditScrubStep {
-                    checked,
-                    complete,
-                    chain_len,
-                })
-            }
-            Err(e) => Err(e),
+            cur.prev = chain_hash(&cur.prev, seq, &blob);
+            cur.seq += 1;
+            checked += 1;
         }
+        let complete = cur.seq == st.count;
+        if complete {
+            self.check_head(&st, &cur.prev)?;
+        } else {
+            *cursor = Some(cur);
+        }
+        Ok(AuditScrubStep {
+            checked,
+            complete,
+            chain_len: st.count,
+        })
     }
 
-    fn walk(&self, collect: bool) -> Result<(u64, Vec<AuditRecord>), SegShareError> {
-        // Holding the state lock keeps appends out while we compare the
-        // persisted chain against the live one.
-        let st = self.state.lock();
+    /// The end-of-chain checks: the persisted head authenticates and
+    /// matches the live chain and the re-derived hash `derived`, no
+    /// record sits beyond it, and its counter anchor is accepted.
+    fn check_head(&self, st: &ChainState, derived: &[u8; 32]) -> Result<(), SegShareError> {
         let (count, head, anchor) = match self.sgx.boundary().ocall(|| self.store.get(HEAD_NAME))? {
             Some(blob) => {
                 let body = pae_dec(&self.key, &blob, HEAD_AAD)
@@ -665,26 +584,7 @@ impl AuditLog {
                 "persisted audit head diverges from live chain (rollback or stale head)",
             ));
         }
-        let mut prev = genesis();
-        let mut records = Vec::new();
-        for seq in 0..count {
-            let name = record_name(seq);
-            let blob = self
-                .sgx
-                .boundary()
-                .ocall(|| self.store.get(&name))?
-                .ok_or_else(|| tamper(&format!("audit record {seq} missing (truncation)")))?;
-            let body = pae_dec(&self.key, &blob, &record_aad(seq, &prev)).map_err(|_| {
-                tamper(&format!(
-                    "audit record {seq} failed authentication (bit-flip, reorder, or substitution)"
-                ))
-            })?;
-            if collect {
-                records.push(decode_record(seq, &body)?);
-            }
-            prev = chain_hash(&prev, seq, &blob);
-        }
-        if prev != head {
+        if *derived != head {
             return Err(tamper("audit chain head mismatch"));
         }
         let next = record_name(count);
@@ -693,15 +593,12 @@ impl AuditLog {
                 "audit record beyond sealed head (forged append or rolled-back head)",
             ));
         }
-        if self.use_counter {
-            let hw = self.sgx.counter(AUDIT_COUNTER_ID).read();
-            if hw != anchor && !self.anchor_pending(anchor) {
-                return Err(tamper(
-                    "audit counter anchor mismatch (whole-trail rollback)",
-                ));
-            }
+        if self.counter.as_ref().is_some_and(|c| !c.accepts(anchor)) {
+            return Err(tamper(
+                "audit counter anchor mismatch (whole-trail rollback)",
+            ));
         }
-        Ok((count, records))
+        Ok(())
     }
 }
 
@@ -753,13 +650,26 @@ mod tests {
         store: &Arc<MemStore>,
         use_counter: bool,
     ) -> Result<AuditLog, SegShareError> {
+        load_with(platform, store, use_counter, false)
+    }
+
+    fn load_with(
+        platform: &Platform,
+        store: &Arc<MemStore>,
+        use_counter: bool,
+        batch: bool,
+    ) -> Result<AuditLog, SegShareError> {
         let sgx = Arc::new(platform.launch(&EnclaveImage::from_code(b"audit-test")));
+        let config = EnclaveConfig {
+            rollback_whole_fs: use_counter,
+            batch,
+            ..EnclaveConfig::default()
+        };
         AuditLog::load(
             PaeKey::from_bytes(&[9u8; 16]),
             Arc::clone(store) as Arc<dyn ObjectStore>,
             sgx,
-            use_counter,
-            false,
+            &config,
             &seg_obs::Registry::new(),
         )
     }
@@ -823,6 +733,78 @@ mod tests {
         let empty = audit_log(Arc::new(MemStore::new()), false);
         let step = empty.verify_window(&mut None, 10).unwrap();
         assert_eq!((step.checked, step.complete), (0, true));
+    }
+
+    /// `verify()` and a complete scrub pass are one walk: every tamper
+    /// class is reported by both, with the same error.
+    #[test]
+    fn verify_and_a_scrub_pass_report_each_tamper_class_alike() {
+        type Tamper = fn(&MemStore, &Platform, &[u8]);
+        let cases: [(&str, Tamper); 9] = [
+            ("truncation", |s, _, _| {
+                s.delete(&record_name(2)).unwrap();
+            }),
+            ("reorder", |s, _, _| {
+                let (a, b) = (record_name(1), record_name(2));
+                let (blob_a, blob_b) = (s.get(&a).unwrap().unwrap(), s.get(&b).unwrap().unwrap());
+                s.put(&a, &blob_b).unwrap();
+                s.put(&b, &blob_a).unwrap();
+            }),
+            ("substitution", |s, _, _| {
+                let donor = s.get(&record_name(0)).unwrap().unwrap();
+                s.put(&record_name(3), &donor).unwrap();
+            }),
+            ("bit-flip", |s, _, _| {
+                let mut blob = s.get(&record_name(4)).unwrap().unwrap();
+                blob[12] ^= 1;
+                s.put(&record_name(4), &blob).unwrap();
+            }),
+            ("head deleted", |s, _, _| {
+                s.delete(HEAD_NAME).unwrap();
+            }),
+            ("head bit-flip", |s, _, _| {
+                let mut blob = s.get(HEAD_NAME).unwrap().unwrap();
+                blob[12] ^= 1;
+                s.put(HEAD_NAME, &blob).unwrap();
+            }),
+            ("stale head", |s, _, stale| {
+                s.put(HEAD_NAME, stale).unwrap();
+            }),
+            ("forged append", |s, _, _| {
+                let donor = s.get(&record_name(1)).unwrap().unwrap();
+                s.put(&record_name(5), &donor).unwrap();
+            }),
+            ("counter anchor", |_, platform, _| {
+                let sgx = platform.launch(&EnclaveImage::from_code(b"audit-test"));
+                sgx.counter(AUDIT_COUNTER_ID).increment().unwrap();
+            }),
+        ];
+        for (i, (class, tamper)) in cases.into_iter().enumerate() {
+            let platform = Platform::new_with_seed(70 + i as u64);
+            let store = Arc::new(MemStore::new());
+            let log = load_log(&platform, &store, true).unwrap();
+            let mut stale = Vec::new();
+            for seq in 0..5 {
+                append(&log, seq).unwrap();
+                if seq == 2 {
+                    stale = store.get(HEAD_NAME).unwrap().unwrap();
+                }
+            }
+            tamper(&store, &platform, &stale);
+            let verified = log.verify().unwrap_err();
+            let mut cursor = None;
+            let scrubbed = loop {
+                match log.verify_window(&mut cursor, 2) {
+                    Ok(step) => assert!(!step.complete, "{class}: a scrub pass missed it"),
+                    Err(err) => break err,
+                }
+            };
+            assert!(
+                matches!(verified, SegShareError::Integrity(_)),
+                "{class}: {verified:?}"
+            );
+            assert_eq!(verified.to_string(), scrubbed.to_string(), "{class}");
+        }
     }
 
     #[test]
@@ -918,15 +900,7 @@ mod tests {
         platform: &Platform,
         store: &Arc<MemStore>,
     ) -> Result<AuditLog, SegShareError> {
-        let sgx = Arc::new(platform.launch(&EnclaveImage::from_code(b"audit-test")));
-        AuditLog::load(
-            PaeKey::from_bytes(&[9u8; 16]),
-            Arc::clone(store) as Arc<dyn ObjectStore>,
-            sgx,
-            true,
-            true,
-            &seg_obs::Registry::new(),
-        )
+        load_with(platform, store, true, true)
     }
 
     /// Batch mode defers the anchor increment to the durability point:
@@ -935,14 +909,14 @@ mod tests {
     /// caught up by one) at the next load — while a genuine rollback
     /// past that window still fails.
     #[test]
-    fn batch_pending_anchor_window_and_adoption() {
+    fn batch_deferred_anchor_window_and_adoption() {
         let platform = Platform::new_with_seed(46);
         let store = Arc::new(MemStore::new());
         let log = load_batch_log(&platform, &store).expect("fresh load");
         append(&log, 0).unwrap();
         // Pending window: head anchors hw + 1, verify accepts.
         assert_eq!(log.verify().unwrap(), 1);
-        log.commit_pending_anchor().unwrap();
+        log.anchor().unwrap().settle().unwrap();
         assert_eq!(log.verify().unwrap(), 1);
         // Crash with the increment outstanding.
         append(&log, 1).unwrap();
@@ -953,9 +927,9 @@ mod tests {
         // A rollback of head + records past the adopted state fails.
         let old = store.snapshot();
         append(&log, 2).unwrap();
-        log.commit_pending_anchor().unwrap();
+        log.anchor().unwrap().settle().unwrap();
         append(&log, 3).unwrap();
-        log.commit_pending_anchor().unwrap();
+        log.anchor().unwrap().settle().unwrap();
         drop(log);
         store.restore(old);
         let err = load_batch_log(&platform, &store).unwrap_err();

@@ -9,6 +9,7 @@
 
 pub mod access_control;
 pub mod audit;
+mod commit;
 pub mod file_manager;
 pub mod health;
 pub mod keys;
@@ -20,7 +21,7 @@ pub mod trusted_store;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::{SecureRandom, SystemRng};
@@ -28,7 +29,7 @@ use seg_crypto::sha256::Sha256;
 use seg_obs::{CostVector, RecordSink, Registry, RequestRecord, TraceEvent, TraceRing};
 use seg_pki::{Certificate, Csr, Identity};
 use seg_sgx::{Enclave, EnclaveImage, Platform, Quote};
-use seg_store::{CommitTicket, CountingStore, IoStats, ObjectStore, StoreStats};
+use seg_store::{CountingStore, IoStats, ObjectStore, StoreStats};
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
@@ -88,16 +89,14 @@ pub struct SegShareEnclave {
     /// per-store attribution ([`SegShareEnclave::store_io`]) and the
     /// request cost vector.
     counted_stores: Vec<(&'static str, CountedStore)>,
-    /// Serializes batch commit windows (batch mode, the durability
-    /// plane). Held from [`SegShareEnclave::batch_begin`] through the
-    /// seal — and, with whole-FS rollback protection, through the
-    /// deferred counter increments in [`SegShareEnclave::batch_wait`] —
-    /// so frame order in the shared log equals dependency order on the
-    /// shared root hash records, and a root record is never more than
-    /// one ahead of its hardware counter. Always the *outermost* lock:
-    /// taken before any [`LockManager`] scope, tree lock, or audit
-    /// state lock.
-    batch_commit: Mutex<()>,
+    /// Serializes commit windows (batch mode, the durability plane):
+    /// held by [`SegShareEnclave::commit`] around a window's writes and
+    /// seal — and, with whole-FS rollback protection, its durability
+    /// wait and counter settle — so frame order in the shared log equals
+    /// dependency order on the shared root hash records. Always the
+    /// *outermost* lock: a window's lock scopes, tree locks and the
+    /// audit chain lock are all taken inside it.
+    commit_mutex: Mutex<()>,
 }
 
 /// A counting wrapper around one of the untrusted object stores.
@@ -222,8 +221,7 @@ impl SegShareEnclave {
                 keys.audit_key(),
                 Arc::clone(&content),
                 Arc::clone(&sgx),
-                config.rollback_whole_fs,
-                config.batch,
+                &config,
                 &obs,
             )?))
         } else {
@@ -260,27 +258,19 @@ impl SegShareEnclave {
                 ("group", group_counted),
                 ("dedup", dedup_counted),
             ],
-            batch_commit: Mutex::new(()),
+            commit_mutex: Mutex::new(()),
         });
-        // Batch-mode crash recovery: a root hash record one ahead of
-        // its hardware counter is the previous process's durable-but-
-        // unacknowledged batch; catch the counter up before the first
-        // verified read could mistake it for a rollback.
-        //
-        // First-boot initialization writes several coupled objects
-        // (directory bodies plus their hash records); in batch mode
-        // they must land in one commit frame, or a crash mid-launch
-        // recovers a root directory without its hash record and every
-        // later request fails verification.
-        {
-            let guard = enclave.batch_begin(true);
+        // Launch's one window: adopt root records one ahead of their
+        // counters (a crash lost a durable window's increment) before
+        // the first verified read could mistake them for a rollback,
+        // then initialize a first boot's coupled objects (directory
+        // bodies plus their hash records) as one commit frame — a crash
+        // mid-launch must not recover a root directory without its
+        // hash record.
+        enclave.commit(None, || {
             enclave.store.adopt_root_counters()?;
-            enclave.files.init_file_system()?;
-            if guard.is_some() {
-                let tickets = enclave.batch_seal()?;
-                enclave.batch_wait(tickets)?;
-            }
-        }
+            enclave.files.init_file_system()
+        })?;
         Ok(enclave)
     }
 
@@ -590,144 +580,16 @@ impl SegShareEnclave {
             .map_or_else(|| Ok(Vec::new()), |log| log.export())
     }
 
-    // -------------------------------------------- durability plane (batch)
-
-    /// Opens one request's batch commit window (batch mode): acquires
-    /// the commit mutex and begins a thread transaction on every store
-    /// handle, so the request's puts and deletes accumulate into one
-    /// atomic commit unit. Returns `None` (and does nothing) when batch
-    /// mode is off, or for read-only requests outside whole-FS rollback
-    /// mode (with the §V-E counters on, even reads append counted audit
-    /// records, so every request commits through the window). Must be
-    /// called *before* any dispatch lock scope — the commit mutex is
-    /// the outermost lock.
-    pub(crate) fn batch_begin(&self, mutates: bool) -> Option<MutexGuard<'_, ()>> {
-        if !self.config.batch || !(mutates || self.config.rollback_whole_fs) {
-            return None;
-        }
-        let guard = {
-            let _wait = seg_obs::prof::phase("commit_wait");
-            self.batch_commit.lock()
-        };
-        for (_, counted) in &self.counted_stores {
-            counted.tx_begin();
-        }
-        Some(guard)
-    }
-
-    /// Seals the current thread's transaction on every store handle,
-    /// collecting the commit tickets to wait on. Idempotent: sealing on
-    /// shared-backend views seals the one underlying transaction once,
-    /// and a thread with no open transaction collects nothing.
-    pub(crate) fn batch_seal(&self) -> Result<Vec<CommitTicket>, SegShareError> {
-        let mut tickets = Vec::new();
-        if !self.config.batch {
-            return Ok(tickets);
-        }
-        for (_, counted) in &self.counted_stores {
-            if let Some(ticket) = self.sgx.boundary().ocall(|| counted.tx_seal())? {
-                tickets.push(ticket);
-            }
-        }
-        Ok(tickets)
-    }
-
-    /// Appends the request's audit record — id, operation, fingerprints
-    /// and outcome as `rec` holds them at this point — with the batch
-    /// seal run inside the audit chain's state lock, right after the
-    /// head write, so the frame boundary falls between appends and
-    /// audit chain order equals log order. Returns the append result
-    /// and the seal result separately; the seal runs even when the
-    /// append fails (fail-closed: whatever the batch holds is still
-    /// made durable). With auditing disabled the seal simply runs
-    /// directly.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn audit_request_sealed(
-        &self,
-        rec: &RequestRecord,
-    ) -> (
-        Result<(), SegShareError>,
-        Result<Vec<CommitTicket>, SegShareError>,
-    ) {
-        let Some(log) = self.audit.as_ref() else {
-            return (Ok(()), self.batch_seal());
-        };
-        let mut sealed: Result<Vec<CommitTicket>, SegShareError> = Ok(Vec::new());
-        let appended = log.append_sealing(self.now(), rec, || sealed = self.batch_seal());
-        (appended, sealed)
-    }
-
-    /// The request's durability point: waits for the group commit to
-    /// fsync the sealed batch, then performs the deferred §V-E counter
-    /// increments (rollback-tree roots and audit anchor). In whole-FS
-    /// mode the caller still holds the commit guard here, so no later
-    /// batch can write records more than one ahead of the hardware.
-    pub(crate) fn batch_wait(&self, tickets: Vec<CommitTicket>) -> Result<(), SegShareError> {
-        {
-            let _wait = seg_obs::prof::phase("commit_wait");
-            for ticket in tickets {
-                self.sgx.boundary().ocall(|| ticket.wait())?;
-            }
-        }
-        self.store.commit_pending_counters()?;
-        if let Some(log) = self.audit.as_ref() {
-            log.commit_pending_anchor()?;
-        }
-        Ok(())
-    }
-
-    /// Completes a batch commit window: waits for the group commit to
-    /// make the sealed frame durable, then releases the commit mutex.
-    /// In whole-FS rollback mode the wait (and the deferred §V-E
-    /// counter increments inside it) happens *under* the guard, so the
-    /// counters can never run more than one batch ahead of the durable
-    /// records; otherwise the guard drops first so concurrent sessions'
-    /// seals coalesce into shared group-commit fsyncs. A durability
-    /// error outranks a successful `result` but never masks an earlier
-    /// error.
-    pub(crate) fn batch_finish<T>(
-        &self,
-        guard: Option<MutexGuard<'_, ()>>,
-        sealed: Result<Vec<CommitTicket>, SegShareError>,
-        result: Result<T, SegShareError>,
-    ) -> Result<T, SegShareError> {
-        let durable = match (guard, sealed) {
-            // No window was opened: nothing was sealed, nothing to wait
-            // for (but a seal error still fails the request).
-            (None, sealed) => sealed.map(|_| ()),
-            (Some(guard), Err(seal_err)) => {
-                drop(guard);
-                Err(seal_err)
-            }
-            (Some(guard), Ok(tickets)) => {
-                if self.config.rollback_whole_fs {
-                    let wait = self.batch_wait(tickets);
-                    drop(guard);
-                    wait
-                } else {
-                    drop(guard);
-                    self.batch_wait(tickets)
-                }
-            }
-        };
-        match durable {
-            Ok(()) => result,
-            Err(err) => result.and(Err(err)),
-        }
-    }
-
     /// Reclaims dedup blobs whose reference count dropped to zero,
     /// returning how many were deleted. GC mutates an unbounded object
     /// set (the refcount index plus any number of blobs), so it runs
-    /// under the exclusive global scope, inside its own batch commit
-    /// window — a crash mid-GC either keeps or drops the whole pass.
+    /// under the exclusive global scope, inside its own commit window —
+    /// a crash mid-GC either keeps or drops the whole pass.
     pub fn blob_gc(&self) -> Result<u64, SegShareError> {
-        let guard = self.batch_begin(true);
-        let reclaimed = {
+        self.commit(None, || {
             let _scope = self.locks.acquire_global();
             self.files.blob_gc()
-        };
-        self.batch_finish(guard, self.batch_seal(), reclaimed)
+        })
     }
 
     /// The enclave configuration.
@@ -764,11 +626,14 @@ impl SegShareEnclave {
     }
 
     /// Recomputes the rollback tree from the stored objects and
-    /// re-anchors counters — backup restoration (§V-G). The caller is
-    /// the CA-signed reset path in [`crate::server::SegShareServer`].
+    /// re-anchors counters — backup restoration (§V-G) — in one commit
+    /// window under the exclusive global scope. The caller is the
+    /// CA-signed reset path in [`crate::server::SegShareServer`].
     pub(crate) fn rebuild_after_restore(&self) -> Result<(), SegShareError> {
-        let _scope = self.locks.acquire_global();
-        self.store.rebuild_tree()
+        self.commit(None, || {
+            let _scope = self.locks.acquire_global();
+            self.store.rebuild_tree()
+        })
     }
 }
 

@@ -11,7 +11,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::MutexGuard;
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::SystemRng;
 use seg_fs::{Access, AclFile, ChildKind, GroupId, Perm, SegPath, UserId};
@@ -283,7 +282,7 @@ impl EnclaveSession {
         // The request's one record. Its label is the compiled-in
         // operation name and its operands appear only as keyed
         // fingerprints — never raw (seg-obs trust-boundary rule). It
-        // opens here because the audit append, inside the batch window,
+        // opens here because the audit append, inside the commit window,
         // takes its ids and outcome from it.
         let mut record = RequestRecord::open(
             enclave.next_request_id(),
@@ -354,7 +353,7 @@ impl EnclaveSession {
         }
     }
 
-    /// Every request but a data chunk: dispatch inside the batch commit
+    /// Every request but a data chunk: dispatch inside the commit
     /// window, with the decision audited before the response leaves the
     /// enclave.
     fn handle_control(
@@ -364,16 +363,14 @@ impl EnclaveSession {
         request: &Request,
         record: &mut RequestRecord,
     ) -> Result<Vec<Response>, SegShareError> {
-        if self.upload.is_some() {
-            // A non-Data request aborts an in-flight upload.
-            self.upload = None;
-            return Err(bad_request("upload interrupted by another request"));
-        }
-        // The batch commit window (batch mode only) opens before any
-        // dispatch lock scope — the commit mutex is the outermost lock.
-        let guard = enclave.batch_begin(request_mutates(request));
-        let result = self.dispatch(enclave, user, request);
-        let result = audit_and_commit(enclave, guard, record, record.op, result);
+        let op = record.op;
+        let result = enclave.commit(Some((record, op)), || {
+            if self.upload.take().is_some() {
+                // A non-Data request aborts an in-flight upload.
+                return Err(bad_request("upload interrupted by another request"));
+            }
+            self.dispatch(enclave, user, request)
+        });
         if let (Err(_), Request::PutFile { size, .. }) = (&result, request) {
             // A PutFile was refused: swallow its announced bytes so the
             // client sees exactly one response.
@@ -409,20 +406,18 @@ impl EnclaveSession {
         // record (`put_commit`) bound to the same upload target.
         record.object = enclave.fingerprint_name(upload.path().as_str());
         // The staged chunks never touched the store, so the commit is
-        // the upload's only mutation — it gets its own batch window,
-        // opened before the lock scope.
-        let guard = enclave.batch_begin(true);
-        // The commit links the file into its parent directory, so the
-        // scope covers both the file's objects and the parent dirfile
-        // (same scope shape as the PutFile header).
-        let _scope = enclave
-            .locks()
-            .acquire(&object_locks(upload.path(), LockIntent::Write, true));
-        let result = enclave
-            .files()
-            .commit_upload(upload)
-            .map(|()| vec![Response::Ok]);
-        audit_and_commit(enclave, guard, record, "put_commit", result)
+        // the upload's only mutation — it gets its own window. The
+        // commit links the file into its parent directory, so the scope
+        // covers both the file's objects and the parent dirfile (same
+        // scope shape as the PutFile header).
+        enclave.commit(Some((record, "put_commit")), || {
+            let scope = object_locks(upload.path(), LockIntent::Write, true);
+            let _scope = enclave.locks().acquire(&scope);
+            enclave
+                .files()
+                .commit_upload(upload)
+                .map(|()| vec![Response::Ok])
+        })
     }
 
     fn dispatch(
@@ -849,31 +844,6 @@ fn parse_path(s: &str) -> Result<SegPath, SegShareError> {
     SegPath::parse(s).map_err(|e| bad_request(e.to_string()))
 }
 
-/// Whether a request can write to the store. Only `Get` is read-only;
-/// anything unknown is treated as mutating (fail safe).
-fn request_mutates(request: &Request) -> bool {
-    !matches!(request, Request::Get { .. })
-}
-
-/// Records the decision and makes it durable. The audit record is
-/// appended (as operation `op`, with the outcome of `result`) before
-/// the response leaves the enclave; an audit-append failure outranks
-/// the operation's own outcome so the trail never silently misses a
-/// decision (fail closed). In batch mode the request's writes are
-/// sealed into their commit frame inside the audit append, so audit
-/// chain order equals log order.
-fn audit_and_commit(
-    enclave: &SegShareEnclave,
-    guard: Option<MutexGuard<'_, ()>>,
-    record: &mut RequestRecord,
-    op: &'static str,
-    result: Result<Vec<Response>, SegShareError>,
-) -> Result<Vec<Response>, SegShareError> {
-    note_outcome(record, &result);
-    let (appended, sealed) = enclave.audit_request_sealed(&RequestRecord { op, ..*record });
-    enclave.batch_finish(guard, sealed, appended.and(result))
-}
-
 /// Lock requests for everything stored at `path` (dirfile or content
 /// file plus its ACL — one key covers all three) and, when
 /// `with_parent`, the parent directory whose dirfile the operation
@@ -1011,7 +981,7 @@ fn response_bytes(responses: &[Response]) -> u64 {
 
 /// The one derivation of a request's outcome: granted, explicitly
 /// denied, or failed for another reason, with the error-code label.
-fn note_outcome(record: &mut RequestRecord, result: &Result<Vec<Response>, SegShareError>) {
+pub(super) fn note_outcome<T>(record: &mut RequestRecord, result: &Result<T, SegShareError>) {
     (record.decision, record.code) = match result.as_ref().map_err(error_code) {
         Ok(_) => (TraceDecision::Allow, "ok"),
         Err(ErrorCode::Denied) => (TraceDecision::Deny, ErrorCode::Denied.name()),

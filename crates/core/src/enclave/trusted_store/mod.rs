@@ -70,7 +70,6 @@ mod tree;
 
 pub use record::{GroupRootFile, HashRecord};
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -82,6 +81,7 @@ use seg_store::ObjectStore;
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
 
+use super::commit::Anchor;
 use super::keys::KeyHierarchy;
 use super::names::{ObjectId, StoreKind};
 
@@ -164,15 +164,9 @@ pub struct TrustedStore {
     /// `rebuild_tree`, which takes content before group), never nested.
     content_tree: RwLock<()>,
     group_tree: RwLock<()>,
-    /// Deferred monotonic-counter increments (batch mode, §V-E): maps a
-    /// counter id to the value its root hash record already names. The
-    /// hardware increment happens at the group-commit durability point
-    /// ([`TrustedStore::commit_pending_counters`]), so a crash before
-    /// the batch is durable leaves hardware matching the old on-disk
-    /// state, and a crash after leaves a record exactly one ahead —
-    /// adopted once at the next launch. The dispatch layer's commit
-    /// serialization keeps the record-vs-hardware gap at most one.
-    pending_counters: Mutex<HashMap<u64, u64>>,
+    /// The §V-E anchors of the content and group tree roots (counters
+    /// 1 and 2), settled by the commit window.
+    root_anchors: [Anchor; 2],
     /// Serializes read-modify-write cycles on the dedup refcount index.
     dedup_index: Mutex<()>,
     // Cached telemetry handles (hot path: one atomic add per record).
@@ -205,6 +199,7 @@ impl TrustedStore {
         let cache = config
             .cache
             .then(|| MetaCache::new(seg_cache::CacheConfig::default(), sgx.epc().clone()));
+        let root_anchors = [1, 2].map(|id| Anchor::new(Arc::clone(&sgx), id, &config));
         TrustedStore {
             keys,
             config,
@@ -215,7 +210,7 @@ impl TrustedStore {
             cache,
             content_tree: RwLock::new(()),
             group_tree: RwLock::new(()),
-            pending_counters: Mutex::new(HashMap::new()),
+            root_anchors,
             dedup_index: Mutex::new(()),
             pfs_encrypt_ns: obs.histogram("seg_pfs_encrypt_ns"),
             pfs_decrypt_ns: obs.histogram("seg_pfs_decrypt_ns"),
@@ -335,6 +330,19 @@ impl TrustedStore {
     #[must_use]
     pub fn config(&self) -> &EnclaveConfig {
         &self.config
+    }
+
+    /// The §V-E anchors of both tree roots.
+    pub(crate) fn root_anchors(&self) -> &[Anchor] {
+        &self.root_anchors
+    }
+
+    /// The anchor of `store`'s tree root (dedup blobs have no tree).
+    fn root_anchor(&self, store: StoreKind) -> &Anchor {
+        match store {
+            StoreKind::Content => &self.root_anchors[0],
+            StoreKind::Group | StoreKind::Dedup => &self.root_anchors[1],
+        }
     }
 
     fn store_for(&self, kind: StoreKind) -> &Arc<dyn ObjectStore> {

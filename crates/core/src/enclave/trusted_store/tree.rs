@@ -17,15 +17,6 @@ use crate::error::SegShareError;
 use super::record::{GroupRootFile, HashRecord};
 use super::{integrity, CacheKey, CachedValue, Fetched, TreeChange, TrustedStore, Walk};
 
-/// Monotonic-counter ids per store (whole-FS rollback protection).
-fn counter_id(store: StoreKind) -> u64 {
-    match store {
-        StoreKind::Content => 1,
-        StoreKind::Group => 2,
-        StoreKind::Dedup => 3,
-    }
-}
-
 impl TrustedStore {
     // ------------------------------------------------------ hash records
 
@@ -305,108 +296,44 @@ impl TrustedStore {
         Ok(())
     }
 
-    /// Increments the store's monotonic counter and records the value in
-    /// the root hash record (§V-E).
-    ///
-    /// In batch mode the record names the post-commit value (`hw + 1`)
-    /// but the hardware increment is *deferred* to
-    /// [`TrustedStore::commit_pending_counters`], run once the batch is
-    /// durable — so the counter can never run ahead of what the store
-    /// actually holds across a crash.
+    /// Issues the store's next monotonic-counter value (§V-E, see
+    /// `Anchor::issue`) and records it in the root hash record.
     ///
     /// An update (`reanchor` false) re-issues the root record under the
     /// new value only if the record is the current one: trusted, or
-    /// naming the hardware value. A record from a rolled-back store
-    /// would otherwise leave this call blessed by a fresh counter — the
-    /// root has no parent whose bucket could give it away.
+    /// accepted by the anchor. A record from a rolled-back store would
+    /// otherwise leave this call blessed by a fresh counter — the root
+    /// has no parent whose bucket could give it away.
     /// [`TrustedStore::rebuild_tree`] re-anchors whatever it rebuilt.
     fn bump_root_counter(&self, root: &ObjectId, reanchor: bool) -> Result<(), SegShareError> {
-        let cid = counter_id(root.store());
-        let ctr = self.sgx.counter(cid);
+        let anchor = self.root_anchor(root.store());
         let Fetched {
             mut rec, trusted, ..
         } = self
             .read_hash_record(root)?
             .ok_or_else(|| integrity(root, "missing root hash record"))?;
-        if !reanchor
-            && !trusted
-            && rec.counter != ctr.read()
-            && !self.counter_pending(cid, rec.counter)
-        {
+        if !reanchor && !trusted && !anchor.accepts(rec.counter) {
             return Err(integrity(
                 root,
                 "monotonic counter mismatch (whole file system rollback)",
             ));
         }
-        let value = if self.config.batch {
-            let mut pending = self.pending_counters.lock();
-            let target = pending.get(&cid).copied().unwrap_or_else(|| ctr.read() + 1);
-            pending.insert(cid, target);
-            target
-        } else {
-            let value = ctr.increment()?;
-            // Real counter increments cost tens of milliseconds; charge it.
-            self.sgx.boundary().charge(ctr.increment_latency_ns());
-            value
-        };
-        rec.counter = value;
+        rec.counter = anchor.issue()?;
         self.write_hash_record(root, &rec, trusted)
     }
 
-    /// Performs the deferred monotonic-counter increments registered by
-    /// batch-mode [`bump_root_counter`](Self::bump_root_counter) calls.
-    /// Runs at the durability point, *after* the group commit's fsync
-    /// acknowledged the batch. Each counter is incremented to its
-    /// target before its map entry is removed, so a concurrent verifier
-    /// always sees either the pending target or matching hardware.
-    pub(crate) fn commit_pending_counters(&self) -> Result<(), SegShareError> {
-        loop {
-            let entry = self
-                .pending_counters
-                .lock()
-                .iter()
-                .next()
-                .map(|(k, v)| (*k, *v));
-            let Some((cid, target)) = entry else {
-                return Ok(());
-            };
-            let ctr = self.sgx.counter(cid);
-            while ctr.read() < target {
-                ctr.increment()?;
-                self.sgx.boundary().charge(ctr.increment_latency_ns());
-            }
-            self.pending_counters.lock().remove(&cid);
-        }
-    }
-
-    /// Whether `value` is a registered pending target for `cid` — the
-    /// one-ahead window a batch-mode root record legitimately occupies
-    /// between its write and the post-durability increment.
-    fn counter_pending(&self, cid: u64, value: u64) -> bool {
-        self.config.batch && self.pending_counters.lock().get(&cid) == Some(&value)
-    }
-
-    /// Launch-time adoption of a root record whose deferred increment
-    /// was lost to a crash: the record naming exactly `hw + 1` is the
-    /// batch the previous process made durable but never acknowledged
-    /// with an increment, so the counter catches up by one. Any larger
-    /// gap stays — and reads then fail §V-E verification, exactly as a
-    /// rollback must. Mirrors the audit trail's orphan adoption.
+    /// Launch-time adoption (`Anchor::adopt`) of each root record's
+    /// counter value, before the first verified read.
     pub(crate) fn adopt_root_counters(&self) -> Result<(), SegShareError> {
-        if !(self.config.batch && self.config.rollback_whole_fs) {
+        if !self.config.rollback_whole_fs {
             return Ok(());
         }
         for root in [
             ObjectId::DirData(seg_fs::SegPath::root()),
             ObjectId::GroupRoot,
         ] {
-            let Some(rec) = self.store_hash_record(&root)? else {
-                continue;
-            };
-            let ctr = self.sgx.counter(counter_id(root.store()));
-            if rec.counter == ctr.read() + 1 {
-                ctr.increment()?;
-                self.sgx.boundary().charge(ctr.increment_latency_ns());
+            if let Some(rec) = self.store_hash_record(&root)? {
+                self.root_anchor(root.store()).adopt(rec.counter)?;
             }
         }
         Ok(())
@@ -571,11 +498,7 @@ impl TrustedStore {
         if self.config.rollback_whole_fs {
             // The counter is read off the very record the chain was
             // just checked against.
-            let cid = counter_id(cur.store());
-            let hw = self.sgx.counter(cid).read();
-            // A record exactly one ahead is legitimate while its batch's
-            // deferred increment is pending (batch mode only).
-            if top.rec.counter != hw && !self.counter_pending(cid, top.rec.counter) {
+            if !self.root_anchor(cur.store()).accepts(top.rec.counter) {
                 return Err(integrity(
                     &cur,
                     "monotonic counter mismatch (whole file system rollback)",
@@ -613,13 +536,9 @@ impl TrustedStore {
         self.rebuild_node(&ObjectId::DirData(seg_fs::SegPath::root()))?;
         self.rebuild_node(&ObjectId::GroupRoot)?;
         if self.config.rollback_whole_fs {
+            // Deferred values settle when the caller's window is durable.
             self.bump_root_counter(&ObjectId::DirData(seg_fs::SegPath::root()), true)?;
             self.bump_root_counter(&ObjectId::GroupRoot, true)?;
-        }
-        // Restoration runs outside any request batch; perform the
-        // deferred increments right away.
-        if self.config.batch {
-            self.commit_pending_counters()?;
         }
         Ok(())
     }

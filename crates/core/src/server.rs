@@ -568,7 +568,10 @@ impl SegShareServer {
 
     /// Verifies a CA-signed reset message and rebuilds integrity state
     /// from a restored backup (§V-G): recompute all tree hashes, compare
-    /// root hashes, re-anchor monotonic counters.
+    /// root hashes, re-anchor monotonic counters. The rebuild is one
+    /// commit window like any request, so on a WAL store it is one
+    /// atomic frame and never waits on the log while holding the
+    /// global lock.
     ///
     /// # Errors
     ///

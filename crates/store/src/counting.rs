@@ -57,9 +57,10 @@ pub struct CountingStore<S> {
     batches: AtomicU64,
     batch_ops: AtomicU64,
     // Transaction-window bookkeeping: `tx_begin`..`tx_seal` windows are
-    // serialized by the caller (the enclave's commit mutex), so a flag
-    // plus a pending-op counter is enough to attribute writes to the
-    // current batch.
+    // serialized by the caller (`SegShareEnclave::commit`, the enclave's
+    // one commit window, under its commit mutex), so a flag plus a
+    // pending-op counter is enough to attribute writes to the current
+    // batch.
     tx_open: AtomicBool,
     tx_pending: AtomicU64,
 }

@@ -383,3 +383,52 @@ fn exports_carry_no_principals_paths_or_keys() {
     assert!(denied.iter().all(|e| e.request_id == denied[0].request_id));
     assert!(denied.iter().all(|e| e.object == denied[0].object));
 }
+
+/// A request that interrupts an upload is refused inside the commit
+/// window like any other decision, so the trail holds it: "every
+/// dispatched request is appended" has no exception.
+#[test]
+fn a_request_interrupting_an_upload_is_audited() {
+    use seg_proto::{ErrorCode, Request, Response};
+    use seg_tls::SecureStream;
+
+    let setup = FsoSetup::new_in_memory("audit-ca", EnclaveConfig::default());
+    let server = setup.server().expect("setup");
+    let alice = setup.enroll_user("alice", "a@x", "Alice").expect("enroll");
+    let mut stream = SecureStream::connect(
+        server.reactor().connect_virtual().unwrap(),
+        alice.certificate.clone(),
+        alice.secret_key.clone(),
+        alice.ca_key,
+        alice.now,
+        &mut seg_crypto::rng::SystemRng::new(),
+    )
+    .unwrap();
+    let announce = Request::PutFile {
+        path: "/m".to_string(),
+        size: 10,
+    };
+    stream.send(&announce.encode()).unwrap();
+    let interrupt = Request::Get {
+        path: "/".to_string(),
+    };
+    stream.send(&interrupt.encode()).unwrap();
+    let resp = Response::decode(&stream.recv().unwrap()).unwrap();
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+    let trail = server.audit_export().expect("chain verifies");
+    let last = trail.last().expect("records");
+    assert_eq!(
+        (last.op.as_str(), last.code.as_str()),
+        ("get", "bad_request"),
+        "{trail:?}"
+    );
+}

@@ -511,3 +511,183 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+// ------------------------------------------------------ one commit window
+
+/// Batch mode without whole-FS protection — the configuration in which
+/// reads used to commit outside any window. Dedup on so GC has blobs.
+fn window_config() -> EnclaveConfig {
+    EnclaveConfig {
+        batch: true,
+        dedup: true,
+        ..EnclaveConfig::default()
+    }
+}
+
+/// Per store view: (puts + deletes, operations sealed into batches).
+fn write_counts(server: &SegShareServer) -> Vec<(&'static str, u64, u64)> {
+    server
+        .enclave()
+        .store_io()
+        .into_iter()
+        .map(|(name, s, _)| (name, s.puts + s.deletes, s.batch_ops))
+        .collect()
+}
+
+/// Every store write the enclave makes after launch is inside a commit
+/// window: per view, the writes issued equal the writes sealed into
+/// batches, across every request kind, blob GC and backup restoration.
+#[test]
+fn every_store_write_after_launch_is_inside_a_window() {
+    let dir = tempdir("window");
+    let setup = FsoSetup::new_wal("ca", window_config(), &dir).unwrap();
+    let server = setup.server().unwrap();
+    let mut c = connect(&setup, &server, "alice");
+    let before = write_counts(&server);
+    let big: Vec<u8> = (0..3 * seg_proto::CHUNK_LEN)
+        .map(|i| (i % 251) as u8)
+        .collect();
+    c.mkdir("/d").unwrap();
+    c.put("/d/small", b"small body").unwrap();
+    c.put("/d/big", &big).unwrap();
+    assert_eq!(c.get("/d/small").unwrap(), b"small body");
+    assert_eq!(c.get("/d/big").unwrap(), big);
+    assert_eq!(c.list("/d/").unwrap().len(), 2);
+    c.remove("/d/small").unwrap();
+    c.rename("/d/big", "/d/moved").unwrap();
+    c.set_perm("/d/moved", "team", seg_fs::Perm::Read).unwrap();
+    c.add_user("bob", "team").unwrap();
+    c.remove_user("bob", "team").unwrap();
+    c.remove("/d/moved").unwrap();
+    assert!(
+        server.blob_gc().unwrap() > 0,
+        "GC reclaimed the removed file's blobs"
+    );
+    server
+        .restore_with_reset(&setup.ca().public_key(), &setup.signed_reset())
+        .unwrap();
+    let after = write_counts(&server);
+    for ((store, writes0, sealed0), (_, writes1, sealed1)) in before.into_iter().zip(after) {
+        assert_eq!(
+            writes1 - writes0,
+            sealed1 - sealed0,
+            "{store}: a store write outside any commit window"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `get` with its audit append is one WAL frame and one fsync.
+#[test]
+fn a_get_is_one_frame_and_one_fsync() {
+    let dir = tempdir("get-frame");
+    let setup = FsoSetup::new_wal("ca", window_config(), &dir).unwrap();
+    let server = setup.server().unwrap();
+    let mut c = connect(&setup, &server, "alice");
+    c.put("/f", b"body").unwrap();
+    let io = || server.enclave().store_io()[0].2;
+    let before = io();
+    assert_eq!(c.get("/f").unwrap(), b"body");
+    let after = io();
+    assert_eq!(
+        (after.batches - before.batches, after.fsyncs - before.fsyncs),
+        (1, 1),
+        "(commit frames, fsyncs) of one get"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A WAL server whose checkpoints fall due every few requests and whose
+/// checkpoint gives up on open transactions after 2 s, poisoning the
+/// store: the PR 11 deadlock (a write waiting on the log outside a
+/// window while a window waits on it) shows up as a poisoned store.
+fn checkpointing_server(tag: &str) -> (PathBuf, Arc<WalStore>, FsoSetup, SegShareServer) {
+    let dir = tempdir(tag);
+    let wal = Arc::new(
+        WalStore::open_with(
+            &dir,
+            WalConfig {
+                checkpoint_bytes: 16 * 1024,
+                gate_timeout: std::time::Duration::from_secs(2),
+                ..WalConfig::default()
+            },
+        )
+        .unwrap(),
+    );
+    let (content, group, dedup) = wal_views(&wal);
+    let setup = FsoSetup::with_stores(
+        "ca",
+        EnclaveConfig {
+            batch: true,
+            ..EnclaveConfig::default()
+        },
+        Platform::new(),
+        content,
+        group,
+        dedup,
+    );
+    let server = setup.server().unwrap();
+    (dir, wal, setup, server)
+}
+
+/// A writer connection: `rounds` puts over a few paths, every one acked.
+fn put_rounds(mut c: Client<ChannelTransport>, rounds: usize) {
+    for i in 0..rounds {
+        let body = vec![i as u8; 2_000 + 37 * (i % 5)];
+        c.put(&format!("/w{}", i % 4), &body)
+            .unwrap_or_else(|e| panic!("put {i}: {e}"));
+    }
+}
+
+#[test]
+fn reads_beside_writes_across_checkpoints_never_poison() {
+    let (dir, wal, setup, server) = checkpointing_server("read-deadlock");
+    let mut reader = connect(&setup, &server, "alice");
+    for i in 0..4u8 {
+        reader.put(&format!("/r{i}"), &[i; 512]).unwrap();
+    }
+    let writer = connect(&setup, &server, "alice");
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            put_rounds(writer, 60);
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        let mut i = 0usize;
+        while !done.load(std::sync::atomic::Ordering::SeqCst) {
+            let n = (i % 4) as u8;
+            assert_eq!(
+                reader
+                    .get(&format!("/r{n}"))
+                    .unwrap_or_else(|e| panic!("get {i}: {e}")),
+                vec![n; 512]
+            );
+            i += 1;
+        }
+    });
+    assert!(!wal.poisoned(), "a checkpoint gave up on an open window");
+    server.audit_verify().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restore_beside_writes_across_checkpoints_never_poisons() {
+    let (dir, wal, setup, server) = checkpointing_server("restore-deadlock");
+    let writer = connect(&setup, &server, "alice");
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            put_rounds(writer, 40);
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        let reset = setup.signed_reset();
+        while !done.load(std::sync::atomic::Ordering::SeqCst) {
+            server
+                .restore_with_reset(&setup.ca().public_key(), &reset)
+                .unwrap();
+        }
+    });
+    assert!(!wal.poisoned(), "a checkpoint gave up on an open window");
+    server.audit_verify().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
