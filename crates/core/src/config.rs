@@ -27,8 +27,10 @@ pub struct EnclaveConfig {
     /// Permission inheritance resolution walks ancestors while the
     /// inherit flag stays set (§V-B).
     pub max_inherit_depth: u32,
-    /// Tamper-evident audit trail: every dispatched request is appended
-    /// as a sealed, hash-chained record through the untrusted store.
+    /// Tamper-evident audit trail: one sealed, hash-chained record per
+    /// operation through the untrusted store. A control request is one
+    /// record; an upload is one too, its header's decision appended with
+    /// its outcome when it ends, however many frames it took.
     pub audit: bool,
     /// The stall deadline (µs): a request at least this slow is kept
     /// whole in the slow-request log, counts as slow in the meter and

@@ -2,9 +2,10 @@
 //! of the durability plane (DESIGN.md §10).
 //!
 //! [`SegShareEnclave::commit`] is the one function through which the
-//! enclave makes a durable write after launch: every control request,
-//! every upload commit, first-boot initialization, blob GC and backup
-//! restoration each make one call. [`Anchor`] is the one implementation
+//! enclave makes a durable write after launch: every control request
+//! but an accepted upload header (it writes nothing), every upload's
+//! end, first-boot initialization, blob GC and backup restoration each
+//! make one call. [`Anchor`] is the one implementation
 //! of the defer-the-increment policy, one per monotonic counter: the
 //! trusted store holds the content and group roots', the audit log its
 //! head's. `EnclaveConfig::batch` is read here and nowhere else.
@@ -105,9 +106,9 @@ impl Anchor {
 }
 
 impl SegShareEnclave {
-    /// The commit window: runs `f` and appends `audit`'s record — the
-    /// request record, under the given audit operation, with the
-    /// outcome of `f` — as one atomic, durable unit.
+    /// The commit window: runs `f` and appends `audit` — the record of
+    /// the request or upload, with the outcome of `f` — as one atomic,
+    /// durable unit.
     ///
     /// In batch mode it takes the commit mutex (so it is the outermost
     /// lock: `f` takes its lock scopes inside), opens a transaction on
@@ -123,7 +124,7 @@ impl SegShareEnclave {
     /// `f`, never an earlier error.
     pub(crate) fn commit<T>(
         &self,
-        audit: Option<(&mut RequestRecord, &'static str)>,
+        audit: Option<&mut RequestRecord>,
         f: impl FnOnce() -> Result<T, SegShareError>,
     ) -> Result<T, SegShareError> {
         if !self.config.batch {
@@ -161,15 +162,14 @@ impl SegShareEnclave {
     /// made durable).
     fn append_audit<T>(
         &self,
-        audit: Option<(&mut RequestRecord, &'static str)>,
+        audit: Option<&mut RequestRecord>,
         result: Result<T, SegShareError>,
         seal: impl FnOnce(),
     ) -> Result<T, SegShareError> {
         match (audit, &self.audit) {
-            (Some((record, op)), Some(log)) => {
+            (Some(record), Some(log)) => {
                 note_outcome(record, &result);
-                let rec = RequestRecord { op, ..*record };
-                log.append_sealing(self.now(), &rec, seal).and(result)
+                log.append_sealing(self.now(), record, seal).and(result)
             }
             _ => {
                 seal();

@@ -184,7 +184,8 @@ impl FileManager {
         })
     }
 
-    /// Appends one chunk to an upload.
+    /// Appends one chunk to an upload and says whether all announced
+    /// bytes have now arrived.
     ///
     /// # Errors
     ///
@@ -194,7 +195,7 @@ impl FileManager {
         &self,
         upload: &mut UploadContext,
         chunk: &[u8],
-    ) -> Result<(), SegShareError> {
+    ) -> Result<bool, SegShareError> {
         if chunk.len() as u64 > upload.remaining {
             return Err(bad(ErrorCode::BadRequest, "upload exceeds announced size"));
         }
@@ -207,13 +208,7 @@ impl FileManager {
             .as_mut()
             .expect("writer present until commit")
             .write(chunk);
-        Ok(())
-    }
-
-    /// Whether all announced bytes have arrived.
-    #[must_use]
-    pub fn upload_complete(&self, upload: &UploadContext) -> bool {
-        upload.remaining == 0
+        Ok(upload.remaining == 0)
     }
 
     /// Commits a finished upload: stores the blob (or dedup blob plus
@@ -605,7 +600,7 @@ mod tests {
         for chunk in content.chunks(1013) {
             f.files.upload_chunk(&mut ctx, chunk).unwrap();
         }
-        assert!(f.files.upload_complete(&ctx));
+        assert!(f.files.upload_chunk(&mut ctx, &[]).unwrap(), "complete");
         f.files.commit_upload(ctx).unwrap();
     }
 

@@ -22,7 +22,7 @@ use seg_tls::{ServerHandshake, TlsChannel};
 use crate::error::SegShareError;
 
 use super::file_manager::{DownloadContext, UploadContext};
-use super::locks::{LockIntent, LockKey, LockRequest};
+use super::locks::{LockIntent, LockKey, LockScope};
 use super::SegShareEnclave;
 
 // The established variant is naturally the big one (channel state plus
@@ -41,7 +41,10 @@ enum SessionState {
 /// One client connection's trusted-side state.
 pub struct EnclaveSession {
     state: SessionState,
-    upload: Option<UploadContext>,
+    /// An accepted upload still streaming: its staged body, and the
+    /// header's record, which is the upload's one audit record when it
+    /// ends.
+    upload: Option<(UploadContext, RequestRecord)>,
     /// Bytes of a rejected upload still to swallow silently (the error
     /// response was already queued; the client learns of it after
     /// streaming).
@@ -269,6 +272,13 @@ impl EnclaveSession {
         self.download.is_some() || !self.out.is_empty()
     }
 
+    /// The connection closed: an upload still streaming ends here,
+    /// abandoned, with its audit record.
+    pub fn close(&mut self, enclave: &SegShareEnclave) {
+        // Nobody is left to send a response or an error to.
+        let _ = self.end_upload(enclave, Err(bad_request("connection closed mid-upload")));
+    }
+
     // ------------------------------------------------------- dispatching
 
     fn handle_request(
@@ -303,7 +313,7 @@ impl EnclaveSession {
         });
         let result = match request {
             // Data chunks are the streaming fast path.
-            Request::Data { bytes } => self.handle_data(enclave, &mut record, bytes),
+            Request::Data { bytes } => self.handle_data(enclave, bytes),
             request => self.handle_control(enclave, user, &request, &mut record),
         };
         // An audit-append or durability failure outranks the outcome
@@ -337,7 +347,7 @@ impl EnclaveSession {
     /// active upload's target.
     fn prefix_fingerprint(&mut self, enclave: &SegShareEnclave, request: &Request) -> u64 {
         let path = match request {
-            Request::Data { .. } => self.upload.as_ref().map(|u| u.path().as_str()),
+            Request::Data { .. } => self.upload.as_ref().map(|(u, _)| u.path().as_str()),
             _ => request_path(request),
         };
         let Some(prefix) = path.map(path_prefix) else {
@@ -355,7 +365,9 @@ impl EnclaveSession {
 
     /// Every request but a data chunk: dispatch inside the commit
     /// window, with the decision audited before the response leaves the
-    /// enclave.
+    /// enclave. An upload header is the exception: it writes nothing,
+    /// so only a refused one opens a window, for its record; an
+    /// accepted one keeps its record until the upload ends.
     fn handle_control(
         &mut self,
         enclave: &SegShareEnclave,
@@ -363,60 +375,74 @@ impl EnclaveSession {
         request: &Request,
         record: &mut RequestRecord,
     ) -> Result<Vec<Response>, SegShareError> {
-        let op = record.op;
-        let result = enclave.commit(Some((record, op)), || {
-            if self.upload.take().is_some() {
-                // A non-Data request aborts an in-flight upload.
-                return Err(bad_request("upload interrupted by another request"));
-            }
-            self.dispatch(enclave, user, request)
-        });
-        if let (Err(_), Request::PutFile { size, .. }) = (&result, request) {
-            // A PutFile was refused: swallow its announced bytes so the
-            // client sees exactly one response.
-            self.discard = *size;
+        if self.upload.is_some() {
+            // A non-Data request aborts an in-flight upload: the upload
+            // ends with its record, then the request is refused.
+            let interrupted = bad_request("upload interrupted by another request");
+            let ended = self.end_upload(enclave, Err(interrupted));
+            return enclave.commit(Some(record), || ended);
         }
-        result
+        let Request::PutFile { path, size } = request else {
+            return enclave.commit(Some(record), || self.dispatch(enclave, user, request));
+        };
+        match do_put_file(enclave, user, path, *size) {
+            Ok(upload) => {
+                self.upload = Some((upload, *record));
+                if *size > 0 {
+                    return Ok(Vec::new());
+                }
+                self.end_upload(enclave, Ok(()))
+            }
+            Err(err) => {
+                // Swallow the refused upload's announced bytes so the
+                // client sees exactly one response.
+                self.discard = *size;
+                enclave.commit(Some(record), || Err(err))
+            }
+        }
     }
 
     fn handle_data(
         &mut self,
         enclave: &SegShareEnclave,
-        record: &mut RequestRecord,
         bytes: Vec<u8>,
     ) -> Result<Vec<Response>, SegShareError> {
         if self.discard > 0 {
             self.discard = self.discard.saturating_sub(bytes.len() as u64);
             return Ok(Vec::new());
         }
-        let Some(upload) = self.upload.as_mut() else {
+        let Some((upload, _)) = self.upload.as_mut() else {
             return Err(bad_request("data chunk without an active upload"));
         };
         let _epc = enclave.sgx().epc().alloc(bytes.len() as u64);
-        if let Err(err) = enclave.files().upload_chunk(upload, &bytes) {
-            self.upload = None;
-            return Err(err);
+        match enclave.files().upload_chunk(upload, &bytes) {
+            Ok(false) => Ok(Vec::new()),
+            outcome => self.end_upload(enclave, outcome.map(drop)),
         }
-        if !enclave.files().upload_complete(upload) {
-            return Ok(Vec::new());
-        }
-        let upload = self.upload.take().expect("upload checked above");
-        // The PutFile header was audited when it was authorized; the
-        // commit is the actual mutation, so it gets its own audit
-        // record (`put_commit`) bound to the same upload target.
-        record.object = enclave.fingerprint_name(upload.path().as_str());
-        // The staged chunks never touched the store, so the commit is
-        // the upload's only mutation — it gets its own window. The
-        // commit links the file into its parent directory, so the scope
-        // covers both the file's objects and the parent dirfile (same
-        // scope shape as the PutFile header).
-        enclave.commit(Some((record, "put_commit")), || {
-            let scope = object_locks(upload.path(), LockIntent::Write, true);
-            let _scope = enclave.locks().acquire(&scope);
-            enclave
-                .files()
-                .commit_upload(upload)
-                .map(|()| vec![Response::Ok])
+    }
+
+    /// Ends the active upload, however it ends: its last chunk, a
+    /// zero-byte header, an overrunning chunk, an interrupting request
+    /// or the connection closing. `outcome` is `Ok` for a complete body
+    /// and otherwise why the upload was abandoned. One commit window
+    /// takes the path + parent scope, commits the body (the staged
+    /// chunks never touched the store) or returns the error, and
+    /// appends the header's record — op `put_file`, the header's
+    /// request id — with that outcome. With no active upload it
+    /// returns `outcome`.
+    fn end_upload(
+        &mut self,
+        enclave: &SegShareEnclave,
+        outcome: Result<(), SegShareError>,
+    ) -> Result<Vec<Response>, SegShareError> {
+        let Some((upload, mut record)) = self.upload.take() else {
+            return outcome.map(|()| Vec::new());
+        };
+        enclave.commit(Some(&mut record), || {
+            outcome?;
+            let _scope = path_scope(enclave, upload.path().as_str(), LockIntent::Write, true);
+            enclave.files().commit_upload(upload)?;
+            Ok(vec![Response::Ok])
         })
     }
 
@@ -437,27 +463,15 @@ impl EnclaveSession {
         // `enclave::locks`.
         match request {
             Request::MkDir { path } => {
-                let _scope = enclave
-                    .locks()
-                    .acquire(&named_locks(path, LockIntent::Write, true));
+                let _scope = path_scope(enclave, path, LockIntent::Write, true);
                 self.do_mkdir(enclave, user, path)
             }
-            Request::PutFile { path, size } => {
-                let _scope = enclave
-                    .locks()
-                    .acquire(&named_locks(path, LockIntent::Write, true));
-                self.do_put_file(enclave, user, path, *size)
-            }
             Request::Get { path } => {
-                let _scope = enclave
-                    .locks()
-                    .acquire(&named_locks(path, LockIntent::Read, false));
+                let _scope = path_scope(enclave, path, LockIntent::Read, false);
                 self.do_get(enclave, user, path)
             }
             Request::Remove { path } => {
-                let _scope = enclave
-                    .locks()
-                    .acquire(&named_locks(path, LockIntent::Write, true));
+                let _scope = path_scope(enclave, path, LockIntent::Write, true);
                 self.do_remove(enclave, user, path)
             }
             Request::Move { from, to } => {
@@ -643,54 +657,6 @@ impl EnclaveSession {
         Ok(vec![Response::Ok])
     }
 
-    /// Algorithm 1 `put_fC` (header part; content arrives in chunks).
-    fn do_put_file(
-        &mut self,
-        enclave: &SegShareEnclave,
-        user: &UserId,
-        path: &str,
-        size: u64,
-    ) -> Result<Vec<Response>, SegShareError> {
-        let path = parse_path(path)?;
-        if path.is_dir() {
-            return Err(bad_request("put requires a content-file path"));
-        }
-        let parent = path.parent().expect("files are never the root");
-        let exists = enclave.files().file_exists(&path)?;
-        if !exists {
-            check_sibling_collision(enclave, &path)?;
-        }
-        if !parent.is_root() && !enclave.files().dir_exists(&parent)? {
-            return Err(not_found(format!("parent directory {parent} missing")));
-        }
-        // Algorithm 1's `put_fC` lets anyone create below the root; we
-        // additionally require write permission (or ownership) on an
-        // *existing* file even in the root, so the world-creatable root
-        // cannot be abused to clobber other users' files.
-        let allowed = if exists {
-            enclave.access().auth_file(user, Access::Write, &path)?
-                || enclave.access().auth_file(user, Access::Write, &parent)?
-        } else {
-            parent.is_root() || enclave.access().auth_file(user, Access::Write, &parent)?
-        };
-        if !allowed {
-            return Err(deny(format!("no write permission for {path}")));
-        }
-        let owner = if exists {
-            None
-        } else {
-            Some(user.default_group())
-        };
-        let upload = enclave.files().begin_upload(&path, size, owner)?;
-        if size == 0 {
-            enclave.files().commit_upload(upload)?;
-            Ok(vec![Response::Ok])
-        } else {
-            self.upload = Some(upload);
-            Ok(Vec::new())
-        }
-    }
-
     /// Algorithm 1 `get`: file content or directory listing.
     fn do_get(
         &mut self,
@@ -823,9 +789,7 @@ fn edit_acl<G>(
     operand: impl FnOnce() -> Result<G, SegShareError>,
     edit: impl FnOnce(&mut AclFile, G) -> Result<(), SegShareError>,
 ) -> Result<Vec<Response>, SegShareError> {
-    let _scope = enclave
-        .locks()
-        .acquire(&named_locks(path, LockIntent::Write, false));
+    let _scope = path_scope(enclave, path, LockIntent::Write, false);
     let (path, _) = resolve_path(enclave, path)?;
     let operand = operand()?;
     if !enclave.access().is_file_owner(user, &path)? {
@@ -840,32 +804,74 @@ fn edit_acl<G>(
     Ok(vec![Response::Ok])
 }
 
+/// Algorithm 1 `put_fC`, for the header: the upload it admits, whose
+/// content then arrives in chunks. It only reads, under the path +
+/// parent scope, outside any window; the scope is dropped on return,
+/// before anything else, so the commit mutex stays the outermost lock.
+fn do_put_file(
+    enclave: &SegShareEnclave,
+    user: &UserId,
+    path: &str,
+    size: u64,
+) -> Result<UploadContext, SegShareError> {
+    let _scope = path_scope(enclave, path, LockIntent::Write, true);
+    let path = parse_path(path)?;
+    if path.is_dir() {
+        return Err(bad_request("put requires a content-file path"));
+    }
+    let parent = path.parent().expect("files are never the root");
+    let exists = enclave.files().file_exists(&path)?;
+    if !exists {
+        check_sibling_collision(enclave, &path)?;
+    }
+    if !parent.is_root() && !enclave.files().dir_exists(&parent)? {
+        return Err(not_found(format!("parent directory {parent} missing")));
+    }
+    // Algorithm 1's `put_fC` lets anyone create below the root; we
+    // additionally require write permission (or ownership) on an
+    // *existing* file even in the root, so the world-creatable root
+    // cannot be abused to clobber other users' files.
+    let allowed = if exists {
+        enclave.access().auth_file(user, Access::Write, &path)?
+            || enclave.access().auth_file(user, Access::Write, &parent)?
+    } else {
+        parent.is_root() || enclave.access().auth_file(user, Access::Write, &parent)?
+    };
+    if !allowed {
+        return Err(deny(format!("no write permission for {path}")));
+    }
+    let owner = if exists {
+        None
+    } else {
+        Some(user.default_group())
+    };
+    enclave.files().begin_upload(&path, size, owner)
+}
+
 fn parse_path(s: &str) -> Result<SegPath, SegShareError> {
     SegPath::parse(s).map_err(|e| bad_request(e.to_string()))
 }
 
-/// Lock requests for everything stored at `path` (dirfile or content
-/// file plus its ACL — one key covers all three) and, when
-/// `with_parent`, the parent directory whose dirfile the operation
-/// links or unlinks.
-fn object_locks(path: &SegPath, intent: LockIntent, with_parent: bool) -> Vec<LockRequest> {
-    let mut requests = vec![(LockKey::path(path), intent)];
-    if with_parent {
-        if let Some(parent) = path.parent() {
+/// Acquires the lock scope of everything stored at `path` (dirfile or
+/// content file plus its ACL — one key covers all three) and, when
+/// `with_parent`, of the parent directory whose dirfile the operation
+/// links or unlinks. An unparsable path gets the empty scope — the
+/// handler re-parses the operand and reports the error, touching
+/// nothing.
+fn path_scope<'a>(
+    enclave: &'a SegShareEnclave,
+    path: &str,
+    intent: LockIntent,
+    with_parent: bool,
+) -> LockScope<'a> {
+    let mut requests = Vec::new();
+    if let Ok(path) = SegPath::parse(path) {
+        requests.push((LockKey::path(&path), intent));
+        if let Some(parent) = path.parent().filter(|_| with_parent) {
             requests.push((LockKey::path(&parent), intent));
         }
     }
-    requests
-}
-
-/// [`object_locks`] from a raw request operand. An unparsable path
-/// yields the empty scope — the handler re-parses the operand and
-/// reports the error, touching nothing.
-fn named_locks(path: &str, intent: LockIntent, with_parent: bool) -> Vec<LockRequest> {
-    match SegPath::parse(path) {
-        Ok(path) => object_locks(&path, intent, with_parent),
-        Err(_) => Vec::new(),
-    }
+    enclave.locks().acquire(&requests)
 }
 
 /// Resolves a client-supplied path against the file system: a path

@@ -190,6 +190,13 @@ impl FrameHandler for ReactorDispatcher {
     }
 
     fn on_close(&self, conn: ConnId) {
-        self.slots.lock().unwrap().remove(&conn);
+        let Some(slot) = self.slots.lock().unwrap().remove(&conn) else {
+            return;
+        };
+        let mut slot = slot.lock().unwrap();
+        self.enclave
+            .sgx()
+            .boundary()
+            .ecall(|| slot.session.close(&self.enclave));
     }
 }

@@ -640,4 +640,85 @@ mod tests {
         let (c2, _) = ca.issue_user(alice(), 0, 10, &mut rng);
         assert_ne!(c1.serial(), c2.serial());
     }
+
+    /// Certificates arrive inside the handshake from unauthenticated
+    /// peers, CSRs from the enclave host: whatever the bytes, each
+    /// decoder returns an error or a value that re-encodes to exactly
+    /// those bytes — never a panic.
+    mod hostile_bytes {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A user and a server certificate, and a CSR.
+        fn encodings() -> [Vec<u8>; 3] {
+            let mut rng = rng();
+            let ca = CertificateAuthority::new("ca", &mut rng);
+            let key = SecretKey::generate(&mut rng);
+            let csr = Csr::new(Identity::server("segshare-1"), &key);
+            let server = ca.issue_server_from_csr(&csr, 0, 1000).unwrap();
+            [
+                ca.issue_user(alice(), 0, 1000, &mut rng).0.encode(),
+                server.encode(),
+                csr.encode(),
+            ]
+        }
+
+        fn decode_both(bytes: &[u8]) {
+            if let Ok(cert) = Certificate::decode(bytes) {
+                assert_eq!(cert.encode(), bytes);
+            }
+            if let Ok(csr) = Csr::decode(bytes) {
+                assert_eq!(csr.encode(), bytes);
+            }
+        }
+
+        #[test]
+        fn every_truncation_is_refused() {
+            for encoded in encodings() {
+                for cut in 0..encoded.len() {
+                    decode_both(&encoded[..cut]);
+                    assert!(
+                        Certificate::decode(&encoded[..cut]).is_err()
+                            && Csr::decode(&encoded[..cut]).is_err(),
+                        "cut {cut} of {}",
+                        encoded.len()
+                    );
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn decoders_survive_arbitrary_bytes(
+                tbs in proptest::collection::vec(any::<u8>(), 0..300),
+                tag in 0usize..3,
+                tail in proptest::collection::vec(any::<u8>(), 0..80),
+            ) {
+                // Noise, and noise framed as the outer length-prefixed
+                // body behind a real tag, so the inner fields are reached.
+                decode_both(&tbs);
+                let mut inner = [&b"CRT1"[..], b"CSR1", b""][tag].to_vec();
+                inner.extend_from_slice(&tbs);
+                let mut e = Encoder::new();
+                e.bytes(&inner);
+                e.raw(&tail);
+                decode_both(&e.finish());
+            }
+
+            #[test]
+            fn decoders_survive_bit_flips(
+                which in 0usize..3,
+                flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+            ) {
+                let mut bytes = encodings()[which].clone();
+                let len = bytes.len();
+                for (at, bit) in flips {
+                    bytes[at % len] ^= 1 << bit;
+                }
+                decode_both(&bytes);
+            }
+        }
+    }
 }

@@ -187,4 +187,95 @@ mod tests {
             assert!(ClientHello::decode(&m[..cut]).is_err(), "cut {cut}");
         }
     }
+
+    /// The handshake decoders face the network before any peer is
+    /// authenticated: whatever the bytes, each returns an error or a
+    /// message that re-encodes to exactly those bytes — never a panic.
+    mod hostile_bytes {
+        use super::*;
+        use proptest::prelude::*;
+
+        const TAGS: [&[u8; 4]; 3] = [b"TLH1", b"TLH2", b"TLH3"];
+
+        fn messages() -> [Vec<u8>; 3] {
+            [
+                ClientHello {
+                    random: [9u8; 32],
+                    certificate: cert(),
+                }
+                .encode(),
+                ServerHello {
+                    random: [1u8; 32],
+                    certificate: cert(),
+                    ecdhe_public: [2u8; 32],
+                    signature: [3u8; 64],
+                }
+                .encode(),
+                ClientKex {
+                    ecdhe_public: [4u8; 32],
+                    signature: [5u8; 64],
+                }
+                .encode(),
+            ]
+        }
+
+        fn decode_all(bytes: &[u8]) {
+            if let Ok(m) = ClientHello::decode(bytes) {
+                assert_eq!(m.encode(), bytes);
+            }
+            if let Ok(m) = ServerHello::decode(bytes) {
+                assert_eq!(m.encode(), bytes);
+            }
+            if let Ok(m) = ClientKex::decode(bytes) {
+                assert_eq!(m.encode(), bytes);
+            }
+        }
+
+        #[test]
+        fn every_truncation_is_refused() {
+            for m in messages() {
+                for cut in 0..m.len() {
+                    decode_all(&m[..cut]);
+                    assert!(
+                        ClientHello::decode(&m[..cut]).is_err()
+                            && ServerHello::decode(&m[..cut]).is_err()
+                            && ClientKex::decode(&m[..cut]).is_err(),
+                        "cut {cut} of {}",
+                        m.len()
+                    );
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn decoders_survive_arbitrary_bytes(
+                bytes in proptest::collection::vec(any::<u8>(), 0..600),
+                tag in 0usize..4,
+            ) {
+                // Noise, and noise behind a message tag so the fields
+                // past it are reached.
+                let mut bytes = bytes;
+                if tag < TAGS.len() && bytes.len() >= 4 {
+                    bytes[..4].copy_from_slice(TAGS[tag]);
+                }
+                decode_all(&bytes);
+            }
+
+            #[test]
+            fn decoders_survive_bit_flips(
+                which in 0usize..3,
+                flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+            ) {
+                let mut bytes = messages()[which].clone();
+                let len = bytes.len();
+                for (at, bit) in flips {
+                    bytes[at % len] ^= 1 << bit;
+                }
+                decode_all(&bytes);
+            }
+        }
+    }
 }

@@ -10,11 +10,12 @@
 //! user ids, or key material.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::test_runner::TestRng;
 use seg_fs::Perm;
 use seg_store::{MemStore, ObjectStore};
-use segshare::{EnclaveConfig, FsoSetup, SegShareError, SegShareServer};
+use segshare::{EnclaveConfig, EnrolledUser, FsoSetup, SegShareError, SegShareServer};
 
 /// Distinctive request operands; none may appear in any export.
 const SECRETS: &[&str] = &[
@@ -127,7 +128,6 @@ fn intact_chain_verifies_and_exports_the_flow() {
     for op in [
         "mk_dir",
         "put_file",
-        "put_commit",
         "add_user",
         "set_perm",
         "get",
@@ -431,4 +431,134 @@ fn a_request_interrupting_an_upload_is_audited() {
         ("get", "bad_request"),
         "{trail:?}"
     );
+}
+
+/// Every way an upload ends leaves exactly one record on the trail: op
+/// `put_file`, bound to the upload's path, with the upload's outcome.
+/// The header's decision travels to that record; nothing else about
+/// the upload is appended, and the chain verifies after each case.
+#[test]
+fn every_upload_ends_in_one_audit_record() {
+    use seg_proto::{Request, Response, CHUNK_LEN};
+    use seg_tls::SecureStream;
+
+    /// A raw stream, for the frame sequences the client never sends:
+    /// it sends `frames`, reads `replies` responses, then closes.
+    fn raw(server: &SegShareServer, user: &EnrolledUser, frames: &[Request], replies: usize) {
+        let mut stream = SecureStream::connect(
+            server.reactor().connect_virtual().unwrap(),
+            user.certificate.clone(),
+            user.secret_key.clone(),
+            user.ca_key,
+            user.now,
+            &mut seg_crypto::rng::SystemRng::new(),
+        )
+        .unwrap();
+        for frame in frames {
+            stream.send(&frame.encode()).unwrap();
+        }
+        for _ in 0..replies {
+            let resp = Response::decode(&stream.recv().unwrap()).unwrap();
+            assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+        }
+    }
+    fn header(path: &str, size: u64) -> Request {
+        Request::PutFile {
+            path: path.to_string(),
+            size,
+        }
+    }
+    fn data(len: usize) -> Request {
+        Request::Data {
+            bytes: vec![0x5a; len],
+        }
+    }
+
+    type Drive = fn(&SegShareServer, &EnrolledUser, &str);
+    // (case, upload path, how it is driven, the (op, code) records it
+    // appends in chain order — the upload's first).
+    type Case = (
+        &'static str,
+        &'static str,
+        Drive,
+        &'static [(&'static str, &'static str)],
+    );
+    let cases: [Case; 6] = [
+        (
+            "multi-chunk put",
+            "/multi",
+            |s, u, p| {
+                let body = vec![7; 2 * CHUNK_LEN + 9];
+                s.connect_local(u).unwrap().put(p, &body).unwrap();
+            },
+            &[("put_file", "ok")],
+        ),
+        (
+            "zero-byte put",
+            "/empty",
+            |s, u, p| s.connect_local(u).unwrap().put(p, b"").unwrap(),
+            &[("put_file", "ok")],
+        ),
+        (
+            "refused header",
+            "/no-such-dir/f",
+            |s, u, p| {
+                let err = s.connect_local(u).unwrap().put(p, b"body").unwrap_err();
+                assert!(matches!(err, SegShareError::Request { .. }), "{err:?}");
+            },
+            &[("put_file", "not_found")],
+        ),
+        (
+            "overrunning chunk",
+            "/overrun",
+            |s, u, p| raw(s, u, &[header(p, 10), data(11)], 1),
+            &[("put_file", "bad_request")],
+        ),
+        (
+            "interrupting request",
+            "/interrupted",
+            |s, u, p| {
+                let get = Request::Get {
+                    path: "/".to_string(),
+                };
+                raw(s, u, &[header(p, 10), get], 1);
+            },
+            &[("put_file", "bad_request"), ("get", "bad_request")],
+        ),
+        (
+            "connection closed mid-stream",
+            "/abandoned",
+            |s, u, p| raw(s, u, &[header(p, 10), data(5)], 0),
+            &[("put_file", "bad_request")],
+        ),
+    ];
+
+    let setup = FsoSetup::new_in_memory("audit-ca", EnclaveConfig::default());
+    let server = setup.server().expect("setup");
+    let alice = setup.enroll_user("alice", "a@x", "Alice").expect("enroll");
+    for (what, path, drive, expected) in cases {
+        let seen = server.audit_export().expect("chain verifies").len();
+        drive(&server, &alice, path);
+        // A closed connection's upload ends on the reactor's close
+        // callback, after the client has gone.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let trail = loop {
+            let trail = server.audit_export().expect("chain verifies");
+            if trail.len() >= seen + expected.len() || Instant::now() > deadline {
+                break trail;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        let appended = &trail[seen..];
+        let got: Vec<(&str, &str)> = appended
+            .iter()
+            .map(|r| (r.op.as_str(), r.code.as_str()))
+            .collect();
+        assert_eq!(got, expected, "{what}: {appended:?}");
+        assert_eq!(
+            appended[0].object,
+            server.enclave().fingerprint_name(path),
+            "{what}: the record names the upload's path"
+        );
+    }
 }

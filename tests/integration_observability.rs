@@ -700,9 +700,9 @@ fn meter_families_export_zeroed_when_disabled() {
     }
     // The report also renders in the off state — explicitly marked,
     // with empty sections rather than absent ones. The audit trail is
-    // not telemetry: both requests (and the data chunk's commit) are on it.
+    // not telemetry: both operations are on it, the upload as one record.
     let report = server.report();
     assert!(report.contains("\"enabled\":false"), "report marks off");
     assert!(report.contains("\"samples\":0"), "report shows no samples");
-    assert_eq!(server.audit_verify().expect("chain verifies"), 3);
+    assert_eq!(server.audit_verify().expect("chain verifies"), 2);
 }

@@ -318,9 +318,26 @@ fn crash_matrix(tag: &str, config: EnclaveConfig, base: &WalConfig, workload: Wo
         let server = setup
             .server()
             .unwrap_or_else(|e| panic!("{what}: relaunch failed: {e}"));
-        server
-            .audit_verify()
+        // One record per upload, in the same frame as its commit: every
+        // acked put's is there, the limbo put's only if its frame was.
+        let trail = server
+            .audit_export()
             .unwrap_or_else(|e| panic!("{what}: audit chain broken: {e}"));
+        let upload_codes = |path: &str| -> Vec<&str> {
+            let object = server.enclave().fingerprint_name(path);
+            trail
+                .iter()
+                .filter(|r| r.op == "put_file" && r.object == object)
+                .map(|r| r.code.as_str())
+                .collect()
+        };
+        for path in out.acked.keys() {
+            assert_eq!(upload_codes(path), ["ok"], "{what}: records of {path}");
+        }
+        if let Some((path, _)) = &out.limbo {
+            let codes = upload_codes(path);
+            assert!(codes.len() <= 1, "{what}: records of {path}: {codes:?}");
+        }
         let mut c = connect(&setup, &server, "alice");
         for (path, state) in &out.acked {
             assert_state(&mut c, path, std::slice::from_ref(state), &what);
@@ -594,6 +611,32 @@ fn a_get_is_one_frame_and_one_fsync() {
         (1, 1),
         "(commit frames, fsyncs) of one get"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A put — header, chunks and commit, with its one audit record — is one
+/// WAL frame and one fsync, whatever its chunk count.
+#[test]
+fn a_put_is_one_frame_and_one_fsync() {
+    let dir = tempdir("put-frame");
+    let setup = FsoSetup::new_wal("ca", window_config(), &dir).unwrap();
+    let server = setup.server().unwrap();
+    let mut c = connect(&setup, &server, "alice");
+    let io = || server.enclave().store_io()[0].2;
+    for (what, len) in [
+        ("single-chunk", 100),
+        ("3-chunk", 2 * seg_proto::CHUNK_LEN + 1),
+        ("zero-byte", 0),
+    ] {
+        let before = io();
+        c.put(&format!("/{what}"), &vec![0x33; len]).unwrap();
+        let after = io();
+        assert_eq!(
+            (after.batches - before.batches, after.fsyncs - before.fsyncs),
+            (1, 1),
+            "(commit frames, fsyncs) of one {what} put"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
