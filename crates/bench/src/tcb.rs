@@ -19,13 +19,13 @@ const OBS_HOST: [&str; 3] = [
 ];
 
 /// Label of the telemetry row of [`TRUSTED`].
-pub const TELEMETRY: &str = "telemetry (seg-obs registry/record/trace/prof, scrubber)";
+pub const TELEMETRY: &str = "telemetry (seg-obs registry/record/prof, scrubber)";
 
 /// What executes inside the enclave boundary: `(label, paths counted,
 /// paths taken back out)`, relative to the workspace root. The
 /// telemetry row is what has to run inside: the registry the request
-/// path writes, the record builder's types, the trace ring, the
-/// profiler, and the scrubber (it reads plaintext).
+/// path writes, the record builder's types, the profiler, and the
+/// scrubber (it reads plaintext).
 pub const TRUSTED: [(&str, &[&str], &[&str]); 9] = [
     (
         "enclave core (handler, ACL, file mgr, tree, audit, locks)",

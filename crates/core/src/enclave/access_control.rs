@@ -106,36 +106,6 @@ impl AccessControl {
 
     // ------------------------------------------------------------- auth
 
-    /// Emits one authorization-check event into the trace ring (if
-    /// attached): principal and object appear as keyed fingerprints,
-    /// the decision as allow/deny/error.
-    fn trace_auth(
-        &self,
-        op: &'static str,
-        user: &UserId,
-        object: &str,
-        result: &Result<bool, SegShareError>,
-        start: std::time::Instant,
-    ) {
-        if let Some(ring) = self.store.obs().trace() {
-            let keys = self.store.keys();
-            let (decision, code) = match result {
-                Ok(true) => (seg_obs::TraceDecision::Allow, "ok"),
-                Ok(false) => (seg_obs::TraceDecision::Deny, "denied"),
-                Err(_) => (seg_obs::TraceDecision::Error, "err"),
-            };
-            ring.emit(
-                seg_obs::current_request_id(),
-                op,
-                keys.fingerprint("user", user.as_str().as_bytes()),
-                keys.fingerprint("object", object.as_bytes()),
-                decision,
-                code,
-                start.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            );
-        }
-    }
-
     /// The groups `user` acts through: memberships plus the default
     /// group `g_u` (Table I).
     pub fn user_groups(&self, user: &UserId) -> Result<BTreeSet<GroupId>, SegShareError> {
@@ -149,13 +119,6 @@ impl AccessControl {
     /// (`∃g1: (u, g1) ∈ r_G ∧ (g1, g2) ∈ r_GO`.)
     pub fn auth_group(&self, user: &UserId, group: &GroupId) -> Result<bool, SegShareError> {
         let _prof = seg_obs::prof::phase("authz");
-        let start = std::time::Instant::now();
-        let result = self.auth_group_inner(user, group);
-        self.trace_auth("auth_group", user, group.as_str(), &result, start);
-        result
-    }
-
-    fn auth_group_inner(&self, user: &UserId, group: &GroupId) -> Result<bool, SegShareError> {
         let groups = self.user_groups(user)?;
         Ok(self.group_list()?.owned_by_any(group, groups.iter()))
     }
@@ -165,13 +128,6 @@ impl AccessControl {
     /// inherit-flag, and owner-extension requests require.)
     pub fn is_file_owner(&self, user: &UserId, path: &SegPath) -> Result<bool, SegShareError> {
         let _prof = seg_obs::prof::phase("authz");
-        let start = std::time::Instant::now();
-        let result = self.is_file_owner_inner(user, path);
-        self.trace_auth("auth_file_owner", user, path.as_str(), &result, start);
-        result
-    }
-
-    fn is_file_owner_inner(&self, user: &UserId, path: &SegPath) -> Result<bool, SegShareError> {
         let Some(acl) = self.acl(path)? else {
             return Ok(false);
         };
@@ -195,18 +151,6 @@ impl AccessControl {
         path: &SegPath,
     ) -> Result<bool, SegShareError> {
         let _prof = seg_obs::prof::phase("authz");
-        let start = std::time::Instant::now();
-        let result = self.auth_file_inner(user, access, path);
-        self.trace_auth("auth_file", user, path.as_str(), &result, start);
-        result
-    }
-
-    fn auth_file_inner(
-        &self,
-        user: &UserId,
-        access: Access,
-        path: &SegPath,
-    ) -> Result<bool, SegShareError> {
         let Some(acl) = self.acl(path)? else {
             return Ok(false);
         };

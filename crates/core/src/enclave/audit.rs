@@ -59,7 +59,7 @@ use seg_crypto::pae::{pae_dec, pae_enc, PaeKey};
 use seg_crypto::rng::SystemRng;
 use seg_crypto::sha256::Sha256;
 use seg_fs::codec::{Decoder, Encoder};
-use seg_obs::{RequestRecord, TraceDecision};
+use seg_obs::{Decision, RequestRecord};
 use seg_sgx::Enclave;
 use seg_store::ObjectStore;
 
@@ -113,7 +113,7 @@ pub struct AuditRecord {
     pub seq: u64,
     /// Enclave logical clock at append time.
     pub time: u64,
-    /// Request correlation id (matches the trace ring).
+    /// Request correlation id (matches the request's record).
     pub request_id: u64,
     /// Operation label (`put_file`, `add_user`, ...).
     pub op: String,
@@ -122,7 +122,7 @@ pub struct AuditRecord {
     /// Keyed object name-hash (0 = none).
     pub object: u64,
     /// Outcome class.
-    pub decision: TraceDecision,
+    pub decision: Decision,
     /// Error-code label (`ok` on success).
     pub code: String,
 }
@@ -139,10 +139,9 @@ fn encode_record(time: u64, rec: &RequestRecord) -> Vec<u8> {
     e.u64(rec.principal);
     e.u64(rec.object);
     e.u32(match rec.decision {
-        TraceDecision::Allow => 0,
-        TraceDecision::Deny => 1,
-        TraceDecision::Error => 2,
-        TraceDecision::Event => 3,
+        Decision::Allow => 0,
+        Decision::Deny => 1,
+        Decision::Error => 2,
     });
     e.str(rec.code);
     e.finish()
@@ -157,10 +156,13 @@ fn decode_record(seq: u64, data: &[u8]) -> Result<AuditRecord, SegShareError> {
     let principal = d.u64()?;
     let object = d.u64()?;
     let decision = match d.u32()? {
-        0 => TraceDecision::Allow,
-        1 => TraceDecision::Deny,
-        2 => TraceDecision::Error,
-        _ => TraceDecision::Event,
+        0 => Decision::Allow,
+        1 => Decision::Deny,
+        2 => Decision::Error,
+        other => {
+            let msg = format!("audit record with unknown decision {other}");
+            return Err(seg_fs::FsError::Codec(msg).into());
+        }
     };
     let code = d.str()?.to_string();
     d.finish()?;
@@ -703,10 +705,37 @@ mod tests {
         assert_eq!(records.len(), 5);
         assert_eq!(records[3].request_id, 3);
         assert_eq!(records[3].op, "put_file");
-        assert_eq!(records[3].decision, TraceDecision::Allow);
+        assert_eq!(records[3].decision, Decision::Allow);
         let json = records_json(&records);
         assert!(json.contains("\"op\": \"put_file\""), "{json}");
         assert_eq!(records_json(&[]), "[]\n");
+    }
+
+    #[test]
+    fn a_record_with_an_unknown_decision_is_refused() {
+        let (time, mut rec) = event(1);
+        // The decision is the u32 just before the code string `ok`.
+        let at = encode_record(time, &rec).len() - (4 + 2) - 4;
+        for (decision, stored) in [
+            (Decision::Allow, 0u32),
+            (Decision::Deny, 1),
+            (Decision::Error, 2),
+        ] {
+            rec.decision = decision;
+            let bytes = encode_record(time, &rec);
+            assert_eq!(
+                bytes[at..at + 4],
+                stored.to_le_bytes(),
+                "stored bytes unchanged"
+            );
+            assert_eq!(decode_record(0, &bytes).unwrap().decision, decision);
+        }
+        let mut bytes = encode_record(time, &rec);
+        bytes[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            decode_record(0, &bytes),
+            Err(SegShareError::Fs(seg_fs::FsError::Codec(_)))
+        ));
     }
 
     #[test]

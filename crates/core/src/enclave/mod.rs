@@ -26,7 +26,7 @@ use parking_lot::{Mutex, RwLock};
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::{SecureRandom, SystemRng};
 use seg_crypto::sha256::Sha256;
-use seg_obs::{CostVector, RecordSink, Registry, RequestRecord, TraceEvent, TraceRing};
+use seg_obs::{CostVector, RecordSink, Registry, RequestRecord};
 use seg_pki::{Certificate, Csr, Identity};
 use seg_sgx::{Enclave, EnclaveImage, Platform, Quote};
 use seg_store::{CountingStore, IoStats, ObjectStore, StoreStats};
@@ -79,7 +79,7 @@ pub struct SegShareEnclave {
     /// The one telemetry switch, and all the host ever sets.
     telemetry: AtomicBool,
     /// Where closed request records leave the enclave; attached once by
-    /// the host. Without one, records stop at the registry and the ring.
+    /// the host. Without one, records stop at the registry.
     sink: OnceLock<Arc<dyn RecordSink>>,
     /// The integrity scrubber's resumable position.
     scrub: Mutex<ScrubProgress>,
@@ -149,11 +149,6 @@ impl SegShareEnclave {
         config.assert_valid();
         let sgx = Arc::new(platform.launch(&Self::image(&config, &ca_key)));
         let obs = Arc::new(Registry::new());
-
-        // Trace ring: fixed-capacity, lock-free, enclave-resident;
-        // attached to the registry so the nested layers (access
-        // control, store I/O) can reach it.
-        obs.attach_trace(Arc::new(TraceRing::default()));
 
         // Phase profiler: always attached — inactive threads (no root)
         // make every phase call a no-op, so the cost off the request
@@ -234,7 +229,7 @@ impl SegShareEnclave {
             content,
             group,
             dedup,
-            Arc::clone(&obs),
+            &obs,
         ));
         let enclave = Arc::new(SegShareEnclave {
             sgx,
@@ -379,7 +374,7 @@ impl SegShareEnclave {
 
     /// Captures the registry after folding in the totals kept beside it
     /// that only the enclave can observe: the object cache, EPC usage,
-    /// the trace ring, the global-lock clock and the telemetry switch.
+    /// the global-lock clock and the telemetry switch.
     /// With the families written in place (requests, locks, pfs,
     /// rollback tree, audit) that is the enclave's whole export; the
     /// host merges in what it sees for itself
@@ -393,27 +388,19 @@ impl SegShareEnclave {
         let obs = &self.obs;
         let epc = self.sgx.epc();
         let cache = self.store.cache_stats();
-        let (emitted, dropped) = obs
-            .trace()
-            .map_or((0, 0), |ring| (ring.emitted(), ring.dropped()));
-        let mut counters = vec![
-            ("seg_trace_events_total", emitted),
-            ("seg_trace_dropped_total", dropped),
-        ];
         // Object-cache *counters* exist only when the cache is enabled,
         // keeping cache-off snapshots identical to pre-cache builds.
         if let Some(c) = &cache {
-            counters.extend([
+            for (name, total) in [
                 ("seg_cache_hits_total", c.hits),
                 ("seg_cache_misses_total", c.misses),
                 ("seg_cache_fills_total", c.fills),
                 ("seg_cache_stale_fills_total", c.stale_fills),
                 ("seg_cache_evictions_total", c.evictions),
                 ("seg_cache_invalidations_total", c.invalidations),
-            ]);
-        }
-        for (name, total) in counters {
-            obs.counter(name).advance_to(total);
+            ] {
+                obs.counter(name).advance_to(total);
+            }
         }
         // Gauge families, by contrast, always export: a disabled or
         // idle subsystem reads 0 rather than its series disappearing
@@ -444,15 +431,14 @@ impl SegShareEnclave {
             .unwrap_or_default()
     }
 
-    // ------------------------------------------------- tracing & audit
+    // ------------------------------------------- request ids & audit
 
-    /// Allocates the next request correlation id (1-based; 0 means
-    /// "outside any request" throughout the trace machinery).
+    /// Allocates the next request correlation id (1-based).
     pub(crate) fn next_request_id(&self) -> u64 {
         self.request_ids.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Keyed fingerprint of a user id for trace/audit events.
+    /// Keyed fingerprint of a user id for records and audit events.
     #[must_use]
     pub fn fingerprint_user(&self, user: &seg_fs::UserId) -> u64 {
         self.store
@@ -461,18 +447,10 @@ impl SegShareEnclave {
     }
 
     /// Keyed fingerprint of an object name (path, group, ...) for
-    /// trace/audit events.
+    /// records and audit events.
     #[must_use]
     pub fn fingerprint_name(&self, name: &str) -> u64 {
         self.store.keys().fingerprint("object", name.as_bytes())
-    }
-
-    /// Copies out up to `n` of the newest trace events, oldest first —
-    /// the trace ring's declassification point. Events carry interned
-    /// operation/code labels and keyed fingerprints only.
-    #[must_use]
-    pub fn trace_tail(&self, n: usize) -> Vec<TraceEvent> {
-        self.obs.trace().map_or_else(Vec::new, |r| r.tail(n))
     }
 
     /// Operation, byte and fsync totals of each untrusted store as the
@@ -535,15 +513,12 @@ impl SegShareEnclave {
     }
 
     /// The only telemetry emission on the request path: one closed
-    /// request feeds the request families and the trace ring's header
-    /// event, then leaves through the sink — the one place a record is
-    /// handed out of the enclave, counted as the ocall it is. The audit
-    /// trail took its ids and outcome from the record before this.
+    /// request feeds the request families, then leaves through the sink
+    /// — the one place a record is handed out of the enclave, counted as
+    /// the ocall it is. The audit trail took its ids and outcome from
+    /// the record before this.
     pub(crate) fn request_done(&self, rec: &RequestRecord) {
         self.obs.consume(rec);
-        if let Some(ring) = self.obs.trace() {
-            ring.consume(rec);
-        }
         if let Some(sink) = self.sink.get() {
             self.sgx.boundary().ocall(|| sink.consume(rec));
         }
@@ -667,7 +642,7 @@ pub(crate) mod testutil {
             Arc::new(MemStore::new()),
             Arc::new(MemStore::new()),
             Arc::new(MemStore::new()),
-            Arc::new(seg_obs::Registry::new()),
+            &seg_obs::Registry::new(),
         ));
         let access = AccessControl::new(Arc::clone(&store));
         let files = FileManager::new(Arc::clone(&store));

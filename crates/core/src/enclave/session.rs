@@ -14,7 +14,7 @@ use std::sync::Arc;
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::SystemRng;
 use seg_fs::{Access, AclFile, ChildKind, GroupId, Perm, SegPath, UserId};
-use seg_obs::{CostVector, RequestRecord, TraceDecision};
+use seg_obs::{CostVector, Decision, RequestRecord};
 use seg_pki::Certificate;
 use seg_proto::{ErrorCode, Request, Response, CHUNK_LEN};
 use seg_tls::{ServerHandshake, TlsChannel};
@@ -300,9 +300,6 @@ impl EnclaveSession {
             enclave.fingerprint_user(user),
             request_object(&request).map_or(0, |name| enclave.fingerprint_name(name)),
         );
-        // Nested layers (access control, store I/O) correlate their
-        // trace events through the thread's current request id.
-        seg_obs::set_current_request(record.request_id);
         // The rest of the record is telemetry only: the group and
         // prefix fingerprints and the counter baseline are skipped —
         // HMACs included — while telemetry is off.
@@ -319,7 +316,6 @@ impl EnclaveSession {
         // An audit-append or durability failure outranks the outcome
         // the audit record itself was written with.
         note_outcome(&mut record, &result);
-        seg_obs::set_current_request(0);
         if let Some(before) = baseline {
             let now = enclave.cost_counters();
             record.cost = CostVector {
@@ -989,9 +985,9 @@ fn response_bytes(responses: &[Response]) -> u64 {
 /// denied, or failed for another reason, with the error-code label.
 pub(super) fn note_outcome<T>(record: &mut RequestRecord, result: &Result<T, SegShareError>) {
     (record.decision, record.code) = match result.as_ref().map_err(error_code) {
-        Ok(_) => (TraceDecision::Allow, "ok"),
-        Err(ErrorCode::Denied) => (TraceDecision::Deny, ErrorCode::Denied.name()),
-        Err(code) => (TraceDecision::Error, code.name()),
+        Ok(_) => (Decision::Allow, "ok"),
+        Err(ErrorCode::Denied) => (Decision::Deny, ErrorCode::Denied.name()),
+        Err(code) => (Decision::Error, code.name()),
     };
 }
 

@@ -34,14 +34,12 @@ impl TrustedStore {
     ///
     /// Propagates storage, crypto, and tree failures.
     pub fn commit_blob(&self, id: &ObjectId, blob: &[u8]) -> Result<(), SegShareError> {
-        let start = std::time::Instant::now();
         let _tree = self.tree_exclusive(id);
         let result = self.commit_blob_inner(id, blob);
         // Second bump: a miss-fill that snapshotted its generation after
         // the pre-write bump but read the store before the put landed
         // would otherwise survive with the old body.
         self.cache_invalidate_object(id);
-        self.trace_store("store_write", id, result.is_ok(), start);
         result
     }
 
@@ -84,8 +82,7 @@ impl TrustedStore {
     /// Reads and fully verifies an object body.
     ///
     /// A cache hit serves the verified plaintext of the latest body
-    /// this enclave wrote without touching the store (and without a
-    /// `store_read` trace event — no store access happened).
+    /// this enclave wrote without touching the store.
     ///
     /// # Errors
     ///
@@ -95,13 +92,10 @@ impl TrustedStore {
             return Ok(Some(body.to_vec()));
         }
         let gen = self.cache_gen(&CacheKey::Body(id.clone()));
-        let start = std::time::Instant::now();
-        let result = {
+        let body = {
             let _tree = self.tree_shared(id);
-            self.read_verified(id, Walk::Trusting)
+            self.read_verified(id, Walk::Trusting)?
         };
-        self.trace_store("store_read", id, result.is_ok(), start);
-        let body = result?;
         if let Some(body) = &body {
             if self.body_cacheable(id, body.len()) {
                 self.cache_fill(
@@ -138,13 +132,11 @@ impl TrustedStore {
             }
         }
         let gen = self.cache_gen(&cache_key);
-        let start = std::time::Instant::now();
-        let result = {
+        let body = {
             let _tree = self.tree_shared(id);
-            self.read_verified(id, Walk::Trusting)
+            self.read_verified(id, Walk::Trusting)?
         };
-        self.trace_store("store_read", id, result.is_ok(), start);
-        let Some(body) = result? else {
+        let Some(body) = body else {
             return Ok(None);
         };
         let value = Arc::new(decode(&body)?);
@@ -177,14 +169,7 @@ impl TrustedStore {
     ///
     /// Returns [`SegShareError::Integrity`] on any tamper or rollback.
     pub fn open_stream(&self, id: &ObjectId) -> Result<Option<PfsFile>, SegShareError> {
-        let start = std::time::Instant::now();
         let _tree = self.tree_shared(id);
-        let result = self.open_stream_inner(id);
-        self.trace_store("store_read", id, result.is_ok(), start);
-        result
-    }
-
-    fn open_stream_inner(&self, id: &ObjectId) -> Result<Option<PfsFile>, SegShareError> {
         let gen = self.cache_gen(&CacheKey::Body(id.clone()));
         let Some(blob) = self.raw_get(id)? else {
             return Ok(None);
@@ -219,11 +204,9 @@ impl TrustedStore {
     ///
     /// Propagates storage and tree failures.
     pub fn delete(&self, id: &ObjectId) -> Result<bool, SegShareError> {
-        let start = std::time::Instant::now();
         let _tree = self.tree_exclusive(id);
         let result = self.delete_inner(id);
         self.cache_invalidate_object(id);
-        self.trace_store("store_delete", id, result.is_ok(), start);
         result
     }
 

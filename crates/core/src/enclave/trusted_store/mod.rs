@@ -147,7 +147,6 @@ pub struct TrustedStore {
     content: Arc<dyn ObjectStore>,
     group: Arc<dyn ObjectStore>,
     dedup: Arc<dyn ObjectStore>,
-    obs: Arc<seg_obs::Registry>,
     /// In-enclave cache of verified plaintext (decoded metadata, hash
     /// records, small hot content bodies), charged against the EPC
     /// tracker. `None` means byte-identical behavior to a build
@@ -194,7 +193,7 @@ impl TrustedStore {
         content: Arc<dyn ObjectStore>,
         group: Arc<dyn ObjectStore>,
         dedup: Arc<dyn ObjectStore>,
-        obs: Arc<seg_obs::Registry>,
+        obs: &seg_obs::Registry,
     ) -> TrustedStore {
         let cache = config
             .cache
@@ -217,7 +216,6 @@ impl TrustedStore {
             tree_update_ns: obs.histogram("seg_rollback_tree_update_ns"),
             tree_verify_ns: obs.histogram("seg_rollback_tree_verify_ns"),
             cache_hit_ns: obs.histogram("seg_cache_hit_ns"),
-            obs,
         }
     }
 
@@ -298,32 +296,6 @@ impl TrustedStore {
     #[must_use]
     pub fn keys(&self) -> &KeyHierarchy {
         &self.keys
-    }
-
-    /// The telemetry registry this layer reports into.
-    pub(crate) fn obs(&self) -> &Arc<seg_obs::Registry> {
-        &self.obs
-    }
-
-    /// Emits one store-I/O event into the trace ring (if attached),
-    /// correlated to the dispatching request via the thread-local
-    /// request id. Objects appear as keyed fingerprints only.
-    fn trace_store(&self, op: &'static str, id: &ObjectId, ok: bool, start: std::time::Instant) {
-        if let Some(ring) = self.obs.trace() {
-            ring.emit(
-                seg_obs::current_request_id(),
-                op,
-                0,
-                self.keys.fingerprint("object", id.canonical().as_bytes()),
-                if ok {
-                    seg_obs::TraceDecision::Event
-                } else {
-                    seg_obs::TraceDecision::Error
-                },
-                if ok { "ok" } else { "err" },
-                start.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            );
-        }
     }
 
     /// The enclave configuration.
@@ -455,7 +427,7 @@ mod tests {
             content,
             Arc::new(MemStore::new()),
             Arc::new(MemStore::new()),
-            Arc::new(seg_obs::Registry::new()),
+            &seg_obs::Registry::new(),
         )
     }
 
@@ -796,6 +768,37 @@ mod tests {
                     prop_assert!(rec.buckets.len() * MSET_HASH_LEN <= bytes.len());
                     prop_assert_eq!(rec.encode(), bytes);
                 }
+            }
+
+            #[test]
+            fn group_root_decode_survives_truncations_and_bit_flips(
+                users in proptest::collection::vec(0u32..1_000, 0..6),
+                noise in proptest::collection::vec(any::<u8>(), 0..200),
+                flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+            ) {
+                // Noise, every truncation of a valid root file and the
+                // same file with 1-3 bits flipped: an error, or a value
+                // that re-encodes to exactly the bytes read.
+                let decode = |bytes: &[u8]| {
+                    if let Ok(root) = GroupRootFile::decode(bytes) {
+                        assert_eq!(root.encode(), bytes);
+                    }
+                };
+                decode(&noise);
+                let mut root = GroupRootFile::new();
+                for user in users {
+                    root.add_user(UserId::new(format!("user-{user}")).unwrap());
+                }
+                let valid = root.encode();
+                for cut in 0..valid.len() {
+                    prop_assert!(GroupRootFile::decode(&valid[..cut]).is_err());
+                }
+                let mut flipped = valid.clone();
+                for (at, bit) in flips {
+                    let at = at % flipped.len();
+                    flipped[at] ^= 1 << bit;
+                }
+                decode(&flipped);
             }
 
             #[test]

@@ -63,7 +63,9 @@ impl GroupRootFile {
         let count = d.u32()?;
         let mut users = BTreeSet::new();
         for _ in 0..count {
-            users.insert(UserId::new(d.str()?)?);
+            let user = UserId::new(d.str()?)?;
+            seg_fs::codec::ascending(users.last(), &user)?;
+            users.insert(user);
         }
         d.finish()?;
         Ok(GroupRootFile { users })

@@ -403,9 +403,10 @@ impl SegShareServer {
 
     /// The host-side telemetry owner: the meter, the health state, the
     /// stall watchdog with its stored dump
-    /// (`telemetry().watch().last_dump()`) and the slow log. What only
-    /// the enclave can answer — `trace_tail`, `profile_snapshot` — is
-    /// pulled through [`enclave`](Self::enclave).
+    /// (`telemetry().watch().last_dump()`), the slow log and the tail of
+    /// recent records. What only the enclave can answer —
+    /// `profile_snapshot`, `locks()` — is pulled through
+    /// [`enclave`](Self::enclave).
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry

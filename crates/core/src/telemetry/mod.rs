@@ -4,11 +4,11 @@
 //! Data flows one way. The enclave pushes each closed
 //! [`RequestRecord`] through the one [`RecordSink`] — [`Telemetry`] is
 //! that sink — and answers pull-style declassification calls when the
-//! host makes them (`metrics_snapshot`, `trace_tail`,
-//! `profile_snapshot`, `scrub_step`, the lock manager's hold and
-//! contended-stripe rows). From those, and from what the host sees for
-//! itself (the reactor's gauges, store and boundary traffic), this
-//! module builds the meter, the history clock, the slow log and stall
+//! host makes them (`metrics_snapshot`, `profile_snapshot`,
+//! `scrub_step`, the lock manager's hold and contended-stripe rows).
+//! From those, and from what the host sees for itself (the reactor's
+//! gauges, store and boundary traffic), this module builds the meter,
+//! the history clock, the tail of recent records, the slow log and stall
 //! watchdog, canary bookkeeping, the health verdict, the report and the
 //! host's share of the metrics export. The one thing the host sets
 //! inside is the telemetry switch. None of it is trusted, and none
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use seg_net::reactor::ReactorStats;
-use seg_obs::{events_json, records_json, Meter, RecordSink, Registry, RequestRecord};
+use seg_obs::{records_json, Meter, RecordSink, Registry, RequestRecord};
 
 use crate::enclave::health::ScrubReport;
 use crate::enclave::SegShareEnclave;
@@ -95,8 +95,9 @@ impl Telemetry {
     }
 
     /// The stall watchdog: stall counters, its stored dump
-    /// ([`Watchdog::last_dump`]) and the slow log
-    /// ([`Watchdog::slow_requests`]).
+    /// ([`Watchdog::last_dump`]), the slow log
+    /// ([`Watchdog::slow_requests`]) and the tail of recent records
+    /// ([`Watchdog::recent_requests`]).
     #[must_use]
     pub fn watch(&self) -> &Watchdog {
         &self.watch
@@ -134,8 +135,9 @@ impl Telemetry {
 
     /// Every consumer's view at one instant, as one JSON document:
     /// `saturation`, `stalls`, `locks` (global-hold clock and the
-    /// contended-stripe top-K), `flight` frames, `trace_tail`,
-    /// `slow_requests` (whole records), the phase `profile`, `health`
+    /// contended-stripe top-K), `flight` frames, `trace_tail` (the
+    /// newest records of any duration) and `slow_requests` (both whole
+    /// records), the phase `profile`, `health`
     /// (verdict, scrubber, canary, alerts, SLO burn, headline history)
     /// and `meter` — correlated evidence instead of unsynchronized
     /// dumps; the stall watchdog stores the same bundle. Rendered from
@@ -175,7 +177,7 @@ impl Telemetry {
         );
         out.push_str(&monitor.flight_json());
         out.push_str(",\n\"trace_tail\":");
-        out.push_str(events_json(&enclave.trace_tail(64)).trim_end());
+        out.push_str(records_json(&self.watch.recent_requests(usize::MAX)).trim_end());
         out.push_str(",\n\"slow_requests\":");
         out.push_str(records_json(&self.watch.slow_requests(32)).trim_end());
         out.push_str(",\n\"profile\":");
@@ -192,7 +194,8 @@ impl Telemetry {
 impl RecordSink for Telemetry {
     /// One closed request reaches every host-side consumer: the meter,
     /// the SLO windows and headline history (whose clock it also
-    /// ticks), the slow log and the stall watchdog.
+    /// ticks), the tail of recent records, the slow log and the stall
+    /// watchdog.
     fn consume(&self, rec: &RequestRecord) {
         self.meter.consume(rec);
         let monitor = self.health.monitor();

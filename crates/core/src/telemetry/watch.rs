@@ -1,10 +1,12 @@
-//! The stall watchdog and the slow log: two consumers of
-//! [`RequestRecord`] that share one threshold.
+//! The stall watchdog, the slow log and the tail of recent records:
+//! consumers of [`RequestRecord`].
 //!
-//! A request at or over `EnclaveConfig::watch_deadline_us` is kept
-//! whole in the slow log — phase and cost vectors included, so a rare
-//! outlier stays explainable from one entry — and counted as a request
-//! stall; an exclusive hold of the global lock over
+//! Every record is kept whole in the tail of the newest
+//! [`RECENT_CAPACITY`], whatever its duration. A request at or over
+//! `EnclaveConfig::watch_deadline_us` is also kept whole in the slow log
+//! — phase and cost vectors included, so a rare outlier stays
+//! explainable from one entry long after the tail moved on — and
+//! counted as a request stall; an exclusive hold of the global lock over
 //! [`GLOBAL_LOCK_BUDGET_US`] is a global-lock stall. On either the
 //! owner stores [the report](super::Telemetry::report) in the
 //! rate-limited dump slot here.
@@ -24,13 +26,21 @@ const DUMP_MIN_INTERVAL: Duration = Duration::from_secs(1);
 /// Whole records kept in the slow log.
 const SLOW_CAPACITY: usize = 256;
 
+/// Whole records kept in the tail of recent requests (the report's
+/// `trace_tail`).
+pub const RECENT_CAPACITY: usize = 64;
+
+/// A bounded log of whole records: the oldest entry makes room.
+type RecordLog = Mutex<VecDeque<RequestRecord>>;
+
 /// How long (µs) the exclusive global lock may be held before the
 /// watchdog reports a global-lock stall — the signature of a
 /// `Move`/`DeleteGroup`/restore-rebuild starving every other session.
 /// In force whenever `EnclaveConfig::watch_deadline_us` is non-zero.
 pub const GLOBAL_LOCK_BUDGET_US: u64 = 500_000;
 
-/// Watchdog counters, the dump slot and the slow log. One per server.
+/// Watchdog counters, the dump slot, the slow log and the tail of
+/// recent records. One per server.
 #[derive(Debug, Default)]
 pub struct Watchdog {
     deadline_us: u64,
@@ -42,8 +52,8 @@ pub struct Watchdog {
     dumps: AtomicU64,
     last_dump_at: Mutex<Option<Instant>>,
     last_dump: Mutex<Option<String>>,
-    /// Slow requests are rare by definition, so a mutex does here.
-    slow: Mutex<VecDeque<RequestRecord>>,
+    slow: RecordLog,
+    recent: RecordLog,
 }
 
 impl Watchdog {
@@ -57,22 +67,17 @@ impl Watchdog {
         }
     }
 
-    /// Takes one closed request: at or over the deadline it goes into
-    /// the slow log and is a request stall, and one whose own exclusive
-    /// hold of the global lock ran over [`GLOBAL_LOCK_BUDGET_US`] a
-    /// global-lock stall (unless a tick already reported that hold
-    /// while it was live). Returns whether the caller should store a
-    /// dump.
+    /// Takes one closed request: it goes into the tail of recent
+    /// records; at or over the deadline also into the slow log, and it
+    /// is a request stall; one whose own exclusive hold of the global
+    /// lock ran over [`GLOBAL_LOCK_BUDGET_US`] is a global-lock stall
+    /// (unless a tick already reported that hold while it was live).
+    /// Returns whether the caller should store a dump.
     pub fn consume(&self, rec: &RequestRecord) -> bool {
+        push_bounded(&self.recent, RECENT_CAPACITY, rec);
         let mut dump = false;
         if rec.slow(self.deadline_us) {
-            {
-                let mut slow = self.slow.lock().unwrap();
-                if slow.len() == SLOW_CAPACITY {
-                    slow.pop_front();
-                }
-                slow.push_back(*rec);
-            }
+            push_bounded(&self.slow, SLOW_CAPACITY, rec);
             dump |= self.note_stall(&self.stalls_request);
         }
         let held_us = rec.phase("global_hold").sim_ns / 1_000;
@@ -125,11 +130,14 @@ impl Watchdog {
     /// whole records.
     #[must_use]
     pub fn slow_requests(&self, n: usize) -> Vec<RequestRecord> {
-        let slow = self.slow.lock().unwrap();
-        slow.iter()
-            .skip(slow.len().saturating_sub(n))
-            .copied()
-            .collect()
+        newest(&self.slow, n)
+    }
+
+    /// Copies out up to `n` of the newest requests of any duration (at
+    /// most [`RECENT_CAPACITY`]), oldest first — whole records.
+    #[must_use]
+    pub fn recent_requests(&self, n: usize) -> Vec<RequestRecord> {
+        newest(&self.recent, n)
     }
 
     /// Request-deadline stalls observed.
@@ -149,6 +157,24 @@ impl Watchdog {
     pub fn dumps(&self) -> u64 {
         self.dumps.load(Ordering::Relaxed)
     }
+}
+
+/// Appends `rec` to `log`, dropping the oldest entry at `capacity`.
+fn push_bounded(log: &RecordLog, capacity: usize, rec: &RequestRecord) {
+    let mut log = log.lock().expect("a record log is never left half-updated");
+    if log.len() == capacity {
+        log.pop_front();
+    }
+    log.push_back(*rec);
+}
+
+/// Up to `n` of the newest entries of `log`, oldest first.
+fn newest(log: &RecordLog, n: usize) -> Vec<RequestRecord> {
+    let log = log.lock().expect("a record log is never left half-updated");
+    log.iter()
+        .skip(log.len().saturating_sub(n))
+        .copied()
+        .collect()
 }
 
 #[cfg(test)]
@@ -203,6 +229,19 @@ mod tests {
         let off = Watchdog::new(0);
         request(&off, 6, 5_000);
         assert!(kept(&off).is_empty());
+        // The tail keeps every record, fast or slow, newest last and
+        // bounded the same way.
+        let ids = |w: &Watchdog| -> Vec<u64> {
+            w.recent_requests(usize::MAX)
+                .iter()
+                .map(|r| r.request_id)
+                .collect()
+        };
+        assert_eq!(ids(&off), vec![6]);
+        let last = 4 + SLOW_CAPACITY as u64;
+        let first = last + 1 - RECENT_CAPACITY as u64;
+        assert_eq!(ids(&w), (first..=last).collect::<Vec<_>>());
+        assert_eq!(w.recent_requests(2)[1].request_id, last);
     }
 
     #[test]

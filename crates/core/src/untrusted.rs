@@ -132,33 +132,31 @@ impl FrameHandler for ReactorDispatcher {
     }
 
     fn on_frame(&self, conn: ConnId, frame: Vec<u8>) -> FrameOutcome {
-        let Some(slot) = self.slot(conn) else {
-            return FrameOutcome {
-                close: true,
-                ..FrameOutcome::default()
-            };
+        let closed = || FrameOutcome {
+            close: true,
+            ..FrameOutcome::default()
         };
-        let mut slot = slot.lock().unwrap();
+        let Some(slot) = self.slot(conn) else {
+            return closed();
+        };
+        // A poisoned slot's last callback panicked mid-frame: dead.
+        let Ok(mut slot) = slot.lock() else {
+            return closed();
+        };
         if slot.dead {
-            return FrameOutcome {
-                close: true,
-                ..FrameOutcome::default()
-            };
+            return closed();
         }
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        let handled = self
-            .enclave
-            .sgx()
-            .boundary()
-            .ecall(|| slot.session.handle_frame(&self.enclave, &frame));
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        let handled = {
+            let _in_flight = InFlight::enter(&self.in_flight);
+            self.enclave
+                .sgx()
+                .boundary()
+                .ecall(|| slot.session.handle_frame(&self.enclave, &frame))
+        };
         if handled.is_err() {
             // Session-fatal: nothing more is sent, the connection closes.
             slot.dead = true;
-            return FrameOutcome {
-                close: true,
-                ..FrameOutcome::default()
-            };
+            return closed();
         }
 
         let mut frames = Vec::new();
@@ -175,7 +173,9 @@ impl FrameHandler for ReactorDispatcher {
         let Some(slot) = self.slot(conn) else {
             return FrameOutcome::default();
         };
-        let mut slot = slot.lock().unwrap();
+        let Ok(mut slot) = slot.lock() else {
+            return FrameOutcome::default();
+        };
         if slot.dead {
             return FrameOutcome::default();
         }
@@ -193,10 +193,32 @@ impl FrameHandler for ReactorDispatcher {
         let Some(slot) = self.slots.lock().unwrap().remove(&conn) else {
             return;
         };
-        let mut slot = slot.lock().unwrap();
+        // A poisoned slot panicked mid-frame and its session state is
+        // unknown, so it is dropped without `close`: an upload it staged
+        // ends without a record, as after a crash.
+        let Ok(mut slot) = slot.lock() else {
+            return;
+        };
         self.enclave
             .sgx()
             .boundary()
             .ecall(|| slot.session.close(&self.enclave));
+    }
+}
+
+/// One frame inside the enclave, counted in the in-flight gauge until
+/// dropped — also when the ecall unwinds.
+struct InFlight<'a>(&'a AtomicU64);
+
+impl<'a> InFlight<'a> {
+    fn enter(gauge: &'a AtomicU64) -> InFlight<'a> {
+        gauge.fetch_add(1, Ordering::Relaxed);
+        InFlight(gauge)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }

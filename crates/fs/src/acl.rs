@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::codec::{Decoder, Encoder};
+use crate::codec::{ascending, Decoder, Encoder};
 use crate::id::GroupId;
 use crate::perm::{Access, Perm};
 use crate::FsError;
@@ -149,12 +149,15 @@ impl AclFile {
         let owner_count = d.u32()?;
         let mut owners = BTreeSet::new();
         for _ in 0..owner_count {
-            owners.insert(GroupId::parse_stored(d.str()?)?);
+            let owner = GroupId::parse_stored(d.str()?)?;
+            ascending(owners.last(), &owner)?;
+            owners.insert(owner);
         }
         let entry_count = d.u32()?;
         let mut entries = BTreeMap::new();
         for _ in 0..entry_count {
             let group = GroupId::parse_stored(d.str()?)?;
+            ascending(entries.last_key_value().map(|(g, _)| g), &group)?;
             let perm = Perm::decode(d.u8()?)?;
             entries.insert(group, perm);
         }
@@ -214,6 +217,18 @@ mod tests {
         acl.add_owner(g("more-owners"));
         assert!(acl.remove_owner(&g("owners")));
         assert!(acl.is_owner(&g("more-owners")));
+    }
+
+    #[test]
+    fn decode_refuses_entries_out_of_order() {
+        let mut acl = AclFile::with_owner(g("a"));
+        acl.add_owner(g("b"));
+        let mut bytes = acl.encode();
+        // Owner "a" becomes "c", which sorts after "b": no ACL encodes
+        // so, and decoding it would re-encode to other bytes.
+        let at = bytes.iter().position(|&b| b == b'a').expect("owner a");
+        bytes[at] = b'c';
+        assert!(matches!(AclFile::decode(&bytes), Err(FsError::Codec(_))));
     }
 
     #[test]

@@ -64,6 +64,23 @@ impl Encoder {
     }
 }
 
+/// Refuses `next` unless it sorts strictly after `last`. The encoders
+/// write sets and maps in ascending order without repeats, so any other
+/// sequence is no value's encoding — it would decode to a value that
+/// re-encodes to different bytes.
+///
+/// # Errors
+///
+/// Returns [`FsError::Codec`] when `next` is not after `last`.
+pub fn ascending<T: Ord>(last: Option<&T>, next: &T) -> Result<(), FsError> {
+    if last.is_some_and(|last| last >= next) {
+        return Err(FsError::Codec(
+            "entries out of order or repeated".to_string(),
+        ));
+    }
+    Ok(())
+}
+
 /// Bounds-checked decoder.
 #[derive(Debug)]
 pub struct Decoder<'a> {

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::codec::{Decoder, Encoder};
+use crate::codec::{ascending, Decoder, Encoder};
 use crate::path::SegPath;
 use crate::FsError;
 
@@ -144,6 +144,7 @@ impl DirFile {
         let mut children = BTreeMap::new();
         for _ in 0..count {
             let name = d.str()?;
+            ascending(children.last_key_value().map(|(n, _)| n), &name)?;
             let kind = ChildKind::decode(d.u8()?)?;
             children.insert(name, kind);
         }

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::codec::{Decoder, Encoder};
+use crate::codec::{ascending, Decoder, Encoder};
 use crate::id::GroupId;
 use crate::FsError;
 
@@ -136,10 +136,13 @@ impl GroupListFile {
         let mut groups = BTreeMap::new();
         for _ in 0..count {
             let group = GroupId::parse_stored(d.str()?)?;
+            ascending(groups.last_key_value().map(|(g, _)| g), &group)?;
             let owner_count = d.u32()?;
             let mut owners = BTreeSet::new();
             for _ in 0..owner_count {
-                owners.insert(GroupId::parse_stored(d.str()?)?);
+                let owner = GroupId::parse_stored(d.str()?)?;
+                ascending(owners.last(), &owner)?;
+                owners.insert(owner);
             }
             groups.insert(group, owners);
         }

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::codec::{Decoder, Encoder};
+use crate::codec::{ascending, Decoder, Encoder};
 use crate::id::GroupId;
 use crate::FsError;
 
@@ -106,12 +106,16 @@ impl MemberListFile {
         let m_count = d.u32()?;
         let mut memberships = BTreeSet::new();
         for _ in 0..m_count {
-            memberships.insert(GroupId::parse_stored(d.str()?)?);
+            let group = GroupId::parse_stored(d.str()?)?;
+            ascending(memberships.last(), &group)?;
+            memberships.insert(group);
         }
         let o_count = d.u32()?;
         let mut ownerships = BTreeSet::new();
         for _ in 0..o_count {
-            ownerships.insert(GroupId::parse_stored(d.str()?)?);
+            let group = GroupId::parse_stored(d.str()?)?;
+            ascending(ownerships.last(), &group)?;
+            ownerships.insert(group);
         }
         d.finish()?;
         Ok(MemberListFile {

@@ -17,6 +17,48 @@ fn group_name() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z0-9-]{1,16}").expect("valid regex")
 }
 
+/// A valid encoding of each management-file type, built from `groups`
+/// (at least one) and the directory children `names`.
+fn valid_encodings(groups: &[String], names: &[(String, bool)]) -> [Vec<u8>; 4] {
+    let group = |g: &String| GroupId::new(g.clone()).expect("valid");
+    let mut acl = AclFile::with_owner(group(&groups[0]));
+    let mut members = MemberListFile::new();
+    let mut list = GroupListFile::new();
+    for (i, g) in groups.iter().enumerate() {
+        acl.set_perm(group(g), Perm::decode(i as u8 % 4).expect("valid code"));
+        members.add_membership(group(g));
+        list.add_group(group(g), group(&groups[0]));
+    }
+    acl.set_inherit(groups.len().is_multiple_of(2));
+    let mut dir = DirFile::new(SegPath::parse("/docs/").expect("valid"));
+    for (name, is_dir) in names {
+        let kind = if *is_dir {
+            ChildKind::Directory
+        } else {
+            ChildKind::File
+        };
+        dir.add_child(name, kind);
+    }
+    [acl.encode(), members.encode(), list.encode(), dir.encode()]
+}
+
+/// Decodes `bytes` as every management-file type: none may panic, and
+/// whatever decodes must re-encode to exactly `bytes`.
+fn decode_each(bytes: &[u8]) {
+    if let Ok(acl) = AclFile::decode(bytes) {
+        assert_eq!(acl.encode(), bytes);
+    }
+    if let Ok(members) = MemberListFile::decode(bytes) {
+        assert_eq!(members.encode(), bytes);
+    }
+    if let Ok(list) = GroupListFile::decode(bytes) {
+        assert_eq!(list.encode(), bytes);
+    }
+    if let Ok(dir) = DirFile::decode(bytes) {
+        assert_eq!(dir.encode(), bytes);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -64,11 +106,26 @@ proptest! {
     }
 
     #[test]
-    fn acl_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = AclFile::decode(&bytes);
-        let _ = MemberListFile::decode(&bytes);
-        let _ = GroupListFile::decode(&bytes);
-        let _ = DirFile::decode(&bytes);
+    fn acl_decode_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        groups in proptest::collection::vec(group_name(), 1..5),
+        names in proptest::collection::vec((segment(), any::<bool>()), 0..5),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+    ) {
+        // Noise; then every truncation of a valid encoding of each
+        // type, and the same encodings with 1-3 bits flipped.
+        decode_each(&bytes);
+        for valid in valid_encodings(&groups, &names) {
+            for cut in 0..valid.len() {
+                decode_each(&valid[..cut]);
+            }
+            let mut flipped = valid.clone();
+            for &(at, bit) in &flips {
+                let at = at % flipped.len();
+                flipped[at] ^= 1 << bit;
+            }
+            decode_each(&flipped);
+        }
     }
 
     #[test]

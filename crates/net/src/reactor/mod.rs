@@ -429,6 +429,7 @@ impl Drop for ReactorHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::virtq::TryPop;
     use crate::FrameTransport;
 
     /// Echo with a twist: `more!` asks for N lazily-produced frames,
@@ -775,6 +776,65 @@ mod tests {
             "queue high-water {} B above the cap plus one frame",
             stats.outq_highwater_bytes()
         );
+    }
+
+    /// Panics on the frame `panic!`, echoes anything else.
+    struct Panicky;
+
+    impl FrameHandler for Panicky {
+        fn on_frame(&self, _conn: ConnId, frame: Vec<u8>) -> FrameOutcome {
+            assert!(frame != b"panic!", "the handler panics on its marker");
+            FrameOutcome {
+                frames: vec![frame],
+                established: true,
+                ..FrameOutcome::default()
+            }
+        }
+    }
+
+    /// What `t` receives next, polled until `within` runs out: `None`
+    /// if nothing came, so a reactor whose only worker died fails the
+    /// test instead of hanging it.
+    fn recv_within(t: &crate::ChannelTransport, within: Duration) -> Option<TryPop> {
+        let deadline = Instant::now() + within;
+        loop {
+            match t.rx.try_pop() {
+                TryPop::Empty if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                TryPop::Empty => return None,
+                got => return Some(got),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_its_connection_not_the_worker() {
+        let cfg = ReactorConfig {
+            workers: 1,
+            ..small_cfg()
+        };
+        let reactor = ReactorHandle::start(cfg, Arc::new(Panicky));
+        let within = Duration::from_secs(5);
+        let mut doomed = reactor.connect_virtual().unwrap();
+        doomed.send_frame(b"panic!").unwrap();
+        assert!(
+            matches!(recv_within(&doomed, within), Some(TryPop::Closed)),
+            "the panicking connection closes"
+        );
+        // The one worker survived: a second connection is served.
+        let mut next = reactor.connect_virtual().unwrap();
+        next.send_frame(b"hi").unwrap();
+        assert!(
+            matches!(recv_within(&next, within), Some(TryPop::Frame(f)) if f == b"hi"),
+            "the worker serves the next connection"
+        );
+        drop((doomed, next));
+        let deadline = Instant::now() + within;
+        while reactor.stats().live_conns() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(reactor.stats().live_conns(), 0);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! hand the rest of the queue to the event loop (`Note::Flush`) and
 //! stay away from the socket until the loop has drained it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -64,8 +65,7 @@ fn service(inner: &Arc<Inner>, conn: &Arc<Conn>) {
         // Lazy production (streaming downloads) before new requests.
         if conn.wants_drain.swap(false, Ordering::AcqRel) {
             if out_bytes < low_water {
-                let outcome = inner.handler.on_drain(conn.id);
-                apply(inner, conn, outcome);
+                guarded(inner, conn, || inner.handler.on_drain(conn.id));
                 budget -= 1;
                 continue;
             }
@@ -96,8 +96,7 @@ fn service(inner: &Arc<Inner>, conn: &Arc<Conn>) {
                 if conn.state() == ConnState::Accepting {
                     conn.set_state(&inner.stats, ConnState::Handshaking);
                 }
-                let outcome = inner.handler.on_frame(conn.id, frame);
-                apply(inner, conn, outcome);
+                guarded(inner, conn, || inner.handler.on_frame(conn.id, frame));
                 budget -= 1;
             }
             InboundItem::Empty => return,
@@ -125,6 +124,17 @@ fn pop_inbound(conn: &Conn) -> InboundItem {
             TryPop::Empty => InboundItem::Empty,
             TryPop::Closed => InboundItem::PeerGone,
         },
+    }
+}
+
+/// Runs one handler callback behind the panic barrier and applies its
+/// outcome. A callback that panics costs its connection — aborted, like
+/// a broken socket — never the worker thread, which goes on serving the
+/// others.
+fn guarded(inner: &Arc<Inner>, conn: &Arc<Conn>, callback: impl FnOnce() -> FrameOutcome) {
+    match catch_unwind(AssertUnwindSafe(callback)) {
+        Ok(outcome) => apply(inner, conn, outcome),
+        Err(_) => inner.request_close(conn, CloseMode::Abort),
     }
 }
 
@@ -241,7 +251,9 @@ fn try_finalize(inner: &Arc<Inner>, conn: &Arc<Conn>) {
     inner.stats.closed.fetch_add(1, Ordering::Relaxed);
     inner.conns.lock().unwrap().remove(&conn.id);
     inner.conn_count.fetch_sub(1, Ordering::Relaxed);
-    inner.handler.on_close(conn.id);
+    // Behind the barrier too; a close that panics has nothing left to
+    // abort.
+    let _ = catch_unwind(AssertUnwindSafe(|| inner.handler.on_close(conn.id)));
     // Last, what an in-process peer can see: once its transport reports
     // the close, the gauges and the handler already agree.
     if let Inbound::Virtual { q } = &conn.inbound {

@@ -1,8 +1,8 @@
 //! Flight frames: a bounded host-side history of *system state over
 //! time*, for post-hoc saturation diagnosis.
 //!
-//! The trace ring ([`crate::TraceRing`]) answers "what did request X
-//! do"; the flight frames answer "what was the whole system doing in
+//! A request's record ([`crate::RequestRecord`]) answers "what did
+//! request X do"; the flight frames answer "what was the whole system doing in
 //! the seconds before things went wrong": a fixed-size ring of
 //! windowed [`Snapshot::delta`]s, so each frame carries real interval
 //! quantiles and rates rather than cumulative blur.

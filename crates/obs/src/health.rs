@@ -719,7 +719,7 @@ mod tests {
         let mut rec = RequestRecord::open(1, "get", 7, 9);
         rec.duration_ns = duration_ns;
         if !ok {
-            rec.decision = crate::TraceDecision::Error;
+            rec.decision = crate::Decision::Error;
             rec.code = "integrity";
         }
         for _ in 0..n {

@@ -6,8 +6,8 @@
 //! **Linked into the enclave:** the [`Registry`] of atomic counters,
 //! gauges and log-bucketed latency [`Histogram`]s, the per-request
 //! [`RequestRecord`] with the [`RecordSink`] it is handed out through
-//! ([`record`]), the trace ring of nested events ([`trace`]) and the
-//! phase profiler that fills the record's phase vector ([`prof`]).
+//! ([`record`]) and the phase profiler that fills the record's phase
+//! vector ([`prof`]).
 //!
 //! **Run by the untrusted host:** the pure consumers of records and
 //! snapshots — the meter ([`meter`]) and the history clock with its
@@ -21,7 +21,7 @@
 //! Telemetry crosses the enclave boundary, so it must carry **no
 //! confidential request content** (paper §III threat model: the cloud
 //! provider observes everything outside the enclave). Data flows one
-//! way, enclave → host, as four kinds of value:
+//! way, enclave → host, as three kinds of value:
 //!
 //! - [`RequestRecord`] — pushed, one per closed request, through the
 //!   one [`RecordSink`] (see [`record`] for why a record is safe);
@@ -31,8 +31,6 @@
 //!   (contain `/`), user ids (arbitrary) and key material (binary) are
 //!   unrepresentable by construction; a [`ProfSnapshot`] is compiled-in
 //!   phase paths and aggregate times;
-//! - [`TraceEvent`]s — pulled; interned compiled-in labels and keyed
-//!   fingerprints;
 //! - `segshare`'s `ScrubReport` — pulled; per-check counts and finding
 //!   fingerprints.
 //!
@@ -51,16 +49,14 @@ mod hist;
 pub mod meter;
 pub mod prof;
 pub mod record;
-pub mod trace;
 
 pub use flight::FlightRecorder;
 pub use health::{Alert, AlertRing, BurnRule, HealthConfig, HealthMonitor, SloObjective};
 pub use hist::{Histogram, HistogramSummary};
 pub use meter::{Meter, MeterAxis, MeterSlot, Rollup, METER_AXES, METER_SLOTS};
 pub use prof::{ProfEntry, ProfSnapshot, Profiler};
-pub use record::{records_json, CostVector, PhaseTime, RecordSink, RequestRecord, PHASES};
-pub use trace::{
-    current_request_id, events_json, set_current_request, TraceDecision, TraceEvent, TraceRing,
+pub use record::{
+    records_json, CostVector, Decision, PhaseTime, RecordSink, RequestRecord, PHASES,
 };
 
 use std::collections::BTreeMap;
@@ -194,7 +190,6 @@ struct Inner {
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
-    trace: OnceLock<Arc<TraceRing>>,
     prof: OnceLock<Arc<Profiler>>,
     /// Per-op handles of the request families, resolved on an
     /// operation's first record (see [`Registry::consume`]).
@@ -253,18 +248,6 @@ impl Registry {
         let id = MetricId::new(name, labels);
         let mut inner = self.inner.lock().unwrap();
         Arc::clone(inner.histograms.entry(id).or_default())
-    }
-
-    /// Attaches the trace ring that nested layers (access control,
-    /// store I/O) emit their events into. A ring can be attached at most
-    /// once (later calls return the first ring).
-    pub fn attach_trace(&self, ring: Arc<TraceRing>) -> &Arc<TraceRing> {
-        self.trace.get_or_init(|| ring)
-    }
-
-    /// The attached trace ring, if any.
-    pub fn trace(&self) -> Option<&Arc<TraceRing>> {
-        self.trace.get()
     }
 
     /// Attaches a phase profiler, so [`Registry::profile_root`] opens
@@ -651,7 +634,7 @@ mod tests {
         let mut rec = RequestRecord::open(1, "put_file", 7, 9);
         rec.duration_ns = 1_000;
         r.consume(&rec);
-        rec.decision = TraceDecision::Deny;
+        rec.decision = Decision::Deny;
         rec.code = "denied";
         r.consume(&rec);
         r.consume(&RequestRecord::open(2, "get", 7, 9));

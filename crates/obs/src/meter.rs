@@ -589,7 +589,7 @@ mod tests {
             rec.cost.req_bytes = i;
             rec.cost.store_writes = 2;
             if i % 3 == 0 {
-                rec.decision = crate::TraceDecision::Deny;
+                rec.decision = crate::Decision::Deny;
                 rec.code = "denied";
             }
             meter.consume(&rec);
@@ -615,7 +615,7 @@ mod tests {
         rec.duration_ns = 50_000;
         meter.consume(&rec);
         rec.duration_ns = 200_000;
-        rec.decision = crate::TraceDecision::Error;
+        rec.decision = crate::Decision::Error;
         meter.consume(&rec);
         let p = meter.top("principal", 1)[0].costs;
         assert_eq!(

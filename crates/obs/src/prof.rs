@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::hist::{Histogram, HistogramSummary};
-use crate::record::{PhaseVector, PHASES};
+use crate::record::{is_phase, PhaseVector, PHASES};
 
 /// Phase stacks deeper than this stop growing (further [`phase`] calls
 /// collapse into the open frame). Sixteen is several times the static
@@ -369,6 +369,7 @@ impl Drop for PhaseGuard {
 /// active on this thread, when the phase directly re-enters the one
 /// already on top (recursion collapse), or past `MAX_DEPTH`.
 pub fn phase(name: &'static str) -> PhaseGuard {
+    debug_assert!(is_phase(name), "phase {name:?} is not in PHASES");
     TLS.with(|t| {
         let mut t = t.borrow_mut();
         if t.profiler.is_none()
@@ -395,6 +396,7 @@ pub fn phase(name: &'static str) -> PhaseGuard {
 /// exports report it in a separate `sim_ns` channel. No-op without an
 /// active root.
 pub fn charge(name: &'static str, ns: u64) {
+    debug_assert!(is_phase(name), "phase {name:?} is not in PHASES");
     if ns == 0 {
         return;
     }

@@ -1,14 +1,15 @@
 //! The per-request record: everything telemetry knows about one
 //! request, assembled once when dispatch ends.
 //!
-//! Inside the enclave a closed record feeds the request metric families
-//! ([`crate::Registry::consume`]) and the trace ring's header event
-//! ([`crate::TraceRing::consume`]); then it leaves through the one
+//! It is the enclave's only per-request telemetry. Inside, a closed
+//! record feeds the request metric families
+//! ([`crate::Registry::consume`]); then it leaves through the one
 //! [`RecordSink`] the host attached, and every other plane — the meter
 //! ([`crate::Meter::consume`]), the SLO / headline history
-//! ([`crate::HealthMonitor::consume`]), `segshare`'s slow log and stall
-//! watchdog — is a consumer of that `&RequestRecord` on the untrusted
-//! side and of nothing else from the request path.
+//! ([`crate::HealthMonitor::consume`]), `segshare`'s tail of recent
+//! records, slow log and stall watchdog — is a consumer of that
+//! `&RequestRecord` on the untrusted side and of nothing else from the
+//! request path.
 //!
 //! # Trust boundary
 //!
@@ -19,7 +20,28 @@
 //! can therefore carry request content — the argument is made here
 //! once instead of once per plane.
 
-use crate::TraceDecision;
+/// Outcome class of a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision {
+    /// Permitted and succeeded.
+    Allow,
+    /// Rejected by access control.
+    Deny,
+    /// Failed for a non-authorization reason.
+    Error,
+}
+
+impl Decision {
+    /// Stable lowercase label (`allow`/`deny`/`error`).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Decision::Allow => "allow",
+            Decision::Deny => "deny",
+            Decision::Error => "error",
+        }
+    }
+}
 
 /// Leaf names of a record's phase vector, in slot order. Slot 0 is the
 /// operation's own, un-attributed time; the rest are the profiler's
@@ -42,6 +64,13 @@ pub const PHASES: [&str; 15] = [
     "counter_wait",
     "epc_paging",
 ];
+
+/// Whether `name` is one of [`PHASES`]. The profiler and
+/// [`RequestRecord::phase`] `debug_assert!` it, so a misspelled phase
+/// stops a debug build instead of landing silently in `own`.
+pub(crate) fn is_phase(name: &str) -> bool {
+    PHASES.contains(&name)
+}
 
 /// One slot of a phase vector.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,13 +108,12 @@ pub struct CostVector {
 /// One closed request. See the module docs for the field rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestRecord {
-    /// Correlation id shared with nested trace events and the audit
-    /// record (1-based).
+    /// Correlation id shared with the audit record (1-based).
     pub request_id: u64,
     /// Compiled-in operation name.
     pub op: &'static str,
     /// Outcome class.
-    pub decision: TraceDecision,
+    pub decision: Decision,
     /// Compiled-in error-code label; `"ok"` on success.
     pub code: &'static str,
     /// Keyed fingerprint of the requesting user.
@@ -112,7 +140,7 @@ impl RequestRecord {
         RequestRecord {
             request_id,
             op,
-            decision: TraceDecision::Allow,
+            decision: Decision::Allow,
             code: "ok",
             principal,
             object,
@@ -127,7 +155,7 @@ impl RequestRecord {
     /// Whether the request was permitted and succeeded.
     #[must_use]
     pub fn ok(&self) -> bool {
-        self.decision == TraceDecision::Allow
+        self.decision == Decision::Allow
     }
 
     /// Duration in whole microseconds.
@@ -142,9 +170,10 @@ impl RequestRecord {
         threshold_us > 0 && self.duration_us() >= threshold_us
     }
 
-    /// The slot of phase `name` (zero for a name not in [`PHASES`]).
+    /// The slot of phase `name`, which must be one of [`PHASES`].
     #[must_use]
     pub fn phase(&self, name: &str) -> PhaseTime {
+        debug_assert!(is_phase(name), "phase {name:?} is not in PHASES");
         PHASES
             .iter()
             .position(|p| *p == name)
@@ -229,7 +258,6 @@ mod tests {
         };
         r.cost.store_reads = 3;
         assert_eq!(r.phase("store_io").self_ns, 4_000_000);
-        assert_eq!(r.phase("no_such_phase"), PhaseTime::default());
         assert!(r.slow(5_000) && !r.slow(5_001) && !r.slow(0));
         let json = records_json(&[r]);
         assert!(
@@ -244,5 +272,32 @@ mod tests {
         assert!(json.contains("\"store_reads\": 3"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(records_json(&[]), "[]\n");
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the check is a debug_assert")]
+    fn a_misspelled_phase_is_refused_in_debug() {
+        let r = RequestRecord::open(7, "get", 1, 2);
+        let checks: [(&str, fn()); 3] = [
+            ("RequestRecord::phase", || {
+                let _ = RequestRecord::open(7, "get", 1, 2).phase("store_oi");
+            }),
+            ("prof::phase", || drop(crate::prof::phase("store_oi"))),
+            ("prof::charge", || crate::prof::charge("lock_wiat", 1)),
+        ];
+        for (what, misspelled) in checks {
+            let caught = std::panic::catch_unwind(misspelled);
+            let message = caught.expect_err(what);
+            let message = message
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(message.contains("is not in PHASES"), "{what}: {message}");
+        }
+        // Every name in the table passes.
+        for name in PHASES {
+            let _ = r.phase(name);
+            drop(crate::prof::phase(name));
+            crate::prof::charge(name, 1);
+        }
     }
 }

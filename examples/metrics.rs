@@ -1,13 +1,13 @@
 //! Telemetry tour: drive an upload → share → download → revoke flow
 //! and print the server's unified metrics snapshot, the phase-profile
-//! breakdown, the structured request trace, and the verified audit
+//! breakdown, the newest request records, and the verified audit
 //! trail.
 //!
 //! Every export here crosses a *declassification point*: per-operation
 //! request counts and latency quantiles, enclave-boundary crossings, EPC
 //! usage, and per-store I/O totals — and nothing request-derived (no
 //! paths, no user ids; the `seg-obs` label charset makes them
-//! unrepresentable, and trace/audit events carry keyed fingerprints
+//! unrepresentable, and records and audit events carry keyed fingerprints
 //! instead of identities).
 //!
 //! Run with: `cargo run --release --example metrics`
@@ -119,12 +119,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- phase profile (JSON) ---");
     print!("{}", prof.to_json());
 
-    // ------------------------------------------------ trace and audit
+    // ---------------------------------------------- records and audit
     // Principals and objects appear as keyed fingerprints: stable across
-    // events (bob's denied read carries the same ids as his earlier
+    // records (bob's denied read carries the same ids as his earlier
     // allowed one) but not invertible outside the enclave.
-    println!("--- request trace (newest 32, JSON) ---");
-    print!("{}", seg_obs::events_json(&server.enclave().trace_tail(32)));
+    println!("--- recent requests (newest 32 whole records, JSON) ---");
+    print!(
+        "{}",
+        seg_obs::records_json(&server.telemetry().watch().recent_requests(32))
+    );
     println!("--- slow requests (whole records) ---");
     print!(
         "{}",

@@ -351,11 +351,14 @@ fn exports_carry_no_principals_paths_or_keys() {
         .map(|b| format!("{b:02x}"))
         .collect();
 
-    let trace = seg_obs::events_json(&rig.server.enclave().trace_tail(usize::MAX));
-    let slow = seg_obs::records_json(&rig.server.telemetry().watch().slow_requests(usize::MAX));
-    let audit = segshare::enclave::audit::records_json(&rig.server.audit_export().unwrap());
+    let watch = rig.server.telemetry().watch();
+    let recent = watch.recent_requests(usize::MAX);
+    let tail = seg_obs::records_json(&recent);
+    let slow = seg_obs::records_json(&watch.slow_requests(usize::MAX));
+    let exported = rig.server.audit_export().unwrap();
+    let audit = segshare::enclave::audit::records_json(&exported);
 
-    for (name, text) in [("trace", &trace), ("slow", &slow), ("audit", &audit)] {
+    for (name, text) in [("report tail", &tail), ("slow", &slow), ("audit", &audit)] {
         for secret in SECRETS {
             assert!(!text.contains(secret), "{name} export leaks {secret:?}");
         }
@@ -370,18 +373,22 @@ fn exports_carry_no_principals_paths_or_keys() {
         );
     }
 
-    // The trace did fire: fingerprints are present and stable across
-    // layers (the denied get carries the same object fingerprint in
-    // the access-control event and the dispatch event).
-    let events = rig.server.enclave().trace_tail(usize::MAX);
-    assert!(!events.is_empty());
-    let denied: Vec<_> = events
+    // The tail did fill: fingerprints are present and stable across the
+    // two exports (the denied get's record and its audit record carry
+    // the same request id and object fingerprint).
+    let denied = recent
         .iter()
-        .filter(|e| e.decision == seg_obs::TraceDecision::Deny)
-        .collect();
-    assert!(denied.len() >= 2, "auth deny + dispatch deny: {denied:?}");
-    assert!(denied.iter().all(|e| e.request_id == denied[0].request_id));
-    assert!(denied.iter().all(|e| e.object == denied[0].object));
+        .rfind(|r| r.op == "get" && r.decision == seg_obs::Decision::Deny)
+        .expect("the revoked get is in the tail");
+    let audited = exported
+        .iter()
+        .find(|a| a.request_id == denied.request_id)
+        .expect("the denied get was audited");
+    assert_eq!(
+        (audited.op.as_str(), audited.object, audited.decision),
+        ("get", denied.object, seg_obs::Decision::Deny)
+    );
+    assert_ne!(denied.object, 0);
 }
 
 /// A request that interrupts an upload is refused inside the commit

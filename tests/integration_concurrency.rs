@@ -564,8 +564,7 @@ fn watchdog_stall_dumps_a_correlated_bundle_without_leaking_content() {
 fn one_slow_request_is_explained_by_its_one_record() {
     // Same rig. The get is slow because the store is: its slow-log
     // entry must say so by itself — where the time went, what it
-    // touched — and be the same request its trace header and its audit
-    // record describe.
+    // touched — and be the same request its audit record describes.
     let config = EnclaveConfig {
         watch_deadline_us: 1_000,
         ..EnclaveConfig::paper_prototype()
@@ -595,32 +594,17 @@ fn one_slow_request_is_explained_by_its_one_record() {
     assert_eq!(slow.object, enclave.fingerprint_name("/doc"));
     assert_eq!(slow.prefix, enclave.fingerprint_name("/doc"));
 
-    let header = enclave
-        .trace_tail(usize::MAX)
-        .into_iter()
-        .rfind(|e| e.op == "get")
-        .expect("the get's header is in the ring");
     let audited = server.audit_export().unwrap();
     let audited = audited.last().expect("the get was audited last");
-    for (request_id, principal, object, code) in [
-        (
-            header.request_id,
-            header.principal,
-            header.object,
-            header.code,
-        ),
+    assert_eq!(
         (
             audited.request_id,
             audited.principal,
             audited.object,
-            audited.code.as_str(),
+            audited.code.as_str()
         ),
-    ] {
-        assert_eq!(
-            (request_id, principal, object, code),
-            (slow.request_id, slow.principal, slow.object, slow.code)
-        );
-    }
+        (slow.request_id, slow.principal, slow.object, slow.code)
+    );
 
     // The stored stall dump shows the same vector (the first stall of
     // this rig was the put; the on-demand report holds the get too).

@@ -368,7 +368,6 @@ fn disabled_health_plane_is_inert() {
     let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
     let mut a = r.server.connect_local(&alice).unwrap();
     a.put("/before", b"counted").unwrap();
-    let enclave = r.server.enclave();
     let telemetry = r.server.telemetry();
     let consumed = || {
         let snap = r.server.metrics_snapshot();
@@ -376,7 +375,7 @@ fn disabled_health_plane_is_inert() {
             snap.counter("seg_requests_total{op=\"put_file\"}"),
             telemetry.meter().samples(),
             telemetry.health().monitor().headline().0,
-            enclave.trace_tail(usize::MAX).len(),
+            telemetry.watch().recent_requests(usize::MAX).len(),
         )
     };
     let before = consumed();
@@ -389,12 +388,7 @@ fn disabled_health_plane_is_inert() {
     a.put("/during", b"not counted").unwrap();
     assert_eq!(a.get("/during").unwrap(), b"not counted");
     let during = consumed();
-    assert_eq!(
-        (during.0, during.1, during.2),
-        (before.0, before.1, before.2)
-    );
-    // Nested layers still trace their own events; no request header does.
-    assert!(enclave.trace_tail(usize::MAX).iter().all(|e| e.op != "get"));
+    assert_eq!(during, before, "not even the tail of records grew");
     assert_eq!(telemetry.health().scrub_passes(), 0);
     assert_eq!(
         telemetry.health().monitor().frames_total(),

@@ -241,9 +241,9 @@ fn assert_ids_content_free(snap: &seg_obs::Snapshot) {
 
 #[test]
 fn encoded_snapshots_carry_no_request_content() {
-    // Four kinds of value cross the boundary: the records pushed
-    // through the sink, and the snapshots, trace events and scrub
-    // reports the host pulls. Everything an operator can export is
+    // Three kinds of value cross the boundary: the records pushed
+    // through the sink, and the snapshots and scrub reports the host
+    // pulls. Everything an operator can export is
     // rendered from those on the untrusted side, so the rule is checked
     // on the values themselves, with a sink of our own on an enclave
     // that has no host.
@@ -271,11 +271,6 @@ fn encoded_snapshots_carry_no_request_content() {
     }
     assert_ids_content_free(&enclave.metrics_snapshot());
     assert_content_free("profile", &enclave.profile_snapshot().to_collapsed());
-    let events = enclave.trace_tail(usize::MAX);
-    assert!(events.iter().any(|e| e.op == "auth_file"), "nested events");
-    for event in &events {
-        assert_content_free("trace event", &format!("{event:?}"));
-    }
     loop {
         let report = enclave.scrub_step();
         assert_content_free("scrub report", &format!("{report:?}"));
@@ -513,62 +508,40 @@ fn watch_plane_families_always_export_with_clean_labels() {
 
 #[test]
 fn trace_ring_correlates_requests_across_layers() {
+    // The report's tail holds whole records; each names its request by
+    // the id its audit record carries.
     let server = run_flow(EnclaveConfig::default());
-    let events = server.enclave().trace_tail(usize::MAX);
-    assert!(!events.is_empty(), "the flow left trace events");
+    let tail = server.telemetry().watch().recent_requests(usize::MAX);
+    let report = server.report();
+    let enclave = server.enclave();
+    let bob = enclave.fingerprint_user(&seg_fs::UserId::new("bob").unwrap());
 
-    // Sequence numbers are strictly increasing (no torn or duplicated
-    // slots) and every dispatch-level event carries a request id.
-    for pair in events.windows(2) {
-        assert!(pair[0].seq < pair[1].seq);
+    // Both downloads are bob's, under their own ids, in the report.
+    let gets: Vec<&RequestRecord> = tail.iter().filter(|r| r.op == "get").collect();
+    assert_eq!(gets.len(), 2, "both downloads in the tail: {tail:?}");
+    assert!(gets[0].request_id > 0 && gets[0].request_id < gets[1].request_id);
+    for get in &gets {
+        assert_eq!(get.principal, bob, "{get:?}");
+        let entry = format!("\"request_id\": {}, \"op\": \"get\"", get.request_id);
+        assert!(report.contains(&entry), "{entry} missing from the report");
     }
-    let dispatch_ops = [
-        "mk_dir",
-        "put_file",
-        "get",
-        "set_perm",
-        "add_user",
-        "remove_user",
-        "data",
-    ];
-    for e in &events {
-        if dispatch_ops.contains(&e.op) {
-            assert!(e.request_id > 0, "dispatch event without request id: {e:?}");
-            assert!(e.principal != 0, "dispatch event without principal: {e:?}");
-        }
-    }
-
-    // Access-control and store events inherit the dispatching request's
-    // id: every get shares its id with at least one auth_file check.
-    let get_ids: Vec<u64> = events
-        .iter()
-        .filter(|e| e.op == "get")
-        .map(|e| e.request_id)
-        .collect();
-    assert_eq!(get_ids.len(), 2, "both downloads traced");
-    for id in &get_ids {
-        assert!(
-            events
-                .iter()
-                .any(|e| e.op == "auth_file" && e.request_id == *id),
-            "no auth_file event for get request {id}"
-        );
-    }
-
-    // Bob's revoked download shows up as a deny.
-    assert!(
-        events
-            .iter()
-            .any(|e| e.decision == seg_obs::TraceDecision::Deny && e.code == "denied"),
-        "denied decision traced"
+    // Bob's revoked download is a deny.
+    assert!(gets[0].ok(), "{:?}", gets[0]);
+    assert_eq!(
+        (gets[1].decision, gets[1].code),
+        (seg_obs::Decision::Deny, "denied")
     );
 
-    // The snapshot's trace counters agree with the ring.
-    let snap = server.metrics_snapshot();
-    let emitted = snap.counter("seg_trace_events_total").unwrap_or(0);
-    let dropped = snap.counter("seg_trace_dropped_total").unwrap_or(0);
-    assert!(emitted >= events.len() as u64);
-    assert_eq!(dropped, 0, "this small flow cannot overflow the ring");
+    // Every record but upload chunks has its audit record, same id.
+    let audited = server.audit_export().expect("export");
+    for rec in tail.iter().filter(|r| r.op != "data") {
+        let found = audited.iter().find(|a| a.request_id == rec.request_id);
+        let found = found.unwrap_or_else(|| panic!("no audit record for {rec:?}"));
+        assert_eq!(
+            (found.op.as_str(), found.principal, found.object),
+            (rec.op, rec.principal, rec.object)
+        );
+    }
 }
 
 #[test]
