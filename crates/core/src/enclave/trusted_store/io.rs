@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use seg_crypto::mset::MsetHash;
 use seg_crypto::rng::SystemRng;
-use seg_sgx::pfs::{pfs_decrypt, pfs_encrypt, PfsFile};
+use seg_sgx::pfs::{pfs_encrypt, PfsFile};
 
 use crate::enclave::names::{ObjectId, StoreKind};
 use crate::error::SegShareError;
@@ -156,10 +156,7 @@ impl TrustedStore {
         if self.tree_enabled_for(id) {
             self.verify_tree(id, &Self::head_of(id, &blob)?, walk)?;
         }
-        let start = std::time::Instant::now();
-        let body = pfs_decrypt(&self.data_key(id), &blob)?;
-        self.pfs_decrypt_ns.record_duration(start.elapsed());
-        Ok(Some(body))
+        Ok(Some(self.decrypt(id, &blob)?))
     }
 
     /// Opens an object for streamed (chunk-at-a-time) reading, verifying

@@ -57,11 +57,23 @@
 //! Verification stops at the first trusted record on the way up: the
 //! chain below it was checked against the latest bucket hash the enclave
 //! computed, which is all the levels above it would re-establish. A
-//! trusted entry is the record and nothing else: a header is held
-//! against a trusted record and against a store record by the same rule.
+//! trusted entry is the record plus, for an inner node, its child
+//! listing (`CacheKey::Children`): the node's tree children grouped by
+//! bucket, bound to the header id of the body they were decoded from. A
+//! header is held against a trusted record and against a store record by
+//! the same rule, and so is a listing's header id:
+//!
+//! * **use** — a trusting walk at a trusted parent takes `cur`'s bucket
+//!   from the listing, without reading, decrypting or decoding the
+//!   parent, once the listing's header id checks against the trusted
+//!   record. A listing of an older body fails that check (a rewrite also
+//!   drops it) and the walk reads the body, as without a listing;
+//! * **fill** — only from a body whose header passed against that same
+//!   trusted record, once that level's bucket check passed.
+//!
 //! With the cache off nothing is trusted and every walk ends at the
 //! root, as in the paper. The integrity scrubber always takes that full
-//! walk over store records (`TrustedStore::scrub_read`).
+//! walk over store records and bodies (`TrustedStore::scrub_read`).
 
 mod dedup;
 mod io;
@@ -69,12 +81,14 @@ mod record;
 mod tree;
 
 pub use record::{GroupRootFile, HashRecord};
+use tree::ChildMap;
 
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use seg_crypto::mset::MsetHash;
+use seg_sgx::pfs::pfs_decrypt;
 use seg_sgx::Enclave;
 use seg_store::ObjectStore;
 
@@ -108,6 +122,8 @@ pub(crate) enum CacheKey {
     Decoded(ObjectId),
     /// Trusted rollback-tree hash record.
     Record(ObjectId),
+    /// An inner node's tree children by bucket, beside its trusted record.
+    Children(ObjectId),
 }
 
 #[derive(Clone)]
@@ -117,6 +133,8 @@ pub(crate) enum CachedValue {
     /// A trusted record: the latest this enclave wrote for its node
     /// (see the module docs for how a record earns that).
     Record(Arc<HashRecord>),
+    /// A listing, bound to the header id of the body it was decoded from.
+    Children(Arc<ChildMap>),
 }
 
 /// A hash record as [`TrustedStore::read_hash_record`] found it.
@@ -255,12 +273,16 @@ impl TrustedStore {
     }
 
     /// Write-through invalidation: drops every cached representation of
-    /// `id`'s body. Must run *before* the mutation's store write lands
-    /// so that no concurrent miss-fill can publish the old value.
+    /// `id`'s body, an inner node's listing included. Must run *before*
+    /// the mutation's store write lands so that no concurrent miss-fill
+    /// can publish the old value.
     fn cache_invalidate_object(&self, id: &ObjectId) {
         if let Some(cache) = &self.cache {
             cache.invalidate(&CacheKey::Body(id.clone()));
             cache.invalidate(&CacheKey::Decoded(id.clone()));
+            if id.is_tree_inner() {
+                cache.invalidate(&CacheKey::Children(id.clone()));
+            }
         }
     }
 
@@ -357,6 +379,14 @@ impl TrustedStore {
             ObjectId::DedupBlob(name) => self.keys.dedup_blob_key(name),
             other => self.keys.file_key(other),
         }
+    }
+
+    /// Decrypts `id`'s blob, timed into `seg_pfs_decrypt_ns`.
+    fn decrypt(&self, id: &ObjectId, blob: &[u8]) -> Result<Vec<u8>, SegShareError> {
+        let start = std::time::Instant::now();
+        let body = pfs_decrypt(&self.data_key(id), blob)?;
+        self.pfs_decrypt_ns.record_duration(start.elapsed());
+        Ok(body)
     }
 
     // -------------------------------------------------- raw (ocall) io
@@ -534,10 +564,19 @@ mod tests {
     }
 
     impl TrustedStore {
-        /// Drops `id`'s cached body and trusted record, as eviction would.
+        /// Drops `id`'s cached body, listing and trusted record, as
+        /// eviction would.
         fn evict(&self, id: &ObjectId) {
             self.cache_invalidate_object(id);
             self.cache_invalidate_record(id);
+        }
+
+        /// `id`'s cached child listing, whether or not it is current.
+        fn listing(&self, id: &ObjectId) -> Option<Arc<ChildMap>> {
+            match self.cache.as_ref()?.get(&CacheKey::Children(id.clone()))? {
+                CachedValue::Children(listing) => Some(listing),
+                _ => None,
+            }
         }
 
         fn trusted_record(&self, id: &ObjectId) -> Option<HashRecord> {
@@ -1031,8 +1070,9 @@ mod tests {
         evict_three();
         let before = f.store.cache_stats().unwrap();
         assert_eq!(f.store.read(&child).unwrap().unwrap(), b"version 2");
-        // Three records plus the body.
-        assert_eq!(f.store.cache_stats().unwrap().fills, before.fills + 4);
+        // Three records, the body, and the listing of `b/`: the walk read
+        // the trusted `b/`'s body to end there, and keeps what it listed.
+        assert_eq!(f.store.cache_stats().unwrap().fills, before.fills + 5);
         assert!(f.store.trusted_record(&dir_id("/a/b/c/")).is_some());
 
         // With the leaf's pair rolled back the first records it reads are
@@ -1309,9 +1349,10 @@ mod tests {
     // --------------------------------------------------------- cost gate
 
     /// Store gets of: a read right after a write, the same read with the
-    /// leaf's cache entries gone, and a put of the existing file — on
-    /// the depth-5 tree, counted through a `CountingStore`.
-    fn walk_costs(config: EnclaveConfig) -> [u64; 3] {
+    /// leaf's cache entries gone, a put of the existing file, and that
+    /// read once more with the leaf's entries gone — on the depth-5 tree,
+    /// counted through a `CountingStore`.
+    fn walk_costs(config: EnclaveConfig) -> [u64; 4] {
         let counting = Arc::new(seg_store::CountingStore::new(MemStore::new()));
         let store = store_on(config, Arc::clone(&counting) as Arc<dyn ObjectStore>);
         deep_tree(&store);
@@ -1330,7 +1371,16 @@ mod tests {
             store.read(&child).unwrap().unwrap();
         });
         let put_existing = gets(&|| store.write(&child, b"version 3").unwrap());
-        [read_after_write, read_leaf_evicted, put_existing]
+        store.evict(&child);
+        let read_leaf_evicted_again = gets(&|| {
+            store.read(&child).unwrap().unwrap();
+        });
+        [
+            read_after_write,
+            read_leaf_evicted,
+            put_existing,
+            read_leaf_evicted_again,
+        ]
     }
 
     #[test]
@@ -1339,8 +1389,10 @@ mod tests {
         // trusted record ends the walk, so no record is fetched (or
         // decrypted: every record decrypt follows a record get). Leaf
         // evicted: blob, leaf record, parent blob; the same-bucket
-        // siblings' records are trusted. A put re-reads nothing.
-        assert_eq!(walk_costs(cached_config()), [1, 3, 0]);
+        // siblings' records are trusted. A put re-reads nothing. Leaf
+        // evicted again: blob and leaf record; the trusted parent's
+        // listing, kept by the first walk, stands in for its blob.
+        assert_eq!(walk_costs(cached_config()), [1, 3, 0, 2]);
     }
 
     const PINNED_CACHE_OFF: [u64; 3] = [13, 13, 6];
@@ -1359,14 +1411,211 @@ mod tests {
     fn walk_store_reads_without_the_cache_are_pinned() {
         // Counted at PR 12 with this same scenario: `cache: false` must
         // stay count-identical.
-        assert_eq!(walk_costs(EnclaveConfig::default()), PINNED_CACHE_OFF);
+        assert_eq!(walk_costs(EnclaveConfig::default())[..3], PINNED_CACHE_OFF);
         assert_eq!(
             walk_costs(EnclaveConfig {
                 rollback_whole_fs: true,
                 ..EnclaveConfig::default()
-            }),
+            })[..3],
             PINNED_CACHE_OFF_WHOLE_FS
         );
+    }
+
+    // ---------------------------------------------------- child listings
+
+    type Counting = seg_store::CountingStore<MemStore>;
+
+    /// A trusted store over a fresh counting content store.
+    fn counted(config: EnclaveConfig) -> (TrustedStore, Arc<Counting>) {
+        let counting = Arc::new(Counting::new(MemStore::new()));
+        let store = store_on(config, Arc::clone(&counting) as Arc<dyn ObjectStore>);
+        (store, counting)
+    }
+
+    /// Store gets and pfs decrypts of one read of `id`.
+    fn read_costs(store: &TrustedStore, counting: &Counting, id: &ObjectId) -> [u64; 2] {
+        let (gets, decrypts) = (counting.stats().gets, store.pfs_decrypt_ns.count());
+        store.read(id).unwrap().unwrap();
+        [
+            counting.stats().gets - gets,
+            store.pfs_decrypt_ns.count() - decrypts,
+        ]
+    }
+
+    #[test]
+    fn a_trusted_parent_is_read_once_then_its_listing_stands_in() {
+        let (store, counting) = counted(cached_config());
+        deep_tree(&store);
+        let child = file_id("/a/b/c/d/f");
+        store.evict(&child);
+        // Blob, leaf record and parent blob; leaf and parent decrypted.
+        assert_eq!(read_costs(&store, &counting, &child), [3, 2]);
+        assert!(store.listing(&dir_id("/a/b/c/d/")).is_some());
+        store.evict(&child);
+        // Blob and leaf record; only the leaf decrypted.
+        assert_eq!(read_costs(&store, &counting, &child), [2, 1]);
+        // Without the cache nothing is kept: the same read costs the same.
+        let off = walk_costs(EnclaveConfig::default());
+        assert_eq!(off[3], off[1]);
+    }
+
+    #[test]
+    fn a_listed_read_costs_the_same_in_a_wide_directory() {
+        let costs = [8, 512].map(|width| {
+            let (store, counting) = counted(cached_config());
+            init_roots(&store);
+            register_in(&store, &SegPath::root(), "w", seg_fs::ChildKind::Directory);
+            // One directory write lists every file; then each gets its
+            // ACL and a body, so every sibling has a trusted record.
+            let dir = SegPath::parse("/w/").unwrap();
+            let dir_id = ObjectId::DirData(dir.clone());
+            let mut listing = DirFile::decode(&store.read(&dir_id).unwrap().unwrap()).unwrap();
+            let names: Vec<String> = (0..width).map(|i| format!("f{i}")).collect();
+            for name in &names {
+                listing.add_child(name, seg_fs::ChildKind::File);
+            }
+            store.write(&dir_id, &listing.encode()).unwrap();
+            for name in &names {
+                let path = dir.join_file(name).unwrap();
+                store
+                    .write(
+                        &ObjectId::Acl(path.clone()),
+                        &seg_fs::AclFile::new().encode(),
+                    )
+                    .unwrap();
+                store.write(&ObjectId::FileData(path), b"body").unwrap();
+            }
+            let probed = ObjectId::FileData(dir.join_file("f0").unwrap());
+            store.evict(&probed);
+            store.read(&probed).unwrap().unwrap();
+            store.evict(&probed);
+            read_costs(&store, &counting, &probed)
+        });
+        assert_eq!(costs, [[2, 1]; 2]);
+    }
+
+    #[test]
+    fn a_rewritten_directory_leaves_its_old_listing_unusable() {
+        let f = fixture(cached_config());
+        let s = &f.store;
+        deep_tree(s);
+        let (d, dir) = (dir_id("/a/b/c/d/"), SegPath::parse("/a/b/c/d/").unwrap());
+        let (first, g, h) = (
+            file_id("/a/b/c/d/f"),
+            file_id("/a/b/c/d/g"),
+            file_id("/a/b/c/d/h"),
+        );
+        // A read of `id` whose walk climbs to `d/`.
+        let cold_read = |id: &ObjectId| {
+            s.evict(id);
+            s.read(id)
+        };
+        let plant = |listing: &Arc<ChildMap>| {
+            let value = CachedValue::Children(Arc::clone(listing));
+            s.cache
+                .as_ref()
+                .unwrap()
+                .put(CacheKey::Children(d.clone()), value, 0);
+        };
+        fn not_listed<T>(result: Result<T, SegShareError>) -> bool {
+            matches!(result, Err(SegShareError::Integrity(msg)) if msg.contains("not listed"))
+        }
+        cold_read(&first).unwrap();
+        let old = s
+            .listing(&d)
+            .expect("the walk kept the trusted d/'s listing");
+
+        // A new child: the rewrite drops the listing. Put back, it fails
+        // its header check and the walk lists the new body instead.
+        register_in(s, &dir, "h", seg_fs::ChildKind::File);
+        s.write(&h, b"new").unwrap();
+        assert!(s.listing(&d).is_none());
+        plant(&old);
+        assert_eq!(cold_read(&h).unwrap().unwrap(), b"new");
+        let new = s.listing(&d).expect("listed again from the new body");
+        assert_ne!(new.head, old.head);
+
+        // A child taken out of the body, its objects left in place: not
+        // listed when the walk reads the body, nor in the new body's
+        // listing; and the old listing, which still names it, is passed over.
+        let mut listing = DirFile::decode(&s.read(&d).unwrap().unwrap()).unwrap();
+        listing.remove_child("g");
+        s.write(&d, &listing.encode()).unwrap();
+        assert!(not_listed(cold_read(&g)));
+        cold_read(&first).unwrap();
+        assert!(s.listing(&d).is_some());
+        assert!(not_listed(cold_read(&g)));
+        plant(&old);
+        assert!(not_listed(cold_read(&g)));
+    }
+
+    #[test]
+    fn a_rolled_back_child_is_caught_by_the_bucket_under_a_listing() {
+        let (store, counting) = counted(cached_config());
+        deep_tree(&store);
+        let child = file_id("/a/b/c/d/f");
+        let keys = store.store_keys(&child);
+        let old: Vec<Vec<u8>> = keys
+            .iter()
+            .map(|k| counting.get(k).unwrap().unwrap())
+            .collect();
+        store.write(&child, b"version 2").unwrap();
+        store.evict(&child);
+        store.read(&child).unwrap().unwrap();
+        assert!(store.listing(&dir_id("/a/b/c/d/")).is_some());
+
+        for (k, v) in keys.iter().zip(&old) {
+            counting.put(k, v).unwrap();
+        }
+        store.evict(&child);
+        let gets = counting.stats().gets;
+        assert!(matches!(
+            store.read(&child),
+            Err(SegShareError::Integrity(msg)) if msg.contains("bucket hash")
+        ));
+        // Blob and leaf record: the check ran on the listing.
+        assert_eq!(counting.stats().gets - gets, 2);
+        assert!(store.trusted_record(&child).is_none());
+    }
+
+    #[test]
+    fn a_tampered_parent_blob_under_a_warm_listing() {
+        let (store, counting) = counted(cached_config());
+        deep_tree(&store);
+        let (d, child) = (dir_id("/a/b/c/d/"), file_id("/a/b/c/d/f"));
+        // `d/`'s blob as it is now: authentic, and stale once `d/` is
+        // written again (same children, another header).
+        let [d_blob, _] = store.store_keys(&d);
+        let stale = counting.get(&d_blob).unwrap().unwrap();
+        store.write(&d, &store.read(&d).unwrap().unwrap()).unwrap();
+
+        // The scrubber neither uses nor keeps a listing.
+        store.evict(&child);
+        let fills = store.cache_stats().unwrap().fills;
+        assert_eq!(store.scrub_read(&child).unwrap().unwrap(), b"version 1");
+        assert_eq!(store.cache_stats().unwrap().fills, fills);
+        assert!(store.listing(&d).is_none());
+
+        store.read(&child).unwrap().unwrap();
+        assert!(store.listing(&d).is_some());
+        counting.put(&d_blob, &stale).unwrap();
+
+        // A child read does not read the parent blob, as when the child's
+        // own record is trusted, so the swap goes unseen there.
+        store.evict(&child);
+        assert_eq!(read_costs(&store, &counting, &child), [2, 1]);
+        // The parent's own read holds the blob against its record.
+        store
+            .cache
+            .as_ref()
+            .unwrap()
+            .invalidate(&CacheKey::Body(d.clone()));
+        assert!(is_integrity(store.read(&d)));
+        // The scrubber walks past the warm listing to the blob.
+        assert!(matches!(
+            store.scrub_read(&child),
+            Err(SegShareError::Integrity(msg)) if msg.contains("ancestor hash")
+        ));
     }
 
     // ------------------------------------------- trust rule, as a property
@@ -1393,6 +1642,7 @@ mod tests {
             /// Read every file and ACL.
             GetAll,
             Delete(usize, usize),
+            /// Drop an object's body, listing and trusted record.
             Evict(usize),
             /// Remember an object's stored blob and record, and the
             /// records of that many ancestors: one consistent old chain.

@@ -9,13 +9,41 @@ use seg_crypto::pae::{pae_dec, pae_enc};
 use seg_crypto::rng::SystemRng;
 use seg_crypto::sha256::Sha256;
 use seg_fs::DirFile;
-use seg_sgx::pfs::{header_id, pfs_decrypt, HEADER_ID_LEN};
+use seg_sgx::pfs::{header_id, HEADER_ID_LEN};
 
 use crate::enclave::names::{ObjectId, StoreKind};
 use crate::error::SegShareError;
 
 use super::record::{GroupRootFile, HashRecord};
 use super::{integrity, CacheKey, CachedValue, Fetched, TreeChange, TrustedStore, Walk};
+
+/// An inner node's tree children grouped by bucket, decoded from the
+/// body whose header id is `head` (`CacheKey::Children`). A walk uses it
+/// in place of that body only while `head` checks against the node's
+/// trusted record, that is while the body is still the node's latest.
+pub(crate) struct ChildMap {
+    pub(super) head: [u8; HEADER_ID_LEN],
+    /// `buckets[b]`: the children in bucket `b`, each with its
+    /// canonical name.
+    pub(super) buckets: Vec<Vec<(ObjectId, String)>>,
+}
+
+impl ChildMap {
+    /// Bytes a cached listing is charged for: what it keeps resident.
+    fn cached_bytes(&self) -> usize {
+        let child = std::mem::size_of::<(ObjectId, String)>();
+        // Each name is held twice: in the id's path and as `canonical()`.
+        let children: usize = self
+            .buckets
+            .iter()
+            .flatten()
+            .map(|(_, name)| child + 2 * name.len())
+            .sum();
+        HEADER_ID_LEN
+            + self.buckets.len() * std::mem::size_of::<Vec<(ObjectId, String)>>()
+            + children
+    }
+}
 
 impl TrustedStore {
     // ------------------------------------------------------ hash records
@@ -158,7 +186,12 @@ impl TrustedStore {
     }
 
     pub(super) fn bucket_index(&self, id: &ObjectId) -> usize {
-        let digest = Sha256::digest(id.canonical().as_bytes());
+        self.bucket_of(&id.canonical())
+    }
+
+    /// The bucket of the child whose canonical name is `name`.
+    fn bucket_of(&self, name: &str) -> usize {
+        let digest = Sha256::digest(name.as_bytes());
         let v = u16::from_le_bytes([digest[0], digest[1]]) as usize;
         v % self.bucket_count()
     }
@@ -400,12 +433,51 @@ impl TrustedStore {
         rec: &HashRecord,
         mismatch: &str,
     ) -> Result<(), SegShareError> {
-        let mut expected = self.node_binding(id, head);
-        expected.combine(&rec.fold);
-        if expected != rec.main {
+        if !self.header_matches(id, head, rec) {
             return Err(integrity(id, mismatch));
         }
         Ok(())
+    }
+
+    fn header_matches(&self, id: &ObjectId, head: &[u8; HEADER_ID_LEN], rec: &HashRecord) -> bool {
+        let mut expected = self.node_binding(id, head);
+        expected.combine(&rec.fold);
+        expected == rec.main
+    }
+
+    /// `parent`'s cached listing, if it was decoded from the body that
+    /// `parent`'s trusted record `rec` binds. A listing of an older body
+    /// (the directory was rewritten since) is passed over, never an error.
+    fn trusted_listing(&self, parent: &ObjectId, rec: &HashRecord) -> Option<Arc<ChildMap>> {
+        match self.cache_lookup(&CacheKey::Children(parent.clone()))? {
+            CachedValue::Children(map) if self.header_matches(parent, &map.head, rec) => Some(map),
+            _ => None,
+        }
+    }
+
+    /// Reads `parent`'s body, holds its header against `rec` and groups
+    /// its tree children by bucket: all of them, or only bucket `only`'s.
+    fn read_listing(
+        &self,
+        parent: &ObjectId,
+        rec: &HashRecord,
+        only: Option<usize>,
+    ) -> Result<ChildMap, SegShareError> {
+        let blob = self
+            .raw_get(parent)?
+            .ok_or_else(|| integrity(parent, "missing ancestor"))?;
+        let head = Self::head_of(parent, &blob)?;
+        self.check_header(parent, &head, rec, "ancestor hash mismatch")?;
+        let body = self.decrypt(parent, &blob)?;
+        let mut buckets = vec![Vec::new(); self.bucket_count()];
+        for child in self.tree_children(parent, &body)? {
+            let name = child.canonical();
+            let b = self.bucket_of(&name);
+            if only.is_none_or(|only| only == b) {
+                buckets[b].push((child, name));
+            }
+        }
+        Ok(ChildMap { head, buckets })
     }
 
     fn verify_tree_inner(
@@ -434,46 +506,45 @@ impl TrustedStore {
         let mut cur = id.clone();
         let mut top = node;
         while let Some(parent) = cur.tree_parent() {
-            let parent_blob = self
-                .raw_get(&parent)?
-                .ok_or_else(|| integrity(&parent, "missing ancestor"))?;
             let parent_rec = self
                 .walk_record(&parent, walk)?
                 .ok_or_else(|| integrity(&parent, "missing ancestor hash record"))?;
-            self.check_header(
-                &parent,
-                &Self::head_of(&parent, &parent_blob)?,
-                &parent_rec.rec,
-                "ancestor hash mismatch",
-            )?;
             if parent_rec.rec.buckets.len() != self.bucket_count() {
                 return Err(integrity(&parent, "bucket count mismatch"));
             }
+            let b = self.bucket_index(&cur);
+            // A trusted parent's record names its latest body, so a
+            // trusting walk may use (or keep) that body's listing. Any
+            // other walk reads the body and lists `cur`'s bucket only.
+            let trusting = walk == Walk::Trusting && parent_rec.trusted;
+            let cached = trusting
+                .then(|| self.trusted_listing(&parent, &parent_rec.rec))
+                .flatten();
+            let (listing, fill) = match cached {
+                Some(listing) => (listing, None),
+                None => {
+                    let gen = trusting.then(|| self.cache_gen(&CacheKey::Children(parent.clone())));
+                    let only = (!trusting).then_some(b);
+                    let listing = self.read_listing(&parent, &parent_rec.rec, only)?;
+                    (Arc::new(listing), gen)
+                }
+            };
             // Recompute the single bucket containing `cur` from the
             // same-bucket siblings' hash records.
-            let parent_body = pfs_decrypt(&self.data_key(&parent), &parent_blob)?;
-            let children = self.tree_children(&parent, &parent_body)?;
-            let b = self.bucket_index(&cur);
             let key = self.keys.mset_key(parent.store());
             let mut recomputed = MsetHash::empty();
             let mut cur_listed = false;
-            for child in children {
-                if self.bucket_index(&child) != b {
-                    continue;
-                }
-                let child_main = if child == cur {
+            for (child, name) in &listing.buckets[b] {
+                let child_main = if *child == cur {
                     cur_listed = true;
                     top.rec.main
                 } else {
-                    self.walk_record(&child, walk)?
-                        .ok_or_else(|| integrity(&child, "missing sibling hash record"))?
+                    self.walk_record(child, walk)?
+                        .ok_or_else(|| integrity(child, "missing sibling hash record"))?
                         .rec
                         .main
                 };
-                recomputed.add_parts(
-                    key,
-                    &Self::elem_child(&child.canonical(), &child_main.to_bytes()),
-                );
+                recomputed.add_parts(key, &Self::elem_child(name, &child_main.to_bytes()));
             }
             if !cur_listed {
                 return Err(integrity(&cur, "not listed in parent (rollback or tamper)"));
@@ -483,6 +554,15 @@ impl TrustedStore {
                     &parent,
                     "bucket hash mismatch (rollback or tamper)",
                 ));
+            }
+            if let Some(gen) = fill {
+                let bytes = listing.cached_bytes();
+                self.cache_fill(
+                    CacheKey::Children(parent.clone()),
+                    gen,
+                    CachedValue::Children(listing),
+                    bytes,
+                );
             }
             walked.push((cur, top.gen, top.rec));
             cur = parent;
@@ -551,7 +631,7 @@ impl TrustedStore {
         let mut buckets = Vec::new();
         if id.is_tree_inner() {
             buckets = vec![MsetHash::empty(); self.bucket_count()];
-            let body = pfs_decrypt(&self.data_key(id), &blob)?;
+            let body = self.decrypt(id, &blob)?;
             let key = self.keys.mset_key(id.store());
             for child in self.tree_children(id, &body)? {
                 let child_main = self.rebuild_node(&child)?;

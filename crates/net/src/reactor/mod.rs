@@ -228,6 +228,11 @@ impl Inner {
             // `service` consumes nothing at the cap.
             return sink_has_room();
         }
+        if queued && sink_has_room() {
+            // The sink made room after the turn's last flush; its hook
+            // found the connection still scheduled and did nothing.
+            return true;
+        }
         let inbound_ready = match &conn.inbound {
             Inbound::Fd { inbox } => !inbox.lock().unwrap().is_empty(),
             Inbound::Virtual { q } => !q.is_empty() || q.is_closed(),

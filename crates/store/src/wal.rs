@@ -903,7 +903,12 @@ fn encode_checkpoint(upto: u64, entries: &[(String, Arc<[u8]>)]) -> Vec<u8> {
     out
 }
 
-fn decode_checkpoint(data: &[u8]) -> Option<(u64, Vec<BatchOp>)> {
+/// A checkpoint's keys and values.
+type Entries = Vec<(String, Arc<[u8]>)>;
+
+/// A checkpoint: `(upto, entries)`. [`encode_checkpoint`] writes puts
+/// only, so one holding a delete is corrupt, however its crc reads.
+fn decode_checkpoint(data: &[u8]) -> Option<(u64, Entries)> {
     if data.len() < FRAME_HEADER {
         return None;
     }
@@ -923,7 +928,14 @@ fn decode_checkpoint(data: &[u8]) -> Option<(u64, Vec<BatchOp>)> {
     if crc32(&crc_input) != crc {
         return None;
     }
-    Some((upto, decode_ops(payload)?))
+    let entries = decode_ops(payload)?
+        .into_iter()
+        .map(|op| match op {
+            BatchOp::Put { key, value } => Some((key, Arc::from(value))),
+            BatchOp::Delete { .. } => None,
+        })
+        .collect::<Option<_>>()?;
+    Some((upto, entries))
 }
 
 // ------------------------------------------------------------ recovery
@@ -959,12 +971,8 @@ fn recover(dir: &Path) -> Result<Recovered, StoreError> {
     // excludes — but verify anyway and fall back).
     for (seq, path) in checkpoints.iter().rev() {
         let Ok(data) = fs::read(path) else { continue };
-        if let Some((upto, ops)) = decode_checkpoint(&data) {
-            for op in ops {
-                if let BatchOp::Put { key, value } = op {
-                    index.insert(key, Arc::from(value.as_slice()));
-                }
-            }
+        if let Some((upto, entries)) = decode_checkpoint(&data) {
+            index.extend(entries);
             next_seq = upto.max(*seq);
             break;
         }
@@ -1286,5 +1294,117 @@ mod tests {
         s.put("after", b"recovered").unwrap();
         assert_eq!(s.get("after").unwrap(), Some(b"recovered".to_vec()));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Recovery decodes whatever the directory holds: arbitrary bytes,
+    /// torn tails and flipped bits of valid encodings decode to nothing
+    /// or to what re-encodes to exactly the bytes read.
+    mod hostile_bytes {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn batch_ops() -> impl Strategy<Value = Vec<BatchOp>> {
+            let op = (
+                any::<bool>(),
+                "[a-z0-9/!]{0,16}",
+                proptest::collection::vec(any::<u8>(), 0..48),
+            );
+            proptest::collection::vec(op, 0..6).prop_map(|ops| {
+                ops.into_iter()
+                    .map(|(put, key, value)| match put {
+                        true => BatchOp::Put { key, value },
+                        false => BatchOp::Delete { key },
+                    })
+                    .collect()
+            })
+        }
+
+        /// The puts of `ops`, as a checkpoint holds them.
+        fn entries(ops: &[BatchOp]) -> Entries {
+            ops.iter()
+                .filter_map(|op| match op {
+                    BatchOp::Put { key, value } => Some((key.clone(), Arc::from(value.as_slice()))),
+                    BatchOp::Delete { .. } => None,
+                })
+                .collect()
+        }
+
+        /// `bytes` through all three decoders.
+        fn decode_all(bytes: &[u8]) {
+            if let Some(ops) = decode_ops(bytes) {
+                assert_eq!(encode_ops(&ops), bytes);
+            }
+            if let Some((seq, ops, used)) = decode_frame(bytes) {
+                assert_eq!(encode_frame(seq, &WriteBatch { ops }), bytes[..used]);
+            }
+            if let Some((upto, entries)) = decode_checkpoint(bytes) {
+                assert_eq!(encode_checkpoint(upto, &entries), bytes);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn decoders_survive_arbitrary_bytes(
+                noise in proptest::collection::vec(any::<u8>(), 0..200),
+                magic in 0u8..3,
+            ) {
+                // Noise, and noise behind a frame's or a checkpoint's
+                // magic, so the length and crc fields are reached.
+                let mut bytes = noise;
+                if bytes.len() >= 4 && magic > 0 {
+                    let magic = if magic == 1 { FRAME_MAGIC } else { CKPT_MAGIC };
+                    bytes[..4].copy_from_slice(&magic.to_le_bytes());
+                }
+                decode_all(&bytes);
+            }
+
+            #[test]
+            fn decoders_survive_truncations_and_bit_flips(
+                ops in batch_ops(),
+                seq in any::<u64>(),
+                flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+            ) {
+                let checkpoint = encode_checkpoint(seq, &entries(&ops));
+                prop_assert_eq!(decode_checkpoint(&checkpoint), Some((seq, entries(&ops))));
+                let payload = encode_ops(&ops);
+                prop_assert_eq!(decode_ops(&payload), Some(ops.clone()));
+                let frame = encode_frame(seq, &WriteBatch { ops: ops.clone() });
+                prop_assert_eq!(decode_frame(&frame), Some((seq, ops, frame.len())));
+                for cut in 0..payload.len() {
+                    prop_assert!(decode_ops(&payload[..cut]).is_none());
+                }
+                for cut in 0..frame.len() {
+                    prop_assert!(decode_frame(&frame[..cut]).is_none());
+                }
+                for cut in 0..checkpoint.len() {
+                    prop_assert!(decode_checkpoint(&checkpoint[..cut]).is_none());
+                }
+                for valid in [payload, frame, checkpoint] {
+                    let mut flipped = valid;
+                    for &(at, bit) in &flips {
+                        let at = at % flipped.len();
+                        flipped[at] ^= 1 << bit;
+                    }
+                    decode_all(&flipped);
+                }
+            }
+        }
+
+        #[test]
+        fn a_checkpoint_holding_a_delete_is_refused() {
+            // The crc does not cover the magic, so this frame behind a
+            // checkpoint's magic is well-formed down to its crc; but no
+            // checkpoint holds a delete.
+            let batch = WriteBatch {
+                ops: vec![BatchOp::Delete { key: "k".into() }],
+            };
+            let mut bytes = encode_frame(7, &batch);
+            bytes[..4].copy_from_slice(&CKPT_MAGIC.to_le_bytes());
+            assert!(decode_checkpoint(&bytes).is_none());
+            bytes[..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+            assert!(decode_frame(&bytes).is_some());
+        }
     }
 }
