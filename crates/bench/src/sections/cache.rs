@@ -54,7 +54,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         });
         let delta = rig.server.metrics_snapshot().delta(&base);
         let counter = |rendered: &str| delta.counter(rendered).unwrap_or(0);
-        let pfs_decrypts = delta.histogram("seg_pfs_decrypt_ns").map_or(0, |h| h.count);
+        let pfs_decrypts = counter("seg_pfs_decrypts_total");
         let store_gets: u64 = ["content", "group", "dedup"]
             .iter()
             .map(|store| {

@@ -42,8 +42,8 @@ pub fn run(_: &Ctx) -> Outcome {
     ));
     out.say("(the crypto line would be SDK-provided on real SGX, as in the paper; the");
     out.say(" telemetry line is what has to run inside — the registry the request path");
-    out.say(" writes, the record, the trace ring, the profiler, the scrubber — every");
-    out.say(" consumer of what they hand out is counted on the untrusted line)");
+    out.say(" writes, the record, the profiler, the scrubber — every consumer and");
+    out.say(" renderer of what they hand out is counted on the untrusted line)");
     out.json.push((
         "tcb",
         Json::obj([

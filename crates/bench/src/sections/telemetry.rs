@@ -3,6 +3,10 @@
 //! `telemetry_runner` on a dedicated rig with the health runner,
 //! scrubber and canary live. The runner rig's final report is
 //! `results/report.json`, the artifact CI uploads.
+//!
+//! What the switch leaves running, neither gate prices: the phase
+//! profiler's frames, and the registry's counters and lock histograms,
+//! cost the same on and off.
 
 use std::time::{Duration, Instant};
 
@@ -17,12 +21,13 @@ use crate::json::Json;
 /// loopback canary) may cost on the standard small-op mix.
 const MAX_OVERHEAD: f64 = 0.02;
 
-/// Measures what telemetry costs on the standard small-op mix of
-/// `rig`: `set_telemetry(false)` reduces a request to one relaxed
-/// atomic load and makes a health runner's ticks, scrubber and canary
-/// no-ops (without stopping the thread), while "on" pays for the whole
-/// record — operand HMACs, counter sweep, phase vector — and every
-/// consumer of it.
+/// Measures what the switch saves on the standard small-op mix of
+/// `rig`: `set_telemetry(false)` skips the record and makes a health
+/// runner's ticks, scrubber and canary no-ops (without stopping the
+/// thread), while "on" pays for the whole record — operand HMACs,
+/// counter sweep, phase vector — and every consumer of it. Both
+/// variants run the phase profiler's frames, so their cost is in
+/// neither median's difference.
 ///
 /// The effect is far smaller than coarse-batch jitter, so the
 /// measurement is paired at the *operation* level: each probe runs the

@@ -9,13 +9,15 @@ use std::path::Path;
 const ENCLAVE_TELEMETRY: &str = "crates/core/src/enclave/health.rs";
 
 /// The half of `seg-obs` the untrusted host runs — pure consumers of
-/// records and snapshots that already crossed the boundary. Nothing
-/// under `crates/core/src/enclave` may name what they define (a CI lint
-/// greps for it).
-const OBS_HOST: [&str; 3] = [
+/// records and snapshots that already crossed the boundary, and the
+/// renderers and queries of those values. Nothing under
+/// `crates/core/src/enclave` may name what they define (a CI lint greps
+/// for it).
+const OBS_HOST: [&str; 4] = [
     "crates/obs/src/meter.rs",
     "crates/obs/src/health.rs",
     "crates/obs/src/flight.rs",
+    "crates/obs/src/render.rs",
 ];
 
 /// Label of the telemetry row of [`TRUSTED`].
@@ -61,7 +63,7 @@ pub const TRUSTED: [(&str, &[&str], &[&str]); 9] = [
 /// The untrusted side, for contrast: host, client, stores, transports,
 /// and the host's telemetry (its owner in `segshare`, its consumers in
 /// `seg-obs`).
-pub const UNTRUSTED: [&str; 8] = [
+pub const UNTRUSTED: [&str; 9] = [
     "crates/core/src/untrusted.rs",
     "crates/core/src/telemetry",
     "crates/core/src/client.rs",
@@ -70,6 +72,7 @@ pub const UNTRUSTED: [&str; 8] = [
     OBS_HOST[0],
     OBS_HOST[1],
     OBS_HOST[2],
+    OBS_HOST[3],
 ];
 
 /// Non-blank, non-comment lines of one file before its `#[cfg(test)]`

@@ -6,6 +6,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use seg_fs::{Access, AclFile, GroupId, GroupListFile, MemberListFile, SegPath, UserId};
+use seg_obs::Phase;
 use seg_proto::ErrorCode;
 
 use crate::error::SegShareError;
@@ -118,7 +119,7 @@ impl AccessControl {
     /// Table IV `auth_g`: may `user` change group `group`?
     /// (`∃g1: (u, g1) ∈ r_G ∧ (g1, g2) ∈ r_GO`.)
     pub fn auth_group(&self, user: &UserId, group: &GroupId) -> Result<bool, SegShareError> {
-        let _prof = seg_obs::prof::phase("authz");
+        let _prof = seg_obs::prof::phase(Phase::Authz);
         let groups = self.user_groups(user)?;
         Ok(self.group_list()?.owned_by_any(group, groups.iter()))
     }
@@ -127,7 +128,7 @@ impl AccessControl {
     /// owner of the entry at `path`? (Ownership is what `set_p`,
     /// inherit-flag, and owner-extension requests require.)
     pub fn is_file_owner(&self, user: &UserId, path: &SegPath) -> Result<bool, SegShareError> {
-        let _prof = seg_obs::prof::phase("authz");
+        let _prof = seg_obs::prof::phase(Phase::Authz);
         let Some(acl) = self.acl(path)? else {
             return Ok(false);
         };
@@ -150,7 +151,7 @@ impl AccessControl {
         access: Access,
         path: &SegPath,
     ) -> Result<bool, SegShareError> {
-        let _prof = seg_obs::prof::phase("authz");
+        let _prof = seg_obs::prof::phase(Phase::Authz);
         let Some(acl) = self.acl(path)? else {
             return Ok(false);
         };
@@ -207,7 +208,7 @@ impl AccessControl {
         member: &UserId,
         group: &GroupId,
     ) -> Result<(), SegShareError> {
-        let _prof = seg_obs::prof::phase("authz");
+        let _prof = seg_obs::prof::phase(Phase::Authz);
         let mut gl = self.group_list()?;
         if !gl.contains(group) {
             gl.add_group(group.clone(), requester.default_group());
@@ -241,7 +242,7 @@ impl AccessControl {
         member: &UserId,
         group: &GroupId,
     ) -> Result<(), SegShareError> {
-        let _prof = seg_obs::prof::phase("authz");
+        let _prof = seg_obs::prof::phase(Phase::Authz);
         if !self.auth_group(requester, group)? {
             return Err(SegShareError::request(
                 ErrorCode::Denied,
@@ -265,7 +266,7 @@ impl AccessControl {
         owner_group: &GroupId,
         group: &GroupId,
     ) -> Result<(), SegShareError> {
-        let _prof = seg_obs::prof::phase("authz");
+        let _prof = seg_obs::prof::phase(Phase::Authz);
         if !self.auth_group(requester, group)? {
             return Err(SegShareError::request(
                 ErrorCode::Denied,
@@ -296,7 +297,7 @@ impl AccessControl {
         owner_group: &GroupId,
         group: &GroupId,
     ) -> Result<(), SegShareError> {
-        let _prof = seg_obs::prof::phase("authz");
+        let _prof = seg_obs::prof::phase(Phase::Authz);
         if !self.auth_group(requester, group)? {
             return Err(SegShareError::request(
                 ErrorCode::Denied,
@@ -322,7 +323,7 @@ impl AccessControl {
     /// Returns [`ErrorCode::Denied`] when the requester does not own the
     /// group and [`ErrorCode::NotFound`] when it does not exist.
     pub fn delete_group(&self, requester: &UserId, group: &GroupId) -> Result<(), SegShareError> {
-        let _prof = seg_obs::prof::phase("authz");
+        let _prof = seg_obs::prof::phase(Phase::Authz);
         let mut gl = self.group_list()?;
         if !gl.contains(group) {
             return Err(SegShareError::request(

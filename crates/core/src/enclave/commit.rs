@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use seg_obs::RequestRecord;
+use seg_obs::{Phase, RequestRecord};
 use seg_sgx::Enclave;
 use seg_store::{CommitTicket, ObjectStore};
 
@@ -131,7 +131,7 @@ impl SegShareEnclave {
             return self.append_audit(audit, f(), || {});
         }
         let guard = {
-            let _wait = seg_obs::prof::phase("commit_wait");
+            let _wait = seg_obs::prof::phase(Phase::CommitWait);
             self.commit_mutex.lock()
         };
         for (_, counted) in &self.counted_stores {
@@ -146,7 +146,7 @@ impl SegShareEnclave {
             drop(guard);
         }
         let durable = sealed.and_then(|tickets| {
-            let _wait = seg_obs::prof::phase("commit_wait");
+            let _wait = seg_obs::prof::phase(Phase::CommitWait);
             for ticket in tickets {
                 self.sgx.boundary().ocall(|| ticket.wait())?;
             }

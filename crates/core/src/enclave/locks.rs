@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use seg_fs::{SegPath, UserId};
-use seg_obs::{prof, Histogram, Registry};
+use seg_obs::{prof, Histogram, Phase, Registry};
 
 /// Number of stripes in the per-object lock table. Collisions only cost
 /// contention, so a few hundred stripes keep false sharing negligible
@@ -243,7 +243,7 @@ impl LockStats {
     fn note_global_wait(&self, exclusive: bool, waited: Duration) {
         let ns = waited.as_nanos().min(u64::MAX as u128) as u64;
         self.global_wait[usize::from(exclusive)].record(ns);
-        prof::charge("lock_wait", ns);
+        prof::charge(Phase::LockWait, ns);
     }
 
     fn note_stripe_wait(&self, idx: usize, class: usize, intent: LockIntent, waited: Duration) {
@@ -251,7 +251,7 @@ impl LockStats {
         self.wait[class][intent_index(intent)].record(ns);
         self.stripe_wait_ns[idx].fetch_add(ns, Ordering::Relaxed);
         self.stripe_waits[idx].fetch_add(1, Ordering::Relaxed);
-        prof::charge("lock_wait", ns);
+        prof::charge(Phase::LockWait, ns);
     }
 
     fn note_global_held(&self) {
@@ -290,7 +290,7 @@ impl Drop for LockScope<'_> {
             // The holder's own record carries the hold, so the stall
             // watchdog can weigh it when that record closes.
             prof::charge(
-                "global_hold",
+                Phase::GlobalHold,
                 held_for.as_nanos().min(u64::MAX as u128) as u64,
             );
         }

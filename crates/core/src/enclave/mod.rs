@@ -480,10 +480,12 @@ impl SegShareEnclave {
 
     /// The one runtime telemetry switch, on by default, and the only
     /// telemetry state the host sets. Off, no record is built or handed
-    /// out (a request pays one relaxed atomic load) and the host's
-    /// health tick, scrubber and canary are inert; everything
-    /// accumulated so far is kept and every family still exports. The
-    /// audit trail is not telemetry and is unaffected.
+    /// out and the host's health tick, scrubber and canary are inert;
+    /// everything accumulated so far is kept and every family still
+    /// exports. It does not pause the phase profiler: a request still
+    /// opens its root and every frame below it, and still counts into
+    /// the registry's counters and lock histograms. The audit trail is
+    /// not telemetry and is unaffected.
     pub fn set_telemetry(&self, on: bool) {
         self.telemetry.store(on, Ordering::Relaxed);
     }

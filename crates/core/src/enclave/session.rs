@@ -14,7 +14,7 @@ use std::sync::Arc;
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::SystemRng;
 use seg_fs::{Access, AclFile, ChildKind, GroupId, Perm, SegPath, UserId};
-use seg_obs::{CostVector, Decision, RequestRecord};
+use seg_obs::{CostVector, Decision, Phase, RequestRecord};
 use seg_pki::Certificate;
 use seg_proto::{ErrorCode, Request, Response, CHUNK_LEN};
 use seg_tls::{ServerHandshake, TlsChannel};
@@ -152,7 +152,7 @@ impl EnclaveSession {
                 // request dispatcher, so they get their own root op.
                 let _prof = enclave.obs().profile_root("handshake");
                 let step = {
-                    let _authn = seg_obs::prof::phase("authn");
+                    let _authn = seg_obs::prof::phase(Phase::Authn);
                     hs.process(frame, &mut self.rng)?
                 };
                 for reply in step.replies {
@@ -189,7 +189,7 @@ impl EnclaveSession {
                 let _prof = enclave.obs().profile_root("request");
                 let plaintext = channel.open(frame)?;
                 let request = {
-                    let _ser = seg_obs::prof::phase("serialize");
+                    let _ser = seg_obs::prof::phase(Phase::Serialize);
                     Request::decode(&plaintext)?
                 };
                 seg_obs::prof::set_root_op(request.op_name());
@@ -197,7 +197,7 @@ impl EnclaveSession {
                 let responses = self.handle_request(enclave, &user, request, wire_len, started)?;
                 for response in responses {
                     let encoded = {
-                        let _ser = seg_obs::prof::phase("serialize");
+                        let _ser = seg_obs::prof::phase(Phase::Serialize);
                         response.encode()
                     };
                     let record = channel.seal(&encoded);

@@ -21,9 +21,7 @@ impl TrustedStore {
     ///
     /// Propagates storage, crypto, and tree failures.
     pub fn write(&self, id: &ObjectId, body: &[u8]) -> Result<(), SegShareError> {
-        let start = std::time::Instant::now();
         let blob = pfs_encrypt(&self.data_key(id), body, &mut SystemRng::new())?;
-        self.pfs_encrypt_ns.record_duration(start.elapsed());
         self.commit_blob(id, &blob)
     }
 

@@ -186,12 +186,9 @@ pub struct TrustedStore {
     root_anchors: [Anchor; 2],
     /// Serializes read-modify-write cycles on the dedup refcount index.
     dedup_index: Mutex<()>,
-    // Cached telemetry handles (hot path: one atomic add per record).
-    pfs_encrypt_ns: Arc<seg_obs::Histogram>,
-    pfs_decrypt_ns: Arc<seg_obs::Histogram>,
-    tree_update_ns: Arc<seg_obs::Histogram>,
-    tree_verify_ns: Arc<seg_obs::Histogram>,
-    cache_hit_ns: Arc<seg_obs::Histogram>,
+    /// Body decrypts (`seg_pfs_decrypts_total`); their time is the
+    /// profile's `pfs` phase.
+    pfs_decrypts: seg_obs::Counter,
 }
 
 impl std::fmt::Debug for TrustedStore {
@@ -229,11 +226,7 @@ impl TrustedStore {
             group_tree: RwLock::new(()),
             root_anchors,
             dedup_index: Mutex::new(()),
-            pfs_encrypt_ns: obs.histogram("seg_pfs_encrypt_ns"),
-            pfs_decrypt_ns: obs.histogram("seg_pfs_decrypt_ns"),
-            tree_update_ns: obs.histogram("seg_rollback_tree_update_ns"),
-            tree_verify_ns: obs.histogram("seg_rollback_tree_verify_ns"),
-            cache_hit_ns: obs.histogram("seg_cache_hit_ns"),
+            pfs_decrypts: obs.counter("seg_pfs_decrypts_total"),
         }
     }
 
@@ -245,18 +238,11 @@ impl TrustedStore {
         self.cache.as_ref().map(MetaCache::stats)
     }
 
-    /// Looks `key` up in the cache, recording the hit-path latency.
+    /// Looks `key` up in the cache.
     fn cache_lookup(&self, key: &CacheKey) -> Option<CachedValue> {
         let cache = self.cache.as_ref()?;
-        let start = std::time::Instant::now();
-        let hit = {
-            let _prof = seg_obs::prof::phase("cache_lookup");
-            cache.get(key)
-        };
-        if hit.is_some() {
-            self.cache_hit_ns.record_duration(start.elapsed());
-        }
-        hit
+        let _prof = seg_obs::prof::phase(seg_obs::Phase::CacheLookup);
+        cache.get(key)
     }
 
     /// Snapshots `key`'s generation *before* the store read backing a
@@ -381,11 +367,10 @@ impl TrustedStore {
         }
     }
 
-    /// Decrypts `id`'s blob, timed into `seg_pfs_decrypt_ns`.
+    /// Decrypts `id`'s blob, counted in `seg_pfs_decrypts_total`.
     fn decrypt(&self, id: &ObjectId, blob: &[u8]) -> Result<Vec<u8>, SegShareError> {
-        let start = std::time::Instant::now();
         let body = pfs_decrypt(&self.data_key(id), blob)?;
-        self.pfs_decrypt_ns.record_duration(start.elapsed());
+        self.pfs_decrypts.inc();
         Ok(body)
     }
 
@@ -1434,11 +1419,11 @@ mod tests {
 
     /// Store gets and pfs decrypts of one read of `id`.
     fn read_costs(store: &TrustedStore, counting: &Counting, id: &ObjectId) -> [u64; 2] {
-        let (gets, decrypts) = (counting.stats().gets, store.pfs_decrypt_ns.count());
+        let (gets, decrypts) = (counting.stats().gets, store.pfs_decrypts.get());
         store.read(id).unwrap().unwrap();
         [
             counting.stats().gets - gets,
-            store.pfs_decrypt_ns.count() - decrypts,
+            store.pfs_decrypts.get() - decrypts,
         ]
     }
 

@@ -269,11 +269,8 @@ impl TrustedStore {
         id: &ObjectId,
         change: TreeChange,
     ) -> Result<(), SegShareError> {
-        let _prof = seg_obs::prof::phase("rollback_tree");
-        let start = std::time::Instant::now();
-        let result = self.apply_tree_change_inner(id, change);
-        self.tree_update_ns.record_duration(start.elapsed());
-        result
+        let _prof = seg_obs::prof::phase(seg_obs::Phase::RollbackTree);
+        self.apply_tree_change_inner(id, change)
     }
 
     fn apply_tree_change_inner(
@@ -416,11 +413,8 @@ impl TrustedStore {
         head: &[u8; HEADER_ID_LEN],
         walk: Walk,
     ) -> Result<(), SegShareError> {
-        let _prof = seg_obs::prof::phase("rollback_tree");
-        let start = std::time::Instant::now();
-        let result = self.verify_tree_inner(id, head, walk);
-        self.tree_verify_ns.record_duration(start.elapsed());
-        result
+        let _prof = seg_obs::prof::phase(seg_obs::Phase::RollbackTree);
+        self.verify_tree_inner(id, head, walk)
     }
 
     /// Checks the stored version `head` of `id` against its record,

@@ -437,8 +437,9 @@ impl SegShareServer {
     /// The one runtime telemetry switch (see
     /// [`SegShareEnclave::set_telemetry`]): off, no request record
     /// leaves the enclave and the health runner's tick, scrubber and
-    /// canary are inert. On by default; benchmarks toggle it to price
-    /// telemetry.
+    /// canary are inert. The phase profiler runs either way. On by
+    /// default; benchmarks toggle it to price the record and its
+    /// consumers.
     pub fn set_telemetry(&self, on: bool) {
         self.enclave.set_telemetry(on);
     }

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use seg_obs::RequestRecord;
+use seg_obs::{Phase, RequestRecord};
 
 /// Minimum time between two automatic watchdog dumps. A pathological
 /// workload where every request stalls must not turn the request path
@@ -80,7 +80,7 @@ impl Watchdog {
             push_bounded(&self.slow, SLOW_CAPACITY, rec);
             dump |= self.note_stall(&self.stalls_request);
         }
-        let held_us = rec.phase("global_hold").sim_ns / 1_000;
+        let held_us = rec.phase(Phase::GlobalHold).sim_ns / 1_000;
         if self.deadline_us > 0
             && held_us >= GLOBAL_LOCK_BUDGET_US
             && self.live_hold.swap(0, Ordering::Relaxed) == 0
@@ -253,11 +253,7 @@ mod tests {
         assert!(w.note_global_hold((7, over)));
         assert!(!w.note_global_hold((7, over + 20_000)));
         let mut rec = RequestRecord::open(1, "move", 1, 2);
-        let hold = seg_obs::PHASES
-            .iter()
-            .position(|p| *p == "global_hold")
-            .unwrap();
-        rec.phases[hold].sim_ns = over * 1_000;
+        rec.phases[Phase::GlobalHold as usize].sim_ns = over * 1_000;
         w.consume(&rec);
         assert_eq!(w.stalls_global(), 1);
         // No tick saw the next one: the holder's record reports it.

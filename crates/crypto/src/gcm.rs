@@ -238,7 +238,7 @@ impl Gcm {
 
     /// Encrypts `plaintext` in place and returns the authentication tag.
     pub fn seal_in_place(&self, iv: &[u8; IV_LEN], aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
-        let _prof = seg_obs::prof::phase("crypto_gcm");
+        let _prof = seg_obs::prof::phase(seg_obs::Phase::CryptoGcm);
         match &self.backend {
             Backend::Portable(p) => p.seal_in_place(iv, aad, data),
             #[cfg(target_arch = "x86_64")]
@@ -260,7 +260,7 @@ impl Gcm {
         data: &mut [u8],
         tag: &[u8],
     ) -> Result<(), CryptoError> {
-        let _prof = seg_obs::prof::phase("crypto_gcm");
+        let _prof = seg_obs::prof::phase(seg_obs::Phase::CryptoGcm);
         match &self.backend {
             Backend::Portable(p) => p.open_in_place(iv, aad, data, tag),
             #[cfg(target_arch = "x86_64")]

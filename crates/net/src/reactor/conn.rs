@@ -439,22 +439,31 @@ impl Conn {
     }
 
     pub(super) fn state(&self) -> ConnState {
-        match self.state.load(Ordering::Relaxed) {
-            0 => ConnState::Accepting,
-            1 => ConnState::Handshaking,
-            2 => ConnState::Streaming,
-            3 => ConnState::Draining,
-            _ => ConnState::Closed,
-        }
+        decode_state(self.state.load(Ordering::Relaxed))
     }
 
+    /// Moves the connection to `to` unless it is there already or
+    /// closed. One compare-and-swap, so that a worker and the event loop
+    /// changing the state at once move each gauge exactly once.
     pub(super) fn set_state(&self, stats: &ReactorStats, to: ConnState) {
-        let from = self.state();
-        if from == to || from == ConnState::Closed {
-            return;
+        let moved = self
+            .state
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                (s != to as u8 && s != ConnState::Closed as u8).then_some(to as u8)
+            });
+        if let Ok(from) = moved {
+            stats.transition(decode_state(from), to);
         }
-        self.state.store(to as u8, Ordering::Relaxed);
-        stats.transition(from, to);
+    }
+}
+
+fn decode_state(state: u8) -> ConnState {
+    match state {
+        0 => ConnState::Accepting,
+        1 => ConnState::Handshaking,
+        2 => ConnState::Streaming,
+        3 => ConnState::Draining,
+        _ => ConnState::Closed,
     }
 }
 

@@ -10,11 +10,13 @@
 //! vector ([`prof`]).
 //!
 //! **Run by the untrusted host:** the pure consumers of records and
-//! snapshots — the meter ([`meter`]) and the history clock with its
+//! snapshots — the meter ([`meter`]), the history clock with its
 //! flight frames, headline levels, SLO burn rates and alert ring
-//! ([`health`], [`flight`]). Their inputs already crossed the boundary,
-//! so they need no trust: a host that lies in its own meter or alert
-//! ring misleads only itself.
+//! ([`health`], [`flight`]), and the renderers and queries of
+//! snapshots and records (`render.rs`: [`Snapshot::to_json`],
+//! [`ProfSnapshot::to_collapsed`], [`records_json`], ...). Their inputs
+//! already crossed the boundary, so they need no trust: a host that
+//! lies in its own meter or alert ring misleads only itself.
 //!
 //! # Trust-boundary rule
 //!
@@ -49,15 +51,15 @@ mod hist;
 pub mod meter;
 pub mod prof;
 pub mod record;
+mod render;
 
 pub use flight::FlightRecorder;
 pub use health::{Alert, AlertRing, BurnRule, HealthConfig, HealthMonitor, SloObjective};
 pub use hist::{Histogram, HistogramSummary};
 pub use meter::{Meter, MeterAxis, MeterSlot, Rollup, METER_AXES, METER_SLOTS};
 pub use prof::{ProfEntry, ProfSnapshot, Profiler};
-pub use record::{
-    records_json, CostVector, Decision, PhaseTime, RecordSink, RequestRecord, PHASES,
-};
+pub use record::{CostVector, Decision, Phase, PhaseTime, RecordSink, RequestRecord};
+pub use render::records_json;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -352,7 +354,9 @@ impl Registry {
     }
 }
 
-/// Point-in-time copy of the registry, ordered deterministically.
+/// Point-in-time copy of the registry, ordered deterministically. Its
+/// queries, window arithmetic and renderings are host-side
+/// (`render.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter values.
@@ -364,199 +368,6 @@ pub struct Snapshot {
     /// Raw per-bucket histogram counts, parallel to `histograms`,
     /// kept so two snapshots can be differenced (see [`Snapshot::delta`]).
     pub buckets: Vec<(MetricId, Vec<u64>)>,
-}
-
-impl Snapshot {
-    /// Looks up a counter by rendered id (`name` or `name{k="v"}`).
-    pub fn counter(&self, rendered: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(id, _)| id.render() == rendered)
-            .map(|&(_, v)| v)
-    }
-
-    /// Looks up a gauge by rendered id.
-    pub fn gauge(&self, rendered: &str) -> Option<u64> {
-        self.gauges
-            .iter()
-            .find(|(id, _)| id.render() == rendered)
-            .map(|&(_, v)| v)
-    }
-
-    /// Looks up a histogram digest by rendered id.
-    pub fn histogram(&self, rendered: &str) -> Option<&HistogramSummary> {
-        self.histograms
-            .iter()
-            .find(|(id, _)| id.render() == rendered)
-            .map(|(_, s)| s)
-    }
-
-    /// The window `self − earlier`: what happened *between* the two
-    /// snapshots. Counters subtract (saturating, so a reset in between
-    /// degrades to the cumulative value rather than wrapping); gauges
-    /// keep `self`'s last value (deltas of last-value-wins samples are
-    /// meaningless); histograms are re-summarized from the per-bucket
-    /// count differences, so windowed quantiles are real quantiles of
-    /// the interval, not a mix with pre-window samples. Windowed
-    /// `min`/`max` are approximated by the first/last non-empty diff
-    /// bucket's midpoint (the exact extremes of only-the-window are not
-    /// recoverable from cumulative state). Metrics absent from
-    /// `earlier` (registered later) are treated as starting from zero.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(id, v)| {
-                let before = earlier
-                    .counters
-                    .iter()
-                    .find(|(eid, _)| eid == id)
-                    .map_or(0, |&(_, ev)| ev);
-                (id.clone(), v.saturating_sub(before))
-            })
-            .collect();
-        let mut histograms = Vec::with_capacity(self.histograms.len());
-        let mut buckets = Vec::with_capacity(self.buckets.len());
-        for (id, counts) in &self.buckets {
-            let diff: Vec<u64> = match earlier.buckets.iter().find(|(eid, _)| eid == id) {
-                Some((_, before)) => counts
-                    .iter()
-                    .zip(before.iter().chain(std::iter::repeat(&0)))
-                    .map(|(c, b)| c.saturating_sub(*b))
-                    .collect(),
-                None => counts.clone(),
-            };
-            let sum_now = self.histogram(&id.render()).map_or(0, |s| s.sum);
-            let sum_before = earlier.histogram(&id.render()).map_or(0, |s| s.sum);
-            let summary = hist::summarize_window(&diff, sum_now.saturating_sub(sum_before));
-            histograms.push((id.clone(), summary));
-            buckets.push((id.clone(), diff));
-        }
-        Snapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            histograms,
-            buckets,
-        }
-    }
-
-    /// The union of two snapshots over disjoint metric sets, in id
-    /// order: how the host appends the families it owns to the ones
-    /// pulled from the enclave's registry.
-    #[must_use]
-    pub fn merge(mut self, other: Snapshot) -> Snapshot {
-        self.counters.extend(other.counters);
-        self.gauges.extend(other.gauges);
-        self.histograms.extend(other.histograms);
-        self.buckets.extend(other.buckets);
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        self.buckets.sort_by(|a, b| a.0.cmp(&b.0));
-        self
-    }
-
-    /// Hand-rolled JSON encoding (no external serializer).
-    ///
-    /// Names and label values are charset-restricted at registration;
-    /// the only character needing JSON escaping is the `"` that
-    /// `MetricId::render` itself puts around label values.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        push_scalar_map(&mut out, &self.counters);
-        out.push_str("},\n  \"gauges\": {");
-        push_scalar_map(&mut out, &self.gauges);
-        out.push_str("},\n  \"histograms\": {");
-        for (i, (id, s)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \
-                 \"max_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}}",
-                json_key(id),
-                s.count,
-                s.sum,
-                s.min,
-                s.max,
-                s.p50,
-                s.p95,
-                s.p99
-            ));
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
-    }
-
-    /// Prometheus exposition text. Histograms are emitted in summary
-    /// form (`quantile` labels plus `_sum`/`_count` series).
-    ///
-    /// Entries are sorted by metric id, so all series of one metric
-    /// are adjacent and each `# TYPE` header is emitted exactly once
-    /// per metric name (the exposition format forbids repeats).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut last_type_line: Option<&'static str> = None;
-        let mut type_line = |out: &mut String, name: &'static str, kind: &str| {
-            if last_type_line != Some(name) {
-                out.push_str(&format!("# TYPE {name} {kind}\n"));
-                last_type_line = Some(name);
-            }
-        };
-        for (id, v) in &self.counters {
-            type_line(&mut out, id.name(), "counter");
-            out.push_str(&format!("{} {}\n", id.render(), v));
-        }
-        for (id, v) in &self.gauges {
-            type_line(&mut out, id.name(), "gauge");
-            out.push_str(&format!("{} {}\n", id.render(), v));
-        }
-        for (id, s) in &self.histograms {
-            type_line(&mut out, id.name(), "summary");
-            for (q, v) in [("0.5", s.p50), ("0.95", s.p95), ("0.99", s.p99)] {
-                let mut labels = vec![format!("quantile=\"{q}\"")];
-                labels.extend(id.labels().iter().map(|(k, v)| format!("{k}=\"{v}\"")));
-                out.push_str(&format!("{}{{{}}} {}\n", id.name(), labels.join(","), v));
-            }
-            let suffix = |suffix: &str, v: u64| {
-                let rendered = MetricId {
-                    name: id.name(),
-                    labels: id.labels.clone(),
-                }
-                .render();
-                match rendered.find('{') {
-                    Some(pos) => {
-                        format!("{}{}{} {}\n", &rendered[..pos], suffix, &rendered[pos..], v)
-                    }
-                    None => format!("{rendered}{suffix} {v}\n"),
-                }
-            };
-            out.push_str(&suffix("_sum", s.sum));
-            out.push_str(&suffix("_count", s.count));
-        }
-        out
-    }
-}
-
-fn push_scalar_map(out: &mut String, entries: &[(MetricId, u64)]) {
-    for (i, (id, v)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{}\": {}", json_key(id), v));
-    }
-    if !entries.is_empty() {
-        out.push_str("\n  ");
-    }
-}
-
-/// Rendered id with the label-value quotes JSON-escaped, e.g.
-/// `seg_requests_total{op=\"get\"}`.
-fn json_key(id: &MetricId) -> String {
-    id.render().replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -893,21 +704,21 @@ mod tests {
         let r = Registry::new();
         let before = r.snapshot();
         r.counter("seg_frames_total").add(4);
-        r.histogram("seg_pfs_encrypt_ns").record(77);
+        r.histogram("seg_audit_append_ns").record(77);
         let d = r.snapshot().delta(&before);
         assert_eq!(d.counter("seg_frames_total"), Some(4));
-        assert_eq!(d.histogram("seg_pfs_encrypt_ns").unwrap().count, 1);
+        assert_eq!(d.histogram("seg_audit_append_ns").unwrap().count, 1);
     }
 
     #[test]
     fn delta_of_identical_snapshots_is_empty_window() {
         let r = Registry::new();
         r.counter("seg_frames_total").add(9);
-        r.histogram("seg_pfs_encrypt_ns").record(123);
+        r.histogram("seg_audit_append_ns").record(123);
         let snap = r.snapshot();
         let d = snap.delta(&snap.clone());
         assert_eq!(d.counter("seg_frames_total"), Some(0));
-        let s = d.histogram("seg_pfs_encrypt_ns").unwrap();
+        let s = d.histogram("seg_audit_append_ns").unwrap();
         assert_eq!((s.count, s.sum), (0, 0));
         // An empty window still encodes cleanly.
         let json = d.to_json();
@@ -921,7 +732,7 @@ mod tests {
         r.attach_profiler(Arc::new(Profiler::new()));
         {
             let _root = r.profile_root("put_file");
-            let _g = prof::phase("pfs");
+            let _g = prof::phase(Phase::Pfs);
         }
         let snap = r.profiler().unwrap().snapshot();
         assert!(snap.entry("put_file;pfs").is_some());

@@ -35,7 +35,7 @@
 
 use std::sync::Mutex;
 
-use crate::RequestRecord;
+use crate::{Phase, RequestRecord};
 
 /// Hard cap on tracked keys per attribution axis. Memory per axis is
 /// `METER_SLOTS × sizeof(slot)` regardless of how many distinct keys
@@ -83,8 +83,8 @@ impl Rollup {
             rec.duration_ns,
             c.req_bytes,
             c.resp_bytes,
-            rec.phase("crypto_gcm").self_ns,
-            rec.phase("lock_wait").sim_ns,
+            rec.phase(Phase::CryptoGcm).self_ns,
+            rec.phase(Phase::LockWait).sim_ns,
             c.cache_hits,
             c.cache_misses,
             c.store_reads,

@@ -24,11 +24,22 @@
 //!   charged through [`charge`] into a separate `sim_ns` channel so the
 //!   wall-clock invariant above survives; exports report it alongside.
 //!
+//! # Cost
+//!
+//! A phase is a [`Phase`], and a frame's path below the root is a `u64`
+//! of 4-bit phase ids, the outermost frame in the low nibble. Slot 0,
+//! [`Phase::Own`], is never a frame, so a zero nibble ends a path and
+//! the root's path is 0. A frame is two clock reads and an add into a
+//! per-thread accumulator keyed by that number, which keeps its
+//! capacity from one request to the next: a frame allocates nothing.
+//! The shared aggregate is keyed by `(operation, path)` and turned back
+//! into names only by [`Profiler::snapshot`].
+//!
 //! # Trust boundary
 //!
-//! Phase and operation names are `&'static str` — compiled into the
-//! binary, never derived from requests — so a phase path can no more
-//! carry request content than a metric label can (see the crate docs).
+//! Phases are a compiled-in enum and operation names `&'static str` —
+//! never derived from requests — so a phase path can no more carry
+//! request content than a metric label can (see the crate docs).
 //! Aggregates leave the enclave only through [`Profiler::snapshot`],
 //! the profiler's explicit declassification point.
 
@@ -39,16 +50,40 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::hist::{Histogram, HistogramSummary};
-use crate::record::{is_phase, PhaseVector, PHASES};
+use crate::record::{Phase, PhaseVector};
 
-/// Phase stacks deeper than this stop growing (further [`phase`] calls
-/// collapse into the open frame). Sixteen is several times the static
+/// Phase stacks deeper than this, root included, stop growing (further
+/// [`phase`] calls are inert). Sixteen is several times the static
 /// phase tree's height; hitting it means runaway recursion, not data.
+/// Its 15 phase frames and a charge at the top fill a path's 16 nibbles.
 const MAX_DEPTH: usize = 16;
+
+/// A phase path below the root: one [`Phase`] id per nibble, outermost
+/// frame lowest, 0 for the root itself.
+type Path = u64;
+
+/// `path` with `phase` appended at `level` (0 = directly below the root).
+fn child_path(path: Path, level: usize, phase: Phase) -> Path {
+    path | (phase as u64) << (4 * level)
+}
+
+/// The phases of `path`, outermost first.
+fn path_phases(path: Path) -> impl Iterator<Item = Phase> {
+    (0..16)
+        .map(move |level| (path >> (4 * level)) & 0xf)
+        .take_while(|&id| id != 0)
+        .map(|id| Phase::ALL[id as usize])
+}
+
+fn elapsed_ns(start: Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
 
 /// One open phase frame on the thread's stack.
 struct Frame {
-    name: &'static str,
+    path: Path,
+    /// The frame's phase ([`Phase::Own`] for the root).
+    phase: Phase,
     start: Instant,
     /// Sum of direct children's total time, subtracted for self time.
     child_ns: u64,
@@ -57,33 +92,35 @@ struct Frame {
 /// Per-request accumulation, flushed into the [`Profiler`] once when
 /// the root closes (one mutex acquisition per request, not per phase).
 struct AccEntry {
-    path: Vec<&'static str>,
+    path: Path,
     count: u64,
     self_ns: u64,
     total_ns: u64,
     sim_ns: u64,
 }
 
+/// The thread's profiler state. A root is active exactly while `frames`
+/// is non-empty; `frames[0]` is the root.
 struct ThreadProf {
-    profiler: Option<Arc<Profiler>>,
+    op: &'static str,
     frames: Vec<Frame>,
     acc: Vec<AccEntry>,
+    /// Whether the open request's stack needed recovery (a phase guard
+    /// leaked or dropped out of order).
+    unbalanced: bool,
 }
 
 impl ThreadProf {
     const fn new() -> ThreadProf {
         ThreadProf {
-            profiler: None,
+            op: "",
             frames: Vec::new(),
             acc: Vec::new(),
+            unbalanced: false,
         }
     }
 
-    fn path_of_top(&self, depth: usize) -> Vec<&'static str> {
-        self.frames[..depth].iter().map(|f| f.name).collect()
-    }
-
-    fn accumulate(&mut self, path: Vec<&'static str>, self_ns: u64, total_ns: u64, sim_ns: u64) {
+    fn accumulate(&mut self, path: Path, self_ns: u64, total_ns: u64, sim_ns: u64) {
         if let Some(e) = self.acc.iter_mut().find(|e| e.path == path) {
             e.count += 1;
             e.self_ns += self_ns;
@@ -103,15 +140,13 @@ impl ThreadProf {
     /// Pops the top frame, charging its time to its path and its total
     /// to the parent's child account.
     fn pop_frame(&mut self) {
-        let depth = self.frames.len();
-        let path = self.path_of_top(depth);
         let frame = self.frames.pop().expect("pop_frame on empty stack");
-        let total = frame.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let total = elapsed_ns(frame.start);
         let self_ns = total.saturating_sub(frame.child_ns);
         if let Some(parent) = self.frames.last_mut() {
             parent.child_ns += total;
         }
-        self.accumulate(path, self_ns, total, 0);
+        self.accumulate(frame.path, self_ns, total, 0);
     }
 }
 
@@ -120,6 +155,7 @@ thread_local! {
 }
 
 /// Aggregate for one (operation, phase-path).
+#[derive(Default)]
 struct PhaseAgg {
     /// Frame enter/exit count (collapsed re-entries count once).
     count: u64,
@@ -132,33 +168,14 @@ struct PhaseAgg {
     self_hist: Histogram,
 }
 
-impl PhaseAgg {
-    fn new() -> PhaseAgg {
-        PhaseAgg {
-            count: 0,
-            requests: 0,
-            self_ns: 0,
-            total_ns: 0,
-            sim_ns: 0,
-            self_hist: Histogram::new(),
-        }
-    }
-}
-
 /// The phase-profile aggregator: per-(operation, phase-path) self and
 /// total time, fed by per-request flushes from the thread-local stacks.
 #[derive(Default)]
 pub struct Profiler {
-    agg: Mutex<BTreeMap<Vec<&'static str>, PhaseAgg>>,
+    agg: Mutex<BTreeMap<(&'static str, Path), PhaseAgg>>,
     /// Requests whose stacks needed drop-guard recovery (a phase guard
     /// was leaked or dropped out of order). Should stay 0.
     unbalanced: AtomicU64,
-}
-
-impl Default for PhaseAgg {
-    fn default() -> PhaseAgg {
-        PhaseAgg::new()
-    }
 }
 
 impl std::fmt::Debug for Profiler {
@@ -184,13 +201,16 @@ impl Profiler {
     }
 
     /// Folds one request's accumulated phases in (one lock per request).
-    fn flush(&self, acc: &mut Vec<AccEntry>) {
-        if acc.is_empty() {
+    fn flush(&self, t: &mut ThreadProf) {
+        if std::mem::take(&mut t.unbalanced) {
+            self.unbalanced.fetch_add(1, Ordering::Relaxed);
+        }
+        if t.acc.is_empty() {
             return;
         }
         let mut agg = self.agg.lock().unwrap();
-        for e in acc.drain(..) {
-            let a = agg.entry(e.path).or_default();
+        for e in t.acc.drain(..) {
+            let a = agg.entry((t.op, e.path)).or_default();
             a.count += e.count;
             a.requests += 1;
             a.self_ns += e.self_ns;
@@ -206,19 +226,23 @@ impl Profiler {
     #[must_use]
     pub fn snapshot(&self) -> ProfSnapshot {
         let agg = self.agg.lock().unwrap();
+        let mut entries: Vec<ProfEntry> = agg
+            .iter()
+            .map(|(&(op, path), a)| ProfEntry {
+                path: std::iter::once(op)
+                    .chain(path_phases(path).map(Phase::name))
+                    .collect(),
+                count: a.count,
+                requests: a.requests,
+                self_ns: a.self_ns,
+                total_ns: a.total_ns,
+                sim_ns: a.sim_ns,
+                self_per_request: a.self_hist.summarize(),
+            })
+            .collect();
+        entries.sort_by(|a, b| a.path.cmp(&b.path));
         ProfSnapshot {
-            entries: agg
-                .iter()
-                .map(|(path, a)| ProfEntry {
-                    path: path.clone(),
-                    count: a.count,
-                    requests: a.requests,
-                    self_ns: a.self_ns,
-                    total_ns: a.total_ns,
-                    sim_ns: a.sim_ns,
-                    self_per_request: a.self_hist.summarize(),
-                })
-                .collect(),
+            entries,
             unbalanced: self.unbalanced(),
         }
     }
@@ -236,7 +260,8 @@ impl Profiler {
 #[derive(Debug)]
 #[must_use = "dropping the guard ends the profiled request"]
 pub struct OpGuard {
-    active: bool,
+    /// The profiler this root flushes into; `None` for an inert guard.
+    profiler: Option<Arc<Profiler>>,
 }
 
 impl OpGuard {
@@ -246,48 +271,40 @@ impl OpGuard {
     pub fn begin(profiler: &Arc<Profiler>, op: &'static str) -> OpGuard {
         TLS.with(|t| {
             let mut t = t.borrow_mut();
-            if t.profiler.is_some() {
-                return OpGuard { active: false };
+            if !t.frames.is_empty() {
+                return OpGuard { profiler: None };
             }
-            // A previous request must have left a clean slate; if not
-            // (leaked guards), recover rather than misattribute.
-            if !t.frames.is_empty() || !t.acc.is_empty() {
-                debug_assert!(false, "stale phase stack at request start");
-                profiler.unbalanced.fetch_add(1, Ordering::Relaxed);
-                t.frames.clear();
-                t.acc.clear();
-            }
-            t.profiler = Some(Arc::clone(profiler));
+            t.op = op;
             t.frames.push(Frame {
-                name: op,
+                path: 0,
+                phase: Phase::Own,
                 start: Instant::now(),
                 child_ns: 0,
             });
-            OpGuard { active: true }
+            OpGuard {
+                profiler: Some(Arc::clone(profiler)),
+            }
         })
     }
 }
 
 impl Drop for OpGuard {
     fn drop(&mut self) {
-        if !self.active {
+        let Some(profiler) = &self.profiler else {
             return;
-        }
+        };
         TLS.with(|t| {
             let mut t = t.borrow_mut();
-            let Some(profiler) = t.profiler.take() else {
-                return;
-            };
             if t.frames.len() != 1 {
                 // Leaked phase guards: close them so their time is
                 // still attributed, and flag the imbalance.
                 debug_assert!(t.frames.len() > 1, "root frame vanished");
-                profiler.unbalanced.fetch_add(1, Ordering::Relaxed);
+                t.unbalanced = true;
             }
             while !t.frames.is_empty() {
                 t.pop_frame();
             }
-            profiler.flush(&mut t.acc);
+            profiler.flush(&mut t);
         });
     }
 }
@@ -295,26 +312,13 @@ impl Drop for OpGuard {
 /// Renames the current request's root operation (frame zero). Used when
 /// the operation only becomes known mid-request — e.g. after the
 /// request is decrypted and decoded. `op` must be a compiled-in name.
-/// No-op without an active root.
+/// Phases that already closed under the old name land under the new
+/// one too: paths do not name the root. No-op without an active root.
 pub fn set_root_op(op: &'static str) {
     TLS.with(|t| {
         let mut t = t.borrow_mut();
-        if t.profiler.is_none() {
-            return;
-        }
-        let Some(root) = t.frames.first_mut() else {
-            return;
-        };
-        let old = root.name;
-        root.name = op;
-        // Phases that already closed under the placeholder name (e.g.
-        // the TLS-record decrypt that revealed the operation) were
-        // accumulated with the old root as path head — re-key them so
-        // the whole request lands under one operation.
-        for entry in &mut t.acc {
-            if entry.path.first() == Some(&old) {
-                entry.path[0] = op;
-            }
+        if !t.frames.is_empty() {
+            t.op = op;
         }
     });
 }
@@ -325,7 +329,7 @@ pub fn set_root_op(op: &'static str) {
 pub struct PhaseGuard {
     /// Expected stack depth after our frame was pushed (0 = inert).
     depth: usize,
-    name: &'static str,
+    phase: Phase,
 }
 
 impl Drop for PhaseGuard {
@@ -335,28 +339,28 @@ impl Drop for PhaseGuard {
         }
         TLS.with(|t| {
             let mut t = t.borrow_mut();
-            let Some(profiler) = t.profiler.as_ref().map(Arc::clone) else {
+            if t.frames.is_empty() {
                 return;
-            };
+            }
             if t.frames.len() < self.depth {
                 // Our frame is already gone — a sibling recovery popped
                 // it. Nothing left to account.
-                debug_assert!(false, "phase {:?} exited twice", self.name);
-                profiler.unbalanced.fetch_add(1, Ordering::Relaxed);
+                debug_assert!(false, "phase {:?} exited twice", self.phase);
+                t.unbalanced = true;
                 return;
             }
             if t.frames.len() > self.depth {
                 // Children leaked their guards; close them first so the
                 // nesting accounting stays consistent.
-                debug_assert!(false, "unbalanced phases inside {:?}", self.name);
-                profiler.unbalanced.fetch_add(1, Ordering::Relaxed);
+                debug_assert!(false, "unbalanced phases inside {:?}", self.phase);
+                t.unbalanced = true;
                 while t.frames.len() > self.depth {
                     t.pop_frame();
                 }
             }
             debug_assert_eq!(
-                t.frames.last().map(|f| f.name),
-                Some(self.name),
+                t.frames.last().map(|f| f.phase),
+                Some(self.phase),
                 "phase stack corrupted"
             );
             t.pop_frame();
@@ -364,78 +368,73 @@ impl Drop for PhaseGuard {
     }
 }
 
-/// Enters a phase on the current thread's stack; the returned guard
+/// Enters `phase` on the current thread's stack; the returned guard
 /// exits it on drop. A no-op (inert guard) when no request root is
 /// active on this thread, when the phase directly re-enters the one
-/// already on top (recursion collapse), or past `MAX_DEPTH`.
-pub fn phase(name: &'static str) -> PhaseGuard {
-    debug_assert!(is_phase(name), "phase {name:?} is not in PHASES");
+/// already on top (recursion collapse), past `MAX_DEPTH`, or for
+/// [`Phase::Own`], which is the root's and never a frame.
+pub fn phase(phase: Phase) -> PhaseGuard {
     TLS.with(|t| {
         let mut t = t.borrow_mut();
-        if t.profiler.is_none()
-            || t.frames.last().map(|f| f.name) == Some(name)
-            || t.frames.len() >= MAX_DEPTH
-        {
-            return PhaseGuard { depth: 0, name };
-        }
+        let depth = t.frames.len();
+        let path = match t.frames.last() {
+            Some(top) if top.phase != phase && phase != Phase::Own && depth < MAX_DEPTH => {
+                child_path(top.path, depth - 1, phase)
+            }
+            _ => return PhaseGuard { depth: 0, phase },
+        };
         t.frames.push(Frame {
-            name,
+            path,
+            phase,
             start: Instant::now(),
             child_ns: 0,
         });
         PhaseGuard {
-            depth: t.frames.len(),
-            name,
+            depth: depth + 1,
+            phase,
         }
     })
 }
 
 /// Charges `ns` of *simulated* time (EPC paging, monotonic-counter
-/// latency) to the sub-phase `name` under the current phase path.
+/// latency) to the sub-phase `phase` under the current phase path.
 /// Simulated time is kept out of the wall-clock self/total accounting;
 /// exports report it in a separate `sim_ns` channel. No-op without an
-/// active root.
-pub fn charge(name: &'static str, ns: u64) {
-    debug_assert!(is_phase(name), "phase {name:?} is not in PHASES");
-    if ns == 0 {
+/// active root, and for [`Phase::Own`].
+pub fn charge(phase: Phase, ns: u64) {
+    if ns == 0 || phase == Phase::Own {
         return;
     }
     TLS.with(|t| {
         let mut t = t.borrow_mut();
-        if t.profiler.is_none() {
-            return;
+        let depth = t.frames.len();
+        if let Some(top) = t.frames.last() {
+            let path = child_path(top.path, depth - 1, phase);
+            t.accumulate(path, 0, 0, ns);
         }
-        let mut path = t.path_of_top(t.frames.len());
-        path.push(name);
-        t.accumulate(path, 0, 0, ns);
     });
 }
 
 /// The current request's phase vector so far, in one pass over the
 /// thread's accumulator: every closed frame's self and charged time
-/// lands in the slot of its leaf name (see [`PHASES`]), and slot 0
-/// takes the root's own time up to now, so the self times sum to the
-/// wall-clock since the root opened. All zero without an active root.
+/// lands in the slot of its innermost [`Phase`], and slot 0 takes the
+/// root's own time up to now, so the self times sum to the wall-clock
+/// since the root opened. All zero without an active root.
 #[must_use]
 pub fn request_phases() -> PhaseVector {
     TLS.with(|t| {
         let t = t.borrow();
         let mut out = PhaseVector::default();
-        if t.profiler.is_none() {
+        let Some(root) = t.frames.first() else {
             return out;
-        }
+        };
         for e in &t.acc {
-            let leaf = e.path.last().copied().unwrap_or("");
-            // A name missing from the table is a bug there; its time
-            // still counts, as the operation's own.
-            let slot = PHASES.iter().position(|p| *p == leaf).unwrap_or(0);
-            out[slot].self_ns += e.self_ns;
-            out[slot].sim_ns += e.sim_ns;
+            let leaf = path_phases(e.path).last().unwrap_or(Phase::Own);
+            let slot = &mut out[leaf as usize];
+            slot.self_ns += e.self_ns;
+            slot.sim_ns += e.sim_ns;
         }
-        if let Some(root) = t.frames.first() {
-            let open_ns = root.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            out[0].self_ns += open_ns.saturating_sub(root.child_ns);
-        }
+        out[0].self_ns += elapsed_ns(root.start).saturating_sub(root.child_ns);
         out
     })
 }
@@ -480,103 +479,14 @@ impl ProfEntry {
     }
 }
 
-/// Point-in-time copy of a [`Profiler`], ordered by phase path.
+/// Point-in-time copy of a [`Profiler`], ordered by phase path. Its
+/// queries and renderings are host-side (`render.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct ProfSnapshot {
     /// Aggregates, sorted by path.
     pub entries: Vec<ProfEntry>,
     /// Requests that required unbalanced-stack recovery.
     pub unbalanced: u64,
-}
-
-impl ProfSnapshot {
-    /// Looks an entry up by its rendered path (`op;phase;subphase`).
-    #[must_use]
-    pub fn entry(&self, rendered: &str) -> Option<&ProfEntry> {
-        self.entries.iter().find(|e| e.rendered_path() == rendered)
-    }
-
-    /// All entries belonging to operation `op`.
-    pub fn op_entries<'s>(&'s self, op: &'s str) -> impl Iterator<Item = &'s ProfEntry> {
-        self.entries.iter().filter(move |e| e.op() == op)
-    }
-
-    /// Total wall-clock of operation `op` (its root frame's total).
-    #[must_use]
-    pub fn op_total_ns(&self, op: &str) -> u64 {
-        self.entry(op).map_or(0, |e| e.total_ns)
-    }
-
-    /// Sums self time grouped by leaf phase name across the given
-    /// operations — the "which layer dominates" view. Simulated time is
-    /// folded into the leaf that charged it (real and simulated never
-    /// overlap on one entry).
-    #[must_use]
-    pub fn phase_breakdown(&self, ops: &[&str]) -> Vec<(&'static str, u64)> {
-        let mut by_leaf: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for e in &self.entries {
-            if !ops.contains(&e.op()) {
-                continue;
-            }
-            *by_leaf.entry(e.leaf()).or_default() += e.self_ns + e.sim_ns;
-        }
-        let mut out: Vec<(&'static str, u64)> = by_leaf.into_iter().collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        out
-    }
-
-    /// Hand-rolled JSON encoding (no external serializer). Paths are
-    /// charset-restricted compiled-in names, so no escaping is needed
-    /// beyond what the renderer emits.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = &e.self_per_request;
-            out.push_str(&format!(
-                "\n    {{\"path\": \"{}\", \"count\": {}, \"requests\": {}, \
-                 \"self_ns\": {}, \"total_ns\": {}, \"sim_ns\": {}, \
-                 \"self_per_request\": {{\"count\": {}, \"p50_ns\": {}, \
-                 \"p95_ns\": {}, \"p99_ns\": {}}}}}",
-                e.rendered_path(),
-                e.count,
-                e.requests,
-                e.self_ns,
-                e.total_ns,
-                e.sim_ns,
-                s.count,
-                s.p50,
-                s.p95,
-                s.p99,
-            ));
-        }
-        if !self.entries.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!("],\n  \"unbalanced\": {}\n}}\n", self.unbalanced));
-        out
-    }
-
-    /// Flamegraph-collapsed text: one `op;phase;subphase value` line
-    /// per path, value in nanoseconds — feedable straight into
-    /// `flamegraph.pl`. The value is the path's self time; entries that
-    /// carry only simulated time report that instead (an entry never
-    /// has both).
-    #[must_use]
-    pub fn to_collapsed(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            let value = e.self_ns + e.sim_ns;
-            if value == 0 {
-                continue;
-            }
-            out.push_str(&format!("{} {}\n", e.rendered_path(), value));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -592,7 +502,7 @@ mod tests {
 
     #[test]
     fn phases_without_root_are_noops() {
-        let _g = phase("crypto_gcm");
+        let _g = phase(Phase::CryptoGcm);
         // Nothing to observe: no profiler involved at all. A fresh
         // profiler stays empty.
         let p = Arc::new(Profiler::new());
@@ -606,15 +516,15 @@ mod tests {
         {
             let _root = OpGuard::begin(&p, "put_file");
             {
-                let _a = phase("pfs");
+                let _a = phase(Phase::Pfs);
                 spin_for(200_000);
                 {
-                    let _b = phase("crypto_gcm");
+                    let _b = phase(Phase::CryptoGcm);
                     spin_for(400_000);
                 }
             }
             {
-                let _c = phase("store_io");
+                let _c = phase(Phase::StoreIo);
                 spin_for(100_000);
             }
         }
@@ -634,13 +544,44 @@ mod tests {
     }
 
     #[test]
+    fn the_depth_cap_fills_every_nibble_and_stops_there() {
+        let p = Arc::new(Profiler::new());
+        let alternate = |level: usize| [Phase::Pfs, Phase::CryptoGcm][level % 2];
+        {
+            let _root = OpGuard::begin(&p, "get");
+            let frames: Vec<PhaseGuard> = (0..MAX_DEPTH - 1).map(|l| phase(alternate(l))).collect();
+            assert!(frames.iter().all(|g| g.depth > 0));
+            charge(Phase::LockWait, 99);
+            let over = phase(Phase::StoreIo);
+            assert_eq!(over.depth, 0, "one past the cap is inert");
+            spin_for(50_000);
+            drop(over);
+            for frame in frames.into_iter().rev() {
+                drop(frame);
+            }
+        }
+        let snap = p.snapshot();
+        assert_eq!(snap.unbalanced, 0);
+        let mut deepest = vec!["get"];
+        deepest.extend((0..MAX_DEPTH - 1).map(|l| alternate(l).name()));
+        deepest.push("lock_wait");
+        let charged = snap.entries.last().expect("entries");
+        assert_eq!(charged.path, deepest, "15 frames and a charge, all named");
+        assert_eq!((charged.sim_ns, charged.self_ns), (99, 0));
+        assert!(snap.entries.iter().all(|e| !e.path.contains(&"store_io")));
+        assert_eq!(snap.entries.len(), MAX_DEPTH + 1, "root, 15 frames, charge");
+        let self_sum: u64 = snap.op_entries("get").map(|e| e.self_ns).sum();
+        assert_eq!(self_sum, snap.op_total_ns("get"));
+    }
+
+    #[test]
     fn direct_recursion_collapses_into_open_frame() {
         let p = Arc::new(Profiler::new());
         {
             let _root = OpGuard::begin(&p, "get");
-            let _outer = phase("crypto_gcm");
+            let _outer = phase(Phase::CryptoGcm);
             for _ in 0..100 {
-                let _inner = phase("crypto_gcm"); // collapsed
+                let _inner = phase(Phase::CryptoGcm); // collapsed
             }
         }
         let snap = p.snapshot();
@@ -655,7 +596,7 @@ mod tests {
         let p = Arc::new(Profiler::new());
         {
             let _root = OpGuard::begin(&p, "get");
-            let g = phase("pfs");
+            let g = phase(Phase::Pfs);
             std::mem::forget(g); // never exits
             spin_for(50_000);
         }
@@ -667,7 +608,7 @@ mod tests {
         // And the thread is clean for the next request.
         {
             let _root = OpGuard::begin(&p, "put_file");
-            let _g = phase("store_io");
+            let _g = phase(Phase::StoreIo);
         }
         assert_eq!(p.unbalanced(), 1, "no new imbalance");
         assert!(p.snapshot().entry("put_file;store_io").is_some());
@@ -679,8 +620,8 @@ mod tests {
         let p = Arc::new(Profiler::new());
         {
             let _root = OpGuard::begin(&p, "get");
-            let a = phase("pfs");
-            let b = phase("crypto_gcm");
+            let a = phase(Phase::Pfs);
+            let b = phase(Phase::CryptoGcm);
             drop(a); // out of order: pops b first (flagged), then a
             drop(b); // already popped: flagged, no double accounting
         }
@@ -695,13 +636,13 @@ mod tests {
         let p = Arc::new(Profiler::new());
         {
             let _root = OpGuard::begin(&p, "put_file");
-            let _g = phase("pfs");
+            let _g = phase(Phase::Pfs);
             // While this thread is mid-request, another thread's
             // request must not see (or inherit) our stack.
             let p2 = Arc::clone(&p);
             std::thread::spawn(move || {
                 let _root = OpGuard::begin(&p2, "get");
-                let _g = phase("store_io");
+                let _g = phase(Phase::StoreIo);
             })
             .join()
             .unwrap();
@@ -722,9 +663,9 @@ mod tests {
             {
                 // E.g. a metrics span starting inside a profiled frame.
                 let _inner = OpGuard::begin(&p, "data");
-                let _g = phase("pfs");
+                let _g = phase(Phase::Pfs);
             } // inner drop must not close the outer root
-            let _g = phase("serialize");
+            let _g = phase(Phase::Serialize);
         }
         let snap = p.snapshot();
         assert_eq!(snap.unbalanced, 0);
@@ -741,10 +682,10 @@ mod tests {
             {
                 // Closes (and accumulates) before the rename — like the
                 // TLS-record decrypt that reveals the operation.
-                let _g = phase("tls_record");
+                let _g = phase(Phase::TlsRecord);
             }
             set_root_op("mk_dir");
-            let _g = phase("authz");
+            let _g = phase(Phase::Authz);
         }
         let snap = p.snapshot();
         assert!(snap.entry("mk_dir").is_some());
@@ -758,7 +699,7 @@ mod tests {
 
     #[test]
     fn request_phases_reads_closed_phases_mid_request() {
-        let slot = |v: &PhaseVector, name: &str| v[PHASES.iter().position(|p| *p == name).unwrap()];
+        let slot = |v: &PhaseVector, phase: Phase| v[phase as usize];
         assert_eq!(
             request_phases(),
             PhaseVector::default(),
@@ -769,16 +710,19 @@ mod tests {
             let opened = Instant::now();
             let _root = OpGuard::begin(&p, "get");
             {
-                let _a = phase("pfs");
-                let _b = phase("crypto_gcm");
+                let _a = phase(Phase::Pfs);
+                let _b = phase(Phase::CryptoGcm);
                 spin_for(300_000);
             }
-            charge("lock_wait", 1234);
+            charge(Phase::LockWait, 1234);
             spin_for(100_000);
             let v = request_phases();
-            assert!(slot(&v, "crypto_gcm").self_ns >= 300_000);
+            assert!(slot(&v, Phase::CryptoGcm).self_ns >= 300_000);
             assert_eq!(
-                (slot(&v, "lock_wait").self_ns, slot(&v, "lock_wait").sim_ns),
+                (
+                    slot(&v, Phase::LockWait).self_ns,
+                    slot(&v, Phase::LockWait).sim_ns
+                ),
                 (0, 1234)
             );
             assert!(v[0].self_ns >= 100_000, "the root's own time so far");
@@ -800,11 +744,11 @@ mod tests {
         {
             let _root = OpGuard::begin(&p, "put_file");
             {
-                let _g = phase("rollback_tree");
-                charge("counter_wait", 80_000_000);
+                let _g = phase(Phase::RollbackTree);
+                charge(Phase::CounterWait, 80_000_000);
             }
-            charge("epc_paging", 12_000);
-            charge("epc_paging", 0); // no-op
+            charge(Phase::EpcPaging, 12_000);
+            charge(Phase::EpcPaging, 0); // no-op
         }
         let snap = p.snapshot();
         let ctr = snap.entry("put_file;rollback_tree;counter_wait").unwrap();
@@ -823,7 +767,7 @@ mod tests {
             let p = Arc::new(Profiler::new());
             let run = |op| {
                 let _root = OpGuard::begin(&p, op);
-                let _g = phase("pfs");
+                let _g = phase(Phase::Pfs);
             };
             if order_swapped {
                 run("get");
@@ -862,13 +806,13 @@ mod tests {
         {
             let _root = OpGuard::begin(&p, "put_file");
             {
-                let _a = phase("tls_record");
-                let _b = phase("crypto_gcm");
+                let _a = phase(Phase::TlsRecord);
+                let _b = phase(Phase::CryptoGcm);
                 spin_for(300_000);
             }
             {
-                let _a = phase("pfs");
-                let _b = phase("crypto_gcm");
+                let _a = phase(Phase::Pfs);
+                let _b = phase(Phase::CryptoGcm);
                 spin_for(300_000);
             }
         }

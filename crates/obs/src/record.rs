@@ -43,33 +43,89 @@ impl Decision {
     }
 }
 
-/// Leaf names of a record's phase vector, in slot order. Slot 0 is the
-/// operation's own, un-attributed time; the rest are the profiler's
-/// phase names ([`crate::prof::phase`]) followed by the names it is
-/// charged simulated or waited time under ([`crate::prof::charge`]).
-pub const PHASES: [&str; 15] = [
-    "own",
-    "tls_record",
-    "serialize",
-    "authn",
-    "authz",
-    "cache_lookup",
-    "crypto_gcm",
-    "pfs",
-    "rollback_tree",
-    "store_io",
-    "commit_wait",
-    "lock_wait",
-    "global_hold",
-    "counter_wait",
-    "epc_paging",
-];
+/// Declares [`Phase`] from one table: slot order, variant and name.
+macro_rules! phases {
+    ($(#[doc = $doc:literal] $phase:ident = $name:literal,)*) => {
+        /// A slot of a record's phase vector, and the name a profiler
+        /// frame or charge is filed under. Slot 0, [`Phase::Own`], is the
+        /// operation's own, un-attributed time and never a frame; then
+        /// come the phases [`crate::prof::phase`] opens, then the ones
+        /// [`crate::prof::charge`] files simulated or waited time under.
+        ///
+        /// Being a type, a phase cannot be misspelled: no phase API takes
+        /// a string.
+        ///
+        /// ```compile_fail
+        /// let _frame = seg_obs::prof::phase("store_io");
+        /// ```
+        ///
+        /// ```compile_fail
+        /// seg_obs::prof::charge("lock_wait", 1);
+        /// ```
+        ///
+        /// ```compile_fail
+        /// let _ = seg_obs::RequestRecord::open(7, "get", 1, 2).phase("store_io");
+        /// ```
+        ///
+        /// ```
+        /// use seg_obs::{prof, Phase, RequestRecord};
+        /// let _frame = prof::phase(Phase::StoreIo);
+        /// prof::charge(Phase::LockWait, 1);
+        /// let r = RequestRecord::open(7, "get", 1, 2);
+        /// assert_eq!(r.phase(Phase::StoreIo).self_ns, 0);
+        /// ```
+        #[repr(u8)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum Phase {
+            $(#[doc = $doc] $phase,)*
+        }
 
-/// Whether `name` is one of [`PHASES`]. The profiler and
-/// [`RequestRecord::phase`] `debug_assert!` it, so a misspelled phase
-/// stops a debug build instead of landing silently in `own`.
-pub(crate) fn is_phase(name: &str) -> bool {
-    PHASES.contains(&name)
+        impl Phase {
+            /// Every phase, in slot order.
+            pub const ALL: [Phase; [$($name),*].len()] = [$(Phase::$phase),*];
+
+            /// The phase's name in paths and exports.
+            #[must_use]
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Phase::$phase => $name,)*
+                }
+            }
+        }
+    };
+}
+
+phases! {
+    /// The operation's own time: the root frame's self time.
+    Own = "own",
+    /// TLS record seal/open.
+    TlsRecord = "tls_record",
+    /// Request decode and response encode.
+    Serialize = "serialize",
+    /// The handshake's client authentication.
+    Authn = "authn",
+    /// Access-control decisions.
+    Authz = "authz",
+    /// Object-cache lookups.
+    CacheLookup = "cache_lookup",
+    /// AES-GCM work.
+    CryptoGcm = "crypto_gcm",
+    /// Protected-FS encryption and decryption.
+    Pfs = "pfs",
+    /// §V-D rollback-tree updates and verifications.
+    RollbackTree = "rollback_tree",
+    /// Untrusted-store calls.
+    StoreIo = "store_io",
+    /// Waiting for the commit window.
+    CommitWait = "commit_wait",
+    /// Waiting for a lock (charged).
+    LockWait = "lock_wait",
+    /// Holding the global lock exclusively (charged).
+    GlobalHold = "global_hold",
+    /// Simulated monotonic-counter latency (charged).
+    CounterWait = "counter_wait",
+    /// Simulated EPC paging (charged).
+    EpcPaging = "epc_paging",
 }
 
 /// One slot of a phase vector.
@@ -83,8 +139,8 @@ pub struct PhaseTime {
     pub sim_ns: u64,
 }
 
-/// Per-phase times of one request, indexed like [`PHASES`].
-pub type PhaseVector = [PhaseTime; PHASES.len()];
+/// Per-phase times of one request, indexed by [`Phase`].
+pub type PhaseVector = [PhaseTime; Phase::ALL.len()];
 
 /// What one request moved and touched, beside time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -170,14 +226,10 @@ impl RequestRecord {
         threshold_us > 0 && self.duration_us() >= threshold_us
     }
 
-    /// The slot of phase `name`, which must be one of [`PHASES`].
+    /// The slot of `phase`.
     #[must_use]
-    pub fn phase(&self, name: &str) -> PhaseTime {
-        debug_assert!(is_phase(name), "phase {name:?} is not in PHASES");
-        PHASES
-            .iter()
-            .position(|p| *p == name)
-            .map_or_else(PhaseTime::default, |i| self.phases[i])
+    pub fn phase(&self, phase: Phase) -> PhaseTime {
+        self.phases[phase as usize]
     }
 }
 
@@ -189,61 +241,6 @@ pub trait RecordSink: Send + Sync {
     fn consume(&self, rec: &RequestRecord);
 }
 
-/// JSON array of whole records. Fingerprints are 16 hex digits, labels
-/// are compiled in, the rest is integers; zero phases are left out.
-#[must_use]
-pub fn records_json(records: &[RequestRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"request_id\": {}, \"op\": \"{}\", \"decision\": \"{}\", \"code\": \"{}\", \
-             \"principal\": \"{:016x}\", \"object\": \"{:016x}\", \"group\": \"{:016x}\", \
-             \"prefix\": \"{:016x}\", \"duration_us\": {}, \"phases\": {{",
-            r.request_id,
-            r.op,
-            r.decision.label(),
-            r.code,
-            r.principal,
-            r.object,
-            r.group,
-            r.prefix,
-            r.duration_us(),
-        ));
-        let spent = PHASES
-            .iter()
-            .zip(&r.phases)
-            .filter(|(_, p)| **p != PhaseTime::default());
-        for (j, (name, p)) in spent.enumerate() {
-            let sep = if j > 0 { ", " } else { "" };
-            out.push_str(&format!(
-                "{sep}\"{name}\": {{\"self_ns\": {}, \"sim_ns\": {}}}",
-                p.self_ns, p.sim_ns
-            ));
-        }
-        let c = &r.cost;
-        out.push_str(&format!(
-            "}}, \"cost\": {{\"req_bytes\": {}, \"resp_bytes\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"store_reads\": {}, \"store_writes\": {}, \
-             \"audit_bytes\": {}}}}}",
-            c.req_bytes,
-            c.resp_bytes,
-            c.cache_hits,
-            c.cache_misses,
-            c.store_reads,
-            c.store_writes,
-            c.audit_bytes,
-        ));
-    }
-    if !records.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,14 +249,14 @@ mod tests {
     fn json_names_only_the_phases_that_took_time() {
         let mut r = RequestRecord::open(7, "get", 0xabcd, 0x1234);
         r.duration_ns = 5_000_000;
-        r.phases[9] = PhaseTime {
+        r.phases[Phase::StoreIo as usize] = PhaseTime {
             self_ns: 4_000_000,
             sim_ns: 0,
         };
         r.cost.store_reads = 3;
-        assert_eq!(r.phase("store_io").self_ns, 4_000_000);
+        assert_eq!(r.phase(Phase::StoreIo).self_ns, 4_000_000);
         assert!(r.slow(5_000) && !r.slow(5_001) && !r.slow(0));
-        let json = records_json(&[r]);
+        let json = crate::records_json(&[r]);
         assert!(
             json.contains("\"store_io\": {\"self_ns\": 4000000"),
             "{json}"
@@ -271,33 +268,36 @@ mod tests {
         );
         assert!(json.contains("\"store_reads\": 3"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(records_json(&[]), "[]\n");
+        assert_eq!(crate::records_json(&[]), "[]\n");
     }
 
     #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "the check is a debug_assert")]
-    fn a_misspelled_phase_is_refused_in_debug() {
-        let r = RequestRecord::open(7, "get", 1, 2);
-        let checks: [(&str, fn()); 3] = [
-            ("RequestRecord::phase", || {
-                let _ = RequestRecord::open(7, "get", 1, 2).phase("store_oi");
-            }),
-            ("prof::phase", || drop(crate::prof::phase("store_oi"))),
-            ("prof::charge", || crate::prof::charge("lock_wiat", 1)),
-        ];
-        for (what, misspelled) in checks {
-            let caught = std::panic::catch_unwind(misspelled);
-            let message = caught.expect_err(what);
-            let message = message
-                .downcast_ref::<String>()
-                .expect("a formatted message");
-            assert!(message.contains("is not in PHASES"), "{what}: {message}");
+    fn every_phase_round_trips_through_its_name() {
+        for (slot, phase) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(phase as usize, slot, "{phase:?}");
+            let named = Phase::ALL.iter().find(|p| p.name() == phase.name());
+            assert_eq!(named, Some(&phase));
         }
-        // Every name in the table passes.
-        for name in PHASES {
-            let _ = r.phase(name);
-            drop(crate::prof::phase(name));
-            crate::prof::charge(name, 1);
-        }
+        // The slot order records are indexed by.
+        assert_eq!(
+            Phase::ALL.map(Phase::name),
+            [
+                "own",
+                "tls_record",
+                "serialize",
+                "authn",
+                "authz",
+                "cache_lookup",
+                "crypto_gcm",
+                "pfs",
+                "rollback_tree",
+                "store_io",
+                "commit_wait",
+                "lock_wait",
+                "global_hold",
+                "counter_wait",
+                "epc_paging",
+            ]
+        );
     }
 }

@@ -79,7 +79,7 @@ impl CounterHandle {
         state.value += 1;
         // Simulated hardware latency, charged into the phase profile's
         // sim channel (never the wall clock).
-        seg_obs::prof::charge("counter_wait", INCREMENT_LATENCY_NS);
+        seg_obs::prof::charge(seg_obs::Phase::CounterWait, INCREMENT_LATENCY_NS);
         Ok(state.value)
     }
 

@@ -10,6 +10,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use seg_obs::Phase;
+
 use crate::boundary::CostModel;
 
 const PAGE: u64 = 4096;
@@ -55,7 +57,7 @@ impl EpcTracker {
                 .fetch_add(pages, Ordering::Relaxed);
             // Simulated cost: visible in the phase profile but kept out
             // of wall-clock self times (see seg_obs::prof::charge).
-            seg_obs::prof::charge("epc_paging", pages * self.model.paging_ns_per_page);
+            seg_obs::prof::charge(Phase::EpcPaging, pages * self.model.paging_ns_per_page);
         }
         EpcAllocation {
             tracker: self.clone(),

@@ -52,6 +52,7 @@
 
 use seg_crypto::gcm::{Gcm, IV_LEN, TAG_LEN};
 use seg_crypto::rng::SecureRandom;
+use seg_obs::Phase;
 
 use crate::SgxError;
 
@@ -342,7 +343,7 @@ impl PfsWriter {
     /// Appends plaintext; full nodes are encrypted and emitted
     /// immediately (constant data buffering).
     pub fn write(&mut self, mut data: &[u8]) {
-        let _prof = seg_obs::prof::phase("pfs");
+        let _prof = seg_obs::prof::phase(Phase::Pfs);
         self.data_len += data.len() as u64;
         while !data.is_empty() {
             if self.buffer.is_empty() && data.len() >= DATA_PER_NODE {
@@ -380,7 +381,7 @@ impl PfsWriter {
     /// Finishes the file and returns the complete blob.
     #[must_use]
     pub fn finish(mut self) -> Vec<u8> {
-        let _prof = seg_obs::prof::phase("pfs");
+        let _prof = seg_obs::prof::phase(Phase::Pfs);
         // Whole nodes went out as they filled; what is buffered is the tail.
         let layout = layout(self.data_len);
         if layout.inline_len == 0 && !self.buffer.is_empty() {
@@ -448,7 +449,7 @@ impl<'a> PfsReader<'a> {
     /// cryptographic, or rollback problem, and for a blob written by
     /// another format version.
     pub fn open(key: &[u8], blob: &'a [u8]) -> Result<PfsReader<'a>, SgxError> {
-        let _prof = seg_obs::prof::phase("pfs");
+        let _prof = seg_obs::prof::phase(Phase::Pfs);
         let gcm = Gcm::new(key)?;
         if blob.len() < NODE_LEN || !blob.len().is_multiple_of(NODE_LEN) {
             return Err(corrupted("blob is not a whole number of nodes"));
@@ -578,7 +579,7 @@ impl<'a> PfsReader<'a> {
     /// Returns [`SgxError::ProtectedFileCorrupted`] on tamper/rollback or
     /// out-of-range index.
     pub fn read_node(&self, index: u64) -> Result<Vec<u8>, SgxError> {
-        let _prof = seg_obs::prof::phase("pfs");
+        let _prof = seg_obs::prof::phase(Phase::Pfs);
         self.nodes().read_node(index)
     }
 
@@ -589,7 +590,7 @@ impl<'a> PfsReader<'a> {
     /// Returns [`SgxError::ProtectedFileCorrupted`] on any integrity
     /// failure.
     pub fn read_all(&self) -> Result<Vec<u8>, SgxError> {
-        let _prof = seg_obs::prof::phase("pfs");
+        let _prof = seg_obs::prof::phase(Phase::Pfs);
         self.nodes().read_all()
     }
 }
@@ -669,7 +670,7 @@ impl PfsFile {
     /// cryptographic, or rollback problem, and for a blob written by
     /// another format version.
     pub fn open(key: &[u8], blob: Vec<u8>) -> Result<PfsFile, SgxError> {
-        let _prof = seg_obs::prof::phase("pfs");
+        let _prof = seg_obs::prof::phase(Phase::Pfs);
         let PfsReader {
             gcm,
             data_len,
@@ -716,7 +717,7 @@ impl PfsFile {
     /// Returns [`SgxError::ProtectedFileCorrupted`] on tamper/rollback or
     /// out-of-range index.
     pub fn read_node(&self, index: u64) -> Result<Vec<u8>, SgxError> {
-        let _prof = seg_obs::prof::phase("pfs");
+        let _prof = seg_obs::prof::phase(Phase::Pfs);
         self.nodes().read_node(index)
     }
 
@@ -728,7 +729,7 @@ impl PfsFile {
     /// Returns [`SgxError::ProtectedFileCorrupted`] on tamper/rollback or
     /// out-of-range index.
     pub fn read_into(&self, index: u64, out: &mut Vec<u8>) -> Result<(), SgxError> {
-        let _prof = seg_obs::prof::phase("pfs");
+        let _prof = seg_obs::prof::phase(Phase::Pfs);
         self.nodes().read_into(index, out)
     }
 
@@ -739,7 +740,7 @@ impl PfsFile {
     /// Returns [`SgxError::ProtectedFileCorrupted`] on any integrity
     /// failure.
     pub fn read_all(&self) -> Result<Vec<u8>, SgxError> {
-        let _prof = seg_obs::prof::phase("pfs");
+        let _prof = seg_obs::prof::phase(Phase::Pfs);
         self.nodes().read_all()
     }
 }
@@ -754,7 +755,7 @@ pub fn pfs_encrypt<R: SecureRandom>(
     plaintext: &[u8],
     rng: &mut R,
 ) -> Result<Vec<u8>, SgxError> {
-    let _prof = seg_obs::prof::phase("pfs");
+    let _prof = seg_obs::prof::phase(Phase::Pfs);
     let mut w = PfsWriter::new(key, rng)?;
     // The header node is already there; the rest is known up front.
     w.out
@@ -769,7 +770,7 @@ pub fn pfs_encrypt<R: SecureRandom>(
 ///
 /// Returns [`SgxError::ProtectedFileCorrupted`] on any integrity failure.
 pub fn pfs_decrypt(key: &[u8], blob: &[u8]) -> Result<Vec<u8>, SgxError> {
-    let _prof = seg_obs::prof::phase("pfs");
+    let _prof = seg_obs::prof::phase(Phase::Pfs);
     PfsReader::open(key, blob)?.read_all()
 }
 

@@ -2,6 +2,8 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use seg_obs::Phase;
+
 use crate::{CommitTicket, IoStats, ObjectStore, StoreError, WriteBatch};
 
 /// Counters exported by [`CountingStore`].
@@ -144,7 +146,7 @@ impl<S: ObjectStore> CountingStore<S> {
 
 impl<S: ObjectStore> ObjectStore for CountingStore<S> {
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>, StoreError> {
-        let _prof = seg_obs::prof::phase("store_io");
+        let _prof = seg_obs::prof::phase(Phase::StoreIo);
         self.gets.fetch_add(1, Ordering::Relaxed);
         let result = self.inner.get(key)?;
         if let Some(v) = &result {
@@ -154,7 +156,7 @@ impl<S: ObjectStore> ObjectStore for CountingStore<S> {
     }
 
     fn get_arc(&self, key: &str) -> Result<Option<std::sync::Arc<[u8]>>, StoreError> {
-        let _prof = seg_obs::prof::phase("store_io");
+        let _prof = seg_obs::prof::phase(Phase::StoreIo);
         self.gets.fetch_add(1, Ordering::Relaxed);
         let result = self.inner.get_arc(key)?;
         if let Some(v) = &result {
@@ -164,7 +166,7 @@ impl<S: ObjectStore> ObjectStore for CountingStore<S> {
     }
 
     fn put(&self, key: &str, value: &[u8]) -> Result<(), StoreError> {
-        let _prof = seg_obs::prof::phase("store_io");
+        let _prof = seg_obs::prof::phase(Phase::StoreIo);
         self.puts.fetch_add(1, Ordering::Relaxed);
         self.bytes_written
             .fetch_add(value.len() as u64, Ordering::Relaxed);
@@ -175,7 +177,7 @@ impl<S: ObjectStore> ObjectStore for CountingStore<S> {
     }
 
     fn delete(&self, key: &str) -> Result<bool, StoreError> {
-        let _prof = seg_obs::prof::phase("store_io");
+        let _prof = seg_obs::prof::phase(Phase::StoreIo);
         self.deletes.fetch_add(1, Ordering::Relaxed);
         if self.tx_open.load(Ordering::Relaxed) {
             self.tx_pending.fetch_add(1, Ordering::Relaxed);
@@ -184,19 +186,19 @@ impl<S: ObjectStore> ObjectStore for CountingStore<S> {
     }
 
     fn exists(&self, key: &str) -> Result<bool, StoreError> {
-        let _prof = seg_obs::prof::phase("store_io");
+        let _prof = seg_obs::prof::phase(Phase::StoreIo);
         self.exists.fetch_add(1, Ordering::Relaxed);
         self.inner.exists(key)
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<(), StoreError> {
-        let _prof = seg_obs::prof::phase("store_io");
+        let _prof = seg_obs::prof::phase(Phase::StoreIo);
         self.renames.fetch_add(1, Ordering::Relaxed);
         self.inner.rename(from, to)
     }
 
     fn list(&self) -> Result<Vec<String>, StoreError> {
-        let _prof = seg_obs::prof::phase("store_io");
+        let _prof = seg_obs::prof::phase(Phase::StoreIo);
         self.lists.fetch_add(1, Ordering::Relaxed);
         self.inner.list()
     }
@@ -210,13 +212,13 @@ impl<S: ObjectStore> ObjectStore for CountingStore<S> {
     }
 
     fn apply_batch(&self, batch: &WriteBatch) -> Result<(), StoreError> {
-        let _prof = seg_obs::prof::phase("store_io");
+        let _prof = seg_obs::prof::phase(Phase::StoreIo);
         self.count_batch(batch);
         self.inner.apply_batch(batch)
     }
 
     fn submit_batch(&self, batch: WriteBatch) -> Result<CommitTicket, StoreError> {
-        let _prof = seg_obs::prof::phase("store_io");
+        let _prof = seg_obs::prof::phase(Phase::StoreIo);
         self.count_batch(&batch);
         self.inner.submit_batch(batch)
     }

@@ -64,7 +64,7 @@ impl TlsChannel {
     /// Encrypts one record.
     #[must_use]
     pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
-        let _prof = seg_obs::prof::phase("tls_record");
+        let _prof = seg_obs::prof::phase(seg_obs::Phase::TlsRecord);
         let seq = self.send_seq;
         self.send_seq += 1;
         self.send
@@ -78,7 +78,7 @@ impl TlsChannel {
     /// Returns [`TlsError::RecordRejected`] on tampering, replay,
     /// reorder, or truncation.
     pub fn open(&mut self, record: &[u8]) -> Result<Vec<u8>, TlsError> {
-        let _prof = seg_obs::prof::phase("tls_record");
+        let _prof = seg_obs::prof::phase(seg_obs::Phase::TlsRecord);
         let seq = self.recv_seq;
         let plaintext = self
             .recv

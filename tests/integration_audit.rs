@@ -6,8 +6,8 @@
 //! substitute, or bit-flip the sealed `!audit-*` objects at will. Each
 //! of those manipulations must turn `audit_verify()` into an
 //! [`SegShareError::Integrity`]; and nothing leaving the enclave
-//! through the trace ring or the audit export may carry raw paths,
-//! user ids, or key material.
+//! in a request record or the audit export may carry raw paths, user
+//! ids, or key material.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -579,7 +579,7 @@ fn one_slow_request_is_explained_by_its_one_record() {
     let slow = server.telemetry().watch().slow_requests(1)[0];
     assert_eq!(slow.op, "get");
     assert!(slow.ok() && slow.duration_us() >= 1_000, "{slow:?}");
-    let store_io = slow.phase("store_io").self_ns;
+    let store_io = slow.phase(seg_obs::Phase::StoreIo).self_ns;
     assert!(
         store_io >= 2_000_000,
         "store_io names the culprit: {slow:?}"

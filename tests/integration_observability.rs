@@ -178,20 +178,17 @@ fn flow_produces_nonzero_per_op_metrics() {
             > 0,
         "group store saw membership updates"
     );
-    assert!(
-        snap.histogram("seg_pfs_encrypt_ns")
-            .map(|h| h.count)
-            .unwrap_or(0)
-            > 0,
-        "protected-fs encryption was timed"
-    );
-    assert!(
-        snap.histogram("seg_rollback_tree_update_ns")
-            .map(|h| h.count)
-            .unwrap_or(0)
-            > 0,
-        "rollback-tree updates were timed"
-    );
+    // Protected-FS and rollback-tree work is timed by their phases.
+    let profile = server.enclave().profile_snapshot();
+    for phase in ["pfs", "rollback_tree"] {
+        assert!(
+            profile
+                .entries
+                .iter()
+                .any(|e| e.leaf() == phase && e.count > 0),
+            "no `…;{phase}` profile entry"
+        );
+    }
 
     // Connection-level accounting is the reactor's, exported once.
     assert_eq!(snap.counter("seg_net_conns_accepted_total"), Some(2));
