@@ -221,6 +221,8 @@ fn history_row(report: &Json, commit: &str, runs: usize, rows: &[(&str, Measured
         ("sha256_backend", Sha256::backend().into()),
         ("runs", runs.into()),
         ("gcm_mb_per_s", member("crypto", "gcm_mb_per_s")),
+        ("gcm_node_us", member("crypto", "gcm_node_us")),
+        ("gcm_new_ns", member("crypto", "gcm_new_ns")),
         ("hmac_us", member("crypto", "hmac_us")),
         ("tcb_loc", member("tcb", "tcb_loc")),
         ("telemetry_loc", member("tcb", "telemetry_loc")),

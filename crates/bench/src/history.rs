@@ -4,8 +4,9 @@
 //! compact row here — `commit` (`git rev-parse --short HEAD`, `+` when
 //! the tree is dirty), the crypto backends, `runs` per gated row, the
 //! raw means of the gated rows (`means_s`), profiler self-time per leaf
-//! phase over the serial mix (`phases_ns`), the two crypto probes
-//! (`gcm_mb_per_s` over 1 MiB, `hmac_us` per 72-byte multiset update) and
+//! phase over the serial mix (`phases_ns`), the crypto probes
+//! (`gcm_mb_per_s` over 1 MiB, `gcm_node_us` to seal and open one pfs
+//! node, `gcm_new_ns` per key, `hmac_us` per 72-byte multiset update) and
 //! the trusted and telemetry line counts of [`crate::tcb`] (`tcb_loc`,
 //! `telemetry_loc`) — and prints the delta against the row before it.
 //! Every rendering under `results/` names the commit of the row its run

@@ -180,8 +180,9 @@ impl Aes {
     }
 
     /// The round keys as 16-byte blocks in cipher byte order, round 0
-    /// first — the form `AESENC` consumes.
-    #[cfg(target_arch = "x86_64")]
+    /// first — the form `AESENC` consumes: the reference the hardware key
+    /// schedule is tested against.
+    #[cfg(all(test, target_arch = "x86_64"))]
     pub(crate) fn round_key_blocks(&self) -> impl Iterator<Item = [u8; BLOCK_LEN]> + '_ {
         self.round_keys.chunks_exact(4).map(|words| {
             let mut block = [0u8; BLOCK_LEN];

@@ -55,6 +55,7 @@
 //! scope (§III-B).
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod aes;
 pub mod ct;
