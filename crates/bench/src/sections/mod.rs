@@ -21,7 +21,6 @@ pub mod crypto;
 pub mod durability;
 pub mod fig5_rollback;
 pub mod membership;
-pub mod meter;
 pub mod profile;
 pub mod table3_features;
 pub mod table_storage;
@@ -113,12 +112,11 @@ impl Outcome {
 /// reading, which a process that has held a 200 MB file understates)
 /// sees the process state it always saw; then the sections that gate
 /// nothing, the sweep that takes minutes last.
-pub const SECTIONS: [Section; 17] = [
+pub const SECTIONS: [Section; 16] = [
     Section::new("updown", Output::None, updown::run),
     Section::new("membership", Output::None, membership::run),
     Section::new("cache", Output::None, cache::run),
     Section::new("telemetry", Output::Dump("report.json"), telemetry::run),
-    Section::new("meter", Output::None, meter::run),
     Section::new("durability", Output::None, durability::run),
     Section::new("c10k", Output::None, c10k::run),
     Section::new("concurrency", Output::None, concurrency::run),

@@ -17,7 +17,7 @@ use crate::harness::{fmt_s, payload, Rig};
 use crate::json::Json;
 
 /// Maximum fractional slowdown telemetry (every record consumer; on the
-/// runner rig also the history tick, the integrity scrubber and the
+/// runner rig also the runner's tick, the integrity scrubber and the
 /// loopback canary) may cost on the standard small-op mix.
 const MAX_OVERHEAD: f64 = 0.02;
 

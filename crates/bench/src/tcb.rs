@@ -8,17 +8,10 @@ use std::path::Path;
 /// scrubber.
 const ENCLAVE_TELEMETRY: &str = "crates/core/src/enclave/health.rs";
 
-/// The half of `seg-obs` the untrusted host runs — pure consumers of
-/// records and snapshots that already crossed the boundary, and the
-/// renderers and queries of those values. Nothing under
-/// `crates/core/src/enclave` may name what they define (a CI lint greps
-/// for it).
-const OBS_HOST: [&str; 4] = [
-    "crates/obs/src/meter.rs",
-    "crates/obs/src/health.rs",
-    "crates/obs/src/flight.rs",
-    "crates/obs/src/render.rs",
-];
+/// The half of `seg-obs` the untrusted host runs: the renderers and
+/// queries of records and snapshots that already crossed the boundary.
+/// No code the enclave runs may call them (a CI lint greps for it).
+const OBS_HOST: &str = "crates/obs/src/render.rs";
 
 /// Label of the telemetry row of [`TRUSTED`].
 pub const TELEMETRY: &str = "telemetry (seg-obs registry/record/prof, scrubber)";
@@ -34,7 +27,11 @@ pub const TRUSTED: [(&str, &[&str], &[&str]); 9] = [
         &["crates/core/src/enclave"],
         &[ENCLAVE_TELEMETRY],
     ),
-    (TELEMETRY, &["crates/obs/src", ENCLAVE_TELEMETRY], &OBS_HOST),
+    (
+        TELEMETRY,
+        &["crates/obs/src", ENCLAVE_TELEMETRY],
+        &[OBS_HOST],
+    ),
     (
         "TLS stack (handshake + record layer)",
         &["crates/tls/src"],
@@ -61,18 +58,15 @@ pub const TRUSTED: [(&str, &[&str], &[&str]); 9] = [
 ];
 
 /// The untrusted side, for contrast: host, client, stores, transports,
-/// and the host's telemetry (its owner in `segshare`, its consumers in
+/// and the host's telemetry (its owner in `segshare`, its renderers in
 /// `seg-obs`).
-pub const UNTRUSTED: [&str; 9] = [
+pub const UNTRUSTED: [&str; 6] = [
     "crates/core/src/untrusted.rs",
     "crates/core/src/telemetry",
     "crates/core/src/client.rs",
     "crates/store/src",
     "crates/net/src",
-    OBS_HOST[0],
-    OBS_HOST[1],
-    OBS_HOST[2],
-    OBS_HOST[3],
+    OBS_HOST,
 ];
 
 /// Non-blank, non-comment lines of one file before its `#[cfg(test)]`

@@ -33,10 +33,12 @@ pub struct EnclaveConfig {
     /// its outcome when it ends, however many frames it took.
     pub audit: bool,
     /// The stall deadline (µs): a request at least this slow is kept
-    /// whole in the slow-request log, counts as slow in the meter and
-    /// against the latency objective, **and** trips the stall watchdog,
-    /// which stores the correlated report. One knob, one source of
-    /// truth — no two consumers can disagree about what "slow" means.
+    /// whole in the slow-request log, counts in
+    /// `seg_watch_stalls_total{kind="request"}` (which the latency alert
+    /// rule in OPERATIONS.md divides by the request rate) **and** trips
+    /// the stall watchdog, which stores the correlated report. One knob,
+    /// one source of truth — no two consumers can disagree about what
+    /// "slow" means.
     /// 0 disables all of it, the watchdog's global-lock budget
     /// (`enclave::watch::GLOBAL_LOCK_BUDGET_US`) included.
     pub watch_deadline_us: u64,

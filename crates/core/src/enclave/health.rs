@@ -125,7 +125,7 @@ impl SegShareEnclave {
     /// bypassing) read path, probes cache coherence, and finishes with
     /// an orphan scan of the content and group stores. The caller — the
     /// host's health tick — folds the returned report into its counters,
-    /// alert ring and verdict. Scrub time is charged to the `scrub`
+    /// newest findings and verdict. Scrub time is charged to the `scrub`
     /// profiler phase.
     pub fn scrub_step(&self) -> ScrubReport {
         let _prof = self.obs.profile_root("scrub");

@@ -422,7 +422,7 @@ impl LockManager {
 
     /// The live exclusive hold of the global lock as `(start stamp,
     /// microseconds held so far)`, `None` when not exclusively held.
-    /// Polled by the stall watchdog from the history tick; the stamp
+    /// Polled by the stall watchdog from the health runner's tick; the stamp
     /// tells one hold from the next.
     #[must_use]
     pub fn global_hold(&self) -> Option<(u64, u64)> {

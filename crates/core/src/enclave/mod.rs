@@ -496,8 +496,7 @@ impl SegShareEnclave {
     ///
     /// The differences are per-thread reads of global counters, so
     /// concurrent requests can shift a few units of cache/store/audit
-    /// activity between each other; totals stay conserved, and the
-    /// meter's sketches only need ranks, not exact per-key I/O.
+    /// activity between each other; totals stay conserved.
     pub(crate) fn cost_counters(&self) -> CostVector {
         let cache = self.store.cache_stats();
         let mut cost = CostVector {

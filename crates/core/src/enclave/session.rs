@@ -49,10 +49,6 @@ pub struct EnclaveSession {
     /// response was already queued; the client learns of it after
     /// streaming).
     discard: u64,
-    /// The last top-level path component a request of this session
-    /// touched, with its fingerprint: sessions dwell in one subtree, and
-    /// the HMAC is a third of what telemetry costs a request.
-    prefix: Option<(String, u64)>,
     download: Option<DownloadContext>,
     out: VecDeque<Vec<u8>>,
     rng: SystemRng,
@@ -109,7 +105,6 @@ impl EnclaveSession {
             state: SessionState::Handshaking(Box::new(hs)),
             upload: None,
             discard: 0,
-            prefix: None,
             download: None,
             out: VecDeque::new(),
             rng,
@@ -300,12 +295,11 @@ impl EnclaveSession {
             enclave.fingerprint_user(user),
             request_object(&request).map_or(0, |name| enclave.fingerprint_name(name)),
         );
-        // The rest of the record is telemetry only: the group and
-        // prefix fingerprints and the counter baseline are skipped —
-        // HMACs included — while telemetry is off.
+        // The rest of the record is telemetry only: the group
+        // fingerprint and the counter baseline are skipped — the HMAC
+        // included — while telemetry is off.
         let baseline = enclave.telemetry_enabled().then(|| {
             record.group = request_group(&request).map_or(0, |g| enclave.fingerprint_name(g));
-            record.prefix = self.prefix_fingerprint(enclave, &request);
             enclave.cost_counters()
         });
         let result = match request {
@@ -334,28 +328,6 @@ impl EnclaveSession {
         match result {
             Err(err) if !is_fatal(&err) => Ok(vec![error_response(err)]),
             result => result,
-        }
-    }
-
-    /// The fingerprint of the top-level path component a request
-    /// touches (the meter's prefix axis), e.g. of `"/docs"` for
-    /// `/docs/a/b.txt`; 0 for none. `Data` chunks attribute to the
-    /// active upload's target.
-    fn prefix_fingerprint(&mut self, enclave: &SegShareEnclave, request: &Request) -> u64 {
-        let path = match request {
-            Request::Data { .. } => self.upload.as_ref().map(|(u, _)| u.path().as_str()),
-            _ => request_path(request),
-        };
-        let Some(prefix) = path.map(path_prefix) else {
-            return 0;
-        };
-        match &self.prefix {
-            Some((last, fp)) if last == prefix => *fp,
-            _ => {
-                let fp = enclave.fingerprint_name(prefix);
-                self.prefix = Some((prefix.to_string(), fp));
-                fp
-            }
         }
     }
 
@@ -940,8 +912,8 @@ fn request_path(request: &Request) -> Option<&str> {
 }
 
 /// The group operand a request touches, if any — the record's `group`
-/// fingerprint, the meter's per-group axis. Group-membership operations name the
-/// target group; ACL operations name the group being granted/revoked.
+/// fingerprint. Group-membership operations name the target group; ACL
+/// operations name the group being granted/revoked.
 fn request_group(request: &Request) -> Option<&str> {
     match request {
         Request::SetPerm { group, .. }
@@ -954,14 +926,6 @@ fn request_group(request: &Request) -> Option<&str> {
         | Request::RemoveGroupOwner { group, .. } => Some(group),
         _ => None,
     }
-}
-
-/// Reduces a path to its top-level component (`/docs/a/b.txt` →
-/// `/docs`); the root itself stays `/`. Only the fingerprint of the
-/// result ever leaves the enclave.
-fn path_prefix(path: &str) -> &str {
-    let end = path.bytes().skip(1).position(|b| b == b'/');
-    &path[..end.map_or(path.len(), |i| i + 1)]
 }
 
 /// Payload bytes a response hands back to the client: announced

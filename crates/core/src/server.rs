@@ -401,8 +401,8 @@ impl SegShareServer {
         &self.enclave
     }
 
-    /// The host-side telemetry owner: the meter, the health state, the
-    /// stall watchdog with its stored dump
+    /// The host-side telemetry owner: the health state, the stall
+    /// watchdog with its stored dump
     /// (`telemetry().watch().last_dump()`), the slow log and the tail of
     /// recent records. What only the enclave can answer —
     /// `profile_snapshot`, `locks()` — is pulled through
@@ -415,7 +415,7 @@ impl SegShareServer {
     /// A unified telemetry snapshot: per-operation request counts and
     /// latency quantiles from the enclave's registry, merged with the
     /// families the host owns — boundary crossings, EPC usage,
-    /// per-store I/O, the front end, health and meter (see
+    /// per-store I/O, the front end, the watchdog and health (see
     /// [`Telemetry::metrics_snapshot`]).
     #[must_use]
     pub fn metrics_snapshot(&self) -> seg_obs::Snapshot {
@@ -423,9 +423,9 @@ impl SegShareServer {
     }
 
     /// Every telemetry consumer's view at one instant, as one JSON
-    /// document with the sections `saturation`, `stalls`, `locks`,
-    /// `flight`, `trace_tail`, `slow_requests`, `profile`, `health` and
-    /// `meter` — the same bundle the stall watchdog stores when a
+    /// document with the sections `enabled`, `saturation`, `stalls`,
+    /// `locks`, `trace_tail`, `slow_requests`, `profile` and `health` —
+    /// the same bundle the stall watchdog stores when a
     /// request exceeds [`EnclaveConfig::watch_deadline_us`] (read that
     /// one back with `telemetry().watch().last_dump()`). Aggregate
     /// numbers and keyed fingerprints only (see [`Telemetry::report`]).
@@ -444,10 +444,9 @@ impl SegShareServer {
         self.enclave.set_telemetry(on);
     }
 
-    /// Starts the background health runner: a thread that advances
-    /// the history clock even while the server is idle, lets the stall
-    /// watchdog see a live global-lock hold, drives the integrity
-    /// scrubber on
+    /// Starts the background health runner: a thread that, even while
+    /// the server is idle, lets the stall watchdog see a live
+    /// global-lock hold, drives the integrity scrubber on
     /// [`EnclaveConfig::scrub_interval_us`], and (when
     /// [`HealthOptions::canary`] is set) issues synthetic probes over a
     /// virtual reactor connection — the path clients use (so a canary
@@ -629,7 +628,7 @@ fn run_health_loop(
     while !stop.load(Ordering::Relaxed) {
         let _ = telemetry.health_tick();
         if let Some((reactor, user)) = canary {
-            let now = telemetry.health().monitor().now_us();
+            let now = telemetry.health().now_us();
             if enclave.telemetry_enabled()
                 && (last_probe == 0 || now.saturating_sub(last_probe) >= opts.canary_interval_us)
             {

@@ -4,7 +4,7 @@
 use std::sync::atomic::Ordering;
 
 use seg_net::reactor::ConnState;
-use seg_obs::{Snapshot, METER_AXES};
+use seg_obs::Snapshot;
 
 use crate::enclave::health::ScrubCheck;
 use crate::enclave::SegShareEnclave;
@@ -16,10 +16,8 @@ impl Telemetry {
     /// (requests, locks, pfs, rollback tree, cache, EPC, audit — pulled
     /// with [`SegShareEnclave::metrics_snapshot`]) plus what the host
     /// sees or derives for itself: boundary crossings, per-store I/O,
-    /// the front end, and the watchdog, history, scrub, canary and
-    /// meter families. The history clock's tick takes this same merged
-    /// snapshot, so a flight frame covers the whole system whether or
-    /// not anyone scrapes.
+    /// the front end, and the watchdog, scrub, canary and verdict
+    /// families. Current values only: a scraper keeps the history.
     #[must_use]
     pub fn metrics_snapshot(&self) -> Snapshot {
         let enclave = self.enclave();
@@ -41,7 +39,6 @@ impl Telemetry {
         let front_end = self.front_end.get();
         let reactor = front_end.map(|fe| &fe.stats);
         let (watch, health) = (&self.watch, &self.health);
-        let (monitor, alerts) = (health.monitor(), health.monitor().alerts());
 
         for (name, total) in [
             ("seg_boundary_ecalls_total", boundary.ecalls),
@@ -56,11 +53,8 @@ impl Telemetry {
                 reactor.map_or(0, |r| r.send_stall_ns_total()),
             ),
             ("seg_watch_dumps_total", watch.dumps()),
-            ("seg_health_samples_total", monitor.samples()),
             ("seg_health_canary_probes_total", health.canary_probes()),
             ("seg_health_canary_failures_total", health.canary_failures()),
-            ("seg_slo_alerts_total", alerts.total()),
-            ("seg_slo_alerts_suppressed_total", alerts.suppressed()),
             ("seg_scrub_passes_total", health.scrub_passes()),
         ] {
             sync(name, vec![], total);
@@ -72,8 +66,6 @@ impl Telemetry {
                 front_end.map_or(0, |fe| fe.in_flight.load(Ordering::Relaxed)),
             ),
             ("seg_health_state", health.state_code()),
-            ("seg_slo_alerts_active", monitor.active_alerts()),
-            ("seg_health_rollup_slots", monitor.rollup_slots()),
             (
                 "seg_health_canary_latency_us",
                 health.canary_last_latency_us(),
@@ -146,14 +138,6 @@ impl Telemetry {
             let label = || vec![("check", check.label())];
             sync("seg_scrub_items_total", label(), health.items(check));
             sync("seg_scrub_findings_total", label(), health.findings(check));
-        }
-        for (axis, s) in METER_AXES.into_iter().zip(self.meter.stats()) {
-            let label = || vec![("axis", axis)];
-            host.gauge_with("seg_meter_tracked", label()).set(s.tracked);
-            host.gauge_with("seg_meter_min_tracked_ops", label())
-                .set(s.min_est);
-            sync("seg_meter_evictions_total", label(), s.evictions);
-            sync("seg_meter_overflow_ops_total", label(), s.overflow_ops);
         }
     }
 }

@@ -1,20 +1,21 @@
-//! The health verdict: what the scrubber's reports, the SLO engine and
-//! the canary add up to.
+//! The health verdict: what the scrubber's reports and the canary add
+//! up to.
 //!
-//! A [`seg_obs::HealthMonitor`] — the history clock — keeps flight
-//! frames and multi-resolution headline retention and evaluates
-//! burn-rate SLO rules; the scrubber's [`ScrubReport`]s are folded into
-//! per-check counters and fingerprint-only alerts; the canary prober's
-//! outcomes are counted. All three fold into one
+//! The scrubber's [`ScrubReport`]s are folded into per-check counters
+//! and a bounded ring of the newest findings, as fingerprints; the
+//! canary prober's outcomes are counted. Both fold into one
 //! `healthy/degraded/failing` state machine. The host may compute the
 //! verdict because the host is who displays it: every input is
 //! something the enclave already handed out, and an operator reading a
 //! lying host's dashboard learns nothing a lying host could not have
-//! made up anyway.
+//! made up anyway. Request errors and latency are not inputs: the
+//! scraper of `/metrics` keeps their history and evaluates the burn-rate
+//! rules in OPERATIONS.md.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use seg_obs::{HealthConfig, HealthMonitor};
+use std::sync::Mutex;
+use std::time::Instant;
 
 use crate::config::EnclaveConfig;
 use crate::enclave::health::{ScrubCheck, ScrubReport};
@@ -22,12 +23,18 @@ use crate::enclave::health::{ScrubCheck, ScrubReport};
 /// Consecutive canary failures before the canary degrades the state.
 const CANARY_FAIL_LIMIT: u64 = 3;
 
+/// Scrub findings kept for the report.
+const FINDINGS_CAPACITY: usize = 32;
+
 /// Health-plane state, one per server. Counters are plain atomics,
 /// read lock-free by the metrics export.
 pub struct HealthState {
-    monitor: HealthMonitor,
+    epoch: Instant,
     scrub_interval_us: u64,
     counted: Counted,
+    /// The newest findings, oldest first, as `(check, fingerprint,
+    /// at_us)`: what the report's `findings` shows.
+    recent: Mutex<VecDeque<(ScrubCheck, u64, u64)>>,
 }
 
 #[derive(Default)]
@@ -44,27 +51,24 @@ struct Counted {
 }
 
 impl HealthState {
-    /// Builds the health state for one server. The latency objective
-    /// reuses the stall deadline when one is set — one source of truth
-    /// for what "too slow" means.
+    /// Builds the health state for one server.
     #[must_use]
     pub fn new(config: &EnclaveConfig) -> HealthState {
-        let slo = match config.watch_deadline_us {
-            0 => HealthConfig::default(),
-            us => HealthConfig::with_latency_threshold(us.saturating_mul(1_000)),
-        };
         HealthState {
-            monitor: HealthMonitor::new(slo),
+            epoch: Instant::now(),
             scrub_interval_us: config.scrub_interval_us,
             counted: Counted::default(),
+            recent: Mutex::new(VecDeque::with_capacity(FINDINGS_CAPACITY)),
         }
     }
 
-    /// The history clock (flight frames, headline levels, burn-rate
-    /// evaluation, alert ring).
-    #[must_use]
-    pub fn monitor(&self) -> &HealthMonitor {
-        &self.monitor
+    /// Microseconds since this state was created (≥ 1): the clock of
+    /// the scrub cadence, the canary interval and finding stamps.
+    pub(crate) fn now_us(&self) -> u64 {
+        self.epoch
+            .elapsed()
+            .as_micros()
+            .clamp(1, u128::from(u64::MAX)) as u64
     }
 
     /// Completed scrub passes.
@@ -110,50 +114,33 @@ impl HealthState {
     }
 
     /// Records one canary probe outcome. A run of three consecutive
-    /// failures raises a `canary` alert and degrades the health state
-    /// until a probe succeeds again.
+    /// failures degrades the health state until a probe succeeds again.
     pub fn canary_result(&self, ok: bool, latency_us: u64) {
-        self.counted.canary_probes.fetch_add(1, Ordering::Relaxed);
+        let c = &self.counted;
+        c.canary_probes.fetch_add(1, Ordering::Relaxed);
         if ok {
-            self.counted.canary_consecutive.store(0, Ordering::Relaxed);
-            self.counted
-                .canary_last_latency_us
+            c.canary_consecutive.store(0, Ordering::Relaxed);
+            c.canary_last_latency_us
                 .store(latency_us, Ordering::Relaxed);
         } else {
-            self.counted.canary_failures.fetch_add(1, Ordering::Relaxed);
-            let run = self
-                .counted
-                .canary_consecutive
-                .fetch_add(1, Ordering::Relaxed)
-                + 1;
-            if run >= CANARY_FAIL_LIMIT {
-                self.monitor.alerts().raise(
-                    self.monitor.now_us(),
-                    "canary",
-                    "probe",
-                    0,
-                    run,
-                    CANARY_FAIL_LIMIT,
-                );
-            }
+            c.canary_failures.fetch_add(1, Ordering::Relaxed);
+            c.canary_consecutive.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// The state machine: `2` (failing) while any integrity finding is
     /// latched — corruption never heals by itself, so neither does this
-    /// state; `1` (degraded) while an SLO objective is burning budget
-    /// or the canary is in a failure run; `0` (healthy) otherwise.
+    /// state; `1` (degraded) while the canary is in a failure run; `0`
+    /// (healthy) otherwise.
     #[must_use]
     pub fn state_code(&self) -> u64 {
         if self.findings_total() > 0 {
-            return 2;
+            2
+        } else if self.counted.canary_consecutive.load(Ordering::Relaxed) >= CANARY_FAIL_LIMIT {
+            1
+        } else {
+            0
         }
-        if self.monitor.active_alerts() > 0
-            || self.counted.canary_consecutive.load(Ordering::Relaxed) >= CANARY_FAIL_LIMIT
-        {
-            return 1;
-        }
-        0
     }
 
     /// The state as a compiled-in label.
@@ -173,7 +160,7 @@ impl HealthState {
         if self.scrub_interval_us == 0 {
             return false;
         }
-        let now_us = self.monitor.now_us();
+        let now_us = self.now_us();
         let last = self.counted.last_scrub_us.load(Ordering::Relaxed);
         if last != 0 && now_us.saturating_sub(last) < self.scrub_interval_us {
             return false;
@@ -185,32 +172,37 @@ impl HealthState {
     }
 
     /// Folds one scrub step's report in: per-check item and finding
-    /// counters, one fingerprint-only `scrub_integrity` alert per
-    /// finding (each latches `failing`), and the pass count.
+    /// counters, each finding into the ring (each latches `failing`),
+    /// and the pass count.
     pub(super) fn fold(&self, report: &ScrubReport) {
         for (total, n) in self.counted.items.iter().zip(report.items) {
             total.fetch_add(n, Ordering::Relaxed);
         }
-        let now_us = self.monitor.now_us();
+        let at_us = self.now_us();
+        let mut recent = self
+            .recent
+            .lock()
+            .expect("the ring is never left half-updated");
         for &(check, fingerprint) in &report.findings {
             self.counted.findings[check.index()].fetch_add(1, Ordering::Relaxed);
-            let alerts = self.monitor.alerts();
-            alerts.raise(now_us, "scrub_integrity", check.label(), fingerprint, 0, 0);
+            if recent.len() == FINDINGS_CAPACITY {
+                recent.pop_front();
+            }
+            recent.push_back((check, fingerprint, at_us));
         }
+        drop(recent);
         if report.pass_completed {
             self.counted.scrub_passes.fetch_add(1, Ordering::Relaxed);
             self.counted
                 .scrub_last_pass_us
-                .store(now_us, Ordering::Relaxed);
+                .store(at_us, Ordering::Relaxed);
         }
     }
 
     /// The `health` section of the report: the verdict, scrubber and
-    /// canary counters, the alert-ring tail, per-objective burn rates,
-    /// and the multi-resolution headline history.
+    /// canary counters, and the newest findings.
     pub(super) fn to_json(&self) -> String {
         let c = &self.counted;
-        let (monitor, alerts) = (&self.monitor, self.monitor.alerts());
         let checks: String = ScrubCheck::ALL
             .iter()
             .map(|&check| {
@@ -221,13 +213,26 @@ impl HealthState {
                 )
             })
             .collect();
+        let recent = self
+            .recent
+            .lock()
+            .expect("the ring is never left half-updated");
+        let findings: Vec<String> = recent
+            .iter()
+            .map(|(check, fingerprint, at_us)| {
+                format!(
+                    "{{\"check\":\"{}\",\"fingerprint\":\"{fingerprint:016x}\",\"at_us\":{at_us}}}",
+                    check.label()
+                )
+            })
+            .collect();
+        drop(recent);
         format!(
             "{{\n\"state\":\"{}\",\"state_code\":{},\n\
              \"scrub\":{{\"passes\":{},\"last_pass_us\":{},\"interval_us\":{}{checks}}},\n\
              \"canary\":{{\"probes\":{},\"failures\":{},\"consecutive_failures\":{},\
              \"last_latency_us\":{}}},\n\
-             \"alerts\":{{\"total\":{},\"suppressed\":{},\"active\":{},\"recent\":{}}},\n\
-             \"slo\":{},\n\"history\":{}\n}}",
+             \"findings\":[{}]\n}}",
             self.state_label(),
             self.state_code(),
             self.scrub_passes(),
@@ -237,12 +242,7 @@ impl HealthState {
             self.canary_failures(),
             c.canary_consecutive.load(Ordering::Relaxed),
             self.canary_last_latency_us(),
-            alerts.total(),
-            alerts.suppressed(),
-            monitor.active_alerts(),
-            alerts.to_json(32),
-            monitor.slo_json(),
-            monitor.history_json(),
+            findings.join(","),
         )
     }
 }

@@ -7,12 +7,13 @@
 //! host makes them (`metrics_snapshot`, `profile_snapshot`,
 //! `scrub_step`, the lock manager's hold and contended-stripe rows).
 //! From those, and from what the host sees for itself (the reactor's
-//! gauges, store and boundary traffic), this module builds the meter,
-//! the history clock, the tail of recent records, the slow log and stall
-//! watchdog, canary bookkeeping, the health verdict, the report and the
-//! host's share of the metrics export. The one thing the host sets
-//! inside is the telemetry switch. None of it is trusted, and none
-//! needs to be: it can only misreport to the operator of the same host.
+//! gauges, store and boundary traffic), this module builds the tail of
+//! recent records, the slow log and stall watchdog, canary bookkeeping,
+//! the health verdict, the report and the host's share of the metrics
+//! export. It keeps no history: it exports state, and the scraper of the
+//! export keeps time. The one thing the host sets inside is the
+//! telemetry switch. None of it is trusted, and none needs to be: it can
+//! only misreport to the operator of the same host.
 
 mod export;
 pub mod health;
@@ -22,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use seg_net::reactor::ReactorStats;
-use seg_obs::{records_json, Meter, RecordSink, Registry, RequestRecord};
+use seg_obs::{records_json, RecordSink, Registry, RequestRecord};
 
 use crate::enclave::health::ScrubReport;
 use crate::enclave::SegShareEnclave;
@@ -43,7 +44,6 @@ pub struct Telemetry {
     /// Upgraded for pulls; alive whenever this value is reachable — it
     /// is reached through the server or from the enclave itself.
     enclave: Weak<SegShareEnclave>,
-    meter: Meter,
     health: HealthState,
     watch: Watchdog,
     /// The families the host owns (`seg_net_*`, `seg_store_*`, …),
@@ -60,7 +60,6 @@ impl Telemetry {
         let config = enclave.config();
         let telemetry = Arc::new(Telemetry {
             enclave: Arc::downgrade(enclave),
-            meter: Meter::new(config.watch_deadline_us),
             health: HealthState::new(config),
             watch: Watchdog::new(config.watch_deadline_us),
             host: Registry::new(),
@@ -82,13 +81,8 @@ impl Telemetry {
         let _ = self.front_end.set(FrontEnd { stats, in_flight });
     }
 
-    /// The meter (per-principal/object/group/prefix cost attribution).
-    #[must_use]
-    pub fn meter(&self) -> &Meter {
-        &self.meter
-    }
-
-    /// The history clock, scrub and canary counters, and the verdict.
+    /// The scrub and canary counters, the newest findings, and the
+    /// verdict.
     #[must_use]
     pub fn health(&self) -> &HealthState {
         &self.health
@@ -104,26 +98,23 @@ impl Telemetry {
     }
 
     /// Runs one budgeted scrub step inside the enclave and folds what
-    /// it reports into the counters, the alert ring and the verdict.
+    /// it reports into the counters, the findings and the verdict.
     pub fn scrub_step(&self) -> ScrubReport {
         let report = self.enclave().scrub_step();
         self.health.fold(&report);
         report
     }
 
-    /// One background tick, driven by the server's health runner:
-    /// advances the history clock even on an idle server, lets the stall
-    /// watchdog look at a live exclusive hold of the global lock (which
-    /// blocks every request but not this) and, when the scrub cadence
-    /// elapsed, runs one scrub step. A no-op while telemetry is off.
+    /// One background tick, driven by the server's health runner: lets
+    /// the stall watchdog look at a live exclusive hold of the global
+    /// lock (which blocks every request but not this) and, when the scrub
+    /// cadence elapsed, runs one scrub step. A no-op while telemetry is
+    /// off.
     pub fn health_tick(&self) -> Option<ScrubReport> {
         let enclave = self.enclave();
         if !enclave.telemetry_enabled() {
             return None;
         }
-        self.health
-            .monitor()
-            .tick_if_due(|| self.metrics_snapshot());
         let hold = enclave.locks().global_hold();
         if hold.is_some_and(|hold| self.watch.note_global_hold(hold)) {
             self.watch.store_dump(self.report());
@@ -134,22 +125,18 @@ impl Telemetry {
     }
 
     /// Every consumer's view at one instant, as one JSON document:
-    /// `saturation`, `stalls`, `locks` (global-hold clock and the
-    /// contended-stripe top-K), `flight` frames, `trace_tail` (the
-    /// newest records of any duration) and `slow_requests` (both whole
-    /// records), the phase `profile`, `health`
-    /// (verdict, scrubber, canary, alerts, SLO burn, headline history)
-    /// and `meter` — correlated evidence instead of unsynchronized
-    /// dumps; the stall watchdog stores the same bundle. Rendered from
+    /// `enabled`, `saturation`, `stalls`, `locks` (global-hold clock and
+    /// the contended-stripe top-K), `trace_tail` (the newest records of
+    /// any duration) and `slow_requests` (both whole records), the phase
+    /// `profile` and `health` (verdict, scrubber, canary, newest
+    /// findings) — correlated evidence instead of unsynchronized dumps;
+    /// the stall watchdog stores the same bundle. Rendered from
     /// values that already crossed the boundary (see
     /// [`seg_obs::record`]): compiled-in names, aggregate numbers and
     /// keyed fingerprints.
     #[must_use]
     pub fn report(&self) -> String {
         let enclave = self.enclave();
-        let monitor = self.health.monitor();
-        // The bundle always holds the most recent window.
-        monitor.tick_at(self.metrics_snapshot(), monitor.now_us());
         let fe = self.front_end.get();
         let stat = |read: fn(&ReactorStats) -> u64| fe.map_or(0, |fe| read(&fe.stats));
         let stripes = enclave.locks().contended_stripes(8);
@@ -161,7 +148,7 @@ impl Telemetry {
             "{{\n\"enabled\":{},\n\"saturation\":{{\"live_sessions\":{},\"in_flight\":{},\
              \"queued_bytes\":{},\"send_stalls\":{},\"send_stall_ns\":{},\"idle_us\":{}}},\n\
              \"stalls\":{{\"request\":{},\"global_lock\":{},\"dumps\":{}}},\n\
-             \"locks\":{{\"global_held_us\":{},\"lock_top\":[{}]}},\n\"flight\":",
+             \"locks\":{{\"global_held_us\":{},\"lock_top\":[{}]}},\n\"trace_tail\":",
             enclave.telemetry_enabled(),
             stat(ReactorStats::live_conns),
             fe.map_or(0, |fe| fe.in_flight.load(Ordering::Relaxed)),
@@ -175,8 +162,6 @@ impl Telemetry {
             enclave.locks().global_held_us(),
             stripes.collect::<Vec<_>>().join(","),
         );
-        out.push_str(&monitor.flight_json());
-        out.push_str(",\n\"trace_tail\":");
         out.push_str(records_json(&self.watch.recent_requests(usize::MAX)).trim_end());
         out.push_str(",\n\"slow_requests\":");
         out.push_str(records_json(&self.watch.slow_requests(32)).trim_end());
@@ -184,23 +169,15 @@ impl Telemetry {
         out.push_str(enclave.profile_snapshot().to_json().trim_end());
         out.push_str(",\n\"health\":");
         out.push_str(&self.health.to_json());
-        out.push_str(",\n\"meter\":");
-        out.push_str(self.meter.report_json().trim_end());
         out.push_str("\n}\n");
         out
     }
 }
 
 impl RecordSink for Telemetry {
-    /// One closed request reaches every host-side consumer: the meter,
-    /// the SLO windows and headline history (whose clock it also
-    /// ticks), the tail of recent records, the slow log and the stall
-    /// watchdog.
+    /// One closed request reaches its host-side consumers: the tail of
+    /// recent records, the slow log and the stall watchdog.
     fn consume(&self, rec: &RequestRecord) {
-        self.meter.consume(rec);
-        let monitor = self.health.monitor();
-        monitor.consume(rec);
-        monitor.tick_if_due(|| self.metrics_snapshot());
         if self.watch.consume(rec) {
             self.watch.store_dump(self.report());
         }

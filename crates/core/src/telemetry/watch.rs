@@ -90,10 +90,10 @@ impl Watchdog {
         dump
     }
 
-    /// The watchdog's view from the history tick, which no lock blocks:
-    /// a live exclusive hold of the global lock, begun at stamp `since`
-    /// and `held_us` old. Reports each hold over the budget once.
-    /// Returns whether the caller should store a dump.
+    /// The watchdog's view from the health runner's tick, which no lock
+    /// blocks: a live exclusive hold of the global lock, begun at stamp
+    /// `since` and `held_us` old. Reports each hold over the budget
+    /// once. Returns whether the caller should store a dump.
     pub fn note_global_hold(&self, (since, held_us): (u64, u64)) -> bool {
         self.deadline_us > 0
             && held_us >= GLOBAL_LOCK_BUDGET_US

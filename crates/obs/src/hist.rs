@@ -60,11 +60,6 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of the recorded observations.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
     /// Summarizes the current contents.
     pub fn summarize(&self) -> HistogramSummary {
         let count = self.count.load(Ordering::Relaxed);

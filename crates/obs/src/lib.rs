@@ -9,14 +9,12 @@
 //! ([`record`]) and the phase profiler that fills the record's phase
 //! vector ([`prof`]).
 //!
-//! **Run by the untrusted host:** the pure consumers of records and
-//! snapshots — the meter ([`meter`]), the history clock with its
-//! flight frames, headline levels, SLO burn rates and alert ring
-//! ([`health`], [`flight`]), and the renderers and queries of
+//! **Run by the untrusted host:** the renderers and queries of
 //! snapshots and records (`render.rs`: [`Snapshot::to_json`],
 //! [`ProfSnapshot::to_collapsed`], [`records_json`], ...). Their inputs
-//! already crossed the boundary, so they need no trust: a host that
-//! lies in its own meter or alert ring misleads only itself.
+//! already crossed the boundary, so they need no trust. The host keeps
+//! no history of its own: it exports state, and whoever scrapes the
+//! export keeps time.
 //!
 //! # Trust-boundary rule
 //!
@@ -45,18 +43,12 @@
 
 #![warn(missing_docs)]
 
-pub mod flight;
-pub mod health;
 mod hist;
-pub mod meter;
 pub mod prof;
 pub mod record;
 mod render;
 
-pub use flight::FlightRecorder;
-pub use health::{Alert, AlertRing, BurnRule, HealthConfig, HealthMonitor, SloObjective};
 pub use hist::{Histogram, HistogramSummary};
-pub use meter::{Meter, MeterAxis, MeterSlot, Rollup, METER_AXES, METER_SLOTS};
 pub use prof::{ProfEntry, ProfSnapshot, Profiler};
 pub use record::{CostVector, Decision, Phase, PhaseTime, RecordSink, RequestRecord};
 pub use render::records_json;

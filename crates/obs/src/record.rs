@@ -4,17 +4,15 @@
 //! It is the enclave's only per-request telemetry. Inside, a closed
 //! record feeds the request metric families
 //! ([`crate::Registry::consume`]); then it leaves through the one
-//! [`RecordSink`] the host attached, and every other plane — the meter
-//! ([`crate::Meter::consume`]), the SLO / headline history
-//! ([`crate::HealthMonitor::consume`]), `segshare`'s tail of recent
-//! records, slow log and stall watchdog — is a consumer of that
-//! `&RequestRecord` on the untrusted side and of nothing else from the
-//! request path.
+//! [`RecordSink`] the host attached, and every other plane —
+//! `segshare`'s tail of recent records, slow log and stall watchdog — is
+//! a consumer of that `&RequestRecord` on the untrusted side and of
+//! nothing else from the request path.
 //!
 //! # Trust boundary
 //!
 //! A record is the request path's one declassification: the operation
-//! and error code are compiled-in labels, the four operands appear only
+//! and error code are compiled-in labels, the three operands appear only
 //! as keyed fingerprints (the key never leaves the enclave), and the
 //! rest is durations and counts. Nothing a consumer stores or exports
 //! can therefore carry request content — the argument is made here
@@ -178,8 +176,6 @@ pub struct RequestRecord {
     pub object: u64,
     /// Keyed fingerprint of the group operand (0 = none).
     pub group: u64,
-    /// Keyed fingerprint of the top-level path component (0 = none).
-    pub prefix: u64,
     /// Wall-clock from frame entry to the end of dispatch.
     pub duration_ns: u64,
     /// Where the duration went.
@@ -201,7 +197,6 @@ impl RequestRecord {
             principal,
             object,
             group: 0,
-            prefix: 0,
             duration_ns: 0,
             phases: PhaseVector::default(),
             cost: CostVector::default(),

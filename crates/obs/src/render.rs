@@ -308,7 +308,7 @@ pub fn records_json(records: &[RequestRecord]) -> String {
         out.push_str(&format!(
             "\n  {{\"request_id\": {}, \"op\": \"{}\", \"decision\": \"{}\", \"code\": \"{}\", \
              \"principal\": \"{:016x}\", \"object\": \"{:016x}\", \"group\": \"{:016x}\", \
-             \"prefix\": \"{:016x}\", \"duration_us\": {}, \"phases\": {{",
+             \"duration_us\": {}, \"phases\": {{",
             r.request_id,
             r.op,
             r.decision.label(),
@@ -316,7 +316,6 @@ pub fn records_json(records: &[RequestRecord]) -> String {
             r.principal,
             r.object,
             r.group,
-            r.prefix,
             r.duration_us(),
         ));
         let spent = Phase::ALL

@@ -11,6 +11,8 @@
 //! lock scopes exercised are exactly the production ones in
 //! `session.rs`.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -513,19 +515,6 @@ fn lock_wait_is_attributed_to_the_contended_key_class() {
     );
 }
 
-/// Asserts `dump` has every section of `report()`: the stall watchdog
-/// stores the same bundle.
-fn assert_whole_report(dump: &str) {
-    for section in
-        "saturation stalls locks flight trace_tail slow_requests profile health meter".split(' ')
-    {
-        assert!(
-            dump.contains(&format!("\"{section}\":")),
-            "dump missing section {section}"
-        );
-    }
-}
-
 #[test]
 fn watchdog_stall_dumps_a_correlated_bundle_without_leaking_content() {
     // A 1ms deadline over a 3ms-per-store-access rig: every request
@@ -550,7 +539,7 @@ fn watchdog_stall_dumps_a_correlated_bundle_without_leaking_content() {
     assert_eq!(watch.stalls_global(), 0, "nothing took the global lock");
     assert!(watch.dumps() > 0, "the first stall captures a dump");
     let dump = watch.last_dump().expect("dump stored");
-    assert_whole_report(&dump);
+    common::assert_report_keys(&dump);
     for secret in ["alice", "plans-secret", "q3-report", "acme.example"] {
         assert!(
             !dump.contains(secret),
@@ -592,7 +581,6 @@ fn one_slow_request_is_explained_by_its_one_record() {
     assert!(slow.cost.store_reads > 0 && slow.cost.req_bytes > 0);
     assert_eq!(slow.principal, enclave.fingerprint_user(&alice.user_id));
     assert_eq!(slow.object, enclave.fingerprint_name("/doc"));
-    assert_eq!(slow.prefix, enclave.fingerprint_name("/doc"));
 
     let audited = server.audit_export().unwrap();
     let audited = audited.last().expect("the get was audited last");
@@ -679,7 +667,7 @@ fn a_long_global_hold_is_a_stall_seen_live_and_counted_once() {
     assert_eq!(global_stalls(), Some(1));
     assert_eq!(watch.dumps(), 1, "one stall, one stored dump");
     let dump = watch.last_dump().expect("dump stored");
-    assert_whole_report(&dump);
+    common::assert_report_keys(&dump);
     assert!(dump.contains("\"global_lock\":1"), "{dump}");
     assert!(dump.contains("\"global_hold\": {\"self_ns\": 0, \"sim_ns\": "));
     for secret in ["alice", "plans", "q3-report", "acme.example", "@"] {

@@ -1,9 +1,11 @@
 //! The health plane end to end: a clean workload stays `healthy` with
-//! zero alerts; every corruption class the §III-B attacker can inject
+//! zero findings; every corruption class the §III-B attacker can inject
 //! (content bit-flips, audit-trail truncation, stale rollback-tree
 //! state, store orphans, cache incoherence) is caught by the
 //! background scrubber within one pass and latches the `failing`
-//! state with a correlated, fingerprint-only alert.
+//! state with a correlated, fingerprint-only finding.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -75,7 +77,6 @@ fn clean_stationary_workload_stays_healthy_with_zero_alerts() {
     assert_eq!(health.state_code(), 0);
     assert_eq!(health.state_label(), "healthy");
     assert_eq!(health.findings_total(), 0);
-    assert_eq!(health.monitor().alerts().total(), 0);
     assert_eq!(health.scrub_passes(), 2);
     assert!(
         health.items(ScrubCheck::Tree) > 10,
@@ -86,8 +87,9 @@ fn clean_stationary_workload_stays_healthy_with_zero_alerts() {
         "the audit chain was re-verified"
     );
     let report = r.server.report();
+    common::assert_report_keys(&report);
     assert!(report.contains("\"state\":\"healthy\""));
-    assert!(report.contains("\"history\""));
+    assert!(report.contains("\"findings\":[]"));
 }
 
 #[test]
@@ -115,12 +117,27 @@ fn content_bitflip_latches_failing_with_fingerprint_only_alert() {
     let health = r.server.telemetry().health();
     assert_eq!(health.state_code(), 2);
     assert_eq!(health.state_label(), "failing");
-    assert!(health.monitor().alerts().total() > 0);
 
-    // The alert and report are correlated but leak nothing: compiled-in
-    // names and keyed fingerprints only — never paths or user ids.
+    // The finding and report are correlated but leak nothing:
+    // compiled-in names and keyed fingerprints only — never paths or
+    // user ids. The report's `health.findings` names the check and the
+    // object's fingerprint, which the tree walk can be asked about.
     let report = r.server.report();
-    assert!(report.contains("scrub_integrity"));
+    let at = report
+        .find("\"findings\":[{")
+        .expect("a finding in the report");
+    let finding = &report[at..];
+    let finding = &finding[..finding.find('}').expect("closed entry")];
+    assert!(finding.contains("\"check\":\"tree\""), "{finding}");
+    let fingerprint = finding
+        .split("\"fingerprint\":\"")
+        .nth(1)
+        .and_then(|rest| rest.get(..16))
+        .expect("a fingerprint");
+    assert!(
+        fingerprint.bytes().all(|b| b.is_ascii_hexdigit()) && fingerprint != "0".repeat(16),
+        "{finding}"
+    );
     assert!(!report.contains("payroll"), "no plaintext paths");
     assert!(!report.contains("salaries"), "no plaintext names");
     assert!(!report.contains("alice"), "no principal identities");
@@ -364,24 +381,31 @@ fn disabled_health_plane_is_inert() {
     // The one telemetry switch, flipped mid-run: off, the runner's tick
     // does nothing and no record reaches any consumer; what was
     // gathered before is kept, and counting resumes when it is back on.
-    let r = rig(EnclaveConfig::default(), 707);
+    // Every request is slow here, so the slow log and the stall counter
+    // consume beside the tail of records.
+    let config = EnclaveConfig {
+        watch_deadline_us: 1,
+        ..EnclaveConfig::default()
+    };
+    let r = rig(config, 707);
     let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
     let mut a = r.server.connect_local(&alice).unwrap();
     a.put("/before", b"counted").unwrap();
     let telemetry = r.server.telemetry();
+    let watch = telemetry.watch();
     let consumed = || {
         let snap = r.server.metrics_snapshot();
         (
             snap.counter("seg_requests_total{op=\"put_file\"}"),
-            telemetry.meter().samples(),
-            telemetry.health().monitor().headline().0,
-            telemetry.watch().recent_requests(usize::MAX).len(),
+            watch.stalls_request(),
+            watch.slow_requests(usize::MAX).len(),
+            watch.recent_requests(usize::MAX).len(),
         )
     };
     let before = consumed();
     assert_eq!(before.0, Some(1));
-    let top = telemetry.meter().top("principal", 1)[0];
-    let frames = telemetry.health().monitor().frames_total();
+    assert!(before.1 > 0 && before.2 > 0 && before.3 > 0, "{before:?}");
+    let tail = watch.recent_requests(usize::MAX);
 
     r.server.set_telemetry(false);
     assert!(telemetry.health_tick().is_none());
@@ -390,22 +414,18 @@ fn disabled_health_plane_is_inert() {
     let during = consumed();
     assert_eq!(during, before, "not even the tail of records grew");
     assert_eq!(telemetry.health().scrub_passes(), 0);
-    assert_eq!(
-        telemetry.health().monitor().frames_total(),
-        frames,
-        "no tick"
-    );
-    let kept = telemetry.meter().top("principal", 1)[0];
-    assert_eq!((kept.fp, kept.est), (top.fp, top.est), "sketches kept");
+    assert_eq!(watch.recent_requests(usize::MAX), tail, "records kept");
     // The report still renders (state machine reads, no scrub work).
-    assert!(r.server.report().contains("\"enabled\":false"));
+    let report = r.server.report();
+    common::assert_report_keys(&report);
+    assert!(report.contains("\"enabled\":false"));
 
     r.server.set_telemetry(true);
     a.put("/after", b"counted again").unwrap();
     let after = consumed();
     assert_eq!(after.0, Some(2));
     assert!(after.1 > before.1 && after.2 > before.2 && after.3 > during.3);
-    assert_eq!(telemetry.meter().top("principal", 1)[0].fp, top.fp);
+    assert_eq!(watch.recent_requests(usize::MAX)[0], tail[0]);
 }
 
 #[test]

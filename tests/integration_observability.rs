@@ -11,6 +11,8 @@
 //!    appears in either snapshot encoding — the trust-boundary rule
 //!    (paper §III: everything leaving the enclave is adversary-visible).
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
 use seg_fs::Perm;
@@ -283,15 +285,7 @@ fn encoded_snapshots_carry_no_request_content() {
     while !server.telemetry().scrub_step().pass_completed {}
     assert_ids_content_free(&server.metrics_snapshot());
     let report = server.report();
-    let sections = "saturation stalls global_held_us lock_top flight trace_tail slow_requests \
-                    profile state scrub canary alerts slo history totals principals objects \
-                    groups prefixes fairness";
-    for section in sections.split_whitespace() {
-        assert!(
-            report.contains(&format!("\"{section}\":")),
-            "report missing {section}"
-        );
-    }
+    common::assert_report_keys(&report);
     assert!(report.contains("\"op\": \"put_file\", \"decision\": \"allow\""));
     assert_content_free("report", &report);
     let dump = server.telemetry().watch().last_dump();
@@ -300,9 +294,11 @@ fn encoded_snapshots_carry_no_request_content() {
 
 #[test]
 fn flight_frames_cover_the_whole_system_unscraped() {
-    // Frames are windows of the *merged* snapshot the history clock's
-    // own tick takes, so store and cache activity is in them although
-    // nobody ever called `metrics_snapshot()` on this server.
+    // The host's mirrors of totals kept elsewhere (store I/O, boundary
+    // crossings) are brought up to date by the scrape itself, so the
+    // first scrape of a server nobody scraped before holds the whole
+    // system's activity, and the difference of two scrapes — the window
+    // a scraper keeps — holds what happened between them.
     let config = EnclaveConfig {
         cache: true,
         ..EnclaveConfig::default()
@@ -313,27 +309,25 @@ fn flight_frames_cover_the_whole_system_unscraped() {
         .enroll_user("alice", "alice@acme.example", "Alice")
         .expect("enroll");
     let mut a = server.connect_local(&alice).expect("connect");
-    let monitor = server.telemetry().health().monitor();
-    // Request completions tick the clock: keep puts and gets flowing
-    // until a windowed frame (the second) has been recorded.
-    let started = std::time::Instant::now();
-    while monitor.frames_total() < 2 {
-        a.put("/doc", b"body").expect("put");
-        assert_eq!(a.get("/doc").expect("get"), b"body");
-        assert!(started.elapsed().as_secs() < 30, "the clock never ticked");
-    }
-    let flight = monitor.flight_json();
-    let last = &flight[flight.rfind("\"seq\":").expect("frames")..];
+    let traffic = |a: &mut Client<_>| {
+        for _ in 0..3 {
+            a.put("/doc", b"body").expect("put");
+            assert_eq!(a.get("/doc").expect("get"), b"body");
+        }
+    };
+    traffic(&mut a);
+    let first = server.metrics_snapshot();
+    traffic(&mut a);
+    let window = server.metrics_snapshot().delta(&first);
     for series in [
-        "seg_store_ops_total{op=\\\"put\\\",store=\\\"content\\\"}",
+        "seg_store_ops_total{op=\"put\",store=\"content\"}",
         "seg_cache_hits_total",
         "seg_boundary_ecalls_total",
     ] {
-        let (_, value) = last
-            .split_once(&format!("\"{series}\": "))
-            .unwrap_or_else(|| panic!("{series} missing from the frame: {last}"));
-        let value = value.split([',', '\n']).next().unwrap_or("");
-        assert_ne!(value, "0", "{series} in a window with traffic");
+        for (which, snap) in [("first scrape", &first), ("window", &window)] {
+            let value = snap.counter(series).unwrap_or(0);
+            assert!(value > 0, "{series} is {value} in the {which}");
+        }
     }
 }
 
@@ -405,16 +399,11 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_cache_entries",
         "seg_cache_bytes",
         // Health-plane families export even when no runner ever
-        // started: zero samples, zero scrub passes, healthy state.
-        "seg_health_samples_total",
+        // started: zero probes, zero scrub passes, healthy state.
         "seg_health_canary_probes_total",
         "seg_health_canary_failures_total",
         "seg_health_state",
-        "seg_health_rollup_slots",
         "seg_health_canary_latency_us",
-        "seg_slo_alerts_total",
-        "seg_slo_alerts_suppressed_total",
-        "seg_slo_alerts_active",
         "seg_scrub_passes_total",
         "seg_scrub_items_total",
         "seg_scrub_findings_total",
@@ -425,12 +414,6 @@ fn watch_plane_families_always_export_with_clean_labels() {
         "seg_store_batch_ops_total",
         "seg_store_fsyncs_total",
         "seg_store_fsync_bytes_total",
-        // Meter families export in every configuration so the series
-        // set stays stable whether telemetry is on or off.
-        "seg_meter_tracked",
-        "seg_meter_min_tracked_ops",
-        "seg_meter_evictions_total",
-        "seg_meter_overflow_ops_total",
     ] {
         assert!(
             text.contains(family),
@@ -441,13 +424,6 @@ fn watch_plane_families_always_export_with_clean_labels() {
     let snap = server.metrics_snapshot();
     assert_eq!(snap.gauge("seg_telemetry_enabled"), Some(1), "always-on");
     assert_eq!(snap.gauge("seg_cache_entries"), Some(0), "cache disabled");
-    for axis in ["principal", "object", "group", "prefix"] {
-        assert!(
-            snap.gauge(&format!("seg_meter_tracked{{axis=\"{axis}\"}}"))
-                .is_some(),
-            "per-axis meter gauge pre-interned for {axis}"
-        );
-    }
     assert_eq!(snap.gauge("seg_health_state"), Some(0), "healthy at rest");
     // The scrub families pre-intern one series per check class, all
     // zero until a runner drives the scrubber.
@@ -595,9 +571,9 @@ fn profile_attributes_upload_wall_clock_to_phases() {
 
 #[test]
 fn history_headline_equals_the_request_families() {
-    // Two consumers of one record stream cannot disagree: what the
-    // history clock counted from records is what the registry's own
-    // request families sum to.
+    // Two consumers of one record stream cannot disagree: the host's
+    // tail of records holds what the registry's own request families
+    // sum to, and the report's `trace_tail` is that tail.
     let server = run_flow(EnclaveConfig::default());
     let snap = server.metrics_snapshot();
     let family = |name: &str| -> u64 {
@@ -607,17 +583,20 @@ fn history_headline_equals_the_request_families() {
             .map(|&(_, v)| v)
             .sum()
     };
-    let (requests, errors) = server.telemetry().health().monitor().headline();
+    let tail = server.telemetry().watch().recent_requests(usize::MAX);
+    let requests = tail.len() as u64;
+    let errors = tail.iter().filter(|r| !r.ok()).count() as u64;
     assert_eq!(requests, family("seg_requests_total"));
     assert_eq!(errors, family("seg_request_errors_total"));
     assert!(
         requests >= 9 && errors == 1,
         "{requests} requests, {errors} errors"
     );
-    assert_eq!(server.telemetry().meter().samples(), requests);
-    assert!(server.report().contains(&format!(
-        "\"history\":{{\"requests\":{requests},\"errors\":1,"
-    )));
+    let report = server.report();
+    let at = report.find("\"trace_tail\":").expect("trace_tail");
+    let end = report.find("\"slow_requests\":").expect("slow_requests");
+    let entries = report[at..end].matches("{\"request_id\":").count() as u64;
+    assert_eq!(entries, requests);
 }
 
 #[test]
@@ -644,35 +623,36 @@ fn meter_families_export_zeroed_when_disabled() {
         Some(0),
         "telemetry off"
     );
-    for family in ["seg_health_samples_total", "seg_watch_dumps_total"] {
+    for family in [
+        "seg_watch_dumps_total",
+        "seg_watch_stalls_total{kind=\"request\"}",
+        "seg_watch_stalls_total{kind=\"global_lock\"}",
+        "seg_health_canary_probes_total",
+        "seg_scrub_passes_total",
+    ] {
         assert_eq!(snap.counter(family), Some(0), "no record reached {family}");
     }
-    assert_eq!(server.telemetry().meter().samples(), 0, "nor the meter");
+    assert_eq!(snap.gauge("seg_health_state"), Some(0), "zeroed verdict");
+    let watch = server.telemetry().watch();
+    assert!(
+        watch.recent_requests(usize::MAX).is_empty(),
+        "nor the tail of records"
+    );
     assert!(
         snap.counters
             .iter()
             .all(|(id, _)| id.name() != "seg_requests_total"),
         "no request was counted while off"
     );
-    for axis in ["principal", "object", "group", "prefix"] {
-        for (family, value) in [
-            (format!("seg_meter_tracked{{axis=\"{axis}\"}}"), 0),
-            (format!("seg_meter_min_tracked_ops{{axis=\"{axis}\"}}"), 0),
-        ] {
-            assert_eq!(snap.gauge(&family), Some(value), "zeroed {family}");
-        }
-        for family in [
-            format!("seg_meter_evictions_total{{axis=\"{axis}\"}}"),
-            format!("seg_meter_overflow_ops_total{{axis=\"{axis}\"}}"),
-        ] {
-            assert_eq!(snap.counter(&family), Some(0), "zeroed {family}");
-        }
-    }
     // The report also renders in the off state — explicitly marked,
     // with empty sections rather than absent ones. The audit trail is
     // not telemetry: both operations are on it, the upload as one record.
     let report = server.report();
+    common::assert_report_keys(&report);
     assert!(report.contains("\"enabled\":false"), "report marks off");
-    assert!(report.contains("\"samples\":0"), "report shows no samples");
+    assert!(
+        report.contains("\"trace_tail\":[]"),
+        "report shows no records"
+    );
     assert_eq!(server.audit_verify().expect("chain verifies"), 2);
 }
