@@ -467,7 +467,7 @@ mod tests {
         // sure the two stay compatible.
         let r = seg_obs::Registry::new();
         r.counter("seg_frames_total").add(3);
-        r.histogram("seg_audit_append_ns").record(1000);
+        r.histogram("seg_request_latency_ns").record(1000);
         let v = parse(&r.snapshot().to_json()).unwrap();
         assert_eq!(
             v.get("counters")

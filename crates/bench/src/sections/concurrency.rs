@@ -9,10 +9,10 @@
 //! construction, so the bar holds on any host core count.
 //!
 //! **Contention attribution**: the overlapping and disjoint mixes once
-//! more on a fresh rig with a metrics-snapshot delta around each — the
-//! watch plane's `seg_lock_wait_ns` per key class is the measured
-//! explanation for the overlapping mix's flat scaling, and is gated on
-//! actually seeing it.
+//! more on a fresh rig with a profile snapshot before and after each —
+//! the `lock_wait` the mix's requests charged to their own records is
+//! the measured explanation for the overlapping mix's flat scaling, and
+//! is gated on actually seeing it.
 
 use std::time::Duration;
 
@@ -33,11 +33,25 @@ const STORE_DELAY: Duration = Duration::from_micros(800);
 /// disjoint-directory mix.
 const MIN_SCALING: f64 = 3.0;
 /// Floor for attributable lock wait on the contended mix: below this
-/// the watch plane failed to see contention that demonstrably exists.
+/// the profile failed to see contention that demonstrably exists.
 const MIN_WAIT_NS: u64 = 10_000_000;
-/// The overlapping mix must wait at least this many times longer on the
-/// path key class than the disjoint mix (same op count, same rig).
+/// The overlapping mix must wait at least this many times longer for
+/// its locks than the disjoint mix (same op count, same rig).
 const MIN_WAIT_RATIO: f64 = 5.0;
+/// The operations [`run_session_mix`] sends: an upload is a `put_file`
+/// header and its `data` frames, a download one `get`.
+const MIX_OPS: [&str; 3] = ["put_file", "data", "get"];
+
+/// Lock wait the mix's requests charged to their records so far, summed
+/// over the profile's `<op>;…;lock_wait` entries.
+fn lock_wait_ns(rig: &Rig) -> u64 {
+    let profile = rig.server.enclave().profile_snapshot();
+    let breakdown = profile.phase_breakdown(&MIX_OPS);
+    breakdown
+        .iter()
+        .find(|(leaf, _)| *leaf == "lock_wait")
+        .map_or(0, |&(_, ns)| ns)
+}
 
 /// Audit off (the hash-chained trail is inherently serial — every
 /// record extends one chain head) and, unless `tree`, the per-file
@@ -113,77 +127,28 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.say("== contention attribution (8 threads) ==");
     let fresh = rig(false);
     let mut contention = Vec::new();
-    let mut path_write_wait = [0u64; 2];
+    let mut waited = [0u64; 2];
     for (i, (mix, shared_dir)) in [("overlapping", true), ("disjoint", false)]
         .into_iter()
         .enumerate()
     {
-        let base = fresh.server.metrics_snapshot();
+        let base = lock_wait_ns(&fresh);
         run_session_mix(&fresh, 8, ops, shared_dir, i as u32 + 1);
-        let delta = fresh.server.metrics_snapshot().delta(&base);
-        // Per (class, intent): windowed wait sum (ns) and acquisitions.
-        let mut waits: Vec<(&str, &str, u64, u64)> = delta
-            .histograms
-            .iter()
-            .filter(|(id, s)| id.name() == "seg_lock_wait_ns" && s.count > 0)
-            .map(|(id, s)| {
-                let label = |key: &str| {
-                    let found = id.labels().iter().find(|&&(k, _)| k == key);
-                    found.map_or("?", |&(_, v)| v)
-                };
-                (label("class"), label("intent"), s.sum, s.count)
-            })
-            .collect();
-        waits.sort_by_key(|w| std::cmp::Reverse(w.2));
-        out.say(format_args!("  {mix} mix:"));
-        for (class, intent, sum, count) in &waits {
-            out.say(format_args!(
-                "    wait {class:<11} {intent:<5} {:>9.2} ms over {count} acquisitions",
-                *sum as f64 / 1e6
-            ));
-            if (*class, *intent) == ("path", "write") {
-                path_write_wait[i] = *sum;
-            }
-        }
-        // Cumulative most-contended stripes after the run.
-        let top = fresh.server.enclave().locks().contended_stripes(8);
-        if let Some(top) = top.first() {
-            out.say(format_args!(
-                "    hottest stripe #{} with {:.2} ms cumulative wait",
-                top.stripe,
-                top.wait_ns as f64 / 1e6
-            ));
-        }
-        let lock_wait = waits.iter().map(|&(class, intent, sum, count)| {
-            Json::obj([
-                ("class", Json::from(class)),
-                ("intent", intent.into()),
-                ("wait_ns", sum.into()),
-                ("acquisitions", count.into()),
-            ])
-        });
-        let top_stripes = top.iter().map(|s| {
-            Json::obj([
-                ("stripe", Json::from(s.stripe as u64)),
-                ("wait_ns", s.wait_ns.into()),
-                ("waits", s.waits.into()),
-            ])
-        });
-        contention.push((
-            mix,
-            Json::obj([
-                ("lock_wait", Json::arr(lock_wait)),
-                ("top_stripes", Json::arr(top_stripes)),
-            ]),
+        waited[i] = lock_wait_ns(&fresh) - base;
+        out.say(format_args!(
+            "  {mix:<11} mix: lock_wait {:>9.2} ms over {} ops",
+            waited[i] as f64 / 1e6,
+            8 * ops
         ));
+        contention.push((mix, Json::obj([("lock_wait_ns", Json::from(waited[i]))])));
     }
-    // The overlapping mix must show substantial, attributable wait on
-    // the path key class while the disjoint mix stays far below it.
-    let [overlapping, disjoint] = path_write_wait;
+    // The overlapping mix must show substantial, attributable wait
+    // while the disjoint mix stays far below it.
+    let [overlapping, disjoint] = waited;
     let ratio = overlapping as f64 / disjoint.max(1) as f64;
     let ms = |ns: u64| ns as f64 / 1e6;
     out.say(format_args!(
-        "  -> path-class write wait: overlapping {:.2} ms vs disjoint {:.2} ms ({ratio:.1}x; \
+        "  -> lock wait: overlapping {:.2} ms vs disjoint {:.2} ms ({ratio:.1}x; \
          gate: >= {:.0} ms and >= {MIN_WAIT_RATIO:.0}x)",
         ms(overlapping),
         ms(disjoint),
@@ -191,15 +156,15 @@ pub fn run(ctx: &Ctx) -> Outcome {
     ));
     if overlapping < MIN_WAIT_NS {
         out.failures.push(format!(
-            "contention: overlapping path-write wait {:.2} ms is below the {:.0} ms floor",
+            "contention: overlapping lock wait {:.2} ms is below the {:.0} ms floor",
             ms(overlapping),
             ms(MIN_WAIT_NS),
         ));
     }
     if ratio < MIN_WAIT_RATIO {
         out.failures.push(format!(
-            "contention: overlapping/disjoint path-write wait ratio {ratio:.1}x is below \
-             {MIN_WAIT_RATIO:.0}x — lock wait is not attributed to the contended class"
+            "contention: overlapping/disjoint lock wait ratio {ratio:.1}x is below \
+             {MIN_WAIT_RATIO:.0}x — lock wait is not attributed to the contended mix"
         ));
     }
     out.json.push(("contention", Json::obj(contention)));

@@ -5,8 +5,8 @@
 //! `results/report.json`, the artifact CI uploads.
 //!
 //! What the switch leaves running, neither gate prices: the phase
-//! profiler's frames, and the registry's counters and lock histograms,
-//! cost the same on and off.
+//! profiler's frames, its lock-wait charges and the registry's
+//! counters cost the same on and off.
 
 use std::time::{Duration, Instant};
 

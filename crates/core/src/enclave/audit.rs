@@ -51,7 +51,6 @@
 //! paths, or key bytes.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -245,7 +244,6 @@ pub struct AuditLog {
     state: Mutex<ChainState>,
     records_total: seg_obs::Counter,
     bytes_total: seg_obs::Counter,
-    append_ns: Arc<seg_obs::Histogram>,
 }
 
 impl std::fmt::Debug for AuditLog {
@@ -368,7 +366,6 @@ impl AuditLog {
             state: Mutex::new(state),
             records_total: obs.counter("seg_audit_records_total"),
             bytes_total: obs.counter("seg_audit_bytes_total"),
-            append_ns: obs.histogram("seg_audit_append_ns"),
         })
     }
 
@@ -422,7 +419,6 @@ impl AuditLog {
         rec: &RequestRecord,
         seal_batch: impl FnOnce(),
     ) -> Result<(), SegShareError> {
-        let start = Instant::now();
         let mut st = self.state.lock();
         let result = self.append_locked(&mut st, &encode_record(time, rec));
         seal_batch();
@@ -430,7 +426,6 @@ impl AuditLog {
         let bytes = result?;
         self.records_total.inc();
         self.bytes_total.add(bytes);
-        self.append_ns.record_duration(start.elapsed());
         Ok(())
     }
 

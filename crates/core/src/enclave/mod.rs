@@ -239,7 +239,7 @@ impl SegShareEnclave {
             server_cert: RwLock::new(None),
             access: AccessControl::new(Arc::clone(&store)),
             files: FileManager::new(Arc::clone(&store)),
-            locks: LockManager::with_registry(&obs),
+            locks: LockManager::new(),
             store,
             clock: AtomicU64::new(1_000),
             obs,
@@ -483,8 +483,8 @@ impl SegShareEnclave {
     /// out and the host's health tick, scrubber and canary are inert;
     /// everything accumulated so far is kept and every family still
     /// exports. It does not pause the phase profiler: a request still
-    /// opens its root and every frame below it, and still counts into
-    /// the registry's counters and lock histograms. The audit trail is
+    /// opens its root and every frame below it, charges its lock waits,
+    /// and still counts into the registry's counters. The audit trail is
     /// not telemetry and is unaffected.
     pub fn set_telemetry(&self, on: bool) {
         self.telemetry.store(on, Ordering::Relaxed);

@@ -125,9 +125,9 @@ impl Telemetry {
     }
 
     /// Every consumer's view at one instant, as one JSON document:
-    /// `enabled`, `saturation`, `stalls`, `locks` (global-hold clock and
-    /// the contended-stripe top-K), `trace_tail` (the newest records of
-    /// any duration) and `slow_requests` (both whole records), the phase
+    /// `enabled`, `saturation`, `stalls`, `locks` (the global-hold
+    /// clock), `trace_tail` (the newest records of any duration) and
+    /// `slow_requests` (both whole records), the phase
     /// `profile` and `health` (verdict, scrubber, canary, newest
     /// findings) — correlated evidence instead of unsynchronized dumps;
     /// the stall watchdog stores the same bundle. Rendered from
@@ -139,16 +139,11 @@ impl Telemetry {
         let enclave = self.enclave();
         let fe = self.front_end.get();
         let stat = |read: fn(&ReactorStats) -> u64| fe.map_or(0, |fe| read(&fe.stats));
-        let stripes = enclave.locks().contended_stripes(8);
-        let stripes = stripes.iter().map(|row| {
-            let (stripe, wait_ns, waits) = (row.stripe, row.wait_ns, row.waits);
-            format!("{{\"stripe\":{stripe},\"wait_ns\":{wait_ns},\"waits\":{waits}}}")
-        });
         let mut out = format!(
             "{{\n\"enabled\":{},\n\"saturation\":{{\"live_sessions\":{},\"in_flight\":{},\
              \"queued_bytes\":{},\"send_stalls\":{},\"send_stall_ns\":{},\"idle_us\":{}}},\n\
              \"stalls\":{{\"request\":{},\"global_lock\":{},\"dumps\":{}}},\n\
-             \"locks\":{{\"global_held_us\":{},\"lock_top\":[{}]}},\n\"trace_tail\":",
+             \"locks\":{{\"global_held_us\":{}}},\n\"trace_tail\":",
             enclave.telemetry_enabled(),
             stat(ReactorStats::live_conns),
             fe.map_or(0, |fe| fe.in_flight.load(Ordering::Relaxed)),
@@ -160,7 +155,6 @@ impl Telemetry {
             self.watch.stalls_global(),
             self.watch.dumps(),
             enclave.locks().global_held_us(),
-            stripes.collect::<Vec<_>>().join(","),
         );
         out.push_str(records_json(&self.watch.recent_requests(usize::MAX)).trim_end());
         out.push_str(",\n\"slow_requests\":");

@@ -696,21 +696,21 @@ mod tests {
         let r = Registry::new();
         let before = r.snapshot();
         r.counter("seg_frames_total").add(4);
-        r.histogram("seg_audit_append_ns").record(77);
+        r.histogram("seg_request_latency_ns").record(77);
         let d = r.snapshot().delta(&before);
         assert_eq!(d.counter("seg_frames_total"), Some(4));
-        assert_eq!(d.histogram("seg_audit_append_ns").unwrap().count, 1);
+        assert_eq!(d.histogram("seg_request_latency_ns").unwrap().count, 1);
     }
 
     #[test]
     fn delta_of_identical_snapshots_is_empty_window() {
         let r = Registry::new();
         r.counter("seg_frames_total").add(9);
-        r.histogram("seg_audit_append_ns").record(123);
+        r.histogram("seg_request_latency_ns").record(123);
         let snap = r.snapshot();
         let d = snap.delta(&snap.clone());
         assert_eq!(d.counter("seg_frames_total"), Some(0));
-        let s = d.histogram("seg_audit_append_ns").unwrap();
+        let s = d.histogram("seg_request_latency_ns").unwrap();
         assert_eq!((s.count, s.sum), (0, 0));
         // An empty window still encodes cleanly.
         let json = d.to_json();

@@ -12,16 +12,23 @@ const REPORT_KEYS: [&str; 8] = [
     "health",
 ];
 
+/// The keys of the report's `locks` object: the live global hold only.
+/// Lock waits live in the records of the requests that waited.
+const LOCKS_KEYS: [&str; 1] = ["global_held_us"];
+
 /// The keys of the report's `health` object, in order.
 const HEALTH_KEYS: [&str; 5] = ["state", "state_code", "scrub", "canary", "findings"];
 
-/// Asserts that the top-level keys of `report`, and of its `health`
-/// object, are exactly the pinned lists: a section can neither go
-/// missing nor come back unnoticed.
+/// Asserts that the top-level keys of `report`, and of its `locks` and
+/// `health` objects, are exactly the pinned lists: a section can
+/// neither go missing nor come back unnoticed.
 pub fn assert_report_keys(report: &str) {
     assert_eq!(keys(report), REPORT_KEYS, "report keys of {report}");
-    let at = report.find("\"health\":").expect("a health section") + "\"health\":".len();
-    assert_eq!(keys(&report[at..]), HEALTH_KEYS, "health keys of {report}");
+    for (section, pinned) in [("locks", &LOCKS_KEYS[..]), ("health", &HEALTH_KEYS[..])] {
+        let name = format!("\"{section}\":");
+        let at = report.find(&name).expect("the section is present") + name.len();
+        assert_eq!(keys(&report[at..]), pinned, "{section} keys of {report}");
+    }
 }
 
 /// The keys of the JSON object `json` starts with (leading whitespace

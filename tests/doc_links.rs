@@ -246,3 +246,51 @@ fn metrics_reference_equals_the_export() {
          documented but never exported: {ghosts:?}"
     );
 }
+
+/// The `## title` section of `doc`, its heading included, up to the
+/// next `## ` heading.
+fn section<'d>(doc: &'d str, title: &str) -> &'d str {
+    let heading = format!("\n## {title}\n");
+    let start = doc.find(&heading).map(|at| at + 1);
+    let start = start.unwrap_or_else(|| panic!("OPERATIONS.md has a \"{title}\" section"));
+    let end = doc[start + 1..]
+        .find("\n## ")
+        .map_or(doc.len(), |at| start + 1 + at);
+    &doc[start..end]
+}
+
+#[test]
+fn every_reference_row_links_a_playbook() {
+    // A number is exported because an operator can act on it: every
+    // family row of the metrics reference and every section of the
+    // report links the playbook, burn-rate rule or health state that
+    // reads it.
+    let handbook = std::fs::read_to_string(repo_root().join("OPERATIONS.md")).expect("reads");
+    let usable: BTreeSet<String> = ["The health state machine", "Incident playbooks"]
+        .into_iter()
+        .flat_map(|title| anchors_of(section(&handbook, title)))
+        .collect();
+    assert!(usable.contains("burn-rate-alert-rules"), "{usable:?}");
+
+    let families = section(&handbook, "Metrics reference and alert guidance")
+        .lines()
+        .filter(|l| l.starts_with("| `seg_"));
+    let report = section(&handbook, "The report")
+        .lines()
+        .filter(|l| l.starts_with("| `"));
+    let rows: Vec<&str> = families.chain(report).collect();
+    assert!(rows.len() > 30, "the tables were found: {rows:?}");
+    let unlinked: Vec<&str> = rows
+        .into_iter()
+        .filter(|row| {
+            !link_targets(row)
+                .iter()
+                .any(|(_, target)| target.strip_prefix('#').is_some_and(|a| usable.contains(a)))
+        })
+        .collect();
+    assert!(
+        unlinked.is_empty(),
+        "rows of OPERATIONS.md no playbook, alert rule or health state uses:\n{}",
+        unlinked.join("\n")
+    );
+}

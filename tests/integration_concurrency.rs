@@ -442,21 +442,20 @@ fn slow_rig(config: EnclaveConfig, seed: u64, delay: Duration) -> (FsoSetup, Seg
     (setup, server)
 }
 
-/// Total lock wait charged to writes on the path key class.
-fn path_write_wait_ns(server: &SegShareServer) -> u64 {
-    server
-        .metrics_snapshot()
-        .histogram("seg_lock_wait_ns{class=\"path\",intent=\"write\"}")
-        .expect("lock-wait family always exports")
-        .sum
+/// Total lock wait the server's requests charged to their records, from
+/// the profile's `<op>;…;lock_wait` entries.
+fn lock_wait_ns(server: &SegShareServer) -> u64 {
+    let profile = server.enclave().profile_snapshot();
+    let waits = profile.entries.iter().filter(|e| e.leaf() == "lock_wait");
+    waits.map(|e| e.self_ns + e.sim_ns).sum()
 }
 
 #[test]
 fn lock_wait_is_attributed_to_the_contended_key_class() {
     // The same operation count run two ways: four sessions hammering
-    // ONE path must show substantial write wait on the path class,
-    // while four sessions on disjoint paths must show (near) none —
-    // the attribution the seg-watch plane exists for.
+    // ONE path must show substantial lock wait, while four sessions on
+    // disjoint paths must show (near) none — and the records that
+    // waited must name the contended path.
     let config = EnclaveConfig {
         watch_deadline_us: 0,
         ..EnclaveConfig::paper_prototype()
@@ -477,12 +476,28 @@ fn lock_wait_is_attributed_to_the_contended_key_class() {
             });
         }
     });
-    let overlapping = path_write_wait_ns(&server);
+    let overlapping = lock_wait_ns(&server);
     // Every one of those requests took milliseconds, but a zero
     // deadline disarms the watchdog: no stall of either kind.
     let watch = server.telemetry().watch();
     assert_eq!((watch.stalls_request(), watch.stalls_global()), (0, 0));
     assert!(server.telemetry().watch().slow_requests(1).is_empty());
+    // A record that waited names what it waited for: every upload
+    // header among them carries the hot path's fingerprint (a data
+    // chunk's record names no object).
+    let hot = server.enclave().fingerprint_name("/contend");
+    let tail = watch.recent_requests(usize::MAX);
+    let waited: Vec<_> = tail
+        .iter()
+        .filter(|r| r.phase(seg_obs::Phase::LockWait).sim_ns >= 1_000_000)
+        .collect();
+    assert!(
+        waited.iter().any(|r| r.object == hot),
+        "a header waited on the hot path"
+    );
+    for r in waited.iter().filter(|r| r.object != 0) {
+        assert_eq!((r.op, r.object), ("put_file", hot));
+    }
 
     let (setup, server) = slow_rig(config, 408, delay);
     let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
@@ -502,14 +517,14 @@ fn lock_wait_is_attributed_to_the_contended_key_class() {
             });
         }
     });
-    let disjoint = path_write_wait_ns(&server);
+    let disjoint = lock_wait_ns(&server);
 
     assert!(
         overlapping > 1_000_000,
-        "overlapping writes must accumulate visible path-class wait, got {overlapping}ns"
+        "overlapping writes must accumulate visible lock wait, got {overlapping}ns"
     );
     assert!(
-        overlapping > 10 * disjoint.max(1),
+        overlapping >= 5 * disjoint.max(1),
         "disjoint writes must wait far less than overlapping ones \
          (overlapping {overlapping}ns vs disjoint {disjoint}ns)"
     );
@@ -655,11 +670,9 @@ fn a_long_global_hold_is_a_stall_seen_live_and_counted_once() {
     fill(&mut a, "/plans-secret");
     assert_eq!(global_stalls(), Some(0));
     a.rename("/plans-secret", "/plans-moved").unwrap();
-    let held = server
-        .metrics_snapshot()
-        .histogram("seg_lock_global_hold_ns")
-        .unwrap()
-        .max;
+    let moved = watch.recent_requests(1);
+    assert_eq!(moved[0].op, "mv");
+    let held = moved[0].phase(seg_obs::Phase::GlobalHold).sim_ns;
     assert!(
         held >= 500_000_000,
         "the rig must overrun the budget: {held}"
@@ -690,7 +703,7 @@ fn a_long_global_hold_is_a_stall_seen_live_and_counted_once() {
     let dump = watch.last_dump().expect("dump stored");
     let held_us: u64 = dump
         .split_once("\"global_held_us\":")
-        .and_then(|(_, rest)| rest.split_once(','))
+        .and_then(|(_, rest)| rest.split_once('}'))
         .and_then(|(n, _)| n.parse().ok())
         .expect("the dump has the global-hold clock");
     assert!(
