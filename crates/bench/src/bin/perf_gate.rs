@@ -95,7 +95,7 @@ fn main() {
     println!("AES-GCM backend: {}", Gcm::backend());
     println!("SHA-256 backend: {}", Sha256::backend());
 
-    let main_rig = Rig::new(EnclaveConfig::paper_prototype());
+    let main_rig = Rig::new(EnclaveConfig::default());
     let mut report: BTreeMap<String, Json> = BTreeMap::new();
     let mut rows: Vec<(&'static str, Measured)> = Vec::new();
     let mut failures = Vec::new();

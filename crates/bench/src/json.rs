@@ -463,8 +463,9 @@ mod tests {
 
     #[test]
     fn roundtrips_seg_obs_snapshot_json() {
-        // The gate parses seg-obs's hand-rolled encoder output; make
+        // The gate parses the host's hand-rolled encoder output; make
         // sure the two stay compatible.
+        use segshare::telemetry::SnapshotExt;
         let r = seg_obs::Registry::new();
         r.counter("seg_frames_total").add(3);
         r.histogram("seg_request_latency_ns").record(1000);

@@ -44,7 +44,7 @@ fn switchless(quick: bool, out: &mut Outcome) -> Json {
     out.say("== ablation 1: switchless enclave calls (§II-A/§VI) ==");
     let files = if quick { 20 } else { 100 };
     let costs = [true, false].map(|switchless| {
-        let rig = Rig::new(EnclaveConfig::paper_prototype());
+        let rig = Rig::new(EnclaveConfig::default());
         let boundary = rig.server.enclave().sgx().boundary();
         boundary.set_switchless(switchless);
         boundary.reset();
@@ -84,7 +84,7 @@ fn dedup(quick: bool, out: &mut Outcome) -> Json {
             "bench-ca",
             EnclaveConfig {
                 dedup: dedup_on,
-                ..EnclaveConfig::paper_prototype()
+                ..EnclaveConfig::default()
             },
             seg_sgx::Platform::new_with_seed(7),
             Arc::clone(&content) as Arc<dyn ObjectStore>,
@@ -138,7 +138,7 @@ fn he_revocation(quick: bool, out: &mut Outcome) -> Json {
         let he_time = start.elapsed().as_secs_f64();
 
         // SeGShare: one member-list update regardless of file count.
-        let rig = Rig::new(EnclaveConfig::paper_prototype());
+        let rig = Rig::new(EnclaveConfig::default());
         let mut client = rig.client();
         client.add_user("bob", "team").unwrap();
         for i in 0..files {
@@ -177,7 +177,7 @@ fn audit_overhead(quick: bool, out: &mut Outcome) -> Json {
     let results = [true, false].map(|audit| {
         let rig = Rig::new(EnclaveConfig {
             audit,
-            ..EnclaveConfig::paper_prototype()
+            ..EnclaveConfig::default()
         });
         let mut client = rig.client();
         let mut i = 0;

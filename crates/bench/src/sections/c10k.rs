@@ -50,7 +50,7 @@ fn rss_kib() -> Option<f64> {
 fn cached_rig() -> Rig {
     Rig::new(EnclaveConfig {
         cache: true,
-        ..EnclaveConfig::paper_prototype()
+        ..EnclaveConfig::default()
     })
 }
 

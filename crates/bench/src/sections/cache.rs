@@ -12,6 +12,7 @@
 //! revocation immediate (`tests/integration_cache.rs`).
 
 use seg_fs::Perm;
+use segshare::telemetry::SnapshotExt;
 use segshare::EnclaveConfig;
 
 use super::{Ctx, Outcome};
@@ -31,7 +32,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     ] {
         let rig = Rig::new(EnclaveConfig {
             cache,
-            ..EnclaveConfig::paper_prototype()
+            ..EnclaveConfig::default()
         });
         let mut client = rig.client();
         for dir in ["/deep", "/deep/a", "/deep/a/b", "/deep/a/b/c"] {

@@ -16,6 +16,7 @@
 
 use std::time::Duration;
 
+use segshare::telemetry::ProfSnapshotExt;
 use segshare::EnclaveConfig;
 
 use super::{Ctx, Outcome};
@@ -65,7 +66,7 @@ fn rig(tree: bool) -> Rig {
         cache: true,
         rollback_individual: tree,
         rollback_whole_fs: false,
-        ..EnclaveConfig::paper_prototype()
+        ..EnclaveConfig::default()
     };
     Rig::over(slow_stores(config, STORE_DELAY)).latency_bound()
 }

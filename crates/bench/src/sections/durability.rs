@@ -3,6 +3,7 @@
 //! speedup. Fsync-latency-bound by construction, so the bar holds on
 //! any host.
 
+use segshare::telemetry::SnapshotExt;
 use segshare::{EnclaveConfig, FsoSetup};
 
 use super::{Ctx, Outcome};
@@ -40,7 +41,7 @@ fn point(batch: bool, ops: usize) -> (f64, u64, u64) {
     // comparison prices the durability plane, not counter batching.
     let config = EnclaveConfig {
         batch,
-        ..EnclaveConfig::paper_prototype()
+        ..EnclaveConfig::default()
     };
     let setup = FsoSetup::new_wal_with("bench-ca", config, seg_sgx::Platform::new(), &dir, wal)
         .expect("wal store opens");

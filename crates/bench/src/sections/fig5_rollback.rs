@@ -70,7 +70,7 @@ fn point(layout: &str, count: usize, rollback: bool, buckets: u16, runs: usize) 
     let rig = Rig::new(EnclaveConfig {
         rollback_individual: rollback,
         rollback_buckets: buckets,
-        ..EnclaveConfig::paper_prototype()
+        ..EnclaveConfig::default()
     });
     let mut client = rig.client();
     match layout {

@@ -91,7 +91,7 @@ pub fn figure(ctx: &Ctx) -> Outcome {
     let mut points = Vec::new();
     for kind in ["mbr", "perm"] {
         for &n in counts {
-            let rig = Rig::new(EnclaveConfig::paper_prototype());
+            let rig = Rig::new(EnclaveConfig::default());
             let mut admin = rig.client();
             let (add, revoke) = if kind == "mbr" {
                 // The member-list file of the subject: bob is already a
@@ -161,7 +161,7 @@ pub fn figure(ctx: &Ctx) -> Outcome {
     let mut independence = Vec::new();
     let mut empty_s = 0.0;
     for (label, prepare) in prepare {
-        let rig = Rig::new(EnclaveConfig::paper_prototype());
+        let rig = Rig::new(EnclaveConfig::default());
         let mut admin = rig.client();
         prepare(&mut admin);
         let mut i = 0;

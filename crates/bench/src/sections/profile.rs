@@ -7,6 +7,8 @@
 
 use std::collections::BTreeSet;
 
+use segshare::telemetry::ProfSnapshotExt;
+
 use super::{Ctx, Outcome};
 use crate::json::Json;
 
@@ -30,7 +32,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.json.push(("ops", Json::obj(ops)));
 
     // Self time per leaf phase across every profiled operation.
-    let all_ops: BTreeSet<&str> = profile.entries.iter().map(seg_obs::ProfEntry::op).collect();
+    let all_ops: BTreeSet<&str> = profile.entries.iter().map(|e| e.path[0]).collect();
     let all_ops: Vec<&str> = all_ops.into_iter().collect();
     let breakdown = profile.phase_breakdown(&all_ops);
     let total: u64 = breakdown.iter().map(|&(_, ns)| ns).sum();

@@ -89,7 +89,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         let content = Arc::new(MemStore::new());
         let rig = Rig::over(FsoSetup::with_stores(
             "bench-ca",
-            EnclaveConfig::paper_prototype(),
+            EnclaveConfig::default(),
             seg_sgx::Platform::new_with_seed(1),
             Arc::clone(&content) as Arc<dyn ObjectStore>,
             Arc::new(MemStore::new()),

@@ -122,7 +122,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     // probes on a single-core runner.
     let rig = Rig::new(EnclaveConfig {
         scrub_interval_us: 50_000,
-        ..EnclaveConfig::paper_prototype()
+        ..EnclaveConfig::default()
     });
     let canary = rig
         .setup

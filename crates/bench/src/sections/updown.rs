@@ -126,7 +126,7 @@ pub fn figure(ctx: &Ctx) -> Outcome {
         let runs = if mb > 10 { 3 } else { ctx.runs };
         let body = payload(bytes as usize);
         let (up, down) = measured.unwrap_or_else(|| {
-            let rig = Rig::new(EnclaveConfig::paper_prototype());
+            let rig = Rig::new(EnclaveConfig::default());
             let mut client = rig.client();
             let up = uploads(&mut client, &body, runs);
             client.put(&down_path(&body), &body).expect("prefill");

@@ -1,73 +1,23 @@
 //! The honest §VII-A count: non-blank, non-comment Rust lines of
 //! everything linked into `SegShareEnclave`, each file read up to its
-//! `#[cfg(test)]` module, with telemetry as its own line.
+//! `#[cfg(test)]` module.
+//!
+//! What is linked is what Cargo resolves: one trusted row per workspace
+//! crate in `seg-enclave`'s normal-dependency closure. The untrusted
+//! line is `segshare`'s closure minus that one. Crates under `vendor/`
+//! stand in for crates from the registry and are not counted.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-/// The enclave file that is telemetry rather than core: the integrity
-/// scrubber.
-const ENCLAVE_TELEMETRY: &str = "crates/core/src/enclave/health.rs";
+/// The crate whose closure is the trusted computing base.
+pub const ENCLAVE: &str = "seg-enclave";
 
-/// The half of `seg-obs` the untrusted host runs: the renderers and
-/// queries of records and snapshots that already crossed the boundary.
-/// No code the enclave runs may call them (a CI lint greps for it).
-const OBS_HOST: &str = "crates/obs/src/render.rs";
+/// The crate whose closure, minus [`ENCLAVE`]'s, is the untrusted side.
+pub const HOST: &str = "segshare";
 
-/// Label of the telemetry row of [`TRUSTED`].
-pub const TELEMETRY: &str = "telemetry (seg-obs registry/record/prof, scrubber)";
-
-/// What executes inside the enclave boundary: `(label, paths counted,
-/// paths taken back out)`, relative to the workspace root. The
-/// telemetry row is what has to run inside: the registry the request
-/// path writes, the record builder's types, the profiler, and the
-/// scrubber (it reads plaintext).
-pub const TRUSTED: [(&str, &[&str], &[&str]); 9] = [
-    (
-        "enclave core (handler, ACL, file mgr, tree, audit, locks)",
-        &["crates/core/src/enclave"],
-        &[ENCLAVE_TELEMETRY],
-    ),
-    (
-        TELEMETRY,
-        &["crates/obs/src", ENCLAVE_TELEMETRY],
-        &[OBS_HOST],
-    ),
-    (
-        "TLS stack (handshake + record layer)",
-        &["crates/tls/src"],
-        &[],
-    ),
-    (
-        "crypto primitives (the SDK-crypto equivalent)",
-        &["crates/crypto/src"],
-        &[],
-    ),
-    (
-        "file-system model (paths, ACL/member-list codecs)",
-        &["crates/fs/src"],
-        &[],
-    ),
-    ("wire protocol codec", &["crates/proto/src"], &[]),
-    ("certificates and CSRs", &["crates/pki/src"], &[]),
-    ("object cache", &["crates/cache/src"], &[]),
-    (
-        "protected file system (seg-sgx pfs)",
-        &["crates/sgx/src/pfs.rs"],
-        &[],
-    ),
-];
-
-/// The untrusted side, for contrast: host, client, stores, transports,
-/// and the host's telemetry (its owner in `segshare`, its renderers in
-/// `seg-obs`).
-pub const UNTRUSTED: [&str; 6] = [
-    "crates/core/src/untrusted.rs",
-    "crates/core/src/telemetry",
-    "crates/core/src/client.rs",
-    "crates/store/src",
-    "crates/net/src",
-    OBS_HOST,
-];
+/// `(crate, lines)` rows, sorted by crate name.
+pub type Rows = Vec<(String, usize)>;
 
 /// Non-blank, non-comment lines of one file before its `#[cfg(test)]`
 /// module (0 for an unreadable file).
@@ -109,25 +59,59 @@ pub fn count_path(path: &Path) -> usize {
     }
 }
 
-/// Lines per row of [`TRUSTED`] for the workspace at `root`.
+/// The workspace crates in `package`'s normal-dependency closure
+/// (itself included), as `(name, directory)` sorted by name, as
+/// `cargo tree` resolves them for the workspace at `root`.
+///
+/// # Panics
+///
+/// If `cargo tree` cannot run or fails.
 #[must_use]
-pub fn trusted_rows(root: &Path) -> Vec<(&'static str, usize)> {
-    let count = |paths: &[&str]| -> usize { paths.iter().map(|p| count_path(&root.join(p))).sum() };
-    TRUSTED
-        .iter()
-        .map(|(label, paths, minus)| (*label, count(paths) - count(minus)))
-        .collect()
+pub fn closure(root: &Path, package: &str) -> Vec<(String, PathBuf)> {
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let out = Command::new(cargo)
+        .current_dir(root)
+        .args(["tree", "--offline", "-e", "normal", "--prefix", "none"])
+        .args(["--format", "{p}", "-p", package])
+        .output()
+        .expect("cargo tree runs");
+    assert!(
+        out.status.success(),
+        "cargo tree -p {package}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let vendor = root.join("vendor");
+    let mut crates: Vec<(String, PathBuf)> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|line| {
+            let (name, rest) = line.split_once(' ')?;
+            let dir = PathBuf::from(rest.split_once('(')?.1.split_once(')')?.0);
+            dir.starts_with(root).then(|| (name.to_string(), dir))
+        })
+        .filter(|(_, dir)| !dir.starts_with(&vendor))
+        .collect();
+    crates.sort();
+    crates.dedup();
+    crates
 }
 
-/// `(tcb_loc, telemetry_loc)` of [`trusted_rows`]: everything in
-/// [`TRUSTED`], and its telemetry row alone.
+/// The count: one row per crate of [`ENCLAVE`]'s closure, and one per
+/// crate of [`HOST`]'s closure outside it, for the workspace at `root`.
 #[must_use]
-pub fn totals(rows: &[(&'static str, usize)]) -> (usize, usize) {
-    let telemetry = rows.iter().find(|(label, _)| *label == TELEMETRY);
-    (
-        rows.iter().map(|(_, loc)| loc).sum(),
-        telemetry.map_or(0, |(_, loc)| *loc),
-    )
+pub fn rows(root: &Path) -> (Rows, Rows) {
+    let count = |crates: Vec<(String, PathBuf)>| -> Rows {
+        let lines = |dir: PathBuf| count_path(&dir.join("src"));
+        crates
+            .into_iter()
+            .map(|(name, dir)| (name, lines(dir)))
+            .collect()
+    };
+    let trusted = closure(root, ENCLAVE);
+    let untrusted = closure(root, HOST)
+        .into_iter()
+        .filter(|c| !trusted.contains(c))
+        .collect();
+    (count(trusted), count(untrusted))
 }
 
 #[cfg(test)]
@@ -149,15 +133,24 @@ mod tests {
         assert_eq!(count_loc(&file), 6);
         assert_eq!(count_path(&dir), 6);
         std::fs::remove_dir_all(&dir).unwrap();
-        // Every listed path exists, so a moved file cannot silently
-        // drop out of the count.
+    }
+
+    #[test]
+    fn the_enclave_links_no_host_crate() {
         let root = crate::harness::repo_root();
-        for path in TRUSTED
-            .iter()
-            .flat_map(|(_, p, minus)| p.iter().chain(minus.iter()))
-            .chain(&UNTRUSTED)
-        {
-            assert!(count_path(&root.join(path)) > 0, "{path} counts nothing");
+        let (trusted, untrusted) = rows(&root);
+        let names =
+            |rows: &Rows| -> Vec<String> { rows.iter().map(|(name, _)| name.clone()).collect() };
+        let (inside, outside) = (names(&trusted), names(&untrusted));
+        for name in [ENCLAVE, "seg-crypto", "seg-tls", "seg-obs"] {
+            assert!(inside.iter().any(|n| n == name), "{name} not in {inside:?}");
         }
+        for name in [HOST, "seg-net", "seg-store", "seg-bench", "seg-baseline"] {
+            assert!(!inside.iter().any(|n| n == name), "{name} in {inside:?}");
+        }
+        for name in &inside {
+            assert!(!outside.contains(name), "{name} counted on both lines");
+        }
+        assert!(trusted.iter().all(|(_, loc)| *loc > 0), "{trusted:?}");
     }
 }

@@ -5,11 +5,11 @@
 //! certificate and key, independent of how much is shared with whom
 //! (P1).
 
+pub use crate::stream::SecureStream;
 use seg_crypto::rng::SystemRng;
 use seg_fs::Perm;
 use seg_net::FrameTransport;
 use seg_proto::{ErrorCode, ListingEntry, Request, Response, CHUNK_LEN};
-use seg_tls::SecureStream;
 
 use crate::error::SegShareError;
 use crate::server::EnrolledUser;

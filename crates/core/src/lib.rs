@@ -41,6 +41,13 @@
 //!                        └─────────────────────────────────────────┘
 //! ```
 //!
+//! The enclave is its own crate, `seg-enclave`, re-exported here as
+//! [`enclave`], [`config`] and [`error`]: its dependency closure is the
+//! trusted computing base, and it cannot name this crate, the transports
+//! or the store backends. This crate is the untrusted rest: the host
+//! ([`untrusted`], [`server`]), the [`client`] and the host's
+//! [`telemetry`].
+//!
 //! ## Quick start
 //!
 //! ```
@@ -78,18 +85,370 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod config;
-pub mod enclave;
-pub mod error;
 pub mod server;
+mod stream;
 pub mod telemetry;
 pub mod untrusted;
 
+pub use seg_enclave::{config, enclave, error};
+pub use seg_enclave::{
+    AuditLog, AuditRecord, EnclaveConfig, ScrubCheck, ScrubReport, SegShareError,
+};
+
 pub use client::Client;
-pub use config::EnclaveConfig;
-pub use enclave::audit::{AuditLog, AuditRecord};
-pub use enclave::health::{ScrubCheck, ScrubReport};
-pub use error::SegShareError;
 pub use server::{wal_views, EnrolledUser, FsoSetup, HealthOptions, SegShareServer};
 pub use telemetry::health::HealthState;
 pub use telemetry::Telemetry;
+
+/// Unit tests of the host-side renderers: [`telemetry`]'s snapshot,
+/// profile and record renderings.
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    use seg_obs::prof::{phase, OpGuard};
+    use seg_obs::{Phase, PhaseTime, ProfSnapshot, Profiler, Registry, RequestRecord};
+
+    use crate::telemetry::{records_json, ProfSnapshotExt, SnapshotExt};
+
+    fn spin_for(ns: u64) {
+        let start = Instant::now();
+        while (start.elapsed().as_nanos() as u64) < ns {
+            std::hint::black_box(0u64);
+        }
+    }
+
+    #[test]
+    fn snapshot_is_deterministic() {
+        let build = || {
+            let r = Registry::new();
+            // Insertion order differs between the two closures' call
+            // sites below; output order must not.
+            r.counter_with("seg_requests_total", vec![("op", "get")])
+                .inc();
+            r.counter("seg_frames_total").add(7);
+            r.gauge("seg_epc_bytes").set(11);
+            r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
+                .record(500);
+            r.snapshot().to_json()
+        };
+        let build_reordered = || {
+            let r = Registry::new();
+            r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
+                .record(500);
+            r.gauge("seg_epc_bytes").set(11);
+            r.counter("seg_frames_total").add(7);
+            r.counter_with("seg_requests_total", vec![("op", "get")])
+                .inc();
+            r.snapshot().to_json()
+        };
+        assert_eq!(build(), build());
+        assert_eq!(build(), build_reordered());
+    }
+
+    #[test]
+    fn json_output_shape() {
+        let r = Registry::new();
+        r.counter_with("seg_requests_total", vec![("op", "get")])
+            .add(3);
+        r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
+            .record(1000);
+        let json = r.snapshot().to_json();
+        assert!(
+            json.contains("\"seg_requests_total{op=\\\"get\\\"}\": 3"),
+            "{json}"
+        );
+        assert!(json.contains("\"counters\""));
+        assert!(json.contains("\"p99_ns\""));
+        // Sanity: balanced braces.
+        assert_eq!(
+            json.matches('{').count(),
+            json.matches('}').count(),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn prometheus_output_shape() {
+        let r = Registry::new();
+        r.counter_with("seg_requests_total", vec![("op", "get")])
+            .add(3);
+        r.gauge("seg_epc_bytes").set(42);
+        r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
+            .record(1000);
+        let text = r.snapshot().to_prometheus();
+        assert!(text.contains("# TYPE seg_requests_total counter"));
+        assert!(text.contains("seg_requests_total{op=\"get\"} 3"));
+        assert!(text.contains("seg_epc_bytes 42"));
+        assert!(text.contains("quantile=\"0.99\""));
+        assert!(text.contains("seg_request_latency_ns_count{op=\"get\"} 1"));
+        assert!(text.contains("seg_request_latency_ns_sum{op=\"get\"} "));
+    }
+
+    #[test]
+    fn empty_registry_encodes_cleanly() {
+        let snap = Registry::new().snapshot();
+        let json = snap.to_json();
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(json.contains("\"counters\": {}"), "{json}");
+        assert!(json.contains("\"gauges\": {}"), "{json}");
+        assert!(json.contains("\"histograms\": {}"), "{json}");
+        assert_eq!(snap.to_prometheus(), "");
+    }
+
+    #[test]
+    fn zero_count_histogram_encodes_all_zero_summary() {
+        let r = Registry::new();
+        let _ = r.histogram_with("seg_request_latency_ns", vec![("op", "get")]);
+        let snap = r.snapshot();
+        let json = snap.to_json();
+        assert!(
+            json.contains("\"seg_request_latency_ns{op=\\\"get\\\"}\": {\"count\": 0, \"sum_ns\": 0, \"min_ns\": 0"),
+            "{json}"
+        );
+        let text = snap.to_prometheus();
+        assert!(text.contains("seg_request_latency_ns_count{op=\"get\"} 0"));
+        assert!(text.contains("seg_request_latency_ns_sum{op=\"get\"} 0"));
+        // min must render as 0, not the u64::MAX sentinel.
+        assert!(!text.contains("18446744073709551615"), "{text}");
+    }
+
+    #[test]
+    fn prometheus_type_header_appears_once_per_metric_name() {
+        let r = Registry::new();
+        r.counter_with("seg_requests_total", vec![("op", "get")])
+            .inc();
+        r.counter_with("seg_requests_total", vec![("op", "put_file")])
+            .inc();
+        r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
+            .record(10);
+        r.histogram_with("seg_request_latency_ns", vec![("op", "put_file")])
+            .record(10);
+        let text = r.snapshot().to_prometheus();
+        assert_eq!(
+            text.matches("# TYPE seg_requests_total counter").count(),
+            1,
+            "{text}"
+        );
+        assert_eq!(
+            text.matches("# TYPE seg_request_latency_ns summary")
+                .count(),
+            1,
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn json_escapes_label_quotes_and_allows_dotted_values() {
+        let r = Registry::new();
+        r.counter_with("seg_host_info", vec![("host", "node.a_1")])
+            .inc();
+        let json = r.snapshot().to_json();
+        assert!(
+            json.contains("\"seg_host_info{host=\\\"node.a_1\\\"}\": 1"),
+            "{json}"
+        );
+        // Every quote inside a JSON key is escaped: strip the \" pairs
+        // and the remaining quotes must be structural (even count).
+        let stripped = json.replace("\\\"", "");
+        assert_eq!(stripped.matches('"').count() % 2, 0, "{json}");
+    }
+
+    #[test]
+    fn single_sample_histogram_encodes_exact_quantiles() {
+        let r = Registry::new();
+        r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
+            .record(1234);
+        let snap = r.snapshot();
+        let json = snap.to_json();
+        assert!(
+            json.contains(
+                "\"count\": 1, \"sum_ns\": 1234, \"min_ns\": 1234, \"max_ns\": 1234, \
+                 \"p50_ns\": 1234, \"p95_ns\": 1234, \"p99_ns\": 1234"
+            ),
+            "{json}"
+        );
+        let text = snap.to_prometheus();
+        assert!(text.contains("seg_request_latency_ns{quantile=\"0.5\",op=\"get\"} 1234"));
+        assert!(text.contains("seg_request_latency_ns_count{op=\"get\"} 1"));
+        assert!(text.contains("seg_request_latency_ns_sum{op=\"get\"} 1234"));
+    }
+
+    #[test]
+    fn prometheus_is_deterministic_across_identical_snapshots() {
+        let build = || {
+            let r = Registry::new();
+            r.counter_with("seg_requests_total", vec![("op", "get")])
+                .add(2);
+            r.gauge("seg_epc_bytes").set(7);
+            r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
+                .record(999);
+            r.snapshot().to_prometheus()
+        };
+        assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn delta_windows_counters_and_keeps_gauges() {
+        let r = Registry::new();
+        let c = r.counter_with("seg_requests_total", vec![("op", "get")]);
+        let g = r.gauge("seg_epc_bytes");
+        c.add(10);
+        g.set(100);
+        let before = r.snapshot();
+        c.add(3);
+        g.set(250);
+        let d = r.snapshot().delta(&before);
+        assert_eq!(d.counter("seg_requests_total{op=\"get\"}"), Some(3));
+        // Gauges are last-value-wins: the window reports the latest.
+        assert_eq!(d.gauge("seg_epc_bytes"), Some(250));
+    }
+
+    #[test]
+    fn delta_histogram_quantiles_cover_only_the_window() {
+        let r = Registry::new();
+        let h = r.histogram_with("seg_request_latency_ns", vec![("op", "get")]);
+        // Warmup: large outliers that must not pollute the window.
+        for _ in 0..100 {
+            h.record(50_000_000);
+        }
+        let before = r.snapshot();
+        for _ in 0..100 {
+            h.record(1_000);
+        }
+        let d = r.snapshot().delta(&before);
+        let s = d
+            .histogram("seg_request_latency_ns{op=\"get\"}")
+            .expect("windowed digest");
+        assert_eq!(s.count, 100);
+        assert_eq!(s.sum, 100_000);
+        // All windowed quantiles sit near 1us, nowhere near 50ms.
+        assert!(s.p99 < 10_000, "windowed p99 leaked warmup: {}", s.p99);
+        // The cumulative view, by contrast, is dominated by warmup.
+        let cum = r.snapshot();
+        let cs = cum.histogram("seg_request_latency_ns{op=\"get\"}").unwrap();
+        assert!(cs.p95 > 10_000_000, "cumulative p95: {}", cs.p95);
+    }
+
+    #[test]
+    fn delta_handles_metrics_registered_after_the_baseline() {
+        let r = Registry::new();
+        let before = r.snapshot();
+        r.counter("seg_frames_total").add(4);
+        r.histogram("seg_request_latency_ns").record(77);
+        let d = r.snapshot().delta(&before);
+        assert_eq!(d.counter("seg_frames_total"), Some(4));
+        assert_eq!(d.histogram("seg_request_latency_ns").unwrap().count, 1);
+    }
+
+    #[test]
+    fn delta_of_identical_snapshots_is_empty_window() {
+        let r = Registry::new();
+        r.counter("seg_frames_total").add(9);
+        r.histogram("seg_request_latency_ns").record(123);
+        let snap = r.snapshot();
+        let d = snap.delta(&snap.clone());
+        assert_eq!(d.counter("seg_frames_total"), Some(0));
+        let s = d.histogram("seg_request_latency_ns").unwrap();
+        assert_eq!((s.count, s.sum), (0, 0));
+        // An empty window still encodes cleanly.
+        let json = d.to_json();
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn exports_are_deterministic_and_well_formed() {
+        let build = |order_swapped: bool| {
+            let p = Arc::new(Profiler::new());
+            let run = |op| {
+                let _root = OpGuard::begin(&p, op);
+                let _g = phase(Phase::Pfs);
+            };
+            if order_swapped {
+                run("get");
+                run("put_file");
+            } else {
+                run("put_file");
+                run("get");
+            }
+            p.snapshot()
+        };
+        let a = build(false);
+        let b = build(true);
+        let paths = |s: &ProfSnapshot| {
+            s.entries
+                .iter()
+                .map(|e| e.path.join(";"))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(paths(&a), paths(&b), "ordering is insertion-independent");
+
+        let json = a.to_json();
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(json.contains("\"path\": \"put_file;pfs\""), "{json}");
+        let collapsed = a.to_collapsed();
+        for line in collapsed.lines() {
+            let (path, value) = line.rsplit_once(' ').expect("two fields");
+            assert!(!path.is_empty());
+            value.parse::<u64>().expect("numeric value");
+        }
+        assert!(collapsed.contains("put_file;pfs "), "{collapsed}");
+    }
+
+    #[test]
+    fn phase_breakdown_groups_by_leaf() {
+        let p = Arc::new(Profiler::new());
+        {
+            let _root = OpGuard::begin(&p, "put_file");
+            {
+                let _a = phase(Phase::TlsRecord);
+                let _b = phase(Phase::CryptoGcm);
+                spin_for(300_000);
+            }
+            {
+                let _a = phase(Phase::Pfs);
+                let _b = phase(Phase::CryptoGcm);
+                spin_for(300_000);
+            }
+        }
+        let snap = p.snapshot();
+        let breakdown = snap.phase_breakdown(&["put_file"]);
+        let gcm = breakdown
+            .iter()
+            .find(|(leaf, _)| *leaf == "crypto_gcm")
+            .expect("gcm leaf");
+        assert!(
+            gcm.1 >= 600_000,
+            "both crypto_gcm paths fold into one leaf: {breakdown:?}"
+        );
+        // The dominant phase sorts first.
+        assert_eq!(breakdown[0].0, "crypto_gcm");
+    }
+
+    #[test]
+    fn json_names_only_the_phases_that_took_time() {
+        let mut r = RequestRecord::open(7, "get", 0xabcd, 0x1234);
+        r.duration_ns = 5_000_000;
+        r.phases[Phase::StoreIo as usize] = PhaseTime {
+            self_ns: 4_000_000,
+            sim_ns: 0,
+        };
+        r.cost.store_reads = 3;
+        assert_eq!(r.phase(Phase::StoreIo).self_ns, 4_000_000);
+        assert!(r.slow(5_000) && !r.slow(5_001) && !r.slow(0));
+        let json = records_json(&[r]);
+        assert!(
+            json.contains("\"store_io\": {\"self_ns\": 4000000"),
+            "{json}"
+        );
+        assert!(!json.contains("\"pfs\""), "{json}");
+        assert!(
+            json.contains("\"principal\": \"000000000000abcd\""),
+            "{json}"
+        );
+        assert!(json.contains("\"store_reads\": 3"), "{json}");
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(records_json(&[]), "[]\n");
+    }
+}

@@ -8,10 +8,9 @@ use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::SecureRandom;
 use seg_net::FrameTransport;
 use seg_pki::Certificate;
+use seg_tls::{ClientHandshake, TlsChannel};
 
-use crate::channel::TlsChannel;
-use crate::handshake::ClientHandshake;
-use crate::TlsError;
+use crate::error::SegShareError;
 
 /// An established secure connection over a frame transport.
 pub struct SecureStream<T: FrameTransport> {
@@ -33,7 +32,8 @@ impl<T: FrameTransport> SecureStream<T> {
     ///
     /// # Errors
     ///
-    /// Returns any [`TlsError`] from the handshake or transport.
+    /// Returns the handshake's [`SegShareError::Tls`] or the transport's
+    /// [`SegShareError::Net`].
     pub fn connect<R: SecureRandom>(
         mut transport: T,
         certificate: Certificate,
@@ -41,7 +41,7 @@ impl<T: FrameTransport> SecureStream<T> {
         ca_key: PublicKey,
         now: u64,
         rng: &mut R,
-    ) -> Result<SecureStream<T>, TlsError> {
+    ) -> Result<SecureStream<T>, SegShareError> {
         let (mut hs, first) = ClientHandshake::start(certificate, key, ca_key, now, rng);
         transport.send_frame(&first)?;
         loop {
@@ -62,17 +62,6 @@ impl<T: FrameTransport> SecureStream<T> {
         })
     }
 
-    /// Wraps an already-established channel (server-side helper for
-    /// tests and the baselines).
-    #[must_use]
-    pub fn from_parts(transport: T, channel: TlsChannel, peer_certificate: Certificate) -> Self {
-        SecureStream {
-            transport,
-            channel,
-            peer_certificate,
-        }
-    }
-
     /// The peer's validated certificate.
     #[must_use]
     pub fn peer_certificate(&self) -> &Certificate {
@@ -83,8 +72,8 @@ impl<T: FrameTransport> SecureStream<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`TlsError::Net`] on transport failure.
-    pub fn send(&mut self, plaintext: &[u8]) -> Result<(), TlsError> {
+    /// Returns [`SegShareError::Net`] on transport failure.
+    pub fn send(&mut self, plaintext: &[u8]) -> Result<(), SegShareError> {
         let record = self.channel.seal(plaintext);
         self.transport.send_frame(&record)?;
         Ok(())
@@ -94,19 +83,20 @@ impl<T: FrameTransport> SecureStream<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`TlsError::Net`] / [`TlsError::RecordRejected`].
-    pub fn recv(&mut self) -> Result<Vec<u8>, TlsError> {
+    /// Returns [`SegShareError::Net`] on transport failure and
+    /// [`SegShareError::Tls`] for a record that fails authentication.
+    pub fn recv(&mut self) -> Result<Vec<u8>, SegShareError> {
         let record = self.transport.recv_frame()?;
-        self.channel.open(&record)
+        Ok(self.channel.open(&record)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handshake::ServerHandshake;
     use seg_crypto::rng::DeterministicRng;
     use seg_pki::{CertificateAuthority, Csr, Identity};
+    use seg_tls::ServerHandshake;
 
     #[test]
     fn stream_over_duplex_with_threaded_server() {
@@ -145,7 +135,11 @@ mod tests {
                     break hs.into_established().unwrap();
                 }
             };
-            let mut stream = SecureStream::from_parts(server_t, channel, client_cert);
+            let mut stream = SecureStream {
+                transport: server_t,
+                channel,
+                peer_certificate: client_cert,
+            };
             // Echo until close.
             while let Ok(msg) = stream.recv() {
                 stream.send(&msg).unwrap();

@@ -9,7 +9,7 @@ use seg_obs::Snapshot;
 use crate::enclave::health::ScrubCheck;
 use crate::enclave::SegShareEnclave;
 
-use super::Telemetry;
+use super::{SnapshotExt, Telemetry};
 
 impl Telemetry {
     /// A unified telemetry snapshot: the enclave's own families

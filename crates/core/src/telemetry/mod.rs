@@ -17,13 +17,16 @@
 
 mod export;
 pub mod health;
+mod render;
 pub mod watch;
+
+pub use render::{records_json, ProfSnapshotExt, SnapshotExt};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use seg_net::reactor::ReactorStats;
-use seg_obs::{records_json, RecordSink, Registry, RequestRecord};
+use seg_obs::{RecordSink, Registry, RequestRecord};
 
 use crate::enclave::health::ScrubReport;
 use crate::enclave::SegShareEnclave;

@@ -3,40 +3,25 @@
 //! snapshot queries and window arithmetic the host's consumers run.
 //!
 //! The enclave produces these values and hands them out; it never
-//! renders or queries them itself, so `seg_bench::tcb` counts this file
-//! on the untrusted side (a CI lint keeps enclave code from calling into
-//! it).
+//! renders or queries them itself. They live here, outside the enclave
+//! crate's dependency graph, so enclave code cannot call them.
 
 use std::collections::BTreeMap;
 
-use crate::hist;
-use crate::record::{Phase, PhaseTime, RequestRecord};
-use crate::{HistogramSummary, MetricId, ProfEntry, ProfSnapshot, Snapshot};
+use seg_obs::{HistogramSummary, MetricId, Phase, PhaseTime, ProfEntry, ProfSnapshot};
+use seg_obs::{RequestRecord, Snapshot};
 
-impl Snapshot {
+/// The host's queries, window arithmetic and renderings of a metrics
+/// [`Snapshot`].
+pub trait SnapshotExt {
     /// Looks up a counter by rendered id (`name` or `name{k="v"}`).
-    pub fn counter(&self, rendered: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(id, _)| id.render() == rendered)
-            .map(|&(_, v)| v)
-    }
+    fn counter(&self, rendered: &str) -> Option<u64>;
 
     /// Looks up a gauge by rendered id.
-    pub fn gauge(&self, rendered: &str) -> Option<u64> {
-        self.gauges
-            .iter()
-            .find(|(id, _)| id.render() == rendered)
-            .map(|&(_, v)| v)
-    }
+    fn gauge(&self, rendered: &str) -> Option<u64>;
 
     /// Looks up a histogram digest by rendered id.
-    pub fn histogram(&self, rendered: &str) -> Option<&HistogramSummary> {
-        self.histograms
-            .iter()
-            .find(|(id, _)| id.render() == rendered)
-            .map(|(_, s)| s)
-    }
+    fn histogram(&self, rendered: &str) -> Option<&HistogramSummary>;
 
     /// The window `self − earlier`: what happened *between* the two
     /// snapshots. Counters subtract (saturating, so a reset in between
@@ -49,7 +34,54 @@ impl Snapshot {
     /// bucket's midpoint (the exact extremes of only-the-window are not
     /// recoverable from cumulative state). Metrics absent from
     /// `earlier` (registered later) are treated as starting from zero.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
+    #[must_use]
+    fn delta(&self, earlier: &Snapshot) -> Snapshot;
+
+    /// The union of two snapshots over disjoint metric sets, in id
+    /// order: how the host appends the families it owns to the ones
+    /// pulled from the enclave's registry.
+    #[must_use]
+    fn merge(self, other: Snapshot) -> Snapshot;
+
+    /// Hand-rolled JSON encoding (no external serializer).
+    ///
+    /// Names and label values are charset-restricted at registration;
+    /// the only character needing JSON escaping is the `"` that
+    /// `MetricId::render` itself puts around label values.
+    fn to_json(&self) -> String;
+
+    /// Prometheus exposition text. Histograms are emitted in summary
+    /// form (`quantile` labels plus `_sum`/`_count` series).
+    ///
+    /// Entries are sorted by metric id, so all series of one metric
+    /// are adjacent and each `# TYPE` header is emitted exactly once
+    /// per metric name (the exposition format forbids repeats).
+    fn to_prometheus(&self) -> String;
+}
+
+impl SnapshotExt for Snapshot {
+    fn counter(&self, rendered: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(id, _)| id.render() == rendered)
+            .map(|&(_, v)| v)
+    }
+
+    fn gauge(&self, rendered: &str) -> Option<u64> {
+        self.gauges
+            .iter()
+            .find(|(id, _)| id.render() == rendered)
+            .map(|&(_, v)| v)
+    }
+
+    fn histogram(&self, rendered: &str) -> Option<&HistogramSummary> {
+        self.histograms
+            .iter()
+            .find(|(id, _)| id.render() == rendered)
+            .map(|(_, s)| s)
+    }
+
+    fn delta(&self, earlier: &Snapshot) -> Snapshot {
         let counters = self
             .counters
             .iter()
@@ -75,7 +107,7 @@ impl Snapshot {
             };
             let sum_now = self.histogram(&id.render()).map_or(0, |s| s.sum);
             let sum_before = earlier.histogram(&id.render()).map_or(0, |s| s.sum);
-            let summary = hist::summarize_window(&diff, sum_now.saturating_sub(sum_before));
+            let summary = HistogramSummary::window(&diff, sum_now.saturating_sub(sum_before));
             histograms.push((id.clone(), summary));
             buckets.push((id.clone(), diff));
         }
@@ -87,11 +119,7 @@ impl Snapshot {
         }
     }
 
-    /// The union of two snapshots over disjoint metric sets, in id
-    /// order: how the host appends the families it owns to the ones
-    /// pulled from the enclave's registry.
-    #[must_use]
-    pub fn merge(mut self, other: Snapshot) -> Snapshot {
+    fn merge(mut self, other: Snapshot) -> Snapshot {
         self.counters.extend(other.counters);
         self.gauges.extend(other.gauges);
         self.histograms.extend(other.histograms);
@@ -103,12 +131,7 @@ impl Snapshot {
         self
     }
 
-    /// Hand-rolled JSON encoding (no external serializer).
-    ///
-    /// Names and label values are charset-restricted at registration;
-    /// the only character needing JSON escaping is the `"` that
-    /// `MetricId::render` itself puts around label values.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         push_scalar_map(&mut out, &self.counters);
         out.push_str("},\n  \"gauges\": {");
@@ -138,13 +161,7 @@ impl Snapshot {
         out
     }
 
-    /// Prometheus exposition text. Histograms are emitted in summary
-    /// form (`quantile` labels plus `_sum`/`_count` series).
-    ///
-    /// Entries are sorted by metric id, so all series of one metric
-    /// are adjacent and each `# TYPE` header is emitted exactly once
-    /// per metric name (the exposition format forbids repeats).
-    pub fn to_prometheus(&self) -> String {
+    fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_type_line: Option<&'static str> = None;
         let mut type_line = |out: &mut String, name: &'static str, kind: &str| {
@@ -169,11 +186,7 @@ impl Snapshot {
                 out.push_str(&format!("{}{{{}}} {}\n", id.name(), labels.join(","), v));
             }
             let suffix = |suffix: &str, v: u64| {
-                let rendered = MetricId {
-                    name: id.name(),
-                    labels: id.labels.clone(),
-                }
-                .render();
+                let rendered = id.render();
                 match rendered.find('{') {
                     Some(pos) => {
                         format!("{}{}{} {}\n", &rendered[..pos], suffix, &rendered[pos..], v)
@@ -206,47 +219,74 @@ fn json_key(id: &MetricId) -> String {
     id.render().replace('"', "\\\"")
 }
 
-impl ProfSnapshot {
+/// `op;phase;subphase` rendering of an entry's path.
+fn rendered_path(e: &ProfEntry) -> String {
+    e.path.join(";")
+}
+
+/// The operation an entry belongs to (path element 0).
+fn op(e: &ProfEntry) -> &'static str {
+    e.path.first().copied().unwrap_or("")
+}
+
+/// The host's queries and renderings of a [`ProfSnapshot`].
+pub trait ProfSnapshotExt {
     /// Looks an entry up by its rendered path (`op;phase;subphase`).
-    #[must_use]
-    pub fn entry(&self, rendered: &str) -> Option<&ProfEntry> {
-        self.entries.iter().find(|e| e.rendered_path() == rendered)
-    }
+    fn entry(&self, rendered: &str) -> Option<&ProfEntry>;
 
     /// All entries belonging to operation `op`.
-    pub fn op_entries<'s>(&'s self, op: &'s str) -> impl Iterator<Item = &'s ProfEntry> {
-        self.entries.iter().filter(move |e| e.op() == op)
-    }
+    fn op_entries<'s>(&'s self, op: &'s str) -> impl Iterator<Item = &'s ProfEntry>;
 
     /// Total wall-clock of operation `op` (its root frame's total).
-    #[must_use]
-    pub fn op_total_ns(&self, op: &str) -> u64 {
-        self.entry(op).map_or(0, |e| e.total_ns)
-    }
+    fn op_total_ns(&self, op: &str) -> u64;
 
     /// Sums self time grouped by leaf phase name across the given
     /// operations — the "which layer dominates" view. Simulated time is
     /// folded into the leaf that charged it (real and simulated never
     /// overlap on one entry).
-    #[must_use]
-    pub fn phase_breakdown(&self, ops: &[&str]) -> Vec<(&'static str, u64)> {
+    fn phase_breakdown(&self, ops: &[&str]) -> Vec<(&'static str, u64)>;
+
+    /// Hand-rolled JSON encoding (no external serializer). Paths are
+    /// charset-restricted compiled-in names, so no escaping is needed
+    /// beyond what the renderer emits.
+    fn to_json(&self) -> String;
+
+    /// Flamegraph-collapsed text: one `op;phase;subphase value` line
+    /// per path, value in nanoseconds — feedable straight into
+    /// `flamegraph.pl`. The value is the path's self time; entries that
+    /// carry only simulated time report that instead (an entry never
+    /// has both).
+    fn to_collapsed(&self) -> String;
+}
+
+impl ProfSnapshotExt for ProfSnapshot {
+    fn entry(&self, rendered: &str) -> Option<&ProfEntry> {
+        self.entries.iter().find(|e| rendered_path(e) == rendered)
+    }
+
+    fn op_entries<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'s ProfEntry> {
+        self.entries.iter().filter(move |e| op(e) == name)
+    }
+
+    fn op_total_ns(&self, op: &str) -> u64 {
+        self.entry(op).map_or(0, |e| e.total_ns)
+    }
+
+    fn phase_breakdown(&self, ops: &[&str]) -> Vec<(&'static str, u64)> {
         let mut by_leaf: BTreeMap<&'static str, u64> = BTreeMap::new();
         for e in &self.entries {
-            if !ops.contains(&e.op()) {
+            if !ops.contains(&op(e)) {
                 continue;
             }
-            *by_leaf.entry(e.leaf()).or_default() += e.self_ns + e.sim_ns;
+            let leaf = e.path.last().copied().unwrap_or("");
+            *by_leaf.entry(leaf).or_default() += e.self_ns + e.sim_ns;
         }
         let mut out: Vec<(&'static str, u64)> = by_leaf.into_iter().collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         out
     }
 
-    /// Hand-rolled JSON encoding (no external serializer). Paths are
-    /// charset-restricted compiled-in names, so no escaping is needed
-    /// beyond what the renderer emits.
-    #[must_use]
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"entries\": [");
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
@@ -258,7 +298,7 @@ impl ProfSnapshot {
                  \"self_ns\": {}, \"total_ns\": {}, \"sim_ns\": {}, \
                  \"self_per_request\": {{\"count\": {}, \"p50_ns\": {}, \
                  \"p95_ns\": {}, \"p99_ns\": {}}}}}",
-                e.rendered_path(),
+                rendered_path(e),
                 e.count,
                 e.requests,
                 e.self_ns,
@@ -277,20 +317,14 @@ impl ProfSnapshot {
         out
     }
 
-    /// Flamegraph-collapsed text: one `op;phase;subphase value` line
-    /// per path, value in nanoseconds — feedable straight into
-    /// `flamegraph.pl`. The value is the path's self time; entries that
-    /// carry only simulated time report that instead (an entry never
-    /// has both).
-    #[must_use]
-    pub fn to_collapsed(&self) -> String {
+    fn to_collapsed(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
             let value = e.self_ns + e.sim_ns;
             if value == 0 {
                 continue;
             }
-            out.push_str(&format!("{} {}\n", e.rendered_path(), value));
+            out.push_str(&format!("{} {}\n", rendered_path(e), value));
         }
         out
     }

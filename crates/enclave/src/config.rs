@@ -86,12 +86,6 @@ impl Default for EnclaveConfig {
 }
 
 impl EnclaveConfig {
-    /// The paper's evaluated prototype configuration (§VI).
-    #[must_use]
-    pub fn paper_prototype() -> EnclaveConfig {
-        EnclaveConfig::default()
-    }
-
     /// Everything off — the minimal core design of §IV only.
     #[must_use]
     pub fn minimal() -> EnclaveConfig {

@@ -60,7 +60,7 @@ use seg_crypto::sha256::Sha256;
 use seg_fs::codec::{Decoder, Encoder};
 use seg_obs::{Decision, RequestRecord};
 use seg_sgx::Enclave;
-use seg_store::ObjectStore;
+use seg_store_api::ObjectStore;
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;

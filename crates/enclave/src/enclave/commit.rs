@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 use seg_obs::{Phase, RequestRecord};
 use seg_sgx::Enclave;
-use seg_store::{CommitTicket, ObjectStore};
+use seg_store_api::{CommitTicket, ObjectStore};
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;

@@ -8,7 +8,7 @@
 //! the object's read lock. What it hands back, [`ScrubReport`], is
 //! per-check counts and keyed fingerprints of what failed; when to
 //! step, what the findings add up to and what verdict they imply is
-//! the host's business (`crate::telemetry`).
+//! the host's business (`segshare::telemetry`).
 
 use seg_fs::{DirFile, SegPath, UserId};
 

@@ -29,7 +29,7 @@ use seg_crypto::sha256::Sha256;
 use seg_obs::{CostVector, RecordSink, Registry, RequestRecord};
 use seg_pki::{Certificate, Csr, Identity};
 use seg_sgx::{Enclave, EnclaveImage, Platform, Quote};
-use seg_store::{CountingStore, IoStats, ObjectStore, StoreStats};
+use seg_store_api::{CountingStore, IoStats, ObjectStore, StoreStats};
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
@@ -378,7 +378,7 @@ impl SegShareEnclave {
     /// With the families written in place (requests, locks, pfs,
     /// rollback tree, audit) that is the enclave's whole export; the
     /// host merges in what it sees for itself
-    /// ([`crate::SegShareServer::metrics_snapshot`]).
+    /// (`segshare::SegShareServer::metrics_snapshot`).
     ///
     /// A **declassification point** (paper §III): everything in the
     /// snapshot is an aggregate keyed by compiled-in names — nothing
@@ -604,8 +604,8 @@ impl SegShareEnclave {
     /// Recomputes the rollback tree from the stored objects and
     /// re-anchors counters — backup restoration (§V-G) — in one commit
     /// window under the exclusive global scope. The caller is the
-    /// CA-signed reset path in [`crate::server::SegShareServer`].
-    pub(crate) fn rebuild_after_restore(&self) -> Result<(), SegShareError> {
+    /// CA-signed reset path in `segshare::SegShareServer`.
+    pub fn rebuild_after_restore(&self) -> Result<(), SegShareError> {
         self.commit(None, || {
             let _scope = self.locks.acquire_global();
             self.store.rebuild_tree()

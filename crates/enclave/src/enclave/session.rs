@@ -990,8 +990,40 @@ fn is_fatal(err: &SegShareError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::FsoSetup;
     use crate::EnclaveConfig;
+    use seg_crypto::rng::SystemRng;
+    use seg_pki::{CertificateAuthority, Identity};
+    use seg_sgx::Platform;
+    use seg_store::MemStore;
+    use std::sync::Arc;
+
+    const VALIDITY_END: u64 = 1 << 40;
+
+    /// A CA and an enclave launched under it with in-memory stores,
+    /// not yet certified.
+    fn launched() -> (CertificateAuthority, Arc<SegShareEnclave>) {
+        let ca = CertificateAuthority::new("ca", &mut SystemRng::new());
+        let enclave = SegShareEnclave::launch(
+            &Platform::new(),
+            EnclaveConfig::default(),
+            ca.public_key(),
+            Arc::new(MemStore::new()),
+            Arc::new(MemStore::new()),
+            Arc::new(MemStore::new()),
+            None,
+        )
+        .unwrap();
+        (ca, enclave)
+    }
+
+    /// [`launched`], then certified by its CA.
+    fn certified() -> (CertificateAuthority, Arc<SegShareEnclave>) {
+        let (ca, enclave) = launched();
+        let (csr, _quote) = enclave.certification_request("segshare");
+        let cert = ca.issue_server_from_csr(&csr, 0, VALIDITY_END).unwrap();
+        enclave.install_certificate(cert).unwrap();
+        (ca, enclave)
+    }
 
     #[test]
     fn parse_perm_group_handles_default_groups() {
@@ -1010,26 +1042,15 @@ mod tests {
 
     #[test]
     fn session_rejects_frames_before_certification() {
-        let setup = FsoSetup::new_in_memory("ca", EnclaveConfig::default());
-        // Launch the enclave directly, skipping certification.
-        let enclave = crate::enclave::SegShareEnclave::launch(
-            setup.platform(),
-            EnclaveConfig::default(),
-            setup.ca().public_key(),
-            std::sync::Arc::new(seg_store::MemStore::new()),
-            std::sync::Arc::new(seg_store::MemStore::new()),
-            std::sync::Arc::new(seg_store::MemStore::new()),
-            None,
-        )
-        .unwrap();
+        // Launch the enclave, skipping certification.
+        let (_ca, enclave) = launched();
         assert!(enclave.new_session().is_err(), "no server certificate yet");
     }
 
     #[test]
     fn garbage_handshake_frame_is_fatal() {
-        let setup = FsoSetup::new_in_memory("ca", EnclaveConfig::default());
-        let server = setup.server().unwrap();
-        let enclave = server.enclave();
+        let (_ca, enclave) = certified();
+        let enclave = &enclave;
         let mut session = enclave.new_session().unwrap();
         assert!(session.user().is_none());
         assert!(session.handle_frame(enclave, b"not a tls frame").is_err());
@@ -1040,19 +1061,18 @@ mod tests {
 
     #[test]
     fn session_identifies_user_after_handshake() {
-        let setup = FsoSetup::new_in_memory("ca", EnclaveConfig::default());
-        let server = setup.server().unwrap();
-        let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
-        let _client = server.connect_local(&alice).unwrap();
-        // Drive a second session by hand to observe the state.
-        let enclave = server.enclave();
+        let (ca, enclave) = certified();
+        let enclave = &enclave;
+        let mut rng = SystemRng::new();
+        let alice = Identity::user("alice", "a@x", "Alice").unwrap();
+        let (certificate, secret_key) = ca.issue_user(alice, 0, VALIDITY_END, &mut rng);
+        // Drive a session by hand to observe the state.
         let mut session = enclave.new_session().unwrap();
-        let mut rng = seg_crypto::rng::SystemRng::new();
         let (mut hs, m1) = seg_tls::ClientHandshake::start(
-            alice.certificate.clone(),
-            alice.secret_key.clone(),
-            alice.ca_key,
-            alice.now,
+            certificate,
+            secret_key,
+            ca.public_key(),
+            1_000,
             &mut rng,
         );
         session.handle_frame(enclave, &m1).unwrap();

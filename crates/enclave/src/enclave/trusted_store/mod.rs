@@ -90,7 +90,7 @@ use parking_lot::{Mutex, RwLock};
 use seg_crypto::mset::MsetHash;
 use seg_sgx::pfs::pfs_decrypt;
 use seg_sgx::Enclave;
-use seg_store::ObjectStore;
+use seg_store_api::ObjectStore;
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;

@@ -19,9 +19,9 @@ pub enum SegShareError {
     /// Secure-channel failure.
     Tls(seg_tls::TlsError),
     /// Transport failure.
-    Net(seg_net::NetError),
+    Net(seg_proto::NetError),
     /// Storage failure in the untrusted store.
-    Store(seg_store::StoreError),
+    Store(seg_store_api::StoreError),
     /// Simulated-SGX failure (sealing, counters, protected files).
     Sgx(seg_sgx::SgxError),
     /// PKI failure during setup.
@@ -94,14 +94,14 @@ impl From<seg_tls::TlsError> for SegShareError {
     }
 }
 
-impl From<seg_net::NetError> for SegShareError {
-    fn from(e: seg_net::NetError) -> Self {
+impl From<seg_proto::NetError> for SegShareError {
+    fn from(e: seg_proto::NetError) -> Self {
         SegShareError::Net(e)
     }
 }
 
-impl From<seg_store::StoreError> for SegShareError {
-    fn from(e: seg_store::StoreError) -> Self {
+impl From<seg_store_api::StoreError> for SegShareError {
+    fn from(e: seg_store_api::StoreError) -> Self {
         SegShareError::Store(e)
     }
 }

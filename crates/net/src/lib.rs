@@ -25,49 +25,13 @@ pub mod simwan;
 mod tcp;
 mod virtq;
 
+pub use seg_proto::NetError;
 pub use tcp::{SocketCalls, TcpTransport};
 
-use std::error::Error;
-use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
 use virtq::VirtQueue;
-
-/// Errors from transports.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum NetError {
-    /// The peer closed the connection.
-    Closed,
-    /// An underlying I/O failure.
-    Io(String),
-    /// A frame exceeded the receiver's size limit.
-    FrameTooLarge(usize),
-}
-
-impl fmt::Display for NetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetError::Closed => f.write_str("connection closed by peer"),
-            NetError::Io(msg) => write!(f, "network i/o error: {msg}"),
-            NetError::FrameTooLarge(n) => write!(f, "frame of {n} bytes exceeds limit"),
-        }
-    }
-}
-
-impl Error for NetError {}
-
-impl From<std::io::Error> for NetError {
-    fn from(e: std::io::Error) -> Self {
-        match e.kind() {
-            std::io::ErrorKind::UnexpectedEof
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::BrokenPipe => NetError::Closed,
-            _ => NetError::Io(e.to_string()),
-        }
-    }
-}
 
 /// Maximum accepted frame size (64 MiB) — a sanity bound against
 /// attacker-supplied length prefixes.

@@ -75,7 +75,7 @@ impl Histogram {
     }
 
     /// Raw per-bucket counts (length `BUCKETS`), for snapshot
-    /// differencing — see [`crate::Snapshot::delta`].
+    /// differencing — see [`HistogramSummary::window`].
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
@@ -119,27 +119,29 @@ impl HistogramSummary {
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
+
+    /// Summarizes a window of bucket counts (an element-wise difference
+    /// of two [`Histogram::bucket_counts`] vectors) with its known
+    /// `sum`. The exact extremes of only-the-window are not
+    /// recoverable, so `min`/`max` are the first/last non-empty
+    /// bucket's midpoint.
+    #[must_use]
+    pub fn window(counts: &[u64], sum: u64) -> HistogramSummary {
+        let first = counts.iter().position(|&c| c > 0);
+        let last = counts.iter().rposition(|&c| c > 0);
+        summarize_counts(
+            counts,
+            sum,
+            first.map_or(0, bucket_mid),
+            last.map_or(0, bucket_mid),
+        )
+    }
 }
 
 /// Summarizes a bucket-count vector (as returned by
-/// [`Histogram::bucket_counts`], or an element-wise difference of two
-/// such vectors) together with its known `sum`/`min`/`max`. Shared by
-/// [`Histogram::summarize`] and [`crate::Snapshot::delta`].
-/// [`summarize_counts`] for a window of bucket counts (a difference of
-/// two cumulative count vectors): the exact extremes of only-the-window
-/// are not recoverable, so `min`/`max` are the first/last non-empty
-/// bucket's midpoint.
-pub(crate) fn summarize_window(counts: &[u64], sum: u64) -> HistogramSummary {
-    let first = counts.iter().position(|&c| c > 0);
-    let last = counts.iter().rposition(|&c| c > 0);
-    summarize_counts(
-        counts,
-        sum,
-        first.map_or(0, bucket_mid),
-        last.map_or(0, bucket_mid),
-    )
-}
-
+/// [`Histogram::bucket_counts`], or a window of two such vectors)
+/// together with its known `sum`/`min`/`max`. Shared by
+/// [`Histogram::summarize`] and [`HistogramSummary::window`].
 pub(crate) fn summarize_counts(counts: &[u64], sum: u64, min: u64, max: u64) -> HistogramSummary {
     let count: u64 = counts.iter().sum();
     if count == 0 {

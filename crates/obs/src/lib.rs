@@ -1,20 +1,16 @@
 //! `seg-obs`: zero-dependency telemetry for the SeGShare reproduction.
 //!
-//! The crate has two halves, told apart by file (`seg_bench::tcb`
-//! counts them on different sides of the enclave boundary).
+//! All of it is linked into the enclave: the [`Registry`] of atomic
+//! counters, gauges and log-bucketed latency [`Histogram`]s, the
+//! per-request [`RequestRecord`] with the [`RecordSink`] it is handed
+//! out through ([`record`]) and the phase profiler that fills the
+//! record's phase vector ([`prof`]).
 //!
-//! **Linked into the enclave:** the [`Registry`] of atomic counters,
-//! gauges and log-bucketed latency [`Histogram`]s, the per-request
-//! [`RequestRecord`] with the [`RecordSink`] it is handed out through
-//! ([`record`]) and the phase profiler that fills the record's phase
-//! vector ([`prof`]).
-//!
-//! **Run by the untrusted host:** the renderers and queries of
-//! snapshots and records (`render.rs`: [`Snapshot::to_json`],
-//! [`ProfSnapshot::to_collapsed`], [`records_json`], ...). Their inputs
-//! already crossed the boundary, so they need no trust. The host keeps
-//! no history of its own: it exports state, and whoever scrapes the
-//! export keeps time.
+//! The renderers and queries of snapshots and records (JSON,
+//! Prometheus, collapsed stacks, windows) are the untrusted host's and
+//! live in `segshare::telemetry`. Their inputs already crossed the
+//! boundary, so they need no trust. The host keeps no history of its
+//! own: it exports state, and whoever scrapes the export keeps time.
 //!
 //! # Trust-boundary rule
 //!
@@ -46,12 +42,10 @@
 mod hist;
 pub mod prof;
 pub mod record;
-mod render;
 
 pub use hist::{Histogram, HistogramSummary};
 pub use prof::{ProfEntry, ProfSnapshot, Profiler};
 pub use record::{CostVector, Decision, Phase, PhaseTime, RecordSink, RequestRecord};
-pub use render::records_json;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -348,7 +342,7 @@ impl Registry {
 
 /// Point-in-time copy of the registry, ordered deterministically. Its
 /// queries, window arithmetic and renderings are host-side
-/// (`render.rs`).
+/// (`segshare::telemetry`).
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter values.
@@ -358,13 +352,55 @@ pub struct Snapshot {
     /// Histogram digests.
     pub histograms: Vec<(MetricId, HistogramSummary)>,
     /// Raw per-bucket histogram counts, parallel to `histograms`,
-    /// kept so two snapshots can be differenced (see [`Snapshot::delta`]).
+    /// kept so two snapshots can be differenced (see
+    /// [`HistogramSummary::window`]).
     pub buckets: Vec<(MetricId, Vec<u64>)>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The host's snapshot lookups (`segshare::telemetry`), re-stated
+    /// for this crate's assertions.
+    pub(crate) trait Lookup {
+        fn counter(&self, rendered: &str) -> Option<u64>;
+        fn gauge(&self, rendered: &str) -> Option<u64>;
+        fn histogram(&self, rendered: &str) -> Option<&HistogramSummary>;
+    }
+
+    impl Lookup for Snapshot {
+        fn counter(&self, rendered: &str) -> Option<u64> {
+            let found = self.counters.iter().find(|(id, _)| id.render() == rendered);
+            found.map(|&(_, v)| v)
+        }
+        fn gauge(&self, rendered: &str) -> Option<u64> {
+            let found = self.gauges.iter().find(|(id, _)| id.render() == rendered);
+            found.map(|&(_, v)| v)
+        }
+        fn histogram(&self, rendered: &str) -> Option<&HistogramSummary> {
+            let found = self
+                .histograms
+                .iter()
+                .find(|(id, _)| id.render() == rendered);
+            found.map(|(_, s)| s)
+        }
+    }
+
+    /// The host's profile lookups, likewise.
+    pub(crate) trait ProfLookup {
+        fn entry(&self, rendered: &str) -> Option<&ProfEntry>;
+        fn op_entries<'s>(&'s self, op: &'s str) -> impl Iterator<Item = &'s ProfEntry>;
+    }
+
+    impl ProfLookup for ProfSnapshot {
+        fn entry(&self, rendered: &str) -> Option<&ProfEntry> {
+            self.entries.iter().find(|e| e.path.join(";") == rendered)
+        }
+        fn op_entries<'s>(&'s self, op: &'s str) -> impl Iterator<Item = &'s ProfEntry> {
+            self.entries.iter().filter(move |e| e.path[0] == op)
+        }
+    }
 
     #[test]
     fn counters_and_gauges_roundtrip() {
@@ -456,34 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_deterministic() {
-        let build = || {
-            let r = Registry::new();
-            // Insertion order differs between the two closures' call
-            // sites below; output order must not.
-            r.counter_with("seg_requests_total", vec![("op", "get")])
-                .inc();
-            r.counter("seg_frames_total").add(7);
-            r.gauge("seg_epc_bytes").set(11);
-            r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
-                .record(500);
-            r.snapshot().to_json()
-        };
-        let build_reordered = || {
-            let r = Registry::new();
-            r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
-                .record(500);
-            r.gauge("seg_epc_bytes").set(11);
-            r.counter("seg_frames_total").add(7);
-            r.counter_with("seg_requests_total", vec![("op", "get")])
-                .inc();
-            r.snapshot().to_json()
-        };
-        assert_eq!(build(), build());
-        assert_eq!(build(), build_reordered());
-    }
-
-    #[test]
     fn concurrent_increments_sum_exactly() {
         let r = std::sync::Arc::new(Registry::new());
         let threads: Vec<_> = (0..8)
@@ -505,216 +513,6 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("seg_frames_total"), Some(80_000));
         assert_eq!(snap.counter("seg_requests_total{op=\"get\"}"), Some(80_000));
-    }
-
-    #[test]
-    fn json_output_shape() {
-        let r = Registry::new();
-        r.counter_with("seg_requests_total", vec![("op", "get")])
-            .add(3);
-        r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
-            .record(1000);
-        let json = r.snapshot().to_json();
-        assert!(
-            json.contains("\"seg_requests_total{op=\\\"get\\\"}\": 3"),
-            "{json}"
-        );
-        assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"p99_ns\""));
-        // Sanity: balanced braces.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn prometheus_output_shape() {
-        let r = Registry::new();
-        r.counter_with("seg_requests_total", vec![("op", "get")])
-            .add(3);
-        r.gauge("seg_epc_bytes").set(42);
-        r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
-            .record(1000);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE seg_requests_total counter"));
-        assert!(text.contains("seg_requests_total{op=\"get\"} 3"));
-        assert!(text.contains("seg_epc_bytes 42"));
-        assert!(text.contains("quantile=\"0.99\""));
-        assert!(text.contains("seg_request_latency_ns_count{op=\"get\"} 1"));
-        assert!(text.contains("seg_request_latency_ns_sum{op=\"get\"} "));
-    }
-
-    #[test]
-    fn empty_registry_encodes_cleanly() {
-        let snap = Registry::new().snapshot();
-        let json = snap.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"counters\": {}"), "{json}");
-        assert!(json.contains("\"gauges\": {}"), "{json}");
-        assert!(json.contains("\"histograms\": {}"), "{json}");
-        assert_eq!(snap.to_prometheus(), "");
-    }
-
-    #[test]
-    fn zero_count_histogram_encodes_all_zero_summary() {
-        let r = Registry::new();
-        let _ = r.histogram_with("seg_request_latency_ns", vec![("op", "get")]);
-        let snap = r.snapshot();
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"seg_request_latency_ns{op=\\\"get\\\"}\": {\"count\": 0, \"sum_ns\": 0, \"min_ns\": 0"),
-            "{json}"
-        );
-        let text = snap.to_prometheus();
-        assert!(text.contains("seg_request_latency_ns_count{op=\"get\"} 0"));
-        assert!(text.contains("seg_request_latency_ns_sum{op=\"get\"} 0"));
-        // min must render as 0, not the u64::MAX sentinel.
-        assert!(!text.contains("18446744073709551615"), "{text}");
-    }
-
-    #[test]
-    fn prometheus_type_header_appears_once_per_metric_name() {
-        let r = Registry::new();
-        r.counter_with("seg_requests_total", vec![("op", "get")])
-            .inc();
-        r.counter_with("seg_requests_total", vec![("op", "put_file")])
-            .inc();
-        r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
-            .record(10);
-        r.histogram_with("seg_request_latency_ns", vec![("op", "put_file")])
-            .record(10);
-        let text = r.snapshot().to_prometheus();
-        assert_eq!(
-            text.matches("# TYPE seg_requests_total counter").count(),
-            1,
-            "{text}"
-        );
-        assert_eq!(
-            text.matches("# TYPE seg_request_latency_ns summary")
-                .count(),
-            1,
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn json_escapes_label_quotes_and_allows_dotted_values() {
-        let r = Registry::new();
-        r.counter_with("seg_host_info", vec![("host", "node.a_1")])
-            .inc();
-        let json = r.snapshot().to_json();
-        assert!(
-            json.contains("\"seg_host_info{host=\\\"node.a_1\\\"}\": 1"),
-            "{json}"
-        );
-        // Every quote inside a JSON key is escaped: strip the \" pairs
-        // and the remaining quotes must be structural (even count).
-        let stripped = json.replace("\\\"", "");
-        assert_eq!(stripped.matches('"').count() % 2, 0, "{json}");
-    }
-
-    #[test]
-    fn single_sample_histogram_encodes_exact_quantiles() {
-        let r = Registry::new();
-        r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
-            .record(1234);
-        let snap = r.snapshot();
-        let json = snap.to_json();
-        assert!(
-            json.contains(
-                "\"count\": 1, \"sum_ns\": 1234, \"min_ns\": 1234, \"max_ns\": 1234, \
-                 \"p50_ns\": 1234, \"p95_ns\": 1234, \"p99_ns\": 1234"
-            ),
-            "{json}"
-        );
-        let text = snap.to_prometheus();
-        assert!(text.contains("seg_request_latency_ns{quantile=\"0.5\",op=\"get\"} 1234"));
-        assert!(text.contains("seg_request_latency_ns_count{op=\"get\"} 1"));
-        assert!(text.contains("seg_request_latency_ns_sum{op=\"get\"} 1234"));
-    }
-
-    #[test]
-    fn prometheus_is_deterministic_across_identical_snapshots() {
-        let build = || {
-            let r = Registry::new();
-            r.counter_with("seg_requests_total", vec![("op", "get")])
-                .add(2);
-            r.gauge("seg_epc_bytes").set(7);
-            r.histogram_with("seg_request_latency_ns", vec![("op", "get")])
-                .record(999);
-            r.snapshot().to_prometheus()
-        };
-        assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn delta_windows_counters_and_keeps_gauges() {
-        let r = Registry::new();
-        let c = r.counter_with("seg_requests_total", vec![("op", "get")]);
-        let g = r.gauge("seg_epc_bytes");
-        c.add(10);
-        g.set(100);
-        let before = r.snapshot();
-        c.add(3);
-        g.set(250);
-        let d = r.snapshot().delta(&before);
-        assert_eq!(d.counter("seg_requests_total{op=\"get\"}"), Some(3));
-        // Gauges are last-value-wins: the window reports the latest.
-        assert_eq!(d.gauge("seg_epc_bytes"), Some(250));
-    }
-
-    #[test]
-    fn delta_histogram_quantiles_cover_only_the_window() {
-        let r = Registry::new();
-        let h = r.histogram_with("seg_request_latency_ns", vec![("op", "get")]);
-        // Warmup: large outliers that must not pollute the window.
-        for _ in 0..100 {
-            h.record(50_000_000);
-        }
-        let before = r.snapshot();
-        for _ in 0..100 {
-            h.record(1_000);
-        }
-        let d = r.snapshot().delta(&before);
-        let s = d
-            .histogram("seg_request_latency_ns{op=\"get\"}")
-            .expect("windowed digest");
-        assert_eq!(s.count, 100);
-        assert_eq!(s.sum, 100_000);
-        // All windowed quantiles sit near 1us, nowhere near 50ms.
-        assert!(s.p99 < 10_000, "windowed p99 leaked warmup: {}", s.p99);
-        // The cumulative view, by contrast, is dominated by warmup.
-        let cum = r.snapshot();
-        let cs = cum.histogram("seg_request_latency_ns{op=\"get\"}").unwrap();
-        assert!(cs.p95 > 10_000_000, "cumulative p95: {}", cs.p95);
-    }
-
-    #[test]
-    fn delta_handles_metrics_registered_after_the_baseline() {
-        let r = Registry::new();
-        let before = r.snapshot();
-        r.counter("seg_frames_total").add(4);
-        r.histogram("seg_request_latency_ns").record(77);
-        let d = r.snapshot().delta(&before);
-        assert_eq!(d.counter("seg_frames_total"), Some(4));
-        assert_eq!(d.histogram("seg_request_latency_ns").unwrap().count, 1);
-    }
-
-    #[test]
-    fn delta_of_identical_snapshots_is_empty_window() {
-        let r = Registry::new();
-        r.counter("seg_frames_total").add(9);
-        r.histogram("seg_request_latency_ns").record(123);
-        let snap = r.snapshot();
-        let d = snap.delta(&snap.clone());
-        assert_eq!(d.counter("seg_frames_total"), Some(0));
-        let s = d.histogram("seg_request_latency_ns").unwrap();
-        assert_eq!((s.count, s.sum), (0, 0));
-        // An empty window still encodes cleanly.
-        let json = d.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -459,28 +459,8 @@ pub struct ProfEntry {
     pub self_per_request: HistogramSummary,
 }
 
-impl ProfEntry {
-    /// `op;phase;subphase` rendering of the path.
-    #[must_use]
-    pub fn rendered_path(&self) -> String {
-        self.path.join(";")
-    }
-
-    /// The operation (path element 0).
-    #[must_use]
-    pub fn op(&self) -> &'static str {
-        self.path.first().copied().unwrap_or("")
-    }
-
-    /// The leaf phase name (last path element).
-    #[must_use]
-    pub fn leaf(&self) -> &'static str {
-        self.path.last().copied().unwrap_or("")
-    }
-}
-
 /// Point-in-time copy of a [`Profiler`], ordered by phase path. Its
-/// queries and renderings are host-side (`render.rs`).
+/// queries and renderings are host-side (`segshare::telemetry`).
 #[derive(Debug, Clone, Default)]
 pub struct ProfSnapshot {
     /// Aggregates, sorted by path.
@@ -492,6 +472,7 @@ pub struct ProfSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::ProfLookup;
 
     fn spin_for(ns: u64) {
         let start = Instant::now();
@@ -571,7 +552,7 @@ mod tests {
         assert!(snap.entries.iter().all(|e| !e.path.contains(&"store_io")));
         assert_eq!(snap.entries.len(), MAX_DEPTH + 1, "root, 15 frames, charge");
         let self_sum: u64 = snap.op_entries("get").map(|e| e.self_ns).sum();
-        assert_eq!(self_sum, snap.op_total_ns("get"));
+        assert_eq!(self_sum, snap.entry("get").unwrap().total_ns);
     }
 
     #[test]
@@ -694,7 +675,7 @@ mod tests {
             snap.entry("mk_dir;tls_record").is_some(),
             "pre-rename phases must be re-keyed under the final op"
         );
-        assert!(snap.entries.iter().all(|e| e.op() != "request"));
+        assert!(snap.entries.iter().all(|e| e.path[0] != "request"));
     }
 
     #[test]
@@ -759,75 +740,6 @@ mod tests {
         let root = snap.entry("put_file").unwrap();
         let self_sum: u64 = snap.op_entries("put_file").map(|e| e.self_ns).sum();
         assert_eq!(self_sum, root.total_ns);
-    }
-
-    #[test]
-    fn exports_are_deterministic_and_well_formed() {
-        let build = |order_swapped: bool| {
-            let p = Arc::new(Profiler::new());
-            let run = |op| {
-                let _root = OpGuard::begin(&p, op);
-                let _g = phase(Phase::Pfs);
-            };
-            if order_swapped {
-                run("get");
-                run("put_file");
-            } else {
-                run("put_file");
-                run("get");
-            }
-            p.snapshot()
-        };
-        let a = build(false);
-        let b = build(true);
-        let paths = |s: &ProfSnapshot| {
-            s.entries
-                .iter()
-                .map(ProfEntry::rendered_path)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(paths(&a), paths(&b), "ordering is insertion-independent");
-
-        let json = a.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"path\": \"put_file;pfs\""), "{json}");
-        let collapsed = a.to_collapsed();
-        for line in collapsed.lines() {
-            let (path, value) = line.rsplit_once(' ').expect("two fields");
-            assert!(!path.is_empty());
-            value.parse::<u64>().expect("numeric value");
-        }
-        assert!(collapsed.contains("put_file;pfs "), "{collapsed}");
-    }
-
-    #[test]
-    fn phase_breakdown_groups_by_leaf() {
-        let p = Arc::new(Profiler::new());
-        {
-            let _root = OpGuard::begin(&p, "put_file");
-            {
-                let _a = phase(Phase::TlsRecord);
-                let _b = phase(Phase::CryptoGcm);
-                spin_for(300_000);
-            }
-            {
-                let _a = phase(Phase::Pfs);
-                let _b = phase(Phase::CryptoGcm);
-                spin_for(300_000);
-            }
-        }
-        let snap = p.snapshot();
-        let breakdown = snap.phase_breakdown(&["put_file"]);
-        let gcm = breakdown
-            .iter()
-            .find(|(leaf, _)| *leaf == "crypto_gcm")
-            .expect("gcm leaf");
-        assert!(
-            gcm.1 >= 600_000,
-            "both crypto_gcm paths fold into one leaf: {breakdown:?}"
-        );
-        // The dominant phase sorts first.
-        assert_eq!(breakdown[0].0, "crypto_gcm");
     }
 
     #[test]

@@ -111,8 +111,10 @@ fn a_warm_request_allocates_nothing() {
     let snap = profiler.snapshot();
     assert_eq!(snap.unbalanced, 0);
     let tree = snap
-        .entry("put_file;rollback_tree;store_io")
+        .entries
+        .iter()
+        .find(|e| e.path == ["put_file", "rollback_tree", "store_io"])
         .expect("entry");
     assert_eq!((tree.count, tree.requests), (1_001, 1_001));
-    assert!(snap.entries.iter().all(|e| e.op() == "put_file"));
+    assert!(snap.entries.iter().all(|e| e.path[0] == "put_file"));
 }

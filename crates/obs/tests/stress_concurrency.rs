@@ -30,11 +30,14 @@ fn registry_survives_contention() {
 
     let snap = registry.snapshot();
     let total = THREADS * PER_THREAD;
-    assert_eq!(snap.counter("seg_frames_total"), Some(total));
-    assert_eq!(
-        snap.histogram("seg_request_latency_ns{op=\"get\"}")
-            .expect("histogram")
-            .count,
-        total
-    );
+    let frames = snap
+        .counters
+        .iter()
+        .find(|(id, _)| id.name() == "seg_frames_total");
+    assert_eq!(frames.map(|&(_, v)| v), Some(total));
+    let latency = snap
+        .histograms
+        .iter()
+        .find(|(id, _)| id.render() == "seg_request_latency_ns{op=\"get\"}");
+    assert_eq!(latency.expect("histogram").1.count, total);
 }

@@ -36,6 +36,43 @@ impl fmt::Display for ProtoError {
 
 impl Error for ProtoError {}
 
+/// Errors from transports (`seg-net`). They live here, beside the
+/// protocol both ends speak, so the enclave can name a session's
+/// transport failure without linking a transport.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum NetError {
+    /// The peer closed the connection.
+    Closed,
+    /// An underlying I/O failure.
+    Io(String),
+    /// A frame exceeded the receiver's size limit.
+    FrameTooLarge(usize),
+}
+
+impl fmt::Display for NetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetError::Closed => f.write_str("connection closed by peer"),
+            NetError::Io(msg) => write!(f, "network i/o error: {msg}"),
+            NetError::FrameTooLarge(n) => write!(f, "frame of {n} bytes exceeds limit"),
+        }
+    }
+}
+
+impl Error for NetError {}
+
+impl From<std::io::Error> for NetError {
+    fn from(e: std::io::Error) -> Self {
+        match e.kind() {
+            std::io::ErrorKind::UnexpectedEof
+            | std::io::ErrorKind::ConnectionReset
+            | std::io::ErrorKind::BrokenPipe => NetError::Closed,
+            _ => NetError::Io(e.to_string()),
+        }
+    }
+}
+
 fn codec_err(e: seg_fs::FsError) -> ProtoError {
     ProtoError(e.to_string())
 }

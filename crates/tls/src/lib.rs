@@ -13,8 +13,8 @@
 //! Accordingly the handshake ([`handshake`]) and record layer
 //! ([`channel`]) are *sans-I/O* state machines that only ever consume and
 //! produce opaque byte frames; the untrusted host pumps those frames
-//! to/from a [`seg_net::FrameTransport`]. [`stream::SecureStream`] is the
-//! client-side convenience that owns both halves.
+//! to and from its transport. The client's `SecureStream` (in
+//! `segshare::client`) owns both halves.
 //!
 //! The handshake is ECDHE (X25519) with Ed25519 certificates on both
 //! sides (mutual authentication, §IV-A), an HKDF-SHA-256 key schedule
@@ -26,11 +26,9 @@
 pub mod channel;
 pub mod handshake;
 mod msg;
-pub mod stream;
 
 pub use channel::TlsChannel;
 pub use handshake::{ClientHandshake, HandshakeStep, ServerHandshake};
-pub use stream::SecureStream;
 
 use std::error::Error;
 use std::fmt;
@@ -49,8 +47,6 @@ pub enum TlsError {
     RecordRejected,
     /// A message arrived in the wrong handshake state.
     UnexpectedMessage,
-    /// The underlying transport failed.
-    Net(seg_net::NetError),
     /// Key agreement produced a weak secret.
     Crypto(seg_crypto::CryptoError),
 }
@@ -63,19 +59,12 @@ impl fmt::Display for TlsError {
             TlsError::HandshakeFailed(msg) => write!(f, "handshake failed: {msg}"),
             TlsError::RecordRejected => f.write_str("record failed authentication"),
             TlsError::UnexpectedMessage => f.write_str("message in unexpected handshake state"),
-            TlsError::Net(e) => write!(f, "transport error: {e}"),
             TlsError::Crypto(e) => write!(f, "crypto error: {e}"),
         }
     }
 }
 
 impl Error for TlsError {}
-
-impl From<seg_net::NetError> for TlsError {
-    fn from(e: seg_net::NetError) -> Self {
-        TlsError::Net(e)
-    }
-}
 
 impl From<seg_crypto::CryptoError> for TlsError {
     fn from(e: seg_crypto::CryptoError) -> Self {

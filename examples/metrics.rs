@@ -13,6 +13,7 @@
 //! Run with: `cargo run --release --example metrics`
 
 use seg_fs::Perm;
+use segshare::telemetry::{ProfSnapshotExt, SnapshotExt};
 use segshare::{EnclaveConfig, FsoSetup};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -107,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ops: Vec<&str> = prof
         .entries
         .iter()
-        .map(seg_obs::ProfEntry::op)
+        .map(|e| e.path[0])
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
@@ -126,12 +127,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- recent requests (newest 32 whole records, JSON) ---");
     print!(
         "{}",
-        seg_obs::records_json(&server.telemetry().watch().recent_requests(32))
+        segshare::telemetry::records_json(&server.telemetry().watch().recent_requests(32))
     );
     println!("--- slow requests (whole records) ---");
     print!(
         "{}",
-        seg_obs::records_json(&server.telemetry().watch().slow_requests(16))
+        segshare::telemetry::records_json(&server.telemetry().watch().slow_requests(16))
     );
 
     let verified = server.audit_verify()?;

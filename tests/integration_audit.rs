@@ -353,8 +353,8 @@ fn exports_carry_no_principals_paths_or_keys() {
 
     let watch = rig.server.telemetry().watch();
     let recent = watch.recent_requests(usize::MAX);
-    let tail = seg_obs::records_json(&recent);
-    let slow = seg_obs::records_json(&watch.slow_requests(usize::MAX));
+    let tail = segshare::telemetry::records_json(&recent);
+    let slow = segshare::telemetry::records_json(&watch.slow_requests(usize::MAX));
     let exported = rig.server.audit_export().unwrap();
     let audit = segshare::enclave::audit::records_json(&exported);
 
@@ -397,7 +397,7 @@ fn exports_carry_no_principals_paths_or_keys() {
 #[test]
 fn a_request_interrupting_an_upload_is_audited() {
     use seg_proto::{ErrorCode, Request, Response};
-    use seg_tls::SecureStream;
+    use segshare::client::SecureStream;
 
     let setup = FsoSetup::new_in_memory("audit-ca", EnclaveConfig::default());
     let server = setup.server().expect("setup");
@@ -447,7 +447,7 @@ fn a_request_interrupting_an_upload_is_audited() {
 #[test]
 fn every_upload_ends_in_one_audit_record() {
     use seg_proto::{Request, Response, CHUNK_LEN};
-    use seg_tls::SecureStream;
+    use segshare::client::SecureStream;
 
     /// A raw stream, for the frame sequences the client never sends:
     /// it sends `frames`, reads `replies` responses, then closes.

@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use seg_fs::Perm;
 use seg_proto::ErrorCode;
 use seg_store::{AdversaryStore, CountingStore, FaultAction, FaultStore, MemStore, ObjectStore};
+use segshare::telemetry::SnapshotExt;
 use segshare::{EnclaveConfig, FsoSetup, SegShareError, SegShareServer};
 
 struct Rig {

@@ -20,6 +20,7 @@ use std::time::Duration;
 use seg_fs::Perm;
 use seg_proto::ErrorCode;
 use seg_store::{AdversaryStore, MemStore, ObjectStore, StoreError};
+use segshare::telemetry::SnapshotExt;
 use segshare::{Client, EnclaveConfig, EnrolledUser, FsoSetup, SegShareError, SegShareServer};
 
 /// Paper prototype (audit + rollback tree on) with the object cache —
@@ -27,7 +28,7 @@ use segshare::{Client, EnclaveConfig, EnrolledUser, FsoSetup, SegShareError, Seg
 fn full_config() -> EnclaveConfig {
     EnclaveConfig {
         cache: true,
-        ..EnclaveConfig::paper_prototype()
+        ..EnclaveConfig::default()
     }
 }
 
@@ -446,7 +447,10 @@ fn slow_rig(config: EnclaveConfig, seed: u64, delay: Duration) -> (FsoSetup, Seg
 /// the profile's `<op>;…;lock_wait` entries.
 fn lock_wait_ns(server: &SegShareServer) -> u64 {
     let profile = server.enclave().profile_snapshot();
-    let waits = profile.entries.iter().filter(|e| e.leaf() == "lock_wait");
+    let waits = profile
+        .entries
+        .iter()
+        .filter(|e| e.path.last() == Some(&"lock_wait"));
     waits.map(|e| e.self_ns + e.sim_ns).sum()
 }
 
@@ -458,7 +462,7 @@ fn lock_wait_is_attributed_to_the_contended_key_class() {
     // waited must name the contended path.
     let config = EnclaveConfig {
         watch_deadline_us: 0,
-        ..EnclaveConfig::paper_prototype()
+        ..EnclaveConfig::default()
     };
     let delay = Duration::from_millis(2);
 
@@ -539,7 +543,7 @@ fn watchdog_stall_dumps_a_correlated_bundle_without_leaking_content() {
     // path the workload used.
     let config = EnclaveConfig {
         watch_deadline_us: 1_000,
-        ..EnclaveConfig::paper_prototype()
+        ..EnclaveConfig::default()
     };
     let (setup, server) = slow_rig(config, 409, Duration::from_millis(3));
     let alice = setup
@@ -571,7 +575,7 @@ fn one_slow_request_is_explained_by_its_one_record() {
     // touched — and be the same request its audit record describes.
     let config = EnclaveConfig {
         watch_deadline_us: 1_000,
-        ..EnclaveConfig::paper_prototype()
+        ..EnclaveConfig::default()
     };
     let (setup, server) = slow_rig(config, 410, Duration::from_millis(3));
     let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
@@ -642,7 +646,7 @@ fn a_long_global_hold_is_a_stall_seen_live_and_counted_once() {
         // A scrub step that is walking this slow store when the Move
         // begins blocks on the Move, and the runner's tick with it.
         scrub_interval_us: 0,
-        ..EnclaveConfig::paper_prototype()
+        ..EnclaveConfig::default()
     };
     let (setup, server) = slow_rig(config, 411, Duration::from_millis(20));
     let alice = setup

@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use seg_net::reactor::ReactorConfig;
 use seg_store::{AdversaryStore, MemStore, ObjectStore};
+use segshare::telemetry::SnapshotExt;
 use segshare::{EnclaveConfig, FsoSetup, HealthOptions, ScrubCheck, SegShareServer};
 
 struct Rig {

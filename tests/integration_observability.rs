@@ -20,6 +20,7 @@ use seg_net::{FrameTransport, NetError};
 use seg_obs::{RecordSink, RequestRecord};
 use segshare::enclave::session::EnclaveSession;
 use segshare::enclave::SegShareEnclave;
+use segshare::telemetry::{ProfSnapshotExt, SnapshotExt};
 use segshare::{Client, EnclaveConfig, EnrolledUser, FsoSetup, SegShareServer};
 
 /// Distinctive strings used as operands below; none may leak into
@@ -187,7 +188,7 @@ fn flow_produces_nonzero_per_op_metrics() {
             profile
                 .entries
                 .iter()
-                .any(|e| e.leaf() == phase && e.count > 0),
+                .any(|e| e.path.last() == Some(&phase) && e.count > 0),
             "no `…;{phase}` profile entry"
         );
     }

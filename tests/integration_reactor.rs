@@ -28,7 +28,7 @@ fn rig(seed: u64) -> (FsoSetup, SegShareServer, EnrolledUser) {
         "ca",
         EnclaveConfig {
             cache: true,
-            ..EnclaveConfig::paper_prototype()
+            ..EnclaveConfig::default()
         },
         seg_sgx::Platform::new_with_seed(seed),
         Arc::new(MemStore::new()) as Arc<dyn ObjectStore>,

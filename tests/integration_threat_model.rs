@@ -407,7 +407,7 @@ fn stolen_certificate_without_key_cannot_connect() {
 #[test]
 fn hostile_protocol_sequences_are_survived() {
     use seg_proto::{Request, Response};
-    use seg_tls::SecureStream;
+    use segshare::client::SecureStream;
 
     let r = rig(EnclaveConfig::default(), 110);
     let mallory = r.setup.enroll_user("mallory", "m@x", "Mallory").unwrap();
