@@ -465,8 +465,7 @@ mod tests {
     fn roundtrips_seg_obs_snapshot_json() {
         // The gate parses the host's hand-rolled encoder output; make
         // sure the two stay compatible.
-        use segshare::telemetry::SnapshotExt;
-        let r = seg_obs::Registry::new();
+        let r = segshare::telemetry::Registry::new();
         r.counter("seg_frames_total").add(3);
         r.histogram("seg_request_latency_ns").record(1000);
         let v = parse(&r.snapshot().to_json()).unwrap();

@@ -12,7 +12,6 @@
 //! revocation immediate (`tests/integration_cache.rs`).
 
 use seg_fs::Perm;
-use segshare::telemetry::SnapshotExt;
 use segshare::EnclaveConfig;
 
 use super::{Ctx, Outcome};

@@ -16,7 +16,6 @@
 
 use std::time::Duration;
 
-use segshare::telemetry::ProfSnapshotExt;
 use segshare::EnclaveConfig;
 
 use super::{Ctx, Outcome};
@@ -46,7 +45,7 @@ const MIX_OPS: [&str; 3] = ["put_file", "data", "get"];
 /// Lock wait the mix's requests charged to their records so far, summed
 /// over the profile's `<op>;…;lock_wait` entries.
 fn lock_wait_ns(rig: &Rig) -> u64 {
-    let profile = rig.server.enclave().profile_snapshot();
+    let profile = rig.server.telemetry().profile_snapshot();
     let breakdown = profile.phase_breakdown(&MIX_OPS);
     breakdown
         .iter()

@@ -3,7 +3,6 @@
 //! speedup. Fsync-latency-bound by construction, so the bar holds on
 //! any host.
 
-use segshare::telemetry::SnapshotExt;
 use segshare::{EnclaveConfig, FsoSetup};
 
 use super::{Ctx, Outcome};

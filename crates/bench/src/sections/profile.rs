@@ -7,16 +7,14 @@
 
 use std::collections::BTreeSet;
 
-use segshare::telemetry::ProfSnapshotExt;
-
 use super::{Ctx, Outcome};
 use crate::json::Json;
 
 pub fn run(ctx: &Ctx) -> Outcome {
     let mut out = Outcome::default();
-    // Declassified aggregates (explicit enclave exits).
+    // What the host folded from the closed roots and their records.
     let snapshot = ctx.main.server.metrics_snapshot();
-    let profile = ctx.main.server.enclave().profile_snapshot();
+    let profile = ctx.main.server.telemetry().profile_snapshot();
 
     let ops = snapshot
         .histograms

@@ -153,4 +153,15 @@ mod tests {
         }
         assert!(trusted.iter().all(|(_, loc)| *loc > 0), "{trusted:?}");
     }
+
+    #[test]
+    fn the_enclave_telemetry_row_fits_its_budget() {
+        // Inside, telemetry is the phase clock, the record and the sink;
+        // every aggregate is folded on the host. 350 lines holds those
+        // three with room to spare, and not a registry beside them.
+        let (trusted, _) = rows(&crate::harness::repo_root());
+        let obs = trusted.iter().find(|(name, _)| name == "seg-obs");
+        let loc = obs.map(|&(_, loc)| loc);
+        assert!(loc.is_some_and(|loc| loc <= 350), "seg-obs row: {loc:?}");
+    }
 }

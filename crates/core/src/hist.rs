@@ -5,7 +5,7 @@
 //! `u64::MAX`. The worst-case relative error of a reported quantile is
 //! one sub-bucket width, 12.5% — ample for p50/p95/p99 latency
 //! reporting — while recording stays a handful of atomic adds with no
-//! allocation, so it is safe on the enclave's request hot path.
+//! allocation, so the host's record sink can fold every request in.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,16 +48,6 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Records an elapsed [`std::time::Duration`] in nanoseconds.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Summarizes the current contents.
@@ -115,11 +105,6 @@ pub struct HistogramSummary {
 }
 
 impl HistogramSummary {
-    /// Mean of the observations (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
     /// Summarizes a window of bucket counts (an element-wise difference
     /// of two [`Histogram::bucket_counts`] vectors) with its known
     /// `sum`. The exact extremes of only-the-window are not

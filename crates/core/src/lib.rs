@@ -85,6 +85,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod hist;
 pub mod server;
 mod stream;
 pub mod telemetry;
@@ -100,17 +101,18 @@ pub use server::{wal_views, EnrolledUser, FsoSetup, HealthOptions, SegShareServe
 pub use telemetry::health::HealthState;
 pub use telemetry::Telemetry;
 
-/// Unit tests of the host-side renderers: [`telemetry`]'s snapshot,
-/// profile and record renderings.
+/// Unit tests of [`telemetry`]'s registry and profile, and of its
+/// snapshot, profile, record and audit renderings.
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
     use std::time::Instant;
 
     use seg_obs::prof::{phase, OpGuard};
-    use seg_obs::{Phase, PhaseTime, ProfSnapshot, Profiler, Registry, RequestRecord};
+    use seg_obs::{Decision, Phase, PhaseTime, RequestRecord};
 
-    use crate::telemetry::{records_json, ProfSnapshotExt, SnapshotExt};
+    use crate::enclave::audit::AuditRecord;
+    use crate::telemetry::{audit_json, records_json, ProfSnapshot, Profile, RecordView, Registry};
 
     fn spin_for(ns: u64) {
         let start = Instant::now();
@@ -360,7 +362,7 @@ mod tests {
     #[test]
     fn exports_are_deterministic_and_well_formed() {
         let build = |order_swapped: bool| {
-            let p = Arc::new(Profiler::new());
+            let p = Profile::default();
             let run = |op| {
                 let _root = OpGuard::begin(&p, op);
                 let _g = phase(Phase::Pfs);
@@ -398,7 +400,7 @@ mod tests {
 
     #[test]
     fn phase_breakdown_groups_by_leaf() {
-        let p = Arc::new(Profiler::new());
+        let p = Profile::default();
         {
             let _root = OpGuard::begin(&p, "put_file");
             {
@@ -450,5 +452,167 @@ mod tests {
         assert!(json.contains("\"store_reads\": 3"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(records_json(&[]), "[]\n");
+    }
+
+    #[test]
+    fn counters_and_gauges_roundtrip() {
+        let r = Registry::new();
+        let c = r.counter("seg_frames_total");
+        c.inc();
+        c.add(4);
+        assert_eq!(c.get(), 5);
+        let g = r.gauge("seg_epc_bytes");
+        g.set(4096);
+        g.set(8192);
+        assert_eq!(g.get(), 8192);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("seg_frames_total"), Some(5));
+        assert_eq!(snap.gauge("seg_epc_bytes"), Some(8192));
+    }
+
+    #[test]
+    fn handles_are_interned() {
+        let r = Registry::new();
+        r.counter_with("seg_requests_total", vec![("op", "get")])
+            .inc();
+        r.counter_with("seg_requests_total", vec![("op", "get")])
+            .inc();
+        r.counter_with("seg_requests_total", vec![("op", "put_file")])
+            .inc();
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("seg_requests_total{op=\"get\"}"), Some(2));
+        assert_eq!(snap.counter("seg_requests_total{op=\"put_file\"}"), Some(1));
+    }
+
+    #[test]
+    fn label_order_is_canonical() {
+        let r = Registry::new();
+        r.counter_with("seg_x_total", vec![("op", "get"), ("code", "denied")])
+            .inc();
+        r.counter_with("seg_x_total", vec![("code", "denied"), ("op", "get")])
+            .inc();
+        let snap = r.snapshot();
+        assert_eq!(
+            snap.counter("seg_x_total{code=\"denied\",op=\"get\"}"),
+            Some(2)
+        );
+        assert_eq!(snap.counters.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid label value")]
+    fn path_like_label_values_are_rejected() {
+        Registry::new().counter_with("seg_requests_total", vec![("op", "/home/alice/secret")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid label value")]
+    fn userid_like_label_values_are_rejected() {
+        Registry::new().counter_with("seg_requests_total", vec![("user", "alice@example.com")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid metric name")]
+    fn uppercase_metric_names_are_rejected() {
+        Registry::new().counter("PutFile");
+    }
+
+    #[test]
+    fn span_records_latency_and_outcome() {
+        // A closed request — what used to be a finished span — lands in
+        // the three request families.
+        let r = Registry::new();
+        let mut rec = RequestRecord::open(1, "put_file", 7, 9);
+        rec.duration_ns = 1_000;
+        r.consume(&rec);
+        rec.decision = Decision::Deny;
+        rec.code = "denied";
+        r.consume(&rec);
+        r.consume(&RequestRecord::open(2, "get", 7, 9));
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("seg_requests_total{op=\"put_file\"}"), Some(2));
+        assert_eq!(snap.counter("seg_requests_total{op=\"get\"}"), Some(1));
+        assert_eq!(
+            snap.counter("seg_request_errors_total{code=\"denied\",op=\"put_file\"}"),
+            Some(1)
+        );
+        assert_eq!(snap.counters.len(), 3, "no error series for a clean op");
+        let h = snap
+            .histogram("seg_request_latency_ns{op=\"put_file\"}")
+            .expect("latency histogram");
+        assert_eq!((h.count, h.sum), (2, 2_000));
+    }
+
+    #[test]
+    fn concurrent_increments_sum_exactly() {
+        let r = Arc::new(Registry::new());
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let r = Arc::clone(&r);
+                std::thread::spawn(move || {
+                    let c = r.counter("seg_frames_total");
+                    for _ in 0..10_000 {
+                        c.inc();
+                        r.counter_with("seg_requests_total", vec![("op", "get")])
+                            .inc();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("seg_frames_total"), Some(80_000));
+        assert_eq!(snap.counter("seg_requests_total{op=\"get\"}"), Some(80_000));
+    }
+
+    #[test]
+    fn span_opens_profiler_root_when_attached() {
+        // A root opened against the profile as its sink folds in when it
+        // closes, its record riding along without touching the profile.
+        let p = Profile::default();
+        {
+            let _root = OpGuard::begin(&p, "put_file");
+            let _g = phase(Phase::Pfs);
+            seg_obs::prof::attach_record(&RequestRecord::open(1, "put_file", 7, 9));
+        }
+        let snap = p.snapshot();
+        assert!(snap.entry("put_file;pfs").is_some());
+        assert_eq!(snap.entry("put_file").map(|e| e.requests), Some(1));
+        assert_eq!(snap.unbalanced, 0);
+    }
+
+    #[test]
+    fn reset_zeroes_but_keeps_handles_live() {
+        let r = Registry::new();
+        let c = r.counter("seg_frames_total");
+        c.add(9);
+        r.reset();
+        assert_eq!(c.get(), 0);
+        c.inc();
+        assert_eq!(r.snapshot().counter("seg_frames_total"), Some(1));
+    }
+
+    #[test]
+    fn audit_json_renders_exported_records() {
+        let record = AuditRecord {
+            seq: 3,
+            time: 1_003,
+            request_id: 3,
+            op: "put_file".into(),
+            principal: 0xaa03,
+            object: 0xbb03,
+            decision: Decision::Allow,
+            code: "ok".into(),
+        };
+        let json = audit_json(&[record]);
+        assert!(json.contains("\"op\": \"put_file\""), "{json}");
+        assert!(
+            json.contains("\"principal\": \"000000000000aa03\""),
+            "{json}"
+        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(audit_json(&[]), "[]\n");
     }
 }

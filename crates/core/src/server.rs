@@ -404,21 +404,20 @@ impl SegShareServer {
     /// The host-side telemetry owner: the health state, the stall
     /// watchdog with its stored dump
     /// (`telemetry().watch().last_dump()`), the slow log and the tail of
-    /// recent records. What only the enclave can answer —
-    /// `profile_snapshot`, `locks()` — is pulled through
-    /// [`enclave`](Self::enclave).
+    /// recent records, and the phase profile
+    /// (`telemetry().profile_snapshot()`).
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
     /// A unified telemetry snapshot: per-operation request counts and
-    /// latency quantiles from the enclave's registry, merged with the
-    /// families the host owns — boundary crossings, EPC usage,
-    /// per-store I/O, the front end, the watchdog and health (see
+    /// latency quantiles folded from the enclave's records, and the
+    /// mirrored totals — boundary crossings, EPC usage, per-store I/O,
+    /// the front end, the watchdog and health (see
     /// [`Telemetry::metrics_snapshot`]).
     #[must_use]
-    pub fn metrics_snapshot(&self) -> seg_obs::Snapshot {
+    pub fn metrics_snapshot(&self) -> crate::telemetry::Snapshot {
         self.telemetry.metrics_snapshot()
     }
 

@@ -1,40 +1,60 @@
-//! The metrics export: the enclave's registry snapshot merged with the
-//! families the host owns.
+//! The metrics export: the one registry, with the totals kept
+//! elsewhere mirrored in at each scrape.
 
 use std::sync::atomic::Ordering;
 
 use seg_net::reactor::ConnState;
-use seg_obs::Snapshot;
 
 use crate::enclave::health::ScrubCheck;
 use crate::enclave::SegShareEnclave;
 
-use super::{SnapshotExt, Telemetry};
+use super::health::check_label;
+use super::{Snapshot, Telemetry};
 
 impl Telemetry {
-    /// A unified telemetry snapshot: the enclave's own families
-    /// (requests, locks, pfs, rollback tree, cache, EPC, audit — pulled
-    /// with [`SegShareEnclave::metrics_snapshot`]) plus what the host
-    /// sees or derives for itself: boundary crossings, per-store I/O,
-    /// the front end, and the watchdog, scrub, canary and verdict
-    /// families. Current values only: a scraper keeps the history.
+    /// A unified telemetry snapshot: the request families folded from
+    /// each record, the enclave-wide values pulled with
+    /// [`SegShareEnclave::stats`] (cache, EPC, the global-hold clock,
+    /// the switch, pfs decrypts, audit), and what the host sees or
+    /// derives for itself: boundary crossings, per-store I/O, the front
+    /// end, and the watchdog, scrub, canary and verdict families.
+    /// Current values only: a scraper keeps the history.
     #[must_use]
     pub fn metrics_snapshot(&self) -> Snapshot {
-        let enclave = self.enclave();
-        self.refresh(&enclave);
-        enclave.metrics_snapshot().merge(self.host.snapshot())
+        self.refresh(&self.enclave());
+        self.registry.snapshot()
     }
 
-    /// Brings the host registry up to date with the totals kept
-    /// elsewhere. Families export whether or not their subsystem is
-    /// live — 0 beats a series that comes and goes — except the
-    /// reactor's lifecycle families, which start with the reactor (the
-    /// first connection or listener).
+    /// Brings the registry up to date with the totals kept elsewhere.
+    /// Families export whether or not their subsystem is live — 0 beats
+    /// a series that comes and goes — except the reactor's lifecycle
+    /// families, which start with the reactor (the first connection or
+    /// listener), the object cache's counters, which exist only with
+    /// the cache on (keeping cache-off exports identical to pre-cache
+    /// builds), and the audit counters, which exist only with the
+    /// audit trail on.
     fn refresh(&self, enclave: &SegShareEnclave) {
-        let host = &self.host;
+        let host = &self.registry;
         let sync = |name: &'static str, labels: Vec<(&'static str, &'static str)>, total: u64| {
             host.counter_with(name, labels).advance_to(total);
         };
+        let stats = enclave.stats();
+        if let Some(c) = &stats.cache {
+            for (name, total) in [
+                ("seg_cache_hits_total", c.hits),
+                ("seg_cache_misses_total", c.misses),
+                ("seg_cache_fills_total", c.fills),
+                ("seg_cache_stale_fills_total", c.stale_fills),
+                ("seg_cache_evictions_total", c.evictions),
+                ("seg_cache_invalidations_total", c.invalidations),
+            ] {
+                sync(name, vec![], total);
+            }
+        }
+        if let Some((records, bytes)) = stats.audit {
+            sync("seg_audit_records_total", vec![], records);
+            sync("seg_audit_bytes_total", vec![], bytes);
+        }
         let boundary = enclave.sgx().boundary().stats();
         let front_end = self.front_end.get();
         let reactor = front_end.map(|fe| &fe.stats);
@@ -56,6 +76,7 @@ impl Telemetry {
             ("seg_health_canary_probes_total", health.canary_probes()),
             ("seg_health_canary_failures_total", health.canary_failures()),
             ("seg_scrub_passes_total", health.scrub_passes()),
+            ("seg_pfs_decrypts_total", stats.pfs_decrypts),
         ] {
             sync(name, vec![], total);
         }
@@ -70,6 +91,16 @@ impl Telemetry {
                 "seg_health_canary_latency_us",
                 health.canary_last_latency_us(),
             ),
+            ("seg_epc_bytes", stats.epc_bytes),
+            ("seg_epc_peak_bytes", stats.epc_peak_bytes),
+            ("seg_epc_paged_pages", stats.epc_paged_pages),
+            ("seg_cache_entries", stats.cache.map_or(0, |c| c.entries)),
+            ("seg_cache_bytes", stats.cache.map_or(0, |c| c.bytes)),
+            (
+                "seg_lock_global_held_us",
+                stats.global_hold.map_or(0, |(_, us)| us),
+            ),
+            ("seg_telemetry_enabled", u64::from(stats.telemetry_enabled)),
         ] {
             host.gauge(name).set(value);
         }
@@ -135,7 +166,7 @@ impl Telemetry {
         }
 
         for check in ScrubCheck::ALL {
-            let label = || vec![("check", check.label())];
+            let label = || vec![("check", check_label(check))];
             sync("seg_scrub_items_total", label(), health.items(check));
             sync("seg_scrub_findings_total", label(), health.findings(check));
         }

@@ -209,7 +209,7 @@ impl HealthState {
                 let (items, findings) = (self.items(check), self.findings(check));
                 format!(
                     ",\"{}\":{{\"items\":{items},\"findings\":{findings}}}",
-                    check.label()
+                    check_label(check)
                 )
             })
             .collect();
@@ -222,7 +222,7 @@ impl HealthState {
             .map(|(check, fingerprint, at_us)| {
                 format!(
                     "{{\"check\":\"{}\",\"fingerprint\":\"{fingerprint:016x}\",\"at_us\":{at_us}}}",
-                    check.label()
+                    check_label(*check)
                 )
             })
             .collect();
@@ -244,5 +244,15 @@ impl HealthState {
             self.canary_last_latency_us(),
             findings.join(","),
         )
+    }
+}
+
+/// A scrub check's compiled-in `check` label value.
+pub(crate) fn check_label(check: ScrubCheck) -> &'static str {
+    match check {
+        ScrubCheck::Audit => "audit",
+        ScrubCheck::Tree => "tree",
+        ScrubCheck::Cache => "cache",
+        ScrubCheck::Orphan => "orphan",
     }
 }

@@ -1,32 +1,38 @@
 //! Host-side telemetry: everything that consumes what the enclave hands
 //! out, under one owner held by [`SegShareServer`](crate::SegShareServer).
 //!
-//! Data flows one way. The enclave pushes each closed
-//! [`RequestRecord`] through the one [`RecordSink`] — [`Telemetry`] is
-//! that sink — and answers pull-style declassification calls when the
-//! host makes them (`metrics_snapshot`, `profile_snapshot`,
-//! `scrub_step`, the lock manager's hold and contended-stripe rows).
-//! From those, and from what the host sees for itself (the reactor's
-//! gauges, store and boundary traffic), this module builds the tail of
-//! recent records, the slow log and stall watchdog, canary bookkeeping,
-//! the health verdict, the report and the host's share of the metrics
-//! export. It keeps no history: it exports state, and the scraper of the
-//! export keeps time. The one thing the host sets inside is the
-//! telemetry switch. None of it is trusted, and none needs to be: it can
-//! only misreport to the operator of the same host.
+//! Data flows one way. The enclave pushes each closed profiler root —
+//! its phase times, and a request's [`RequestRecord`] riding along —
+//! through the one [`RecordSink`] ([`Telemetry`] is that sink), and
+//! answers pull-style declassification calls when the host makes them
+//! ([`SegShareEnclave::stats`], `scrub_step`). From those, and from
+//! what the host sees for itself (the reactor's gauges, store and
+//! boundary traffic), this module builds the
+//! one metric [`Registry`] with its request families, the one phase
+//! [`Profile`], the tail of recent records, the slow log and stall
+//! watchdog, canary bookkeeping, the health verdict, the report and the
+//! metrics export. It keeps no history: it exports state, and the
+//! scraper of the export keeps time. The one thing the host sets inside
+//! is the telemetry switch. None of it is trusted, and none needs to be:
+//! it can only misreport to the operator of the same host.
 
 mod export;
 pub mod health;
+mod profile;
+mod registry;
 mod render;
 pub mod watch;
 
-pub use render::{records_json, ProfSnapshotExt, SnapshotExt};
+pub use crate::hist::{Histogram, HistogramSummary};
+pub use profile::{ProfEntry, ProfSnapshot, Profile};
+pub use registry::{Counter, Gauge, MetricId, Registry, Snapshot};
+pub use render::{audit_json, records_json, RecordView};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use seg_net::reactor::ReactorStats;
-use seg_obs::{RecordSink, Registry, RequestRecord};
+use seg_obs::{ClosedRoot, RecordSink};
 
 use crate::enclave::health::ScrubReport;
 use crate::enclave::SegShareEnclave;
@@ -49,9 +55,12 @@ pub struct Telemetry {
     enclave: Weak<SegShareEnclave>,
     health: HealthState,
     watch: Watchdog,
-    /// The families the host owns (`seg_net_*`, `seg_store_*`, …),
-    /// brought up to date by each [`Telemetry::metrics_snapshot`].
-    host: Registry,
+    /// Every exported family: the request families, folded from each
+    /// record, and the mirrored totals, brought up to date by each
+    /// [`Telemetry::metrics_snapshot`].
+    registry: Registry,
+    /// The phase profile, folded from each closed root.
+    profile: Profile,
     front_end: OnceLock<FrontEnd>,
 }
 
@@ -65,7 +74,8 @@ impl Telemetry {
             enclave: Arc::downgrade(enclave),
             health: HealthState::new(config),
             watch: Watchdog::new(config.watch_deadline_us),
-            host: Registry::new(),
+            registry: Registry::new(),
+            profile: Profile::default(),
             front_end: OnceLock::new(),
         });
         enclave.attach_sink(Arc::clone(&telemetry) as Arc<dyn RecordSink>);
@@ -91,6 +101,12 @@ impl Telemetry {
         &self.health
     }
 
+    /// The per-(operation, phase-path) profile so far.
+    #[must_use]
+    pub fn profile_snapshot(&self) -> ProfSnapshot {
+        self.profile.snapshot()
+    }
+
     /// The stall watchdog: stall counters, its stored dump
     /// ([`Watchdog::last_dump`]), the slow log
     /// ([`Watchdog::slow_requests`]) and the tail of recent records
@@ -114,11 +130,11 @@ impl Telemetry {
     /// cadence elapsed, runs one scrub step. A no-op while telemetry is
     /// off.
     pub fn health_tick(&self) -> Option<ScrubReport> {
-        let enclave = self.enclave();
-        if !enclave.telemetry_enabled() {
+        let stats = self.enclave().stats();
+        if !stats.telemetry_enabled {
             return None;
         }
-        let hold = enclave.locks().global_hold();
+        let hold = stats.global_hold;
         if hold.is_some_and(|hold| self.watch.note_global_hold(hold)) {
             self.watch.store_dump(self.report());
         }
@@ -139,7 +155,7 @@ impl Telemetry {
     /// keyed fingerprints.
     #[must_use]
     pub fn report(&self) -> String {
-        let enclave = self.enclave();
+        let stats = self.enclave().stats();
         let fe = self.front_end.get();
         let stat = |read: fn(&ReactorStats) -> u64| fe.map_or(0, |fe| read(&fe.stats));
         let mut out = format!(
@@ -147,7 +163,7 @@ impl Telemetry {
              \"queued_bytes\":{},\"send_stalls\":{},\"send_stall_ns\":{},\"idle_us\":{}}},\n\
              \"stalls\":{{\"request\":{},\"global_lock\":{},\"dumps\":{}}},\n\
              \"locks\":{{\"global_held_us\":{}}},\n\"trace_tail\":",
-            enclave.telemetry_enabled(),
+            stats.telemetry_enabled,
             stat(ReactorStats::live_conns),
             fe.map_or(0, |fe| fe.in_flight.load(Ordering::Relaxed)),
             stat(ReactorStats::outq_bytes),
@@ -157,13 +173,13 @@ impl Telemetry {
             self.watch.stalls_request(),
             self.watch.stalls_global(),
             self.watch.dumps(),
-            enclave.locks().global_held_us(),
+            stats.global_hold.map_or(0, |(_, us)| us),
         );
         out.push_str(records_json(&self.watch.recent_requests(usize::MAX)).trim_end());
         out.push_str(",\n\"slow_requests\":");
         out.push_str(records_json(&self.watch.slow_requests(32)).trim_end());
         out.push_str(",\n\"profile\":");
-        out.push_str(enclave.profile_snapshot().to_json().trim_end());
+        out.push_str(self.profile.snapshot().to_json().trim_end());
         out.push_str(",\n\"health\":");
         out.push_str(&self.health.to_json());
         out.push_str("\n}\n");
@@ -172,9 +188,15 @@ impl Telemetry {
 }
 
 impl RecordSink for Telemetry {
-    /// One closed request reaches its host-side consumers: the tail of
-    /// recent records, the slow log and the stall watchdog.
-    fn consume(&self, rec: &RequestRecord) {
+    /// One closed root reaches its host-side consumers: its phase times
+    /// the profile; a request's record the request families, the tail
+    /// of recent records, the slow log and the stall watchdog.
+    fn consume(&self, root: &ClosedRoot<'_>) {
+        self.profile.consume(root);
+        let Some(rec) = root.record else {
+            return;
+        };
+        self.registry.consume(rec);
         if self.watch.consume(rec) {
             self.watch.store_dump(self.report());
         }

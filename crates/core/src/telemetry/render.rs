@@ -1,27 +1,45 @@
 //! The host-side renderers: what turns a [`Snapshot`], a
-//! [`ProfSnapshot`] or a batch of [`RequestRecord`]s into text, plus the
-//! snapshot queries and window arithmetic the host's consumers run.
+//! [`ProfSnapshot`], a batch of [`RequestRecord`]s or exported
+//! [`AuditRecord`]s into text, plus the snapshot queries and window
+//! arithmetic the host's consumers run.
 //!
-//! The enclave produces these values and hands them out; it never
+//! The enclave hands out the values these are built from; it never
 //! renders or queries them itself. They live here, outside the enclave
 //! crate's dependency graph, so enclave code cannot call them.
 
 use std::collections::BTreeMap;
 
-use seg_obs::{HistogramSummary, MetricId, Phase, PhaseTime, ProfEntry, ProfSnapshot};
-use seg_obs::{RequestRecord, Snapshot};
+use seg_obs::{Decision, Phase, PhaseTime, RequestRecord};
 
-/// The host's queries, window arithmetic and renderings of a metrics
-/// [`Snapshot`].
-pub trait SnapshotExt {
+use super::profile::{ProfEntry, ProfSnapshot};
+use super::registry::{MetricId, Snapshot};
+use crate::enclave::audit::AuditRecord;
+use crate::hist::HistogramSummary;
+
+impl Snapshot {
     /// Looks up a counter by rendered id (`name` or `name{k="v"}`).
-    fn counter(&self, rendered: &str) -> Option<u64>;
+    pub fn counter(&self, rendered: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(id, _)| id.render() == rendered)
+            .map(|&(_, v)| v)
+    }
 
     /// Looks up a gauge by rendered id.
-    fn gauge(&self, rendered: &str) -> Option<u64>;
+    pub fn gauge(&self, rendered: &str) -> Option<u64> {
+        self.gauges
+            .iter()
+            .find(|(id, _)| id.render() == rendered)
+            .map(|&(_, v)| v)
+    }
 
     /// Looks up a histogram digest by rendered id.
-    fn histogram(&self, rendered: &str) -> Option<&HistogramSummary>;
+    pub fn histogram(&self, rendered: &str) -> Option<&HistogramSummary> {
+        self.histograms
+            .iter()
+            .find(|(id, _)| id.render() == rendered)
+            .map(|(_, s)| s)
+    }
 
     /// The window `self − earlier`: what happened *between* the two
     /// snapshots. Counters subtract (saturating, so a reset in between
@@ -35,53 +53,7 @@ pub trait SnapshotExt {
     /// recoverable from cumulative state). Metrics absent from
     /// `earlier` (registered later) are treated as starting from zero.
     #[must_use]
-    fn delta(&self, earlier: &Snapshot) -> Snapshot;
-
-    /// The union of two snapshots over disjoint metric sets, in id
-    /// order: how the host appends the families it owns to the ones
-    /// pulled from the enclave's registry.
-    #[must_use]
-    fn merge(self, other: Snapshot) -> Snapshot;
-
-    /// Hand-rolled JSON encoding (no external serializer).
-    ///
-    /// Names and label values are charset-restricted at registration;
-    /// the only character needing JSON escaping is the `"` that
-    /// `MetricId::render` itself puts around label values.
-    fn to_json(&self) -> String;
-
-    /// Prometheus exposition text. Histograms are emitted in summary
-    /// form (`quantile` labels plus `_sum`/`_count` series).
-    ///
-    /// Entries are sorted by metric id, so all series of one metric
-    /// are adjacent and each `# TYPE` header is emitted exactly once
-    /// per metric name (the exposition format forbids repeats).
-    fn to_prometheus(&self) -> String;
-}
-
-impl SnapshotExt for Snapshot {
-    fn counter(&self, rendered: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(id, _)| id.render() == rendered)
-            .map(|&(_, v)| v)
-    }
-
-    fn gauge(&self, rendered: &str) -> Option<u64> {
-        self.gauges
-            .iter()
-            .find(|(id, _)| id.render() == rendered)
-            .map(|&(_, v)| v)
-    }
-
-    fn histogram(&self, rendered: &str) -> Option<&HistogramSummary> {
-        self.histograms
-            .iter()
-            .find(|(id, _)| id.render() == rendered)
-            .map(|(_, s)| s)
-    }
-
-    fn delta(&self, earlier: &Snapshot) -> Snapshot {
+    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
         let counters = self
             .counters
             .iter()
@@ -119,19 +91,12 @@ impl SnapshotExt for Snapshot {
         }
     }
 
-    fn merge(mut self, other: Snapshot) -> Snapshot {
-        self.counters.extend(other.counters);
-        self.gauges.extend(other.gauges);
-        self.histograms.extend(other.histograms);
-        self.buckets.extend(other.buckets);
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        self.buckets.sort_by(|a, b| a.0.cmp(&b.0));
-        self
-    }
-
-    fn to_json(&self) -> String {
+    /// Hand-rolled JSON encoding (no external serializer).
+    ///
+    /// Names and label values are charset-restricted at registration;
+    /// the only character needing JSON escaping is the `"` that
+    /// `MetricId::render` itself puts around label values.
+    pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         push_scalar_map(&mut out, &self.counters);
         out.push_str("},\n  \"gauges\": {");
@@ -161,7 +126,13 @@ impl SnapshotExt for Snapshot {
         out
     }
 
-    fn to_prometheus(&self) -> String {
+    /// Prometheus exposition text. Histograms are emitted in summary
+    /// form (`quantile` labels plus `_sum`/`_count` series).
+    ///
+    /// Entries are sorted by metric id, so all series of one metric
+    /// are adjacent and each `# TYPE` header is emitted exactly once
+    /// per metric name (the exposition format forbids repeats).
+    pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_type_line: Option<&'static str> = None;
         let mut type_line = |out: &mut String, name: &'static str, kind: &str| {
@@ -229,50 +200,27 @@ fn op(e: &ProfEntry) -> &'static str {
     e.path.first().copied().unwrap_or("")
 }
 
-/// The host's queries and renderings of a [`ProfSnapshot`].
-pub trait ProfSnapshotExt {
+impl ProfSnapshot {
     /// Looks an entry up by its rendered path (`op;phase;subphase`).
-    fn entry(&self, rendered: &str) -> Option<&ProfEntry>;
+    pub fn entry(&self, rendered: &str) -> Option<&ProfEntry> {
+        self.entries.iter().find(|e| rendered_path(e) == rendered)
+    }
 
     /// All entries belonging to operation `op`.
-    fn op_entries<'s>(&'s self, op: &'s str) -> impl Iterator<Item = &'s ProfEntry>;
+    pub fn op_entries<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'s ProfEntry> {
+        self.entries.iter().filter(move |e| op(e) == name)
+    }
 
     /// Total wall-clock of operation `op` (its root frame's total).
-    fn op_total_ns(&self, op: &str) -> u64;
+    pub fn op_total_ns(&self, op: &str) -> u64 {
+        self.entry(op).map_or(0, |e| e.total_ns)
+    }
 
     /// Sums self time grouped by leaf phase name across the given
     /// operations — the "which layer dominates" view. Simulated time is
     /// folded into the leaf that charged it (real and simulated never
     /// overlap on one entry).
-    fn phase_breakdown(&self, ops: &[&str]) -> Vec<(&'static str, u64)>;
-
-    /// Hand-rolled JSON encoding (no external serializer). Paths are
-    /// charset-restricted compiled-in names, so no escaping is needed
-    /// beyond what the renderer emits.
-    fn to_json(&self) -> String;
-
-    /// Flamegraph-collapsed text: one `op;phase;subphase value` line
-    /// per path, value in nanoseconds — feedable straight into
-    /// `flamegraph.pl`. The value is the path's self time; entries that
-    /// carry only simulated time report that instead (an entry never
-    /// has both).
-    fn to_collapsed(&self) -> String;
-}
-
-impl ProfSnapshotExt for ProfSnapshot {
-    fn entry(&self, rendered: &str) -> Option<&ProfEntry> {
-        self.entries.iter().find(|e| rendered_path(e) == rendered)
-    }
-
-    fn op_entries<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'s ProfEntry> {
-        self.entries.iter().filter(move |e| op(e) == name)
-    }
-
-    fn op_total_ns(&self, op: &str) -> u64 {
-        self.entry(op).map_or(0, |e| e.total_ns)
-    }
-
-    fn phase_breakdown(&self, ops: &[&str]) -> Vec<(&'static str, u64)> {
+    pub fn phase_breakdown(&self, ops: &[&str]) -> Vec<(&'static str, u64)> {
         let mut by_leaf: BTreeMap<&'static str, u64> = BTreeMap::new();
         for e in &self.entries {
             if !ops.contains(&op(e)) {
@@ -286,7 +234,10 @@ impl ProfSnapshotExt for ProfSnapshot {
         out
     }
 
-    fn to_json(&self) -> String {
+    /// Hand-rolled JSON encoding (no external serializer). Paths are
+    /// charset-restricted compiled-in names, so no escaping is needed
+    /// beyond what the renderer emits.
+    pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"entries\": [");
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
@@ -317,7 +268,12 @@ impl ProfSnapshotExt for ProfSnapshot {
         out
     }
 
-    fn to_collapsed(&self) -> String {
+    /// Flamegraph-collapsed text: one `op;phase;subphase value` line
+    /// per path, value in nanoseconds — feedable straight into
+    /// `flamegraph.pl`. The value is the path's self time; entries that
+    /// carry only simulated time report that instead (an entry never
+    /// has both).
+    pub fn to_collapsed(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
             let value = e.self_ns + e.sim_ns;
@@ -327,6 +283,49 @@ impl ProfSnapshotExt for ProfSnapshot {
             out.push_str(&format!("{} {}\n", rendered_path(e), value));
         }
         out
+    }
+}
+
+/// The host's reading of a [`RequestRecord`], which crosses as plain
+/// data: outcome, duration and per-phase times.
+pub trait RecordView {
+    /// Whether the request was permitted and succeeded.
+    fn ok(&self) -> bool;
+
+    /// Duration in whole microseconds.
+    fn duration_us(&self) -> u64;
+
+    /// Whether the request took at least `threshold_us` (0 = never).
+    fn slow(&self, threshold_us: u64) -> bool;
+
+    /// The slot of `phase`.
+    fn phase(&self, phase: Phase) -> PhaseTime;
+}
+
+impl RecordView for RequestRecord {
+    fn ok(&self) -> bool {
+        self.decision == Decision::Allow
+    }
+
+    fn duration_us(&self) -> u64 {
+        self.duration_ns / 1_000
+    }
+
+    fn slow(&self, threshold_us: u64) -> bool {
+        threshold_us > 0 && self.duration_us() >= threshold_us
+    }
+
+    fn phase(&self, phase: Phase) -> PhaseTime {
+        self.phases[phase as usize]
+    }
+}
+
+/// A decision's stable lowercase label (`allow`/`deny`/`error`).
+fn label(decision: Decision) -> &'static str {
+    match decision {
+        Decision::Allow => "allow",
+        Decision::Deny => "deny",
+        Decision::Error => "error",
     }
 }
 
@@ -345,7 +344,7 @@ pub fn records_json(records: &[RequestRecord]) -> String {
              \"duration_us\": {}, \"phases\": {{",
             r.request_id,
             r.op,
-            r.decision.label(),
+            label(r.decision),
             r.code,
             r.principal,
             r.object,
@@ -376,6 +375,37 @@ pub fn records_json(records: &[RequestRecord]) -> String {
             c.store_reads,
             c.store_writes,
             c.audit_bytes,
+        ));
+    }
+    if !records.is_empty() {
+        out.push('\n');
+    }
+    out.push_str("]\n");
+    out
+}
+
+/// JSON array of exported audit records. Labels are compiled-in
+/// operation and code names; principals and objects are hex
+/// fingerprints — nothing here needs escaping.
+#[must_use]
+pub fn audit_json(records: &[AuditRecord]) -> String {
+    let mut out = String::from("[");
+    for (i, r) in records.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "\n  {{\"seq\": {}, \"time\": {}, \"request_id\": {}, \"op\": \"{}\", \
+             \"principal\": \"{:016x}\", \"object\": \"{:016x}\", \"decision\": \"{}\", \
+             \"code\": \"{}\"}}",
+            r.seq,
+            r.time,
+            r.request_id,
+            r.op,
+            r.principal,
+            r.object,
+            label(r.decision),
+            r.code
         ));
     }
     if !records.is_empty() {

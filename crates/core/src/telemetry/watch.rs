@@ -18,6 +18,8 @@ use std::time::{Duration, Instant};
 
 use seg_obs::{Phase, RequestRecord};
 
+use super::RecordView;
+
 /// Minimum time between two automatic watchdog dumps. A pathological
 /// workload where every request stalls must not turn the request path
 /// into a dump generator.

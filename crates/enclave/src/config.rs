@@ -40,7 +40,7 @@ pub struct EnclaveConfig {
     /// one source of truth — no two consumers can disagree about what
     /// "slow" means.
     /// 0 disables all of it, the watchdog's global-lock budget
-    /// (`enclave::watch::GLOBAL_LOCK_BUDGET_US`) included.
+    /// (`segshare::telemetry::watch::GLOBAL_LOCK_BUDGET_US`) included.
     pub watch_deadline_us: u64,
     /// In-enclave object cache (`seg-cache`): decoded metadata (ACLs,
     /// member/group lists, dirfiles, rollback-tree records) and small
@@ -55,7 +55,7 @@ pub struct EnclaveConfig {
     /// end of each full pass — scans the stores for orphaned objects.
     /// Only consulted once a health runner is started
     /// (`SegShareServer::start_health`); 0 disables the scrubber while
-    /// leaving rollups and the canary active.
+    /// leaving the canary active.
     pub scrub_interval_us: u64,
     /// Group-commit write batching (the durability plane): each
     /// request's store writes accumulate into one `WriteBatch` sealed

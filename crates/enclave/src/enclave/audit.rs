@@ -50,6 +50,7 @@
 //! [`super::keys::KeyHierarchy::fingerprint`]) — never raw user ids,
 //! paths, or key bytes.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -242,8 +243,10 @@ pub struct AuditLog {
     /// protection; settled by the commit window.
     counter: Option<Anchor>,
     state: Mutex<ChainState>,
-    records_total: seg_obs::Counter,
-    bytes_total: seg_obs::Counter,
+    /// Records and sealed bytes (record + head blobs) appended by this
+    /// process (`seg_audit_records_total`, `seg_audit_bytes_total`).
+    records_total: AtomicU64,
+    bytes_total: AtomicU64,
 }
 
 impl std::fmt::Debug for AuditLog {
@@ -287,7 +290,6 @@ impl AuditLog {
         store: Arc<dyn ObjectStore>,
         sgx: Arc<Enclave>,
         config: &EnclaveConfig,
-        obs: &seg_obs::Registry,
     ) -> Result<AuditLog, SegShareError> {
         let (mut state, anchor, had_head) = match sgx.boundary().ocall(|| store.get(HEAD_NAME))? {
             None => (
@@ -364,8 +366,8 @@ impl AuditLog {
             sgx,
             counter,
             state: Mutex::new(state),
-            records_total: obs.counter("seg_audit_records_total"),
-            bytes_total: obs.counter("seg_audit_bytes_total"),
+            records_total: AtomicU64::new(0),
+            bytes_total: AtomicU64::new(0),
         })
     }
 
@@ -374,11 +376,12 @@ impl AuditLog {
         self.counter.as_ref()
     }
 
-    /// Cumulative sealed bytes appended (record + head blobs). Read
-    /// into each request record's cost vector.
-    #[must_use]
-    pub(crate) fn bytes_appended(&self) -> u64 {
-        self.bytes_total.get()
+    /// Records and sealed bytes (record + head blobs) appended by this
+    /// process. The bytes are read into each request record's cost
+    /// vector.
+    pub(crate) fn appended(&self) -> (u64, u64) {
+        let records = self.records_total.load(Ordering::Relaxed);
+        (records, self.bytes_total.load(Ordering::Relaxed))
     }
 
     /// Number of records in the live chain.
@@ -424,8 +427,8 @@ impl AuditLog {
         seal_batch();
         drop(st);
         let bytes = result?;
-        self.records_total.inc();
-        self.bytes_total.add(bytes);
+        self.records_total.fetch_add(1, Ordering::Relaxed);
+        self.bytes_total.fetch_add(bytes, Ordering::Relaxed);
         Ok(())
     }
 
@@ -603,37 +606,6 @@ fn tamper(what: &str) -> SegShareError {
     SegShareError::Integrity(format!("audit: {what}"))
 }
 
-/// JSON array rendering of exported audit records. Labels are
-/// compiled-in operation/code names; principals and objects are hex
-/// fingerprints — nothing here needs escaping.
-#[must_use]
-pub fn records_json(records: &[AuditRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"seq\": {}, \"time\": {}, \"request_id\": {}, \"op\": \"{}\", \
-             \"principal\": \"{:016x}\", \"object\": \"{:016x}\", \"decision\": \"{}\", \
-             \"code\": \"{}\"}}",
-            r.seq,
-            r.time,
-            r.request_id,
-            r.op,
-            r.principal,
-            r.object,
-            r.decision.label(),
-            r.code
-        ));
-    }
-    if !records.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,7 +639,6 @@ mod tests {
             Arc::clone(store) as Arc<dyn ObjectStore>,
             sgx,
             &config,
-            &seg_obs::Registry::new(),
         )
     }
 
@@ -701,9 +672,6 @@ mod tests {
         assert_eq!(records[3].request_id, 3);
         assert_eq!(records[3].op, "put_file");
         assert_eq!(records[3].decision, Decision::Allow);
-        let json = records_json(&records);
-        assert!(json.contains("\"op\": \"put_file\""), "{json}");
-        assert_eq!(records_json(&[]), "[]\n");
     }
 
     #[test]

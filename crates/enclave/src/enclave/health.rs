@@ -25,8 +25,8 @@ const WALK_OBJECTS_PER_STEP: usize = 64;
 /// Cache-resident bodies probed for coherence per pass.
 const CACHE_PROBES_PER_PASS: usize = 16;
 
-/// The scrubber's check classes — also the `check` label values of the
-/// `seg_scrub_*` metric families.
+/// The scrubber's check classes, which the host labels its `seg_scrub_*`
+/// metric families with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScrubCheck {
     /// Incremental audit-chain re-verification.
@@ -48,17 +48,6 @@ impl ScrubCheck {
         ScrubCheck::Cache,
         ScrubCheck::Orphan,
     ];
-
-    /// The compiled-in `check` label value.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            ScrubCheck::Audit => "audit",
-            ScrubCheck::Tree => "tree",
-            ScrubCheck::Cache => "cache",
-            ScrubCheck::Orphan => "orphan",
-        }
-    }
 
     /// Position in [`ScrubCheck::ALL`] (and in [`ScrubReport::items`]).
     #[must_use]
@@ -128,7 +117,7 @@ impl SegShareEnclave {
     /// newest findings and verdict. Scrub time is charged to the `scrub`
     /// profiler phase.
     pub fn scrub_step(&self) -> ScrubReport {
-        let _prof = self.obs.profile_root("scrub");
+        let _prof = self.begin_root("scrub");
         let mut progress = self.scrub.lock();
         let mut report = ScrubReport::default();
 

@@ -275,21 +275,14 @@ impl LockManager {
     }
 
     /// The live exclusive hold of the global lock as `(start stamp,
-    /// microseconds held so far)`, `None` when not exclusively held.
-    /// Polled by the stall watchdog from the health runner's tick; the stamp
-    /// tells one hold from the next.
+    /// microseconds held so far)`, `None` when not exclusively held:
+    /// the `seg_lock_global_held_us` gauge, and what the stall watchdog
+    /// polls from the health runner's tick; the stamp tells one hold
+    /// from the next.
     #[must_use]
     pub fn global_hold(&self) -> Option<(u64, u64)> {
         let since = self.global_since_us.load(Ordering::Acquire);
         (since != 0).then(|| (since, self.now_us().saturating_sub(since).max(1)))
-    }
-
-    /// Microseconds the global lock has been held *exclusively* by the
-    /// current holder (0 when not exclusively held): the
-    /// `seg_lock_global_held_us` gauge.
-    #[must_use]
-    pub fn global_held_us(&self) -> u64 {
-        self.global_hold().map_or(0, |(_, held_us)| held_us)
     }
 }
 
@@ -419,10 +412,17 @@ mod tests {
         }
     }
 
+    /// A sink that drops what it is handed.
+    struct Discard;
+
+    impl seg_obs::RecordSink for Discard {
+        fn consume(&self, _: &seg_obs::ClosedRoot<'_>) {}
+    }
+
     /// Runs `body` as one profiled request on this thread and returns
     /// its `phase` charge.
     fn charged(phase: Phase, body: impl FnOnce()) -> u64 {
-        let _root = prof::OpGuard::begin(&Arc::new(prof::Profiler::new()), "test");
+        let _root = prof::OpGuard::begin(&Discard, "test");
         body();
         prof::request_phases()[phase as usize].sim_ns
     }
@@ -474,15 +474,16 @@ mod tests {
     #[test]
     fn global_exclusive_hold_is_visible_to_the_watchdog() {
         let mgr = LockManager::new();
-        assert_eq!(mgr.global_held_us(), 0);
+        let held_us = |mgr: &LockManager| mgr.global_hold().map_or(0, |(_, us)| us);
+        assert_eq!(held_us(&mgr), 0);
         let scope = mgr.acquire_global();
         std::thread::sleep(std::time::Duration::from_millis(5));
-        assert!(mgr.global_held_us() >= 1_000, "exclusive hold is visible");
+        assert!(held_us(&mgr) >= 1_000, "exclusive hold is visible");
         drop(scope);
-        assert_eq!(mgr.global_held_us(), 0);
+        assert_eq!(held_us(&mgr), 0);
         // Shared holds do not arm the budget clock.
         let shared = mgr.acquire(&[(key_path("/x"), LockIntent::Read)]);
-        assert_eq!(mgr.global_held_us(), 0);
+        assert_eq!(held_us(&mgr), 0);
         drop(shared);
     }
 }

@@ -23,10 +23,12 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
+use seg_cache::CacheStats;
 use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::{SecureRandom, SystemRng};
 use seg_crypto::sha256::Sha256;
-use seg_obs::{CostVector, RecordSink, Registry, RequestRecord};
+use seg_obs::prof::OpGuard;
+use seg_obs::{ClosedRoot, CostVector, RecordSink};
 use seg_pki::{Certificate, Csr, Identity};
 use seg_sgx::{Enclave, EnclaveImage, Platform, Quote};
 use seg_store_api::{CountingStore, IoStats, ObjectStore, StoreStats};
@@ -74,13 +76,12 @@ pub struct SegShareEnclave {
     files: FileManager,
     locks: LockManager,
     clock: AtomicU64,
-    obs: Arc<Registry>,
     audit: Option<Arc<AuditLog>>,
     /// The one telemetry switch, and all the host ever sets.
     telemetry: AtomicBool,
-    /// Where closed request records leave the enclave; attached once by
-    /// the host. Without one, records stop at the registry.
-    sink: OnceLock<Arc<dyn RecordSink>>,
+    /// Where closed roots leave the enclave; attached once by the host.
+    /// Without one, no root opens and nothing leaves.
+    sink: OnceLock<Ocall>,
     /// The integrity scrubber's resumable position.
     scrub: Mutex<ScrubProgress>,
     /// Next request correlation id (shared by every session thread).
@@ -101,6 +102,44 @@ pub struct SegShareEnclave {
 
 /// A counting wrapper around one of the untrusted object stores.
 type CountedStore = Arc<CountingStore<Arc<dyn ObjectStore>>>;
+
+/// The host's sink behind the ocall that reaches it: every closed root
+/// crosses the boundary once, counted and charged as the ocall it is.
+struct Ocall {
+    sgx: Arc<Enclave>,
+    host: Arc<dyn RecordSink>,
+}
+
+impl RecordSink for Ocall {
+    fn consume(&self, root: &ClosedRoot<'_>) {
+        self.sgx.boundary().ocall(|| self.host.consume(root));
+    }
+}
+
+/// The enclave-wide values behind the host's enclave families, pulled
+/// in one call at each scrape ([`SegShareEnclave::stats`]): what no
+/// request's record carries. Counts and gauges only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EnclaveStats {
+    /// Object-cache totals and gauges; `None` with the cache off.
+    pub cache: Option<CacheStats>,
+    /// Enclave memory in use.
+    pub epc_bytes: u64,
+    /// Its peak so far.
+    pub epc_peak_bytes: u64,
+    /// Pages paged out so far.
+    pub epc_paged_pages: u64,
+    /// The global-hold clock: the live exclusive hold of the global
+    /// lock as `(start stamp, µs held so far)`, `None` when it is free.
+    pub global_hold: Option<(u64, u64)>,
+    /// The telemetry switch.
+    pub telemetry_enabled: bool,
+    /// Body decrypts of the protected file system.
+    pub pfs_decrypts: u64,
+    /// Audit records and sealed bytes appended by this process; `None`
+    /// with the audit trail off.
+    pub audit: Option<(u64, u64)>,
+}
 
 impl std::fmt::Debug for SegShareEnclave {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -148,12 +187,6 @@ impl SegShareEnclave {
     ) -> Result<Arc<SegShareEnclave>, SegShareError> {
         config.assert_valid();
         let sgx = Arc::new(platform.launch(&Self::image(&config, &ca_key)));
-        let obs = Arc::new(Registry::new());
-
-        // Phase profiler: always attached — inactive threads (no root)
-        // make every phase call a no-op, so the cost off the request
-        // path is a thread-local check.
-        obs.attach_profiler(Arc::new(seg_obs::Profiler::new()));
 
         // Every untrusted store is wrapped in a counting layer so I/O
         // can be attributed per store (including the sealed-key traffic
@@ -217,7 +250,6 @@ impl SegShareEnclave {
                 Arc::clone(&content),
                 Arc::clone(&sgx),
                 &config,
-                &obs,
             )?))
         } else {
             None
@@ -229,7 +261,6 @@ impl SegShareEnclave {
             content,
             group,
             dedup,
-            &obs,
         ));
         let enclave = Arc::new(SegShareEnclave {
             sgx,
@@ -242,7 +273,6 @@ impl SegShareEnclave {
             locks: LockManager::new(),
             store,
             clock: AtomicU64::new(1_000),
-            obs,
             audit,
             telemetry: AtomicBool::new(true),
             sink: OnceLock::new(),
@@ -350,11 +380,9 @@ impl SegShareEnclave {
         &self.files
     }
 
-    /// The per-object lock manager. Public so benchmarks and the
-    /// dashboard can read its contention telemetry; the request path
-    /// acquires scopes through it in `session.rs`.
-    #[must_use]
-    pub fn locks(&self) -> &LockManager {
+    /// The per-object lock manager: the request path acquires scopes
+    /// through it in `session.rs`.
+    pub(crate) fn locks(&self) -> &LockManager {
         &self.locks
     }
 
@@ -364,71 +392,23 @@ impl SegShareEnclave {
         &self.sgx
     }
 
-    /// The telemetry registry. Labels are compiled-in operation names
-    /// and error codes only; request content (paths, user ids, key
-    /// material) is unrepresentable by construction (`seg-obs` charset
-    /// checks).
-    pub(crate) fn obs(&self) -> &Arc<Registry> {
-        &self.obs
-    }
-
-    /// Captures the registry after folding in the totals kept beside it
-    /// that only the enclave can observe: the object cache, EPC usage,
-    /// the global-lock clock and the telemetry switch.
-    /// With the families written in place (requests, locks, pfs,
-    /// rollback tree, audit) that is the enclave's whole export; the
-    /// host merges in what it sees for itself
-    /// (`segshare::SegShareServer::metrics_snapshot`).
-    ///
-    /// A **declassification point** (paper §III): everything in the
-    /// snapshot is an aggregate keyed by compiled-in names — nothing
-    /// request-derived crosses here.
+    /// The enclave-wide values the host mirrors into its export: a
+    /// **declassification point** (paper §III), counts and gauges only.
+    /// The object-cache totals are `None` with the cache off, keeping
+    /// cache-off exports identical to pre-cache builds.
     #[must_use]
-    pub fn metrics_snapshot(&self) -> seg_obs::Snapshot {
-        let obs = &self.obs;
+    pub fn stats(&self) -> EnclaveStats {
         let epc = self.sgx.epc();
-        let cache = self.store.cache_stats();
-        // Object-cache *counters* exist only when the cache is enabled,
-        // keeping cache-off snapshots identical to pre-cache builds.
-        if let Some(c) = &cache {
-            for (name, total) in [
-                ("seg_cache_hits_total", c.hits),
-                ("seg_cache_misses_total", c.misses),
-                ("seg_cache_fills_total", c.fills),
-                ("seg_cache_stale_fills_total", c.stale_fills),
-                ("seg_cache_evictions_total", c.evictions),
-                ("seg_cache_invalidations_total", c.invalidations),
-            ] {
-                obs.counter(name).advance_to(total);
-            }
+        EnclaveStats {
+            cache: self.store.cache_stats(),
+            epc_bytes: epc.current_bytes(),
+            epc_peak_bytes: epc.peak_bytes(),
+            epc_paged_pages: epc.paged_pages(),
+            global_hold: self.locks.global_hold(),
+            telemetry_enabled: self.telemetry_enabled(),
+            pfs_decrypts: self.store.pfs_decrypts(),
+            audit: self.audit.as_ref().map(|log| log.appended()),
         }
-        // Gauge families, by contrast, always export: a disabled or
-        // idle subsystem reads 0 rather than its series disappearing
-        // between snapshots (dashboards need stable families).
-        for (name, value) in [
-            ("seg_epc_bytes", epc.current_bytes()),
-            ("seg_epc_peak_bytes", epc.peak_bytes()),
-            ("seg_epc_paged_pages", epc.paged_pages()),
-            ("seg_cache_entries", cache.as_ref().map_or(0, |c| c.entries)),
-            ("seg_cache_bytes", cache.as_ref().map_or(0, |c| c.bytes)),
-            ("seg_lock_global_held_us", self.locks.global_held_us()),
-            ("seg_telemetry_enabled", u64::from(self.telemetry_enabled())),
-        ] {
-            obs.gauge(name).set(value);
-        }
-        obs.snapshot()
-    }
-
-    /// Captures the per-(op, phase-path) profile — like
-    /// [`metrics_snapshot`](Self::metrics_snapshot), an explicit
-    /// declassification point: phase paths are compiled-in names, values
-    /// are aggregate times. Empty if no profiler is attached.
-    #[must_use]
-    pub fn profile_snapshot(&self) -> seg_obs::ProfSnapshot {
-        self.obs
-            .profiler()
-            .map(|p| p.snapshot())
-            .unwrap_or_default()
     }
 
     // ------------------------------------------- request ids & audit
@@ -465,11 +445,20 @@ impl SegShareEnclave {
 
     // --------------------------------------------------------- telemetry
 
-    /// Attaches the sink closed request records leave through. The
-    /// first call wins; an enclave launched without a server (the
-    /// white-box tests) simply has none.
+    /// Attaches the sink closed roots leave through, each in one ocall.
+    /// The first call wins; an enclave launched without a server (the
+    /// white-box tests) simply has none, and opens no roots.
     pub fn attach_sink(&self, sink: Arc<dyn RecordSink>) {
-        let _ = self.sink.set(sink);
+        let sgx = Arc::clone(&self.sgx);
+        let _ = self.sink.set(Ocall { sgx, host: sink });
+    }
+
+    /// Opens a profiler root for `op` on the current thread against the
+    /// attached sink, so phase calls anywhere below attribute into it.
+    /// `None` without a sink; an inert guard when the thread already
+    /// has an active root.
+    pub(crate) fn begin_root(&self, op: &'static str) -> Option<OpGuard<'_>> {
+        self.sink.get().map(|sink| OpGuard::begin(sink, op))
     }
 
     /// Whether telemetry runs (see [`SegShareEnclave::set_telemetry`]).
@@ -482,10 +471,10 @@ impl SegShareEnclave {
     /// telemetry state the host sets. Off, no record is built or handed
     /// out and the host's health tick, scrubber and canary are inert;
     /// everything accumulated so far is kept and every family still
-    /// exports. It does not pause the phase profiler: a request still
-    /// opens its root and every frame below it, charges its lock waits,
-    /// and still counts into the registry's counters. The audit trail is
-    /// not telemetry and is unaffected.
+    /// exports. It does not pause the phase clock: a request still opens
+    /// its root and every frame below it, charges its lock waits, and its
+    /// root still crosses to the host's profile when it closes. The
+    /// audit trail is not telemetry and is unaffected.
     pub fn set_telemetry(&self, on: bool) {
         self.telemetry.store(on, Ordering::Relaxed);
     }
@@ -502,7 +491,7 @@ impl SegShareEnclave {
         let mut cost = CostVector {
             cache_hits: cache.as_ref().map_or(0, |c| c.hits),
             cache_misses: cache.as_ref().map_or(0, |c| c.misses),
-            audit_bytes: self.audit.as_ref().map_or(0, |log| log.bytes_appended()),
+            audit_bytes: self.audit.as_ref().map_or(0, |log| log.appended().1),
             ..CostVector::default()
         };
         for (_, counted) in &self.counted_stores {
@@ -511,18 +500,6 @@ impl SegShareEnclave {
             cost.store_writes += s.puts + s.deletes + s.renames;
         }
         cost
-    }
-
-    /// The only telemetry emission on the request path: one closed
-    /// request feeds the request families, then leaves through the sink
-    /// — the one place a record is handed out of the enclave, counted as
-    /// the ocall it is. The audit trail took its ids and outcome from
-    /// the record before this.
-    pub(crate) fn request_done(&self, rec: &RequestRecord) {
-        self.obs.consume(rec);
-        if let Some(sink) = self.sink.get() {
-            self.sgx.boundary().ocall(|| sink.consume(rec));
-        }
     }
 
     /// The audit log, when `EnclaveConfig::audit` is enabled.
@@ -643,7 +620,6 @@ pub(crate) mod testutil {
             Arc::new(MemStore::new()),
             Arc::new(MemStore::new()),
             Arc::new(MemStore::new()),
-            &seg_obs::Registry::new(),
         ));
         let access = AccessControl::new(Arc::clone(&store));
         let files = FileManager::new(Arc::clone(&store));

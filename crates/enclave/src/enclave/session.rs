@@ -145,7 +145,7 @@ impl EnclaveSession {
             SessionState::Handshaking(mut hs) => {
                 // Profiler root: handshake frames never reach the
                 // request dispatcher, so they get their own root op.
-                let _prof = enclave.obs().profile_root("handshake");
+                let _prof = enclave.begin_root("handshake");
                 let step = {
                     let _authn = seg_obs::prof::phase(Phase::Authn);
                     hs.process(frame, &mut self.rng)?
@@ -181,7 +181,7 @@ impl EnclaveSession {
                 // request is decoded the root is renamed to the real
                 // operation.
                 let started = std::time::Instant::now();
-                let _prof = enclave.obs().profile_root("request");
+                let _prof = enclave.begin_root("request");
                 let plaintext = channel.open(frame)?;
                 let request = {
                     let _ser = seg_obs::prof::phase(Phase::Serialize);
@@ -227,7 +227,7 @@ impl EnclaveSession {
         if let Some(download) = self.download.as_mut() {
             // Streamed download chunks are produced outside any request
             // frame, so they carry their own profiler root.
-            let _prof = enclave.obs().profile_root("get_stream");
+            let _prof = enclave.begin_root("get_stream");
             let response = match download.next_chunk() {
                 Ok(Some(bytes)) => Response::Data { bytes },
                 Ok(None) => {
@@ -323,7 +323,10 @@ impl EnclaveSession {
             };
             record.phases = seg_obs::prof::request_phases();
             record.duration_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            enclave.request_done(&record);
+            // The record leaves with its root's phases, in the one ocall
+            // that closes the root. The audit trail took its ids and
+            // outcome from it before this.
+            seg_obs::prof::attach_record(&record);
         }
         match result {
             Err(err) if !is_fatal(&err) => Ok(vec![error_response(err)]),

@@ -83,6 +83,7 @@ mod tree;
 pub use record::{GroupRootFile, HashRecord};
 use tree::ChildMap;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -188,7 +189,7 @@ pub struct TrustedStore {
     dedup_index: Mutex<()>,
     /// Body decrypts (`seg_pfs_decrypts_total`); their time is the
     /// profile's `pfs` phase.
-    pfs_decrypts: seg_obs::Counter,
+    pfs_decrypts: AtomicU64,
 }
 
 impl std::fmt::Debug for TrustedStore {
@@ -208,7 +209,6 @@ impl TrustedStore {
         content: Arc<dyn ObjectStore>,
         group: Arc<dyn ObjectStore>,
         dedup: Arc<dyn ObjectStore>,
-        obs: &seg_obs::Registry,
     ) -> TrustedStore {
         let cache = config
             .cache
@@ -226,7 +226,7 @@ impl TrustedStore {
             group_tree: RwLock::new(()),
             root_anchors,
             dedup_index: Mutex::new(()),
-            pfs_decrypts: obs.counter("seg_pfs_decrypts_total"),
+            pfs_decrypts: AtomicU64::new(0),
         }
     }
 
@@ -370,8 +370,13 @@ impl TrustedStore {
     /// Decrypts `id`'s blob, counted in `seg_pfs_decrypts_total`.
     fn decrypt(&self, id: &ObjectId, blob: &[u8]) -> Result<Vec<u8>, SegShareError> {
         let body = pfs_decrypt(&self.data_key(id), blob)?;
-        self.pfs_decrypts.inc();
+        self.pfs_decrypts.fetch_add(1, Ordering::Relaxed);
         Ok(body)
+    }
+
+    /// Body decrypts so far.
+    pub(crate) fn pfs_decrypts(&self) -> u64 {
+        self.pfs_decrypts.load(Ordering::Relaxed)
     }
 
     // -------------------------------------------------- raw (ocall) io
@@ -442,7 +447,6 @@ mod tests {
             content,
             Arc::new(MemStore::new()),
             Arc::new(MemStore::new()),
-            &seg_obs::Registry::new(),
         )
     }
 
@@ -1419,11 +1423,11 @@ mod tests {
 
     /// Store gets and pfs decrypts of one read of `id`.
     fn read_costs(store: &TrustedStore, counting: &Counting, id: &ObjectId) -> [u64; 2] {
-        let (gets, decrypts) = (counting.stats().gets, store.pfs_decrypts.get());
+        let (gets, decrypts) = (counting.stats().gets, store.pfs_decrypts());
         store.read(id).unwrap().unwrap();
         [
             counting.stats().gets - gets,
-            store.pfs_decrypts.get() - decrypts,
+            store.pfs_decrypts() - decrypts,
         ]
     }
 

@@ -1,13 +1,15 @@
-//! `seg-prof`: request-scoped phase profiler.
+//! `seg-prof`: request-scoped phase clock.
 //!
 //! Attributes every request's wall-clock to a static tree of *phases*
 //! (`tls_record`, `authn`, `authz`, `crypto_gcm`, `pfs`,
-//! `rollback_tree`, `store_io`, `serialize`, ...), aggregated
-//! per-(operation, phase-path). A thread-local stack of nested phase
-//! frames is opened by an [`OpGuard`] root (one per request) and grown
-//! by [`phase`] calls anywhere down the stack — the lower layers need
-//! no reference to the [`Profiler`]; when no root is active on the
-//! thread, [`phase`] is a no-op, so client-side code paths cost nothing.
+//! `rollback_tree`, `store_io`, `serialize`, ...). A thread-local stack
+//! of nested phase frames is opened by an [`OpGuard`] root (one per
+//! request) and grown by [`phase`] calls anywhere down the stack — the
+//! lower layers need no reference to anything; when no root is active
+//! on the thread, [`phase`] is a no-op, so client-side code paths cost
+//! nothing. When the root closes, its per-path times go to the
+//! [`RecordSink`] it was opened against, once, as a [`ClosedRoot`]; the
+//! host folds them into the per-(operation, phase-path) profile.
 //!
 //! # Accounting rules
 //!
@@ -26,31 +28,19 @@
 //!
 //! # Cost
 //!
-//! A phase is a [`Phase`], and a frame's path below the root is a `u64`
-//! of 4-bit phase ids, the outermost frame in the low nibble. Slot 0,
-//! [`Phase::Own`], is never a frame, so a zero nibble ends a path and
-//! the root's path is 0. A frame is two clock reads and an add into a
-//! per-thread accumulator keyed by that number, which keeps its
-//! capacity from one request to the next: a frame allocates nothing.
-//! The shared aggregate is keyed by `(operation, path)` and turned back
-//! into names only by [`Profiler::snapshot`].
-//!
-//! # Trust boundary
-//!
-//! Phases are a compiled-in enum and operation names `&'static str` —
-//! never derived from requests — so a phase path can no more carry
-//! request content than a metric label can (see the crate docs).
-//! Aggregates leave the enclave only through [`Profiler::snapshot`],
-//! the profiler's explicit declassification point.
+//! A phase is a [`Phase`], and a frame's path below the root is a
+//! [`Path`]: a `u64` of 4-bit phase ids, the outermost frame in the low
+//! nibble. Slot 0, [`Phase::Own`], is never a frame, so a zero nibble
+//! ends a path and the root's path is 0. A frame is two clock reads and
+//! an add into a per-thread accumulator keyed by that number, which
+//! keeps its capacity from one request to the next: a frame allocates
+//! nothing, and neither does handing the accumulator to the sink, which
+//! borrows it. Paths are turned back into names only on the host.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::hist::{Histogram, HistogramSummary};
-use crate::record::{Phase, PhaseVector};
+use crate::record::{ClosedRoot, Phase, PhaseVector, RecordSink, RequestRecord};
 
 /// Phase stacks deeper than this, root included, stop growing (further
 /// [`phase`] calls are inert). Sixteen is several times the static
@@ -60,7 +50,7 @@ const MAX_DEPTH: usize = 16;
 
 /// A phase path below the root: one [`Phase`] id per nibble, outermost
 /// frame lowest, 0 for the root itself.
-type Path = u64;
+pub type Path = u64;
 
 /// `path` with `phase` appended at `level` (0 = directly below the root).
 fn child_path(path: Path, level: usize, phase: Phase) -> Path {
@@ -68,7 +58,7 @@ fn child_path(path: Path, level: usize, phase: Phase) -> Path {
 }
 
 /// The phases of `path`, outermost first.
-fn path_phases(path: Path) -> impl Iterator<Item = Phase> {
+pub fn path_phases(path: Path) -> impl Iterator<Item = Phase> {
     (0..16)
         .map(move |level| (path >> (4 * level)) & 0xf)
         .take_while(|&id| id != 0)
@@ -89,14 +79,20 @@ struct Frame {
     child_ns: u64,
 }
 
-/// Per-request accumulation, flushed into the [`Profiler`] once when
-/// the root closes (one mutex acquisition per request, not per phase).
-struct AccEntry {
-    path: Path,
-    count: u64,
-    self_ns: u64,
-    total_ns: u64,
-    sim_ns: u64,
+/// What one root spent under one path, accumulated while it is open and
+/// handed to the sink once when it closes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathTime {
+    /// The path below the root (0 = the root itself).
+    pub path: Path,
+    /// Frame enter/exit count (collapsed re-entries count once).
+    pub count: u64,
+    /// Wall-clock self time (total minus direct children).
+    pub self_ns: u64,
+    /// Wall-clock total time.
+    pub total_ns: u64,
+    /// Simulated time charged under this path.
+    pub sim_ns: u64,
 }
 
 /// The thread's profiler state. A root is active exactly while `frames`
@@ -104,10 +100,12 @@ struct AccEntry {
 struct ThreadProf {
     op: &'static str,
     frames: Vec<Frame>,
-    acc: Vec<AccEntry>,
+    acc: Vec<PathTime>,
     /// Whether the open request's stack needed recovery (a phase guard
     /// leaked or dropped out of order).
     unbalanced: bool,
+    /// The open request's record, riding the root's close.
+    record: Option<RequestRecord>,
 }
 
 impl ThreadProf {
@@ -117,6 +115,7 @@ impl ThreadProf {
             frames: Vec::new(),
             acc: Vec::new(),
             unbalanced: false,
+            record: None,
         }
     }
 
@@ -127,7 +126,7 @@ impl ThreadProf {
             e.total_ns += total_ns;
             e.sim_ns += sim_ns;
         } else {
-            self.acc.push(AccEntry {
+            self.acc.push(PathTime {
                 path,
                 count: 1,
                 self_ns,
@@ -154,125 +153,25 @@ thread_local! {
     static TLS: RefCell<ThreadProf> = const { RefCell::new(ThreadProf::new()) };
 }
 
-/// Aggregate for one (operation, phase-path).
-#[derive(Default)]
-struct PhaseAgg {
-    /// Frame enter/exit count (collapsed re-entries count once).
-    count: u64,
-    /// Requests that touched this path.
-    requests: u64,
-    self_ns: u64,
-    total_ns: u64,
-    sim_ns: u64,
-    /// Distribution of per-request self time (one sample per request).
-    self_hist: Histogram,
-}
-
-/// The phase-profile aggregator: per-(operation, phase-path) self and
-/// total time, fed by per-request flushes from the thread-local stacks.
-#[derive(Default)]
-pub struct Profiler {
-    agg: Mutex<BTreeMap<(&'static str, Path), PhaseAgg>>,
-    /// Requests whose stacks needed drop-guard recovery (a phase guard
-    /// was leaked or dropped out of order). Should stay 0.
-    unbalanced: AtomicU64,
-}
-
-impl std::fmt::Debug for Profiler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Profiler")
-            .field("paths", &self.agg.lock().unwrap().len())
-            .field("unbalanced", &self.unbalanced())
-            .finish()
-    }
-}
-
-impl Profiler {
-    /// Creates an empty profiler.
-    #[must_use]
-    pub fn new() -> Profiler {
-        Profiler::default()
-    }
-
-    /// Requests that required unbalanced-stack recovery so far.
-    #[must_use]
-    pub fn unbalanced(&self) -> u64 {
-        self.unbalanced.load(Ordering::Relaxed)
-    }
-
-    /// Folds one request's accumulated phases in (one lock per request).
-    fn flush(&self, t: &mut ThreadProf) {
-        if std::mem::take(&mut t.unbalanced) {
-            self.unbalanced.fetch_add(1, Ordering::Relaxed);
-        }
-        if t.acc.is_empty() {
-            return;
-        }
-        let mut agg = self.agg.lock().unwrap();
-        for e in t.acc.drain(..) {
-            let a = agg.entry((t.op, e.path)).or_default();
-            a.count += e.count;
-            a.requests += 1;
-            a.self_ns += e.self_ns;
-            a.total_ns += e.total_ns;
-            a.sim_ns += e.sim_ns;
-            a.self_hist.record(e.self_ns);
-        }
-    }
-
-    /// Captures the current aggregates, deterministically ordered by
-    /// phase path — the profiler's **declassification point**. Entries
-    /// carry compiled-in names and aggregate times only.
-    #[must_use]
-    pub fn snapshot(&self) -> ProfSnapshot {
-        let agg = self.agg.lock().unwrap();
-        let mut entries: Vec<ProfEntry> = agg
-            .iter()
-            .map(|(&(op, path), a)| ProfEntry {
-                path: std::iter::once(op)
-                    .chain(path_phases(path).map(Phase::name))
-                    .collect(),
-                count: a.count,
-                requests: a.requests,
-                self_ns: a.self_ns,
-                total_ns: a.total_ns,
-                sim_ns: a.sim_ns,
-                self_per_request: a.self_hist.summarize(),
-            })
-            .collect();
-        entries.sort_by(|a, b| a.path.cmp(&b.path));
-        ProfSnapshot {
-            entries,
-            unbalanced: self.unbalanced(),
-        }
-    }
-
-    /// Zeroes all aggregates.
-    pub fn reset(&self) {
-        self.agg.lock().unwrap().clear();
-        self.unbalanced.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Root guard for one profiled request: installs the operation as frame
 /// zero of this thread's phase stack; dropping it closes the frame and
-/// flushes the request's accumulated phases into the [`Profiler`].
-#[derive(Debug)]
+/// hands the sink the request's accumulated phases (and its record, if
+/// [`attach_record`] gave it one) in one call.
 #[must_use = "dropping the guard ends the profiled request"]
-pub struct OpGuard {
-    /// The profiler this root flushes into; `None` for an inert guard.
-    profiler: Option<Arc<Profiler>>,
+pub struct OpGuard<'s> {
+    /// The sink this root closes into; `None` for an inert guard.
+    sink: Option<&'s dyn RecordSink>,
 }
 
-impl OpGuard {
+impl<'s> OpGuard<'s> {
     /// Opens a request root for `op`. If this thread already has an
     /// active root (a nested span inside a profiled request), the
     /// returned guard is inert — the outer root keeps owning the stack.
-    pub fn begin(profiler: &Arc<Profiler>, op: &'static str) -> OpGuard {
+    pub fn begin(sink: &'s dyn RecordSink, op: &'static str) -> OpGuard<'s> {
         TLS.with(|t| {
             let mut t = t.borrow_mut();
             if !t.frames.is_empty() {
-                return OpGuard { profiler: None };
+                return OpGuard { sink: None };
             }
             t.op = op;
             t.frames.push(Frame {
@@ -281,19 +180,19 @@ impl OpGuard {
                 start: Instant::now(),
                 child_ns: 0,
             });
-            OpGuard {
-                profiler: Some(Arc::clone(profiler)),
-            }
+            OpGuard { sink: Some(sink) }
         })
     }
 }
 
-impl Drop for OpGuard {
+impl Drop for OpGuard<'_> {
     fn drop(&mut self) {
-        let Some(profiler) = &self.profiler else {
+        let Some(sink) = self.sink else {
             return;
         };
-        TLS.with(|t| {
+        // The accumulator leaves the thread state for the call, so a
+        // sink that reaches back into this module finds it idle.
+        let (op, mut acc, unbalanced, record) = TLS.with(|t| {
             let mut t = t.borrow_mut();
             if t.frames.len() != 1 {
                 // Leaked phase guards: close them so their time is
@@ -304,9 +203,29 @@ impl Drop for OpGuard {
             while !t.frames.is_empty() {
                 t.pop_frame();
             }
-            profiler.flush(&mut t);
+            let acc = std::mem::take(&mut t.acc);
+            let unbalanced = std::mem::take(&mut t.unbalanced);
+            (t.op, acc, unbalanced, t.record.take())
         });
+        sink.consume(&ClosedRoot {
+            op,
+            paths: &acc,
+            unbalanced,
+            record: record.as_ref(),
+        });
+        acc.clear();
+        TLS.with(|t| t.borrow_mut().acc = acc);
     }
+}
+
+/// Runs `f` on the thread's state if a root is active.
+fn with_root(f: impl FnOnce(&mut ThreadProf)) {
+    TLS.with(|t| {
+        let mut t = t.borrow_mut();
+        if !t.frames.is_empty() {
+            f(&mut t);
+        }
+    });
 }
 
 /// Renames the current request's root operation (frame zero). Used when
@@ -315,12 +234,14 @@ impl Drop for OpGuard {
 /// Phases that already closed under the old name land under the new
 /// one too: paths do not name the root. No-op without an active root.
 pub fn set_root_op(op: &'static str) {
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        if !t.frames.is_empty() {
-            t.op = op;
-        }
-    });
+    with_root(|t| t.op = op);
+}
+
+/// Hands the current root the request's closed record: it leaves with
+/// the root's phases when the root closes, in the same call. No-op
+/// without an active root.
+pub fn attach_record(record: &RequestRecord) {
+    with_root(|t| t.record = Some(*record));
 }
 
 /// RAII guard for one phase frame; see [`phase`].
@@ -439,40 +360,70 @@ pub fn request_phases() -> PhaseVector {
     })
 }
 
-/// One (operation, phase-path) aggregate in a [`ProfSnapshot`].
-#[derive(Debug, Clone)]
-pub struct ProfEntry {
-    /// The phase path, element 0 being the operation name.
-    pub path: Vec<&'static str>,
-    /// Frame enter/exit count (collapsed re-entries count once).
-    pub count: u64,
-    /// Requests that touched this path.
-    pub requests: u64,
-    /// Wall-clock self time (total minus direct children), summed.
-    pub self_ns: u64,
-    /// Wall-clock total time, summed.
-    pub total_ns: u64,
-    /// Simulated time charged under this path (EPC paging, counter
-    /// waits) — reported alongside, never mixed into the wall clock.
-    pub sim_ns: u64,
-    /// Distribution of per-request self time.
-    pub self_per_request: HistogramSummary,
-}
-
-/// Point-in-time copy of a [`Profiler`], ordered by phase path. Its
-/// queries and renderings are host-side (`segshare::telemetry`).
-#[derive(Debug, Clone, Default)]
-pub struct ProfSnapshot {
-    /// Aggregates, sorted by path.
-    pub entries: Vec<ProfEntry>,
-    /// Requests that required unbalanced-stack recovery.
-    pub unbalanced: u64,
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
-    use crate::tests::ProfLookup;
+
+    /// Keeps every closed root as the host receives it.
+    #[derive(Default)]
+    struct Roots(Mutex<Vec<Kept>>);
+
+    /// One closed root: its op, paths, unbalanced flag and the request
+    /// id of the record that rode it.
+    type Kept = (&'static str, Vec<PathTime>, bool, Option<u64>);
+
+    impl RecordSink for Roots {
+        fn consume(&self, root: &ClosedRoot<'_>) {
+            let id = root.record.map(|r| r.request_id);
+            let kept = (root.op, root.paths.to_vec(), root.unbalanced, id);
+            self.0.lock().unwrap().push(kept);
+        }
+    }
+
+    impl Roots {
+        /// Every kept path as `op;phase;...`, with its times.
+        fn entries(&self) -> Vec<(String, PathTime)> {
+            let roots = self.0.lock().unwrap();
+            let mut out: Vec<(String, PathTime)> = roots
+                .iter()
+                .flat_map(|(op, paths, ..)| {
+                    paths.iter().map(move |e| {
+                        let names = path_phases(e.path).map(Phase::name);
+                        let rendered: Vec<&str> = std::iter::once(*op).chain(names).collect();
+                        (rendered.join(";"), *e)
+                    })
+                })
+                .collect();
+            out.sort_by(|a, b| a.0.cmp(&b.0));
+            out
+        }
+
+        /// The times at `rendered`, summed over every kept root.
+        fn entry(&self, rendered: &str) -> Option<PathTime> {
+            let found = self.entries().into_iter().filter(|(r, _)| r == rendered);
+            found.map(|(_, e)| e).reduce(|a, b| PathTime {
+                count: a.count + b.count,
+                self_ns: a.self_ns + b.self_ns,
+                total_ns: a.total_ns + b.total_ns,
+                sim_ns: a.sim_ns + b.sim_ns,
+                ..a
+            })
+        }
+
+        /// Self time summed over `op`'s paths.
+        fn self_sum(&self, op: &str) -> u64 {
+            let entries = self.entries().into_iter();
+            let of_op = entries.filter(|(r, _)| r.split(';').next() == Some(op));
+            of_op.map(|(_, e)| e.self_ns).sum()
+        }
+
+        /// Roots that closed unbalanced.
+        fn unbalanced(&self) -> usize {
+            self.0.lock().unwrap().iter().filter(|r| r.2).count()
+        }
+    }
 
     fn spin_for(ns: u64) {
         let start = Instant::now();
@@ -483,17 +434,16 @@ mod tests {
 
     #[test]
     fn phases_without_root_are_noops() {
-        let _g = phase(Phase::CryptoGcm);
-        // Nothing to observe: no profiler involved at all. A fresh
-        // profiler stays empty.
-        let p = Arc::new(Profiler::new());
-        assert!(p.snapshot().entries.is_empty());
-        assert_eq!(p.unbalanced(), 0);
+        let g = phase(Phase::CryptoGcm);
+        assert_eq!(g.depth, 0, "no root: an inert guard");
+        charge(Phase::LockWait, 5);
+        drop(g);
+        assert_eq!(request_phases(), PhaseVector::default());
     }
 
     #[test]
     fn nested_self_times_sum_to_root_total() {
-        let p = Arc::new(Profiler::new());
+        let p = Roots::default();
         {
             let _root = OpGuard::begin(&p, "put_file");
             {
@@ -509,24 +459,22 @@ mod tests {
                 spin_for(100_000);
             }
         }
-        let snap = p.snapshot();
-        assert_eq!(snap.unbalanced, 0);
-        let root = snap.entry("put_file").expect("root entry");
-        let self_sum: u64 = snap.op_entries("put_file").map(|e| e.self_ns).sum();
+        assert_eq!(p.unbalanced(), 0);
+        let root = p.entry("put_file").expect("root entry");
         // By construction self times sum to the root total exactly.
-        assert_eq!(self_sum, root.total_ns);
+        assert_eq!(p.self_sum("put_file"), root.total_ns);
         // And the nested phases carry their own time.
-        assert!(snap.entry("put_file;pfs;crypto_gcm").unwrap().self_ns >= 400_000);
-        assert!(snap.entry("put_file;pfs").unwrap().self_ns >= 200_000);
-        assert!(snap.entry("put_file;store_io").unwrap().self_ns >= 100_000);
+        assert!(p.entry("put_file;pfs;crypto_gcm").unwrap().self_ns >= 400_000);
+        assert!(p.entry("put_file;pfs").unwrap().self_ns >= 200_000);
+        assert!(p.entry("put_file;store_io").unwrap().self_ns >= 100_000);
         // Parent total covers its children.
-        let pfs = snap.entry("put_file;pfs").unwrap();
+        let pfs = p.entry("put_file;pfs").unwrap();
         assert!(pfs.total_ns >= pfs.self_ns + 400_000);
     }
 
     #[test]
     fn the_depth_cap_fills_every_nibble_and_stops_there() {
-        let p = Arc::new(Profiler::new());
+        let p = Roots::default();
         let alternate = |level: usize| [Phase::Pfs, Phase::CryptoGcm][level % 2];
         {
             let _root = OpGuard::begin(&p, "get");
@@ -541,23 +489,26 @@ mod tests {
                 drop(frame);
             }
         }
-        let snap = p.snapshot();
-        assert_eq!(snap.unbalanced, 0);
+        assert_eq!(p.unbalanced(), 0);
         let mut deepest = vec!["get"];
         deepest.extend((0..MAX_DEPTH - 1).map(|l| alternate(l).name()));
         deepest.push("lock_wait");
-        let charged = snap.entries.last().expect("entries");
-        assert_eq!(charged.path, deepest, "15 frames and a charge, all named");
+        let entries = p.entries();
+        let (path, charged) = entries.last().expect("entries");
+        assert_eq!(
+            *path,
+            deepest.join(";"),
+            "15 frames and a charge, all named"
+        );
         assert_eq!((charged.sim_ns, charged.self_ns), (99, 0));
-        assert!(snap.entries.iter().all(|e| !e.path.contains(&"store_io")));
-        assert_eq!(snap.entries.len(), MAX_DEPTH + 1, "root, 15 frames, charge");
-        let self_sum: u64 = snap.op_entries("get").map(|e| e.self_ns).sum();
-        assert_eq!(self_sum, snap.entry("get").unwrap().total_ns);
+        assert!(entries.iter().all(|(r, _)| !r.contains("store_io")));
+        assert_eq!(entries.len(), MAX_DEPTH + 1, "root, 15 frames, charge");
+        assert_eq!(p.self_sum("get"), p.entry("get").unwrap().total_ns);
     }
 
     #[test]
     fn direct_recursion_collapses_into_open_frame() {
-        let p = Arc::new(Profiler::new());
+        let p = Roots::default();
         {
             let _root = OpGuard::begin(&p, "get");
             let _outer = phase(Phase::CryptoGcm);
@@ -565,16 +516,15 @@ mod tests {
                 let _inner = phase(Phase::CryptoGcm); // collapsed
             }
         }
-        let snap = p.snapshot();
-        let e = snap.entry("get;crypto_gcm").expect("collapsed entry");
+        let e = p.entry("get;crypto_gcm").expect("collapsed entry");
         assert_eq!(e.count, 1, "re-entries collapse into one frame");
-        assert!(snap.entry("get;crypto_gcm;crypto_gcm").is_none());
-        assert_eq!(snap.unbalanced, 0);
+        assert!(p.entry("get;crypto_gcm;crypto_gcm").is_none());
+        assert_eq!(p.unbalanced(), 0);
     }
 
     #[test]
     fn leaked_guard_is_detected_and_recovered() {
-        let p = Arc::new(Profiler::new());
+        let p = Roots::default();
         {
             let _root = OpGuard::begin(&p, "get");
             let g = phase(Phase::Pfs);
@@ -583,22 +533,21 @@ mod tests {
         }
         // Root drop recovered: popped the leaked frame, flagged it.
         assert_eq!(p.unbalanced(), 1);
-        let snap = p.snapshot();
         // The leaked frame's time was still attributed.
-        assert!(snap.entry("get;pfs").unwrap().self_ns >= 50_000);
+        assert!(p.entry("get;pfs").unwrap().self_ns >= 50_000);
         // And the thread is clean for the next request.
         {
             let _root = OpGuard::begin(&p, "put_file");
             let _g = phase(Phase::StoreIo);
         }
         assert_eq!(p.unbalanced(), 1, "no new imbalance");
-        assert!(p.snapshot().entry("put_file;store_io").is_some());
+        assert!(p.entry("put_file;store_io").is_some());
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "debug_assert fires by design")]
     fn out_of_order_drop_recovers_in_release() {
-        let p = Arc::new(Profiler::new());
+        let p = Roots::default();
         {
             let _root = OpGuard::begin(&p, "get");
             let a = phase(Phase::Pfs);
@@ -607,38 +556,35 @@ mod tests {
             drop(b); // already popped: flagged, no double accounting
         }
         assert!(p.unbalanced() >= 1);
-        let snap = p.snapshot();
-        assert_eq!(snap.entry("get;pfs").unwrap().count, 1);
-        assert_eq!(snap.entry("get;pfs;crypto_gcm").unwrap().count, 1);
+        assert_eq!(p.entry("get;pfs").unwrap().count, 1);
+        assert_eq!(p.entry("get;pfs;crypto_gcm").unwrap().count, 1);
     }
 
     #[test]
     fn cross_thread_request_starts_clean() {
-        let p = Arc::new(Profiler::new());
+        let p = Roots::default();
         {
             let _root = OpGuard::begin(&p, "put_file");
             let _g = phase(Phase::Pfs);
             // While this thread is mid-request, another thread's
             // request must not see (or inherit) our stack.
-            let p2 = Arc::clone(&p);
-            std::thread::spawn(move || {
-                let _root = OpGuard::begin(&p2, "get");
-                let _g = phase(Phase::StoreIo);
-            })
-            .join()
-            .unwrap();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _root = OpGuard::begin(&p, "get");
+                    let _g = phase(Phase::StoreIo);
+                });
+            });
         }
-        let snap = p.snapshot();
-        assert_eq!(snap.unbalanced, 0);
+        assert_eq!(p.unbalanced(), 0);
         // The other thread's phase hangs off *its* root, not ours.
-        assert!(snap.entry("get;store_io").is_some());
-        assert!(snap.entry("put_file;get;store_io").is_none());
-        assert!(snap.entry("put_file;store_io").is_none());
+        assert!(p.entry("get;store_io").is_some());
+        assert!(p.entry("put_file;get;store_io").is_none());
+        assert!(p.entry("put_file;store_io").is_none());
     }
 
     #[test]
     fn nested_root_is_inert() {
-        let p = Arc::new(Profiler::new());
+        let p = Roots::default();
         {
             let _outer = OpGuard::begin(&p, "put_file");
             {
@@ -648,16 +594,16 @@ mod tests {
             } // inner drop must not close the outer root
             let _g = phase(Phase::Serialize);
         }
-        let snap = p.snapshot();
-        assert_eq!(snap.unbalanced, 0);
-        assert!(snap.entry("put_file;pfs").is_some());
-        assert!(snap.entry("put_file;serialize").is_some());
-        assert!(snap.entry("data").is_none());
+        assert_eq!(p.unbalanced(), 0);
+        assert!(p.entry("put_file;pfs").is_some());
+        assert!(p.entry("put_file;serialize").is_some());
+        assert!(p.entry("data").is_none());
+        assert_eq!(p.0.lock().unwrap().len(), 1, "one root closed");
     }
 
     #[test]
     fn set_root_op_renames_frame_zero() {
-        let p = Arc::new(Profiler::new());
+        let p = Roots::default();
         {
             let _root = OpGuard::begin(&p, "request");
             {
@@ -668,14 +614,13 @@ mod tests {
             set_root_op("mk_dir");
             let _g = phase(Phase::Authz);
         }
-        let snap = p.snapshot();
-        assert!(snap.entry("mk_dir").is_some());
-        assert!(snap.entry("mk_dir;authz").is_some());
+        assert!(p.entry("mk_dir").is_some());
+        assert!(p.entry("mk_dir;authz").is_some());
         assert!(
-            snap.entry("mk_dir;tls_record").is_some(),
+            p.entry("mk_dir;tls_record").is_some(),
             "pre-rename phases must be re-keyed under the final op"
         );
-        assert!(snap.entries.iter().all(|e| e.path[0] != "request"));
+        assert!(p.entries().iter().all(|(r, _)| !r.starts_with("request")));
     }
 
     #[test]
@@ -686,7 +631,7 @@ mod tests {
             PhaseVector::default(),
             "no active root: nothing to read"
         );
-        let p = Arc::new(Profiler::new());
+        let p = Roots::default();
         {
             let opened = Instant::now();
             let _root = OpGuard::begin(&p, "get");
@@ -721,7 +666,7 @@ mod tests {
 
     #[test]
     fn charge_accumulates_simulated_time_separately() {
-        let p = Arc::new(Profiler::new());
+        let p = Roots::default();
         {
             let _root = OpGuard::begin(&p, "put_file");
             {
@@ -731,25 +676,37 @@ mod tests {
             charge(Phase::EpcPaging, 12_000);
             charge(Phase::EpcPaging, 0); // no-op
         }
-        let snap = p.snapshot();
-        let ctr = snap.entry("put_file;rollback_tree;counter_wait").unwrap();
+        let ctr = p.entry("put_file;rollback_tree;counter_wait").unwrap();
         assert_eq!(ctr.sim_ns, 80_000_000);
         assert_eq!(ctr.self_ns, 0, "simulated time never enters wall clock");
-        assert_eq!(snap.entry("put_file;epc_paging").unwrap().sim_ns, 12_000);
+        assert_eq!(p.entry("put_file;epc_paging").unwrap().sim_ns, 12_000);
         // The wall-clock invariant survives the charges.
-        let root = snap.entry("put_file").unwrap();
-        let self_sum: u64 = snap.op_entries("put_file").map(|e| e.self_ns).sum();
-        assert_eq!(self_sum, root.total_ns);
+        let root = p.entry("put_file").unwrap();
+        assert_eq!(p.self_sum("put_file"), root.total_ns);
     }
 
     #[test]
     fn reset_clears_aggregates() {
-        let p = Arc::new(Profiler::new());
+        // The thread's accumulator is the one aggregate inside: a
+        // closed root hands it over once, and the next root starts from
+        // nothing, its record included.
+        let p = Roots::default();
+        attach_record(&RequestRecord::open(6, "get", 1, 2));
+        {
+            let _root = OpGuard::begin(&p, "get");
+            let _g = phase(Phase::Pfs);
+            attach_record(&RequestRecord::open(7, "get", 1, 2));
+        }
         {
             let _root = OpGuard::begin(&p, "get");
         }
-        assert!(!p.snapshot().entries.is_empty());
-        p.reset();
-        assert!(p.snapshot().entries.is_empty());
+        let roots = p.0.lock().unwrap();
+        assert_eq!(roots.len(), 2);
+        assert_eq!(
+            (roots[0].1.len(), roots[0].3),
+            (2, Some(7)),
+            "root, pfs, record"
+        );
+        assert_eq!((roots[1].1.len(), roots[1].3), (1, None), "the root alone");
     }
 }

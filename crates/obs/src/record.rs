@@ -1,44 +1,49 @@
-//! The per-request record: everything telemetry knows about one
-//! request, assembled once when dispatch ends.
+//! The per-request record and the one sink it leaves the enclave
+//! through.
 //!
-//! It is the enclave's only per-request telemetry. Inside, a closed
-//! record feeds the request metric families
-//! ([`crate::Registry::consume`]); then it leaves through the one
-//! [`RecordSink`] the host attached, and every other plane —
-//! `segshare`'s tail of recent records, slow log and stall watchdog — is
-//! a consumer of that `&RequestRecord` on the untrusted side and of
-//! nothing else from the request path.
+//! A [`RequestRecord`] is everything telemetry knows about one request,
+//! assembled once when dispatch ends. It is the enclave's only
+//! per-request telemetry, and it leaves with its request's phase times
+//! when the request's profiler root closes: one [`ClosedRoot`] handed to
+//! the one [`RecordSink`] the host attached, in one ocall. Every
+//! aggregate — the request families, the latency histograms, the
+//! per-(operation, phase-path) profile — and every other plane — the
+//! tail of recent records, the slow log, the stall watchdog — is built
+//! on the untrusted side from these values and from nothing else of
+//! the request path.
 //!
-//! # Trust boundary
+//! # What crosses
 //!
-//! A record is the request path's one declassification: the operation
-//! and error code are compiled-in labels, the three operands appear only
-//! as keyed fingerprints (the key never leaves the enclave), and the
-//! rest is durations and counts. Nothing a consumer stores or exports
-//! can therefore carry request content — the argument is made here
-//! once instead of once per plane.
+//! Telemetry crosses the enclave boundary, so it must carry **no
+//! confidential request content** (paper §III threat model: the cloud
+//! provider observes everything outside the enclave). Data flows one
+//! way, enclave → host, and the argument is made here once instead of
+//! once per plane:
+//!
+//! - a closed root names its operation with a compiled-in `&'static
+//!   str` and its phase paths with compiled-in [`Phase`] ids; the rest
+//!   is durations and counts;
+//! - a record adds a compiled-in error code and three operands as keyed
+//!   fingerprints (the key never leaves the enclave);
+//! - the enclave-wide values the host pulls at a scrape
+//!   (`seg_enclave`'s `EnclaveStats`) are counts and gauges, and a scrub
+//!   report is per-check counts and finding fingerprints.
+//!
+//! Nothing a consumer stores or exports can therefore carry a path, a
+//! user id or key material.
+
+use crate::prof::PathTime;
 
 /// Outcome class of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Decision {
     /// Permitted and succeeded.
+    #[default]
     Allow,
     /// Rejected by access control.
     Deny,
     /// Failed for a non-authorization reason.
     Error,
-}
-
-impl Decision {
-    /// Stable lowercase label (`allow`/`deny`/`error`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Decision::Allow => "allow",
-            Decision::Deny => "deny",
-            Decision::Error => "error",
-        }
-    }
 }
 
 /// Declares [`Phase`] from one table: slot order, variant and name.
@@ -62,7 +67,7 @@ macro_rules! phases {
         /// ```
         ///
         /// ```compile_fail
-        /// let _ = seg_obs::RequestRecord::open(7, "get", 1, 2).phase("store_io");
+        /// let _ = seg_obs::RequestRecord::open(7, "get", 1, 2).phases["store_io"];
         /// ```
         ///
         /// ```
@@ -70,7 +75,7 @@ macro_rules! phases {
         /// let _frame = prof::phase(Phase::StoreIo);
         /// prof::charge(Phase::LockWait, 1);
         /// let r = RequestRecord::open(7, "get", 1, 2);
-        /// assert_eq!(r.phase(Phase::StoreIo).self_ns, 0);
+        /// assert_eq!(r.phases[Phase::StoreIo as usize].self_ns, 0);
         /// ```
         #[repr(u8)]
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -160,7 +165,7 @@ pub struct CostVector {
 }
 
 /// One closed request. See the module docs for the field rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestRecord {
     /// Correlation id shared with the audit record (1-based).
     pub request_id: u64,
@@ -192,48 +197,38 @@ impl RequestRecord {
         RequestRecord {
             request_id,
             op,
-            decision: Decision::Allow,
             code: "ok",
             principal,
             object,
-            group: 0,
-            duration_ns: 0,
-            phases: PhaseVector::default(),
-            cost: CostVector::default(),
+            ..RequestRecord::default()
         }
-    }
-
-    /// Whether the request was permitted and succeeded.
-    #[must_use]
-    pub fn ok(&self) -> bool {
-        self.decision == Decision::Allow
-    }
-
-    /// Duration in whole microseconds.
-    #[must_use]
-    pub fn duration_us(&self) -> u64 {
-        self.duration_ns / 1_000
-    }
-
-    /// Whether the request took at least `threshold_us` (0 = never).
-    #[must_use]
-    pub fn slow(&self, threshold_us: u64) -> bool {
-        threshold_us > 0 && self.duration_us() >= threshold_us
-    }
-
-    /// The slot of `phase`.
-    #[must_use]
-    pub fn phase(&self, phase: Phase) -> PhaseTime {
-        self.phases[phase as usize]
     }
 }
 
-/// Where closed records leave the enclave: the host implements this and
-/// attaches one instance; the enclave calls it once per request, as an
-/// ocall, and hands nothing else out unasked.
+/// One closed profiler root as it leaves the enclave: what
+/// [`crate::prof::OpGuard`] hands its sink when it drops.
+#[derive(Debug, Clone, Copy)]
+pub struct ClosedRoot<'a> {
+    /// Compiled-in operation name.
+    pub op: &'static str,
+    /// The root's time per phase path, borrowed from the thread's
+    /// accumulator (one entry per path, the root's own first).
+    pub paths: &'a [PathTime],
+    /// Whether the root's stack needed recovery (a phase guard leaked
+    /// or dropped out of order). Should stay false.
+    pub unbalanced: bool,
+    /// The request's record, when the root closed a request and
+    /// telemetry is on; handshake steps, download chunks and scrub
+    /// steps have none.
+    pub record: Option<&'a RequestRecord>,
+}
+
+/// Where closed roots leave the enclave: the host implements this and
+/// attaches one instance; the enclave calls it once per closed root, as
+/// an ocall, and hands nothing else out unasked.
 pub trait RecordSink: Send + Sync {
-    /// Takes one closed request. Runs on the request's worker thread.
-    fn consume(&self, rec: &RequestRecord);
+    /// Takes one closed root. Runs on the root's thread.
+    fn consume(&self, root: &ClosedRoot<'_>);
 }
 
 #[cfg(test)]

@@ -1,16 +1,16 @@
 //! A profiled request allocates nothing once its thread is warm: phase
-//! frames, charges, the root's renaming and the flush into the shared
-//! aggregate all reuse what the first request set up.
+//! frames, charges, the root's renaming, the record it carries and the
+//! hand-over to the sink all reuse what the first request set up.
 //!
 //! The global allocator below counts allocations made on the thread
 //! that armed it, so the test harness's own threads do not interfere.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use seg_obs::prof::{self, OpGuard};
-use seg_obs::{Phase, Profiler};
+use seg_obs::{ClosedRoot, Phase, RecordSink, RequestRecord};
 
 struct CountingAlloc;
 
@@ -62,11 +62,35 @@ fn allocations_of(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// A sink that only counts what it is handed, as the host's would
+/// fold it: closed roots, records, and frames of one deep path.
+#[derive(Default)]
+struct Counting {
+    roots: AtomicU64,
+    records: AtomicU64,
+    tree_io: AtomicU64,
+}
+
+impl RecordSink for Counting {
+    fn consume(&self, root: &ClosedRoot<'_>) {
+        assert_eq!((root.op, root.unbalanced), ("put_file", false));
+        self.roots.fetch_add(1, Ordering::Relaxed);
+        self.records
+            .fetch_add(u64::from(root.record.is_some()), Ordering::Relaxed);
+        let deep = [Phase::RollbackTree, Phase::StoreIo];
+        for e in root.paths {
+            if prof::path_phases(e.path).eq(deep) {
+                self.tree_io.fetch_add(e.count, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// One request shaped like an upload: a record opened before the
 /// operation is known, nested phases with a recursion collapse, and
 /// charges at several depths.
-fn request(profiler: &Arc<Profiler>) {
-    let _root = OpGuard::begin(profiler, "request");
+fn request(sink: &Counting) {
+    let _root = OpGuard::begin(sink, "request");
     {
         let _tls = prof::phase(Phase::TlsRecord);
         let _gcm = prof::phase(Phase::CryptoGcm);
@@ -90,31 +114,24 @@ fn request(profiler: &Arc<Profiler>) {
         prof::charge(Phase::CounterWait, 5);
     }
     prof::charge(Phase::LockWait, 7);
-    let phases = prof::request_phases();
-    assert_eq!(phases[Phase::LockWait as usize].sim_ns, 7);
+    let mut record = RequestRecord::open(1, "put_file", 2, 3);
+    record.phases = prof::request_phases();
+    assert_eq!(record.phases[Phase::LockWait as usize].sim_ns, 7);
+    prof::attach_record(&record);
 }
 
 #[test]
 fn a_warm_request_allocates_nothing() {
-    let profiler = Arc::new(Profiler::new());
-    let warm_up = allocations_of(|| request(&profiler));
-    assert!(
-        warm_up > 0,
-        "the first request sets the thread and aggregate up"
-    );
+    let sink = Counting::default();
+    let warm_up = allocations_of(|| request(&sink));
+    assert!(warm_up > 0, "the first request sets the thread up");
     let allocations = allocations_of(|| {
         for _ in 0..1_000 {
-            request(&profiler);
+            request(&sink);
         }
     });
     assert_eq!(allocations, 0, "1 000 warm requests allocated");
-    let snap = profiler.snapshot();
-    assert_eq!(snap.unbalanced, 0);
-    let tree = snap
-        .entries
-        .iter()
-        .find(|e| e.path == ["put_file", "rollback_tree", "store_io"])
-        .expect("entry");
-    assert_eq!((tree.count, tree.requests), (1_001, 1_001));
-    assert!(snap.entries.iter().all(|e| e.path[0] == "put_file"));
+    let count = |n: &AtomicU64| n.load(Ordering::Relaxed);
+    let handed = [&sink.roots, &sink.records, &sink.tree_io].map(count);
+    assert_eq!(handed, [1_001; 3], "roots, records, tree frames");
 }

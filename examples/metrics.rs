@@ -13,7 +13,6 @@
 //! Run with: `cargo run --release --example metrics`
 
 use seg_fs::Perm;
-use segshare::telemetry::{ProfSnapshotExt, SnapshotExt};
 use segshare::{EnclaveConfig, FsoSetup};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -103,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Where each operation's time went, as a static phase tree. Paths
     // are compiled-in names only; values are aggregated durations —
     // the same trust-boundary rule as the metrics above.
-    let prof = server.enclave().profile_snapshot();
+    let prof = server.telemetry().profile_snapshot();
     println!("--- phase profile (self time by phase, all ops) ---");
     let ops: Vec<&str> = prof
         .entries
@@ -139,7 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- audit trail ({verified} records, chain verified) ---");
     print!(
         "{}",
-        segshare::enclave::audit::records_json(&server.audit_export()?)
+        segshare::telemetry::audit_json(&server.audit_export()?)
     );
     Ok(())
 }

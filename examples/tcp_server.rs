@@ -24,7 +24,6 @@
 use std::net::TcpListener;
 
 use seg_net::TcpTransport;
-use segshare::telemetry::SnapshotExt;
 use segshare::{Client, EnclaveConfig, FsoSetup, HealthOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -356,7 +356,7 @@ fn exports_carry_no_principals_paths_or_keys() {
     let tail = segshare::telemetry::records_json(&recent);
     let slow = segshare::telemetry::records_json(&watch.slow_requests(usize::MAX));
     let exported = rig.server.audit_export().unwrap();
-    let audit = segshare::enclave::audit::records_json(&exported);
+    let audit = segshare::telemetry::audit_json(&exported);
 
     for (name, text) in [("report tail", &tail), ("slow", &slow), ("audit", &audit)] {
         for secret in SECRETS {

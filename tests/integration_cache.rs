@@ -12,7 +12,6 @@ use proptest::prelude::*;
 use seg_fs::Perm;
 use seg_proto::ErrorCode;
 use seg_store::{AdversaryStore, CountingStore, FaultAction, FaultStore, MemStore, ObjectStore};
-use segshare::telemetry::SnapshotExt;
 use segshare::{EnclaveConfig, FsoSetup, SegShareError, SegShareServer};
 
 struct Rig {
@@ -217,7 +216,7 @@ fn cache_off_is_byte_identical_to_seed_behavior() {
     // the occupancy gauges export as zero — gauge families are stable
     // across configurations so dashboards never see series appear and
     // disappear with a toggle.
-    let snap = r.server.enclave().metrics_snapshot();
+    let snap = r.server.metrics_snapshot();
     assert!(snap.counter("seg_cache_hits_total").is_none());
     assert_eq!(snap.gauge("seg_cache_bytes"), Some(0));
     assert_eq!(snap.gauge("seg_cache_entries"), Some(0));
@@ -234,7 +233,7 @@ fn cache_metrics_report_hits_and_invalidations() {
     a.put("/hot", b"replaced").unwrap();
     warm(&mut a, "/hot", b"replaced");
 
-    let snap = r.server.enclave().metrics_snapshot();
+    let snap = r.server.metrics_snapshot();
     let hits = snap.counter("seg_cache_hits_total").unwrap();
     let fills = snap.counter("seg_cache_fills_total").unwrap();
     let invalidations = snap.counter("seg_cache_invalidations_total").unwrap();

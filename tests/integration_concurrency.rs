@@ -20,7 +20,7 @@ use std::time::Duration;
 use seg_fs::Perm;
 use seg_proto::ErrorCode;
 use seg_store::{AdversaryStore, MemStore, ObjectStore, StoreError};
-use segshare::telemetry::SnapshotExt;
+use segshare::telemetry::RecordView;
 use segshare::{Client, EnclaveConfig, EnrolledUser, FsoSetup, SegShareError, SegShareServer};
 
 /// Paper prototype (audit + rollback tree on) with the object cache —
@@ -446,7 +446,7 @@ fn slow_rig(config: EnclaveConfig, seed: u64, delay: Duration) -> (FsoSetup, Seg
 /// Total lock wait the server's requests charged to their records, from
 /// the profile's `<op>;…;lock_wait` entries.
 fn lock_wait_ns(server: &SegShareServer) -> u64 {
-    let profile = server.enclave().profile_snapshot();
+    let profile = server.telemetry().profile_snapshot();
     let waits = profile
         .entries
         .iter()

@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use seg_net::reactor::ReactorConfig;
 use seg_store::{AdversaryStore, MemStore, ObjectStore};
-use segshare::telemetry::SnapshotExt;
 use segshare::{EnclaveConfig, FsoSetup, HealthOptions, ScrubCheck, SegShareServer};
 
 struct Rig {

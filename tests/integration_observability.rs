@@ -17,10 +17,10 @@ use std::sync::{Arc, Mutex};
 
 use seg_fs::Perm;
 use seg_net::{FrameTransport, NetError};
-use seg_obs::{RecordSink, RequestRecord};
+use seg_obs::{ClosedRoot, RecordSink, RequestRecord};
 use segshare::enclave::session::EnclaveSession;
 use segshare::enclave::SegShareEnclave;
-use segshare::telemetry::{ProfSnapshotExt, SnapshotExt};
+use segshare::telemetry::RecordView;
 use segshare::{Client, EnclaveConfig, EnrolledUser, FsoSetup, SegShareServer};
 
 /// Distinctive strings used as operands below; none may leak into
@@ -107,13 +107,28 @@ impl FrameTransport for Inline {
     }
 }
 
-/// Keeps every record the enclave hands out.
+/// Keeps every closed root the enclave hands out: what crossed beside
+/// the record, as debug text, and the record that rode it.
 #[derive(Default)]
-struct Capture(Mutex<Vec<RequestRecord>>);
+struct Capture(Mutex<Vec<(String, Option<RequestRecord>)>>);
 
 impl RecordSink for Capture {
-    fn consume(&self, rec: &RequestRecord) {
-        self.0.lock().unwrap().push(*rec);
+    fn consume(&self, root: &ClosedRoot<'_>) {
+        let crossed = format!("{} {:?} {}", root.op, root.paths, root.unbalanced);
+        self.0.lock().unwrap().push((crossed, root.record.copied()));
+    }
+}
+
+impl Capture {
+    /// Closed roots so far.
+    fn roots(&self) -> u64 {
+        self.0.lock().unwrap().len() as u64
+    }
+
+    /// The records that rode them.
+    fn records(&self) -> Vec<RequestRecord> {
+        let roots = self.0.lock().unwrap();
+        roots.iter().filter_map(|(_, rec)| *rec).collect()
     }
 }
 
@@ -182,7 +197,7 @@ fn flow_produces_nonzero_per_op_metrics() {
         "group store saw membership updates"
     );
     // Protected-FS and rollback-tree work is timed by their phases.
-    let profile = server.enclave().profile_snapshot();
+    let profile = server.telemetry().profile_snapshot();
     for phase in ["pfs", "rollback_tree"] {
         assert!(
             profile
@@ -231,7 +246,7 @@ fn snapshot_boundary_counts_match_sgx_accounting() {
 }
 
 /// [`assert_content_free`] over every metric id of a snapshot.
-fn assert_ids_content_free(snap: &seg_obs::Snapshot) {
+fn assert_ids_content_free(snap: &segshare::telemetry::Snapshot) {
     let ids = snap.counters.iter().map(|(id, _)| id);
     let ids = ids.chain(snap.gauges.iter().map(|(id, _)| id));
     for id in ids.chain(snap.histograms.iter().map(|(id, _)| id)) {
@@ -241,9 +256,9 @@ fn assert_ids_content_free(snap: &seg_obs::Snapshot) {
 
 #[test]
 fn encoded_snapshots_carry_no_request_content() {
-    // Three kinds of value cross the boundary: the records pushed
-    // through the sink, and the snapshots and scrub reports the host
-    // pulls. Everything an operator can export is
+    // Three kinds of value cross the boundary: the closed roots pushed
+    // through the sink, records riding some, and the enclave stats and
+    // scrub reports the host pulls. Everything an operator can export is
     // rendered from those on the untrusted side, so the rule is checked
     // on the values themselves, with a sink of our own on an enclave
     // that has no host.
@@ -259,7 +274,7 @@ fn encoded_snapshots_carry_no_request_content() {
     enclave.attach_sink(Arc::clone(&capture) as Arc<dyn RecordSink>);
     drive_flow(&setup, |user| Inline::client(&enclave, user));
 
-    let records = capture.0.lock().unwrap().clone();
+    let records = capture.records();
     assert!(records.len() >= 9, "every request crossed: {records:?}");
     assert!(records.iter().any(|r| r.op == "put_file" && r.ok()));
     assert!(records.iter().any(|r| r.op == "get" && r.code == "denied"));
@@ -269,8 +284,10 @@ fn encoded_snapshots_carry_no_request_content() {
         assert!(rec.principal != 0, "{rec:?}");
         assert_content_free("record", &format!("{rec:?}"));
     }
-    assert_ids_content_free(&enclave.metrics_snapshot());
-    assert_content_free("profile", &enclave.profile_snapshot().to_collapsed());
+    for (root, _) in capture.0.lock().unwrap().iter() {
+        assert_content_free("closed root", root);
+    }
+    assert_content_free("enclave stats", &format!("{:?}", enclave.stats()));
     loop {
         let report = enclave.scrub_step();
         assert_content_free("scrub report", &format!("{report:?}"));
@@ -279,12 +296,14 @@ fn encoded_snapshots_carry_no_request_content() {
         }
     }
 
-    // Behind a server: the merged snapshot is the same type, and the
-    // host's widest rendering — the report, as returned and as the
-    // watchdog stored it — holds every section and nothing else.
+    // Behind a server: the host's folds of those values — the export,
+    // the profile, and the widest rendering, the report, as returned and
+    // as the watchdog stored it — hold every section and nothing else.
     let server = run_flow(config);
     while !server.telemetry().scrub_step().pass_completed {}
     assert_ids_content_free(&server.metrics_snapshot());
+    let profile = server.telemetry().profile_snapshot();
+    assert_content_free("profile", &profile.to_collapsed());
     let report = server.report();
     common::assert_report_keys(&report);
     assert!(report.contains("\"op\": \"put_file\", \"decision\": \"allow\""));
@@ -335,18 +354,15 @@ fn flight_frames_cover_the_whole_system_unscraped() {
 #[test]
 fn an_enclave_without_a_sink_serves_and_switches() {
     // White-box tests and embedders may run an enclave with no host
-    // telemetry at all: records then stop at the registry and the ring.
+    // telemetry at all: it then opens no profiler root, and nothing
+    // leaves, whatever the switch says.
     let setup = FsoSetup::new_in_memory("obs-bare", EnclaveConfig::default());
     let enclave = setup.enclave().expect("launch");
     let alice = setup
         .enroll_user("alice", "alice@acme.example", "Alice")
         .expect("enroll");
     let mut a = Inline::client(&enclave, &alice);
-    let puts = || {
-        let snap = enclave.metrics_snapshot();
-        snap.counter("seg_requests_total{op=\"put_file\"}")
-    };
-    // The switch both ways; a put returns the ocalls it cost.
+    // The switch both ways; a put and a get return the ocalls they cost.
     let mut put = |on: bool| {
         enclave.set_telemetry(on);
         assert_eq!(enclave.telemetry_enabled(), on);
@@ -356,23 +372,21 @@ fn an_enclave_without_a_sink_serves_and_switches() {
         enclave.sgx().boundary().stats().ocalls - before
     };
     put(true);
-    assert_eq!(puts(), Some(1));
-    let off = put(false);
-    assert_eq!(puts(), Some(1), "no record is built while off");
-    assert_eq!(put(true), off, "and none leaves while there is no sink");
-    assert_eq!(puts(), Some(2));
+    let bare = put(false);
+    assert_eq!(put(true), bare, "no sink: the switch costs nothing");
 
-    // With a sink attached, each closed request is handed out through
-    // exactly one more ocall than the same request with telemetry off.
+    // With a sink attached, each closed root crosses in exactly one
+    // ocall, whatever the switch says, and a request's record rides its
+    // root's: the put's header, its committing chunk and the get carry
+    // one each, the get's streamed chunk none.
     let capture = Arc::new(Capture::default());
     enclave.attach_sink(Arc::clone(&capture) as Arc<dyn RecordSink>);
     let on = put(true);
-    let crossed = capture.0.lock().unwrap().len() as u64;
-    assert_eq!(
-        crossed, 3,
-        "the put's header, its committing chunk, the get"
-    );
-    assert_eq!(on, off + crossed, "the sink call is counted as an ocall");
+    assert_eq!((capture.roots(), capture.records().len()), (4, 3));
+    assert_eq!(on, bare + 4, "one ocall per closed root");
+    let off = put(false);
+    assert_eq!((capture.roots(), capture.records().len()), (8, 3));
+    assert_eq!(off, on, "off, no record rides, and no call is saved");
 }
 
 #[test]
@@ -543,7 +557,7 @@ fn profile_attributes_upload_wall_clock_to_phases() {
     a.put("/big", &payload).expect("upload");
     drop(a);
 
-    let prof = server.enclave().profile_snapshot();
+    let prof = server.telemetry().profile_snapshot();
     assert!(!prof.entries.is_empty(), "profiler captured the flow");
     assert_eq!(prof.unbalanced, 0, "no unbalanced phase stacks");
 
@@ -651,4 +665,179 @@ fn meter_families_export_zeroed_when_disabled() {
         "report shows no records"
     );
     assert_eq!(server.audit_verify().expect("chain verifies"), 2);
+}
+
+/// The profile's `(op, path)` counts and the request families one fixed
+/// flow produces: `path count requests` per entry, in path order.
+const FIXED_FLOW_PROFILE: &str = r#"
+add_user 1 1
+add_user;authz 1 1
+add_user;authz;crypto_gcm 7 1
+add_user;authz;pfs 9 1
+add_user;authz;pfs;crypto_gcm 9 1
+add_user;authz;rollback_tree 9 1
+add_user;authz;rollback_tree;crypto_gcm 15 1
+add_user;authz;rollback_tree;pfs 4 1
+add_user;authz;rollback_tree;pfs;crypto_gcm 4 1
+add_user;authz;rollback_tree;store_io 19 1
+add_user;authz;store_io 20 1
+add_user;crypto_gcm 2 1
+add_user;lock_wait 4 1
+add_user;serialize 2 1
+add_user;store_io 2 1
+add_user;tls_record 2 1
+add_user;tls_record;crypto_gcm 2 1
+data 2 2
+data;crypto_gcm 10 2
+data;lock_wait 6 2
+data;pfs 9 2
+data;pfs;crypto_gcm 55 2
+data;rollback_tree 5 2
+data;rollback_tree;crypto_gcm 16 2
+data;rollback_tree;pfs 1 1
+data;rollback_tree;pfs;crypto_gcm 1 1
+data;rollback_tree;store_io 17 2
+data;serialize 4 2
+data;store_io 17 2
+data;tls_record 4 2
+data;tls_record;crypto_gcm 4 2
+get 2 2
+get;authz 1 1
+get;authz;pfs 1 1
+get;authz;pfs;crypto_gcm 1 1
+get;authz;rollback_tree 1 1
+get;authz;rollback_tree;crypto_gcm 3 1
+get;authz;rollback_tree;pfs 2 1
+get;authz;rollback_tree;pfs;crypto_gcm 2 1
+get;authz;rollback_tree;store_io 5 1
+get;authz;store_io 2 1
+get;crypto_gcm 4 2
+get;lock_wait 4 2
+get;pfs 2 1
+get;pfs;crypto_gcm 1 1
+get;rollback_tree 1 1
+get;rollback_tree;crypto_gcm 3 1
+get;rollback_tree;pfs 2 1
+get;rollback_tree;pfs;crypto_gcm 2 1
+get;rollback_tree;store_io 5 1
+get;serialize 4 2
+get;store_io 8 2
+get;tls_record 4 2
+get;tls_record;crypto_gcm 4 2
+get_stream 1 1
+get_stream;pfs 51 1
+get_stream;pfs;crypto_gcm 50 1
+get_stream;tls_record 1 1
+get_stream;tls_record;crypto_gcm 1 1
+handshake 3 3
+handshake;authn 3 3
+handshake;authn;tls_record 2 1
+handshake;authn;tls_record;crypto_gcm 2 1
+mk_dir 2 2
+mk_dir;crypto_gcm 8 2
+mk_dir;lock_wait 6 2
+mk_dir;pfs 6 2
+mk_dir;pfs;crypto_gcm 6 2
+mk_dir;rollback_tree 6 2
+mk_dir;rollback_tree;crypto_gcm 7 2
+mk_dir;rollback_tree;store_io 7 2
+mk_dir;serialize 4 2
+mk_dir;store_io 20 2
+mk_dir;tls_record 4 2
+mk_dir;tls_record;crypto_gcm 4 2
+put_file 2 2
+put_file;authz 2 2
+put_file;authz;pfs 3 2
+put_file;authz;pfs;crypto_gcm 3 2
+put_file;authz;rollback_tree 3 2
+put_file;authz;rollback_tree;crypto_gcm 7 2
+put_file;authz;rollback_tree;pfs 4 2
+put_file;authz;rollback_tree;pfs;crypto_gcm 4 2
+put_file;authz;rollback_tree;store_io 11 2
+put_file;authz;store_io 4 2
+put_file;lock_wait 6 2
+put_file;pfs 1 1
+put_file;pfs;crypto_gcm 1 1
+put_file;rollback_tree 1 1
+put_file;rollback_tree;crypto_gcm 2 1
+put_file;rollback_tree;pfs 1 1
+put_file;rollback_tree;pfs;crypto_gcm 1 1
+put_file;rollback_tree;store_io 3 1
+put_file;serialize 2 2
+put_file;store_io 5 2
+put_file;tls_record 2 2
+put_file;tls_record;crypto_gcm 2 2
+set_perm 1 1
+set_perm;authz 1 1
+set_perm;authz;pfs 2 1
+set_perm;authz;pfs;crypto_gcm 2 1
+set_perm;authz;rollback_tree 2 1
+set_perm;authz;rollback_tree;crypto_gcm 5 1
+set_perm;authz;rollback_tree;pfs 3 1
+set_perm;authz;rollback_tree;pfs;crypto_gcm 3 1
+set_perm;authz;rollback_tree;store_io 8 1
+set_perm;authz;store_io 2 1
+set_perm;crypto_gcm 4 1
+set_perm;lock_wait 2 1
+set_perm;pfs 2 1
+set_perm;pfs;crypto_gcm 2 1
+set_perm;rollback_tree 2 1
+set_perm;rollback_tree;crypto_gcm 7 1
+set_perm;rollback_tree;pfs 2 1
+set_perm;rollback_tree;pfs;crypto_gcm 2 1
+set_perm;rollback_tree;store_io 9 1
+set_perm;serialize 2 1
+set_perm;store_io 7 1
+set_perm;tls_record 2 1
+set_perm;tls_record;crypto_gcm 2 1
+seg_request_errors_total{code="already_exists",op="mk_dir"} 1
+seg_request_errors_total{code="not_found",op="get"} 1
+seg_requests_total{op="add_user"} 1
+seg_requests_total{op="data"} 2
+seg_requests_total{op="get"} 2
+seg_requests_total{op="mk_dir"} 2
+seg_requests_total{op="put_file"} 2
+seg_requests_total{op="set_perm"} 1
+"#;
+
+#[test]
+fn a_fixed_flow_profiles_and_counts_exactly() {
+    // One connection on the test thread, cache off: every root, frame
+    // and charge is deterministic, so a root that opens or closes in a
+    // different place, a frame that moves, or a record that is counted
+    // twice or not at all changes an entry below.
+    let setup = FsoSetup::new_in_memory("obs-parity", EnclaveConfig::default());
+    let server = setup.server().expect("setup");
+    let alice = setup
+        .enroll_user("alice", "alice@acme.example", "Alice")
+        .expect("enroll");
+    let mut a = Inline::client(server.enclave(), &alice);
+    let payload: Vec<u8> = (0..200 * 1024u32).map(|i| (i % 251) as u8).collect();
+    a.mkdir("/plans-secret/").expect("mkdir");
+    a.put("/plans-secret/q3-report", &payload).expect("upload");
+    assert_eq!(a.get("/plans-secret/q3-report").expect("get"), payload);
+    a.add_user("alice", "strategyteam").expect("create group");
+    a.set_perm("/plans-secret/q3-report", "strategyteam", Perm::Read)
+        .expect("grant");
+    a.put("/plans-secret/q3-report", b"short")
+        .expect("overwrite");
+    assert!(a.get("/plans-secret/missing").is_err(), "no such file");
+    assert!(a.mkdir("/plans-secret/").is_err(), "exists");
+    drop(a);
+
+    let profile = server.telemetry().profile_snapshot();
+    let mut lines: Vec<String> = profile
+        .entries
+        .iter()
+        .map(|e| format!("{} {} {}", e.path.join(";"), e.count, e.requests))
+        .collect();
+    let snap = server.metrics_snapshot();
+    for (id, v) in &snap.counters {
+        if ["seg_requests_total", "seg_request_errors_total"].contains(&id.name()) {
+            lines.push(format!("{} {v}", id.render()));
+        }
+    }
+    let got = lines.join("\n");
+    assert_eq!(profile.unbalanced, 0);
+    assert_eq!(got, FIXED_FLOW_PROFILE.trim(), "\n{got}\n");
 }

@@ -21,7 +21,6 @@ use proptest::prelude::*;
 use seg_net::ChannelTransport;
 use seg_sgx::Platform;
 use seg_store::{FaultPlan, MemStore, ObjectStore, WalConfig, WalStore};
-use segshare::telemetry::SnapshotExt;
 use segshare::{wal_views, Client, EnclaveConfig, FsoSetup, SegShareError, SegShareServer};
 
 fn tempdir(tag: &str) -> PathBuf {

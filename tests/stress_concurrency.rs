@@ -4,7 +4,7 @@
 //! Invariant checked: counters and histograms lose no increments
 //! (exact totals).
 
-use seg_obs::Registry;
+use segshare::telemetry::Registry;
 use std::sync::Arc;
 
 const THREADS: u64 = 8;
