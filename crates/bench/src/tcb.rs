@@ -164,4 +164,24 @@ mod tests {
         let loc = obs.map(|&(_, loc)| loc);
         assert!(loc.is_some_and(|loc| loc <= 350), "seg-obs row: {loc:?}");
     }
+
+    #[test]
+    fn the_store_interface_links_no_telemetry() {
+        // The enclave's stores are counted on the host's side of each
+        // ocall: the interface the enclave links is the trait, its batch
+        // and ticket types, and no counting wrapper.
+        let root = crate::harness::repo_root();
+        let linked = closure(&root, "seg-store-api");
+        assert!(
+            linked.iter().all(|(name, _)| name != "seg-obs"),
+            "{linked:?}"
+        );
+        let (trusted, _) = rows(&root);
+        let api = trusted.iter().find(|(name, _)| name == "seg-store-api");
+        let loc = api.map(|&(_, loc)| loc);
+        assert!(
+            loc.is_some_and(|loc| loc <= 240),
+            "seg-store-api row: {loc:?}"
+        );
+    }
 }

@@ -72,17 +72,6 @@ impl Histogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Zeroes all buckets and statistics.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Point-in-time digest of a [`Histogram`].
@@ -271,14 +260,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(h.summarize().count, 80_000);
-    }
-
-    #[test]
-    fn reset_returns_to_empty() {
-        let h = Histogram::new();
-        h.record(5);
-        h.record(50_000);
-        h.reset();
-        assert_eq!(h.summarize(), HistogramSummary::default());
     }
 }

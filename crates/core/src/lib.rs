@@ -584,17 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_but_keeps_handles_live() {
-        let r = Registry::new();
-        let c = r.counter("seg_frames_total");
-        c.add(9);
-        r.reset();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        assert_eq!(r.snapshot().counter("seg_frames_total"), Some(1));
-    }
-
-    #[test]
     fn audit_json_renders_exported_records() {
         let record = AuditRecord {
             seq: 3,

@@ -14,13 +14,13 @@ use seg_net::reactor::{ReactorConfig, ReactorHandle};
 use seg_net::ChannelTransport;
 use seg_pki::{Certificate, CertificateAuthority, Identity};
 use seg_sgx::Platform;
-use seg_store::{MemStore, ObjectStore, PrefixStore, WalConfig, WalStore};
+use seg_store::{CountingStore, MemStore, ObjectStore, PrefixStore, WalConfig, WalStore};
 
 use crate::client::Client;
 use crate::config::EnclaveConfig;
 use crate::enclave::SegShareEnclave;
 use crate::error::SegShareError;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{CountedStore, Telemetry};
 use crate::untrusted::ReactorDispatcher;
 
 /// Certificate validity horizon used by [`FsoSetup`] (logical seconds).
@@ -212,7 +212,8 @@ impl FsoSetup {
     ///
     /// Fails if attestation or certification fails.
     pub fn enclave(&self) -> Result<Arc<SegShareEnclave>, SegShareError> {
-        self.launch_certified(&self.platform, None)
+        let stores = [&self.content, &self.group, &self.dedup].map(Arc::clone);
+        self.launch_certified(&self.platform, None, stores)
     }
 
     /// A running server: [`FsoSetup::enclave`] plus its untrusted host,
@@ -222,23 +223,48 @@ impl FsoSetup {
     ///
     /// Fails if attestation or certification fails.
     pub fn server(&self) -> Result<SegShareServer, SegShareError> {
-        Ok(SegShareServer::new(self.enclave()?))
+        self.serve(&self.platform, None)
     }
 
-    /// Launches on `platform` — as a replica when handed a root key —
-    /// then attests and certifies what it launched.
+    /// A certified enclave on `platform` and its host. The host wraps
+    /// each store in its own counters before the enclave gets it: every
+    /// call the enclave makes is an ocall, counted on the host's side.
+    fn serve(
+        &self,
+        platform: &Platform,
+        root_key: Option<[u8; 32]>,
+    ) -> Result<SegShareServer, SegShareError> {
+        let named = [
+            ("content", &self.content),
+            ("group", &self.group),
+            ("dedup", &self.dedup),
+        ];
+        let counted =
+            named.map(|(name, store)| (name, Arc::new(CountingStore::new(Arc::clone(store)))));
+        let stores = counted
+            .each_ref()
+            .map(|(_, store)| Arc::clone(store) as Arc<dyn ObjectStore>);
+        let enclave = self.launch_certified(platform, root_key, stores)?;
+        Ok(SegShareServer::new(enclave, counted))
+    }
+
+    /// Launches on `platform` against `stores` (content, group, dedup)
+    /// — as a replica when handed a root key — then attests and
+    /// certifies what it launched.
     fn launch_certified(
         &self,
         platform: &Platform,
         root_key: Option<[u8; 32]>,
+        stores: [Arc<dyn ObjectStore>; 3],
     ) -> Result<Arc<SegShareEnclave>, SegShareError> {
+        let [content, group, dedup] = stores;
         let enclave = SegShareEnclave::launch(
             platform,
             self.config,
             self.ca.public_key(),
-            Arc::clone(&self.content),
-            Arc::clone(&self.group),
-            Arc::clone(&self.dedup),
+            content,
+            group,
+            dedup,
             root_key,
         )?;
         let (csr, quote) = enclave.certification_request("segshare");
@@ -286,8 +312,7 @@ impl FsoSetup {
         let root_key = source
             .enclave
             .export_root_key(&quote, &replica_platform.attestation_public_key())?;
-        let enclave = self.launch_certified(replica_platform, Some(root_key))?;
-        Ok(SegShareServer::new(enclave))
+        self.serve(replica_platform, Some(root_key))
     }
 
     /// Enrolls a user: the CA validates the identity out of band and
@@ -383,9 +408,12 @@ impl std::fmt::Debug for SegShareServer {
 }
 
 impl SegShareServer {
-    fn new(enclave: Arc<SegShareEnclave>) -> SegShareServer {
+    fn new(
+        enclave: Arc<SegShareEnclave>,
+        stores: [(&'static str, CountedStore); 3],
+    ) -> SegShareServer {
         SegShareServer {
-            telemetry: Telemetry::attach(&enclave),
+            telemetry: Telemetry::attach(&enclave, stores),
             enclave,
             health_runner: Mutex::new(None),
             front_end: Mutex::new(FrontEndState {

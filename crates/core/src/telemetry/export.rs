@@ -111,9 +111,7 @@ impl Telemetry {
             sync("seg_watch_stalls_total", vec![("kind", kind)], total);
         }
 
-        // Views sharing one WAL backend each report the shared log's
-        // totals.
-        for (store, s, io) in enclave.store_io() {
+        for (store, s, io) in self.store_io() {
             for (op, total) in [
                 ("get", s.gets),
                 ("put", s.puts),

@@ -6,8 +6,9 @@
 //! through the one [`RecordSink`] ([`Telemetry`] is that sink), and
 //! answers pull-style declassification calls when the host makes them
 //! ([`SegShareEnclave::stats`], `scrub_step`). From those, and from
-//! what the host sees for itself (the reactor's gauges, store and
-//! boundary traffic), this module builds the
+//! what the host sees for itself (the reactor's gauges, boundary
+//! traffic, and each store call counted on the host's side of its
+//! ocall), this module builds the
 //! one metric [`Registry`] with its request families, the one phase
 //! [`Profile`], the tail of recent records, the slow log and stall
 //! watchdog, canary bookkeeping, the health verdict, the report and the
@@ -32,7 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use seg_net::reactor::ReactorStats;
-use seg_obs::{ClosedRoot, RecordSink};
+use seg_obs::prof::{path_phases, PathTime};
+use seg_obs::{ClosedRoot, Phase, RecordSink, RequestRecord};
+use seg_store::{CountingStore, IoStats, ObjectStore, StoreStats};
 
 use crate::enclave::health::ScrubReport;
 use crate::enclave::SegShareEnclave;
@@ -46,6 +49,9 @@ struct FrontEnd {
     stats: Arc<ReactorStats>,
     in_flight: Arc<AtomicU64>,
 }
+
+/// The host's counters around one store it handed the enclave.
+pub type CountedStore = Arc<CountingStore<Arc<dyn ObjectStore>>>;
 
 /// The host's telemetry owner: the record sink and every consumer
 /// behind it.
@@ -61,14 +67,20 @@ pub struct Telemetry {
     registry: Registry,
     /// The phase profile, folded from each closed root.
     profile: Profile,
+    /// The enclave's content, group and dedup stores, as the host
+    /// counts each call that reaches them.
+    stores: [(&'static str, CountedStore); 3],
     front_end: OnceLock<FrontEnd>,
 }
 
 impl Telemetry {
-    /// Builds the consumers for `enclave` and attaches them as its
-    /// record sink.
+    /// Builds the consumers for `enclave`, which runs on `stores`, and
+    /// attaches them as its record sink.
     #[must_use]
-    pub fn attach(enclave: &Arc<SegShareEnclave>) -> Arc<Telemetry> {
+    pub fn attach(
+        enclave: &Arc<SegShareEnclave>,
+        stores: [(&'static str, CountedStore); 3],
+    ) -> Arc<Telemetry> {
         let config = enclave.config();
         let telemetry = Arc::new(Telemetry {
             enclave: Arc::downgrade(enclave),
@@ -76,6 +88,7 @@ impl Telemetry {
             watch: Watchdog::new(config.watch_deadline_us),
             registry: Registry::new(),
             profile: Profile::default(),
+            stores,
             front_end: OnceLock::new(),
         });
         enclave.attach_sink(Arc::clone(&telemetry) as Arc<dyn RecordSink>);
@@ -92,6 +105,15 @@ impl Telemetry {
     /// report's `saturation` section (first call wins).
     pub(crate) fn front_end_started(&self, stats: Arc<ReactorStats>, in_flight: Arc<AtomicU64>) {
         let _ = self.front_end.set(FrontEnd { stats, in_flight });
+    }
+
+    /// Operation, byte and fsync totals of each store, named, as the
+    /// enclave's calls reached it. Views sharing one WAL backend each
+    /// report the shared log's durability totals.
+    #[must_use]
+    pub fn store_io(&self) -> Vec<(&'static str, StoreStats, IoStats)> {
+        let io = |(name, store): &(_, CountedStore)| (*name, store.stats(), store.io_stats());
+        self.stores.iter().map(io).collect()
     }
 
     /// The scrub and canary counters, the newest findings, and the
@@ -189,16 +211,34 @@ impl Telemetry {
 
 impl RecordSink for Telemetry {
     /// One closed root reaches its host-side consumers: its phase times
-    /// the profile; a request's record the request families, the tail
-    /// of recent records, the slow log and the stall watchdog.
+    /// the profile; a request's record, timed by its root, the request
+    /// families, the tail of recent records, the slow log and the stall
+    /// watchdog.
     fn consume(&self, root: &ClosedRoot<'_>) {
         self.profile.consume(root);
         let Some(rec) = root.record else {
             return;
         };
-        self.registry.consume(rec);
-        if self.watch.consume(rec) {
+        let rec = timed(rec, root.paths);
+        self.registry.consume(&rec);
+        if self.watch.consume(&rec) {
             self.watch.store_dump(self.report());
         }
     }
+}
+
+/// `rec` with its root's time: `duration_ns` is the root's own path's
+/// total, and `phases` holds each path's self and charged time in the
+/// slot of its innermost phase, so the self times sum to the duration.
+fn timed(rec: &RequestRecord, paths: &[PathTime]) -> RequestRecord {
+    let mut rec = *rec;
+    for e in paths {
+        if e.path == 0 {
+            rec.duration_ns = e.total_ns;
+        }
+        let slot = &mut rec.phases[path_phases(e.path).last().unwrap_or(Phase::Own) as usize];
+        slot.self_ns += e.self_ns;
+        slot.sim_ns += e.sim_ns;
+    }
+    rec
 }

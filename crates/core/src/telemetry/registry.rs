@@ -261,20 +261,6 @@ impl Registry {
                 .collect(),
         }
     }
-
-    /// Zeroes every registered metric (handles stay valid).
-    pub fn reset(&self) {
-        let inner = self.inner.lock().unwrap();
-        for v in inner.counters.values() {
-            v.store(0, Ordering::Relaxed);
-        }
-        for v in inner.gauges.values() {
-            v.store(0, Ordering::Relaxed);
-        }
-        for h in inner.histograms.values() {
-            h.reset();
-        }
-    }
 }
 
 /// Point-in-time copy of the registry, ordered deterministically. Its

@@ -61,12 +61,12 @@ use seg_crypto::sha256::Sha256;
 use seg_fs::codec::{Decoder, Encoder};
 use seg_obs::{Decision, RequestRecord};
 use seg_sgx::Enclave;
-use seg_store_api::ObjectStore;
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
 
 use super::commit::Anchor;
+use super::ocall::StoreOcall;
 
 /// Monotonic-counter id anchoring the audit head (content/group/dedup
 /// stores use 1–3).
@@ -237,8 +237,7 @@ pub struct AuditScrubStep {
 /// internal mutex; `verify`/`export` walk the persisted chain.
 pub struct AuditLog {
     key: PaeKey,
-    store: Arc<dyn ObjectStore>,
-    sgx: Arc<Enclave>,
+    store: Arc<StoreOcall>,
     /// The head's §V-E counter anchor, with whole-FS rollback
     /// protection; settled by the commit window.
     counter: Option<Anchor>,
@@ -287,11 +286,11 @@ impl AuditLog {
     /// silently rebuilt.
     pub(crate) fn load(
         key: PaeKey,
-        store: Arc<dyn ObjectStore>,
+        store: Arc<StoreOcall>,
         sgx: Arc<Enclave>,
         config: &EnclaveConfig,
     ) -> Result<AuditLog, SegShareError> {
-        let (mut state, anchor, had_head) = match sgx.boundary().ocall(|| store.get(HEAD_NAME))? {
+        let (mut state, anchor, had_head) = match store.get(HEAD_NAME)? {
             None => (
                 ChainState {
                     count: 0,
@@ -317,7 +316,7 @@ impl AuditLog {
         }
         let hw = counter.as_ref().map_or(0, Anchor::read);
         let orphan_name = record_name(state.count);
-        match sgx.boundary().ocall(|| store.get(&orphan_name))? {
+        match store.get(&orphan_name)? {
             Some(blob) => {
                 pae_dec(&key, &blob, &record_aad(state.count, &state.head)).map_err(|_| {
                     tamper("audit record beyond sealed head does not authenticate (forged append)")
@@ -345,7 +344,7 @@ impl AuditLog {
                     HEAD_AAD,
                     &mut SystemRng::new(),
                 );
-                sgx.boundary().ocall(|| store.put(HEAD_NAME, &head_blob))?;
+                store.put(HEAD_NAME, &head_blob)?;
                 state = ChainState {
                     count: state.count + 1,
                     head: new_head,
@@ -363,7 +362,6 @@ impl AuditLog {
         Ok(AuditLog {
             key,
             store,
-            sgx,
             counter,
             state: Mutex::new(state),
             records_total: AtomicU64::new(0),
@@ -441,7 +439,7 @@ impl AuditLog {
             &mut SystemRng::new(),
         );
         let name = record_name(seq);
-        self.sgx.boundary().ocall(|| self.store.put(&name, &blob))?;
+        self.store.put(&name, &blob)?;
         let new_head = chain_hash(&st.head, seq, &blob);
         let anchor = match &self.counter {
             Some(counter) => counter.issue()?,
@@ -453,9 +451,7 @@ impl AuditLog {
             HEAD_AAD,
             &mut SystemRng::new(),
         );
-        self.sgx
-            .boundary()
-            .ocall(|| self.store.put(HEAD_NAME, &head_blob))?;
+        self.store.put(HEAD_NAME, &head_blob)?;
         st.count = seq + 1;
         st.head = new_head;
         Ok((blob.len() + head_blob.len()) as u64)
@@ -537,9 +533,8 @@ impl AuditLog {
             let seq = cur.seq;
             let name = record_name(seq);
             let blob = self
-                .sgx
-                .boundary()
-                .ocall(|| self.store.get(&name))?
+                .store
+                .get(&name)?
                 .ok_or_else(|| tamper(&format!("audit record {seq} missing (truncation)")))?;
             let body = pae_dec(&self.key, &blob, &record_aad(seq, &cur.prev)).map_err(|_| {
                 tamper(&format!(
@@ -570,7 +565,7 @@ impl AuditLog {
     /// matches the live chain and the re-derived hash `derived`, no
     /// record sits beyond it, and its counter anchor is accepted.
     fn check_head(&self, st: &ChainState, derived: &[u8; 32]) -> Result<(), SegShareError> {
-        let (count, head, anchor) = match self.sgx.boundary().ocall(|| self.store.get(HEAD_NAME))? {
+        let (count, head, anchor) = match self.store.get(HEAD_NAME)? {
             Some(blob) => {
                 let body = pae_dec(&self.key, &blob, HEAD_AAD)
                     .map_err(|_| tamper("audit head failed authentication"))?;
@@ -588,7 +583,7 @@ impl AuditLog {
             return Err(tamper("audit chain head mismatch"));
         }
         let next = record_name(count);
-        if self.sgx.boundary().ocall(|| self.store.exists(&next))? {
+        if self.store.exists(&next)? {
             return Err(tamper(
                 "audit record beyond sealed head (forged append or rolled-back head)",
             ));
@@ -610,7 +605,7 @@ fn tamper(what: &str) -> SegShareError {
 mod tests {
     use super::*;
     use seg_sgx::{EnclaveImage, Platform};
-    use seg_store::MemStore;
+    use seg_store::{MemStore, ObjectStore};
 
     /// Loads a log against `store` on `platform` — counters are scoped
     /// per platform, so restart tests must reuse one platform.
@@ -636,7 +631,7 @@ mod tests {
         };
         AuditLog::load(
             PaeKey::from_bytes(&[9u8; 16]),
-            Arc::clone(store) as Arc<dyn ObjectStore>,
+            StoreOcall::new(&sgx, Arc::clone(store) as Arc<dyn ObjectStore>),
             sgx,
             &config,
         )

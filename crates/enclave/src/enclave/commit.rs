@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 use seg_obs::{Phase, RequestRecord};
 use seg_sgx::Enclave;
-use seg_store_api::{CommitTicket, ObjectStore};
+use seg_store_api::CommitTicket;
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
@@ -134,8 +134,8 @@ impl SegShareEnclave {
             let _wait = seg_obs::prof::phase(Phase::CommitWait);
             self.commit_mutex.lock()
         };
-        for (_, counted) in &self.counted_stores {
-            counted.tx_begin();
+        for store in self.store.stores() {
+            store.tx_begin();
         }
         let result = f();
         let mut sealed = Ok(Vec::new());
@@ -178,15 +178,13 @@ impl SegShareEnclave {
         }
     }
 
-    /// Seals this thread's transaction on every store handle and
-    /// collects the tickets. Views over one backend seal its one
-    /// transaction once; the others return nothing.
+    /// Seals this thread's transaction on every store and collects the
+    /// tickets. Views over one backend seal its one transaction once;
+    /// the others return nothing.
     fn seal(&self) -> Result<Vec<CommitTicket>, SegShareError> {
         let mut tickets = Vec::new();
-        for (_, counted) in &self.counted_stores {
-            if let Some(ticket) = self.sgx.boundary().ocall(|| counted.tx_seal())? {
-                tickets.push(ticket);
-            }
+        for store in self.store.stores() {
+            tickets.extend(store.tx_seal()?);
         }
         Ok(tickets)
     }

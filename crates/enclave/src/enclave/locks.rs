@@ -412,19 +412,28 @@ mod tests {
         }
     }
 
-    /// A sink that drops what it is handed.
-    struct Discard;
+    /// A sink that keeps the time its closed roots charged to one phase.
+    struct Charged(Phase, AtomicU64);
 
-    impl seg_obs::RecordSink for Discard {
-        fn consume(&self, _: &seg_obs::ClosedRoot<'_>) {}
+    impl seg_obs::RecordSink for Charged {
+        fn consume(&self, root: &seg_obs::ClosedRoot<'_>) {
+            for e in root.paths {
+                if prof::path_phases(e.path).last() == Some(self.0) {
+                    self.1.fetch_add(e.sim_ns, Ordering::Relaxed);
+                }
+            }
+        }
     }
 
     /// Runs `body` as one profiled request on this thread and returns
-    /// its `phase` charge.
+    /// its `phase` charge, as its closed root carries it.
     fn charged(phase: Phase, body: impl FnOnce()) -> u64 {
-        let _root = prof::OpGuard::begin(&Discard, "test");
-        body();
-        prof::request_phases()[phase as usize].sim_ns
+        let sink = Charged(phase, AtomicU64::new(0));
+        {
+            let _root = prof::OpGuard::begin(&sink, "test");
+            body();
+        }
+        sink.1.into_inner()
     }
 
     #[test]

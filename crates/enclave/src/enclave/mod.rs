@@ -15,6 +15,7 @@ pub mod health;
 pub mod keys;
 pub mod locks;
 pub mod names;
+mod ocall;
 pub mod session;
 pub mod trusted_store;
 
@@ -31,7 +32,7 @@ use seg_obs::prof::OpGuard;
 use seg_obs::{ClosedRoot, CostVector, RecordSink};
 use seg_pki::{Certificate, Csr, Identity};
 use seg_sgx::{Enclave, EnclaveImage, Platform, Quote};
-use seg_store_api::{CountingStore, IoStats, ObjectStore, StoreStats};
+use seg_store_api::ObjectStore;
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
@@ -42,6 +43,7 @@ use file_manager::FileManager;
 use health::ScrubProgress;
 use keys::KeyHierarchy;
 use locks::LockManager;
+use ocall::StoreOcall;
 use session::EnclaveSession;
 use trusted_store::TrustedStore;
 
@@ -86,10 +88,6 @@ pub struct SegShareEnclave {
     scrub: Mutex<ScrubProgress>,
     /// Next request correlation id (shared by every session thread).
     request_ids: AtomicU64,
-    /// The counting wrappers around the untrusted stores, kept for
-    /// per-store attribution ([`SegShareEnclave::store_io`]) and the
-    /// request cost vector.
-    counted_stores: Vec<(&'static str, CountedStore)>,
     /// Serializes commit windows (batch mode, the durability plane):
     /// held by [`SegShareEnclave::commit`] around a window's writes and
     /// seal — and, with whole-FS rollback protection, its durability
@@ -99,9 +97,6 @@ pub struct SegShareEnclave {
     /// audit chain lock are all taken inside it.
     commit_mutex: Mutex<()>,
 }
-
-/// A counting wrapper around one of the untrusted object stores.
-type CountedStore = Arc<CountingStore<Arc<dyn ObjectStore>>>;
 
 /// The host's sink behind the ocall that reaches it: every closed root
 /// crosses the boundary once, counted and charged as the ocall it is.
@@ -188,15 +183,9 @@ impl SegShareEnclave {
         config.assert_valid();
         let sgx = Arc::new(platform.launch(&Self::image(&config, &ca_key)));
 
-        // Every untrusted store is wrapped in a counting layer so I/O
-        // can be attributed per store (including the sealed-key traffic
-        // below).
-        let content_counted = Arc::new(CountingStore::new(content));
-        let group_counted = Arc::new(CountingStore::new(group));
-        let dedup_counted = Arc::new(CountingStore::new(dedup));
-        let content: Arc<dyn ObjectStore> = Arc::clone(&content_counted) as Arc<dyn ObjectStore>;
-        let group: Arc<dyn ObjectStore> = Arc::clone(&group_counted) as Arc<dyn ObjectStore>;
-        let dedup: Arc<dyn ObjectStore> = Arc::clone(&dedup_counted) as Arc<dyn ObjectStore>;
+        // The enclave reaches each untrusted store only through its
+        // ocall stub, the sealed-key traffic below included.
+        let [content, group, dedup] = [content, group, dedup].map(|s| StoreOcall::new(&sgx, s));
 
         // Root key: imported (replication), unsealed (restart), or
         // generated-and-sealed (first start).
@@ -204,17 +193,17 @@ impl SegShareEnclave {
         let root_key: [u8; 32] = match root_key_override {
             Some(key) => {
                 let sealed = sgx.seal(&key)?;
-                sgx.boundary().ocall(|| content.put(&root_name, &sealed))?;
+                content.put(&root_name, &sealed)?;
                 key
             }
-            None => match sgx.boundary().ocall(|| content.get(&root_name))? {
+            None => match content.get(&root_name)? {
                 Some(blob) => sgx.unseal(&blob)?.try_into().map_err(|_| {
                     SegShareError::Integrity("sealed root key has wrong size".into())
                 })?,
                 None => {
                     let key: [u8; 32] = SystemRng::new().array();
                     let sealed = sgx.seal(&key)?;
-                    sgx.boundary().ocall(|| content.put(&root_name, &sealed))?;
+                    content.put(&root_name, &sealed)?;
                     key
                 }
             },
@@ -223,7 +212,7 @@ impl SegShareEnclave {
         // Server key pair: "the enclave generates a temporary key pair"
         // (§IV-A), sealed so restarts keep serving the same certificate.
         let server_name = sealed_server_key_name(platform);
-        let server_key = match sgx.boundary().ocall(|| content.get(&server_name))? {
+        let server_key = match content.get(&server_name)? {
             Some(blob) => {
                 let seed: [u8; 32] = sgx.unseal(&blob)?.try_into().map_err(|_| {
                     SegShareError::Integrity("sealed server key has wrong size".into())
@@ -234,15 +223,14 @@ impl SegShareEnclave {
                 let mut rng = SystemRng::new();
                 let seed: [u8; 32] = rng.array();
                 let sealed = sgx.seal(&seed)?;
-                sgx.boundary()
-                    .ocall(|| content.put(&server_name, &sealed))?;
+                content.put(&server_name, &sealed)?;
                 SecretKey::from_seed(&seed)
             }
         };
 
         let keys = KeyHierarchy::new(root_key);
-        // The audit trail persists through the (counted) content store
-        // like the sealed keys do; sealed blobs are self-protecting,
+        // The audit trail persists through the content store like the
+        // sealed keys do; sealed blobs are self-protecting,
         // so the `!audit-*` names are not hidden.
         let audit = if config.audit {
             Some(Arc::new(AuditLog::load(
@@ -278,11 +266,6 @@ impl SegShareEnclave {
             sink: OnceLock::new(),
             scrub: Mutex::new(ScrubProgress::default()),
             request_ids: AtomicU64::new(0),
-            counted_stores: vec![
-                ("content", content_counted),
-                ("group", group_counted),
-                ("dedup", dedup_counted),
-            ],
             commit_mutex: Mutex::new(()),
         });
         // Launch's one window: adopt root records one ahead of their
@@ -433,16 +416,6 @@ impl SegShareEnclave {
         self.store.keys().fingerprint("object", name.as_bytes())
     }
 
-    /// Operation, byte and fsync totals of each untrusted store as the
-    /// enclave drove it — numbers the host sees go by anyway.
-    #[must_use]
-    pub fn store_io(&self) -> Vec<(&'static str, StoreStats, IoStats)> {
-        self.counted_stores
-            .iter()
-            .map(|(store, counted)| (*store, counted.stats(), counted.io_stats()))
-            .collect()
-    }
-
     // --------------------------------------------------------- telemetry
 
     /// Attaches the sink closed roots leave through, each in one ocall.
@@ -480,8 +453,8 @@ impl SegShareEnclave {
     }
 
     /// The global counters a request's cost vector is differenced from:
-    /// cache hits/misses, store read/write op counts, and sealed audit
-    /// bytes. One cheap atomic-load sweep, no ocalls.
+    /// cache hits/misses, the store stubs' read and write tallies, and
+    /// sealed audit bytes. One cheap atomic-load sweep, no ocalls.
     ///
     /// The differences are per-thread reads of global counters, so
     /// concurrent requests can shift a few units of cache/store/audit
@@ -494,10 +467,10 @@ impl SegShareEnclave {
             audit_bytes: self.audit.as_ref().map_or(0, |log| log.appended().1),
             ..CostVector::default()
         };
-        for (_, counted) in &self.counted_stores {
-            let s = counted.stats();
-            cost.store_reads += s.gets + s.exists + s.lists;
-            cost.store_writes += s.puts + s.deletes + s.renames;
+        for store in self.store.stores() {
+            let (reads, writes) = store.tally();
+            cost.store_reads += reads;
+            cost.store_writes += writes;
         }
         cost
     }
@@ -602,6 +575,7 @@ pub(crate) mod testutil {
     use super::access_control::AccessControl;
     use super::file_manager::FileManager;
     use super::keys::KeyHierarchy;
+    use super::ocall::StoreOcall;
     use super::trusted_store::TrustedStore;
     use crate::config::EnclaveConfig;
 
@@ -613,13 +587,15 @@ pub(crate) mod testutil {
     pub(crate) fn components(config: EnclaveConfig) -> ComponentFixture {
         let platform = Platform::new_with_seed(99);
         let sgx = Arc::new(platform.launch(&EnclaveImage::from_code(b"component-test")));
+        let [content, group, dedup] =
+            [(); 3].map(|()| StoreOcall::new(&sgx, Arc::new(MemStore::new())));
         let store = Arc::new(TrustedStore::new(
             KeyHierarchy::new([5u8; 32]),
             config,
             sgx,
-            Arc::new(MemStore::new()),
-            Arc::new(MemStore::new()),
-            Arc::new(MemStore::new()),
+            content,
+            group,
+            dedup,
         ));
         let access = AccessControl::new(Arc::clone(&store));
         let files = FileManager::new(Arc::clone(&store));

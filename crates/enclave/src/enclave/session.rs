@@ -175,12 +175,11 @@ impl EnclaveSession {
                 user,
                 certificate,
             } => {
-                // The request's clock and its profiler root start
+                // The request's profiler root, which is its clock, starts
                 // before the record is even decrypted (so tls_record
                 // time is attributed) under a placeholder op; once the
                 // request is decoded the root is renamed to the real
                 // operation.
-                let started = std::time::Instant::now();
                 let _prof = enclave.begin_root("request");
                 let plaintext = channel.open(frame)?;
                 let request = {
@@ -189,7 +188,7 @@ impl EnclaveSession {
                 };
                 seg_obs::prof::set_root_op(request.op_name());
                 let wire_len = plaintext.len() as u64;
-                let responses = self.handle_request(enclave, &user, request, wire_len, started)?;
+                let responses = self.handle_request(enclave, &user, request, wire_len)?;
                 for response in responses {
                     let encoded = {
                         let _ser = seg_obs::prof::phase(Phase::Serialize);
@@ -282,7 +281,6 @@ impl EnclaveSession {
         user: &UserId,
         request: Request,
         wire_len: u64,
-        started: std::time::Instant,
     ) -> Result<Vec<Response>, SegShareError> {
         // The request's one record. Its label is the compiled-in
         // operation name and its operands appear only as keyed
@@ -321,11 +319,10 @@ impl EnclaveSession {
                 store_writes: now.store_writes.saturating_sub(before.store_writes),
                 audit_bytes: now.audit_bytes.saturating_sub(before.audit_bytes),
             };
-            record.phases = seg_obs::prof::request_phases();
-            record.duration_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             // The record leaves with its root's phases, in the one ocall
-            // that closes the root. The audit trail took its ids and
-            // outcome from it before this.
+            // that closes the root; the host takes its duration and phase
+            // vector from those. The audit trail took its ids and outcome
+            // from it before this.
             seg_obs::prof::attach_record(&record);
         }
         match result {

@@ -252,8 +252,7 @@ impl TrustedStore {
     /// Lists every key currently in one backing store (one ocall) —
     /// the observed-key side of the orphan scan.
     pub(crate) fn list_store(&self, kind: StoreKind) -> Result<Vec<String>, SegShareError> {
-        let store = self.store_for(kind);
-        Ok(self.sgx.boundary().ocall(|| store.list())?)
+        self.store_for(kind).list()
     }
 
     /// Samples up to `max` cache-resident content bodies and re-derives

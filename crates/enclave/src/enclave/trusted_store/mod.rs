@@ -5,8 +5,9 @@
 //! Protected-FS blob (4 KiB nodes, per-node AES-GCM, per-file tag tree,
 //! small objects whole in the header node — [`seg_sgx::pfs`]) under a
 //! per-object key derived from `SK_r`. All
-//! actual store accesses go through the enclave boundary as ocalls, so
-//! the switchless-call cost model sees them (§II-A/§VI).
+//! actual store accesses go through the enclave boundary as ocalls (one
+//! store stub each), so the switchless-call cost model sees them
+//! (§II-A/§VI).
 //!
 //! # Rollback protection (§V-D)
 //!
@@ -91,7 +92,6 @@ use parking_lot::{Mutex, RwLock};
 use seg_crypto::mset::MsetHash;
 use seg_sgx::pfs::pfs_decrypt;
 use seg_sgx::Enclave;
-use seg_store_api::ObjectStore;
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
@@ -99,6 +99,7 @@ use crate::error::SegShareError;
 use super::commit::Anchor;
 use super::keys::KeyHierarchy;
 use super::names::{ObjectId, StoreKind};
+use super::ocall::StoreOcall;
 
 /// How an update changes a node's hash in its parent's bucket.
 enum TreeChange {
@@ -162,10 +163,8 @@ type MetaCache = seg_cache::ObjectCache<CacheKey, CachedValue>;
 pub struct TrustedStore {
     keys: KeyHierarchy,
     config: EnclaveConfig,
-    sgx: Arc<Enclave>,
-    content: Arc<dyn ObjectStore>,
-    group: Arc<dyn ObjectStore>,
-    dedup: Arc<dyn ObjectStore>,
+    /// The untrusted stores' stubs, in [`StoreKind`] order.
+    stores: [Arc<StoreOcall>; 3],
     /// In-enclave cache of verified plaintext (decoded metadata, hash
     /// records, small hot content bodies), charged against the EPC
     /// tracker. `None` means byte-identical behavior to a build
@@ -206,9 +205,9 @@ impl TrustedStore {
         keys: KeyHierarchy,
         config: EnclaveConfig,
         sgx: Arc<Enclave>,
-        content: Arc<dyn ObjectStore>,
-        group: Arc<dyn ObjectStore>,
-        dedup: Arc<dyn ObjectStore>,
+        content: Arc<StoreOcall>,
+        group: Arc<StoreOcall>,
+        dedup: Arc<StoreOcall>,
     ) -> TrustedStore {
         let cache = config
             .cache
@@ -217,10 +216,7 @@ impl TrustedStore {
         TrustedStore {
             keys,
             config,
-            sgx,
-            content,
-            group,
-            dedup,
+            stores: [content, group, dedup],
             cache,
             content_tree: RwLock::new(()),
             group_tree: RwLock::new(()),
@@ -325,12 +321,14 @@ impl TrustedStore {
         }
     }
 
-    fn store_for(&self, kind: StoreKind) -> &Arc<dyn ObjectStore> {
-        match kind {
-            StoreKind::Content => &self.content,
-            StoreKind::Group => &self.group,
-            StoreKind::Dedup => &self.dedup,
-        }
+    fn store_for(&self, kind: StoreKind) -> &StoreOcall {
+        &self.stores[kind as usize]
+    }
+
+    /// Every store's stub: the commit window's transactions and the
+    /// request cost vector's tallies.
+    pub(crate) fn stores(&self) -> &[Arc<StoreOcall>; 3] {
+        &self.stores
     }
 
     // ------------------------------------------------------- tree locks
@@ -383,28 +381,24 @@ impl TrustedStore {
 
     fn raw_get(&self, id: &ObjectId) -> Result<Option<Vec<u8>>, SegShareError> {
         let key = self.keys.storage_key(id, self.config.hide_names);
-        let store = self.store_for(id.store());
-        Ok(self.sgx.boundary().ocall(|| store.get(&key))?)
+        self.store_for(id.store()).get(&key)
     }
 
     fn raw_put(&self, id: &ObjectId, blob: &[u8]) -> Result<(), SegShareError> {
         let key = self.keys.storage_key(id, self.config.hide_names);
-        let store = self.store_for(id.store());
-        Ok(self.sgx.boundary().ocall(|| store.put(&key, blob))?)
+        self.store_for(id.store()).put(&key, blob)
     }
 
     fn raw_delete(&self, id: &ObjectId) -> Result<bool, SegShareError> {
         let key = self.keys.storage_key(id, self.config.hide_names);
-        let store = self.store_for(id.store());
-        Ok(self.sgx.boundary().ocall(|| store.delete(&key))?)
+        self.store_for(id.store()).delete(&key)
     }
 
     /// Whether an object exists (Table IV `exists_f` / `exists_g`
     /// support).
     pub fn exists(&self, id: &ObjectId) -> Result<bool, SegShareError> {
         let key = self.keys.storage_key(id, self.config.hide_names);
-        let store = self.store_for(id.store());
-        Ok(self.sgx.boundary().ocall(|| store.exists(&key))?)
+        self.store_for(id.store()).exists(&key)
     }
 }
 
@@ -421,7 +415,7 @@ mod tests {
     use seg_fs::{DirFile, SegPath, UserId};
     use seg_sgx::pfs::{header_id, HEADER_ID_LEN};
     use seg_sgx::{EnclaveImage, Platform};
-    use seg_store::MemStore;
+    use seg_store::{MemStore, ObjectStore};
     use std::collections::BTreeSet;
 
     struct Fixture {
@@ -440,13 +434,15 @@ mod tests {
     fn store_on(config: EnclaveConfig, content: Arc<dyn ObjectStore>) -> TrustedStore {
         let platform = Platform::new_with_seed(1);
         let sgx = Arc::new(platform.launch(&EnclaveImage::from_code(b"test-enclave")));
+        let [group, dedup] = [(); 2].map(|()| StoreOcall::new(&sgx, Arc::new(MemStore::new())));
+        let content = StoreOcall::new(&sgx, content);
         TrustedStore::new(
             KeyHierarchy::new([7u8; 32]),
             config,
             sgx,
             content,
-            Arc::new(MemStore::new()),
-            Arc::new(MemStore::new()),
+            group,
+            dedup,
         )
     }
 

@@ -57,8 +57,7 @@ impl TrustedStore {
         let key = self
             .keys
             .hash_record_storage_key(id, self.config.hide_names);
-        let store = self.store_for(id.store());
-        let Some(blob) = self.sgx.boundary().ocall(|| store.get(&key))? else {
+        let Some(blob) = self.store_for(id.store()).get(&key)? else {
             return Ok(None);
         };
         let pae_key = self.keys.hash_record_key(id);
@@ -134,8 +133,7 @@ impl TrustedStore {
             id.canonical().as_bytes(),
             &mut SystemRng::new(),
         );
-        let store = self.store_for(id.store());
-        self.sgx.boundary().ocall(|| store.put(&key, &blob))?;
+        self.store_for(id.store()).put(&key, &blob)?;
         match &self.cache {
             Some(cache) if trusted => cache.put(
                 CacheKey::Record(id.clone()),
@@ -166,8 +164,7 @@ impl TrustedStore {
         let key = self
             .keys
             .hash_record_storage_key(id, self.config.hide_names);
-        let store = self.store_for(id.store());
-        self.sgx.boundary().ocall(|| store.delete(&key))?;
+        self.store_for(id.store()).delete(&key)?;
         self.cache_invalidate_record(id);
         Ok(())
     }

@@ -40,7 +40,7 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::record::{ClosedRoot, Phase, PhaseVector, RecordSink, RequestRecord};
+use crate::record::{ClosedRoot, Phase, RecordSink, RequestRecord};
 
 /// Phase stacks deeper than this, root included, stop growing (further
 /// [`phase`] calls are inert). Sixteen is several times the static
@@ -336,30 +336,6 @@ pub fn charge(phase: Phase, ns: u64) {
     });
 }
 
-/// The current request's phase vector so far, in one pass over the
-/// thread's accumulator: every closed frame's self and charged time
-/// lands in the slot of its innermost [`Phase`], and slot 0 takes the
-/// root's own time up to now, so the self times sum to the wall-clock
-/// since the root opened. All zero without an active root.
-#[must_use]
-pub fn request_phases() -> PhaseVector {
-    TLS.with(|t| {
-        let t = t.borrow();
-        let mut out = PhaseVector::default();
-        let Some(root) = t.frames.first() else {
-            return out;
-        };
-        for e in &t.acc {
-            let leaf = path_phases(e.path).last().unwrap_or(Phase::Own);
-            let slot = &mut out[leaf as usize];
-            slot.self_ns += e.self_ns;
-            slot.sim_ns += e.sim_ns;
-        }
-        out[0].self_ns += elapsed_ns(root.start).saturating_sub(root.child_ns);
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Mutex;
@@ -438,7 +414,11 @@ mod tests {
         assert_eq!(g.depth, 0, "no root: an inert guard");
         charge(Phase::LockWait, 5);
         drop(g);
-        assert_eq!(request_phases(), PhaseVector::default());
+        // Nothing of it reaches the next root.
+        let p = Roots::default();
+        drop(OpGuard::begin(&p, "get"));
+        let paths: Vec<Path> = p.0.lock().unwrap()[0].1.iter().map(|e| e.path).collect();
+        assert_eq!(paths, [0], "the root's own path only");
     }
 
     #[test]
@@ -621,47 +601,6 @@ mod tests {
             "pre-rename phases must be re-keyed under the final op"
         );
         assert!(p.entries().iter().all(|(r, _)| !r.starts_with("request")));
-    }
-
-    #[test]
-    fn request_phases_reads_closed_phases_mid_request() {
-        let slot = |v: &PhaseVector, phase: Phase| v[phase as usize];
-        assert_eq!(
-            request_phases(),
-            PhaseVector::default(),
-            "no active root: nothing to read"
-        );
-        let p = Roots::default();
-        {
-            let opened = Instant::now();
-            let _root = OpGuard::begin(&p, "get");
-            {
-                let _a = phase(Phase::Pfs);
-                let _b = phase(Phase::CryptoGcm);
-                spin_for(300_000);
-            }
-            charge(Phase::LockWait, 1234);
-            spin_for(100_000);
-            let v = request_phases();
-            assert!(slot(&v, Phase::CryptoGcm).self_ns >= 300_000);
-            assert_eq!(
-                (
-                    slot(&v, Phase::LockWait).self_ns,
-                    slot(&v, Phase::LockWait).sim_ns
-                ),
-                (0, 1234)
-            );
-            assert!(v[0].self_ns >= 100_000, "the root's own time so far");
-            // Self times account for the wall-clock since the root opened.
-            let total: u64 = v.iter().map(|t| t.self_ns).sum();
-            let wall = opened.elapsed().as_nanos() as u64;
-            assert!(total <= wall && total >= wall * 9 / 10, "{total} vs {wall}");
-        }
-        assert_eq!(
-            request_phases(),
-            PhaseVector::default(),
-            "root closed: accumulator flushed"
-        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! through.
 //!
 //! A [`RequestRecord`] is everything telemetry knows about one request,
-//! assembled once when dispatch ends. It is the enclave's only
+//! assembled once when dispatch ends (its time is its root's, filled in
+//! by the host). It is the enclave's only
 //! per-request telemetry, and it leaves with its request's phase times
 //! when the request's profiler root closes: one [`ClosedRoot`] handed to
 //! the one [`RecordSink`] the host attached, in one ocall. Every
@@ -181,9 +182,14 @@ pub struct RequestRecord {
     pub object: u64,
     /// Keyed fingerprint of the group operand (0 = none).
     pub group: u64,
-    /// Wall-clock from frame entry to the end of dispatch.
+    /// Wall-clock of the request's profiler root, from frame entry to
+    /// the root's close. Zero as the record leaves the enclave: the host
+    /// takes it from the root's own path.
     pub duration_ns: u64,
-    /// Where the duration went.
+    /// Where the duration went: each path's self and charged time in
+    /// the slot of its innermost phase. Zero as the record leaves the
+    /// enclave: the host folds it from the root's paths, so the self
+    /// times sum to the duration exactly.
     pub phases: PhaseVector,
     /// What the request cost beside time.
     pub cost: CostVector,

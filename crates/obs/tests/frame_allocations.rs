@@ -63,12 +63,14 @@ fn allocations_of(f: impl FnOnce()) -> u64 {
 }
 
 /// A sink that only counts what it is handed, as the host's would
-/// fold it: closed roots, records, and frames of one deep path.
+/// fold it: closed roots, records, frames of one deep path, and the
+/// lock wait the record's phase vector would carry.
 #[derive(Default)]
 struct Counting {
     roots: AtomicU64,
     records: AtomicU64,
     tree_io: AtomicU64,
+    lock_wait_ns: AtomicU64,
 }
 
 impl RecordSink for Counting {
@@ -81,6 +83,9 @@ impl RecordSink for Counting {
         for e in root.paths {
             if prof::path_phases(e.path).eq(deep) {
                 self.tree_io.fetch_add(e.count, Ordering::Relaxed);
+            }
+            if prof::path_phases(e.path).last() == Some(Phase::LockWait) {
+                self.lock_wait_ns.fetch_add(e.sim_ns, Ordering::Relaxed);
             }
         }
     }
@@ -114,10 +119,7 @@ fn request(sink: &Counting) {
         prof::charge(Phase::CounterWait, 5);
     }
     prof::charge(Phase::LockWait, 7);
-    let mut record = RequestRecord::open(1, "put_file", 2, 3);
-    record.phases = prof::request_phases();
-    assert_eq!(record.phases[Phase::LockWait as usize].sim_ns, 7);
-    prof::attach_record(&record);
+    prof::attach_record(&RequestRecord::open(1, "put_file", 2, 3));
 }
 
 #[test]
@@ -134,4 +136,5 @@ fn a_warm_request_allocates_nothing() {
     let count = |n: &AtomicU64| n.load(Ordering::Relaxed);
     let handed = [&sink.roots, &sink.records, &sink.tree_io].map(count);
     assert_eq!(handed, [1_001; 3], "roots, records, tree frames");
+    assert_eq!(count(&sink.lock_wait_ns), 7 * 1_001, "lock waits");
 }

@@ -1,22 +1,14 @@
 //! The object-store interface of the SeGShare reproduction: what the
-//! enclave programs against, and the one wrapper it runs around every
-//! store.
+//! enclave programs against.
 //!
-//! * [`ObjectStore`] — the interface the untrusted file manager
-//!   implements (paper Fig. 1), with its [`WriteBatch`],
-//!   [`CommitTicket`], [`StoreError`] and [`IoStats`].
-//! * [`CountingStore`] — the op and byte counters the enclave wraps its
-//!   content, group and dedup stores with.
-//!
-//! The backends themselves (in-memory, write-ahead-logged, prefixed
-//! views, fault and adversary wrappers) live in `seg-store`, on the
-//! untrusted side; it re-exports this crate whole.
+//! [`ObjectStore`] is the interface the untrusted file manager
+//! implements (paper Fig. 1), with its [`WriteBatch`], [`CommitTicket`],
+//! [`StoreError`] and [`IoStats`]. The backends themselves (in-memory,
+//! write-ahead-logged, prefixed views, the counting, fault and adversary
+//! wrappers) live in `seg-store`, on the untrusted side; it re-exports
+//! this crate whole. This crate links no telemetry.
 
 #![warn(missing_docs)]
-
-mod counting;
-
-pub use counting::{CountingStore, StoreStats};
 
 use std::error::Error;
 use std::fmt;

@@ -1,9 +1,205 @@
-//! Tests of `seg-store-api`'s [`crate::CountingStore`] over a real
-//! backend.
+//! Instrumentation wrapper counting operations and bytes.
+
+use parking_lot::Mutex;
+
+use crate::{BatchOp, CommitTicket, IoStats, ObjectStore, StoreError, WriteBatch};
+
+/// Counters exported by [`CountingStore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreStats {
+    /// Number of `get` calls.
+    pub gets: u64,
+    /// Number of `put` calls.
+    pub puts: u64,
+    /// Number of `delete` calls.
+    pub deletes: u64,
+    /// Number of `exists` calls.
+    pub exists: u64,
+    /// Number of `rename` calls.
+    pub renames: u64,
+    /// Number of `list` calls.
+    pub lists: u64,
+    /// Total bytes returned by `get`.
+    pub bytes_read: u64,
+    /// Total bytes passed to `put`.
+    pub bytes_written: u64,
+    /// Number of write batches submitted or applied.
+    pub batches: u64,
+    /// Total operations carried inside those batches.
+    pub batch_ops: u64,
+}
+
+impl StoreStats {
+    /// Total operation count across every counted call type.
+    #[must_use]
+    pub fn total_ops(&self) -> u64 {
+        self.gets + self.puts + self.deletes + self.exists + self.renames + self.lists
+    }
+}
+
+/// Wraps any [`ObjectStore`], counting operations and transferred bytes.
+///
+/// The host wraps each store it hands an enclave with one, on its side
+/// of the ocall, and exports the counts per store (`seg_store_*`); the
+/// benchmark harness uses it for the paper's storage-overhead table.
+#[derive(Debug)]
+pub struct CountingStore<S> {
+    inner: S,
+    counts: Mutex<Counts>,
+}
+
+#[derive(Debug, Default)]
+struct Counts {
+    stats: StoreStats,
+    /// Writes since `tx_begin`, while a transaction window is open. The
+    /// caller serializes its windows (`SegShareEnclave::commit`, under
+    /// its commit mutex), so one count attributes writes to the batch
+    /// the window seals.
+    tx_pending: Option<u64>,
+}
+
+impl<S: ObjectStore> CountingStore<S> {
+    /// Wraps `inner`.
+    #[must_use]
+    pub fn new(inner: S) -> Self {
+        CountingStore {
+            inner,
+            counts: Mutex::default(),
+        }
+    }
+
+    /// Current counter values.
+    #[must_use]
+    pub fn stats(&self) -> StoreStats {
+        self.counts.lock().stats
+    }
+
+    /// Resets all counters to zero.
+    pub fn reset(&self) {
+        self.counts.lock().stats = StoreStats::default();
+    }
+
+    fn count(&self, f: impl FnOnce(&mut StoreStats)) {
+        f(&mut self.counts.lock().stats);
+    }
+
+    /// Counts a write, into the open transaction too.
+    fn count_write(&self, f: impl FnOnce(&mut StoreStats)) {
+        let mut counts = self.counts.lock();
+        f(&mut counts.stats);
+        if let Some(pending) = &mut counts.tx_pending {
+            *pending += 1;
+        }
+    }
+
+    /// Counts a get, and the bytes of what `call` found.
+    fn read<T: AsRef<[u8]>>(
+        &self,
+        call: impl FnOnce() -> Result<Option<T>, StoreError>,
+    ) -> Result<Option<T>, StoreError> {
+        self.count(|s| s.gets += 1);
+        let found = call()?;
+        let len = found.as_ref().map_or(0, |v| v.as_ref().len());
+        self.count(|s| s.bytes_read += len as u64);
+        Ok(found)
+    }
+
+    fn count_batch(&self, batch: &WriteBatch) {
+        self.count(|s| {
+            s.batches += 1;
+            s.batch_ops += batch.len() as u64;
+            for op in &batch.ops {
+                match op {
+                    BatchOp::Put { value, .. } => {
+                        s.puts += 1;
+                        s.bytes_written += value.len() as u64;
+                    }
+                    BatchOp::Delete { .. } => s.deletes += 1,
+                }
+            }
+        });
+    }
+}
+
+impl<S: ObjectStore> ObjectStore for CountingStore<S> {
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, StoreError> {
+        self.read(|| self.inner.get(key))
+    }
+
+    fn get_arc(&self, key: &str) -> Result<Option<std::sync::Arc<[u8]>>, StoreError> {
+        self.read(|| self.inner.get_arc(key))
+    }
+
+    fn put(&self, key: &str, value: &[u8]) -> Result<(), StoreError> {
+        self.count_write(|s| {
+            s.puts += 1;
+            s.bytes_written += value.len() as u64;
+        });
+        self.inner.put(key, value)
+    }
+
+    fn delete(&self, key: &str) -> Result<bool, StoreError> {
+        self.count_write(|s| s.deletes += 1);
+        self.inner.delete(key)
+    }
+
+    fn exists(&self, key: &str) -> Result<bool, StoreError> {
+        self.count(|s| s.exists += 1);
+        self.inner.exists(key)
+    }
+
+    fn rename(&self, from: &str, to: &str) -> Result<(), StoreError> {
+        self.count(|s| s.renames += 1);
+        self.inner.rename(from, to)
+    }
+
+    fn list(&self) -> Result<Vec<String>, StoreError> {
+        self.count(|s| s.lists += 1);
+        self.inner.list()
+    }
+
+    fn len(&self) -> Result<usize, StoreError> {
+        self.inner.len()
+    }
+
+    fn total_bytes(&self) -> Result<u64, StoreError> {
+        self.inner.total_bytes()
+    }
+
+    fn apply_batch(&self, batch: &WriteBatch) -> Result<(), StoreError> {
+        self.count_batch(batch);
+        self.inner.apply_batch(batch)
+    }
+
+    fn submit_batch(&self, batch: WriteBatch) -> Result<CommitTicket, StoreError> {
+        self.count_batch(&batch);
+        self.inner.submit_batch(batch)
+    }
+
+    fn tx_begin(&self) {
+        self.counts.lock().tx_pending = Some(0);
+        self.inner.tx_begin();
+    }
+
+    fn tx_seal(&self) -> Result<Option<CommitTicket>, StoreError> {
+        let pending = self.counts.lock().tx_pending.take().unwrap_or(0);
+        let sealed = self.inner.tx_seal()?;
+        self.count(|s| {
+            s.batches += u64::from(sealed.is_some());
+            s.batch_ops += pending;
+        });
+        Ok(sealed)
+    }
+
+    fn io_stats(&self) -> IoStats {
+        self.inner.io_stats()
+    }
+}
 
 #[cfg(test)]
 mod tests {
-    use crate::{CountingStore, MemStore, ObjectStore, StoreStats};
+    use super::{CountingStore, StoreStats};
+    use crate::{MemStore, ObjectStore};
 
     #[test]
     fn counts_operations_and_bytes() {

@@ -5,10 +5,13 @@
 //! touches is attacker-controlled (§III-B). This crate models that storage
 //! layer:
 //!
-//! * [`ObjectStore`] and [`CountingStore`] — the interface the untrusted
-//!   file manager programs against, and the counters the enclave wraps
-//!   each store with. Both come from `seg-store-api`, the part of
-//!   storage the enclave links; this crate re-exports it whole.
+//! * [`ObjectStore`] — the interface the untrusted file manager
+//!   implements. It comes from `seg-store-api`, the part of storage the
+//!   enclave links; this crate re-exports it whole.
+//! * [`CountingStore`] — the op and byte counters the host wraps each
+//!   store it hands an enclave with. Every store call the enclave makes
+//!   is one ocall, so the host counts it here, on its side of that
+//!   ocall, and exports the counts as `seg_store_*`.
 //! * [`MemStore`] — an in-memory store (the common test/bench substrate).
 //! * [`AdversaryStore`] — a malicious-cloud wrapper that can tamper with,
 //!   roll back, or delete objects, used by the threat-model tests to show
@@ -38,18 +41,17 @@
 #![warn(missing_docs)]
 
 mod adversary;
+mod counting;
 mod fault;
 mod mem;
 mod prefix;
 mod wal;
 
 pub use adversary::AdversaryStore;
+pub use counting::{CountingStore, StoreStats};
 pub use fault::{FaultAction, FaultPlan, FaultStore};
 pub use mem::MemStore;
 pub use prefix::PrefixStore;
 pub use wal::{WalConfig, WalStore};
 
 pub use seg_store_api::*;
-
-#[cfg(test)]
-mod counting;

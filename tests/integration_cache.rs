@@ -256,7 +256,7 @@ fn a_hot_get_costs_one_exists() {
     warm(&mut a, "/d/hot", &body);
 
     let exists = || -> u64 {
-        let io = r.server.enclave().store_io();
+        let io = r.server.telemetry().store_io();
         io.iter().map(|(_, stats, _)| stats.exists).sum()
     };
     let before = exists();

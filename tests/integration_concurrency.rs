@@ -593,9 +593,9 @@ fn one_slow_request_is_explained_by_its_one_record() {
         "store_io names the culprit: {slow:?}"
     );
     let named: u64 = slow.phases.iter().map(|p| p.self_ns).sum();
-    assert!(
-        named >= slow.duration_ns * 9 / 10 && named <= slow.duration_ns,
-        "phase self-times account for the duration: {slow:?}"
+    assert_eq!(
+        named, slow.duration_ns,
+        "phase self-times sum to the duration exactly: {slow:?}"
     );
     assert!(slow.cost.store_reads > 0 && slow.cost.req_bytes > 0);
     assert_eq!(slow.principal, enclave.fingerprint_user(&alice.user_id));

@@ -668,7 +668,10 @@ fn meter_families_export_zeroed_when_disabled() {
 }
 
 /// The profile's `(op, path)` counts and the request families one fixed
-/// flow produces: `path count requests` per entry, in path order.
+/// flow produces: `path count requests` per entry, in path order; then
+/// the store and ocall families the host counts on its side of each
+/// ocall, and each record's `op store_reads store_writes`, oldest
+/// first, as the enclave counted them.
 const FIXED_FLOW_PROFILE: &str = r#"
 add_user 1 1
 add_user;authz 1 1
@@ -790,6 +793,7 @@ set_perm;serialize 2 1
 set_perm;store_io 7 1
 set_perm;tls_record 2 1
 set_perm;tls_record;crypto_gcm 2 1
+seg_boundary_ocalls_total 209
 seg_request_errors_total{code="already_exists",op="mk_dir"} 1
 seg_request_errors_total{code="not_found",op="get"} 1
 seg_requests_total{op="add_user"} 1
@@ -798,6 +802,46 @@ seg_requests_total{op="get"} 2
 seg_requests_total{op="mk_dir"} 2
 seg_requests_total{op="put_file"} 2
 seg_requests_total{op="set_perm"} 1
+seg_store_batch_ops_total{store="content"} 0
+seg_store_batch_ops_total{store="dedup"} 0
+seg_store_batch_ops_total{store="group"} 0
+seg_store_batches_total{store="content"} 0
+seg_store_batches_total{store="dedup"} 0
+seg_store_batches_total{store="group"} 0
+seg_store_bytes_read_total{store="content"} 389664
+seg_store_bytes_read_total{store="dedup"} 0
+seg_store_bytes_read_total{store="group"} 86128
+seg_store_bytes_written_total{store="content"} 290725
+seg_store_bytes_written_total{store="dedup"} 0
+seg_store_bytes_written_total{store="group"} 41016
+seg_store_ops_total{op="delete",store="content"} 0
+seg_store_ops_total{op="delete",store="dedup"} 0
+seg_store_ops_total{op="delete",store="group"} 0
+seg_store_ops_total{op="exists",store="content"} 13
+seg_store_ops_total{op="exists",store="dedup"} 0
+seg_store_ops_total{op="exists",store="group"} 3
+seg_store_ops_total{op="get",store="content"} 74
+seg_store_ops_total{op="get",store="dedup"} 0
+seg_store_ops_total{op="get",store="group"} 39
+seg_store_ops_total{op="list",store="content"} 0
+seg_store_ops_total{op="list",store="dedup"} 0
+seg_store_ops_total{op="list",store="group"} 0
+seg_store_ops_total{op="put",store="content"} 50
+seg_store_ops_total{op="put",store="dedup"} 0
+seg_store_ops_total{op="put",store="group"} 16
+seg_store_ops_total{op="rename",store="content"} 0
+seg_store_ops_total{op="rename",store="dedup"} 0
+seg_store_ops_total{op="rename",store="group"} 0
+mk_dir 11 10
+put_file 11 0
+data 12 13
+get 14 2
+add_user 28 13
+set_perm 20 6
+put_file 12 0
+data 3 6
+get 2 2
+mk_dir 4 2
 "#;
 
 #[test]
@@ -832,10 +876,26 @@ fn a_fixed_flow_profiles_and_counts_exactly() {
         .map(|e| format!("{} {} {}", e.path.join(";"), e.count, e.requests))
         .collect();
     let snap = server.metrics_snapshot();
+    let families = [
+        "seg_requests_total",
+        "seg_request_errors_total",
+        "seg_store_ops_total",
+        "seg_store_bytes_read_total",
+        "seg_store_bytes_written_total",
+        "seg_store_batches_total",
+        "seg_store_batch_ops_total",
+        "seg_boundary_ocalls_total",
+    ];
     for (id, v) in &snap.counters {
-        if ["seg_requests_total", "seg_request_errors_total"].contains(&id.name()) {
+        if families.contains(&id.name()) {
             lines.push(format!("{} {v}", id.render()));
         }
+    }
+    // What each request's record says it cost the stores.
+    for rec in server.telemetry().watch().recent_requests(usize::MAX) {
+        let cost = rec.cost;
+        let line = format!("{} {} {}", rec.op, cost.store_reads, cost.store_writes);
+        lines.push(line);
     }
     let got = lines.join("\n");
     assert_eq!(profile.unbalanced, 0);

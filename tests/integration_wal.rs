@@ -544,7 +544,7 @@ fn window_config() -> EnclaveConfig {
 /// Per store view: (puts + deletes, operations sealed into batches).
 fn write_counts(server: &SegShareServer) -> Vec<(&'static str, u64, u64)> {
     server
-        .enclave()
+        .telemetry()
         .store_io()
         .into_iter()
         .map(|(name, s, _)| (name, s.puts + s.deletes, s.batch_ops))
@@ -602,7 +602,7 @@ fn a_get_is_one_frame_and_one_fsync() {
     let server = setup.server().unwrap();
     let mut c = connect(&setup, &server, "alice");
     c.put("/f", b"body").unwrap();
-    let io = || server.enclave().store_io()[0].2;
+    let io = || server.telemetry().store_io()[0].2;
     let before = io();
     assert_eq!(c.get("/f").unwrap(), b"body");
     let after = io();
@@ -622,7 +622,7 @@ fn a_put_is_one_frame_and_one_fsync() {
     let setup = FsoSetup::new_wal("ca", window_config(), &dir).unwrap();
     let server = setup.server().unwrap();
     let mut c = connect(&setup, &server, "alice");
-    let io = || server.enclave().store_io()[0].2;
+    let io = || server.telemetry().store_io()[0].2;
     for (what, len) in [
         ("single-chunk", 100),
         ("3-chunk", 2 * seg_proto::CHUNK_LEN + 1),
