@@ -6,13 +6,11 @@
 //! this server's real processing time and adds a [`crate::ServerProfile`]
 //! plus the WAN model.
 
-use std::sync::Arc;
-
 use seg_store::{MemStore, ObjectStore, StoreError};
 
 /// The plaintext baseline server.
 pub struct PlainFileServer {
-    store: Arc<dyn ObjectStore>,
+    store: MemStore,
 }
 
 impl std::fmt::Debug for PlainFileServer {
@@ -32,14 +30,8 @@ impl PlainFileServer {
     #[must_use]
     pub fn new() -> PlainFileServer {
         PlainFileServer {
-            store: Arc::new(MemStore::new()),
+            store: MemStore::new(),
         }
-    }
-
-    /// A plaintext server over a caller-provided store.
-    #[must_use]
-    pub fn with_store(store: Arc<dyn ObjectStore>) -> PlainFileServer {
-        PlainFileServer { store }
     }
 
     /// Stores a file (PUT).

@@ -166,6 +166,18 @@ mod tests {
     }
 
     #[test]
+    fn the_simulator_row_fits_its_budget() {
+        // `seg-sgx` stands in for the SGX SDK and Intel's Protected FS
+        // library: one writer and one reader of protected files, sealing,
+        // attestation and the boundary's cost model. 1 000 lines holds
+        // those, and not a second reader beside the first.
+        let (trusted, _) = rows(&crate::harness::repo_root());
+        let sgx = trusted.iter().find(|(name, _)| name == "seg-sgx");
+        let loc = sgx.map(|&(_, loc)| loc);
+        assert!(loc.is_some_and(|loc| loc <= 1_000), "seg-sgx row: {loc:?}");
+    }
+
+    #[test]
     fn the_store_interface_links_no_telemetry() {
         // The enclave's stores are counted on the host's side of each
         // ocall: the interface the enclave links is the trait, its batch

@@ -1,5 +1,7 @@
 //! Enclave configuration: the §V extension toggles and tuning knobs.
 
+use crate::enclave::access_control::MAX_INHERIT_DEPTH;
+
 /// Configuration compiled into the SeGShare enclave.
 ///
 /// Defaults match the paper's evaluated prototype (§VI): filename hiding
@@ -24,9 +26,6 @@ pub struct EnclaveConfig {
     /// per node (the ablation case: leaf validation then touches *all*
     /// siblings).
     pub rollback_buckets: u16,
-    /// Permission inheritance resolution walks ancestors while the
-    /// inherit flag stays set (§V-B).
-    pub max_inherit_depth: u32,
     /// Tamper-evident audit trail: one sealed, hash-chained record per
     /// operation through the untrusted store. A control request is one
     /// record; an upload is one too, its header's decision appended with
@@ -75,7 +74,6 @@ impl Default for EnclaveConfig {
             rollback_individual: true,
             rollback_whole_fs: false,
             rollback_buckets: 64,
-            max_inherit_depth: 64,
             audit: true,
             watch_deadline_us: 100_000,
             cache: false,
@@ -95,7 +93,6 @@ impl EnclaveConfig {
             rollback_individual: false,
             rollback_whole_fs: false,
             rollback_buckets: 64,
-            max_inherit_depth: 64,
             audit: false,
             watch_deadline_us: 0,
             cache: false,
@@ -115,7 +112,6 @@ impl EnclaveConfig {
             rollback_individual: true,
             rollback_whole_fs: true,
             rollback_buckets: 64,
-            max_inherit_depth: 64,
             audit: true,
             watch_deadline_us: 100_000,
             cache: false,
@@ -135,7 +131,7 @@ impl EnclaveConfig {
             self.rollback_individual,
             self.rollback_whole_fs,
             self.rollback_buckets,
-            self.max_inherit_depth,
+            MAX_INHERIT_DEPTH,
             self.audit
         )
         .into_bytes()

@@ -14,6 +14,10 @@ use crate::error::SegShareError;
 use super::names::ObjectId;
 use super::trusted_store::{GroupRootFile, TrustedStore};
 
+/// How many ancestors permission inheritance walks while the inherit
+/// flag stays set (§V-B). Part of the enclave's measurement.
+pub const MAX_INHERIT_DEPTH: u32 = 64;
+
 /// Access-control logic bound to the trusted store.
 #[derive(Clone)]
 pub struct AccessControl {
@@ -165,9 +169,7 @@ impl AccessControl {
         let mut chain = vec![acl];
         let mut cur = path.clone();
         let mut depth = 0;
-        while chain.last().expect("non-empty").inherit()
-            && depth < self.store.config().max_inherit_depth
-        {
+        while chain.last().expect("non-empty").inherit() && depth < MAX_INHERIT_DEPTH {
             let Some(parent) = cur.parent() else { break };
             let Some(parent_acl) = self.acl(&parent)? else {
                 break;
@@ -515,27 +517,29 @@ mod tests {
 
     #[test]
     fn inherit_depth_is_bounded() {
-        // A deep chain of inherit flags stops at max_inherit_depth.
-        let config = EnclaveConfig {
-            max_inherit_depth: 2,
-            ..EnclaveConfig::minimal()
-        };
-        let f = components(config);
-        let mut acl_with_grant = AclFile::with_owner(u("alice").default_group());
-        acl_with_grant.set_perm(u("bob").default_group(), Perm::Read);
-        f.access.save_acl(&p("/a/"), &acl_with_grant).unwrap();
-        for (path, _) in [("/a/b/", 0), ("/a/b/c/", 0)] {
+        // Directories one deeper than the walk, every ACL inheriting: a
+        // grant MAX_INHERIT_DEPTH levels above the file is seen, one
+        // level further up it is not.
+        let f = components(EnclaveConfig::minimal());
+        let mut dirs = vec!["/d0/".to_string()];
+        for level in 1..=MAX_INHERIT_DEPTH {
+            dirs.push(format!("{}d{level}/", dirs.last().unwrap()));
+        }
+        let file = p(&format!("{}f", dirs.last().unwrap()));
+        let inheriting = |grant: bool| {
             let mut acl = AclFile::with_owner(u("alice").default_group());
             acl.set_inherit(true);
-            f.access.save_acl(&p(path), &acl).unwrap();
+            if grant {
+                acl.set_perm(u("bob").default_group(), Perm::Read);
+            }
+            acl
+        };
+        f.access.save_acl(&file, &inheriting(false)).unwrap();
+        for (at, dir) in dirs.iter().enumerate() {
+            f.access.save_acl(&p(dir), &inheriting(at == 0)).unwrap();
         }
-        let mut leaf = AclFile::with_owner(u("alice").default_group());
-        leaf.set_inherit(true);
-        f.access.save_acl(&p("/a/b/c/f"), &leaf).unwrap();
-        // Chain: f -> c -> b -> a, but depth 2 stops before /a/.
-        assert!(!f
-            .access
-            .auth_file(&u("bob"), Access::Read, &p("/a/b/c/f"))
-            .unwrap());
+        assert!(!f.access.auth_file(&u("bob"), Access::Read, &file).unwrap());
+        f.access.save_acl(&p(&dirs[1]), &inheriting(true)).unwrap();
+        assert!(f.access.auth_file(&u("bob"), Access::Read, &file).unwrap());
     }
 }

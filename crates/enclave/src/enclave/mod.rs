@@ -59,6 +59,25 @@ fn sealed_server_key_name(platform: &Platform) -> String {
     format!("!sealed-server-key-{}", keys::hex(&platform.id()))
 }
 
+/// The 32-byte secret sealed under `name`: unsealed on a restart, or
+/// generated, sealed and stored on a first start.
+fn unseal_or_generate(
+    sgx: &Enclave,
+    store: &StoreOcall,
+    name: &str,
+    what: &str,
+) -> Result<[u8; 32], SegShareError> {
+    if let Some(blob) = store.get(name)? {
+        return sgx
+            .unseal(&blob)?
+            .try_into()
+            .map_err(|_| SegShareError::Integrity(format!("sealed {what} has wrong size")));
+    }
+    let secret: [u8; 32] = SystemRng::new().array();
+    store.put(name, &sgx.seal(&secret)?)?;
+    Ok(secret)
+}
+
 /// The SeGShare enclave.
 ///
 /// Shared (via `Arc`) between all connection-handling threads of the
@@ -190,43 +209,22 @@ impl SegShareEnclave {
         // Root key: imported (replication), unsealed (restart), or
         // generated-and-sealed (first start).
         let root_name = sealed_root_key_name(platform);
-        let root_key: [u8; 32] = match root_key_override {
+        let root_key = match root_key_override {
             Some(key) => {
-                let sealed = sgx.seal(&key)?;
-                content.put(&root_name, &sealed)?;
+                content.put(&root_name, &sgx.seal(&key)?)?;
                 key
             }
-            None => match content.get(&root_name)? {
-                Some(blob) => sgx.unseal(&blob)?.try_into().map_err(|_| {
-                    SegShareError::Integrity("sealed root key has wrong size".into())
-                })?,
-                None => {
-                    let key: [u8; 32] = SystemRng::new().array();
-                    let sealed = sgx.seal(&key)?;
-                    content.put(&root_name, &sealed)?;
-                    key
-                }
-            },
+            None => unseal_or_generate(&sgx, &content, &root_name, "root key")?,
         };
-
         // Server key pair: "the enclave generates a temporary key pair"
         // (§IV-A), sealed so restarts keep serving the same certificate.
         let server_name = sealed_server_key_name(platform);
-        let server_key = match content.get(&server_name)? {
-            Some(blob) => {
-                let seed: [u8; 32] = sgx.unseal(&blob)?.try_into().map_err(|_| {
-                    SegShareError::Integrity("sealed server key has wrong size".into())
-                })?;
-                SecretKey::from_seed(&seed)
-            }
-            None => {
-                let mut rng = SystemRng::new();
-                let seed: [u8; 32] = rng.array();
-                let sealed = sgx.seal(&seed)?;
-                content.put(&server_name, &sealed)?;
-                SecretKey::from_seed(&seed)
-            }
-        };
+        let server_key = SecretKey::from_seed(&unseal_or_generate(
+            &sgx,
+            &content,
+            &server_name,
+            "server key",
+        )?);
 
         let keys = KeyHierarchy::new(root_key);
         // The audit trail persists through the content store like the

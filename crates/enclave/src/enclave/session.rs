@@ -25,16 +25,12 @@ use super::file_manager::{DownloadContext, UploadContext};
 use super::locks::{LockIntent, LockKey, LockScope};
 use super::SegShareEnclave;
 
-// The established variant is naturally the big one (channel state plus
-// certificate); sessions are few and long-lived, so the size skew is fine.
+// The established variant is naturally the big one (channel state);
+// sessions are few and long-lived, so the size skew is fine.
 #[allow(clippy::large_enum_variant)]
 enum SessionState {
     Handshaking(Box<ServerHandshake>),
-    Established {
-        channel: TlsChannel,
-        user: UserId,
-        certificate: Certificate,
-    },
+    Established { channel: TlsChannel, user: UserId },
     Failed,
 }
 
@@ -120,15 +116,6 @@ impl EnclaveSession {
         }
     }
 
-    /// The client certificate presented on this session.
-    #[must_use]
-    pub fn client_certificate(&self) -> Option<&Certificate> {
-        match &self.state {
-            SessionState::Established { certificate, .. } => Some(certificate),
-            _ => None,
-        }
-    }
-
     /// Feeds one wire frame from the untrusted host into the enclave.
     ///
     /// # Errors
@@ -160,21 +147,13 @@ impl EnclaveSession {
                         .user_id()
                         .expect("server handshake only accepts user certificates")
                         .clone();
-                    self.state = SessionState::Established {
-                        channel,
-                        user,
-                        certificate: cert,
-                    };
+                    self.state = SessionState::Established { channel, user };
                 } else {
                     self.state = SessionState::Handshaking(hs);
                 }
                 Ok(())
             }
-            SessionState::Established {
-                mut channel,
-                user,
-                certificate,
-            } => {
+            SessionState::Established { mut channel, user } => {
                 // The request's profiler root, which is its clock, starts
                 // before the record is even decrypted (so tls_record
                 // time is attributed) under a placeholder op; once the
@@ -197,11 +176,7 @@ impl EnclaveSession {
                     let record = channel.seal(&encoded);
                     self.out.push_back(record);
                 }
-                self.state = SessionState::Established {
-                    channel,
-                    user,
-                    certificate,
-                };
+                self.state = SessionState::Established { channel, user };
                 Ok(())
             }
             SessionState::Failed => Err(SegShareError::Protocol(
@@ -1056,7 +1031,7 @@ mod tests {
         assert!(session.handle_frame(enclave, b"not a tls frame").is_err());
         // The session is poisoned afterwards.
         assert!(session.handle_frame(enclave, b"anything").is_err());
-        assert!(session.client_certificate().is_none());
+        assert!(session.user().is_none());
     }
 
     #[test]
@@ -1085,7 +1060,6 @@ mod tests {
         let step = hs.process(&f2).unwrap();
         assert!(step.done);
         assert_eq!(session.user().unwrap().as_str(), "alice");
-        assert!(session.client_certificate().is_some());
         assert!(!session.download_active());
     }
 }

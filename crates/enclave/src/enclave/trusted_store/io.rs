@@ -148,13 +148,23 @@ impl TrustedStore {
     }
 
     fn read_verified(&self, id: &ObjectId, walk: Walk) -> Result<Option<Vec<u8>>, SegShareError> {
+        let Some(blob) = self.fetch_verified(id, walk)? else {
+            return Ok(None);
+        };
+        Ok(Some(self.decrypt(id, &blob)?))
+    }
+
+    /// Fetches `id`'s stored blob and, where the rollback tree covers
+    /// `id`, checks its header against the tree: the one place a body
+    /// is fetched and verified. The caller holds the tree lock.
+    fn fetch_verified(&self, id: &ObjectId, walk: Walk) -> Result<Option<Vec<u8>>, SegShareError> {
         let Some(blob) = self.raw_get(id)? else {
             return Ok(None);
         };
         if self.tree_enabled_for(id) {
             self.verify_tree(id, &Self::head_of(id, &blob)?, walk)?;
         }
-        Ok(Some(self.decrypt(id, &blob)?))
+        Ok(Some(blob))
     }
 
     /// Opens an object for streamed (chunk-at-a-time) reading, verifying
@@ -166,12 +176,9 @@ impl TrustedStore {
     pub fn open_stream(&self, id: &ObjectId) -> Result<Option<PfsFile>, SegShareError> {
         let _tree = self.tree_shared(id);
         let gen = self.cache_gen(&CacheKey::Body(id.clone()));
-        let Some(blob) = self.raw_get(id)? else {
+        let Some(blob) = self.fetch_verified(id, Walk::Trusting)? else {
             return Ok(None);
         };
-        if self.tree_enabled_for(id) {
-            self.verify_tree(id, &Self::head_of(id, &blob)?, Walk::Trusting)?;
-        }
         let file = PfsFile::open(&self.data_key(id), blob)?;
         // Hot-object fill: remember small verified bodies so the next
         // download is served from [`TrustedStore::cached_body`] with no

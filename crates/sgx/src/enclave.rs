@@ -6,10 +6,10 @@ use seg_crypto::rng::SystemRng;
 use seg_crypto::sha256::Sha256;
 
 use crate::attestation::Quote;
-use crate::boundary::Boundary;
+use crate::boundary::{Boundary, CostModel};
 use crate::counter::CounterHandle;
 use crate::epc::EpcTracker;
-use crate::platform::Platform;
+use crate::platform::{Platform, DEFAULT_PRM_BYTES};
 use crate::SgxError;
 
 /// An enclave measurement (MRENCLAVE): SHA-256 over the initial code and
@@ -66,13 +66,11 @@ impl std::fmt::Debug for Enclave {
 
 impl Enclave {
     pub(crate) fn launch(platform: Platform, image: &EnclaveImage) -> Enclave {
-        let boundary = Boundary::new(platform.cost_model());
-        let epc = EpcTracker::new(platform.inner.prm_bytes, platform.cost_model());
         Enclave {
             platform,
             measurement: image.measurement(),
-            boundary,
-            epc,
+            boundary: Boundary::new(CostModel::default()),
+            epc: EpcTracker::new(DEFAULT_PRM_BYTES, CostModel::default()),
         }
     }
 

@@ -418,29 +418,33 @@ impl PfsWriter {
     }
 }
 
-/// A verified reader over a protected-file blob.
+/// A verified reader over a protected-file blob, generic over who holds
+/// the blob: borrowed for a one-shot read ([`pfs_decrypt`]), or owned by
+/// a caller that streams a file's chunks across turns (the enclave's
+/// download sessions), where the encrypted blob stays in (conceptually
+/// untrusted) memory while the enclave holds only the current chunk.
 ///
 /// Opening verifies the header and the meta-node path from its tag list
 /// down to the per-data-node tags; [`read_node`](Self::read_node) then
 /// serves random-access decryption of individual 4,068-byte slices.
-pub struct PfsReader<'a> {
+pub struct PfsFile<B = Vec<u8>> {
     gcm: Gcm,
-    blob: &'a [u8],
+    blob: B,
     data_len: u64,
     data_tags: Vec<[u8; TAG_LEN]>,
     /// The tail the header held (empty when there is none inline).
     inline: Vec<u8>,
 }
 
-impl std::fmt::Debug for PfsReader<'_> {
+impl<B> std::fmt::Debug for PfsFile<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PfsReader")
+        f.debug_struct("PfsFile")
             .field("data_len", &self.data_len)
             .finish()
     }
 }
 
-impl<'a> PfsReader<'a> {
+impl<B: AsRef<[u8]>> PfsFile<B> {
     /// Opens and integrity-verifies the blob's meta structure.
     ///
     /// # Errors
@@ -448,15 +452,16 @@ impl<'a> PfsReader<'a> {
     /// Returns [`SgxError::ProtectedFileCorrupted`] for any structural,
     /// cryptographic, or rollback problem, and for a blob written by
     /// another format version.
-    pub fn open(key: &[u8], blob: &'a [u8]) -> Result<PfsReader<'a>, SgxError> {
+    pub fn open(key: &[u8], blob: B) -> Result<PfsFile<B>, SgxError> {
         let _prof = seg_obs::prof::phase(Phase::Pfs);
         let gcm = Gcm::new(key)?;
-        if blob.len() < NODE_LEN || !blob.len().is_multiple_of(NODE_LEN) {
+        let bytes = blob.as_ref();
+        if bytes.len() < NODE_LEN || !bytes.len().is_multiple_of(NODE_LEN) {
             return Err(corrupted("blob is not a whole number of nodes"));
         }
         // The header authenticates itself via GCM (we do not know its tag
         // in advance, so open it directly from its stored IV and tag).
-        let header = &blob[..NODE_LEN];
+        let header = &bytes[..NODE_LEN];
         let iv: [u8; IV_LEN] = header[..IV_LEN].try_into().expect("12 bytes");
         let (sealed, tag) = header[IV_LEN..].split_at(DATA_PER_NODE);
         let mut payload = sealed.to_vec();
@@ -487,7 +492,7 @@ impl<'a> PfsReader<'a> {
         if layout.counts.len() != levels + 1 {
             return Err(corrupted("level count inconsistent with data length"));
         }
-        if layout.total_nodes() != (blob.len() / NODE_LEN) as u64 {
+        if layout.total_nodes() != (bytes.len() / NODE_LEN) as u64 {
             return Err(corrupted(
                 "blob size inconsistent with header (truncation or extension)",
             ));
@@ -517,7 +522,7 @@ impl<'a> PfsReader<'a> {
             let mut pt = Vec::with_capacity(DATA_PER_NODE);
             for idx in 0..count {
                 let node_start = ((level_offsets[level] + idx) as usize) * NODE_LEN;
-                let node = &blob[node_start..node_start + NODE_LEN];
+                let node = &bytes[node_start..node_start + NODE_LEN];
                 let children_here =
                     (child_count - idx * TAGS_PER_NODE as u64).min(TAGS_PER_NODE as u64) as usize;
                 pt.clear();
@@ -540,23 +545,13 @@ impl<'a> PfsReader<'a> {
         // Keep the inline tail in the buffer it was opened in.
         payload.truncate(list_end + layout.inline_len);
         payload.drain(..list_end);
-        Ok(PfsReader {
+        Ok(PfsFile {
             gcm,
             blob,
             data_len,
             data_tags: expected,
             inline: payload,
         })
-    }
-
-    fn nodes(&self) -> DataNodes<'_> {
-        DataNodes {
-            gcm: &self.gcm,
-            blob: self.blob,
-            data_len: self.data_len,
-            tags: &self.data_tags,
-            inline: &self.inline,
-        }
     }
 
     /// Plaintext length of the protected file.
@@ -579,146 +574,9 @@ impl<'a> PfsReader<'a> {
     /// Returns [`SgxError::ProtectedFileCorrupted`] on tamper/rollback or
     /// out-of-range index.
     pub fn read_node(&self, index: u64) -> Result<Vec<u8>, SgxError> {
-        let _prof = seg_obs::prof::phase(Phase::Pfs);
-        self.nodes().read_node(index)
-    }
-
-    /// Decrypts the whole file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SgxError::ProtectedFileCorrupted`] on any integrity
-    /// failure.
-    pub fn read_all(&self) -> Result<Vec<u8>, SgxError> {
-        let _prof = seg_obs::prof::phase(Phase::Pfs);
-        self.nodes().read_all()
-    }
-}
-
-/// The verified slices of an opened file, borrowed from whichever
-/// reader owns them.
-struct DataNodes<'a> {
-    gcm: &'a Gcm,
-    blob: &'a [u8],
-    data_len: u64,
-    tags: &'a [[u8; TAG_LEN]],
-    inline: &'a [u8],
-}
-
-impl DataNodes<'_> {
-    /// Appends the verified plaintext of slice `index` to `out`.
-    fn read_into(&self, index: u64, out: &mut Vec<u8>) -> Result<(), SgxError> {
-        let n = slice_count(self.data_len);
-        if index >= n {
-            return Err(corrupted(format!(
-                "node index {index} out of range ({n} nodes)"
-            )));
-        }
-        let Some(tag) = self.tags.get(index as usize) else {
-            // Past the stored data nodes: the tail, opened with the header.
-            out.extend_from_slice(self.inline);
-            return Ok(());
-        };
-        let len = (self.data_len - index * DATA_PER_NODE as u64).min(DATA_PER_NODE as u64);
-        let start = ((1 + index) as usize) * NODE_LEN;
-        let node = &self.blob[start..start + NODE_LEN];
-        open_node(self.gcm, node, 0, index, len as usize, tag, out)
-    }
-
-    fn read_node(&self, index: u64) -> Result<Vec<u8>, SgxError> {
         let mut node = Vec::new();
         self.read_into(index, &mut node)?;
         Ok(node)
-    }
-
-    /// Decrypts every slice into one buffer, each where it belongs.
-    fn read_all(&self) -> Result<Vec<u8>, SgxError> {
-        let mut out = Vec::with_capacity(self.data_len as usize);
-        for index in 0..slice_count(self.data_len) {
-            self.read_into(index, &mut out)?;
-        }
-        Ok(out)
-    }
-}
-
-/// An owning variant of [`PfsReader`], for callers that stream a file's
-/// chunks across multiple turns (the enclave's download sessions): the
-/// encrypted blob stays in (conceptually untrusted) memory inside this
-/// struct while the enclave holds only the current decrypted chunk.
-pub struct PfsFile {
-    gcm: Gcm,
-    blob: Vec<u8>,
-    data_len: u64,
-    data_tags: Vec<[u8; TAG_LEN]>,
-    inline: Vec<u8>,
-}
-
-impl std::fmt::Debug for PfsFile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PfsFile")
-            .field("data_len", &self.data_len)
-            .finish()
-    }
-}
-
-impl PfsFile {
-    /// Opens and integrity-verifies `blob`, taking ownership.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SgxError::ProtectedFileCorrupted`] for any structural,
-    /// cryptographic, or rollback problem, and for a blob written by
-    /// another format version.
-    pub fn open(key: &[u8], blob: Vec<u8>) -> Result<PfsFile, SgxError> {
-        let _prof = seg_obs::prof::phase(Phase::Pfs);
-        let PfsReader {
-            gcm,
-            data_len,
-            data_tags,
-            inline,
-            ..
-        } = PfsReader::open(key, &blob)?;
-        Ok(PfsFile {
-            gcm,
-            blob,
-            data_len,
-            data_tags,
-            inline,
-        })
-    }
-
-    fn nodes(&self) -> DataNodes<'_> {
-        DataNodes {
-            gcm: &self.gcm,
-            blob: &self.blob,
-            data_len: self.data_len,
-            tags: &self.data_tags,
-            inline: &self.inline,
-        }
-    }
-
-    /// Plaintext length.
-    #[must_use]
-    pub fn data_len(&self) -> u64 {
-        self.data_len
-    }
-
-    /// Number of [`DATA_PER_NODE`]-byte slices of the plaintext.
-    #[must_use]
-    pub fn node_count(&self) -> u64 {
-        slice_count(self.data_len)
-    }
-
-    /// Decrypts and verifies slice `index` of the plaintext: a data
-    /// node, or the tail the already-verified header held.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SgxError::ProtectedFileCorrupted`] on tamper/rollback or
-    /// out-of-range index.
-    pub fn read_node(&self, index: u64) -> Result<Vec<u8>, SgxError> {
-        let _prof = seg_obs::prof::phase(Phase::Pfs);
-        self.nodes().read_node(index)
     }
 
     /// [`read_node`](Self::read_node) appending to `out`, decrypted
@@ -730,10 +588,24 @@ impl PfsFile {
     /// out-of-range index.
     pub fn read_into(&self, index: u64, out: &mut Vec<u8>) -> Result<(), SgxError> {
         let _prof = seg_obs::prof::phase(Phase::Pfs);
-        self.nodes().read_into(index, out)
+        let n = self.node_count();
+        if index >= n {
+            return Err(corrupted(format!(
+                "node index {index} out of range ({n} nodes)"
+            )));
+        }
+        let Some(tag) = self.data_tags.get(index as usize) else {
+            // Past the stored data nodes: the tail, opened with the header.
+            out.extend_from_slice(&self.inline);
+            return Ok(());
+        };
+        let len = (self.data_len - index * DATA_PER_NODE as u64).min(DATA_PER_NODE as u64);
+        let start = ((1 + index) as usize) * NODE_LEN;
+        let node = &self.blob.as_ref()[start..start + NODE_LEN];
+        open_node(&self.gcm, node, 0, index, len as usize, tag, out)
     }
 
-    /// Decrypts the whole file.
+    /// Decrypts the whole file, each slice where it belongs.
     ///
     /// # Errors
     ///
@@ -741,7 +613,11 @@ impl PfsFile {
     /// failure.
     pub fn read_all(&self) -> Result<Vec<u8>, SgxError> {
         let _prof = seg_obs::prof::phase(Phase::Pfs);
-        self.nodes().read_all()
+        let mut out = Vec::with_capacity(self.data_len as usize);
+        for index in 0..self.node_count() {
+            self.read_into(index, &mut out)?;
+        }
+        Ok(out)
     }
 }
 
@@ -771,7 +647,7 @@ pub fn pfs_encrypt<R: SecureRandom>(
 /// Returns [`SgxError::ProtectedFileCorrupted`] on any integrity failure.
 pub fn pfs_decrypt(key: &[u8], blob: &[u8]) -> Result<Vec<u8>, SgxError> {
     let _prof = seg_obs::prof::phase(Phase::Pfs);
-    PfsReader::open(key, blob)?.read_all()
+    PfsFile::open(key, blob)?.read_all()
 }
 
 #[cfg(test)]
@@ -949,7 +825,7 @@ mod tests {
         let blob = pfs_encrypt(&KEY, &pt, &mut rng()).unwrap();
         // Header (five tags and the 123-byte tail) and five data nodes.
         assert_eq!(blob.len(), 6 * NODE_LEN);
-        let r = PfsReader::open(&KEY, &blob).unwrap();
+        let r = PfsFile::open(&KEY, &blob[..]).unwrap();
         assert_eq!(r.node_count(), 6);
         // Middle node.
         assert_eq!(
@@ -1082,7 +958,7 @@ mod tests {
 
     #[test]
     fn authentic_headers_with_inconsistent_fields_are_rejected() {
-        let open = |blob: &[u8]| PfsReader::open(&KEY, blob).map(|r| r.read_all());
+        let open = |blob: &[u8]| PfsFile::open(&KEY, blob).map(|r| r.read_all());
         // The helper seals what the writer seals.
         let inline = blob_with_header(0, 3, b"abc", 1);
         assert_eq!(open(&inline).unwrap().unwrap(), b"abc");

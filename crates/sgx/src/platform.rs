@@ -8,7 +8,6 @@ use parking_lot::Mutex;
 use seg_crypto::ed25519;
 use seg_crypto::rng::{DeterministicRng, SecureRandom, SystemRng};
 
-use crate::boundary::CostModel;
 use crate::counter::CounterState;
 use crate::enclave::{Enclave, EnclaveImage, Measurement};
 
@@ -23,8 +22,6 @@ pub(crate) struct PlatformInner {
     pub(crate) attestation_key: ed25519::SecretKey,
     /// Monotonic counters, keyed by (owning measurement, counter id).
     pub(crate) counters: Mutex<HashMap<(Measurement, u64), CounterState>>,
-    pub(crate) prm_bytes: u64,
-    pub(crate) cost_model: CostModel,
 }
 
 /// A simulated SGX-capable machine: the source of sealing keys,
@@ -51,30 +48,22 @@ impl Platform {
     /// Creates a platform with OS-random hardware secrets.
     #[must_use]
     pub fn new() -> Platform {
-        Platform::from_rng(&mut SystemRng::new(), CostModel::default())
+        Platform::from_rng(&mut SystemRng::new())
     }
 
     /// Creates a reproducible platform (tests and benchmarks).
     #[must_use]
     pub fn new_with_seed(seed: u64) -> Platform {
-        Platform::from_rng(&mut DeterministicRng::seeded(seed), CostModel::default())
+        Platform::from_rng(&mut DeterministicRng::seeded(seed))
     }
 
-    /// Creates a platform with an explicit boundary cost model.
-    #[must_use]
-    pub fn with_cost_model(seed: u64, cost_model: CostModel) -> Platform {
-        Platform::from_rng(&mut DeterministicRng::seeded(seed), cost_model)
-    }
-
-    fn from_rng<R: SecureRandom>(rng: &mut R, cost_model: CostModel) -> Platform {
+    fn from_rng<R: SecureRandom>(rng: &mut R) -> Platform {
         Platform {
             inner: Arc::new(PlatformInner {
                 id: rng.array(),
                 master_seal_key: rng.array(),
                 attestation_key: ed25519::SecretKey::generate(rng),
                 counters: Mutex::new(HashMap::new()),
-                prm_bytes: DEFAULT_PRM_BYTES,
-                cost_model,
             }),
         }
     }
@@ -100,12 +89,6 @@ impl Platform {
     #[must_use]
     pub fn id(&self) -> [u8; 16] {
         self.inner.id
-    }
-
-    /// The boundary cost model enclaves on this platform are charged.
-    #[must_use]
-    pub fn cost_model(&self) -> CostModel {
-        self.inner.cost_model
     }
 }
 

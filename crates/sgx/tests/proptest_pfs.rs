@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use seg_crypto::rng::DeterministicRng;
-use seg_sgx::pfs::{self, PfsFile, PfsReader, PfsWriter, DATA_PER_NODE, NODE_LEN};
+use seg_sgx::pfs::{self, PfsFile, PfsWriter, DATA_PER_NODE, NODE_LEN};
 use seg_sgx::{EnclaveImage, Platform};
 
 proptest! {
@@ -108,7 +108,8 @@ proptest! {
         let mut noise = vec![0u8; nodes * NODE_LEN + ragged];
         DeterministicRng::seeded(seed).fill(&mut noise);
         for blob in [&noise[..nodes * NODE_LEN], &noise[..]] {
-            prop_assert!(PfsReader::open(&key, blob).is_err());
+            // One reader, borrowing the bytes or owning them.
+            prop_assert!(PfsFile::open(&key, blob).is_err());
             prop_assert!(PfsFile::open(&key, blob.to_vec()).is_err());
             prop_assert!(pfs::pfs_decrypt(&key, blob).is_err());
             prop_assert_eq!(pfs::header_id(blob).is_ok(), blob.len() >= NODE_LEN);

@@ -87,18 +87,6 @@ impl TlsChannel {
         self.recv_seq += 1;
         Ok(plaintext)
     }
-
-    /// Records sent so far.
-    #[must_use]
-    pub fn sent_records(&self) -> u64 {
-        self.send_seq
-    }
-
-    /// Records received so far.
-    #[must_use]
-    pub fn received_records(&self) -> u64 {
-        self.recv_seq
-    }
 }
 
 #[cfg(test)]
