@@ -5,11 +5,15 @@
 //! certificate and key, independent of how much is shared with whom
 //! (P1).
 
+use crate::stream::record_buffer;
 pub use crate::stream::SecureStream;
 use seg_crypto::rng::SystemRng;
 use seg_fs::Perm;
 use seg_net::FrameTransport;
-use seg_proto::{ErrorCode, ListingEntry, Request, Response, CHUNK_LEN};
+use seg_proto::{
+    data_payload, put_data_header, ErrorCode, ListingEntry, Request, Response, CHUNK_LEN,
+    DATA_HEADER_LEN,
+};
 
 use crate::error::SegShareError;
 use crate::server::EnrolledUser;
@@ -52,6 +56,35 @@ impl<T: FrameTransport> Client<T> {
         Ok(Response::decode(&self.stream.recv()?)?)
     }
 
+    /// Sends one upload chunk: its Data header and then the chunk
+    /// itself are written into the record's buffer, sealed there.
+    fn send_data(&mut self, chunk: &[u8]) -> Result<(), SegShareError> {
+        let mut record = record_buffer(DATA_HEADER_LEN + chunk.len());
+        put_data_header(&mut record, chunk.len());
+        record.extend_from_slice(chunk);
+        self.stream.send_owned(record)
+    }
+
+    /// Receives one download chunk and hands its payload, a slice of
+    /// the opened record, to `sink`; returns the payload's length. Any
+    /// other response ends the download with an error.
+    fn recv_data(
+        &mut self,
+        sink: impl FnOnce(&[u8]) -> Result<(), SegShareError>,
+    ) -> Result<u64, SegShareError> {
+        let message = self.stream.recv()?;
+        if let Some(payload) = data_payload(&message) {
+            sink(payload)?;
+            return Ok(payload.len() as u64);
+        }
+        match Response::decode(&message)? {
+            Response::Error { code, message } => Err(SegShareError::Request { code, message }),
+            other => Err(SegShareError::Protocol(format!(
+                "unexpected response {other:?}"
+            ))),
+        }
+    }
+
     fn expect_ok(&mut self) -> Result<(), SegShareError> {
         match self.recv()? {
             Response::Ok => Ok(()),
@@ -86,9 +119,7 @@ impl<T: FrameTransport> Client<T> {
             size: content.len() as u64,
         })?;
         for chunk in content.chunks(CHUNK_LEN) {
-            self.send(&Request::Data {
-                bytes: chunk.to_vec(),
-            })?;
+            self.send_data(chunk)?;
         }
         self.expect_ok()
     }
@@ -112,13 +143,16 @@ impl<T: FrameTransport> Client<T> {
             size,
         })?;
         let mut remaining = size;
-        let mut buf = vec![0u8; CHUNK_LEN];
         while remaining > 0 {
             let want = remaining.min(CHUNK_LEN as u64) as usize;
-            let mut filled = 0;
-            while filled < want {
+            // The reader fills the record's buffer after the header.
+            let mut record = record_buffer(DATA_HEADER_LEN + want);
+            put_data_header(&mut record, want);
+            record.resize(DATA_HEADER_LEN + want, 0);
+            let mut filled = DATA_HEADER_LEN;
+            while filled < record.len() {
                 let n = reader
-                    .read(&mut buf[filled..want])
+                    .read(&mut record[filled..])
                     .map_err(|e| SegShareError::Protocol(format!("reader failed: {e}")))?;
                 if n == 0 {
                     return Err(SegShareError::Protocol(
@@ -127,9 +161,7 @@ impl<T: FrameTransport> Client<T> {
                 }
                 filled += n;
             }
-            self.send(&Request::Data {
-                bytes: buf[..want].to_vec(),
-            })?;
+            self.stream.send_owned(record)?;
             remaining -= want as u64;
         }
         self.expect_ok()
@@ -161,22 +193,11 @@ impl<T: FrameTransport> Client<T> {
         };
         let mut received = 0u64;
         while received < size {
-            match self.recv()? {
-                Response::Data { bytes } => {
-                    received += bytes.len() as u64;
-                    writer
-                        .write_all(&bytes)
-                        .map_err(|e| SegShareError::Protocol(format!("writer failed: {e}")))?;
-                }
-                Response::Error { code, message } => {
-                    return Err(SegShareError::Request { code, message })
-                }
-                other => {
-                    return Err(SegShareError::Protocol(format!(
-                        "unexpected response {other:?}"
-                    )))
-                }
-            }
+            received += self.recv_data(|payload| {
+                writer
+                    .write_all(payload)
+                    .map_err(|e| SegShareError::Protocol(format!("writer failed: {e}")))
+            })?;
         }
         Ok(size)
     }
@@ -210,17 +231,10 @@ impl<T: FrameTransport> Client<T> {
         };
         let mut out = Vec::with_capacity(size as usize);
         while (out.len() as u64) < size {
-            match self.recv()? {
-                Response::Data { bytes } => out.extend_from_slice(&bytes),
-                Response::Error { code, message } => {
-                    return Err(SegShareError::Request { code, message })
-                }
-                other => {
-                    return Err(SegShareError::Protocol(format!(
-                        "unexpected response {other:?}"
-                    )))
-                }
-            }
+            self.recv_data(|payload| {
+                out.extend_from_slice(payload);
+                Ok(())
+            })?;
         }
         Ok(out)
     }

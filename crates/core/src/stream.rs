@@ -8,7 +8,7 @@ use seg_crypto::ed25519::{PublicKey, SecretKey};
 use seg_crypto::rng::SecureRandom;
 use seg_net::FrameTransport;
 use seg_pki::Certificate;
-use seg_tls::{ClientHandshake, TlsChannel};
+use seg_tls::{ClientHandshake, TlsChannel, RECORD_OVERHEAD};
 
 use crate::error::SegShareError;
 
@@ -74,12 +74,25 @@ impl<T: FrameTransport> SecureStream<T> {
     ///
     /// Returns [`SegShareError::Net`] on transport failure.
     pub fn send(&mut self, plaintext: &[u8]) -> Result<(), SegShareError> {
-        let record = self.channel.seal(plaintext);
+        let mut buf = record_buffer(plaintext.len());
+        buf.extend_from_slice(plaintext);
+        self.send_owned(buf)
+    }
+
+    /// Encrypts one message in its own buffer and sends it. A buffer
+    /// with [`RECORD_OVERHEAD`] spare bytes takes the tag without
+    /// reallocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SegShareError::Net`] on transport failure.
+    pub fn send_owned(&mut self, plaintext: Vec<u8>) -> Result<(), SegShareError> {
+        let record = self.channel.seal_owned(plaintext);
         self.transport.send_frame(&record)?;
         Ok(())
     }
 
-    /// Receives and decrypts one message.
+    /// Receives one message, decrypted in the frame's own buffer.
     ///
     /// # Errors
     ///
@@ -87,8 +100,16 @@ impl<T: FrameTransport> SecureStream<T> {
     /// [`SegShareError::Tls`] for a record that fails authentication.
     pub fn recv(&mut self) -> Result<Vec<u8>, SegShareError> {
         let record = self.transport.recv_frame()?;
-        Ok(self.channel.open(&record)?)
+        Ok(self.channel.open_owned(record)?)
     }
+}
+
+/// An empty buffer for a message of `len` bytes, with room for the
+/// record's tag, so that [`SecureStream::send_owned`] seals it where it
+/// is.
+#[must_use]
+pub(crate) fn record_buffer(len: usize) -> Vec<u8> {
+    Vec::with_capacity(len + RECORD_OVERHEAD)
 }
 
 #[cfg(test)]

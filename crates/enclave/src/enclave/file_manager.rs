@@ -8,14 +8,15 @@ use seg_crypto::hmac::Hmac;
 use seg_crypto::rng::{SecureRandom, SystemRng};
 use seg_crypto::sha256::Sha256;
 use seg_fs::{AclFile, ChildKind, DirFile, GroupId, SegPath};
-use seg_proto::{ErrorCode, ListingEntry, CHUNK_LEN};
+use seg_proto::{put_data_header, ErrorCode, ListingEntry, CHUNK_LEN, DATA_HEADER_LEN};
 use seg_sgx::pfs::{PfsFile, PfsWriter, DATA_PER_NODE};
+use seg_tls::RECORD_OVERHEAD;
 
 use crate::error::SegShareError;
 
 use super::keys::hex;
 use super::names::ObjectId;
-use super::trusted_store::TrustedStore;
+use super::trusted_store::{StreamBody, TrustedStore};
 
 /// Content-file body trailer: the bytes before it are the content. The
 /// marker is the *last* body byte, so stored byte *i* is client byte *i*
@@ -173,7 +174,10 @@ impl FileManager {
                 None,
             )
         };
-        let writer = PfsWriter::new(&key, &mut SystemRng::new())?;
+        let mut writer = PfsWriter::new(&key, &mut SystemRng::new())?;
+        // An inline body ends in its marker byte. The announced size
+        // only caps the blob buffer's growth; bytes reserve it.
+        writer.bound_len(size.saturating_add(u64::from(!dedup)));
         Ok(UploadContext {
             path: path.clone(),
             writer: Some(writer),
@@ -248,6 +252,7 @@ impl FileManager {
                         &self.store.keys().dedup_blob_key(&hname),
                         &mut SystemRng::new(),
                     )?;
+                    final_writer.bound_len(staged.data_len());
                     for i in 0..staged.node_count() {
                         final_writer.write(&staged.read_node(i)?);
                     }
@@ -275,40 +280,34 @@ impl FileManager {
 
     // ---------------------------------------------------------- download
 
-    /// Hot-object fast path: the whole content of `path` if its verified
-    /// body is in the enclave cache. `None` (miss, dedup indirection, or
-    /// cache disabled) falls back to the streaming download, whose
-    /// `open_stream` fill makes the *next* download of a small file hit
-    /// here.
-    pub fn cached_small_file(&self, path: &SegPath) -> Option<Vec<u8>> {
-        let body = self.store.cached_body(&ObjectId::FileData(path.clone()))?;
-        match split_marker(&body)? {
-            (content, MARKER_INLINE) => Some(content.to_vec()),
-            _ => None,
-        }
-    }
-
-    /// Opens a streaming download of the content file at `path`.
+    /// Opens a download of the content file at `path`.
     pub fn open_download(&self, path: &SegPath) -> Result<DownloadContext, SegShareError> {
-        let file = self
-            .store
-            .open_stream(&ObjectId::FileData(path.clone()))?
+        let body = self
+            .open_body(&ObjectId::FileData(path.clone()))?
             .ok_or_else(|| bad(ErrorCode::NotFound, format!("no file at {path}")))?;
         // The last body byte is the inline/dedup marker; its slice is
         // the header's tail unless that was too long to sit there.
-        let Some(last) = file.node_count().checked_sub(1) else {
-            return Err(SegShareError::Integrity(format!(
-                "{path}: empty content record"
-            )));
+        let marker = match &body {
+            StreamBody::Plain(body) => body.last().copied(),
+            StreamBody::Blob(file) => match file.node_count().checked_sub(1) {
+                Some(last) => file.read_node(last)?.last().copied(),
+                None => None,
+            },
         };
-        match file.read_node(last)?.last() {
-            Some(&MARKER_INLINE) => Ok(DownloadContext::over(file, 1)),
-            Some(&MARKER_DEDUP) => {
-                let body = file.read_all()?;
+        match marker {
+            Some(MARKER_INLINE) => Ok(DownloadContext::over(body, 1)),
+            Some(MARKER_DEDUP) => {
+                let whole;
+                let body = match &body {
+                    StreamBody::Plain(body) => &body[..],
+                    StreamBody::Blob(file) => {
+                        whole = file.read_all()?;
+                        &whole[..]
+                    }
+                };
                 let hname = Self::indirection_name(path, &body[..body.len() - 1])?;
                 let blob = self
-                    .store
-                    .open_stream(&ObjectId::DedupBlob(hname.clone()))?
+                    .open_body(&ObjectId::DedupBlob(hname.clone()))?
                     .ok_or_else(|| {
                         SegShareError::Integrity(format!(
                             "{path}: dangling dedup indirection {hname}"
@@ -316,9 +315,24 @@ impl FileManager {
                     })?;
                 Ok(DownloadContext::over(blob, 0))
             }
-            other => Err(SegShareError::Integrity(format!(
-                "{path}: unknown content marker {other:?}"
+            None => Err(SegShareError::Integrity(format!(
+                "{path}: empty content record"
             ))),
+            Some(other) => Err(SegShareError::Integrity(format!(
+                "{path}: unknown content marker {other}"
+            ))),
+        }
+    }
+
+    /// Hot-object fast path: a body the enclave cache holds is served
+    /// from its verified plaintext with no store access. (Authorization
+    /// ran against live metadata before this, so a warm cache never
+    /// outlives a revocation.) A miss opens the stored body, whose
+    /// `open_stream` fill makes the next download of a small file hit.
+    fn open_body(&self, id: &ObjectId) -> Result<Option<StreamBody>, SegShareError> {
+        match self.store.cached_body(id) {
+            Some(body) => Ok(Some(StreamBody::Plain(body))),
+            None => self.store.open_stream(id),
         }
     }
 
@@ -331,10 +345,9 @@ impl FileManager {
     /// request path streams instead).
     pub fn read_file(&self, path: &SegPath) -> Result<Vec<u8>, SegShareError> {
         let mut download = self.open_download(path)?;
-        let mut out = Vec::with_capacity(download.total_len() as usize);
-        while let Some(chunk) = download.next_chunk()? {
-            out.extend_from_slice(&chunk);
-        }
+        let len = download.total_len() as usize;
+        let mut out = Vec::with_capacity(len + DATA_PER_NODE);
+        download.fill(&mut out, len)?;
         Ok(out)
     }
 
@@ -508,14 +521,14 @@ impl UploadContext {
     }
 }
 
-/// State of one in-flight streaming download.
+/// State of one in-flight download.
 pub struct DownloadContext {
-    file: PfsFile,
-    /// Plaintext bytes to emit: the file's, less a trailer marker.
+    body: StreamBody,
+    /// Plaintext bytes to emit: the body's, less a trailer marker.
     total: u64,
     /// Plaintext bytes already emitted.
     emitted: u64,
-    /// The next slice of `file` to decrypt.
+    /// The next slice of a blob to decrypt.
     next_node: u64,
     /// What the last chunk left of the slice that straddled its end.
     carry: Vec<u8>,
@@ -531,11 +544,15 @@ impl std::fmt::Debug for DownloadContext {
 }
 
 impl DownloadContext {
-    /// A download of all of `file` but its last `trailer` bytes.
-    fn over(file: PfsFile, trailer: u64) -> DownloadContext {
+    /// A download of all of `body` but its last `trailer` bytes.
+    fn over(body: StreamBody, trailer: u64) -> DownloadContext {
+        let len = match &body {
+            StreamBody::Plain(body) => body.len() as u64,
+            StreamBody::Blob(file) => file.data_len(),
+        };
         DownloadContext {
-            total: file.data_len() - trailer,
-            file,
+            body,
+            total: len - trailer,
             emitted: 0,
             next_node: 0,
             carry: Vec::new(),
@@ -548,25 +565,54 @@ impl DownloadContext {
         self.total
     }
 
-    /// Produces the next chunk (up to [`CHUNK_LEN`] bytes), or `None`
-    /// when the download is complete. Whole slices decrypt straight
-    /// into the chunk; only the one that straddles the chunk's end is
-    /// split, its remainder carried to the next call.
-    pub fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, SegShareError> {
-        if self.emitted >= self.total {
+    /// Whether the whole plaintext is already in the enclave, so no
+    /// chunk needs a decrypt or the store.
+    #[must_use]
+    pub fn is_plain(&self) -> bool {
+        matches!(self.body, StreamBody::Plain(_))
+    }
+
+    /// The next chunk (up to [`CHUNK_LEN`] bytes) as a Data message,
+    /// or `None` when the download is complete. The chunk is decrypted
+    /// (or copied) once, after the header, into a buffer with room for
+    /// the record's tag, so the message is sealed where it is.
+    pub fn next_message(&mut self) -> Result<Option<Vec<u8>>, SegShareError> {
+        let want = (self.total - self.emitted).min(CHUNK_LEN as u64) as usize;
+        if want == 0 {
             return Ok(None);
         }
-        let want = ((self.total - self.emitted).min(CHUNK_LEN as u64)) as usize;
-        let mut out = Vec::with_capacity(want + DATA_PER_NODE);
-        out.append(&mut self.carry);
-        while out.len() < want {
-            self.file.read_into(self.next_node, &mut out)?;
-            self.next_node += 1;
+        // Room for the slice that overruns the chunk as it decrypts,
+        // then for the tag.
+        let mut message =
+            Vec::with_capacity(DATA_HEADER_LEN + want + DATA_PER_NODE + RECORD_OVERHEAD);
+        put_data_header(&mut message, want);
+        self.fill(&mut message, want)?;
+        Ok(Some(message))
+    }
+
+    /// Appends the next `want` plaintext bytes to `out`. Whole slices
+    /// decrypt where they land; only the one that straddles the end is
+    /// split, its remainder carried to the next call.
+    fn fill(&mut self, out: &mut Vec<u8>, want: usize) -> Result<(), SegShareError> {
+        let end = out.len() + want;
+        match &self.body {
+            StreamBody::Plain(body) => {
+                let at = self.emitted as usize;
+                out.extend_from_slice(&body[at..at + want]);
+            }
+            StreamBody::Blob(file) => {
+                out.append(&mut self.carry);
+                while out.len() < end {
+                    file.read_into(self.next_node, out)?;
+                    self.next_node += 1;
+                }
+                // Past `end`: the next chunk's first bytes, or the trailer.
+                self.carry.extend_from_slice(&out[end..]);
+                out.truncate(end);
+            }
         }
-        // Past `want`: the next chunk's first bytes, or the trailer.
-        self.carry = out.split_off(want);
         self.emitted += want as u64;
-        Ok(Some(out))
+        Ok(())
     }
 }
 
@@ -664,10 +710,14 @@ mod tests {
             let mut dl = f.files.open_download(&p(&path)).unwrap();
             assert_eq!(dl.total_len(), *size as u64);
             let mut left = *size;
-            while let Some(chunk) = dl.next_chunk().unwrap() {
+            let mut got = Vec::new();
+            while let Some(message) = dl.next_message().unwrap() {
+                let chunk = seg_proto::data_payload(&message).expect("a Data message");
                 assert_eq!(chunk.len(), left.min(CHUNK_LEN), "size {size}");
                 left -= chunk.len();
+                got.extend_from_slice(chunk);
             }
+            assert_eq!(got, content, "size {size}");
             assert_eq!(left, 0, "size {size}");
         }
     }

@@ -16,7 +16,7 @@ use seg_crypto::rng::SystemRng;
 use seg_fs::{Access, AclFile, ChildKind, GroupId, Perm, SegPath, UserId};
 use seg_obs::{CostVector, Decision, Phase, RequestRecord};
 use seg_pki::Certificate;
-use seg_proto::{ErrorCode, Request, Response, CHUNK_LEN};
+use seg_proto::{data_payload, ErrorCode, Request, Response};
 use seg_tls::{ServerHandshake, TlsChannel};
 
 use crate::error::SegShareError;
@@ -61,6 +61,50 @@ impl std::fmt::Debug for EnclaveSession {
             .field("state", &state)
             .finish()
     }
+}
+
+/// A decoded request. A Data chunk is its payload, borrowed from the
+/// opened record; every other request is decoded in full.
+enum Incoming<'a> {
+    Data(&'a [u8]),
+    Control(Request),
+}
+
+impl Incoming<'_> {
+    fn op_name(&self) -> &'static str {
+        match self {
+            // `Request::Data`'s label.
+            Incoming::Data(_) => "data",
+            Incoming::Control(request) => request.op_name(),
+        }
+    }
+}
+
+/// Seals the download's next chunk as one record: the Data message is
+/// built in the record's buffer and sealed there. `None` once the
+/// download is complete, which ends it. A stored node that fails
+/// verification after `FileStart` went out ends the stream with the
+/// error (the client's data loop takes one) and the session lives on,
+/// rather than the connection dropping without a reason.
+fn seal_chunk(
+    download: &mut Option<DownloadContext>,
+    channel: &mut TlsChannel,
+    enclave: &SegShareEnclave,
+) -> Option<Vec<u8>> {
+    let message = match download.as_mut()?.next_message() {
+        Ok(Some(message)) => message,
+        Ok(None) => {
+            *download = None;
+            return None;
+        }
+        Err(err) => {
+            *download = None;
+            error_response(err).encode()
+        }
+    };
+    // Register the chunk as enclave memory while it exists.
+    let _epc = enclave.sgx().epc().alloc(message.len() as u64);
+    Some(channel.seal_owned(message))
 }
 
 fn deny(msg: impl Into<String>) -> SegShareError {
@@ -160,10 +204,15 @@ impl EnclaveSession {
                 // request is decoded the root is renamed to the real
                 // operation.
                 let _prof = enclave.begin_root("request");
-                let plaintext = channel.open(frame)?;
+                // The host's frame is copied into enclave memory (the
+                // ecall's `[in]` copy) and opened there, in place.
+                let plaintext = channel.open_owned(frame.to_vec())?;
                 let request = {
                     let _ser = seg_obs::prof::phase(Phase::Serialize);
-                    Request::decode(&plaintext)?
+                    match data_payload(&plaintext) {
+                        Some(bytes) => Incoming::Data(bytes),
+                        None => Incoming::Control(Request::decode(&plaintext)?),
+                    }
                 };
                 seg_obs::prof::set_root_op(request.op_name());
                 let wire_len = plaintext.len() as u64;
@@ -173,8 +222,19 @@ impl EnclaveSession {
                         let _ser = seg_obs::prof::phase(Phase::Serialize);
                         response.encode()
                     };
-                    let record = channel.seal(&encoded);
-                    self.out.push_back(record);
+                    self.out.push_back(channel.seal_owned(encoded));
+                }
+                // A download whose plaintext is already in the enclave — a
+                // cache hit, or a small body its miss decrypted whole —
+                // leaves with its header, in this request's root.
+                if self
+                    .download
+                    .as_ref()
+                    .is_some_and(DownloadContext::is_plain)
+                {
+                    while let Some(record) = seal_chunk(&mut self.download, &mut channel, enclave) {
+                        self.out.push_back(record);
+                    }
                 }
                 self.state = SessionState::Established { channel, user };
                 Ok(())
@@ -198,40 +258,19 @@ impl EnclaveSession {
         if let Some(frame) = self.out.pop_front() {
             return Ok(Some(frame));
         }
-        if let Some(download) = self.download.as_mut() {
-            // Streamed download chunks are produced outside any request
-            // frame, so they carry their own profiler root.
-            let _prof = enclave.begin_root("get_stream");
-            let response = match download.next_chunk() {
-                Ok(Some(bytes)) => Response::Data { bytes },
-                Ok(None) => {
-                    self.download = None;
-                    return Ok(None);
-                }
-                // A stored node failed verification after `FileStart`
-                // went out: the stream ends with the error (the client's
-                // data loop takes one) and the session lives on, rather
-                // than the connection dropping without a reason.
-                Err(err) => {
-                    self.download = None;
-                    error_response(err)
-                }
-            };
-            // Register the chunk as enclave memory while it exists.
-            let _epc = match &response {
-                Response::Data { bytes } => Some(enclave.sgx().epc().alloc(bytes.len() as u64)),
-                _ => None,
-            };
-            match &mut self.state {
-                SessionState::Established { channel, .. } => {
-                    Ok(Some(channel.seal(&response.encode())))
-                }
-                _ => Err(SegShareError::Protocol(
-                    "download outside established session".to_string(),
-                )),
+        if self.download.is_none() {
+            return Ok(None);
+        }
+        // Streamed download chunks are produced outside any request
+        // frame, so they carry their own profiler root.
+        let _prof = enclave.begin_root("get_stream");
+        match &mut self.state {
+            SessionState::Established { channel, .. } => {
+                Ok(seal_chunk(&mut self.download, channel, enclave))
             }
-        } else {
-            Ok(None)
+            _ => Err(SegShareError::Protocol(
+                "download outside established session".to_string(),
+            )),
         }
     }
 
@@ -254,9 +293,13 @@ impl EnclaveSession {
         &mut self,
         enclave: &SegShareEnclave,
         user: &UserId,
-        request: Request,
+        request: Incoming<'_>,
         wire_len: u64,
     ) -> Result<Vec<Response>, SegShareError> {
+        let control = match &request {
+            Incoming::Data(_) => None,
+            Incoming::Control(request) => Some(request),
+        };
         // The request's one record. Its label is the compiled-in
         // operation name and its operands appear only as keyed
         // fingerprints — never raw (seg-obs trust-boundary rule). It
@@ -266,19 +309,23 @@ impl EnclaveSession {
             enclave.next_request_id(),
             request.op_name(),
             enclave.fingerprint_user(user),
-            request_object(&request).map_or(0, |name| enclave.fingerprint_name(name)),
+            control
+                .and_then(request_object)
+                .map_or(0, |name| enclave.fingerprint_name(name)),
         );
         // The rest of the record is telemetry only: the group
         // fingerprint and the counter baseline are skipped — the HMAC
         // included — while telemetry is off.
         let baseline = enclave.telemetry_enabled().then(|| {
-            record.group = request_group(&request).map_or(0, |g| enclave.fingerprint_name(g));
+            record.group = control
+                .and_then(request_group)
+                .map_or(0, |g| enclave.fingerprint_name(g));
             enclave.cost_counters()
         });
         let result = match request {
             // Data chunks are the streaming fast path.
-            Request::Data { bytes } => self.handle_data(enclave, bytes),
-            request => self.handle_control(enclave, user, &request, &mut record),
+            Incoming::Data(bytes) => self.handle_data(enclave, bytes),
+            Incoming::Control(request) => self.handle_control(enclave, user, &request, &mut record),
         };
         // An audit-append or durability failure outranks the outcome
         // the audit record itself was written with.
@@ -348,7 +395,7 @@ impl EnclaveSession {
     fn handle_data(
         &mut self,
         enclave: &SegShareEnclave,
-        bytes: Vec<u8>,
+        bytes: &[u8],
     ) -> Result<Vec<Response>, SegShareError> {
         if self.discard > 0 {
             self.discard = self.discard.saturating_sub(bytes.len() as u64);
@@ -358,7 +405,7 @@ impl EnclaveSession {
             return Err(bad_request("data chunk without an active upload"));
         };
         let _epc = enclave.sgx().epc().alloc(bytes.len() as u64);
-        match enclave.files().upload_chunk(upload, &bytes) {
+        match enclave.files().upload_chunk(upload, bytes) {
             Ok(false) => Ok(Vec::new()),
             outcome => self.end_upload(enclave, outcome.map(drop)),
         }
@@ -566,7 +613,7 @@ impl EnclaveSession {
                     .remove_group_owner(user, &owner_group, &group)?;
                 Ok(vec![Response::Ok])
             }
-            Request::Data { .. } => unreachable!("handled in handle_request"),
+            Request::Data { .. } => unreachable!("decoded as Incoming::Data"),
             _ => Err(bad_request("unsupported request")),
         }
     }
@@ -626,20 +673,6 @@ impl EnclaveSession {
             }
             if !enclave.access().auth_file(user, Access::Read, &path)? {
                 return Err(deny(format!("no read permission on {path}")));
-            }
-            // Hot-object fast path: a small cached body is served in
-            // full — same wire sequence as streaming, no store access.
-            // Authorization above ran against live metadata, so a warm
-            // cache can never outlive a revocation.
-            if let Some(body) = enclave.files().cached_small_file(&path) {
-                let _epc = enclave.sgx().epc().alloc(body.len() as u64);
-                let mut responses = vec![Response::FileStart {
-                    size: body.len() as u64,
-                }];
-                responses.extend(body.chunks(CHUNK_LEN).map(|chunk| Response::Data {
-                    bytes: chunk.to_vec(),
-                }));
-                return Ok(responses);
             }
             let download = enclave.files().open_download(&path)?;
             let size = download.total_len();

@@ -12,6 +12,18 @@ use crate::error::SegShareError;
 
 use super::{CacheKey, CachedValue, TreeChange, TrustedStore, Walk, HOT_BODY_MAX};
 
+/// A verified body opened for a download.
+// One lives per open download; boxing the big variant (the GCM key
+// schedule) would only add an allocation to every download.
+#[allow(clippy::large_enum_variant)]
+pub enum StreamBody {
+    /// The whole plaintext, already in the enclave: a cached body, or
+    /// a small one its miss just decrypted (and cached).
+    Plain(Arc<[u8]>),
+    /// The sealed blob, to decrypt slice by slice as chunks go out.
+    Blob(PfsFile),
+}
+
 impl TrustedStore {
     // --------------------------------------------------------- object io
 
@@ -168,12 +180,14 @@ impl TrustedStore {
     }
 
     /// Opens an object for streamed (chunk-at-a-time) reading, verifying
-    /// the rollback tree up front.
+    /// the rollback tree up front. A body small enough for the cache is
+    /// decrypted whole here, cached, and handed back as that plaintext,
+    /// so the download that asked for it decrypts nothing again.
     ///
     /// # Errors
     ///
     /// Returns [`SegShareError::Integrity`] on any tamper or rollback.
-    pub fn open_stream(&self, id: &ObjectId) -> Result<Option<PfsFile>, SegShareError> {
+    pub fn open_stream(&self, id: &ObjectId) -> Result<Option<StreamBody>, SegShareError> {
         let _tree = self.tree_shared(id);
         let gen = self.cache_gen(&CacheKey::Body(id.clone()));
         let Some(blob) = self.fetch_verified(id, Walk::Trusting)? else {
@@ -182,22 +196,25 @@ impl TrustedStore {
         let file = PfsFile::open(&self.data_key(id), blob)?;
         // Hot-object fill: remember small verified bodies so the next
         // download is served from [`TrustedStore::cached_body`] with no
-        // store access at all. Large files only ever stream.
+        // store access at all. Large files only ever stream, and so does
+        // a body with a node that fails: the stream reports it.
         if self.cache.is_some()
             && file.data_len() <= HOT_BODY_MAX as u64
             && self.body_cacheable(id, file.data_len() as usize)
         {
             if let Ok(body) = file.read_all() {
                 let len = body.len();
+                let body: Arc<[u8]> = Arc::from(body);
                 self.cache_fill(
                     CacheKey::Body(id.clone()),
                     gen,
-                    CachedValue::Body(Arc::from(body)),
+                    CachedValue::Body(Arc::clone(&body)),
                     len,
                 );
+                return Ok(Some(StreamBody::Plain(body)));
             }
         }
-        Ok(Some(file))
+        Ok(Some(StreamBody::Blob(file)))
     }
 
     /// Deletes an object (and its tree node).

@@ -81,6 +81,7 @@ mod io;
 mod record;
 mod tree;
 
+pub use io::StreamBody;
 pub use record::{GroupRootFile, HashRecord};
 use tree::ChildMap;
 

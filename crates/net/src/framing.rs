@@ -3,12 +3,20 @@
 //!
 //! [`FrameBuf`] is the one parser both ends share — [`TcpTransport`]
 //! behind its blocking reads and the reactor behind its nonblocking
-//! ones: push whatever bytes the socket gave, pop complete frames. It
-//! does no I/O, so hostile input is a matter of bytes in, frames (or a
-//! refusal) out:
+//! ones: each socket read goes through [`FrameBuf::read_with`], complete
+//! frames come out of [`FrameBuf::pop`]. The read lands in a shared
+//! scratch buffer and is parsed from there, except for the body of a
+//! frame whose prefix is in but whose body is not: the rest of that
+//! body is read straight into the frame's own buffer, so a large
+//! frame's bytes are copied by nobody. The parser does no I/O of its
+//! own, so hostile input is a matter of bytes in, frames (or a refusal)
+//! out:
 //!
 //! * a length prefix above [`MAX_FRAME`] is refused as soon as its four
 //!   bytes are in, before anything is allocated for it;
+//! * a body's buffer grows with the bytes that arrive, never with the
+//!   announced length alone: it runs at most [`AHEAD`] bytes (or as many
+//!   as were received) ahead of them;
 //! * consumed bytes are skipped with a cursor and the unconsumed tail is
 //!   moved to the front at most once per [`push`](FrameBuf::push), so a
 //!   peer that pipelines `k` small frames into one segment costs
@@ -27,6 +35,13 @@ pub(crate) const PREFIX_LEN: usize = 4;
 /// and many times a small request or its response. A read that returns
 /// less has emptied the socket.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
+
+/// How far a frame's buffer may run ahead of the body bytes its peer
+/// has sent (or, past this, as far as those bytes reach): what one
+/// prefix can make a receiver reserve. It covers every frame the
+/// protocol sends in normal operation — a 256 KiB chunk's record, read
+/// after its first 64 KiB — so those are read into one allocation.
+pub(crate) const AHEAD: usize = 4 * READ_CHUNK;
 
 /// The length prefix of a frame carrying `len` payload bytes.
 ///
@@ -58,16 +73,55 @@ pub(crate) struct FrameBuf {
     buf: Vec<u8>,
     /// Bytes of `buf` before this offset were already popped.
     head: usize,
+    /// The frame whose body is being read into its own buffer. While it
+    /// is set, `buf` is empty: the bytes after the body are still in the
+    /// socket.
+    body: Option<Body>,
     /// Bytes compaction has moved so far (what the cursor exists to
     /// keep small).
     #[cfg(test)]
     moved: usize,
 }
 
+/// A frame whose prefix is in but whose body is not.
+#[derive(Debug)]
+struct Body {
+    /// The body so far, zero-filled from `have` to its reserved end.
+    frame: Vec<u8>,
+    /// Body bytes received.
+    have: usize,
+    /// The announced body length.
+    len: usize,
+}
+
+impl Body {
+    /// Where a buffer holding `have` of `len` body bytes may reserve up
+    /// to: see [`AHEAD`].
+    fn reach(have: usize, len: usize) -> usize {
+        len.min(have + have.max(AHEAD))
+    }
+
+    fn is_complete(&self) -> bool {
+        self.have == self.len
+    }
+
+    /// Where the next read lands, the buffer grown first if it is full.
+    fn room(&mut self) -> &mut [u8] {
+        debug_assert!(!self.is_complete(), "a complete body takes no read");
+        if self.have == self.frame.len() {
+            let reach = Body::reach(self.have, self.len);
+            self.frame.reserve_exact(reach - self.have);
+            self.frame.resize(reach, 0);
+        }
+        &mut self.frame[self.have..]
+    }
+}
+
 impl FrameBuf {
     /// Appends bytes as the socket delivered them, first moving any
     /// unconsumed tail to the front of the buffer.
-    pub(crate) fn push(&mut self, bytes: &[u8]) {
+    fn push(&mut self, bytes: &[u8]) {
+        debug_assert!(self.body.is_none(), "a body in flight reads for itself");
         if self.head > 0 {
             #[cfg(test)]
             {
@@ -80,9 +134,59 @@ impl FrameBuf {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Whether no unconsumed byte is buffered.
+    /// Makes one socket read with `read`: into the body of a frame whose
+    /// prefix announces more than is buffered — straight into the
+    /// frame's own buffer, and no further than the body's end — else
+    /// into `scratch`, whose bytes are then buffered. Returns how many
+    /// bytes the read took and how many it was offered (a read that
+    /// takes fewer has emptied the socket).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `read` returns; nothing is buffered then.
+    pub(crate) fn read_with<E>(
+        &mut self,
+        scratch: &mut [u8],
+        read: impl FnOnce(&mut [u8]) -> Result<usize, E>,
+    ) -> Result<(usize, usize), E> {
+        if self.body.is_none() {
+            self.body = self.start_body();
+        }
+        match &mut self.body {
+            Some(body) => {
+                let room = body.room();
+                let offered = room.len();
+                let n = read(room)?;
+                body.have += n;
+                Ok((n, offered))
+            }
+            None => {
+                let n = read(scratch)?;
+                self.push(&scratch[..n]);
+                Ok((n, scratch.len()))
+            }
+        }
+    }
+
+    /// Moves the body bytes buffered so far into a frame of their own,
+    /// once a prefix announces more than is buffered. (A complete frame
+    /// is popped, and a refused prefix stays refused, not started.)
+    fn start_body(&mut self) -> Option<Body> {
+        let len = self.announced().ok()??;
+        let have = self.pending().len() - PREFIX_LEN;
+        if have >= len {
+            return None;
+        }
+        let mut frame = Vec::with_capacity(Body::reach(have, len));
+        frame.extend_from_slice(&self.pending()[PREFIX_LEN..]);
+        self.consume(PREFIX_LEN + have);
+        Some(Body { frame, have, len })
+    }
+
+    /// Whether no received byte is waiting to be handed out.
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.head == self.buf.len()
+        self.head == self.buf.len() && self.body.is_none()
     }
 
     fn pending(&self) -> &[u8] {
@@ -109,15 +213,16 @@ impl FrameBuf {
     /// Returns [`NetError::FrameTooLarge`] for a prefix above
     /// [`MAX_FRAME`].
     pub(crate) fn frame_ready(&self) -> Result<bool, NetError> {
+        if let Some(body) = &self.body {
+            return Ok(body.is_complete());
+        }
         Ok(self
             .announced()?
             .is_some_and(|len| self.pending().len() - PREFIX_LEN >= len))
     }
 
     /// Removes and returns the next complete frame, or `None` when the
-    /// buffered bytes end inside a prefix or a body. (Nothing is reserved
-    /// for an announced body: the buffer grows with the bytes a peer
-    /// actually sends, never with the length it claims.)
+    /// received bytes end inside a prefix or a body.
     ///
     /// # Errors
     ///
@@ -125,6 +230,12 @@ impl FrameBuf {
     /// [`MAX_FRAME`]; nothing is consumed, so every later call fails the
     /// same way.
     pub(crate) fn pop(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+        if let Some(body) = self.body.take_if(|body| body.is_complete()) {
+            return Ok(Some(body.frame));
+        }
+        if self.body.is_some() {
+            return Ok(None);
+        }
         let Some(len) = self.announced()? else {
             return Ok(None);
         };
@@ -137,32 +248,9 @@ impl FrameBuf {
         Ok(Some(frame))
     }
 
-    /// For a reader that can block: once a prefix is in but its body is
-    /// not, hands over a zero-filled frame of the announced length with
-    /// the `have` body bytes received so far copied in, so the rest can
-    /// be read straight into `frame[have..]`. The buffer is empty
-    /// afterwards. `None` while the prefix is incomplete.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::FrameTooLarge`] for a prefix above
-    /// [`MAX_FRAME`], before the frame is allocated.
-    pub(crate) fn take_partial(&mut self) -> Result<Option<(Vec<u8>, usize)>, NetError> {
-        let Some(len) = self.announced()? else {
-            return Ok(None);
-        };
-        let body = &self.pending()[PREFIX_LEN..];
-        debug_assert!(body.len() < len, "a complete frame is popped, not taken");
-        let have = body.len().min(len);
-        let mut frame = vec![0u8; len];
-        frame[..have].copy_from_slice(&body[..have]);
-        self.consume(PREFIX_LEN + have);
-        Ok(Some((frame, have)))
-    }
-
     fn consume(&mut self, n: usize) {
         self.head += n;
-        if self.is_empty() {
+        if self.head == self.buf.len() {
             self.buf = Vec::new();
             self.head = 0;
         }
@@ -177,6 +265,42 @@ mod tests {
     fn pop_all(buf: &mut FrameBuf, into: &mut Vec<Vec<u8>>) {
         while let Some(frame) = buf.pop().unwrap() {
             into.push(frame);
+        }
+    }
+
+    /// One read of at most `most` bytes off the front of `rest`, through
+    /// `read_with`, as a socket holding `rest` would answer it.
+    fn read(buf: &mut FrameBuf, rest: &mut &[u8], most: usize) -> (usize, usize) {
+        let mut scratch = vec![0u8; READ_CHUNK];
+        buf.read_with(&mut scratch, |into| -> Result<usize, ()> {
+            let n = into.len().min(most).min(rest.len());
+            into[..n].copy_from_slice(&rest[..n]);
+            *rest = &rest[n..];
+            Ok(n)
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn frames_come_back_whole_across_any_read_size() {
+        let frames = vec![
+            b"one".to_vec(),
+            Vec::new(),
+            vec![7u8; 300_000],
+            b"x".to_vec(),
+        ];
+        let bytes = wire(&frames);
+        for most in [1usize, 2, 3, 5, 4096, bytes.len()] {
+            let mut buf = FrameBuf::default();
+            let mut got = Vec::new();
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                read(&mut buf, &mut rest, most);
+                pop_all(&mut buf, &mut got);
+            }
+            assert_eq!(got, frames, "read {most} bytes at a time");
+            assert!(buf.is_empty());
+            assert_eq!(buf.buf.capacity(), 0, "an empty buffer is released");
         }
     }
 
@@ -248,11 +372,10 @@ mod tests {
             buf.frame_ready(),
             Err(NetError::FrameTooLarge(MAX_FRAME + 1))
         );
-        assert_eq!(
-            buf.take_partial().map(|_| ()),
-            Err(NetError::FrameTooLarge(MAX_FRAME + 1))
-        );
         assert_eq!(buf.buf.capacity(), cap, "nothing was reserved for it");
+        // A read goes to the scratch buffer: no body is started for it.
+        let mut rest = &[1u8, 2, 3][..];
+        assert_eq!(read(&mut buf, &mut rest, 3), (3, READ_CHUNK));
         assert_eq!(buf.pop(), refused, "and it stays refused");
         // The largest legal prefix is accepted, and costs four bytes
         // until its body arrives.
@@ -262,27 +385,61 @@ mod tests {
         assert!(buf.buf.capacity() < 64);
     }
 
+    /// Once a prefix is in but its body is not, the body is read into
+    /// the frame's own buffer, which runs no more than `AHEAD` (or the
+    /// bytes received) ahead of what arrived: a 64 MiB announcement
+    /// costs what its sender sends, not what it claims.
     #[test]
-    fn take_partial_hands_over_the_body_so_far() {
+    fn a_body_is_read_into_its_own_frame_which_grows_with_the_bytes() {
         let mut buf = FrameBuf::default();
-        buf.push(&65_536u32.to_le_bytes()[..2]);
-        assert_eq!(buf.take_partial(), Ok(None), "prefix incomplete");
-        buf.push(&65_536u32.to_le_bytes()[2..]);
+        buf.push(&(MAX_FRAME as u32).to_le_bytes());
         buf.push(b"abc");
         assert_eq!(buf.pop(), Ok(None));
-        let (frame, have) = buf.take_partial().unwrap().unwrap();
-        assert_eq!((frame.len(), have), (65_536, 3));
-        assert_eq!(&frame[..3], b"abc");
-        assert!(frame[3..].iter().all(|&b| b == 0));
+        let body = vec![9u8; 4 * AHEAD];
+        let mut rest = &body[..];
+        let (n, offered) = read(&mut buf, &mut rest, usize::MAX);
+        assert_eq!(
+            (n, offered),
+            (AHEAD, AHEAD),
+            "3 bytes in, AHEAD more offered"
+        );
+        assert!(
+            buf.buf.is_empty(),
+            "the buffered bytes moved into the frame"
+        );
+        let reserved = || buf.body.as_ref().unwrap().frame.capacity();
+        assert_eq!(reserved(), 3 + AHEAD);
+        // Past AHEAD the buffer at most doubles what has arrived.
+        let (n, offered) = read(&mut buf, &mut rest, usize::MAX);
+        assert_eq!((n, offered), (3 + AHEAD, 3 + AHEAD));
+        assert_eq!(buf.body.as_ref().unwrap().frame.capacity(), 2 * (3 + AHEAD));
+        assert_eq!(buf.pop(), Ok(None), "64 MiB announced, far from in");
+
+        // A body ends where its frame does: the next frame's bytes stay
+        // in the socket for the next read.
+        let mut buf = FrameBuf::default();
+        let frames = vec![vec![5u8; 100_000], b"next".to_vec()];
+        let bytes = wire(&frames);
+        let mut rest = &bytes[..];
+        assert_eq!(
+            read(&mut buf, &mut rest, READ_CHUNK),
+            (READ_CHUNK, READ_CHUNK)
+        );
+        let left = 100_000 + PREFIX_LEN - READ_CHUNK;
+        assert_eq!(read(&mut buf, &mut rest, usize::MAX), (left, left));
+        assert_eq!(rest.len(), PREFIX_LEN + 4, "the next frame was not read");
+        assert_eq!(buf.pop().unwrap().as_ref(), Some(&frames[0]));
         assert!(buf.is_empty());
+        read(&mut buf, &mut rest, usize::MAX);
+        assert_eq!(buf.pop().unwrap().as_ref(), Some(&frames[1]));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// One frame sequence, cut at random places (a one-byte dribble
-        /// up to the whole stream in one piece): the same frames come
-        /// back, in order, whatever the segmentation.
+        /// One frame sequence, read in pieces of random size (a
+        /// one-byte dribble up to the whole stream at once): the same
+        /// frames come back, in order, whatever the segmentation.
         #[test]
         fn any_segmentation_yields_the_same_frames(
             frames in proptest::collection::vec(
@@ -295,45 +452,31 @@ mod tests {
             let mut rest = &bytes[..];
             let mut cuts = cuts.iter().cycle();
             while !rest.is_empty() {
-                let (piece, tail) = rest.split_at((*cuts.next().unwrap()).min(rest.len()));
-                buf.push(piece);
+                read(&mut buf, &mut rest, *cuts.next().unwrap());
                 pop_all(&mut buf, &mut got);
-                rest = tail;
             }
             prop_assert_eq!(got, frames);
             prop_assert!(buf.is_empty());
         }
 
         /// Arbitrary bytes under arbitrary segmentation never panic, and
-        /// never yield more payload than was pushed: each call returns a
+        /// never yield more payload than was read: each call returns a
         /// frame, asks for more, or refuses the prefix.
         #[test]
         fn arbitrary_bytes_never_panic(
             bytes in proptest::collection::vec(any::<u8>(), 0..4_096),
             cuts in proptest::collection::vec(1usize..512, 1..32),
-            blocking in any::<bool>(),
         ) {
             let mut buf = FrameBuf::default();
             let mut rest = &bytes[..];
             let mut cuts = cuts.iter().cycle();
             let mut payload = 0usize;
             'feed: while !rest.is_empty() {
-                let (piece, tail) = rest.split_at((*cuts.next().unwrap()).min(rest.len()));
-                buf.push(piece);
-                rest = tail;
+                let (n, offered) = read(&mut buf, &mut rest, *cuts.next().unwrap());
+                prop_assert!(n <= offered);
                 loop {
                     match buf.pop() {
                         Ok(Some(frame)) => payload += frame.len(),
-                        Ok(None) if blocking => match buf.take_partial() {
-                            // What a blocking reader would now read
-                            // from the socket comes off the input.
-                            Ok(Some((frame, have))) => {
-                                payload += have;
-                                rest = &rest[(frame.len() - have).min(rest.len())..];
-                            }
-                            Ok(None) => break,
-                            Err(_) => break 'feed,
-                        },
                         Ok(None) => break,
                         Err(e) => {
                             prop_assert!(matches!(e, NetError::FrameTooLarge(n) if n > MAX_FRAME));

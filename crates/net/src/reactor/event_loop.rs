@@ -3,9 +3,10 @@
 //! workers leave for it.
 //!
 //! The loop is every socket's reader: one `read` per wake into its one
-//! reusable buffer (a read shorter than the buffer ends the wake —
-//! level-triggered epoll re-reports whatever arrives later), frames
-//! parsed by the shared [`FrameBuf`]. It is a socket's *writer* only
+//! reusable buffer, or into the body of a frame whose prefix announced
+//! more than was buffered (a read shorter than what it was offered ends
+//! the wake — level-triggered epoll re-reports whatever arrives later),
+//! frames parsed by the shared [`FrameBuf`]. It is a socket's *writer* only
 //! while that socket is blocked: a worker whose write hit `WouldBlock`
 //! posts [`Note::Flush`], the loop arms `EPOLLOUT` and continues the
 //! queue with the same [`OutQ::write_to`](super::conn::OutQ::write_to)
@@ -80,7 +81,8 @@ pub(super) struct FdConn {
     /// Holds the socket (`Sink::Fd`) and the outbound queue.
     shared: Arc<Conn>,
     /// Received bytes that do not yet make a frame (or whose frames the
-    /// full inbox has not taken yet).
+    /// full inbox has not taken yet), and the body of a large frame,
+    /// read straight into its own buffer.
     rbuf: FrameBuf,
     /// Registered interest (EPOLLIN always unless paused; EPOLLOUT
     /// while write-blocked).
@@ -130,7 +132,8 @@ pub(super) struct EventLoop {
     pub(super) driver: Driver,
     pub(super) listeners: HashMap<u64, TcpListener>,
     pub(super) fdconns: HashMap<u64, FdConn>,
-    /// Where every socket read lands ([`READ_CHUNK`] bytes, reused).
+    /// Where every socket read lands but a large body's
+    /// ([`READ_CHUNK`] bytes, reused).
     ///
     /// [`READ_CHUNK`]: crate::framing::READ_CHUNK
     pub(super) rdbuf: Vec<u8>,
@@ -536,14 +539,13 @@ impl EventLoop {
                 break;
             }
             inner.stats.socket_reads.fetch_add(1, Ordering::Relaxed);
-            match stream.read(&mut self.rdbuf) {
-                Ok(0) => {
+            match fc.rbuf.read_with(&mut self.rdbuf, |buf| stream.read(buf)) {
+                Ok((0, _)) => {
                     close = Some(CloseMode::Drain);
                     break;
                 }
-                Ok(n) => {
-                    fc.rbuf.push(&self.rdbuf[..n]);
-                    socket_empty = n < self.rdbuf.len();
+                Ok((n, offered)) => {
+                    socket_empty = n < offered;
                     shared
                         .last_activity_ms
                         .store(inner.now_ms(), Ordering::Relaxed);

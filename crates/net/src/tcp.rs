@@ -88,17 +88,22 @@ impl TcpTransport {
     pub fn socket_calls(&self) -> Arc<SocketCalls> {
         Arc::clone(&self.calls)
     }
+}
 
-    /// One `read` into `buf`; `Closed` at end of stream.
-    fn read_some(&mut self, buf: &mut [u8]) -> Result<usize, NetError> {
-        loop {
-            self.calls.reads.fetch_add(1, Ordering::Relaxed);
-            match self.stream.read(buf) {
-                Ok(0) => return Err(NetError::Closed),
-                Ok(n) => return Ok(n),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
+/// One `read` of `stream` into `buf`, counted; `Closed` at end of
+/// stream.
+fn read_some(
+    stream: &mut TcpStream,
+    calls: &SocketCalls,
+    buf: &mut [u8],
+) -> Result<usize, NetError> {
+    loop {
+        calls.reads.fetch_add(1, Ordering::Relaxed);
+        match stream.read(buf) {
+            Ok(0) => return Err(NetError::Closed),
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
         }
     }
 }
@@ -130,16 +135,10 @@ impl FrameTransport for TcpTransport {
             if let Some(frame) = self.rx.pop()? {
                 return Ok(frame);
             }
-            if let Some((mut frame, mut have)) = self.rx.take_partial()? {
-                while have < frame.len() {
-                    have += self.read_some(&mut frame[have..])?;
-                }
-                return Ok(frame);
-            }
-            SCRATCH.with_borrow_mut(|scratch| -> Result<(), NetError> {
-                let n = self.read_some(scratch)?;
-                self.rx.push(&scratch[..n]);
-                Ok(())
+            let (stream, calls) = (&mut self.stream, &self.calls);
+            SCRATCH.with_borrow_mut(|scratch| {
+                self.rx
+                    .read_with(scratch, |buf| read_some(stream, calls, buf))
             })?;
         }
     }

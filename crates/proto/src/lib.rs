@@ -24,6 +24,45 @@ use std::fmt;
 /// constant per-request buffer).
 pub const CHUNK_LEN: usize = 256 * 1024;
 
+/// Bytes before a Data message's payload: its kind byte and the `u32`
+/// payload length.
+///
+/// [`Request::Data`] and [`Response::Data`] encode alike, so one
+/// borrowed codec writes and reads both without copying a payload:
+/// [`put_data_header`] writes the header into the buffer the payload
+/// then lands in (a TLS record's, sealed in place after it), and
+/// [`data_payload`] reads the payload as a slice of the opened record.
+pub const DATA_HEADER_LEN: usize = 5;
+
+/// The kind byte of [`Request::Data`] and [`Response::Data`].
+const DATA_KIND: u8 = 2;
+
+/// Appends the header of a Data message carrying `len` payload bytes;
+/// the caller appends exactly those bytes next. Header and payload are
+/// then byte for byte the `encode` of a `Data` request or response.
+///
+/// # Panics
+///
+/// Panics if `len` does not fit the `u32` length field (chunks are at
+/// most [`CHUNK_LEN`] bytes).
+pub fn put_data_header(buf: &mut Vec<u8>, len: usize) {
+    let len = u32::try_from(len).expect("a Data payload fits its u32 length");
+    buf.push(DATA_KIND);
+    buf.extend_from_slice(&len.to_le_bytes());
+}
+
+/// The payload of a Data message, borrowed from it. `Some` exactly
+/// when [`Request::decode`] (and so [`Response::decode`]) would return
+/// `Data`, with the same bytes; `None` for every other message,
+/// well-formed or not, which the caller then decodes in full.
+#[must_use]
+pub fn data_payload(message: &[u8]) -> Option<&[u8]> {
+    let (&kind, rest) = message.split_first()?;
+    let (len, payload) = rest.split_first_chunk::<4>()?;
+    let len = usize::try_from(u32::from_le_bytes(*len)).ok()?;
+    (kind == DATA_KIND && payload.len() == len).then_some(payload)
+}
+
 /// Errors from protocol codecs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtoError(pub String);
@@ -296,7 +335,7 @@ impl Request {
                 e.u64(*size);
             }
             Request::Data { bytes } => {
-                e.u8(2);
+                e.u8(DATA_KIND);
                 e.bytes(bytes);
             }
             Request::Get { path } => {
@@ -383,7 +422,7 @@ impl Request {
                 path: d.str().map_err(codec_err)?,
                 size: d.u64().map_err(codec_err)?,
             },
-            2 => Request::Data {
+            DATA_KIND => Request::Data {
                 bytes: d.bytes().map_err(codec_err)?,
             },
             3 => Request::Get {
@@ -491,7 +530,7 @@ impl Response {
                 e.u64(*size);
             }
             Response::Data { bytes } => {
-                e.u8(2);
+                e.u8(DATA_KIND);
                 e.bytes(bytes);
             }
             Response::Listing { entries } => {
@@ -524,7 +563,7 @@ impl Response {
             1 => Response::FileStart {
                 size: d.u64().map_err(codec_err)?,
             },
-            2 => Response::Data {
+            DATA_KIND => Response::Data {
                 bytes: d.bytes().map_err(codec_err)?,
             },
             3 => {

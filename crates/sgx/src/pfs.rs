@@ -310,6 +310,8 @@ pub struct PfsWriter {
     tags: Vec<[u8; TAG_LEN]>,
     /// Blob under construction; node 0 (header) is sealed in `finish`.
     out: Vec<u8>,
+    /// The blob size `out` may grow to, from [`PfsWriter::bound_len`].
+    bound: Option<usize>,
     data_len: u64,
 }
 
@@ -336,8 +338,36 @@ impl PfsWriter {
             buffer: Vec::with_capacity(DATA_PER_NODE),
             tags: Vec::new(),
             out: vec![0u8; NODE_LEN], // header placeholder
+            bound: None,
             data_len: 0,
         })
+    }
+
+    /// Bounds the blob buffer's growth by the plaintext the caller was
+    /// told the file will hold (an upload's announced size). The buffer
+    /// still grows only as plaintext arrives, doubling as a `Vec` does,
+    /// but never past the blob that much plaintext makes, so a file that
+    /// arrives as announced ends in a buffer of exactly its blob. The
+    /// bound only limits: nothing is reserved for it, and plaintext past
+    /// it is still written.
+    pub fn bound_len(&mut self, data_len: u64) {
+        self.bound = layout(data_len)
+            .total_nodes()
+            .checked_mul(NODE_LEN as u64)
+            .and_then(|len| usize::try_from(len).ok());
+    }
+
+    /// Makes room in `out` for `nodes` more nodes.
+    fn reserve_nodes(&mut self, nodes: usize) {
+        let need = self.out.len() + nodes * NODE_LEN;
+        if need <= self.out.capacity() {
+            return;
+        }
+        let doubled = need.max(2 * self.out.capacity());
+        let target = self
+            .bound
+            .map_or(doubled, |bound| doubled.min(bound.max(need)));
+        self.out.reserve_exact(target - self.out.len());
     }
 
     /// Appends plaintext; full nodes are encrypted and emitted
@@ -345,6 +375,7 @@ impl PfsWriter {
     pub fn write(&mut self, mut data: &[u8]) {
         let _prof = seg_obs::prof::phase(Phase::Pfs);
         self.data_len += data.len() as u64;
+        self.reserve_nodes((self.buffer.len() + data.len()) / DATA_PER_NODE);
         while !data.is_empty() {
             if self.buffer.is_empty() && data.len() >= DATA_PER_NODE {
                 // A whole node straight from the caller's bytes.
@@ -384,6 +415,10 @@ impl PfsWriter {
         let _prof = seg_obs::prof::phase(Phase::Pfs);
         // Whole nodes went out as they filled; what is buffered is the tail.
         let layout = layout(self.data_len);
+        // The blob's size is known now; its buffer grows to exactly that.
+        let nodes = layout.total_nodes() as usize;
+        self.bound = Some(nodes * NODE_LEN);
+        self.reserve_nodes(nodes - self.out.len() / NODE_LEN);
         if layout.inline_len == 0 && !self.buffer.is_empty() {
             self.flush_buffer();
         }

@@ -1,6 +1,6 @@
 //! The record layer: AES-128-GCM with sequence-number nonces.
 
-use seg_crypto::gcm::{Gcm, IV_LEN};
+use seg_crypto::gcm::{Gcm, IV_LEN, TAG_LEN};
 
 use crate::TlsError;
 
@@ -11,12 +11,21 @@ pub(crate) struct DirectionKeys {
     pub iv_base: [u8; IV_LEN],
 }
 
+/// Bytes a record adds to its plaintext (the GCM tag). A plaintext
+/// buffer with this much spare capacity seals without reallocating.
+pub const RECORD_OVERHEAD: usize = TAG_LEN;
+
 /// An established secure channel endpoint (one side).
 ///
 /// Produced by a completed handshake. `seal` turns plaintext into an
 /// opaque record; `open` authenticates and decrypts a peer record.
-/// Records carry implicit sequence numbers: dropping, reordering, or
-/// replaying records makes `open` fail.
+/// Both work in place on an owned buffer ([`seal_owned`],
+/// [`open_owned`]); the borrowing forms copy once into one. Records
+/// carry implicit sequence numbers: dropping, reordering, or replaying
+/// records makes `open` fail.
+///
+/// [`seal_owned`]: TlsChannel::seal_owned
+/// [`open_owned`]: TlsChannel::open_owned
 pub struct TlsChannel {
     send: Gcm,
     recv: Gcm,
@@ -61,31 +70,62 @@ impl TlsChannel {
         }
     }
 
-    /// Encrypts one record.
+    /// Encrypts one record: [`seal_owned`](Self::seal_owned) over a
+    /// copy of `plaintext`.
     #[must_use]
     pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(plaintext.len() + RECORD_OVERHEAD);
+        buf.extend_from_slice(plaintext);
+        self.seal_owned(buf)
+    }
+
+    /// Encrypts one record in place: `buf` holds the plaintext and is
+    /// handed back as the record, its tag appended.
+    #[must_use]
+    pub fn seal_owned(&mut self, mut buf: Vec<u8>) -> Vec<u8> {
         let _prof = seg_obs::prof::phase(seg_obs::Phase::TlsRecord);
         let seq = self.send_seq;
         self.send_seq += 1;
-        self.send
-            .seal(&nonce(&self.send_iv, seq), &record_aad(seq), plaintext)
+        let tag = self
+            .send
+            .seal_in_place(&nonce(&self.send_iv, seq), &record_aad(seq), &mut buf);
+        buf.extend_from_slice(&tag);
+        buf
     }
 
-    /// Authenticates and decrypts one record.
+    /// Authenticates and decrypts one record:
+    /// [`open_owned`](Self::open_owned) over a copy of `record`.
     ///
     /// # Errors
     ///
     /// Returns [`TlsError::RecordRejected`] on tampering, replay,
     /// reorder, or truncation.
     pub fn open(&mut self, record: &[u8]) -> Result<Vec<u8>, TlsError> {
+        self.open_owned(record.to_vec())
+    }
+
+    /// Authenticates and decrypts one record in place: the buffer comes
+    /// back as the plaintext. A rejected record is dropped whole, and
+    /// the receive sequence stays where it was.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TlsError::RecordRejected`] on tampering, replay,
+    /// reorder, or truncation.
+    pub fn open_owned(&mut self, mut record: Vec<u8>) -> Result<Vec<u8>, TlsError> {
         let _prof = seg_obs::prof::phase(seg_obs::Phase::TlsRecord);
         let seq = self.recv_seq;
-        let plaintext = self
-            .recv
-            .open(&nonce(&self.recv_iv, seq), &record_aad(seq), record)
+        let len = record
+            .len()
+            .checked_sub(TAG_LEN)
+            .ok_or(TlsError::RecordRejected)?;
+        let (data, tag) = record.split_at_mut(len);
+        self.recv
+            .open_in_place(&nonce(&self.recv_iv, seq), &record_aad(seq), data, tag)
             .map_err(|_| TlsError::RecordRejected)?;
+        record.truncate(len);
         self.recv_seq += 1;
-        Ok(plaintext)
+        Ok(record)
     }
 }
 
@@ -143,6 +183,35 @@ mod tests {
         let mut rec = c.seal(b"payload");
         rec[0] ^= 1;
         assert_eq!(s.open(&rec).unwrap_err(), TlsError::RecordRejected);
+    }
+
+    #[test]
+    fn owned_and_borrowed_forms_make_the_same_records() {
+        let (mut c1, mut s1) = pair();
+        let (mut c2, mut s2) = pair();
+        for msg in [&b""[..], b"x", &[9u8; 5000]] {
+            let mut buf = Vec::with_capacity(msg.len() + RECORD_OVERHEAD);
+            buf.extend_from_slice(msg);
+            let cap = buf.capacity();
+            let owned = c1.seal_owned(buf);
+            assert_eq!(owned.capacity(), cap, "sealed without reallocating");
+            assert_eq!(owned, c2.seal(msg));
+            assert_eq!(s1.open(&owned).unwrap(), msg);
+            assert_eq!(s2.open_owned(owned).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn short_records_rejected_without_advancing() {
+        let (mut c, mut s) = pair();
+        let rec = c.seal(b"after");
+        for len in 0..TAG_LEN {
+            assert_eq!(
+                s.open_owned(vec![0u8; len]).unwrap_err(),
+                TlsError::RecordRejected
+            );
+        }
+        assert_eq!(s.open_owned(rec).unwrap(), b"after");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod channel;
 pub mod handshake;
 mod msg;
 
-pub use channel::TlsChannel;
+pub use channel::{TlsChannel, RECORD_OVERHEAD};
 pub use handshake::{ClientHandshake, HandshakeStep, ServerHandshake};
 
 use std::error::Error;

@@ -117,6 +117,47 @@ proptest! {
         prop_assert!(s.open(&rec).is_err());
     }
 
+    /// The owned open, which decrypts in the record's own buffer: a
+    /// tampered, replayed or reordered record is refused with no
+    /// plaintext handed back, and the refusal leaves the receive
+    /// sequence where it was — the record that was due still opens,
+    /// and so does everything after it.
+    #[test]
+    fn owned_open_rejects_tamper_replay_and_reorder(
+        seed in any::<u64>(),
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..2048), 2..6),
+        flip_at in any::<u32>(),
+        bit in 0u8..8,
+        attack in 0u8..3,
+    ) {
+        let r = rig(seed);
+        let (mut c, mut s) = handshake(&r, seed);
+        let records: Vec<Vec<u8>> = payloads.iter().map(|p| c.seal_owned(p.clone())).collect();
+        // Open the first record, then attack before the second.
+        prop_assert_eq!(&s.open_owned(records[0].clone()).expect("open"), &payloads[0]);
+        let hostile = match attack {
+            0 => {
+                let mut bad = records[1].clone();
+                let idx = (flip_at as usize) % bad.len();
+                bad[idx] ^= 1 << bit;
+                bad
+            }
+            1 => records[0].clone(),
+            _ => records[records.len() - 1].clone(),
+        };
+        let reorder_of_itself = attack == 2 && records.len() == 2;
+        if !reorder_of_itself {
+            prop_assert_eq!(
+                s.open_owned(hostile).unwrap_err(),
+                seg_tls::TlsError::RecordRejected
+            );
+        }
+        for (rec, p) in records.iter().zip(&payloads).skip(1) {
+            prop_assert_eq!(&s.open_owned(rec.clone()).expect("open"), p);
+        }
+    }
+
     #[test]
     fn tampered_handshake_frames_never_complete(
         seed in any::<u64>(),

@@ -267,6 +267,40 @@ fn a_hot_get_costs_one_exists() {
     assert_eq!(exists() - before, GETS, "one existence probe per hot get");
 }
 
+/// A cold download of a small file with the cache on opens each node of
+/// its blob once: the miss decrypts the body whole to fill the cache,
+/// and the download serves that plaintext, the way a hit is served. The
+/// hot download after it opens none.
+#[test]
+fn a_cold_small_get_opens_each_node_once() {
+    let setup = FsoSetup::new_in_memory("ca", cached_config());
+    let server = setup.server().unwrap();
+    let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = server.connect_local(&alice).unwrap();
+    a.mkdir("/d").unwrap();
+    let body: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 251) as u8).collect();
+    a.put("/d/doc", &body).unwrap();
+    // AES-GCM opens in the download's own `pfs` frames: the content
+    // body's (an ACL's and a hash record's sit under `authz` and
+    // `rollback_tree`).
+    let opens = || -> u64 {
+        let profile = server.telemetry().profile_snapshot();
+        let body_opens = profile
+            .entries
+            .iter()
+            .filter(|e| matches!(e.path[..], ["get" | "get_stream", "pfs", "crypto_gcm"]));
+        body_opens.map(|e| e.count).sum()
+    };
+    // The stored body is the content and its one marker byte.
+    let nodes = seg_sgx::pfs::encrypted_size(body.len() as u64 + 1) / seg_sgx::pfs::NODE_LEN as u64;
+    let before = opens();
+    assert_eq!(a.get("/d/doc").unwrap(), body);
+    assert_eq!(opens() - before, nodes, "a cold get opens each node once");
+    let before = opens();
+    assert_eq!(a.get("/d/doc").unwrap(), body);
+    assert_eq!(opens(), before, "a hot get opens none");
+}
+
 // ------------------------------------------------------ trusted records
 //
 // A hash record is cached only when the enclave wrote it from trusted
