@@ -81,8 +81,8 @@ pub(super) struct FdConn {
     /// Holds the socket (`Sink::Fd`) and the outbound queue.
     shared: Arc<Conn>,
     /// Received bytes that do not yet make a frame (or whose frames the
-    /// full inbox has not taken yet), and the body of a large frame,
-    /// read straight into its own buffer.
+    /// full inbox has not taken yet), and the body of a frame still
+    /// arriving, read straight into its own buffer.
     rbuf: FrameBuf,
     /// Registered interest (EPOLLIN always unless paused; EPOLLOUT
     /// while write-blocked).
@@ -132,7 +132,7 @@ pub(super) struct EventLoop {
     pub(super) driver: Driver,
     pub(super) listeners: HashMap<u64, TcpListener>,
     pub(super) fdconns: HashMap<u64, FdConn>,
-    /// Where every socket read lands but a large body's
+    /// Where every socket read lands, but one into a frame's body
     /// ([`READ_CHUNK`] bytes, reused).
     ///
     /// [`READ_CHUNK`]: crate::framing::READ_CHUNK

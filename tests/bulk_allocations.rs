@@ -8,13 +8,12 @@
 //!
 //! The global allocator below counts bytes on every thread (client,
 //! reactor workers and whatever else the server runs), and a `realloc`
-//! counts only the bytes it grows by. Run it under `--release`: the
-//! AES-GCM kernels only inline there, though the counts do not depend
-//! on it.
+//! counts only the bytes it grows by; the binary holds this one test,
+//! so nothing else allocates beside it. CI runs it under `--release`
+//! with the AES-GCM suites, though the counts do not depend on it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use segshare::{EnclaveConfig, FsoSetup};
 
@@ -56,9 +55,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The counter is process-wide: one measurement at a time.
-static MEASURING: Mutex<()> = Mutex::new(());
-
 /// Bytes allocated, on any thread, while `f` runs.
 fn bytes_allocated(f: impl FnOnce()) -> u64 {
     BYTES.store(0, Ordering::Relaxed);
@@ -93,7 +89,6 @@ fn per_user_byte(cache: bool) -> (f64, f64) {
         client.put("/bulk/f", &body).expect("warm put");
         assert_eq!(client.get("/bulk/f").expect("warm get"), body);
     }
-    let _one = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let put = bytes_allocated(|| {
         for _ in 0..ROUNDS {
             client.put("/bulk/f", &body).expect("put");
