@@ -282,9 +282,19 @@ impl FileManager {
 
     /// Opens a download of the content file at `path`.
     pub fn open_download(&self, path: &SegPath) -> Result<DownloadContext, SegShareError> {
-        let body = self
-            .open_body(&ObjectId::FileData(path.clone()))?
-            .ok_or_else(|| bad(ErrorCode::NotFound, format!("no file at {path}")))?;
+        let id = ObjectId::FileData(path.clone());
+        // Hot-object fast path: a body the enclave cache holds is served
+        // from its verified plaintext with no store access. (Authorization
+        // ran against live metadata before this, so a warm cache never
+        // outlives a revocation.) A miss opens the stored body, whose
+        // `open_stream` fill makes the next download of a small file hit.
+        let body = match self.store.cached_body(&id) {
+            Some(body) => StreamBody::Plain(body),
+            None => self
+                .store
+                .open_stream(&id)?
+                .ok_or_else(|| bad(ErrorCode::NotFound, format!("no file at {path}")))?,
+        };
         // The last body byte is the inline/dedup marker; its slice is
         // the header's tail unless that was too long to sit there.
         let marker = match &body {
@@ -307,7 +317,8 @@ impl FileManager {
                 };
                 let hname = Self::indirection_name(path, &body[..body.len() - 1])?;
                 let blob = self
-                    .open_body(&ObjectId::DedupBlob(hname.clone()))?
+                    .store
+                    .open_stream(&ObjectId::DedupBlob(hname.clone()))?
                     .ok_or_else(|| {
                         SegShareError::Integrity(format!(
                             "{path}: dangling dedup indirection {hname}"
@@ -321,18 +332,6 @@ impl FileManager {
             Some(other) => Err(SegShareError::Integrity(format!(
                 "{path}: unknown content marker {other}"
             ))),
-        }
-    }
-
-    /// Hot-object fast path: a body the enclave cache holds is served
-    /// from its verified plaintext with no store access. (Authorization
-    /// ran against live metadata before this, so a warm cache never
-    /// outlives a revocation.) A miss opens the stored body, whose
-    /// `open_stream` fill makes the next download of a small file hit.
-    fn open_body(&self, id: &ObjectId) -> Result<Option<StreamBody>, SegShareError> {
-        match self.store.cached_body(id) {
-            Some(body) => Ok(Some(StreamBody::Plain(body))),
-            None => self.store.open_stream(id),
         }
     }
 
@@ -678,7 +677,18 @@ mod tests {
 
     #[test]
     fn streaming_upload_download_chunk_boundaries() {
-        let f = components(EnclaveConfig::default());
+        for cache in [false, true] {
+            chunk_boundaries(cache);
+        }
+    }
+
+    /// With the cache on, a small body's download is served from the
+    /// plaintext its first read cached; a large one streams either way.
+    fn chunk_boundaries(cache: bool) {
+        let f = components(EnclaveConfig {
+            cache,
+            ..EnclaveConfig::default()
+        });
         // Sizes straddling the header's inline capacity (the body is one
         // trailer byte longer), PFS node and protocol chunk boundaries.
         let sizes = [
@@ -709,6 +719,9 @@ mod tests {
             // but the last is full.
             let mut dl = f.files.open_download(&p(&path)).unwrap();
             assert_eq!(dl.total_len(), *size as u64);
+            // The stored body is the content and its marker byte.
+            let small = *size < crate::enclave::trusted_store::HOT_BODY_MAX;
+            assert_eq!(dl.is_plain(), cache && small, "size {size}");
             let mut left = *size;
             let mut got = Vec::new();
             while let Some(message) = dl.next_message().unwrap() {

@@ -113,7 +113,7 @@ enum TreeChange {
 
 /// Content bodies above this size never enter the cache: large files
 /// stream chunk-at-a-time and must not pin whole plaintexts in EPC.
-const HOT_BODY_MAX: usize = 64 * 1024;
+pub(crate) const HOT_BODY_MAX: usize = 64 * 1024;
 
 /// Namespaced cache key: one logical object may be cached in more than
 /// one representation, and each is invalidated independently.

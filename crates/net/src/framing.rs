@@ -18,9 +18,9 @@
 //!   announced length alone: it runs at most [`AHEAD`] bytes (or as many
 //!   as were received) ahead of them;
 //! * consumed bytes are skipped with a cursor and the unconsumed tail is
-//!   moved to the front at most once per [`push`](FrameBuf::push), so a
-//!   peer that pipelines `k` small frames into one segment costs
-//!   O(bytes), not O(bytes × k);
+//!   moved to the front at most once per read, so a peer that pipelines
+//!   `k` small frames into one segment costs O(bytes), not
+//!   O(bytes × k);
 //! * the buffer is released the moment it is empty: an idle connection
 //!   pins no receive memory.
 //!
@@ -37,10 +37,11 @@ pub(crate) const PREFIX_LEN: usize = 4;
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// How far a frame's buffer may run ahead of the body bytes its peer
-/// has sent (or, past this, as far as those bytes reach): what one
-/// prefix can make a receiver reserve. It covers every frame the
-/// protocol sends in normal operation — a 256 KiB chunk's record, read
-/// after its first 64 KiB — so those are read into one allocation.
+/// has sent: this much, or as many bytes as were received, whichever is
+/// more. It is all a prefix alone can make a receiver reserve, and it
+/// covers every frame the protocol sends in normal operation — a
+/// 256 KiB chunk's record, read after its first 64 KiB — so those are
+/// read into one allocation.
 pub(crate) const AHEAD: usize = 4 * READ_CHUNK;
 
 /// The length prefix of a frame carrying `len` payload bytes.
