@@ -416,9 +416,8 @@ impl PfsWriter {
         // Whole nodes went out as they filled; what is buffered is the tail.
         let layout = layout(self.data_len);
         // The blob's size is known now; its buffer grows to exactly that.
-        let nodes = layout.total_nodes() as usize;
-        self.bound = Some(nodes * NODE_LEN);
-        self.reserve_nodes(nodes - self.out.len() / NODE_LEN);
+        let blob_len = layout.total_nodes() as usize * NODE_LEN;
+        self.out.reserve_exact(blob_len - self.out.len());
         if layout.inline_len == 0 && !self.buffer.is_empty() {
             self.flush_buffer();
         }
@@ -852,6 +851,33 @@ mod tests {
         }
         let blob = w.finish();
         assert_eq!(pfs_decrypt(&KEY, &blob).unwrap(), pt);
+    }
+
+    /// An announced length only caps the blob buffer's growth: a file
+    /// written as announced ends in a buffer of exactly its blob, one
+    /// written past it (or under a length no blob can have) is written
+    /// whole, and the bytes are the same either way.
+    #[test]
+    fn bound_len_only_caps_the_blob_buffer() {
+        for (announced, len) in [
+            (1u64 << 20, 1usize << 20),
+            (5_000, 5_000),
+            (10_000, 50_000),
+            (u64::MAX, 5_000),
+        ] {
+            let pt = pattern(len);
+            let mut w = PfsWriter::new(&KEY, &mut rng()).unwrap();
+            w.bound_len(announced);
+            for chunk in pt.chunks(256 * 1024) {
+                w.write(chunk);
+            }
+            let blob = w.finish();
+            assert_eq!(blob.len() as u64, encrypted_size(len as u64));
+            if announced == len as u64 {
+                assert_eq!(blob.capacity(), blob.len(), "{len} bytes as announced");
+            }
+            assert_eq!(pfs_decrypt(&KEY, &blob).unwrap(), pt);
+        }
     }
 
     #[test]
