@@ -564,11 +564,10 @@ impl DownloadContext {
         self.total
     }
 
-    /// Whether the whole plaintext is already in the enclave, so no
-    /// chunk needs a decrypt or the store.
+    /// Whether every plaintext byte has been emitted.
     #[must_use]
-    pub fn is_plain(&self) -> bool {
-        matches!(self.body, StreamBody::Plain(_))
+    pub fn is_done(&self) -> bool {
+        self.emitted == self.total
     }
 
     /// The next chunk (up to [`CHUNK_LEN`] bytes) as a Data message,
@@ -721,7 +720,8 @@ mod tests {
             assert_eq!(dl.total_len(), *size as u64);
             // The stored body is the content and its marker byte.
             let small = *size < crate::enclave::trusted_store::HOT_BODY_MAX;
-            assert_eq!(dl.is_plain(), cache && small, "size {size}");
+            let plain = matches!(dl.body, StreamBody::Plain(_));
+            assert_eq!(plain, cache && small, "size {size}");
             let mut left = *size;
             let mut got = Vec::new();
             while let Some(message) = dl.next_message().unwrap() {

@@ -81,8 +81,8 @@ impl Incoming<'_> {
 }
 
 /// Seals the download's next chunk as one record: the Data message is
-/// built in the record's buffer and sealed there. `None` once the
-/// download is complete, which ends it. A stored node that fails
+/// built in the record's buffer and sealed there. The last chunk ends
+/// the download (an empty one ends with `None`). A stored node that fails
 /// verification after `FileStart` went out ends the stream with the
 /// error (the client's data loop takes one) and the session lives on,
 /// rather than the connection dropping without a reason.
@@ -91,8 +91,14 @@ fn seal_chunk(
     channel: &mut TlsChannel,
     enclave: &SegShareEnclave,
 ) -> Option<Vec<u8>> {
-    let message = match download.as_mut()?.next_message() {
-        Ok(Some(message)) => message,
+    let context = download.as_mut()?;
+    let message = match context.next_message() {
+        Ok(Some(message)) => {
+            if context.is_done() {
+                *download = None;
+            }
+            message
+        }
         Ok(None) => {
             *download = None;
             return None;
@@ -223,18 +229,6 @@ impl EnclaveSession {
                         response.encode()
                     };
                     self.out.push_back(channel.seal_owned(encoded));
-                }
-                // A download whose plaintext is already in the enclave — a
-                // cache hit, or a small body its miss decrypted whole —
-                // leaves with its header, in this request's root.
-                if self
-                    .download
-                    .as_ref()
-                    .is_some_and(DownloadContext::is_plain)
-                {
-                    while let Some(record) = seal_chunk(&mut self.download, &mut channel, enclave) {
-                        self.out.push_back(record);
-                    }
                 }
                 self.state = SessionState::Established { channel, user };
                 Ok(())

@@ -6,17 +6,21 @@
 //! ones: each socket read goes through [`FrameBuf::read_with`], complete
 //! frames come out of [`FrameBuf::pop`]. The read lands in a shared
 //! scratch buffer and is parsed from there, except for the body of a
-//! frame whose prefix is in but whose body is not: the rest of that
-//! body is read straight into the frame's own buffer, so a large
-//! frame's bytes are copied by nobody. The parser does no I/O of its
+//! large frame whose prefix and first read's worth of body are in but
+//! whose body is not: the rest of that body is read straight into the
+//! frame's own buffer, so most of a large frame's bytes are copied by
+//! nobody. The parser does no I/O of its
 //! own, so hostile input is a matter of bytes in, frames (or a refusal)
 //! out:
 //!
 //! * a length prefix above [`MAX_FRAME`] is refused as soon as its four
 //!   bytes are in, before anything is allocated for it;
 //! * a body's buffer grows with the bytes that arrive, never with the
-//!   announced length alone: it runs at most [`AHEAD`] bytes (or as many
-//!   as were received) ahead of them;
+//!   announced length alone: a body gets a buffer of its own only once
+//!   [`START`] of its bytes are in (until then they are buffered as they
+//!   come), and that buffer runs at most [`AHEAD`] bytes (or as many as
+//!   were received) ahead of them, so it holds at most about five times
+//!   what the peer sent;
 //! * consumed bytes are skipped with a cursor and the unconsumed tail is
 //!   moved to the front at most once per read, so a peer that pipelines
 //!   `k` small frames into one segment costs O(bytes), not
@@ -36,12 +40,18 @@ pub(crate) const PREFIX_LEN: usize = 4;
 /// less has emptied the socket.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
+/// The body bytes that must be in before the rest of a body is read
+/// into a buffer of its own: what one full read delivers after the
+/// prefix. A prefix followed by fewer bytes reserves nothing beyond
+/// them.
+pub(crate) const START: usize = READ_CHUNK - PREFIX_LEN;
+
 /// How far a frame's buffer may run ahead of the body bytes its peer
 /// has sent: this much, or as many bytes as were received, whichever is
-/// more. It is all a prefix alone can make a receiver reserve, and it
-/// covers every frame the protocol sends in normal operation — a
-/// 256 KiB chunk's record, read after its first 64 KiB — so those are
-/// read into one allocation.
+/// more. With [`START`] bytes in first, that is at most about four
+/// times what was received, and it covers every frame the protocol
+/// sends in normal operation — a 256 KiB chunk's record, read after its
+/// first 64 KiB — so those are read into one allocation.
 pub(crate) const AHEAD: usize = 4 * READ_CHUNK;
 
 /// The length prefix of a frame carrying `len` payload bytes.
@@ -170,12 +180,13 @@ impl FrameBuf {
     }
 
     /// Moves the body bytes buffered so far into a frame of their own,
-    /// once a prefix announces more than is buffered. (A complete frame
-    /// is popped, and a refused prefix stays refused, not started.)
+    /// once a prefix announces more than is buffered and at least
+    /// [`START`] body bytes are in. (A complete frame is popped, and a
+    /// refused prefix stays refused, not started.)
     fn start_body(&mut self) -> Option<Body> {
         let len = self.announced().ok()??;
         let have = self.pending().len() - PREFIX_LEN;
-        if have >= len {
+        if have >= len || have < START {
             return None;
         }
         let mut frame = Vec::with_capacity(Body::reach(have, len));
@@ -386,34 +397,55 @@ mod tests {
         assert!(buf.buf.capacity() < 64);
     }
 
-    /// Once a prefix is in but its body is not, the body is read into
-    /// the frame's own buffer, which runs no more than `AHEAD` (or the
-    /// bytes received) ahead of what arrived: a 64 MiB announcement
-    /// costs what its sender sends, not what it claims.
+    /// A prefix alone, or a prefix and fewer than `START` body bytes,
+    /// reserves nothing beyond the bytes received: they are buffered as
+    /// they come. Once `START` body bytes are in, the rest of the body is
+    /// read into the frame's own buffer, which runs no more than `AHEAD`
+    /// (or the bytes received) ahead of what arrived: a 64 MiB
+    /// announcement costs a small multiple of what its sender sends, not
+    /// what it claims.
     #[test]
     fn a_body_is_read_into_its_own_frame_which_grows_with_the_bytes() {
+        let reserved = |buf: &FrameBuf| {
+            buf.buf.capacity() + buf.body.as_ref().map_or(0, |b| b.frame.capacity())
+        };
         let mut buf = FrameBuf::default();
-        buf.push(&(MAX_FRAME as u32).to_le_bytes());
-        buf.push(b"abc");
+        let mut announced = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        announced.push(1);
+        let mut rest = &announced[..];
+        read(&mut buf, &mut rest, usize::MAX);
         assert_eq!(buf.pop(), Ok(None));
-        let body = vec![9u8; 4 * AHEAD];
+        let body = vec![9u8; 6 * AHEAD];
         let mut rest = &body[..];
-        let (n, offered) = read(&mut buf, &mut rest, usize::MAX);
-        assert_eq!(
-            (n, offered),
-            (AHEAD, AHEAD),
-            "3 bytes in, AHEAD more offered"
+        // The read after a prefix and one byte goes to the scratch
+        // buffer: nothing is reserved for the announced body.
+        let (n, offered) = read(&mut buf, &mut rest, 2);
+        assert_eq!((n, offered), (2, READ_CHUNK));
+        assert!(buf.body.is_none());
+        assert!(
+            reserved(&buf) <= 64,
+            "7 bytes in, {} reserved",
+            reserved(&buf)
         );
+        // Still buffered as they come until START body bytes are in.
+        let (n, _) = read(&mut buf, &mut rest, START - 4);
+        assert_eq!(n, START - 4);
+        assert!(buf.body.is_none());
+        assert!(reserved(&buf) <= 2 * (PREFIX_LEN + START));
+        // One byte more and the body starts: AHEAD more offered.
+        read(&mut buf, &mut rest, 1);
+        let (n, offered) = read(&mut buf, &mut rest, usize::MAX);
+        assert_eq!((n, offered), (AHEAD, AHEAD), "START in, AHEAD more offered");
         assert!(
             buf.buf.is_empty(),
             "the buffered bytes moved into the frame"
         );
-        let reserved = || buf.body.as_ref().unwrap().frame.capacity();
-        assert_eq!(reserved(), 3 + AHEAD);
+        let have = START + AHEAD;
+        assert_eq!(reserved(&buf), have);
         // Past AHEAD the buffer at most doubles what has arrived.
         let (n, offered) = read(&mut buf, &mut rest, usize::MAX);
-        assert_eq!((n, offered), (3 + AHEAD, 3 + AHEAD));
-        assert_eq!(buf.body.as_ref().unwrap().frame.capacity(), 2 * (3 + AHEAD));
+        assert_eq!((n, offered), (have, have));
+        assert_eq!(reserved(&buf), 2 * have);
         assert_eq!(buf.pop(), Ok(None), "64 MiB announced, far from in");
 
         // A body ends where its frame does: the next frame's bytes stay
