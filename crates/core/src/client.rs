@@ -171,34 +171,15 @@ impl<T: FrameTransport> Client<T> {
     ///
     /// # Errors
     ///
-    /// Returns transport errors or the server's refusal.
+    /// Returns transport errors or the server's refusal; a directory
+    /// path yields [`ErrorCode::BadRequest`].
     pub fn get_to_writer<W: std::io::Write>(
         &mut self,
         path: &str,
-        mut writer: W,
+        writer: W,
     ) -> Result<u64, SegShareError> {
-        self.send(&Request::Get {
-            path: path.to_string(),
-        })?;
-        let size = match self.recv()? {
-            Response::FileStart { size } => size,
-            Response::Error { code, message } => {
-                return Err(SegShareError::Request { code, message })
-            }
-            other => {
-                return Err(SegShareError::Protocol(format!(
-                    "unexpected response {other:?}"
-                )))
-            }
-        };
-        let mut received = 0u64;
-        while received < size {
-            received += self.recv_data(|payload| {
-                writer
-                    .write_all(payload)
-                    .map_err(|e| SegShareError::Protocol(format!("writer failed: {e}")))
-            })?;
-        }
+        let size = self.start_get(path)?;
+        self.recv_file(size, writer)?;
         Ok(size)
     }
 
@@ -209,34 +190,46 @@ impl<T: FrameTransport> Client<T> {
     /// Returns the server's refusal as [`SegShareError::Request`]; a
     /// directory path yields [`ErrorCode::BadRequest`].
     pub fn get(&mut self, path: &str) -> Result<Vec<u8>, SegShareError> {
+        let size = self.start_get(path)?;
+        let mut out = Vec::with_capacity(size as usize);
+        self.recv_file(size, &mut out)?;
+        Ok(out)
+    }
+
+    /// Sends `Get` for a content file and returns the size its
+    /// `FileStart` announces.
+    fn start_get(&mut self, path: &str) -> Result<u64, SegShareError> {
         self.send(&Request::Get {
             path: path.to_string(),
         })?;
-        let size = match self.recv()? {
-            Response::FileStart { size } => size,
-            Response::Listing { .. } => {
-                return Err(SegShareError::request(
-                    ErrorCode::BadRequest,
-                    format!("{path} is a directory; use list()"),
-                ))
-            }
-            Response::Error { code, message } => {
-                return Err(SegShareError::Request { code, message })
-            }
-            other => {
-                return Err(SegShareError::Protocol(format!(
-                    "unexpected response {other:?}"
-                )))
-            }
-        };
-        let mut out = Vec::with_capacity(size as usize);
-        while (out.len() as u64) < size {
-            self.recv_data(|payload| {
-                out.extend_from_slice(payload);
-                Ok(())
+        match self.recv()? {
+            Response::FileStart { size } => Ok(size),
+            Response::Listing { .. } => Err(SegShareError::request(
+                ErrorCode::BadRequest,
+                format!("{path} is a directory; use list()"),
+            )),
+            Response::Error { code, message } => Err(SegShareError::Request { code, message }),
+            other => Err(SegShareError::Protocol(format!(
+                "unexpected response {other:?}"
+            ))),
+        }
+    }
+
+    /// Receives the `size` bytes a `FileStart` announced into `writer`.
+    fn recv_file(
+        &mut self,
+        size: u64,
+        mut writer: impl std::io::Write,
+    ) -> Result<(), SegShareError> {
+        let mut received = 0u64;
+        while received < size {
+            received += self.recv_data(|payload| {
+                writer
+                    .write_all(payload)
+                    .map_err(|e| SegShareError::Protocol(format!("writer failed: {e}")))
             })?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Lists a directory.

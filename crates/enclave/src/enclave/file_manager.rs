@@ -282,19 +282,14 @@ impl FileManager {
 
     /// Opens a download of the content file at `path`.
     pub fn open_download(&self, path: &SegPath) -> Result<DownloadContext, SegShareError> {
-        let id = ObjectId::FileData(path.clone());
-        // Hot-object fast path: a body the enclave cache holds is served
-        // from its verified plaintext with no store access. (Authorization
-        // ran against live metadata before this, so a warm cache never
-        // outlives a revocation.) A miss opens the stored body, whose
-        // `open_stream` fill makes the next download of a small file hit.
-        let body = match self.store.cached_body(&id) {
-            Some(body) => StreamBody::Plain(body),
-            None => self
-                .store
-                .open_stream(&id)?
-                .ok_or_else(|| bad(ErrorCode::NotFound, format!("no file at {path}")))?,
-        };
+        // A small body the enclave cache holds is served from its
+        // verified plaintext with no store access. (Authorization ran
+        // against live metadata before this, so a warm cache never
+        // outlives a revocation.)
+        let body = self
+            .store
+            .open_stream(&ObjectId::FileData(path.clone()))?
+            .ok_or_else(|| bad(ErrorCode::NotFound, format!("no file at {path}")))?;
         // The last body byte is the inline/dedup marker; its slice is
         // the header's tail unless that was too long to sit there.
         let marker = match &body {
@@ -307,14 +302,7 @@ impl FileManager {
         match marker {
             Some(MARKER_INLINE) => Ok(DownloadContext::over(body, 1)),
             Some(MARKER_DEDUP) => {
-                let whole;
-                let body = match &body {
-                    StreamBody::Plain(body) => &body[..],
-                    StreamBody::Blob(file) => {
-                        whole = file.read_all()?;
-                        &whole[..]
-                    }
-                };
+                let body = body.into_bytes()?;
                 let hname = Self::indirection_name(path, &body[..body.len() - 1])?;
                 let blob = self
                     .store
@@ -489,7 +477,12 @@ impl FileManager {
     }
 
     fn acl_bytes(&self, path: &SegPath) -> Result<Option<Vec<u8>>, SegShareError> {
-        self.store.read(&ObjectId::Acl(path.clone()))
+        let acl = self
+            .store
+            .read_decoded(&ObjectId::Acl(path.clone()), |body| {
+                Ok(AclFile::decode(body)?)
+            })?;
+        Ok(acl.map(|acl| acl.encode()))
     }
 }
 

@@ -1,6 +1,7 @@
 //! The dedup store's refcount index and blob collection.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use seg_fs::codec::{Decoder, Encoder};
 
@@ -17,20 +18,20 @@ impl TrustedStore {
     /// empty — stores predating the index simply never collect their
     /// orphan blobs.
     fn dedup_index_load(&self) -> Result<HashMap<String, u64>, SegShareError> {
-        let Some(body) = self.read(&ObjectId::DedupIndex)? else {
-            return Ok(HashMap::new());
-        };
-        let mut d = Decoder::new(&body);
-        d.tag(b"DIX1")?;
-        let count = d.u32()?;
-        let mut index = HashMap::with_capacity(count as usize);
-        for _ in 0..count {
-            let name = d.str()?.to_string();
-            let refs = d.u64()?;
-            index.insert(name, refs);
-        }
-        d.finish()?;
-        Ok(index)
+        let index = self.read_decoded(&ObjectId::DedupIndex, |body| {
+            let mut d = Decoder::new(body);
+            d.tag(b"DIX1")?;
+            let count = d.u32()?;
+            let mut index = HashMap::with_capacity(count as usize);
+            for _ in 0..count {
+                let name = d.str()?.to_string();
+                let refs = d.u64()?;
+                index.insert(name, refs);
+            }
+            d.finish()?;
+            Ok(index)
+        })?;
+        Ok(index.map(Arc::unwrap_or_clone).unwrap_or_default())
     }
 
     fn dedup_index_save(&self, index: &HashMap<String, u64>) -> Result<(), SegShareError> {

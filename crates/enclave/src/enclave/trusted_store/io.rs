@@ -12,16 +12,31 @@ use crate::error::SegShareError;
 
 use super::{CacheKey, CachedValue, TreeChange, TrustedStore, Walk, HOT_BODY_MAX};
 
-/// A verified body opened for a download.
+/// A verified body opened for a reader.
 // One lives per open download; boxing the big variant (the GCM key
 // schedule) would only add an allocation to every download.
 #[allow(clippy::large_enum_variant)]
 pub enum StreamBody {
     /// The whole plaintext, already in the enclave: a cached body, or
-    /// a small one its miss just decrypted (and cached).
-    Plain(Arc<[u8]>),
+    /// a small one its miss just decrypted into the cache.
+    Plain(Arc<Vec<u8>>),
     /// The sealed blob, to decrypt slice by slice as chunks go out.
     Blob(PfsFile),
+}
+
+impl StreamBody {
+    /// The whole plaintext, taken out of the cache's buffer or
+    /// decrypted from the blob.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SegShareError::Integrity`] if a node fails to decrypt.
+    pub fn into_bytes(self) -> Result<Vec<u8>, SegShareError> {
+        match self {
+            StreamBody::Plain(body) => Ok(Arc::unwrap_or_clone(body)),
+            StreamBody::Blob(file) => Ok(file.read_all()?),
+        }
+    }
 }
 
 impl TrustedStore {
@@ -89,38 +104,21 @@ impl TrustedStore {
         )
     }
 
-    /// Reads and fully verifies an object body.
-    ///
-    /// A cache hit serves the verified plaintext of the latest body
-    /// this enclave wrote without touching the store.
+    /// Reads and fully verifies an object body: [`TrustedStore::open_stream`],
+    /// taken whole.
     ///
     /// # Errors
     ///
     /// Returns [`SegShareError::Integrity`] on any tamper or rollback.
     pub fn read(&self, id: &ObjectId) -> Result<Option<Vec<u8>>, SegShareError> {
-        if let Some(body) = self.cached_body(id) {
-            return Ok(Some(body.to_vec()));
-        }
-        let gen = self.cache_gen(&CacheKey::Body(id.clone()));
-        let body = {
-            let _tree = self.tree_shared(id);
-            self.read_verified(id, Walk::Trusting)?
-        };
-        if let Some(body) = &body {
-            if self.body_cacheable(id, body.len()) {
-                self.cache_fill(
-                    CacheKey::Body(id.clone()),
-                    gen,
-                    CachedValue::Body(Arc::from(body.as_slice())),
-                    body.len(),
-                );
-            }
-        }
-        Ok(body)
+        self.open_stream(id)?
+            .map(StreamBody::into_bytes)
+            .transpose()
     }
 
-    /// Reads, verifies, and decodes an object, caching the *decoded*
-    /// form so repeat readers skip both the GCM decrypt and the decode.
+    /// Reads, verifies, and decodes a metadata object, caching the
+    /// *decoded* form so repeat readers skip both the GCM decrypt and
+    /// the decode.
     ///
     /// # Errors
     ///
@@ -135,7 +133,7 @@ impl TrustedStore {
         T: Send + Sync + 'static,
         F: FnOnce(&[u8]) -> Result<T, SegShareError>,
     {
-        let cache_key = CacheKey::Decoded(id.clone());
+        let cache_key = CacheKey::Object(id.clone());
         if let Some(CachedValue::Decoded(any)) = self.cache_lookup(&cache_key) {
             if let Ok(value) = any.downcast::<T>() {
                 return Ok(Some(value));
@@ -179,38 +177,38 @@ impl TrustedStore {
         Ok(Some(blob))
     }
 
-    /// Opens an object for streamed (chunk-at-a-time) reading, verifying
-    /// the rollback tree up front. A body small enough for the cache is
-    /// decrypted whole here, cached, and handed back as that plaintext,
-    /// so the download that asked for it decrypts nothing again.
+    /// Opens an object for reading: the one way a reader reaches a
+    /// body. A cached plaintext is served without touching the store;
+    /// a miss fetches and verifies the blob. A content file of at most
+    /// `HOT_BODY_MAX` (64 KiB), the one kind of body the cache keeps, is
+    /// then decrypted whole straight into the buffer the cache holds,
+    /// so the reader that asked for it decrypts nothing again; any
+    /// other body (or one with a node that fails: the reader reports
+    /// it) is handed back sealed, to decrypt slice by slice.
     ///
     /// # Errors
     ///
     /// Returns [`SegShareError::Integrity`] on any tamper or rollback.
     pub fn open_stream(&self, id: &ObjectId) -> Result<Option<StreamBody>, SegShareError> {
+        let cache_key = CacheKey::Object(id.clone());
+        // Only a content file's entry holds plaintext.
+        let content = matches!(id, ObjectId::FileData(_));
+        if content {
+            if let Some(CachedValue::Plain(body)) = self.cache_lookup(&cache_key) {
+                return Ok(Some(StreamBody::Plain(body)));
+            }
+        }
         let _tree = self.tree_shared(id);
-        let gen = self.cache_gen(&CacheKey::Body(id.clone()));
+        let gen = self.cache_gen(&cache_key);
         let Some(blob) = self.fetch_verified(id, Walk::Trusting)? else {
             return Ok(None);
         };
-        let file = PfsFile::open(&self.data_key(id), blob)?;
-        // Hot-object fill: remember small verified bodies so the next
-        // download is served from [`TrustedStore::cached_body`] with no
-        // store access at all. Large files only ever stream, and so does
-        // a body with a node that fails: the stream reports it.
-        if self.cache.is_some()
-            && file.data_len() <= HOT_BODY_MAX as u64
-            && self.body_cacheable(id, file.data_len() as usize)
-        {
+        let file = self.open_blob(id, blob)?;
+        if self.cache.is_some() && content && file.data_len() <= HOT_BODY_MAX as u64 {
             if let Ok(body) = file.read_all() {
                 let len = body.len();
-                let body: Arc<[u8]> = Arc::from(body);
-                self.cache_fill(
-                    CacheKey::Body(id.clone()),
-                    gen,
-                    CachedValue::Body(Arc::clone(&body)),
-                    len,
-                );
+                let body = Arc::new(body);
+                self.cache_fill(cache_key, gen, CachedValue::Plain(Arc::clone(&body)), len);
                 return Ok(Some(StreamBody::Plain(body)));
             }
         }
@@ -296,12 +294,13 @@ impl TrustedStore {
         let mut probed = 0u64;
         let mut mismatched = Vec::new();
         for key in cache.sample_keys(max) {
-            let CacheKey::Body(id) = key else {
+            // A content file's entry holds its plaintext.
+            let CacheKey::Object(id @ ObjectId::FileData(_)) = key else {
                 continue;
             };
-            let cache_key = CacheKey::Body(id.clone());
+            let cache_key = CacheKey::Object(id.clone());
             let gen_before = cache.generation(&cache_key);
-            let Some(CachedValue::Body(cached)) = cache.get(&cache_key) else {
+            let Some(CachedValue::Plain(cached)) = cache.get(&cache_key) else {
                 continue;
             };
             probed += 1;

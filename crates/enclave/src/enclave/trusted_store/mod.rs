@@ -91,7 +91,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use seg_crypto::mset::MsetHash;
-use seg_sgx::pfs::pfs_decrypt;
+use seg_sgx::pfs::PfsFile;
 use seg_sgx::Enclave;
 
 use crate::config::EnclaveConfig;
@@ -115,14 +115,15 @@ enum TreeChange {
 /// stream chunk-at-a-time and must not pin whole plaintexts in EPC.
 pub(crate) const HOT_BODY_MAX: usize = 64 * 1024;
 
-/// Namespaced cache key: one logical object may be cached in more than
-/// one representation, and each is invalidated independently.
+/// Namespaced cache key: an object's own entry, and beside a tree node
+/// its trusted record and (inner nodes) its child listing, each
+/// invalidated independently.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub(crate) enum CacheKey {
-    /// Verified, decrypted object body ([`TrustedStore::read`]).
-    Body(ObjectId),
-    /// Decoded in-enclave object ([`TrustedStore::read_decoded`]).
-    Decoded(ObjectId),
+    /// A verified object: a small content file's plaintext
+    /// ([`TrustedStore::open_stream`]) or a metadata file's decoded form
+    /// ([`TrustedStore::read_decoded`]).
+    Object(ObjectId),
     /// Trusted rollback-tree hash record.
     Record(ObjectId),
     /// An inner node's tree children by bucket, beside its trusted record.
@@ -131,7 +132,9 @@ pub(crate) enum CacheKey {
 
 #[derive(Clone)]
 pub(crate) enum CachedValue {
-    Body(Arc<[u8]>),
+    /// A content file's verified plaintext.
+    Plain(Arc<Vec<u8>>),
+    /// A metadata file's decoded form.
     Decoded(Arc<dyn std::any::Any + Send + Sync>),
     /// A trusted record: the latest this enclave wrote for its node
     /// (see the module docs for how a record earns that).
@@ -255,14 +258,12 @@ impl TrustedStore {
         }
     }
 
-    /// Write-through invalidation: drops every cached representation of
-    /// `id`'s body, an inner node's listing included. Must run *before*
-    /// the mutation's store write lands so that no concurrent miss-fill
-    /// can publish the old value.
+    /// Write-through invalidation: drops `id`'s entry, an inner node's
+    /// listing included. Must run *before* the mutation's store write
+    /// lands so that no concurrent miss-fill can publish the old value.
     fn cache_invalidate_object(&self, id: &ObjectId) {
         if let Some(cache) = &self.cache {
-            cache.invalidate(&CacheKey::Body(id.clone()));
-            cache.invalidate(&CacheKey::Decoded(id.clone()));
+            cache.invalidate(&CacheKey::Object(id.clone()));
             if id.is_tree_inner() {
                 cache.invalidate(&CacheKey::Children(id.clone()));
             }
@@ -272,28 +273,6 @@ impl TrustedStore {
     fn cache_invalidate_record(&self, id: &ObjectId) {
         if let Some(cache) = &self.cache {
             cache.invalidate(&CacheKey::Record(id.clone()));
-        }
-    }
-
-    /// Whether a verified body of `id` may be retained in the cache.
-    fn body_cacheable(&self, id: &ObjectId, len: usize) -> bool {
-        match id {
-            // Content bodies only within the small hot-object budget.
-            ObjectId::FileData(_) => len <= HOT_BODY_MAX,
-            // Dedup blobs are content-addressed bulk data; never cached.
-            ObjectId::DedupBlob(_) => false,
-            // Metadata (dirfiles, ACLs, group/member lists) always.
-            _ => true,
-        }
-    }
-
-    /// Serves `id`'s verified body straight from the cache, without any
-    /// store access. `None` on miss (or with the cache disabled) — the
-    /// caller falls back to the verified store path.
-    pub(crate) fn cached_body(&self, id: &ObjectId) -> Option<Arc<[u8]>> {
-        match self.cache_lookup(&CacheKey::Body(id.clone())) {
-            Some(CachedValue::Body(body)) => Some(body),
-            _ => None,
         }
     }
 
@@ -366,11 +345,24 @@ impl TrustedStore {
         }
     }
 
-    /// Decrypts `id`'s blob, counted in `seg_pfs_decrypts_total`.
-    fn decrypt(&self, id: &ObjectId, blob: &[u8]) -> Result<Vec<u8>, SegShareError> {
-        let body = pfs_decrypt(&self.data_key(id), blob)?;
+    /// Opens `id`'s blob: the one place a body decrypt is counted in
+    /// `seg_pfs_decrypts_total`, whether it is then read whole or
+    /// streamed.
+    fn open_blob<B: AsRef<[u8]>>(
+        &self,
+        id: &ObjectId,
+        blob: B,
+    ) -> Result<PfsFile<B>, SegShareError> {
+        let file = PfsFile::open(&self.data_key(id), blob)?;
         self.pfs_decrypts.fetch_add(1, Ordering::Relaxed);
-        Ok(body)
+        Ok(file)
+    }
+
+    /// Decrypts `id`'s whole blob.
+    fn decrypt(&self, id: &ObjectId, blob: &[u8]) -> Result<Vec<u8>, SegShareError> {
+        // The open and the read collapse into one `pfs` profile frame.
+        let _prof = seg_obs::prof::phase(seg_obs::Phase::Pfs);
+        Ok(self.open_blob(id, blob)?.read_all()?)
     }
 
     /// Body decrypts so far.
@@ -909,6 +901,27 @@ mod tests {
     }
 
     #[test]
+    fn metadata_is_cached_once_and_only_decoded() {
+        let f = fixture(cached_config());
+        init_root(&f);
+        let acl = ObjectId::Acl(SegPath::root());
+        let entries = || f.store.cache_stats().unwrap().entries;
+        let before = entries();
+        let decoded = f
+            .store
+            .read_decoded(&acl, |body| Ok(seg_fs::AclFile::decode(body)?))
+            .unwrap()
+            .unwrap();
+        assert_eq!(entries(), before + 1);
+        // A plain read of the same file goes to the store and adds no
+        // plaintext entry beside the decoded one.
+        assert_eq!(f.store.read(&acl).unwrap().unwrap(), decoded.encode());
+        assert_eq!(entries(), before + 1, "one entry per object");
+        let cached = f.store.cache.as_ref().unwrap().get(&CacheKey::Object(acl));
+        assert!(matches!(cached, Some(CachedValue::Decoded(_))));
+    }
+
+    #[test]
     fn delete_drops_cached_body() {
         let f = fixture(cached_config());
         init_root(&f);
@@ -957,7 +970,7 @@ mod tests {
         // which *mismatches* the cached latest records — detected, not
         // served.
         let cache = f.store.cache.as_ref().unwrap();
-        cache.invalidate(&CacheKey::Body(file_id("/a")));
+        cache.invalidate(&CacheKey::Object(file_id("/a")));
         let data_key = f.store.keys.storage_key(&file_id("/a"), true);
         assert!(f.content.get(&data_key).unwrap().is_some());
         assert!(matches!(
@@ -1590,12 +1603,8 @@ mod tests {
         // own record is trusted, so the swap goes unseen there.
         store.evict(&child);
         assert_eq!(read_costs(&store, &counting, &child), [2, 1]);
-        // The parent's own read holds the blob against its record.
-        store
-            .cache
-            .as_ref()
-            .unwrap()
-            .invalidate(&CacheKey::Body(d.clone()));
+        // The parent's own read, never served from the cache, holds the
+        // blob against its record.
         assert!(is_integrity(store.read(&d)));
         // The scrubber walks past the warm listing to the blob.
         assert!(matches!(

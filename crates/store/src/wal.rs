@@ -38,6 +38,8 @@ const FRAME_MAGIC: u32 = 0x5347_574c;
 const CKPT_MAGIC: u32 = 0x5347_434b;
 /// Fixed frame header: magic + seq + payload len + crc.
 const FRAME_HEADER: usize = 4 + 8 + 4 + 4;
+/// The file whose exclusive lock marks a directory as a live store's.
+const LOCK_FILE: &str = "LOCK";
 /// Largest key, value, or whole-frame payload the encoding's u32 length
 /// fields can represent. Anything bigger must be rejected up front:
 /// encoding it would wrap the length field while still appending all
@@ -142,6 +144,8 @@ struct WalInner {
 pub struct WalStore {
     inner: Arc<WalInner>,
     committer: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The directory's lock file, locked for as long as the store lives.
+    _lock: fs::File,
 }
 
 impl WalStore {
@@ -159,13 +163,33 @@ impl WalStore {
 
     /// [`WalStore::open`] with explicit [`WalConfig`].
     ///
+    /// A store owns its directory until it is dropped, poisoned or not
+    /// (or its process exits): the open takes an exclusive lock on the
+    /// directory's lock file before recovering, so a second store never
+    /// scans segments the live one's checkpoints are deleting.
+    ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] if the directory or a segment cannot
-    /// be read or created.
+    /// be read or created, or if another open store holds the directory.
     pub fn open_with(dir: impl AsRef<Path>, cfg: WalConfig) -> Result<WalStore, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
+        let lock = fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join(LOCK_FILE))?;
+        match lock.try_lock() {
+            Ok(()) => {}
+            Err(fs::TryLockError::WouldBlock) => {
+                return Err(StoreError::Io(format!(
+                    "{} is held by another open wal store",
+                    dir.display()
+                )))
+            }
+            Err(fs::TryLockError::Error(e)) => return Err(e.into()),
+        }
         let (index, next_seq) = recover(&dir)?;
         // Append at `next_seq`. Usually a fresh file; when a segment's
         // very first frame was torn, recovery truncated that segment to
@@ -215,6 +239,7 @@ impl WalStore {
         Ok(WalStore {
             inner,
             committer: Mutex::new(committer),
+            _lock: lock,
         })
     }
 
@@ -1251,6 +1276,35 @@ mod tests {
         // Reopening recovers everything that was durable.
         let s = WalStore::open(&dir).unwrap();
         assert_eq!(s.get("k").unwrap(), Some(b"v".to_vec()));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_live_directory_is_owned_until_its_store_is_dropped() {
+        let dir = tempdir("owned");
+        let held = |result: Result<WalStore, StoreError>| matches!(result, Err(StoreError::Io(msg)) if msg.contains("held by another open wal store"));
+        let s = WalStore::open_with(
+            &dir,
+            WalConfig {
+                group_commit: false,
+                fault: Some(Arc::new(FaultPlan::crash_at(3))),
+                ..WalConfig::default()
+            },
+        )
+        .unwrap();
+        // Append and fsync are events 1 and 2; the next append crashes.
+        s.put("k", b"v").unwrap();
+        assert!(held(WalStore::open(&dir)));
+        assert!(s.put("lost", b"x").is_err());
+        assert!(s.poisoned());
+        assert!(
+            held(WalStore::open(&dir)),
+            "a poisoned store still holds it"
+        );
+        drop(s);
+        let s = WalStore::open(&dir).unwrap();
+        assert_eq!(s.get("k").unwrap(), Some(b"v".to_vec()));
+        drop(s);
         fs::remove_dir_all(&dir).unwrap();
     }
 

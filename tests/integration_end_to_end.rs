@@ -603,6 +603,24 @@ fn streaming_reader_writer_roundtrip() {
     assert_eq!(n, content.len() as u64);
     assert_eq!(out, content);
 
+    // A directory is refused by name, by both downloads alike.
+    a.mkdir("/folder").unwrap();
+    let mut sink = Vec::new();
+    let streamed = a.get_to_writer("/folder/", &mut sink).map(drop);
+    for got in [streamed, a.get("/folder/").map(drop)] {
+        assert!(
+            matches!(
+                got,
+                Err(SegShareError::Request {
+                    code: ErrorCode::BadRequest,
+                    ..
+                })
+            ),
+            "{got:?}"
+        );
+    }
+    assert!(sink.is_empty());
+
     // A reader that lies about its size is a protocol error.
     let short: &[u8] = b"too short";
     assert!(matches!(

@@ -541,6 +541,57 @@ fn epc_gauges_report_peak_usage() {
 }
 
 #[test]
+fn every_body_a_download_opens_is_one_pfs_decrypt() {
+    // Cache on, with metadata and tree records warm, a get decrypts
+    // only its own body: counted once whether the body is kept whole
+    // (small) or streamed (1 MiB), and not at all when it is served
+    // from the cache.
+    let setup = FsoSetup::new_in_memory(
+        "obs-decrypts",
+        EnclaveConfig {
+            cache: true,
+            ..EnclaveConfig::default()
+        },
+    );
+    let server = setup.server().expect("setup");
+    let alice = setup
+        .enroll_user("alice", "alice@acme.example", "Alice")
+        .expect("enroll");
+    let mut a = server.connect_local(&alice).expect("connect");
+    let small = vec![7u8; 4096];
+    let large: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+    a.put("/small", &small).expect("put small");
+    a.put("/large", &large).expect("put large");
+    for _ in 0..2 {
+        assert_eq!(a.get("/small").expect("warm small"), small);
+        assert_eq!(a.get("/large").expect("warm large"), large);
+    }
+    let decrypts = || {
+        let snap = server.metrics_snapshot();
+        snap.counter("seg_pfs_decrypts_total")
+            .expect("decrypt counter")
+    };
+    let get = |a: &mut Client<_>, path: &str, expect: &[u8]| {
+        let before = decrypts();
+        assert_eq!(a.get(path).expect("get"), expect);
+        decrypts() - before
+    };
+    assert_eq!(
+        get(&mut a, "/small", &small),
+        0,
+        "a repeated small get is a hit"
+    );
+    assert_eq!(get(&mut a, "/large", &large), 1, "a repeated streamed get");
+    let rewritten = vec![9u8; 4096];
+    a.put("/small", &rewritten).expect("overwrite");
+    assert_eq!(
+        get(&mut a, "/small", &rewritten),
+        1,
+        "a get after an overwrite"
+    );
+}
+
+#[test]
 fn profile_attributes_upload_wall_clock_to_phases() {
     // A 1 MB upload through the full enclave path: the phase profiler
     // must attribute the request's wall-clock without losing or double

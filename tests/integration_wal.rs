@@ -47,6 +47,20 @@ fn connect(setup: &FsoSetup, server: &SegShareServer, user: &str) -> Client<Chan
     server.connect_local(&enrolled).unwrap()
 }
 
+/// Reboots `setup` onto a fresh `WalStore` over `dir`. The store the
+/// setup held owns the directory until its last handle is gone, so the
+/// setup's views of it are swapped out first (the server that used them
+/// is dropped by then).
+fn reopen(setup: &mut FsoSetup, dir: &std::path::Path) {
+    setup.set_stores(
+        Arc::new(MemStore::new()),
+        Arc::new(MemStore::new()),
+        Arc::new(MemStore::new()),
+    );
+    let (content, group, dedup) = wal_views(&Arc::new(WalStore::open(dir).unwrap()));
+    setup.set_stores(content, group, dedup);
+}
+
 // ---------------------------------------------------------------- smoke
 
 #[test]
@@ -68,8 +82,7 @@ fn wal_backend_survives_restart() {
         server.audit_verify().unwrap();
     }
     // Reboot: a fresh WalStore over the same directory, same identity.
-    let (content, group, dedup) = wal_views(&Arc::new(WalStore::open(&dir).unwrap()));
-    setup.set_stores(content, group, dedup);
+    reopen(&mut setup, &dir);
     let server = setup.server().unwrap();
     let mut c = connect(&setup, &server, "alice");
     assert_eq!(c.get("/docs/big").unwrap(), big);
@@ -115,8 +128,7 @@ fn torn_log_tail_is_discarded_on_reopen() {
         // header announcing a payload that never arrived.
         f.write_all(&[0xde, 0xad, 0xbe, 0xef, 0x00, 0x13]).unwrap();
     }
-    let (content, group, dedup) = wal_views(&Arc::new(WalStore::open(&dir).unwrap()));
-    setup.set_stores(content, group, dedup);
+    reopen(&mut setup, &dir);
     let server = setup.server().unwrap();
     let mut c = connect(&setup, &server, "alice");
     assert_eq!(c.get("/stable").unwrap(), b"acked and fsynced");
