@@ -58,29 +58,15 @@ use seg_sgx::{EpcAllocation, EpcTracker};
 /// Sentinel for "no slot" in the intrusive lists.
 const NIL: usize = usize::MAX;
 
-/// Sizing knobs for an [`ObjectCache`].
-#[derive(Debug, Clone, Copy)]
-pub struct CacheConfig {
-    /// Total byte budget across all shards (values only; per-entry
-    /// bookkeeping overhead is charged via `entry_overhead`).
-    pub capacity_bytes: u64,
-    /// Number of independently locked shards (rounded up to ≥ 1).
-    pub shards: usize,
-    /// Bytes charged per entry on top of the value size (key, slot and
-    /// generation-table bookkeeping) — both against the shard budget and
-    /// against the EPC tracker.
-    pub entry_overhead: u64,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            capacity_bytes: 8 * 1024 * 1024,
-            shards: 8,
-            entry_overhead: 128,
-        }
-    }
-}
+/// Total byte budget across all shards (values plus per-entry
+/// overhead).
+const CAPACITY_BYTES: u64 = 8 * 1024 * 1024;
+/// Independently locked shards.
+const SHARDS: usize = 8;
+/// Bytes charged per entry on top of the value size (key, slot and
+/// generation-table bookkeeping) — both against the shard budget and
+/// against the EPC tracker.
+const ENTRY_OVERHEAD: u64 = 128;
 
 /// Point-in-time counters exported by [`ObjectCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -300,17 +286,21 @@ impl<K, V> std::fmt::Debug for ObjectCache<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
-    /// Creates a cache whose capacity is charged against `epc`.
+    /// Creates a cache of 8 MiB in 8 shards, charging 128 bytes per
+    /// entry on top of its value, whose capacity is charged against `epc`.
     #[must_use]
-    pub fn new(config: CacheConfig, epc: EpcTracker) -> ObjectCache<K, V> {
-        let shards = config.shards.max(1);
-        let shard_capacity = (config.capacity_bytes / shards as u64).max(1);
+    pub fn new(epc: EpcTracker) -> ObjectCache<K, V> {
+        ObjectCache::sized(CAPACITY_BYTES, SHARDS, ENTRY_OVERHEAD, epc)
+    }
+
+    fn sized(capacity_bytes: u64, shards: usize, entry_overhead: u64, epc: EpcTracker) -> Self {
+        let shard_capacity = (capacity_bytes / shards as u64).max(1);
         ObjectCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_capacity,
             // 4/5 protected keeps a probationary runway for new fills.
             protected_cap: shard_capacity * 4 / 5,
-            entry_overhead: config.entry_overhead,
+            entry_overhead,
             epc,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -350,6 +340,15 @@ impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
         drop(shard);
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(value)
+    }
+
+    /// Looks `key` up without counting a hit or a miss and without
+    /// touching its LRU position: for integrity probes, which re-check
+    /// what the cache holds without changing what it keeps.
+    pub fn peek(&self, key: &K) -> Option<V> {
+        let shard = self.shard(key).lock();
+        let idx = *shard.map.get(key)?;
+        Some(shard.slots[idx].as_ref().expect("live slot").value.clone())
     }
 
     /// The current generation of `key` (0 if never invalidated). Miss
@@ -520,14 +519,7 @@ mod tests {
 
     /// Single shard, no per-entry overhead: deterministic byte math.
     fn cache(capacity: u64) -> ObjectCache<String, Arc<[u8]>> {
-        ObjectCache::new(
-            CacheConfig {
-                capacity_bytes: capacity,
-                shards: 1,
-                entry_overhead: 0,
-            },
-            epc(),
-        )
+        ObjectCache::sized(capacity, 1, 0, epc())
     }
 
     fn val(n: usize) -> Arc<[u8]> {
@@ -642,14 +634,7 @@ mod tests {
     #[test]
     fn epc_charge_follows_cache_occupancy() {
         let tracker = epc();
-        let c: ObjectCache<String, Arc<[u8]>> = ObjectCache::new(
-            CacheConfig {
-                capacity_bytes: 1024,
-                shards: 1,
-                entry_overhead: 0,
-            },
-            tracker.clone(),
-        );
+        let c: ObjectCache<String, Arc<[u8]>> = ObjectCache::sized(1024, 1, 0, tracker.clone());
         let gen = c.generation(&"a".to_string());
         c.insert_if_current("a".to_string(), gen, val(100), 100);
         assert_eq!(tracker.current_bytes(), 100);
@@ -666,14 +651,7 @@ mod tests {
         // An EPC budget smaller than the cache: fills beyond the limit
         // must show up as paged pages, not silent free memory.
         let tracker = EpcTracker::new(4096, CostModel::default());
-        let c: ObjectCache<String, Arc<[u8]>> = ObjectCache::new(
-            CacheConfig {
-                capacity_bytes: 1 << 20,
-                shards: 1,
-                entry_overhead: 0,
-            },
-            tracker.clone(),
-        );
+        let c: ObjectCache<String, Arc<[u8]>> = ObjectCache::sized(1 << 20, 1, 0, tracker.clone());
         for k in 0..4 {
             let key = format!("k{k}");
             let gen = c.generation(&key);
@@ -717,6 +695,29 @@ mod tests {
         assert!(c.sample_keys(0).is_empty());
         let after = c.stats();
         assert_eq!((before.hits, before.misses), (after.hits, after.misses));
+    }
+
+    #[test]
+    fn peek_neither_counts_nor_promotes() {
+        let c = cache(100); // protected cap = 80
+        let hot = "hot".to_string();
+        let gen = c.generation(&hot);
+        c.insert_if_current(hot.clone(), gen, val(10), 10);
+        let before = c.stats();
+        for _ in 0..3 {
+            assert_eq!(c.peek(&hot).unwrap().len(), 10);
+            assert!(c.peek(&"absent".to_string()).is_none());
+        }
+        let after = c.stats();
+        assert_eq!((before.hits, before.misses), (after.hits, after.misses));
+        assert_eq!(c.shards[0].lock().protected_bytes, 0, "still probationary");
+        // Unpromoted, a scan flushes it.
+        for k in 0..20 {
+            let key = format!("scan{k}");
+            let gen = c.generation(&key);
+            c.insert_if_current(key, gen, val(10), 10);
+        }
+        assert!(c.peek(&hot).is_none());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! trusted store holds the content and group roots', the audit log its
 //! head's. `EnclaveConfig::batch` is read here and nowhere else.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -121,7 +122,11 @@ impl SegShareEnclave {
     /// off it runs `f` and appends the record, nothing else.
     ///
     /// An audit-append or durability failure outranks a successful
-    /// `f`, never an earlier error.
+    /// `f`, never an earlier error. If `f` panics, the window's
+    /// transactions are sealed as the panic unwinds (fail closed, as
+    /// for an `f` that errs), so the worker thread keeps no open
+    /// transaction to leak into its next window or to hold every
+    /// checkpoint off.
     pub(crate) fn commit<T>(
         &self,
         audit: Option<&mut RequestRecord>,
@@ -137,7 +142,10 @@ impl SegShareEnclave {
         for store in self.store.stores() {
             store.tx_begin();
         }
-        let result = f();
+        let result = catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|panic| {
+            let _ = self.seal();
+            resume_unwind(panic)
+        });
         let mut sealed = Ok(Vec::new());
         let result = self.append_audit(audit, result, || sealed = self.seal());
         if !self.config.rollback_whole_fs {

@@ -300,7 +300,7 @@ impl TrustedStore {
             };
             let cache_key = CacheKey::Object(id.clone());
             let gen_before = cache.generation(&cache_key);
-            let Some(CachedValue::Plain(cached)) = cache.get(&cache_key) else {
+            let Some(CachedValue::Plain(cached)) = cache.peek(&cache_key) else {
                 continue;
             };
             probed += 1;

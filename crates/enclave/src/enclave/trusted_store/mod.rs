@@ -213,9 +213,7 @@ impl TrustedStore {
         group: Arc<StoreOcall>,
         dedup: Arc<StoreOcall>,
     ) -> TrustedStore {
-        let cache = config
-            .cache
-            .then(|| MetaCache::new(seg_cache::CacheConfig::default(), sgx.epc().clone()));
+        let cache = config.cache.then(|| MetaCache::new(sgx.epc().clone()));
         let root_anchors = [1, 2].map(|id| Anchor::new(Arc::clone(&sgx), id, &config));
         TrustedStore {
             keys,

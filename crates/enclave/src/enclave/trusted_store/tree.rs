@@ -96,7 +96,7 @@ impl TrustedStore {
         let cached = self
             .cache
             .as_ref()
-            .and_then(|c| c.get(&CacheKey::Record(id.clone())));
+            .and_then(|c| c.peek(&CacheKey::Record(id.clone())));
         if let Some(CachedValue::Record(trusted)) = cached {
             if rec.as_ref() != Some(&*trusted) {
                 return Err(integrity(

@@ -21,7 +21,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use super::conn::{CloseMode, Conn, ConnState, Inbound, OutQ, Sink, Written};
-use super::{sys, timer, ConnId, Inner, DRAIN_DEADLINE_MS};
+use super::{sys, timer, ConnId, Inner, DRAIN_DEADLINE_MS, INBOX_FRAMES};
 use crate::framing::FrameBuf;
 
 /// Notes workers inject for the event loop (what needs the epoll set or
@@ -506,7 +506,7 @@ impl EventLoop {
             let inbox_full = {
                 let mut inbox = inbox.lock().unwrap();
                 loop {
-                    if inbox.len() >= inner.cfg.inbox_frames {
+                    if inbox.len() >= INBOX_FRAMES {
                         // Only look: the frame stays buffered.
                         break fc.rbuf.frame_ready();
                     }

@@ -65,6 +65,11 @@ pub use sys::EPOLL_AVAILABLE;
 /// reads cannot hold a connection slot for ever.
 const DRAIN_DEADLINE_MS: u64 = 5_000;
 
+/// Complete inbound frames buffered per connection before the reactor
+/// stops reading its socket (TCP backpressure); reading resumes below
+/// half.
+const INBOX_FRAMES: usize = 32;
+
 /// Identifies one connection for the lifetime of a reactor. Never
 /// reused within a run.
 pub type ConnId = u64;
@@ -126,9 +131,6 @@ pub struct ReactorConfig {
     pub workers: usize,
     /// Hard cap on live connections; accepts beyond it are shed.
     pub max_conns: usize,
-    /// Complete inbound frames buffered per connection before the
-    /// reactor stops reading its socket (TCP backpressure).
-    pub inbox_frames: usize,
     /// Outbound queue byte cap per connection. Responses always fit
     /// (inbound processing pauses at the cap); lazy download production
     /// resumes only below the low-water mark (half the cap).
@@ -147,7 +149,6 @@ impl Default for ReactorConfig {
                 .map_or(2, std::num::NonZeroUsize::get)
                 .max(2),
             max_conns: 65_536,
-            inbox_frames: 32,
             outbound_bytes: 1 << 20,
             idle_timeout: Duration::from_secs(300),
             virtual_depth: 64,

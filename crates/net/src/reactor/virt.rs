@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use super::conn::{CloseMode, Conn, ConnState, Inbound, OutQ, Sink};
 use super::event_loop::Intake;
-use super::ReactorHandle;
+use super::{ReactorHandle, INBOX_FRAMES};
 use crate::virtq::VirtQueue;
 use crate::{ChannelTransport, NetError};
 
@@ -42,7 +42,7 @@ impl ReactorHandle {
                 inner.schedule(&conn);
             }
         });
-        let inbound_q = Arc::new(VirtQueue::new(inner.cfg.inbox_frames, Some(on_push), None));
+        let inbound_q = Arc::new(VirtQueue::new(INBOX_FRAMES, Some(on_push), None));
 
         // Reactor -> client: the peer's blocking recv side. When a full
         // queue regains space (or closes), retry the flush.

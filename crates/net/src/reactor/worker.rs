@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use super::conn::{CloseMode, Conn, ConnState, Inbound, Sink, Written};
 use super::event_loop::Note;
-use super::{FrameOutcome, Inner, DRAIN_DEADLINE_MS};
+use super::{FrameOutcome, Inner, DRAIN_DEADLINE_MS, INBOX_FRAMES};
 use crate::virtq::{TryPop, TryPush};
 
 /// Frames one worker turn may process before requeueing the connection
@@ -81,7 +81,7 @@ fn service(inner: &Arc<Inner>, conn: &Arc<Conn>) {
                 // Popping may reopen a paused socket (inbox was full).
                 if conn.reading_paused.load(Ordering::Acquire) {
                     if let Inbound::Fd { inbox } = &conn.inbound {
-                        if inbox.lock().unwrap().len() <= inner.cfg.inbox_frames / 2 {
+                        if inbox.lock().unwrap().len() <= INBOX_FRAMES / 2 {
                             inner.inject(Note::ReadResume(conn.id));
                         }
                     }

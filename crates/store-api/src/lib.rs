@@ -352,6 +352,10 @@ pub trait ObjectStore: Send + Sync {
     /// state immediately (read-your-own-writes) but accumulate into one
     /// pending [`WriteBatch`] instead of becoming durable individually.
     /// Idempotent per thread; a no-op on backends without batching.
+    ///
+    /// Transactions on different threads may overlap. When two of them
+    /// write one key, the later seal wins, in memory and on disk alike:
+    /// the visible state after both seals is what recovery replays.
     fn tx_begin(&self) {}
 
     /// Seals this thread's open transaction (if any) into one atomic

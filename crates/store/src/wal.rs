@@ -14,6 +14,12 @@
 //! [`WalConfig::group_commit`] off) by an inline fsync per frame — the
 //! "naive" mode the durability benchmark compares against.
 //!
+//! Every frame is written by one function, `WalInner::commit`: under
+//! the log lock it appends the frame and applies its ops to the index,
+//! so the index changes in log order and, with no transaction open, is
+//! exactly what replaying the log rebuilds. A value is copied in once,
+//! into the `Arc` the index, an open transaction and the encoder share.
+//!
 //! Recovery loads the newest valid checkpoint and replays later
 //! segments in order, stopping at the first frame whose checksum or
 //! length fails — a torn tail from a mid-write crash is thereby
@@ -31,6 +37,29 @@ use parking_lot::RwLock;
 
 use crate::fault::FaultPlan;
 use crate::{BatchOp, CommitTicket, IoStats, ObjectStore, StoreError, TicketState, WriteBatch};
+
+/// The in-memory index: every live key and its value.
+type Index = HashMap<String, Arc<[u8]>>;
+
+/// One op as the index, an open transaction and the encoder share it:
+/// a put's value is one `Arc`, copied in once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Op {
+    Put(String, Arc<[u8]>),
+    Delete(String),
+}
+
+/// An op as the encoder reads it: its key, and a put's value.
+type OpRef<'a> = (&'a str, Option<&'a [u8]>);
+
+impl Op {
+    fn as_ref(&self) -> OpRef<'_> {
+        match self {
+            Op::Put(key, value) => (key, Some(value)),
+            Op::Delete(key) => (key, None),
+        }
+    }
+}
 
 /// Frame magic: "SGWL".
 const FRAME_MAGIC: u32 = 0x5347_574c;
@@ -124,13 +153,15 @@ struct GateState {
 struct WalInner {
     dir: PathBuf,
     cfg: WalConfig,
-    index: RwLock<HashMap<String, Arc<[u8]>>>,
+    index: RwLock<Index>,
     log: Mutex<LogState>,
     queue: Mutex<QueueState>,
     queue_cond: Condvar,
     gate: Mutex<GateState>,
     gate_cond: Condvar,
-    txs: Mutex<HashMap<ThreadId, WriteBatch>>,
+    /// Each thread's open transaction: its ops, already shown in the
+    /// index, not yet in the log.
+    txs: Mutex<HashMap<ThreadId, Vec<Op>>>,
     poisoned: AtomicBool,
     batches: AtomicU64,
     batch_ops: AtomicU64,
@@ -361,32 +392,20 @@ impl WalInner {
         Ok(())
     }
 
-    /// Applies a batch to the in-memory index (visibility; durability
-    /// is the frame's).
-    fn apply_to_index(&self, batch: &WriteBatch) {
-        let mut index = self.index.write();
-        for op in &batch.ops {
-            match op {
-                BatchOp::Put { key, value } => {
-                    index.insert(key.clone(), Arc::from(value.as_slice()));
-                }
-                BatchOp::Delete { key } => {
-                    index.remove(key);
-                }
-            }
-        }
-    }
-
-    /// Encodes, appends, and schedules durability for one batch whose
-    /// index application already happened. Core commit path.
-    fn commit_frame(&self, batch: &WriteBatch) -> Result<CommitTicket, StoreError> {
+    /// The one commit: under the log lock, encodes `ops` into one frame,
+    /// appends it and applies the ops to the index, so the index changes
+    /// in log order. Then queues the frame's ticket for the group commit,
+    /// or (naive mode) fsyncs it inline.
+    fn commit(&self, ops: Vec<Op>) -> Result<CommitTicket, StoreError> {
+        validate(&ops)?;
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batch_ops
-            .fetch_add(batch.ops.len() as u64, Ordering::Relaxed);
+            .fetch_add(ops.len() as u64, Ordering::Relaxed);
         let mut log = lock(&self.log);
-        let frame = encode_frame(log.next_seq, batch);
+        let frame = encode_frame(log.next_seq, &ops);
         self.append_locked(&mut log, &frame)?;
         log.next_seq += 1;
+        apply(&mut self.index.write(), ops);
         if self.cfg.group_commit {
             drop(log);
             let state = TicketState::new();
@@ -410,13 +429,47 @@ impl WalInner {
         }
     }
 
-    /// Commits a batch outside any thread transaction and waits for
-    /// durability: the plain `put`/`delete`/`rename` path.
-    fn commit_and_wait(&self, batch: WriteBatch) -> Result<(), StoreError> {
-        validate_batch(&batch)?;
-        self.apply_to_index(&batch);
-        self.commit_frame(&batch)?.wait()
+    /// A `put`, `delete` or `rename`: inside this thread's transaction
+    /// its ops are shown at once and kept for the seal; outside one they
+    /// are committed as their own frame, waiting for durability.
+    fn write(&self, ops: Vec<Op>) -> Result<(), StoreError> {
+        let mut txs = lock(&self.txs);
+        if let Some(tx) = txs.get_mut(&std::thread::current().id()) {
+            tx.extend(ops.iter().cloned());
+            drop(txs);
+            apply(&mut self.index.write(), ops);
+            return Ok(());
+        }
+        drop(txs);
+        self.commit(ops)?.wait()
     }
+}
+
+/// Applies `ops` to `index` in order: commits, transactions and
+/// recovery all change the index through here.
+fn apply(index: &mut Index, ops: impl IntoIterator<Item = Op>) {
+    for op in ops {
+        match op {
+            Op::Put(key, value) => {
+                index.insert(key, value);
+            }
+            Op::Delete(key) => {
+                index.remove(&key);
+            }
+        }
+    }
+}
+
+/// `batch`'s ops, each value copied once into its `Arc`.
+fn ops_of(batch: &WriteBatch) -> Vec<Op> {
+    batch
+        .ops
+        .iter()
+        .map(|op| match op {
+            BatchOp::Put { key, value } => Op::Put(key.clone(), Arc::from(value.as_slice())),
+            BatchOp::Delete { key } => Op::Delete(key.clone()),
+        })
+        .collect()
 }
 
 /// Locks a std mutex, ignoring poisoning (a panicked holder's state is
@@ -436,23 +489,16 @@ fn check_len(what: &str, len: usize) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Validates every op and the total encoded payload of a batch. Runs
-/// before any index mutation or log append, so an over-long op is
-/// rejected cleanly instead of producing an undecodable frame.
-fn validate_batch(batch: &WriteBatch) -> Result<(), StoreError> {
+/// Validates every op and the total encoded payload of a frame. Runs
+/// before the append, so an over-long op is rejected cleanly instead of
+/// producing an undecodable frame.
+fn validate(ops: &[Op]) -> Result<(), StoreError> {
     let mut total = 4usize; // op-count prefix
-    for op in &batch.ops {
-        total = total.saturating_add(match op {
-            BatchOp::Put { key, value } => {
-                check_len("key", key.len())?;
-                check_len("value", value.len())?;
-                1 + 4 + key.len() + 4 + value.len()
-            }
-            BatchOp::Delete { key } => {
-                check_len("key", key.len())?;
-                1 + 4 + key.len()
-            }
-        });
+    for op in ops {
+        let (key, value) = op.as_ref();
+        check_len("key", key.len())?;
+        check_len("value", value.map_or(0, <[u8]>::len))?;
+        total = total.saturating_add(op_len((key, value)));
     }
     check_len("batch payload", total)
 }
@@ -472,36 +518,15 @@ impl ObjectStore for WalStore {
         self.inner.check_alive()?;
         check_len("key", key.len())?;
         check_len("value", value.len())?;
-        let mut txs = lock(&self.inner.txs);
-        if let Some(batch) = txs.get_mut(&std::thread::current().id()) {
-            batch.put(key, value);
-            drop(txs);
-            self.inner
-                .index
-                .write()
-                .insert(key.to_string(), Arc::from(value));
-            return Ok(());
-        }
-        drop(txs);
-        let mut batch = WriteBatch::new();
-        batch.put(key, value);
-        self.inner.commit_and_wait(batch)
+        self.inner
+            .write(vec![Op::Put(key.to_string(), Arc::from(value))])
     }
 
     fn delete(&self, key: &str) -> Result<bool, StoreError> {
         self.inner.check_alive()?;
         check_len("key", key.len())?;
-        let mut txs = lock(&self.inner.txs);
-        if let Some(batch) = txs.get_mut(&std::thread::current().id()) {
-            batch.delete(key);
-            drop(txs);
-            return Ok(self.inner.index.write().remove(key).is_some());
-        }
-        drop(txs);
         let existed = self.inner.index.read().contains_key(key);
-        let mut batch = WriteBatch::new();
-        batch.delete(key);
-        self.inner.commit_and_wait(batch)?;
+        self.inner.write(vec![Op::Delete(key.to_string())])?;
         Ok(existed)
     }
 
@@ -520,18 +545,10 @@ impl ObjectStore for WalStore {
             .get(from)
             .cloned()
             .ok_or_else(|| StoreError::NotFound(from.to_string()))?;
-        let mut batch = WriteBatch::new();
-        batch.delete(from);
-        batch.put(to, value.to_vec());
-        let mut txs = lock(&self.inner.txs);
-        if let Some(tx) = txs.get_mut(&std::thread::current().id()) {
-            tx.ops.extend(batch.ops.iter().cloned());
-            drop(txs);
-            self.inner.apply_to_index(&batch);
-            return Ok(());
-        }
-        drop(txs);
-        self.inner.commit_and_wait(batch)
+        self.inner.write(vec![
+            Op::Delete(from.to_string()),
+            Op::Put(to.to_string(), value),
+        ])
     }
 
     fn list(&self) -> Result<Vec<String>, StoreError> {
@@ -556,14 +573,13 @@ impl ObjectStore for WalStore {
     }
 
     fn apply_batch(&self, batch: &WriteBatch) -> Result<(), StoreError> {
-        self.submit_batch(batch.clone())?.wait()
+        self.inner.check_alive()?;
+        self.inner.commit(ops_of(batch))?.wait()
     }
 
     fn submit_batch(&self, batch: WriteBatch) -> Result<CommitTicket, StoreError> {
         self.inner.check_alive()?;
-        validate_batch(&batch)?;
-        self.inner.apply_to_index(&batch);
-        self.inner.commit_frame(&batch)
+        self.inner.commit(ops_of(&batch))
     }
 
     fn tx_begin(&self) {
@@ -589,12 +605,12 @@ impl ObjectStore for WalStore {
         }
         gate.open_txs += 1;
         drop(gate);
-        lock(&self.inner.txs).insert(id, WriteBatch::new());
+        lock(&self.inner.txs).insert(id, Vec::new());
     }
 
     fn tx_seal(&self) -> Result<Option<CommitTicket>, StoreError> {
         let id = std::thread::current().id();
-        let Some(batch) = lock(&self.inner.txs).remove(&id) else {
+        let Some(ops) = lock(&self.inner.txs).remove(&id) else {
             return Ok(None);
         };
         {
@@ -603,15 +619,13 @@ impl ObjectStore for WalStore {
             self.inner.gate_cond.notify_all();
         }
         self.inner.check_alive()?;
-        if batch.is_empty() {
+        if ops.is_empty() {
             return Ok(Some(CommitTicket::ready()));
         }
-        // Per-op lengths were checked as the tx accumulated; the total
-        // payload across the whole batch still needs one check.
-        validate_batch(&batch)?;
-        // Index state is already applied op-by-op; only the frame
-        // remains.
-        Ok(Some(self.inner.commit_frame(&batch)?))
+        // The ops were shown as they were made; the commit applies them
+        // again, in log order, so a later seal wins over an earlier one
+        // in memory as it does on replay.
+        Ok(Some(self.inner.commit(ops)?))
     }
 
     fn io_stats(&self) -> IoStats {
@@ -710,13 +724,7 @@ fn checkpoint_inner(inner: &WalInner) -> Result<(), StoreError> {
     // checkpoint can claim to cover it.
     inner.fsync_locked(&mut log)?;
     let upto = log.next_seq;
-    let snapshot: Vec<(String, Arc<[u8]>)> = inner
-        .index
-        .read()
-        .iter()
-        .map(|(k, v)| (k.clone(), Arc::clone(v)))
-        .collect();
-    let body = encode_checkpoint(upto, &snapshot);
+    let body = encode_checkpoint(upto, inner.index.read().iter());
     let tmp = inner.dir.join(format!("ckpt-{upto:016x}.tmp"));
     let final_path = inner.dir.join(format!("ckpt-{upto:016x}.ck"));
     {
@@ -804,11 +812,11 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
 
 // ------------------------------------------------------------ encoding
 
-/// CRC-32 (IEEE), bytewise table-free variant — plenty for frame
-/// integrity checking without a dependency.
-fn crc32(data: &[u8]) -> u32 {
+/// CRC-32 (IEEE) over `parts` in order, bytewise table-free variant —
+/// plenty for frame integrity checking without a dependency.
+fn crc32(parts: &[&[u8]]) -> u32 {
     let mut crc = 0xffff_ffffu32;
-    for &b in data {
+    for &b in parts.iter().copied().flatten() {
         crc ^= u32::from(b);
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
@@ -818,48 +826,93 @@ fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-fn encode_ops(ops: &[BatchOp]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for op in ops {
-        match op {
-            BatchOp::Put { key, value } => {
-                out.push(0);
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key.as_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(value);
-            }
-            BatchOp::Delete { key } => {
-                out.push(1);
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key.as_bytes());
-            }
+/// Bytes one op takes in an encoded op list: tag, key length and key,
+/// and a put's value length and value.
+fn op_len((key, value): OpRef<'_>) -> usize {
+    1 + 4 + key.len() + value.map_or(0, |v| 4 + v.len())
+}
+
+fn put_field(out: &mut Vec<u8>, field: &[u8]) {
+    out.extend_from_slice(&(field.len() as u32).to_le_bytes());
+    out.extend_from_slice(field);
+}
+
+/// Encodes a frame or checkpoint into a buffer of its exact size: the
+/// header (`magic`, `seq`, payload length, crc over seq, length and
+/// payload), then the payload (op count, then each op).
+fn encode<'a>(magic: u32, seq: u64, ops: impl Iterator<Item = OpRef<'a>> + Clone) -> Vec<u8> {
+    let (count, len) = ops
+        .clone()
+        .fold((0u32, 4usize), |(n, len), op| (n + 1, len + op_len(op)));
+    let mut out = Vec::with_capacity(FRAME_HEADER + len);
+    out.extend_from_slice(&magic.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // the crc, once the payload is in
+    out.extend_from_slice(&count.to_le_bytes());
+    for (key, value) in ops {
+        out.push(u8::from(value.is_none()));
+        put_field(&mut out, key.as_bytes());
+        if let Some(value) = value {
+            put_field(&mut out, value);
         }
     }
+    let crc = crc32(&[&out[4..16], &out[FRAME_HEADER..]]);
+    out[16..20].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
-fn decode_ops(payload: &[u8]) -> Option<Vec<BatchOp>> {
+fn encode_frame(seq: u64, ops: &[Op]) -> Vec<u8> {
+    encode(FRAME_MAGIC, seq, ops.iter().map(Op::as_ref))
+}
+
+/// A checkpoint of `entries`, encoded as puts straight from the shared
+/// values.
+fn encode_checkpoint<'a>(
+    upto: u64,
+    entries: impl Iterator<Item = (&'a String, &'a Arc<[u8]>)> + Clone,
+) -> Vec<u8> {
+    encode(
+        CKPT_MAGIC,
+        upto,
+        entries.map(|(key, value)| (key.as_str(), Some(&value[..]))),
+    )
+}
+
+/// The seq and payload of a frame or checkpoint behind `magic`, its
+/// crc checked; `data` may run on past the payload.
+fn decode_header(magic: u32, data: &[u8]) -> Option<(u64, &[u8])> {
+    let header = data.get(..FRAME_HEADER)?;
+    if header[..4] != magic.to_le_bytes() {
+        return None;
+    }
+    let seq = u64::from_le_bytes(header[4..12].try_into().ok()?);
+    let len = u32::from_le_bytes(header[12..16].try_into().ok()?) as usize;
+    let crc = u32::from_le_bytes(header[16..20].try_into().ok()?);
+    let payload = data.get(FRAME_HEADER..FRAME_HEADER + len)?;
+    (crc32(&[&header[4..16], payload]) == crc).then_some((seq, payload))
+}
+
+/// An op list, each value decoded straight into its `Arc`.
+fn decode_ops(payload: &[u8]) -> Option<Vec<Op>> {
     let mut at = 0usize;
     let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
         let s = payload.get(*at..*at + n)?;
         *at += n;
         Some(s)
     };
+    let field = |at: &mut usize| -> Option<&[u8]> {
+        let len = u32::from_le_bytes(take(at, 4)?.try_into().ok()?) as usize;
+        take(at, len)
+    };
     let count = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
     let mut ops = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
         let tag = take(&mut at, 1)?[0];
-        let key_len = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-        let key = String::from_utf8(take(&mut at, key_len)?.to_vec()).ok()?;
+        let key = std::str::from_utf8(field(&mut at)?).ok()?.to_string();
         match tag {
-            0 => {
-                let val_len = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-                let value = take(&mut at, val_len)?.to_vec();
-                ops.push(BatchOp::Put { key, value });
-            }
-            1 => ops.push(BatchOp::Delete { key }),
+            0 => ops.push(Op::Put(key, Arc::from(field(&mut at)?))),
+            1 => ops.push(Op::Delete(key)),
             _ => return None,
         }
     }
@@ -869,63 +922,10 @@ fn decode_ops(payload: &[u8]) -> Option<Vec<BatchOp>> {
     Some(ops)
 }
 
-fn encode_frame(seq: u64, batch: &WriteBatch) -> Vec<u8> {
-    let payload = encode_ops(&batch.ops);
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc_input = Vec::with_capacity(12 + payload.len());
-    crc_input.extend_from_slice(&seq.to_le_bytes());
-    crc_input.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    crc_input.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
 /// One recovered frame: `(seq, ops, bytes consumed)`.
-fn decode_frame(data: &[u8]) -> Option<(u64, Vec<BatchOp>, usize)> {
-    if data.len() < FRAME_HEADER {
-        return None;
-    }
-    if u32::from_le_bytes(data[..4].try_into().ok()?) != FRAME_MAGIC {
-        return None;
-    }
-    let seq = u64::from_le_bytes(data[4..12].try_into().ok()?);
-    let len = u32::from_le_bytes(data[12..16].try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(data[16..20].try_into().ok()?);
-    let payload = data.get(FRAME_HEADER..FRAME_HEADER + len)?;
-    let mut crc_input = Vec::with_capacity(12 + len);
-    crc_input.extend_from_slice(&data[4..16]);
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != crc {
-        return None;
-    }
-    let ops = decode_ops(payload)?;
-    Some((seq, ops, FRAME_HEADER + len))
-}
-
-fn encode_checkpoint(upto: u64, entries: &[(String, Arc<[u8]>)]) -> Vec<u8> {
-    let ops: Vec<BatchOp> = entries
-        .iter()
-        .map(|(k, v)| BatchOp::Put {
-            key: k.clone(),
-            value: v.to_vec(),
-        })
-        .collect();
-    let payload = encode_ops(&ops);
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&upto.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc_input = Vec::with_capacity(12 + payload.len());
-    crc_input.extend_from_slice(&upto.to_le_bytes());
-    crc_input.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    crc_input.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+fn decode_frame(data: &[u8]) -> Option<(u64, Vec<Op>, usize)> {
+    let (seq, payload) = decode_header(FRAME_MAGIC, data)?;
+    Some((seq, decode_ops(payload)?, FRAME_HEADER + payload.len()))
 }
 
 /// A checkpoint's keys and values.
@@ -934,30 +934,15 @@ type Entries = Vec<(String, Arc<[u8]>)>;
 /// A checkpoint: `(upto, entries)`. [`encode_checkpoint`] writes puts
 /// only, so one holding a delete is corrupt, however its crc reads.
 fn decode_checkpoint(data: &[u8]) -> Option<(u64, Entries)> {
-    if data.len() < FRAME_HEADER {
-        return None;
-    }
-    if u32::from_le_bytes(data[..4].try_into().ok()?) != CKPT_MAGIC {
-        return None;
-    }
-    let upto = u64::from_le_bytes(data[4..12].try_into().ok()?);
-    let len = u32::from_le_bytes(data[12..16].try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(data[16..20].try_into().ok()?);
-    if data.len() != FRAME_HEADER + len {
-        return None;
-    }
-    let payload = &data[FRAME_HEADER..];
-    let mut crc_input = Vec::with_capacity(12 + len);
-    crc_input.extend_from_slice(&data[4..16]);
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != crc {
+    let (upto, payload) = decode_header(CKPT_MAGIC, data)?;
+    if data.len() != FRAME_HEADER + payload.len() {
         return None;
     }
     let entries = decode_ops(payload)?
         .into_iter()
         .map(|op| match op {
-            BatchOp::Put { key, value } => Some((key, Arc::from(value))),
-            BatchOp::Delete { .. } => None,
+            Op::Put(key, value) => Some((key, value)),
+            Op::Delete(_) => None,
         })
         .collect::<Option<_>>()?;
     Some((upto, entries))
@@ -966,7 +951,7 @@ fn decode_checkpoint(data: &[u8]) -> Option<(u64, Entries)> {
 // ------------------------------------------------------------ recovery
 
 /// The recovered in-memory index plus the next segment sequence number.
-type Recovered = (HashMap<String, Arc<[u8]>>, u64);
+type Recovered = (Index, u64);
 
 /// Rebuilds the index: newest valid checkpoint, then surviving log
 /// frames in sequence order. Returns `(index, next_seq)`.
@@ -989,7 +974,7 @@ fn recover(dir: &Path) -> Result<Recovered, StoreError> {
     checkpoints.sort_by_key(|(seq, _)| *seq);
     segments.sort_by_key(|(seq, _)| *seq);
 
-    let mut index: HashMap<String, Arc<[u8]>> = HashMap::new();
+    let mut index = Index::new();
     let mut next_seq = 0u64;
     // Newest checkpoint that actually decodes (a crash can leave a
     // renamed-but-garbage file only if rename itself tore, which POSIX
@@ -1018,16 +1003,7 @@ fn recover(dir: &Path) -> Result<Recovered, StoreError> {
             if seq < next_seq {
                 continue; // already covered by the checkpoint
             }
-            for op in ops {
-                match op {
-                    BatchOp::Put { key, value } => {
-                        index.insert(key, Arc::from(value.as_slice()));
-                    }
-                    BatchOp::Delete { key } => {
-                        index.remove(&key);
-                    }
-                }
-            }
+            apply(&mut index, ops);
             next_seq = seq + 1;
         }
         if at < data.len() {
@@ -1309,6 +1285,68 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_transactions_on_one_key_read_the_same_after_reopen() {
+        let dir = tempdir("overlap");
+        let s = WalStore::open(&dir).unwrap();
+        let step = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                s.tx_begin();
+                s.put("k", b"a").unwrap();
+                step.wait(); // A's write is shown; B writes over it
+                step.wait(); // B sealed; A seals last
+                s.tx_seal().unwrap().unwrap().wait().unwrap();
+            });
+            scope.spawn(|| {
+                step.wait();
+                s.tx_begin();
+                s.put("k", b"b").unwrap();
+                s.tx_seal().unwrap().unwrap().wait().unwrap();
+                step.wait();
+            });
+        });
+        let before = s.get("k").unwrap();
+        assert_eq!(before, Some(b"a".to_vec()), "the later seal wins");
+        drop(s);
+        let s = WalStore::open(&dir).unwrap();
+        assert_eq!(s.get("k").unwrap(), before, "memory is the log's replay");
+        drop(s);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The stored format, byte for byte: one frame and one checkpoint.
+    #[test]
+    fn a_frame_and_a_checkpoint_encode_to_pinned_bytes() {
+        let ops = [
+            Op::Put("dir/k".into(), Arc::from(&b"val"[..])),
+            Op::Delete("old".into()),
+        ];
+        let frame: [u8; 49] = [
+            76, 87, 71, 83, 8, 7, 6, 5, 4, 3, 2, 1, 29, 0, 0, 0, 149, 33, 22, 34, 2, 0, 0, 0, 0, 5,
+            0, 0, 0, 100, 105, 114, 47, 107, 3, 0, 0, 0, 118, 97, 108, 1, 3, 0, 0, 0, 111, 108,
+            100,
+        ];
+        assert_eq!(encode_frame(0x0102_0304_0506_0708, &ops), frame);
+        assert_eq!(
+            decode_frame(&frame),
+            Some((0x0102_0304_0506_0708, ops.to_vec(), frame.len()))
+        );
+        let (key, value) = ("k".to_string(), Arc::from(&[1u8, 2, 3][..]));
+        let checkpoint: [u8; 37] = [
+            75, 67, 71, 83, 42, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 166, 71, 206, 107, 1, 0, 0, 0, 0,
+            1, 0, 0, 0, 107, 3, 0, 0, 0, 1, 2, 3,
+        ];
+        assert_eq!(
+            encode_checkpoint(42, std::iter::once((&key, &value))),
+            checkpoint
+        );
+        assert_eq!(
+            decode_checkpoint(&checkpoint),
+            Some((42, vec![(key, value)]))
+        );
+    }
+
+    #[test]
     fn oversized_ops_are_rejected_before_encoding() {
         assert!(check_len("value", MAX_ENCODED).is_ok());
         let err = check_len("value", MAX_ENCODED + 1).unwrap_err();
@@ -1357,7 +1395,7 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn batch_ops() -> impl Strategy<Value = Vec<BatchOp>> {
+        fn batch_ops() -> impl Strategy<Value = Vec<Op>> {
             let op = (
                 any::<bool>(),
                 "[a-z0-9/!]{0,16}",
@@ -1366,21 +1404,30 @@ mod tests {
             proptest::collection::vec(op, 0..6).prop_map(|ops| {
                 ops.into_iter()
                     .map(|(put, key, value)| match put {
-                        true => BatchOp::Put { key, value },
-                        false => BatchOp::Delete { key },
+                        true => Op::Put(key, Arc::from(value)),
+                        false => Op::Delete(key),
                     })
                     .collect()
             })
         }
 
         /// The puts of `ops`, as a checkpoint holds them.
-        fn entries(ops: &[BatchOp]) -> Entries {
+        fn entries(ops: &[Op]) -> Entries {
             ops.iter()
                 .filter_map(|op| match op {
-                    BatchOp::Put { key, value } => Some((key.clone(), Arc::from(value.as_slice()))),
-                    BatchOp::Delete { .. } => None,
+                    Op::Put(key, value) => Some((key.clone(), Arc::clone(value))),
+                    Op::Delete(_) => None,
                 })
                 .collect()
+        }
+
+        fn encode_entries(upto: u64, entries: &Entries) -> Vec<u8> {
+            encode_checkpoint(upto, entries.iter().map(|(k, v)| (k, v)))
+        }
+
+        /// An op list's encoding: a frame's payload.
+        fn encode_ops(ops: &[Op]) -> Vec<u8> {
+            encode_frame(0, ops)[FRAME_HEADER..].to_vec()
         }
 
         /// `bytes` through all three decoders.
@@ -1389,10 +1436,10 @@ mod tests {
                 assert_eq!(encode_ops(&ops), bytes);
             }
             if let Some((seq, ops, used)) = decode_frame(bytes) {
-                assert_eq!(encode_frame(seq, &WriteBatch { ops }), bytes[..used]);
+                assert_eq!(encode_frame(seq, &ops), bytes[..used]);
             }
             if let Some((upto, entries)) = decode_checkpoint(bytes) {
-                assert_eq!(encode_checkpoint(upto, &entries), bytes);
+                assert_eq!(encode_entries(upto, &entries), bytes);
             }
         }
 
@@ -1420,11 +1467,11 @@ mod tests {
                 seq in any::<u64>(),
                 flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
             ) {
-                let checkpoint = encode_checkpoint(seq, &entries(&ops));
+                let checkpoint = encode_entries(seq, &entries(&ops));
                 prop_assert_eq!(decode_checkpoint(&checkpoint), Some((seq, entries(&ops))));
                 let payload = encode_ops(&ops);
                 prop_assert_eq!(decode_ops(&payload), Some(ops.clone()));
-                let frame = encode_frame(seq, &WriteBatch { ops: ops.clone() });
+                let frame = encode_frame(seq, &ops);
                 prop_assert_eq!(decode_frame(&frame), Some((seq, ops, frame.len())));
                 for cut in 0..payload.len() {
                     prop_assert!(decode_ops(&payload[..cut]).is_none());
@@ -1451,10 +1498,7 @@ mod tests {
             // The crc does not cover the magic, so this frame behind a
             // checkpoint's magic is well-formed down to its crc; but no
             // checkpoint holds a delete.
-            let batch = WriteBatch {
-                ops: vec![BatchOp::Delete { key: "k".into() }],
-            };
-            let mut bytes = encode_frame(7, &batch);
+            let mut bytes = encode_frame(7, &[Op::Delete("k".into())]);
             bytes[..4].copy_from_slice(&CKPT_MAGIC.to_le_bytes());
             assert!(decode_checkpoint(&bytes).is_none());
             bytes[..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());

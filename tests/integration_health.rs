@@ -461,3 +461,33 @@ fn stale_ancestor_record_under_a_warm_cache_is_a_tree_finding() {
     assert!(health.findings(ScrubCheck::Tree) > 0);
     assert_eq!(health.state_code(), 2);
 }
+
+#[test]
+fn scrubbing_a_warm_cache_neither_counts_nor_promotes() {
+    let r = rig(
+        EnclaveConfig {
+            cache: true,
+            ..EnclaveConfig::default()
+        },
+        707,
+    );
+    let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = r.server.connect_local(&alice).unwrap();
+    a.mkdir("/docs").unwrap();
+    for i in 0..6 {
+        let path = format!("/docs/f{i}");
+        a.put(&path, &vec![i as u8; 1_500]).unwrap();
+        for _ in 0..3 {
+            assert_eq!(a.get(&path).unwrap().len(), 1_500);
+        }
+    }
+    let counts = || {
+        let stats = r.server.enclave().store().cache_stats().unwrap();
+        (stats.hits, stats.misses)
+    };
+    let before = counts();
+    for _ in 0..64 {
+        r.server.telemetry().scrub_step();
+    }
+    assert_eq!(counts(), before, "the scrubber only peeks at the cache");
+}

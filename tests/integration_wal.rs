@@ -755,3 +755,118 @@ fn restore_beside_writes_across_checkpoints_never_poisons() {
     server.audit_verify().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A store view whose next put panics once armed: a handler bug inside
+/// a commit window.
+struct PanicOnPut<S> {
+    inner: S,
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl<S: ObjectStore> ObjectStore for PanicOnPut<S> {
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, seg_store::StoreError> {
+        self.inner.get(key)
+    }
+    fn get_arc(&self, key: &str) -> Result<Option<Arc<[u8]>>, seg_store::StoreError> {
+        self.inner.get_arc(key)
+    }
+    fn put(&self, key: &str, value: &[u8]) -> Result<(), seg_store::StoreError> {
+        if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            panic!("armed put of {key}");
+        }
+        self.inner.put(key, value)
+    }
+    fn delete(&self, key: &str) -> Result<bool, seg_store::StoreError> {
+        self.inner.delete(key)
+    }
+    fn exists(&self, key: &str) -> Result<bool, seg_store::StoreError> {
+        self.inner.exists(key)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<(), seg_store::StoreError> {
+        self.inner.rename(from, to)
+    }
+    fn list(&self) -> Result<Vec<String>, seg_store::StoreError> {
+        self.inner.list()
+    }
+    fn list_prefix(&self, prefix: &str) -> Result<Vec<String>, seg_store::StoreError> {
+        self.inner.list_prefix(prefix)
+    }
+    fn len(&self) -> Result<usize, seg_store::StoreError> {
+        self.inner.len()
+    }
+    fn total_bytes(&self) -> Result<u64, seg_store::StoreError> {
+        self.inner.total_bytes()
+    }
+    fn apply_batch(&self, batch: &seg_store::WriteBatch) -> Result<(), seg_store::StoreError> {
+        self.inner.apply_batch(batch)
+    }
+    fn submit_batch(
+        &self,
+        batch: seg_store::WriteBatch,
+    ) -> Result<seg_store::CommitTicket, seg_store::StoreError> {
+        self.inner.submit_batch(batch)
+    }
+    fn tx_begin(&self) {
+        self.inner.tx_begin();
+    }
+    fn tx_seal(&self) -> Result<Option<seg_store::CommitTicket>, seg_store::StoreError> {
+        self.inner.tx_seal()
+    }
+    fn io_stats(&self) -> seg_store::IoStats {
+        self.inner.io_stats()
+    }
+}
+
+#[test]
+fn a_panicking_window_leaves_no_open_transaction() {
+    let dir = tempdir("panic-window");
+    let wal = Arc::new(
+        WalStore::open_with(
+            &dir,
+            WalConfig {
+                gate_timeout: std::time::Duration::from_secs(2),
+                ..WalConfig::default()
+            },
+        )
+        .unwrap(),
+    );
+    let (content, group, dedup) = wal_views(&wal);
+    let content = Arc::new(PanicOnPut {
+        inner: content,
+        armed: std::sync::atomic::AtomicBool::new(false),
+    });
+    let setup = FsoSetup::with_stores(
+        "ca",
+        EnclaveConfig {
+            batch: true,
+            ..EnclaveConfig::default()
+        },
+        Platform::new(),
+        Arc::clone(&content) as Arc<dyn ObjectStore>,
+        group,
+        dedup,
+    );
+    let server = setup.server().unwrap();
+    let mut c = connect(&setup, &server, "alice");
+    c.put("/before", b"kept").unwrap();
+    content
+        .armed
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    assert!(
+        c.put("/boom", b"lost").is_err(),
+        "the panic aborts the connection"
+    );
+    assert!(!content.armed.load(std::sync::atomic::Ordering::SeqCst));
+    // The window's transaction was sealed as the panic unwound: a
+    // checkpoint finds no open transaction to wait for.
+    let started = std::time::Instant::now();
+    wal.checkpoint_now().unwrap();
+    assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    assert!(!wal.poisoned());
+    let mut c = connect(&setup, &server, "bob");
+    c.put("/after", b"served").unwrap();
+    assert_eq!(c.get("/after").unwrap(), b"served");
+    drop(c);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
