@@ -58,9 +58,6 @@ use seg_sgx::{EpcAllocation, EpcTracker};
 /// Sentinel for "no slot" in the intrusive lists.
 const NIL: usize = usize::MAX;
 
-/// Total byte budget across all shards (values plus per-entry
-/// overhead).
-const CAPACITY_BYTES: u64 = 8 * 1024 * 1024;
 /// Independently locked shards.
 const SHARDS: usize = 8;
 /// Bytes charged per entry on top of the value size (key, slot and
@@ -88,6 +85,24 @@ pub struct CacheStats {
     pub entries: u64,
     /// Live cached bytes (values + per-entry overhead).
     pub bytes: u64,
+}
+
+/// Field-wise sum: the counters of several caches read as one.
+impl std::ops::Add for CacheStats {
+    type Output = CacheStats;
+
+    fn add(self, other: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            fills: self.fills + other.fills,
+            stale_fills: self.stale_fills + other.stale_fills,
+            evictions: self.evictions + other.evictions,
+            invalidations: self.invalidations + other.invalidations,
+            entries: self.entries + other.entries,
+            bytes: self.bytes + other.bytes,
+        }
+    }
 }
 
 impl CacheStats {
@@ -286,11 +301,12 @@ impl<K, V> std::fmt::Debug for ObjectCache<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
-    /// Creates a cache of 8 MiB in 8 shards, charging 128 bytes per
-    /// entry on top of its value, whose capacity is charged against `epc`.
+    /// Creates a cache of `capacity_bytes` (values plus per-entry
+    /// overhead) in 8 shards, charging 128 bytes per entry on top of its
+    /// value, whose occupancy is charged against `epc`.
     #[must_use]
-    pub fn new(epc: EpcTracker) -> ObjectCache<K, V> {
-        ObjectCache::sized(CAPACITY_BYTES, SHARDS, ENTRY_OVERHEAD, epc)
+    pub fn new(capacity_bytes: u64, epc: EpcTracker) -> ObjectCache<K, V> {
+        ObjectCache::sized(capacity_bytes, SHARDS, ENTRY_OVERHEAD, epc)
     }
 
     fn sized(capacity_bytes: u64, shards: usize, entry_overhead: u64, epc: EpcTracker) -> Self {
@@ -537,6 +553,21 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.fills), (1, 1, 1));
         assert_eq!((s.entries, s.bytes), (1, 10));
         assert!((s.hit_ratio() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stats_of_two_caches_add_up() {
+        let (a, b) = (cache(1024), cache(1024));
+        for (c, n) in [(&a, 10), (&b, 20)] {
+            let gen = c.generation(&"k".to_string());
+            c.insert_if_current("k".to_string(), gen, val(n), n as u64);
+            assert!(c.get(&"k".to_string()).is_some());
+            assert!(c.get(&"absent".to_string()).is_none());
+        }
+        let sum = a.stats() + b.stats();
+        assert_eq!((sum.hits, sum.misses, sum.fills), (2, 2, 2));
+        assert_eq!((sum.entries, sum.bytes), (2, 30));
+        assert!((sum.hit_ratio() - 0.5).abs() < 1e-9);
     }
 
     #[test]

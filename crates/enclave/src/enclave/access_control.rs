@@ -2,7 +2,6 @@
 //! (Table IV `updateRel`) and authorization checks (`auth_f`, `auth_g`),
 //! over the encrypted group list, member lists, and ACL files.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use seg_fs::{Access, AclFile, GroupId, GroupListFile, MemberListFile, SegPath, UserId};
@@ -30,23 +29,74 @@ impl std::fmt::Debug for AccessControl {
     }
 }
 
+/// The groups a user acts through (Table I): the default group `g_u`
+/// and the memberships of the user's member list, read in place.
+struct Groups {
+    default: GroupId,
+    members: Option<Arc<MemberListFile>>,
+}
+
+impl Groups {
+    fn contains(&self, group: &GroupId) -> bool {
+        *group == self.default || self.members.as_ref().is_some_and(|m| m.is_member(group))
+    }
+
+    /// Table IV `auth_g` over a group list read in place.
+    fn own(&self, list: Option<&GroupListFile>, group: &GroupId) -> bool {
+        list.is_some_and(|list| list.owners(group).any(|owner| self.contains(owner)))
+    }
+}
+
+/// The value a mutator edits: the stored one, or a new file.
+fn owned<T: Clone + Default>(stored: Option<Arc<T>>) -> T {
+    stored.map(Arc::unwrap_or_clone).unwrap_or_default()
+}
+
+fn not_owner(requester: &UserId, group: &GroupId) -> SegShareError {
+    SegShareError::request(
+        ErrorCode::Denied,
+        format!("{requester} does not own group {group}"),
+    )
+}
+
 impl AccessControl {
     pub(crate) fn new(store: Arc<TrustedStore>) -> AccessControl {
         AccessControl { store }
     }
 
     // ------------------------------------------------- management files
+    //
+    // Checks read the decoded files the cache holds, in place; only a
+    // mutator copies one, to edit it.
 
-    /// Loads a user's member list (empty if the user has no file yet).
-    pub fn member_list(&self, user: &UserId) -> Result<MemberListFile, SegShareError> {
-        let id = ObjectId::MemberList(user.clone());
-        match self
-            .store
-            .read_decoded(&id, |body| Ok(MemberListFile::decode(body)?))?
-        {
-            Some(list) => Ok((*list).clone()),
-            None => Ok(MemberListFile::new()),
-        }
+    fn read_member_list(
+        &self,
+        user: &UserId,
+    ) -> Result<Option<Arc<MemberListFile>>, SegShareError> {
+        self.store
+            .read_decoded(&ObjectId::MemberList(user.clone()), |body| {
+                Ok(MemberListFile::decode(body)?)
+            })
+    }
+
+    fn read_group_list(&self) -> Result<Option<Arc<GroupListFile>>, SegShareError> {
+        self.store.read_decoded(&ObjectId::GroupList, |body| {
+            Ok(GroupListFile::decode(body)?)
+        })
+    }
+
+    fn read_acl(&self, path: &SegPath) -> Result<Option<Arc<AclFile>>, SegShareError> {
+        self.store
+            .read_decoded(&ObjectId::Acl(path.clone()), |body| {
+                Ok(AclFile::decode(body)?)
+            })
+    }
+
+    fn groups(&self, user: &UserId) -> Result<Groups, SegShareError> {
+        Ok(Groups {
+            default: user.default_group(),
+            members: self.read_member_list(user)?,
+        })
     }
 
     /// Persists a user's member list, registering the user in the group
@@ -58,7 +108,7 @@ impl AccessControl {
     ) -> Result<(), SegShareError> {
         let id = ObjectId::MemberList(user.clone());
         if !self.store.exists(&id)? {
-            let mut root = self.group_root()?;
+            let mut root = owned(self.read_group_root()?);
             if root.add_user(user.clone()) {
                 // Register the new member-list file *before* writing it:
                 // the rollback tree inserts the child into the root's
@@ -70,23 +120,10 @@ impl AccessControl {
         self.store.write(&id, &list.encode())
     }
 
-    fn group_root(&self) -> Result<GroupRootFile, SegShareError> {
-        match self.store.read_decoded(&ObjectId::GroupRoot, |body| {
+    fn read_group_root(&self) -> Result<Option<Arc<GroupRootFile>>, SegShareError> {
+        self.store.read_decoded(&ObjectId::GroupRoot, |body| {
             Ok(GroupRootFile::decode(body)?)
-        })? {
-            Some(root) => Ok((*root).clone()),
-            None => Ok(GroupRootFile::new()),
-        }
-    }
-
-    /// Loads the group list.
-    pub fn group_list(&self) -> Result<GroupListFile, SegShareError> {
-        match self.store.read_decoded(&ObjectId::GroupList, |body| {
-            Ok(GroupListFile::decode(body)?)
-        })? {
-            Some(list) => Ok((*list).clone()),
-            None => Ok(GroupListFile::new()),
-        }
+        })
     }
 
     /// Persists the group list.
@@ -94,13 +131,9 @@ impl AccessControl {
         self.store.write(&ObjectId::GroupList, &list.encode())
     }
 
-    /// Loads the ACL of the entry at `path`.
+    /// Loads the ACL of the entry at `path`, to edit.
     pub fn acl(&self, path: &SegPath) -> Result<Option<AclFile>, SegShareError> {
-        let id = ObjectId::Acl(path.clone());
-        Ok(self
-            .store
-            .read_decoded(&id, |body| Ok(AclFile::decode(body)?))?
-            .map(|acl| (*acl).clone()))
+        Ok(self.read_acl(path)?.map(Arc::unwrap_or_clone))
     }
 
     /// Persists the ACL of the entry at `path`.
@@ -111,21 +144,12 @@ impl AccessControl {
 
     // ------------------------------------------------------------- auth
 
-    /// The groups `user` acts through: memberships plus the default
-    /// group `g_u` (Table I).
-    pub fn user_groups(&self, user: &UserId) -> Result<BTreeSet<GroupId>, SegShareError> {
-        let mut groups: BTreeSet<GroupId> =
-            self.member_list(user)?.memberships().cloned().collect();
-        groups.insert(user.default_group());
-        Ok(groups)
-    }
-
     /// Table IV `auth_g`: may `user` change group `group`?
     /// (`∃g1: (u, g1) ∈ r_G ∧ (g1, g2) ∈ r_GO`.)
     pub fn auth_group(&self, user: &UserId, group: &GroupId) -> Result<bool, SegShareError> {
         let _prof = seg_obs::prof::phase(Phase::Authz);
-        let groups = self.user_groups(user)?;
-        Ok(self.group_list()?.owned_by_any(group, groups.iter()))
+        let groups = self.groups(user)?;
+        Ok(groups.own(self.read_group_list()?.as_deref(), group))
     }
 
     /// Table IV `auth_f` with the empty permission: is `user` a file
@@ -133,11 +157,12 @@ impl AccessControl {
     /// inherit-flag, and owner-extension requests require.)
     pub fn is_file_owner(&self, user: &UserId, path: &SegPath) -> Result<bool, SegShareError> {
         let _prof = seg_obs::prof::phase(Phase::Authz);
-        let Some(acl) = self.acl(path)? else {
+        let Some(acl) = self.read_acl(path)? else {
             return Ok(false);
         };
-        let groups = self.user_groups(user)?;
-        Ok(groups.iter().any(|g| acl.is_owner(g)))
+        let groups = self.groups(user)?;
+        let owner = acl.owners().any(|owner| groups.contains(owner));
+        Ok(owner)
     }
 
     /// Table IV `auth_f`, extended with permission inheritance (§V-B):
@@ -149,6 +174,10 @@ impl AccessControl {
     /// grants. The user is authorized if *any* of their groups grants —
     /// deny entries never veto another group's grant (the check is
     /// existential, matching Table IV).
+    ///
+    /// The chain is walked nearest-first, one ACL at a time, over each
+    /// ACL's own entries, and the walk stops at the first grant: an
+    /// ancestor is read only when no nearer ACL granted.
     pub fn auth_file(
         &self,
         user: &UserId,
@@ -156,42 +185,41 @@ impl AccessControl {
         path: &SegPath,
     ) -> Result<bool, SegShareError> {
         let _prof = seg_obs::prof::phase(Phase::Authz);
-        let Some(acl) = self.acl(path)? else {
+        let Some(mut acl) = self.read_acl(path)? else {
             return Ok(false);
         };
-        let groups = self.user_groups(user)?;
-        if groups.iter().any(|g| acl.is_owner(g)) {
+        let groups = self.groups(user)?;
+        if acl.owners().any(|owner| groups.contains(owner)) {
             return Ok(true);
         }
-
-        // Collect the ACL chain: the file's, then ancestors while the
-        // inherit flag stays set.
-        let mut chain = vec![acl];
-        let mut cur = path.clone();
+        // The user's groups whose nearest entry granted too little or
+        // denied: decided, so a farther entry for them is passed over.
+        let mut decided: Vec<GroupId> = Vec::new();
+        let mut next = path.parent();
         let mut depth = 0;
-        while chain.last().expect("non-empty").inherit() && depth < MAX_INHERIT_DEPTH {
-            let Some(parent) = cur.parent() else { break };
-            let Some(parent_acl) = self.acl(&parent)? else {
-                break;
-            };
-            chain.push(parent_acl);
-            cur = parent;
-            depth += 1;
-        }
-
-        for group in &groups {
-            for acl in &chain {
-                if let Some(perm) = acl.perm_for(group) {
+        loop {
+            for (group, perm) in acl.entries() {
+                if groups.contains(group) && !decided.contains(group) {
                     if perm.allows(access) {
                         return Ok(true);
                     }
-                    // Explicit entry (grant-of-other-kind or deny): this
-                    // group's decision is made; stop walking for it.
-                    break;
+                    decided.push(group.clone());
                 }
             }
+            // Then the ancestors, while the inherit flag stays set.
+            if !acl.inherit() || depth == MAX_INHERIT_DEPTH {
+                return Ok(false);
+            }
+            let Some(dir) = next else {
+                return Ok(false);
+            };
+            let Some(dir_acl) = self.read_acl(&dir)? else {
+                return Ok(false);
+            };
+            next = dir.parent();
+            acl = dir_acl;
+            depth += 1;
         }
-        Ok(false)
     }
 
     // --------------------------------------------------- group requests
@@ -211,22 +239,27 @@ impl AccessControl {
         group: &GroupId,
     ) -> Result<(), SegShareError> {
         let _prof = seg_obs::prof::phase(Phase::Authz);
-        let mut gl = self.group_list()?;
-        if !gl.contains(group) {
-            gl.add_group(group.clone(), requester.default_group());
-            self.save_group_list(&gl)?;
+        let stored = self.read_group_list()?;
+        let mut joined = None;
+        if stored.as_ref().is_some_and(|list| list.contains(group)) {
+            if !self.groups(requester)?.own(stored.as_deref(), group) {
+                return Err(not_owner(requester, group));
+            }
+        } else {
+            // A new group: the requester's default group is its owner.
+            let mut list = owned(stored);
+            list.add_group(group.clone(), requester.default_group());
+            self.save_group_list(&list)?;
             // "updateRel(r_G, r_G ∪ (u1, g))" — the creator joins.
-            let mut ml = self.member_list(requester)?;
+            let mut ml = owned(self.read_member_list(requester)?);
             ml.add_membership(group.clone());
             self.save_member_list(requester, &ml)?;
+            joined = Some(ml);
         }
-        if !self.auth_group(requester, group)? {
-            return Err(SegShareError::request(
-                ErrorCode::Denied,
-                format!("{requester} does not own group {group}"),
-            ));
-        }
-        let mut ml = self.member_list(member)?;
+        let mut ml = match joined {
+            Some(ml) if member == requester => ml,
+            _ => owned(self.read_member_list(member)?),
+        };
         ml.add_membership(group.clone());
         self.save_member_list(member, &ml)
     }
@@ -245,13 +278,16 @@ impl AccessControl {
         group: &GroupId,
     ) -> Result<(), SegShareError> {
         let _prof = seg_obs::prof::phase(Phase::Authz);
-        if !self.auth_group(requester, group)? {
-            return Err(SegShareError::request(
-                ErrorCode::Denied,
-                format!("{requester} does not own group {group}"),
-            ));
+        let groups = self.groups(requester)?;
+        if !groups.own(self.read_group_list()?.as_deref(), group) {
+            return Err(not_owner(requester, group));
         }
-        let mut ml = self.member_list(member)?;
+        let stored = if member == requester {
+            groups.members
+        } else {
+            self.read_member_list(member)?
+        };
+        let mut ml = owned(stored);
         ml.remove_membership(group);
         self.save_member_list(member, &ml)
     }
@@ -269,21 +305,20 @@ impl AccessControl {
         group: &GroupId,
     ) -> Result<(), SegShareError> {
         let _prof = seg_obs::prof::phase(Phase::Authz);
-        if !self.auth_group(requester, group)? {
-            return Err(SegShareError::request(
-                ErrorCode::Denied,
-                format!("{requester} does not own group {group}"),
-            ));
+        let groups = self.groups(requester)?;
+        let stored = self.read_group_list()?;
+        if !groups.own(stored.as_deref(), group) {
+            return Err(not_owner(requester, group));
         }
-        let mut gl = self.group_list()?;
-        if !gl.contains(owner_group) && !owner_group.is_default_group() {
+        let mut list = owned(stored);
+        if !list.contains(owner_group) && !owner_group.is_default_group() {
             return Err(SegShareError::request(
                 ErrorCode::NotFound,
                 format!("group {owner_group} does not exist"),
             ));
         }
-        gl.add_owner(group, owner_group.clone());
-        self.save_group_list(&gl)
+        list.add_owner(group, owner_group.clone());
+        self.save_group_list(&list)
     }
 
     /// Shrinks `r_GO`: removes `owner_group` from `group`'s owners.
@@ -300,20 +335,19 @@ impl AccessControl {
         group: &GroupId,
     ) -> Result<(), SegShareError> {
         let _prof = seg_obs::prof::phase(Phase::Authz);
-        if !self.auth_group(requester, group)? {
-            return Err(SegShareError::request(
-                ErrorCode::Denied,
-                format!("{requester} does not own group {group}"),
-            ));
+        let groups = self.groups(requester)?;
+        let stored = self.read_group_list()?;
+        if !groups.own(stored.as_deref(), group) {
+            return Err(not_owner(requester, group));
         }
-        let mut gl = self.group_list()?;
-        if !gl.remove_owner(group, owner_group) {
+        let mut list = owned(stored);
+        if !list.remove_owner(group, owner_group) {
             return Err(SegShareError::request(
                 ErrorCode::BadRequest,
                 format!("cannot remove {owner_group}: groups keep at least one owner"),
             ));
         }
-        self.save_group_list(&gl)
+        self.save_group_list(&list)
     }
 
     /// Deletes `group` entirely — the intentionally inefficient
@@ -326,27 +360,31 @@ impl AccessControl {
     /// group and [`ErrorCode::NotFound`] when it does not exist.
     pub fn delete_group(&self, requester: &UserId, group: &GroupId) -> Result<(), SegShareError> {
         let _prof = seg_obs::prof::phase(Phase::Authz);
-        let mut gl = self.group_list()?;
-        if !gl.contains(group) {
+        let stored = self.read_group_list()?;
+        if !stored.as_ref().is_some_and(|list| list.contains(group)) {
             return Err(SegShareError::request(
                 ErrorCode::NotFound,
                 format!("group {group} does not exist"),
             ));
         }
-        if !self.auth_group(requester, group)? {
-            return Err(SegShareError::request(
-                ErrorCode::Denied,
-                format!("{requester} does not own group {group}"),
-            ));
+        if !self.groups(requester)?.own(stored.as_deref(), group) {
+            return Err(not_owner(requester, group));
         }
-        gl.remove_group(group);
-        self.save_group_list(&gl)?;
-        // Sweep every member list.
-        let users: Vec<UserId> = self.group_root()?.users().cloned().collect();
-        for user in users {
-            let mut ml = self.member_list(&user)?;
-            if ml.remove_membership(group) {
-                self.save_member_list(&user, &ml)?;
+        let mut list = owned(stored);
+        list.remove_group(group);
+        self.save_group_list(&list)?;
+        // Sweep every member list; copy only those that change.
+        let Some(root) = self.read_group_root()? else {
+            return Ok(());
+        };
+        for user in root.users() {
+            let Some(stored) = self.read_member_list(user)? else {
+                continue;
+            };
+            if stored.is_member(group) {
+                let mut ml = Arc::unwrap_or_clone(stored);
+                ml.remove_membership(group);
+                self.save_member_list(user, &ml)?;
             }
         }
         Ok(())
@@ -372,27 +410,32 @@ mod tests {
         SegPath::parse(path).unwrap()
     }
 
+    impl AccessControl {
+        /// `user`'s member list as a copy (empty if there is no file).
+        fn member_list(&self, user: &UserId) -> MemberListFile {
+            owned(self.read_member_list(user).unwrap())
+        }
+    }
+
     #[test]
     fn member_lists_default_empty_and_persist() {
         let f = components(EnclaveConfig::default());
-        let ml = f.access.member_list(&u("bob")).unwrap();
+        let ml = f.access.member_list(&u("bob"));
         assert_eq!(ml.membership_count(), 0);
         let mut ml = ml;
         ml.add_membership(g("eng"));
         f.access.save_member_list(&u("bob"), &ml).unwrap();
-        assert!(f
-            .access
-            .member_list(&u("bob"))
-            .unwrap()
-            .is_member(&g("eng")));
+        assert!(f.access.member_list(&u("bob")).is_member(&g("eng")));
     }
 
     #[test]
     fn user_groups_include_default_group() {
         let f = components(EnclaveConfig::default());
-        let groups = f.access.user_groups(&u("bob")).unwrap();
+        let groups = f.access.groups(&u("bob")).unwrap();
+        assert!(groups.members.is_none(), "bob has no member list");
         assert!(groups.contains(&u("bob").default_group()));
-        assert_eq!(groups.len(), 1);
+        assert!(!groups.contains(&u("alice").default_group()));
+        assert!(!groups.contains(&g("eng")));
     }
 
     #[test]
@@ -402,16 +445,8 @@ mod tests {
             .add_user(&u("alice"), &u("bob"), &g("eng"))
             .unwrap();
         // Creator joined (Algorithm 1's updateRel(r_G, r_G ∪ (u1, g))).
-        assert!(f
-            .access
-            .member_list(&u("alice"))
-            .unwrap()
-            .is_member(&g("eng")));
-        assert!(f
-            .access
-            .member_list(&u("bob"))
-            .unwrap()
-            .is_member(&g("eng")));
+        assert!(f.access.member_list(&u("alice")).is_member(&g("eng")));
+        assert!(f.access.member_list(&u("bob")).is_member(&g("eng")));
         assert!(f.access.auth_group(&u("alice"), &g("eng")).unwrap());
         assert!(!f.access.auth_group(&u("bob"), &g("eng")).unwrap());
     }
@@ -541,5 +576,298 @@ mod tests {
         assert!(!f.access.auth_file(&u("bob"), Access::Read, &file).unwrap());
         f.access.save_acl(&p(&dirs[1]), &inheriting(true)).unwrap();
         assert!(f.access.auth_file(&u("bob"), Access::Read, &file).unwrap());
+    }
+
+    /// Small content bodies cannot flush what authorization reads: after
+    /// more than the whole cache's worth of bodies has been read, a
+    /// member's authorization over a four-level inherit chain is served
+    /// without a single store access, and the cache, in all, stays
+    /// within its 8 MiB.
+    #[test]
+    fn reading_bodies_leaves_authorization_metadata_cached() {
+        const CACHE_BYTES: u64 = 8 * 1024 * 1024;
+        let f = components(EnclaveConfig {
+            cache: true,
+            ..EnclaveConfig::default()
+        });
+        let alice = u("alice");
+        let upload = |path: &SegPath, body: &[u8]| {
+            let mut ctx = f
+                .files
+                .begin_upload(path, body.len() as u64, Some(alice.default_group()))
+                .unwrap();
+            f.files.upload_chunk(&mut ctx, body).unwrap();
+            assert!(f.files.upload_chunk(&mut ctx, &[]).unwrap(), "complete");
+            f.files.commit_upload(ctx).unwrap();
+        };
+        // `/d0/` grants `readers`; `/d0/d1/d2/d3/` and the doc inherit.
+        let mut dir = SegPath::root();
+        for level in 0..4 {
+            dir = dir.join_dir(&format!("d{level}")).unwrap();
+            f.files.create_dir(&dir, alice.default_group()).unwrap();
+            let mut acl = f.access.acl(&dir).unwrap().unwrap();
+            if level == 0 {
+                acl.set_perm(g("readers"), Perm::Read);
+            } else {
+                acl.set_inherit(true);
+            }
+            f.access.save_acl(&dir, &acl).unwrap();
+        }
+        let doc = dir.join_file("doc").unwrap();
+        upload(&doc, b"the doc");
+        let mut acl = f.access.acl(&doc).unwrap().unwrap();
+        acl.set_inherit(true);
+        f.access.save_acl(&doc, &acl).unwrap();
+        let bob = u("bob");
+        for group in ["readers", "eng", "ops", "legal"] {
+            f.access.add_user(&alice, &bob, &g(group)).unwrap();
+        }
+        // More than the whole cache's worth of bodies the cache keeps.
+        let bulk = SegPath::parse("/bulk/").unwrap();
+        f.files.create_dir(&bulk, alice.default_group()).unwrap();
+        let body = vec![7u8; 60 * 1024];
+        let bodies: Vec<SegPath> = (0..150)
+            .map(|i| bulk.join_file(&format!("b{i}")).unwrap())
+            .collect();
+        for path in &bodies {
+            upload(path, &body);
+        }
+
+        // Warm: one authorization reads the chain and bob's member list.
+        assert!(f.access.auth_file(&bob, Access::Read, &doc).unwrap());
+        for path in &bodies {
+            assert_eq!(f.files.read_file(path).unwrap().len(), body.len());
+        }
+        let store_reads = || -> u64 { f.access.store.stores().iter().map(|s| s.tally().0).sum() };
+        let before = store_reads();
+        assert!(f.access.auth_file(&bob, Access::Read, &doc).unwrap());
+        assert!(!f.access.auth_file(&bob, Access::Write, &doc).unwrap());
+        assert_eq!(store_reads() - before, 0, "re-authorizing reads the store");
+
+        let stats = f.access.store.cache_stats().unwrap();
+        assert!(stats.evictions > 0, "the bodies overflowed their budget");
+        assert!(stats.bytes <= CACHE_BYTES, "{stats:?}");
+        assert!(f.sgx.epc().peak_bytes() <= CACHE_BYTES);
+    }
+
+    /// The checks as first written — the user's groups copied into a
+    /// set, every ACL of the inherit chain copied before any is looked
+    /// at — kept as the oracle the borrowed checks are held against.
+    mod oracle {
+        use std::collections::BTreeSet;
+
+        use super::*;
+
+        fn user_groups(ac: &AccessControl, user: &UserId) -> BTreeSet<GroupId> {
+            let mut groups: BTreeSet<GroupId> =
+                ac.member_list(user).memberships().cloned().collect();
+            groups.insert(user.default_group());
+            groups
+        }
+
+        pub(super) fn auth_group(ac: &AccessControl, user: &UserId, group: &GroupId) -> bool {
+            let groups = user_groups(ac, user);
+            let list = owned(ac.read_group_list().unwrap());
+            list.owned_by_any(group, groups.iter())
+        }
+
+        pub(super) fn is_file_owner(ac: &AccessControl, user: &UserId, path: &SegPath) -> bool {
+            let Some(acl) = ac.acl(path).unwrap() else {
+                return false;
+            };
+            user_groups(ac, user).iter().any(|g| acl.is_owner(g))
+        }
+
+        pub(super) fn auth_file(
+            ac: &AccessControl,
+            user: &UserId,
+            access: Access,
+            path: &SegPath,
+        ) -> bool {
+            let Some(acl) = ac.acl(path).unwrap() else {
+                return false;
+            };
+            let groups = user_groups(ac, user);
+            if groups.iter().any(|g| acl.is_owner(g)) {
+                return true;
+            }
+            let mut chain = vec![acl];
+            let mut cur = path.clone();
+            let mut depth = 0;
+            while chain.last().expect("non-empty").inherit() && depth < MAX_INHERIT_DEPTH {
+                let Some(parent) = cur.parent() else { break };
+                let Some(parent_acl) = ac.acl(&parent).unwrap() else {
+                    break;
+                };
+                chain.push(parent_acl);
+                cur = parent;
+                depth += 1;
+            }
+            for group in &groups {
+                for acl in &chain {
+                    if let Some(perm) = acl.perm_for(group) {
+                        if perm.allows(access) {
+                            return true;
+                        }
+                        break;
+                    }
+                }
+            }
+            false
+        }
+    }
+
+    mod borrowed_checks {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// The groups ACLs and the group list draw from: five named
+        /// groups, then bob's and alice's default groups.
+        fn pool(i: usize) -> GroupId {
+            match i {
+                0..5 => g(&format!("g{i}")),
+                5 => u("bob").default_group(),
+                _ => u("alice").default_group(),
+            }
+        }
+        const POOL: usize = 7;
+        /// Bob's memberships draw from the pool and from as many groups
+        /// that no ACL names.
+        const FILLER: usize = 20;
+
+        /// One ACL of the chain, nearest the file first: whether it is
+        /// stored at all, its inherit flag, owners and entries.
+        #[derive(Clone, Debug)]
+        struct Level {
+            present: bool,
+            inherit: bool,
+            owners: Vec<usize>,
+            entries: Vec<(usize, Perm)>,
+        }
+
+        fn level() -> impl Strategy<Value = Level> {
+            (
+                0u8..8,
+                0u8..4,
+                vec(0..POOL, 0..2),
+                vec((0..POOL, 0u8..4), 0..4),
+            )
+                .prop_map(|(present, inherit, owners, entries)| Level {
+                    present: present != 0,
+                    inherit: inherit != 0,
+                    owners,
+                    entries: entries
+                        .into_iter()
+                        .map(|(group, perm)| (group, Perm::decode(perm).unwrap()))
+                        .collect(),
+                })
+        }
+
+        /// An inheriting ACL with no owner and no entry: what a deep
+        /// chain is padded with.
+        fn pass_through() -> Level {
+            Level {
+                present: true,
+                inherit: true,
+                owners: Vec::new(),
+                entries: Vec::new(),
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn borrowed_checks_decide_as_the_oracle(
+                levels in vec(level(), 1..6),
+                deep in 0u8..6,
+                members in (any::<bool>(), vec(0..POOL + FILLER, 0..24)),
+                owned_groups in vec((0..5usize, vec(0..POOL, 1..3)), 0..5),
+                cached in any::<bool>(),
+            ) {
+                let f = components(EnclaveConfig {
+                    cache: cached,
+                    ..EnclaveConfig::minimal()
+                });
+                // One case in six pads the chain to one ACL past the
+                // walk's reach, so the last levels drawn sit at depths
+                // MAX_INHERIT_DEPTH and beyond.
+                let mut levels = levels;
+                if deep == 0 {
+                    let pad = MAX_INHERIT_DEPTH as usize + 2 - levels.len();
+                    levels.splice(1..1, std::iter::repeat_n(pass_through(), pad));
+                }
+                // `levels[0]` is the file's ACL, the last the top
+                // directory's, right below the root.
+                let n = levels.len();
+                let mut paths = Vec::with_capacity(n);
+                let mut dir = SegPath::root();
+                for i in (1..n).rev() {
+                    dir = dir.join_dir(&format!("l{i}")).unwrap();
+                    paths.push(dir.clone());
+                }
+                paths.push(dir.join_file("f").unwrap());
+                paths.reverse();
+                for (level, path) in levels.iter().zip(&paths) {
+                    if !level.present {
+                        continue;
+                    }
+                    let mut acl = AclFile::new();
+                    acl.set_inherit(level.inherit);
+                    for &owner in &level.owners {
+                        acl.add_owner(pool(owner));
+                    }
+                    for &(group, perm) in &level.entries {
+                        acl.set_perm(pool(group), perm);
+                    }
+                    f.access.save_acl(path, &acl).unwrap();
+                }
+                let (has_list, memberships) = members;
+                if has_list {
+                    let mut ml = MemberListFile::new();
+                    for i in memberships {
+                        let group = if i < POOL { pool(i) } else { g(&format!("filler{i}")) };
+                        ml.add_membership(group);
+                    }
+                    f.access.save_member_list(&u("bob"), &ml).unwrap();
+                }
+                let mut list = GroupListFile::new();
+                for (group, owners) in owned_groups {
+                    let group = pool(group);
+                    list.add_group(group.clone(), pool(owners[0]));
+                    for &owner in &owners[1..] {
+                        list.add_owner(&group, pool(owner));
+                    }
+                }
+                f.access.save_group_list(&list).unwrap();
+
+                let ac = &f.access;
+                let bob = u("bob");
+                // Every level of a short chain; the file, its parent
+                // and the top of a deep one.
+                let checked: Vec<usize> = if n <= 8 { (0..n).collect() } else { vec![0, 1, n - 1] };
+                for &i in &checked {
+                    let path = &paths[i];
+                    for access in [Access::Read, Access::Write] {
+                        prop_assert_eq!(
+                            ac.auth_file(&bob, access, path).unwrap(),
+                            oracle::auth_file(ac, &bob, access, path),
+                            "auth_file {:?} at level {} of {:?}", access, i, levels
+                        );
+                    }
+                    prop_assert_eq!(
+                        ac.is_file_owner(&bob, path).unwrap(),
+                        oracle::is_file_owner(ac, &bob, path),
+                        "is_file_owner at level {} of {:?}", i, levels
+                    );
+                }
+                for group in (0..POOL).map(pool).chain([g("absent")]) {
+                    prop_assert_eq!(
+                        ac.auth_group(&bob, &group).unwrap(),
+                        oracle::auth_group(ac, &bob, &group),
+                        "auth_group {}", group
+                    );
+                }
+            }
+        }
     }
 }

@@ -580,6 +580,7 @@ pub(crate) mod testutil {
     pub(crate) struct ComponentFixture {
         pub access: AccessControl,
         pub files: FileManager,
+        pub sgx: Arc<seg_sgx::Enclave>,
     }
 
     pub(crate) fn components(config: EnclaveConfig) -> ComponentFixture {
@@ -590,7 +591,7 @@ pub(crate) mod testutil {
         let store = Arc::new(TrustedStore::new(
             KeyHierarchy::new([5u8; 32]),
             config,
-            sgx,
+            Arc::clone(&sgx),
             content,
             group,
             dedup,
@@ -598,6 +599,6 @@ pub(crate) mod testutil {
         let access = AccessControl::new(Arc::clone(&store));
         let files = FileManager::new(Arc::clone(&store));
         files.init_file_system().expect("init");
-        ComponentFixture { access, files }
+        ComponentFixture { access, files, sgx }
     }
 }

@@ -288,29 +288,29 @@ impl TrustedStore {
     /// Returns `(bodies probed, ids that failed coherence)`; empty when
     /// the cache is disabled.
     pub(crate) fn scrub_cache_probe(&self, max: usize) -> (u64, Vec<ObjectId>) {
-        let Some(cache) = &self.cache else {
+        let Some(caches) = &self.cache else {
             return (0, Vec::new());
         };
         let mut probed = 0u64;
         let mut mismatched = Vec::new();
-        for key in cache.sample_keys(max) {
+        for key in caches.bodies.sample_keys(max) {
             // A content file's entry holds its plaintext.
-            let CacheKey::Object(id @ ObjectId::FileData(_)) = key else {
+            let CacheKey::Object(id @ ObjectId::FileData(_)) = &key else {
                 continue;
             };
-            let cache_key = CacheKey::Object(id.clone());
-            let gen_before = cache.generation(&cache_key);
-            let Some(CachedValue::Plain(cached)) = cache.peek(&cache_key) else {
+            let cache = caches.route(&key);
+            let gen_before = cache.generation(&key);
+            let Some(CachedValue::Plain(cached)) = cache.peek(&key) else {
                 continue;
             };
             probed += 1;
-            let fresh = self.scrub_read(&id);
-            if cache.generation(&cache_key) != gen_before {
+            let fresh = self.scrub_read(id);
+            if cache.generation(&key) != gen_before {
                 continue;
             }
             match fresh {
                 Ok(Some(body)) if body.as_slice() == &cached[..] => {}
-                _ => mismatched.push(id),
+                _ => mismatched.push(id.clone()),
             }
         }
         (probed, mismatched)

@@ -160,7 +160,45 @@ enum Walk {
     StoreOnly,
 }
 
-type MetaCache = seg_cache::ObjectCache<CacheKey, CachedValue>;
+/// Bytes of small content plaintext the cache keeps
+/// (`CacheKey::Object` of a content file, at most [`HOT_BODY_MAX`]).
+const BODY_CACHE_BYTES: u64 = 5 * 1024 * 1024;
+/// Bytes of everything else: decoded metadata, trusted records and
+/// child listings. Bodies and metadata never compete for one budget, so
+/// a stream of one-touch bodies cannot evict the ACLs, member lists and
+/// records that every request is authorized and verified against.
+const META_CACHE_BYTES: u64 = 3 * 1024 * 1024;
+
+type Budget = seg_cache::ObjectCache<CacheKey, CachedValue>;
+
+/// The in-enclave cache: two byte budgets, each charged against the EPC
+/// tracker, [`BODY_CACHE_BYTES`] + [`META_CACHE_BYTES`] in all.
+struct Caches {
+    bodies: Budget,
+    meta: Budget,
+}
+
+impl Caches {
+    fn new(epc: &seg_sgx::EpcTracker) -> Caches {
+        Caches {
+            bodies: Budget::new(BODY_CACHE_BYTES, epc.clone()),
+            meta: Budget::new(META_CACHE_BYTES, epc.clone()),
+        }
+    }
+
+    /// The budget `key` lives in: the one place a key is routed, for
+    /// lookup, fill, generation and invalidation alike.
+    fn route(&self, key: &CacheKey) -> &Budget {
+        match key {
+            CacheKey::Object(ObjectId::FileData(_)) => &self.bodies,
+            _ => &self.meta,
+        }
+    }
+
+    fn all(&self) -> [&Budget; 2] {
+        [&self.bodies, &self.meta]
+    }
+}
 
 /// The encrypted persistence layer shared by the access-control and
 /// file-manager components.
@@ -169,11 +207,11 @@ pub struct TrustedStore {
     config: EnclaveConfig,
     /// The untrusted stores' stubs, in [`StoreKind`] order.
     stores: [Arc<StoreOcall>; 3],
-    /// In-enclave cache of verified plaintext (decoded metadata, hash
-    /// records, small hot content bodies), charged against the EPC
-    /// tracker. `None` means byte-identical behavior to a build
-    /// without the cache.
-    cache: Option<MetaCache>,
+    /// In-enclave cache of verified plaintext (small hot content bodies
+    /// in one budget; decoded metadata, hash records and listings in the
+    /// other), charged against the EPC tracker. `None` means
+    /// byte-identical behavior to a build without the cache.
+    cache: Option<Caches>,
     /// Per-store rollback-tree locks. A commit/delete rewrites shared
     /// ancestor hash records (and, with whole-FS protection, the root
     /// counter) in several non-atomic steps; a concurrent verifier
@@ -213,7 +251,7 @@ impl TrustedStore {
         group: Arc<StoreOcall>,
         dedup: Arc<StoreOcall>,
     ) -> TrustedStore {
-        let cache = config.cache.then(|| MetaCache::new(sgx.epc().clone()));
+        let cache = config.cache.then(|| Caches::new(sgx.epc()));
         let root_anchors = [1, 2].map(|id| Anchor::new(Arc::clone(&sgx), id, &config));
         TrustedStore {
             keys,
@@ -230,15 +268,22 @@ impl TrustedStore {
 
     // ------------------------------------------------------ object cache
 
-    /// Cache counters, or `None` when the cache is disabled.
+    /// Cache counters, summed over both budgets, or `None` when the
+    /// cache is disabled.
     #[must_use]
     pub fn cache_stats(&self) -> Option<seg_cache::CacheStats> {
-        self.cache.as_ref().map(MetaCache::stats)
+        let [bodies, meta] = self.cache.as_ref()?.all();
+        Some(bodies.stats() + meta.stats())
+    }
+
+    /// The budget `key` lives in, or `None` when the cache is disabled.
+    fn cache_for(&self, key: &CacheKey) -> Option<&Budget> {
+        Some(self.cache.as_ref()?.route(key))
     }
 
     /// Looks `key` up in the cache.
     fn cache_lookup(&self, key: &CacheKey) -> Option<CachedValue> {
-        let cache = self.cache.as_ref()?;
+        let cache = self.cache_for(key)?;
         let _prof = seg_obs::prof::phase(seg_obs::Phase::CacheLookup);
         cache.get(key)
     }
@@ -247,12 +292,18 @@ impl TrustedStore {
     /// miss-fill; [`TrustedStore::cache_fill`] discards the fill if a
     /// mutation bumped the generation in between.
     fn cache_gen(&self, key: &CacheKey) -> u64 {
-        self.cache.as_ref().map_or(0, |c| c.generation(key))
+        self.cache_for(key).map_or(0, |c| c.generation(key))
     }
 
     fn cache_fill(&self, key: CacheKey, gen: u64, value: CachedValue, bytes: usize) {
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = self.cache_for(&key) {
             cache.insert_if_current(key, gen, value, bytes as u64);
+        }
+    }
+
+    fn cache_invalidate(&self, key: &CacheKey) {
+        if let Some(cache) = self.cache_for(key) {
+            cache.invalidate(key);
         }
     }
 
@@ -260,17 +311,17 @@ impl TrustedStore {
     /// listing included. Must run *before* the mutation's store write
     /// lands so that no concurrent miss-fill can publish the old value.
     fn cache_invalidate_object(&self, id: &ObjectId) {
-        if let Some(cache) = &self.cache {
-            cache.invalidate(&CacheKey::Object(id.clone()));
+        if self.cache.is_some() {
+            self.cache_invalidate(&CacheKey::Object(id.clone()));
             if id.is_tree_inner() {
-                cache.invalidate(&CacheKey::Children(id.clone()));
+                self.cache_invalidate(&CacheKey::Children(id.clone()));
             }
         }
     }
 
     fn cache_invalidate_record(&self, id: &ObjectId) {
-        if let Some(cache) = &self.cache {
-            cache.invalidate(&CacheKey::Record(id.clone()));
+        if self.cache.is_some() {
+            self.cache_invalidate(&CacheKey::Record(id.clone()));
         }
     }
 
@@ -549,14 +600,16 @@ mod tests {
 
         /// `id`'s cached child listing, whether or not it is current.
         fn listing(&self, id: &ObjectId) -> Option<Arc<ChildMap>> {
-            match self.cache.as_ref()?.get(&CacheKey::Children(id.clone()))? {
+            let key = CacheKey::Children(id.clone());
+            match self.cache_for(&key)?.get(&key)? {
                 CachedValue::Children(listing) => Some(listing),
                 _ => None,
             }
         }
 
         fn trusted_record(&self, id: &ObjectId) -> Option<HashRecord> {
-            match self.cache.as_ref()?.get(&CacheKey::Record(id.clone()))? {
+            let key = CacheKey::Record(id.clone());
+            match self.cache_for(&key)?.get(&key)? {
                 CachedValue::Record(rec) => Some(HashRecord::clone(&rec)),
                 _ => None,
             }
@@ -915,7 +968,8 @@ mod tests {
         // plaintext entry beside the decoded one.
         assert_eq!(f.store.read(&acl).unwrap().unwrap(), decoded.encode());
         assert_eq!(entries(), before + 1, "one entry per object");
-        let cached = f.store.cache.as_ref().unwrap().get(&CacheKey::Object(acl));
+        let key = CacheKey::Object(acl);
+        let cached = f.store.cache_for(&key).unwrap().get(&key);
         assert!(matches!(cached, Some(CachedValue::Decoded(_))));
     }
 
@@ -967,8 +1021,7 @@ mod tests {
         // records stay cached: the refetch reads the rolled-back blob,
         // which *mismatches* the cached latest records — detected, not
         // served.
-        let cache = f.store.cache.as_ref().unwrap();
-        cache.invalidate(&CacheKey::Object(file_id("/a")));
+        f.store.cache_invalidate_object(&file_id("/a"));
         let data_key = f.store.keys.storage_key(&file_id("/a"), true);
         assert!(f.content.get(&data_key).unwrap().is_some());
         assert!(matches!(
@@ -1508,11 +1561,11 @@ mod tests {
             s.read(id)
         };
         let plant = |listing: &Arc<ChildMap>| {
-            let value = CachedValue::Children(Arc::clone(listing));
-            s.cache
-                .as_ref()
-                .unwrap()
-                .put(CacheKey::Children(d.clone()), value, 0);
+            let (key, value) = (
+                CacheKey::Children(d.clone()),
+                CachedValue::Children(Arc::clone(listing)),
+            );
+            s.cache_for(&key).unwrap().put(key, value, 0);
         };
         fn not_listed<T>(result: Result<T, SegShareError>) -> bool {
             matches!(result, Err(SegShareError::Integrity(msg)) if msg.contains("not listed"))

@@ -93,10 +93,8 @@ impl TrustedStore {
             return self.read_hash_record(id);
         }
         let rec = self.store_hash_record(id)?;
-        let cached = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.peek(&CacheKey::Record(id.clone())));
+        let key = CacheKey::Record(id.clone());
+        let cached = self.cache_for(&key).and_then(|c| c.peek(&key));
         if let Some(CachedValue::Record(trusted)) = cached {
             if rec.as_ref() != Some(&*trusted) {
                 return Err(integrity(
@@ -134,9 +132,10 @@ impl TrustedStore {
             &mut SystemRng::new(),
         );
         self.store_for(id.store()).put(&key, &blob)?;
-        match &self.cache {
+        let cache_key = CacheKey::Record(id.clone());
+        match self.cache_for(&cache_key) {
             Some(cache) if trusted => cache.put(
-                CacheKey::Record(id.clone()),
+                cache_key,
                 CachedValue::Record(Arc::new(rec.clone())),
                 rec.cached_bytes(),
             ),
@@ -598,8 +597,8 @@ impl TrustedStore {
         let _group = self.group_tree.write();
         // Restoration replaces store contents without going through the
         // write-through mutators, so nothing cached is trustworthy.
-        if let Some(cache) = &self.cache {
-            cache.clear();
+        for budget in self.cache.iter().flat_map(|c| c.all()) {
+            budget.clear();
         }
         if !self.config.rollback_individual {
             return Ok(());

@@ -51,10 +51,9 @@ impl GroupListFile {
         self.groups.contains_key(group)
     }
 
-    /// The owner groups of `group` (empty if the group does not exist).
-    #[must_use]
-    pub fn owners(&self, group: &GroupId) -> BTreeSet<GroupId> {
-        self.groups.get(group).cloned().unwrap_or_default()
+    /// The owner groups of `group` (none if the group does not exist).
+    pub fn owners(&self, group: &GroupId) -> impl Iterator<Item = &GroupId> {
+        self.groups.get(group).into_iter().flatten()
     }
 
     /// Extends ownership of `group` to `new_owner` (`r_GO` update).
@@ -195,7 +194,7 @@ mod tests {
         assert!(gl.remove_group(&g("eng")));
         assert!(!gl.remove_group(&g("eng")));
         assert!(!gl.contains(&g("eng")));
-        assert!(gl.owners(&g("eng")).is_empty());
+        assert!(gl.owners(&g("eng")).next().is_none());
     }
 
     #[test]

@@ -812,15 +812,58 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
 
 // ------------------------------------------------------------ encoding
 
-/// CRC-32 (IEEE) over `parts` in order, bytewise table-free variant —
-/// plenty for frame integrity checking without a dependency.
+/// Lookup tables of the reflected CRC-32 (IEEE) polynomial for
+/// slicing-by-8: `CRC_TABLES[0][b]` is the CRC step of byte `b`, and
+/// `CRC_TABLES[k][b]` that of `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE) over `parts` in order, eight bytes per table step
+/// (slicing-by-8) — plenty for frame integrity checking without a
+/// dependency.
 fn crc32(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xffff_ffffu32;
-    for &b in parts.iter().copied().flatten() {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+    for part in parts {
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
         }
     }
     !crc
@@ -1391,6 +1434,54 @@ mod tests {
     /// Recovery decodes whatever the directory holds: arbitrary bytes,
     /// torn tails and flipped bits of valid encodings decode to nothing
     /// or to what re-encodes to exactly the bytes read.
+    mod crc {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The CRC-32 one bit at a time, as the log computed it first:
+        /// the reference the table-driven one must match.
+        fn crc32_bitwise(parts: &[&[u8]]) -> u32 {
+            let mut crc = 0xffff_ffffu32;
+            for &b in parts.iter().copied().flatten() {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    let mask = (crc & 1).wrapping_neg();
+                    crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+                }
+            }
+            !crc
+        }
+
+        #[test]
+        fn crc32_has_the_ieee_check_value() {
+            assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
+            assert_eq!(crc32(&[b"1234", b"", b"56789"]), 0xCBF4_3926);
+            assert_eq!(crc32(&[]), 0);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn crc32_matches_the_bitwise_one_over_any_split(
+                bytes in proptest::collection::vec(any::<u8>(), 0..600),
+                cuts in proptest::collection::vec(any::<usize>(), 0..5),
+            ) {
+                let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (bytes.len() + 1)).collect();
+                cuts.sort_unstable();
+                let mut parts = Vec::new();
+                let mut at = 0;
+                for cut in cuts {
+                    parts.push(&bytes[at..cut]);
+                    at = cut;
+                }
+                parts.push(&bytes[at..]);
+                prop_assert_eq!(crc32(&parts), crc32_bitwise(&parts));
+                prop_assert_eq!(crc32(&parts), crc32(&[&bytes]));
+            }
+        }
+    }
+
     mod hostile_bytes {
         use super::*;
         use proptest::prelude::*;

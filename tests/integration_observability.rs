@@ -727,14 +727,14 @@ const FIXED_FLOW_PROFILE: &str = r#"
 add_user 1 1
 add_user;authz 1 1
 add_user;authz;crypto_gcm 7 1
-add_user;authz;pfs 9 1
-add_user;authz;pfs;crypto_gcm 9 1
-add_user;authz;rollback_tree 9 1
-add_user;authz;rollback_tree;crypto_gcm 15 1
-add_user;authz;rollback_tree;pfs 4 1
-add_user;authz;rollback_tree;pfs;crypto_gcm 4 1
-add_user;authz;rollback_tree;store_io 19 1
-add_user;authz;store_io 20 1
+add_user;authz;pfs 6 1
+add_user;authz;pfs;crypto_gcm 6 1
+add_user;authz;rollback_tree 6 1
+add_user;authz;rollback_tree;crypto_gcm 9 1
+add_user;authz;rollback_tree;pfs 1 1
+add_user;authz;rollback_tree;pfs;crypto_gcm 1 1
+add_user;authz;rollback_tree;store_io 10 1
+add_user;authz;store_io 17 1
 add_user;crypto_gcm 2 1
 add_user;lock_wait 4 1
 add_user;serialize 2 1
@@ -844,7 +844,7 @@ set_perm;serialize 2 1
 set_perm;store_io 7 1
 set_perm;tls_record 2 1
 set_perm;tls_record;crypto_gcm 2 1
-seg_boundary_ocalls_total 209
+seg_boundary_ocalls_total 197
 seg_request_errors_total{code="already_exists",op="mk_dir"} 1
 seg_request_errors_total{code="not_found",op="get"} 1
 seg_requests_total{op="add_user"} 1
@@ -861,7 +861,7 @@ seg_store_batches_total{store="dedup"} 0
 seg_store_batches_total{store="group"} 0
 seg_store_bytes_read_total{store="content"} 389664
 seg_store_bytes_read_total{store="dedup"} 0
-seg_store_bytes_read_total{store="group"} 86128
+seg_store_bytes_read_total{store="group"} 53248
 seg_store_bytes_written_total{store="content"} 290725
 seg_store_bytes_written_total{store="dedup"} 0
 seg_store_bytes_written_total{store="group"} 41016
@@ -873,7 +873,7 @@ seg_store_ops_total{op="exists",store="dedup"} 0
 seg_store_ops_total{op="exists",store="group"} 3
 seg_store_ops_total{op="get",store="content"} 74
 seg_store_ops_total{op="get",store="dedup"} 0
-seg_store_ops_total{op="get",store="group"} 39
+seg_store_ops_total{op="get",store="group"} 27
 seg_store_ops_total{op="list",store="content"} 0
 seg_store_ops_total{op="list",store="dedup"} 0
 seg_store_ops_total{op="list",store="group"} 0
@@ -887,7 +887,7 @@ mk_dir 11 10
 put_file 11 0
 data 12 13
 get 14 2
-add_user 28 13
+add_user 16 13
 set_perm 20 6
 put_file 12 0
 data 3 6
