@@ -583,7 +583,7 @@ impl AuditLog {
             return Err(tamper("audit chain head mismatch"));
         }
         let next = record_name(count);
-        if self.store.exists(&next)? {
+        if self.store.get(&next)?.is_some() {
             return Err(tamper(
                 "audit record beyond sealed head (forged append or rolled-back head)",
             ));

@@ -48,51 +48,59 @@ fn bad(code: ErrorCode, msg: impl Into<String>) -> SegShareError {
     SegShareError::request(code, msg)
 }
 
+/// `what` of an entry that verified state says exists (its ACL was
+/// found, or its parent lists it) is not in the store: the store hid or
+/// deleted it.
+fn missing(path: &SegPath, what: &str) -> SegShareError {
+    SegShareError::Integrity(format!("{path}: {what} is missing from the store"))
+}
+
 impl FileManager {
     pub(crate) fn new(store: Arc<TrustedStore>) -> FileManager {
         FileManager { store }
     }
 
-    /// Initializes an empty file system on first enclave start: root
-    /// directory file, root ACL, group-store root, and group list.
+    /// Writes the empty file system of a first enclave start: root
+    /// directory file, root ACL, group-store root, and group list. Only
+    /// launch calls it, and only when it has just generated the root
+    /// key: a restart never writes these, whatever the store returns.
     pub fn init_file_system(&self) -> Result<(), SegShareError> {
         let root = SegPath::root();
-        if !self.store.exists(&ObjectId::DirData(root.clone()))? {
-            self.store.write(
-                &ObjectId::DirData(root.clone()),
-                &DirFile::new(root.clone()).encode(),
-            )?;
-            self.store
-                .write(&ObjectId::Acl(root), &AclFile::new().encode())?;
-        }
-        if !self.store.exists(&ObjectId::GroupRoot)? {
-            self.store.write(
-                &ObjectId::GroupRoot,
-                &super::trusted_store::GroupRootFile::new().encode(),
-            )?;
-            self.store
-                .write(&ObjectId::GroupList, &seg_fs::GroupListFile::new().encode())?;
-        }
-        Ok(())
+        self.store.write(
+            &ObjectId::DirData(root.clone()),
+            &DirFile::new(root.clone()).encode(),
+        )?;
+        self.store
+            .write(&ObjectId::Acl(root), &AclFile::new().encode())?;
+        self.store.write(
+            &ObjectId::GroupRoot,
+            &super::trusted_store::GroupRootFile::new().encode(),
+        )?;
+        self.store
+            .write(&ObjectId::GroupList, &seg_fs::GroupListFile::new().encode())
     }
 
-    /// Loads a directory file.
-    pub fn dir_file(&self, path: &SegPath) -> Result<Option<DirFile>, SegShareError> {
+    /// Loads a directory file, read in place.
+    fn dir_file(&self, path: &SegPath) -> Result<Option<Arc<DirFile>>, SegShareError> {
         let id = ObjectId::DirData(path.clone());
-        Ok(self
-            .store
-            .read_decoded(&id, |body| Ok(DirFile::decode(body)?))?
-            .map(|dir| (*dir).clone()))
+        self.store
+            .read_decoded(&id, |body| Ok(DirFile::decode(body)?))
     }
 
-    /// Whether a directory exists at `path`.
-    pub fn dir_exists(&self, path: &SegPath) -> Result<bool, SegShareError> {
-        Ok(path.is_dir() && self.store.exists(&ObjectId::DirData(path.clone()))?)
-    }
-
-    /// Whether a content file exists at `path`.
-    pub fn file_exists(&self, path: &SegPath) -> Result<bool, SegShareError> {
-        Ok(!path.is_dir() && self.store.exists(&ObjectId::FileData(path.clone()))?)
+    /// What the verified directory file of `path`'s parent lists under
+    /// `path`'s name — nothing, a file or a directory: the one answer
+    /// every creation decision takes. `NotFound` when the parent
+    /// directory is not stored; a missing root directory is tampering.
+    pub fn listed(&self, path: &SegPath) -> Result<Option<ChildKind>, SegShareError> {
+        let parent = path.parent().expect("children are never the root");
+        match self.dir_file(&parent)? {
+            Some(dir) => Ok(dir.child(path.name())),
+            None if parent.is_root() => Err(missing(&parent, "the directory file")),
+            None => Err(bad(
+                ErrorCode::NotFound,
+                format!("parent directory {parent} missing"),
+            )),
+        }
     }
 
     fn save_dir_file(&self, dir: &DirFile) -> Result<(), SegShareError> {
@@ -103,21 +111,26 @@ impl FileManager {
     /// Registers `child` in its parent directory file (Algorithm 1's
     /// `write(path2, PAE_Enc(SK_f2, IV, con + path1))`).
     fn add_child_to_parent(&self, child: &SegPath, kind: ChildKind) -> Result<(), SegShareError> {
-        let parent = child.parent().expect("children are never the root");
-        let mut dir = self
-            .dir_file(&parent)?
-            .ok_or_else(|| bad(ErrorCode::NotFound, format!("missing directory {parent}")))?;
+        let mut dir = self.parent_to_edit(child)?;
         dir.add_child(child.name(), kind);
         self.save_dir_file(&dir)
     }
 
     fn remove_child_from_parent(&self, child: &SegPath) -> Result<(), SegShareError> {
-        let parent = child.parent().expect("children are never the root");
-        let mut dir = self
-            .dir_file(&parent)?
-            .ok_or_else(|| bad(ErrorCode::NotFound, format!("missing directory {parent}")))?;
-        dir.remove_child(child.name());
+        let mut dir = self.parent_to_edit(child)?;
+        if dir.remove_child(child.name()).is_none() {
+            return Err(missing(child, "the parent's entry"));
+        }
         self.save_dir_file(&dir)
+    }
+
+    /// The directory file of `child`'s parent, copied to edit.
+    fn parent_to_edit(&self, child: &SegPath) -> Result<DirFile, SegShareError> {
+        let parent = child.parent().expect("children are never the root");
+        let dir = self.dir_file(&parent)?;
+        Ok(Arc::unwrap_or_clone(
+            dir.ok_or_else(|| missing(&parent, "the directory file"))?,
+        ))
     }
 
     /// Creates a directory owned by `owner` (Algorithm 1 `put_fD`; the
@@ -134,11 +147,11 @@ impl FileManager {
         self.add_child_to_parent(path, ChildKind::Directory)
     }
 
-    /// Lists a directory.
+    /// Lists the directory at `path`, which the request found.
     pub fn list_dir(&self, path: &SegPath) -> Result<Vec<ListingEntry>, SegShareError> {
         let dir = self
             .dir_file(path)?
-            .ok_or_else(|| bad(ErrorCode::NotFound, format!("no directory at {path}")))?;
+            .ok_or_else(|| missing(path, "the directory file"))?;
         Ok(dir
             .children()
             .map(|(name, kind)| ListingEntry {
@@ -243,8 +256,7 @@ impl FileManager {
                 // An overwrite drops the old content's reference; read
                 // the old indirection before it is replaced.
                 let old_hname = self.dedup_hname(&path)?;
-                let blob_id = ObjectId::DedupBlob(hname.clone());
-                if !self.store.exists(&blob_id)? {
+                if !self.store.dedup_blob_indexed(&hname)? {
                     // First copy: re-encrypt the staged blob under the
                     // content-derived key, one node at a time.
                     let staged = PfsFile::open(&temp_key, blob)?;
@@ -256,7 +268,8 @@ impl FileManager {
                     for i in 0..staged.node_count() {
                         final_writer.write(&staged.read_node(i)?);
                     }
-                    self.store.commit_blob(&blob_id, &final_writer.finish())?;
+                    self.store
+                        .commit_blob(&ObjectId::DedupBlob(hname.clone()), &final_writer.finish())?;
                 }
                 // The content file holds only the indirection.
                 let mut body = Vec::with_capacity(hname.len() + 1);
@@ -280,7 +293,8 @@ impl FileManager {
 
     // ---------------------------------------------------------- download
 
-    /// Opens a download of the content file at `path`.
+    /// Opens a download of the content file at `path`, which the request
+    /// found.
     pub fn open_download(&self, path: &SegPath) -> Result<DownloadContext, SegShareError> {
         // A small body the enclave cache holds is served from its
         // verified plaintext with no store access. (Authorization ran
@@ -289,7 +303,7 @@ impl FileManager {
         let body = self
             .store
             .open_stream(&ObjectId::FileData(path.clone()))?
-            .ok_or_else(|| bad(ErrorCode::NotFound, format!("no file at {path}")))?;
+            .ok_or_else(|| missing(path, "the content file"))?;
         // The last body byte is the inline/dedup marker; its slice is
         // the header's tail unless that was too long to sit there.
         let marker = match &body {
@@ -360,7 +374,8 @@ impl FileManager {
 
     // ---------------------------------------------------------- removal
 
-    /// Removes a content file or an *empty* directory.
+    /// Removes a content file or an *empty* directory, which the request
+    /// found.
     pub fn remove(&self, path: &SegPath) -> Result<(), SegShareError> {
         if path.is_root() {
             return Err(bad(ErrorCode::BadRequest, "cannot remove the root"));
@@ -368,7 +383,7 @@ impl FileManager {
         if path.is_dir() {
             let dir = self
                 .dir_file(path)?
-                .ok_or_else(|| bad(ErrorCode::NotFound, format!("no directory at {path}")))?;
+                .ok_or_else(|| missing(path, "the directory file"))?;
             if !dir.is_empty() {
                 return Err(bad(
                     ErrorCode::BadRequest,
@@ -378,9 +393,6 @@ impl FileManager {
             self.remove_child_from_parent(path)?;
             self.store.delete(&ObjectId::DirData(path.clone()))?;
         } else {
-            if !self.file_exists(path)? {
-                return Err(bad(ErrorCode::NotFound, format!("no file at {path}")));
-            }
             // Other files may reference the same dedup blob, so removal
             // only drops this file's reference; blobs whose count
             // reaches zero are reclaimed later by [`FileManager::blob_gc`].
@@ -431,10 +443,8 @@ impl FileManager {
         let body = self
             .store
             .read(&ObjectId::FileData(from.clone()))?
-            .ok_or_else(|| bad(ErrorCode::NotFound, format!("no file at {from}")))?;
-        let acl = self
-            .acl_bytes(from)?
-            .ok_or_else(|| bad(ErrorCode::NotFound, format!("no acl for {from}")))?;
+            .ok_or_else(|| missing(from, "the content file"))?;
+        let acl = self.acl_bytes(from)?;
         self.store.write(&ObjectId::FileData(to.clone()), &body)?;
         self.store.write(&ObjectId::Acl(to.clone()), &acl)?;
         self.add_child_to_parent(to, ChildKind::File)?;
@@ -447,10 +457,8 @@ impl FileManager {
     fn rename_dir(&self, from: &SegPath, to: &SegPath) -> Result<(), SegShareError> {
         let dir = self
             .dir_file(from)?
-            .ok_or_else(|| bad(ErrorCode::NotFound, format!("no directory at {from}")))?;
-        let acl = self
-            .acl_bytes(from)?
-            .ok_or_else(|| bad(ErrorCode::NotFound, format!("no acl for {from}")))?;
+            .ok_or_else(|| missing(from, "the directory file"))?;
+        let acl = self.acl_bytes(from)?;
         // Create the destination empty, then move the children one by
         // one, depth-first, each leaving the source's directory file as
         // it enters the destination's: at every step both directory
@@ -476,13 +484,13 @@ impl FileManager {
         Ok(())
     }
 
-    fn acl_bytes(&self, path: &SegPath) -> Result<Option<Vec<u8>>, SegShareError> {
+    fn acl_bytes(&self, path: &SegPath) -> Result<Vec<u8>, SegShareError> {
         let acl = self
             .store
             .read_decoded(&ObjectId::Acl(path.clone()), |body| {
                 Ok(AclFile::decode(body)?)
             })?;
-        Ok(acl.map(|acl| acl.encode()))
+        Ok(acl.ok_or_else(|| missing(path, "the ACL"))?.encode())
     }
 }
 
@@ -625,10 +633,9 @@ mod tests {
     /// Upload helper pushing `content` through the streaming path in
     /// odd-sized chunks.
     fn upload(f: &crate::enclave::testutil::ComponentFixture, path: &str, content: &[u8]) {
-        let new_owner = if f.files.file_exists(&p(path)).unwrap() {
-            None
-        } else {
-            Some(owner())
+        let new_owner = match f.files.listed(&p(path)).unwrap() {
+            Some(_) => None,
+            None => Some(owner()),
         };
         let mut ctx = f
             .files
@@ -646,7 +653,7 @@ mod tests {
         let f = components(EnclaveConfig::default());
         f.files.init_file_system().unwrap();
         f.files.init_file_system().unwrap();
-        assert!(f.files.dir_exists(&p("/")).unwrap());
+        assert!(f.files.list_dir(&p("/")).unwrap().is_empty());
     }
 
     #[test]
@@ -662,7 +669,7 @@ mod tests {
         assert!(f.files.remove(&p("/a/")).is_err());
         f.files.remove(&p("/a/b/")).unwrap();
         f.files.remove(&p("/a/")).unwrap();
-        assert!(!f.files.dir_exists(&p("/a/")).unwrap());
+        assert_eq!(f.files.listed(&p("/a/")).unwrap(), None);
         // Root is protected.
         assert!(f.files.remove(&p("/")).is_err());
     }
@@ -750,7 +757,7 @@ mod tests {
             f.files.read_file(&p("/dst/moved/sub/b")).unwrap(),
             b"file b"
         );
-        assert!(!f.files.dir_exists(&p("/src/")).unwrap());
+        assert_eq!(f.files.listed(&p("/src/")).unwrap(), None);
         // Moving a directory into itself is refused.
         assert!(f
             .files
@@ -804,8 +811,9 @@ mod tests {
                 }
             }
             // Nothing stays behind, and the source's old parent verifies.
-            assert!(!f.files.dir_exists(&p("/d/")).unwrap());
-            assert!(!f.files.file_exists(&p("/d/f-0")).unwrap());
+            assert_eq!(f.files.listed(&p("/d/")).unwrap(), None);
+            let gone = ObjectId::FileData(p("/d/f-0"));
+            assert!(f.files.store.scrub_read(&gone).unwrap().is_none());
             assert_eq!(f.files.list_dir(&p("/")).unwrap().len(), 1);
         }
     }

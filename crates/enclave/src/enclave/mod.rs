@@ -60,22 +60,23 @@ fn sealed_server_key_name(platform: &Platform) -> String {
 }
 
 /// The 32-byte secret sealed under `name`: unsealed on a restart, or
-/// generated, sealed and stored on a first start.
+/// generated on a first start, together with its sealed blob for the
+/// caller to store under `name`.
 fn unseal_or_generate(
     sgx: &Enclave,
     store: &StoreOcall,
     name: &str,
     what: &str,
-) -> Result<[u8; 32], SegShareError> {
+) -> Result<([u8; 32], Option<Vec<u8>>), SegShareError> {
     if let Some(blob) = store.get(name)? {
-        return sgx
+        let secret: [u8; 32] = sgx
             .unseal(&blob)?
             .try_into()
-            .map_err(|_| SegShareError::Integrity(format!("sealed {what} has wrong size")));
+            .map_err(|_| SegShareError::Integrity(format!("sealed {what} has wrong size")))?;
+        return Ok((secret, None));
     }
     let secret: [u8; 32] = SystemRng::new().array();
-    store.put(name, &sgx.seal(&secret)?)?;
-    Ok(secret)
+    Ok((secret, Some(sgx.seal(&secret)?)))
 }
 
 /// The SeGShare enclave.
@@ -207,24 +208,24 @@ impl SegShareEnclave {
         let [content, group, dedup] = [content, group, dedup].map(|s| StoreOcall::new(&sgx, s));
 
         // Root key: imported (replication), unsealed (restart), or
-        // generated-and-sealed (first start).
+        // generated (first start) — the one case that initializes the
+        // file system, and stores its sealed key in the same window.
         let root_name = sealed_root_key_name(platform);
-        let root_key = match root_key_override {
+        let (root_key, first_start) = match root_key_override {
             Some(key) => {
                 content.put(&root_name, &sgx.seal(&key)?)?;
-                key
+                (key, None)
             }
             None => unseal_or_generate(&sgx, &content, &root_name, "root key")?,
         };
         // Server key pair: "the enclave generates a temporary key pair"
         // (§IV-A), sealed so restarts keep serving the same certificate.
         let server_name = sealed_server_key_name(platform);
-        let server_key = SecretKey::from_seed(&unseal_or_generate(
-            &sgx,
-            &content,
-            &server_name,
-            "server key",
-        )?);
+        let (seed, sealed) = unseal_or_generate(&sgx, &content, &server_name, "server key")?;
+        if let Some(sealed) = sealed {
+            content.put(&server_name, &sealed)?;
+        }
+        let server_key = SecretKey::from_seed(&seed);
 
         let keys = KeyHierarchy::new(root_key);
         // The audit trail persists through the content store like the
@@ -244,7 +245,7 @@ impl SegShareEnclave {
             keys,
             config,
             Arc::clone(&sgx),
-            content,
+            Arc::clone(&content),
             group,
             dedup,
         ));
@@ -269,13 +270,18 @@ impl SegShareEnclave {
         // Launch's one window: adopt root records one ahead of their
         // counters (a crash lost a durable window's increment) before
         // the first verified read could mistake them for a rollback,
-        // then initialize a first boot's coupled objects (directory
-        // bodies plus their hash records) as one commit frame — a crash
+        // then write a first start's coupled objects (directory bodies
+        // plus their hash records) as one commit frame — a crash
         // mid-launch must not recover a root directory without its
-        // hash record.
+        // hash record. The sealed root key goes last: a first start cut
+        // short before it is a first start again.
         enclave.commit(None, || {
             enclave.store.adopt_root_counters()?;
-            enclave.files.init_file_system()
+            if let Some(sealed) = &first_start {
+                enclave.files.init_file_system()?;
+                content.put(&root_name, sealed)?;
+            }
+            Ok(())
         })?;
         Ok(enclave)
     }

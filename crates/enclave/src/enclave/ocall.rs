@@ -24,7 +24,7 @@ use crate::error::SegShareError;
 pub(crate) struct StoreOcall {
     sgx: Arc<Enclave>,
     store: Arc<dyn ObjectStore>,
-    /// Calls that read (`get`, `exists`, `list`): `store_reads`.
+    /// Calls that read (`get`, `list`): `store_reads`.
     reads: AtomicU64,
     /// Calls that write (`put`, `delete`): `store_writes`.
     writes: AtomicU64,
@@ -53,10 +53,6 @@ impl StoreOcall {
 
     pub(crate) fn get(&self, key: &str) -> Result<Option<Vec<u8>>, SegShareError> {
         self.ocall(&self.reads, |store| store.get(key))
-    }
-
-    pub(crate) fn exists(&self, key: &str) -> Result<bool, SegShareError> {
-        self.ocall(&self.reads, |store| store.exists(key))
     }
 
     pub(crate) fn list(&self) -> Result<Vec<String>, SegShareError> {

@@ -623,18 +623,9 @@ impl EnclaveSession {
         if !path.is_dir() || path.is_root() {
             return Err(bad_request("mkdir requires a non-root directory path"));
         }
+        refuse_listed(&path, enclave.files().listed(&path)?)?;
         let parent = path.parent().expect("non-root");
-        if !enclave.files().dir_exists(&parent)? {
-            return Err(not_found(format!("parent directory {parent} missing")));
-        }
-        check_sibling_collision(enclave, &path)?;
-        if enclave.files().dir_exists(&path)? {
-            return Err(SegShareError::request(
-                ErrorCode::AlreadyExists,
-                format!("{path} already exists"),
-            ));
-        }
-        if !(parent.is_root() || enclave.access().auth_file(user, Access::Write, &parent)?) {
+        if !(parent.is_root() || enclave.access().auth_path(user, Access::Write, &parent)?) {
             return Err(deny(format!("no write permission on {parent}")));
         }
         enclave.files().create_dir(&path, user.default_group())?;
@@ -648,26 +639,23 @@ impl EnclaveSession {
         user: &UserId,
         path: &str,
     ) -> Result<Vec<Response>, SegShareError> {
-        let (path, exists) = resolve_path(enclave, path)?;
-        if path.is_dir() {
-            if !exists {
-                return Err(not_found(format!("no directory at {path}")));
-            }
-            // The root is listable by any authenticated user, matching
-            // Algorithm 1's world-creatable root; all other directories
-            // require read permission.
-            if !path.is_root() && !enclave.access().auth_file(user, Access::Read, &path)? {
+        let mut path = parse_path(path)?;
+        // The root is listable by any authenticated user, matching
+        // Algorithm 1's world-creatable root; every other entry is found
+        // by its ACL and requires read permission.
+        if !path.is_root() {
+            let Some((found, acl)) = find(enclave, &path)? else {
+                return Err(not_found(format!("nothing at {path}")));
+            };
+            path = found;
+            if !enclave.access().auth_file(user, Access::Read, &path, acl)? {
                 return Err(deny(format!("no read permission on {path}")));
             }
+        }
+        if path.is_dir() {
             let entries = enclave.files().list_dir(&path)?;
             Ok(vec![Response::Listing { entries }])
         } else {
-            if !exists {
-                return Err(not_found(format!("no file at {path}")));
-            }
-            if !enclave.access().auth_file(user, Access::Read, &path)? {
-                return Err(deny(format!("no read permission on {path}")));
-            }
             let download = enclave.files().open_download(&path)?;
             let size = download.total_len();
             self.download = Some(download);
@@ -681,13 +669,12 @@ impl EnclaveSession {
         user: &UserId,
         path: &str,
     ) -> Result<Vec<Response>, SegShareError> {
-        let (path, exists) = resolve_path(enclave, path)?;
-        if !exists {
+        let path = parse_path(path)?;
+        let Some((path, acl)) = find(enclave, &path)? else {
             return Err(not_found(format!("nothing at {path}")));
-        }
-        if !(enclave.access().auth_file(user, Access::Write, &path)?
-            || enclave.access().is_file_owner(user, &path)?)
-        {
+        };
+        let access = enclave.access();
+        if !access.auth_file(user, Access::Write, &path, acl)? {
             return Err(deny(format!("no write permission on {path}")));
         }
         enclave.files().remove(&path)?;
@@ -701,56 +688,37 @@ impl EnclaveSession {
         from: &str,
         to: &str,
     ) -> Result<Vec<Response>, SegShareError> {
-        let (from, exists) = resolve_path(enclave, from)?;
+        let from = parse_path(from)?;
+        let found = find(enclave, &from)?;
         let mut to = parse_path(to)?;
+        let Some((from, acl)) = found else {
+            return Err(not_found(format!("nothing at {from}")));
+        };
         if from.is_dir() && !to.is_dir() {
             to = parse_path(&format!("{}/", to.as_str()))?;
         }
-        if !exists {
-            return Err(not_found(format!("nothing at {from}")));
-        }
-        if !(enclave.access().auth_file(user, Access::Write, &from)?
-            || enclave.access().is_file_owner(user, &from)?)
-        {
+        let access = enclave.access();
+        if !access.auth_file(user, Access::Write, &from, acl)? {
             return Err(deny(format!("no write permission on {from}")));
         }
         let to_parent = to
             .parent()
             .ok_or_else(|| bad_request("cannot move to root"))?;
-        if !to_parent.is_root() {
-            if !enclave.files().dir_exists(&to_parent)? {
-                return Err(not_found(format!(
-                    "destination directory {to_parent} missing"
-                )));
-            }
-            if !enclave
-                .access()
-                .auth_file(user, Access::Write, &to_parent)?
-            {
-                return Err(deny(format!("no write permission on {to_parent}")));
-            }
+        let listed = enclave.files().listed(&to)?;
+        if !(to_parent.is_root() || access.auth_path(user, Access::Write, &to_parent)?) {
+            return Err(deny(format!("no write permission on {to_parent}")));
         }
-        let dest_exists = if to.is_dir() {
-            enclave.files().dir_exists(&to)?
-        } else {
-            enclave.files().file_exists(&to)?
-        };
-        if dest_exists {
-            return Err(SegShareError::request(
-                ErrorCode::AlreadyExists,
-                format!("{to} already exists"),
-            ));
-        }
-        check_sibling_collision(enclave, &to)?;
+        refuse_listed(&to, listed)?;
         enclave.files().rename(&from, &to)?;
         Ok(vec![Response::Ok])
     }
 }
 
 /// The one ACL edit — permissions, the inherit flag, owner growth and
-/// shrink: under the path's write scope, resolve the path, parse the
+/// shrink: under the path's write scope, find the entry, parse the
 /// `operand`, admit file owners only (Table IV `auth_f` with the empty
-/// permission), then load the ACL, apply `edit` and save it.
+/// permission), then apply `edit` to the ACL that found the entry and
+/// save it.
 fn edit_acl<G>(
     enclave: &SegShareEnclave,
     user: &UserId,
@@ -760,15 +728,14 @@ fn edit_acl<G>(
     edit: impl FnOnce(&mut AclFile, G) -> Result<(), SegShareError>,
 ) -> Result<Vec<Response>, SegShareError> {
     let _scope = path_scope(enclave, path, LockIntent::Write, false);
-    let (path, _) = resolve_path(enclave, path)?;
+    let path = parse_path(path)?;
+    let found = find(enclave, &path)?;
     let operand = operand()?;
-    if !enclave.access().is_file_owner(user, &path)? {
-        return Err(deny(format!("only file owners may {what} {path}")));
-    }
-    let mut acl = enclave
-        .access()
-        .acl(&path)?
-        .ok_or_else(|| not_found(format!("nothing at {path}")))?;
+    let (path, acl) = match found {
+        Some((path, acl)) if enclave.access().is_file_owner(user, &acl)? => (path, acl),
+        _ => return Err(deny(format!("only file owners may {what} {path}"))),
+    };
+    let mut acl = Arc::unwrap_or_clone(acl);
     edit(&mut acl, operand)?;
     enclave.access().save_acl(&path, &acl)?;
     Ok(vec![Response::Ok])
@@ -790,31 +757,37 @@ fn do_put_file(
         return Err(bad_request("put requires a content-file path"));
     }
     let parent = path.parent().expect("files are never the root");
-    let exists = enclave.files().file_exists(&path)?;
-    if !exists {
-        check_sibling_collision(enclave, &path)?;
-    }
-    if !parent.is_root() && !enclave.files().dir_exists(&parent)? {
-        return Err(not_found(format!("parent directory {parent} missing")));
-    }
     // Algorithm 1's `put_fC` lets anyone create below the root; we
     // additionally require write permission (or ownership) on an
     // *existing* file even in the root, so the world-creatable root
     // cannot be abused to clobber other users' files.
-    let allowed = if exists {
-        enclave.access().auth_file(user, Access::Write, &path)?
-            || enclave.access().auth_file(user, Access::Write, &parent)?
-    } else {
-        parent.is_root() || enclave.access().auth_file(user, Access::Write, &parent)?
+    let access = enclave.access();
+    let (allowed, owner) = match access.acl(&path)? {
+        // An overwrite: the file's ACL proves it exists.
+        Some(acl) => {
+            let allowed = access.auth_file(user, Access::Write, &path, acl)?
+                || access.auth_path(user, Access::Write, &parent)?;
+            (allowed, None)
+        }
+        // A new file, once the parent's listing confirms that nothing
+        // is there: a listed file whose ACL the store did not return
+        // must not change hands.
+        None => {
+            match enclave.files().listed(&path)? {
+                Some(ChildKind::File) => {
+                    return Err(SegShareError::Integrity(format!(
+                        "{path}: listed in its parent, but its ACL is missing from the store"
+                    )))
+                }
+                listed => refuse_listed(&path, listed)?,
+            }
+            let allowed = parent.is_root() || access.auth_path(user, Access::Write, &parent)?;
+            (allowed, Some(user.default_group()))
+        }
     };
     if !allowed {
         return Err(deny(format!("no write permission for {path}")));
     }
-    let owner = if exists {
-        None
-    } else {
-        Some(user.default_group())
-    };
     enclave.files().begin_upload(&path, size, owner)
 }
 
@@ -844,49 +817,38 @@ fn path_scope<'a>(
     enclave.locks().acquire(&requests)
 }
 
-/// Resolves a client-supplied path against the file system: a path
-/// without a trailing slash that names no content file but does name a
-/// directory resolves to that directory (WebDAV-style convenience).
-/// Returns the path together with what the probes learned — whether
-/// anything is stored there — so that the caller, under the same lock
-/// scope, does not derive the storage name and ask the store again.
-fn resolve_path(enclave: &SegShareEnclave, s: &str) -> Result<(SegPath, bool), SegShareError> {
-    let path = parse_path(s)?;
+/// Finds the entry a client path names by its ACL: the verified read
+/// that proves the entry exists (Table IV `exists_f`), handed back for
+/// the checks to start their chain from. A path without a trailing
+/// slash whose name has no ACL of its own resolves to the directory of
+/// that name, if there is one (WebDAV-style convenience). `None` when
+/// neither ACL is stored.
+fn find(
+    enclave: &SegShareEnclave,
+    path: &SegPath,
+) -> Result<Option<(SegPath, Arc<AclFile>)>, SegShareError> {
+    if let Some(acl) = enclave.access().acl(path)? {
+        return Ok(Some((path.clone(), acl)));
+    }
     if path.is_dir() {
-        let exists = enclave.files().dir_exists(&path)?;
-        return Ok((path, exists));
+        return Ok(None);
     }
-    if enclave.files().file_exists(&path)? {
-        return Ok((path, true));
-    }
-    let as_dir = parse_path(&format!("{s}/"))?;
-    if enclave.files().dir_exists(&as_dir)? {
-        Ok((as_dir, true))
-    } else {
-        Ok((path, false))
-    }
+    let dir = parse_path(&format!("{}/", path.as_str()))?;
+    Ok(enclave.access().acl(&dir)?.map(|acl| (dir, acl)))
 }
 
-/// Rejects creating `path` when a sibling of the other kind (file vs.
-/// directory) already holds the same name.
-fn check_sibling_collision(enclave: &SegShareEnclave, path: &SegPath) -> Result<(), SegShareError> {
-    let parent = path.parent().expect("non-root");
-    if let Some(dir) = enclave.files().dir_file(&parent)? {
-        if let Some(kind) = dir.child(path.name()) {
-            let requested = if path.is_dir() {
-                ChildKind::Directory
-            } else {
-                ChildKind::File
-            };
-            if kind != requested {
-                return Err(SegShareError::request(
-                    ErrorCode::AlreadyExists,
-                    format!("{} exists with a different kind", path.name()),
-                ));
-            }
-        }
-    }
-    Ok(())
+/// Refuses to create `path` where its parent already lists the name
+/// (`listed`, from [`super::file_manager::FileManager::listed`]).
+fn refuse_listed(path: &SegPath, listed: Option<ChildKind>) -> Result<(), SegShareError> {
+    let what = match listed {
+        None => return Ok(()),
+        Some(kind) if (kind == ChildKind::Directory) == path.is_dir() => "already exists",
+        Some(_) => "exists with a different kind",
+    };
+    Err(SegShareError::request(
+        ErrorCode::AlreadyExists,
+        format!("{path} {what}"),
+    ))
 }
 
 /// The request operand that identifies what the request acts on — its

@@ -13,12 +13,12 @@ use super::TrustedStore;
 impl TrustedStore {
     // ---------------------------------------------- dedup refcount index
 
-    /// Loads the dedup refcount index (blob HMAC-name → number of
-    /// content files whose indirection references it). Absent means
-    /// empty — stores predating the index simply never collect their
-    /// orphan blobs.
-    fn dedup_index_load(&self) -> Result<HashMap<String, u64>, SegShareError> {
-        let index = self.read_decoded(&ObjectId::DedupIndex, |body| {
+    /// The dedup refcount index (blob HMAC-name → number of content
+    /// files whose indirection references it), read in place. Absent
+    /// means empty — stores predating the index simply never collect
+    /// their orphan blobs.
+    fn dedup_index(&self) -> Result<Option<Arc<HashMap<String, u64>>>, SegShareError> {
+        self.read_decoded(&ObjectId::DedupIndex, |body| {
             let mut d = Decoder::new(body);
             d.tag(b"DIX1")?;
             let count = d.u32()?;
@@ -30,8 +30,24 @@ impl TrustedStore {
             }
             d.finish()?;
             Ok(index)
-        })?;
-        Ok(index.map(Arc::unwrap_or_clone).unwrap_or_default())
+        })
+    }
+
+    /// The index, copied to edit.
+    fn dedup_index_load(&self) -> Result<HashMap<String, u64>, SegShareError> {
+        Ok(self
+            .dedup_index()?
+            .map(Arc::unwrap_or_clone)
+            .unwrap_or_default())
+    }
+
+    /// Whether the blob named `name` is stored, as the index says: an
+    /// entry lives from the blob's first write until [`TrustedStore::blob_gc`]
+    /// deletes blob and entry together.
+    pub(crate) fn dedup_blob_indexed(&self, name: &str) -> Result<bool, SegShareError> {
+        Ok(self
+            .dedup_index()?
+            .is_some_and(|index| index.contains_key(name)))
     }
 
     fn dedup_index_save(&self, index: &HashMap<String, u64>) -> Result<(), SegShareError> {

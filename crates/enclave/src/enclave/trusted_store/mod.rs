@@ -435,13 +435,6 @@ impl TrustedStore {
         let key = self.keys.storage_key(id, self.config.hide_names);
         self.store_for(id.store()).delete(&key)
     }
-
-    /// Whether an object exists (Table IV `exists_f` / `exists_g`
-    /// support).
-    pub fn exists(&self, id: &ObjectId) -> Result<bool, SegShareError> {
-        let key = self.keys.storage_key(id, self.config.hide_names);
-        self.store_for(id.store()).exists(&key)
-    }
 }
 
 fn integrity(id: &ObjectId, what: &str) -> SegShareError {

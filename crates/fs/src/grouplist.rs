@@ -57,15 +57,12 @@ impl GroupListFile {
     }
 
     /// Extends ownership of `group` to `new_owner` (`r_GO` update).
-    /// Returns `false` if the group does not exist.
+    /// Returns whether `new_owner` was new: `false` if it already owned
+    /// the group or the group does not exist.
     pub fn add_owner(&mut self, group: &GroupId, new_owner: GroupId) -> bool {
-        match self.groups.get_mut(group) {
-            Some(owners) => {
-                owners.insert(new_owner);
-                true
-            }
-            None => false,
-        }
+        self.groups
+            .get_mut(group)
+            .is_some_and(|owners| owners.insert(new_owner))
     }
 
     /// Removes an owner of `group`; refuses to remove the last owner.
@@ -173,6 +170,7 @@ mod tests {
         assert!(!gl.owned_by_any(&g("eng"), [dg("bob")].iter()));
         // Extend ownership to a whole group (F7).
         assert!(gl.add_owner(&g("eng"), g("leads")));
+        assert!(!gl.add_owner(&g("eng"), g("leads")), "already an owner");
         assert!(gl.owned_by_any(&g("eng"), [g("leads")].iter()));
         assert!(!gl.add_owner(&g("ghost"), g("leads")));
     }

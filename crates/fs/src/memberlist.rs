@@ -4,7 +4,9 @@
 //! (r_G) and also keeps track of u's group ownerships (r_GO)." Keeping
 //! memberships per *user* (not per group) is why membership updates touch
 //! exactly one small file regardless of group size — the flat ~150 ms
-//! curves of Fig. 4.
+//! curves of Fig. 4. Group ownership is decided from the group list
+//! alone (`GroupListFile`), so the file's ownership set is always empty:
+//! it is encoded as a zero count, and a non-zero one is refused.
 
 use std::collections::BTreeSet;
 
@@ -14,11 +16,10 @@ use crate::FsError;
 
 const TAG: &[u8; 4] = b"MBL1";
 
-/// One user's group memberships and group ownerships.
+/// One user's group memberships.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MemberListFile {
     memberships: BTreeSet<GroupId>,
-    ownerships: BTreeSet<GroupId>,
 }
 
 impl MemberListFile {
@@ -55,30 +56,6 @@ impl MemberListFile {
         self.memberships.len()
     }
 
-    /// Grants group ownership via one of the user's groups
-    /// (`(g1, g2) ∈ r_GO` with g1 a group this user belongs to — stored
-    /// here flattened per user, as the paper's member list "keeps track
-    /// of u's group ownerships").
-    pub fn add_ownership(&mut self, group: GroupId) -> bool {
-        self.ownerships.insert(group)
-    }
-
-    /// Revokes a group ownership; returns whether it existed.
-    pub fn remove_ownership(&mut self, group: &GroupId) -> bool {
-        self.ownerships.remove(group)
-    }
-
-    /// Whether the user owns `group`.
-    #[must_use]
-    pub fn owns_group(&self, group: &GroupId) -> bool {
-        self.ownerships.contains(group)
-    }
-
-    /// Iterates over owned groups in sorted order.
-    pub fn ownerships(&self) -> impl Iterator<Item = &GroupId> {
-        self.ownerships.iter()
-    }
-
     /// Serializes to the encrypted-file payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
@@ -88,10 +65,8 @@ impl MemberListFile {
         for m in &self.memberships {
             e.str(m.as_str());
         }
-        e.u32(self.ownerships.len() as u32);
-        for o in &self.ownerships {
-            e.str(o.as_str());
-        }
+        // The ownership set of the paper's layout, always empty.
+        e.u32(0);
         e.finish()
     }
 
@@ -110,18 +85,13 @@ impl MemberListFile {
             ascending(memberships.last(), &group)?;
             memberships.insert(group);
         }
-        let o_count = d.u32()?;
-        let mut ownerships = BTreeSet::new();
-        for _ in 0..o_count {
-            let group = GroupId::parse_stored(d.str()?)?;
-            ascending(ownerships.last(), &group)?;
-            ownerships.insert(group);
+        if d.u32()? != 0 {
+            return Err(FsError::Codec(
+                "member list carries group ownerships".into(),
+            ));
         }
         d.finish()?;
-        Ok(MemberListFile {
-            memberships,
-            ownerships,
-        })
+        Ok(MemberListFile { memberships })
     }
 }
 
@@ -145,11 +115,13 @@ mod tests {
     }
 
     #[test]
-    fn ownership_is_separate_from_membership() {
-        let mut ml = MemberListFile::new();
-        ml.add_ownership(g("eng"));
-        assert!(ml.owns_group(&g("eng")));
-        assert!(!ml.is_member(&g("eng")));
+    fn a_nonzero_ownership_count_is_refused() {
+        let mut bytes = MemberListFile::new().encode();
+        let last = bytes.len() - 4;
+        bytes[last] = 1;
+        bytes.extend_from_slice(&[3, 0, 0, 0]);
+        bytes.extend_from_slice(b"eng");
+        assert!(MemberListFile::decode(&bytes).is_err());
     }
 
     #[test]
@@ -158,11 +130,24 @@ mod tests {
         for i in 0..50 {
             ml.add_membership(g(&format!("group-{i:03}")));
         }
-        ml.add_ownership(g("group-007"));
-        ml.add_ownership(g("group-042"));
         let decoded = MemberListFile::decode(&ml.encode()).unwrap();
         assert_eq!(decoded, ml);
         assert_eq!(decoded.membership_count(), 50);
+    }
+
+    #[test]
+    fn pinned_encoding() {
+        let mut ml = MemberListFile::new();
+        ml.add_membership(g("ops"));
+        ml.add_membership(g("eng"));
+        // Tag, two memberships in order, and the zero count where an
+        // ownership set was once encoded.
+        let bytes: &[u8] = &[
+            77, 66, 76, 49, 2, 0, 0, 0, 3, 0, 0, 0, 101, 110, 103, 3, 0, 0, 0, 111, 112, 115, 0, 0,
+            0, 0,
+        ];
+        assert_eq!(ml.encode(), bytes);
+        assert_eq!(MemberListFile::decode(bytes).unwrap(), ml);
     }
 
     #[test]

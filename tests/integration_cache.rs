@@ -242,29 +242,36 @@ fn cache_metrics_report_hits_and_invalidations() {
     assert!(invalidations > 0, "the overwrite must invalidate");
 }
 
-/// A get served from the warm cache probes the untrusted store for the
-/// file's existence once: `resolve_path`'s probe, which `do_get` reuses
-/// (it used to derive the storage name and ask a second time).
+/// A get served from the warm cache asks the untrusted store nothing:
+/// the cached ACL that authorizes it is also what proves the file
+/// exists, so no existence probe is left, and the member list and body
+/// are hits too. (Alice joins a group first: a member list the store
+/// does not hold is a miss every time.)
 #[test]
-fn a_hot_get_costs_one_exists() {
+fn a_hot_get_costs_no_store_call() {
     let r = rig(cached_config(), 306);
     let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
     let mut a = r.server.connect_local(&alice).unwrap();
     a.mkdir("/d").unwrap();
+    a.add_user("alice", "team").unwrap();
     let body = vec![0x42u8; 4096];
     a.put("/d/hot", &body).unwrap();
     warm(&mut a, "/d/hot", &body);
 
-    let exists = || -> u64 {
+    let calls = || -> (u64, u64) {
         let io = r.server.telemetry().store_io();
-        io.iter().map(|(_, stats, _)| stats.exists).sum()
+        io.iter()
+            .map(|(_, stats, _)| (stats.exists, stats.gets))
+            .fold((0, 0), |(e, g), (de, dg)| (e + de, g + dg))
     };
-    let before = exists();
+    let before = calls();
     const GETS: u64 = 50;
     for _ in 0..GETS {
         assert_eq!(a.get("/d/hot").unwrap(), body);
     }
-    assert_eq!(exists() - before, GETS, "one existence probe per hot get");
+    let after = calls();
+    assert_eq!(after.0 - before.0, 0, "existence probes in {GETS} hot gets");
+    assert_eq!(after.1 - before.1, 0, "store reads in {GETS} hot gets");
 }
 
 /// A cold download of a small file with the cache on opens each node of

@@ -726,15 +726,15 @@ fn meter_families_export_zeroed_when_disabled() {
 const FIXED_FLOW_PROFILE: &str = r#"
 add_user 1 1
 add_user;authz 1 1
-add_user;authz;crypto_gcm 7 1
-add_user;authz;pfs 6 1
-add_user;authz;pfs;crypto_gcm 6 1
-add_user;authz;rollback_tree 6 1
-add_user;authz;rollback_tree;crypto_gcm 9 1
+add_user;authz;crypto_gcm 5 1
+add_user;authz;pfs 5 1
+add_user;authz;pfs;crypto_gcm 5 1
+add_user;authz;rollback_tree 5 1
+add_user;authz;rollback_tree;crypto_gcm 7 1
 add_user;authz;rollback_tree;pfs 1 1
 add_user;authz;rollback_tree;pfs;crypto_gcm 1 1
-add_user;authz;rollback_tree;store_io 10 1
-add_user;authz;store_io 17 1
+add_user;authz;rollback_tree;store_io 8 1
+add_user;authz;store_io 12 1
 add_user;crypto_gcm 2 1
 add_user;lock_wait 4 1
 add_user;serialize 2 1
@@ -756,7 +756,7 @@ data;store_io 17 2
 data;tls_record 4 2
 data;tls_record;crypto_gcm 4 2
 get 2 2
-get;authz 1 1
+get;authz 4 2
 get;authz;pfs 1 1
 get;authz;pfs;crypto_gcm 1 1
 get;authz;rollback_tree 1 1
@@ -764,7 +764,7 @@ get;authz;rollback_tree;crypto_gcm 3 1
 get;authz;rollback_tree;pfs 2 1
 get;authz;rollback_tree;pfs;crypto_gcm 2 1
 get;authz;rollback_tree;store_io 5 1
-get;authz;store_io 2 1
+get;authz;store_io 4 2
 get;crypto_gcm 4 2
 get;lock_wait 4 2
 get;pfs 2 1
@@ -775,7 +775,7 @@ get;rollback_tree;pfs 2 1
 get;rollback_tree;pfs;crypto_gcm 2 1
 get;rollback_tree;store_io 5 1
 get;serialize 4 2
-get;store_io 8 2
+get;store_io 5 2
 get;tls_record 4 2
 get;tls_record;crypto_gcm 4 2
 get_stream 1 1
@@ -796,11 +796,11 @@ mk_dir;rollback_tree 6 2
 mk_dir;rollback_tree;crypto_gcm 7 2
 mk_dir;rollback_tree;store_io 7 2
 mk_dir;serialize 4 2
-mk_dir;store_io 20 2
+mk_dir;store_io 16 2
 mk_dir;tls_record 4 2
 mk_dir;tls_record;crypto_gcm 4 2
 put_file 2 2
-put_file;authz 2 2
+put_file;authz 4 2
 put_file;authz;pfs 3 2
 put_file;authz;pfs;crypto_gcm 3 2
 put_file;authz;rollback_tree 3 2
@@ -808,7 +808,7 @@ put_file;authz;rollback_tree;crypto_gcm 7 2
 put_file;authz;rollback_tree;pfs 4 2
 put_file;authz;rollback_tree;pfs;crypto_gcm 4 2
 put_file;authz;rollback_tree;store_io 11 2
-put_file;authz;store_io 4 2
+put_file;authz;store_io 5 2
 put_file;lock_wait 6 2
 put_file;pfs 1 1
 put_file;pfs;crypto_gcm 1 1
@@ -818,11 +818,11 @@ put_file;rollback_tree;pfs 1 1
 put_file;rollback_tree;pfs;crypto_gcm 1 1
 put_file;rollback_tree;store_io 3 1
 put_file;serialize 2 2
-put_file;store_io 5 2
+put_file;store_io 1 1
 put_file;tls_record 2 2
 put_file;tls_record;crypto_gcm 2 2
 set_perm 1 1
-set_perm;authz 1 1
+set_perm;authz 2 1
 set_perm;authz;pfs 2 1
 set_perm;authz;pfs;crypto_gcm 2 1
 set_perm;authz;rollback_tree 2 1
@@ -833,18 +833,16 @@ set_perm;authz;rollback_tree;store_io 8 1
 set_perm;authz;store_io 2 1
 set_perm;crypto_gcm 4 1
 set_perm;lock_wait 2 1
-set_perm;pfs 2 1
-set_perm;pfs;crypto_gcm 2 1
-set_perm;rollback_tree 2 1
-set_perm;rollback_tree;crypto_gcm 7 1
-set_perm;rollback_tree;pfs 2 1
-set_perm;rollback_tree;pfs;crypto_gcm 2 1
-set_perm;rollback_tree;store_io 9 1
+set_perm;pfs 1 1
+set_perm;pfs;crypto_gcm 1 1
+set_perm;rollback_tree 1 1
+set_perm;rollback_tree;crypto_gcm 4 1
+set_perm;rollback_tree;store_io 4 1
 set_perm;serialize 2 1
-set_perm;store_io 7 1
+set_perm;store_io 5 1
 set_perm;tls_record 2 1
 set_perm;tls_record;crypto_gcm 2 1
-seg_boundary_ocalls_total 197
+seg_boundary_ocalls_total 173
 seg_request_errors_total{code="already_exists",op="mk_dir"} 1
 seg_request_errors_total{code="not_found",op="get"} 1
 seg_requests_total{op="add_user"} 1
@@ -859,40 +857,40 @@ seg_store_batch_ops_total{store="group"} 0
 seg_store_batches_total{store="content"} 0
 seg_store_batches_total{store="dedup"} 0
 seg_store_batches_total{store="group"} 0
-seg_store_bytes_read_total{store="content"} 389664
+seg_store_bytes_read_total{store="content"} 371924
 seg_store_bytes_read_total{store="dedup"} 0
-seg_store_bytes_read_total{store="group"} 53248
+seg_store_bytes_read_total{store="group"} 50480
 seg_store_bytes_written_total{store="content"} 290725
 seg_store_bytes_written_total{store="dedup"} 0
-seg_store_bytes_written_total{store="group"} 41016
+seg_store_bytes_written_total{store="group"} 34152
 seg_store_ops_total{op="delete",store="content"} 0
 seg_store_ops_total{op="delete",store="dedup"} 0
 seg_store_ops_total{op="delete",store="group"} 0
-seg_store_ops_total{op="exists",store="content"} 13
+seg_store_ops_total{op="exists",store="content"} 0
 seg_store_ops_total{op="exists",store="dedup"} 0
-seg_store_ops_total{op="exists",store="group"} 3
-seg_store_ops_total{op="get",store="content"} 74
+seg_store_ops_total{op="exists",store="group"} 0
+seg_store_ops_total{op="get",store="content"} 71
 seg_store_ops_total{op="get",store="dedup"} 0
-seg_store_ops_total{op="get",store="group"} 27
+seg_store_ops_total{op="get",store="group"} 25
 seg_store_ops_total{op="list",store="content"} 0
 seg_store_ops_total{op="list",store="dedup"} 0
 seg_store_ops_total{op="list",store="group"} 0
 seg_store_ops_total{op="put",store="content"} 50
 seg_store_ops_total{op="put",store="dedup"} 0
-seg_store_ops_total{op="put",store="group"} 16
+seg_store_ops_total{op="put",store="group"} 13
 seg_store_ops_total{op="rename",store="content"} 0
 seg_store_ops_total{op="rename",store="dedup"} 0
 seg_store_ops_total{op="rename",store="group"} 0
-mk_dir 11 10
-put_file 11 0
+mk_dir 9 10
+put_file 10 0
 data 12 13
-get 14 2
-add_user 16 13
-set_perm 20 6
-put_file 12 0
+get 13 2
+add_user 12 10
+set_perm 13 6
+put_file 10 0
 data 3 6
 get 2 2
-mk_dir 4 2
+mk_dir 2 2
 "#;
 
 #[test]

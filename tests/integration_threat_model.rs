@@ -5,9 +5,10 @@
 
 use std::sync::Arc;
 
-use seg_fs::Perm;
+use seg_fs::{Perm, SegPath, UserId};
 use seg_proto::ErrorCode;
 use seg_store::{AdversaryStore, MemStore, ObjectStore};
+use segshare::enclave::names::ObjectId;
 use segshare::{EnclaveConfig, FsoSetup, SegShareError, SegShareServer};
 
 struct Rig {
@@ -46,6 +47,35 @@ fn is_integrity_error(result: Result<impl std::fmt::Debug, SegShareError>) -> bo
             ..
         })
     )
+}
+
+fn is_denied(result: Result<impl std::fmt::Debug, SegShareError>) -> bool {
+    matches!(
+        result,
+        Err(SegShareError::Request {
+            code: ErrorCode::Denied,
+            ..
+        })
+    )
+}
+
+/// The untrusted-store key the enclave of `server` keeps `id` under.
+fn key_of(server: &SegShareServer, id: &ObjectId) -> String {
+    let hide = server.enclave().config().hide_names;
+    server.enclave().store().keys().storage_key(id, hide)
+}
+
+/// Puts and deletes the enclave has sent the group store so far.
+fn group_writes(server: &SegShareServer) -> u64 {
+    let io = server.telemetry().store_io();
+    let (_, stats, _) = io.iter().find(|(name, _, _)| *name == "group").unwrap();
+    stats.puts + stats.deletes
+}
+
+/// The two configurations the existence cases run under: the paper's
+/// prototype, and every extension on (dedup, whole-FS counter).
+fn both_configs() -> [(EnclaveConfig, u64); 2] {
+    [(EnclaveConfig::default(), 0), (EnclaveConfig::full(), 1)]
 }
 
 /// Store keys created by the last operation — the attacker can watch
@@ -504,4 +534,133 @@ fn hostile_protocol_sequences_are_survived() {
     assert!(matches!(resp, Response::FileStart { size: 2 }));
     let resp = Response::decode(&stream.recv().unwrap()).unwrap();
     assert!(matches!(resp, Response::Data { .. }));
+}
+
+/// The provider deletes only the content body of alice's file. The
+/// file's ACL and its parent's listing still say it exists, so bob's
+/// upload is an overwrite he may not make — not a new file he would
+/// own — and alice learns her body is gone.
+#[test]
+fn a_hidden_body_does_not_hand_the_file_to_another_user() {
+    for (config, seed) in both_configs() {
+        let r = rig(config, 120 + seed);
+        let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+        let bob = r.setup.enroll_user("bob", "b@x", "Bob").unwrap();
+        let mut a = r.server.connect_local(&alice).unwrap();
+        let mut b = r.server.connect_local(&bob).unwrap();
+        a.put("/report", b"alice's numbers").unwrap();
+        assert!(is_denied(b.put("/report", b"bob's numbers")));
+
+        let path = SegPath::parse("/report").unwrap();
+        let acl_key = key_of(&r.server, &ObjectId::Acl(path.clone()));
+        let acl = r.content.inner().get(&acl_key).unwrap();
+        let body_key = key_of(&r.server, &ObjectId::FileData(path));
+        assert!(r.content.inner().delete(&body_key).unwrap());
+
+        assert!(is_denied(b.put("/report", b"bob's numbers")), "{config:?}");
+        assert_eq!(r.content.inner().get(&acl_key).unwrap(), acl, "{config:?}");
+        assert!(is_integrity_error(a.get("/report")), "{config:?}");
+    }
+}
+
+/// The provider deletes the root directory's body before a restart. A
+/// restart is no first start: nothing re-creates the root, and the
+/// namespace reports the loss instead of starting over empty.
+#[test]
+fn a_hidden_root_is_not_rewritten_at_restart() {
+    for (config, seed) in both_configs() {
+        let Rig {
+            setup,
+            server,
+            content,
+            group,
+        } = rig(config, 122 + seed);
+        let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
+        let mut a = server.connect_local(&alice).unwrap();
+        a.mkdir("/dir").unwrap();
+        let root = SegPath::root();
+        let root_dir = key_of(&server, &ObjectId::DirData(root.clone()));
+        let others = [
+            (&content, key_of(&server, &ObjectId::Acl(root))),
+            (&group, key_of(&server, &ObjectId::GroupRoot)),
+            (&group, key_of(&server, &ObjectId::GroupList)),
+        ];
+        drop(a);
+        drop(server);
+        assert!(content.inner().delete(&root_dir).unwrap());
+        let before: Vec<_> = others
+            .iter()
+            .map(|(store, key)| store.inner().get(key).unwrap())
+            .collect();
+
+        let server = setup.server().unwrap();
+        let mut a = server.connect_local(&alice).unwrap();
+        assert!(is_integrity_error(a.list("/")), "{config:?}");
+        assert!(is_integrity_error(a.mkdir("/fresh")), "{config:?}");
+        assert!(is_integrity_error(a.put("/fresh-file", b"x")), "{config:?}");
+        drop(a);
+        drop(server);
+        // A second restart does not re-create it either.
+        let server = setup.server().unwrap();
+        let mut a = server.connect_local(&alice).unwrap();
+        assert!(is_integrity_error(a.list("/")), "{config:?}");
+
+        assert_eq!(content.inner().get(&root_dir).unwrap(), None, "{config:?}");
+        for ((store, key), before) in others.iter().zip(before) {
+            assert_eq!(store.inner().get(key).unwrap(), before, "{config:?}");
+        }
+    }
+}
+
+/// The provider deletes the member list of a user the group store has
+/// registered. Adding or revoking a membership must not start a fresh
+/// list in its place: that would silently drop (or, restored later,
+/// keep) the memberships it held.
+#[test]
+fn a_hidden_member_list_fails_group_requests_closed() {
+    for (config, seed) in both_configs() {
+        let r = rig(config, 124 + seed);
+        let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+        let mut a = r.server.connect_local(&alice).unwrap();
+        a.add_user("bob", "eng").unwrap();
+        a.add_user("alice", "ops").unwrap();
+        let bob = ObjectId::MemberList(UserId::new("bob").unwrap());
+        let list_key = key_of(&r.server, &bob);
+        assert!(r.group.inner().delete(&list_key).unwrap());
+
+        let writes = group_writes(&r.server);
+        assert!(is_integrity_error(a.add_user("bob", "ops")), "{config:?}");
+        assert!(
+            is_integrity_error(a.remove_user("bob", "eng")),
+            "{config:?}"
+        );
+        assert_eq!(group_writes(&r.server) - writes, 0, "{config:?}");
+        assert_eq!(r.group.inner().get(&list_key).unwrap(), None);
+    }
+}
+
+/// Group requests that change nothing write nothing: revoking a user
+/// who was never added, and re-adding a current member, each answer
+/// `Ok` with no group-store write at all.
+#[test]
+fn group_requests_that_change_nothing_write_nothing() {
+    for (config, seed) in both_configs() {
+        let r = rig(config, 126 + seed);
+        let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+        let mut a = r.server.connect_local(&alice).unwrap();
+        a.add_user("bob", "eng").unwrap();
+
+        let writes = group_writes(&r.server);
+        a.remove_user("carol", "eng").unwrap();
+        assert_eq!(group_writes(&r.server) - writes, 0, "revoking a stranger");
+        a.add_user("bob", "eng").unwrap();
+        assert_eq!(group_writes(&r.server) - writes, 0, "re-adding bob");
+        a.add_user("alice", "eng").unwrap();
+        assert_eq!(group_writes(&r.server) - writes, 0, "re-adding alice");
+        a.add_group_owner("~alice", "eng").unwrap();
+        assert_eq!(group_writes(&r.server) - writes, 0, "re-adding an owner");
+        // The same requests still change what is there to change.
+        a.remove_user("bob", "eng").unwrap();
+        assert!(group_writes(&r.server) > writes, "{config:?}");
+    }
 }
