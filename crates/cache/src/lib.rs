@@ -26,7 +26,7 @@
 //! # Freshness: generation tags
 //!
 //! Correctness under concurrent mutation is by *write-through
-//! invalidation* with per-key generation tags:
+//! invalidation* with generation tags:
 //!
 //! 1. A writer calls [`ObjectCache::invalidate`] **before** its store
 //!    write lands: the key's generation is bumped and any cached entry
@@ -42,9 +42,18 @@
 //! generation and fails to publish it. A writer that knows the new
 //! value (it computed it inside the enclave) follows its store write
 //! with [`ObjectCache::put`] instead of a second invalidation: the same
-//! generation bump, plus the new value as the entry. The generation table grows with
-//! the set of *mutated* keys only (one `u64` per object ever
-//! invalidated — the same order as the rollback tree's hash records).
+//! generation bump, plus the new value as the entry. A writer that
+//! updates a cached value in place takes it out with
+//! [`ObjectCache::take`] (a bump, like an invalidation) and puts the
+//! result back once its store write landed.
+//!
+//! A generation is not kept per key: each shard holds a fixed table of
+//! 64 counters and a key uses the one its hash selects. Keys that share
+//! a counter share its bumps, so a fill can be discarded because an
+//! unrelated key moved — a lost fill, counted in `stale_fills`, never a
+//! stale one, since a counter only grows. The table costs 512 bytes a
+//! shard whatever the number of keys ever written, and a bump clones no
+//! key.
 
 #![warn(missing_docs)]
 
@@ -60,9 +69,11 @@ const NIL: usize = usize::MAX;
 
 /// Independently locked shards.
 const SHARDS: usize = 8;
-/// Bytes charged per entry on top of the value size (key, slot and
-/// generation-table bookkeeping) — both against the shard budget and
-/// against the EPC tracker.
+/// Generation counters per shard (see "Freshness" in the crate docs).
+const GEN_SLOTS: usize = 64;
+/// Bytes charged per entry on top of the value size (key and slot
+/// bookkeeping) — both against the shard budget and against the EPC
+/// tracker.
 const ENTRY_OVERHEAD: u64 = 128;
 
 /// Point-in-time counters exported by [`ObjectCache::stats`].
@@ -79,7 +90,7 @@ pub struct CacheStats {
     pub stale_fills: u64,
     /// Entries dropped to make room.
     pub evictions: u64,
-    /// Generation bumps: `invalidate` and `put` calls.
+    /// Generation bumps: `invalidate`, `take` and `put` calls.
     pub invalidations: u64,
     /// Live entries.
     pub entries: u64,
@@ -153,8 +164,9 @@ impl List {
 
 struct Shard<K, V> {
     map: HashMap<K, usize>,
-    /// Generation tags; entries persist across eviction (see crate docs).
-    gens: HashMap<K, u64>,
+    /// Generation counters, a key's chosen by its hash; they persist
+    /// across eviction (see crate docs).
+    gens: [u64; GEN_SLOTS],
     slots: Vec<Option<Slot<K, V>>>,
     free: Vec<usize>,
     probation: List,
@@ -167,7 +179,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     fn new() -> Shard<K, V> {
         Shard {
             map: HashMap::new(),
-            gens: HashMap::new(),
+            gens: [0; GEN_SLOTS],
             slots: Vec::new(),
             free: Vec::new(),
             probation: List::new(),
@@ -219,8 +231,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         }
     }
 
-    /// Removes the slot entirely, returning its byte size.
-    fn remove_slot(&mut self, idx: usize) -> u64 {
+    /// Removes the slot entirely, returning it (its EPC charge is
+    /// released when it drops).
+    fn remove_slot(&mut self, idx: usize) -> Slot<K, V> {
         self.detach(idx);
         let slot = self.slots[idx].take().expect("live slot");
         self.map.remove(&slot.key);
@@ -229,7 +242,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             self.protected_bytes -= slot.bytes;
         }
         self.free.push(idx);
-        slot.bytes
+        slot
     }
 
     /// Evicts from the probationary tail first, then the protected tail.
@@ -327,10 +340,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
+    /// `key`'s shard and the generation counter it uses there.
+    fn locate(&self, key: &K) -> (&Mutex<Shard<K, V>>, usize) {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        let h = h.finish() as usize;
+        let shards = self.shards.len();
+        (&self.shards[h % shards], (h / shards) % GEN_SLOTS)
+    }
+
+    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
+        self.locate(key).0
     }
 
     /// Looks up `key`, refreshing its LRU position on a hit (a
@@ -371,20 +391,47 @@ impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
     /// paths must read this *before* reading the backing store and pass
     /// it to [`ObjectCache::insert_if_current`].
     pub fn generation(&self, key: &K) -> u64 {
-        self.shard(key).lock().gens.get(key).copied().unwrap_or(0)
+        let (shard, gen) = self.locate(key);
+        shard.lock().gens[gen]
     }
 
     /// Bumps `key`'s generation and drops any cached entry. Writers call
     /// this **before** their store write lands (write-through
     /// invalidation).
     pub fn invalidate(&self, key: &K) {
-        let mut shard = self.shard(key).lock();
-        *shard.gens.entry(key.clone()).or_insert(0) += 1;
+        let (shard, gen) = self.locate(key);
+        let mut shard = shard.lock();
+        shard.gens[gen] += 1;
         if let Some(&idx) = shard.map.get(key) {
             shard.remove_slot(idx);
         }
         drop(shard);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Takes `key`'s entry out of the cache to update it in place: the
+    /// generation bump of [`ObjectCache::invalidate`], with the entry's
+    /// key and value handed back instead of dropped. Counted as a
+    /// lookup, a hit when there was an entry. The writer puts the
+    /// updated value back with [`ObjectCache::put`] once its store write
+    /// landed, and leaves it out if the write failed.
+    pub fn take(&self, key: &K) -> Option<(K, V)> {
+        let (shard, gen) = self.locate(key);
+        let mut shard = shard.lock();
+        shard.gens[gen] += 1;
+        let taken = shard.map.get(key).copied().map(|idx| {
+            let slot = shard.remove_slot(idx);
+            (slot.key, slot.value)
+        });
+        drop(shard);
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        let lookups = if taken.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        lookups.fetch_add(1, Ordering::Relaxed);
+        taken
     }
 
     /// Publishes a miss-fill, unless `key`'s generation moved since
@@ -398,8 +445,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
         if charged > self.shard_capacity {
             return false;
         }
-        let shard = self.shard(&key).lock();
-        if shard.gens.get(&key).copied().unwrap_or(0) != gen {
+        let (shard, slot) = self.locate(&key);
+        let shard = shard.lock();
+        if shard.gens[slot] != gen {
             drop(shard);
             self.stale_fills.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -415,8 +463,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
     /// value over the shard budget just invalidates.
     pub fn put(&self, key: K, value: V, bytes: u64) {
         let charged = bytes.saturating_add(self.entry_overhead);
-        let mut shard = self.shard(&key).lock();
-        *shard.gens.entry(key.clone()).or_insert(0) += 1;
+        let (shard, gen) = self.locate(&key);
+        let mut shard = shard.lock();
+        shard.gens[gen] += 1;
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         if charged > self.shard_capacity {
             if let Some(&idx) = shard.map.get(&key) {
@@ -499,6 +548,15 @@ impl<K: Hash + Eq + Clone, V: Clone> ObjectCache<K, V> {
                 shard.remove_slot(idx);
             }
         }
+    }
+
+    /// Lookups so far, as `(hits, misses)`: two atomic loads, no shard
+    /// lock, for callers that difference them per request.
+    pub fn lookups(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
     }
 
     /// Current counters plus live entry/byte totals.
@@ -616,6 +674,52 @@ mod tests {
         c.put(key.clone(), val(101), 101);
         assert!(c.get(&key).is_none());
         assert_eq!(c.generation(&key), gen + 3);
+    }
+
+    #[test]
+    fn take_hands_the_entry_over_and_discards_older_fills() {
+        let tracker = epc();
+        let c: ObjectCache<String, Arc<[u8]>> = ObjectCache::sized(100, 1, 0, tracker.clone());
+        let key = "a".to_string();
+        assert!(c.take(&key).is_none());
+        c.put(key.clone(), val(10), 10);
+        let gen = c.generation(&key);
+        let (taken_key, value) = c.take(&key).unwrap();
+        assert_eq!((taken_key.as_str(), value.len()), ("a", 10));
+        assert_eq!(
+            tracker.current_bytes(),
+            0,
+            "the entry's charge went with it"
+        );
+        assert_eq!(c.stats().entries, 0);
+        // A fill that snapshotted before the take must not land.
+        assert!(!c.insert_if_current(key.clone(), gen, val(5), 5));
+        c.put(taken_key, value, 10);
+        assert_eq!(c.get(&key).unwrap().len(), 10);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.invalidations), (2, 1, 4));
+        assert_eq!(c.lookups(), (s.hits, s.misses));
+    }
+
+    #[test]
+    fn the_generation_table_does_not_grow_with_the_keys_written() {
+        let c = ObjectCache::<String, Arc<[u8]>>::new(1 << 20, epc());
+        let probe = "probe".to_string();
+        let before = c.generation(&probe);
+        for k in 0..100_000 {
+            c.invalidate(&format!("k{k}"));
+        }
+        let mut bumps = 0;
+        for shard in c.shards.iter() {
+            let shard = shard.lock();
+            assert!(shard.map.is_empty() && shard.slots.is_empty());
+            assert_eq!(shard.gens.len(), GEN_SLOTS);
+            bumps += shard.gens.iter().sum::<u64>();
+        }
+        // Every bump landed in the fixed table, and a key sharing a
+        // counter with some of them saw its generation move.
+        assert_eq!(bumps, 100_000);
+        assert!(c.generation(&probe) > before);
     }
 
     #[test]

@@ -18,6 +18,15 @@ use seg_proto::{
 use crate::error::SegShareError;
 use crate::server::EnrolledUser;
 
+/// One upload chunk's record: its Data header and then the chunk, in
+/// a buffer with room for the record's tag.
+fn data_record(chunk: &[u8]) -> Vec<u8> {
+    let mut record = record_buffer(DATA_HEADER_LEN + chunk.len());
+    put_data_header(&mut record, chunk.len());
+    record.extend_from_slice(chunk);
+    record
+}
+
 /// A connected SeGShare client.
 pub struct Client<T: FrameTransport> {
     stream: SecureStream<T>,
@@ -59,10 +68,31 @@ impl<T: FrameTransport> Client<T> {
     /// Sends one upload chunk: its Data header and then the chunk
     /// itself are written into the record's buffer, sealed there.
     fn send_data(&mut self, chunk: &[u8]) -> Result<(), SegShareError> {
-        let mut record = record_buffer(DATA_HEADER_LEN + chunk.len());
-        put_data_header(&mut record, chunk.len());
-        record.extend_from_slice(chunk);
-        self.stream.send_owned(record)
+        self.stream.send_owned(data_record(chunk))
+    }
+
+    /// Sends an upload's `PutFile` header with its first chunk's record,
+    /// if it has one, in one hand-over to the transport: a put of up to
+    /// [`CHUNK_LEN`] bytes is one socket write. A refused header costs
+    /// nothing more: the server swallows the announced bytes and sends
+    /// its one response.
+    fn send_put(
+        &mut self,
+        path: &str,
+        size: u64,
+        first: Option<Vec<u8>>,
+    ) -> Result<(), SegShareError> {
+        let request = Request::PutFile {
+            path: path.to_string(),
+            size,
+        }
+        .encode();
+        let mut header = record_buffer(request.len());
+        header.extend_from_slice(&request);
+        match first {
+            Some(first) => self.stream.send_owned_all([header, first]),
+            None => self.stream.send_owned(header),
+        }
     }
 
     /// Receives one download chunk and hands its payload, a slice of
@@ -114,11 +144,10 @@ impl<T: FrameTransport> Client<T> {
     ///
     /// Returns the server's refusal as [`SegShareError::Request`].
     pub fn put(&mut self, path: &str, content: &[u8]) -> Result<(), SegShareError> {
-        self.send(&Request::PutFile {
-            path: path.to_string(),
-            size: content.len() as u64,
-        })?;
-        for chunk in content.chunks(CHUNK_LEN) {
+        let mut chunks = content.chunks(CHUNK_LEN);
+        let first = chunks.next().map(data_record);
+        self.send_put(path, content.len() as u64, first)?;
+        for chunk in chunks {
             self.send_data(chunk)?;
         }
         self.expect_ok()
@@ -138,13 +167,13 @@ impl<T: FrameTransport> Client<T> {
         size: u64,
         mut reader: R,
     ) -> Result<(), SegShareError> {
-        self.send(&Request::PutFile {
-            path: path.to_string(),
-            size,
-        })?;
         let mut remaining = size;
-        while remaining > 0 {
+        let mut next = || -> Result<Option<Vec<u8>>, SegShareError> {
+            if remaining == 0 {
+                return Ok(None);
+            }
             let want = remaining.min(CHUNK_LEN as u64) as usize;
+            remaining -= want as u64;
             // The reader fills the record's buffer after the header.
             let mut record = record_buffer(DATA_HEADER_LEN + want);
             put_data_header(&mut record, want);
@@ -161,8 +190,12 @@ impl<T: FrameTransport> Client<T> {
                 }
                 filled += n;
             }
+            Ok(Some(record))
+        };
+        let first = next()?;
+        self.send_put(path, size, first)?;
+        while let Some(record) = next()? {
             self.stream.send_owned(record)?;
-            remaining -= want as u64;
         }
         self.expect_ok()
     }

@@ -92,6 +92,24 @@ impl<T: FrameTransport> SecureStream<T> {
         Ok(())
     }
 
+    /// Encrypts several messages, each in its own buffer as
+    /// [`SecureStream::send_owned`] does, and hands the records to the
+    /// transport together ([`FrameTransport::send_frames`]: over TCP,
+    /// one socket write).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SegShareError::Net`] on transport failure.
+    pub fn send_owned_all<const N: usize>(
+        &mut self,
+        messages: [Vec<u8>; N],
+    ) -> Result<(), SegShareError> {
+        let records = messages.map(|message| self.channel.seal_owned(message));
+        let frames: [&[u8]; N] = std::array::from_fn(|i| records[i].as_slice());
+        self.transport.send_frames(&frames)?;
+        Ok(())
+    }
+
     /// Receives one message, decrypted in the frame's own buffer.
     ///
     /// # Errors

@@ -42,12 +42,28 @@ impl PaeKey {
 /// plaintext.
 #[must_use]
 pub fn pae_enc<R: SecureRandom>(key: &PaeKey, v: &[u8], aad: &[u8], rng: &mut R) -> Vec<u8> {
+    pae_enc_with(key, v.len(), aad, rng, |out| out.copy_from_slice(v))
+}
+
+/// [`pae_enc`] of a `len`-byte value that `fill` writes straight into
+/// the ciphertext buffer, which is allocated once at its exact size: a
+/// caller that encodes its value there never builds a plaintext copy.
+#[must_use]
+pub fn pae_enc_with<R: SecureRandom>(
+    key: &PaeKey,
+    len: usize,
+    aad: &[u8],
+    rng: &mut R,
+    fill: impl FnOnce(&mut [u8]),
+) -> Vec<u8> {
     let iv: [u8; IV_LEN] = rng.array();
-    let mut out = Vec::with_capacity(v.len() + PAE_OVERHEAD);
-    out.extend_from_slice(&iv);
-    out.extend_from_slice(v);
-    let tag = key.0.seal_in_place(&iv, aad, &mut out[IV_LEN..]);
-    out.extend_from_slice(&tag);
+    let mut out = vec![0; len + PAE_OVERHEAD];
+    let (head, rest) = out.split_at_mut(IV_LEN);
+    head.copy_from_slice(&iv);
+    let (body, tail) = rest.split_at_mut(len);
+    fill(body);
+    let tag = key.0.seal_in_place(&iv, aad, body);
+    tail.copy_from_slice(&tag);
     out
 }
 
@@ -85,6 +101,21 @@ mod tests {
             pae_dec(&key(), &c, b"path:/a").expect("authentic"),
             b"value"
         );
+    }
+
+    #[test]
+    fn filling_in_place_seals_the_same_bytes() {
+        let value = b"encoded in place";
+        let copied = pae_enc(&key(), value, b"aad", &mut DeterministicRng::seeded(9));
+        let filled = pae_enc_with(
+            &key(),
+            value.len(),
+            b"aad",
+            &mut DeterministicRng::seeded(9),
+            |out| out.copy_from_slice(value),
+        );
+        assert_eq!(copied, filled);
+        assert_eq!(pae_dec(&key(), &filled, b"aad").unwrap(), value);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use seg_proto::ErrorCode;
 use crate::error::SegShareError;
 
 use super::names::ObjectId;
-use super::trusted_store::{GroupRootFile, TrustedStore};
+use super::trusted_store::{Change, GroupRootFile, TrustedStore};
 
 /// How many ancestors permission inheritance walks while the inherit
 /// flag stays set (§V-B). Part of the enclave's measurement.
@@ -74,10 +74,14 @@ impl AccessControl {
         &self,
         user: &UserId,
     ) -> Result<Option<Arc<MemberListFile>>, SegShareError> {
-        self.store
-            .read_decoded(&ObjectId::MemberList(user.clone()), |body| {
-                Ok(MemberListFile::decode(body)?)
-            })
+        // A list exists iff the verified group-store root registers its
+        // user, so a requester in no group costs no store read once
+        // that absence is cached.
+        self.store.read_registered(
+            &ObjectId::MemberList(user.clone()),
+            |body| Ok(MemberListFile::decode(body)?),
+            || Ok(self.read_group_root()?.contains(user)),
+        )
     }
 
     fn read_group_list(&self) -> Result<Arc<GroupListFile>, SegShareError> {
@@ -111,9 +115,9 @@ impl AccessControl {
     /// file does not register `user`: a registered user's list that is
     /// missing was hidden or deleted by the store, and a fresh one in
     /// its place would silently drop or keep memberships. A new list's
-    /// user is registered in the root file *before* the list is written:
-    /// the rollback tree inserts the child into the root's bucket at
-    /// write time, and verification requires the child to be listed.
+    /// user is registered in the root file in the commit that writes the
+    /// list: verification requires the root to list every child whose
+    /// record its bucket holds, and one commit updates both at once.
     fn edit_member_list(
         &self,
         user: &UserId,
@@ -135,11 +139,17 @@ impl AccessControl {
         if !edit(&mut list) {
             return Ok(());
         }
-        if let Some(root) = root {
-            self.store.write(&ObjectId::GroupRoot, &root.encode())?;
+        let list_id = ObjectId::MemberList(user.clone());
+        let list = list.encode();
+        match root {
+            // Registered and written in one commit.
+            Some(root) => self.store.commit(&[
+                (&ObjectId::GroupRoot, Change::Body(&root.encode())),
+                (&list_id, Change::Body(&list)),
+            ]),
+            None => self.store.commit(&[(&list_id, Change::Body(&list))]),
         }
-        self.store
-            .write(&ObjectId::MemberList(user.clone()), &list.encode())
+        .map(drop)
     }
 
     fn read_group_root(&self) -> Result<Arc<GroupRootFile>, SegShareError> {
@@ -416,6 +426,7 @@ impl AccessControl {
 mod tests {
     use super::*;
     use crate::config::EnclaveConfig;
+    use crate::enclave::names::StoreKind;
     use crate::enclave::testutil::components;
     use seg_fs::Perm;
 
@@ -619,6 +630,46 @@ mod tests {
         assert!(!f.access.auth_path(&u("bob"), Access::Read, &file).unwrap());
         f.access.save_acl(&p(&dirs[1]), &inheriting(true)).unwrap();
         assert!(f.access.auth_path(&u("bob"), Access::Read, &file).unwrap());
+    }
+
+    /// With the cache on, a user's missing member list is decided by the
+    /// verified group-store root: an unregistered user's absence is
+    /// cached and read from no store again, a joining user's list
+    /// replaces it, and a registered user's list that the store hides
+    /// fails closed.
+    #[test]
+    fn a_missing_member_list_is_decided_by_the_root() {
+        let f = components(EnclaveConfig {
+            cache: true,
+            ..EnclaveConfig::default()
+        });
+        let (alice, bob) = (u("alice"), u("bob"));
+        let store = &f.access.store;
+        let store_reads = || -> u64 { store.stores().iter().map(|s| s.tally().0).sum() };
+        assert!(!f.access.auth_group(&bob, &g("eng")).unwrap());
+        let before = store_reads();
+        for _ in 0..10 {
+            assert!(f.access.read_member_list(&bob).unwrap().is_none());
+            assert!(!f.access.auth_group(&bob, &g("eng")).unwrap());
+        }
+        assert_eq!(store_reads() - before, 0, "an absence read the store");
+
+        f.access.add_user(&alice, &bob, &g("eng")).unwrap();
+        assert!(f.access.member_list(&bob).is_member(&g("eng")));
+
+        let id = ObjectId::MemberList(bob.clone());
+        let key = store.keys().storage_key(&id, true);
+        assert!(store.stores()[StoreKind::Group as usize]
+            .delete(&key)
+            .unwrap());
+        store.evict(&id);
+        for _ in 0..2 {
+            assert!(matches!(
+                f.access.read_member_list(&bob),
+                Err(SegShareError::Integrity(msg)) if msg.contains("registered")
+            ));
+        }
+        assert!(f.access.auth_group(&bob, &g("eng")).is_err());
     }
 
     /// Small content bodies cannot flush what authorization reads: after

@@ -16,7 +16,7 @@ use crate::error::SegShareError;
 
 use super::keys::hex;
 use super::names::ObjectId;
-use super::trusted_store::{StreamBody, TrustedStore};
+use super::trusted_store::{Change, StreamBody, TrustedStore};
 
 /// Content-file body trailer: the bytes before it are the content. The
 /// marker is the *last* body byte, so stored byte *i* is client byte *i*
@@ -103,28 +103,8 @@ impl FileManager {
         }
     }
 
-    fn save_dir_file(&self, dir: &DirFile) -> Result<(), SegShareError> {
-        self.store
-            .write(&ObjectId::DirData(dir.path().clone()), &dir.encode())
-    }
-
-    /// Registers `child` in its parent directory file (Algorithm 1's
-    /// `write(path2, PAE_Enc(SK_f2, IV, con + path1))`).
-    fn add_child_to_parent(&self, child: &SegPath, kind: ChildKind) -> Result<(), SegShareError> {
-        let mut dir = self.parent_to_edit(child)?;
-        dir.add_child(child.name(), kind);
-        self.save_dir_file(&dir)
-    }
-
-    fn remove_child_from_parent(&self, child: &SegPath) -> Result<(), SegShareError> {
-        let mut dir = self.parent_to_edit(child)?;
-        if dir.remove_child(child.name()).is_none() {
-            return Err(missing(child, "the parent's entry"));
-        }
-        self.save_dir_file(&dir)
-    }
-
-    /// The directory file of `child`'s parent, copied to edit.
+    /// The directory file of `child`'s parent copied to edit, read
+    /// through the verified path before the commit that saves it.
     fn parent_to_edit(&self, child: &SegPath) -> Result<DirFile, SegShareError> {
         let parent = child.parent().expect("children are never the root");
         let dir = self.dir_file(&parent)?;
@@ -133,18 +113,63 @@ impl FileManager {
         ))
     }
 
+    /// Writes the entry at `path` — its `body` (content or directory
+    /// file) and its ACL — and links it into its parent's directory
+    /// file (Algorithm 1's `write(path2, PAE_Enc(SK_f2, IV, con +
+    /// path1))`), in one commit.
+    fn link(
+        &self,
+        path: &SegPath,
+        body: (&ObjectId, Change<'_>),
+        acl: &[u8],
+    ) -> Result<(), SegShareError> {
+        let kind = match path.is_dir() {
+            true => ChildKind::Directory,
+            false => ChildKind::File,
+        };
+        let mut parent = self.parent_to_edit(path)?;
+        parent.add_child(path.name(), kind);
+        self.store.commit(&[
+            body,
+            (&ObjectId::Acl(path.clone()), Change::Body(acl)),
+            (
+                &ObjectId::DirData(parent.path().clone()),
+                Change::Body(&parent.encode()),
+            ),
+        ])?;
+        Ok(())
+    }
+
+    /// Removes the entry at `path` from its parent's directory file and
+    /// deletes its `body` (content or directory file) and its ACL, in one
+    /// commit.
+    fn unlink(&self, path: &SegPath, body: &ObjectId) -> Result<(), SegShareError> {
+        let mut parent = self.parent_to_edit(path)?;
+        if parent.remove_child(path.name()).is_none() {
+            return Err(missing(path, "the parent's entry"));
+        }
+        self.store.commit(&[
+            (
+                &ObjectId::DirData(parent.path().clone()),
+                Change::Body(&parent.encode()),
+            ),
+            (body, Change::Delete),
+            (&ObjectId::Acl(path.clone()), Change::Delete),
+        ])?;
+        Ok(())
+    }
+
     /// Creates a directory owned by `owner` (Algorithm 1 `put_fD`; the
     /// caller has already authorized the request).
     pub fn create_dir(&self, path: &SegPath, owner: GroupId) -> Result<(), SegShareError> {
-        self.store.write(
-            &ObjectId::Acl(path.clone()),
+        self.link(
+            path,
+            (
+                &ObjectId::DirData(path.clone()),
+                Change::Body(&DirFile::new(path.clone()).encode()),
+            ),
             &AclFile::with_owner(owner).encode(),
-        )?;
-        self.store.write(
-            &ObjectId::DirData(path.clone()),
-            &DirFile::new(path.clone()).encode(),
-        )?;
-        self.add_child_to_parent(path, ChildKind::Directory)
+        )
     }
 
     /// Lists the directory at `path`, which the request found.
@@ -243,11 +268,20 @@ impl FileManager {
         debug_assert_eq!(remaining, 0, "commit of incomplete upload");
         let mut writer = writer.expect("writer present until commit");
         let file_id = ObjectId::FileData(path.clone());
+        // A new file's ACL and parent link commit with its body.
+        let commit = |body: Change<'_>| match &new_owner {
+            Some(owner) => self.link(
+                &path,
+                (&file_id, body),
+                &AclFile::with_owner(owner.clone()).encode(),
+            ),
+            None => self.store.commit(&[(&file_id, body)]).map(drop),
+        };
 
         match hmac {
             None => {
                 writer.write(&[MARKER_INLINE]);
-                self.store.commit_blob(&file_id, &writer.finish())?;
+                commit(Change::Blob(&writer.finish()))
             }
             Some(hmac) => {
                 let blob = writer.finish();
@@ -268,27 +302,19 @@ impl FileManager {
                     for i in 0..staged.node_count() {
                         final_writer.write(&staged.read_node(i)?);
                     }
+                    let blob = final_writer.finish();
                     self.store
-                        .commit_blob(&ObjectId::DedupBlob(hname.clone()), &final_writer.finish())?;
+                        .commit(&[(&ObjectId::DedupBlob(hname.clone()), Change::Blob(&blob))])?;
                 }
                 // The content file holds only the indirection.
                 let mut body = Vec::with_capacity(hname.len() + 1);
                 body.extend_from_slice(hname.as_bytes());
                 body.push(MARKER_DEDUP);
-                self.store.write(&file_id, &body)?;
+                commit(Change::Body(&body))?;
                 self.store
-                    .dedup_ref_update(Some(&hname), old_hname.as_deref())?;
+                    .dedup_ref_update(Some(&hname), old_hname.as_deref())
             }
         }
-
-        if let Some(owner) = new_owner {
-            self.store.write(
-                &ObjectId::Acl(path.clone()),
-                &AclFile::with_owner(owner).encode(),
-            )?;
-            self.add_child_to_parent(&path, ChildKind::File)?;
-        }
-        Ok(())
     }
 
     // ---------------------------------------------------------- download
@@ -390,8 +416,7 @@ impl FileManager {
                     format!("directory {path} is not empty"),
                 ));
             }
-            self.remove_child_from_parent(path)?;
-            self.store.delete(&ObjectId::DirData(path.clone()))?;
+            self.unlink(path, &ObjectId::DirData(path.clone()))?;
         } else {
             // Other files may reference the same dedup blob, so removal
             // only drops this file's reference; blobs whose count
@@ -401,11 +426,9 @@ impl FileManager {
             } else {
                 None
             };
-            self.remove_child_from_parent(path)?;
-            self.store.delete(&ObjectId::FileData(path.clone()))?;
+            self.unlink(path, &ObjectId::FileData(path.clone()))?;
             self.store.dedup_ref_update(None, dedup.as_deref())?;
         }
-        self.store.delete(&ObjectId::Acl(path.clone()))?;
         Ok(())
     }
 
@@ -445,13 +468,12 @@ impl FileManager {
             .read(&ObjectId::FileData(from.clone()))?
             .ok_or_else(|| missing(from, "the content file"))?;
         let acl = self.acl_bytes(from)?;
-        self.store.write(&ObjectId::FileData(to.clone()), &body)?;
-        self.store.write(&ObjectId::Acl(to.clone()), &acl)?;
-        self.add_child_to_parent(to, ChildKind::File)?;
-        self.remove_child_from_parent(from)?;
-        self.store.delete(&ObjectId::FileData(from.clone()))?;
-        self.store.delete(&ObjectId::Acl(from.clone()))?;
-        Ok(())
+        self.link(
+            to,
+            (&ObjectId::FileData(to.clone()), Change::Body(&body)),
+            &acl,
+        )?;
+        self.unlink(from, &ObjectId::FileData(from.clone()))
     }
 
     fn rename_dir(&self, from: &SegPath, to: &SegPath) -> Result<(), SegShareError> {
@@ -466,10 +488,14 @@ impl FileManager {
         // every verified read on the way (same-bucket siblings included)
         // finds what it expects.
         let new_dir = DirFile::new(to.clone());
-        self.store.write(&ObjectId::Acl(to.clone()), &acl)?;
-        self.store
-            .write(&ObjectId::DirData(to.clone()), &new_dir.encode())?;
-        self.add_child_to_parent(to, ChildKind::Directory)?;
+        self.link(
+            to,
+            (
+                &ObjectId::DirData(to.clone()),
+                Change::Body(&new_dir.encode()),
+            ),
+            &acl,
+        )?;
         for (name, kind) in dir.children() {
             let from_child = dir.child_path(name, kind)?;
             let to_child = new_dir.child_path(name, kind)?;
@@ -478,10 +504,7 @@ impl FileManager {
                 ChildKind::File => self.rename_file(&from_child, &to_child)?,
             }
         }
-        self.remove_child_from_parent(from)?;
-        self.store.delete(&ObjectId::DirData(from.clone()))?;
-        self.store.delete(&ObjectId::Acl(from.clone()))?;
-        Ok(())
+        self.unlink(from, &ObjectId::DirData(from.clone()))
     }
 
     fn acl_bytes(&self, path: &SegPath) -> Result<Vec<u8>, SegShareError> {

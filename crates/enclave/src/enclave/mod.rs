@@ -464,10 +464,10 @@ impl SegShareEnclave {
     /// concurrent requests can shift a few units of cache/store/audit
     /// activity between each other; totals stay conserved.
     pub(crate) fn cost_counters(&self) -> CostVector {
-        let cache = self.store.cache_stats();
+        let (cache_hits, cache_misses) = self.store.cache_lookups().unwrap_or_default();
         let mut cost = CostVector {
-            cache_hits: cache.as_ref().map_or(0, |c| c.hits),
-            cache_misses: cache.as_ref().map_or(0, |c| c.misses),
+            cache_hits,
+            cache_misses,
             audit_bytes: self.audit.as_ref().map_or(0, |log| log.appended().1),
             ..CostVector::default()
         };

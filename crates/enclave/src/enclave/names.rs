@@ -111,6 +111,23 @@ impl ObjectId {
         }
     }
 
+    /// How many [`ObjectId::tree_parent`] steps lead from this node to
+    /// its tree root, counted without building the ancestors.
+    #[must_use]
+    pub fn tree_depth(&self) -> usize {
+        // A directory path ends in `/`, so its slashes are its depth + 1.
+        let slashes = |p: &SegPath| p.as_str().bytes().filter(|&b| b == b'/').count();
+        match self {
+            ObjectId::DirData(p) => slashes(p) - 1,
+            ObjectId::FileData(p) => slashes(p),
+            // An entry's ACL sits beside it; the root's hangs off the root.
+            ObjectId::Acl(p) if p.is_dir() => (slashes(p) - 1).max(1),
+            ObjectId::Acl(p) => slashes(p),
+            ObjectId::GroupList | ObjectId::MemberList(_) => 1,
+            ObjectId::GroupRoot | ObjectId::DedupBlob(_) | ObjectId::DedupIndex => 0,
+        }
+    }
+
     /// Whether this node carries children (and therefore bucket hashes).
     #[must_use]
     pub fn is_tree_inner(&self) -> bool {
@@ -170,6 +187,36 @@ mod tests {
         assert_eq!(ObjectId::GroupRoot.tree_parent(), None);
         assert_eq!(ObjectId::DedupBlob("x".to_string()).tree_parent(), None);
         assert_eq!(ObjectId::DedupIndex.tree_parent(), None);
+    }
+
+    #[test]
+    fn tree_depth_counts_the_steps_to_the_root() {
+        let ids = [
+            ObjectId::DirData(p("/")),
+            ObjectId::DirData(p("/a/")),
+            ObjectId::DirData(p("/a/b/c/")),
+            ObjectId::FileData(p("/f")),
+            ObjectId::FileData(p("/a/b/f")),
+            ObjectId::Acl(p("/")),
+            ObjectId::Acl(p("/a/")),
+            ObjectId::Acl(p("/a/b/")),
+            ObjectId::Acl(p("/f")),
+            ObjectId::Acl(p("/a/b/f")),
+            ObjectId::GroupRoot,
+            ObjectId::GroupList,
+            ObjectId::MemberList(UserId::new("u").unwrap()),
+            ObjectId::DedupBlob("x".to_string()),
+            ObjectId::DedupIndex,
+        ];
+        for id in ids {
+            let mut steps = 0;
+            let mut cur = id.clone();
+            while let Some(parent) = cur.tree_parent() {
+                steps += 1;
+                cur = parent;
+            }
+            assert_eq!(id.tree_depth(), steps, "{id:?}");
+        }
     }
 
     #[test]

@@ -3,14 +3,24 @@
 
 use std::sync::Arc;
 
-use seg_crypto::mset::MsetHash;
 use seg_crypto::rng::SystemRng;
 use seg_sgx::pfs::{pfs_encrypt, PfsFile};
 
 use crate::enclave::names::{ObjectId, StoreKind};
 use crate::error::SegShareError;
 
-use super::{CacheKey, CachedValue, TreeChange, TrustedStore, Walk, HOT_BODY_MAX};
+use super::{CacheKey, CachedValue, TrustedStore, Walk, HOT_BODY_MAX};
+
+/// One object's change in a [`TrustedStore::commit`].
+#[derive(Debug, Clone, Copy)]
+pub enum Change<'a> {
+    /// A new body, which the commit seals under the object's key.
+    Body(&'a [u8]),
+    /// A new body already sealed as a PFS blob (a finished upload).
+    Blob(&'a [u8]),
+    /// The object's removal.
+    Delete,
+}
 
 /// A verified body opened for a reader.
 // One lives per open download; boxing the big variant (the GCM key
@@ -42,66 +52,70 @@ impl StreamBody {
 impl TrustedStore {
     // --------------------------------------------------------- object io
 
-    /// Writes an object body (non-streaming path).
+    /// Writes an object body: a commit of one change.
     ///
     /// # Errors
     ///
     /// Propagates storage, crypto, and tree failures.
     pub fn write(&self, id: &ObjectId, body: &[u8]) -> Result<(), SegShareError> {
-        let blob = pfs_encrypt(&self.data_key(id), body, &mut SystemRng::new())?;
-        self.commit_blob(id, &blob)
+        self.commit(&[(id, Change::Body(body))]).map(drop)
     }
 
-    /// Commits an already-encrypted PFS blob (the streaming upload path
-    /// finishes here).
+    /// Deletes an object and its tree node: a commit of one change.
+    /// Returns whether the store held the object.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage and tree failures.
+    pub fn delete(&self, id: &ObjectId) -> Result<bool, SegShareError> {
+        Ok(self.commit(&[(id, Change::Delete)])? == 1)
+    }
+
+    /// Commits one request's changes — the one write path. Bodies are
+    /// sealed first; then, under one hold of the tree lock, each blob is
+    /// put (or deleted) with its leaf record, and one pass up the tree
+    /// folds every change into the ancestors, reading, updating and
+    /// sealing each touched record once. Whatever the commit reads to
+    /// decide its changes (a parent's directory file, say) the caller
+    /// reads before, through the verified path. All changes the tree
+    /// covers must be in one store's tree. Returns how many of the
+    /// deleted objects the store held.
+    ///
+    /// A failed store put ends the commit: the records it took out of
+    /// the cache to update stay out, so no trusted record is ahead of
+    /// the store. Puts already made stay made, as any partial write
+    /// leaves them on a store without transactions.
     ///
     /// # Errors
     ///
     /// Propagates storage, crypto, and tree failures.
-    pub fn commit_blob(&self, id: &ObjectId, blob: &[u8]) -> Result<(), SegShareError> {
-        let _tree = self.tree_exclusive(id);
-        let result = self.commit_blob_inner(id, blob);
+    pub fn commit(&self, changes: &[(&ObjectId, Change<'_>)]) -> Result<usize, SegShareError> {
+        let sealed = changes
+            .iter()
+            .map(|(id, change)| match change {
+                Change::Body(body) => Ok(Some(pfs_encrypt(
+                    &self.data_key(id),
+                    body,
+                    &mut SystemRng::new(),
+                )?)),
+                Change::Blob(_) | Change::Delete => Ok(None),
+            })
+            .collect::<Result<Vec<_>, SegShareError>>()?;
+        let mut locks = changes.iter().filter_map(|(id, _)| self.tree_lock_for(id));
+        let lock = locks.next();
+        debug_assert!(
+            locks.all(|other| lock.is_some_and(|lock| std::ptr::eq(lock, other))),
+            "a commit spans one tree"
+        );
+        let _tree = lock.map(parking_lot::RwLock::write);
+        let result = self.commit_locked(changes, &sealed);
         // Second bump: a miss-fill that snapshotted its generation after
         // the pre-write bump but read the store before the put landed
         // would otherwise survive with the old body.
-        self.cache_invalidate_object(id);
-        result
-    }
-
-    fn commit_blob_inner(&self, id: &ObjectId, blob: &[u8]) -> Result<(), SegShareError> {
-        self.cache_invalidate_object(id);
-        if !self.tree_enabled_for(id) {
-            return self.raw_put(id, blob);
+        for (id, _) in changes {
+            self.cache_invalidate_object(id);
         }
-        let head = Self::head_of(id, blob)?;
-        let old = self.read_hash_record(id)?;
-        // The new record is trusted when nothing stale can be in it: a
-        // leaf's is a function of the header alone; an inner node's
-        // carries its old buckets and their fold over, so those must
-        // have been trusted (or the node is new and has none).
-        let (fold, buckets, trusted) = match (&old, id.is_tree_inner()) {
-            (Some(old), true) => (old.rec.fold, old.rec.buckets.clone(), old.trusted),
-            (None, true) => {
-                let buckets = vec![MsetHash::empty(); self.bucket_count()];
-                (self.bucket_fold(id.store(), &buckets), buckets, true)
-            }
-            (_, false) => (MsetHash::empty(), Vec::new(), true),
-        };
-        let counter = old.as_ref().map_or(0, |old| old.rec.counter);
-        let rec = self.record_of(id, &head, fold, buckets, counter);
-        self.raw_put(id, blob)?;
-        self.write_hash_record(id, &rec, trusted)?;
-        let new = rec.main;
-        self.apply_tree_change(
-            id,
-            match old {
-                Some(old) => TreeChange::Replace {
-                    old: old.rec.main,
-                    new,
-                },
-                None => TreeChange::Insert { new },
-            },
-        )
+        result
     }
 
     /// Reads and fully verifies an object body: [`TrustedStore::open_stream`],
@@ -133,11 +147,79 @@ impl TrustedStore {
         T: Send + Sync + 'static,
         F: FnOnce(&[u8]) -> Result<T, SegShareError>,
     {
+        Ok(self.lookup_or_read(id, decode)?.0)
+    }
+
+    /// [`TrustedStore::read_decoded`] of an object whose existence a
+    /// verified registry decides: a member list, which exists iff the
+    /// group-store root registers its user. When the store returns
+    /// none, `registered` (a verified read of the registry) says whether
+    /// it should exist. With the cache on:
+    ///
+    /// * not registered — the absence is cached as a negative entry, so
+    ///   the next read asks neither the store nor the registry; the
+    ///   object's first write drops the entry, as any write does;
+    /// * registered — the object is read once more, since a commit may
+    ///   have registered and written it between the two reads, and a
+    ///   second miss is the store hiding it:
+    ///   [`SegShareError::Integrity`].
+    ///
+    /// With the cache off nothing is kept, and an absence is read as
+    /// absence, the registry unasked.
+    ///
+    /// # Errors
+    ///
+    /// As [`TrustedStore::read_decoded`], and the hidden object above.
+    pub(crate) fn read_registered<T, F>(
+        &self,
+        id: &ObjectId,
+        decode: F,
+        registered: impl FnOnce() -> Result<bool, SegShareError>,
+    ) -> Result<Option<Arc<T>>, SegShareError>
+    where
+        T: Send + Sync + 'static,
+        F: Fn(&[u8]) -> Result<T, SegShareError>,
+    {
+        let (value, read) = self.lookup_or_read(id, &decode)?;
+        let Some(gen) = read.filter(|_| value.is_none() && self.cache.is_some()) else {
+            return Ok(value);
+        };
+        if !registered()? {
+            // `gen` predates the store read: a write of the object since
+            // then has moved it, and the fill is dropped.
+            self.cache_fill(CacheKey::Object(id.clone()), gen, CachedValue::Absent, 0);
+            return Ok(None);
+        }
+        match self.read_decoded(id, decode)? {
+            Some(value) => Ok(Some(value)),
+            None => Err(super::integrity(
+                id,
+                "registered, but missing from the store (hidden or deleted)",
+            )),
+        }
+    }
+
+    /// The cache's answer for `id` (a decoded value or a confirmed
+    /// absence), or a verified store read decoded and cached, with the
+    /// generation snapshotted before that read.
+    fn lookup_or_read<T, F>(
+        &self,
+        id: &ObjectId,
+        decode: F,
+    ) -> Result<(Option<Arc<T>>, Option<u64>), SegShareError>
+    where
+        T: Send + Sync + 'static,
+        F: FnOnce(&[u8]) -> Result<T, SegShareError>,
+    {
         let cache_key = CacheKey::Object(id.clone());
-        if let Some(CachedValue::Decoded(any)) = self.cache_lookup(&cache_key) {
-            if let Ok(value) = any.downcast::<T>() {
-                return Ok(Some(value));
+        match self.cache_lookup(&cache_key) {
+            Some(CachedValue::Decoded(any)) => {
+                if let Ok(value) = any.downcast::<T>() {
+                    return Ok((Some(value), None));
+                }
             }
+            Some(CachedValue::Absent) => return Ok((None, None)),
+            _ => {}
         }
         let gen = self.cache_gen(&cache_key);
         let body = {
@@ -145,7 +227,7 @@ impl TrustedStore {
             self.read_verified(id, Walk::Trusting)?
         };
         let Some(body) = body else {
-            return Ok(None);
+            return Ok((None, Some(gen)));
         };
         let value = Arc::new(decode(&body)?);
         self.cache_fill(
@@ -154,7 +236,7 @@ impl TrustedStore {
             CachedValue::Decoded(value.clone()),
             body.len(),
         );
-        Ok(Some(value))
+        Ok((Some(value), Some(gen)))
     }
 
     fn read_verified(&self, id: &ObjectId, walk: Walk) -> Result<Option<Vec<u8>>, SegShareError> {
@@ -213,30 +295,6 @@ impl TrustedStore {
             }
         }
         Ok(Some(StreamBody::Blob(file)))
-    }
-
-    /// Deletes an object (and its tree node).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage and tree failures.
-    pub fn delete(&self, id: &ObjectId) -> Result<bool, SegShareError> {
-        let _tree = self.tree_exclusive(id);
-        let result = self.delete_inner(id);
-        self.cache_invalidate_object(id);
-        result
-    }
-
-    fn delete_inner(&self, id: &ObjectId) -> Result<bool, SegShareError> {
-        self.cache_invalidate_object(id);
-        let existed = self.raw_delete(id)?;
-        if self.tree_enabled_for(id) {
-            if let Some(old) = self.read_hash_record(id)? {
-                self.delete_hash_record(id)?;
-                self.apply_tree_change(id, TreeChange::Remove { old: old.rec.main })?;
-            }
-        }
-        Ok(existed)
     }
 
     // -------------------------------------------------------- scrubbing

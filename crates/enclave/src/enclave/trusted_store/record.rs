@@ -91,19 +91,43 @@ pub(super) const RECORD_TAG: &[u8; 4] = b"HRC2";
 impl HashRecord {
     /// `tag | main | counter | bucket count`, then — inner nodes only —
     /// `fold` and the buckets. A leaf has no buckets, so no fold either.
+    /// The writer encodes with [`HashRecord::encode_into`].
+    #[cfg(test)]
     pub(super) fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.tag(RECORD_TAG);
-        e.raw(&self.main.to_bytes());
-        e.u64(self.counter);
-        e.u32(self.buckets.len() as u32);
+        let mut out = vec![0; self.encoded_len()];
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// The length of [`HashRecord::encode`]'s output.
+    pub(super) fn encoded_len(&self) -> usize {
+        let hashes = match self.buckets.len() {
+            0 => 1,
+            n => 2 + n,
+        };
+        RECORD_TAG.len() + 8 + 4 + hashes * MSET_HASH_LEN
+    }
+
+    /// [`HashRecord::encode`] into `out`, which is exactly
+    /// [`HashRecord::encoded_len`] bytes: the sealer encodes a record
+    /// straight into its ciphertext buffer.
+    pub(super) fn encode_into(&self, out: &mut [u8]) {
+        let mut at = 0;
+        let mut put = |bytes: &[u8]| {
+            out[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        };
+        put(RECORD_TAG);
+        put(&self.main.to_bytes());
+        put(&self.counter.to_le_bytes());
+        put(&(self.buckets.len() as u32).to_le_bytes());
         if !self.buckets.is_empty() {
-            e.raw(&self.fold.to_bytes());
+            put(&self.fold.to_bytes());
         }
         for b in &self.buckets {
-            e.raw(&b.to_bytes());
+            put(&b.to_bytes());
         }
-        e.finish()
+        debug_assert_eq!(at, out.len());
     }
 
     /// Bytes a cached copy is charged for (the hashes it holds).

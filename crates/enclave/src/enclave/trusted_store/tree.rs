@@ -1,11 +1,11 @@
-//! The rollback tree (§V-D/§V-E): hash records, bucket hashing, the
-//! incremental update walk, the verification walk, the root counters,
-//! and the from-scratch rebuild.
+//! The rollback tree (§V-D/§V-E): hash records, bucket hashing, a
+//! commit's update pass, the verification walk, the root counters, and
+//! the from-scratch rebuild.
 
 use std::sync::Arc;
 
 use seg_crypto::mset::{MsetHash, MSET_HASH_LEN};
-use seg_crypto::pae::{pae_dec, pae_enc};
+use seg_crypto::pae::{pae_dec, pae_enc_with, PaeKey};
 use seg_crypto::rng::SystemRng;
 use seg_crypto::sha256::Sha256;
 use seg_fs::DirFile;
@@ -14,8 +14,123 @@ use seg_sgx::pfs::{header_id, HEADER_ID_LEN};
 use crate::enclave::names::{ObjectId, StoreKind};
 use crate::error::SegShareError;
 
+use super::io::Change;
 use super::record::{GroupRootFile, HashRecord};
-use super::{integrity, CacheKey, CachedValue, Fetched, TreeChange, TrustedStore, Walk};
+use super::{integrity, CacheKey, CachedValue, Fetched, TrustedStore, Walk};
+
+/// What sealing a node's hash record takes, derived from its id once:
+/// the record key (HKDF), the store name (an HMAC when names are
+/// hidden), the associated data (the canonical id) and the node's bucket
+/// in its parent (SHA-256). A trusted inner record keeps it beside
+/// itself in the cache, since every write below the node rewrites that
+/// record; a leaf derives it again at each write, its only one in a
+/// request, so the many small leaf entries do not carry it.
+#[derive(Clone)]
+struct SealCtx {
+    key: PaeKey,
+    name: String,
+    canonical: String,
+    bucket: usize,
+}
+
+impl SealCtx {
+    fn cached_bytes(&self) -> usize {
+        std::mem::size_of::<SealCtx>() + self.name.len() + self.canonical.len()
+    }
+}
+
+/// A trusted record as the cache holds it (`CacheKey::Record`).
+#[derive(Clone)]
+pub(crate) struct TrustedRecord {
+    pub(super) rec: HashRecord,
+    /// An inner node's sealing inputs, once a write has derived them.
+    seal: Option<Box<SealCtx>>,
+}
+
+impl TrustedRecord {
+    /// Bytes a cached copy is charged for.
+    fn cached_bytes(&self) -> usize {
+        self.rec.cached_bytes() as usize + self.seal.as_ref().map_or(0, |s| s.cached_bytes())
+    }
+}
+
+/// A record taken out of the cache, or read from the store, to update.
+struct Taken {
+    rec: HashRecord,
+    seal: Option<Box<SealCtx>>,
+    /// Whether it came from the cache: a record updated from a trusted
+    /// one is trusted too.
+    trusted: bool,
+    /// The cache key it was taken under, to put the update back under.
+    key: Option<CacheKey>,
+}
+
+/// One child's change, for its parent to fold in: the element of `name`
+/// with main hash `old` leaves bucket `bucket`, the one with `new` enters.
+struct ChildChange {
+    bucket: usize,
+    name: String,
+    old: Option<MsetHash>,
+    new: Option<MsetHash>,
+}
+
+/// An inner node one commit updates: the changes of its children and,
+/// when the commit rewrites the node itself, its new blob's header id.
+struct Pending {
+    id: ObjectId,
+    depth: usize,
+    head: Option<[u8; HEADER_ID_LEN]>,
+    changes: Vec<ChildChange>,
+}
+
+/// The inner nodes one commit updates, each once, deepest first: every
+/// change below a node is folded in before the node's record is sealed.
+#[derive(Default)]
+struct Pass {
+    nodes: Vec<Pending>,
+}
+
+impl Pass {
+    fn node(&mut self, id: ObjectId) -> &mut Pending {
+        let i = match self.nodes.iter().position(|n| n.id == id) {
+            Some(i) => i,
+            None => {
+                self.nodes.push(Pending {
+                    depth: id.tree_depth(),
+                    id,
+                    head: None,
+                    changes: Vec::new(),
+                });
+                self.nodes.len() - 1
+            }
+        };
+        &mut self.nodes[i]
+    }
+
+    /// Hands `child`'s change (its record sealed with `seal`) to its
+    /// tree parent; a tree root has none.
+    fn change(
+        &mut self,
+        child: &ObjectId,
+        seal: &SealCtx,
+        old: Option<MsetHash>,
+        new: Option<MsetHash>,
+    ) {
+        if let Some(parent) = child.tree_parent() {
+            self.node(parent).changes.push(ChildChange {
+                bucket: seal.bucket,
+                name: seal.canonical.clone(),
+                old,
+                new,
+            });
+        }
+    }
+
+    fn pop_deepest(&mut self) -> Option<Pending> {
+        let deepest = (0..self.nodes.len()).max_by_key(|&i| self.nodes[i].depth)?;
+        Some(self.nodes.swap_remove(deepest))
+    }
+}
 
 /// An inner node's tree children grouped by bucket, decoded from the
 /// body whose header id is `head` (`CacheKey::Children`). A walk uses it
@@ -57,22 +172,45 @@ impl TrustedStore {
         let key = self
             .keys
             .hash_record_storage_key(id, self.config.hide_names);
-        let Some(blob) = self.store_for(id.store()).get(&key)? else {
+        self.open_record(id, &key, &self.keys.hash_record_key(id), &id.canonical())
+    }
+
+    /// The record stored under `name`, opened with `key` over `canonical`.
+    fn open_record(
+        &self,
+        id: &ObjectId,
+        name: &str,
+        key: &PaeKey,
+        canonical: &str,
+    ) -> Result<Option<HashRecord>, SegShareError> {
+        let Some(blob) = self.store_for(id.store()).get(name)? else {
             return Ok(None);
         };
-        let pae_key = self.keys.hash_record_key(id);
-        let body = pae_dec(&pae_key, &blob, id.canonical().as_bytes())
+        let body = pae_dec(key, &blob, canonical.as_bytes())
             .map_err(|_| integrity(id, "hash record authentication failed"))?;
         Ok(Some(HashRecord::decode(&body)?))
+    }
+
+    /// `id`'s sealing inputs, derived.
+    fn seal_ctx(&self, id: &ObjectId) -> SealCtx {
+        let canonical = id.canonical();
+        SealCtx {
+            key: self.keys.hash_record_key(id),
+            name: self
+                .keys
+                .hash_record_storage_key(id, self.config.hide_names),
+            bucket: self.bucket_of(&canonical),
+            canonical,
+        }
     }
 
     /// `id`'s trusted hash record if the cache holds one, else the
     /// store's. A store read does not fill the cache.
     pub(super) fn read_hash_record(&self, id: &ObjectId) -> Result<Option<Fetched>, SegShareError> {
         let cache_key = CacheKey::Record(id.clone());
-        if let Some(CachedValue::Record(rec)) = self.cache_lookup(&cache_key) {
+        if let Some(CachedValue::Record(trusted)) = self.cache_lookup(&cache_key) {
             return Ok(Some(Fetched {
-                rec: HashRecord::clone(&rec),
+                rec: trusted.rec.clone(),
                 trusted: true,
                 gen: 0,
             }));
@@ -96,7 +234,7 @@ impl TrustedStore {
         let key = CacheKey::Record(id.clone());
         let cached = self.cache_for(&key).and_then(|c| c.peek(&key));
         if let Some(CachedValue::Record(trusted)) = cached {
-            if rec.as_ref() != Some(&*trusted) {
+            if rec.as_ref() != Some(&trusted.rec) {
                 return Err(integrity(
                     id,
                     "stored hash record differs from the trusted copy (rollback or tamper)",
@@ -110,62 +248,97 @@ impl TrustedStore {
         }))
     }
 
-    /// Seals and stores `rec`. `trusted` says `rec` was computed from
-    /// trusted inputs only: the record is then written through to the
-    /// cache once the put succeeded. Otherwise (and on a failed put) the
-    /// key is left invalidated.
+    /// Seals `rec` with `seal`, encoding it straight into the
+    /// ciphertext buffer, and stores it.
+    fn put_record(
+        &self,
+        id: &ObjectId,
+        rec: &HashRecord,
+        seal: &SealCtx,
+    ) -> Result<(), SegShareError> {
+        let blob = pae_enc_with(
+            &seal.key,
+            rec.encoded_len(),
+            seal.canonical.as_bytes(),
+            &mut SystemRng::new(),
+            |out| rec.encode_into(out),
+        );
+        self.store_for(id.store()).put(&seal.name, &blob)
+    }
+
+    /// Seals and stores a record computed from store contents (a
+    /// rebuild, or a test planting one): nothing vouches for it, so the
+    /// cache keeps no record for the node.
     pub(super) fn write_hash_record(
         &self,
         id: &ObjectId,
         rec: &HashRecord,
-        trusted: bool,
     ) -> Result<(), SegShareError> {
         self.cache_invalidate_record(id);
-        let key = self
-            .keys
-            .hash_record_storage_key(id, self.config.hide_names);
-        let pae_key = self.keys.hash_record_key(id);
-        let blob = pae_enc(
-            &pae_key,
-            &rec.encode(),
-            id.canonical().as_bytes(),
-            &mut SystemRng::new(),
-        );
-        self.store_for(id.store()).put(&key, &blob)?;
-        let cache_key = CacheKey::Record(id.clone());
-        match self.cache_for(&cache_key) {
-            Some(cache) if trusted => cache.put(
-                cache_key,
-                CachedValue::Record(Arc::new(rec.clone())),
-                rec.cached_bytes(),
-            ),
-            // Second bump — same fill-vs-landing race as `commit_blob`.
-            _ => self.cache_invalidate_record(id),
+        self.put_record(id, rec, &self.seal_ctx(id))
+    }
+
+    /// Takes `id`'s trusted record out of the cache to update it in
+    /// place, or reads the store's. A taken record is not put back
+    /// until its update is stored ([`TrustedStore::keep_trusted`]), so
+    /// after a failed put no trusted record is ahead of the store.
+    fn take_record(&self, id: &ObjectId) -> Result<Option<Taken>, SegShareError> {
+        let key = CacheKey::Record(id.clone());
+        if let Some(cache) = self.cache_for(&key) {
+            let taken = {
+                let _prof = seg_obs::prof::phase(seg_obs::Phase::CacheLookup);
+                cache.take(&key)
+            };
+            if let Some((key, CachedValue::Record(trusted))) = taken {
+                let TrustedRecord { rec, seal } = Arc::unwrap_or_clone(trusted);
+                return Ok(Some(Taken {
+                    rec,
+                    seal,
+                    trusted: true,
+                    key: Some(key),
+                }));
+            }
         }
-        Ok(())
+        let seal = self.seal_ctx(id);
+        let stored = self.open_record(id, &seal.name, &seal.key, &seal.canonical)?;
+        Ok(stored.map(|rec| Taken {
+            rec,
+            seal: Some(Box::new(seal)),
+            trusted: false,
+            key: None,
+        }))
+    }
+
+    /// Puts an updated trusted record (back) in the cache, once stored.
+    fn keep_trusted(
+        &self,
+        id: &ObjectId,
+        key: Option<CacheKey>,
+        rec: HashRecord,
+        seal: Option<Box<SealCtx>>,
+    ) {
+        if let Some(cache) = &self.cache {
+            let key = key.unwrap_or_else(|| CacheKey::Record(id.clone()));
+            let trusted = TrustedRecord { rec, seal };
+            let bytes = trusted.cached_bytes() as u64;
+            cache
+                .route(&key)
+                .put(key, CachedValue::Record(Arc::new(trusted)), bytes);
+        }
     }
 
     /// Caches the store-read records of a walk that reached an anchor.
     fn trust_walked(&self, walked: Vec<(ObjectId, u64, HashRecord)>) {
         for (id, gen, rec) in walked {
-            let bytes = rec.cached_bytes();
+            let trusted = TrustedRecord { rec, seal: None };
+            let bytes = trusted.cached_bytes();
             self.cache_fill(
                 CacheKey::Record(id),
                 gen,
-                CachedValue::Record(Arc::new(rec)),
-                bytes as usize,
+                CachedValue::Record(Arc::new(trusted)),
+                bytes,
             );
         }
-    }
-
-    pub(super) fn delete_hash_record(&self, id: &ObjectId) -> Result<(), SegShareError> {
-        self.cache_invalidate_record(id);
-        let key = self
-            .keys
-            .hash_record_storage_key(id, self.config.hide_names);
-        self.store_for(id.store()).delete(&key)?;
-        self.cache_invalidate_record(id);
-        Ok(())
     }
 
     // ---------------------------------------------------- tree hashing
@@ -258,94 +431,184 @@ impl TrustedStore {
         }
     }
 
-    /// Walks ancestors applying an incremental child-hash change —
-    /// O(depth) hash-record updates, no sibling reads (§V-D).
-    pub(super) fn apply_tree_change(
+    // ------------------------------------------------------ the commit
+
+    /// Applies one request's changes under the tree lock the caller
+    /// holds: each blob is put (or deleted) with its leaf record, then
+    /// one pass folds every change into the ancestors bottom-up —
+    /// O(depth) record updates for the whole request, no sibling reads
+    /// (§V-D), each touched record read, updated and sealed once.
+    /// `sealed[i]` is change `i`'s blob when it was a body. Returns how
+    /// many deleted objects the store held.
+    pub(super) fn commit_locked(
         &self,
-        id: &ObjectId,
-        change: TreeChange,
-    ) -> Result<(), SegShareError> {
-        let _prof = seg_obs::prof::phase(seg_obs::Phase::RollbackTree);
-        self.apply_tree_change_inner(id, change)
+        changes: &[(&ObjectId, Change<'_>)],
+        sealed: &[Option<Vec<u8>>],
+    ) -> Result<usize, SegShareError> {
+        for (id, _) in changes {
+            self.cache_invalidate_object(id);
+        }
+        let mut pass = Pass::default();
+        let mut deleted = 0;
+        for ((id, change), sealed) in changes.iter().zip(sealed) {
+            let blob = match change {
+                Change::Body(_) => sealed.as_deref(),
+                Change::Blob(blob) => Some(*blob),
+                Change::Delete => None,
+            };
+            match blob {
+                Some(blob) => self.put_object(id, blob, &mut pass)?,
+                None => deleted += usize::from(self.delete_object(id, &mut pass)?),
+            }
+        }
+        if !pass.nodes.is_empty() {
+            let _prof = seg_obs::prof::phase(seg_obs::Phase::RollbackTree);
+            while let Some(node) = pass.pop_deepest() {
+                self.fold_node(node, &mut pass)?;
+            }
+        }
+        Ok(deleted)
     }
 
-    fn apply_tree_change_inner(
-        &self,
-        id: &ObjectId,
-        change: TreeChange,
-    ) -> Result<(), SegShareError> {
-        let mut cur = id.clone();
-        let mut cur_change = change;
-        while let Some(parent) = cur.tree_parent() {
-            // A trusted record updated by the enclave stays trusted.
-            let Fetched {
-                mut rec, trusted, ..
-            } = self
-                .read_hash_record(&parent)?
-                .ok_or_else(|| integrity(&parent, "missing ancestor hash record"))?;
-            let key = self.keys.mset_key(parent.store());
-            let b = self.bucket_index(&cur);
-            if rec.buckets.len() != self.bucket_count() {
-                return Err(integrity(&parent, "bucket count mismatch"));
-            }
-            let old_elem = Self::elem_bucket(b, &rec.buckets[b]);
-            let name = cur.canonical();
-            let (old, new) = match &cur_change {
-                TreeChange::Insert { new } => (None, Some(new)),
-                TreeChange::Replace { old, new } => (Some(old), Some(new)),
-                TreeChange::Remove { old } => (Some(old), None),
-            };
-            if let Some(old) = old {
-                rec.buckets[b].remove_parts(key, &Self::elem_child(&name, &old.to_bytes()));
-            }
-            if let Some(new) = new {
-                rec.buckets[b].add_parts(key, &Self::elem_child(&name, &new.to_bytes()));
-            }
-            // The bucket's element changed: hash old and new once, and
-            // move `main` and `fold` by the same difference.
-            let mut delta = MsetHash::of(key, &Self::elem_bucket(b, &rec.buckets[b]));
-            delta.subtract(&MsetHash::of(key, &old_elem));
-            let old_main = rec.main;
-            rec.main.combine(&delta);
-            rec.fold.combine(&delta);
-            self.write_hash_record(&parent, &rec, trusted)?;
-            cur_change = TreeChange::Replace {
-                old: old_main,
-                new: rec.main,
-            };
-            cur = parent;
+    /// Puts `id`'s new blob. A leaf's record, a function of the header
+    /// alone, is written with it; an inner node's waits for the pass.
+    fn put_object(&self, id: &ObjectId, blob: &[u8], pass: &mut Pass) -> Result<(), SegShareError> {
+        if !self.tree_enabled_for(id) {
+            return self.raw_put(id, blob);
         }
-        // `cur` is now the store's tree root.
-        if self.config.rollback_whole_fs {
-            self.bump_root_counter(&cur, false)?;
+        let head = Self::head_of(id, blob)?;
+        if id.is_tree_inner() {
+            self.raw_put(id, blob)?;
+            pass.node(id.clone()).head = Some(head);
+            return Ok(());
+        }
+        let old = self.take_record(id)?;
+        let counter = old.as_ref().map_or(0, |old| old.rec.counter);
+        let rec = self.record_of(id, &head, MsetHash::empty(), Vec::new(), counter);
+        self.raw_put(id, blob)?;
+        let (old_main, key, seal) = match old {
+            Some(old) => (Some(old.rec.main), old.key, old.seal),
+            None => (None, None, None),
+        };
+        let seal = seal.unwrap_or_else(|| Box::new(self.seal_ctx(id)));
+        self.put_record(id, &rec, &seal)?;
+        pass.change(id, &seal, old_main, Some(rec.main));
+        // Nothing stale can be in a leaf's record: it is trusted.
+        self.keep_trusted(id, key, rec, None);
+        Ok(())
+    }
+
+    /// Deletes `id`'s blob and record; returns whether the blob existed.
+    fn delete_object(&self, id: &ObjectId, pass: &mut Pass) -> Result<bool, SegShareError> {
+        let existed = self.raw_delete(id)?;
+        if self.tree_enabled_for(id) {
+            if let Some(old) = self.take_record(id)? {
+                let seal = old.seal.unwrap_or_else(|| Box::new(self.seal_ctx(id)));
+                self.store_for(id.store()).delete(&seal.name)?;
+                pass.change(id, &seal, Some(old.rec.main), None);
+            }
+        }
+        Ok(existed)
+    }
+
+    /// Folds a pending inner node's child changes (and, when the commit
+    /// rewrote it, its new header) into its record, issues the root
+    /// counter at a tree root (§V-E), seals and stores the record, and
+    /// hands the node's own change to its parent.
+    fn fold_node(&self, node: Pending, pass: &mut Pass) -> Result<(), SegShareError> {
+        let Pending {
+            id, head, changes, ..
+        } = node;
+        let (mut rec, seal, trusted, key, old_main) = match self.take_record(&id)? {
+            Some(old) => {
+                let main = old.rec.main;
+                (old.rec, old.seal, old.trusted, old.key, Some(main))
+            }
+            // A new directory: no buckets yet, so nothing stale in them.
+            None if head.is_some() => {
+                let buckets = vec![MsetHash::empty(); self.bucket_count()];
+                let fold = self.bucket_fold(id.store(), &buckets);
+                let rec = HashRecord {
+                    main: MsetHash::empty(),
+                    fold,
+                    buckets,
+                    counter: 0,
+                };
+                (rec, None, true, None, None)
+            }
+            None => return Err(integrity(&id, "missing ancestor hash record")),
+        };
+        if rec.buckets.len() != self.bucket_count() {
+            return Err(integrity(&id, "bucket count mismatch"));
+        }
+        self.fold_changes(&id, &mut rec, &changes);
+        if let Some(head) = head {
+            // Rewritten: `main` binds the new body, `fold` carries over.
+            rec.main = self.node_binding(&id, &head);
+            rec.main.combine(&rec.fold);
+        }
+        let parent = id.tree_parent();
+        if parent.is_none() && self.config.rollback_whole_fs {
+            // The next counter value is issued under the root record only
+            // if that record is the current one: trusted, or accepted by
+            // the anchor. A record from a rolled-back store would
+            // otherwise be blessed by a fresh value — the root has no
+            // parent whose bucket could give it away.
+            let anchor = self.root_anchor(id.store());
+            if !trusted && old_main.is_some() && !anchor.accepts(rec.counter) {
+                return Err(integrity(
+                    &id,
+                    "monotonic counter mismatch (whole file system rollback)",
+                ));
+            }
+            rec.counter = anchor.issue()?;
+        }
+        let seal = seal.unwrap_or_else(|| Box::new(self.seal_ctx(&id)));
+        self.put_record(&id, &rec, &seal)?;
+        pass.change(&id, &seal, old_main, Some(rec.main));
+        if trusted {
+            self.keep_trusted(&id, key, rec, Some(seal));
         }
         Ok(())
     }
 
-    /// Issues the store's next monotonic-counter value (§V-E, see
-    /// `Anchor::issue`) and records it in the root hash record.
-    ///
-    /// An update (`reanchor` false) re-issues the root record under the
-    /// new value only if the record is the current one: trusted, or
-    /// accepted by the anchor. A record from a rolled-back store would
-    /// otherwise leave this call blessed by a fresh counter — the root
-    /// has no parent whose bucket could give it away.
-    /// [`TrustedStore::rebuild_tree`] re-anchors whatever it rebuilt.
-    fn bump_root_counter(&self, root: &ObjectId, reanchor: bool) -> Result<(), SegShareError> {
-        let anchor = self.root_anchor(root.store());
-        let Fetched {
-            mut rec, trusted, ..
-        } = self
-            .read_hash_record(root)?
-            .ok_or_else(|| integrity(root, "missing root hash record"))?;
-        if !reanchor && !trusted && !anchor.accepts(rec.counter) {
-            return Err(integrity(
-                root,
-                "monotonic counter mismatch (whole file system rollback)",
-            ));
+    /// Applies child changes to `rec`'s buckets and moves `main` and
+    /// `fold` by each touched bucket's element difference: the bucket's
+    /// old and new elements are hashed once, however many of its
+    /// children changed.
+    fn fold_changes(&self, id: &ObjectId, rec: &mut HashRecord, changes: &[ChildChange]) {
+        let key = self.keys.mset_key(id.store());
+        let mut touched: Vec<(usize, MsetHash)> = Vec::with_capacity(changes.len());
+        for change in changes {
+            let b = change.bucket;
+            if !touched.iter().any(|&(t, _)| t == b) {
+                touched.push((b, MsetHash::of(key, &Self::elem_bucket(b, &rec.buckets[b]))));
+            }
+            let bucket = &mut rec.buckets[b];
+            if let Some(old) = change.old {
+                bucket.remove_parts(key, &Self::elem_child(&change.name, &old.to_bytes()));
+            }
+            if let Some(new) = change.new {
+                bucket.add_parts(key, &Self::elem_child(&change.name, &new.to_bytes()));
+            }
         }
-        rec.counter = anchor.issue()?;
-        self.write_hash_record(root, &rec, trusted)
+        for (b, old_elem) in touched {
+            let mut delta = MsetHash::of(key, &Self::elem_bucket(b, &rec.buckets[b]));
+            delta.subtract(&old_elem);
+            rec.main.combine(&delta);
+            rec.fold.combine(&delta);
+        }
+    }
+
+    /// Re-issues `root`'s record under the next counter value, whatever
+    /// it names: [`TrustedStore::rebuild_tree`] re-anchors what it
+    /// rebuilt.
+    fn reanchor_root(&self, root: &ObjectId) -> Result<(), SegShareError> {
+        let mut rec = self
+            .store_hash_record(root)?
+            .ok_or_else(|| integrity(root, "missing root hash record"))?;
+        rec.counter = self.root_anchor(root.store()).issue()?;
+        self.write_hash_record(root, &rec)
     }
 
     /// Launch-time adoption (`Anchor::adopt`) of each root record's
@@ -603,17 +866,26 @@ impl TrustedStore {
         if !self.config.rollback_individual {
             return Ok(());
         }
-        self.rebuild_node(&ObjectId::DirData(seg_fs::SegPath::root()))?;
-        self.rebuild_node(&ObjectId::GroupRoot)?;
+        // Computed from restored store contents: the walks that follow
+        // re-anchor these records, the rebuild does not vouch for them.
+        let mut write = |id: &ObjectId, rec: HashRecord| self.write_hash_record(id, &rec);
+        self.rebuild_node(&ObjectId::DirData(seg_fs::SegPath::root()), &mut write)?;
+        self.rebuild_node(&ObjectId::GroupRoot, &mut write)?;
         if self.config.rollback_whole_fs {
             // Deferred values settle when the caller's window is durable.
-            self.bump_root_counter(&ObjectId::DirData(seg_fs::SegPath::root()), true)?;
-            self.bump_root_counter(&ObjectId::GroupRoot, true)?;
+            self.reanchor_root(&ObjectId::DirData(seg_fs::SegPath::root()))?;
+            self.reanchor_root(&ObjectId::GroupRoot)?;
         }
         Ok(())
     }
 
-    fn rebuild_node(&self, id: &ObjectId) -> Result<MsetHash, SegShareError> {
+    /// Computes the records of `id`'s subtree from the stored objects,
+    /// children first, handing each to `sink`; returns `id`'s main hash.
+    pub(super) fn rebuild_node(
+        &self,
+        id: &ObjectId,
+        sink: &mut impl FnMut(&ObjectId, HashRecord) -> Result<(), SegShareError>,
+    ) -> Result<MsetHash, SegShareError> {
         let blob = self
             .raw_get(id)?
             .ok_or_else(|| integrity(id, "missing object during rebuild"))?;
@@ -624,7 +896,7 @@ impl TrustedStore {
             let body = self.decrypt(id, &blob)?;
             let key = self.keys.mset_key(id.store());
             for child in self.tree_children(id, &body)? {
-                let child_main = self.rebuild_node(&child)?;
+                let child_main = self.rebuild_node(&child, sink)?;
                 let b = self.bucket_index(&child);
                 buckets[b].add_parts(
                     key,
@@ -634,9 +906,8 @@ impl TrustedStore {
         }
         let fold = self.bucket_fold(id.store(), &buckets);
         let rec = self.record_of(id, &head, fold, buckets, 0);
-        // Computed from restored store contents: the walks that follow
-        // re-anchor these records, the rebuild does not vouch for them.
-        self.write_hash_record(id, &rec, false)?;
-        Ok(rec.main)
+        let main = rec.main;
+        sink(id, rec)?;
+        Ok(main)
     }
 }

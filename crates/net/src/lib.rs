@@ -46,6 +46,17 @@ pub trait FrameTransport: Send {
     /// Returns [`NetError::Closed`] if the peer is gone.
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError>;
 
+    /// Sends `frames` in order, handed to the peer together where the
+    /// transport can ([`TcpTransport`]: one socket write). The default
+    /// sends each with [`FrameTransport::send_frame`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::Closed`] if the peer is gone.
+    fn send_frames(&mut self, frames: &[&[u8]]) -> Result<(), NetError> {
+        frames.iter().try_for_each(|frame| self.send_frame(frame))
+    }
+
     /// Receives one frame, blocking until available.
     ///
     /// # Errors

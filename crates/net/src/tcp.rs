@@ -1,10 +1,14 @@
-//! TCP transport with u32 length framing: one socket write per frame
+//! TCP transport with u32 length framing: one socket write per message
 //! sent, and as few reads as the kernel's segmentation allows.
 //!
 //! * [`send_frame`](FrameTransport::send_frame) hands the 4-byte prefix
 //!   and the payload to the kernel in one `write_vectored` (looping only
 //!   on a partial write). `TCP_NODELAY` is on, so two writes would be two
 //!   segments and two wake-ups of the peer.
+//! * [`send_frames`](FrameTransport::send_frames) does the same for
+//!   several frames: every prefix and payload in one `write_vectored`.
+//!   A client's small put is its `PutFile` record and its one `Data`
+//!   record, so the whole put is one write.
 //! * [`recv_frame`](FrameTransport::recv_frame) reads through the shared
 //!   [`FrameBuf`] parser: whatever one `read` returns is parsed in place,
 //!   so a response whose records arrived in one segment (a `FileStart`
@@ -20,7 +24,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::framing::{self, FrameBuf, PREFIX_LEN, READ_CHUNK};
+use crate::framing::{self, FrameBuf, READ_CHUNK};
 use crate::{FrameTransport, NetError};
 
 thread_local! {
@@ -108,26 +112,41 @@ fn read_some(
     }
 }
 
-impl FrameTransport for TcpTransport {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        let prefix = framing::prefix(frame.len())?;
-        let mut sent = 0;
-        while sent < PREFIX_LEN + frame.len() {
+impl TcpTransport {
+    /// Writes all of `bufs` in `write_vectored` calls, counted: one,
+    /// unless the kernel takes a part only.
+    fn write_all(&mut self, mut bufs: &mut [IoSlice<'_>]) -> Result<(), NetError> {
+        IoSlice::advance_slices(&mut bufs, 0);
+        while !bufs.is_empty() {
             self.calls.writes.fetch_add(1, Ordering::Relaxed);
-            let wrote = if sent < PREFIX_LEN {
-                self.stream
-                    .write_vectored(&[IoSlice::new(&prefix[sent..]), IoSlice::new(frame)])
-            } else {
-                self.stream.write(&frame[sent - PREFIX_LEN..])
-            };
-            match wrote {
+            match self.stream.write_vectored(bufs) {
                 Ok(0) => return Err(NetError::Closed),
-                Ok(n) => sent += n,
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
         Ok(())
+    }
+}
+
+impl FrameTransport for TcpTransport {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        let prefix = framing::prefix(frame.len())?;
+        self.write_all(&mut [IoSlice::new(&prefix), IoSlice::new(frame)])
+    }
+
+    fn send_frames(&mut self, frames: &[&[u8]]) -> Result<(), NetError> {
+        let prefixes = frames
+            .iter()
+            .map(|frame| framing::prefix(frame.len()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut bufs: Vec<IoSlice<'_>> = prefixes
+            .iter()
+            .zip(frames)
+            .flat_map(|(prefix, frame)| [IoSlice::new(prefix), IoSlice::new(frame)])
+            .collect();
+        self.write_all(&mut bufs)
     }
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, NetError> {
@@ -208,6 +227,25 @@ mod tests {
         assert!(client.rx.is_empty());
         let server_writes = server.join().unwrap();
         assert!(server_writes >= 1, "looping only on partial writes");
+    }
+
+    /// Frames sent together leave in one write, and arrive as the same
+    /// frames in order, an empty one included.
+    #[test]
+    fn frames_sent_together_are_one_write() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut t = TcpTransport::new(stream);
+            (0..3).map(|_| t.recv_frame().unwrap()).collect::<Vec<_>>()
+        });
+        let mut client = TcpTransport::connect(&addr.to_string()).unwrap();
+        let calls = client.socket_calls();
+        let frames: [&[u8]; 3] = [b"header", b"", &[9u8; 5000]];
+        client.send_frames(&frames).unwrap();
+        assert_eq!(calls.writes(), 1);
+        assert_eq!(server.join().unwrap(), frames.map(<[u8]>::to_vec));
     }
 
     #[test]

@@ -245,8 +245,8 @@ fn cache_metrics_report_hits_and_invalidations() {
 /// A get served from the warm cache asks the untrusted store nothing:
 /// the cached ACL that authorizes it is also what proves the file
 /// exists, so no existence probe is left, and the member list and body
-/// are hits too. (Alice joins a group first: a member list the store
-/// does not hold is a miss every time.)
+/// are hits too. (Alice is in a group here; the test below covers a
+/// requester in none.)
 #[test]
 fn a_hot_get_costs_no_store_call() {
     let r = rig(cached_config(), 306);
@@ -272,6 +272,65 @@ fn a_hot_get_costs_no_store_call() {
     let after = calls();
     assert_eq!(after.0 - before.0, 0, "existence probes in {GETS} hot gets");
     assert_eq!(after.1 - before.1, 0, "store reads in {GETS} hot gets");
+}
+
+/// A requester in no group has no member list. The verified group-store
+/// root says so, and the absence is cached once the root has confirmed
+/// it, so her hot gets make no store call either.
+#[test]
+fn a_requester_in_no_group_costs_no_store_call_per_hot_get() {
+    let r = rig(cached_config(), 307);
+    let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = r.server.connect_local(&alice).unwrap();
+    a.mkdir("/d").unwrap();
+    let body = vec![0x42u8; 4096];
+    a.put("/d/hot", &body).unwrap();
+    warm(&mut a, "/d/hot", &body);
+
+    let gets = || -> u64 {
+        let io = r.server.telemetry().store_io();
+        io.iter().map(|(_, stats, _)| stats.gets).sum()
+    };
+    let before = gets();
+    const GETS: u64 = 50;
+    for _ in 0..GETS {
+        assert_eq!(a.get("/d/hot").unwrap(), body);
+    }
+    assert_eq!(gets() - before, 0, "store reads in {GETS} hot gets");
+    // Joining a group replaces the cached absence with the list.
+    a.add_user("alice", "team").unwrap();
+    a.set_perm("/d/hot", "team", Perm::Read).unwrap();
+    assert_eq!(a.get("/d/hot").unwrap(), body);
+}
+
+/// Store puts per request at depth 5 (`/a/b/c/d/f` has five ancestors),
+/// the request's two audit puts included. A create commits its body, its
+/// ACL and the parent's directory file in one pass up the tree, so the
+/// three blobs, their three records and the four ancestors above the
+/// parent are 10 puts (20 when each object walked the tree on its own);
+/// an overwrite and an ACL edit are one blob, its record and five
+/// ancestors, 7.
+#[test]
+fn a_depth_5_create_is_one_pass_up_the_tree() {
+    let r = rig(cached_config(), 308);
+    let alice = r.setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = r.server.connect_local(&alice).unwrap();
+    for dir in ["/a", "/a/b", "/a/b/c", "/a/b/c/d"] {
+        a.mkdir(dir).unwrap();
+    }
+    let puts = || -> u64 {
+        let io = r.server.telemetry().store_io();
+        io.iter().map(|(_, stats, _)| stats.puts).sum()
+    };
+    let mut count = |op: &mut dyn FnMut(&mut segshare::Client<_>)| {
+        let before = puts();
+        op(&mut a);
+        puts() - before
+    };
+    let create = count(&mut |a| a.put("/a/b/c/d/f", b"version 1").unwrap());
+    let overwrite = count(&mut |a| a.put("/a/b/c/d/f", b"version 2").unwrap());
+    let set_inherit = count(&mut |a| a.set_inherit("/a/b/c/d/f", true).unwrap());
+    assert_eq!([create, overwrite, set_inherit], [12, 9, 9]);
 }
 
 /// A cold download of a small file with the cache on opens each node of

@@ -726,15 +726,15 @@ fn meter_families_export_zeroed_when_disabled() {
 const FIXED_FLOW_PROFILE: &str = r#"
 add_user 1 1
 add_user;authz 1 1
-add_user;authz;crypto_gcm 5 1
+add_user;authz;crypto_gcm 3 1
 add_user;authz;pfs 5 1
 add_user;authz;pfs;crypto_gcm 5 1
-add_user;authz;rollback_tree 5 1
+add_user;authz;rollback_tree 4 1
 add_user;authz;rollback_tree;crypto_gcm 7 1
 add_user;authz;rollback_tree;pfs 1 1
 add_user;authz;rollback_tree;pfs;crypto_gcm 1 1
 add_user;authz;rollback_tree;store_io 8 1
-add_user;authz;store_io 12 1
+add_user;authz;store_io 10 1
 add_user;crypto_gcm 2 1
 add_user;lock_wait 4 1
 add_user;serialize 2 1
@@ -742,17 +742,17 @@ add_user;store_io 2 1
 add_user;tls_record 2 1
 add_user;tls_record;crypto_gcm 2 1
 data 2 2
-data;crypto_gcm 10 2
+data;crypto_gcm 8 2
 data;lock_wait 6 2
 data;pfs 9 2
 data;pfs;crypto_gcm 55 2
-data;rollback_tree 5 2
-data;rollback_tree;crypto_gcm 16 2
+data;rollback_tree 3 2
+data;rollback_tree;crypto_gcm 10 2
 data;rollback_tree;pfs 1 1
 data;rollback_tree;pfs;crypto_gcm 1 1
-data;rollback_tree;store_io 17 2
+data;rollback_tree;store_io 11 2
 data;serialize 4 2
-data;store_io 17 2
+data;store_io 15 2
 data;tls_record 4 2
 data;tls_record;crypto_gcm 4 2
 get 2 2
@@ -788,15 +788,15 @@ handshake;authn 3 3
 handshake;authn;tls_record 2 1
 handshake;authn;tls_record;crypto_gcm 2 1
 mk_dir 2 2
-mk_dir;crypto_gcm 8 2
+mk_dir;crypto_gcm 5 2
 mk_dir;lock_wait 6 2
 mk_dir;pfs 6 2
 mk_dir;pfs;crypto_gcm 6 2
-mk_dir;rollback_tree 6 2
-mk_dir;rollback_tree;crypto_gcm 7 2
+mk_dir;rollback_tree 4 2
+mk_dir;rollback_tree;crypto_gcm 6 2
 mk_dir;rollback_tree;store_io 7 2
 mk_dir;serialize 4 2
-mk_dir;store_io 16 2
+mk_dir;store_io 12 2
 mk_dir;tls_record 4 2
 mk_dir;tls_record;crypto_gcm 4 2
 put_file 2 2
@@ -842,7 +842,7 @@ set_perm;serialize 2 1
 set_perm;store_io 5 1
 set_perm;tls_record 2 1
 set_perm;tls_record;crypto_gcm 2 1
-seg_boundary_ocalls_total 173
+seg_boundary_ocalls_total 159
 seg_request_errors_total{code="already_exists",op="mk_dir"} 1
 seg_request_errors_total{code="not_found",op="get"} 1
 seg_requests_total{op="add_user"} 1
@@ -857,35 +857,35 @@ seg_store_batch_ops_total{store="group"} 0
 seg_store_batches_total{store="content"} 0
 seg_store_batches_total{store="dedup"} 0
 seg_store_batches_total{store="group"} 0
-seg_store_bytes_read_total{store="content"} 371924
+seg_store_bytes_read_total{store="content"} 355820
 seg_store_bytes_read_total{store="dedup"} 0
-seg_store_bytes_read_total{store="group"} 50480
-seg_store_bytes_written_total{store="content"} 290725
+seg_store_bytes_read_total{store="group"} 47796
+seg_store_bytes_written_total{store="content"} 274621
 seg_store_bytes_written_total{store="dedup"} 0
-seg_store_bytes_written_total{store="group"} 34152
+seg_store_bytes_written_total{store="group"} 31468
 seg_store_ops_total{op="delete",store="content"} 0
 seg_store_ops_total{op="delete",store="dedup"} 0
 seg_store_ops_total{op="delete",store="group"} 0
 seg_store_ops_total{op="exists",store="content"} 0
 seg_store_ops_total{op="exists",store="dedup"} 0
 seg_store_ops_total{op="exists",store="group"} 0
-seg_store_ops_total{op="get",store="content"} 71
+seg_store_ops_total{op="get",store="content"} 65
 seg_store_ops_total{op="get",store="dedup"} 0
-seg_store_ops_total{op="get",store="group"} 25
+seg_store_ops_total{op="get",store="group"} 24
 seg_store_ops_total{op="list",store="content"} 0
 seg_store_ops_total{op="list",store="dedup"} 0
 seg_store_ops_total{op="list",store="group"} 0
-seg_store_ops_total{op="put",store="content"} 50
+seg_store_ops_total{op="put",store="content"} 44
 seg_store_ops_total{op="put",store="dedup"} 0
-seg_store_ops_total{op="put",store="group"} 13
+seg_store_ops_total{op="put",store="group"} 12
 seg_store_ops_total{op="rename",store="content"} 0
 seg_store_ops_total{op="rename",store="dedup"} 0
 seg_store_ops_total{op="rename",store="group"} 0
-mk_dir 9 10
+mk_dir 7 8
 put_file 10 0
-data 12 13
+data 8 9
 get 13 2
-add_user 12 10
+add_user 11 9
 set_perm 13 6
 put_file 10 0
 data 3 6

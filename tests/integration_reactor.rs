@@ -267,6 +267,52 @@ fn a_hot_get_is_one_socket_write_and_one_read_each_way() {
     );
 }
 
+/// A put hands its `PutFile` record and its first `Data` record to the
+/// socket together: a put of at most one chunk is one client write, a
+/// 1 MiB put (four chunks) is four. The server parses both records from
+/// one read; after a refused header it swallows the announced bytes and
+/// sends exactly one response, so the next request's answer is its own.
+#[test]
+fn a_small_put_is_one_client_write() {
+    if !seg_net::reactor::EPOLL_AVAILABLE {
+        return;
+    }
+    let (_setup, server, alice) = rig(9);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    server.serve_listener(listener).unwrap();
+    let transport = seg_net::TcpTransport::connect(&addr.to_string()).unwrap();
+    let calls = transport.socket_calls();
+    let mut c = Client::connect(transport, &alice).unwrap();
+    let writes = |c: &mut Client<seg_net::TcpTransport>, path: &str, body: &[u8]| {
+        let before = calls.writes();
+        let result = c.put(path, body);
+        (calls.writes() - before, result)
+    };
+
+    let chunk = seg_proto::CHUNK_LEN;
+    for len in [0, 1, 4096, chunk] {
+        let body = vec![0x17u8; len];
+        let (n, result) = writes(&mut c, "/small", &body);
+        result.unwrap();
+        assert_eq!(n, 1, "a put of {len} bytes");
+        assert_eq!(c.get("/small").unwrap(), body);
+    }
+    let big: Vec<u8> = (0..4 * chunk as u32).map(|i| (i % 251) as u8).collect();
+    let (n, result) = writes(&mut c, "/big", &big);
+    result.unwrap();
+    assert_eq!(n, 4, "a put of four chunks");
+    assert_eq!(c.get("/big").unwrap(), big);
+
+    // Refused headers, small and large: one error each, nothing left
+    // over for the requests after them.
+    for body in [vec![1u8; 100], big.clone()] {
+        let (_, result) = writes(&mut c, "/no-such-dir/f", &body);
+        assert!(result.is_err());
+        assert_eq!(c.get("/small").unwrap(), vec![0x17u8; chunk]);
+    }
+}
+
 /// Streams lazily until told to close; remembers which thread ran it.
 struct StreamThenClose {
     chunk_len: usize,
