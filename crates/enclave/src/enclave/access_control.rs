@@ -143,13 +143,12 @@ impl AccessControl {
         let list = list.encode();
         match root {
             // Registered and written in one commit.
-            Some(root) => self.store.commit(&[
+            Some(root) => self.store.commit([
                 (&ObjectId::GroupRoot, Change::Body(&root.encode())),
                 (&list_id, Change::Body(&list)),
             ]),
-            None => self.store.commit(&[(&list_id, Change::Body(&list))]),
+            None => self.store.commit([(&list_id, Change::Body(&list))]),
         }
-        .map(drop)
     }
 
     fn read_group_root(&self) -> Result<Arc<GroupRootFile>, SegShareError> {
@@ -659,9 +658,11 @@ mod tests {
 
         let id = ObjectId::MemberList(bob.clone());
         let key = store.keys().storage_key(&id, true);
-        assert!(store.stores()[StoreKind::Group as usize]
-            .delete(&key)
-            .unwrap());
+        let group = &store.stores()[StoreKind::Group as usize];
+        assert!(group.get(&key).unwrap().is_some());
+        let mut hide = seg_store_api::WriteBatch::new();
+        hide.delete(key);
+        group.write(hide).unwrap();
         store.evict(&id);
         for _ in 0..2 {
             assert!(matches!(

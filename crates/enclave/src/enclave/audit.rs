@@ -61,6 +61,7 @@ use seg_crypto::sha256::Sha256;
 use seg_fs::codec::{Decoder, Encoder};
 use seg_obs::{Decision, RequestRecord};
 use seg_sgx::Enclave;
+use seg_store_api::WriteBatch;
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
@@ -271,12 +272,13 @@ impl AuditLog {
     ///   stale-but-authentic head (or a fully deleted trail against a
     ///   nonzero counter) is rejected here, so a restart cannot erase
     ///   the evidence of whole-trail rollback.
-    /// * **Crash recovery**: [`AuditLog::append`] writes the record
-    ///   before the head, so a crash in between leaves exactly one
-    ///   record at position `count` that authenticates against the
-    ///   sealed head's chain state. Such a record is *adopted* (the
-    ///   interrupted append is completed, head rewritten); a record
-    ///   there that does not authenticate is a forged append.
+    /// * **Crash recovery**: [`AuditLog::append`] writes the record and
+    ///   the head as one batch, the record first, so a store that tears
+    ///   the batch leaves exactly one record at position `count` that
+    ///   authenticates against the sealed head's chain state. Such a
+    ///   record is *adopted* (the interrupted append is completed, head
+    ///   rewritten); a record there that does not authenticate is a
+    ///   forged append.
     ///
     /// # Errors
     ///
@@ -327,7 +329,7 @@ impl AuditLog {
                 let new_anchor = match &counter {
                     None => 0,
                     // The crash hit before the counter increment.
-                    Some(counter) if hw == anchor => counter.issue()?,
+                    Some(counter) if hw == anchor => counter.issue(),
                     // The crash hit between the increment and the head
                     // write; the counter already covers this record.
                     Some(_) if hw == anchor + 1 => hw,
@@ -344,7 +346,10 @@ impl AuditLog {
                     HEAD_AAD,
                     &mut SystemRng::new(),
                 );
-                store.put(HEAD_NAME, &head_blob)?;
+                super::put_one(&store, HEAD_NAME, head_blob)?;
+                if let Some(counter) = &counter {
+                    counter.written(new_anchor)?;
+                }
                 state = ChainState {
                     count: state.count + 1,
                     head: new_head,
@@ -438,23 +443,26 @@ impl AuditLog {
             &record_aad(seq, &st.head),
             &mut SystemRng::new(),
         );
-        let name = record_name(seq);
-        self.store.put(&name, &blob)?;
         let new_head = chain_hash(&st.head, seq, &blob);
-        let anchor = match &self.counter {
-            Some(counter) => counter.issue()?,
-            None => 0,
-        };
+        let anchor = self.counter.as_ref().map_or(0, Anchor::issue);
         let head_blob = pae_enc(
             &self.key,
             &encode_head(seq + 1, &new_head, anchor),
             HEAD_AAD,
             &mut SystemRng::new(),
         );
-        self.store.put(HEAD_NAME, &head_blob)?;
+        let bytes = (blob.len() + head_blob.len()) as u64;
+        // The record and the head that names it, in one write.
+        let mut batch = WriteBatch::new();
+        batch.put(record_name(seq), blob);
+        batch.put(HEAD_NAME, head_blob);
+        self.store.write(batch)?;
+        if let Some(counter) = &self.counter {
+            counter.written(anchor)?;
+        }
         st.count = seq + 1;
         st.head = new_head;
-        Ok((blob.len() + head_blob.len()) as u64)
+        Ok(bytes)
     }
 
     /// Walks the persisted chain and proves it intact, returning the
@@ -834,10 +842,10 @@ mod tests {
         assert_eq!(log.verify().unwrap(), 3);
     }
 
-    /// `append` writes the record, then the head; simulate a crash in
-    /// between by rolling back only the head and restarting. The
-    /// orphaned-but-genuine record must be adopted, not reported as a
-    /// forged append.
+    /// `append` writes the record, then the head, in one batch; simulate
+    /// a store that tore it by rolling back only the head and
+    /// restarting. The orphaned-but-genuine record must be adopted, not
+    /// reported as a forged append.
     #[test]
     fn interrupted_append_is_adopted_on_restart() {
         for use_counter in [false, true] {

@@ -27,16 +27,18 @@ use super::SegShareEnclave;
 
 /// One TEE monotonic counter anchoring stored state (§V-E), with the
 /// policy that keeps it from running ahead of what the store durably
-/// holds. Immediate mode (batch off) increments as each record is
-/// written. Deferred mode (batch on) has records name `hw + 1` and
-/// increments once the commit window's frame is durable
+/// holds. A record about to be written names `hw + 1`
+/// ([`Anchor::issue`]), and the counter moves only once the store took
+/// that record ([`Anchor::written`]): a failed write moves nothing.
+/// Immediate mode (batch off) then increments at once. Deferred mode
+/// (batch on) increments once the commit window's frame is durable
 /// ([`Anchor::settle`]); a crash in between leaves a record exactly one
 /// ahead, which the next launch adopts ([`Anchor::adopt`]).
 pub(crate) struct Anchor {
     sgx: Arc<Enclave>,
     id: u64,
     deferred: bool,
-    /// The value records issued since the last settle name.
+    /// The value records written since the last settle name.
     pending: Mutex<Option<u64>>,
 }
 
@@ -56,18 +58,25 @@ impl Anchor {
         self.sgx.counter(self.id).read()
     }
 
-    /// The value a record about to be written names: immediate mode
-    /// increments now, deferred mode names `hw + 1` until settled.
-    pub(crate) fn issue(&self) -> Result<u64, SegShareError> {
-        if !self.deferred {
-            return self.increment();
+    /// The value a record about to be written names: the one an
+    /// unsettled window's records already name, else `hw + 1`.
+    pub(crate) fn issue(&self) -> u64 {
+        self.pending.lock().unwrap_or_else(|| self.read() + 1)
+    }
+
+    /// The store took a record naming `value` (from [`Anchor::issue`]):
+    /// immediate mode increments to it now, deferred mode keeps it
+    /// pending until the window settles.
+    pub(crate) fn written(&self, value: u64) -> Result<(), SegShareError> {
+        *self.pending.lock() = Some(value);
+        if self.deferred {
+            return Ok(());
         }
-        let mut pending = self.pending.lock();
-        Ok(*pending.get_or_insert_with(|| self.read() + 1))
+        self.settle()
     }
 
     /// Whether a stored record naming `value` is current: it names the
-    /// hardware value, or the one-ahead value an unsettled window issued.
+    /// hardware value, or the one-ahead value an unsettled window wrote.
     pub(crate) fn accepts(&self, value: u64) -> bool {
         value == self.read() || *self.pending.lock() == Some(value)
     }
@@ -97,12 +106,12 @@ impl Anchor {
         Ok(())
     }
 
-    fn increment(&self) -> Result<u64, SegShareError> {
+    fn increment(&self) -> Result<(), SegShareError> {
         let ctr = self.sgx.counter(self.id);
-        let value = ctr.increment()?;
+        ctr.increment()?;
         // Real counter increments cost tens of milliseconds; charge it.
         self.sgx.boundary().charge(ctr.increment_latency_ns());
-        Ok(value)
+        Ok(())
     }
 }
 
@@ -222,9 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn immediate_anchor_increments_at_issue() {
+    fn immediate_anchor_increments_once_written() {
         let a = anchor(&Platform::new_with_seed(60), false);
-        assert_eq!(a.issue().unwrap(), 1);
+        assert_eq!(a.issue(), 1);
+        assert_eq!(a.read(), 0, "a write that fails moves nothing");
+        assert_eq!(a.issue(), 1);
+        a.written(1).unwrap();
         assert_eq!(a.read(), 1);
         assert!(a.accepts(1));
         assert!(!a.accepts(0) && !a.accepts(2));
@@ -238,15 +250,19 @@ mod tests {
     #[test]
     fn deferred_anchor_names_one_ahead_until_settled() {
         let a = anchor(&Platform::new_with_seed(61), true);
-        assert_eq!(a.issue().unwrap(), 1);
-        assert_eq!(a.issue().unwrap(), 1, "one value per window");
+        assert_eq!(a.issue(), 1);
+        assert!(!a.accepts(1), "nothing names it yet");
+        a.settle().unwrap();
+        assert_eq!(a.read(), 0, "an unwritten value never settles");
+        a.written(1).unwrap();
+        assert_eq!(a.issue(), 1, "one value per window");
         assert_eq!(a.read(), 0, "no increment before durability");
         assert!(a.accepts(0) && a.accepts(1));
         assert!(!a.accepts(2), "two ahead is never pending");
         a.settle().unwrap();
         assert_eq!(a.read(), 1);
         assert!(a.accepts(1) && !a.accepts(0));
-        assert_eq!(a.issue().unwrap(), 2);
+        assert_eq!(a.issue(), 2);
     }
 
     #[test]

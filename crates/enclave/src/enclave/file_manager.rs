@@ -129,15 +129,14 @@ impl FileManager {
         };
         let mut parent = self.parent_to_edit(path)?;
         parent.add_child(path.name(), kind);
-        self.store.commit(&[
+        self.store.commit([
             body,
             (&ObjectId::Acl(path.clone()), Change::Body(acl)),
             (
                 &ObjectId::DirData(parent.path().clone()),
                 Change::Body(&parent.encode()),
             ),
-        ])?;
-        Ok(())
+        ])
     }
 
     /// Removes the entry at `path` from its parent's directory file and
@@ -148,15 +147,14 @@ impl FileManager {
         if parent.remove_child(path.name()).is_none() {
             return Err(missing(path, "the parent's entry"));
         }
-        self.store.commit(&[
+        self.store.commit([
             (
                 &ObjectId::DirData(parent.path().clone()),
                 Change::Body(&parent.encode()),
             ),
             (body, Change::Delete),
             (&ObjectId::Acl(path.clone()), Change::Delete),
-        ])?;
-        Ok(())
+        ])
     }
 
     /// Creates a directory owned by `owner` (Algorithm 1 `put_fD`; the
@@ -275,13 +273,13 @@ impl FileManager {
                 (&file_id, body),
                 &AclFile::with_owner(owner.clone()).encode(),
             ),
-            None => self.store.commit(&[(&file_id, body)]).map(drop),
+            None => self.store.commit([(&file_id, body)]),
         };
 
         match hmac {
             None => {
                 writer.write(&[MARKER_INLINE]);
-                commit(Change::Blob(&writer.finish()))
+                commit(Change::Blob(writer.finish()))
             }
             Some(hmac) => {
                 let blob = writer.finish();
@@ -302,9 +300,10 @@ impl FileManager {
                     for i in 0..staged.node_count() {
                         final_writer.write(&staged.read_node(i)?);
                     }
-                    let blob = final_writer.finish();
-                    self.store
-                        .commit(&[(&ObjectId::DedupBlob(hname.clone()), Change::Blob(&blob))])?;
+                    self.store.commit([(
+                        &ObjectId::DedupBlob(hname.clone()),
+                        Change::Blob(final_writer.finish()),
+                    )])?;
                 }
                 // The content file holds only the indirection.
                 let mut body = Vec::with_capacity(hname.len() + 1);

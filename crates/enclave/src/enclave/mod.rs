@@ -32,7 +32,7 @@ use seg_obs::prof::OpGuard;
 use seg_obs::{ClosedRoot, CostVector, RecordSink};
 use seg_pki::{Certificate, Csr, Identity};
 use seg_sgx::{Enclave, EnclaveImage, Platform, Quote};
-use seg_store_api::ObjectStore;
+use seg_store_api::{ObjectStore, WriteBatch};
 
 use crate::config::EnclaveConfig;
 use crate::error::SegShareError;
@@ -77,6 +77,13 @@ fn unseal_or_generate(
     }
     let secret: [u8; 32] = SystemRng::new().array();
     Ok((secret, Some(sgx.seal(&secret)?)))
+}
+
+/// Stores `value` under `name`: a write of one op.
+fn put_one(store: &StoreOcall, name: &str, value: Vec<u8>) -> Result<(), SegShareError> {
+    let mut batch = WriteBatch::new();
+    batch.put(name, value);
+    store.write(batch)
 }
 
 /// The SeGShare enclave.
@@ -213,7 +220,7 @@ impl SegShareEnclave {
         let root_name = sealed_root_key_name(platform);
         let (root_key, first_start) = match root_key_override {
             Some(key) => {
-                content.put(&root_name, &sgx.seal(&key)?)?;
+                put_one(&content, &root_name, sgx.seal(&key)?)?;
                 (key, None)
             }
             None => unseal_or_generate(&sgx, &content, &root_name, "root key")?,
@@ -223,7 +230,7 @@ impl SegShareEnclave {
         let server_name = sealed_server_key_name(platform);
         let (seed, sealed) = unseal_or_generate(&sgx, &content, &server_name, "server key")?;
         if let Some(sealed) = sealed {
-            content.put(&server_name, &sealed)?;
+            put_one(&content, &server_name, sealed)?;
         }
         let server_key = SecretKey::from_seed(&seed);
 
@@ -277,9 +284,9 @@ impl SegShareEnclave {
         // short before it is a first start again.
         enclave.commit(None, || {
             enclave.store.adopt_root_counters()?;
-            if let Some(sealed) = &first_start {
+            if let Some(sealed) = first_start {
                 enclave.files.init_file_system()?;
-                content.put(&root_name, sealed)?;
+                put_one(&content, &root_name, sealed)?;
             }
             Ok(())
         })?;

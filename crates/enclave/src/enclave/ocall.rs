@@ -11,11 +11,12 @@ use std::sync::Arc;
 
 use seg_obs::Phase;
 use seg_sgx::Enclave;
-use seg_store_api::{CommitTicket, ObjectStore, StoreError};
+use seg_store_api::{CommitTicket, ObjectStore, StoreError, WriteBatch};
 
 use crate::error::SegShareError;
 
-/// The enclave's handle on one untrusted store. Reads and writes run
+/// The enclave's handle on one untrusted store: it calls five methods.
+/// Reads (`get`, `list`) and the one write (`write`, a whole batch) run
 /// under [`Phase::StoreIo`] and are tallied for the request cost
 /// vector. The transaction calls are the commit window's: `tx_begin`
 /// only marks the calling thread's window on the host and is charged
@@ -26,7 +27,7 @@ pub(crate) struct StoreOcall {
     store: Arc<dyn ObjectStore>,
     /// Calls that read (`get`, `list`): `store_reads`.
     reads: AtomicU64,
-    /// Calls that write (`put`, `delete`): `store_writes`.
+    /// Calls that write (`write`): `store_writes`.
     writes: AtomicU64,
 }
 
@@ -59,12 +60,12 @@ impl StoreOcall {
         self.ocall(&self.reads, |store| store.list())
     }
 
-    pub(crate) fn put(&self, key: &str, value: &[u8]) -> Result<(), SegShareError> {
-        self.ocall(&self.writes, |store| store.put(key, value))
-    }
-
-    pub(crate) fn delete(&self, key: &str) -> Result<bool, SegShareError> {
-        self.ocall(&self.writes, |store| store.delete(key))
+    /// Writes `batch` all or nothing: the store submits it and the
+    /// ocall returns once the ticket does. Inside a commit window the
+    /// batch joins the window's transaction and the ticket is ready at
+    /// once; outside one it is its own atomic unit, durable on return.
+    pub(crate) fn write(&self, batch: WriteBatch) -> Result<(), SegShareError> {
+        self.ocall(&self.writes, |store| store.submit_batch(batch)?.wait())
     }
 
     pub(crate) fn tx_begin(&self) {

@@ -762,27 +762,28 @@ fn do_put_file(
     // *existing* file even in the root, so the world-creatable root
     // cannot be abused to clobber other users' files.
     let access = enclave.access();
-    let (allowed, owner) = match access.acl(&path)? {
-        // An overwrite: the file's ACL proves it exists.
-        Some(acl) => {
+    // The parent's verified listing decides: an unlisted name is a new
+    // file, and reads no ACL; a listed directory is refused.
+    let listed = enclave.files().listed(&path)?;
+    if listed == Some(ChildKind::Directory) {
+        refuse_listed(&path, listed)?;
+    }
+    let (allowed, owner) = match listed {
+        None => {
+            let allowed = parent.is_root() || access.auth_path(user, Access::Write, &parent)?;
+            (allowed, Some(user.default_group()))
+        }
+        // An overwrite: the file's ACL proves it. A listed file whose
+        // ACL the store did not return must not change hands.
+        Some(_) => {
+            let acl = access.acl(&path)?.ok_or_else(|| {
+                SegShareError::Integrity(format!(
+                    "{path}: listed in its parent, but its ACL is missing from the store"
+                ))
+            })?;
             let allowed = access.auth_file(user, Access::Write, &path, acl)?
                 || access.auth_path(user, Access::Write, &parent)?;
             (allowed, None)
-        }
-        // A new file, once the parent's listing confirms that nothing
-        // is there: a listed file whose ACL the store did not return
-        // must not change hands.
-        None => {
-            match enclave.files().listed(&path)? {
-                Some(ChildKind::File) => {
-                    return Err(SegShareError::Integrity(format!(
-                        "{path}: listed in its parent, but its ACL is missing from the store"
-                    )))
-                }
-                listed => refuse_listed(&path, listed)?,
-            }
-            let allowed = parent.is_root() || access.auth_path(user, Access::Write, &parent)?;
-            (allowed, Some(user.default_group()))
         }
     };
     if !allowed {

@@ -8,7 +8,7 @@ use seg_fs::codec::{Decoder, Encoder};
 use crate::enclave::names::ObjectId;
 use crate::error::SegShareError;
 
-use super::TrustedStore;
+use super::{Change, TrustedStore};
 
 impl TrustedStore {
     // ---------------------------------------------- dedup refcount index
@@ -106,7 +106,7 @@ impl TrustedStore {
         }
         let mut reclaimed = 0u64;
         for name in dead {
-            self.delete(&ObjectId::DedupBlob(name.clone()))?;
+            self.commit([(&ObjectId::DedupBlob(name.clone()), Change::Delete)])?;
             index.remove(&name);
             reclaimed += 1;
         }

@@ -12,12 +12,13 @@ use crate::error::SegShareError;
 use super::{CacheKey, CachedValue, TrustedStore, Walk, HOT_BODY_MAX};
 
 /// One object's change in a [`TrustedStore::commit`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub enum Change<'a> {
     /// A new body, which the commit seals under the object's key.
     Body(&'a [u8]),
-    /// A new body already sealed as a PFS blob (a finished upload).
-    Blob(&'a [u8]),
+    /// A new body already sealed as a PFS blob (a finished upload),
+    /// handed over whole: it moves into the store write uncopied.
+    Blob(Vec<u8>),
     /// The object's removal.
     Delete,
 }
@@ -58,61 +59,58 @@ impl TrustedStore {
     ///
     /// Propagates storage, crypto, and tree failures.
     pub fn write(&self, id: &ObjectId, body: &[u8]) -> Result<(), SegShareError> {
-        self.commit(&[(id, Change::Body(body))]).map(drop)
+        self.commit([(id, Change::Body(body))])
     }
 
-    /// Deletes an object and its tree node: a commit of one change.
-    /// Returns whether the store held the object.
+    /// Commits one request's changes — the one write path, and one store
+    /// write. Bodies are sealed first; then, under one hold of the tree
+    /// lock, one pass up the tree folds every change into the ancestors,
+    /// reading, updating and sealing each touched record once, and the
+    /// blobs, their leaf records and every updated record go to the
+    /// store as one batch. Whatever the commit reads to decide its
+    /// changes (a parent's directory file, say) the caller reads before,
+    /// through the verified path. All changes must be in one store.
     ///
-    /// # Errors
-    ///
-    /// Propagates storage and tree failures.
-    pub fn delete(&self, id: &ObjectId) -> Result<bool, SegShareError> {
-        Ok(self.commit(&[(id, Change::Delete)])? == 1)
-    }
-
-    /// Commits one request's changes — the one write path. Bodies are
-    /// sealed first; then, under one hold of the tree lock, each blob is
-    /// put (or deleted) with its leaf record, and one pass up the tree
-    /// folds every change into the ancestors, reading, updating and
-    /// sealing each touched record once. Whatever the commit reads to
-    /// decide its changes (a parent's directory file, say) the caller
-    /// reads before, through the verified path. All changes the tree
-    /// covers must be in one store's tree. Returns how many of the
-    /// deleted objects the store held.
-    ///
-    /// A failed store put ends the commit: the records it took out of
-    /// the cache to update stay out, so no trusted record is ahead of
-    /// the store. Puts already made stay made, as any partial write
-    /// leaves them on a store without transactions.
+    /// The batch lands whole or not at all. The records the commit took
+    /// out of the cache to update return only once it landed, so a
+    /// failed commit leaves the store as it was, and no trusted record
+    /// ahead of it.
     ///
     /// # Errors
     ///
     /// Propagates storage, crypto, and tree failures.
-    pub fn commit(&self, changes: &[(&ObjectId, Change<'_>)]) -> Result<usize, SegShareError> {
-        let sealed = changes
-            .iter()
-            .map(|(id, change)| match change {
-                Change::Body(body) => Ok(Some(pfs_encrypt(
-                    &self.data_key(id),
-                    body,
-                    &mut SystemRng::new(),
-                )?)),
-                Change::Blob(_) | Change::Delete => Ok(None),
+    pub fn commit<'c>(
+        &self,
+        changes: impl IntoIterator<Item = (&'c ObjectId, Change<'c>)>,
+    ) -> Result<(), SegShareError> {
+        let mut changes = changes
+            .into_iter()
+            .map(|(id, change)| {
+                let blob = match change {
+                    Change::Body(body) => Some(pfs_encrypt(
+                        &self.data_key(id),
+                        body,
+                        &mut SystemRng::new(),
+                    )?),
+                    Change::Blob(blob) => Some(blob),
+                    Change::Delete => None,
+                };
+                Ok((id, blob))
             })
             .collect::<Result<Vec<_>, SegShareError>>()?;
-        let mut locks = changes.iter().filter_map(|(id, _)| self.tree_lock_for(id));
-        let lock = locks.next();
         debug_assert!(
-            locks.all(|other| lock.is_some_and(|lock| std::ptr::eq(lock, other))),
-            "a commit spans one tree"
+            changes
+                .iter()
+                .all(|(id, _)| id.store() == changes[0].0.store()),
+            "a commit writes one store"
         );
+        let lock = changes.iter().find_map(|(id, _)| self.tree_lock_for(id));
         let _tree = lock.map(parking_lot::RwLock::write);
-        let result = self.commit_locked(changes, &sealed);
+        let result = self.commit_locked(&mut changes);
         // Second bump: a miss-fill that snapshotted its generation after
-        // the pre-write bump but read the store before the put landed
+        // the pre-write bump but read the store before the write landed
         // would otherwise survive with the old body.
-        for (id, _) in changes {
+        for (id, _) in &changes {
             self.cache_invalidate_object(id);
         }
         result

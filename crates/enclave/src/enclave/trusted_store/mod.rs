@@ -7,7 +7,8 @@
 //! per-object key derived from `SK_r`. All
 //! actual store accesses go through the enclave boundary as ocalls (one
 //! store stub each), so the switchless-call cost model sees them
-//! (§II-A/§VI).
+//! (§II-A/§VI): reads one object each, and a commit's writes as one
+//! batch.
 //!
 //! # Rollback protection (§V-D)
 //!
@@ -50,11 +51,12 @@
 //! be stale, so it never enters the cache on the read alone. It enters
 //!
 //! * **written through** by the commit that computed it, after the
-//!   store put succeeded, when everything it was computed from was
-//!   trusted: a leaf record is a function of the blob header just
-//!   written; an inner or ancestor record is trusted iff the record it
-//!   was updated from was a cache hit (taken out of the cache for the
-//!   update, and put back only once stored), or the node is new;
+//!   commit's one store write succeeded, when everything it was
+//!   computed from was trusted: a leaf record is a function of the blob
+//!   header just written; an inner or ancestor record is trusted iff
+//!   the record it was updated from was a cache hit (taken out of the
+//!   cache for the update, and put back only once the write is in), or
+//!   the node is new;
 //! * **after a walk** that read it, passed every check on it, and ended
 //!   at an anchor: a trusted ancestor, or the tree root (whose counter,
 //!   with §V-E, must match the hardware).
@@ -212,11 +214,12 @@ pub struct TrustedStore {
     /// other), charged against the EPC tracker. `None` means
     /// byte-identical behavior to a build without the cache.
     cache: Option<Caches>,
-    /// Per-store rollback-tree locks. A commit/delete rewrites shared
-    /// ancestor hash records (and, with whole-FS protection, the root
-    /// counter) in several non-atomic steps; a concurrent verifier
-    /// observing the half-applied walk would report a false rollback.
-    /// Mutators hold the store's tree lock exclusively for that short
+    /// Per-store rollback-tree locks. A commit read-modifies-writes
+    /// shared ancestor hash records (and, with whole-FS protection, the
+    /// root counter): two commits on one tree must not interleave, and
+    /// a concurrent verifier observing a batch half applied (a store
+    /// without atomic batches applies it op by op) would report a false
+    /// rollback. Mutators hold the store's tree lock exclusively for that short
     /// record-update section, verified reads hold it shared — so reads
     /// scale, and per-object dispatch locks stay correct without
     /// knowing tree internals. Never held across stores (except
@@ -327,12 +330,6 @@ impl TrustedStore {
         }
     }
 
-    fn cache_invalidate_record(&self, id: &ObjectId) {
-        if self.cache.is_some() {
-            self.cache_invalidate(&CacheKey::Record(id.clone()));
-        }
-    }
-
     /// The key hierarchy (for dedup-name computation upstream).
     #[must_use]
     pub fn keys(&self) -> &KeyHierarchy {
@@ -420,21 +417,11 @@ impl TrustedStore {
         self.pfs_decrypts.load(Ordering::Relaxed)
     }
 
-    // -------------------------------------------------- raw (ocall) io
+    // ------------------------------------------------------ store reads
 
     fn raw_get(&self, id: &ObjectId) -> Result<Option<Vec<u8>>, SegShareError> {
         let key = self.keys.storage_key(id, self.config.hide_names);
         self.store_for(id.store()).get(&key)
-    }
-
-    fn raw_put(&self, id: &ObjectId, blob: &[u8]) -> Result<(), SegShareError> {
-        let key = self.keys.storage_key(id, self.config.hide_names);
-        self.store_for(id.store()).put(&key, blob)
-    }
-
-    fn raw_delete(&self, id: &ObjectId) -> Result<bool, SegShareError> {
-        let key = self.keys.storage_key(id, self.config.hide_names);
-        self.store_for(id.store()).delete(&key)
     }
 }
 
@@ -589,7 +576,7 @@ mod tests {
         /// eviction would.
         pub(crate) fn evict(&self, id: &ObjectId) {
             self.cache_invalidate_object(id);
-            self.cache_invalidate_record(id);
+            self.cache_invalidate(&CacheKey::Record(id.clone()));
         }
 
         /// `id`'s cached child listing, whether or not it is current.
@@ -607,6 +594,20 @@ mod tests {
                 CachedValue::Record(trusted) => Some(trusted.rec.clone()),
                 _ => None,
             }
+        }
+
+        /// Seals and stores a record a test plants: nothing vouches for
+        /// it, so the cache keeps no record for the node.
+        fn write_hash_record(&self, id: &ObjectId, rec: &HashRecord) -> Result<(), SegShareError> {
+            self.cache_invalidate(&CacheKey::Record(id.clone()));
+            let mut batch = seg_store_api::WriteBatch::new();
+            Self::put_record(&mut batch, rec, &self.seal_ctx(id));
+            self.store_for(id.store()).write(batch)
+        }
+
+        /// Deletes an object and its tree node: a commit of one change.
+        fn delete(&self, id: &ObjectId) -> Result<(), SegShareError> {
+            self.commit([(id, Change::Delete)])
         }
 
         /// The store keys of `id`'s blob and hash record.
@@ -682,7 +683,7 @@ mod tests {
         f.store.write(&file_id("/a"), b"A").unwrap();
         f.store.write(&file_id("/b"), b"B").unwrap();
 
-        assert!(f.store.delete(&file_id("/a")).unwrap());
+        f.store.delete(&file_id("/a")).unwrap();
         // Unregister from the directory body too.
         let body = f.store.read(&root_id()).unwrap().unwrap();
         let mut dir = DirFile::decode(&body).unwrap();
@@ -993,7 +994,7 @@ mod tests {
         register_child(&f, "a", seg_fs::ChildKind::File);
         f.store.write(&file_id("/a"), b"doomed").unwrap();
         assert!(f.store.read(&file_id("/a")).unwrap().is_some());
-        assert!(f.store.delete(&file_id("/a")).unwrap());
+        f.store.delete(&file_id("/a")).unwrap();
         assert!(f.store.read(&file_id("/a")).unwrap().is_none());
     }
 
@@ -1154,52 +1155,65 @@ mod tests {
         assert_eq!(after.entries, before.entries);
     }
 
+    /// A trusted store over a `MemStore` whose `n`-th write fails, and
+    /// a view of that `MemStore`.
+    fn failing_at(n: u64) -> (TrustedStore, Arc<seg_store::FaultStore<Arc<MemStore>>>) {
+        use seg_store::{FaultAction, FaultStore};
+        let mem = Arc::new(MemStore::new());
+        let faulty = Arc::new(FaultStore::new(mem, FaultAction::FailWrite, n));
+        let store = store_on(cached_config(), Arc::clone(&faulty) as Arc<dyn ObjectStore>);
+        (store, faulty)
+    }
+
+    /// After a failed commit, every trusted record on `nodes` equals the
+    /// store's.
+    fn assert_no_record_ahead(store: &TrustedStore, nodes: &[ObjectId]) {
+        for id in nodes {
+            if let Some(trusted) = store.trusted_record(id) {
+                assert_eq!(
+                    store.store_hash_record(id).unwrap(),
+                    Some(trusted),
+                    "{} is cached ahead of the store",
+                    id.canonical()
+                );
+            }
+        }
+    }
+
     #[test]
     fn a_failed_put_leaves_no_trusted_record_ahead_of_the_store() {
-        use seg_store::{CountingStore, FaultAction, FaultStore};
-        // Learn how many writes the set-up and the probed write take.
+        use seg_store::CountingStore;
+        // Learn how many writes the set-up takes, and that the probed
+        // commit is one write of seven puts.
         let counting = Arc::new(CountingStore::new(MemStore::new()));
         let dry = store_on(
             cached_config(),
             Arc::clone(&counting) as Arc<dyn ObjectStore>,
         );
         deep_tree(&dry);
-        let setup_puts = counting.stats().puts;
+        let setup = counting.stats();
         dry.write(&file_id("/a/b/c/d/f"), b"version 2").unwrap();
-        let write_puts = counting.stats().puts - setup_puts;
-        assert_eq!(write_puts, 7, "blob, leaf record, five ancestor records");
+        let stats = counting.stats();
+        assert_eq!(
+            (stats.batches - setup.batches, stats.puts - setup.puts),
+            (1, 7),
+            "one write: blob, leaf record, five ancestor records"
+        );
 
-        for failing in 1..=write_puts {
-            let faulty = Arc::new(FaultStore::new(
-                MemStore::new(),
-                FaultAction::FailWrite,
-                setup_puts + failing,
-            ));
-            let store = store_on(cached_config(), Arc::clone(&faulty) as Arc<dyn ObjectStore>);
-            deep_tree(&store);
-            assert!(store.write(&file_id("/a/b/c/d/f"), b"version 2").is_err());
-            for id in deep_chain() {
-                if let Some(trusted) = store.trusted_record(&id) {
-                    assert_eq!(
-                        store.store_hash_record(&id).unwrap(),
-                        Some(trusted),
-                        "put {failing} failed: {} is cached ahead of the store",
-                        id.canonical()
-                    );
-                }
-            }
-            // The body the store holds (the old one only if the blob
-            // put is what failed), or an integrity error.
-            let stored: &[u8] = if failing == 1 {
-                b"version 1"
-            } else {
-                b"version 2"
-            };
-            match store.read(&file_id("/a/b/c/d/f")) {
-                Ok(body) => assert_eq!(body.unwrap(), stored, "put {failing}"),
-                Err(e) => assert!(is_integrity::<()>(Err(e)), "put {failing}"),
-            }
-        }
+        // Fail that one write.
+        let (store, faulty) = failing_at(setup.batches + 1);
+        deep_tree(&store);
+        let before = faulty.inner().snapshot();
+        assert!(store.write(&file_id("/a/b/c/d/f"), b"version 2").is_err());
+        assert!(
+            faulty.inner().snapshot() == before,
+            "the store is unchanged"
+        );
+        assert_no_record_ahead(&store, &deep_chain());
+        assert_eq!(
+            store.read(&file_id("/a/b/c/d/f")).unwrap().unwrap(),
+            b"version 1"
+        );
     }
 
     /// A create under `/a/b/c/d/` as a request commits it: the body, its
@@ -1210,32 +1224,32 @@ mod tests {
         let d = ObjectId::DirData(dir);
         let mut listing = DirFile::decode(&store.read(&d)?.unwrap())?;
         listing.add_child(name, seg_fs::ChildKind::File);
-        store.commit(&[
+        store.commit([
             (&ObjectId::FileData(path.clone()), Change::Body(body)),
             (
                 &ObjectId::Acl(path),
                 Change::Body(&seg_fs::AclFile::new().encode()),
             ),
             (&d, Change::Body(&listing.encode())),
-        ])?;
-        Ok(())
+        ])
     }
 
     #[test]
     fn a_failed_put_in_a_batched_create_leaves_no_trusted_record_ahead_of_the_store() {
-        use seg_store::{CountingStore, FaultAction, FaultStore};
+        use seg_store::CountingStore;
         let counting = Arc::new(CountingStore::new(MemStore::new()));
         let dry = store_on(
             cached_config(),
             Arc::clone(&counting) as Arc<dyn ObjectStore>,
         );
         deep_tree(&dry);
-        let setup_puts = counting.stats().puts;
+        let setup = counting.stats();
         create_in_d(&dry, "h", b"new").unwrap();
-        let create_puts = counting.stats().puts - setup_puts;
+        let stats = counting.stats();
         assert_eq!(
-            create_puts, 10,
-            "three blobs, their three records, four ancestor records"
+            (stats.batches - setup.batches, stats.puts - setup.puts),
+            (1, 10),
+            "one write: three blobs, their three records, four ancestor records"
         );
 
         let (h, f) = (file_id("/a/b/c/d/h"), file_id("/a/b/c/d/f"));
@@ -1244,36 +1258,22 @@ mod tests {
             ObjectId::Acl(SegPath::parse("/a/b/c/d/h").unwrap()),
         ];
         nodes.extend(deep_chain().into_iter().skip(1));
-        for failing in 1..=create_puts {
-            let faulty = Arc::new(FaultStore::new(
-                MemStore::new(),
-                FaultAction::FailWrite,
-                setup_puts + failing,
-            ));
-            let store = store_on(cached_config(), Arc::clone(&faulty) as Arc<dyn ObjectStore>);
-            deep_tree(&store);
-            assert!(create_in_d(&store, "h", b"new").is_err());
-            for id in &nodes {
-                if let Some(trusted) = store.trusted_record(id) {
-                    assert_eq!(
-                        store.store_hash_record(id).unwrap(),
-                        Some(trusted),
-                        "put {failing} failed: {} is cached ahead of the store",
-                        id.canonical()
-                    );
-                }
-            }
-            // The new body, none, or an integrity error; the sibling's
-            // body or an integrity error.
-            match store.read(&h) {
-                Ok(body) => assert!(body.is_none_or(|body| body == b"new"), "put {failing}"),
-                Err(e) => assert!(is_integrity::<()>(Err(e)), "put {failing}"),
-            }
-            match store.read(&f) {
-                Ok(body) => assert_eq!(body.unwrap(), b"version 1", "put {failing}"),
-                Err(e) => assert!(is_integrity::<()>(Err(e)), "put {failing}"),
-            }
-        }
+        let (store, faulty) = failing_at(setup.batches + 1);
+        deep_tree(&store);
+        let before = faulty.inner().snapshot();
+        assert!(create_in_d(&store, "h", b"new").is_err());
+        assert!(
+            faulty.inner().snapshot() == before,
+            "the store is unchanged"
+        );
+        assert_no_record_ahead(&store, &nodes);
+        // Nothing created; the sibling's body.
+        assert_eq!(store.read(&h).unwrap(), None);
+        assert_eq!(store.read(&f).unwrap().unwrap(), b"version 1");
+        // The retry lands.
+        create_in_d(&store, "h", b"new").unwrap();
+        assert_eq!(store.read(&h).unwrap().unwrap(), b"new");
+        assert_eq!(store.read(&f).unwrap().unwrap(), b"version 1");
     }
 
     #[test]
@@ -1597,7 +1597,7 @@ mod tests {
                     let (parent, listing) = parent_edited(s, &path, |l| {
                         l.add_child(path.name(), ChildKind::File);
                     });
-                    s.commit(&[
+                    s.commit([
                         (&ObjectId::FileData(path.clone()), Change::Body(&[tag; 3])),
                         (&ObjectId::Acl(path.clone()), Change::Body(&acl)),
                         (&parent, Change::Body(&listing)),
@@ -1613,7 +1613,7 @@ mod tests {
                     let (parent, listing) = parent_edited(s, &path, |l| {
                         l.remove_child(path.name());
                     });
-                    s.commit(&[
+                    s.commit([
                         (&parent, Change::Body(&listing)),
                         (&ObjectId::FileData(path.clone()), Change::Delete),
                         (&ObjectId::Acl(path), Change::Delete),
@@ -1626,7 +1626,7 @@ mod tests {
                     let (parent, listing) = parent_edited(s, &path, |l| {
                         l.add_child(path.name(), ChildKind::Directory);
                     });
-                    s.commit(&[
+                    s.commit([
                         (&ObjectId::Acl(path.clone()), Change::Body(&acl)),
                         (
                             &ObjectId::DirData(path.clone()),
@@ -1646,7 +1646,7 @@ mod tests {
                     let (parent, listing) = parent_edited(s, &path, |l| {
                         l.remove_child(path.name());
                     });
-                    s.commit(&[
+                    s.commit([
                         (&parent, Change::Body(&listing)),
                         (&ObjectId::DirData(path.clone()), Change::Delete),
                         (&ObjectId::Acl(path), Change::Delete),

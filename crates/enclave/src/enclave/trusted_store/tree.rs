@@ -10,11 +10,11 @@ use seg_crypto::rng::SystemRng;
 use seg_crypto::sha256::Sha256;
 use seg_fs::DirFile;
 use seg_sgx::pfs::{header_id, HEADER_ID_LEN};
+use seg_store_api::WriteBatch;
 
 use crate::enclave::names::{ObjectId, StoreKind};
 use crate::error::SegShareError;
 
-use super::io::Change;
 use super::record::{GroupRootFile, HashRecord};
 use super::{integrity, CacheKey, CachedValue, Fetched, TrustedStore, Walk};
 
@@ -26,7 +26,7 @@ use super::{integrity, CacheKey, CachedValue, Fetched, TrustedStore, Walk};
 /// record; a leaf derives it again at each write, its only one in a
 /// request, so the many small leaf entries do not carry it.
 #[derive(Clone)]
-struct SealCtx {
+pub(super) struct SealCtx {
     key: PaeKey,
     name: String,
     canonical: String,
@@ -61,8 +61,6 @@ struct Taken {
     /// Whether it came from the cache: a record updated from a trusted
     /// one is trusted too.
     trusted: bool,
-    /// The cache key it was taken under, to put the update back under.
-    key: Option<CacheKey>,
 }
 
 /// One child's change, for its parent to fold in: the element of `name`
@@ -83,11 +81,17 @@ struct Pending {
     changes: Vec<ChildChange>,
 }
 
-/// The inner nodes one commit updates, each once, deepest first: every
-/// change below a node is folded in before the node's record is sealed.
+/// One commit's pass: the inner nodes it updates, each once, deepest
+/// first (every change below a node is folded in before the node's
+/// record is sealed); the batch that is its one store write; and what
+/// waits for that write to be in: the updated trusted records, which
+/// return to the cache, and the root counter value the batch names.
 #[derive(Default)]
 struct Pass {
     nodes: Vec<Pending>,
+    batch: WriteBatch,
+    kept: Vec<(CacheKey, TrustedRecord)>,
+    counter: Option<u64>,
 }
 
 impl Pass {
@@ -124,6 +128,13 @@ impl Pass {
                 new,
             });
         }
+    }
+
+    /// Keeps `id`'s updated trusted record, to put (back) in the cache
+    /// once the commit's write is in.
+    fn keep(&mut self, id: &ObjectId, rec: HashRecord, seal: Option<Box<SealCtx>>) {
+        let trusted = TrustedRecord { rec, seal };
+        self.kept.push((CacheKey::Record(id.clone()), trusted));
     }
 
     fn pop_deepest(&mut self) -> Option<Pending> {
@@ -192,7 +203,7 @@ impl TrustedStore {
     }
 
     /// `id`'s sealing inputs, derived.
-    fn seal_ctx(&self, id: &ObjectId) -> SealCtx {
+    pub(super) fn seal_ctx(&self, id: &ObjectId) -> SealCtx {
         let canonical = id.canonical();
         SealCtx {
             key: self.keys.hash_record_key(id),
@@ -248,14 +259,9 @@ impl TrustedStore {
         }))
     }
 
-    /// Seals `rec` with `seal`, encoding it straight into the
-    /// ciphertext buffer, and stores it.
-    fn put_record(
-        &self,
-        id: &ObjectId,
-        rec: &HashRecord,
-        seal: &SealCtx,
-    ) -> Result<(), SegShareError> {
+    /// Seals `rec` with `seal` into `batch`, encoding it straight into
+    /// the ciphertext buffer.
+    pub(super) fn put_record(batch: &mut WriteBatch, rec: &HashRecord, seal: &SealCtx) {
         let blob = pae_enc_with(
             &seal.key,
             rec.encoded_len(),
@@ -263,25 +269,13 @@ impl TrustedStore {
             &mut SystemRng::new(),
             |out| rec.encode_into(out),
         );
-        self.store_for(id.store()).put(&seal.name, &blob)
-    }
-
-    /// Seals and stores a record computed from store contents (a
-    /// rebuild, or a test planting one): nothing vouches for it, so the
-    /// cache keeps no record for the node.
-    pub(super) fn write_hash_record(
-        &self,
-        id: &ObjectId,
-        rec: &HashRecord,
-    ) -> Result<(), SegShareError> {
-        self.cache_invalidate_record(id);
-        self.put_record(id, rec, &self.seal_ctx(id))
+        batch.put(seal.name.clone(), blob);
     }
 
     /// Takes `id`'s trusted record out of the cache to update it in
     /// place, or reads the store's. A taken record is not put back
-    /// until its update is stored ([`TrustedStore::keep_trusted`]), so
-    /// after a failed put no trusted record is ahead of the store.
+    /// until the commit's write is in ([`Pass::keep`]),
+    /// so after a failed write no trusted record is ahead of the store.
     fn take_record(&self, id: &ObjectId) -> Result<Option<Taken>, SegShareError> {
         let key = CacheKey::Record(id.clone());
         if let Some(cache) = self.cache_for(&key) {
@@ -289,13 +283,12 @@ impl TrustedStore {
                 let _prof = seg_obs::prof::phase(seg_obs::Phase::CacheLookup);
                 cache.take(&key)
             };
-            if let Some((key, CachedValue::Record(trusted))) = taken {
+            if let Some((_, CachedValue::Record(trusted))) = taken {
                 let TrustedRecord { rec, seal } = Arc::unwrap_or_clone(trusted);
                 return Ok(Some(Taken {
                     rec,
                     seal,
                     trusted: true,
-                    key: Some(key),
                 }));
             }
         }
@@ -305,26 +298,7 @@ impl TrustedStore {
             rec,
             seal: Some(Box::new(seal)),
             trusted: false,
-            key: None,
         }))
-    }
-
-    /// Puts an updated trusted record (back) in the cache, once stored.
-    fn keep_trusted(
-        &self,
-        id: &ObjectId,
-        key: Option<CacheKey>,
-        rec: HashRecord,
-        seal: Option<Box<SealCtx>>,
-    ) {
-        if let Some(cache) = &self.cache {
-            let key = key.unwrap_or_else(|| CacheKey::Record(id.clone()));
-            let trusted = TrustedRecord { rec, seal };
-            let bytes = trusted.cached_bytes() as u64;
-            cache
-                .route(&key)
-                .put(key, CachedValue::Record(Arc::new(trusted)), bytes);
-        }
     }
 
     /// Caches the store-read records of a walk that reached an anchor.
@@ -433,32 +407,30 @@ impl TrustedStore {
 
     // ------------------------------------------------------ the commit
 
-    /// Applies one request's changes under the tree lock the caller
-    /// holds: each blob is put (or deleted) with its leaf record, then
-    /// one pass folds every change into the ancestors bottom-up —
-    /// O(depth) record updates for the whole request, no sibling reads
-    /// (§V-D), each touched record read, updated and sealed once.
-    /// `sealed[i]` is change `i`'s blob when it was a body. Returns how
-    /// many deleted objects the store held.
+    /// Applies one request's changes, all in one store, under the tree
+    /// lock the caller holds, as that store's one write. Each blob enters
+    /// the batch with its leaf record, then one pass folds every change
+    /// into the ancestors bottom-up — O(depth) record updates for the
+    /// whole request, no sibling reads (§V-D), each touched record read,
+    /// updated and sealed once — and the batch is written. Only once the
+    /// write is in do the updated trusted records return to the cache.
+    /// `changes[i].1` is change `i`'s sealed blob, `None` for a removal;
+    /// each blob moves into the batch.
     pub(super) fn commit_locked(
         &self,
-        changes: &[(&ObjectId, Change<'_>)],
-        sealed: &[Option<Vec<u8>>],
-    ) -> Result<usize, SegShareError> {
-        for (id, _) in changes {
+        changes: &mut [(&ObjectId, Option<Vec<u8>>)],
+    ) -> Result<(), SegShareError> {
+        let Some(store) = changes.first().map(|(id, _)| id.store()) else {
+            return Ok(());
+        };
+        for (id, _) in changes.iter() {
             self.cache_invalidate_object(id);
         }
         let mut pass = Pass::default();
-        let mut deleted = 0;
-        for ((id, change), sealed) in changes.iter().zip(sealed) {
-            let blob = match change {
-                Change::Body(_) => sealed.as_deref(),
-                Change::Blob(blob) => Some(*blob),
-                Change::Delete => None,
-            };
-            match blob {
+        for (id, blob) in changes.iter_mut() {
+            match blob.take() {
                 Some(blob) => self.put_object(id, blob, &mut pass)?,
-                None => deleted += usize::from(self.delete_object(id, &mut pass)?),
+                None => self.delete_object(id, &mut pass)?,
             }
         }
         if !pass.nodes.is_empty() {
@@ -467,48 +439,65 @@ impl TrustedStore {
                 self.fold_node(node, &mut pass)?;
             }
         }
-        Ok(deleted)
+        self.store_for(store).write(pass.batch)?;
+        if let Some(value) = pass.counter {
+            self.root_anchor(store).written(value)?;
+        }
+        if let Some(cache) = &self.cache {
+            for (key, trusted) in pass.kept {
+                let bytes = trusted.cached_bytes() as u64;
+                cache
+                    .route(&key)
+                    .put(key, CachedValue::Record(Arc::new(trusted)), bytes);
+            }
+        }
+        Ok(())
     }
 
-    /// Puts `id`'s new blob. A leaf's record, a function of the header
-    /// alone, is written with it; an inner node's waits for the pass.
-    fn put_object(&self, id: &ObjectId, blob: &[u8], pass: &mut Pass) -> Result<(), SegShareError> {
+    /// Adds `id`'s new blob to the batch. A leaf's record, a function of
+    /// the header alone, goes with it; an inner node's waits for the pass.
+    fn put_object(
+        &self,
+        id: &ObjectId,
+        blob: Vec<u8>,
+        pass: &mut Pass,
+    ) -> Result<(), SegShareError> {
+        let name = self.keys.storage_key(id, self.config.hide_names);
         if !self.tree_enabled_for(id) {
-            return self.raw_put(id, blob);
+            pass.batch.put(name, blob);
+            return Ok(());
         }
-        let head = Self::head_of(id, blob)?;
+        let head = Self::head_of(id, &blob)?;
+        pass.batch.put(name, blob);
         if id.is_tree_inner() {
-            self.raw_put(id, blob)?;
             pass.node(id.clone()).head = Some(head);
             return Ok(());
         }
         let old = self.take_record(id)?;
         let counter = old.as_ref().map_or(0, |old| old.rec.counter);
         let rec = self.record_of(id, &head, MsetHash::empty(), Vec::new(), counter);
-        self.raw_put(id, blob)?;
-        let (old_main, key, seal) = match old {
-            Some(old) => (Some(old.rec.main), old.key, old.seal),
-            None => (None, None, None),
-        };
+        let old_main = old.as_ref().map(|old| old.rec.main);
+        let seal = old.and_then(|old| old.seal);
         let seal = seal.unwrap_or_else(|| Box::new(self.seal_ctx(id)));
-        self.put_record(id, &rec, &seal)?;
+        Self::put_record(&mut pass.batch, &rec, &seal);
         pass.change(id, &seal, old_main, Some(rec.main));
         // Nothing stale can be in a leaf's record: it is trusted.
-        self.keep_trusted(id, key, rec, None);
+        pass.keep(id, rec, None);
         Ok(())
     }
 
-    /// Deletes `id`'s blob and record; returns whether the blob existed.
-    fn delete_object(&self, id: &ObjectId, pass: &mut Pass) -> Result<bool, SegShareError> {
-        let existed = self.raw_delete(id)?;
+    /// Adds the deletes of `id`'s blob and record to the batch.
+    fn delete_object(&self, id: &ObjectId, pass: &mut Pass) -> Result<(), SegShareError> {
+        pass.batch
+            .delete(self.keys.storage_key(id, self.config.hide_names));
         if self.tree_enabled_for(id) {
             if let Some(old) = self.take_record(id)? {
                 let seal = old.seal.unwrap_or_else(|| Box::new(self.seal_ctx(id)));
-                self.store_for(id.store()).delete(&seal.name)?;
+                pass.batch.delete(seal.name.clone());
                 pass.change(id, &seal, Some(old.rec.main), None);
             }
         }
-        Ok(existed)
+        Ok(())
     }
 
     /// Folds a pending inner node's child changes (and, when the commit
@@ -519,10 +508,10 @@ impl TrustedStore {
         let Pending {
             id, head, changes, ..
         } = node;
-        let (mut rec, seal, trusted, key, old_main) = match self.take_record(&id)? {
+        let (mut rec, seal, trusted, old_main) = match self.take_record(&id)? {
             Some(old) => {
                 let main = old.rec.main;
-                (old.rec, old.seal, old.trusted, old.key, Some(main))
+                (old.rec, old.seal, old.trusted, Some(main))
             }
             // A new directory: no buckets yet, so nothing stale in them.
             None if head.is_some() => {
@@ -534,7 +523,7 @@ impl TrustedStore {
                     buckets,
                     counter: 0,
                 };
-                (rec, None, true, None, None)
+                (rec, None, true, None)
             }
             None => return Err(integrity(&id, "missing ancestor hash record")),
         };
@@ -561,13 +550,14 @@ impl TrustedStore {
                     "monotonic counter mismatch (whole file system rollback)",
                 ));
             }
-            rec.counter = anchor.issue()?;
+            rec.counter = anchor.issue();
+            pass.counter = Some(rec.counter);
         }
         let seal = seal.unwrap_or_else(|| Box::new(self.seal_ctx(&id)));
-        self.put_record(&id, &rec, &seal)?;
+        Self::put_record(&mut pass.batch, &rec, &seal);
         pass.change(&id, &seal, old_main, Some(rec.main));
         if trusted {
-            self.keep_trusted(&id, key, rec, Some(seal));
+            pass.keep(&id, rec, Some(seal));
         }
         Ok(())
     }
@@ -598,17 +588,6 @@ impl TrustedStore {
             rec.main.combine(&delta);
             rec.fold.combine(&delta);
         }
-    }
-
-    /// Re-issues `root`'s record under the next counter value, whatever
-    /// it names: [`TrustedStore::rebuild_tree`] re-anchors what it
-    /// rebuilt.
-    fn reanchor_root(&self, root: &ObjectId) -> Result<(), SegShareError> {
-        let mut rec = self
-            .store_hash_record(root)?
-            .ok_or_else(|| integrity(root, "missing root hash record"))?;
-        rec.counter = self.root_anchor(root.store()).issue()?;
-        self.write_hash_record(root, &rec)
     }
 
     /// Launch-time adoption (`Anchor::adopt`) of each root record's
@@ -866,15 +845,29 @@ impl TrustedStore {
         if !self.config.rollback_individual {
             return Ok(());
         }
-        // Computed from restored store contents: the walks that follow
-        // re-anchor these records, the rebuild does not vouch for them.
-        let mut write = |id: &ObjectId, rec: HashRecord| self.write_hash_record(id, &rec);
-        self.rebuild_node(&ObjectId::DirData(seg_fs::SegPath::root()), &mut write)?;
-        self.rebuild_node(&ObjectId::GroupRoot, &mut write)?;
-        if self.config.rollback_whole_fs {
-            // Deferred values settle when the caller's window is durable.
-            self.reanchor_root(&ObjectId::DirData(seg_fs::SegPath::root()))?;
-            self.reanchor_root(&ObjectId::GroupRoot)?;
+        // Computed from restored store contents, so the cache keeps none
+        // of them: the walks that follow re-anchor these records, the
+        // rebuild does not vouch for them. Each tree is one write, its
+        // root re-anchored under the next counter value (deferred values
+        // settle when the caller's window is durable).
+        for root in [
+            ObjectId::DirData(seg_fs::SegPath::root()),
+            ObjectId::GroupRoot,
+        ] {
+            let anchor = self.root_anchor(root.store());
+            let counter = self.config.rollback_whole_fs.then(|| anchor.issue());
+            let mut batch = WriteBatch::new();
+            self.rebuild_node(&root, &mut |id, mut rec| {
+                if let Some(counter) = counter.filter(|_| *id == root) {
+                    rec.counter = counter;
+                }
+                Self::put_record(&mut batch, &rec, &self.seal_ctx(id));
+                Ok(())
+            })?;
+            self.store_for(root.store()).write(batch)?;
+            if let Some(counter) = counter {
+                anchor.written(counter)?;
+            }
         }
         Ok(())
     }

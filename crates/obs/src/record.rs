@@ -159,7 +159,8 @@ pub struct CostVector {
     pub cache_misses: u64,
     /// Untrusted-store read-side operations (get/exists/list).
     pub store_reads: u64,
-    /// Untrusted-store write-side operations (put/delete/rename).
+    /// Untrusted-store writes: one per batch the enclave hands a store
+    /// (a commit, an audit append), whatever it carries.
     pub store_writes: u64,
     /// Sealed audit-trail bytes appended on the request's behalf.
     pub audit_bytes: u64,

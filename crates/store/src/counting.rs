@@ -23,7 +23,8 @@ pub struct StoreStats {
     pub bytes_read: u64,
     /// Total bytes passed to `put`.
     pub bytes_written: u64,
-    /// Number of write batches submitted or applied.
+    /// Number of write batches: each transaction sealed, and each batch
+    /// submitted or applied outside a transaction.
     pub batches: u64,
     /// Total operations carried inside those batches.
     pub batch_ops: u64,
@@ -96,20 +97,28 @@ impl<S: ObjectStore> CountingStore<S> {
         Ok(found)
     }
 
+    /// Counts every op of `batch`. Inside an open transaction its ops
+    /// join the transaction's pending count, and the seal counts the one
+    /// batch; outside one it is a batch of its own.
     fn count_batch(&self, batch: &WriteBatch) {
-        self.count(|s| {
-            s.batches += 1;
-            s.batch_ops += batch.len() as u64;
-            for op in &batch.ops {
-                match op {
-                    BatchOp::Put { value, .. } => {
-                        s.puts += 1;
-                        s.bytes_written += value.len() as u64;
-                    }
-                    BatchOp::Delete { .. } => s.deletes += 1,
+        let mut counts = self.counts.lock();
+        let Counts { stats, tx_pending } = &mut *counts;
+        for op in &batch.ops {
+            match op {
+                BatchOp::Put { value, .. } => {
+                    stats.puts += 1;
+                    stats.bytes_written += value.len() as u64;
                 }
+                BatchOp::Delete { .. } => stats.deletes += 1,
             }
-        });
+        }
+        match tx_pending {
+            Some(pending) => *pending += batch.len() as u64,
+            None => {
+                stats.batches += 1;
+                stats.batch_ops += batch.len() as u64;
+            }
+        }
     }
 }
 
@@ -191,7 +200,7 @@ impl<S: ObjectStore> ObjectStore for CountingStore<S> {
 #[cfg(test)]
 mod tests {
     use super::{CountingStore, StoreStats};
-    use crate::{MemStore, ObjectStore};
+    use crate::{MemStore, ObjectStore, WalStore, WriteBatch};
 
     #[test]
     fn counts_operations_and_bytes() {
@@ -236,6 +245,39 @@ mod tests {
         // Store contents untouched (this exists call counts afresh).
         assert!(s.exists("b").unwrap());
         assert_eq!(s.stats().exists, 1);
+    }
+
+    /// Over a `WalStore`, the counted batches are the frames: a batch
+    /// inside a transaction joins it, and the seal is the one batch.
+    #[test]
+    fn a_batch_inside_a_transaction_counts_no_batch_of_its_own() {
+        let dir = std::env::temp_dir().join(format!("seg-counting-tx-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = CountingStore::new(WalStore::open(&dir).unwrap());
+        let batch = || {
+            let mut batch = WriteBatch::new();
+            batch.put("a", vec![0u8; 10]);
+            batch.delete("b");
+            batch
+        };
+        s.tx_begin();
+        s.put("c", b"1").unwrap();
+        s.submit_batch(batch()).unwrap().wait().unwrap();
+        s.apply_batch(&batch()).unwrap();
+        let counted = |s: StoreStats| (s.puts, s.deletes, s.bytes_written, s.batches, s.batch_ops);
+        assert_eq!(
+            counted(s.stats()),
+            (3, 2, 21, 0, 0),
+            "every op, no batch yet"
+        );
+        s.tx_seal().unwrap().expect("open tx seals").wait().unwrap();
+        assert_eq!(counted(s.stats()), (3, 2, 21, 1, 5));
+        s.submit_batch(batch()).unwrap().wait().unwrap();
+        assert_eq!(counted(s.stats()), (4, 3, 31, 2, 7), "a batch of its own");
+        let io = s.io_stats();
+        assert_eq!((io.batches, io.batch_ops), (2, 7), "one batch per frame");
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

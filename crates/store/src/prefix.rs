@@ -7,7 +7,8 @@
 //! logical store is a distinct key-prefix view of the same backend, and
 //! thread transactions ([`ObjectStore::tx_begin`]/[`ObjectStore::tx_seal`])
 //! pass straight through — beginning a transaction on all three views
-//! is idempotently beginning it once on the shared log.
+//! is idempotently beginning it once on the shared log, and a batch any
+//! view submits inside it joins it.
 
 use std::sync::Arc;
 
@@ -85,11 +86,11 @@ impl<S: ObjectStore> ObjectStore for PrefixStore<S> {
     }
 
     fn apply_batch(&self, batch: &WriteBatch) -> Result<(), StoreError> {
-        self.inner.apply_batch(&self.rewrite(batch))
+        self.inner.apply_batch(&self.rewrite(batch.clone()))
     }
 
     fn submit_batch(&self, batch: WriteBatch) -> Result<CommitTicket, StoreError> {
-        self.inner.submit_batch(self.rewrite(&batch))
+        self.inner.submit_batch(self.rewrite(batch))
     }
 
     fn tx_begin(&self) {
@@ -106,18 +107,20 @@ impl<S: ObjectStore> ObjectStore for PrefixStore<S> {
 }
 
 impl<S: ObjectStore> PrefixStore<S> {
-    fn rewrite(&self, batch: &WriteBatch) -> WriteBatch {
+    /// `batch` with every key under this view's prefix; the values move
+    /// across uncopied.
+    fn rewrite(&self, batch: WriteBatch) -> WriteBatch {
         WriteBatch {
             ops: batch
                 .ops
-                .iter()
+                .into_iter()
                 .map(|op| match op {
                     BatchOp::Put { key, value } => BatchOp::Put {
-                        key: self.full(key),
-                        value: value.clone(),
+                        key: self.full(&key),
+                        value,
                     },
                     BatchOp::Delete { key } => BatchOp::Delete {
-                        key: self.full(key),
+                        key: self.full(&key),
                     },
                 })
                 .collect(),

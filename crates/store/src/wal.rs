@@ -429,19 +429,29 @@ impl WalInner {
         }
     }
 
-    /// A `put`, `delete` or `rename`: inside this thread's transaction
-    /// its ops are shown at once and kept for the seal; outside one they
-    /// are committed as their own frame, waiting for durability.
-    fn write(&self, ops: Vec<Op>) -> Result<(), StoreError> {
+    /// Every write — a `put`, `delete`, `rename` or batch: inside this
+    /// thread's transaction its ops are shown at once and kept for the
+    /// seal, and the ticket is ready; outside one they are committed as
+    /// their own frame.
+    fn write(&self, ops: Vec<Op>) -> Result<CommitTicket, StoreError> {
         let mut txs = lock(&self.txs);
         if let Some(tx) = txs.get_mut(&std::thread::current().id()) {
             tx.extend(ops.iter().cloned());
             drop(txs);
             apply(&mut self.index.write(), ops);
-            return Ok(());
+            return Ok(CommitTicket::ready());
         }
         drop(txs);
-        self.commit(ops)?.wait()
+        self.commit(ops)
+    }
+
+    /// A batch, checked whole before it is shown or committed: it joins
+    /// this thread's transaction as a `put` does.
+    fn write_batch(&self, batch: &WriteBatch) -> Result<CommitTicket, StoreError> {
+        self.check_alive()?;
+        let ops = ops_of(batch);
+        validate(&ops)?;
+        self.write(ops)
     }
 }
 
@@ -519,14 +529,17 @@ impl ObjectStore for WalStore {
         check_len("key", key.len())?;
         check_len("value", value.len())?;
         self.inner
-            .write(vec![Op::Put(key.to_string(), Arc::from(value))])
+            .write(vec![Op::Put(key.to_string(), Arc::from(value))])?
+            .wait()
     }
 
     fn delete(&self, key: &str) -> Result<bool, StoreError> {
         self.inner.check_alive()?;
         check_len("key", key.len())?;
         let existed = self.inner.index.read().contains_key(key);
-        self.inner.write(vec![Op::Delete(key.to_string())])?;
+        self.inner
+            .write(vec![Op::Delete(key.to_string())])?
+            .wait()?;
         Ok(existed)
     }
 
@@ -545,10 +558,12 @@ impl ObjectStore for WalStore {
             .get(from)
             .cloned()
             .ok_or_else(|| StoreError::NotFound(from.to_string()))?;
-        self.inner.write(vec![
-            Op::Delete(from.to_string()),
-            Op::Put(to.to_string(), value),
-        ])
+        self.inner
+            .write(vec![
+                Op::Delete(from.to_string()),
+                Op::Put(to.to_string(), value),
+            ])?
+            .wait()
     }
 
     fn list(&self) -> Result<Vec<String>, StoreError> {
@@ -573,13 +588,11 @@ impl ObjectStore for WalStore {
     }
 
     fn apply_batch(&self, batch: &WriteBatch) -> Result<(), StoreError> {
-        self.inner.check_alive()?;
-        self.inner.commit(ops_of(batch))?.wait()
+        self.inner.write_batch(batch)?.wait()
     }
 
     fn submit_batch(&self, batch: WriteBatch) -> Result<CommitTicket, StoreError> {
-        self.inner.check_alive()?;
-        self.inner.commit(ops_of(&batch))
+        self.inner.write_batch(&batch)
     }
 
     fn tx_begin(&self) {
@@ -1124,6 +1137,57 @@ mod tests {
         drop(s);
         let s = WalStore::open(&dir).unwrap();
         assert_eq!(s.get("k").unwrap(), Some(b"v".to_vec()));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A batch inside a transaction joins it, as a `put` does: shown at
+    /// once, no frame of its own, and the seal is one frame holding the
+    /// transaction's ops in the order they were made.
+    #[test]
+    fn a_batch_inside_a_transaction_adds_no_frame_until_the_seal() {
+        let dir = tempdir("tx-batch");
+        let s = WalStore::open(&dir).unwrap();
+        s.tx_begin();
+        s.put("a", b"1").unwrap();
+        let mut batch = WriteBatch::new();
+        batch.put("b", b"2".to_vec());
+        batch.delete("a");
+        batch.put("c", b"3".to_vec());
+        s.submit_batch(batch).unwrap().wait().unwrap();
+        let mut applied = WriteBatch::new();
+        applied.put("d", b"4".to_vec());
+        s.apply_batch(&applied).unwrap();
+        assert_eq!(s.io_stats().batches, 0, "no frame before the seal");
+        assert_eq!(s.get("a").unwrap(), None);
+        assert_eq!(s.get("c").unwrap(), Some(b"3".to_vec()));
+        s.tx_seal().unwrap().expect("open tx seals").wait().unwrap();
+        let io = s.io_stats();
+        assert_eq!((io.batches, io.batch_ops), (1, 5));
+        drop(s);
+        let segment = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| {
+                matches!(
+                    parse_name(p.file_name().unwrap().to_str().unwrap()),
+                    Some(WalFile::Segment(_))
+                )
+            })
+            .unwrap();
+        let bytes = fs::read(segment).unwrap();
+        let (_, ops, len) = decode_frame(&bytes).expect("one frame");
+        assert_eq!(len, bytes.len(), "and nothing after it");
+        let put = |k: &str, v: &[u8]| Op::Put(k.into(), Arc::from(v));
+        assert_eq!(
+            ops,
+            [
+                put("a", b"1"),
+                put("b", b"2"),
+                Op::Delete("a".into()),
+                put("c", b"3"),
+                put("d", b"4"),
+            ]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

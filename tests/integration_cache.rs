@@ -309,7 +309,8 @@ fn a_requester_in_no_group_costs_no_store_call_per_hot_get() {
 /// three blobs, their three records and the four ancestors above the
 /// parent are 10 puts (20 when each object walked the tree on its own);
 /// an overwrite and an ACL edit are one blob, its record and five
-/// ancestors, 7.
+/// ancestors, 7. Each request is two store writes: its commit's one
+/// batch and its audit append.
 #[test]
 fn a_depth_5_create_is_one_pass_up_the_tree() {
     let r = rig(cached_config(), 308);
@@ -318,19 +319,103 @@ fn a_depth_5_create_is_one_pass_up_the_tree() {
     for dir in ["/a", "/a/b", "/a/b/c", "/a/b/c/d"] {
         a.mkdir(dir).unwrap();
     }
-    let puts = || -> u64 {
+    // (puts, write calls) so far; with batching off every write the
+    // enclave makes is a batch of its own.
+    let writes = || -> (u64, u64) {
         let io = r.server.telemetry().store_io();
-        io.iter().map(|(_, stats, _)| stats.puts).sum()
+        let sum = |f: fn(&seg_store::StoreStats) -> u64| io.iter().map(|(_, s, _)| f(s)).sum();
+        (sum(|s| s.puts), sum(|s| s.batches))
     };
     let mut count = |op: &mut dyn FnMut(&mut segshare::Client<_>)| {
-        let before = puts();
+        let before = writes();
         op(&mut a);
-        puts() - before
+        let after = writes();
+        (after.0 - before.0, after.1 - before.1)
     };
     let create = count(&mut |a| a.put("/a/b/c/d/f", b"version 1").unwrap());
     let overwrite = count(&mut |a| a.put("/a/b/c/d/f", b"version 2").unwrap());
     let set_inherit = count(&mut |a| a.set_inherit("/a/b/c/d/f", true).unwrap());
-    assert_eq!([create, overwrite, set_inherit], [12, 9, 9]);
+    assert_eq!(
+        [create.0, overwrite.0, set_inherit.0],
+        [12, 9, 9],
+        "store puts"
+    );
+    assert_eq!(
+        [create.1, overwrite.1, set_inherit.1],
+        [2, 2, 2],
+        "store writes"
+    );
+}
+
+/// A content store that counts the gets of each key.
+#[derive(Default)]
+struct KeyGets {
+    inner: MemStore,
+    gets: std::sync::Mutex<BTreeMap<String, u64>>,
+}
+
+impl KeyGets {
+    fn of(&self, key: &str) -> u64 {
+        self.gets.lock().unwrap().get(key).copied().unwrap_or(0)
+    }
+}
+
+impl ObjectStore for KeyGets {
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, seg_store::StoreError> {
+        *self
+            .gets
+            .lock()
+            .unwrap()
+            .entry(key.to_string())
+            .or_default() += 1;
+        self.inner.get(key)
+    }
+    fn put(&self, key: &str, value: &[u8]) -> Result<(), seg_store::StoreError> {
+        self.inner.put(key, value)
+    }
+    fn delete(&self, key: &str) -> Result<bool, seg_store::StoreError> {
+        self.inner.delete(key)
+    }
+    fn list(&self) -> Result<Vec<String>, seg_store::StoreError> {
+        self.inner.list()
+    }
+    fn apply_batch(&self, batch: &seg_store::WriteBatch) -> Result<(), seg_store::StoreError> {
+        self.inner.apply_batch(batch)
+    }
+}
+
+/// A put asks its parent's verified listing first: a name the listing
+/// does not hold is a create, which reads no ACL of its own; a listed
+/// file's ACL is read as the proof of an overwrite. Cache on, names
+/// shown, so the store keys are the objects' canonical names.
+#[test]
+fn a_create_reads_no_acl_and_an_overwrite_reads_its_own() {
+    let content = Arc::new(KeyGets::default());
+    let setup = FsoSetup::with_stores(
+        "ca",
+        EnclaveConfig {
+            hide_names: false,
+            ..cached_config()
+        },
+        seg_sgx::Platform::new_with_seed(309),
+        Arc::clone(&content) as Arc<dyn ObjectStore>,
+        Arc::new(MemStore::new()),
+        Arc::new(MemStore::new()),
+    );
+    let server = setup.server().unwrap();
+    let alice = setup.enroll_user("alice", "a@x", "Alice").unwrap();
+    let mut a = server.connect_local(&alice).unwrap();
+    for dir in ["/a", "/a/b", "/a/b/c", "/a/b/c/d"] {
+        a.mkdir(dir).unwrap();
+    }
+    for name in ["f", "g"] {
+        let path = format!("/a/b/c/d/{name}");
+        a.put(&path, b"version 1").unwrap();
+        assert_eq!(content.of(&format!("A:{path}")), 0, "the create of {name}");
+    }
+    a.put("/a/b/c/d/g", b"version 2").unwrap();
+    assert_eq!(content.of("A:/a/b/c/d/g"), 1, "the overwrite");
+    assert_eq!(a.get("/a/b/c/d/g").unwrap(), b"version 2");
 }
 
 /// A cold download of a small file with the cache on opens each node of
@@ -444,16 +529,14 @@ fn a_failed_store_put_never_surfaces_a_body_that_was_not_written() {
     };
 
     // Dry run: how many content-store writes the set-up and the put take.
+    // Every write the enclave makes is one batch.
     let counting = Arc::new(CountingStore::new(MemStore::new()));
-    let writes = || {
-        let s = counting.stats();
-        s.puts + s.deletes + s.renames + s.batches
-    };
+    let writes = || counting.stats().batches;
     let (_server, _, mut a) = launch(Arc::clone(&counting) as Arc<dyn ObjectStore>);
     let before_put = writes();
     a.put("/d/e/doc", b"version 2").unwrap();
     let put_writes = writes() - before_put;
-    assert!(put_writes >= 6, "blob, record, ancestors: {put_writes}");
+    assert_eq!(put_writes, 2, "the commit and the audit append");
 
     for failing in 1..=put_writes {
         let faulty = Arc::new(FaultStore::new(

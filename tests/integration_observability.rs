@@ -733,12 +733,12 @@ add_user;authz;rollback_tree 4 1
 add_user;authz;rollback_tree;crypto_gcm 7 1
 add_user;authz;rollback_tree;pfs 1 1
 add_user;authz;rollback_tree;pfs;crypto_gcm 1 1
-add_user;authz;rollback_tree;store_io 8 1
-add_user;authz;store_io 10 1
+add_user;authz;rollback_tree;store_io 6 1
+add_user;authz;store_io 7 1
 add_user;crypto_gcm 2 1
 add_user;lock_wait 4 1
 add_user;serialize 2 1
-add_user;store_io 2 1
+add_user;store_io 1 1
 add_user;tls_record 2 1
 add_user;tls_record;crypto_gcm 2 1
 data 2 2
@@ -750,9 +750,9 @@ data;rollback_tree 3 2
 data;rollback_tree;crypto_gcm 10 2
 data;rollback_tree;pfs 1 1
 data;rollback_tree;pfs;crypto_gcm 1 1
-data;rollback_tree;store_io 11 2
+data;rollback_tree;store_io 7 2
 data;serialize 4 2
-data;store_io 15 2
+data;store_io 8 2
 data;tls_record 4 2
 data;tls_record;crypto_gcm 4 2
 get 2 2
@@ -775,7 +775,7 @@ get;rollback_tree;pfs 2 1
 get;rollback_tree;pfs;crypto_gcm 2 1
 get;rollback_tree;store_io 5 1
 get;serialize 4 2
-get;store_io 5 2
+get;store_io 3 2
 get;tls_record 4 2
 get;tls_record;crypto_gcm 4 2
 get_stream 1 1
@@ -794,13 +794,13 @@ mk_dir;pfs 6 2
 mk_dir;pfs;crypto_gcm 6 2
 mk_dir;rollback_tree 4 2
 mk_dir;rollback_tree;crypto_gcm 6 2
-mk_dir;rollback_tree;store_io 7 2
+mk_dir;rollback_tree;store_io 5 2
 mk_dir;serialize 4 2
-mk_dir;store_io 12 2
+mk_dir;store_io 7 2
 mk_dir;tls_record 4 2
 mk_dir;tls_record;crypto_gcm 4 2
 put_file 2 2
-put_file;authz 4 2
+put_file;authz 3 2
 put_file;authz;pfs 3 2
 put_file;authz;pfs;crypto_gcm 3 2
 put_file;authz;rollback_tree 3 2
@@ -808,17 +808,17 @@ put_file;authz;rollback_tree;crypto_gcm 7 2
 put_file;authz;rollback_tree;pfs 4 2
 put_file;authz;rollback_tree;pfs;crypto_gcm 4 2
 put_file;authz;rollback_tree;store_io 11 2
-put_file;authz;store_io 5 2
+put_file;authz;store_io 4 2
 put_file;lock_wait 6 2
-put_file;pfs 1 1
-put_file;pfs;crypto_gcm 1 1
-put_file;rollback_tree 1 1
-put_file;rollback_tree;crypto_gcm 2 1
-put_file;rollback_tree;pfs 1 1
-put_file;rollback_tree;pfs;crypto_gcm 1 1
-put_file;rollback_tree;store_io 3 1
+put_file;pfs 2 2
+put_file;pfs;crypto_gcm 2 2
+put_file;rollback_tree 2 2
+put_file;rollback_tree;crypto_gcm 4 2
+put_file;rollback_tree;pfs 2 2
+put_file;rollback_tree;pfs;crypto_gcm 2 2
+put_file;rollback_tree;store_io 6 2
 put_file;serialize 2 2
-put_file;store_io 1 1
+put_file;store_io 2 2
 put_file;tls_record 2 2
 put_file;tls_record;crypto_gcm 2 2
 set_perm 1 1
@@ -837,12 +837,12 @@ set_perm;pfs 1 1
 set_perm;pfs;crypto_gcm 1 1
 set_perm;rollback_tree 1 1
 set_perm;rollback_tree;crypto_gcm 4 1
-set_perm;rollback_tree;store_io 4 1
+set_perm;rollback_tree;store_io 2 1
 set_perm;serialize 2 1
-set_perm;store_io 5 1
+set_perm;store_io 3 1
 set_perm;tls_record 2 1
 set_perm;tls_record;crypto_gcm 2 1
-seg_boundary_ocalls_total 159
+seg_boundary_ocalls_total 126
 seg_request_errors_total{code="already_exists",op="mk_dir"} 1
 seg_request_errors_total{code="not_found",op="get"} 1
 seg_requests_total{op="add_user"} 1
@@ -851,13 +851,13 @@ seg_requests_total{op="get"} 2
 seg_requests_total{op="mk_dir"} 2
 seg_requests_total{op="put_file"} 2
 seg_requests_total{op="set_perm"} 1
-seg_store_batch_ops_total{store="content"} 0
+seg_store_batch_ops_total{store="content"} 44
 seg_store_batch_ops_total{store="dedup"} 0
-seg_store_batch_ops_total{store="group"} 0
-seg_store_batches_total{store="content"} 0
+seg_store_batch_ops_total{store="group"} 12
+seg_store_batches_total{store="content"} 16
 seg_store_batches_total{store="dedup"} 0
-seg_store_batches_total{store="group"} 0
-seg_store_bytes_read_total{store="content"} 355820
+seg_store_batches_total{store="group"} 4
+seg_store_bytes_read_total{store="content"} 369380
 seg_store_bytes_read_total{store="dedup"} 0
 seg_store_bytes_read_total{store="group"} 47796
 seg_store_bytes_written_total{store="content"} 274621
@@ -869,7 +869,7 @@ seg_store_ops_total{op="delete",store="group"} 0
 seg_store_ops_total{op="exists",store="content"} 0
 seg_store_ops_total{op="exists",store="dedup"} 0
 seg_store_ops_total{op="exists",store="group"} 0
-seg_store_ops_total{op="get",store="content"} 65
+seg_store_ops_total{op="get",store="content"} 68
 seg_store_ops_total{op="get",store="dedup"} 0
 seg_store_ops_total{op="get",store="group"} 24
 seg_store_ops_total{op="list",store="content"} 0
@@ -881,16 +881,16 @@ seg_store_ops_total{op="put",store="group"} 12
 seg_store_ops_total{op="rename",store="content"} 0
 seg_store_ops_total{op="rename",store="dedup"} 0
 seg_store_ops_total{op="rename",store="group"} 0
-mk_dir 7 8
-put_file 10 0
-data 8 9
-get 13 2
-add_user 11 9
-set_perm 13 6
-put_file 10 0
-data 3 6
-get 2 2
-mk_dir 2 2
+mk_dir 7 2
+put_file 9 0
+data 8 2
+get 13 1
+add_user 11 3
+set_perm 13 2
+put_file 14 0
+data 3 2
+get 2 1
+mk_dir 2 1
 "#;
 
 #[test]

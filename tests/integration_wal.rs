@@ -572,9 +572,19 @@ fn write_counts(server: &SegShareServer) -> Vec<(&'static str, u64, u64)> {
         .collect()
 }
 
+/// Frames in the shared log, and the windows that wrote one: every
+/// request's window appends its one audit record, and blob GC and
+/// backup restoration run a window each with none.
+fn frames_and_windows(server: &SegShareServer) -> (u64, u64) {
+    let frames = server.telemetry().store_io()[0].2.batches;
+    (frames, server.audit_verify().unwrap())
+}
+
 /// Every store write the enclave makes after launch is inside a commit
-/// window: per view, the writes issued equal the writes sealed into
-/// batches, across every request kind, blob GC and backup restoration.
+/// window, across every request kind, blob GC and backup restoration:
+/// the log holds one frame per window, and per view the writes issued
+/// equal the writes sealed into batches. A write outside its window is
+/// a frame of its own.
 #[test]
 fn every_store_write_after_launch_is_inside_a_window() {
     let dir = tempdir("window");
@@ -582,6 +592,7 @@ fn every_store_write_after_launch_is_inside_a_window() {
     let server = setup.server().unwrap();
     let mut c = connect(&setup, &server, "alice");
     let before = write_counts(&server);
+    let (frames0, records0) = frames_and_windows(&server);
     let big: Vec<u8> = (0..3 * seg_proto::CHUNK_LEN)
         .map(|i| (i % 251) as u8)
         .collect();
@@ -605,6 +616,12 @@ fn every_store_write_after_launch_is_inside_a_window() {
         .restore_with_reset(&setup.ca().public_key(), &setup.signed_reset())
         .unwrap();
     let after = write_counts(&server);
+    let (frames1, records1) = frames_and_windows(&server);
+    assert_eq!(
+        frames1 - frames0,
+        records1 - records0 + 2,
+        "frames against windows (the requests', GC's and restoration's)"
+    );
     for ((store, writes0, sealed0), (_, writes1, sealed1)) in before.into_iter().zip(after) {
         assert_eq!(
             writes1 - writes0,
@@ -756,11 +773,19 @@ fn restore_beside_writes_across_checkpoints_never_poisons() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A store view whose next put panics once armed: a handler bug inside
-/// a commit window.
+/// A store view whose next put or batch panics once armed: a handler
+/// bug inside a commit window.
 struct PanicOnPut<S> {
     inner: S,
     armed: std::sync::atomic::AtomicBool,
+}
+
+impl<S> PanicOnPut<S> {
+    fn trip(&self, what: &str) {
+        if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            panic!("armed write of {what}");
+        }
+    }
 }
 
 impl<S: ObjectStore> ObjectStore for PanicOnPut<S> {
@@ -771,9 +796,7 @@ impl<S: ObjectStore> ObjectStore for PanicOnPut<S> {
         self.inner.get_arc(key)
     }
     fn put(&self, key: &str, value: &[u8]) -> Result<(), seg_store::StoreError> {
-        if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
-            panic!("armed put of {key}");
-        }
+        self.trip(key);
         self.inner.put(key, value)
     }
     fn delete(&self, key: &str) -> Result<bool, seg_store::StoreError> {
@@ -804,6 +827,7 @@ impl<S: ObjectStore> ObjectStore for PanicOnPut<S> {
         &self,
         batch: seg_store::WriteBatch,
     ) -> Result<seg_store::CommitTicket, seg_store::StoreError> {
+        self.trip("a batch");
         self.inner.submit_batch(batch)
     }
     fn tx_begin(&self) {
