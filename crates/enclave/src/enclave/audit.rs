@@ -328,10 +328,15 @@ impl AuditLog {
                 // record write and the head write. Complete it.
                 let new_anchor = match &counter {
                     None => 0,
-                    // The crash hit before the counter increment.
+                    // The store kept the record but not the head; the
+                    // counter, which moves only after the whole batch
+                    // landed, never moved for it.
                     Some(counter) if hw == anchor => counter.issue(),
-                    // The crash hit between the increment and the head
-                    // write; the counter already covers this record.
+                    // The counter covers this record: the store
+                    // acknowledged the batch and then lost the head (or
+                    // the head was rolled back one append). Nothing this
+                    // enclave writes leaves that state; completing the
+                    // append restores the acknowledged chain.
                     Some(_) if hw == anchor + 1 => hw,
                     Some(_) => {
                         return Err(tamper(
@@ -857,8 +862,8 @@ mod tests {
             let stale_head = store.get(HEAD_NAME).unwrap().unwrap();
             append(&log, 2).unwrap();
             drop(log);
-            // Crash state: record 2 persisted (and, with the counter on,
-            // the counter incremented) but the head write "was lost".
+            // Record 2 persisted (and, with the counter on, the counter
+            // incremented) but the store lost the head it acknowledged.
             store.put(HEAD_NAME, &stale_head).unwrap();
             let log = load_log(&platform, &store, use_counter).expect("recovery");
             assert_eq!(log.len(), 3, "use_counter={use_counter}");
@@ -888,6 +893,29 @@ mod tests {
         let log = load_log(&platform, &store, true).expect("recovery");
         assert_eq!(log.len(), 2);
         assert_eq!(log.verify().unwrap(), 2);
+    }
+
+    /// Immediate mode writes the head before it increments: a crash (or
+    /// a failed increment) in between leaves a head one ahead of the
+    /// counter, which the next launch adopts.
+    #[test]
+    fn an_immediate_head_whose_increment_was_lost_is_adopted() {
+        let store = Arc::new(MemStore::new());
+        let log = load_log(&Platform::new_with_seed(47), &store, true).expect("fresh load");
+        append(&log, 0).unwrap();
+        append(&log, 1).unwrap();
+        drop(log);
+        // Relaunch where the counter stands one behind the head: the
+        // second append's head landed, its increment did not.
+        let platform = Platform::new_with_seed(48);
+        let sgx = platform.launch(&EnclaveImage::from_code(b"audit-test"));
+        sgx.counter(AUDIT_COUNTER_ID).increment().unwrap();
+        let log = load_log(&platform, &store, true).expect("adoption");
+        assert_eq!(sgx.counter(AUDIT_COUNTER_ID).read(), 2);
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.verify().unwrap(), 2);
+        append(&log, 2).unwrap();
+        assert_eq!(log.verify().unwrap(), 3);
     }
 
     /// Loads a batch-mode (deferred-anchor) log on `platform`.

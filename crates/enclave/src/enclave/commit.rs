@@ -32,8 +32,9 @@ use super::SegShareEnclave;
 /// that record ([`Anchor::written`]): a failed write moves nothing.
 /// Immediate mode (batch off) then increments at once. Deferred mode
 /// (batch on) increments once the commit window's frame is durable
-/// ([`Anchor::settle`]); a crash in between leaves a record exactly one
-/// ahead, which the next launch adopts ([`Anchor::adopt`]).
+/// ([`Anchor::settle`]). In both, a crash or a failed increment between
+/// the write and the increment leaves a record exactly one ahead, which
+/// the next launch adopts ([`Anchor::adopt`]).
 pub(crate) struct Anchor {
     sgx: Arc<Enclave>,
     id: u64,
@@ -95,12 +96,13 @@ impl Anchor {
         Ok(())
     }
 
-    /// Launch-time adoption of a stored `value`: exactly `hw + 1` in
-    /// deferred mode is the previous process's durable window whose
-    /// increment a crash lost, and the counter catches up by one. Any
-    /// larger gap stays, so reads then fail §V-E, as a rollback must.
+    /// Launch-time adoption of a stored `value`: exactly `hw + 1` is the
+    /// previous process's last write whose increment a crash (or a
+    /// failed increment) lost, since every mode writes before it
+    /// increments, and the counter catches up by one. Any larger gap
+    /// stays, so reads then fail §V-E, as a rollback must.
     pub(crate) fn adopt(&self, value: u64) -> Result<(), SegShareError> {
-        if self.deferred && value == self.read() + 1 {
+        if value == self.read() + 1 {
             self.increment()?;
         }
         Ok(())
@@ -242,9 +244,6 @@ mod tests {
         assert!(!a.accepts(0) && !a.accepts(2));
         a.settle().unwrap();
         assert_eq!(a.read(), 1, "nothing was deferred");
-        // Adoption is a deferred-mode repair only.
-        a.adopt(2).unwrap();
-        assert_eq!(a.read(), 1);
     }
 
     #[test]
@@ -267,19 +266,21 @@ mod tests {
 
     #[test]
     fn adoption_catches_up_exactly_one() {
-        let platform = Platform::new_with_seed(62);
-        let a = anchor(&platform, true);
-        // A restart finds a record one ahead: the lost increment.
-        a.adopt(1).unwrap();
-        assert_eq!(a.read(), 1);
-        // A record two ahead is a rollback of the whole trail: neither
-        // adopted nor accepted.
-        a.adopt(3).unwrap();
-        assert_eq!(a.read(), 1);
-        assert!(!a.accepts(3));
-        // Values at or behind the hardware change nothing.
-        a.adopt(1).unwrap();
-        a.adopt(0).unwrap();
-        assert_eq!(a.read(), 1);
+        // Both modes write before they increment, so both adopt.
+        for batch in [false, true] {
+            let a = anchor(&Platform::new_with_seed(62), batch);
+            // A restart finds a record one ahead: the lost increment.
+            a.adopt(1).unwrap();
+            assert_eq!(a.read(), 1);
+            // A record two ahead is a rollback of the whole trail:
+            // neither adopted nor accepted.
+            a.adopt(3).unwrap();
+            assert_eq!(a.read(), 1);
+            assert!(!a.accepts(3));
+            // Values at or behind the hardware change nothing.
+            a.adopt(1).unwrap();
+            a.adopt(0).unwrap();
+            assert_eq!(a.read(), 1);
+        }
     }
 }

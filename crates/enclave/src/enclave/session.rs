@@ -762,28 +762,39 @@ fn do_put_file(
     // *existing* file even in the root, so the world-creatable root
     // cannot be abused to clobber other users' files.
     let access = enclave.access();
-    // The parent's verified listing decides: an unlisted name is a new
-    // file, and reads no ACL; a listed directory is refused.
-    let listed = enclave.files().listed(&path)?;
-    if listed == Some(ChildKind::Directory) {
-        refuse_listed(&path, listed)?;
-    }
-    let (allowed, owner) = match listed {
-        None => {
-            let allowed = parent.is_root() || access.auth_path(user, Access::Write, &parent)?;
-            (allowed, Some(user.default_group()))
+    // The ACL of the file being overwritten, or `None` for a create.
+    // With the cache on, the parent's verified listing is an in-memory
+    // hit, so it goes first and a create reads no ACL. With the cache
+    // off every verified read walks the store, so the ACL an overwrite
+    // needs anyway goes first and only its absence asks the listing.
+    // Either way a listed file whose ACL the store does not return must
+    // not change hands, and a listed directory is refused.
+    let mut existing = if enclave.config().cache {
+        None
+    } else {
+        access.acl(&path)?
+    };
+    if existing.is_none() {
+        match enclave.files().listed(&path)? {
+            Some(ChildKind::File) => {
+                existing = Some(access.acl(&path)?.ok_or_else(|| {
+                    SegShareError::Integrity(format!(
+                        "{path}: listed in its parent, but its ACL is missing from the store"
+                    ))
+                })?);
+            }
+            listed => refuse_listed(&path, listed)?,
         }
-        // An overwrite: the file's ACL proves it. A listed file whose
-        // ACL the store did not return must not change hands.
-        Some(_) => {
-            let acl = access.acl(&path)?.ok_or_else(|| {
-                SegShareError::Integrity(format!(
-                    "{path}: listed in its parent, but its ACL is missing from the store"
-                ))
-            })?;
+    }
+    let (allowed, owner) = match existing {
+        Some(acl) => {
             let allowed = access.auth_file(user, Access::Write, &path, acl)?
                 || access.auth_path(user, Access::Write, &parent)?;
             (allowed, None)
+        }
+        None => {
+            let allowed = parent.is_root() || access.auth_path(user, Access::Write, &parent)?;
+            (allowed, Some(user.default_group()))
         }
     };
     if !allowed {

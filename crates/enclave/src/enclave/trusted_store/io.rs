@@ -69,7 +69,8 @@ impl TrustedStore {
     /// blobs, their leaf records and every updated record go to the
     /// store as one batch. Whatever the commit reads to decide its
     /// changes (a parent's directory file, say) the caller reads before,
-    /// through the verified path. All changes must be in one store.
+    /// through the verified path. All changes must be in one store: a
+    /// commit that mixes stores panics before it changes anything.
     ///
     /// The batch lands whole or not at all. The records the commit took
     /// out of the cache to update return only once it landed, so a
@@ -98,12 +99,6 @@ impl TrustedStore {
                 Ok((id, blob))
             })
             .collect::<Result<Vec<_>, SegShareError>>()?;
-        debug_assert!(
-            changes
-                .iter()
-                .all(|(id, _)| id.store() == changes[0].0.store()),
-            "a commit writes one store"
-        );
         let lock = changes.iter().find_map(|(id, _)| self.tree_lock_for(id));
         let _tree = lock.map(parking_lot::RwLock::write);
         let result = self.commit_locked(&mut changes);

@@ -455,7 +455,15 @@ mod tests {
     /// A trusted store whose content store is `content` (a fault or
     /// counting wrapper, say).
     fn store_on(config: EnclaveConfig, content: Arc<dyn ObjectStore>) -> TrustedStore {
-        let platform = Platform::new_with_seed(1);
+        launch_on(&Platform::new_with_seed(1), config, content)
+    }
+
+    /// [`store_on`] on `platform`, whose counters a relaunch shares.
+    fn launch_on(
+        platform: &Platform,
+        config: EnclaveConfig,
+        content: Arc<dyn ObjectStore>,
+    ) -> TrustedStore {
         let sgx = Arc::new(platform.launch(&EnclaveImage::from_code(b"test-enclave")));
         let [group, dedup] = [(); 2].map(|()| StoreOcall::new(&sgx, Arc::new(MemStore::new())));
         let content = StoreOcall::new(&sgx, content);
@@ -1061,6 +1069,55 @@ mod tests {
             f.store.read(&file_id("/a")),
             Err(SegShareError::Integrity(msg)) if msg.contains("counter")
         ));
+    }
+
+    #[test]
+    fn a_root_written_before_its_lost_increment_is_adopted_at_launch() {
+        let whole_fs = EnclaveConfig {
+            rollback_whole_fs: true,
+            ..EnclaveConfig::default()
+        };
+        let f = fixture(whole_fs);
+        init_root(&f);
+        register_child(&f, "a", seg_fs::ChildKind::File);
+        f.store.write(&file_id("/a"), b"state 1").unwrap();
+        let stored = f.store.root_anchors()[0].read();
+        // Relaunch where the content counter stands one behind the
+        // stored root: the last commit's write landed, its increment
+        // did not.
+        let platform = Platform::new_with_seed(2);
+        let sgx = platform.launch(&EnclaveImage::from_code(b"test-enclave"));
+        for _ in 1..stored {
+            sgx.counter(1).increment().unwrap();
+        }
+        let content = Arc::clone(&f.content) as Arc<dyn ObjectStore>;
+        let relaunched = launch_on(&platform, whole_fs, content);
+        assert!(matches!(
+            relaunched.read(&file_id("/a")),
+            Err(SegShareError::Integrity(msg)) if msg.contains("counter")
+        ));
+        relaunched.adopt_root_counters().unwrap();
+        assert_eq!(relaunched.root_anchors()[0].read(), stored);
+        assert_eq!(
+            relaunched.read(&file_id("/a")).unwrap().unwrap(),
+            b"state 1"
+        );
+    }
+
+    #[test]
+    fn a_commit_that_mixes_stores_is_refused_before_it_writes() {
+        let f = fixture(EnclaveConfig::default());
+        init_root(&f);
+        register_child(&f, "a", seg_fs::ChildKind::File);
+        let before = f.content.snapshot();
+        let (file, list) = (file_id("/a"), ObjectId::GroupList);
+        let mixed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f.store
+                .commit([(&file, Change::Body(b"body")), (&list, Change::Delete)])
+        }));
+        assert!(mixed.is_err(), "one batch cannot span two stores");
+        assert_eq!(f.content.snapshot(), before);
+        assert!(f.store.read(&ObjectId::GroupList).unwrap().is_some());
     }
 
     // ---------------------------------------------------- trusted records

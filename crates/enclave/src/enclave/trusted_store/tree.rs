@@ -423,6 +423,11 @@ impl TrustedStore {
         let Some(store) = changes.first().map(|(id, _)| id.store()) else {
             return Ok(());
         };
+        // The batch goes to one store, so every change must be in it.
+        assert!(
+            changes.iter().all(|(id, _)| id.store() == store),
+            "a commit writes one store"
+        );
         for (id, _) in changes.iter() {
             self.cache_invalidate_object(id);
         }

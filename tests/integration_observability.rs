@@ -800,7 +800,7 @@ mk_dir;store_io 7 2
 mk_dir;tls_record 4 2
 mk_dir;tls_record;crypto_gcm 4 2
 put_file 2 2
-put_file;authz 3 2
+put_file;authz 4 2
 put_file;authz;pfs 3 2
 put_file;authz;pfs;crypto_gcm 3 2
 put_file;authz;rollback_tree 3 2
@@ -808,17 +808,17 @@ put_file;authz;rollback_tree;crypto_gcm 7 2
 put_file;authz;rollback_tree;pfs 4 2
 put_file;authz;rollback_tree;pfs;crypto_gcm 4 2
 put_file;authz;rollback_tree;store_io 11 2
-put_file;authz;store_io 4 2
+put_file;authz;store_io 5 2
 put_file;lock_wait 6 2
-put_file;pfs 2 2
-put_file;pfs;crypto_gcm 2 2
-put_file;rollback_tree 2 2
-put_file;rollback_tree;crypto_gcm 4 2
-put_file;rollback_tree;pfs 2 2
-put_file;rollback_tree;pfs;crypto_gcm 2 2
-put_file;rollback_tree;store_io 6 2
+put_file;pfs 1 1
+put_file;pfs;crypto_gcm 1 1
+put_file;rollback_tree 1 1
+put_file;rollback_tree;crypto_gcm 2 1
+put_file;rollback_tree;pfs 1 1
+put_file;rollback_tree;pfs;crypto_gcm 1 1
+put_file;rollback_tree;store_io 3 1
 put_file;serialize 2 2
-put_file;store_io 2 2
+put_file;store_io 1 1
 put_file;tls_record 2 2
 put_file;tls_record;crypto_gcm 2 2
 set_perm 1 1
@@ -842,7 +842,7 @@ set_perm;serialize 2 1
 set_perm;store_io 3 1
 set_perm;tls_record 2 1
 set_perm;tls_record;crypto_gcm 2 1
-seg_boundary_ocalls_total 126
+seg_boundary_ocalls_total 123
 seg_request_errors_total{code="already_exists",op="mk_dir"} 1
 seg_request_errors_total{code="not_found",op="get"} 1
 seg_requests_total{op="add_user"} 1
@@ -857,7 +857,7 @@ seg_store_batch_ops_total{store="group"} 12
 seg_store_batches_total{store="content"} 16
 seg_store_batches_total{store="dedup"} 0
 seg_store_batches_total{store="group"} 4
-seg_store_bytes_read_total{store="content"} 369380
+seg_store_bytes_read_total{store="content"} 355820
 seg_store_bytes_read_total{store="dedup"} 0
 seg_store_bytes_read_total{store="group"} 47796
 seg_store_bytes_written_total{store="content"} 274621
@@ -869,7 +869,7 @@ seg_store_ops_total{op="delete",store="group"} 0
 seg_store_ops_total{op="exists",store="content"} 0
 seg_store_ops_total{op="exists",store="dedup"} 0
 seg_store_ops_total{op="exists",store="group"} 0
-seg_store_ops_total{op="get",store="content"} 68
+seg_store_ops_total{op="get",store="content"} 65
 seg_store_ops_total{op="get",store="dedup"} 0
 seg_store_ops_total{op="get",store="group"} 24
 seg_store_ops_total{op="list",store="content"} 0
@@ -882,12 +882,12 @@ seg_store_ops_total{op="rename",store="content"} 0
 seg_store_ops_total{op="rename",store="dedup"} 0
 seg_store_ops_total{op="rename",store="group"} 0
 mk_dir 7 2
-put_file 9 0
+put_file 10 0
 data 8 2
 get 13 1
 add_user 11 3
 set_perm 13 2
-put_file 14 0
+put_file 10 0
 data 3 2
 get 2 1
 mk_dir 2 1
