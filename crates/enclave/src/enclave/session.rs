@@ -769,11 +769,8 @@ fn do_put_file(
     // needs anyway goes first and only its absence asks the listing.
     // Either way a listed file whose ACL the store does not return must
     // not change hands, and a listed directory is refused.
-    let mut existing = if enclave.config().cache {
-        None
-    } else {
-        access.acl(&path)?
-    };
+    let acl_first = !enclave.config().cache;
+    let mut existing = if acl_first { access.acl(&path)? } else { None };
     if existing.is_none() {
         match enclave.files().listed(&path)? {
             Some(ChildKind::File) => {

@@ -424,10 +424,7 @@ impl TrustedStore {
             return Ok(());
         };
         // The batch goes to one store, so every change must be in it.
-        assert!(
-            changes.iter().all(|(id, _)| id.store() == store),
-            "a commit writes one store"
-        );
+        assert!(changes.iter().all(|(id, _)| id.store() == store));
         for (id, _) in changes.iter() {
             self.cache_invalidate_object(id);
         }
