@@ -2,10 +2,13 @@
 //! of the durability plane (DESIGN.md §10).
 //!
 //! [`SegShareEnclave::commit`] is the one function through which the
-//! enclave makes a durable write after launch: every control request
-//! but an accepted upload header (it writes nothing), every upload's
-//! end, first-boot initialization, blob GC and backup restoration each
-//! make one call. [`Anchor`] is the one implementation
+//! enclave reaches a store after launch, to write or to read: every
+//! control request, every upload header's checks, every upload's end,
+//! first-boot initialization, blob GC, backup restoration, each scrub
+//! step and each audit verify or export make one call. A backend shows
+//! a window's writes only to its own thread until the seal, so a read
+//! outside any window could see a store behind the enclave's trusted
+//! state. [`Anchor`] is the one implementation
 //! of the defer-the-increment policy, one per monotonic counter: the
 //! trusted store holds the content and group roots', the audit log its
 //! head's. `EnclaveConfig::batch` is read here and nowhere else.

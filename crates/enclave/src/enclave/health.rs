@@ -115,11 +115,20 @@ impl SegShareEnclave {
     /// an orphan scan of the content and group stores. The caller — the
     /// host's health tick — folds the returned report into its counters,
     /// newest findings and verdict. Scrub time is charged to the `scrub`
-    /// profiler phase.
+    /// profiler phase. The step reads inside a commit window of its own,
+    /// as every store access after launch does; it writes nothing, so
+    /// the window seals nothing.
     pub fn scrub_step(&self) -> ScrubReport {
         let _prof = self.begin_root("scrub");
-        let mut progress = self.scrub.lock();
         let mut report = ScrubReport::default();
+        // The window writes nothing, so a failed seal or settle undoes
+        // nothing the reads found: the report stands.
+        let _ = self.commit(None, || self.scrub_in_window(&mut report));
+        report
+    }
+
+    fn scrub_in_window(&self, report: &mut ScrubReport) -> Result<(), crate::SegShareError> {
+        let mut progress = self.scrub.lock();
 
         if progress.start_keys.is_none() {
             let mut start = Vec::new();
@@ -169,14 +178,14 @@ impl SegShareEnclave {
                 break;
             };
             walked += 1;
-            self.scrub_walk_item(&item, &mut progress, &mut report);
+            self.scrub_walk_item(&item, &mut progress, report);
         }
         report.examined(ScrubCheck::Tree, walked as u64);
 
         if progress.walk_done && progress.audit_done {
-            self.scrub_finish_pass(&mut progress, &mut report);
+            self.scrub_finish_pass(&mut progress, report);
         }
-        report
+        Ok(())
     }
 
     /// Verifies one namespace object (and discovers its children).

@@ -499,9 +499,11 @@ impl SegShareEnclave {
     ///
     /// Returns [`SegShareError::Integrity`] naming the detected tamper
     /// class (truncation, reorder/substitution, bit-flip, head
-    /// rollback).
+    /// rollback). Reads inside a commit window, as every store access
+    /// after launch does.
     pub fn audit_verify(&self) -> Result<u64, SegShareError> {
-        self.audit.as_ref().map_or(Ok(0), |log| log.verify())
+        let audit = self.audit.as_deref();
+        self.commit(None, || audit.map_or(Ok(0), AuditLog::verify))
     }
 
     /// Decrypts and returns the verified audit chain. Records carry
@@ -512,9 +514,8 @@ impl SegShareEnclave {
     ///
     /// Fails exactly when [`SegShareEnclave::audit_verify`] fails.
     pub fn audit_export(&self) -> Result<Vec<AuditRecord>, SegShareError> {
-        self.audit
-            .as_ref()
-            .map_or_else(|| Ok(Vec::new()), |log| log.export())
+        let audit = self.audit.as_deref();
+        self.commit(None, || audit.map_or(Ok(vec![]), AuditLog::export))
     }
 
     /// Reclaims dedup blobs whose reference count dropped to zero,

@@ -349,9 +349,10 @@ impl EnclaveSession {
 
     /// Every request but a data chunk: dispatch inside the commit
     /// window, with the decision audited before the response leaves the
-    /// enclave. An upload header is the exception: it writes nothing,
-    /// so only a refused one opens a window, for its record; an
-    /// accepted one keeps its record until the upload ends.
+    /// enclave. An upload header writes nothing: its checks run in a
+    /// window of their own with no record, a refused header's record
+    /// then takes a second, and an accepted one keeps its record until
+    /// the upload ends.
     fn handle_control(
         &mut self,
         enclave: &SegShareEnclave,
@@ -369,7 +370,7 @@ impl EnclaveSession {
         let Request::PutFile { path, size } = request else {
             return enclave.commit(Some(record), || self.dispatch(enclave, user, request));
         };
-        match do_put_file(enclave, user, path, *size) {
+        match enclave.commit(None, || do_put_file(enclave, user, path, *size)) {
             Ok(upload) => {
                 self.upload = Some((upload, *record));
                 if *size > 0 {

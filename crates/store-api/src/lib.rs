@@ -348,10 +348,11 @@ pub trait ObjectStore: Send + Sync {
     }
 
     /// Begins a thread-local transaction: until [`ObjectStore::tx_seal`],
-    /// this thread's `put`/`delete`/`rename` calls apply to the visible
-    /// state immediately (read-your-own-writes) but accumulate into one
-    /// pending [`WriteBatch`] instead of becoming durable individually.
-    /// Idempotent per thread; a no-op on backends without batching.
+    /// this thread's writes (`put`, `delete`, `rename` and batches) are
+    /// visible to this thread until the seal (read-your-own-writes) and
+    /// to no other, and accumulate into one pending [`WriteBatch`]
+    /// instead of becoming durable individually. Idempotent per thread;
+    /// a no-op on backends without batching.
     ///
     /// Transactions on different threads may overlap. When two of them
     /// write one key, the later seal wins, in memory and on disk alike:
@@ -360,8 +361,8 @@ pub trait ObjectStore: Send + Sync {
 
     /// Seals this thread's open transaction (if any) into one atomic
     /// commit unit and returns its durability ticket. `Ok(None)` when no
-    /// transaction is open — so callers can seal unconditionally — and
-    /// on backends without batching.
+    /// transaction is open — so callers can seal unconditionally — when
+    /// the transaction holds no write, and on backends without batching.
     ///
     /// # Errors
     ///

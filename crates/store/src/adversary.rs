@@ -192,6 +192,14 @@ impl<S: ObjectStore> ObjectStore for AdversaryStore<S> {
         self.inner.submit_batch(batch)
     }
 
+    fn tx_begin(&self) {
+        self.inner.tx_begin();
+    }
+
+    fn tx_seal(&self) -> Result<Option<crate::CommitTicket>, StoreError> {
+        self.inner.tx_seal()
+    }
+
     fn io_stats(&self) -> crate::IoStats {
         self.inner.io_stats()
     }
@@ -248,6 +256,14 @@ mod tests {
             s.tamper("missing", 0, 0),
             Err(StoreError::NotFound(_))
         ));
+    }
+
+    #[test]
+    fn a_batch_inside_a_transaction_adds_no_frame_until_the_seal() {
+        crate::wal::tests::a_wrapped_batch_waits_for_the_seal(
+            "adversary-store",
+            AdversaryStore::new,
+        );
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub struct StoreStats {
     pub bytes_read: u64,
     /// Total bytes passed to `put`.
     pub bytes_written: u64,
-    /// Number of write batches: each transaction sealed, and each batch
-    /// submitted or applied outside a transaction.
+    /// Number of write batches: each transaction sealed with a write in
+    /// it, and each batch submitted or applied outside a transaction.
     pub batches: u64,
     /// Total operations carried inside those batches.
     pub batch_ops: u64,

@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
-use crate::{BatchOp, ObjectStore, StoreError, WriteBatch};
+use crate::{BatchOp, CommitTicket, ObjectStore, StoreError, WriteBatch};
 
 /// The kind of durability event a [`FaultPlan`] counts (reported back
 /// to tests so a matrix can label what it killed).
@@ -105,6 +105,7 @@ pub struct FaultStore<S> {
     inner: S,
     action: FaultAction,
     countdown: AtomicI64,
+    writes: AtomicU64,
     poisoned: AtomicBool,
 }
 
@@ -116,6 +117,7 @@ impl<S: ObjectStore> FaultStore<S> {
             inner,
             action,
             countdown: AtomicI64::new(i64::try_from(n).unwrap_or(i64::MAX)),
+            writes: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
         }
     }
@@ -124,6 +126,13 @@ impl<S: ObjectStore> FaultStore<S> {
     #[must_use]
     pub fn inner(&self) -> &S {
         &self.inner
+    }
+
+    /// Writes counted so far, the failing one included: a clean run
+    /// (`n = u64::MAX`) learns how many a workload makes.
+    #[must_use]
+    pub fn writes(&self) -> u64 {
+        self.writes.load(Ordering::SeqCst)
     }
 
     /// Whether the scripted fault has fired and poisoned the store.
@@ -145,6 +154,7 @@ impl<S: ObjectStore> FaultStore<S> {
 
     /// Counts one write; `true` means this write is the failpoint.
     fn write_event(&self) -> bool {
+        self.writes.fetch_add(1, Ordering::SeqCst);
         self.countdown.fetch_sub(1, Ordering::SeqCst) == 1
     }
 
@@ -267,6 +277,17 @@ impl<S: ObjectStore> ObjectStore for FaultStore<S> {
         self.inner.apply_batch(batch)
     }
 
+    fn tx_begin(&self) {
+        self.inner.tx_begin();
+    }
+
+    /// A crashed store seals nothing: what the window wrote never
+    /// reaches the inner store.
+    fn tx_seal(&self) -> Result<Option<CommitTicket>, StoreError> {
+        self.check_alive()?;
+        self.inner.tx_seal()
+    }
+
     fn io_stats(&self) -> crate::IoStats {
         self.inner.io_stats()
     }
@@ -311,6 +332,13 @@ mod tests {
         assert!(s.put("a", b"1").is_err());
         assert_eq!(s.inner().get("a").unwrap(), Some(b"1".to_vec()));
         assert!(s.put("b", b"2").is_err());
+    }
+
+    #[test]
+    fn a_batch_inside_a_transaction_adds_no_frame_until_the_seal() {
+        crate::wal::tests::a_wrapped_batch_waits_for_the_seal("fault-store", |wal| {
+            FaultStore::new(wal, FaultAction::FailWrite, u64::MAX)
+        });
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! logical store is a distinct key-prefix view of the same backend, and
 //! thread transactions ([`ObjectStore::tx_begin`]/[`ObjectStore::tx_seal`])
 //! pass straight through — beginning a transaction on all three views
-//! is idempotently beginning it once on the shared log, and a batch any
-//! view submits inside it joins it.
+//! is idempotently beginning it once on the shared log, a batch any
+//! view submits inside it joins it, and every view's reads on that
+//! thread see the transaction's writes, which no other thread sees
+//! before the seal.
 
 use std::sync::Arc;
 

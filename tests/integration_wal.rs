@@ -632,6 +632,162 @@ fn every_store_write_after_launch_is_inside_a_window() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store view that tracks, per thread, whether a commit window is
+/// open on it, and once armed notes every read made outside one.
+struct WindowReads<S> {
+    inner: S,
+    windows: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    armed: std::sync::atomic::AtomicBool,
+    strays: std::sync::Mutex<Vec<String>>,
+}
+
+impl<S> WindowReads<S> {
+    fn new(inner: S) -> WindowReads<S> {
+        WindowReads {
+            inner,
+            windows: std::sync::Mutex::default(),
+            armed: std::sync::atomic::AtomicBool::new(false),
+            strays: std::sync::Mutex::default(),
+        }
+    }
+
+    fn check(&self, what: &str) {
+        let thread = std::thread::current();
+        if self.armed.load(std::sync::atomic::Ordering::SeqCst)
+            && !self.windows.lock().unwrap().contains(&thread.id())
+        {
+            let name = thread.name().unwrap_or("unnamed");
+            self.strays
+                .lock()
+                .unwrap()
+                .push(format!("{what} on {name}"));
+        }
+    }
+}
+
+impl<S: ObjectStore> ObjectStore for WindowReads<S> {
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, seg_store::StoreError> {
+        self.check("get");
+        self.inner.get(key)
+    }
+    fn get_arc(&self, key: &str) -> Result<Option<Arc<[u8]>>, seg_store::StoreError> {
+        self.check("get");
+        self.inner.get_arc(key)
+    }
+    fn put(&self, key: &str, value: &[u8]) -> Result<(), seg_store::StoreError> {
+        self.inner.put(key, value)
+    }
+    fn delete(&self, key: &str) -> Result<bool, seg_store::StoreError> {
+        self.inner.delete(key)
+    }
+    fn exists(&self, key: &str) -> Result<bool, seg_store::StoreError> {
+        self.check("exists");
+        self.inner.exists(key)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<(), seg_store::StoreError> {
+        self.inner.rename(from, to)
+    }
+    fn list(&self) -> Result<Vec<String>, seg_store::StoreError> {
+        self.check("list");
+        self.inner.list()
+    }
+    fn list_prefix(&self, prefix: &str) -> Result<Vec<String>, seg_store::StoreError> {
+        self.check("list");
+        self.inner.list_prefix(prefix)
+    }
+    fn len(&self) -> Result<usize, seg_store::StoreError> {
+        self.inner.len()
+    }
+    fn total_bytes(&self) -> Result<u64, seg_store::StoreError> {
+        self.inner.total_bytes()
+    }
+    fn apply_batch(&self, batch: &seg_store::WriteBatch) -> Result<(), seg_store::StoreError> {
+        self.inner.apply_batch(batch)
+    }
+    fn submit_batch(
+        &self,
+        batch: seg_store::WriteBatch,
+    ) -> Result<seg_store::CommitTicket, seg_store::StoreError> {
+        self.inner.submit_batch(batch)
+    }
+    fn tx_begin(&self) {
+        self.windows
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
+        self.inner.tx_begin();
+    }
+    fn tx_seal(&self) -> Result<Option<seg_store::CommitTicket>, seg_store::StoreError> {
+        self.windows
+            .lock()
+            .unwrap()
+            .remove(&std::thread::current().id());
+        self.inner.tx_seal()
+    }
+    fn io_stats(&self) -> seg_store::IoStats {
+        self.inner.io_stats()
+    }
+}
+
+/// Every store read the enclave makes after launch is inside a commit
+/// window too: a backend shows a window's writes to no other thread
+/// before the seal. Two connections put and get side by side while the
+/// host scrubs and verifies the audit chain.
+#[test]
+fn every_store_read_after_launch_is_inside_a_window() {
+    let dir = tempdir("window-reads");
+    let wal = Arc::new(WalStore::open(&dir).unwrap());
+    let views = {
+        let (content, group, dedup) = wal_views(&wal);
+        [content, group, dedup].map(|view| Arc::new(WindowReads::new(view)))
+    };
+    let [content, group, dedup] = views
+        .each_ref()
+        .map(|view| Arc::clone(view) as Arc<dyn ObjectStore>);
+    let setup = FsoSetup::with_stores(
+        "ca",
+        window_config(),
+        Platform::new(),
+        content,
+        group,
+        dedup,
+    );
+    let server = setup.server().unwrap();
+    let clients = ["alice", "bob"].map(|user| connect(&setup, &server, user));
+    for view in &views {
+        view.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+    std::thread::scope(|s| {
+        for (i, mut c) in clients.into_iter().enumerate() {
+            s.spawn(move || {
+                for round in 0..20 {
+                    let path = format!("/c{i}-{}", round % 3);
+                    let body = vec![round as u8; 700 + 50 * i];
+                    c.put(&path, &body).unwrap();
+                    assert_eq!(c.get(&path).unwrap(), body);
+                }
+            });
+        }
+        for _ in 0..20 {
+            server.telemetry().scrub_step();
+            server.audit_verify().unwrap();
+        }
+    });
+    server.audit_export().unwrap();
+    for (name, view) in ["content", "group", "dedup"].iter().zip(&views) {
+        let mut strays = BTreeMap::<String, usize>::new();
+        for stray in view.strays.lock().unwrap().drain(..) {
+            *strays.entry(stray).or_default() += 1;
+        }
+        assert!(
+            strays.is_empty(),
+            "{name}: reads outside a window: {strays:?}"
+        );
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A `get` with its audit append is one WAL frame and one fsync.
 #[test]
 fn a_get_is_one_frame_and_one_fsync() {
@@ -678,10 +834,9 @@ fn a_put_is_one_frame_and_one_fsync() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A WAL server whose checkpoints fall due every few requests and whose
-/// checkpoint gives up on open transactions after 2 s, poisoning the
-/// store: the PR 11 deadlock (a write waiting on the log outside a
-/// window while a window waits on it) shows up as a poisoned store.
+/// A WAL server whose checkpoints fall due every few requests, beside
+/// two connections' windows: a store that poisons itself or a request
+/// that fails shows a checkpoint and a window getting in each other's way.
 fn checkpointing_server(tag: &str) -> (PathBuf, Arc<WalStore>, FsoSetup, SegShareServer) {
     let dir = tempdir(tag);
     let wal = Arc::new(
@@ -689,7 +844,6 @@ fn checkpointing_server(tag: &str) -> (PathBuf, Arc<WalStore>, FsoSetup, SegShar
             &dir,
             WalConfig {
                 checkpoint_bytes: 16 * 1024,
-                gate_timeout: std::time::Duration::from_secs(2),
                 ..WalConfig::default()
             },
         )
@@ -844,16 +998,7 @@ impl<S: ObjectStore> ObjectStore for PanicOnPut<S> {
 #[test]
 fn a_panicking_window_leaves_no_open_transaction() {
     let dir = tempdir("panic-window");
-    let wal = Arc::new(
-        WalStore::open_with(
-            &dir,
-            WalConfig {
-                gate_timeout: std::time::Duration::from_secs(2),
-                ..WalConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let wal = Arc::new(WalStore::open(&dir).unwrap());
     let (content, group, dedup) = wal_views(&wal);
     let content = Arc::new(PanicOnPut {
         inner: content,
